@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build vet fmtcheck test race fuzz chaos bench bench-json bench-compare bench-smoke obs-smoke obs-smoke-fault serve-smoke shard-smoke remote-smoke trace-smoke crash-smoke experiments examples golden clean
+.PHONY: all build vet bench-build fmtcheck test race fuzz chaos bench bench-json bench-compare bench-smoke obs-smoke obs-smoke-fault serve-smoke shard-smoke remote-smoke trace-smoke crash-smoke experiments examples golden clean
 
 all: build vet test bench-json
 
@@ -10,13 +10,21 @@ build:
 vet:
 	go vet ./...
 
+# The end-to-end benchmark is a module of its own (benchmarks/go.mod, with
+# `replace repro => ../`), so `go vet ./...` above never sees it. Vetting it
+# compiles the harness and its tests against the working tree: a drift in the
+# exported API of blast, internal/router or internal/server fails here
+# instead of in the benchmark pipeline.
+bench-build:
+	go vet -C benchmarks ./...
+
 # gofmt gate: fail if any tracked Go file needs reformatting. gofmt -l
 # prints offenders; grep turns a non-empty list into a non-zero exit.
 fmtcheck:
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 
-test: vet fmtcheck race fuzz chaos obs-smoke obs-smoke-fault serve-smoke shard-smoke remote-smoke trace-smoke crash-smoke bench-compare bench-smoke
+test: vet bench-build fmtcheck race fuzz chaos obs-smoke obs-smoke-fault serve-smoke shard-smoke remote-smoke trace-smoke crash-smoke bench-compare bench-smoke
 	go test ./...
 
 # Race-detector pass over the packages with concurrent hot paths (the batch

@@ -2,9 +2,7 @@ package blast
 
 import (
 	"context"
-	"fmt"
 
-	"repro/internal/alphabet"
 	"repro/internal/search"
 )
 
@@ -54,39 +52,11 @@ func (b *BatchResult) CompletedCount() int {
 // cannot be encoded); runtime failures are reported per query inside the
 // BatchResult so partial results stay usable.
 func (d *Database) SearchBatchCtx(ctx context.Context, queries []string) (*BatchResult, error) {
-	if d.tiers != nil {
-		return d.searchTieredBatch(ctx, queries)
+	ctx, cancel := d.withDeadline(ctx)
+	defer cancel()
+	enc, err := encodeQueries(queries)
+	if err != nil {
+		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if d.params.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d.params.Timeout)
-		defer cancel()
-	}
-	enc := make([][]alphabet.Code, len(queries))
-	for i, s := range queries {
-		q, err := alphabet.Encode([]byte(s))
-		if err != nil {
-			return nil, fmt.Errorf("blast: query %d: %w", i, err)
-		}
-		enc[i] = q
-	}
-	br := d.mu.SearchBatchCtx(ctx, enc, d.params.Threads)
-	out := &BatchResult{
-		Results:   make([]*Result, len(br.Results)),
-		Completed: br.Completed,
-		QueryErrs: br.QueryErrs,
-		Sched:     br.Sched,
-		Err:       br.Err,
-	}
-	for i := range br.Results {
-		if br.Completed[i] {
-			out.Results[i] = d.convert(enc[i], br.Results[i])
-		} else {
-			out.Results[i] = &Result{QueryLen: len(enc[i])}
-		}
-	}
-	return out, nil
+	return d.searchRaw(ctx, enc).batchResult(enc), nil
 }

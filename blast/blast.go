@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -150,37 +151,18 @@ func (k EngineKind) String() string {
 	return fmt.Sprintf("EngineKind(%d)", int(k))
 }
 
-// Database is an indexed, searchable protein database.
+// Database is an indexed, searchable protein database: an ordered list of
+// one or more parts (see parts.go) searched under one configuration. Subject
+// ids in results are Database-wide; each part maps its own ids into them.
 type Database struct {
 	params Params
 	cfg    *search.Config
-	db     *dbase.DB
-	ix     *dbindex.Index
-
-	// Long-sequence splitting bookkeeping: origin[i] records where db.Seqs
-	// (post-sort, by Name lookup) chunks came from. Keyed by chunk name.
-	// The table is persisted in the saved container (ORGN section) rather
-	// than recovered from name suffixes, so sequence names containing "#"
-	// are never misread as chunks.
-	chunkOrigin map[string]chunkInfo
+	parts  []*part
 
 	// Effective split geometry the database was built with (0/0 when
 	// splitting is disabled); recorded in the saved container's fingerprint.
 	splitLen     int
 	splitOverlap int
-
-	mu      *core.Engine
-	ncbi    *search.QueryIndexed
-	ncbiDB  *search.DBIndexed
-	ncbiDFA *search.QueryIndexedDFA
-
-	// Tiered (base+deltas) state, attached when the database was opened from
-	// an ingest store with outstanding delta containers: tiers[0] is this
-	// database itself, tiers[1:] the deltas in manifest order, each with its
-	// local-to-combined id mapping; tierRev inverts the mapping. nil for a
-	// single-container database. See tiered.go.
-	tiers   []tierRef
-	tierRev []tierLoc
 
 	// Ingest-store provenance (zero when not opened from a store): the
 	// manifest commit seq, its content hash, and the delta count — the
@@ -190,10 +172,19 @@ type Database struct {
 	numDeltas    int
 }
 
-// chunkInfo maps a split chunk back to its source sequence.
-type chunkInfo struct {
-	origName string
-	offset   int
+// newSingle wires one container's sequences and index to the engines that
+// search them and wraps the part as a one-part Database.
+func newSingle(p Params, cfg *search.Config, db *dbase.DB, ix *dbindex.Index, origins map[string]chunkInfo, splitLen, overlap int) *Database {
+	opt := core.DefaultOptions()
+	opt.Scheduler, _ = schedulerFor(p.Scheduler)
+	whole := &part{
+		db: db, ix: ix, chunkOrigin: origins,
+		mu:      core.NewWithOptions(cfg, ix, opt),
+		ncbi:    search.NewQueryIndexed(cfg, db),
+		ncbiDB:  search.NewDBIndexed(cfg, ix),
+		ncbiDFA: search.NewQueryIndexedDFA(cfg, db),
+	}
+	return &Database{params: p, cfg: cfg, parts: []*part{whole}, splitLen: splitLen, splitOverlap: overlap}
 }
 
 // NewDatabase encodes and indexes the sequences. Sequences are length-
@@ -258,10 +249,7 @@ func newDatabaseFrom(db *dbase.DB, p Params) (*Database, error) {
 	if _, err := schedulerFor(p.Scheduler); err != nil {
 		return nil, err
 	}
-	d := &Database{params: p, cfg: cfg, db: db, ix: ix, chunkOrigin: chunkOrigin,
-		splitLen: splitLen, splitOverlap: overlap}
-	d.attachEngines()
-	return d, nil
+	return newSingle(p, cfg, db, ix, chunkOrigin, splitLen, overlap), nil
 }
 
 // effectiveSplit resolves Params' long-sequence split geometry to the values
@@ -321,15 +309,6 @@ func schedulerFor(name string) (core.Scheduler, error) {
 	return 0, fmt.Errorf("blast: unknown scheduler %q (want block-major or barrier)", name)
 }
 
-func (d *Database) attachEngines() {
-	opt := core.DefaultOptions()
-	opt.Scheduler, _ = schedulerFor(d.params.Scheduler)
-	d.mu = core.NewWithOptions(d.cfg, d.ix, opt)
-	d.ncbi = search.NewQueryIndexed(d.cfg, d.db)
-	d.ncbiDB = search.NewDBIndexed(d.cfg, d.ix)
-	d.ncbiDFA = search.NewQueryIndexedDFA(d.cfg, d.db)
-}
-
 func buildConfig(p Params) (*search.Config, error) {
 	m, err := matrix.ByName(p.Matrix)
 	if err != nil {
@@ -359,14 +338,11 @@ func buildConfig(p Params) (*search.Config, error) {
 // NumSequences returns the number of database sequences (summed across
 // base + deltas for a tiered database).
 func (d *Database) NumSequences() int {
-	if d.tiers != nil {
-		n := 0
-		for _, t := range d.tiers {
-			n += t.d.db.NumSeqs()
-		}
-		return n
+	n := 0
+	for _, p := range d.parts {
+		n += p.db.NumSeqs()
 	}
-	return d.db.NumSeqs()
+	return n
 }
 
 // SearchSettings reports the result-shaping parameters this database serves
@@ -380,49 +356,45 @@ func (d *Database) SearchSettings() (evalueCutoff float64, maxResults int) {
 // TotalResidues returns the total residue count (summed across base + deltas
 // for a tiered database).
 func (d *Database) TotalResidues() int64 {
-	if d.tiers != nil {
-		var n int64
-		for _, t := range d.tiers {
-			n += t.d.db.TotalResidues
-		}
-		return n
+	var n int64
+	for _, p := range d.parts {
+		n += p.db.TotalResidues
 	}
-	return d.db.TotalResidues
+	return n
 }
 
 // NumBlocks returns the number of index blocks (across all tiers).
 func (d *Database) NumBlocks() int {
-	if d.tiers != nil {
-		n := 0
-		for _, t := range d.tiers {
-			n += len(t.d.ix.Blocks)
-		}
-		return n
+	n := 0
+	for _, p := range d.parts {
+		n += len(p.ix.Blocks)
 	}
-	return len(d.ix.Blocks)
+	return n
 }
 
 // IndexSizeBytes returns the in-memory size of the database index (across
 // all tiers).
 func (d *Database) IndexSizeBytes() int64 {
-	if d.tiers != nil {
-		var n int64
-		for _, t := range d.tiers {
-			n += t.d.ix.SizeBytes()
-		}
-		return n
+	var n int64
+	for _, p := range d.parts {
+		n += p.ix.SizeBytes()
 	}
-	return d.ix.SizeBytes()
+	return n
 }
 
 // SubjectResidues returns the residues of a subject by its Hit.Subject id.
 // For a tiered database the id is in the combined (rebuild-global) space.
 func (d *Database) SubjectResidues(subject int) string {
-	if d.tiers != nil {
-		loc := d.tierRev[subject]
-		return alphabet.String(d.tiers[loc.tier].d.db.Seqs[loc.local].Data)
+	for _, p := range d.parts {
+		local := subject
+		if p.idMap != nil {
+			if local = sort.SearchInts(p.idMap, subject); local == len(p.idMap) || p.idMap[local] != subject {
+				continue
+			}
+		}
+		return alphabet.String(p.db.Seqs[local].Data)
 	}
-	return alphabet.String(d.db.Seqs[subject].Data)
+	panic(fmt.Sprintf("blast: subject id %d is not in the database", subject))
 }
 
 // Hit is one reported alignment.
@@ -454,40 +426,21 @@ func (d *Database) Search(query string) (*Result, error) {
 
 // SearchWithEngine runs a single query through the chosen engine.
 func (d *Database) SearchWithEngine(kind EngineKind, query string) (*Result, error) {
-	if d.tiers != nil {
-		if kind != EngineMuBLASTP {
-			return nil, fmt.Errorf("blast: tiered (base+deltas) database supports only the muBLASTP engine, not %v; compact the store first", kind)
-		}
-		br, err := d.searchTieredBatch(context.Background(), []string{query})
-		if err != nil {
-			return nil, err
-		}
-		if !br.Completed[0] {
-			if br.QueryErrs[0] != nil {
-				return nil, br.QueryErrs[0]
-			}
-			return nil, br.Err
-		}
-		return br.Results[0], nil
+	if kind != EngineMuBLASTP && len(d.parts) > 1 {
+		return nil, fmt.Errorf("blast: tiered (base+deltas) database supports only the muBLASTP engine, not %v; compact the store first", kind)
 	}
 	q, err := alphabet.Encode([]byte(query))
 	if err != nil {
 		return nil, fmt.Errorf("blast: query: %w", err)
 	}
-	var res search.QueryResult
-	switch kind {
-	case EngineMuBLASTP:
-		res = d.mu.Search(0, q)
-	case EngineNCBI:
-		res = d.ncbi.Search(0, q)
-	case EngineNCBIdb:
-		res = d.ncbiDB.Search(0, q)
-	case EngineNCBIDFA:
-		res = d.ncbiDFA.Search(0, q)
-	default:
-		return nil, fmt.Errorf("blast: unknown engine %v", kind)
+	raws := make([]*rawBatch, len(d.parts))
+	for i, p := range d.parts {
+		if raws[i], err = p.searchOne(kind, q); err != nil {
+			return nil, err
+		}
 	}
-	return d.convert(q, res), nil
+	raw := d.mergeOwn(raws, 1)
+	return convertHSPs(len(q), raw.results[0], raw.meta[0]), nil
 }
 
 // SearchBatch runs a batch of queries through the muBLASTP engine with the
@@ -499,54 +452,26 @@ func (d *Database) SearchBatch(queries []string) ([]*Result, error) {
 }
 
 // SearchBatchStats is SearchBatch plus the batch scheduler's utilization
-// counters (workers used, task spread, busy vs stalled worker-time).
+// counters (workers used, task spread, busy vs stalled worker-time). It is
+// the no-context form of SearchBatchCtx: it never cancels, Params.Timeout
+// included.
 func (d *Database) SearchBatchStats(queries []string) ([]*Result, search.SchedStats, error) {
-	if d.tiers != nil {
-		br, err := d.searchTieredBatch(context.Background(), queries)
-		if err != nil {
-			return nil, search.SchedStats{}, err
-		}
-		if br.Err != nil {
-			return nil, br.Sched, br.Err
-		}
-		return br.Results, br.Sched, nil
+	enc, err := encodeQueries(queries)
+	if err != nil {
+		return nil, search.SchedStats{}, err
 	}
-	enc := make([][]alphabet.Code, len(queries))
-	for i, s := range queries {
-		q, err := alphabet.Encode([]byte(s))
-		if err != nil {
-			return nil, search.SchedStats{}, fmt.Errorf("blast: query %d: %w", i, err)
-		}
-		enc[i] = q
-	}
-	results, sched := d.mu.SearchBatchStats(enc, d.params.Threads)
-	out := make([]*Result, len(results))
-	for i := range results {
-		out[i] = d.convert(enc[i], results[i])
-	}
-	return out, sched, nil
+	br := d.searchRaw(context.Background(), enc).batchResult(enc)
+	return br.Results, br.Sched, nil
 }
 
-func (d *Database) convert(q []alphabet.Code, res search.QueryResult) *Result {
-	return convertHSPs(q, res,
-		func(_ int, h *search.HSP) float64 { return identity(q, d.db.Seqs[h.Subject].Data, &h.Aln) },
-		func(_ int, h *search.HSP) (chunkInfo, bool) {
-			info, ok := d.chunkOrigin[h.SubjectName]
-			return info, ok
-		})
-}
-
-// convertHSPs turns ranked HSPs into reported Hits against an abstract
-// subject view: identityOf resolves the i-th HSP to its aligned-column
-// identity fraction and origin resolves it to its split-chunk origin, if
-// any. The closures receive the HSP's position in res.HSPs so merge paths
-// whose HSPs come from different shards (including detached, wire-imported
-// shard results with no local residues at all) can consult per-HSP side
-// records. The monolithic database and the sharded merge both funnel
-// through this one function, so chunk-coordinate mapping and overlap
-// deduplication behave identically on both paths.
-func convertHSPs(q []alphabet.Code, res search.QueryResult, identityOf func(i int, h *search.HSP) float64, origin func(i int, h *search.HSP) (chunkInfo, bool)) *Result {
-	out := &Result{QueryLen: len(q), Stats: res.Stats, Hits: make([]Hit, 0, len(res.HSPs))}
+// convertHSPs turns ranked HSPs in a Database's id space into reported Hits;
+// metas[i] is the side record of res.HSPs[i]. Every search — one part or
+// many, tiers or shards, resident or wire-imported — funnels through this one
+// function, so chunk-coordinate mapping and overlap deduplication (also
+// across parts: chunks of one long subject may land in different ones)
+// behave identically on every path.
+func convertHSPs(queryLen int, res search.QueryResult, metas []hspMeta) *Result {
+	out := &Result{QueryLen: queryLen, Stats: res.Stats, Hits: make([]Hit, 0, len(res.HSPs))}
 	type hitKey struct {
 		name          string
 		score, qs, ss int
@@ -564,20 +489,20 @@ func convertHSPs(q []alphabet.Code, res search.QueryResult, identityOf func(i in
 			QueryEnd:     h.Aln.QEnd,
 			SubjectStart: h.Aln.SStart,
 			SubjectEnd:   h.Aln.SEnd,
-			Identity:     identityOf(i, h),
+			Identity:     metas[i].identity,
 			Ops:          string(h.Aln.Ops),
 		}
 		// Map split chunks back to original-sequence coordinates and drop
 		// duplicates found in the overlap region of adjacent chunks
 		// (Section IV-A's assembly step).
-		if info, ok := origin(i, h); ok {
-			hit.SubjectName = info.origName
-			hit.SubjectStart += info.offset
-			hit.SubjectEnd += info.offset
+		if m := &metas[i]; m.hasOrigin {
+			hit.SubjectName = m.origName
+			hit.SubjectStart += m.offset
+			hit.SubjectEnd += m.offset
 			if seen == nil {
 				seen = make(map[hitKey]bool)
 			}
-			k := hitKey{info.origName, hit.Score, hit.QueryStart, hit.SubjectStart}
+			k := hitKey{m.origName, hit.Score, hit.QueryStart, hit.SubjectStart}
 			if seen[k] {
 				continue
 			}

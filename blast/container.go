@@ -130,7 +130,7 @@ func (d *Database) fingerprint() Fingerprint {
 		Matrix:            d.cfg.Matrix.Name,
 		WordSize:          alphabet.W,
 		NeighborThreshold: d.params.NeighborThreshold,
-		BlockResidues:     d.ix.BlockResidues,
+		BlockResidues:     d.parts[0].ix.BlockResidues,
 		SplitLongerThan:   d.splitLen,
 		SplitOverlap:      d.splitOverlap,
 	}
@@ -141,9 +141,10 @@ func (d *Database) fingerprint() Fingerprint {
 // reuse the paper's database-index design is for. Every section is framed
 // with a length and a CRC32 so Load can prove integrity.
 func (d *Database) Save(w io.Writer) error {
-	if d.tiers != nil {
+	if len(d.parts) > 1 {
 		return fmt.Errorf("blast: cannot save a tiered (base+deltas) database as one container; compact the store instead")
 	}
+	p := d.parts[0]
 	var hdr [len(containerMagic) + 2]byte
 	copy(hdr[:], containerMagic)
 	binary.LittleEndian.PutUint16(hdr[len(containerMagic):], containerVersion)
@@ -173,13 +174,13 @@ func (d *Database) Save(w io.Writer) error {
 	if err := writeSection(secParams, d.writeFingerprint); err != nil {
 		return err
 	}
-	if err := writeSection(secSeqs, func(w io.Writer) error { _, err := d.db.WriteTo(w); return err }); err != nil {
+	if err := writeSection(secSeqs, func(w io.Writer) error { _, err := p.db.WriteTo(w); return err }); err != nil {
 		return err
 	}
-	if err := writeSection(secIndex, func(w io.Writer) error { _, err := d.ix.WriteTo(w); return err }); err != nil {
+	if err := writeSection(secIndex, func(w io.Writer) error { _, err := p.ix.WriteTo(w); return err }); err != nil {
 		return err
 	}
-	if err := writeSection(secOrigin, d.writeOrigins); err != nil {
+	if err := writeSection(secOrigin, p.writeOrigins); err != nil {
 		return err
 	}
 	return writeSection(secEnd, func(io.Writer) error { return nil })
@@ -204,19 +205,19 @@ func (d *Database) writeFingerprint(w io.Writer) error {
 // writeOrigins persists the split-chunk origin table: for every database
 // sequence that is a chunk of a split original, its index, the chunk's
 // offset in the original, and the original's name.
-func (d *Database) writeOrigins(w io.Writer) error {
+func (p *part) writeOrigins(w io.Writer) error {
 	var buf [binary.MaxVarintLen64]byte
 	var out []byte
 	putUvarint := func(v uint64) { out = append(out, buf[:binary.PutUvarint(buf[:], v)]...) }
 	n := 0
-	for i := range d.db.Seqs {
-		if _, ok := d.chunkOrigin[d.db.Seqs[i].Name]; ok {
+	for i := range p.db.Seqs {
+		if _, ok := p.chunkOrigin[p.db.Seqs[i].Name]; ok {
 			n++
 		}
 	}
 	putUvarint(uint64(n))
-	for i := range d.db.Seqs {
-		info, ok := d.chunkOrigin[d.db.Seqs[i].Name]
+	for i := range p.db.Seqs {
+		info, ok := p.chunkOrigin[p.db.Seqs[i].Name]
 		if !ok {
 			continue
 		}
@@ -495,13 +496,7 @@ func (c *container) open(p Params) (*Database, error) {
 		p.SplitLongerThan, p.SplitOverlap = -1, 0
 	}
 	c.ix.Neighbors = cfg.Neighbors
-	d := &Database{
-		params: p, cfg: cfg, db: c.db, ix: c.ix,
-		chunkOrigin: c.origins,
-		splitLen:    c.fp.SplitLongerThan, splitOverlap: c.fp.SplitOverlap,
-	}
-	d.attachEngines()
-	return d, nil
+	return newSingle(p, cfg, c.db, c.ix, c.origins, c.fp.SplitLongerThan, c.fp.SplitOverlap), nil
 }
 
 // Load reads a database written by Save. The Params must be compatible with

@@ -4,45 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
-	"repro/internal/alphabet"
 	"repro/internal/dbindex"
 	"repro/internal/obs"
 	"repro/internal/search"
 )
 
-// This file implements horizontal database sharding: splitting one built
-// database into N self-contained sub-databases (each saveable as a normal
-// container), searching a shard on behalf of the whole, and merging per-shard
-// results byte-identically to a monolithic search.
-//
-// The shard layout is the paper's inter-node partitioning (Section IV-D3)
-// frozen into the container format: the monolithic database is length-sorted
-// (the index build guarantees it), then dealt round-robin, so shard s holds
-// the sequences whose monolithic ids are s, s+N, s+2N, ... in that order.
-// Three properties follow and the merge depends on all of them:
-//
-//   - every shard sees a near-identical length distribution, so per-query
-//     work is balanced across shards (the paper's load-balance argument);
-//   - each shard is itself in ascending length order, so it round-trips
-//     through the container format unchanged;
-//   - the monolithic id of shard s's local sequence j is j*N + s, so merged
-//     hits can be restored to monolithic subject ids — and hence monolithic
-//     ranking and rendered output — without any stored mapping.
-//
-// E-values are the other half of the merge invariant: every shard engine must
-// compute statistics against the *global* search space (Params.GlobalDB*,
-// threaded into search.Config.DBLenOverride/DBSeqsOverride), or per-shard
-// E-values — and with them cutoff filtering and the merged ranking — drift
-// from the monolithic search. MergeShards re-sorts with the monolithic
-// comparator over restored ids, re-caps at MaxResults, and converts hits
-// through the same convertHSPs path as a monolithic search, so for any shard
-// count N >= 1 the merged output is byte-identical to the single-database
-// result. (The one theoretical exception, shared with all distributed BLAST
-// merges: a hit cut by the monolithic MaxResults pre-traceback cap can
-// survive a shard's local cap; it needs more than MaxResults co-ranked HSPs
-// on one query to occur.)
+// This file is the shard instantiation of the partitioned search: splitting
+// one built database into N self-contained sub-databases (each saveable as a
+// normal container), searching one on behalf of the whole, and merging the
+// per-shard raw results through mergeParts with the id map local*N + shard.
+// Why that map needs no stored table, why every shard computes E-values
+// against the global totals, and where the merge can in theory differ from a
+// monolithic search are in DESIGN.md, "Partitions and the merge".
 
 // ErrShardUnavailable marks queries whose results are incomplete because at
 // least one shard contributed nothing (shed, failed, or unreachable). The
@@ -60,20 +34,21 @@ func (d *Database) Shards(n int) ([]*Database, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("blast: shard count must be positive, got %d", n)
 	}
-	if d.tiers != nil {
+	if len(d.parts) > 1 {
 		return nil, fmt.Errorf("blast: cannot shard a tiered (base+deltas) database; compact the store first")
 	}
-	if n > d.db.NumSeqs() {
-		return nil, fmt.Errorf("blast: %d shards for %d sequences; shards must not be empty", n, d.db.NumSeqs())
+	whole := d.parts[0]
+	if n > whole.db.NumSeqs() {
+		return nil, fmt.Errorf("blast: %d shards for %d sequences; shards must not be empty", n, whole.db.NumSeqs())
 	}
-	parts := d.db.Partitions(n)
+	parts := whole.db.Partitions(n)
 	out := make([]*Database, n)
 	for s := range parts {
-		sub := d.db.Subset(parts[s])
+		sub := whole.db.Subset(parts[s])
 		p := d.params
-		p.BlockResidues = d.ix.BlockResidues
-		p.GlobalDBResidues = d.db.TotalResidues
-		p.GlobalDBSequences = int64(d.db.NumSeqs())
+		p.BlockResidues = whole.ix.BlockResidues
+		p.GlobalDBResidues = whole.db.TotalResidues
+		p.GlobalDBSequences = int64(whole.db.NumSeqs())
 		cfg, err := buildConfig(p)
 		if err != nil {
 			return nil, err
@@ -81,23 +56,20 @@ func (d *Database) Shards(n int) ([]*Database, error) {
 		// The subset of an ascending-length database is ascending, so the
 		// build's internal sort is a stable no-op and local id j keeps
 		// meaning monolithic id j*n + s.
-		ix, err := dbindex.Build(sub, cfg.Neighbors, d.ix.BlockResidues)
+		ix, err := dbindex.Build(sub, cfg.Neighbors, p.BlockResidues)
 		if err != nil {
 			return nil, fmt.Errorf("blast: indexing shard %d: %w", s, err)
 		}
 		var co map[string]chunkInfo
 		for i := range sub.Seqs {
-			if info, ok := d.chunkOrigin[sub.Seqs[i].Name]; ok {
+			if info, ok := whole.chunkOrigin[sub.Seqs[i].Name]; ok {
 				if co == nil {
 					co = make(map[string]chunkInfo)
 				}
 				co[sub.Seqs[i].Name] = info
 			}
 		}
-		sd := &Database{params: p, cfg: cfg, db: sub, ix: ix, chunkOrigin: co,
-			splitLen: d.splitLen, splitOverlap: d.splitOverlap}
-		sd.attachEngines()
-		out[s] = sd
+		out[s] = newSingle(p, cfg, sub, ix, co, d.splitLen, d.splitOverlap)
 	}
 	return out, nil
 }
@@ -109,73 +81,21 @@ func (d *Database) GlobalSearchSpace() (residues, sequences int64) {
 	if d.params.GlobalDBResidues > 0 {
 		return d.params.GlobalDBResidues, d.params.GlobalDBSequences
 	}
-	return d.db.TotalResidues, int64(d.db.NumSeqs())
+	return d.TotalResidues(), int64(d.NumSequences())
 }
 
 // ShardResult is one shard's raw contribution to a scatter-gather search:
-// per-query HSPs still carrying shard-local subject ids, plus the batch's
-// completion flags. It is produced by SearchShardBatchCtx (attached to the
-// shard's local database) or by ImportShardResult (detached — rebuilt from
-// the wire form a remote shard worker sent, with precomputed identity and
-// chunk-origin side records instead of a resident database) and consumed by
-// MergeShards; callers treat it as opaque.
+// per-query HSPs still carrying shard-local subject ids, their side records,
+// and the batch's completion flags. It is produced by SearchShardBatchCtx or
+// rebuilt by ImportShardResult from the wire form a remote shard worker
+// sent, and consumed by MergeShards; callers treat it as opaque. It holds no
+// reference to the database that produced it, so it stays valid — and keeps
+// nothing else alive — after that database is released or replaced.
 type ShardResult struct {
-	shard     int
-	numShards int
-	db        *Database // nil for a detached (wire-imported) result
-	results   []search.QueryResult
-	completed []bool
-	queryErrs []error
-	sched     search.SchedStats
-	err       error
-
-	// Detached-result state: the merge cap the remote shard was configured
-	// with, and per-query per-HSP side records (parallel to results[i].HSPs)
-	// replacing what an attached result derives from db.
-	maxResults int
-	sidecar    [][]hspMeta
-}
-
-// hspMeta is the detached stand-in for what the merge otherwise reads from
-// the shard's resident database: the alignment's identity fraction (needs
-// subject residues) and its split-chunk origin (needs the chunkOrigin map).
-// Both are computed shard-side at Wire time, against exactly the data a
-// local merge would have consulted.
-type hspMeta struct {
-	identity  float64
-	origName  string
-	offset    int
-	hasOrigin bool
-}
-
-// hspIdentity resolves one of this shard's HSPs (restored to its monolithic
-// subject id) to its aligned-column identity fraction.
-func (r *ShardResult) hspIdentity(q []alphabet.Code, qi, local int, h *search.HSP) float64 {
-	if r.db != nil {
-		return identity(q, r.db.db.Seqs[h.Subject/r.numShards].Data, &h.Aln)
-	}
-	return r.sidecar[qi][local].identity
-}
-
-// hspOrigin resolves one of this shard's HSPs to its split-chunk origin.
-func (r *ShardResult) hspOrigin(qi, local int, h *search.HSP) (chunkInfo, bool) {
-	if r.db != nil {
-		info, ok := r.db.chunkOrigin[h.SubjectName]
-		return info, ok
-	}
-	m := &r.sidecar[qi][local]
-	if !m.hasOrigin {
-		return chunkInfo{}, false
-	}
-	return chunkInfo{origName: m.origName, offset: m.offset}, true
-}
-
-// maxHits returns the per-query report cap this shard was searched with.
-func (r *ShardResult) maxHits() int {
-	if r.db != nil {
-		return r.db.params.MaxResults
-	}
-	return r.maxResults
+	shard      int
+	numShards  int
+	maxResults int // the per-query report cap the shard was searched with
+	rawBatch
 }
 
 // Shard returns the shard index this result came from.
@@ -235,44 +155,25 @@ func (d *Database) SearchShardBatchCtx(ctx context.Context, queries []string, sh
 	if numShards <= 0 || shard < 0 || shard >= numShards {
 		return nil, fmt.Errorf("blast: shard %d of %d out of range", shard, numShards)
 	}
-	if ctx == nil {
-		ctx = context.Background()
+	ctx, cancel := d.withDeadline(ctx)
+	defer cancel()
+	enc, err := encodeQueries(queries)
+	if err != nil {
+		return nil, err
 	}
-	if d.params.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d.params.Timeout)
-		defer cancel()
-	}
-	if d.tiers != nil {
-		// A store-backed shard searches base+deltas and hands the merge a
-		// detached result whose local ids live in the combined id space; the
-		// round-robin id restoration then works unchanged, provided every
-		// shard of the topology serves the same manifest generation (the
-		// router's coherence handshake enforces this).
-		return d.searchTieredShard(ctx, queries, shard, numShards)
-	}
-	enc := make([][]alphabet.Code, len(queries))
-	for i, s := range queries {
-		q, err := alphabet.Encode([]byte(s))
-		if err != nil {
-			return nil, fmt.Errorf("blast: query %d: %w", i, err)
-		}
-		enc[i] = q
-	}
-	br := d.mu.SearchBatchCtx(ctx, enc, d.params.Threads)
-	return &ShardResult{
-		shard: shard, numShards: numShards, db: d,
-		results: br.Results, completed: br.Completed, queryErrs: br.QueryErrs,
-		sched: br.Sched, err: br.Err,
-	}, nil
+	// A store-backed shard searches base+deltas like any other Database; its
+	// ids then live in the combined id space, and the round-robin restoration
+	// works unchanged provided every shard of the topology serves the same
+	// manifest generation (the router's coherence handshake enforces this).
+	return &ShardResult{shard: shard, numShards: numShards, maxResults: d.params.MaxResults,
+		rawBatch: *d.searchRaw(ctx, enc)}, nil
 }
 
 // MergeShards combines one ShardResult per shard (parts[s] from shard s)
 // into a BatchResult byte-identical to searching the monolithic database:
-// subject ids are restored to monolithic ids (local*N + shard), HSPs
-// re-ranked with the monolithic comparator, re-capped at MaxResults, and
-// converted — chunk-origin mapping and overlap deduplication included —
-// through the same path as a single-database search.
+// mergeParts with the round-robin id map (local*N + shard, shards having run
+// side by side), then the same conversion — chunk-origin mapping and overlap
+// deduplication included — as a single-database search.
 //
 // A nil entry stands for a shard that contributed nothing (shed or failed).
 // Its absence poisons every query honestly: the query is marked incomplete
@@ -284,11 +185,10 @@ func MergeShards(queries []string, parts []*ShardResult) (*BatchResult, error) {
 	if numShards == 0 {
 		return nil, errors.New("blast: MergeShards needs at least one shard")
 	}
-	var tmpl *ShardResult
-	var missing []int
+	raws := make([]*rawBatch, numShards)
+	maxResults, present := 0, false
 	for s, part := range parts {
 		if part == nil {
-			missing = append(missing, s)
 			continue
 		}
 		if part.numShards != numShards || part.shard != s {
@@ -299,132 +199,19 @@ func MergeShards(queries []string, parts []*ShardResult) (*BatchResult, error) {
 			return nil, fmt.Errorf("blast: shard %d returned %d results for %d queries",
 				s, len(part.results), len(queries))
 		}
-		if tmpl == nil {
-			tmpl = part
+		if !present {
+			maxResults, present = part.maxResults, true
 		}
+		raws[s] = &part.rawBatch
 	}
-	if tmpl == nil {
+	if !present {
 		return nil, fmt.Errorf("blast: %w: all %d shards missing", ErrShardUnavailable, numShards)
 	}
-	enc := make([][]alphabet.Code, len(queries))
-	for i, s := range queries {
-		q, err := alphabet.Encode([]byte(s))
-		if err != nil {
-			return nil, fmt.Errorf("blast: query %d: %w", i, err)
-		}
-		enc[i] = q
+	enc, err := encodeQueries(queries)
+	if err != nil {
+		return nil, err
 	}
-
-	maxResults := tmpl.maxHits()
-
-	out := &BatchResult{
-		Results:   make([]*Result, len(queries)),
-		Completed: make([]bool, len(queries)),
-		QueryErrs: make([]error, len(queries)),
-	}
-	var errs []error
-	for _, part := range parts {
-		if part == nil {
-			continue
-		}
-		out.Sched.Workers = max(out.Sched.Workers, part.sched.Workers)
-		out.Sched.Scheduler = part.sched.Scheduler
-		out.Sched.Tasks += part.sched.Tasks
-		out.Sched.BusyNanos += part.sched.BusyNanos
-		out.Sched.StallNanos += part.sched.StallNanos
-		out.Sched.ElapsedNanos = max(out.Sched.ElapsedNanos, part.sched.ElapsedNanos)
-		out.Sched.TasksPanicked += part.sched.TasksPanicked
-		out.Sched.TasksCancelled += part.sched.TasksCancelled
-		out.Sched.QueriesAborted += part.sched.QueriesAborted
-		out.Sched.DeadlineExceeded = out.Sched.DeadlineExceeded || part.sched.DeadlineExceeded
-		if part.err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", part.shard, part.err))
-		}
-	}
-	for _, s := range missing {
-		errs = append(errs, fmt.Errorf("shard %d: %w", s, ErrShardUnavailable))
-	}
-	out.Err = errors.Join(errs...)
-
-	for qi := range queries {
-		completed := len(missing) == 0
-		var qerr error
-		if !completed {
-			qerr = ErrShardUnavailable
-		}
-		for _, part := range parts {
-			if part == nil {
-				continue
-			}
-			if !part.completed[qi] {
-				completed = false
-				if qerr == nil {
-					qerr = part.queryErrs[qi]
-				}
-			}
-		}
-		if !completed {
-			out.Results[qi] = &Result{QueryLen: len(enc[qi])}
-			out.QueryErrs[qi] = qerr
-			continue
-		}
-		merged := search.QueryResult{Query: qi}
-		var refs []hspRef
-		for s, part := range parts {
-			if part == nil {
-				continue
-			}
-			res := &part.results[qi]
-			for li, h := range res.HSPs {
-				h.Subject = h.Subject*numShards + s // restore the monolithic id
-				merged.HSPs = append(merged.HSPs, h)
-				refs = append(refs, hspRef{part: part, local: li})
-			}
-			merged.Stats.Add(res.Stats)
-		}
-		// Monolithic ranking over monolithic ids, then the monolithic cap:
-		// exactly what Finalize does after traceback on the whole database.
-		// The sort permutes the provenance refs alongside, so each surviving
-		// HSP can still reach its shard's identity/origin view — resident
-		// database for attached results, wire side records for detached ones.
-		sortHSPsWithRefs(merged.HSPs, refs)
-		if maxResults > 0 && len(merged.HSPs) > maxResults {
-			merged.HSPs = merged.HSPs[:maxResults]
-			refs = refs[:maxResults]
-		}
-		q := enc[qi]
-		out.Results[qi] = convertHSPs(q, merged,
-			func(i int, h *search.HSP) float64 { return refs[i].part.hspIdentity(q, qi, refs[i].local, h) },
-			func(i int, h *search.HSP) (chunkInfo, bool) { return refs[i].part.hspOrigin(qi, refs[i].local, h) })
-		out.Completed[qi] = true
-	}
-	return out, nil
-}
-
-// hspRef records which shard result a merged HSP came from and its index in
-// that shard's per-query HSP list — the provenance the merge needs to route
-// identity/origin lookups after sorting mixes shards together.
-type hspRef struct {
-	part  *ShardResult
-	local int
-}
-
-// sortHSPsWithRefs sorts hsps exactly as search.SortHSPs does (stable,
-// monolithic comparator) while permuting the provenance refs the same way.
-// Generic over the ref type: the shard merge carries hspRef, the tiered
-// (base+deltas) merge carries tierHSPRef.
-func sortHSPsWithRefs[R any](hsps []search.HSP, refs []R) {
-	idx := make([]int, len(hsps))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return search.LessHSP(&hsps[idx[a]], &hsps[idx[b]]) })
-	outH := make([]search.HSP, len(hsps))
-	outR := make([]R, len(refs))
-	for i, j := range idx {
-		outH[i] = hsps[j]
-		outR[i] = refs[j]
-	}
-	copy(hsps, outH)
-	copy(refs, outR)
+	merged := mergeParts("shard", raws, len(queries),
+		func(s, local int) int { return local*numShards + s }, maxResults, false)
+	return merged.batchResult(enc), nil
 }

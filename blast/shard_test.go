@@ -2,6 +2,7 @@ package blast
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -31,11 +32,7 @@ func TestShardMergeMatchesMonolithic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits := 0
-	for qi := range queries {
-		hits += len(mono.Results[qi].Hits)
-	}
-	if hits == 0 {
+	if countHits(mono) == 0 {
 		t.Fatal("monolithic search found nothing; the equivalence check would be vacuous")
 	}
 
@@ -44,33 +41,7 @@ func TestShardMergeMatchesMonolithic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		parts := make([]*ShardResult, n)
-		for s, sd := range shards {
-			if parts[s], err = sd.SearchShardBatchCtx(context.Background(), queries, s, n); err != nil {
-				t.Fatalf("n=%d shard %d: %v", n, s, err)
-			}
-		}
-		merged, err := MergeShards(queries, parts)
-		if err != nil {
-			t.Fatalf("n=%d merge: %v", n, err)
-		}
-		for qi := range queries {
-			if merged.Completed[qi] != mono.Completed[qi] {
-				t.Fatalf("n=%d query %d: completed=%v, monolithic %v", n, qi, merged.Completed[qi], mono.Completed[qi])
-			}
-			got, want := merged.Results[qi], mono.Results[qi]
-			if len(got.Hits) != len(want.Hits) {
-				t.Fatalf("n=%d query %d: %d hits, monolithic %d", n, qi, len(got.Hits), len(want.Hits))
-			}
-			for j := range want.Hits {
-				if got.Hits[j] != want.Hits[j] {
-					t.Fatalf("n=%d query %d hit %d:\n got  %+v\n want %+v", n, qi, j, got.Hits[j], want.Hits[j])
-				}
-			}
-			if g, w := got.Tabular("q"), want.Tabular("q"); g != w {
-				t.Fatalf("n=%d query %d: rendered output differs:\n got:\n%s\n want:\n%s", n, qi, g, w)
-			}
-		}
+		assertSameAsMonolithic(t, fmt.Sprintf("n=%d", n), mergedShards(t, shards, queries, false), mono)
 	}
 }
 
@@ -127,9 +98,9 @@ func TestShardEngineCarriesGlobalStatistics(t *testing.T) {
 		}
 		top := merged.Results[0].Hits[0]
 		owner := shards[top.Subject%n]
-		local := make([]Sequence, owner.db.NumSeqs())
-		for i := range owner.db.Seqs {
-			local[i] = Sequence{Name: owner.db.Seqs[i].Name, Residues: alphabet.String(owner.db.Seqs[i].Data)}
+		local := make([]Sequence, owner.parts[0].db.NumSeqs())
+		for i := range owner.parts[0].db.Seqs {
+			local[i] = Sequence{Name: owner.parts[0].db.Seqs[i].Name, Residues: alphabet.String(owner.parts[0].db.Seqs[i].Data)}
 		}
 		p := owner.params
 		p.GlobalDBResidues, p.GlobalDBSequences = 0, 0
@@ -281,22 +252,6 @@ func FuzzShardEquivalence(f *testing.F) {
 			q[i] = letters[int(b)%len(letters)]
 		}
 		queries := []string{string(q)}
-		mono, err := db.SearchBatchCtx(context.Background(), queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts := make([]*ShardResult, n)
-		for s, sd := range shardSets[n] {
-			if parts[s], err = sd.SearchShardBatchCtx(context.Background(), queries, s, n); err != nil {
-				t.Fatal(err)
-			}
-		}
-		merged, err := MergeShards(queries, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g, w := merged.Results[0].Tabular("q"), mono.Results[0].Tabular("q"); g != w {
-			t.Fatalf("n=%d: merged output differs from monolithic:\n got:\n%s\n want:\n%s", n, g, w)
-		}
+		assertSameAsMonolithic(t, fmt.Sprintf("n=%d", n), mergedShards(t, shardSets[n], queries, false), searchCtx(t, db, queries))
 	})
 }

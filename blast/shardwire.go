@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/alphabet"
 	"repro/internal/gapped"
 	"repro/internal/search"
 )
@@ -17,15 +16,12 @@ import (
 //   - encoding/json round-trips float64 exactly (shortest-representation
 //     marshal, exact unmarshal), so bit scores and E-values survive the hop
 //     bit for bit;
-//   - everything the merge would otherwise read from the shard's resident
-//     database — the alignment identity fraction (subject residues) and the
-//     split-chunk origin (chunkOrigin map) — is computed shard-side at Wire
-//     time and carried as per-HSP side records, against exactly the data a
-//     local merge would consult.
+//   - everything reporting a hit needs from the shard's resident database —
+//     the alignment identity fraction and the split-chunk origin — is in the
+//     per-HSP side records every raw result carries from search time.
 //
 // Subject ids stay shard-local on the wire; MergeShards restores monolithic
-// ids, re-ranks, re-caps, and deduplicates chunk overlaps across shards the
-// same way it does for attached results.
+// ids, re-ranks, re-caps, and deduplicates chunk overlaps across shards.
 
 // WireHSP is one HSP in shard-local form plus the merge side records.
 type WireHSP struct {
@@ -65,22 +61,16 @@ type ShardResultWire struct {
 	Queries    []ShardQueryWire  `json:"queries"`
 }
 
-// Wire converts a shard result (fresh from SearchShardBatchCtx) into its
-// portable form. queries must be the same batch the shard searched: the
-// identity side records need the query residues. Detached results — tiered
-// (base+deltas) shard searches, which precompute their side records — wire
-// their sidecar verbatim.
+// Wire converts a shard result into its portable form. queries must be the
+// batch the shard searched.
 func (r *ShardResult) Wire(queries []string) (*ShardResultWire, error) {
-	if r.db == nil && r.sidecar == nil {
-		return nil, errors.New("blast: Wire needs a shard result from SearchShardBatchCtx")
-	}
 	if len(queries) != len(r.results) {
 		return nil, fmt.Errorf("blast: Wire got %d queries for a %d-query shard result", len(queries), len(r.results))
 	}
 	w := &ShardResultWire{
 		Shard:      r.shard,
 		NumShards:  r.numShards,
-		MaxResults: r.maxHits(),
+		MaxResults: r.maxResults,
 		Sched:      r.sched,
 		Queries:    make([]ShardQueryWire, len(r.results)),
 	}
@@ -98,13 +88,9 @@ func (r *ShardResult) Wire(queries []string) (*ShardResultWire, error) {
 		if !r.completed[qi] || len(hsps) == 0 {
 			continue
 		}
-		q, err := alphabet.Encode([]byte(queries[qi]))
-		if err != nil {
-			return nil, fmt.Errorf("blast: Wire query %d: %w", qi, err)
-		}
 		qw.HSPs = make([]WireHSP, len(hsps))
 		for i := range hsps {
-			h := &hsps[i]
+			h, m := &hsps[i], &r.meta[qi][i]
 			qw.HSPs[i] = WireHSP{
 				Subject:     h.Subject,
 				SubjectName: h.SubjectName,
@@ -116,45 +102,29 @@ func (r *ShardResult) Wire(queries []string) (*ShardResultWire, error) {
 				Ops:         string(h.Aln.Ops),
 				BitScore:    h.BitScore,
 				EValue:      h.EValue,
-			}
-			if r.db != nil {
-				qw.HSPs[i].Identity = identity(q, r.db.db.Seqs[h.Subject].Data, &h.Aln)
-				if info, ok := r.db.chunkOrigin[h.SubjectName]; ok {
-					qw.HSPs[i].OrigName = info.origName
-					qw.HSPs[i].OrigOffset = info.offset
-					qw.HSPs[i].HasOrigin = true
-				}
-			} else {
-				m := &r.sidecar[qi][i]
-				qw.HSPs[i].Identity = m.identity
-				qw.HSPs[i].OrigName = m.origName
-				qw.HSPs[i].OrigOffset = m.offset
-				qw.HSPs[i].HasOrigin = m.hasOrigin
+				Identity:    m.identity,
+				OrigName:    m.origName,
+				OrigOffset:  m.offset,
+				HasOrigin:   m.hasOrigin,
 			}
 		}
 	}
 	return w, nil
 }
 
-// ImportShardResult rebuilds a detached ShardResult from its wire form. The
-// result merges through MergeShards exactly like an attached one; it only
-// lacks trace-irrelevant internals (no resident database). Structural
-// invalidity (shard out of range, negative subject ids) is an error;
+// ImportShardResult rebuilds a ShardResult from its wire form; it merges
+// through MergeShards exactly like the original. Structural invalidity (shard out of range, negative subject ids) is an error;
 // incompleteness is not — it rides through the usual Completed flags.
 func ImportShardResult(w *ShardResultWire) (*ShardResult, error) {
 	if w.NumShards <= 0 || w.Shard < 0 || w.Shard >= w.NumShards {
 		return nil, fmt.Errorf("blast: shard result %d of %d out of range", w.Shard, w.NumShards)
 	}
-	r := &ShardResult{
-		shard:      w.Shard,
-		numShards:  w.NumShards,
-		maxResults: w.MaxResults,
-		sched:      w.Sched,
-		results:    make([]search.QueryResult, len(w.Queries)),
-		completed:  make([]bool, len(w.Queries)),
-		queryErrs:  make([]error, len(w.Queries)),
-		sidecar:    make([][]hspMeta, len(w.Queries)),
-	}
+	r := &ShardResult{shard: w.Shard, numShards: w.NumShards, maxResults: w.MaxResults}
+	r.sched = w.Sched
+	r.results = make([]search.QueryResult, len(w.Queries))
+	r.meta = make([][]hspMeta, len(w.Queries))
+	r.completed = make([]bool, len(w.Queries))
+	r.queryErrs = make([]error, len(w.Queries))
 	if w.Err != "" {
 		r.err = errors.New(w.Err)
 	}
@@ -194,7 +164,7 @@ func ImportShardResult(w *ShardResultWire) (*ShardResult, error) {
 					hasOrigin: wh.HasOrigin,
 				}
 			}
-			r.sidecar[qi] = metas
+			r.meta[qi] = metas
 		}
 		r.results[qi] = res
 	}

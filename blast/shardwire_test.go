@@ -13,7 +13,7 @@ import (
 // roundTrip pushes an attached shard result through the wire form — real
 // JSON marshal/unmarshal, the same bytes a remote worker would send — and
 // rebuilds it detached.
-func roundTrip(t *testing.T, part *ShardResult, queries []string) *ShardResult {
+func roundTrip(t testing.TB, part *ShardResult, queries []string) *ShardResult {
 	t.Helper()
 	w, err := part.Wire(queries)
 	if err != nil {
@@ -128,7 +128,7 @@ func TestShardWireSplitChunkOrigins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(db.chunkOrigin) == 0 {
+	if len(db.parts[0].chunkOrigin) == 0 {
 		t.Fatal("no split chunks; the origin check would be vacuous")
 	}
 	// A query from the middle of the long sequence crosses chunk overlaps.

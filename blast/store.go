@@ -119,7 +119,7 @@ func InitStore(dir string, seqs []Sequence, p Params) (*Store, error) {
 	if err := writeContainer(dir, name, db); err != nil {
 		return nil, err
 	}
-	entry, err := fileEntry(dir, name, db.db.NumSeqs(), db.db.TotalResidues)
+	entry, err := fileEntry(dir, name, db.NumSequences(), db.TotalResidues())
 	if err != nil {
 		return nil, fmt.Errorf("blast: fingerprinting base: %w", err)
 	}
@@ -316,7 +316,7 @@ func (st *Store) applyBatch(walSeq uint64, batch []Sequence) error {
 	if err := writeContainer(st.dir, name, db); err != nil {
 		return err
 	}
-	entry, err := fileEntry(st.dir, name, db.db.NumSeqs(), db.db.TotalResidues)
+	entry, err := fileEntry(st.dir, name, db.NumSequences(), db.TotalResidues())
 	if err != nil {
 		return fmt.Errorf("blast: fingerprinting delta: %w", err)
 	}
@@ -367,11 +367,11 @@ func (st *Store) Append(batch []Sequence) (*AppendStats, error) {
 }
 
 // Database opens the store's current container set as one searchable
-// database: the base plus every delta, each opened with the combined totals
-// as its global search space (exactly the shard-statistics threading), tied
-// together by the stable merge-order id mapping. With no deltas outstanding
-// this is a plain single-container load. The result is byte-identical to a
-// from-scratch rebuild over the same sequences.
+// database: the base's part followed by every delta's, each opened with the
+// combined totals as its global search space (exactly the shard-statistics
+// threading), tied together by the stable merge-order id maps. With no
+// deltas outstanding this is a plain single-container load. The result is
+// byte-identical to a from-scratch rebuild over the same sequences.
 func (st *Store) Database() (*Database, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -385,13 +385,12 @@ func (st *Store) databaseLocked() (*Database, error) {
 		p.GlobalDBResidues = st.man.residues()
 		p.GlobalDBSequences = int64(st.man.sequences())
 	}
-	base, err := LoadFile(filepath.Join(st.dir, st.man.Base.Name), p)
+	d, err := LoadFile(filepath.Join(st.dir, st.man.Base.Name), p)
 	if err != nil {
 		return nil, fmt.Errorf("blast: opening base %s: %w", st.man.Base.Name, err)
 	}
-	baseFP := base.fingerprint()
-	deltas := make([]*Database, len(st.man.Deltas))
-	for i, e := range st.man.Deltas {
+	baseFP := d.fingerprint()
+	for _, e := range st.man.Deltas {
 		dd, err := LoadFile(filepath.Join(st.dir, e.Name), p)
 		if err != nil {
 			return nil, fmt.Errorf("blast: opening delta %s: %w", e.Name, err)
@@ -400,15 +399,39 @@ func (st *Store) databaseLocked() (*Database, error) {
 			return nil, fmt.Errorf("blast: %w: delta %s fingerprint %+v diverges from base %+v",
 				ErrStoreCorrupt, e.Name, dd.fingerprint(), baseFP)
 		}
-		deltas[i] = dd
+		d.parts = append(d.parts, dd.parts[0])
 	}
-	if len(deltas) > 0 {
-		attachTiers(base, deltas)
+	if len(st.man.Deltas) > 0 {
+		// Every container is in ascending length order, and a from-scratch
+		// rebuild stable-sorts base input followed by each delta batch — so
+		// the stable multi-way merge of the parts reproduces the rebuild's
+		// id space with no stored mapping.
+		for i, idMap := range dbase.MergeOrder(d.partDBs()) {
+			d.parts[i].idMap = idMap
+		}
 	}
-	base.manifestSeq = st.man.Seq
-	base.manifestHash = st.man.hash()
-	base.numDeltas = len(deltas)
-	return base, nil
+	d.manifestSeq = st.man.Seq
+	d.manifestHash = st.man.hash()
+	d.numDeltas = len(st.man.Deltas)
+	return d, nil
+}
+
+func (d *Database) partDBs() []*dbase.DB {
+	dbs := make([]*dbase.DB, len(d.parts))
+	for i, p := range d.parts {
+		dbs[i] = p.db
+	}
+	return dbs
+}
+
+// Manifest reports the ingest-store manifest this database was opened from:
+// its commit sequence number, its content hash, and how many delta
+// containers are layered on the base. All three are zero for a database that
+// did not come from a store. Replicas serving one logical store must agree
+// on the hash — the router's coherence handshake refuses mixed-manifest
+// topologies.
+func (d *Database) Manifest() (seq int64, hash string, deltas int) {
+	return d.manifestSeq, d.manifestHash, d.numDeltas
 }
 
 // Compact merges the base and every outstanding delta into a single new base
@@ -434,33 +457,29 @@ func (st *Store) Compact() error {
 	// order. Splitting does not recur (every stored sequence is at most the
 	// split threshold long) and chunk origins are carried over, so this is
 	// the rebuild's database without re-running the rebuild.
-	dbs := make([]*dbase.DB, len(tiered.tiers))
-	orders := make([][]int, len(tiered.tiers))
-	origins := make(map[string]chunkInfo)
-	for t, tr := range tiered.tiers {
-		dbs[t] = tr.d.db
-		orders[t] = tr.idMap
-		for name, info := range tr.d.chunkOrigin {
+	orders := make([][]int, len(tiered.parts))
+	var origins map[string]chunkInfo
+	for i, p := range tiered.parts {
+		orders[i] = p.idMap
+		for name, info := range p.chunkOrigin {
+			if origins == nil {
+				origins = make(map[string]chunkInfo)
+			}
 			origins[name] = info
 		}
 	}
-	merged := dbase.Merged(dbs, orders)
-	baseTier := tiered.tiers[0].d
-	ix, err := dbindex.Build(merged, baseTier.cfg.Neighbors, baseTier.ix.BlockResidues)
+	merged := dbase.Merged(tiered.partDBs(), orders)
+	fp := tiered.fingerprint()
+	ix, err := dbindex.Build(merged, tiered.cfg.Neighbors, fp.BlockResidues)
 	if err != nil {
 		return fmt.Errorf("blast: compaction index build: %w", err)
 	}
-	if len(origins) == 0 {
-		origins = nil
-	}
-	bp := st.deltaParams(baseTier.fingerprint())
+	bp := st.deltaParams(fp)
 	cfg, err := buildConfig(bp)
 	if err != nil {
 		return err
 	}
-	nd := &Database{params: bp, cfg: cfg, db: merged, ix: ix, chunkOrigin: origins,
-		splitLen: baseTier.splitLen, splitOverlap: baseTier.splitOverlap}
-	nd.attachEngines()
+	nd := newSingle(bp, cfg, merged, ix, origins, tiered.splitLen, tiered.splitOverlap)
 
 	next := st.man.Seq + 1
 	name := baseFileName(next)

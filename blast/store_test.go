@@ -1,7 +1,6 @@
 package blast
 
 import (
-	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -78,35 +77,13 @@ func storeQueries(base, b1, b2 []Sequence) []string {
 	return qs
 }
 
-// assertSameSearch is the byte-identity oracle: both databases must return
-// the same hits — struct-equal, and identical down to the rendered tabular
-// output.
+// assertSameSearch runs the byte-identity oracle (assertSameAsMonolithic)
+// over two databases' answers to one batch, want being the reference.
 func assertSameSearch(t *testing.T, label string, got, want *Database, queries []string) {
 	t.Helper()
-	g, err := got.SearchBatch(queries)
-	if err != nil {
-		t.Fatalf("%s: search: %v", label, err)
-	}
-	w, err := want.SearchBatch(queries)
-	if err != nil {
-		t.Fatalf("%s: reference search: %v", label, err)
-	}
-	hits := 0
-	for qi := range queries {
-		hits += len(w[qi].Hits)
-		if len(g[qi].Hits) != len(w[qi].Hits) {
-			t.Fatalf("%s query %d: %d hits, want %d", label, qi, len(g[qi].Hits), len(w[qi].Hits))
-		}
-		for j := range w[qi].Hits {
-			if g[qi].Hits[j] != w[qi].Hits[j] {
-				t.Fatalf("%s query %d hit %d:\n got  %+v\n want %+v", label, qi, j, g[qi].Hits[j], w[qi].Hits[j])
-			}
-		}
-		if gt, wt := g[qi].Tabular("q"), w[qi].Tabular("q"); gt != wt {
-			t.Fatalf("%s query %d: rendered output differs:\n got:\n%s\n want:\n%s", label, qi, gt, wt)
-		}
-	}
-	if hits == 0 {
+	w := searchCtx(t, want, queries)
+	assertSameAsMonolithic(t, label, searchCtx(t, got, queries), w)
+	if countHits(w) == 0 {
 		t.Fatalf("%s: reference search found nothing; the equivalence check would be vacuous", label)
 	}
 }
@@ -507,34 +484,9 @@ func TestStoreTieredShardWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := storeQueries(base, b1, b2)
-	mono, err := rebuild.SearchBatchCtx(context.Background(), queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	part, err := db.SearchShardBatchCtx(context.Background(), queries, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire, err := part.Wire(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	imported, err := ImportShardResult(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, parts := range [][]*ShardResult{{part}, {imported}} {
-		merged, err := MergeShards(queries, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for qi := range queries {
-			if g, w := merged.Results[qi].Tabular("q"), mono.Results[qi].Tabular("q"); g != w {
-				t.Fatalf("query %d: shard path differs from monolithic:\n got:\n%s\n want:\n%s", qi, g, w)
-			}
-		}
-	}
+	mono := searchCtx(t, rebuild, queries)
+	assertSameAsMonolithic(t, "shard path", mergedShards(t, []*Database{db}, queries, false), mono)
+	assertSameAsMonolithic(t, "shard path over the wire", mergedShards(t, []*Database{db}, queries, true), mono)
 }
 
 // TestStoreDeltaIngestFasterThanRebuild is the latency claim behind the
@@ -624,16 +576,6 @@ func FuzzTieredEquivalence(f *testing.F) {
 			q[i] = letters[int(b)%len(letters)]
 		}
 		queries := []string{string(q)}
-		got, err := tiered.SearchBatch(queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := rebuild.SearchBatch(queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g, w := got[0].Tabular("q"), want[0].Tabular("q"); g != w {
-			t.Fatalf("tiered output differs from rebuild:\n got:\n%s\n want:\n%s", g, w)
-		}
+		assertSameAsMonolithic(t, "tiered", searchCtx(t, tiered, queries), searchCtx(t, rebuild, queries))
 	})
 }

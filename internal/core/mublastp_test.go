@@ -267,3 +267,32 @@ func TestOneHitModeEquivalentAcrossEngines(t *testing.T) {
 		}
 	}
 }
+
+// TestCountsStableAcrossThreadsAndPasses pins the engine's determinism on one
+// long-lived engine: per-query hit, pair and extension counts must not depend
+// on the thread count or on how many batches the pooled scratches served
+// before. The last-hit array's length follows block and query size, so with
+// mixed query lengths (length 0 draws from the profile) every scratch shrinks
+// and grows between tasks, and 6 passes of 8 blocks x 12 queries take each
+// scratch through several wraps of its 63-reset epoch counter.
+func TestCountsStableAcrossThreadsAndPasses(t *testing.T) {
+	cfg, ix, queries := world(t, 23, 240, 12, 0, 12288)
+	if len(ix.Blocks) < 4 {
+		t.Fatalf("only %d blocks; the scratch would not change size enough", len(ix.Blocks))
+	}
+	e := New(cfg, ix)
+	type counts struct{ hits, pairs, extensions int64 }
+	var want []counts
+	for pass := 0; pass < 6; pass++ {
+		for _, threads := range []int{1, 4} {
+			for qi, res := range e.SearchBatch(queries, threads) {
+				got := counts{res.Stats.Hits, res.Stats.Pairs, res.Stats.Extensions}
+				if len(want) < len(queries) {
+					want = append(want, got)
+				} else if got != want[qi] {
+					t.Errorf("pass %d threads %d query %d: counts %+v, first pass %+v", pass, threads, qi, got, want[qi])
+				}
+			}
+		}
+	}
+}

@@ -3,6 +3,8 @@ package router
 import (
 	"context"
 	"errors"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -304,5 +306,111 @@ func TestPolicies(t *testing.T) {
 	})
 	if _, err := NewPolicy("bogus", 1); err == nil {
 		t.Fatal("unknown policy name must fail")
+	}
+}
+
+// TestLocalWorkerResultOutlivesItsDatabase pins that a LocalWorker's result
+// is self-contained: once Search has returned, the session pin is released,
+// and after a Reload to a different database nothing in the result keeps the
+// displaced generation reachable — yet the merge still produces the bytes
+// the monolithic search produced before the reload.
+func TestLocalWorkerResultOutlivesItsDatabase(t *testing.T) {
+	g := seqgen.New(seqgen.UniprotProfile(), 58)
+	p := blast.DefaultParams()
+	p.Threads = 1
+	build := func(n int, prefix string) (*blast.Database, []blast.Sequence) {
+		seqs := make([]blast.Sequence, n)
+		for i, s := range g.Database(n) {
+			seqs[i] = blast.Sequence{Name: prefix + string(rune('A'+i/26)) + string(rune('a'+i%26)), Residues: alphabet.String(s)}
+		}
+		pb := p
+		pb.BlockResidues = 16384
+		db, err := blast.NewDatabase(seqs, pb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, seqs
+	}
+	other, _ := build(30, "other")
+	otherPath := filepath.Join(t.TempDir(), "other.mublastp")
+	if err := other.SaveFile(otherPath); err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 2
+	collected := make(chan struct{}, n)
+	// searchAll builds the database, its shards and their workers, and
+	// returns only what must survive: the queries, the monolithic answer, the
+	// sessions and the workers' results. The databases themselves are left
+	// to the sessions alone.
+	searchAll := func() ([]string, []string, []*blast.Session, []*blast.ShardResult) {
+		db, seqs := build(80, "sub")
+		queries := []string{seqs[5].Residues, seqs[40].Residues[2 : len(seqs[40].Residues)-2]}
+		mono, err := db.SearchBatchCtx(context.Background(), queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]string, len(queries))
+		hits := 0
+		for qi, r := range mono.Results {
+			want[qi] = r.Tabular("q")
+			hits += len(r.Hits)
+		}
+		if hits == 0 {
+			t.Fatal("monolithic search found nothing; the check would be vacuous")
+		}
+		shards, err := db.Shards(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions := make([]*blast.Session, n)
+		parts := make([]*blast.ShardResult, n)
+		for s, sd := range shards {
+			runtime.SetFinalizer(sd, func(*blast.Database) { collected <- struct{}{} })
+			sessions[s] = blast.NewSession(sd, p)
+			w := NewLocalWorker("w", sessions[s], 1, 1, 0)
+			if parts[s], err = w.Search(context.Background(), queries, s, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return queries, want, sessions, parts
+	}
+	queries, want, sessions, parts := searchAll()
+
+	for s, ses := range sessions {
+		if err := ses.Reload(otherPath); err != nil {
+			t.Fatal(err)
+		}
+		if ses.Generation() != 2 || ses.DB().NumSequences() != other.NumSequences() {
+			t.Fatalf("shard %d: reload did not install the other database", s)
+		}
+		if refs := ses.Refs(); refs != 1 {
+			t.Fatalf("shard %d: %d references on the current generation before the merge, want 1", s, refs)
+		}
+	}
+	// The displaced shard databases are garbage now, results notwithstanding.
+	deadline := time.After(10 * time.Second)
+	for got := 0; got < n; {
+		runtime.GC()
+		select {
+		case <-collected:
+			got++
+		case <-deadline:
+			t.Fatalf("%d of %d displaced shard databases were never collected: something still holds them", got, n)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+
+	merged, err := blast.MergeShards(queries, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi := range queries {
+		if !merged.Completed[qi] {
+			t.Fatalf("query %d incomplete after the reload: %v", qi, merged.QueryErrs[qi])
+		}
+		if got := merged.Results[qi].Tabular("q"); got != want[qi] {
+			t.Fatalf("query %d: merge after the reload differs from the pre-reload monolithic search:\n got:\n%s\n want:\n%s", qi, got, want[qi])
+		}
 	}
 }

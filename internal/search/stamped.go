@@ -29,9 +29,14 @@ func (sd *StampedDiags) Reset(n int) {
 	sd.slots = sd.slots[:n]
 	sd.epoch++
 	if sd.epoch == 0 {
-		// Stamp wrap-around: clear once and restart at epoch 1.
-		for i := range sd.slots {
-			sd.slots[i].stamp = 0
+		// Stamp wrap-around: clear once and restart at epoch 1. The clear
+		// covers the whole backing array, not just the current length: a
+		// scratch that served a larger block earlier still holds stamps
+		// beyond n, and once the epoch counter comes round again they would
+		// pass for current-epoch first hits.
+		full := sd.slots[:cap(sd.slots)]
+		for i := range full {
+			full[i].stamp = 0
 		}
 		sd.epoch = 1
 	}
@@ -76,9 +81,7 @@ func (sl *StampedLastPos) Reset(n int) {
 	sl.slots = sl.slots[:n]
 	sl.epoch++
 	if sl.epoch == 1<<12 {
-		for i := range sl.slots {
-			sl.slots[i] = 0
-		}
+		clear(sl.slots[:cap(sl.slots)]) // whole array: see StampedDiags.Reset
 		sl.epoch = 1
 	}
 }
@@ -122,9 +125,7 @@ func (sl *StampedLastPos16) Reset(n int) {
 	sl.slots = sl.slots[:n]
 	sl.epoch++
 	if sl.epoch == 1<<6 {
-		for i := range sl.slots {
-			sl.slots[i] = 0
-		}
+		clear(sl.slots[:cap(sl.slots)]) // whole array: see StampedDiags.Reset
 		sl.epoch = 1
 	}
 }

@@ -163,78 +163,96 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.Itoa(s)
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+// batchView is what admit needs to know about a decoded request body.
+type batchView struct {
+	residues  []string
+	names     []string // parallel to residues when the endpoint names its queries; nil otherwise
+	timeoutMS int64
+	// invalid is the endpoint's own validation failure ("" when there is
+	// none); it is reported with 400 after the batch-size caps.
+	invalid string
+}
+
+// admitted is a request that came through admit holding a run token.
+type admitted struct {
+	batchView
+	sc        *searchScope
+	ctx       context.Context // the request context under the effective deadline
+	degraded  bool
+	timeout   time.Duration
+	enqueued  time.Time
+	queueWait time.Duration
+	// done returns the run token and cancels ctx; call it exactly once.
+	done func()
+}
+
+// admit is the preamble /search and /shard/search share: open the trace
+// scope, refuse what can never run (wrong method, draining, an injected
+// admission fault, an undecodable or oversized body, malformed residues)
+// before it can occupy a queue slot, sample degraded mode and clamp the
+// deadline, claim a wait slot or shed with 429, and wait for a run token
+// under the deadline. req receives the decoded body and view then describes
+// it; what names the endpoint's requests in log lines. On ok=false the
+// response is written and the scope finished.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, what string, req any, view func() batchView) (a admitted, ok bool) {
 	sc := s.beginSearchScope(w, r)
+	reject := func(outcome string, status int, format string, args ...any) (admitted, bool) {
+		writeError(w, status, format, args...)
+		sc.finish(outcome, status)
+		return admitted{}, false
+	}
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		sc.finish(reqtrace.OutcomeRejected, http.StatusMethodNotAllowed)
-		return
+		return reject(reqtrace.OutcomeRejected, http.StatusMethodNotAllowed, "POST only")
 	}
 	if s.Draining() {
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		sc.finish(reqtrace.OutcomeCancelled, http.StatusServiceUnavailable)
-		return
+		return reject(reqtrace.OutcomeCancelled, http.StatusServiceUnavailable, "draining")
 	}
 	if err := fiAdmit.Err(); err != nil {
-		writeError(w, http.StatusServiceUnavailable, "admission failure: %v", err)
-		sc.finish(reqtrace.OutcomeError, http.StatusServiceUnavailable)
-		return
+		return reject(reqtrace.OutcomeError, http.StatusServiceUnavailable, "admission failure: %v", err)
 	}
-	var req SearchRequest
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		sc.finish(reqtrace.OutcomeRejected, http.StatusBadRequest)
-		return
+	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+		return reject(reqtrace.OutcomeRejected, http.StatusBadRequest, "decoding request: %v", err)
 	}
-	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, "no queries")
-		sc.finish(reqtrace.OutcomeRejected, http.StatusBadRequest)
-		return
+	v := view()
+	if len(v.residues) == 0 {
+		return reject(reqtrace.OutcomeRejected, http.StatusBadRequest, "no queries")
 	}
-	if len(req.Queries) > s.cfg.MaxQueries {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			"%d queries exceeds the per-request cap of %d", len(req.Queries), s.cfg.MaxQueries)
-		sc.finish(reqtrace.OutcomeRejected, http.StatusRequestEntityTooLarge)
-		return
+	if len(v.residues) > s.cfg.MaxQueries {
+		return reject(reqtrace.OutcomeRejected, http.StatusRequestEntityTooLarge,
+			"%d queries exceeds the per-request cap of %d", len(v.residues), s.cfg.MaxQueries)
+	}
+	if v.invalid != "" {
+		return reject(reqtrace.OutcomeRejected, http.StatusBadRequest, "%s", v.invalid)
 	}
 	// Malformed sequences are refused before admission: a request that can
 	// never run must not occupy a queue slot.
-	for i := range req.Queries {
-		if _, err := alphabet.Encode([]byte(req.Queries[i].Residues)); err != nil {
-			writeError(w, http.StatusBadRequest, "query %d (%s): %v", i, req.Queries[i].Name, err)
-			sc.finish(reqtrace.OutcomeRejected, http.StatusBadRequest)
-			return
+	for i, res := range v.residues {
+		if _, err := alphabet.Encode([]byte(res)); err != nil {
+			if v.names != nil {
+				return reject(reqtrace.OutcomeRejected, http.StatusBadRequest, "query %d (%s): %v", i, v.names[i], err)
+			}
+			return reject(reqtrace.OutcomeRejected, http.StatusBadRequest, "query %d: %v", i, err)
 		}
 	}
 	if sc.rec != nil {
-		sc.rec.QueryLens = make([]int, len(req.Queries))
-		for i := range req.Queries {
-			sc.rec.QueryLens[i] = len(req.Queries[i].Residues)
+		sc.rec.QueryLens = make([]int, len(v.residues))
+		for i, res := range v.residues {
+			sc.rec.QueryLens[i] = len(res)
 		}
 	}
 
 	// Degraded mode is sampled at admission time and applied to this whole
-	// request: a shorter deadline and a smaller batch cap, both reported in
-	// the response rather than silently imposed.
+	// request: a shorter deadline (and, on /search, a smaller batch cap),
+	// reported in the response rather than silently imposed.
 	degraded := s.deg.observe(s.adm.depth(), time.Now())
 	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	if v.timeoutMS > 0 {
+		timeout = time.Duration(v.timeoutMS) * time.Millisecond
 	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	truncated := 0
-	queries := req.Queries
+	timeout = min(timeout, s.cfg.MaxTimeout)
 	if degraded {
-		if timeout > s.cfg.DegradedTimeout {
-			timeout = s.cfg.DegradedTimeout
-		}
-		if len(queries) > s.cfg.DegradedMaxQueries {
-			truncated = len(queries) - s.cfg.DegradedMaxQueries
-			queries = queries[:s.cfg.DegradedMaxQueries]
-		}
+		timeout = min(timeout, s.cfg.DegradedTimeout)
 	}
 	if sc.rec != nil {
 		sc.rec.DeadlineMS = timeout.Milliseconds()
@@ -245,41 +263,35 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !s.adm.enter() {
 		s.deg.observe(s.adm.depth(), time.Now())
 		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		writeError(w, http.StatusTooManyRequests,
+		s.logf("%s %s shed: admission queue full (%d waiting)", what, sc.rid, s.cfg.Queue)
+		return reject(reqtrace.OutcomeShed, http.StatusTooManyRequests,
 			"admission queue full (%d waiting); retry later", s.cfg.Queue)
-		s.logf("request %s shed: admission queue full (%d waiting)", sc.rid, s.cfg.Queue)
-		sc.finish(reqtrace.OutcomeShed, http.StatusTooManyRequests)
-		return
 	}
 	s.deg.observe(s.adm.depth(), time.Now())
 
 	// The deadline covers queueing AND searching: a request that waited its
 	// whole budget in the queue is shed as timed out, not run late.
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
 	enqueued := time.Now()
 	admSpan := sc.root.Child("admission", enqueued.UnixNano())
 	if !s.adm.acquire(ctx.Done()) {
-		admSpan.End(time.Since(enqueued).Nanoseconds())
-		sc.spanNanos("queue", time.Since(enqueued))
+		defer cancel()
+		waited := time.Since(enqueued)
+		admSpan.End(waited.Nanoseconds())
+		sc.spanNanos("queue", waited)
 		s.deg.observe(s.adm.depth(), time.Now())
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			s.met.TimedOut.Add(1)
 			w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-			writeError(w, http.StatusServiceUnavailable,
-				"deadline expired after %v in the admission queue", time.Since(enqueued).Round(time.Millisecond))
-			s.logf("request %s timed out after %v in the admission queue", sc.rid, time.Since(enqueued).Round(time.Millisecond))
-			sc.finish(reqtrace.OutcomeTimeout, http.StatusServiceUnavailable)
-			return
+			s.logf("%s %s timed out after %v in the admission queue", what, sc.rid, waited.Round(time.Millisecond))
+			return reject(reqtrace.OutcomeTimeout, http.StatusServiceUnavailable,
+				"deadline expired after %v in the admission queue", waited.Round(time.Millisecond))
 		}
 		// Client went away (or the drain cancelled the base context);
 		// nothing useful to write.
-		writeError(w, http.StatusServiceUnavailable, "request cancelled while queued")
-		s.logf("request %s cancelled while queued", sc.rid)
-		sc.finish(reqtrace.OutcomeCancelled, http.StatusServiceUnavailable)
-		return
+		s.logf("%s %s cancelled while queued", what, sc.rid)
+		return reject(reqtrace.OutcomeCancelled, http.StatusServiceUnavailable, "request cancelled while queued")
 	}
-	defer s.adm.release()
 	queueWait := time.Since(enqueued)
 	admSpan.End(queueWait.Nanoseconds())
 	sc.spanNanos("queue", queueWait)
@@ -289,15 +301,36 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if s.testHookRunning != nil {
 		s.testHookRunning()
 	}
+	return admitted{batchView: v, sc: sc, ctx: ctx, degraded: degraded, timeout: timeout, enqueued: enqueued,
+		queueWait: queueWait, done: func() { s.adm.release(); cancel() }}, true
+}
 
-	texts := make([]string, len(queries))
-	for i := range queries {
-		texts[i] = queries[i].Residues
+func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	var req SearchRequest
+	a, ok := s.admit(w, r, "request", &req, func() batchView {
+		v := batchView{residues: make([]string, len(req.Queries)), names: make([]string, len(req.Queries)), timeoutMS: req.TimeoutMS}
+		for i, q := range req.Queries {
+			v.residues[i], v.names[i] = q.Residues, q.Name
+		}
+		return v
+	})
+	if !ok {
+		return
 	}
+	defer a.done()
+	sc := a.sc
+	// Degraded mode also shrinks the batch: the first DegradedMaxQueries run,
+	// the rest are reported as truncated.
+	n, truncated := len(req.Queries), 0
+	if a.degraded && n > s.cfg.DegradedMaxQueries {
+		n, truncated = s.cfg.DegradedMaxQueries, n-s.cfg.DegradedMaxQueries
+	}
+	texts, names := a.residues[:n], a.names[:n]
+
 	db, release := s.ses.Acquire()
 	searchStart := time.Now()
 	searchSpan := sc.root.Child("search", searchStart.UnixNano())
-	br, err := db.SearchBatchCtx(reqtrace.ContextWithSpan(ctx, searchSpan), texts)
+	br, err := db.SearchBatchCtx(reqtrace.ContextWithSpan(a.ctx, searchSpan), texts)
 	searchDur := time.Since(searchStart)
 	release()
 	searchSpan.End(searchDur.Nanoseconds())
@@ -307,23 +340,19 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		sc.finish(reqtrace.OutcomeRejected, http.StatusBadRequest)
 		return
 	}
-	names := make([]string, len(queries))
-	for i := range queries {
-		names[i] = queries[i].Name
-	}
 	attachQuerySpans(searchSpan, searchStart.UnixNano(), names, br)
-	s.met.RequestNanos.Observe(int64(time.Since(enqueued)))
+	s.met.RequestNanos.Observe(int64(time.Since(a.enqueued)))
 
 	resp := SearchResponse{
-		Degraded:   degraded,
+		Degraded:   a.degraded,
 		Truncated:  truncated,
 		Generation: s.ses.Generation(),
 		Incomplete: br.Err != nil,
 		Results:    make([]QueryOutput, len(br.Results)),
 		Stats: RequestStats{
-			QueueWaitMS:      float64(queueWait) / float64(time.Millisecond),
+			QueueWaitMS:      float64(a.queueWait) / float64(time.Millisecond),
 			SearchMS:         float64(searchDur) / float64(time.Millisecond),
-			EffectiveTimeout: timeout.String(),
+			EffectiveTimeout: a.timeout.String(),
 			Workers:          br.Sched.Workers,
 			Tasks:            br.Sched.Tasks,
 			TasksCancelled:   br.Sched.TasksCancelled,
@@ -337,7 +366,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	for i := range br.Results {
 		out := QueryOutput{
-			Name:      queries[i].Name,
+			Name:      names[i],
 			QueryLen:  br.Results[i].QueryLen,
 			Completed: br.Completed[i],
 			Hits:      []Hit{},

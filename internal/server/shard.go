@@ -1,15 +1,12 @@
 package server
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
 	"repro/blast"
-	"repro/internal/alphabet"
 	"repro/internal/reqtrace"
 )
 
@@ -28,8 +25,10 @@ import (
 // so a saturated shard worker sheds with 429 + Retry-After exactly like the
 // local-worker path, and the router's honesty contract (shed => incomplete,
 // never silent zero hits) holds across the network hop. The one deliberate
-// difference: degraded mode shrinks only the deadline, never the batch —
-// dropping queries from one shard's scatter would desynchronize the merge.
+// difference: degraded mode shrinks only the deadline, never the batch. A
+// shard that silently dropped queries would desynchronize the merge; a shard
+// that runs out of (shortened) deadline reports those queries incomplete and
+// the merge stays honest.
 
 // ShardSearchRequest is the /shard/search request body. Queries carry raw
 // residues only (names are router-side state); Shard/NumShards assert which
@@ -100,146 +99,42 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
-	sc := s.beginSearchScope(w, r)
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		sc.finish(reqtrace.OutcomeRejected, http.StatusMethodNotAllowed)
-		return
-	}
-	if s.Draining() {
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		sc.finish(reqtrace.OutcomeCancelled, http.StatusServiceUnavailable)
-		return
-	}
-	if err := fiAdmit.Err(); err != nil {
-		writeError(w, http.StatusServiceUnavailable, "admission failure: %v", err)
-		sc.finish(reqtrace.OutcomeError, http.StatusServiceUnavailable)
-		return
-	}
 	var req ShardSearchRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		sc.finish(reqtrace.OutcomeRejected, http.StatusBadRequest)
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, "no queries")
-		sc.finish(reqtrace.OutcomeRejected, http.StatusBadRequest)
-		return
-	}
-	if len(req.Queries) > s.cfg.MaxQueries {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			"%d queries exceeds the per-request cap of %d", len(req.Queries), s.cfg.MaxQueries)
-		sc.finish(reqtrace.OutcomeRejected, http.StatusRequestEntityTooLarge)
-		return
-	}
-	if req.NumShards <= 0 || req.Shard < 0 || req.Shard >= req.NumShards {
-		writeError(w, http.StatusBadRequest, "shard %d of %d out of range", req.Shard, req.NumShards)
-		sc.finish(reqtrace.OutcomeRejected, http.StatusBadRequest)
-		return
-	}
-	for i := range req.Queries {
-		if _, err := alphabet.Encode([]byte(req.Queries[i])); err != nil {
-			writeError(w, http.StatusBadRequest, "query %d: %v", i, err)
-			sc.finish(reqtrace.OutcomeRejected, http.StatusBadRequest)
-			return
+	a, ok := s.admit(w, r, "shard request", &req, func() batchView {
+		v := batchView{residues: req.Queries, timeoutMS: req.TimeoutMS}
+		if req.NumShards <= 0 || req.Shard < 0 || req.Shard >= req.NumShards {
+			v.invalid = fmt.Sprintf("shard %d of %d out of range", req.Shard, req.NumShards)
 		}
-	}
-	if sc.rec != nil {
-		sc.rec.QueryLens = make([]int, len(req.Queries))
-		for i := range req.Queries {
-			sc.rec.QueryLens[i] = len(req.Queries[i])
-		}
-	}
-
-	// Degraded mode shrinks the deadline only — never the batch. A shard
-	// that silently dropped queries would desynchronize the merge; a shard
-	// that runs out of (shortened) deadline reports those queries incomplete
-	// and the merge stays honest.
-	degraded := s.deg.observe(s.adm.depth(), time.Now())
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	if degraded && timeout > s.cfg.DegradedTimeout {
-		timeout = s.cfg.DegradedTimeout
-	}
-	if sc.rec != nil {
-		sc.rec.DeadlineMS = timeout.Milliseconds()
-		sc.rec.Degraded = degraded
-	}
-
-	if !s.adm.enter() {
-		s.deg.observe(s.adm.depth(), time.Now())
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		writeError(w, http.StatusTooManyRequests,
-			"admission queue full (%d waiting); retry later", s.cfg.Queue)
-		s.logf("shard request %s shed: admission queue full (%d waiting)", sc.rid, s.cfg.Queue)
-		sc.finish(reqtrace.OutcomeShed, http.StatusTooManyRequests)
+		return v
+	})
+	if !ok {
 		return
 	}
-	s.deg.observe(s.adm.depth(), time.Now())
-
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	enqueued := time.Now()
-	admSpan := sc.root.Child("admission", enqueued.UnixNano())
-	if !s.adm.acquire(ctx.Done()) {
-		admSpan.End(time.Since(enqueued).Nanoseconds())
-		sc.spanNanos("queue", time.Since(enqueued))
-		s.deg.observe(s.adm.depth(), time.Now())
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.met.TimedOut.Add(1)
-			w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-			writeError(w, http.StatusServiceUnavailable,
-				"deadline expired after %v in the admission queue", time.Since(enqueued).Round(time.Millisecond))
-			s.logf("shard request %s timed out after %v in the admission queue", sc.rid, time.Since(enqueued).Round(time.Millisecond))
-			sc.finish(reqtrace.OutcomeTimeout, http.StatusServiceUnavailable)
-			return
-		}
-		writeError(w, http.StatusServiceUnavailable, "request cancelled while queued")
-		s.logf("shard request %s cancelled while queued", sc.rid)
-		sc.finish(reqtrace.OutcomeCancelled, http.StatusServiceUnavailable)
-		return
-	}
-	defer s.adm.release()
-	queueWait := time.Since(enqueued)
-	admSpan.End(queueWait.Nanoseconds())
-	sc.spanNanos("queue", queueWait)
-	s.met.Admitted.Add(1)
-	s.met.QueueWaitNanos.Observe(int64(queueWait))
-	s.deg.observe(s.adm.depth(), time.Now())
-	if s.testHookRunning != nil {
-		s.testHookRunning()
-	}
+	defer a.done()
+	sc := a.sc
 
 	db, release := s.ses.Acquire()
 	searchStart := time.Now()
 	searchSpan := sc.root.Child("search", searchStart.UnixNano())
 	searchSpan.SetAttr("shard", strconv.Itoa(req.Shard))
-	part, err := db.SearchShardBatchCtx(reqtrace.ContextWithSpan(ctx, searchSpan), req.Queries, req.Shard, req.NumShards)
+	part, err := db.SearchShardBatchCtx(reqtrace.ContextWithSpan(a.ctx, searchSpan), req.Queries, req.Shard, req.NumShards)
 	searchDur := time.Since(searchStart)
+	release() // the result is self-contained: wiring it needs no database
 	searchSpan.End(searchDur.Nanoseconds())
 	sc.spanNanos("search", searchDur)
 	if err != nil {
-		release()
 		writeError(w, http.StatusBadRequest, "shard search: %v", err)
 		sc.finish(reqtrace.OutcomeRejected, http.StatusBadRequest)
 		return
 	}
 	attachShardQuerySpans(searchSpan, searchStart.UnixNano(), part)
 	wire, err := part.Wire(req.Queries)
-	release()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encoding shard result: %v", err)
 		sc.finish(reqtrace.OutcomeError, http.StatusInternalServerError)
 		return
 	}
-	s.met.RequestNanos.Observe(int64(time.Since(enqueued)))
+	s.met.RequestNanos.Observe(int64(time.Since(a.enqueued)))
 
 	if err := fiRespond.Err(); err != nil {
 		writeError(w, http.StatusInternalServerError, "response failure: %v", err)
@@ -247,7 +142,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, ShardSearchResponse{
-		Degraded:   degraded,
+		Degraded:   a.degraded,
 		Generation: s.ses.Generation(),
 		Result:     wire,
 	})
