@@ -32,11 +32,11 @@ test: vet bench-build fmtcheck race fuzz chaos obs-smoke obs-smoke-fault serve-s
 # session, the serving layer's admission machinery, and the observability
 # layer's lock-free metrics and concurrent trace/record sinks).
 race:
-	go test -race ./internal/core ./internal/parallel ./internal/search ./internal/mpi ./internal/cluster ./internal/server ./internal/router ./internal/obs ./internal/reqtrace ./blast
+	go test -race ./internal/core ./internal/parallel ./internal/search ./internal/baseline ./internal/mpi ./internal/cluster ./internal/server ./internal/router ./internal/obs ./internal/reqtrace ./blast
 
 # Chaos harness: randomized fault schedules (injected panics, delays, errors,
-# rank deaths, op timeouts, dropped RPCs, torn response bodies) against both
-# batch schedulers, the distributed failover path, the serving layer, and the
+# rank deaths, op timeouts, dropped RPCs, torn response bodies) against the
+# batch scheduler, the distributed failover path, the serving layer, and the
 # remote scatter transport under concurrent load, under the race detector.
 # Each round logs its seed and fault schedule; on failure the log ends with a
 # CHAOS_SEED=... replay line. CHAOS_ROUNDS widens the sweep, CHAOS_SEED pins
@@ -148,7 +148,6 @@ experiments:
 
 examples:
 	go run ./examples/quickstart
-	go run ./examples/engines -seqs 1000 -queries 8
 	go run ./examples/cluster -seqs 800 -queries 8
 	go run ./examples/metagenomics -seqs 1500 -reads 16
 

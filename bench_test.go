@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/alphabet"
+	"repro/internal/baseline"
 	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -26,7 +27,6 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/neighbor"
 	"repro/internal/qindex"
-	"repro/internal/search"
 	"repro/internal/seqgen"
 	"repro/internal/sw"
 	"repro/internal/ungapped"
@@ -58,7 +58,7 @@ func fixtures(b *testing.B) (*bench.Workload, *bench.Workload) {
 
 func BenchmarkFig2_NCBI(b *testing.B) {
 	_, env := fixtures(b)
-	e := search.NewQueryIndexed(env.Cfg, env.DB)
+	e := baseline.NewQueryIndexed(env.Cfg, env.DB)
 	q := env.Queries["512"][0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -68,7 +68,7 @@ func BenchmarkFig2_NCBI(b *testing.B) {
 
 func BenchmarkFig2_NCBIdb(b *testing.B) {
 	_, env := fixtures(b)
-	e := search.NewDBIndexed(env.Cfg, env.Index)
+	e := baseline.NewDBIndexed(env.Cfg, env.Index)
 	q := env.Queries["512"][0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -166,14 +166,14 @@ func BenchmarkFig9_Batch(b *testing.B) {
 		for _, set := range []string{"128", "512", "mixed"} {
 			qs := w.Queries[set]
 			b.Run(w.Name+"/NCBI/"+set, func(b *testing.B) {
-				e := search.NewQueryIndexed(w.Cfg, w.DB)
+				e := baseline.NewQueryIndexed(w.Cfg, w.DB)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					e.SearchBatch(qs, 0)
 				}
 			})
 			b.Run(w.Name+"/NCBIdb/"+set, func(b *testing.B) {
-				e := search.NewDBIndexed(w.Cfg, w.Index)
+				e := baseline.NewDBIndexed(w.Cfg, w.Index)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					e.SearchBatch(qs, 0)
@@ -267,40 +267,6 @@ func BenchmarkHitsort_TwoLevelBinReusedCounts(b *testing.B) {
 	benchSort(b, 1<<17, func(p []hit.Pair) {
 		counts = hitsort.TwoLevelBinWith(p, 11, 2048, 2048, scratch, counts)
 	})
-}
-
-// --- Section IV ablation: batch schedulers (barrier vs block-major grid) ---
-
-func BenchmarkSchedulerAblation_Batch(b *testing.B) {
-	uni, _ := fixtures(b)
-	// Skewed mix: mostly short queries plus one straggler, the shape where
-	// per-block barriers leave workers idle.
-	seqs := make([][]alphabet.Code, uni.DB.NumSeqs())
-	for i := range uni.DB.Seqs {
-		seqs[i] = uni.DB.Seqs[i].Data
-	}
-	skewed := append(append([][]alphabet.Code{}, uni.Queries["128"]...),
-		uni.Gen.Queries(seqs, 1, 1024)...)
-	for _, mix := range []struct {
-		name string
-		qs   [][]alphabet.Code
-	}{{"uniform256", uni.Queries["256"]}, {"skewed", skewed}} {
-		for _, s := range []struct {
-			name  string
-			sched core.Scheduler
-		}{{"barrier", core.SchedBarrier}, {"grid", core.SchedBlockMajor}} {
-			b.Run(mix.name+"/"+s.name, func(b *testing.B) {
-				opt := core.DefaultOptions()
-				opt.Scheduler = s.sched
-				e := core.NewWithOptions(uni.Cfg, uni.Index, opt)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e.SearchBatch(mix.qs, 0)
-				}
-			})
-		}
-	}
 }
 
 func BenchmarkSorterAblation_EndToEnd(b *testing.B) {

@@ -10,10 +10,9 @@
 //	for _, h := range res.Hits { fmt.Println(h.SubjectName, h.EValue) }
 //
 // The database index is built once (NewDatabase) and reused across queries
-// and batches — the design point of database-indexed BLAST. Four engines are
-// available for comparison (EngineMuBLASTP, EngineNCBI, EngineNCBIdb,
-// EngineNCBIDFA); they return identical hits, differing only in speed and
-// memory behaviour.
+// and batches — the design point of database-indexed BLAST. There is one
+// engine, muBLASTP (internal/core); the baselines the paper compares it with
+// live in internal/baseline for cmd/experiments (-exp verify, -exp fig9).
 package blast
 
 import (
@@ -76,12 +75,6 @@ type Params struct {
 	// no two-hit pairing): more sensitive, much slower. NCBI pairs it with
 	// NeighborThreshold 13.
 	OneHit bool
-	// Scheduler selects the batch scheduling strategy: "block-major" (the
-	// default, a barrier-free dynamic schedule over the flattened
-	// block × query task grid) or "barrier" (the paper's Algorithm 3 as
-	// printed, with a worker barrier at every index-block boundary; kept
-	// for ablation). Both produce identical results.
-	Scheduler string
 	// Timeout bounds each batch search: past it the batch stops between
 	// tasks and returns partial results, with BatchResult.Err wrapping
 	// ErrDeadline and per-query completion flags telling the completed
@@ -122,35 +115,6 @@ type Sequence struct {
 	Residues string
 }
 
-// EngineKind selects a search pipeline.
-type EngineKind int
-
-const (
-	// EngineMuBLASTP is the paper's optimized engine (default).
-	EngineMuBLASTP EngineKind = iota
-	// EngineNCBI is the query-indexed baseline (classic NCBI-BLAST).
-	EngineNCBI
-	// EngineNCBIdb is the db-indexed interleaved baseline ("NCBI-db").
-	EngineNCBIdb
-	// EngineNCBIDFA is the query-indexed baseline with FSA-BLAST's DFA hit
-	// detection instead of the lookup table (paper Section VI).
-	EngineNCBIDFA
-)
-
-func (k EngineKind) String() string {
-	switch k {
-	case EngineMuBLASTP:
-		return "muBLASTP"
-	case EngineNCBI:
-		return "NCBI"
-	case EngineNCBIdb:
-		return "NCBI-db"
-	case EngineNCBIDFA:
-		return "NCBI-DFA"
-	}
-	return fmt.Sprintf("EngineKind(%d)", int(k))
-}
-
 // Database is an indexed, searchable protein database: an ordered list of
 // one or more parts (see parts.go) searched under one configuration. Subject
 // ids in results are Database-wide; each part maps its own ids into them.
@@ -172,18 +136,10 @@ type Database struct {
 	numDeltas    int
 }
 
-// newSingle wires one container's sequences and index to the engines that
-// search them and wraps the part as a one-part Database.
+// newSingle wires one container's sequences and index to the engine that
+// searches them and wraps the part as a one-part Database.
 func newSingle(p Params, cfg *search.Config, db *dbase.DB, ix *dbindex.Index, origins map[string]chunkInfo, splitLen, overlap int) *Database {
-	opt := core.DefaultOptions()
-	opt.Scheduler, _ = schedulerFor(p.Scheduler)
-	whole := &part{
-		db: db, ix: ix, chunkOrigin: origins,
-		mu:      core.NewWithOptions(cfg, ix, opt),
-		ncbi:    search.NewQueryIndexed(cfg, db),
-		ncbiDB:  search.NewDBIndexed(cfg, ix),
-		ncbiDFA: search.NewQueryIndexedDFA(cfg, db),
-	}
+	whole := &part{db: db, ix: ix, chunkOrigin: origins, mu: core.New(cfg, ix)}
 	return &Database{params: p, cfg: cfg, parts: []*part{whole}, splitLen: splitLen, splitOverlap: overlap}
 }
 
@@ -246,9 +202,6 @@ func newDatabaseFrom(db *dbase.DB, p Params) (*Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("blast: building index: %w", err)
 	}
-	if _, err := schedulerFor(p.Scheduler); err != nil {
-		return nil, err
-	}
 	return newSingle(p, cfg, db, ix, chunkOrigin, splitLen, overlap), nil
 }
 
@@ -297,17 +250,6 @@ var (
 	neighborMu    sync.Mutex
 	neighborCache = map[neighborKey]*neighbor.Table{}
 )
-
-// schedulerFor maps the Params.Scheduler name to the engine option.
-func schedulerFor(name string) (core.Scheduler, error) {
-	switch name {
-	case "", "block-major":
-		return core.SchedBlockMajor, nil
-	case "barrier":
-		return core.SchedBarrier, nil
-	}
-	return 0, fmt.Errorf("blast: unknown scheduler %q (want block-major or barrier)", name)
-}
 
 func buildConfig(p Params) (*search.Config, error) {
 	m, err := matrix.ByName(p.Matrix)
@@ -421,31 +363,21 @@ type Result struct {
 
 // Search runs a single query through the muBLASTP engine.
 func (d *Database) Search(query string) (*Result, error) {
-	return d.SearchWithEngine(EngineMuBLASTP, query)
-}
-
-// SearchWithEngine runs a single query through the chosen engine.
-func (d *Database) SearchWithEngine(kind EngineKind, query string) (*Result, error) {
-	if kind != EngineMuBLASTP && len(d.parts) > 1 {
-		return nil, fmt.Errorf("blast: tiered (base+deltas) database supports only the muBLASTP engine, not %v; compact the store first", kind)
-	}
 	q, err := alphabet.Encode([]byte(query))
 	if err != nil {
 		return nil, fmt.Errorf("blast: query: %w", err)
 	}
 	raws := make([]*rawBatch, len(d.parts))
 	for i, p := range d.parts {
-		if raws[i], err = p.searchOne(kind, q); err != nil {
-			return nil, err
-		}
+		raws[i] = p.searchOne(q)
 	}
 	raw := d.mergeOwn(raws, 1)
 	return convertHSPs(len(q), raw.results[0], raw.meta[0]), nil
 }
 
 // SearchBatch runs a batch of queries through the muBLASTP engine with the
-// configured thread count and scheduler (barrier-free block-major grid by
-// default; Params.Scheduler selects the Algorithm 3 barrier loop instead).
+// configured thread count: one dynamic schedule over the block-major
+// (block × query) task grid.
 func (d *Database) SearchBatch(queries []string) ([]*Result, error) {
 	out, _, err := d.SearchBatchStats(queries)
 	return out, err

@@ -69,30 +69,6 @@ func TestSearchFindsSource(t *testing.T) {
 	}
 }
 
-func TestEnginesAgree(t *testing.T) {
-	db, seqs := testDatabase(t)
-	q := queryFrom(seqs, 120)
-	var results [3]*Result
-	for i, k := range []EngineKind{EngineMuBLASTP, EngineNCBI, EngineNCBIdb} {
-		r, err := db.SearchWithEngine(k, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[i] = r
-	}
-	for i := 1; i < 3; i++ {
-		if len(results[i].Hits) != len(results[0].Hits) {
-			t.Fatalf("engine %d: %d hits vs %d", i, len(results[i].Hits), len(results[0].Hits))
-		}
-		for j := range results[0].Hits {
-			a, b := results[0].Hits[j], results[i].Hits[j]
-			if a != b {
-				t.Fatalf("engine %d hit %d: %+v vs %+v", i, j, a, b)
-			}
-		}
-	}
-}
-
 func TestSearchBatchMatchesSingle(t *testing.T) {
 	db, seqs := testDatabase(t)
 	queries := []string{
@@ -120,66 +96,22 @@ func TestSearchBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-func TestSchedulerParam(t *testing.T) {
-	_, seqs := testDatabase(t)
+func TestBatchStatsReportTheGrid(t *testing.T) {
+	db, seqs := testDatabase(t)
 	queries := []string{
 		queryFrom(seqs, 100),
 		queryFrom(seqs[50:], 100),
 		queryFrom(seqs[100:], 100),
 	}
-	// Every accepted spelling produces identical batch results and reports
-	// the scheduler it ran under.
-	type run struct {
-		results []*Result
-		sched   string
+	_, stats, err := db.SearchBatchStats(queries)
+	if err != nil {
+		t.Fatal(err)
 	}
-	runs := map[string]run{}
-	for _, name := range []string{"", "block-major", "barrier"} {
-		p := DefaultParams()
-		p.BlockResidues = 16384
-		p.Scheduler = name
-		db, err := NewDatabase(sharedSeqs, p)
-		if err != nil {
-			t.Fatalf("scheduler %q: %v", name, err)
-		}
-		results, stats, err := db.SearchBatchStats(queries)
-		if err != nil {
-			t.Fatalf("scheduler %q: %v", name, err)
-		}
-		want := "block-major"
-		if name == "barrier" {
-			want = "barrier"
-		}
-		if stats.Scheduler != want {
-			t.Errorf("scheduler %q ran as %q", name, stats.Scheduler)
-		}
-		if stats.Tasks <= 0 {
-			t.Errorf("scheduler %q reported %d tasks", name, stats.Tasks)
-		}
-		runs[name] = run{results, stats.Scheduler}
+	if stats.Scheduler != "block-major" {
+		t.Errorf("batch ran as %q, want block-major", stats.Scheduler)
 	}
-	ref := runs[""]
-	for name, r := range runs {
-		if len(r.results) != len(ref.results) {
-			t.Fatalf("scheduler %q: %d results vs %d", name, len(r.results), len(ref.results))
-		}
-		for i := range r.results {
-			if len(r.results[i].Hits) != len(ref.results[i].Hits) {
-				t.Fatalf("scheduler %q query %d: %d hits vs %d",
-					name, i, len(r.results[i].Hits), len(ref.results[i].Hits))
-			}
-			for j := range r.results[i].Hits {
-				if r.results[i].Hits[j] != ref.results[i].Hits[j] {
-					t.Fatalf("scheduler %q query %d hit %d differs", name, i, j)
-				}
-			}
-		}
-	}
-
-	p := DefaultParams()
-	p.Scheduler = "simd" // not a scheduler
-	if _, err := NewDatabase(sharedSeqs[:3], p); err == nil {
-		t.Error("accepted unknown scheduler")
+	if want := int64(db.NumBlocks() * len(queries)); stats.Tasks != want {
+		t.Errorf("batch reported %d tasks, want blocks x queries = %d", stats.Tasks, want)
 	}
 }
 
@@ -195,9 +127,6 @@ func TestInvalidInputs(t *testing.T) {
 	p.Matrix = "NOPE"
 	if _, err := NewDatabase([]Sequence{{Name: "x", Residues: "ARN"}}, p); err == nil {
 		t.Error("accepted unknown matrix")
-	}
-	if _, err := db.SearchWithEngine(EngineKind(99), "ARNDC"); err == nil {
-		t.Error("accepted unknown engine")
 	}
 }
 
@@ -306,16 +235,6 @@ func TestDatabaseAccessors(t *testing.T) {
 	}
 }
 
-func TestEngineKindString(t *testing.T) {
-	if EngineMuBLASTP.String() != "muBLASTP" || EngineNCBI.String() != "NCBI" ||
-		EngineNCBIdb.String() != "NCBI-db" {
-		t.Error("engine names wrong")
-	}
-	if EngineKind(9).String() == "" {
-		t.Error("unknown engine stringer empty")
-	}
-}
-
 func TestIdentityComputation(t *testing.T) {
 	// Build a db with a known near-identical pair.
 	seqs := []Sequence{
@@ -419,30 +338,6 @@ func TestSplitDatabaseSaveLoadKeepsMapping(t *testing.T) {
 	}
 	if res.Hits[0].SubjectName != "big" || res.Hits[0].SubjectStart != 3000 {
 		t.Errorf("reload lost chunk mapping: %+v", res.Hits[0])
-	}
-}
-
-func TestDFAEngineAgrees(t *testing.T) {
-	db, seqs := testDatabase(t)
-	q := queryFrom(seqs, 140)
-	ref, err := db.SearchWithEngine(EngineNCBI, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := db.SearchWithEngine(EngineNCBIDFA, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref.Hits) != len(got.Hits) {
-		t.Fatalf("DFA engine: %d hits vs %d", len(got.Hits), len(ref.Hits))
-	}
-	for i := range ref.Hits {
-		if ref.Hits[i] != got.Hits[i] {
-			t.Fatalf("DFA engine hit %d differs", i)
-		}
-	}
-	if EngineNCBIDFA.String() != "NCBI-DFA" {
-		t.Error("engine name")
 	}
 }
 

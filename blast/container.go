@@ -464,9 +464,6 @@ func (c *container) open(p Params) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := schedulerFor(p.Scheduler); err != nil {
-		return nil, err
-	}
 	// Matrix and neighbor threshold determine the neighbor table hit
 	// detection runs with; the index stores exact-word positions only, so a
 	// drifted table silently changes which alignments are found. Strict.

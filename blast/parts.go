@@ -22,7 +22,7 @@ import (
 // under "Partitions and the merge".
 
 // part is one partition of a Database: a container's sequences and index,
-// the engines that search them, its split-chunk origins, and the map from
+// the engine that searches them, its split-chunk origins, and the map from
 // its subject ids to the Database's. A database built or loaded as a single
 // container is one part with the identity map; a store's base+deltas view is
 // the base followed by the deltas in manifest order.
@@ -40,10 +40,7 @@ type part struct {
 	// `local`, strictly ascending; nil is the identity.
 	idMap []int
 
-	mu      *core.Engine
-	ncbi    *search.QueryIndexed
-	ncbiDB  *search.DBIndexed
-	ncbiDFA *search.QueryIndexedDFA
+	mu *core.Engine
 }
 
 // chunkInfo maps a split chunk back to its source sequence.
@@ -106,26 +103,14 @@ func (p *part) searchBatch(ctx context.Context, enc [][]alphabet.Code, threads i
 	return raw
 }
 
-// searchOne runs a single query through the chosen engine, sequentially over
-// the part's blocks, and wraps the outcome as a one-query batch.
-func (p *part) searchOne(kind EngineKind, q []alphabet.Code) (*rawBatch, error) {
-	var res search.QueryResult
-	switch kind {
-	case EngineMuBLASTP:
-		res = p.mu.Search(0, q)
-	case EngineNCBI:
-		res = p.ncbi.Search(0, q)
-	case EngineNCBIdb:
-		res = p.ncbiDB.Search(0, q)
-	case EngineNCBIDFA:
-		res = p.ncbiDFA.Search(0, q)
-	default:
-		return nil, fmt.Errorf("blast: unknown engine %v", kind)
-	}
+// searchOne runs a single query sequentially over the part's blocks and
+// wraps the outcome as a one-query batch.
+func (p *part) searchOne(q []alphabet.Code) *rawBatch {
+	res := p.mu.Search(0, q)
 	return &rawBatch{
 		results: []search.QueryResult{res}, meta: [][]hspMeta{p.metaFor(q, res.HSPs)},
 		completed: []bool{true}, queryErrs: []error{nil},
-	}, nil
+	}
 }
 
 // searchRaw runs the batch over every part — sequentially: a delta is a
@@ -162,8 +147,10 @@ func (d *Database) mergeOwn(raws []*rawBatch, numQueries int) *rawBatch {
 // A nil entry stands for a part that contributed nothing (a shed or failed
 // shard). Its absence poisons every query honestly: incomplete with
 // ErrShardUnavailable, never merged as if the part had zero hits. sequential
-// says the parts ran one after another (elapsed times add) rather than side
-// by side (the slowest one counts).
+// says the parts ran one after another on one worker pool (elapsed times add,
+// the largest pool counts) rather than side by side, each on its own (pools
+// add, the slowest part's elapsed time counts) — either way busy time never
+// exceeds Workers x ElapsedNanos, so Utilization stays in (0, 1].
 func mergeParts(kind string, parts []*rawBatch, numQueries int, remap func(part, local int) int, maxResults int, sequential bool) *rawBatch {
 	out := &rawBatch{
 		results:   make([]search.QueryResult, numQueries),
@@ -178,14 +165,15 @@ func mergeParts(kind string, parts []*rawBatch, numQueries int, remap func(part,
 			continue
 		}
 		s, ps := &out.sched, &part.sched
-		s.Workers = max(s.Workers, ps.Workers)
 		s.Scheduler = ps.Scheduler
 		s.Tasks += ps.Tasks
 		s.BusyNanos += ps.BusyNanos
 		s.StallNanos += ps.StallNanos
 		if sequential {
+			s.Workers = max(s.Workers, ps.Workers)
 			s.ElapsedNanos += ps.ElapsedNanos
 		} else {
+			s.Workers += ps.Workers
 			s.ElapsedNanos = max(s.ElapsedNanos, ps.ElapsedNanos)
 		}
 		s.TasksPanicked += ps.TasksPanicked

@@ -130,6 +130,43 @@ func TestShardEngineCarriesGlobalStatistics(t *testing.T) {
 	t.Fatal("no shard produced a hit for the probe query")
 }
 
+// TestMergeShardsSchedSideBySide pins the merged scheduler summary of shards
+// that ran next to each other: their worker pools add up (each shard's busy
+// time was spent on its own workers, inside its own elapsed time), so the
+// merged utilization stays in its documented range instead of approaching
+// the shard count.
+func TestMergeShardsSchedSideBySide(t *testing.T) {
+	db, seqs := testDatabase(t)
+	queries := shardQueries(seqs) // >= 5 tasks per shard: every worker gets work
+	for _, n := range []int{2, 3} {
+		shards, err := db.Shards(n)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		parts := make([]*ShardResult, n)
+		workers := 0
+		for s, sd := range shards {
+			if parts[s], err = sd.SearchShardBatchCtx(context.Background(), queries, s, n); err != nil {
+				t.Fatalf("n=%d shard %d: %v", n, s, err)
+			}
+			if u := parts[s].sched.Utilization(); u <= 0 || u > 1 {
+				t.Fatalf("n=%d shard %d: utilization %.3f outside (0, 1]", n, s, u)
+			}
+			workers += parts[s].sched.Workers
+		}
+		merged, err := MergeShards(queries, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if merged.Sched.Workers != workers {
+			t.Errorf("n=%d: merged Workers = %d, want the shards' sum %d", n, merged.Sched.Workers, workers)
+		}
+		if u := merged.Sched.Utilization(); u <= 0 || u > 1 {
+			t.Errorf("n=%d: merged utilization %.3f outside (0, 1]", n, u)
+		}
+	}
+}
+
 // TestMergeShardsMissingShard pins the honesty contract: a missing shard
 // poisons every query (incomplete, ErrShardUnavailable) instead of merging
 // as a silent zero-hit shard.

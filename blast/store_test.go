@@ -444,18 +444,13 @@ func TestStoreValidateBatch(t *testing.T) {
 	}
 }
 
-// TestStoreTieredRefusesOtherEngines: the tiered view only supports the
-// muBLASTP engine and says so; Save and Shards refuse tiered databases with
+// TestStoreTieredRefusals: Save and Shards refuse tiered databases with
 // instructions to compact.
 func TestStoreTieredRefusals(t *testing.T) {
 	_, st, _, _, _ := storeFixture(t)
 	db, err := st.Database()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := db.SearchWithEngine(EngineNCBI, "MKTAYIAKQRQISFVKSHFSRQ"); err == nil ||
-		!strings.Contains(err.Error(), "compact") {
-		t.Fatalf("tiered NCBI engine search = %v, want compact-the-store error", err)
 	}
 	if err := db.Save(nopWriter{}); err == nil || !strings.Contains(err.Error(), "compact") {
 		t.Fatalf("tiered Save = %v, want compact-the-store error", err)

@@ -37,7 +37,6 @@ var experiments = []experiment{
 	{"fig8", "block-size sweep", bench.Fig8},
 	{"fig9", "single-node engine comparison", bench.Fig9},
 	{"fig10", "multi-node scaling vs mpiBLAST", bench.Fig10},
-	{"sched", "barrier vs barrier-free batch scheduling", bench.SchedulerAblation},
 	{"stage", "stage budget: per-stage time shares (+ -json emission)", runStage},
 	{"index-size", "two-level vs expanded index size", bench.IndexSize},
 	{"verify", "Section V-E output verification", bench.Verify},

@@ -1,11 +1,11 @@
 // Command mublastp searches protein queries against a database with the
-// muBLASTP engine (or a baseline engine, for comparison). The database can
-// be a FASTA file (indexed on the fly) or a prebuilt index from makedb.
+// muBLASTP engine. The database can be a FASTA file (indexed on the fly) or a
+// prebuilt index from makedb.
 //
 // Usage:
 //
 //	mublastp -db db.mublastp -query queries.fasta
-//	mublastp -subjects db.fasta -query queries.fasta -engine ncbi -format full
+//	mublastp -subjects db.fasta -query queries.fasta -format full
 //	mublastp -db db.mublastp -query queries.fasta -timeout 30s
 //	mublastp -verifydb db.mublastp
 //	mublastp -verifydb db.shard0-of-2,db.shard1-of-2
@@ -50,12 +50,10 @@ func run() (retErr error) {
 		dbPath      = flag.String("db", "", "prebuilt database index (from makedb)")
 		subjects    = flag.String("subjects", "", "FASTA database to index on the fly")
 		queryPath   = flag.String("query", "", "FASTA queries (required)")
-		engine      = flag.String("engine", "mublastp", "engine: mublastp, ncbi, or ncbidb")
 		threads     = flag.Int("threads", 0, "threads for batch search (0 = all cores)")
 		evalue      = flag.Float64("evalue", 10, "E-value cutoff")
 		maxHits     = flag.Int("max-hits", 250, "maximum hits per query")
 		format      = flag.String("format", "summary", "output format: summary, full, or tabular")
-		scheduler   = flag.String("scheduler", "block-major", "batch scheduler: block-major or barrier")
 		timeout     = flag.Duration("timeout", 0, "abort the batch search after this long, keeping completed queries (0 = no deadline)")
 		faultSpec   = flag.String("faultspec", "", "arm fault-injection sites, e.g. 'sched.task=panic#3,core.hitdetect=delay:5ms' (testing aid)")
 		faultSeed   = flag.Uint64("faultseed", 1, "seed for probabilistic -faultspec clauses")
@@ -105,28 +103,16 @@ func run() (retErr error) {
 		return runVerify(*verifyDB)
 	}
 	if *queryPath == "" || (*dbPath == "") == (*subjects == "") {
-		fmt.Fprintln(os.Stderr, "mublastp: need -query and exactly one of -db / -subjects")
-		flag.Usage()
-		os.Exit(2)
+		badUsage("need -query and exactly one of -db / -subjects")
 	}
-
-	var kind blast.EngineKind
-	switch *engine {
-	case "mublastp":
-		kind = blast.EngineMuBLASTP
-	case "ncbi":
-		kind = blast.EngineNCBI
-	case "ncbidb":
-		kind = blast.EngineNCBIdb
-	default:
-		return fmt.Errorf("unknown engine %q", *engine)
+	if *format != "summary" && *format != "full" && *format != "tabular" {
+		badUsage(fmt.Sprintf("unknown -format %q (want summary, full, or tabular)", *format))
 	}
 
 	p := blast.DefaultParams()
 	p.EValueCutoff = *evalue
 	p.MaxResults = *maxHits
 	p.Threads = *threads
-	p.Scheduler = *scheduler
 	p.Timeout = *timeout
 
 	var db *blast.Database
@@ -176,68 +162,42 @@ func run() (retErr error) {
 			}
 		}()
 	}
-	emit := func(out *bufio.Writer, q blast.Sequence, res *blast.Result) error {
-		if trace != nil {
-			if err := trace.Write(res.TraceRecord(q.Name)); err != nil {
-				return fmt.Errorf("trace: %w", err)
-			}
-		}
-		printResult(out, db, q, res, *format)
-		return nil
-	}
-
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
 	start = time.Now()
-	if kind == blast.EngineMuBLASTP {
-		texts := make([]string, len(queries))
-		for i := range queries {
-			texts[i] = queries[i].Residues
+	texts := make([]string, len(queries))
+	for i := range queries {
+		texts[i] = queries[i].Residues
+	}
+	br, err := db.SearchBatchCtx(ctx, texts)
+	if err != nil {
+		return fmt.Errorf("search: %w", err)
+	}
+	for i, res := range br.Results {
+		if !br.Completed[i] {
+			continue
 		}
-		br, err := db.SearchBatchCtx(ctx, texts)
-		if err != nil {
-			return fmt.Errorf("search: %w", err)
-		}
-		for i := range br.Results {
-			if !br.Completed[i] {
-				continue
-			}
-			if err := emit(out, queries[i], br.Results[i]); err != nil {
-				return err
-			}
-		}
-		done := br.CompletedCount()
-		for i, qerr := range br.QueryErrs {
-			if qerr != nil {
-				fmt.Fprintf(os.Stderr, "mublastp: query %s not completed: %v\n", queries[i].Name, qerr)
+		if trace != nil {
+			if err := trace.Write(res.TraceRecord(queries[i].Name)); err != nil {
+				return fmt.Errorf("trace: %w", err)
 			}
 		}
-		fmt.Fprintf(os.Stderr, "mublastp: %d/%d queries searched in %v with %s\n",
-			done, len(queries), time.Since(start).Round(time.Millisecond), kind)
-		// A degraded batch still falls through to the linger window below,
-		// so a scraper can read the failure counters before the process
-		// exits non-zero.
-		if br.Err != nil {
-			retErr = fmt.Errorf("search incomplete: %w", br.Err)
-		} else if done != len(queries) {
-			retErr = fmt.Errorf("search: %d queries failed", len(queries)-done)
+		printResult(out, db, queries[i], res, *format)
+	}
+	done := br.CompletedCount()
+	for i, qerr := range br.QueryErrs {
+		if qerr != nil {
+			fmt.Fprintf(os.Stderr, "mublastp: query %s not completed: %v\n", queries[i].Name, qerr)
 		}
-	} else {
-		for i := range queries {
-			if ctx.Err() != nil {
-				retErr = fmt.Errorf("search interrupted after %d/%d queries: %w", i, len(queries), ctx.Err())
-				return retErr
-			}
-			res, err := db.SearchWithEngine(kind, queries[i].Residues)
-			if err != nil {
-				return fmt.Errorf("search: %w", err)
-			}
-			if err := emit(out, queries[i], res); err != nil {
-				return err
-			}
-		}
-		fmt.Fprintf(os.Stderr, "mublastp: %d queries searched in %v with %s\n",
-			len(queries), time.Since(start).Round(time.Millisecond), kind)
+	}
+	fmt.Fprintf(os.Stderr, "mublastp: %d/%d queries searched in %v with muBLASTP\n",
+		done, len(queries), time.Since(start).Round(time.Millisecond))
+	// A degraded batch still falls through to the linger window below, so a
+	// scraper can read the failure counters before the process exits non-zero.
+	if br.Err != nil {
+		retErr = fmt.Errorf("search incomplete: %w", br.Err)
+	} else if done != len(queries) {
+		retErr = fmt.Errorf("search: %d queries failed", len(queries)-done)
 	}
 
 	if *debugAddr != "" && *debugLinger > 0 {
@@ -256,6 +216,14 @@ func run() (retErr error) {
 		}
 	}
 	return retErr
+}
+
+// badUsage reports a command-line mistake the way the flag package does:
+// the message, the usage text, exit status 2.
+func badUsage(msg string) {
+	fmt.Fprintln(os.Stderr, "mublastp:", msg)
+	flag.Usage()
+	os.Exit(2)
 }
 
 // runVerify dispatches on what the -verifydb argument names: a

@@ -1,4 +1,4 @@
-package search
+package baseline
 
 import (
 	"math"
@@ -10,6 +10,7 @@ import (
 	"repro/internal/dbindex"
 	"repro/internal/matrix"
 	"repro/internal/neighbor"
+	"repro/internal/search"
 	"repro/internal/seqgen"
 	"repro/internal/sw"
 )
@@ -17,15 +18,15 @@ import (
 var (
 	envOnce sync.Once
 	envNbr  *neighbor.Table
-	envCfg  *Config
+	envCfg  *search.Config
 )
 
-func testConfig(t *testing.T) *Config {
+func testConfig(t *testing.T) *search.Config {
 	t.Helper()
 	envOnce.Do(func() {
 		envNbr = neighbor.Build(matrix.Blosum62, neighbor.DefaultThreshold)
 		var err error
-		envCfg, err = NewConfig(matrix.Blosum62, envNbr)
+		envCfg, err = search.NewConfig(matrix.Blosum62, envNbr)
 		if err != nil {
 			panic(err)
 		}
@@ -37,7 +38,7 @@ func testConfig(t *testing.T) *Config {
 
 // testWorld builds a deterministic db (length-sorted via index build), an
 // index over it, and queries sampled from it.
-func testWorld(t *testing.T, nSeqs, nQueries, qLen int, blockResidues int64) (*Config, *dbase.DB, *dbindex.Index, [][]alphabet.Code) {
+func testWorld(t *testing.T, nSeqs, nQueries, qLen int, blockResidues int64) (*search.Config, *dbase.DB, *dbindex.Index, [][]alphabet.Code) {
 	t.Helper()
 	cfg := testConfig(t)
 	g := seqgen.New(seqgen.UniprotProfile(), 1234)
@@ -87,16 +88,16 @@ func TestHSPsValidateAndAreRanked(t *testing.T) {
 		for i, h := range res.HSPs {
 			s := db.Seqs[h.Subject].Data
 			if err := h.Aln.Validate(cfg.Matrix, q, s, cfg.Gap); err != nil {
-				t.Fatalf("query %d HSP %d: %v", qi, i, err)
+				t.Fatalf("query %d search.HSP %d: %v", qi, i, err)
 			}
 			if h.EValue > cfg.EValueCutoff {
-				t.Errorf("query %d HSP %d: E-value %g above cutoff", qi, i, h.EValue)
+				t.Errorf("query %d search.HSP %d: E-value %g above cutoff", qi, i, h.EValue)
 			}
 			if i > 0 && res.HSPs[i-1].Aln.Score < h.Aln.Score {
 				t.Errorf("query %d: HSPs not score-descending at %d", qi, i)
 			}
 			if h.SubjectName != db.Seqs[h.Subject].Name {
-				t.Errorf("query %d HSP %d: name mismatch", qi, i)
+				t.Errorf("query %d search.HSP %d: name mismatch", qi, i)
 			}
 		}
 	}
@@ -105,7 +106,7 @@ func TestHSPsValidateAndAreRanked(t *testing.T) {
 func TestStatsAreConsistent(t *testing.T) {
 	cfg, db, ix, queries := testWorld(t, 100, 3, 128, 8192)
 	engines := map[string]interface {
-		Search(int, []alphabet.Code) QueryResult
+		Search(int, []alphabet.Code) search.QueryResult
 	}{
 		"QueryIndexed": NewQueryIndexed(cfg, db),
 		"DBIndexed":    NewDBIndexed(cfg, ix),
@@ -193,11 +194,11 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 	cfg, db, ix, queries := testWorld(t, 100, 6, 128, 8192)
 	qe := NewQueryIndexed(cfg, db)
 	de := NewDBIndexed(cfg, ix)
-	for name, pair := range map[string][2]func() []QueryResult{
+	for name, pair := range map[string][2]func() []search.QueryResult{
 		"QueryIndexed": {
-			func() []QueryResult { return qe.SearchBatch(queries, 4) },
-			func() []QueryResult {
-				out := make([]QueryResult, len(queries))
+			func() []search.QueryResult { return qe.SearchBatch(queries, 4) },
+			func() []search.QueryResult {
+				out := make([]search.QueryResult, len(queries))
 				for i, q := range queries {
 					out[i] = qe.Search(i, q)
 				}
@@ -205,9 +206,9 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 			},
 		},
 		"DBIndexed": {
-			func() []QueryResult { return de.SearchBatch(queries, 4) },
-			func() []QueryResult {
-				out := make([]QueryResult, len(queries))
+			func() []search.QueryResult { return de.SearchBatch(queries, 4) },
+			func() []search.QueryResult {
+				out := make([]search.QueryResult, len(queries))
 				for i, q := range queries {
 					out[i] = de.Search(i, q)
 				}
@@ -223,7 +224,7 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 }
 
 // requireSameResult asserts two QueryResults are identical.
-func requireSameResult(t *testing.T, name string, qi int, a, b QueryResult) {
+func requireSameResult(t *testing.T, name string, qi int, a, b search.QueryResult) {
 	t.Helper()
 	if len(a.HSPs) != len(b.HSPs) {
 		t.Fatalf("%s query %d: %d vs %d HSPs", name, qi, len(a.HSPs), len(b.HSPs))
@@ -233,13 +234,13 @@ func requireSameResult(t *testing.T, name string, qi int, a, b QueryResult) {
 		if x.Subject != y.Subject || x.Aln.Score != y.Aln.Score ||
 			x.Aln.QStart != y.Aln.QStart || x.Aln.QEnd != y.Aln.QEnd ||
 			x.Aln.SStart != y.Aln.SStart || x.Aln.SEnd != y.Aln.SEnd {
-			t.Fatalf("%s query %d HSP %d differs: %+v vs %+v", name, qi, j, x, y)
+			t.Fatalf("%s query %d search.HSP %d differs: %+v vs %+v", name, qi, j, x, y)
 		}
 		if math.Abs(x.EValue-y.EValue) > 1e-12*math.Max(x.EValue, 1e-300) {
-			t.Fatalf("%s query %d HSP %d E-value differs", name, qi, j)
+			t.Fatalf("%s query %d search.HSP %d E-value differs", name, qi, j)
 		}
 		if string(x.Aln.Ops) != string(y.Aln.Ops) {
-			t.Fatalf("%s query %d HSP %d traceback differs", name, qi, j)
+			t.Fatalf("%s query %d search.HSP %d traceback differs", name, qi, j)
 		}
 	}
 	// Compare counters only: StageNanos carries wall-clock timings, which
@@ -254,7 +255,7 @@ func requireSameResult(t *testing.T, name string, qi int, a, b QueryResult) {
 func TestEmptyAndShortQueries(t *testing.T) {
 	cfg, db, ix, _ := testWorld(t, 50, 1, 128, 1<<20)
 	for _, e := range []interface {
-		Search(int, []alphabet.Code) QueryResult
+		Search(int, []alphabet.Code) search.QueryResult
 	}{NewQueryIndexed(cfg, db), NewDBIndexed(cfg, ix)} {
 		for _, q := range [][]alphabet.Code{nil, alphabet.MustEncode("AR")} {
 			res := e.Search(0, q)
@@ -288,7 +289,7 @@ func TestEValueCutoffFilters(t *testing.T) {
 	}
 	for _, h := range NewQueryIndexed(&strict, db).Search(0, queries[0]).HSPs {
 		if h.EValue > 1e-30 {
-			t.Errorf("HSP with E-value %g passed 1e-30 cutoff", h.EValue)
+			t.Errorf("search.HSP with E-value %g passed 1e-30 cutoff", h.EValue)
 		}
 	}
 }

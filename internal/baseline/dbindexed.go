@@ -1,4 +1,4 @@
-package search
+package baseline
 
 import (
 	"repro/internal/alphabet"
@@ -6,6 +6,7 @@ import (
 	"repro/internal/gapped"
 	"repro/internal/matrix"
 	"repro/internal/parallel"
+	"repro/internal/search"
 	"repro/internal/ungapped"
 )
 
@@ -17,7 +18,7 @@ import (
 // execution jumps between subject sequences — the irregular memory pattern
 // Fig 2 profiles and muBLASTP removes.
 type DBIndexed struct {
-	Cfg *Config
+	Cfg *search.Config
 	Ix  *dbindex.Index
 	// subjOff maps global sequence index to its byte offset in the
 	// concatenated subject space (trace addressing).
@@ -28,7 +29,7 @@ type DBIndexed struct {
 }
 
 // NewDBIndexed creates the engine over a built index.
-func NewDBIndexed(cfg *Config, ix *dbindex.Index) *DBIndexed {
+func NewDBIndexed(cfg *search.Config, ix *dbindex.Index) *DBIndexed {
 	e := &DBIndexed{Cfg: cfg, Ix: ix, subjOff: make([]int64, ix.DB.NumSeqs()+1)}
 	var off int64
 	for i := range ix.DB.Seqs {
@@ -62,13 +63,13 @@ func (e *DBIndexed) newScratch() *dbiScratch {
 }
 
 // Search runs one query through the engine.
-func (e *DBIndexed) Search(queryIdx int, q []alphabet.Code) QueryResult {
+func (e *DBIndexed) Search(queryIdx int, q []alphabet.Code) search.QueryResult {
 	return e.searchOne(e.newScratch(), queryIdx, q)
 }
 
 // SearchBatch searches all queries in parallel (dynamic scheduling).
-func (e *DBIndexed) SearchBatch(queries [][]alphabet.Code, threads int) []QueryResult {
-	results := make([]QueryResult, len(queries))
+func (e *DBIndexed) SearchBatch(queries [][]alphabet.Code, threads int) []search.QueryResult {
+	results := make([]search.QueryResult, len(queries))
 	scratches := makeScratches(threads, len(queries), e.newScratch)
 	parallel.ForWorkers(len(queries), threads, func(w, i int) {
 		results[i] = e.searchOne(scratches[w], i, queries[i])
@@ -76,17 +77,17 @@ func (e *DBIndexed) SearchBatch(queries [][]alphabet.Code, threads int) []QueryR
 	return results
 }
 
-func (e *DBIndexed) searchOne(sc *dbiScratch, queryIdx int, q []alphabet.Code) QueryResult {
+func (e *DBIndexed) searchOne(sc *dbiScratch, queryIdx int, q []alphabet.Code) search.QueryResult {
 	cfg := e.Cfg
-	var st Stats
+	var st search.Stats
 	if len(q) < alphabet.W {
-		return Finalize(cfg, sc.aligner, queryIdx, q, e.Ix.DB, nil, st)
+		return search.Finalize(cfg, sc.aligner, queryIdx, q, e.Ix.DB, nil, st)
 	}
 	sc.prof.Fill(cfg.Matrix, q)
 	canon := &ungapped.Canon{P: cfg.TwoHit, Matrix: cfg.Matrix, Prof: &sc.prof}
 	diagBias := len(q) - alphabet.W
 	trace := cfg.Trace
-	var subjects []SubjectAlignments
+	var subjects []search.SubjectAlignments
 
 	for bi, b := range e.Ix.Blocks {
 		numSeqs := b.Block.NumSeqs()
@@ -128,8 +129,8 @@ func (e *DBIndexed) searchOne(sc *dbiScratch, queryIdx int, q []alphabet.Code) Q
 					diag := sOff - qOff + diagBias
 					slot := int(sc.diagOff[local]) + diag
 					if trace != nil {
-						trace(SpaceIndex, base+int64(pi)*4)
-						trace(SpaceLastHit, int64(slot)*8)
+						trace(search.SpaceIndex, base+int64(pi)*4)
+						trace(search.SpaceLastHit, int64(slot)*8)
 					}
 					d := sc.diags.Get(slot)
 					ext, paired, extended, keep := canon.Step(d, q, s, qOff, sOff)
@@ -139,7 +140,7 @@ func (e *DBIndexed) searchOne(sc *dbiScratch, queryIdx int, q []alphabet.Code) Q
 					if extended {
 						st.Extensions++
 						if trace != nil {
-							traceSpan(trace, SpaceSubject, e.subjOff[gsi]+int64(ext.SStart), e.subjOff[gsi]+int64(ext.SEnd))
+							traceSpan(trace, search.SpaceSubject, e.subjOff[gsi]+int64(ext.SStart), e.subjOff[gsi]+int64(ext.SEnd))
 						}
 					}
 					if keep {
@@ -160,14 +161,14 @@ func (e *DBIndexed) searchOne(sc *dbiScratch, queryIdx int, q []alphabet.Code) Q
 		for _, local := range sc.touched {
 			gsi := b.Block.Start + int(local)
 			s := e.Ix.DB.Seqs[gsi].Data
-			alns := GappedStage(cfg, sc.aligner, &sc.prof, q, s, sc.extLists[local], &st)
+			alns := search.GappedStage(cfg, sc.aligner, &sc.prof, q, s, sc.extLists[local], &st)
 			sc.extLists[local] = sc.extLists[local][:0]
 			if len(alns) > 0 {
-				subjects = append(subjects, SubjectAlignments{Subject: gsi, Alns: alns})
+				subjects = append(subjects, search.SubjectAlignments{Subject: gsi, Alns: alns})
 			}
 		}
 	}
-	return Finalize(cfg, sc.aligner, queryIdx, q, e.Ix.DB, subjects, st)
+	return search.Finalize(cfg, sc.aligner, queryIdx, q, e.Ix.DB, subjects, st)
 }
 
 // sortInt32 sorts a small int32 slice ascending (insertion sort: touched

@@ -1,4 +1,20 @@
-package search
+// Package baseline implements the engines the paper measures muBLASTP
+// against, for cmd/experiments and the cross-engine identity tests only —
+// nothing on the serving path imports it:
+//
+//   - QueryIndexed: classic NCBI-BLAST — a lookup table built from the
+//     query, subjects scanned one by one (Section II-A);
+//   - DBIndexed: the paper's "NCBI-db" — the same interleaved heuristics
+//     run over the blocked database index, which is the configuration whose
+//     irregular memory behaviour motivates muBLASTP (Section II-B);
+//   - QueryIndexedDFA: QueryIndexed with FSA-BLAST's DFA hit detection
+//     (Section VI).
+//
+// All of them share internal/search's configuration, ungapped.Canon two-hit
+// semantics and gapped stage with internal/core, so their outputs are
+// identical to muBLASTP's by construction — the property the paper verifies
+// in Section V-E.
+package baseline
 
 import (
 	"repro/internal/alphabet"
@@ -7,6 +23,7 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/parallel"
 	"repro/internal/qindex"
+	"repro/internal/search"
 	"repro/internal/ungapped"
 )
 
@@ -16,7 +33,7 @@ import (
 // One small last-hit array per subject keeps its memory behaviour
 // cache-friendly (Section II-B) — this is the paper's "NCBI" baseline.
 type QueryIndexed struct {
-	Cfg *Config
+	Cfg *search.Config
 	DB  *dbase.DB
 	// subjOff maps a sequence index to its starting byte offset within the
 	// concatenated subject space, for cache-simulation traces.
@@ -26,7 +43,7 @@ type QueryIndexed struct {
 // NewQueryIndexed creates the engine over db, which is used in its current
 // order. For output comparisons against the db-indexed engines, pass the
 // same length-sorted database those engines use.
-func NewQueryIndexed(cfg *Config, db *dbase.DB) *QueryIndexed {
+func NewQueryIndexed(cfg *search.Config, db *dbase.DB) *QueryIndexed {
 	e := &QueryIndexed{Cfg: cfg, DB: db, subjOff: make([]int64, db.NumSeqs()+1)}
 	var off int64
 	for i := range db.Seqs {
@@ -50,15 +67,15 @@ func (e *QueryIndexed) newScratch() *qiScratch {
 }
 
 // Search runs one query through the engine.
-func (e *QueryIndexed) Search(queryIdx int, q []alphabet.Code) QueryResult {
+func (e *QueryIndexed) Search(queryIdx int, q []alphabet.Code) search.QueryResult {
 	return e.searchOne(e.newScratch(), queryIdx, q)
 }
 
 // SearchBatch searches all queries with dynamic scheduling over the given
 // number of worker threads (<= 0 means GOMAXPROCS). Results are returned in
 // query order.
-func (e *QueryIndexed) SearchBatch(queries [][]alphabet.Code, threads int) []QueryResult {
-	results := make([]QueryResult, len(queries))
+func (e *QueryIndexed) SearchBatch(queries [][]alphabet.Code, threads int) []search.QueryResult {
+	results := make([]search.QueryResult, len(queries))
 	scratches := makeScratches(threads, len(queries), e.newScratch)
 	parallel.ForWorkers(len(queries), threads, func(w, i int) {
 		results[i] = e.searchOne(scratches[w], i, queries[i])
@@ -66,18 +83,18 @@ func (e *QueryIndexed) SearchBatch(queries [][]alphabet.Code, threads int) []Que
 	return results
 }
 
-func (e *QueryIndexed) searchOne(sc *qiScratch, queryIdx int, q []alphabet.Code) QueryResult {
+func (e *QueryIndexed) searchOne(sc *qiScratch, queryIdx int, q []alphabet.Code) search.QueryResult {
 	cfg := e.Cfg
-	var st Stats
+	var st search.Stats
 	if len(q) < alphabet.W {
-		return Finalize(cfg, sc.aligner, queryIdx, q, e.DB, nil, st)
+		return search.Finalize(cfg, sc.aligner, queryIdx, q, e.DB, nil, st)
 	}
 	ix := qindex.Build(q, cfg.Neighbors)
 	sc.prof.Fill(cfg.Matrix, q)
 	canon := &ungapped.Canon{P: cfg.TwoHit, Matrix: cfg.Matrix, Prof: &sc.prof}
 	diagBias := len(q) - alphabet.W
 	trace := cfg.Trace
-	var subjects []SubjectAlignments
+	var subjects []search.SubjectAlignments
 
 	for si := range e.DB.Seqs {
 		s := e.DB.Seqs[si].Data
@@ -90,7 +107,7 @@ func (e *QueryIndexed) searchOne(sc *qiScratch, queryIdx int, q []alphabet.Code)
 		for sOff := 0; sOff+alphabet.W <= len(s); sOff++ {
 			w := alphabet.WordAt(s, sOff)
 			if trace != nil {
-				trace(SpaceSubject, e.subjOff[si]+int64(sOff))
+				trace(search.SpaceSubject, e.subjOff[si]+int64(sOff))
 			}
 			if !ix.Present(w) {
 				continue
@@ -101,8 +118,8 @@ func (e *QueryIndexed) searchOne(sc *qiScratch, queryIdx int, q []alphabet.Code)
 				st.Hits++
 				diag := sOff - int(qPos) + diagBias
 				if trace != nil {
-					trace(SpaceIndex, base+int64(pi)*4)
-					trace(SpaceLastHit, int64(diag)*8)
+					trace(search.SpaceIndex, base+int64(pi)*4)
+					trace(search.SpaceLastHit, int64(diag)*8)
 				}
 				d := sc.diags.Get(diag)
 				ext, paired, extended, keep := canon.Step(d, q, s, int(qPos), sOff)
@@ -112,7 +129,7 @@ func (e *QueryIndexed) searchOne(sc *qiScratch, queryIdx int, q []alphabet.Code)
 				if extended {
 					st.Extensions++
 					if trace != nil {
-						traceSpan(trace, SpaceSubject, e.subjOff[si]+int64(ext.SStart), e.subjOff[si]+int64(ext.SEnd))
+						traceSpan(trace, search.SpaceSubject, e.subjOff[si]+int64(ext.SStart), e.subjOff[si]+int64(ext.SEnd))
 					}
 				}
 				if keep {
@@ -122,13 +139,13 @@ func (e *QueryIndexed) searchOne(sc *qiScratch, queryIdx int, q []alphabet.Code)
 			}
 		}
 		if len(sc.exts) > 0 {
-			alns := GappedStage(cfg, sc.aligner, &sc.prof, q, s, sc.exts, &st)
+			alns := search.GappedStage(cfg, sc.aligner, &sc.prof, q, s, sc.exts, &st)
 			if len(alns) > 0 {
-				subjects = append(subjects, SubjectAlignments{Subject: si, Alns: alns})
+				subjects = append(subjects, search.SubjectAlignments{Subject: si, Alns: alns})
 			}
 		}
 	}
-	return Finalize(cfg, sc.aligner, queryIdx, q, e.DB, subjects, st)
+	return search.Finalize(cfg, sc.aligner, queryIdx, q, e.DB, subjects, st)
 }
 
 // traceSpan emits one traced access per byte of [lo, hi) — the sequential

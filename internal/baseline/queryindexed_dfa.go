@@ -1,4 +1,4 @@
-package search
+package baseline
 
 import (
 	"repro/internal/alphabet"
@@ -6,6 +6,7 @@ import (
 	"repro/internal/gapped"
 	"repro/internal/parallel"
 	"repro/internal/qdfa"
+	"repro/internal/search"
 	"repro/internal/ungapped"
 )
 
@@ -16,23 +17,23 @@ import (
 // is shared, so its results are identical to QueryIndexed's — it exists for
 // the index-structure ablation.
 type QueryIndexedDFA struct {
-	Cfg *Config
+	Cfg *search.Config
 	DB  *dbase.DB
 }
 
 // NewQueryIndexedDFA creates the engine over db (used in its current order).
-func NewQueryIndexedDFA(cfg *Config, db *dbase.DB) *QueryIndexedDFA {
+func NewQueryIndexedDFA(cfg *search.Config, db *dbase.DB) *QueryIndexedDFA {
 	return &QueryIndexedDFA{Cfg: cfg, DB: db}
 }
 
 // Search runs one query through the engine.
-func (e *QueryIndexedDFA) Search(queryIdx int, q []alphabet.Code) QueryResult {
+func (e *QueryIndexedDFA) Search(queryIdx int, q []alphabet.Code) search.QueryResult {
 	return e.searchOne(&qiScratch{aligner: gapped.NewAligner(e.Cfg.Matrix, e.Cfg.Gap)}, queryIdx, q)
 }
 
 // SearchBatch searches all queries with dynamic scheduling.
-func (e *QueryIndexedDFA) SearchBatch(queries [][]alphabet.Code, threads int) []QueryResult {
-	results := make([]QueryResult, len(queries))
+func (e *QueryIndexedDFA) SearchBatch(queries [][]alphabet.Code, threads int) []search.QueryResult {
+	results := make([]search.QueryResult, len(queries))
 	scratches := makeScratches(threads, len(queries), func() *qiScratch {
 		return &qiScratch{aligner: gapped.NewAligner(e.Cfg.Matrix, e.Cfg.Gap)}
 	})
@@ -42,17 +43,17 @@ func (e *QueryIndexedDFA) SearchBatch(queries [][]alphabet.Code, threads int) []
 	return results
 }
 
-func (e *QueryIndexedDFA) searchOne(sc *qiScratch, queryIdx int, q []alphabet.Code) QueryResult {
+func (e *QueryIndexedDFA) searchOne(sc *qiScratch, queryIdx int, q []alphabet.Code) search.QueryResult {
 	cfg := e.Cfg
-	var st Stats
+	var st search.Stats
 	if len(q) < alphabet.W {
-		return Finalize(cfg, sc.aligner, queryIdx, q, e.DB, nil, st)
+		return search.Finalize(cfg, sc.aligner, queryIdx, q, e.DB, nil, st)
 	}
 	dfa := qdfa.Build(q, cfg.Neighbors)
 	sc.prof.Fill(cfg.Matrix, q)
 	canon := &ungapped.Canon{P: cfg.TwoHit, Matrix: cfg.Matrix, Prof: &sc.prof}
 	diagBias := len(q) - alphabet.W
-	var subjects []SubjectAlignments
+	var subjects []search.SubjectAlignments
 
 	for si := range e.DB.Seqs {
 		s := e.DB.Seqs[si].Data
@@ -79,11 +80,11 @@ func (e *QueryIndexedDFA) searchOne(sc *qiScratch, queryIdx int, q []alphabet.Co
 			}
 		})
 		if len(sc.exts) > 0 {
-			alns := GappedStage(cfg, sc.aligner, &sc.prof, q, s, sc.exts, &st)
+			alns := search.GappedStage(cfg, sc.aligner, &sc.prof, q, s, sc.exts, &st)
 			if len(alns) > 0 {
-				subjects = append(subjects, SubjectAlignments{Subject: si, Alns: alns})
+				subjects = append(subjects, search.SubjectAlignments{Subject: si, Alns: alns})
 			}
 		}
 	}
-	return Finalize(cfg, sc.aligner, queryIdx, q, e.DB, subjects, st)
+	return search.Finalize(cfg, sc.aligner, queryIdx, q, e.DB, subjects, st)
 }

@@ -176,27 +176,6 @@ func TestVerifySmallScale(t *testing.T) {
 	}
 }
 
-func TestSchedulerAblationSmallScale(t *testing.T) {
-	tb, err := SchedulerAblation(SmallScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) == 0 {
-		t.Fatal("scheduler ablation produced no rows")
-	}
-	for _, row := range tb.Rows {
-		if parseF(t, row[2]) <= 0 || parseF(t, row[3]) <= 0 {
-			t.Errorf("non-positive time in %v", row)
-		}
-		for _, col := range []int{5, 6} {
-			u := parseF(t, row[col])
-			if u <= 0 || u > 105 {
-				t.Errorf("utilization %v%% outside (0, 105] in %v", u, row)
-			}
-		}
-	}
-}
-
 func parseF(t *testing.T, s string) float64 {
 	t.Helper()
 	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "x"), 64)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/alphabet"
+	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/search"
@@ -61,10 +62,10 @@ type engineRunner struct {
 func runners(w *Workload) []engineRunner {
 	return []engineRunner{
 		{"NCBI", func(cfg *search.Config, q []alphabet.Code) search.QueryResult {
-			return search.NewQueryIndexed(cfg, w.DB).Search(0, q)
+			return baseline.NewQueryIndexed(cfg, w.DB).Search(0, q)
 		}},
 		{"NCBI-db", func(cfg *search.Config, q []alphabet.Code) search.QueryResult {
-			return search.NewDBIndexed(cfg, w.Index).Search(0, q)
+			return baseline.NewDBIndexed(cfg, w.Index).Search(0, q)
 		}},
 		{"muBLASTP", func(cfg *search.Config, q []alphabet.Code) search.QueryResult {
 			return core.New(cfg, w.Index).Search(0, q)
@@ -216,7 +217,7 @@ func Fig8(s Scale) (*Table, error) {
 			return nil, err
 		}
 		mu := core.New(w.Cfg, w.Index)
-		db := search.NewDBIndexed(w.Cfg, w.Index)
+		db := baseline.NewDBIndexed(w.Cfg, w.Index)
 		muTime := TimeIt(func() { mu.SearchBatch(queries, s.threads()) })
 		dbTime := TimeIt(func() { db.SearchBatch(queries, s.threads()) })
 
@@ -224,7 +225,7 @@ func Fig8(s Scale) (*Table, error) {
 			core.New(cfg, w.Index).Search(0, w.Queries["256"][0])
 		})
 		dbLLC := traceLLC(w, func(cfg *search.Config) {
-			search.NewDBIndexed(cfg, w.Index).Search(0, w.Queries["256"][0])
+			baseline.NewDBIndexed(cfg, w.Index).Search(0, w.Queries["256"][0])
 		})
 		t.AddRow(sizeLabel(bb), secs(muTime), secs(dbTime), pct(muLLC), pct(dbLLC))
 	}
@@ -263,8 +264,8 @@ func Fig9(s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ncbi := search.NewQueryIndexed(w.Cfg, w.DB)
-		ncbiDB := search.NewDBIndexed(w.Cfg, w.Index)
+		ncbi := baseline.NewQueryIndexed(w.Cfg, w.DB)
+		ncbiDB := baseline.NewDBIndexed(w.Cfg, w.Index)
 		mu := core.New(w.Cfg, w.Index)
 		for _, name := range QuerySetNames {
 			qs := w.Queries[name]
@@ -281,7 +282,7 @@ func Fig9(s Scale) (*Table, error) {
 				sub = sub[:4]
 			}
 			md := modeledBatch(w, sub, func(cfg *search.Config) batchFn {
-				e := search.NewDBIndexed(cfg, w.Index)
+				e := baseline.NewDBIndexed(cfg, w.Index)
 				return func(q [][]alphabet.Code) { e.SearchBatch(q, 1) }
 			})
 			mm := modeledBatch(w, sub, func(cfg *search.Config) batchFn {
@@ -327,7 +328,7 @@ func Fig10(s Scale) (*Table, error) {
 	// Calibrate seconds-per-cell for both engines from measured
 	// single-thread runs on this host.
 	cells := float64(TotalQueryResidues(queries)) * float64(w.DB.TotalResidues)
-	ncbiEng := search.NewQueryIndexed(w.Cfg, w.DB)
+	ncbiEng := baseline.NewQueryIndexed(w.Cfg, w.DB)
 	muEng := core.New(w.Cfg, w.Index)
 	tNCBI := TimeIt(func() { ncbiEng.SearchBatch(queries, 1) })
 	tMuSerial := TimeIt(func() { muEng.SearchBatch(queries, 1) })
@@ -482,8 +483,8 @@ func Verify(s Scale) (*Table, error) {
 		}
 		for _, name := range QuerySetNames {
 			qs := w.Queries[name]
-			ncbi := search.NewQueryIndexed(w.Cfg, w.DB).SearchBatch(qs, s.threads())
-			ncbiDB := search.NewDBIndexed(w.Cfg, w.Index).SearchBatch(qs, s.threads())
+			ncbi := baseline.NewQueryIndexed(w.Cfg, w.DB).SearchBatch(qs, s.threads())
+			ncbiDB := baseline.NewDBIndexed(w.Cfg, w.Index).SearchBatch(qs, s.threads())
 			mu := core.New(w.Cfg, w.Index).SearchBatch(qs, s.threads())
 			hsps, ok := compareAll(ncbi, ncbiDB, mu)
 			t.AddRow(w.Name, name, hsps, fmt.Sprint(ok))

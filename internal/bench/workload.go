@@ -65,7 +65,6 @@ type Workload struct {
 	DB      *dbase.DB
 	Index   *dbindex.Index
 	Cfg     *search.Config
-	Gen     *seqgen.Generator
 	// Queries holds the paper's four query sets, keyed "128", "256", "512"
 	// and "mixed"; each has Scale.Batch queries.
 	Queries map[string][][]alphabet.Code
@@ -104,7 +103,6 @@ func NewWorkload(name string, prof seqgen.Profile, nSeqs int, s Scale) (*Workloa
 		DB:      db,
 		Index:   ix,
 		Cfg:     cfg,
-		Gen:     g,
 		Queries: map[string][][]alphabet.Code{},
 	}
 	seqs := make([][]alphabet.Code, db.NumSeqs())

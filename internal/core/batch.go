@@ -1,5 +1,5 @@
 // Fault-tolerant batch scheduling: SearchBatchCtx threads a context through
-// both schedulers (cooperative cancellation between tasks, per-batch
+// the batch scheduler (cooperative cancellation between tasks, per-batch
 // deadlines with typed ErrDeadline), isolates per-task panics into
 // (block, query)-attributed TaskPanicErrors so one poisoned query fails
 // alone, and returns partial results whose completed queries are
@@ -57,19 +57,64 @@ func (b *BatchResult) CompletedCount() int {
 }
 
 // SearchBatchCtx is SearchBatch with cooperative cancellation, deadline
-// support, and panic isolation. The context is observed between tasks: once
+// support, and panic isolation. It is Algorithm 3 without its per-block
+// barrier: one dynamic-schedule pass over the flattened (block × query) task
+// grid, ordered block-major so consecutive tasks share a hot index block.
+// Results land in per-task cells merged at finalize, so the output is
+// identical to sequential search. The context is observed between tasks: once
 // it is cancelled no new (block, query) task starts, in-flight tasks finish,
 // and queries whose tasks all completed are still finalized and returned.
 func (e *Engine) SearchBatchCtx(ctx context.Context, queries [][]alphabet.Code, threads int) BatchResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var br BatchResult
-	if e.Opt.Scheduler == SchedBarrier {
-		br = e.searchBatchBarrierCtx(ctx, queries, threads)
-	} else {
-		br = e.searchBatchGridCtx(ctx, queries, threads)
+	nq := len(queries)
+	nTasks := len(e.Ix.Blocks) * nq
+	scratches := make([]*scratch, parallel.NumWorkers(nTasks, threads))
+	for i := range scratches {
+		scratches[i] = e.getScratch()
 	}
+	defer func() {
+		for _, sc := range scratches {
+			e.putScratch(sc)
+		}
+	}()
+	g := &grid{
+		cells:  make([][]search.SubjectAlignments, nTasks),
+		stats:  make([]search.Stats, nTasks),
+		taskOK: make([]bool, nTasks),
+		fails:  &batchFailures{failed: make([]bool, nq)},
+	}
+	var zero search.Stats
+	ts, ctxErr := parallel.ForTasksOpts(nTasks, threads, func(w, t int) {
+		bi, qi := t/nq, t%nq
+		q := queries[qi]
+		if len(q) < alphabet.W {
+			g.taskOK[t] = true
+			return
+		}
+		if g.fails.poisoned(qi) {
+			// The query already failed on another block; skip its remaining
+			// cells (they could not be reported anyway).
+			return
+		}
+		fiSchedTask.Fire()
+		st := &g.stats[t]
+		start := time.Now()
+		g.cells[t] = e.searchBlock(scratches[w], q, bi, st)
+		st.SchedTasks = 1
+		st.SchedBusyNanos = int64(time.Since(start))
+		e.stampTask(&zero, st) // cell stats start zeroed, so post == delta
+		g.taskOK[t] = true
+	}, parallel.RunOptions{
+		Context:  ctx,
+		Observer: e.met.TaskNanos,
+		OnPanic: func(_, t int, v any, stack []byte) {
+			g.fails.record(&search.TaskPanicError{Block: t / nq, Query: t % nq, Value: v, Stack: stack})
+			e.met.TasksPanicked.Add(1)
+		},
+	})
+	br := e.finishBatch(ctx, queries, scratches, g, schedStatsFrom(ts), ctxErr)
 	e.stampSched(br.Sched)
 	e.stampBatchFaults(&br)
 	return br
@@ -103,10 +148,6 @@ type batchFailures struct {
 	nPanics int64                          // total panicked tasks (not unique queries)
 }
 
-func newBatchFailures(nq int) *batchFailures {
-	return &batchFailures{failed: make([]bool, nq)}
-}
-
 // record stores the first panic attributed to query qi and poisons it.
 func (f *batchFailures) record(perr *search.TaskPanicError) {
 	f.mu.Lock()
@@ -138,149 +179,14 @@ func (f *batchFailures) panicFor(qi int) *search.TaskPanicError {
 	return nil
 }
 
-// searchBatchGridCtx is the barrier-free grid scheduler (see the package
-// comment on searchBatchGrid ordering and identity) extended with the
-// robustness layer: per-task completion tracking, panic isolation, and
-// cancellation between tasks.
-func (e *Engine) searchBatchGridCtx(ctx context.Context, queries [][]alphabet.Code, threads int) BatchResult {
-	nq := len(queries)
-	nb := len(e.Ix.Blocks)
-	nTasks := nb * nq
-	workers := parallel.NumWorkers(nTasks, threads)
-	scratches := make([]*scratch, workers)
-	for i := range scratches {
-		scratches[i] = e.getScratch()
-	}
-	defer func() {
-		for _, sc := range scratches {
-			e.putScratch(sc)
-		}
-	}()
-	cells := make([][]search.SubjectAlignments, nTasks)
-	cellStats := make([]search.Stats, nTasks)
-	taskOK := make([]bool, nTasks) // written only by task t's owner
-	fails := newBatchFailures(nq)
-	var zero search.Stats
-	ts, ctxErr := parallel.ForTasksOpts(nTasks, threads, func(w, t int) {
-		bi, qi := t/nq, t%nq
-		q := queries[qi]
-		if len(q) < alphabet.W {
-			taskOK[t] = true
-			return
-		}
-		if fails.poisoned(qi) {
-			// The query already failed on another block; skip its remaining
-			// cells (they could not be reported anyway).
-			return
-		}
-		fiSchedTask.Fire()
-		st := &cellStats[t]
-		start := time.Now()
-		cells[t] = e.searchBlock(scratches[w], q, bi, st)
-		st.SchedTasks = 1
-		st.SchedBusyNanos = int64(time.Since(start))
-		e.stampTask(&zero, st) // cell stats start zeroed, so post == delta
-		taskOK[t] = true
-	}, parallel.RunOptions{
-		Context:  ctx,
-		Observer: e.met.TaskNanos,
-		OnPanic: func(_, t int, v any, stack []byte) {
-			fails.record(&search.TaskPanicError{Block: t / nq, Query: t % nq, Value: v, Stack: stack})
-			e.met.TasksPanicked.Add(1)
-		},
-	})
-
-	complete := func(qi int) bool {
-		for bi := 0; bi < nb; bi++ {
-			if !taskOK[bi*nq+qi] {
-				return false
-			}
-		}
-		return true
-	}
-	finalize := func(w, qi int) (search.QueryResult, search.Stats) {
-		total := 0
-		for bi := 0; bi < nb; bi++ {
-			total += len(cells[bi*nq+qi])
-		}
-		var subjects []search.SubjectAlignments
-		if total > 0 {
-			subjects = make([]search.SubjectAlignments, 0, total)
-		}
-		var st search.Stats
-		for bi := 0; bi < nb; bi++ {
-			t := bi*nq + qi
-			subjects = append(subjects, cells[t]...)
-			st.Add(cellStats[t])
-		}
-		return search.Finalize(e.Cfg, scratches[w].aligner, qi, queries[qi], e.Ix.DB, subjects, st), st
-	}
-	return e.finishBatch(ctx, queries, workers, fails, complete, finalize,
-		schedStatsFrom(SchedBlockMajor, ts), nTasks, int64(ts.Tasks), ctxErr)
-}
-
-// searchBatchBarrierCtx is the Algorithm 3 barrier scheduler with the same
-// robustness layer: the context is additionally observed at every block
-// boundary, and a poisoned query is skipped in all later blocks.
-func (e *Engine) searchBatchBarrierCtx(ctx context.Context, queries [][]alphabet.Code, threads int) BatchResult {
-	nq := len(queries)
-	nb := len(e.Ix.Blocks)
-	workers := parallel.NumWorkers(nq, threads)
-	scratches := make([]*scratch, workers)
-	for i := range scratches {
-		scratches[i] = e.getScratch()
-	}
-	defer func() {
-		for _, sc := range scratches {
-			e.putScratch(sc)
-		}
-	}()
-	subjects := make([][]search.SubjectAlignments, nq)
-	stats := make([]search.Stats, nq)
-	blocksDone := make([]int, nq) // written only by query qi's task owner
-	fails := newBatchFailures(nq)
-	var ts parallel.TaskStats
-	var ctxErr error
-	var started int64
-	for bi := 0; bi < nb && ctxErr == nil; bi++ {
-		block := bi
-		blockTS, err := parallel.ForTasksOpts(nq, threads, func(w, qi int) {
-			if len(queries[qi]) < alphabet.W {
-				blocksDone[qi]++
-				return
-			}
-			if fails.poisoned(qi) {
-				return
-			}
-			fiSchedTask.Fire()
-			st := &stats[qi]
-			pre := *st // per-query stats accumulate across blocks
-			start := time.Now()
-			subs := e.searchBlock(scratches[w], queries[qi], block, st)
-			st.SchedTasks++
-			st.SchedBusyNanos += int64(time.Since(start))
-			subjects[qi] = append(subjects[qi], subs...)
-			e.stampTask(&pre, st)
-			blocksDone[qi]++
-		}, parallel.RunOptions{
-			Context:  ctx,
-			Observer: e.met.TaskNanos,
-			OnPanic: func(_, qi int, v any, stack []byte) {
-				fails.record(&search.TaskPanicError{Block: block, Query: qi, Value: v, Stack: stack})
-				e.met.TasksPanicked.Add(1)
-			},
-		})
-		ts.Merge(blockTS)
-		started += int64(blockTS.Tasks)
-		ctxErr = err
-	}
-	complete := func(qi int) bool { return blocksDone[qi] == nb }
-	finalize := func(w, qi int) (search.QueryResult, search.Stats) {
-		st := stats[qi]
-		return search.Finalize(e.Cfg, scratches[w].aligner, qi, queries[qi], e.Ix.DB, subjects[qi], st), st
-	}
-	return e.finishBatch(ctx, queries, workers, fails, complete, finalize,
-		schedStatsFrom(SchedBarrier, ts), nb*nq, started, ctxErr)
+// grid is the state of one batch's (block × query) task grid, block-major:
+// task t = block*nq + query. Each slot is written only by the worker that
+// ran task t, and read after the run's final wait.
+type grid struct {
+	cells  [][]search.SubjectAlignments
+	stats  []search.Stats
+	taskOK []bool
+	fails  *batchFailures
 }
 
 // finishBatch runs the finalize phase (stage four, parallel over queries,
@@ -289,36 +195,41 @@ func (e *Engine) searchBatchBarrierCtx(ctx context.Context, queries [][]alphabet
 // ran; completed queries are byte-identical to a fault-free run because
 // their inputs — the per-(block, query) cells — are independent of every
 // other task's fate.
-func (e *Engine) finishBatch(
-	ctx context.Context,
-	queries [][]alphabet.Code,
-	workers int,
-	fails *batchFailures,
-	complete func(qi int) bool,
-	finalize func(w, qi int) (search.QueryResult, search.Stats),
-	ss search.SchedStats,
-	nTasks int,
-	tasksStarted int64,
-	ctxErr error,
-) BatchResult {
+func (e *Engine) finishBatch(ctx context.Context, queries [][]alphabet.Code, scratches []*scratch, g *grid, ss search.SchedStats, ctxErr error) BatchResult {
 	nq := len(queries)
+	fails := g.fails
 	results := make([]search.QueryResult, nq)
 	finOK := make([]bool, nq) // written only by query qi's finalizer
-	finErr := parallel.ForWorkersCtx(ctx, nq, workers, func(w, qi int) {
-		if fails.poisoned(qi) || !complete(qi) {
+	_, finErr := parallel.ForTasksOpts(nq, len(scratches), func(w, qi int) {
+		if fails.poisoned(qi) {
 			return
 		}
-		defer func() {
-			if r := recover(); r != nil {
-				fails.record(&search.TaskPanicError{Block: -1, Query: qi, Value: r, Stack: nil})
-				e.met.TasksPanicked.Add(1)
+		total := 0
+		for t := qi; t < len(g.cells); t += nq {
+			if !g.taskOK[t] {
+				return
 			}
-		}()
+			total += len(g.cells[t])
+		}
 		fiFinalize.Fire()
-		res, pre := finalize(w, qi)
-		results[qi] = res
+		var subjects []search.SubjectAlignments
+		if total > 0 {
+			subjects = make([]search.SubjectAlignments, 0, total)
+		}
+		var pre search.Stats
+		for t := qi; t < len(g.cells); t += nq {
+			subjects = append(subjects, g.cells[t]...)
+			pre.Add(g.stats[t])
+		}
+		results[qi] = search.Finalize(e.Cfg, scratches[w].aligner, qi, queries[qi], e.Ix.DB, subjects, pre)
 		e.stampQueryDone(&pre, &results[qi].Stats)
 		finOK[qi] = true
+	}, parallel.RunOptions{
+		Context: ctx,
+		OnPanic: func(_, qi int, v any, stack []byte) {
+			fails.record(&search.TaskPanicError{Block: -1, Query: qi, Value: v, Stack: stack})
+			e.met.TasksPanicked.Add(1)
+		},
 	})
 	if ctxErr == nil {
 		ctxErr = finErr
@@ -345,7 +256,7 @@ func (e *Engine) finishBatch(
 		ss.QueriesAborted++
 	}
 	ss.TasksPanicked = tasksPanickedCount(fails)
-	ss.TasksCancelled = int64(nTasks) - tasksStarted
+	ss.TasksCancelled = int64(len(g.cells)) - ss.Tasks
 	ss.DeadlineExceeded = errors.Is(ctxErr, context.DeadlineExceeded)
 	return BatchResult{
 		Results:   results,

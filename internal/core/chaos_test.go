@@ -47,11 +47,8 @@ func TestChaosBatch(t *testing.T) {
 	}
 
 	cfg, ix, queries := world(t, 211, 180, 6, 200, 4096)
-	baselines := map[Scheduler][]search.QueryResult{}
-	for _, sched := range []Scheduler{SchedBlockMajor, SchedBarrier} {
-		e := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD, Scheduler: sched, Metrics: obs.Discard})
-		baselines[sched] = e.SearchBatch(queries, 3)
-	}
+	e := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD, Metrics: obs.Discard})
+	baseline := e.SearchBatch(queries, 3)
 
 	base := runtime.NumGoroutine()
 	for _, seed := range seeds {
@@ -64,11 +61,7 @@ func TestChaosBatch(t *testing.T) {
 			}()
 			rng := rand.New(rand.NewSource(seed))
 			spec, deadline := chaosSchedule(rng)
-			sched := SchedBlockMajor
-			if rng.Intn(2) == 1 {
-				sched = SchedBarrier
-			}
-			t.Logf("schedule %q deadline=%v scheduler=%s", spec, deadline, sched)
+			t.Logf("schedule %q deadline=%v", spec, deadline)
 
 			if err := faultinject.Enable(spec, uint64(seed)); err != nil {
 				t.Fatalf("enable %q: %v", spec, err)
@@ -82,7 +75,6 @@ func TestChaosBatch(t *testing.T) {
 			}
 			defer cancel()
 
-			e := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD, Scheduler: sched, Metrics: obs.Discard})
 			br := e.SearchBatchCtx(ctx, queries, 3)
 			faultinject.Disable()
 
@@ -97,7 +89,7 @@ func TestChaosBatch(t *testing.T) {
 				}
 				t.Errorf("query %d: Completed=%v but err=%v", qi, br.Completed[qi], br.QueryErrs[qi])
 			}
-			requireCompletedIdentical(t, fmt.Sprintf("chaos seed %d", seed), &br, baselines[sched])
+			requireCompletedIdentical(t, fmt.Sprintf("chaos seed %d", seed), &br, baseline)
 		})
 	}
 	waitForGoroutines(t, base)

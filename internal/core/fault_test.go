@@ -57,93 +57,81 @@ func waitForGoroutines(t *testing.T, base int) {
 	}
 }
 
-func bothSchedulers(t *testing.T, fn func(t *testing.T, sched Scheduler)) {
-	for _, sched := range []Scheduler{SchedBlockMajor, SchedBarrier} {
-		t.Run(sched.String(), func(t *testing.T) { fn(t, sched) })
-	}
-}
-
 func TestBatchCtxCompleteRunMatchesLegacy(t *testing.T) {
 	cfg, ix, queries := world(t, 101, 150, 4, 200, 8192)
-	bothSchedulers(t, func(t *testing.T, sched Scheduler) {
-		e := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD, Scheduler: sched, Metrics: obs.Discard})
-		base := e.SearchBatch(queries, 3)
-		br := e.SearchBatchCtx(context.Background(), queries, 3)
-		if br.Err != nil {
-			t.Fatalf("clean run returned batch error %v", br.Err)
+	e := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD, Metrics: obs.Discard})
+	base := e.SearchBatch(queries, 3)
+	br := e.SearchBatchCtx(context.Background(), queries, 3)
+	if br.Err != nil {
+		t.Fatalf("clean run returned batch error %v", br.Err)
+	}
+	if n := br.CompletedCount(); n != len(queries) {
+		t.Fatalf("clean run completed %d of %d queries", n, len(queries))
+	}
+	for qi := range queries {
+		if br.QueryErrs[qi] != nil {
+			t.Errorf("query %d error on clean run: %v", qi, br.QueryErrs[qi])
 		}
-		if n := br.CompletedCount(); n != len(queries) {
-			t.Fatalf("clean run completed %d of %d queries", n, len(queries))
-		}
-		for qi := range queries {
-			if br.QueryErrs[qi] != nil {
-				t.Errorf("query %d error on clean run: %v", qi, br.QueryErrs[qi])
-			}
-		}
-		requireIdentical(t, "ctx-vs-legacy", br.Results, base)
-	})
+	}
+	requireIdentical(t, "ctx-vs-legacy", br.Results, base)
 }
 
 func TestBatchCancellationAbortsPromptly(t *testing.T) {
 	cfg, ix, queries := world(t, 103, 200, 8, 200, 4096)
-	bothSchedulers(t, func(t *testing.T, sched Scheduler) {
-		goroutines := runtime.NumGoroutine()
-		e := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD, Scheduler: sched, Metrics: obs.Discard})
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel() // already cancelled: no task may start
-		br := e.SearchBatchCtx(ctx, queries, 4)
-		if !errors.Is(br.Err, context.Canceled) {
-			t.Fatalf("batch error %v, want context.Canceled", br.Err)
+	goroutines := runtime.NumGoroutine()
+	e := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD, Metrics: obs.Discard})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // already cancelled: no task may start
+	br := e.SearchBatchCtx(ctx, queries, 4)
+	if !errors.Is(br.Err, context.Canceled) {
+		t.Fatalf("batch error %v, want context.Canceled", br.Err)
+	}
+	if n := br.CompletedCount(); n != 0 {
+		t.Errorf("pre-cancelled batch completed %d queries", n)
+	}
+	if br.Sched.TasksCancelled == 0 {
+		t.Error("no tasks recorded as cancelled")
+	}
+	for qi := range queries {
+		var qc *search.QueryCancelledError
+		if !errors.As(br.QueryErrs[qi], &qc) {
+			t.Fatalf("query %d error %v, want QueryCancelledError", qi, br.QueryErrs[qi])
 		}
-		if n := br.CompletedCount(); n != 0 {
-			t.Errorf("pre-cancelled batch completed %d queries", n)
+		if qc.Query != qi || !errors.Is(qc, context.Canceled) {
+			t.Errorf("query %d error misattributed: %+v", qi, qc)
 		}
-		if br.Sched.TasksCancelled == 0 {
-			t.Error("no tasks recorded as cancelled")
-		}
-		for qi := range queries {
-			var qc *search.QueryCancelledError
-			if !errors.As(br.QueryErrs[qi], &qc) {
-				t.Fatalf("query %d error %v, want QueryCancelledError", qi, br.QueryErrs[qi])
-			}
-			if qc.Query != qi || !errors.Is(qc, context.Canceled) {
-				t.Errorf("query %d error misattributed: %+v", qi, qc)
-			}
-		}
-		waitForGoroutines(t, goroutines)
-	})
+	}
+	waitForGoroutines(t, goroutines)
 }
 
 func TestBatchDeadlinePartialResults(t *testing.T) {
 	cfg, ix, queries := world(t, 107, 200, 8, 200, 4096)
-	bothSchedulers(t, func(t *testing.T, sched Scheduler) {
-		e := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD, Scheduler: sched, Metrics: obs.Discard})
-		baseline := e.SearchBatch(queries, 2)
+	e := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD, Metrics: obs.Discard})
+	baseline := e.SearchBatch(queries, 2)
 
-		// A delay fault in hit detection stretches every task, so a short
-		// deadline reliably lands mid-batch — the deadline-mid-pipeline case.
-		if err := faultinject.Enable("core.hitdetect=delay:10ms", 1); err != nil {
-			t.Fatal(err)
-		}
-		defer faultinject.Disable()
-		ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
-		defer cancel()
-		br := e.SearchBatchCtx(ctx, queries, 2)
-		if !errors.Is(br.Err, search.ErrDeadline) {
-			t.Fatalf("batch error %v, want ErrDeadline", br.Err)
-		}
-		if !errors.Is(br.Err, context.DeadlineExceeded) {
-			t.Errorf("ErrDeadline does not unwrap to context.DeadlineExceeded: %v", br.Err)
-		}
-		if !br.Sched.DeadlineExceeded {
-			t.Error("SchedStats.DeadlineExceeded not set")
-		}
-		if n := br.CompletedCount(); n == len(queries) {
-			t.Fatal("deadline run completed every query; fault schedule too weak to test partial results")
-		}
-		faultinject.Disable() // render/compare without the delay in play
-		requireCompletedIdentical(t, "deadline-partial", &br, baseline)
-	})
+	// A delay fault in hit detection stretches every task, so a short
+	// deadline reliably lands mid-batch — the deadline-mid-pipeline case.
+	if err := faultinject.Enable("core.hitdetect=delay:10ms", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Disable()
+	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
+	defer cancel()
+	br := e.SearchBatchCtx(ctx, queries, 2)
+	if !errors.Is(br.Err, search.ErrDeadline) {
+		t.Fatalf("batch error %v, want ErrDeadline", br.Err)
+	}
+	if !errors.Is(br.Err, context.DeadlineExceeded) {
+		t.Errorf("ErrDeadline does not unwrap to context.DeadlineExceeded: %v", br.Err)
+	}
+	if !br.Sched.DeadlineExceeded {
+		t.Error("SchedStats.DeadlineExceeded not set")
+	}
+	if n := br.CompletedCount(); n == len(queries) {
+		t.Fatal("deadline run completed every query; fault schedule too weak to test partial results")
+	}
+	faultinject.Disable() // render/compare without the delay in play
+	requireCompletedIdentical(t, "deadline-partial", &br, baseline)
 }
 
 // TestDeadlineMidSortAndMidGapped pins the deadline behaviour when the clock
@@ -183,57 +171,55 @@ func TestDeadlineMidSortAndMidGapped(t *testing.T) {
 
 func TestPanicIsolationPoisonsOneQuery(t *testing.T) {
 	cfg, ix, queries := world(t, 113, 150, 6, 200, 8192)
-	bothSchedulers(t, func(t *testing.T, sched Scheduler) {
-		e := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD, Scheduler: sched, Metrics: obs.Discard})
-		baseline := e.SearchBatch(queries, 3)
+	e := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD, Metrics: obs.Discard})
+	baseline := e.SearchBatch(queries, 3)
 
-		// Fire exactly one injected panic: the third sched.task hit.
-		if err := faultinject.Enable("sched.task=panic#3", 1); err != nil {
-			t.Fatal(err)
+	// Fire exactly one injected panic: the third sched.task hit.
+	if err := faultinject.Enable("sched.task=panic#3", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Disable()
+	br := e.SearchBatchCtx(context.Background(), queries, 3)
+	faultinject.Disable()
+	if br.Err != nil {
+		t.Fatalf("batch error %v; an isolated panic must not fail the batch", br.Err)
+	}
+	if br.Sched.TasksPanicked != 1 {
+		t.Fatalf("TasksPanicked = %d, want 1", br.Sched.TasksPanicked)
+	}
+	poisoned := -1
+	for qi := range queries {
+		if br.Completed[qi] {
+			if br.QueryErrs[qi] != nil {
+				t.Errorf("completed query %d carries error %v", qi, br.QueryErrs[qi])
+			}
+			continue
 		}
-		defer faultinject.Disable()
-		br := e.SearchBatchCtx(context.Background(), queries, 3)
-		faultinject.Disable()
-		if br.Err != nil {
-			t.Fatalf("batch error %v; an isolated panic must not fail the batch", br.Err)
+		if poisoned >= 0 {
+			t.Fatalf("queries %d and %d both poisoned by one panic", poisoned, qi)
 		}
-		if br.Sched.TasksPanicked != 1 {
-			t.Fatalf("TasksPanicked = %d, want 1", br.Sched.TasksPanicked)
+		poisoned = qi
+		var perr *search.TaskPanicError
+		if !errors.As(br.QueryErrs[qi], &perr) {
+			t.Fatalf("query %d error %v, want TaskPanicError", qi, br.QueryErrs[qi])
 		}
-		poisoned := -1
-		for qi := range queries {
-			if br.Completed[qi] {
-				if br.QueryErrs[qi] != nil {
-					t.Errorf("completed query %d carries error %v", qi, br.QueryErrs[qi])
-				}
-				continue
-			}
-			if poisoned >= 0 {
-				t.Fatalf("queries %d and %d both poisoned by one panic", poisoned, qi)
-			}
-			poisoned = qi
-			var perr *search.TaskPanicError
-			if !errors.As(br.QueryErrs[qi], &perr) {
-				t.Fatalf("query %d error %v, want TaskPanicError", qi, br.QueryErrs[qi])
-			}
-			if perr.Query != qi {
-				t.Errorf("panic attributed to query %d, flagged on %d", perr.Query, qi)
-			}
-			if perr.Block < 0 || perr.Block >= len(ix.Blocks) {
-				t.Errorf("panic block %d out of range", perr.Block)
-			}
-			if pv, ok := perr.Value.(faultinject.PanicValue); !ok || pv.Site != "sched.task" {
-				t.Errorf("panic value %v, want injected PanicValue", perr.Value)
-			}
-			if len(perr.Stack) == 0 {
-				t.Error("panic stack not captured")
-			}
+		if perr.Query != qi {
+			t.Errorf("panic attributed to query %d, flagged on %d", perr.Query, qi)
 		}
-		if poisoned < 0 {
-			t.Fatal("no query poisoned; fault did not fire")
+		if perr.Block < 0 || perr.Block >= len(ix.Blocks) {
+			t.Errorf("panic block %d out of range", perr.Block)
 		}
-		requireCompletedIdentical(t, "panic-isolation", &br, baseline)
-	})
+		if pv, ok := perr.Value.(faultinject.PanicValue); !ok || pv.Site != "sched.task" {
+			t.Errorf("panic value %v, want injected PanicValue", perr.Value)
+		}
+		if len(perr.Stack) == 0 {
+			t.Error("panic stack not captured")
+		}
+	}
+	if poisoned < 0 {
+		t.Fatal("no query poisoned; fault did not fire")
+	}
+	requireCompletedIdentical(t, "panic-isolation", &br, baseline)
 }
 
 func TestPanicCountersStamped(t *testing.T) {

@@ -11,8 +11,8 @@
 //  3. ungapped extension consumes the sorted pairs, walking subject
 //     sequences in order and skipping pairs covered by a previous extension
 //     (Algorithm 1 lines 15–25);
-//  4. the gapped stage and final E-value ranking are shared with the
-//     baseline engines in internal/search.
+//  4. the gapped stage and final E-value ranking live in internal/search,
+//     shared with the baseline engines of internal/baseline.
 //
 // The two-hit semantics are ungapped.Canon's, shared with the baselines, so
 // all engines return identical results (verified in tests — the paper's
@@ -51,34 +51,6 @@ const (
 	SortTwoLevel
 )
 
-// Scheduler selects how SearchBatch distributes (block, query) work across
-// threads.
-type Scheduler int
-
-const (
-	// SchedBlockMajor is the default: one dynamic-schedule pass over the
-	// flattened (block × query) task grid, ordered block-major so
-	// consecutive tasks share a hot index block, with no synchronization
-	// between blocks. Results land in per-task cells merged at finalize, so
-	// the output is identical to sequential search.
-	SchedBlockMajor Scheduler = iota
-	// SchedBarrier is Algorithm 3 as printed: blocks processed one at a
-	// time with a full worker barrier at every block boundary. Kept for the
-	// scheduling ablation; a straggler query idles every other worker once
-	// per block.
-	SchedBarrier
-)
-
-func (s Scheduler) String() string {
-	switch s {
-	case SchedBlockMajor:
-		return "block-major"
-	case SchedBarrier:
-		return "barrier"
-	}
-	return fmt.Sprintf("Scheduler(%d)", int(s))
-}
-
 // Options toggles the paper's individual optimizations, for ablation.
 type Options struct {
 	// Prefilter enables the hit pre-filter (Section IV-C). Disabling it
@@ -87,9 +59,6 @@ type Options struct {
 	Prefilter bool
 	// Sorter selects the reordering algorithm.
 	Sorter Sorter
-	// Scheduler selects the batch scheduling strategy (zero value:
-	// barrier-free block-major grid).
-	Scheduler Scheduler
 	// Metrics receives the engine's process-wide observability stamps
 	// (per-stage time, event counters, task/query latency histograms).
 	// nil selects obs.Pipe, the default registry's pipeline bundle served
@@ -100,7 +69,7 @@ type Options struct {
 
 // DefaultOptions enables every muBLASTP optimization as evaluated.
 func DefaultOptions() Options {
-	return Options{Prefilter: true, Sorter: SortLSD, Scheduler: SchedBlockMajor}
+	return Options{Prefilter: true, Sorter: SortLSD}
 }
 
 // Engine is the muBLASTP search engine.
@@ -195,7 +164,7 @@ func (e *Engine) stampDelta(pre, post *search.Stats) {
 
 // stampTask records one completed scheduler task: the counter deltas it
 // produced plus the task count. Task-grain latency is observed separately
-// by the parallel layer (ForTasksObserved feeding met.TaskNanos).
+// by the parallel layer (RunOptions.Observer feeding met.TaskNanos).
 func (e *Engine) stampTask(pre, post *search.Stats) {
 	e.stampDelta(pre, post)
 	e.met.Tasks.Add(1)
@@ -237,8 +206,8 @@ func (e *Engine) Search(queryIdx int, q []alphabet.Code) search.QueryResult {
 	return res
 }
 
-// SearchBatch runs a batch of queries across threads using the configured
-// scheduler (barrier-free block-major grid by default; see Scheduler).
+// SearchBatch runs a batch of queries across threads: one dynamic-schedule
+// pass over the block-major (block × query) task grid (see SearchBatchCtx).
 func (e *Engine) SearchBatch(queries [][]alphabet.Code, threads int) []search.QueryResult {
 	results, _ := e.SearchBatchStats(queries, threads)
 	return results
@@ -254,11 +223,10 @@ func (e *Engine) SearchBatchStats(queries [][]alphabet.Code, threads int) ([]sea
 	return br.Results, br.Sched
 }
 
-// schedStatsFrom folds one scheduler run's counters into the search-level
-// summary.
-func schedStatsFrom(s Scheduler, ts parallel.TaskStats) search.SchedStats {
+// schedStatsFrom folds the grid run's counters into the search-level summary.
+func schedStatsFrom(ts parallel.TaskStats) search.SchedStats {
 	return search.SchedStats{
-		Scheduler:      s.String(),
+		Scheduler:      "block-major",
 		Workers:        ts.Workers,
 		Tasks:          int64(ts.Tasks),
 		MinWorkerTasks: ts.MinWorkerTasks(),

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/alphabet"
+	"repro/internal/baseline"
 	"repro/internal/dbase"
 	"repro/internal/dbindex"
 	"repro/internal/matrix"
@@ -93,8 +94,8 @@ func runAll(e interface {
 func TestIdenticalAcrossEngines(t *testing.T) {
 	for _, blockResidues := range []int64{4096, 32768, 1 << 20} {
 		cfg, ix, queries := world(t, 42, 150, 6, 128, blockResidues)
-		ncbi := runAll(search.NewQueryIndexed(cfg, ix.DB), queries)
-		ncbiDB := runAll(search.NewDBIndexed(cfg, ix), queries)
+		ncbi := runAll(baseline.NewQueryIndexed(cfg, ix.DB), queries)
+		ncbiDB := runAll(baseline.NewDBIndexed(cfg, ix), queries)
 		mu := runAll(New(cfg, ix), queries)
 		requireIdentical(t, "NCBI vs NCBI-db", ncbi, ncbiDB)
 		requireIdentical(t, "NCBI vs muBLASTP", ncbi, mu)
@@ -104,7 +105,7 @@ func TestIdenticalAcrossEngines(t *testing.T) {
 func TestIdenticalAcrossQueryLengths(t *testing.T) {
 	for _, qLen := range []int{64, 256, 512} {
 		cfg, ix, queries := world(t, 7, 120, 3, qLen, 16384)
-		ncbi := runAll(search.NewQueryIndexed(cfg, ix.DB), queries)
+		ncbi := runAll(baseline.NewQueryIndexed(cfg, ix.DB), queries)
 		mu := runAll(New(cfg, ix), queries)
 		requireIdentical(t, "len", ncbi, mu)
 	}
@@ -112,7 +113,7 @@ func TestIdenticalAcrossQueryLengths(t *testing.T) {
 
 func TestHitAndPairCountsMatchBaselines(t *testing.T) {
 	cfg, ix, queries := world(t, 11, 100, 4, 128, 8192)
-	de := search.NewDBIndexed(cfg, ix)
+	de := baseline.NewDBIndexed(cfg, ix)
 	mu := New(cfg, ix)
 	for qi, q := range queries {
 		sa := de.Search(qi, q).Stats
@@ -186,7 +187,7 @@ func TestMixedLengthQueries(t *testing.T) {
 		seqs[i] = ix.DB.Seqs[i].Data
 	}
 	queries := g.Queries(seqs, 5, 0) // mixed lengths
-	ncbi := runAll(search.NewQueryIndexed(cfg, ix.DB), queries)
+	ncbi := runAll(baseline.NewQueryIndexed(cfg, ix.DB), queries)
 	mu := runAll(New(cfg, ix), queries)
 	requireIdentical(t, "mixed", ncbi, mu)
 }
@@ -204,7 +205,7 @@ func TestEnvNRLikeDatabase(t *testing.T) {
 		seqs[i] = db.Seqs[i].Data
 	}
 	queries := g.Queries(seqs, 4, 128)
-	ncbi := runAll(search.NewQueryIndexed(cfg, db), queries)
+	ncbi := runAll(baseline.NewQueryIndexed(cfg, db), queries)
 	mu := runAll(New(cfg, ix), queries)
 	requireIdentical(t, "env_nr-like", ncbi, mu)
 }
@@ -247,8 +248,8 @@ func TestOneHitModeEquivalentAcrossEngines(t *testing.T) {
 	oneHit.TwoHit.OneHit = true
 	// NCBI pairs one-hit with a higher neighbor threshold; we keep T=11 to
 	// reuse the shared table — equivalence across engines is what matters.
-	ncbi := runAll(search.NewQueryIndexed(&oneHit, ix.DB), queries)
-	ncbiDB := runAll(search.NewDBIndexed(&oneHit, ix), queries)
+	ncbi := runAll(baseline.NewQueryIndexed(&oneHit, ix.DB), queries)
+	ncbiDB := runAll(baseline.NewDBIndexed(&oneHit, ix), queries)
 	mu := runAll(New(&oneHit, ix), queries)
 	requireIdentical(t, "one-hit NCBI vs NCBI-db", ncbi, ncbiDB)
 	requireIdentical(t, "one-hit NCBI vs muBLASTP", ncbi, mu)

@@ -35,24 +35,20 @@ func renderResults(results []search.QueryResult) []byte {
 
 // TestObservabilityOnOffByteIdentical pins the contract that instrumentation
 // never changes answers: the same batch searched with the default (live)
-// metric bundle and with obs.Discard must render byte-identically, on both
-// schedulers and on the single-query path.
+// metric bundle and with obs.Discard must render byte-identically, on the
+// batch and on the single-query path.
 func TestObservabilityOnOffByteIdentical(t *testing.T) {
 	cfg, ix, queries := world(t, 91, 120, 6, 256, 8192)
-	for _, sched := range []Scheduler{SchedBlockMajor, SchedBarrier} {
-		on := DefaultOptions()
-		on.Scheduler = sched // Metrics nil -> obs.Pipe, observability on
-		off := DefaultOptions()
-		off.Scheduler = sched
-		off.Metrics = obs.Discard
+	on := DefaultOptions() // Metrics nil -> obs.Pipe, observability on
+	off := DefaultOptions()
+	off.Metrics = obs.Discard
 
-		resOn := NewWithOptions(cfg, ix, on).SearchBatch(queries, 3)
-		resOff := NewWithOptions(cfg, ix, off).SearchBatch(queries, 3)
-		label := fmt.Sprintf("scheduler %d obs on vs off", sched)
-		requireIdentical(t, label, resOn, resOff)
-		if !bytes.Equal(renderResults(resOn), renderResults(resOff)) {
-			t.Errorf("%s: rendered output differs", label)
-		}
+	resOn := NewWithOptions(cfg, ix, on).SearchBatch(queries, 3)
+	resOff := NewWithOptions(cfg, ix, off).SearchBatch(queries, 3)
+	label := "batch obs on vs off"
+	requireIdentical(t, label, resOn, resOff)
+	if !bytes.Equal(renderResults(resOn), renderResults(resOff)) {
+		t.Errorf("%s: rendered output differs", label)
 	}
 
 	onRes := NewWithOptions(cfg, ix, DefaultOptions()).Search(0, queries[0])
@@ -141,47 +137,44 @@ func TestSearchStampsAllStages(t *testing.T) {
 // bundle and checks the registry totals reconcile with the per-query stats.
 func TestBatchStampsPipelineMetrics(t *testing.T) {
 	cfg, ix, queries := world(t, 101, 120, 4, 256, 8192)
-	for _, sched := range []Scheduler{SchedBlockMajor, SchedBarrier} {
-		met := obs.NewPipelineMetrics(obs.NewRegistry())
-		opt := DefaultOptions()
-		opt.Scheduler = sched
-		opt.Metrics = met
-		e := NewWithOptions(cfg, ix, opt)
-		results, ss := e.SearchBatchStats(queries, 2)
+	met := obs.NewPipelineMetrics(obs.NewRegistry())
+	opt := DefaultOptions()
+	opt.Metrics = met
+	e := NewWithOptions(cfg, ix, opt)
+	results, ss := e.SearchBatchStats(queries, 2)
 
-		var want search.Stats
-		for i := range results {
-			want.Add(results[i].Stats)
+	var want search.Stats
+	for i := range results {
+		want.Add(results[i].Stats)
+	}
+	if got := met.Hits.Value(); got != want.Hits {
+		t.Errorf("metric hits %d != stats hits %d", got, want.Hits)
+	}
+	if got := met.Tracebacks.Value(); got != want.Tracebacks {
+		t.Errorf("metric tracebacks %d != stats %d", got, want.Tracebacks)
+	}
+	for s := obs.Stage(0); s < obs.NumStages; s++ {
+		if got := met.StageNanos[s].Value(); got != want.StageNanos[s] {
+			t.Errorf("stage %s metric %d != stats %d", s, got, want.StageNanos[s])
 		}
-		if got := met.Hits.Value(); got != want.Hits {
-			t.Errorf("scheduler %d: metric hits %d != stats hits %d", sched, got, want.Hits)
-		}
-		if got := met.Tracebacks.Value(); got != want.Tracebacks {
-			t.Errorf("scheduler %d: metric tracebacks %d != stats %d", sched, got, want.Tracebacks)
-		}
-		for s := obs.Stage(0); s < obs.NumStages; s++ {
-			if got := met.StageNanos[s].Value(); got != want.StageNanos[s] {
-				t.Errorf("scheduler %d: stage %s metric %d != stats %d", sched, s, got, want.StageNanos[s])
-			}
-		}
-		if got := met.Queries.Value(); got != int64(len(queries)) {
-			t.Errorf("scheduler %d: queries counter %d, want %d", sched, got, len(queries))
-		}
-		if got := met.Tasks.Value(); got != ss.Tasks {
-			t.Errorf("scheduler %d: tasks counter %d, want %d", sched, got, ss.Tasks)
-		}
-		if met.TaskNanos.Count() != ss.Tasks {
-			t.Errorf("scheduler %d: task histogram count %d, want %d", sched, met.TaskNanos.Count(), ss.Tasks)
-		}
-		if met.QueryNanos.Count() != int64(len(queries)) {
-			t.Errorf("scheduler %d: query histogram count %d, want %d", sched, met.QueryNanos.Count(), len(queries))
-		}
-		if met.Batches.Value() != 1 {
-			t.Errorf("scheduler %d: batches counter %d, want 1", sched, met.Batches.Value())
-		}
-		if u := met.SchedUtilizationPermille.Value(); u <= 0 || u > 1050 {
-			t.Errorf("scheduler %d: utilization gauge %v outside (0, 1050]", sched, u)
-		}
+	}
+	if got := met.Queries.Value(); got != int64(len(queries)) {
+		t.Errorf("queries counter %d, want %d", got, len(queries))
+	}
+	if got := met.Tasks.Value(); got != ss.Tasks {
+		t.Errorf("tasks counter %d, want %d", got, ss.Tasks)
+	}
+	if met.TaskNanos.Count() != ss.Tasks {
+		t.Errorf("task histogram count %d, want %d", met.TaskNanos.Count(), ss.Tasks)
+	}
+	if met.QueryNanos.Count() != int64(len(queries)) {
+		t.Errorf("query histogram count %d, want %d", met.QueryNanos.Count(), len(queries))
+	}
+	if met.Batches.Value() != 1 {
+		t.Errorf("batches counter %d, want 1", met.Batches.Value())
+	}
+	if u := met.SchedUtilizationPermille.Value(); u <= 0 || u > 1050 {
+		t.Errorf("utilization gauge %v outside (0, 1050]", u)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/alphabet"
+	"repro/internal/baseline"
 	"repro/internal/dbase"
 	"repro/internal/dbindex"
 	"repro/internal/search"
@@ -63,8 +64,8 @@ func TestPropertyEnginesEquivalentOnRandomWorlds(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		a := search.NewQueryIndexed(cfg, db).Search(0, q)
-		b := search.NewDBIndexed(cfg, ix).Search(0, q)
+		a := baseline.NewQueryIndexed(cfg, db).Search(0, q)
+		b := baseline.NewDBIndexed(cfg, ix).Search(0, q)
 		c := New(cfg, ix).Search(0, q)
 		return sameResult(a, b) && sameResult(a, c)
 	}

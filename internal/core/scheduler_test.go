@@ -13,7 +13,7 @@ import (
 )
 
 // TestBatchIdentityAllOptions is the scheduler's Section V-E obligation:
-// for every scheduler × sorter × prefilter combination and several thread
+// for every sorter × prefilter combination and several thread
 // counts, SearchBatch must reproduce sequential Search exactly.
 func TestBatchIdentityAllOptions(t *testing.T) {
 	cfg, ix, queries := world(t, 61, 110, 6, 0, 8192)
@@ -25,14 +25,11 @@ func TestBatchIdentityAllOptions(t *testing.T) {
 		{Prefilter: true, Sorter: SortTwoLevel},
 	}
 	for _, opt := range optSets {
-		for _, sched := range []Scheduler{SchedBlockMajor, SchedBarrier} {
-			opt.Scheduler = sched
-			e := NewWithOptions(cfg, ix, opt)
-			seq := runAll(e, queries)
-			for _, threads := range []int{1, 3, 8} {
-				batch := e.SearchBatch(queries, threads)
-				requireIdentical(t, sched.String(), seq, batch)
-			}
+		e := NewWithOptions(cfg, ix, opt)
+		seq := runAll(e, queries)
+		for _, threads := range []int{1, 3, 8} {
+			batch := e.SearchBatch(queries, threads)
+			requireIdentical(t, "block-major", seq, batch)
 		}
 	}
 }

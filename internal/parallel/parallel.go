@@ -14,7 +14,7 @@ import (
 	"time"
 )
 
-// NumWorkers returns the number of workers ForWorkers will actually use for
+// NumWorkers returns the number of workers the loop will actually use for
 // n iterations and the requested worker count, so callers can pre-allocate
 // per-worker scratch state.
 func NumWorkers(n, workers int) int {
@@ -46,40 +46,10 @@ func For(n, workers int, fn func(i int)) {
 // per-worker scratch state (last-hit arrays, aligners, hit buffers) without
 // locking. Worker ids are dense in [0, numWorkers).
 func ForWorkers(n, workers int, fn func(worker, i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(worker, i)
-			}
-		}(w)
-	}
-	wg.Wait()
+	ForTasksOpts(n, workers, fn, RunOptions{})
 }
 
-// TaskStats reports what each worker did during one ForTasks run. Every pull
+// TaskStats reports what each worker did during one ForTasksOpts run. Every pull
 // from the shared counter is effectively a steal from one global queue, so
 // per-worker task counts show how the load actually distributed; busy time
 // vs run wall-clock shows how much of the run each worker spent stalled
@@ -93,16 +63,6 @@ type TaskStats struct {
 	WorkerBusy []int64
 	// ElapsedNanos is the wall-clock duration of the whole run.
 	ElapsedNanos int64
-}
-
-// Utilization is the fraction of total worker-time spent inside tasks:
-// sum(WorkerBusy) / (Workers * ElapsedNanos), in (0, 1] for any run that did
-// work. A straggler task that idles the other workers lowers it.
-func (ts *TaskStats) Utilization() float64 {
-	if ts.Workers == 0 || ts.ElapsedNanos <= 0 {
-		return 0
-	}
-	return float64(ts.TotalBusyNanos()) / (float64(ts.Workers) * float64(ts.ElapsedNanos))
 }
 
 // TotalBusyNanos sums the workers' in-task time.
@@ -149,25 +109,6 @@ func (ts *TaskStats) MaxWorkerTasks() int64 {
 	return max
 }
 
-// Merge folds another run's counters into ts (summing tasks, busy time and
-// elapsed time; per-worker slices are added elementwise). Used by callers
-// that run one ForTasks per stage and want whole-phase numbers.
-func (ts *TaskStats) Merge(o TaskStats) {
-	if o.Workers > ts.Workers {
-		ts.Workers = o.Workers
-	}
-	ts.Tasks += o.Tasks
-	ts.ElapsedNanos += o.ElapsedNanos
-	for len(ts.WorkerTasks) < len(o.WorkerTasks) {
-		ts.WorkerTasks = append(ts.WorkerTasks, 0)
-		ts.WorkerBusy = append(ts.WorkerBusy, 0)
-	}
-	for w := range o.WorkerTasks {
-		ts.WorkerTasks[w] += o.WorkerTasks[w]
-		ts.WorkerBusy[w] += o.WorkerBusy[w]
-	}
-}
-
 // TaskObserver receives the wall-clock duration of each completed task.
 // Implementations must be safe for concurrent use from every worker and
 // should be wait-free (e.g. an atomic histogram) — the scheduler calls it
@@ -176,29 +117,8 @@ type TaskObserver interface {
 	Observe(nanos int64)
 }
 
-// ForTasks is ForWorkers plus scheduler instrumentation: it runs fn(worker,
-// task) for task in [0, n) with dynamic scheduling from a single atomic
-// counter and returns per-worker utilization counters. There is exactly one
-// synchronization point — the final wait after the counter passes n — so a
-// flattened task grid (e.g. block-major (block, query) cells) runs with no
-// intermediate barriers. The timing overhead is two clock reads per task;
-// callers with sub-microsecond tasks should use ForWorkers instead.
-func ForTasks(n, workers int, fn func(worker, task int)) TaskStats {
-	return ForTasksObserved(n, workers, fn, nil)
-}
-
-// ForTasksObserved is ForTasks with an optional per-task-grain observer:
-// after each task completes, its duration is fed to obs (when non-nil) in
-// addition to the per-worker busy counters. The observation reuses the
-// clock reads ForTasks already performs, so the marginal cost is one
-// interface call per task and zero allocations.
-func ForTasksObserved(n, workers int, fn func(worker, task int), obs TaskObserver) TaskStats {
-	ts, _ := ForTasksOpts(n, workers, fn, RunOptions{Observer: obs})
-	return ts
-}
-
-// RunOptions extends ForTasks with the robustness hooks of the fault-tolerant
-// batch pipeline. The zero value reproduces plain ForTasks behaviour.
+// RunOptions are the robustness and instrumentation hooks of ForTasksOpts for
+// the fault-tolerant batch pipeline. The zero value is a plain parallel loop.
 type RunOptions struct {
 	// Context, when non-nil, is checked before every task pull: once it is
 	// cancelled no new task starts (in-flight tasks run to completion — the
@@ -215,21 +135,22 @@ type RunOptions struct {
 	OnPanic func(worker, task int, recovered any, stack []byte)
 }
 
-// ForTasksOpts is the full-control scheduler entry point: ForTasksObserved
-// plus cooperative cancellation and per-task panic isolation. It returns the
-// utilization counters for the tasks that actually ran (Tasks reflects
-// executed tasks, not n, when the run is cut short) and the context error if
-// cancellation stopped the run before all n tasks executed.
+// ForTasksOpts is the one loop of this package; For and ForWorkers are it
+// with the zero RunOptions. It runs fn(worker, task) for task in [0, n) with
+// dynamic scheduling from a single atomic counter, and there is exactly one
+// synchronization point — the final wait after the counter passes n — so a
+// flattened task grid (e.g. block-major (block, query) cells) runs with no
+// intermediate barriers. It returns the utilization counters for the tasks
+// that actually ran (Tasks reflects executed tasks, not n, when the run is cut
+// short) and the context error if cancellation stopped the run before all n
+// tasks executed. The timing overhead is two clock reads per task, so tasks
+// should be microseconds or longer; every caller's are (an index block, a
+// query, a (block, query) cell).
 func ForTasksOpts(n, workers int, fn func(worker, task int), opt RunOptions) (TaskStats, error) {
 	if n <= 0 {
-		return TaskStats{Workers: 0, Tasks: 0}, nil
+		return TaskStats{}, nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = NumWorkers(n, workers)
 	ts := TaskStats{
 		Workers:     workers,
 		WorkerTasks: make([]int64, workers),
@@ -239,31 +160,28 @@ func ForTasksOpts(n, workers int, fn func(worker, task int), opt RunOptions) (Ta
 	if opt.Context != nil {
 		done = opt.Context.Done()
 	}
+	var next atomic.Int64
+	pull := func(worker int) {
+		for !cancelled(done) {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			runTask(worker, i, fn, &opt, &ts)
+		}
+	}
 	runStart := time.Now()
 	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if cancelled(done) {
-				break
-			}
-			runTask(0, i, fn, &opt, &ts)
-		}
+		// On the caller's goroutine: tasks run in index order, and a panic
+		// without an OnPanic hook reaches the caller.
+		pull(0)
 	} else {
-		var next atomic.Int64
 		var wg sync.WaitGroup
 		wg.Add(workers)
 		for w := 0; w < workers; w++ {
 			go func(worker int) {
 				defer wg.Done()
-				for {
-					if cancelled(done) {
-						return
-					}
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					runTask(worker, i, fn, &opt, &ts)
-				}
+				pull(worker)
 			}(w)
 		}
 		wg.Wait()
@@ -312,58 +230,4 @@ func runTask(worker, i int, fn func(worker, task int), opt *RunOptions, ts *Task
 		}
 	}()
 	fn(worker, i)
-}
-
-// ForWorkersCtx is ForWorkers with cooperative cancellation: once ctx is
-// cancelled no new iteration starts, and the call returns ctx.Err() if any
-// iterations were skipped. A nil ctx is allowed and never cancels.
-func ForWorkersCtx(ctx context.Context, n, workers int, fn func(worker, i int)) error {
-	if n <= 0 {
-		return nil
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var ran atomic.Int64
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if cancelled(done) {
-				break
-			}
-			fn(0, i)
-			ran.Add(1)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(worker int) {
-				defer wg.Done()
-				for {
-					if cancelled(done) {
-						return
-					}
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					fn(worker, i)
-					ran.Add(1)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	if int(ran.Load()) < n && ctx != nil {
-		return ctx.Err()
-	}
-	return nil
 }

@@ -1,17 +1,10 @@
 // Package search defines the common configuration, result types, and shared
-// pipeline stages of all three BLASTP engines in this repository, and
-// implements the two baselines the paper measures against:
-//
-//   - QueryIndexed: classic NCBI-BLAST — a lookup table built from the
-//     query, subjects scanned one by one (Section II-A);
-//   - DBIndexed: the paper's "NCBI-db" — the same interleaved heuristics
-//     run over the blocked database index, which is the configuration whose
-//     irregular memory behaviour motivates muBLASTP (Section II-B).
-//
-// The muBLASTP engine itself lives in internal/core and reuses the stages
-// here. All engines share the ungapped.Canon two-hit semantics and the
-// gapped stage, so their outputs are identical by construction — the
-// property the paper verifies in Section V-E.
+// pipeline stages (gapped extension, finalize and ranking, the pre-filter's
+// last-hit arrays) of every BLASTP engine in this repository. The muBLASTP
+// engine lives in internal/core; the baselines the paper measures it against
+// live in internal/baseline. All engines share the ungapped.Canon two-hit
+// semantics and the gapped stage, so their outputs are identical by
+// construction — the property the paper verifies in Section V-E.
 package search
 
 import (
@@ -177,13 +170,13 @@ func (s *Stats) CounterMap() map[string]int64 {
 // call (the hit-search phase; per-query finalization is not counted). It is
 // the batch-level complement of the per-query Sched* fields in Stats.
 type SchedStats struct {
-	Scheduler      string // "block-major" (barrier-free grid) or "barrier"
+	Scheduler      string // always "block-major" (the barrier-free grid); kept for the stage-JSON schema
 	Workers        int    // workers actually used
 	Tasks          int64  // (block, query) tasks executed
 	MinWorkerTasks int64  // fewest tasks any worker pulled
 	MaxWorkerTasks int64  // most tasks any worker pulled
 	BusyNanos      int64  // total worker-time inside tasks
-	StallNanos     int64  // total worker-time outside tasks (barriers, idle)
+	StallNanos     int64  // total worker-time outside tasks (idle behind the final wait)
 	ElapsedNanos   int64  // wall-clock time of the search phase
 
 	// Robustness counters (zero on a clean run): tasks whose panic was
@@ -197,8 +190,8 @@ type SchedStats struct {
 }
 
 // Utilization is the fraction of total worker-time spent inside tasks,
-// in (0, 1] for any batch that did work. Per-block barriers and straggler
-// queries show up as utilization lost to StallNanos.
+// in (0, 1] for any batch that did work. Straggler tasks that idle the other
+// workers show up as utilization lost to StallNanos.
 func (s SchedStats) Utilization() float64 {
 	if s.Workers == 0 || s.ElapsedNanos <= 0 {
 		return 0

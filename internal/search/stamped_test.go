@@ -2,12 +2,13 @@ package search
 
 import "testing"
 
-// The three tests below pin the epoch wrap against a scratch that shrinks
-// and grows again: a slot stamped while the array served a large block sits
-// beyond the length of the small blocks that follow, so the wrap — which
-// happens during one of the small resets — has to clear it anyway. Otherwise
-// the stamp passes for the current epoch once the counter comes round, and a
-// first hit on that slot pairs with a hit from an earlier query.
+// The two tests below (and their StampedDiags sibling in internal/baseline)
+// pin the epoch wrap against a scratch that shrinks and grows again: a slot
+// stamped while the array served a large block sits beyond the length of the
+// small blocks that follow, so the wrap — which happens during one of the
+// small resets — has to clear it anyway. Otherwise the stamp passes for the
+// current epoch once the counter comes round, and a first hit on that slot
+// pairs with a hit from an earlier query.
 const (
 	stampBig   = 64
 	stampSmall = 8
@@ -47,25 +48,5 @@ func TestStampedLastPosWrapClearsBeyondLength(t *testing.T) {
 	}
 	if _, paired := sl.Check(stampHigh, 25, 40); paired {
 		t.Error("first hit of the epoch paired with a stamp from before the wrap")
-	}
-}
-
-func TestStampedDiagsWrapClearsBeyondLength(t *testing.T) {
-	var sd StampedDiags
-	sd.Reset(stampBig)
-	sd.Reset(stampBig)
-	stamped := sd.epoch
-	sd.Get(stampHigh).LastPos = 10
-	sd.epoch = ^uint32(0) // 2^32 resets later
-	sd.Reset(stampSmall)  // the wrap, at the small length
-	for sd.epoch != stamped-1 {
-		sd.Reset(stampSmall)
-	}
-	sd.Reset(stampBig)
-	if sd.epoch != stamped {
-		t.Fatalf("epoch %d after the cycle, want %d", sd.epoch, stamped)
-	}
-	if got := sd.Get(stampHigh).LastPos; got != -1 {
-		t.Errorf("slot kept LastPos %d from before the wrap, want a fresh state", got)
 	}
 }

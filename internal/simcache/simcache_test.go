@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/dbase"
 	"repro/internal/dbindex"
 	"repro/internal/matrix"
@@ -165,11 +166,11 @@ func TestEnginesTraceIntoSimulator(t *testing.T) {
 		return h.Report()
 	}
 	qiRep := run(func(c *search.Config) func() search.QueryResult {
-		e := search.NewQueryIndexed(c, db)
+		e := baseline.NewQueryIndexed(c, db)
 		return func() search.QueryResult { return e.Search(0, qs[0]) }
 	})
 	dbRep := run(func(c *search.Config) func() search.QueryResult {
-		e := search.NewDBIndexed(c, ix)
+		e := baseline.NewDBIndexed(c, ix)
 		return func() search.QueryResult { return e.Search(0, qs[0]) }
 	})
 

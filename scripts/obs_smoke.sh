@@ -23,6 +23,17 @@ echo "obs-smoke: generating workload..."
 "$workdir/genseq" -n 800 -seed 7 -out "$workdir/db.fasta" \
     -queries 12 -qlen 256 -qout "$workdir/queries.fasta"
 
+echo "obs-smoke: a misspelt -format must be refused before the database loads..."
+rc=0
+"$workdir/mublastp" -subjects "$workdir/db.fasta" -query "$workdir/queries.fasta" \
+    -format tabluar >/dev/null 2>"$workdir/badformat.err" || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q 'unknown -format "tabluar"' "$workdir/badformat.err" ||
+    grep -q "database ready" "$workdir/badformat.err"; then
+    echo "obs-smoke: FAIL: -format tabluar exited $rc, want usage error 2 before any work"
+    cat "$workdir/badformat.err"
+    exit 1
+fi
+
 echo "obs-smoke: starting mublastp with -debug-addr..."
 "$workdir/mublastp" -subjects "$workdir/db.fasta" -query "$workdir/queries.fasta" \
     -debug-addr 127.0.0.1:0 -debug-linger 30s -trace "$workdir/trace.jsonl" \
