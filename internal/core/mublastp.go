@@ -367,23 +367,18 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 					// implementation detail the simulator doesn't see.
 					trace(search.SpaceLastHit, int64(slot)*4)
 				}
-				var dist int32
-				var paired bool
-				if e.Cfg.TwoHit.OneHit {
-					paired = true
-				} else {
-					dist, paired = sc.lastPos.Check(slot, int32(qOff), window)
+				paired := e.Cfg.TwoHit.OneHit
+				if !paired {
+					_, paired = sc.lastPos.Check(slot, int32(qOff), window)
 				}
 				if paired {
 					st.Pairs++
 					if trace != nil {
+						// The simulator keeps modelling the paper's 12-byte
+						// pair record (key, offset, distance); ours is 8.
 						trace(search.SpaceHitBuf, int64(len(sc.pairs))*12)
 					}
-					sc.pairs = append(sc.pairs, hit.Pair{
-						Key:  coder.Encode(local, diag),
-						QOff: int32(qOff),
-						Dist: dist,
-					})
+					sc.pairs = append(sc.pairs, hit.Pair{Key: coder.Encode(local, diag), QOff: int32(qOff)})
 				}
 			}
 		}
@@ -428,12 +423,8 @@ func (e *Engine) detectScanFast(sc *scratch, q []alphabet.Code, b *dbindex.Block
 				local := int(packed >> offBits)
 				diag := int(packed&offMask) - qOff + diagBias
 				slot := int(diagOff[local]) + diag
-				dist, inc := sc.lastPos16.CheckCount(slot, qOff32, window)
-				buf[np] = hit.Pair{
-					Key:  coder.Encode(local, diag),
-					QOff: qOff32,
-					Dist: dist,
-				}
+				_, inc := sc.lastPos16.CheckCount(slot, qOff32, window)
+				buf[np] = hit.Pair{Key: coder.Encode(local, diag), QOff: qOff32}
 				np += inc
 			}
 		}
@@ -474,36 +465,32 @@ func (e *Engine) detectAll(sc *scratch, q []alphabet.Code, bi int, coder hit.Key
 }
 
 func (e *Engine) sortPairs(sc *scratch, coder hit.KeyCoder) {
-	e.traceSort(len(sc.pairs), 12, (coder.KeyBits()+7)/8)
-	if cap(sc.pairBuf) < len(sc.pairs) {
-		sc.pairBuf = make([]hit.Pair, len(sc.pairs))
-	}
-	switch e.Opt.Sorter {
-	case SortLSD:
-		hitsort.LSDPairs(sc.pairs, coder.KeyBits(), sc.pairBuf)
-	case SortMSD:
-		hitsort.MSD(sc.pairs, coder.KeyBits(), sc.pairBuf)
-	case SortMerge:
-		hitsort.Merge(sc.pairs, sc.pairBuf)
-	case SortTwoLevel:
-		sc.binCounts = hitsort.TwoLevelBinWith(sc.pairs, coder.DiagBits, coder.NumSeqs, coder.NumDiags, sc.pairBuf, sc.binCounts)
-	}
+	// 12 is the paper's pair record, which the simulated figures are about;
+	// the records sorted are 8 bytes.
+	e.sortRecords(sc, sc.pairs, &sc.pairBuf, 12, coder)
 }
 
 func (e *Engine) sortHits(sc *scratch, coder hit.KeyCoder) {
-	e.traceSort(len(sc.hits), 8, (coder.KeyBits()+7)/8)
-	if cap(sc.hitBuf) < len(sc.hits) {
-		sc.hitBuf = make([]hit.Hit, len(sc.hits))
+	e.sortRecords(sc, sc.hits, &sc.hitBuf, 8, coder)
+}
+
+// sortRecords reorders one task's hit or pair buffer by (sequence, diagonal)
+// key with the configured sorter; tracedSize is the record size the cache
+// simulator is charged for.
+func (e *Engine) sortRecords(sc *scratch, items []hit.Hit, buf *[]hit.Hit, tracedSize int, coder hit.KeyCoder) {
+	e.traceSort(len(items), tracedSize, (coder.KeyBits()+7)/8)
+	if cap(*buf) < len(items) {
+		*buf = make([]hit.Hit, len(items))
 	}
 	switch e.Opt.Sorter {
 	case SortLSD:
-		hitsort.LSDHits(sc.hits, coder.KeyBits(), sc.hitBuf)
+		hitsort.LSDPairs(items, coder.KeyBits(), *buf)
 	case SortMSD:
-		hitsort.MSD(sc.hits, coder.KeyBits(), sc.hitBuf)
+		hitsort.MSD(items, coder.KeyBits(), *buf)
 	case SortMerge:
-		hitsort.Merge(sc.hits, sc.hitBuf)
+		hitsort.Merge(items, *buf)
 	case SortTwoLevel:
-		sc.binCounts = hitsort.TwoLevelBinWith(sc.hits, coder.DiagBits, coder.NumSeqs, coder.NumDiags, sc.hitBuf, sc.binCounts)
+		sc.binCounts = hitsort.TwoLevelBinWith(items, coder.DiagBits, coder.NumSeqs, coder.NumDiags, *buf, sc.binCounts)
 	}
 }
 
@@ -540,19 +527,23 @@ func (e *Engine) extendPairs(sc *scratch, q []alphabet.Code, bi int, coder hit.K
 	haveKey := false
 	curLocal := -1
 	var d ungapped.DiagState
+	// sc.exts collects the task's kept extensions, subject after subject;
+	// sc.exts[flushed:] are those of the current subject, not yet handed to
+	// the gapped stage.
 	sc.exts = sc.exts[:0]
+	flushed := 0
 
 	flushSubject := func() {
-		if curLocal < 0 || len(sc.exts) == 0 {
+		if len(sc.exts) == flushed {
 			return
 		}
 		gsi := b.Block.Start + curLocal
 		s := e.Ix.DB.Seqs[gsi].Data
-		alns := search.GappedStage(e.Cfg, sc.aligner, &sc.prof, q, s, sc.exts, st)
+		alns := search.GappedStage(e.Cfg, sc.aligner, &sc.prof, q, s, sc.exts[flushed:], st)
 		if len(alns) > 0 {
 			subjects = append(subjects, search.SubjectAlignments{Subject: gsi, Alns: alns})
 		}
-		sc.exts = sc.exts[:0]
+		flushed = len(sc.exts)
 	}
 
 	// The per-pair work is Canon.ExtendPair unrolled into the loop: the
@@ -561,7 +552,16 @@ func (e *Engine) extendPairs(sc *scratch, q []alphabet.Code, bi int, coder hit.K
 	// this against Canon), with the kernel dispatch and key decode hoisted
 	// so the 10M-pairs-per-batch loop runs call-free except the extension
 	// itself.
+	//
+	// Extension is score first: all but ~0.1% of pairs end at "Score <=
+	// Trigger", and a rejected pair leaves nothing behind but ExtReached =
+	// its own offset, so it runs only the score-only walk (ExtendScore) and
+	// the coordinates walk (ExtendProfile) is paid by the survivors alone.
+	// The traced path extends every pair in full, because the cache simulator
+	// replays each extension's subject span, kept or not; the two paths must
+	// agree on everything else (TestExtendPairsScoreFirstMatchesFull).
 	useProf := canon.Prof != nil && canon.P.XDrop >= 1 && canon.Prof.QLen < 0xFFFF
+	scoreFirst := useProf && trace == nil
 	xDrop := canon.P.XDrop
 	trigger := canon.P.Trigger
 	var extensions, kept int64
@@ -587,25 +587,33 @@ func (e *Engine) extendPairs(sc *scratch, q []alphabet.Code, bi int, coder hit.K
 		}
 		qOff := int(p.QOff)
 		sOff := diag + qOff - diagBias
+		extensions++
 		var ext ungapped.Ext
-		if useProf {
+		if scoreFirst {
+			if ungapped.ExtendScore(canon.Prof, s, qOff, sOff, xDrop) <= trigger {
+				d.ExtReached = p.QOff
+				continue
+			}
 			ext = ungapped.ExtendProfile(canon.Prof, s, qOff, sOff, xDrop)
 		} else {
-			ext = ungapped.Extend(canon.Matrix, q, s, qOff, sOff, xDrop)
-		}
-		extensions++
-		if trace != nil {
-			for off := e.subjOff[gsi] + int64(ext.SStart); off < e.subjOff[gsi]+int64(ext.SEnd); off++ {
-				trace(search.SpaceSubject, off)
+			if useProf {
+				ext = ungapped.ExtendProfile(canon.Prof, s, qOff, sOff, xDrop)
+			} else {
+				ext = ungapped.Extend(canon.Matrix, q, s, qOff, sOff, xDrop)
+			}
+			if trace != nil {
+				for off := e.subjOff[gsi] + int64(ext.SStart); off < e.subjOff[gsi]+int64(ext.SEnd); off++ {
+					trace(search.SpaceSubject, off)
+				}
+			}
+			if ext.Score <= trigger {
+				d.ExtReached = p.QOff
+				continue
 			}
 		}
-		if ext.Score > trigger {
-			d.ExtReached = int32(ext.QEnd)
-			kept++
-			sc.exts = append(sc.exts, ext)
-		} else {
-			d.ExtReached = p.QOff
-		}
+		d.ExtReached = int32(ext.QEnd)
+		kept++
+		sc.exts = append(sc.exts, ext)
 	}
 	st.Extensions += extensions
 	st.Kept += kept

@@ -65,14 +65,6 @@ type halfRow struct {
 	h, f []int32
 }
 
-func (r *halfRow) at(j int) (h, f int32) {
-	idx := j - r.lo
-	if idx < 0 || idx >= len(r.h) {
-		return negInf, negInf
-	}
-	return r.h[idx], r.f[idx]
-}
-
 func (r *halfRow) reset(lo int) {
 	r.lo = lo
 	r.h, r.f = r.h[:0], r.f[:0]
@@ -93,17 +85,39 @@ func (r *scoreRow) reset(lo int) {
 
 // extendHalfScoreProf is extendHalfScore with the per-row score lookup
 // redirected through a query profile — DP row i (1-based) reads profile row
-// rowBase + (i-1)*rowStride instead of a.M.Row(q[i-1]) — and the inner loop
-// restructured around register carries: the same-row H/E feeding cell j+1
-// and the diagonal H feeding cell j+1 never round-trip through memory, and
-// the E array is not stored at all (no cell outside the current row reads
-// it). Band bookkeeping, pruning, and tie-breaking compute exactly the same
-// values as extendHalfScore, which is what keeps the two paths
-// byte-identical (pinned by the equivalence tests in profile_equiv_test.go).
+// rowBase + (i-1)*rowStride instead of a.M.Row(q[i-1]) — and each row walked
+// as three zones, so that the loop that runs for nearly every cell tests
+// nothing the row's geometry already decides:
+//
+//	column 0   only while the band still starts at the subject's start: no
+//	           diagonal and no left neighbour, H comes down a gap or is dead
+//	interior   the columns the previous row covers (halfScan.interior)
+//	tail       the columns past the previous row's last cell: nothing above,
+//	           so F is a constant, H arrives along the row's own E chain and
+//	           the first dead cell ends the row (halfScan.tail)
+//
+// The same-row H/E and the diagonal H feeding cell j+1 are carried in
+// locals, E is never stored (no cell outside the current row reads it), the
+// prune threshold best-xdrop is a local that moves only when the best does,
+// and the next band [lo, hi) is read back from the stored row — a stored H is
+// negInf exactly when the cell was pruned — instead of being tracked per
+// cell.
+//
+// Every cell stores the H and F that extendHalfScore stores, so band,
+// tie-break (first maximum in row-major order) and the MaxCells trip are the
+// same and the two stay byte-identical (profile_equiv_test.go, zones_test.go).
+// One guard of the reference is gone: the diagonal is added without asking
+// whether it is negInf. An unreachable diagonal then yields negInf plus a
+// substitution score instead of negInf, which changes nothing because both
+// are below the threshold and a pruned cell stores negInf. That holds while
+// XDrop < -negInf-128 (about 5e8; the engine's is 38).
 func (a *Aligner) extendHalfScoreProf(prof *matrix.Profile, rowBase, rowStride, qLen int, s []alphabet.Code) (best int, bq, bs int) {
-	openExt := int32(a.P.GapOpen + a.P.GapExtend)
-	ext := int32(a.P.GapExtend)
-	xdrop := int32(a.P.XDrop)
+	sc := halfScan{
+		openExt: int32(a.P.GapOpen + a.P.GapExtend),
+		ext:     int32(a.P.GapExtend),
+		xdrop:   int32(a.P.XDrop),
+	}
+	sc.thresh = sc.best - sc.xdrop
 
 	// The rolling rows live on the aligner so repeated extensions reuse
 	// their capacity instead of growing fresh slices every call.
@@ -112,28 +126,26 @@ func (a *Aligner) extendHalfScoreProf(prof *matrix.Profile, rowBase, rowStride, 
 	// boundary, so the fast path has nothing to store.
 	lo, hi := 0, len(s)+1
 	prev.reset(0)
-	bestScore := int32(0)
 	for j := 0; j <= len(s); j++ {
 		var h int32
 		if j == 0 {
 			h = 0
 		} else {
-			h = -openExt - ext*int32(j-1)
+			h = -sc.openExt - sc.ext*int32(j-1)
 		}
-		if h < bestScore-xdrop {
+		if h < sc.thresh {
 			hi = j
 			break
 		}
 		prev.h = append(prev.h, h)
 		prev.f = append(prev.f, negInf)
 	}
-	bi, bj := 0, 0
 	cells := len(prev.h)
 
 	for i := 1; i <= qLen && lo < hi; i++ {
 		// The row is pre-sized to the widest it can get (j runs lo..len(s))
 		// and filled by index, trimmed to the cells actually written after
-		// the loop — append's length bookkeeping and growth check cost two
+		// the zones — append's length bookkeeping and growth check cost two
 		// stores per cell in a loop this hot.
 		rowMax := len(s) + 1 - lo
 		if cap(cur.h) < rowMax {
@@ -141,62 +153,161 @@ func (a *Aligner) extendHalfScoreProf(prof *matrix.Profile, rowBase, rowStride, 
 			cur.f = make([]int32, rowMax)
 		}
 		curH, curF := cur.h[:rowMax], cur.f[:rowMax]
-		cur.lo = lo
-		idx := 0
-		newLo, newHi := -1, lo
-		mRow := prof.Row(rowBase + (i-1)*rowStride)
-		// diagH carries prev row's H at j-1 across iterations: the diagonal
-		// input of cell j is the vertical input of cell j-1, so one at()
-		// lookup per cell feeds both. carryH/carryE are the current row's
-		// previous cell (the reference's cur.h/cur.e reads at j-1).
-		diagH, _ := prev.at(lo - 1)
-		carryH, carryE := int32(negInf), int32(negInf)
-		for j := lo; j <= len(s); j++ {
-			e := int32(negInf)
-			if j > lo {
-				e = maxI32(carryH-openExt, carryE-ext)
-			}
-			ph, pf := prev.at(j)
-			f := maxI32(ph-openExt, pf-ext)
-			h := int32(negInf)
-			if j > 0 && diagH > negInf {
-				h = diagH + int32(mRow[s[j-1]])
-			}
-			diagH = ph
-			h = maxI32(h, maxI32(e, f))
-			pruned := h < bestScore-xdrop
-			if pruned {
+		mRow := (*[alphabet.Size]int8)(prof.Row(rowBase + (i-1)*rowStride))
+
+		// The previous row from column lo on. It starts at or before lo and
+		// reaches at least hi-1 (lo and hi-1 are its first and last live
+		// columns), so prevH is never empty and hi-lo <= len(prevH).
+		off := lo - prev.lo
+		prevH, prevF := prev.h[off:], prev.f[off:]
+		sc.row = i
+		sc.carryH, sc.carryE, sc.diagH = negInf, negInf, negInf
+		if off > 0 {
+			sc.diagH = prev.h[off-1]
+		}
+		n := 0 // cells written so far; cell n is column lo+n
+
+		if lo == 0 {
+			// Column 0. hi > 0, so a dead cell here cannot end the row.
+			f := maxI32(prevH[0]-sc.openExt, prevF[0]-sc.ext)
+			h := f
+			if h < sc.thresh {
 				h = negInf
-			} else {
-				if newLo < 0 {
-					newLo = j
-				}
-				newHi = j + 1
-				if h > bestScore {
-					bestScore = h
-					bi, bj = i, j
-				}
+			} else if h > sc.best {
+				sc.best, sc.thresh = h, h-sc.xdrop
+				sc.bi, sc.bj = i, 0
 			}
-			curH[idx] = h
-			curF[idx] = f
-			idx++
-			carryH, carryE = h, e
-			cells++
-			if pruned && j >= hi {
-				break
-			}
+			curH[0], curF[0] = h, f
+			sc.carryH, sc.diagH = h, prevH[0]
+			n = 1
 		}
-		cur.h, cur.f = curH[:idx], curF[:idx]
+
+		sc.col = lo + n
+		m, ended := sc.interior(prevH[n:], prevF[n:], s[lo+n-1:], curH[n:], curF[n:], mRow, hi-lo-n)
+		n += m
+		if !ended {
+			sc.col = lo + n
+			n += sc.tail(s[lo+n-1:], curH[n:], curF[n:], mRow)
+		}
+
+		cells += n
+		cur.lo, cur.h, cur.f = lo, curH[:n], curF[:n]
 		prev, cur = cur, prev
-		if newLo < 0 {
-			break
+
+		// The next band is the span of live cells in the row just written.
+		live := prev.h
+		first := 0
+		for first < len(live) && live[first] == negInf {
+			first++
 		}
-		lo, hi = newLo, newHi
+		if first == len(live) {
+			break // entire row pruned
+		}
+		last := len(live) - 1
+		for live[last] == negInf {
+			last--
+		}
+		lo, hi = lo+first, lo+last+1
 		if cells > a.P.MaxCells {
 			break
 		}
 	}
-	return int(bestScore), bi, bj
+	return int(sc.best), sc.bi, sc.bj
+}
+
+// halfScan is what extendHalfScoreProf hands from cell to cell and from zone
+// to zone of a row: the extension's constants, the carries, the running best
+// with its prune threshold and endpoint, and where the zone being filled
+// starts.
+type halfScan struct {
+	openExt, ext, xdrop int32
+	carryH, carryE      int32 // H and E of the cell to the left
+	diagH               int32 // previous row's H one column to the left
+	best, thresh        int32 // thresh == best-xdrop
+	bi, bj              int   // row and column of best
+	row, col            int   // the row being filled; column of the zone's cell 0
+}
+
+// interior fills the cells of one row that have a cell above them: cell k
+// reads ph[k]/pf[k] (the previous row's H and F in its column) and ss[k]
+// (the subject residue its diagonal consumes) and stores ch[k]/cf[k]. A dead
+// cell at k >= stop — at or past the previous row's last live column — ends
+// the row. It returns the number of cells written and whether the row ended.
+//
+// The zone loops are functions of their own, kept out of line, for the
+// reason ungapped's walkers are: inside extendHalfScoreProf the register
+// allocator has some thirty live values to place and spills the carries of
+// this loop; here it has the loop's own. The prune is a conditional move
+// (h below thresh becomes negInf and is stored like any other), so the only
+// branches a cell takes are the rare new best and the row-end test, and a
+// band edge costs no misprediction.
+//
+//go:noinline
+func (sc *halfScan) interior(ph, pf []int32, ss []alphabet.Code, ch, cf []int32, mRow *[alphabet.Size]int8, stop int) (n int, ended bool) {
+	openExt, ext := sc.openExt, sc.ext
+	carryH, carryE, diagH := sc.carryH, sc.carryE, sc.diagH
+	best, thresh := sc.best, sc.thresh
+	pf, ss, ch, cf = pf[:len(ph)], ss[:len(ph)], ch[:len(ph)], cf[:len(ph)]
+	n = len(ph)
+	for k, p := range ph {
+		e := maxI32(carryH-openExt, carryE-ext)
+		f := maxI32(p-openExt, pf[k]-ext)
+		h := maxI32(diagH+int32(mRow[ss[k]]), maxI32(e, f))
+		diagH = p
+		carryE = e
+		if h < thresh {
+			h = negInf
+		}
+		ch[k], cf[k] = h, f
+		carryH = h
+		if h > best {
+			best, thresh = h, h-sc.xdrop
+			sc.bi, sc.bj = sc.row, sc.col+k
+		}
+		if k >= stop && h == negInf {
+			n, ended = k+1, true
+			break
+		}
+	}
+	sc.carryH, sc.carryE, sc.diagH = carryH, carryE, diagH
+	sc.best, sc.thresh = best, thresh
+	return n, ended
+}
+
+// tail fills the cells past the previous row's end, one per residue of ss,
+// until the first dead one, and returns how many it wrote. Only its first
+// cell has a diagonal (sc.diagH, the previous row's last H).
+//
+//go:noinline
+func (sc *halfScan) tail(ss []alphabet.Code, ch, cf []int32, mRow *[alphabet.Size]int8) int {
+	openExt, ext := sc.openExt, sc.ext
+	carryH, carryE, diagH := sc.carryH, sc.carryE, sc.diagH
+	best, thresh := sc.best, sc.thresh
+	// F of a cell with no cell above it.
+	f := maxI32(negInf-openExt, negInf-ext)
+	ch, cf = ch[:len(ss)], cf[:len(ss)]
+	n := len(ss)
+	for k, c := range ss {
+		e := maxI32(carryH-openExt, carryE-ext)
+		h := maxI32(diagH+int32(mRow[c]), maxI32(e, f))
+		diagH = negInf
+		carryE = e
+		if h < thresh {
+			h = negInf
+		}
+		ch[k], cf[k] = h, f
+		carryH = h
+		if h > best {
+			best, thresh = h, h-sc.xdrop
+			sc.bi, sc.bj = sc.row, sc.col+k
+		}
+		if h == negInf {
+			n = k + 1
+			break
+		}
+	}
+	sc.best, sc.thresh = best, thresh
+	return n
 }
 
 // extendHalfScore mirrors extendHalf without keeping rows: only the

@@ -18,16 +18,11 @@ type Hit struct {
 // SortKey returns the radix key of the hit.
 func (h Hit) SortKey() uint32 { return h.Key }
 
-// Pair is a two-hit pair selected for ungapped extension: the second hit of
-// the pair plus the distance back to the first hit on the same diagonal.
-type Pair struct {
-	Key  uint32
-	QOff int32 // query offset of the second hit's word start
-	Dist int32 // distance (in query positions) back to the first hit
-}
-
-// SortKey returns the radix key of the pair.
-func (p Pair) SortKey() uint32 { return p.Key }
+// Pair is a two-hit pair selected for ungapped extension, recorded as its
+// second hit: the same record as a Hit. The distance back to the first hit
+// decided that the pair exists and nothing downstream reads it, so it is not
+// carried: a pair is 8 bytes through the sort, not the paper's 12.
+type Pair = Hit
 
 // KeyCoder packs and unpacks (sequence, diagonal) keys for one
 // (index block, query) combination. The diagonal field width is chosen per

@@ -99,7 +99,7 @@ func TestSortKeyAccessors(t *testing.T) {
 	if h.SortKey() != 42 {
 		t.Error("Hit.SortKey")
 	}
-	p := Pair{Key: 43, QOff: 8, Dist: 3}
+	p := Pair{Key: 43, QOff: 8}
 	if p.SortKey() != 43 {
 		t.Error("Pair.SortKey")
 	}

@@ -139,7 +139,7 @@ func TestLSDOnPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pairs := make([]hit.Pair, 2000)
 	for i := range pairs {
-		pairs[i] = hit.Pair{Key: rng.Uint32() & 0xFFFF, QOff: int32(i), Dist: int32(rng.Intn(40))}
+		pairs[i] = hit.Pair{Key: rng.Uint32() & 0xFFFF, QOff: int32(i)}
 	}
 	LSD(pairs, 16, nil)
 	for i := 1; i < len(pairs); i++ {

@@ -1,14 +1,14 @@
-// Concrete radix sorts for the two hot record types. The generic LSD in
-// hitsort.go is kept for the Section IV-B algorithm comparison, but Go
-// generics reach SortKey through a gcshape dictionary — an indirect call per
-// record per pass — and always run ceil(keyBits/8) fixed 8-bit passes. The
-// specialized sorts here read the key field directly, build every pass's
-// histogram in one fused counting scan, and pick digit widths from keyBits
-// (one pass up to 11 bits, two passes up to 22, three up to 32) so the
-// typical 15–20-bit (sequence, diagonal) key needs two scatter passes
-// instead of three. Small inputs fall back to stable binary insertion sort,
-// which beats clearing histograms for the many (block, query) tasks whose
-// pair buffers hold a few dozen records.
+// The concrete radix sort for the hot record (a hit and a two-hit pair are
+// the same 8-byte record). The generic LSD in hitsort.go is kept for the
+// Section IV-B algorithm comparison, but Go generics reach SortKey through a
+// gcshape dictionary — an indirect call per record per pass — and always run
+// ceil(keyBits/8) fixed 8-bit passes. The specialized sort here reads the
+// key field directly, builds every pass's histogram in one fused counting
+// scan, and picks digit widths from keyBits (one pass up to 11 bits, two
+// passes up to 22, three up to 32) so the typical 15–20-bit (sequence,
+// diagonal) key needs two scatter passes instead of three. Small inputs fall
+// back to stable insertion sort, which beats clearing histograms for the many
+// (block, query) tasks whose pair buffers hold a few dozen records.
 //
 // All variants are stable, so for any input they produce byte-identical
 // output to the generic LSD (pinned by the equivalence tests and fuzz
@@ -41,9 +41,10 @@ func radixPlan(keyBits int) (w0, w1, w2 int) {
 	}
 }
 
-// LSDPairs sorts pairs stably by key, equivalent to LSD[hit.Pair] for keys
-// that fit in keyBits (<= 0 or > 32 means the full 32 bits). The scratch
-// slice is reused if large enough; the sorted result always lands in items.
+// LSDPairs sorts pairs (or raw hits: hit.Pair is hit.Hit) stably by key,
+// equivalent to LSD[hit.Pair] for keys that fit in keyBits (<= 0 or > 32
+// means the full 32 bits). The scratch slice is reused if large enough; the
+// sorted result always lands in items.
 func LSDPairs(items []hit.Pair, keyBits int, scratch []hit.Pair) {
 	n := len(items)
 	if n < 2 {
@@ -106,82 +107,8 @@ func LSDPairs(items []hit.Pair, keyBits int, scratch []hit.Pair) {
 	}
 }
 
-// LSDHits is LSDPairs for raw hits (the post-filter ablation's sort input).
-func LSDHits(items []hit.Hit, keyBits int, scratch []hit.Hit) {
-	n := len(items)
-	if n < 2 {
-		return
-	}
-	if keyBits <= 0 || keyBits > 32 {
-		keyBits = 32
-	}
-	if n <= radixCutoff {
-		insertionHits(items)
-		return
-	}
-	if cap(scratch) < n {
-		scratch = make([]hit.Hit, n)
-	}
-	scratch = scratch[:n]
-	w0, w1, w2 := radixPlan(keyBits)
-	var counts [3][1 << maxDigitBits]int32
-
-	m0 := uint32(1)<<w0 - 1
-	m1 := uint32(1)<<w1 - 1
-	m2 := uint32(1)<<w2 - 1
-	for i := range items {
-		k := items[i].Key
-		counts[0][k&m0]++
-		counts[1][(k>>w0)&m1]++
-		counts[2][(k>>(w0+w1))&m2]++
-	}
-
-	src, dst := items, scratch
-	for p, pass := range [3]struct {
-		shift int
-		mask  uint32
-		width int
-	}{{0, m0, w0}, {w0, m1, w1}, {w0 + w1, m2, w2}} {
-		if pass.width == 0 {
-			continue
-		}
-		c := counts[p][:uint32(1)<<pass.width]
-		if c[(src[0].Key>>pass.shift)&pass.mask] == int32(n) {
-			continue
-		}
-		sum := int32(0)
-		for d := range c {
-			v := c[d]
-			c[d] = sum
-			sum += v
-		}
-		for i := range src {
-			d := (src[i].Key >> pass.shift) & pass.mask
-			dst[c[d]] = src[i]
-			c[d]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &items[0] {
-		copy(items, src)
-	}
-}
-
 // insertionPairs is stable binary-free insertion sort on the concrete type.
 func insertionPairs(items []hit.Pair) {
-	for i := 1; i < len(items); i++ {
-		v := items[i]
-		j := i - 1
-		for j >= 0 && items[j].Key > v.Key {
-			items[j+1] = items[j]
-			j--
-		}
-		items[j+1] = v
-	}
-}
-
-// insertionHits is insertionPairs for raw hits.
-func insertionHits(items []hit.Hit) {
 	for i := 1; i < len(items); i++ {
 		v := items[i]
 		j := i - 1

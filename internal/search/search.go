@@ -8,7 +8,9 @@
 package search
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -244,15 +246,12 @@ type SubjectAlignments struct {
 func GappedStage(cfg *Config, al *gapped.Aligner, prof *matrix.Profile, q, s []alphabet.Code, exts []ungapped.Ext, st *Stats) []ScoredAlignment {
 	stageStart := time.Now()
 	if len(exts) > 1 {
-		sort.SliceStable(exts, func(i, j int) bool {
-			a, b := exts[i], exts[j]
-			if a.Score != b.Score {
-				return a.Score > b.Score
-			}
-			if a.QStart != b.QStart {
-				return a.QStart < b.QStart
-			}
-			return a.SStart < b.SStart
+		slices.SortStableFunc(exts, func(a, b ungapped.Ext) int {
+			return cmp.Or(
+				cmp.Compare(b.Score, a.Score),
+				cmp.Compare(a.QStart, b.QStart),
+				cmp.Compare(a.SStart, b.SStart),
+			)
 		})
 	}
 	var out []ScoredAlignment

@@ -8,9 +8,12 @@ import (
 	"repro/internal/matrix"
 )
 
-// benchSeeds builds a deterministic workload shaped like the stage bench:
-// one mid-length query, a long subject stream, and seed positions where the
-// first word pair scores at least the two-hit threshold would plausibly ask.
+// benchSeeds builds a deterministic workload shaped like one (block, query)
+// task of the engine: one mid-length query, a subject stream the size of an
+// index block, and far more distinct seeds than a branch predictor can
+// memorise. (512 seeds cycled over a 4096-residue subject, as this file used
+// to draw, measure a trained predictor: every X-drop exit repeats every 512
+// calls and the kernels' real cost — the unpredictable exit — disappears.)
 func benchSeeds(tb testing.TB) (*matrix.Matrix, *matrix.Profile, []alphabet.Code, []alphabet.Code, [][2]int) {
 	tb.Helper()
 	m := matrix.Blosum62
@@ -23,23 +26,26 @@ func benchSeeds(tb testing.TB) (*matrix.Matrix, *matrix.Profile, []alphabet.Code
 		return s
 	}
 	q := randSeq(300)
-	s := randSeq(4096)
+	s := randSeq(1 << 17)
 	prof := matrix.NewProfile(m, q)
-	var seeds [][2]int
-	for len(seeds) < 512 {
-		qOff := 1 + rng.Intn(len(q)-alphabet.W-1)
-		sOff := 1 + rng.Intn(len(s)-alphabet.W-1)
-		seeds = append(seeds, [2]int{qOff, sOff})
+	seeds := make([][2]int, 1<<16)
+	for i := range seeds {
+		seeds[i] = [2]int{
+			1 + rng.Intn(len(q)-alphabet.W-1),
+			1 + rng.Intn(len(s)-alphabet.W-1),
+		}
 	}
 	return m, prof, q, s, seeds
 }
 
-// BenchmarkUngappedExtend pits the profile kernel against the matrix-indexed
-// reference on the same seed set; the profile path must also be allocation
-// free (pinned by TestUngappedExtendZeroAlloc).
+// BenchmarkUngappedExtend pits the two profile kernels — the coordinates
+// walk and the score-only reject walk — against the matrix-indexed reference
+// on the same seed set at the engine's X-drop; the profile paths must also be
+// allocation free (pinned by TestUngappedExtendZeroAlloc and
+// TestUngappedExtendScoreZeroAlloc).
 func BenchmarkUngappedExtend(b *testing.B) {
 	m, prof, q, s, seeds := benchSeeds(b)
-	const xDrop = 20
+	xDrop := DefaultParams().XDrop
 
 	b.Run("profile", func(b *testing.B) {
 		b.ReportAllocs()
@@ -47,6 +53,15 @@ func BenchmarkUngappedExtend(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sd := seeds[i%len(seeds)]
 			sink += ExtendProfile(prof, s, sd[0], sd[1], xDrop).Score
+		}
+		benchSink = sink
+	})
+	b.Run("score", func(b *testing.B) {
+		b.ReportAllocs()
+		sink := 0
+		for i := 0; i < b.N; i++ {
+			sd := seeds[i%len(seeds)]
+			sink += ExtendScore(prof, s, sd[0], sd[1], xDrop)
 		}
 		benchSink = sink
 	})
@@ -75,5 +90,19 @@ func TestUngappedExtendZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ExtendProfile allocated %.1f times per run; want 0", allocs)
+	}
+}
+
+// TestUngappedExtendScoreZeroAlloc is the same contract for the score-only
+// walk, which now runs for every pair the extension stage sees.
+func TestUngappedExtendScoreZeroAlloc(t *testing.T) {
+	_, prof, _, s, seeds := benchSeeds(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, sd := range seeds[:32] {
+			benchSink += ExtendScore(prof, s, sd[0], sd[1], 20)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ExtendScore allocated %.1f times per run; want 0", allocs)
 	}
 }

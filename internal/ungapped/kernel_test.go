@@ -58,6 +58,10 @@ func TestExtendProfileEquivalence(t *testing.T) {
 				t.Fatalf("trial %d: ExtendProfile(qOff=%d sOff=%d xDrop=%d) = %+v, Extend = %+v",
 					trial, qOff, sOff, xDrop, got, want)
 			}
+			if sc := ExtendScore(prof, s, qOff, sOff, xDrop); sc != want.Score {
+				t.Fatalf("trial %d: ExtendScore(qOff=%d sOff=%d xDrop=%d) = %d, Extend scored %d",
+					trial, qOff, sOff, xDrop, sc, want.Score)
+			}
 		}
 	}
 }
@@ -78,6 +82,36 @@ func TestExtendProfileEdgeOffsets(t *testing.T) {
 					got := ExtendProfile(prof, s, qOff, sOff, xDrop)
 					if got != want {
 						t.Fatalf("qOff=%d sOff=%d xDrop=%d: %+v vs %+v", qOff, sOff, xDrop, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestExtendScoreEdgeSweep pins the score-only walk at every X-drop the
+// engine could plausibly be configured with and every seed placement where a
+// walker degenerates: qOff == 0 or sOff == 0 (empty left walk), the seed word
+// ending at either sequence end (empty right walk), and offsets one short of
+// those (one-cell walks). The oracle is the matrix-indexed reference, not
+// ExtendProfile, so the two profile kernels cannot agree on a shared mistake.
+func TestExtendScoreEdgeSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	for trial := 0; trial < 12; trial++ {
+		m := randMatrix(t, rng)
+		q := randSeq(rng, alphabet.W+2+rng.Intn(60))
+		s := randSeq(rng, alphabet.W+2+rng.Intn(90))
+		prof := matrix.NewProfile(m, q)
+		qEdge, sEdge := len(q)-alphabet.W, len(s)-alphabet.W
+		qOffs := []int{0, 1, qEdge - 1, qEdge, rng.Intn(qEdge + 1)}
+		sOffs := []int{0, 1, sEdge - 1, sEdge, rng.Intn(sEdge + 1)}
+		for xDrop := 1; xDrop <= 40; xDrop++ {
+			for _, qOff := range qOffs {
+				for _, sOff := range sOffs {
+					want := Extend(m, q, s, qOff, sOff, xDrop).Score
+					if got := ExtendScore(prof, s, qOff, sOff, xDrop); got != want {
+						t.Fatalf("trial %d qOff=%d/%d sOff=%d/%d xDrop=%d: ExtendScore = %d, Extend scored %d",
+							trial, qOff, len(q), sOff, len(s), xDrop, got, want)
 					}
 				}
 			}
@@ -151,6 +185,10 @@ func FuzzExtendEquivalence(f *testing.F) {
 		if got != want {
 			t.Fatalf("ExtendProfile(qOff=%d sOff=%d xDrop=%d) = %+v, Extend = %+v",
 				qOff, sOff, xDrop, got, want)
+		}
+		if sc := ExtendScore(prof, s, qOff, sOff, xDrop); sc != want.Score {
+			t.Fatalf("ExtendScore(qOff=%d sOff=%d xDrop=%d) = %d, Extend scored %d",
+				qOff, sOff, xDrop, sc, want.Score)
 		}
 	})
 }

@@ -185,6 +185,81 @@ func ExtendProfile(p *matrix.Profile, s []alphabet.Code, qOff, sOff, xDrop int) 
 	}
 }
 
+// ExtendScore is the score-only form of ExtendProfile: the same seed word
+// and the same two X-drop walks, returning exactly
+// ExtendProfile(p, s, qOff, sOff, xDrop).Score under the same preconditions
+// (xDrop >= 1) and nothing else. The decoupled pipeline throws away 99.9% of
+// its ungapped extensions on the score alone (Score <= Trigger), and a
+// rejected pair needs no coordinates: ExtReached falls back to the hit's own
+// offset. Dropping the position lets the best be a plain max instead of a
+// packed score+position word, and each direction is a walker small enough
+// that its whole loop state stays in registers.
+func ExtendScore(p *matrix.Profile, s []alphabet.Code, qOff, sOff, xDrop int) int {
+	rows := p.Scores
+	base := qOff * alphabet.Size
+	word := int(rows[base+int(s[sOff])]) +
+		int(rows[base+alphabet.Size+int(s[sOff+1])]) +
+		int(rows[base+2*alphabet.Size+int(s[sOff+2])])
+
+	n := qOff
+	if sOff < n {
+		n = sOff
+	}
+	left := walkLeft(rows, base-alphabet.Size, s[sOff-n:sOff], xDrop)
+
+	n = p.QLen - qOff - alphabet.W
+	if m := len(s) - sOff - alphabet.W; m < n {
+		n = m
+	}
+	right := walkRight(rows, base+alphabet.W*alphabet.Size, s[sOff+alphabet.W:sOff+alphabet.W+n], xDrop)
+	return left + word + right
+}
+
+// walkLeft is ExtendProfile's left loop without the position: sl is the
+// subject window ending at the seed, base the profile row of the query
+// residue facing sl's last element, and each step moves one residue and one
+// row toward the sequence starts. With xDrop >= 1 "best = max(best, cum);
+// stop when cum <= best-xDrop" takes the reference's decisions cell for cell
+// (a cell that raises the best cannot also trip the drop test).
+//
+// The walkers are kept out of line on purpose: inlined into ExtendScore the
+// register allocator spills cum and best to the stack inside this loop — the
+// store-to-load forward on the loop-carried chain that the packed kernel pays
+// too — while as a function of its own the loop's five live values (cum,
+// best, base, index, xDrop) all stay in registers. Two calls per extension
+// are cheaper than one spill per cell.
+//
+//go:noinline
+func walkLeft(rows []int8, base int, sl []alphabet.Code, xDrop int) int {
+	cum, best := 0, 0
+	for i := len(sl) - 1; i >= 0; i-- {
+		cum += int(rows[base+int(sl[i])])
+		base -= alphabet.Size
+		best = max(best, cum)
+		if cum <= best-xDrop {
+			break
+		}
+	}
+	return best
+}
+
+// walkRight is the mirror of walkLeft: sr starts just past the seed word and
+// base is the profile row of the query residue facing sr[0].
+//
+//go:noinline
+func walkRight(rows []int8, base int, sr []alphabet.Code, xDrop int) int {
+	cum, best := 0, 0
+	for _, c := range sr {
+		cum += int(rows[base+int(c)])
+		base += alphabet.Size
+		best = max(best, cum)
+		if cum <= best-xDrop {
+			break
+		}
+	}
+	return best
+}
+
 // Canon is the canonical per-diagonal two-hit state machine. Every pipeline
 // feeds it the hits of one (subject sequence, diagonal) in increasing query
 // offset and gets back the identical sequence of extensions, whether the
