@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build vet bench-build fmtcheck test race fuzz chaos bench bench-json bench-compare bench-smoke obs-smoke obs-smoke-fault serve-smoke shard-smoke remote-smoke trace-smoke crash-smoke experiments examples golden clean
+.PHONY: all build vet bench-build fmtcheck test race fuzz chaos loc bench bench-json bench-compare bench-smoke obs-smoke obs-smoke-fault serve-smoke shard-smoke remote-smoke trace-smoke crash-smoke experiments examples golden clean
 
 all: build vet test bench-json
 
@@ -60,10 +60,12 @@ fuzz:
 	go test -fuzz=FuzzExtendScoreProfEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/gapped
 	go test -fuzz=FuzzLSDPairsEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/hitsort
 
-# Record the full suite and benchmark outputs (as committed).
-record:
-	go test ./... 2>&1 | tee test_output.txt
-	go test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
+# Non-test lines of Go per package of the root module — the figure CHANGES.md
+# reports before -> after for every PR (ROADMAP aim 2), counted with the same
+# pipeline since PR 15.
+loc:
+	@for p in $$(go list -f '{{.Dir}}' ./... | sed "s|^$$PWD/||; s|^$$PWD$$|.|"); do \
+		printf '%6d %s\n' "$$(ls $$p/*.go | grep -v _test | xargs cat | wc -l)" "$$p"; done
 
 bench:
 	go test -bench=. -benchmem ./...

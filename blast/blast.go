@@ -34,8 +34,8 @@ import (
 	"repro/internal/ungapped"
 )
 
-// Params configures a database and its searches. Zero values select the
-// BLASTP defaults noted per field; construct with DefaultParams and adjust.
+// Params configures a database and its searches. Start from DefaultParams():
+// a "default" below is its value; zero has a meaning only where a field says.
 type Params struct {
 	// Matrix names the substitution matrix: BLOSUM62 (default), BLOSUM50,
 	// or PAM250.

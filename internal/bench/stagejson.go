@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -101,16 +102,12 @@ func StageBudget(s Scale) (*StageReport, error) {
 
 	// Warm pass on a discard-metrics engine: grows the scratch pools so the
 	// measured pass reflects steady state, without polluting the counters.
-	warmOpt := core.DefaultOptions()
-	warmOpt.Metrics = obs.Discard
-	core.NewWithOptions(w.Cfg, w.Index, warmOpt).SearchBatch(queries, s.threads())
+	core.NewWithOptions(w.Cfg, w.Index, core.Options{Metrics: obs.Discard}).SearchBatch(queries, s.threads())
 
 	met := obs.NewPipelineMetrics(obs.NewRegistry())
-	opt := core.DefaultOptions()
-	opt.Metrics = met
-	e := core.NewWithOptions(w.Cfg, w.Index, opt)
+	e := core.NewWithOptions(w.Cfg, w.Index, core.Options{Metrics: met})
 	var sched search.SchedStats
-	wall := TimeIt(func() { _, sched = e.SearchBatchStats(queries, s.threads()) })
+	wall := TimeIt(func() { sched = e.SearchBatchCtx(context.Background(), queries, s.threads()).Sched })
 
 	rep := &StageReport{
 		Schema: StageSchemaVersion,

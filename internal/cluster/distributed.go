@@ -157,7 +157,7 @@ func RunDistributedCtx(ctx context.Context, cfg *search.Config, db *dbase.DB, qu
 		if err != nil {
 			return nil, 0, fmt.Errorf("cluster: index partition: %w", err)
 		}
-		engine := core.NewWithOptions(&rankCfg, ix, core.DefaultOptions())
+		engine := core.New(&rankCfg, ix)
 		br := engine.SearchBatchCtx(ctx, queries, opts.ThreadsPerRank)
 		if br.Err == nil {
 			// An isolated task panic poisons one query of this partition.

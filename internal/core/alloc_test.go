@@ -11,8 +11,7 @@ import (
 // TestHotPathSteadyStateAllocs pins the allocation behaviour of the
 // per-task hot path (hit detection + reordering, the work SearchBatch's grid
 // scheduler runs once per (block, query) cell): after the per-worker scratch
-// has warmed up, it must be completely allocation-free for every sorter —
-// including TwoLevelBin, whose counting arrays are pooled on the scratch.
+// has warmed up, it must be completely allocation-free.
 func TestHotPathSteadyStateAllocs(t *testing.T) {
 	cfg, ix, queries := world(t, 83, 100, 1, 256, 8192)
 	q := queries[0]
@@ -22,22 +21,20 @@ func TestHotPathSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sorter := range []Sorter{SortLSD, SortMSD, SortMerge, SortTwoLevel} {
-		e := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: sorter})
-		sc := e.getScratch()
-		var st search.Stats
-		for i := 0; i < 2; i++ { // warm up: grow buffers to steady state
-			e.detectPrefiltered(sc, q, 0, coder, &st)
-			e.sortPairs(sc, coder)
-		}
-		allocs := testing.AllocsPerRun(20, func() {
-			e.detectPrefiltered(sc, q, 0, coder, &st)
-			e.sortPairs(sc, coder)
-		})
-		if allocs != 0 {
-			t.Errorf("sorter %d: detect+sort allocates %.1f objects per task, want 0", sorter, allocs)
-		}
-		e.putScratch(sc)
+	e := New(cfg, ix)
+	sc := e.getScratch()
+	defer e.putScratch(sc)
+	var st search.Stats
+	for i := 0; i < 2; i++ { // warm up: grow buffers to steady state
+		e.detectPrefiltered(sc, q, 0, coder, &st)
+		e.sortPairs(sc, coder)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		e.detectPrefiltered(sc, q, 0, coder, &st)
+		e.sortPairs(sc, coder)
+	})
+	if allocs != 0 {
+		t.Errorf("detect+sort allocates %.1f objects per task, want 0", allocs)
 	}
 }
 

@@ -162,8 +162,10 @@ func (f *batchFailures) record(perr *search.TaskPanicError) {
 	f.nPanics++
 }
 
-// poisoned reports whether query qi has failed. Racy reads are acceptable:
-// a stale false only means one more task runs for a doomed query.
+// poisoned reports whether query qi has failed. The read takes the mutex, so
+// it is not a data race; a task that asked just before another task's panic
+// was recorded still runs, which only means one more cell is computed for a
+// doomed query.
 func (f *batchFailures) poisoned(qi int) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -271,29 +273,4 @@ func tasksPanickedCount(f *batchFailures) int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.nPanics
-}
-
-// SearchCtx is Search with cooperative cancellation between index blocks.
-// On cancellation it returns the context's error and a zero result.
-func (e *Engine) SearchCtx(ctx context.Context, queryIdx int, q []alphabet.Code) (search.QueryResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sc := e.getScratch()
-	defer e.putScratch(sc)
-	var st search.Stats
-	var subjects []search.SubjectAlignments
-	if len(q) >= alphabet.W {
-		for bi := range e.Ix.Blocks {
-			if err := ctx.Err(); err != nil {
-				return search.QueryResult{Query: queryIdx}, search.BatchErr(err)
-			}
-			subs := e.searchBlock(sc, q, bi, &st)
-			subjects = append(subjects, subs...)
-		}
-	}
-	res := search.Finalize(e.Cfg, sc.aligner, queryIdx, q, e.Ix.DB, subjects, st)
-	var zero search.Stats
-	e.stampQueryDone(&zero, &res.Stats)
-	return res, nil
 }

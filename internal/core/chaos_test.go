@@ -47,7 +47,7 @@ func TestChaosBatch(t *testing.T) {
 	}
 
 	cfg, ix, queries := world(t, 211, 180, 6, 200, 4096)
-	e := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD, Metrics: obs.Discard})
+	e := NewWithOptions(cfg, ix, Options{Metrics: obs.Discard})
 	baseline := e.SearchBatch(queries, 3)
 
 	base := runtime.NumGoroutine()

@@ -59,7 +59,7 @@ func waitForGoroutines(t *testing.T, base int) {
 
 func TestBatchCtxCompleteRunMatchesLegacy(t *testing.T) {
 	cfg, ix, queries := world(t, 101, 150, 4, 200, 8192)
-	e := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD, Metrics: obs.Discard})
+	e := NewWithOptions(cfg, ix, Options{Metrics: obs.Discard})
 	base := e.SearchBatch(queries, 3)
 	br := e.SearchBatchCtx(context.Background(), queries, 3)
 	if br.Err != nil {
@@ -79,7 +79,7 @@ func TestBatchCtxCompleteRunMatchesLegacy(t *testing.T) {
 func TestBatchCancellationAbortsPromptly(t *testing.T) {
 	cfg, ix, queries := world(t, 103, 200, 8, 200, 4096)
 	goroutines := runtime.NumGoroutine()
-	e := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD, Metrics: obs.Discard})
+	e := NewWithOptions(cfg, ix, Options{Metrics: obs.Discard})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: no task may start
 	br := e.SearchBatchCtx(ctx, queries, 4)
@@ -106,7 +106,7 @@ func TestBatchCancellationAbortsPromptly(t *testing.T) {
 
 func TestBatchDeadlinePartialResults(t *testing.T) {
 	cfg, ix, queries := world(t, 107, 200, 8, 200, 4096)
-	e := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD, Metrics: obs.Discard})
+	e := NewWithOptions(cfg, ix, Options{Metrics: obs.Discard})
 	baseline := e.SearchBatch(queries, 2)
 
 	// A delay fault in hit detection stretches every task, so a short
@@ -146,7 +146,7 @@ func TestDeadlineMidSortAndMidGapped(t *testing.T) {
 		// (deadline-mid-sort). core.extend delays fire after the sort, with
 		// the gapped stage still ahead (deadline-mid-gapped).
 		t.Run(site, func(t *testing.T) {
-			e := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD, Metrics: obs.Discard})
+			e := NewWithOptions(cfg, ix, Options{Metrics: obs.Discard})
 			baseline := e.SearchBatch(queries, 2)
 			if err := faultinject.Enable(site+"=delay:15ms", 1); err != nil {
 				t.Fatal(err)
@@ -171,7 +171,7 @@ func TestDeadlineMidSortAndMidGapped(t *testing.T) {
 
 func TestPanicIsolationPoisonsOneQuery(t *testing.T) {
 	cfg, ix, queries := world(t, 113, 150, 6, 200, 8192)
-	e := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD, Metrics: obs.Discard})
+	e := NewWithOptions(cfg, ix, Options{Metrics: obs.Discard})
 	baseline := e.SearchBatch(queries, 3)
 
 	// Fire exactly one injected panic: the third sched.task hit.
@@ -226,7 +226,7 @@ func TestPanicCountersStamped(t *testing.T) {
 	cfg, ix, queries := world(t, 127, 100, 4, 200, 8192)
 	reg := obs.NewRegistry()
 	met := obs.NewPipelineMetrics(reg)
-	e := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD, Metrics: met})
+	e := NewWithOptions(cfg, ix, Options{Metrics: met})
 	if err := faultinject.Enable("sched.task=panic#2", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -260,23 +260,5 @@ func TestPanicCountersStamped(t *testing.T) {
 	if met.QueriesCancelled.Value() != int64(len(queries))-int64(br.CompletedCount()) {
 		t.Errorf("queries_cancelled = %d, incomplete = %d",
 			met.QueriesCancelled.Value(), len(queries)-br.CompletedCount())
-	}
-}
-
-func TestSearchCtxCancellation(t *testing.T) {
-	cfg, ix, queries := world(t, 131, 100, 1, 200, 4096)
-	e := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD, Metrics: obs.Discard})
-	want := e.Search(0, queries[0])
-	got, err := e.SearchCtx(context.Background(), 0, queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renderResult(&got) != renderResult(&want) {
-		t.Error("SearchCtx with background context differs from Search")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.SearchCtx(ctx, 0, queries[0]); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled SearchCtx returned %v", err)
 	}
 }

@@ -14,6 +14,10 @@
 //  4. the gapped stage and final E-value ranking live in internal/search,
 //     shared with the baseline engines of internal/baseline.
 //
+// This is the one pipeline: the pre-filter and the LSD sort are not options.
+// Where two loops remain side by side (a fast and a general detection scan, a
+// score-first and a full extension), the input selects between them.
+//
 // The two-hit semantics are ungapped.Canon's, shared with the baselines, so
 // all engines return identical results (verified in tests — the paper's
 // Section V-E property).
@@ -37,28 +41,12 @@ import (
 	"repro/internal/ungapped"
 )
 
-// Sorter selects the hit-reordering algorithm (Section IV-B ablation).
-type Sorter int
-
-const (
-	// SortLSD is the paper's choice: stable LSD radix sort.
-	SortLSD Sorter = iota
-	// SortMSD uses MSD radix sort.
-	SortMSD
-	// SortMerge uses stable merge sort.
-	SortMerge
-	// SortTwoLevel uses the earlier prototype's two-level binning (§VI).
-	SortTwoLevel
-)
-
-// Options toggles the paper's individual optimizations, for ablation.
+// Options holds what a caller may choose about an engine. The pipeline itself
+// has nothing to select: the pre-filter (Section IV-C) and the LSD pair sort
+// (Section IV-B) are the design, and the alternatives the paper weighs them
+// against were measured once and deleted (the sorter and prefilter ablation
+// table in EXPERIMENTS.md). The zero value is the default.
 type Options struct {
-	// Prefilter enables the hit pre-filter (Section IV-C). Disabling it
-	// reproduces Algorithm 1's post-filtering variant: every hit is
-	// buffered and sorted, and pairs are selected after reordering.
-	Prefilter bool
-	// Sorter selects the reordering algorithm.
-	Sorter Sorter
 	// Metrics receives the engine's process-wide observability stamps
 	// (per-stage time, event counters, task/query latency histograms).
 	// nil selects obs.Pipe, the default registry's pipeline bundle served
@@ -67,33 +55,29 @@ type Options struct {
 	Metrics *obs.PipelineMetrics
 }
 
-// DefaultOptions enables every muBLASTP optimization as evaluated.
-func DefaultOptions() Options {
-	return Options{Prefilter: true, Sorter: SortLSD}
-}
-
 // Engine is the muBLASTP search engine.
 type Engine struct {
 	Cfg *search.Config
 	Ix  *dbindex.Index
-	Opt Options
 
 	// met is the resolved metric bundle (never nil): handles are bound at
 	// construction so hot-path stamping is pure atomic adds.
 	met *obs.PipelineMetrics
 
+	// subjOff and ixBase are the cache simulator's address tables (each
+	// subject's and each index block's offset in its simulated space). They
+	// exist only when Cfg.Trace is set and are read only under trace != nil.
 	subjOff []int64
 	ixBase  []int64
-	canon   ungapped.Canon
 	// scratches pools per-worker state across Search/SearchBatch calls, so
 	// steady-state searches re-allocate neither the last-hit arrays nor the
-	// hit/pair buffers nor the gapped aligner's DP rows.
+	// pair buffers nor the gapped aligner's DP rows.
 	scratches sync.Pool
 }
 
 // New creates a muBLASTP engine with default options.
 func New(cfg *search.Config, ix *dbindex.Index) *Engine {
-	return NewWithOptions(cfg, ix, DefaultOptions())
+	return NewWithOptions(cfg, ix, Options{})
 }
 
 // NewWithOptions creates a muBLASTP engine with explicit options.
@@ -102,20 +86,22 @@ func NewWithOptions(cfg *search.Config, ix *dbindex.Index, opt Options) *Engine 
 	if met == nil {
 		met = obs.Pipe
 	}
-	e := &Engine{Cfg: cfg, Ix: ix, Opt: opt, met: met, subjOff: make([]int64, ix.DB.NumSeqs()+1)}
-	var off int64
-	for i := range ix.DB.Seqs {
-		e.subjOff[i] = off
-		off += int64(len(ix.DB.Seqs[i].Data))
+	e := &Engine{Cfg: cfg, Ix: ix, met: met}
+	if cfg.Trace != nil {
+		e.subjOff = make([]int64, ix.DB.NumSeqs()+1)
+		var off int64
+		for i := range ix.DB.Seqs {
+			e.subjOff[i] = off
+			off += int64(len(ix.DB.Seqs[i].Data))
+		}
+		e.subjOff[ix.DB.NumSeqs()] = off
+		e.ixBase = make([]int64, len(ix.Blocks))
+		var base int64
+		for i, b := range ix.Blocks {
+			e.ixBase[i] = base
+			base += b.SizeBytes()
+		}
 	}
-	e.subjOff[ix.DB.NumSeqs()] = off
-	e.ixBase = make([]int64, len(ix.Blocks))
-	var base int64
-	for i, b := range ix.Blocks {
-		e.ixBase[i] = base
-		base += b.SizeBytes()
-	}
-	e.canon = ungapped.Canon{P: cfg.TwoHit, Matrix: cfg.Matrix}
 	e.scratches.New = func() any { return e.newScratch() }
 	return e
 }
@@ -127,10 +113,7 @@ type scratch struct {
 	diagOff   []int32
 	pairs     []hit.Pair
 	pairBuf   []hit.Pair
-	hits      []hit.Hit
-	hitBuf    []hit.Hit
 	exts      []ungapped.Ext
-	binCounts []int
 	prof      matrix.Profile
 	aligner   *gapped.Aligner
 }
@@ -207,20 +190,12 @@ func (e *Engine) Search(queryIdx int, q []alphabet.Code) search.QueryResult {
 }
 
 // SearchBatch runs a batch of queries across threads: one dynamic-schedule
-// pass over the block-major (block × query) task grid (see SearchBatchCtx).
+// pass over the block-major (block × query) task grid. It is the no-context
+// form of SearchBatchCtx: it never cancels, and a panicking task poisons only
+// its own query (the query comes back with zero HSPs; use SearchBatchCtx to
+// observe the typed per-query error and the scheduler's counters).
 func (e *Engine) SearchBatch(queries [][]alphabet.Code, threads int) []search.QueryResult {
-	results, _ := e.SearchBatchStats(queries, threads)
-	return results
-}
-
-// SearchBatchStats is SearchBatch plus the scheduler's utilization counters
-// for the hit-search phase. Both are the no-context form of SearchBatchCtx:
-// they never cancel, and a panicking task poisons only its own query (the
-// query comes back with zero HSPs; use SearchBatchCtx to observe the typed
-// per-query error).
-func (e *Engine) SearchBatchStats(queries [][]alphabet.Code, threads int) ([]search.QueryResult, search.SchedStats) {
-	br := e.SearchBatchCtx(context.Background(), queries, threads)
-	return br.Results, br.Sched
+	return e.SearchBatchCtx(context.Background(), queries, threads).Results
 }
 
 // schedStatsFrom folds the grid run's counters into the search-level summary.
@@ -265,30 +240,16 @@ func (e *Engine) searchBlock(sc *scratch, q []alphabet.Code, bi int, st *search.
 	// clock reads per stage, no allocations. The ungapped stage is measured
 	// as the extend call minus the gapped time GappedStage stamps from
 	// inside it (extension flushes subjects into the gapped stage inline).
-	if e.Opt.Prefilter {
-		fiHitDetect.Fire()
-		e.detectPrefiltered(sc, q, bi, coder, st)
-		st.SortedItems += int64(len(sc.pairs))
-		stageStart := time.Now()
-		e.sortPairs(sc, coder)
-		st.StageNanos[obs.StageSort] += int64(time.Since(stageStart))
-		gappedBefore := st.StageNanos[obs.StageGapped]
-		stageStart = time.Now()
-		fiExtend.Fire()
-		subs := e.extendPairs(sc, q, bi, coder, diagBias, st)
-		st.StageNanos[obs.StageUngapped] += int64(time.Since(stageStart)) - (st.StageNanos[obs.StageGapped] - gappedBefore)
-		return subs
-	}
 	fiHitDetect.Fire()
-	e.detectAll(sc, q, bi, coder, st)
-	st.SortedItems += int64(len(sc.hits))
+	e.detectPrefiltered(sc, q, bi, coder, st)
+	st.SortedItems += int64(len(sc.pairs))
 	stageStart := time.Now()
-	e.sortHits(sc, coder)
+	e.sortPairs(sc, coder)
 	st.StageNanos[obs.StageSort] += int64(time.Since(stageStart))
 	gappedBefore := st.StageNanos[obs.StageGapped]
 	stageStart = time.Now()
 	fiExtend.Fire()
-	subs := e.extendPostFiltered(sc, q, bi, coder, diagBias, st)
+	subs := e.extendPairs(sc, q, bi, coder, diagBias, st)
 	st.StageNanos[obs.StageUngapped] += int64(time.Since(stageStart)) - (st.StageNanos[obs.StageGapped] - gappedBefore)
 	return subs
 }
@@ -326,11 +287,13 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 		}
 	}
 	sc.diagOff[numSeqs] = total
-	// The fast scan needs no trace hooks, two-hit mode, a window the fused
-	// pair compare can treat as unsigned, and query offsets that fit the
-	// compact last-hit word. Each path resets only its own slot array: the
-	// compact one halves the block's randomly-accessed footprint, which is
-	// exactly what the scan is bound on.
+	// Two detection loops, selected by the input and by nothing else: the
+	// fast scan needs no trace hooks, two-hit mode, a window the fused pair
+	// compare can treat as unsigned, and query offsets that fit the compact
+	// last-hit word; everything else (a cache-simulator trace, OneHit, a
+	// query past MaxQOff16) takes the general loop below. Each path resets
+	// only its own slot array: the compact one halves the block's
+	// randomly-accessed footprint, which is exactly what the scan is bound on.
 	fast := trace == nil && !e.Cfg.TwoHit.OneHit && window >= 1 &&
 		len(q)-alphabet.W <= search.MaxQOff16
 	if fast {
@@ -354,7 +317,10 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 			if len(ps) == 0 {
 				continue
 			}
-			base := e.ixBase[bi] + int64(b.Base(v))*4
+			var base int64
+			if trace != nil {
+				base = e.ixBase[bi] + int64(b.Base(v))*4
+			}
 			for pi, packed := range ps {
 				st.Hits++
 				local, sOff := b.Decode(packed)
@@ -433,65 +399,15 @@ func (e *Engine) detectScanFast(sc *scratch, q []alphabet.Code, b *dbindex.Block
 	st.Pairs += int64(np)
 }
 
-// detectAll is hit detection without the pre-filter: every hit is buffered
-// (Algorithm 1's input to the sort).
-func (e *Engine) detectAll(sc *scratch, q []alphabet.Code, bi int, coder hit.KeyCoder, st *search.Stats) {
-	b := e.Ix.Blocks[bi]
-	diagBias := len(q) - alphabet.W
-	trace := e.Cfg.Trace
-	stageStart := time.Now()
-	sc.hits = sc.hits[:0]
-	for qOff := 0; qOff+alphabet.W <= len(q); qOff++ {
-		w := alphabet.WordAt(q, qOff)
-		for _, v := range e.Cfg.Neighbors.Neighbors(w) {
-			ps := b.Positions(v)
-			if len(ps) == 0 {
-				continue
-			}
-			base := e.ixBase[bi] + int64(b.Base(v))*4
-			for pi, packed := range ps {
-				st.Hits++
-				local, sOff := b.Decode(packed)
-				diag := sOff - qOff + diagBias
-				if trace != nil {
-					trace(search.SpaceIndex, base+int64(pi)*4)
-					trace(search.SpaceHitBuf, int64(len(sc.hits))*8)
-				}
-				sc.hits = append(sc.hits, hit.Hit{Key: coder.Encode(local, diag), QOff: int32(qOff)})
-			}
-		}
-	}
-	st.StageNanos[obs.StageHitDetect] += int64(time.Since(stageStart))
-}
-
+// sortPairs reorders one task's pair buffer by (sequence, diagonal) key. The
+// simulator is charged for the paper's 12-byte pair record, which the
+// simulated figures are about; the records sorted are 8 bytes.
 func (e *Engine) sortPairs(sc *scratch, coder hit.KeyCoder) {
-	// 12 is the paper's pair record, which the simulated figures are about;
-	// the records sorted are 8 bytes.
-	e.sortRecords(sc, sc.pairs, &sc.pairBuf, 12, coder)
-}
-
-func (e *Engine) sortHits(sc *scratch, coder hit.KeyCoder) {
-	e.sortRecords(sc, sc.hits, &sc.hitBuf, 8, coder)
-}
-
-// sortRecords reorders one task's hit or pair buffer by (sequence, diagonal)
-// key with the configured sorter; tracedSize is the record size the cache
-// simulator is charged for.
-func (e *Engine) sortRecords(sc *scratch, items []hit.Hit, buf *[]hit.Hit, tracedSize int, coder hit.KeyCoder) {
-	e.traceSort(len(items), tracedSize, (coder.KeyBits()+7)/8)
-	if cap(*buf) < len(items) {
-		*buf = make([]hit.Hit, len(items))
+	e.traceSort(len(sc.pairs), 12, (coder.KeyBits()+7)/8)
+	if cap(sc.pairBuf) < len(sc.pairs) {
+		sc.pairBuf = make([]hit.Pair, len(sc.pairs))
 	}
-	switch e.Opt.Sorter {
-	case SortLSD:
-		hitsort.LSDPairs(items, coder.KeyBits(), *buf)
-	case SortMSD:
-		hitsort.MSD(items, coder.KeyBits(), *buf)
-	case SortMerge:
-		hitsort.Merge(items, *buf)
-	case SortTwoLevel:
-		sc.binCounts = hitsort.TwoLevelBinWith(items, coder.DiagBits, coder.NumSeqs, coder.NumDiags, *buf, sc.binCounts)
-	}
+	hitsort.LSDPairs(sc.pairs, coder.KeyBits(), sc.pairBuf)
 }
 
 // traceSort approximates the sort's memory traffic for the cache simulator:
@@ -515,11 +431,7 @@ func (e *Engine) traceSort(n, recordSize, passes int) {
 // once (the locality the reordering buys).
 func (e *Engine) extendPairs(sc *scratch, q []alphabet.Code, bi int, coder hit.KeyCoder, diagBias int, st *search.Stats) []search.SubjectAlignments {
 	b := e.Ix.Blocks[bi]
-	// e.canon is shared across workers; the per-query profile must ride on a
-	// local copy.
-	canonv := e.canon
-	canonv.Prof = &sc.prof
-	canon := &canonv
+	prof := &sc.prof
 	trace := e.Cfg.Trace
 
 	var subjects []search.SubjectAlignments
@@ -560,10 +472,15 @@ func (e *Engine) extendPairs(sc *scratch, q []alphabet.Code, bi int, coder hit.K
 	// The traced path extends every pair in full, because the cache simulator
 	// replays each extension's subject span, kept or not; the two paths must
 	// agree on everything else (TestExtendPairsScoreFirstMatchesFull).
-	useProf := canon.Prof != nil && canon.P.XDrop >= 1 && canon.Prof.QLen < 0xFFFF
+	//
+	// Which kernel runs follows from the input, not from an option: the
+	// profile kernels need XDrop >= 1 and a query the profile's 16-bit
+	// offsets can address (Canon.extend's own test); anything else takes the
+	// matrix-indexed reference Extend.
+	useProf := e.Cfg.TwoHit.XDrop >= 1 && prof.QLen < 0xFFFF
 	scoreFirst := useProf && trace == nil
-	xDrop := canon.P.XDrop
-	trigger := canon.P.Trigger
+	xDrop := e.Cfg.TwoHit.XDrop
+	trigger := e.Cfg.TwoHit.Trigger
 	var extensions, kept int64
 	var diag, gsi int
 	var s []alphabet.Code
@@ -590,16 +507,16 @@ func (e *Engine) extendPairs(sc *scratch, q []alphabet.Code, bi int, coder hit.K
 		extensions++
 		var ext ungapped.Ext
 		if scoreFirst {
-			if ungapped.ExtendScore(canon.Prof, s, qOff, sOff, xDrop) <= trigger {
+			if ungapped.ExtendScore(prof, s, qOff, sOff, xDrop) <= trigger {
 				d.ExtReached = p.QOff
 				continue
 			}
-			ext = ungapped.ExtendProfile(canon.Prof, s, qOff, sOff, xDrop)
+			ext = ungapped.ExtendProfile(prof, s, qOff, sOff, xDrop)
 		} else {
 			if useProf {
-				ext = ungapped.ExtendProfile(canon.Prof, s, qOff, sOff, xDrop)
+				ext = ungapped.ExtendProfile(prof, s, qOff, sOff, xDrop)
 			} else {
-				ext = ungapped.Extend(canon.Matrix, q, s, qOff, sOff, xDrop)
+				ext = ungapped.Extend(e.Cfg.Matrix, q, s, qOff, sOff, xDrop)
 			}
 			if trace != nil {
 				for off := e.subjOff[gsi] + int64(ext.SStart); off < e.subjOff[gsi]+int64(ext.SEnd); off++ {
@@ -617,74 +534,6 @@ func (e *Engine) extendPairs(sc *scratch, q []alphabet.Code, bi int, coder hit.K
 	}
 	st.Extensions += extensions
 	st.Kept += kept
-	flushSubject()
-	return subjects
-}
-
-// extendPostFiltered consumes sorted raw hits, applying the pair selection
-// and extension in one pass (Algorithm 1's post-filter form).
-func (e *Engine) extendPostFiltered(sc *scratch, q []alphabet.Code, bi int, coder hit.KeyCoder, diagBias int, st *search.Stats) []search.SubjectAlignments {
-	b := e.Ix.Blocks[bi]
-	// e.canon is shared across workers; the per-query profile must ride on a
-	// local copy.
-	canonv := e.canon
-	canonv.Prof = &sc.prof
-	canon := &canonv
-	trace := e.Cfg.Trace
-
-	var subjects []search.SubjectAlignments
-	curKey := uint32(0)
-	haveKey := false
-	curLocal := -1
-	var d ungapped.DiagState
-	sc.exts = sc.exts[:0]
-
-	flushSubject := func() {
-		if curLocal < 0 || len(sc.exts) == 0 {
-			return
-		}
-		gsi := b.Block.Start + curLocal
-		s := e.Ix.DB.Seqs[gsi].Data
-		alns := search.GappedStage(e.Cfg, sc.aligner, &sc.prof, q, s, sc.exts, st)
-		if len(alns) > 0 {
-			subjects = append(subjects, search.SubjectAlignments{Subject: gsi, Alns: alns})
-		}
-		sc.exts = sc.exts[:0]
-	}
-
-	for i := range sc.hits {
-		h := &sc.hits[i]
-		if !haveKey || h.Key != curKey {
-			curKey = h.Key
-			haveKey = true
-			d.Reset()
-			local, _ := coder.Decode(h.Key)
-			if local != curLocal {
-				flushSubject()
-				curLocal = local
-			}
-		}
-		local, diag := coder.Decode(h.Key)
-		gsi := b.Block.Start + local
-		s := e.Ix.DB.Seqs[gsi].Data
-		sOff := diag + int(h.QOff) - diagBias
-		ext, paired, extended, keep := canon.Step(&d, q, s, int(h.QOff), sOff)
-		if paired {
-			st.Pairs++
-		}
-		if extended {
-			st.Extensions++
-			if trace != nil {
-				for off := e.subjOff[gsi] + int64(ext.SStart); off < e.subjOff[gsi]+int64(ext.SEnd); off++ {
-					trace(search.SpaceSubject, off)
-				}
-			}
-		}
-		if keep {
-			st.Kept++
-			sc.exts = append(sc.exts, ext)
-		}
-	}
 	flushSubject()
 	return subjects
 }

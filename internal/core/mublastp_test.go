@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -9,6 +11,8 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/dbase"
 	"repro/internal/dbindex"
+	"repro/internal/hit"
+	"repro/internal/hitsort"
 	"repro/internal/matrix"
 	"repro/internal/neighbor"
 	"repro/internal/search"
@@ -102,12 +106,30 @@ func TestIdenticalAcrossEngines(t *testing.T) {
 	}
 }
 
+// TestIdenticalAcrossQueryLengths also stands on both sides of the two forks
+// the engine selects from its input: lengths 1026 and 1027 put len(q)-W at
+// MaxQOff16 and one past it (compact last-hit word and fast scan vs the
+// 32-bit word and the general loop), and XDrop = 0 routes extendPairs to the
+// matrix-indexed ungapped.Extend instead of the score-first profile kernels.
 func TestIdenticalAcrossQueryLengths(t *testing.T) {
-	for _, qLen := range []int{64, 256, 512} {
-		cfg, ix, queries := world(t, 7, 120, 3, qLen, 16384)
+	defaultXDrop := cfgShared(t).TwoHit.XDrop
+	lastCompact := search.MaxQOff16 + alphabet.W // 1026
+	for _, c := range []struct{ qLen, xDrop int }{
+		{64, defaultXDrop}, {256, defaultXDrop}, {512, defaultXDrop},
+		{lastCompact, defaultXDrop}, {lastCompact + 1, defaultXDrop}, {256, 0},
+	} {
+		cfg, ix, queries := world(t, 7, 120, 3, c.qLen, 16384)
+		cfg.TwoHit.XDrop = c.xDrop
 		ncbi := runAll(baseline.NewQueryIndexed(cfg, ix.DB), queries)
 		mu := runAll(New(cfg, ix), queries)
 		requireIdentical(t, "len", ncbi, mu)
+		hsps := 0
+		for _, r := range mu {
+			hsps += len(r.HSPs)
+		}
+		if hsps == 0 {
+			t.Errorf("qLen %d xDrop %d: no HSPs; the comparison is vacuous", c.qLen, c.xDrop)
+		}
 	}
 }
 
@@ -133,39 +155,56 @@ func TestHitAndPairCountsMatchBaselines(t *testing.T) {
 	}
 }
 
+// TestPrefilterAblation keeps what the deleted post-filter arm guarded about
+// the paper's Fig 6, as a survival check on the one pipeline: only two-hit
+// pairs reach the sort, and they are a small minority of the hits. (Without
+// the pre-filter every hit was sorted, so Pairs/Hits is the same ratio the
+// on/off comparison bounded; the measured on/off table is in EXPERIMENTS.md.)
 func TestPrefilterAblation(t *testing.T) {
 	cfg, ix, queries := world(t, 13, 120, 4, 256, 16384)
-	withPF := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD})
-	noPF := NewWithOptions(cfg, ix, Options{Prefilter: false, Sorter: SortLSD})
-	ra := runAll(withPF, queries)
-	rb := runAll(noPF, queries)
-	requireIdentical(t, "prefilter on/off", ra, rb)
-	for qi := range ra {
-		a, b := ra[qi].Stats, rb[qi].Stats
-		if a.Pairs != b.Pairs {
-			t.Errorf("query %d: pair counts differ %d vs %d", qi, a.Pairs, b.Pairs)
-		}
-		// The whole point of the prefilter: far fewer records sorted.
-		if a.SortedItems >= b.SortedItems {
-			t.Errorf("query %d: prefilter sorted %d >= unfiltered %d", qi, a.SortedItems, b.SortedItems)
+	for qi, r := range runAll(New(cfg, ix), queries) {
+		st := r.Stats
+		if st.SortedItems != st.Pairs {
+			t.Errorf("query %d: sorted %d records, detected %d pairs", qi, st.SortedItems, st.Pairs)
 		}
 		// Paper Fig 6 reports <5% of hits surviving on real databases; our
 		// synthetic databases plant denser homologies (correlated hits pair
 		// more often), so the measured fraction is higher but must remain a
 		// small minority of all hits for the optimization to make sense.
-		frac := float64(a.SortedItems) / float64(b.SortedItems)
+		frac := float64(st.Pairs) / float64(st.Hits)
 		if frac > 0.35 {
 			t.Errorf("query %d: %.1f%% of hits survive prefilter, expected well under 35%%", qi, 100*frac)
 		}
 	}
 }
 
+// TestAllSortersIdentical pins the engine's one sort on the buffers it
+// really sorts: for every (block, query) task, sortPairs (LSDPairs at the
+// task's KeyBits) must leave exactly what the stdlib's stable sort and the
+// generic LSD leave — which also checks the KeyCoder contract LSDPairs leans
+// on, that no detected key has a bit above KeyBits.
 func TestAllSortersIdentical(t *testing.T) {
 	cfg, ix, queries := world(t, 17, 100, 3, 128, 8192)
-	ref := runAll(NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD}), queries)
-	for _, s := range []Sorter{SortMSD, SortMerge, SortTwoLevel} {
-		got := runAll(NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: s}), queries)
-		requireIdentical(t, "sorter", ref, got)
+	e := New(cfg, ix)
+	sc := e.getScratch()
+	defer e.putScratch(sc)
+	for qi, q := range queries {
+		for bi, b := range ix.Blocks {
+			coder, err := hit.NewKeyCoder(b.Block.NumSeqs(), len(q)+b.Block.MaxLen-2*alphabet.W+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st search.Stats
+			e.detectPrefiltered(sc, q, bi, coder, &st)
+			std := append([]hit.Pair(nil), sc.pairs...)
+			sort.SliceStable(std, func(i, j int) bool { return std[i].Key < std[j].Key })
+			generic := append([]hit.Pair(nil), sc.pairs...)
+			hitsort.LSD(generic, 0, nil)
+			e.sortPairs(sc, coder)
+			if !slices.Equal(sc.pairs, std) || !slices.Equal(sc.pairs, generic) {
+				t.Fatalf("query %d block %d: sortPairs differs from the stable reference sorts on %d pairs", qi, bi, len(std))
+			}
+		}
 	}
 }
 

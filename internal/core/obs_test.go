@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -39,9 +40,8 @@ func renderResults(results []search.QueryResult) []byte {
 // batch and on the single-query path.
 func TestObservabilityOnOffByteIdentical(t *testing.T) {
 	cfg, ix, queries := world(t, 91, 120, 6, 256, 8192)
-	on := DefaultOptions() // Metrics nil -> obs.Pipe, observability on
-	off := DefaultOptions()
-	off.Metrics = obs.Discard
+	on := Options{} // Metrics nil -> obs.Pipe, observability on
+	off := Options{Metrics: obs.Discard}
 
 	resOn := NewWithOptions(cfg, ix, on).SearchBatch(queries, 3)
 	resOff := NewWithOptions(cfg, ix, off).SearchBatch(queries, 3)
@@ -51,10 +51,8 @@ func TestObservabilityOnOffByteIdentical(t *testing.T) {
 		t.Errorf("%s: rendered output differs", label)
 	}
 
-	onRes := NewWithOptions(cfg, ix, DefaultOptions()).Search(0, queries[0])
-	offOpt := DefaultOptions()
-	offOpt.Metrics = obs.Discard
-	offRes := NewWithOptions(cfg, ix, offOpt).Search(0, queries[0])
+	onRes := NewWithOptions(cfg, ix, on).Search(0, queries[0])
+	offRes := NewWithOptions(cfg, ix, off).Search(0, queries[0])
 	requireIdentical(t, "single-query obs on vs off",
 		[]search.QueryResult{onRes}, []search.QueryResult{offRes})
 	if !bytes.Equal(renderResults([]search.QueryResult{onRes}), renderResults([]search.QueryResult{offRes})) {
@@ -75,7 +73,7 @@ func TestStampedTaskZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewWithOptions(cfg, ix, DefaultOptions())
+	e := New(cfg, ix)
 	sc := e.getScratch()
 	defer e.putScratch(sc)
 	var st search.Stats
@@ -138,10 +136,9 @@ func TestSearchStampsAllStages(t *testing.T) {
 func TestBatchStampsPipelineMetrics(t *testing.T) {
 	cfg, ix, queries := world(t, 101, 120, 4, 256, 8192)
 	met := obs.NewPipelineMetrics(obs.NewRegistry())
-	opt := DefaultOptions()
-	opt.Metrics = met
-	e := NewWithOptions(cfg, ix, opt)
-	results, ss := e.SearchBatchStats(queries, 2)
+	e := NewWithOptions(cfg, ix, Options{Metrics: met})
+	br := e.SearchBatchCtx(context.Background(), queries, 2)
+	results, ss := br.Results, br.Sched
 
 	var want search.Stats
 	for i := range results {
@@ -186,9 +183,7 @@ func TestDebugEndpointDuringBatchSearch(t *testing.T) {
 	cfg, ix, queries := world(t, 103, 150, 4, 256, 8192)
 	reg := obs.NewRegistry()
 	met := obs.NewPipelineMetrics(reg)
-	opt := DefaultOptions()
-	opt.Metrics = met
-	e := NewWithOptions(cfg, ix, opt)
+	e := NewWithOptions(cfg, ix, Options{Metrics: met})
 
 	srv, err := obs.Serve("127.0.0.1:0", reg)
 	if err != nil {

@@ -90,8 +90,10 @@ func sameResult(a, b search.QueryResult) bool {
 	return true
 }
 
-// TestPropertyPrefilterInvariant: with and without the pre-filter, both the
-// pair set size and the final results agree on random worlds.
+// TestPropertyPrefilterInvariant: on random worlds the pre-filter hands the
+// sort exactly the pair set, no more and no fewer than the interleaved
+// db-indexed baseline (which selects pairs hit by hit, with no buffer to
+// filter) counts, and the final results agree.
 func TestPropertyPrefilterInvariant(t *testing.T) {
 	cfg := cfgShared(t)
 	check := func(seed int64) bool {
@@ -102,12 +104,12 @@ func TestPropertyPrefilterInvariant(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		on := NewWithOptions(cfg, ix, Options{Prefilter: true, Sorter: SortLSD}).Search(0, q)
-		off := NewWithOptions(cfg, ix, Options{Prefilter: false, Sorter: SortLSD}).Search(0, q)
-		if on.Stats.Pairs != off.Stats.Pairs {
+		on := New(cfg, ix).Search(0, q)
+		off := baseline.NewDBIndexed(cfg, ix).Search(0, q)
+		if on.Stats.Pairs != off.Stats.Pairs || on.Stats.Hits != off.Stats.Hits {
 			return false
 		}
-		if on.Stats.SortedItems > off.Stats.SortedItems {
+		if on.Stats.SortedItems != on.Stats.Pairs || on.Stats.Pairs > on.Stats.Hits {
 			return false
 		}
 		return sameResult(on, off)

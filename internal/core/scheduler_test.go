@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -12,25 +13,17 @@ import (
 	"repro/internal/seqgen"
 )
 
-// TestBatchIdentityAllOptions is the scheduler's Section V-E obligation:
-// for every sorter × prefilter combination and several thread
-// counts, SearchBatch must reproduce sequential Search exactly.
+// TestBatchIdentityAllOptions is the scheduler's Section V-E obligation: for
+// several thread counts, SearchBatch must reproduce sequential Search
+// exactly. (The engine has one configuration; the options this test once
+// looped over are deleted.)
 func TestBatchIdentityAllOptions(t *testing.T) {
 	cfg, ix, queries := world(t, 61, 110, 6, 0, 8192)
-	optSets := []Options{
-		{Prefilter: true, Sorter: SortLSD},
-		{Prefilter: false, Sorter: SortLSD},
-		{Prefilter: true, Sorter: SortMSD},
-		{Prefilter: true, Sorter: SortMerge},
-		{Prefilter: true, Sorter: SortTwoLevel},
-	}
-	for _, opt := range optSets {
-		e := NewWithOptions(cfg, ix, opt)
-		seq := runAll(e, queries)
-		for _, threads := range []int{1, 3, 8} {
-			batch := e.SearchBatch(queries, threads)
-			requireIdentical(t, "block-major", seq, batch)
-		}
+	e := New(cfg, ix)
+	seq := runAll(e, queries)
+	for _, threads := range []int{1, 3, 8} {
+		batch := e.SearchBatch(queries, threads)
+		requireIdentical(t, "block-major", seq, batch)
 	}
 }
 
@@ -44,7 +37,8 @@ func TestGridSchedulerStats(t *testing.T) {
 		t.Fatalf("world has %d blocks; need >= 2 for a meaningful grid", nb)
 	}
 	e := New(cfg, ix)
-	results, sched := e.SearchBatchStats(queries, 4)
+	br := e.SearchBatchCtx(context.Background(), queries, 4)
+	results, sched := br.Results, br.Sched
 	if sched.Scheduler != "block-major" {
 		t.Errorf("scheduler name %q", sched.Scheduler)
 	}
@@ -103,7 +97,8 @@ func TestSkewedStragglerKeepsWorkersBusy(t *testing.T) {
 	var results []search.QueryResult
 	var sched search.SchedStats
 	for trial := 0; trial < 3; trial++ {
-		results, sched = e.SearchBatchStats(queries, 4)
+		br := e.SearchBatchCtx(context.Background(), queries, 4)
+		results, sched = br.Results, br.Sched
 		requireIdentical(t, "skewed", want, results)
 		if sched.MinWorkerTasks >= 1 {
 			break

@@ -1,28 +1,25 @@
-// Package hit defines the hit records exchanged between hit detection, hit
+// Package hit defines the pair record exchanged between hit detection, hit
 // reordering, and ungapped extension, and the packed 32-bit key the paper
 // sorts on (Section IV-A): subject sequence id in the high bits, diagonal id
-// in the low bits, so one sort pass orders hits by sequence and diagonal at
+// in the low bits, so one sort pass orders pairs by sequence and diagonal at
 // once. Only the query offset is stored alongside the key; the subject
 // offset is recomputed from the diagonal when needed.
 package hit
 
 import "fmt"
 
-// Hit is a single word hit: packed (sequence, diagonal) key plus the query
-// offset where the hit's word starts.
-type Hit struct {
+// Pair is a two-hit pair selected for ungapped extension, recorded as its
+// second hit: the packed (sequence, diagonal) key plus the query offset where
+// that hit's word starts. The distance back to the first hit decided that the
+// pair exists and nothing downstream reads it, so it is not carried: a pair
+// is 8 bytes through the sort, not the paper's 12.
+type Pair struct {
 	Key  uint32
 	QOff int32
 }
 
-// SortKey returns the radix key of the hit.
-func (h Hit) SortKey() uint32 { return h.Key }
-
-// Pair is a two-hit pair selected for ungapped extension, recorded as its
-// second hit: the same record as a Hit. The distance back to the first hit
-// decided that the pair exists and nothing downstream reads it, so it is not
-// carried: a pair is 8 bytes through the sort, not the paper's 12.
-type Pair = Hit
+// SortKey returns the radix key of the pair.
+func (p Pair) SortKey() uint32 { return p.Key }
 
 // KeyCoder packs and unpacks (sequence, diagonal) keys for one
 // (index block, query) combination. The diagonal field width is chosen per

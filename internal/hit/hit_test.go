@@ -95,10 +95,6 @@ func TestTightKeySpaceFits(t *testing.T) {
 }
 
 func TestSortKeyAccessors(t *testing.T) {
-	h := Hit{Key: 42, QOff: 7}
-	if h.SortKey() != 42 {
-		t.Error("Hit.SortKey")
-	}
 	p := Pair{Key: 43, QOff: 8}
 	if p.SortKey() != 43 {
 		t.Error("Pair.SortKey")

@@ -1,10 +1,12 @@
-// Package hitsort implements the hit-reordering algorithms the paper
-// compares in Section IV-B: LSD radix sort (the one muBLASTP uses), MSD
-// radix sort, stable merge sort, and the two-level binning scheme of the
-// earlier muBLASTP prototype discussed in Section VI. All sorts are stable,
-// which matters because hit detection emits hits in query-offset order and
-// the two-hit logic depends on that order being preserved within each
-// (sequence, diagonal) group.
+// Package hitsort implements the hit reordering of Section IV-B: a stable
+// LSD radix sort on the packed (sequence, diagonal) key. LSDPairs (radix.go)
+// is the sort the engine runs; the generic LSD here is its oracle. The
+// alternatives the paper weighs it against (MSD radix sort, merge sort, and
+// the earlier prototype's two-level binning of Section VI) were measured once
+// and deleted; the sorter and prefilter ablation table in EXPERIMENTS.md
+// holds the numbers. The sort must be stable because hit detection emits
+// pairs in query-offset order and the extension stage's cover test depends on
+// that order being preserved within each (sequence, diagonal) group.
 package hitsort
 
 // Keyed is any record sortable by a packed 32-bit radix key.
@@ -56,218 +58,6 @@ func LSD[T Keyed](items []T, keyBits int, scratch []T) {
 	if &src[0] != &items[0] {
 		copy(items, src)
 	}
-}
-
-// MSD sorts items stably by key using most-significant-digit radix sort
-// with 8-bit digits, recursing into buckets and falling back to binary
-// insertion sort for small ones. Included for the Section IV-B comparison:
-// MSD avoids touching low digits of already-separated buckets but pays
-// recursion overhead that dominates on the paper's hundred-kilobyte hit
-// buffers.
-func MSD[T Keyed](items []T, keyBits int, scratch []T) {
-	if len(items) < 2 {
-		return
-	}
-	if keyBits <= 0 || keyBits > 32 {
-		keyBits = 32
-	}
-	topShift := uint(((keyBits + 7) / 8) * 8)
-	if topShift >= 8 {
-		topShift -= 8
-	}
-	if cap(scratch) < len(items) {
-		scratch = make([]T, len(items))
-	}
-	msdRecurse(items, scratch[:len(items)], topShift)
-}
-
-const msdCutoff = 48
-
-func msdRecurse[T Keyed](items, scratch []T, shift uint) {
-	if len(items) < 2 {
-		return
-	}
-	if len(items) <= msdCutoff {
-		insertionSort(items)
-		return
-	}
-	var counts [256]int
-	for i := range items {
-		counts[(items[i].SortKey()>>shift)&0xFF]++
-	}
-	var starts [256]int
-	sum := 0
-	for d := 0; d < 256; d++ {
-		starts[d] = sum
-		sum += counts[d]
-	}
-	pos := starts
-	for i := range items {
-		d := (items[i].SortKey() >> shift) & 0xFF
-		scratch[pos[d]] = items[i]
-		pos[d]++
-	}
-	copy(items, scratch)
-	if shift == 0 {
-		return
-	}
-	for d := 0; d < 256; d++ {
-		if counts[d] > 1 {
-			lo := starts[d]
-			msdRecurse(items[lo:lo+counts[d]], scratch[lo:lo+counts[d]], shift-8)
-		}
-	}
-}
-
-// insertionSort is the stable small-bucket fallback for MSD.
-func insertionSort[T Keyed](items []T) {
-	for i := 1; i < len(items); i++ {
-		v := items[i]
-		k := v.SortKey()
-		j := i - 1
-		for j >= 0 && items[j].SortKey() > k {
-			items[j+1] = items[j]
-			j--
-		}
-		items[j+1] = v
-	}
-}
-
-// Merge sorts items stably by key using bottom-up merge sort. Included for
-// the Section IV-B comparison; on packed integer keys it loses to LSD radix
-// at the hit-buffer sizes the blocked index produces.
-func Merge[T Keyed](items []T, scratch []T) {
-	n := len(items)
-	if n < 2 {
-		return
-	}
-	if cap(scratch) < n {
-		scratch = make([]T, n)
-	}
-	scratch = scratch[:n]
-	// Insertion-sort small runs first, then merge pairs of runs.
-	const runSize = 32
-	for lo := 0; lo < n; lo += runSize {
-		hi := lo + runSize
-		if hi > n {
-			hi = n
-		}
-		insertionSort(items[lo:hi])
-	}
-	src, dst := items, scratch
-	for width := runSize; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid := lo + width
-			hi := lo + 2*width
-			if mid > n {
-				mid = n
-			}
-			if hi > n {
-				hi = n
-			}
-			mergeRuns(dst[lo:hi], src[lo:mid], src[mid:hi])
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &items[0] {
-		copy(items, src)
-	}
-}
-
-// mergeRuns merges the sorted runs a and b into out (len(out)=len(a)+len(b)).
-// Ties take from a first, preserving stability.
-func mergeRuns[T Keyed](out, a, b []T) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].SortKey() <= b[j].SortKey() {
-			out[k] = a[i]
-			i++
-		} else {
-			out[k] = b[j]
-			j++
-		}
-		k++
-	}
-	for i < len(a) {
-		out[k] = a[i]
-		i, k = i+1, k+1
-	}
-	for j < len(b) {
-		out[k] = b[j]
-		j, k = j+1, k+1
-	}
-}
-
-// TwoLevelBin reorders items by key using the earlier prototype's two-level
-// binning (Section VI): scatter into per-diagonal bins, then per-sequence
-// bins — equivalent to a 2-pass LSD counting sort whose "digits" are the
-// full diagonal and sequence id ranges. It needs counting arrays of
-// numSeqs + numDiags entries (the "large amount of preallocated memory" the
-// paper criticizes) and moves every record twice regardless of how few
-// survive filtering. diagBits is the width of the diagonal field in the key.
-func TwoLevelBin[T Keyed](items []T, diagBits uint32, numSeqs, numDiags int, scratch []T) {
-	TwoLevelBinWith(items, diagBits, numSeqs, numDiags, scratch, nil)
-}
-
-// TwoLevelBinWith is TwoLevelBin with a caller-provided counting buffer, so
-// repeated sorts (one per (block, query) task in the batch hot path) stop
-// re-allocating the histogram arrays. The two binning passes run back to
-// back, so one buffer of max(numDiags, numSeqs)+1 entries serves both; it is
-// grown as needed and returned for the caller to keep. The fixed 256-entry
-// histograms of LSD and MSD live on the stack and need no such pooling.
-func TwoLevelBinWith[T Keyed](items []T, diagBits uint32, numSeqs, numDiags int, scratch []T, counts []int) []int {
-	need := numDiags + 1
-	if numSeqs+1 > need {
-		need = numSeqs + 1
-	}
-	if cap(counts) < need {
-		counts = make([]int, need)
-	}
-	if len(items) < 2 {
-		return counts
-	}
-	if cap(scratch) < len(items) {
-		scratch = make([]T, len(items))
-	}
-	scratch = scratch[:len(items)]
-	diagMask := uint32(1)<<diagBits - 1
-
-	// Pass 1: bin by diagonal id.
-	c1 := counts[:numDiags+1]
-	clear(c1)
-	for i := range items {
-		c1[items[i].SortKey()&diagMask]++
-	}
-	sum := 0
-	for d := range c1 {
-		c := c1[d]
-		c1[d] = sum
-		sum += c
-	}
-	for i := range items {
-		d := items[i].SortKey() & diagMask
-		scratch[c1[d]] = items[i]
-		c1[d]++
-	}
-
-	// Pass 2: bin by sequence id.
-	c2 := counts[:numSeqs+1]
-	clear(c2)
-	for i := range scratch {
-		c2[scratch[i].SortKey()>>diagBits]++
-	}
-	sum = 0
-	for s := range c2 {
-		c := c2[s]
-		c2[s] = sum
-		sum += c
-	}
-	for i := range scratch {
-		s := scratch[i].SortKey() >> diagBits
-		items[c2[s]] = scratch[i]
-		c2[s]++
-	}
-	return counts
 }
 
 // IsSorted reports whether items are in non-decreasing key order.

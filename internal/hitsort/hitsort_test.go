@@ -10,18 +10,18 @@ import (
 
 // randomHits builds hits with keys confined to keyBits bits and a payload
 // that records original position, for stability checks.
-func randomHits(rng *rand.Rand, n, keyBits int) []hit.Hit {
+func randomHits(rng *rand.Rand, n, keyBits int) []hit.Pair {
 	mask := uint32(1)<<uint(keyBits) - 1
-	hits := make([]hit.Hit, n)
+	hits := make([]hit.Pair, n)
 	for i := range hits {
-		hits[i] = hit.Hit{Key: rng.Uint32() & mask, QOff: int32(i)}
+		hits[i] = hit.Pair{Key: rng.Uint32() & mask, QOff: int32(i)}
 	}
 	return hits
 }
 
 // checkStableSorted verifies key order and stability (QOff increasing within
 // equal keys, since QOff was assigned in input order).
-func checkStableSorted(t *testing.T, hits []hit.Hit, name string) {
+func checkStableSorted(t *testing.T, hits []hit.Pair, name string) {
 	t.Helper()
 	for i := 1; i < len(hits); i++ {
 		if hits[i].Key < hits[i-1].Key {
@@ -33,21 +33,12 @@ func checkStableSorted(t *testing.T, hits []hit.Hit, name string) {
 	}
 }
 
-func sorters() map[string]func([]hit.Hit, int) {
-	return map[string]func([]hit.Hit, int){
-		"LSD":   func(h []hit.Hit, keyBits int) { LSD(h, keyBits, nil) },
-		"MSD":   func(h []hit.Hit, keyBits int) { MSD(h, keyBits, nil) },
-		"Merge": func(h []hit.Hit, _ int) { Merge(h, nil) },
-		"TwoLevelBin": func(h []hit.Hit, keyBits int) {
-			// Treat the low half of the key as the diagonal field.
-			diagBits := uint32(keyBits / 2)
-			if diagBits == 0 {
-				diagBits = 1
-			}
-			numDiags := 1 << diagBits
-			numSeqs := 1 << (uint(keyBits) - uint(diagBits))
-			TwoLevelBin(h, diagBits, numSeqs, numDiags, nil)
-		},
+// sorters are the sort the engine runs and the generic form kept as its
+// oracle.
+func sorters() map[string]func([]hit.Pair, int) {
+	return map[string]func([]hit.Pair, int){
+		"LSD":      func(h []hit.Pair, keyBits int) { LSD(h, keyBits, nil) },
+		"LSDPairs": func(h []hit.Pair, keyBits int) { LSDPairs(h, keyBits, nil) },
 	}
 }
 
@@ -57,7 +48,7 @@ func TestSortersAgainstStdlib(t *testing.T) {
 		for _, n := range []int{0, 1, 2, 3, 100, 1000, 10000} {
 			for _, keyBits := range []int{4, 12, 22, 32} {
 				in := randomHits(rng, n, keyBits)
-				want := append([]hit.Hit(nil), in...)
+				want := append([]hit.Pair(nil), in...)
 				sort.SliceStable(want, func(i, j int) bool { return want[i].Key < want[j].Key })
 				sorter(in, keyBits)
 				if len(in) != len(want) {
@@ -78,9 +69,9 @@ func TestStability(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for name, sorter := range sorters() {
 		// Few distinct keys force many ties.
-		hits := make([]hit.Hit, 5000)
+		hits := make([]hit.Pair, 5000)
 		for i := range hits {
-			hits[i] = hit.Hit{Key: uint32(rng.Intn(16)), QOff: int32(i)}
+			hits[i] = hit.Pair{Key: uint32(rng.Intn(16)), QOff: int32(i)}
 		}
 		sorter(hits, 4)
 		checkStableSorted(t, hits, name)
@@ -89,9 +80,9 @@ func TestStability(t *testing.T) {
 
 func TestAlreadySorted(t *testing.T) {
 	for name, sorter := range sorters() {
-		hits := make([]hit.Hit, 1000)
+		hits := make([]hit.Pair, 1000)
 		for i := range hits {
-			hits[i] = hit.Hit{Key: uint32(i), QOff: int32(i)}
+			hits[i] = hit.Pair{Key: uint32(i), QOff: int32(i)}
 		}
 		sorter(hits, 10)
 		checkStableSorted(t, hits, name)
@@ -100,9 +91,9 @@ func TestAlreadySorted(t *testing.T) {
 
 func TestReverseSorted(t *testing.T) {
 	for name, sorter := range sorters() {
-		hits := make([]hit.Hit, 1000)
+		hits := make([]hit.Pair, 1000)
 		for i := range hits {
-			hits[i] = hit.Hit{Key: uint32(1000 - i), QOff: int32(i)}
+			hits[i] = hit.Pair{Key: uint32(1000 - i), QOff: int32(i)}
 		}
 		sorter(hits, 10)
 		checkStableSorted(t, hits, name)
@@ -111,9 +102,9 @@ func TestReverseSorted(t *testing.T) {
 
 func TestAllEqualKeys(t *testing.T) {
 	for name, sorter := range sorters() {
-		hits := make([]hit.Hit, 777)
+		hits := make([]hit.Pair, 777)
 		for i := range hits {
-			hits[i] = hit.Hit{Key: 5, QOff: int32(i)}
+			hits[i] = hit.Pair{Key: 5, QOff: int32(i)}
 		}
 		sorter(hits, 4)
 		checkStableSorted(t, hits, name)
@@ -127,7 +118,7 @@ func TestAllEqualKeys(t *testing.T) {
 
 func TestLSDReusesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	scratch := make([]hit.Hit, 10000)
+	scratch := make([]hit.Pair, 10000)
 	for trial := 0; trial < 5; trial++ {
 		hits := randomHits(rng, 10000, 22)
 		LSD(hits, 22, scratch)
@@ -156,7 +147,7 @@ func TestKeyBitsNarrowerThanKeys(t *testing.T) {
 	// If keyBits understates the real key width, LSD must still sort the
 	// bits it was told about; here all keys fit in 8 bits so passes beyond
 	// the first are no-ops.
-	hits := []hit.Hit{{Key: 200}, {Key: 3}, {Key: 100}}
+	hits := []hit.Pair{{Key: 200}, {Key: 3}, {Key: 100}}
 	LSD(hits, 8, nil)
 	if !IsSorted(hits) {
 		t.Error("8-bit sort failed")
@@ -164,78 +155,13 @@ func TestKeyBitsNarrowerThanKeys(t *testing.T) {
 }
 
 func TestIsSorted(t *testing.T) {
-	if !IsSorted([]hit.Hit{{Key: 1}, {Key: 1}, {Key: 2}}) {
+	if !IsSorted([]hit.Pair{{Key: 1}, {Key: 1}, {Key: 2}}) {
 		t.Error("sorted slice reported unsorted")
 	}
-	if IsSorted([]hit.Hit{{Key: 2}, {Key: 1}}) {
+	if IsSorted([]hit.Pair{{Key: 2}, {Key: 1}}) {
 		t.Error("unsorted slice reported sorted")
 	}
-	if !IsSorted([]hit.Hit{}) || !IsSorted([]hit.Hit{{Key: 9}}) {
+	if !IsSorted([]hit.Pair{}) || !IsSorted([]hit.Pair{{Key: 9}}) {
 		t.Error("trivial slices reported unsorted")
-	}
-}
-
-func TestTwoLevelBinWithReusesCounts(t *testing.T) {
-	coder, err := hit.NewKeyCoder(512, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(6))
-	n := 5000
-	scratch := make([]hit.Hit, n)
-	var counts []int
-	for trial := 0; trial < 4; trial++ {
-		hits := make([]hit.Hit, n)
-		for i := range hits {
-			hits[i] = hit.Hit{Key: coder.Encode(rng.Intn(512), rng.Intn(1024)), QOff: int32(i)}
-		}
-		want := append([]hit.Hit(nil), hits...)
-		sort.SliceStable(want, func(i, j int) bool { return want[i].Key < want[j].Key })
-		counts = TwoLevelBinWith(hits, coder.DiagBits, 512, 1024, scratch, counts)
-		for i := range hits {
-			if hits[i] != want[i] {
-				t.Fatalf("trial %d: mismatch at %d", trial, i)
-			}
-		}
-	}
-	// With buffers warmed, re-sorting must not allocate at all.
-	hits := make([]hit.Hit, n)
-	refill := func() {
-		for i := range hits {
-			hits[i] = hit.Hit{Key: coder.Encode(rng.Intn(512), rng.Intn(1024)), QOff: int32(i)}
-		}
-	}
-	refill()
-	allocs := testing.AllocsPerRun(10, func() {
-		counts = TwoLevelBinWith(hits, coder.DiagBits, 512, 1024, scratch, counts)
-	})
-	if allocs != 0 {
-		t.Errorf("TwoLevelBinWith allocates %.1f objects per sort with warm buffers, want 0", allocs)
-	}
-	// The count buffer must be sized for the larger of the two passes.
-	if len(counts) == 0 || cap(counts) < 1025 {
-		t.Errorf("returned counts cap %d, want >= 1025", cap(counts))
-	}
-}
-
-func TestTwoLevelBinMatchesLSDOnRealisticKeys(t *testing.T) {
-	// Realistic block shape: 512 sequences x 1024 diagonals.
-	coder, err := hit.NewKeyCoder(512, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	n := 20000
-	a := make([]hit.Hit, n)
-	for i := range a {
-		a[i] = hit.Hit{Key: coder.Encode(rng.Intn(512), rng.Intn(1024)), QOff: int32(i)}
-	}
-	b := append([]hit.Hit(nil), a...)
-	LSD(a, coder.KeyBits(), nil)
-	TwoLevelBin(b, coder.DiagBits, 512, 1024, nil)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("TwoLevelBin diverges from LSD at %d", i)
-		}
 	}
 }

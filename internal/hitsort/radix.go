@@ -1,14 +1,14 @@
-// The concrete radix sort for the hot record (a hit and a two-hit pair are
-// the same 8-byte record). The generic LSD in hitsort.go is kept for the
-// Section IV-B algorithm comparison, but Go generics reach SortKey through a
-// gcshape dictionary — an indirect call per record per pass — and always run
-// ceil(keyBits/8) fixed 8-bit passes. The specialized sort here reads the
-// key field directly, builds every pass's histogram in one fused counting
-// scan, and picks digit widths from keyBits (one pass up to 11 bits, two
-// passes up to 22, three up to 32) so the typical 15–20-bit (sequence,
-// diagonal) key needs two scatter passes instead of three. Small inputs fall
-// back to stable insertion sort, which beats clearing histograms for the many
-// (block, query) tasks whose pair buffers hold a few dozen records.
+// The concrete radix sort for the hot record, the 8-byte hit.Pair: the sort
+// the engine runs. The generic LSD in hitsort.go is its oracle and nothing
+// more, because Go generics reach SortKey through a gcshape dictionary — an
+// indirect call per record per pass — and it always runs ceil(keyBits/8)
+// fixed 8-bit passes. The specialized sort here reads the key field directly,
+// builds every pass's histogram in one fused counting scan, and picks digit
+// widths from keyBits (one pass up to 11 bits, two passes up to 22, three up
+// to 32) so the typical 15–20-bit (sequence, diagonal) key needs two scatter
+// passes instead of three. Small inputs fall back to stable insertion sort,
+// which beats clearing histograms for the many (block, query) tasks whose pair
+// buffers hold a few dozen records.
 //
 // All variants are stable, so for any input they produce byte-identical
 // output to the generic LSD (pinned by the equivalence tests and fuzz
@@ -41,9 +41,8 @@ func radixPlan(keyBits int) (w0, w1, w2 int) {
 	}
 }
 
-// LSDPairs sorts pairs (or raw hits: hit.Pair is hit.Hit) stably by key,
-// equivalent to LSD[hit.Pair] for keys that fit in keyBits (<= 0 or > 32
-// means the full 32 bits). The scratch slice is reused if large enough; the
+// LSDPairs sorts pairs stably by key, equivalent to LSD[hit.Pair] for keys
+// that fit in keyBits (<= 0 or > 32 means the full 32 bits). The scratch slice is reused if large enough; the
 // sorted result always lands in items.
 func LSDPairs(items []hit.Pair, keyBits int, scratch []hit.Pair) {
 	n := len(items)
