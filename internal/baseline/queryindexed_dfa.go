@@ -47,7 +47,7 @@ func (e *QueryIndexedDFA) searchOne(sc *qiScratch, queryIdx int, q []alphabet.Co
 	cfg := e.Cfg
 	var st search.Stats
 	if len(q) < alphabet.W {
-		return search.Finalize(cfg, sc.aligner, queryIdx, q, e.DB, nil, st)
+		return search.Finalize(cfg, sc.aligner, &sc.prof, queryIdx, q, e.DB, nil, st)
 	}
 	dfa := qdfa.Build(q, cfg.Neighbors)
 	sc.prof.Fill(cfg.Matrix, q)
@@ -86,5 +86,5 @@ func (e *QueryIndexedDFA) searchOne(sc *qiScratch, queryIdx int, q []alphabet.Co
 			}
 		}
 	}
-	return search.Finalize(cfg, sc.aligner, queryIdx, q, e.DB, subjects, st)
+	return search.Finalize(cfg, sc.aligner, &sc.prof, queryIdx, q, e.DB, subjects, st)
 }

@@ -223,7 +223,10 @@ func (e *Engine) finishBatch(ctx context.Context, queries [][]alphabet.Code, scr
 			subjects = append(subjects, g.cells[t]...)
 			pre.Add(g.stats[t])
 		}
-		results[qi] = search.Finalize(e.Cfg, scratches[w].aligner, qi, queries[qi], e.Ix.DB, subjects, pre)
+		// The worker's scratch last served whichever task it pulled last.
+		sc := scratches[w]
+		sc.prof.Fill(e.Cfg.Matrix, queries[qi])
+		results[qi] = search.Finalize(e.Cfg, sc.aligner, &sc.prof, qi, queries[qi], e.Ix.DB, subjects, pre)
 		e.stampQueryDone(&pre, &results[qi].Stats)
 		finOK[qi] = true
 	}, parallel.RunOptions{

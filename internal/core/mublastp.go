@@ -183,7 +183,8 @@ func (e *Engine) Search(queryIdx int, q []alphabet.Code) search.QueryResult {
 			subjects = append(subjects, subs...)
 		}
 	}
-	res := search.Finalize(e.Cfg, sc.aligner, queryIdx, q, e.Ix.DB, subjects, st)
+	sc.prof.Fill(e.Cfg.Matrix, q)
+	res := search.Finalize(e.Cfg, sc.aligner, &sc.prof, queryIdx, q, e.Ix.DB, subjects, st)
 	var zero search.Stats
 	e.stampQueryDone(&zero, &res.Stats)
 	return res

@@ -5,41 +5,22 @@ import (
 	"repro/internal/matrix"
 )
 
-// ExtendScore is the score-only form of Extend: the same X-drop affine DP
-// through the seed point, but with two rolling rows and no traceback
-// storage. BLAST's stage three runs exactly this (gapped extension without
-// traceback); stage four re-aligns only the top-scoring alignments with
-// traceback (Section II-A). The returned score and span are identical to
-// Extend's for the same inputs.
-func (a *Aligner) ExtendScore(q, s []alphabet.Code, qSeed, sSeed int) Alignment {
-	fScore, fq, fs := a.extendHalfScore(q[qSeed:], s[sSeed:])
-
-	a.qrev = reverseInto(a.qrev[:0], q[:qSeed])
-	a.srev = reverseInto(a.srev[:0], s[:sSeed])
-	bScore, bq, bs := a.extendHalfScore(a.qrev, a.srev)
-
-	return Alignment{
-		Score:  fScore + bScore,
-		QStart: qSeed - bq,
-		QEnd:   qSeed + fq,
-		SStart: sSeed - bs,
-		SEnd:   sSeed + fs,
-	}
-}
-
-// ExtendScoreProf is ExtendScore driven by a query profile: the DP row's
-// score lookup comes straight from the flattened PSSM row for the absolute
-// query position, so the inner loop never touches the query sequence or the
-// two-dimensional matrix. prof must be built from this aligner's matrix and
-// the full query q; the returned alignment is identical to ExtendScore's.
+// ExtendScoreProf is the score-only gapped extension through the seed point
+// (qSeed, sSeed) — stage three: the forward half aligns q[qSeed:] with
+// s[sSeed:], the backward half the reversed prefixes, and the halves' scores
+// and endpoints are summed (the seed residue pair belongs to the forward
+// half). The DP row's score lookup comes straight from the flattened PSSM row
+// for the absolute query position, so the inner loop never touches the query
+// sequence or the two-dimensional matrix. prof must be built from this
+// aligner's matrix and the full query q.
 func (a *Aligner) ExtendScoreProf(prof *matrix.Profile, q, s []alphabet.Code, qSeed, sSeed int) Alignment {
 	// Forward half: DP row i scores query residue qSeed+i-1.
-	fScore, fq, fs := a.extendHalfScoreProf(prof, qSeed, +1, len(q)-qSeed, s[sSeed:])
+	fScore, fq, fs := a.extendHalfProf(prof, qSeed, +1, len(q)-qSeed, s[sSeed:], false, -1, -1)
 
-	// Backward half: the subject prefix is reversed as in ExtendScore, and
-	// DP row i scores query residue qSeed-i (the reversed-prefix row order).
+	// Backward half: the subject prefix is reversed, and DP row i scores
+	// query residue qSeed-i (the reversed-prefix row order).
 	a.srev = reverseInto(a.srev[:0], s[:sSeed])
-	bScore, bq, bs := a.extendHalfScoreProf(prof, qSeed-1, -1, qSeed, a.srev)
+	bScore, bq, bs := a.extendHalfProf(prof, qSeed-1, -1, qSeed, a.srev, false, -1, -1)
 
 	return Alignment{
 		Score:  fScore + bScore,
@@ -50,44 +31,51 @@ func (a *Aligner) ExtendScoreProf(prof *matrix.Profile, q, s []alphabet.Code, qS
 	}
 }
 
-// scoreRow is one rolling DP row for the score-only extension.
-type scoreRow struct {
-	lo      int
-	h, e, f []int32
-}
-
-// halfRow is the profile kernel's rolling row: only H and F survive a row
-// boundary (E is consumed by the very next cell of the same row, so the fast
-// path carries it in a register instead of storing it; see
-// extendHalfScoreProf).
+// halfRow is one DP row of the kernel: only H and F survive a row boundary
+// (E is consumed by the very next cell of the same row, so the kernel carries
+// it in a register instead of storing it; see extendHalfProf).
 type halfRow struct {
 	lo   int
 	h, f []int32
 }
 
-func (r *halfRow) reset(lo int) {
-	r.lo = lo
-	r.h, r.f = r.h[:0], r.f[:0]
-}
-
-func (r *scoreRow) at(j int) (h, e, f int32) {
-	idx := j - r.lo
-	if idx < 0 || idx >= len(r.h) {
-		return negInf, negInf, negInf
+// hAt returns H at column j, negInf outside the row's band.
+func (r *halfRow) hAt(j int) int32 {
+	if k := j - r.lo; k >= 0 && k < len(r.h) {
+		return r.h[k]
 	}
-	return r.h[idx], r.e[idx], r.f[idx]
+	return negInf
 }
 
-func (r *scoreRow) reset(lo int) {
-	r.lo = lo
-	r.h, r.e, r.f = r.h[:0], r.e[:0], r.f[:0]
+// keptRow returns the storage of kept row i with room for n cells: what the
+// slabs have left after prev, the row before it (nil for row 0).
+func (a *Aligner) keptRow(i int, prev *halfRow, n int) *halfRow {
+	if i == len(a.kept) {
+		a.kept = append(a.kept, new(halfRow))
+	}
+	r := a.kept[i]
+	if prev == nil {
+		r.h, r.f = a.slabH[:0], a.slabF[:0]
+	} else {
+		r.h, r.f = prev.h[len(prev.h):], prev.f[len(prev.f):]
+	}
+	if cap(r.h) < n {
+		// Used up: a larger pair, which the next run starts in. The rows
+		// already written stay where they are and keep the old pair alive.
+		size := 2*len(a.slabH) + n
+		a.slabH, a.slabF = make([]int32, size), make([]int32, size)
+		r.h, r.f = a.slabH[:0], a.slabF[:0]
+	}
+	return r
 }
 
-// extendHalfScoreProf is extendHalfScore with the per-row score lookup
-// redirected through a query profile — DP row i (1-based) reads profile row
-// rowBase + (i-1)*rowStride instead of a.M.Row(q[i-1]) — and each row walked
-// as three zones, so that the loop that runs for nearly every cell tests
-// nothing the row's geometry already decides:
+// extendHalfProf is the one DP kernel: the X-drop affine extension anchored
+// at (0,0) over prefixes of a query segment and of s, returning the best
+// score and the (query, subject) lengths consumed at the first cell, in
+// row-major order, that reaches it. DP row i (1-based) scores against profile
+// row rowBase + (i-1)*rowStride, and each row is walked as three zones, so
+// that the loop that runs for nearly every cell tests nothing the row's
+// geometry already decides:
 //
 //	column 0   only while the band still starts at the subject's start: no
 //	           diagonal and no left neighbour, H comes down a gap or is dead
@@ -103,15 +91,28 @@ func (r *scoreRow) reset(lo int) {
 // negInf exactly when the cell was pruned — instead of being tracked per
 // cell.
 //
-// Every cell stores the H and F that extendHalfScore stores, so band,
-// tie-break (first maximum in row-major order) and the MaxCells trip are the
-// same and the two stay byte-identical (profile_equiv_test.go, zones_test.go).
-// One guard of the reference is gone: the diagonal is added without asking
-// whether it is negInf. An unreachable diagonal then yields negInf plus a
-// substitution score instead of negInf, which changes nothing because both
-// are below the threshold and a pruned cell stores negInf. That holds while
-// XDrop < -negInf-128 (about 5e8; the engine's is 38).
-func (a *Aligner) extendHalfScoreProf(prof *matrix.Profile, rowBase, rowStride, qLen int, s []alphabet.Code) (best int, bq, bs int) {
+// Both stages run it, and differ in what happens to a row once the next one
+// is written. Stage three (keep false) needs the score and endpoint only and
+// alternates between two rows. Stage four (keep true) leaves every row in
+// a.kept for the traceback walk, and names the endpoint (ki, kj) that stage
+// three found for this half: once row ki is written with the running best at
+// (ki, kj) the run is over, because rows 0..ki are the rows the score pass
+// computed — same order, same running best, hence the same pruning — and the
+// score pass went on to show that no later cell beats (ki, kj), while the
+// walk reads nothing below the row it starts in. With any other (ki, kj)
+// (stage three passes -1, -1) the test never holds and the run ends where
+// the X-drop ends it.
+//
+// Every cell stores the H and F that the reference kernels store
+// (reference_test.go), so band, tie-break and the MaxCells trip are the same
+// and they stay byte-identical (profile_equiv_test.go, zones_test.go,
+// traceback_test.go). One guard of the reference is gone: the diagonal is
+// added without asking whether it is negInf. An unreachable diagonal then
+// yields negInf plus a substitution score instead of negInf, which changes
+// nothing because both are below the threshold and a pruned cell stores
+// negInf. That holds while XDrop < -negInf-128 (about 5e8; the engine's is
+// 38).
+func (a *Aligner) extendHalfProf(prof *matrix.Profile, rowBase, rowStride, qLen int, s []alphabet.Code, keep bool, ki, kj int) (best int, bq, bs int) {
 	sc := halfScan{
 		openExt: int32(a.P.GapOpen + a.P.GapExtend),
 		ext:     int32(a.P.GapExtend),
@@ -119,13 +120,14 @@ func (a *Aligner) extendHalfScoreProf(prof *matrix.Profile, rowBase, rowStride, 
 	}
 	sc.thresh = sc.best - sc.xdrop
 
-	// The rolling rows live on the aligner so repeated extensions reuse
-	// their capacity instead of growing fresh slices every call.
-	prev, cur := &a.hprev, &a.hcur
-	// Row 0. The reference also seeds an E row here; E never crosses a row
-	// boundary, so the fast path has nothing to store.
+	// Row 0: gaps along the subject. The reference also seeds an E row here;
+	// E never crosses a row boundary, so there is nothing to store.
 	lo, hi := 0, len(s)+1
-	prev.reset(0)
+	prev := &a.roll[0]
+	if keep {
+		prev = a.keptRow(0, nil, len(s)+1)
+	}
+	prev.lo, prev.h, prev.f = 0, prev.h[:0], prev.f[:0]
 	for j := 0; j <= len(s); j++ {
 		var h int32
 		if j == 0 {
@@ -148,7 +150,10 @@ func (a *Aligner) extendHalfScoreProf(prof *matrix.Profile, rowBase, rowStride, 
 		// the zones — append's length bookkeeping and growth check cost two
 		// stores per cell in a loop this hot.
 		rowMax := len(s) + 1 - lo
-		if cap(cur.h) < rowMax {
+		cur := &a.roll[i&1]
+		if keep {
+			cur = a.keptRow(i, prev, rowMax)
+		} else if cap(cur.h) < rowMax {
 			cur.h = make([]int32, rowMax)
 			cur.f = make([]int32, rowMax)
 		}
@@ -192,7 +197,10 @@ func (a *Aligner) extendHalfScoreProf(prof *matrix.Profile, rowBase, rowStride, 
 
 		cells += n
 		cur.lo, cur.h, cur.f = lo, curH[:n], curF[:n]
-		prev, cur = cur, prev
+		prev = cur
+		if i == ki && sc.bi == ki && sc.bj == kj {
+			break // the endpoint the score pass found: nothing below is read
+		}
 
 		// The next band is the span of live cells in the row just written.
 		live := prev.h
@@ -215,7 +223,7 @@ func (a *Aligner) extendHalfScoreProf(prof *matrix.Profile, rowBase, rowStride, 
 	return int(sc.best), sc.bi, sc.bj
 }
 
-// halfScan is what extendHalfScoreProf hands from cell to cell and from zone
+// halfScan is what extendHalfProf hands from cell to cell and from zone
 // to zone of a row: the extension's constants, the carries, the running best
 // with its prune threshold and endpoint, and where the zone being filled
 // starts.
@@ -235,7 +243,7 @@ type halfScan struct {
 // the row. It returns the number of cells written and whether the row ended.
 //
 // The zone loops are functions of their own, kept out of line, for the
-// reason ungapped's walkers are: inside extendHalfScoreProf the register
+// reason ungapped's walkers are: inside extendHalfProf the register
 // allocator has some thirty live values to place and spills the carries of
 // this loop; here it has the loop's own. The prune is a conditional move
 // (h below thresh becomes negInf and is stored like any other), so the only
@@ -308,94 +316,4 @@ func (sc *halfScan) tail(ss []alphabet.Code, ch, cf []int32, mRow *[alphabet.Siz
 	}
 	sc.best, sc.thresh = best, thresh
 	return n
-}
-
-// extendHalfScore mirrors extendHalf without keeping rows: only the
-// previous row is retained. The iteration order, band bookkeeping, pruning
-// decisions, and best-cell tie-breaking (first maximum encountered wins)
-// are identical to extendHalf, so the two functions always report the same
-// score and endpoint.
-func (a *Aligner) extendHalfScore(q, s []alphabet.Code) (best int, bq, bs int) {
-	openExt := int32(a.P.GapOpen + a.P.GapExtend)
-	ext := int32(a.P.GapExtend)
-	xdrop := int32(a.P.XDrop)
-
-	// The rolling rows live on the aligner so repeated extensions reuse
-	// their capacity instead of growing fresh slices every call.
-	prev, cur := &a.sprev, &a.scur
-	// Row 0.
-	lo, hi := 0, len(s)+1
-	prev.reset(0)
-	bestScore := int32(0)
-	for j := 0; j <= len(s); j++ {
-		var h int32
-		if j == 0 {
-			h = 0
-		} else {
-			h = -openExt - ext*int32(j-1)
-		}
-		if h < bestScore-xdrop {
-			hi = j
-			break
-		}
-		prev.h = append(prev.h, h)
-		prev.e = append(prev.e, h)
-		prev.f = append(prev.f, negInf)
-	}
-	prev.e[0] = negInf
-	bi, bj := 0, 0
-	cells := len(prev.h)
-
-	for i := 1; i <= len(q) && lo < hi; i++ {
-		cur.reset(lo)
-		newLo, newHi := -1, lo
-		mRow := a.M.Row(q[i-1])
-		for j := lo; j <= len(s); j++ {
-			e := int32(negInf)
-			if j > cur.lo {
-				hLeft := cur.h[j-1-cur.lo]
-				eLeft := cur.e[j-1-cur.lo]
-				e = maxI32(hLeft-openExt, eLeft-ext)
-			}
-			ph, _, pf := prev.at(j)
-			f := maxI32(ph-openExt, pf-ext)
-			h := int32(negInf)
-			if j > 0 {
-				dh, _, _ := prev.at(j - 1)
-				if dh > negInf {
-					h = dh + int32(mRow[s[j-1]])
-				}
-			}
-			h = maxI32(h, maxI32(e, f))
-			pruned := h < bestScore-xdrop
-			if pruned {
-				h = negInf
-			} else {
-				if newLo < 0 {
-					newLo = j
-				}
-				newHi = j + 1
-				if h > bestScore {
-					bestScore = h
-					bi, bj = i, j
-				}
-			}
-			cur.h = append(cur.h, h)
-			cur.e = append(cur.e, e)
-			cur.f = append(cur.f, f)
-			cells++
-			if pruned && j >= hi {
-				break
-			}
-		}
-		prev, cur = cur, prev
-		if newLo < 0 {
-			break
-		}
-		lo, hi = newLo, newHi
-		if cells > a.P.MaxCells {
-			break
-		}
-	}
-	return int(bestScore), bi, bj
 }

@@ -28,7 +28,7 @@ func (r bandRow) end() int { return r.lo + len(r.h) }
 // rows the traceback kernel keeps (extendHalf does the same band bookkeeping
 // as the score-only kernels, row for row). Row 0 is the gap-only row.
 func bandRows(p Params, q, s []alphabet.Code) []bandRow {
-	a := NewAligner(matrix.Blosum62, p) // fresh pool: one pooled row per DP row
+	a := NewAligner(matrix.Blosum62, p).reference() // fresh pool: one pooled row per DP row
 	a.extendHalf(q, s)
 	rows := make([]bandRow, len(a.rowPool))
 	for i, r := range a.rowPool {
@@ -44,9 +44,10 @@ func bandRows(p Params, q, s []alphabet.Code) []bandRow {
 func requireSameHalf(t *testing.T, p Params, q, s []alphabet.Code) (score, bq, bs int) {
 	t.Helper()
 	a := NewAligner(matrix.Blosum62, p)
-	wantScore, wantQ, wantS := a.extendHalfScore(q, s)
+	ref := a.reference()
+	wantScore, wantQ, wantS := ref.extendHalfScore(q, s)
 	prof := matrix.NewProfile(matrix.Blosum62, q)
-	score, bq, bs = a.extendHalfScoreProf(prof, 0, +1, len(q), s)
+	score, bq, bs = a.extendHalfProf(prof, 0, +1, len(q), s, false, -1, -1)
 	if score != wantScore || bq != wantQ || bs != wantS {
 		t.Fatalf("profile kernel: score %d at (%d,%d); reference: score %d at (%d,%d)",
 			score, bq, bs, wantScore, wantQ, wantS)
@@ -54,7 +55,7 @@ func requireSameHalf(t *testing.T, p Params, q, s []alphabet.Code) (score, bq, b
 	for _, pair := range [2]struct {
 		got  *halfRow
 		want *scoreRow
-	}{{&a.hprev, &a.sprev}, {&a.hcur, &a.scur}} {
+	}{{&a.roll[0], &ref.sprev}, {&a.roll[1], &ref.scur}} {
 		if pair.got.lo != pair.want.lo || !slices.Equal(pair.got.h, pair.want.h) || !slices.Equal(pair.got.f, pair.want.f) {
 			t.Fatalf("rolling rows differ:\n profile   lo=%d h=%v f=%v\n reference lo=%d h=%v f=%v",
 				pair.got.lo, pair.got.h, pair.got.f, pair.want.lo, pair.want.h, pair.want.f)

@@ -31,8 +31,9 @@ var (
 
 // RemoteOptions tunes a RemoteWorker. Zero values select the defaults.
 type RemoteOptions struct {
-	// Client is the HTTP client for every RPC (default: a dedicated client
-	// with no global timeout — deadlines ride the request contexts).
+	// Client is the HTTP client for every RPC (default: a client with no
+	// global timeout — deadlines ride the request contexts — on
+	// remoteTransport).
 	Client *http.Client
 	// Weight is the replica's relative capacity (default 1).
 	Weight float64
@@ -64,11 +65,24 @@ type RemoteWorker struct {
 	gen      atomic.Int64 // last generation seen from the daemon
 }
 
+// remoteTransport carries the RPCs of every RemoteWorker that is not given a
+// client of its own. http.DefaultTransport keeps two idle connections per
+// host, so the third concurrent search against one replica would dial, and
+// close, a connection per request; a replica admits up to its queue bound
+// (server.Config.Queue, 64 unless configured) before it sheds, so that many
+// connections to it can be in use at once and are worth keeping.
+var remoteTransport = func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = 64
+	t.MaxIdleConns = 0 // the per-host bound is the bound
+	return t
+}()
+
 // NewRemoteWorker wraps the daemon at baseURL (scheme://host:port).
 func NewRemoteWorker(name, baseURL string, opts RemoteOptions) *RemoteWorker {
 	client := opts.Client
 	if client == nil {
-		client = &http.Client{}
+		client = &http.Client{Transport: remoteTransport}
 	}
 	if opts.Weight <= 0 {
 		opts.Weight = 1

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"os"
 	"runtime"
 	"strconv"
@@ -112,6 +114,69 @@ func TestRemoteWorkerDecodesBusy(t *testing.T) {
 	}
 	if busy.RetryAfter != 7*time.Second {
 		t.Fatalf("RetryAfter %v, want 7s from the header", busy.RetryAfter)
+	}
+}
+
+// TestRemoteWorkerReusesConnections: concurrent searches against one replica
+// ride kept-alive connections, one per caller, instead of dialling per
+// request (http.DefaultTransport keeps two idle connections per host, so of
+// the 8 that a round of 8 callers hands back it closed six, and the next
+// round dialled them again). The replica answers a round only when all 8 of
+// its requests have arrived, so 8 connections are in use at once, and a round
+// starts only when the transport has taken all 8 back, so none is dialled
+// for want of one still on its way to the pool.
+func TestRemoteWorkerReusesConnections(t *testing.T) {
+	const callers, rounds = 8, 50
+	var opened, arrived atomic.Int64
+	var gates [rounds]chan struct{}
+	for i := range gates {
+		gates[i] = make(chan struct{})
+	}
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n := arrived.Add(1)
+		gate := gates[(n-1)/callers]
+		if n%callers == 0 {
+			close(gate)
+		}
+		<-gate
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusTooManyRequests)
+		fmt.Fprint(w, `{"error":"queue full"}`)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	w := NewRemoteWorker("pooled", ts.URL, RemoteOptions{})
+	for round := 0; round < rounds && !t.Failed(); round++ {
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				returned := make(chan struct{}, 1)
+				ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+					PutIdleConn: func(error) { returned <- struct{}{} },
+				})
+				var busy *BusyError
+				if _, err := w.Search(ctx, []string{"MKT"}, 0, 2); !errors.As(err, &busy) {
+					t.Errorf("err %v, want BusyError", err)
+					return
+				}
+				select {
+				case <-returned:
+				case <-time.After(10 * time.Second):
+					t.Error("the transport never took the connection back")
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if n := opened.Load(); n > callers {
+		t.Fatalf("%d connections opened for %d searches by %d callers, want at most %d", n, callers*rounds, callers, callers)
 	}
 }
 

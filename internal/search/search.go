@@ -240,9 +240,7 @@ type SubjectAlignments struct {
 // coordinates), so engines that discover the same extension set in
 // different orders produce identical output.
 //
-// prof, when non-nil, must be q's profile under cfg.Matrix; the score-only
-// DP then runs the profile kernel (gapped.ExtendScoreProf), which produces
-// identical alignments with cheaper row lookups.
+// prof must be q's profile under cfg.Matrix.
 func GappedStage(cfg *Config, al *gapped.Aligner, prof *matrix.Profile, q, s []alphabet.Code, exts []ungapped.Ext, st *Stats) []ScoredAlignment {
 	stageStart := time.Now()
 	if len(exts) > 1 {
@@ -273,12 +271,7 @@ func GappedStage(cfg *Config, al *gapped.Aligner, prof *matrix.Profile, q, s []a
 		}
 		qSeed := (e.QStart + e.QEnd) / 2
 		sSeed := e.SStart + (qSeed - e.QStart)
-		var aln gapped.Alignment
-		if prof != nil {
-			aln = al.ExtendScoreProf(prof, q, s, qSeed, sSeed)
-		} else {
-			aln = al.ExtendScore(q, s, qSeed, sSeed)
-		}
+		aln := al.ExtendScoreProf(prof, q, s, qSeed, sSeed)
 		st.GappedExts++
 		if aln.Score <= 0 {
 			continue
@@ -305,8 +298,11 @@ func GappedStage(cfg *Config, al *gapped.Aligner, prof *matrix.Profile, q, s []a
 // filtered by the E-value cutoff, ranked, capped at MaxResults — and only
 // the survivors are re-aligned with traceback (the paper's "Traceback
 // realigns the top-scoring alignments", Section II-A; Algorithm 3 runs this
-// as its second parallel loop).
-func Finalize(cfg *Config, al *gapped.Aligner, queryIdx int, q []alphabet.Code, db *dbase.DB, subjects []SubjectAlignments, st Stats) QueryResult {
+// as its second parallel loop). The re-alignment is the score pass's DP run
+// again with its rows kept, and only as far as the endpoints the score pass
+// left in each ScoredAlignment (gapped.TracebackProf), so prof must be q's
+// profile under cfg.Matrix, as in GappedStage.
+func Finalize(cfg *Config, al *gapped.Aligner, prof *matrix.Profile, queryIdx int, q []alphabet.Code, db *dbase.DB, subjects []SubjectAlignments, st Stats) QueryResult {
 	dbLen, dbSeqs := db.TotalResidues, int64(db.NumSeqs())
 	if cfg.DBLenOverride > 0 {
 		dbLen = cfg.DBLenOverride
@@ -353,13 +349,13 @@ func Finalize(cfg *Config, al *gapped.Aligner, queryIdx int, q []alphabet.Code, 
 	}
 	// Stage four: traceback only for the reported alignments. The traceback
 	// score can exceed the preliminary (score-only) value by a seam
-	// correction (see gapped.Aligner.Extend), so statistics are refreshed
-	// and the final list re-ranked — mirroring BLAST, whose traceback stage
-	// also re-scores the preliminary gapped alignments.
+	// correction (see gapped.Aligner.TracebackProf), so statistics are
+	// refreshed and the final list re-ranked — mirroring BLAST, whose
+	// traceback stage also re-scores the preliminary gapped alignments.
 	stageStart := time.Now()
 	for i := range hsps {
 		seed := pendings[order[i]].seed
-		full := al.Extend(q, db.Seqs[hsps[i].Subject].Data, seed.QSeed, seed.SSeed)
+		full := al.TracebackProf(prof, q, db.Seqs[hsps[i].Subject].Data, seed.QSeed, seed.SSeed, seed.Aln)
 		st.Tracebacks++
 		hsps[i].Aln = full
 		hsps[i].BitScore = cfg.GappedKA.BitScore(full.Score)
