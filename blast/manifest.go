@@ -31,9 +31,14 @@ import (
 // container missing or altered, a WAL whose intact records contradict the
 // watermark. Torn WAL tails and orphaned files are NOT corruption; they are
 // the expected residue of a crash and recovery handles them silently.
+// ErrStoreBroken is not about the directory but about one Store value: a
+// commit failed midway, so the commit that failed and every Append or Compact
+// after it return an error wrapping it until the store is reopened (which
+// runs recovery). Nothing is lost; the caller's data was not at fault.
 var (
 	ErrNoStore      = errors.New("not an ingest store (no manifest)")
 	ErrStoreCorrupt = errors.New("ingest store corrupt")
+	ErrStoreBroken  = errors.New("needs recovery after a failed commit; reopen it")
 )
 
 const (

@@ -331,6 +331,17 @@ func (st *Store) applyBatch(walSeq uint64, batch []Sequence) error {
 	return nil
 }
 
+// brokenErr latches the store broken and returns the error every commit
+// attempt gets from then on, wrapping ErrStoreBroken: cause is the failure
+// that broke this commit, nil for a call that found the store already broken.
+func (st *Store) brokenErr(cause error) error {
+	st.broken = true
+	if cause == nil {
+		return fmt.Errorf("blast: store %s: %w", st.dir, ErrStoreBroken)
+	}
+	return fmt.Errorf("blast: store %s: %w: %w", st.dir, ErrStoreBroken, cause)
+}
+
 // Append ingests a batch of new sequences as one delta container. The batch
 // is validated, made durable in the WAL (the commit point: from here a crash
 // rolls forward), built into a delta with the base's build fingerprint,
@@ -339,20 +350,18 @@ func (st *Store) applyBatch(walSeq uint64, batch []Sequence) error {
 func (st *Store) Append(batch []Sequence) (*AppendStats, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.broken {
-		return nil, fmt.Errorf("blast: store %s needs recovery after a failed commit; reopen it", st.dir)
-	}
 	if err := validateBatch(batch); err != nil {
 		return nil, err
 	}
+	if st.broken {
+		return nil, st.brokenErr(nil)
+	}
 	walSeq := st.man.WALApplied + 1
 	if err := appendWAL(st.walPath(), walSeq, encodeWALPayload(batch)); err != nil {
-		st.broken = true
-		return nil, fmt.Errorf("blast: %w", err)
+		return nil, st.brokenErr(err)
 	}
 	if err := st.applyBatch(walSeq, batch); err != nil {
-		st.broken = true
-		return nil, err
+		return nil, st.brokenErr(err)
 	}
 	// Cleanup only: a failed (or crashed) reset leaves applied records that
 	// the next open skips via the watermark and then truncates.
@@ -444,7 +453,7 @@ func (st *Store) Compact() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.broken {
-		return fmt.Errorf("blast: store %s needs recovery after a failed commit; reopen it", st.dir)
+		return st.brokenErr(nil)
 	}
 	if len(st.man.Deltas) == 0 {
 		return nil

@@ -4,56 +4,122 @@ import (
 	"fmt"
 )
 
+// ReplicaFacts is what one replica of one shard says it holds, whichever way
+// it was asked: a VerifyFile report of a container on disk, or a shard
+// daemon's /shard/info reply.
+type ReplicaFacts struct {
+	Name          string // path or worker name, for error messages
+	Fingerprint   Fingerprint
+	Sequences     int
+	TotalResidues int64
+	// GlobalSequences/GlobalResidues are the replica's belief about the whole
+	// logical database (a daemon started with -global-*). Zero from a file,
+	// which holds no such belief: the set then defines its own totals.
+	GlobalSequences int64
+	GlobalResidues  int64
+	// Ingest-store provenance; zero for a plain container.
+	ManifestSeq  int64
+	ManifestHash string
+}
+
+// VerifyTopology is the one statement of what makes a set of shard replicas
+// one servable logical database; shards[s][r] is replica r of shard s. Every
+// replica carries the same build fingerprint (one makedb run — a mixed set
+// merges garbage silently, since the merge trusts ids and E-value
+// statistics) and the same belief about the global search space; replicas of
+// one shard hold the same slice at the same manifest commit (equal totals do
+// not prove equal sequences once deltas are involved); shard s of N holds
+// exactly ceil((G-s)/N) of the G global sequences, the round-robin deal the
+// id restoration local*N + s presumes; and the shards sum to G. It returns
+// the agreed fingerprint and global totals.
+func VerifyTopology(shards [][]ReplicaFacts) (fp Fingerprint, globalSeqs, globalRes int64, err error) {
+	n := int64(len(shards))
+	if n == 0 {
+		return fp, 0, 0, fmt.Errorf("blast: no shards to verify")
+	}
+	var sumSeqs, sumRes int64
+	for s, reps := range shards {
+		if len(reps) == 0 {
+			return fp, 0, 0, fmt.Errorf("blast: shard %d has no replicas", s)
+		}
+		first, fleet := reps[0], shards[0][0]
+		for _, r := range reps {
+			switch {
+			case r.Fingerprint != fleet.Fingerprint:
+				err = mismatchf("shard %d replica %s: fingerprint %+v differs from the set's %+v — the set mixes different builds",
+					s, r.Name, r.Fingerprint, fleet.Fingerprint)
+			case r.GlobalSequences != fleet.GlobalSequences || r.GlobalResidues != fleet.GlobalResidues:
+				err = mismatchf("shard %d replica %s: global space %d seqs/%d residues, the set says %d/%d",
+					s, r.Name, r.GlobalSequences, r.GlobalResidues, fleet.GlobalSequences, fleet.GlobalResidues)
+			case r.Sequences != first.Sequences || r.TotalResidues != first.TotalResidues:
+				err = mismatchf("shard %d replica %s: %d seqs/%d residues, shard peer says %d/%d; replicas must hold the same slice",
+					s, r.Name, r.Sequences, r.TotalResidues, first.Sequences, first.TotalResidues)
+			case r.ManifestSeq != first.ManifestSeq || r.ManifestHash != first.ManifestHash:
+				err = mismatchf("shard %d replica %s: manifest %d/%s, shard peer says %d/%s — delta propagation incomplete, refusing mixed-manifest topology",
+					s, r.Name, r.ManifestSeq, r.ManifestHash, first.ManifestSeq, first.ManifestHash)
+			}
+			if err != nil {
+				return fp, 0, 0, err
+			}
+		}
+		sumSeqs += int64(first.Sequences)
+		sumRes += first.TotalResidues
+	}
+	fleet := shards[0][0]
+	g, gres := fleet.GlobalSequences, fleet.GlobalResidues
+	if g == 0 && gres == 0 {
+		g, gres = sumSeqs, sumRes
+	}
+	// A set that verifies replica by replica but fails the round-robin fit
+	// was assembled from the wrong files or in the wrong order, and the merge
+	// would restore wrong monolithic ids.
+	for s, reps := range shards {
+		if want := (g - int64(s) + n - 1) / n; int64(reps[0].Sequences) != want {
+			return fp, 0, 0, mismatchf("shard %d (%s) holds %d sequences; a round-robin deal of %d over %d shards puts %d there — wrong file or wrong order",
+				s, reps[0].Name, reps[0].Sequences, g, n, want)
+		}
+	}
+	if sumSeqs != g {
+		return fp, 0, 0, mismatchf("shards hold %d sequences, global says %d", sumSeqs, g)
+	}
+	return fleet.Fingerprint, g, gres, nil
+}
+
 // ShardSetInfo is what VerifyShardSet reports about a coherent shard set.
 type ShardSetInfo struct {
 	NumShards      int
 	Fingerprint    Fingerprint
 	TotalSequences int
 	TotalResidues  int64
-	PerShard       []*ContainerInfo // per-file reports, in shard order
+	PerShard       []*ContainerInfo // replica 0's report, in shard order
 }
 
-// VerifyShardSet validates a sharded database as a set, not just file by
-// file: every container passes its own full Verify, all carry the same
-// build-params fingerprint (one makedb run — a mixed set merges garbage
-// silently, since the merge trusts ids and E-value statistics), and the
-// per-shard sequence counts fit the round-robin deal exactly (shard s of N
-// holds ceil((total-s)/N) sequences, the count the id restoration
-// local*N + s presumes). paths must be in shard order: paths[s] is shard s.
+// VerifyShardSet validates sharded container files as a set, not just file
+// by file: every container passes its own full Verify, then the set passes
+// VerifyTopology. paths[s] lists the replicas of shard s, in shard order.
 //
-// This is the cross-check `mublastp -verifydb a,b,c` and `makedb -shards`
-// run; single-file verification (len(paths) == 1) degenerates to VerifyFile.
-func VerifyShardSet(paths []string) (*ShardSetInfo, error) {
-	n := len(paths)
-	if n == 0 {
-		return nil, fmt.Errorf("blast: VerifyShardSet needs at least one container")
-	}
-	info := &ShardSetInfo{NumShards: n, PerShard: make([]*ContainerInfo, n)}
-	for s, path := range paths {
-		ci, err := VerifyFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("blast: shard %d (%s): %w", s, path, err)
-		}
-		info.PerShard[s] = ci
-		info.TotalSequences += ci.NumSequences
-		info.TotalResidues += ci.TotalResidues
-		if s == 0 {
-			info.Fingerprint = ci.Fingerprint
-		} else if ci.Fingerprint != info.Fingerprint {
-			return nil, fmt.Errorf("blast: %w: shard %d (%s) fingerprint %+v diverges from shard 0's %+v — the set mixes different builds",
-				ErrParamsMismatch, s, path, ci.Fingerprint, info.Fingerprint)
+// This is the cross-check `mublastp -verifydb a,b,c`, `makedb -shards` and
+// `mublastpr -shards` run; a single file degenerates to VerifyFile.
+func VerifyShardSet(paths [][]string) (*ShardSetInfo, error) {
+	info := &ShardSetInfo{NumShards: len(paths), PerShard: make([]*ContainerInfo, len(paths))}
+	facts := make([][]ReplicaFacts, len(paths))
+	for s, reps := range paths {
+		for r, path := range reps {
+			ci, err := VerifyFile(path)
+			if err != nil {
+				return nil, fmt.Errorf("blast: shard %d replica %d (%s): %w", s, r, path, err)
+			}
+			if r == 0 {
+				info.PerShard[s] = ci
+			}
+			facts[s] = append(facts[s], ReplicaFacts{Name: path, Fingerprint: ci.Fingerprint,
+				Sequences: ci.NumSequences, TotalResidues: ci.TotalResidues})
 		}
 	}
-	// Round-robin fit: with T total sequences dealt over N shards, shard s
-	// must hold exactly (T - s + N - 1) / N. A set that verifies per file
-	// but fails this was assembled from the wrong files (or the wrong
-	// order), and the merge would restore wrong monolithic ids.
-	for s, ci := range info.PerShard {
-		want := (info.TotalSequences - s + n - 1) / n
-		if ci.NumSequences != want {
-			return nil, fmt.Errorf("blast: %w: shard %d (%s) holds %d sequences; a round-robin deal of %d over %d shards puts %d there — wrong file or wrong order",
-				ErrParamsMismatch, s, paths[s], ci.NumSequences, info.TotalSequences, n, want)
-		}
+	fp, seqs, res, err := VerifyTopology(facts)
+	if err != nil {
+		return nil, err
 	}
+	info.Fingerprint, info.TotalSequences, info.TotalResidues = fp, int(seqs), res
 	return info, nil
 }

@@ -128,8 +128,10 @@ func main() {
 		fatalf("sharding: %v", err)
 	}
 	paths := make([]string, len(parts))
+	replicas := make([][]string, len(parts))
 	for s, sd := range parts {
 		paths[s] = shardPath(*out, s, *shards)
+		replicas[s] = paths[s : s+1]
 		if err := sd.SaveFile(paths[s]); err != nil {
 			fatalf("saving shard %d (%s): %v", s, paths[s], err)
 		}
@@ -138,7 +140,7 @@ func main() {
 	// and an exact round-robin fit, the invariants the scatter-gather merge
 	// silently trusts. Per-file checksums alone cannot catch a set mixing
 	// two makedb runs.
-	set, err := blast.VerifyShardSet(paths)
+	set, err := blast.VerifyShardSet(replicas)
 	if err != nil {
 		fatalf("verifying shard set: %v", err)
 	}

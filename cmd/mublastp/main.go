@@ -258,10 +258,12 @@ func runVerify(path string) error {
 }
 
 func runVerifySet(paths []string) error {
+	replicas := make([][]string, len(paths))
 	for i := range paths {
 		paths[i] = strings.TrimSpace(paths[i])
+		replicas[i] = paths[i : i+1]
 	}
-	set, err := blast.VerifyShardSet(paths)
+	set, err := blast.VerifyShardSet(replicas)
 	if err != nil {
 		return fmt.Errorf("verify shard set: %w", err)
 	}

@@ -26,22 +26,21 @@
 //
 // SIGINT/SIGTERM start a graceful drain: new requests get 503, in-flight
 // searches get -drain-grace to finish, then are cancelled so their handlers
-// flush partial results. A second signal force-exits with code 3.
+// flush partial results. A second signal force-exits with code 3. That
+// lifecycle, the flags behind it (-addr, -threads, -evalue, -max-hits,
+// -timeout, -max-timeout, -max-queries, -drain-grace, -debug-addr, -trace,
+// -record, -faultspec, -faultseed) and the HTTP edge are shared with
+// mublastpr (server.RegisterFlags, server.Edge).
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"time"
 
 	"repro/blast"
-	"repro/internal/faultinject"
-	"repro/internal/obs"
-	"repro/internal/reqtrace"
 	"repro/internal/server"
-	"repro/internal/sigctx"
 )
 
 func main() {
@@ -53,26 +52,14 @@ func main() {
 
 func run() error {
 	var (
+		serve        = server.RegisterFlags("mublastpd", ":8044")
 		dbPath       = flag.String("db", "", "prebuilt database container (from makedb); reloadable at runtime")
 		storeDir     = flag.String("store", "", "serve from the crash-safe ingest store at this directory (makedb -store); enables POST /ingest")
 		subjects     = flag.String("subjects", "", "FASTA database to index on the fly (reload still requires containers)")
-		addr         = flag.String("addr", ":8044", "listen address (use :0 for an ephemeral port)")
-		threads      = flag.Int("threads", 0, "threads per batch search (0 = all cores)")
-		evalue       = flag.Float64("evalue", 10, "E-value cutoff")
-		maxHits      = flag.Int("max-hits", 250, "maximum hits per query")
 		queue        = flag.Int("queue", 64, "admission queue bound; excess requests are shed with 429")
 		concurrency  = flag.Int("concurrency", 0, "concurrent batch searches (0 = size to the scheduler's worker pool)")
-		timeout      = flag.Duration("timeout", 30*time.Second, "default per-request deadline")
-		maxTimeout   = flag.Duration("max-timeout", 2*time.Minute, "cap on client-requested deadlines")
-		maxQueries   = flag.Int("max-queries", 64, "per-request batch size cap")
 		degAfter     = flag.Duration("degrade-after", 250*time.Millisecond, "sustained queue pressure before degraded mode trips")
 		degTimeout   = flag.Duration("degraded-timeout", 0, "per-request deadline in degraded mode (0 = timeout/4)")
-		drainGrace   = flag.Duration("drain-grace", 10*time.Second, "time in-flight searches get to finish on shutdown before partial-result flush")
-		debugAddr    = flag.String("debug-addr", "", "also serve /metrics, /debug/vars and /debug/pprof/ on this address (e.g. :6060), separate from -addr")
-		tracePath    = flag.String("trace", "", "append one JSONL trace tree per request (edge, admission, search, per-query stage spans) to this file")
-		recordPath   = flag.String("record", "", "append one workload record per request (arrival, query lengths, deadline, outcome, span durations) to this file — replay/capsim input")
-		faultSpec    = flag.String("faultspec", "", "arm fault-injection sites, e.g. 'server.admit=error@0.1' (testing aid)")
-		faultSeed    = flag.Uint64("faultseed", 1, "seed for probabilistic -faultspec clauses")
 		globalSeqs   = flag.Int64("global-sequences", 0, "sequence count of the whole logical database when -db is one shard of it; with -global-residues, E-values use the global search space so a remote merge is byte-identical")
 		globalRes    = flag.Int64("global-residues", 0, "residue count of the whole logical database when -db is one shard of it")
 		maxIngest    = flag.Int("max-ingest", 0, "per-request sequence cap for POST /ingest (0 = default)")
@@ -90,138 +77,59 @@ func run() error {
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	if *faultSpec != "" {
-		if err := faultinject.Enable(*faultSpec, *faultSeed); err != nil {
-			return err
-		}
-		defer faultinject.Disable()
-		fmt.Fprintf(os.Stderr, "mublastpd: fault injection armed: %s (seed %d)\n", *faultSpec, *faultSeed)
-	}
-
 	if (*globalSeqs > 0) != (*globalRes > 0) {
 		return fmt.Errorf("-global-sequences and -global-residues must be set together")
 	}
 
-	p := blast.DefaultParams()
-	p.EValueCutoff = *evalue
-	p.MaxResults = *maxHits
-	p.Threads = *threads
-	if *globalSeqs > 0 {
-		p.GlobalDBSequences = *globalSeqs
-		p.GlobalDBResidues = *globalRes
-		fmt.Fprintf(os.Stderr, "mublastpd: serving as a shard worker: global search space %d sequences, %d residues\n",
-			*globalSeqs, *globalRes)
-	}
+	return serve(func(p blast.Params, cfg server.Config) (server.Daemon, string, error) {
+		if *globalSeqs > 0 {
+			p.GlobalDBSequences = *globalSeqs
+			p.GlobalDBResidues = *globalRes
+			cfg.Logf("serving as a shard worker: global search space %d sequences, %d residues", *globalSeqs, *globalRes)
+		}
 
-	start := time.Now()
-	var ses *blast.Session
-	var store *blast.Store
-	if *dbPath != "" {
-		var err error
-		if ses, err = blast.OpenSession(*dbPath, p); err != nil {
-			return fmt.Errorf("loading database: %w", err)
+		start := time.Now()
+		var ses *blast.Session
+		if *dbPath != "" {
+			var err error
+			if ses, err = blast.OpenSession(*dbPath, p); err != nil {
+				return nil, "", fmt.Errorf("loading database: %w", err)
+			}
+		} else if *storeDir != "" {
+			// Opening the store runs crash recovery (WAL replay, orphan GC)
+			// before anything serves, so a daemon restarted after a mid-ingest
+			// crash comes up on a consistent manifest without operator action.
+			store, err := blast.OpenStore(*storeDir, p)
+			if err != nil {
+				return nil, "", fmt.Errorf("opening store: %w", err)
+			}
+			db, err := store.Database()
+			if err != nil {
+				return nil, "", fmt.Errorf("loading store tiers: %w", err)
+			}
+			ses, cfg.Store = blast.NewSession(db, p), store
+			cfg.Logf("ingest store %s at manifest seq %d (%s), %d deltas",
+				store.Dir(), store.ManifestSeq(), store.ManifestHash(), store.NumDeltas())
+		} else {
+			seqs, err := blast.ReadFASTAFile(*subjects)
+			if err != nil {
+				return nil, "", fmt.Errorf("reading subjects: %w", err)
+			}
+			db, err := blast.NewDatabase(seqs, p)
+			if err != nil {
+				return nil, "", fmt.Errorf("building database: %w", err)
+			}
+			ses = blast.NewSession(db, p)
 		}
-	} else if *storeDir != "" {
-		// Opening the store runs crash recovery (WAL replay, orphan GC)
-		// before anything serves, so a daemon restarted after a mid-ingest
-		// crash comes up on a consistent manifest without operator action.
-		var err error
-		if store, err = blast.OpenStore(*storeDir, p); err != nil {
-			return fmt.Errorf("opening store: %w", err)
-		}
-		db, err := store.Database()
-		if err != nil {
-			return fmt.Errorf("loading store tiers: %w", err)
-		}
-		ses = blast.NewSession(db, p)
-		fmt.Fprintf(os.Stderr, "mublastpd: ingest store %s at manifest seq %d (%s), %d deltas\n",
-			store.Dir(), store.ManifestSeq(), store.ManifestHash(), store.NumDeltas())
-	} else {
-		seqs, err := blast.ReadFASTAFile(*subjects)
-		if err != nil {
-			return fmt.Errorf("reading subjects: %w", err)
-		}
-		db, err := blast.NewDatabase(seqs, p)
-		if err != nil {
-			return fmt.Errorf("building database: %w", err)
-		}
-		ses = blast.NewSession(db, p)
-	}
-	db := ses.DB()
-	fmt.Fprintf(os.Stderr, "mublastpd: database ready in %v (%d sequences, %d blocks)\n",
-		time.Since(start).Round(time.Millisecond), db.NumSequences(), db.NumBlocks())
+		db := ses.DB()
+		cfg.Logf("database ready in %v (%d sequences, %d blocks)",
+			time.Since(start).Round(time.Millisecond), db.NumSequences(), db.NumBlocks())
 
-	var tracer *reqtrace.Tracer
-	if *tracePath != "" {
-		var err error
-		if tracer, err = reqtrace.NewTracerFile("mublastpd", *tracePath); err != nil {
-			return fmt.Errorf("opening trace sink: %w", err)
-		}
-		defer tracer.Close()
-		fmt.Fprintf(os.Stderr, "mublastpd: tracing requests to %s\n", *tracePath)
-	}
-	var recorder *reqtrace.Recorder
-	if *recordPath != "" {
-		var err error
-		if recorder, err = reqtrace.NewRecorderFile(*recordPath); err != nil {
-			return fmt.Errorf("opening record sink: %w", err)
-		}
-		defer recorder.Close()
-		fmt.Fprintf(os.Stderr, "mublastpd: recording workload to %s\n", *recordPath)
-	}
-
-	srv := server.New(ses, p, server.Config{
-		Queue:           *queue,
-		Concurrency:     *concurrency,
-		DefaultTimeout:  *timeout,
-		MaxTimeout:      *maxTimeout,
-		MaxQueries:      *maxQueries,
-		DegradeAfter:    *degAfter,
-		DegradedTimeout: *degTimeout,
-		Registry:        obs.Default,
-		Tracer:          tracer,
-		Recorder:        recorder,
-		Store:           store,
-		MaxIngestSeqs:   *maxIngest,
-		CompactAfter:    *compactAfter,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "mublastpd: "+format+"\n", args...)
-		},
+		cfg.Queue, cfg.Concurrency = *queue, *concurrency
+		cfg.DegradeAfter, cfg.DegradedTimeout = *degAfter, *degTimeout
+		cfg.MaxIngestSeqs, cfg.CompactAfter = *maxIngest, *compactAfter
+		srv := server.New(ses, p, cfg)
+		cfg = srv.Config()
+		return srv, fmt.Sprintf("queue %d, concurrency %d, timeout %v", cfg.Queue, cfg.Concurrency, cfg.DefaultTimeout), nil
 	})
-	bound, err := srv.Start(*addr)
-	if err != nil {
-		return err
-	}
-	if *debugAddr != "" {
-		dbg, err := obs.Serve(*debugAddr, obs.Default)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "mublastpd: debug server on %s\n", dbg.Addr)
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			dbg.Shutdown(ctx)
-		}()
-	}
-	cfg := srv.Config()
-	fmt.Fprintf(os.Stderr, "mublastpd: serving on %s (queue %d, concurrency %d, timeout %v)\n",
-		bound, cfg.Queue, cfg.Concurrency, cfg.DefaultTimeout)
-
-	// First signal: graceful drain (announced). Second signal: sigctx
-	// force-exits with its distinct code — the drain can be escalated past.
-	ctx, stop := sigctx.WithForcedExit(context.Background(), func(sig os.Signal) {
-		fmt.Fprintf(os.Stderr, "mublastpd: %v received, draining (grace %v; signal again to force exit)\n", sig, *drainGrace)
-	})
-	defer stop()
-	<-ctx.Done()
-
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainGrace+5*time.Second)
-	defer cancel()
-	if err := srv.Drain(drainCtx, *drainGrace); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	fmt.Fprintln(os.Stderr, "mublastpd: drained, exiting")
-	return nil
 }

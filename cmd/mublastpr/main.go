@@ -13,10 +13,11 @@
 //
 // With -shards every replica is an in-process engine over a local container;
 // with -workers every replica is a remote mublastpd driven over HTTP
-// (/shard/search). Before serving, the topology is cross-checked: all
-// replicas of a shard must hold the same slice, all shards the same build
-// fingerprint, and the shard sizes must fit one round-robin split of one
-// database — local engines are then opened with the *global*
+// (/shard/search). Before serving, the topology is cross-checked against one
+// rule (blast.VerifyTopology, fed by the verified files or by every worker's
+// /shard/info): all replicas of a shard must hold the same slice, all shards
+// the same build fingerprint, and the shard sizes must fit one round-robin
+// split of one database — local engines are then opened with the *global*
 // residue/sequence totals (remote workers must be started with
 // -global-sequences/-global-residues) so E-values are computed against the
 // whole logical database, the invariant the byte-identical merge rests on.
@@ -45,7 +46,9 @@
 // A shard replica that is saturated sheds its part of a request; the
 // response then reports those queries incomplete (never fake zero-hit
 // results) with Retry-After forwarded. Only when every shard sheds does the
-// daemon answer 429. SIGINT/SIGTERM drain gracefully as in mublastpd.
+// daemon answer 429. SIGINT/SIGTERM drain gracefully as in mublastpd: the
+// process lifecycle, its flags and the HTTP edge are the ones mublastpd runs
+// (server.RegisterFlags, server.Edge).
 package main
 
 import (
@@ -58,11 +61,9 @@ import (
 	"time"
 
 	"repro/blast"
-	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/reqtrace"
 	"repro/internal/router"
-	"repro/internal/sigctx"
+	"repro/internal/server"
 )
 
 func main() {
@@ -74,24 +75,12 @@ func main() {
 
 func run() error {
 	var (
+		serve      = server.RegisterFlags("mublastpr", ":8045")
 		shardSpec  = flag.String("shards", "", "comma-separated shard containers in shard order; '|' separates replicas of one shard (exactly one of -shards/-workers)")
 		workerSpec = flag.String("workers", "", "comma-separated shard worker URLs in shard order; '|' separates replicas of one shard, e.g. 'http://h1:8044|http://h2:8044,http://h3:8044'")
 		policy     = flag.String("policy", router.PolicyRoundRobin, "default replica-choice policy: "+strings.Join(router.PolicyNames(), ", "))
-		addr       = flag.String("addr", ":8045", "listen address (use :0 for an ephemeral port)")
-		threads    = flag.Int("threads", 0, "threads per shard batch search (0 = all cores)")
-		evalue     = flag.Float64("evalue", 10, "E-value cutoff")
-		maxHits    = flag.Int("max-hits", 250, "maximum hits per query")
 		shardConc  = flag.Int("shard-concurrency", 2, "concurrent searches per shard replica; excess sheds")
 		retryAfter = flag.Duration("retry-after", time.Second, "Retry-After hint attached to sheds")
-		timeout    = flag.Duration("timeout", 30*time.Second, "default per-request deadline")
-		maxTimeout = flag.Duration("max-timeout", 2*time.Minute, "cap on client-requested deadlines")
-		maxQueries = flag.Int("max-queries", 64, "per-request batch size cap")
-		drainGrace = flag.Duration("drain-grace", 10*time.Second, "time in-flight searches get to finish on shutdown before partial-result flush")
-		debugAddr  = flag.String("debug-addr", "", "also serve /metrics, /debug/vars and /debug/pprof/ on this address (e.g. :6060), separate from -addr")
-		tracePath  = flag.String("trace", "", "append one JSONL trace tree per request (edge, scatter, per-shard stage spans, merge) to this file")
-		recordPath = flag.String("record", "", "append one workload record per request (arrival, query lengths, deadline, outcome, span durations) to this file — replay/capsim input")
-		faultSpec  = flag.String("faultspec", "", "arm fault-injection sites, e.g. 'router.rpc=error@0.1' (testing aid)")
-		faultSeed  = flag.Uint64("faultseed", 1, "seed for probabilistic -faultspec clauses")
 
 		probeEvery    = flag.Duration("probe-interval", time.Second, "health-probe interval for remote replicas (/readyz-driven ejection)")
 		readmitBase   = flag.Duration("readmit-backoff", 500*time.Millisecond, "first readmission probe delay after an ejection (doubles, jittered, up to -readmit-backoff-max)")
@@ -110,19 +99,8 @@ func run() error {
 		os.Exit(2)
 	}
 
-	if *faultSpec != "" {
-		if err := faultinject.Enable(*faultSpec, *faultSeed); err != nil {
-			return err
-		}
-		defer faultinject.Disable()
-		fmt.Fprintf(os.Stderr, "mublastpr: fault injection armed: %s (seed %d)\n", *faultSpec, *faultSeed)
-	}
-
-	spec := *shardSpec
-	if spec == "" {
-		spec = *workerSpec
-	}
-	paths := make([][]string, 0)
+	spec := *shardSpec + *workerSpec
+	var paths [][]string
 	for _, shard := range strings.Split(spec, ",") {
 		var reps []string
 		for _, rep := range strings.Split(shard, "|") {
@@ -135,9 +113,7 @@ func run() error {
 		}
 		paths = append(paths, reps)
 	}
-	n := len(paths)
-
-	resilience := router.ResilienceConfig{
+	opts := router.Options{DefaultPolicy: *policy, Registry: obs.Default, Resilience: router.ResilienceConfig{
 		ProbeInterval:     *probeEvery,
 		ReadmitBackoff:    *readmitBase,
 		ReadmitBackoffMax: *readmitMax,
@@ -146,124 +122,86 @@ func run() error {
 		RetryBudget:       *retryBudget,
 		RetryBackoff:      *retryBackoff,
 		Hedge:             *hedge,
-	}
+	}}
 
-	if *workerSpec != "" {
-		return runRemote(paths, resilience, *networkMargin, remoteOpts{
-			policy: *policy, addr: *addr, timeout: *timeout, maxTimeout: *maxTimeout,
-			maxQueries: *maxQueries, drainGrace: *drainGrace, debugAddr: *debugAddr,
-			tracePath: *tracePath, recordPath: *recordPath,
+	return serve(func(p blast.Params, cfg server.Config) (server.Daemon, string, error) {
+		var workers [][]router.Worker
+		var generations []func() int64
+		var err error
+		if *workerSpec != "" {
+			workers, generations, err = remoteWorkers(paths, *networkMargin, cfg.Logf)
+		} else {
+			workers, generations, err = localWorkers(paths, p, *shardConc, *retryAfter, cfg.Logf)
+		}
+		if err != nil {
+			return nil, "", err
+		}
+		rt, err := router.New(workers, opts)
+		if err != nil {
+			return nil, "", err
+		}
+		fe := router.NewFrontend(rt, router.FrontendConfig{
+			DefaultTimeout: cfg.DefaultTimeout,
+			MaxTimeout:     cfg.MaxTimeout,
+			MaxQueries:     cfg.MaxQueries,
+			Registry:       cfg.Registry,
+			Tracer:         cfg.Tracer,
+			Recorder:       cfg.Recorder,
+			Logf:           cfg.Logf,
+			// db_generation is the oldest generation any replica serves.
+			Generation: func() int64 {
+				g := generations[0]()
+				for _, gen := range generations[1:] {
+					g = min(g, gen())
+				}
+				return g
+			},
 		})
-	}
+		return fe, fmt.Sprintf("policy %s, timeout %v, retry budget %d, hedge %v",
+			rt.DefaultPolicy(), cfg.DefaultTimeout, rt.Resilience().RetryBudget, rt.Resilience().Hedge), nil
+	})
+}
 
-	// Verify pass: every container is validated end to end (CRCs, structure)
-	// before anything serves, and the shard set is cross-checked as one
-	// coherent round-robin split. The sum of the verified per-shard totals is
-	// the global search space every shard engine will be opened with.
+// localWorkers opens an in-process engine per container. Every container is
+// first validated end to end and the set cross-checked as one coherent
+// round-robin split (blast.VerifyShardSet); the verified totals are the
+// global search space every shard engine is then opened with.
+func localWorkers(paths [][]string, p blast.Params, conc int, retryAfter time.Duration, logf func(string, ...any)) ([][]router.Worker, []func() int64, error) {
 	start := time.Now()
-	var fp *blast.Fingerprint
-	var globalResidues int64
-	var globalSeqs int64
-	counts := make([]int, n)
-	for s, reps := range paths {
-		var first *blast.ContainerInfo
-		for r, path := range reps {
-			info, err := blast.VerifyFile(path)
-			if err != nil {
-				return fmt.Errorf("verifying shard %d replica %d (%s): %w", s, r, path, err)
-			}
-			if fp == nil {
-				fp = &info.Fingerprint
-			} else if info.Fingerprint != *fp {
-				return fmt.Errorf("shard %d replica %d (%s): build fingerprint %+v differs from shard 0's %+v; all shards must come from one makedb run",
-					s, r, path, info.Fingerprint, *fp)
-			}
-			if first == nil {
-				first = info
-			} else if info.NumSequences != first.NumSequences || info.TotalResidues != first.TotalResidues {
-				return fmt.Errorf("shard %d replica %d (%s): %d sequences/%d residues, but replica 0 has %d/%d; replicas must hold the same slice",
-					s, r, path, info.NumSequences, info.TotalResidues, first.NumSequences, first.TotalResidues)
-			}
-		}
-		counts[s] = first.NumSequences
-		globalResidues += first.TotalResidues
-		globalSeqs += int64(first.NumSequences)
+	set, err := blast.VerifyShardSet(paths)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w; check -shards order and completeness", err)
 	}
-	// A round-robin deal of G sequences over n shards puts ceil((G-s)/n) in
-	// shard s. Containers that do not fit that pattern are not shards of one
-	// database (or are given out of order) and would merge to garbage.
-	for s := range counts {
-		want := int((globalSeqs - int64(s) + int64(n) - 1) / int64(n))
-		if counts[s] != want {
-			return fmt.Errorf("shard %d holds %d sequences but a round-robin split of %d over %d shards puts %d there; check -shards order and completeness",
-				s, counts[s], globalSeqs, n, want)
-		}
-	}
+	p.Matrix = set.Fingerprint.Matrix
+	p.GlobalDBResidues = set.TotalResidues
+	p.GlobalDBSequences = int64(set.TotalSequences)
 
-	p := blast.DefaultParams()
-	p.Matrix = fp.Matrix
-	p.EValueCutoff = *evalue
-	p.MaxResults = *maxHits
-	p.Threads = *threads
-	p.GlobalDBResidues = globalResidues
-	p.GlobalDBSequences = globalSeqs
-
-	workers := make([][]router.Worker, n)
-	var sessions []*blast.Session
+	workers := make([][]router.Worker, len(paths))
+	var generations []func() int64
 	for s, reps := range paths {
 		for r, path := range reps {
 			ses, err := blast.OpenSession(path, p)
 			if err != nil {
-				return fmt.Errorf("loading shard %d replica %d (%s): %w", s, r, path, err)
+				return nil, nil, fmt.Errorf("loading shard %d replica %d (%s): %w", s, r, path, err)
 			}
-			sessions = append(sessions, ses)
+			generations = append(generations, ses.Generation)
 			name := fmt.Sprintf("s%d/r%d(%s)", s, r, filepath.Base(path))
-			workers[s] = append(workers[s], router.NewLocalWorker(name, ses, *shardConc, 1, *retryAfter))
+			workers[s] = append(workers[s], router.NewLocalWorker(name, ses, conc, 1, retryAfter))
 		}
 	}
-	fmt.Fprintf(os.Stderr, "mublastpr: %d shards (%d replicas) ready in %v; global search space %d sequences, %d residues\n",
-		n, len(sessions), time.Since(start).Round(time.Millisecond), globalSeqs, globalResidues)
-
-	rt, err := router.New(workers, router.Options{DefaultPolicy: *policy, Registry: obs.Default, Resilience: resilience})
-	if err != nil {
-		return err
-	}
-	return serve(rt, func() int64 {
-		g := sessions[0].Generation()
-		for _, ses := range sessions[1:] {
-			if sg := ses.Generation(); sg < g {
-				g = sg
-			}
-		}
-		return g
-	}, remoteOpts{
-		policy: *policy, addr: *addr, timeout: *timeout, maxTimeout: *maxTimeout,
-		maxQueries: *maxQueries, drainGrace: *drainGrace, debugAddr: *debugAddr,
-		tracePath: *tracePath, recordPath: *recordPath,
-	})
+	logf("%d shards (%d replicas) ready in %v; global search space %d sequences, %d residues",
+		len(paths), len(generations), time.Since(start).Round(time.Millisecond), set.TotalSequences, set.TotalResidues)
+	return workers, generations, nil
 }
 
-// remoteOpts bundles the serving flags shared by the local and remote paths.
-type remoteOpts struct {
-	policy     string
-	addr       string
-	timeout    time.Duration
-	maxTimeout time.Duration
-	maxQueries int
-	drainGrace time.Duration
-	debugAddr  string
-	tracePath  string
-	recordPath string
-}
-
-// runRemote builds the router over a remote mublastpd fleet: coherence
-// handshake against every replica's /shard/info, then RemoteWorkers wrapped
-// in the resilience layer with /readyz probing live.
-func runRemote(urls [][]string, resilience router.ResilienceConfig, margin time.Duration, o remoteOpts) error {
+// remoteWorkers builds a RemoteWorker per mublastpd URL and runs the
+// coherence handshake against every replica's /shard/info before any of
+// them is trusted with scatter traffic.
+func remoteWorkers(urls [][]string, margin time.Duration, logf func(string, ...any)) ([][]router.Worker, []func() int64, error) {
 	start := time.Now()
 	shards := make([][]*router.RemoteWorker, len(urls))
 	workers := make([][]router.Worker, len(urls))
-	total := 0
+	var generations []func() int64
 	for s, reps := range urls {
 		for r, u := range reps {
 			w := router.NewRemoteWorker(fmt.Sprintf("s%d/r%d(%s)", s, r, u), u, router.RemoteOptions{
@@ -271,100 +209,16 @@ func runRemote(urls [][]string, resilience router.ResilienceConfig, margin time.
 			})
 			shards[s] = append(shards[s], w)
 			workers[s] = append(workers[s], w)
-			total++
+			generations = append(generations, w.Generation)
 		}
 	}
 	hctx, hcancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer hcancel()
 	fp, globalSeqs, err := router.VerifyRemoteTopology(hctx, shards)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	fmt.Fprintf(os.Stderr, "mublastpr: %d shards (%d remote replicas) coherent in %v; fingerprint %+v, global %d sequences\n",
-		len(urls), total, time.Since(start).Round(time.Millisecond), *fp, globalSeqs)
-
-	rt, err := router.New(workers, router.Options{DefaultPolicy: o.policy, Registry: obs.Default, Resilience: resilience})
-	if err != nil {
-		return err
-	}
-	gen := func() int64 {
-		var g int64
-		first := true
-		for _, reps := range shards {
-			for _, w := range reps {
-				if wg := w.Generation(); first || wg < g {
-					g, first = wg, false
-				}
-			}
-		}
-		return g
-	}
-	return serve(rt, gen, o)
-}
-
-// serve wraps a built router in the HTTP frontend and runs it until a drain
-// signal; shared tail of the local and remote paths.
-func serve(rt *router.Router, generation func() int64, o remoteOpts) error {
-	var err error
-	var tracer *reqtrace.Tracer
-	if o.tracePath != "" {
-		if tracer, err = reqtrace.NewTracerFile("mublastpr", o.tracePath); err != nil {
-			return fmt.Errorf("opening trace sink: %w", err)
-		}
-		defer tracer.Close()
-		fmt.Fprintf(os.Stderr, "mublastpr: tracing requests to %s\n", o.tracePath)
-	}
-	var recorder *reqtrace.Recorder
-	if o.recordPath != "" {
-		if recorder, err = reqtrace.NewRecorderFile(o.recordPath); err != nil {
-			return fmt.Errorf("opening record sink: %w", err)
-		}
-		defer recorder.Close()
-		fmt.Fprintf(os.Stderr, "mublastpr: recording workload to %s\n", o.recordPath)
-	}
-
-	fe := router.NewFrontend(rt, router.FrontendConfig{
-		DefaultTimeout: o.timeout,
-		MaxTimeout:     o.maxTimeout,
-		MaxQueries:     o.maxQueries,
-		Registry:       obs.Default,
-		Generation:     generation,
-		Tracer:         tracer,
-		Recorder:       recorder,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "mublastpr: "+format+"\n", args...)
-		},
-	})
-	bound, err := fe.Start(o.addr)
-	if err != nil {
-		return err
-	}
-	if o.debugAddr != "" {
-		dbg, err := obs.Serve(o.debugAddr, obs.Default)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "mublastpr: debug server on %s\n", dbg.Addr)
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			dbg.Shutdown(ctx)
-		}()
-	}
-	fmt.Fprintf(os.Stderr, "mublastpr: serving on %s (policy %s, timeout %v, retry budget %d, hedge %v)\n",
-		bound, rt.DefaultPolicy(), o.timeout, rt.Resilience().RetryBudget, rt.Resilience().Hedge)
-
-	ctx, stop := sigctx.WithForcedExit(context.Background(), func(sig os.Signal) {
-		fmt.Fprintf(os.Stderr, "mublastpr: %v received, draining (grace %v; signal again to force exit)\n", sig, o.drainGrace)
-	})
-	defer stop()
-	<-ctx.Done()
-
-	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainGrace+5*time.Second)
-	defer cancel()
-	if err := fe.Drain(drainCtx, o.drainGrace); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	fmt.Fprintln(os.Stderr, "mublastpr: drained, exiting")
-	return nil
+	logf("%d shards (%d remote replicas) coherent in %v; fingerprint %+v, global %d sequences",
+		len(urls), len(generations), time.Since(start).Round(time.Millisecond), *fp, globalSeqs)
+	return workers, generations, nil
 }

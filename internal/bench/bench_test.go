@@ -200,9 +200,13 @@ func TestFig8SmallScale(t *testing.T) {
 		if parseF(t, row[1]) <= 0 || parseF(t, row[2]) <= 0 {
 			t.Errorf("non-positive time in %v", row)
 		}
-		// muBLASTP should not be slower than NCBI-db at any block size.
-		if parseF(t, row[1]) > parseF(t, row[2])*1.5 {
-			t.Errorf("muBLASTP much slower than NCBI-db at %s: %v", row[0], row)
+		// The paper's Fig 8 claim, on the deterministic simulated columns:
+		// muBLASTP misses the LLC no more than NCBI-db at any block size. The
+		// two wall-clock columns are one-shot, cold, ~0.2 s timings whose
+		// ratio flips with whatever else the host runs; they are reported,
+		// not compared.
+		if parseF(t, row[3]) > parseF(t, row[4]) {
+			t.Errorf("muBLASTP LLC miss rate above NCBI-db's at %s: %v", row[0], row)
 		}
 	}
 }

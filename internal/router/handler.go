@@ -2,16 +2,11 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"net"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
-	"repro/internal/alphabet"
 	"repro/internal/obs"
 	"repro/internal/reqtrace"
 	"repro/internal/server"
@@ -63,8 +58,6 @@ type FrontendConfig struct {
 	MaxTimeout     time.Duration
 	// MaxQueries caps the batch size of one request (default 64).
 	MaxQueries int
-	// MaxBodyBytes caps the request body (default 32 MiB).
-	MaxBodyBytes int64
 	// Registry serves /metrics (default obs.Default). Use the registry the
 	// Router stamps so router_* numbers are visible.
 	Registry *obs.Registry
@@ -89,59 +82,33 @@ type FrontendConfig struct {
 	Logf func(format string, args ...any)
 }
 
-func (c FrontendConfig) withDefaults() FrontendConfig {
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 2 * time.Minute
-	}
-	if c.MaxQueries <= 0 {
-		c.MaxQueries = 64
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 32 << 20
-	}
-	if c.Registry == nil {
-		c.Registry = obs.Default
-	}
-	if c.Generation == nil {
-		c.Generation = func() int64 { return 0 }
-	}
-	return c
-}
-
-// Frontend is the HTTP surface of the scatter-gather tier: /search over the
-// router, plus the standard debug endpoints (/metrics, /healthz, /readyz).
+// Frontend is the HTTP surface of the scatter-gather tier: the serving edge
+// it shares with the monolithic daemon (lifecycle, request scope, batch
+// preamble, rendering, the debug endpoints) plus what is the router's own —
+// /search over the scatter with its shed mapping, the rolling /reload, and
+// /replicas.
 type Frontend struct {
-	rt  *Router
-	cfg FrontendConfig
-	mux *http.ServeMux
-
-	searchCtx      context.Context
-	cancelSearches context.CancelFunc
-	draining       chan struct{}
-	drainOnce      sync.Once
-
-	httpMu  sync.Mutex
-	httpSrv *http.Server
-	httpLn  net.Listener
+	*server.Edge
+	rt         *Router
+	generation func() int64
 }
 
-// NewFrontend wraps a router in the HTTP tier.
+// NewFrontend wraps a router in the HTTP tier. Readiness fails while
+// draining, and while any shard has zero healthy replicas — a fleet that can
+// only produce guaranteed-incomplete merges pulls itself from upstream
+// rotation.
 func NewFrontend(rt *Router, cfg FrontendConfig) *Frontend {
-	cfg = cfg.withDefaults()
-	ctx, cancel := context.WithCancel(context.Background())
-	f := &Frontend{
-		rt: rt, cfg: cfg,
-		searchCtx: ctx, cancelSearches: cancel,
-		draining: make(chan struct{}),
+	f := &Frontend{rt: rt, generation: cfg.Generation}
+	if f.generation == nil {
+		f.generation = func() int64 { return 0 }
 	}
-	f.mux = http.NewServeMux()
-	f.mux.HandleFunc("/search", f.handleSearch)
-	f.mux.HandleFunc("/reload", f.handleReload)
-	f.mux.HandleFunc("/replicas", f.handleReplicas)
-	f.mux.Handle("/", obs.HandlerWithReadiness(cfg.Registry, f.Ready))
+	f.Edge = server.NewEdge("mublastpr", server.Config{
+		DefaultTimeout: cfg.DefaultTimeout, MaxTimeout: cfg.MaxTimeout, MaxQueries: cfg.MaxQueries,
+		Registry: cfg.Registry, Tracer: cfg.Tracer, Recorder: cfg.Recorder, Logf: cfg.Logf,
+	}, rt.HealthErr)
+	f.HandleFunc("/search", f.handleSearch)
+	f.HandleFunc("/reload", f.handleReload)
+	f.HandleFunc("/replicas", f.handleReplicas)
 	return f
 }
 
@@ -149,129 +116,37 @@ func NewFrontend(rt *Router, cfg FrontendConfig) *Frontend {
 // the ejection/breaker machinery).
 func (f *Frontend) handleReplicas(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET only", Status: http.StatusMethodNotAllowed})
+		server.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	writeJSON(w, http.StatusOK, f.rt.ReplicaStates())
+	server.WriteJSON(w, http.StatusOK, f.rt.ReplicaStates())
 }
 
 // Router returns the scatter-gather core the frontend serves.
 func (f *Frontend) Router() *Router { return f.rt }
 
-// Draining reports whether BeginDrain has run.
-func (f *Frontend) Draining() bool {
-	select {
-	case <-f.draining:
-		return true
-	default:
-		return false
-	}
-}
-
-// Ready is the readiness probe behind /readyz: failing while draining, and
-// failing while any shard has zero healthy replicas — a fleet that can only
-// produce guaranteed-incomplete merges pulls itself from upstream rotation.
-func (f *Frontend) Ready() error {
-	if f.Draining() {
-		return errors.New("draining")
-	}
-	return f.rt.HealthErr()
-}
-
-// Handler returns the HTTP surface with panic recovery (a poisoned request
-// answers 500, never a torn connection).
-func (f *Frontend) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if v := recover(); v != nil {
-				http.Error(w, fmt.Sprintf("internal error: %v", v), http.StatusInternalServerError)
-			}
-		}()
-		f.mux.ServeHTTP(w, r)
-	})
-}
-
 // Start binds addr (":0" for an ephemeral port) and serves in the
 // background, returning the bound address. It also starts the router's
 // health prober (a no-op when nothing is probeable).
 func (f *Frontend) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("router: listen on %s: %w", addr, err)
+	bound, err := f.Edge.Start(addr)
+	if err == nil {
+		f.rt.Start()
 	}
-	f.rt.Start()
-	srv := &http.Server{
-		Handler:     f.Handler(),
-		BaseContext: func(net.Listener) context.Context { return f.searchCtx },
-	}
-	f.httpMu.Lock()
-	f.httpSrv, f.httpLn = srv, ln
-	f.httpMu.Unlock()
-	go srv.Serve(ln)
-	return ln.Addr().String(), nil
+	return bound, err
 }
 
-// BeginDrain takes the frontend out of rotation (new searches answer 503,
-// /readyz fails) and cancels in-flight scatters after grace so shard batches
-// stop between tasks and flush partial results.
-func (f *Frontend) BeginDrain(grace time.Duration) {
-	f.drainOnce.Do(func() {
-		close(f.draining)
-		if grace <= 0 {
-			f.cancelSearches()
-			return
-		}
-		t := time.AfterFunc(grace, f.cancelSearches)
-		go func() {
-			<-f.searchCtx.Done()
-			t.Stop()
-		}()
-	})
-}
-
-// Drain is the graceful shutdown: BeginDrain(grace) then HTTP Shutdown
-// bounded by ctx.
+// Drain is the edge's graceful shutdown, then the prober's.
 func (f *Frontend) Drain(ctx context.Context, grace time.Duration) error {
-	f.BeginDrain(grace)
-	f.httpMu.Lock()
-	srv := f.httpSrv
-	f.httpMu.Unlock()
-	var err error
-	if srv != nil {
-		err = srv.Shutdown(ctx)
-	}
-	f.cancelSearches()
+	err := f.Edge.Drain(ctx, grace)
 	f.rt.Close()
 	return err
 }
 
 // Close tears everything down immediately.
 func (f *Frontend) Close() error {
-	f.BeginDrain(0)
-	f.cancelSearches()
 	f.rt.Close()
-	f.httpMu.Lock()
-	srv := f.httpSrv
-	f.httpMu.Unlock()
-	if srv != nil {
-		return srv.Close()
-	}
-	return nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// retryAfterSeconds renders a Retry-After hint (whole seconds, minimum 1).
-func retryAfterSeconds(d time.Duration) string {
-	s := int(d.Round(time.Second) / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return strconv.Itoa(s)
+	return f.Edge.Close()
 }
 
 func statusesWire(rep *Report) []ShardStatusWire {
@@ -301,171 +176,99 @@ func statusesWire(rep *Report) []ShardStatusWire {
 	return out
 }
 
-func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
-	sc := f.beginRouteScope(w, r)
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", Status: http.StatusMethodNotAllowed})
-		sc.finish(reqtrace.OutcomeRejected, http.StatusMethodNotAllowed)
+// recordReport projects the routing report into the workload record's flat
+// span durations: scatter, merge, and one shard<N> entry per shard — the
+// per-stage service times the capacity planner fits its distributions from.
+func recordReport(sc *server.Scope, rep *Report) {
+	if rep == nil || !sc.Recording() {
 		return
 	}
-	if f.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "draining", Status: http.StatusServiceUnavailable})
-		sc.finish(reqtrace.OutcomeCancelled, http.StatusServiceUnavailable)
-		return
+	sc.SpanNanos("scatter", time.Duration(rep.ScatterNanos))
+	if rep.MergeNanos > 0 {
+		sc.SpanNanos("merge", time.Duration(rep.MergeNanos))
 	}
-	var req server.SearchRequest
-	r.Body = http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("decoding request: %v", err), Status: http.StatusBadRequest})
-		sc.finish(reqtrace.OutcomeRejected, http.StatusBadRequest)
-		return
+	for i := range rep.Shards {
+		sc.SpanNanos("shard"+strconv.Itoa(rep.Shards[i].Shard), time.Duration(rep.Shards[i].Nanos))
 	}
-	if len(req.Queries) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "no queries", Status: http.StatusBadRequest})
-		sc.finish(reqtrace.OutcomeRejected, http.StatusBadRequest)
-		return
-	}
-	if len(req.Queries) > f.cfg.MaxQueries {
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
-			Error:  fmt.Sprintf("%d queries exceeds the per-request cap of %d", len(req.Queries), f.cfg.MaxQueries),
-			Status: http.StatusRequestEntityTooLarge,
-		})
-		sc.finish(reqtrace.OutcomeRejected, http.StatusRequestEntityTooLarge)
-		return
-	}
-	for i := range req.Queries {
-		if _, err := alphabet.Encode([]byte(req.Queries[i].Residues)); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{
-				Error:  fmt.Sprintf("query %d (%s): %v", i, req.Queries[i].Name, err),
-				Status: http.StatusBadRequest,
-			})
-			sc.finish(reqtrace.OutcomeRejected, http.StatusBadRequest)
-			return
-		}
-	}
+}
 
-	timeout := f.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
+	var req server.SearchRequest
+	sc, ok := f.Begin(w, r)
+	if !ok {
+		return
 	}
-	if timeout > f.cfg.MaxTimeout {
-		timeout = f.cfg.MaxTimeout
+	b, ok := sc.DecodeBatch(r, &req)
+	if !ok {
+		return
 	}
-	if sc.rec != nil {
-		sc.rec.QueryLens = make([]int, len(req.Queries))
-		for i := range req.Queries {
-			sc.rec.QueryLens[i] = len(req.Queries[i].Residues)
-		}
-		sc.rec.DeadlineMS = timeout.Milliseconds()
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), b.Timeout)
 	defer cancel()
 	// The scatter tier hangs its spans under the edge span it finds in the
 	// context (a no-op nil with tracing off), and remote workers read the
 	// IDs back out to stamp their outbound propagation headers — one request
 	// ID across router and shard daemons.
-	ctx = reqtrace.ContextWithSpan(ctx, sc.root)
+	ctx = reqtrace.ContextWithSpan(ctx, sc.Root)
 	var traceID string
-	if sc.tr != nil {
-		traceID = sc.tr.TraceID
+	if sc.Trace != nil {
+		traceID = sc.Trace.TraceID
 	}
-	ctx = reqtrace.ContextWithIDs(ctx, sc.rid, traceID)
+	ctx = reqtrace.ContextWithIDs(ctx, sc.RID, traceID)
 
-	texts := make([]string, len(req.Queries))
-	for i := range req.Queries {
-		texts[i] = req.Queries[i].Residues
-	}
 	searchStart := time.Now()
-	br, rep, err := f.rt.Search(ctx, texts, req.Policy)
+	br, rep, err := f.rt.Search(ctx, b.Residues, req.Policy)
 	searchDur := time.Since(searchStart)
-	sc.recordReport(rep)
+	recordReport(sc, rep)
 	if err != nil {
+		// fail answers the error body with the routing report attached.
+		fail := func(outcome string, status int) {
+			server.WriteJSON(w, status, errorResponse{Error: err.Error(), Status: status, Shards: statusesWire(rep)})
+			sc.Finish(outcome, status)
+		}
 		switch {
 		case rep == nil: // bad input (unknown policy), nothing scattered
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Status: http.StatusBadRequest})
-			sc.finish(reqtrace.OutcomeRejected, http.StatusBadRequest)
+			fail(reqtrace.OutcomeRejected, http.StatusBadRequest)
 		case errors.Is(err, ErrAllShardsUnavailable) && rep.Failed() == 0:
 			// Pure overload: every shard shed. 429 with the aggregated hint,
 			// exactly like the monolithic daemon's queue-full shed.
-			w.Header().Set("Retry-After", retryAfterSeconds(rep.RetryAfter))
-			writeJSON(w, http.StatusTooManyRequests, errorResponse{
-				Error: err.Error(), Status: http.StatusTooManyRequests, Shards: statusesWire(rep),
-			})
-			f.logf("request %s shed: all %d shards saturated, retry after %v", sc.rid, len(rep.Shards), rep.RetryAfter)
-			sc.finish(reqtrace.OutcomeShed, http.StatusTooManyRequests)
+			server.SetRetryAfter(w, rep.RetryAfter)
+			f.Logf("request %s shed: all %d shards saturated, retry after %v", sc.RID, len(rep.Shards), rep.RetryAfter)
+			fail(reqtrace.OutcomeShed, http.StatusTooManyRequests)
 		default:
 			if rep.Sheds() > 0 {
-				w.Header().Set("Retry-After", retryAfterSeconds(rep.RetryAfter))
+				server.SetRetryAfter(w, rep.RetryAfter)
 			}
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{
-				Error: err.Error(), Status: http.StatusServiceUnavailable, Shards: statusesWire(rep),
-			})
-			f.logf("request %s failed: %d shed, %d failed of %d shards: %v",
-				sc.rid, rep.Sheds(), rep.Failed(), len(rep.Shards), err)
+			f.Logf("request %s failed: %d shed, %d failed of %d shards: %v",
+				sc.RID, rep.Sheds(), rep.Failed(), len(rep.Shards), err)
 			outcome := reqtrace.OutcomeError
 			if ctx.Err() == context.DeadlineExceeded {
 				outcome = reqtrace.OutcomeTimeout
 			}
-			sc.finish(outcome, http.StatusServiceUnavailable)
+			fail(outcome, http.StatusServiceUnavailable)
 		}
 		return
 	}
 
 	resp := SearchResponse{
-		SearchResponse: server.SearchResponse{
-			Generation: f.cfg.Generation(),
-			Incomplete: br.Err != nil,
-			Results:    make([]server.QueryOutput, len(br.Results)),
-			Stats: server.RequestStats{
-				SearchMS:         float64(searchDur) / float64(time.Millisecond),
-				EffectiveTimeout: timeout.String(),
-				Workers:          br.Sched.Workers,
-				Tasks:            br.Sched.Tasks,
-				TasksCancelled:   br.Sched.TasksCancelled,
-				TasksPanicked:    br.Sched.TasksPanicked,
-				QueriesAborted:   br.Sched.QueriesAborted,
-				UtilizationPct:   br.Sched.Utilization() * 100,
-			},
-		},
-		Policy: rep.Policy,
-		Shards: statusesWire(rep),
+		SearchResponse: server.RenderBatch(br, b.Names, searchDur, b.Timeout),
+		Policy:         rep.Policy,
+		Shards:         statusesWire(rep),
 	}
-	if br.Err != nil {
-		resp.Error = br.Err.Error()
-	}
-	for i := range br.Results {
-		out := server.QueryOutput{
-			Name:      req.Queries[i].Name,
-			QueryLen:  br.Results[i].QueryLen,
-			Completed: br.Completed[i],
-			Hits:      []server.Hit{},
-		}
-		if br.QueryErrs[i] != nil {
-			out.Error = br.QueryErrs[i].Error()
-		}
-		if br.Completed[i] {
-			for _, h := range br.Results[i].Hits {
-				out.Hits = append(out.Hits, server.HitFromBlast(h))
-			}
-		}
-		resp.Results[i] = out
-	}
+	resp.Generation = f.generation()
 	// A partial (some-shards-shed) success still tells the client when to
 	// retry for the full answer.
 	if rep.Sheds() > 0 {
-		w.Header().Set("Retry-After", retryAfterSeconds(rep.RetryAfter))
+		server.SetRetryAfter(w, rep.RetryAfter)
 	}
-	writeJSON(w, http.StatusOK, resp)
-	if sc.rec != nil {
-		sc.rec.SpanNanos["search"] = searchDur.Nanoseconds()
-	}
+	server.WriteJSON(w, http.StatusOK, resp)
+	sc.SpanNanos("search", searchDur)
 	if br.Err != nil {
 		// Honest partial: a 200 whose batch carries an error (deadline or a
 		// non-answering shard) counts against the deadline budget, not as a
 		// clean success.
-		f.logf("request %s partial: %v", sc.rid, br.Err)
-		sc.finish(reqtrace.OutcomeTimeout, http.StatusOK)
+		f.Logf("request %s partial: %v", sc.RID, br.Err)
+		sc.Finish(reqtrace.OutcomeTimeout, http.StatusOK)
 		return
 	}
-	sc.finish(reqtrace.OutcomeOK, http.StatusOK)
+	sc.Finish(reqtrace.OutcomeOK, http.StatusOK)
 }

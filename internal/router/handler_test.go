@@ -144,34 +144,17 @@ func TestFrontendAllShed429(t *testing.T) {
 	}
 }
 
-// TestFrontendValidation: malformed requests are refused before any shard
-// work.
+// TestFrontendValidation: the refusal that is the router's own — an unknown
+// replica-choice policy — answers 400 before any shard work; the refusals it
+// shares with the monolithic daemon are the edge's (TestEdgeConformance).
 func TestFrontendValidation(t *testing.T) {
 	_, shards, queries := fixture(t)
 	rt, err := New(localWorkers(shards, 1), Options{Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fe := NewFrontend(rt, FrontendConfig{MaxQueries: 2, Registry: obs.NewRegistry()})
-	h := fe.Handler()
-
-	if rec := postSearch(t, h, searchBody(nil, "")); rec.Code != http.StatusBadRequest {
-		t.Fatalf("empty batch: status %d", rec.Code)
-	}
-	if rec := postSearch(t, h, searchBody([]string{"MKT4!"}, "")); rec.Code != http.StatusBadRequest {
-		t.Fatalf("invalid residues: status %d", rec.Code)
-	}
-	if rec := postSearch(t, h, searchBody(queries[:1], "bogus")); rec.Code != http.StatusBadRequest {
+	fe := NewFrontend(rt, FrontendConfig{Registry: obs.NewRegistry()})
+	if rec := postSearch(t, fe.Handler(), searchBody(queries[:1], "bogus")); rec.Code != http.StatusBadRequest {
 		t.Fatalf("unknown policy: status %d", rec.Code)
-	}
-	if rec := postSearch(t, h, searchBody([]string{"MKTAYIAKQR", "MKTAYIAKQR", "MKTAYIAKQR"}, "")); rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("over batch cap: status %d", rec.Code)
-	}
-	fe.BeginDrain(0)
-	if rec := postSearch(t, h, searchBody(queries[:1], "")); rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("draining: status %d", rec.Code)
-	}
-	if fe.Ready() == nil {
-		t.Fatal("readiness must fail while draining")
 	}
 }

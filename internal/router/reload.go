@@ -2,10 +2,11 @@ package router
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
+
+	"repro/internal/server"
 )
 
 // Reloader is the optional reload surface of a Worker: LocalWorker swaps its
@@ -91,25 +92,12 @@ func (rt *Router) RollingReload(ctx context.Context, paths []string, force bool)
 
 // handleReload is the frontend's rolling-reload endpoint.
 func (f *Frontend) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only", Status: http.StatusMethodNotAllowed})
-		return
-	}
-	if f.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "draining", Status: http.StatusServiceUnavailable})
-		return
-	}
 	var req ReloadShardsRequest
-	r.Body = http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("decoding request: %v", err), Status: http.StatusBadRequest})
+	if !f.DecodePost(w, r, &req) {
 		return
 	}
 	if len(req.Paths) != f.rt.NumShards() {
-		writeJSON(w, http.StatusBadRequest, errorResponse{
-			Error:  fmt.Sprintf("%d paths for %d shards", len(req.Paths), f.rt.NumShards()),
-			Status: http.StatusBadRequest,
-		})
+		server.WriteError(w, http.StatusBadRequest, "%d paths for %d shards", len(req.Paths), f.rt.NumShards())
 		return
 	}
 	timeout := 2 * time.Minute
@@ -125,6 +113,6 @@ func (f *Frontend) handleReload(w http.ResponseWriter, r *http.Request) {
 		// where the swap did not happen), but the caller must know.
 		status = http.StatusConflict
 	}
-	f.logf("rolling reload: ok=%v over %d replicas", resp.OK, len(resp.Replicas))
-	writeJSON(w, status, resp)
+	f.Logf("rolling reload: ok=%v over %d replicas", resp.OK, len(resp.Replicas))
+	server.WriteJSON(w, status, resp)
 }

@@ -282,71 +282,30 @@ func (w *RemoteWorker) ReloadContainer(ctx context.Context, path string, verifyO
 }
 
 // VerifyRemoteTopology runs the coherence handshake across a remote fleet:
-// every replica of every shard must serve the same container parameters
-// (fingerprint), agree on the global search space, agree with its shard
-// peers on the local slice, and the slices must tile the logical database
-// (round-robin share per shard, totals summing to the global). It returns
-// the agreed fingerprint and global sequence count.
+// every replica's /shard/info reply is gathered and the set is held to
+// blast.VerifyTopology — one fingerprint, one global search space, replicas
+// of a shard on the same slice and manifest commit, slices tiling the
+// logical database round-robin. It returns the agreed fingerprint and global
+// sequence count.
 func VerifyRemoteTopology(ctx context.Context, shards [][]*RemoteWorker) (*blast.Fingerprint, int64, error) {
-	if len(shards) == 0 {
-		return nil, 0, fmt.Errorf("router: no shards to verify")
-	}
-	n := int64(len(shards))
-	var fp *blast.Fingerprint
-	var globalSeqs, globalRes int64
-	var sumSeqs int64
+	facts := make([][]blast.ReplicaFacts, len(shards))
 	for s, reps := range shards {
-		if len(reps) == 0 {
-			return nil, 0, fmt.Errorf("router: shard %d has no replicas", s)
-		}
-		var shardSeqs int
-		var shardRes int64
-		var shardManSeq int64
-		var shardManHash string
-		for i, w := range reps {
+		for _, w := range reps {
 			info, err := w.Info(ctx)
 			if err != nil {
 				return nil, 0, fmt.Errorf("router: shard %d replica %s: handshake: %w", s, w.Name(), err)
 			}
-			if fp == nil {
-				f := info.Fingerprint
-				fp = &f
-				globalSeqs, globalRes = info.GlobalSequences, info.GlobalResidues
-			} else if info.Fingerprint != *fp {
-				return nil, 0, fmt.Errorf("router: shard %d replica %s: fingerprint %+v differs from the fleet's %+v",
-					s, w.Name(), info.Fingerprint, *fp)
-			}
-			if info.GlobalSequences != globalSeqs || info.GlobalResidues != globalRes {
-				return nil, 0, fmt.Errorf("router: shard %d replica %s: global space %d seqs/%d residues, fleet says %d/%d",
-					s, w.Name(), info.GlobalSequences, info.GlobalResidues, globalSeqs, globalRes)
-			}
-			if i == 0 {
-				shardSeqs, shardRes = info.Sequences, info.TotalResidues
-				shardManSeq, shardManHash = info.ManifestSeq, info.ManifestHash
-			} else if info.Sequences != shardSeqs || info.TotalResidues != shardRes {
-				return nil, 0, fmt.Errorf("router: shard %d replica %s: %d seqs/%d residues, shard peer says %d/%d",
-					s, w.Name(), info.Sequences, info.TotalResidues, shardSeqs, shardRes)
-			} else if info.ManifestSeq != shardManSeq || info.ManifestHash != shardManHash {
-				// Store-backed replicas must sit at the same manifest
-				// commit: equal sequence totals do not prove equal
-				// sequences once deltas are involved, and merging results
-				// computed against different delta sets is silent garbage.
-				// Mixed-manifest shards are refused until delta
-				// propagation brings every replica to the same commit.
-				return nil, 0, fmt.Errorf("router: shard %d replica %s: manifest %d/%s, shard peer says %d/%s — delta propagation incomplete, refusing mixed-manifest topology",
-					s, w.Name(), info.ManifestSeq, info.ManifestHash, shardManSeq, shardManHash)
-			}
+			facts[s] = append(facts[s], blast.ReplicaFacts{
+				Name: w.Name(), Fingerprint: info.Fingerprint,
+				Sequences: info.Sequences, TotalResidues: info.TotalResidues,
+				GlobalSequences: info.GlobalSequences, GlobalResidues: info.GlobalResidues,
+				ManifestSeq: info.ManifestSeq, ManifestHash: info.ManifestHash,
+			})
 		}
-		// Round-robin sharding gives shard s sequences s, s+n, s+2n, ...
-		want := (globalSeqs - int64(s) + n - 1) / n
-		if int64(shardSeqs) != want {
-			return nil, 0, fmt.Errorf("router: shard %d holds %d sequences, round-robin share of %d over %d shards is %d",
-				s, shardSeqs, globalSeqs, n, want)
-		}
-		sumSeqs += int64(shardSeqs)
 	}
-	if sumSeqs != globalSeqs {
-		return nil, 0, fmt.Errorf("router: shards hold %d sequences, global says %d", sumSeqs, globalSeqs)
+	fp, globalSeqs, _, err := blast.VerifyTopology(facts)
+	if err != nil {
+		return nil, 0, fmt.Errorf("router: %w", err)
 	}
-	return fp, globalSeqs, nil
+	return &fp, globalSeqs, nil
 }

@@ -12,6 +12,7 @@ import (
 	"repro/blast"
 	"repro/internal/obs"
 	"repro/internal/reqtrace"
+	"repro/internal/server"
 )
 
 // ShardStatus is the router's per-shard account of one scatter: which
@@ -71,27 +72,6 @@ func (r *Report) Spans() []obs.Span {
 	return []obs.Span{
 		{Stage: "scatter", Nanos: r.ScatterNanos},
 		{Stage: "merge", Nanos: r.MergeNanos},
-	}
-}
-
-// attachShardQuerySpans grafts the shard batch's per-query six-stage
-// pipeline spans under the shard's scatter span, mirroring the monolithic
-// daemon's query spans: one child per completed query, stage spans nested as
-// duration attributions with the shard search's start as nominal placement
-// (stages of one query interleave across scheduler tasks). Only called with
-// tracing on.
-func attachShardQuerySpans(ss *reqtrace.Span, startNS int64, res *blast.ShardResult) {
-	for qi := 0; qi < res.NumQueries(); qi++ {
-		if !res.QueryCompleted(qi) {
-			continue
-		}
-		q := ss.Child("query:"+strconv.Itoa(qi), startNS)
-		var total int64
-		for _, sp := range res.QueryStageSpans(qi) {
-			q.StaticChild("stage:"+sp.Stage, startNS, sp.Nanos)
-			total += sp.Nanos
-		}
-		q.End(total)
 	}
 }
 
@@ -564,7 +544,7 @@ func (rt *Router) searchShard(ctx context.Context, queries []string, s int, pol 
 				ss.SetAttr("worker", st.Worker)
 				ss.SetAttr("status", "ok")
 				ss.SetAttr("completed", strconv.Itoa(st.Completed))
-				attachShardQuerySpans(ss, start.UnixNano(), out.res)
+				server.AttachShardQuerySpans(ss, start.UnixNano(), out.res)
 				ss.End(st.Nanos)
 			}
 			return out.res

@@ -11,6 +11,11 @@
 // the affected queries *incomplete* — with the shed's Retry-After hint
 // surfaced to the client — and is never merged as if the shard had zero
 // hits.
+//
+// The HTTP tier (Frontend) is the serving edge of internal/server — the same
+// lifecycle, request scope, batch preamble and renderer as mublastpd — plus
+// what only a router has: the scatter, its 429/503/partial mapping, the
+// rolling reload. What makes a fleet coherent is blast.VerifyTopology's rule.
 package router
 
 import (

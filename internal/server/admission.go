@@ -99,11 +99,11 @@ type degrader struct {
 }
 
 func newDegrader(cfg Config, met *obs.ServerMetrics) *degrader {
-	high := int64(cfg.DegradeHigh * float64(cfg.Queue))
+	high := int64(degradeHigh * float64(cfg.Queue))
 	if high < 1 {
 		high = 1
 	}
-	low := int64(cfg.DegradeLow * float64(cfg.Queue))
+	low := int64(degradeLow * float64(cfg.Queue))
 	if low >= high {
 		low = high - 1
 	}

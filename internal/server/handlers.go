@@ -2,16 +2,13 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"path/filepath"
 	"strconv"
 	"time"
 
 	"repro/blast"
-	"repro/internal/alphabet"
 	"repro/internal/reqtrace"
 )
 
@@ -52,22 +49,10 @@ type Hit struct {
 	Ops          string  `json:"ops"`
 }
 
-// HitFromBlast converts an engine hit to its wire form.
-func HitFromBlast(h blast.Hit) Hit {
-	return Hit{
-		Subject:      h.Subject,
-		SubjectName:  h.SubjectName,
-		Score:        h.Score,
-		BitScore:     h.BitScore,
-		EValue:       h.EValue,
-		QueryStart:   h.QueryStart,
-		QueryEnd:     h.QueryEnd,
-		SubjectStart: h.SubjectStart,
-		SubjectEnd:   h.SubjectEnd,
-		Identity:     h.Identity,
-		Ops:          h.Ops,
-	}
-}
+// HitFromBlast converts an engine hit to its wire form. The conversion
+// compiles only while Hit mirrors blast.Hit field for field, so a field the
+// engine grows is a decision made here, not a silent omission.
+func HitFromBlast(h blast.Hit) Hit { return Hit(h) }
 
 // QueryOutput is the outcome of one query. Completed=false means the query
 // was cut off (deadline, drain, or an isolated task failure) and Hits is
@@ -137,183 +122,109 @@ type ReloadResponse struct {
 	Deltas        int                `json:"deltas,omitempty"`
 }
 
-// errorResponse is the uniform JSON error body.
-type errorResponse struct {
-	Error  string `json:"error"`
-	Status int    `json:"status"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v) // the connection is the only failure mode left here
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...), Status: status})
-}
-
-// retryAfterSeconds renders the Retry-After hint (whole seconds, minimum 1).
-func retryAfterSeconds(d time.Duration) string {
-	s := int(d.Round(time.Second) / time.Second)
-	if s < 1 {
-		s = 1
+// batch is the /search request's query batch: named queries.
+func (req *SearchRequest) batch() Batch {
+	b := Batch{Residues: make([]string, len(req.Queries)), Names: make([]string, len(req.Queries)),
+		Timeout: time.Duration(req.TimeoutMS) * time.Millisecond}
+	for i, q := range req.Queries {
+		b.Residues[i], b.Names[i] = q.Residues, q.Name
 	}
-	return strconv.Itoa(s)
-}
-
-// batchView is what admit needs to know about a decoded request body.
-type batchView struct {
-	residues  []string
-	names     []string // parallel to residues when the endpoint names its queries; nil otherwise
-	timeoutMS int64
-	// invalid is the endpoint's own validation failure ("" when there is
-	// none); it is reported with 400 after the batch-size caps.
-	invalid string
+	return b
 }
 
 // admitted is a request that came through admit holding a run token.
 type admitted struct {
-	batchView
-	sc        *searchScope
+	Batch
+	sc        *Scope
 	ctx       context.Context // the request context under the effective deadline
 	degraded  bool
-	timeout   time.Duration
 	enqueued  time.Time
 	queueWait time.Duration
 	// done returns the run token and cancels ctx; call it exactly once.
 	done func()
 }
 
-// admit is the preamble /search and /shard/search share: open the trace
-// scope, refuse what can never run (wrong method, draining, an injected
-// admission fault, an undecodable or oversized body, malformed residues)
-// before it can occupy a queue slot, sample degraded mode and clamp the
+// admit is what /search and /shard/search share: the edge's batch preamble
+// (with the injected admission fault between its refusals and the decode),
+// then this daemon's own admission — sample degraded mode and shrink the
 // deadline, claim a wait slot or shed with 429, and wait for a run token
-// under the deadline. req receives the decoded body and view then describes
-// it; what names the endpoint's requests in log lines. On ok=false the
-// response is written and the scope finished.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, what string, req any, view func() batchView) (a admitted, ok bool) {
-	sc := s.beginSearchScope(w, r)
-	reject := func(outcome string, status int, format string, args ...any) (admitted, bool) {
-		writeError(w, status, format, args...)
-		sc.finish(outcome, status)
-		return admitted{}, false
-	}
-	if r.Method != http.MethodPost {
-		return reject(reqtrace.OutcomeRejected, http.StatusMethodNotAllowed, "POST only")
-	}
-	if s.Draining() {
-		return reject(reqtrace.OutcomeCancelled, http.StatusServiceUnavailable, "draining")
+// under the deadline. req receives the decoded body; what names the
+// endpoint's requests in log lines. On ok=false the response is written and
+// the scope finished.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, what string, req batchRequest) (a admitted, ok bool) {
+	sc, ok := s.Begin(w, r)
+	if !ok {
+		return a, false
 	}
 	if err := fiAdmit.Err(); err != nil {
-		return reject(reqtrace.OutcomeError, http.StatusServiceUnavailable, "admission failure: %v", err)
+		return a, sc.Reject(reqtrace.OutcomeError, http.StatusServiceUnavailable, "admission failure: %v", err)
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
-		return reject(reqtrace.OutcomeRejected, http.StatusBadRequest, "decoding request: %v", err)
-	}
-	v := view()
-	if len(v.residues) == 0 {
-		return reject(reqtrace.OutcomeRejected, http.StatusBadRequest, "no queries")
-	}
-	if len(v.residues) > s.cfg.MaxQueries {
-		return reject(reqtrace.OutcomeRejected, http.StatusRequestEntityTooLarge,
-			"%d queries exceeds the per-request cap of %d", len(v.residues), s.cfg.MaxQueries)
-	}
-	if v.invalid != "" {
-		return reject(reqtrace.OutcomeRejected, http.StatusBadRequest, "%s", v.invalid)
-	}
-	// Malformed sequences are refused before admission: a request that can
-	// never run must not occupy a queue slot.
-	for i, res := range v.residues {
-		if _, err := alphabet.Encode([]byte(res)); err != nil {
-			if v.names != nil {
-				return reject(reqtrace.OutcomeRejected, http.StatusBadRequest, "query %d (%s): %v", i, v.names[i], err)
-			}
-			return reject(reqtrace.OutcomeRejected, http.StatusBadRequest, "query %d: %v", i, err)
-		}
-	}
-	if sc.rec != nil {
-		sc.rec.QueryLens = make([]int, len(v.residues))
-		for i, res := range v.residues {
-			sc.rec.QueryLens[i] = len(res)
-		}
+	b, ok := sc.DecodeBatch(r, req)
+	if !ok {
+		return a, false
 	}
 
 	// Degraded mode is sampled at admission time and applied to this whole
 	// request: a shorter deadline (and, on /search, a smaller batch cap),
 	// reported in the response rather than silently imposed.
 	degraded := s.deg.observe(s.adm.depth(), time.Now())
-	timeout := s.cfg.DefaultTimeout
-	if v.timeoutMS > 0 {
-		timeout = time.Duration(v.timeoutMS) * time.Millisecond
-	}
-	timeout = min(timeout, s.cfg.MaxTimeout)
 	if degraded {
-		timeout = min(timeout, s.cfg.DegradedTimeout)
+		b.Timeout = min(b.Timeout, s.cfg.DegradedTimeout)
 	}
 	if sc.rec != nil {
-		sc.rec.DeadlineMS = timeout.Milliseconds()
+		sc.rec.DeadlineMS = b.Timeout.Milliseconds()
 		sc.rec.Degraded = degraded
 	}
 
 	// Claim a wait slot — the only unbounded-queue defense that matters.
 	if !s.adm.enter() {
 		s.deg.observe(s.adm.depth(), time.Now())
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		s.logf("%s %s shed: admission queue full (%d waiting)", what, sc.rid, s.cfg.Queue)
-		return reject(reqtrace.OutcomeShed, http.StatusTooManyRequests,
+		SetRetryAfter(w, s.cfg.RetryAfter)
+		s.Logf("%s %s shed: admission queue full (%d waiting)", what, sc.RID, s.cfg.Queue)
+		return a, sc.Reject(reqtrace.OutcomeShed, http.StatusTooManyRequests,
 			"admission queue full (%d waiting); retry later", s.cfg.Queue)
 	}
 	s.deg.observe(s.adm.depth(), time.Now())
 
 	// The deadline covers queueing AND searching: a request that waited its
 	// whole budget in the queue is shed as timed out, not run late.
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), b.Timeout)
 	enqueued := time.Now()
-	admSpan := sc.root.Child("admission", enqueued.UnixNano())
+	admSpan := sc.Root.Child("admission", enqueued.UnixNano())
 	if !s.adm.acquire(ctx.Done()) {
 		defer cancel()
 		waited := time.Since(enqueued)
 		admSpan.End(waited.Nanoseconds())
-		sc.spanNanos("queue", waited)
+		sc.SpanNanos("queue", waited)
 		s.deg.observe(s.adm.depth(), time.Now())
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			s.met.TimedOut.Add(1)
-			w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-			s.logf("%s %s timed out after %v in the admission queue", what, sc.rid, waited.Round(time.Millisecond))
-			return reject(reqtrace.OutcomeTimeout, http.StatusServiceUnavailable,
+			SetRetryAfter(w, s.cfg.RetryAfter)
+			s.Logf("%s %s timed out after %v in the admission queue", what, sc.RID, waited.Round(time.Millisecond))
+			return a, sc.Reject(reqtrace.OutcomeTimeout, http.StatusServiceUnavailable,
 				"deadline expired after %v in the admission queue", waited.Round(time.Millisecond))
 		}
 		// Client went away (or the drain cancelled the base context);
 		// nothing useful to write.
-		s.logf("%s %s cancelled while queued", what, sc.rid)
-		return reject(reqtrace.OutcomeCancelled, http.StatusServiceUnavailable, "request cancelled while queued")
+		s.Logf("%s %s cancelled while queued", what, sc.RID)
+		return a, sc.Reject(reqtrace.OutcomeCancelled, http.StatusServiceUnavailable, "request cancelled while queued")
 	}
 	queueWait := time.Since(enqueued)
 	admSpan.End(queueWait.Nanoseconds())
-	sc.spanNanos("queue", queueWait)
+	sc.SpanNanos("queue", queueWait)
 	s.met.Admitted.Add(1)
 	s.met.QueueWaitNanos.Observe(int64(queueWait))
 	s.deg.observe(s.adm.depth(), time.Now())
 	if s.testHookRunning != nil {
 		s.testHookRunning()
 	}
-	return admitted{batchView: v, sc: sc, ctx: ctx, degraded: degraded, timeout: timeout, enqueued: enqueued,
+	return admitted{Batch: b, sc: sc, ctx: ctx, degraded: degraded, enqueued: enqueued,
 		queueWait: queueWait, done: func() { s.adm.release(); cancel() }}, true
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
-	a, ok := s.admit(w, r, "request", &req, func() batchView {
-		v := batchView{residues: make([]string, len(req.Queries)), names: make([]string, len(req.Queries)), timeoutMS: req.TimeoutMS}
-		for i, q := range req.Queries {
-			v.residues[i], v.names[i] = q.Residues, q.Name
-		}
-		return v
-	})
+	a, ok := s.admit(w, r, "request", &req)
 	if !ok {
 		return
 	}
@@ -325,97 +236,62 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if a.degraded && n > s.cfg.DegradedMaxQueries {
 		n, truncated = s.cfg.DegradedMaxQueries, n-s.cfg.DegradedMaxQueries
 	}
-	texts, names := a.residues[:n], a.names[:n]
+	texts, names := a.Residues[:n], a.Names[:n]
 
 	db, release := s.ses.Acquire()
 	searchStart := time.Now()
-	searchSpan := sc.root.Child("search", searchStart.UnixNano())
+	searchSpan := sc.Root.Child("search", searchStart.UnixNano())
 	br, err := db.SearchBatchCtx(reqtrace.ContextWithSpan(a.ctx, searchSpan), texts)
 	searchDur := time.Since(searchStart)
 	release()
 	searchSpan.End(searchDur.Nanoseconds())
-	sc.spanNanos("search", searchDur)
+	sc.SpanNanos("search", searchDur)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "search: %v", err)
-		sc.finish(reqtrace.OutcomeRejected, http.StatusBadRequest)
+		sc.Reject(reqtrace.OutcomeRejected, http.StatusBadRequest, "search: %v", err)
 		return
 	}
-	attachQuerySpans(searchSpan, searchStart.UnixNano(), names, br)
+	for i, res := range br.Results {
+		if searchSpan != nil && br.Completed[i] {
+			q := AttachQuerySpan(searchSpan, searchStart.UnixNano(), names[i], res.StageSpans())
+			q.SetAttr("query_len", strconv.Itoa(res.QueryLen))
+			q.SetAttr("hits", strconv.Itoa(len(res.Hits)))
+		}
+	}
 	s.met.RequestNanos.Observe(int64(time.Since(a.enqueued)))
 
-	resp := SearchResponse{
-		Degraded:   a.degraded,
-		Truncated:  truncated,
-		Generation: s.ses.Generation(),
-		Incomplete: br.Err != nil,
-		Results:    make([]QueryOutput, len(br.Results)),
-		Stats: RequestStats{
-			QueueWaitMS:      float64(a.queueWait) / float64(time.Millisecond),
-			SearchMS:         float64(searchDur) / float64(time.Millisecond),
-			EffectiveTimeout: a.timeout.String(),
-			Workers:          br.Sched.Workers,
-			Tasks:            br.Sched.Tasks,
-			TasksCancelled:   br.Sched.TasksCancelled,
-			TasksPanicked:    br.Sched.TasksPanicked,
-			QueriesAborted:   br.Sched.QueriesAborted,
-			UtilizationPct:   br.Sched.Utilization() * 100,
-		},
-	}
-	if br.Err != nil {
-		resp.Error = br.Err.Error()
-	}
-	for i := range br.Results {
-		out := QueryOutput{
-			Name:      names[i],
-			QueryLen:  br.Results[i].QueryLen,
-			Completed: br.Completed[i],
-			Hits:      []Hit{},
-		}
-		if br.QueryErrs[i] != nil {
-			out.Error = br.QueryErrs[i].Error()
-		}
-		if br.Completed[i] {
-			for _, h := range br.Results[i].Hits {
-				out.Hits = append(out.Hits, HitFromBlast(h))
-			}
-		}
-		resp.Results[i] = out
-	}
+	resp := RenderBatch(br, names, searchDur, a.Timeout)
+	resp.Degraded, resp.Truncated, resp.Generation = a.degraded, truncated, s.ses.Generation()
+	resp.Stats.QueueWaitMS = float64(a.queueWait) / float64(time.Millisecond)
 
+	s.respond(w, sc, "request", resp, br.Err)
+}
+
+// respond answers an admitted batch: 200 with resp, or 500 on an injected
+// response fault. partial is the batch's own error — it was cut short
+// (deadline or drain) but completed queries are still answered: an honest
+// partial, recorded as a timeout so the capacity model counts it against the
+// deadline budget.
+func (s *Server) respond(w http.ResponseWriter, sc *Scope, what string, resp any, partial error) {
 	if err := fiRespond.Err(); err != nil {
-		writeError(w, http.StatusInternalServerError, "response failure: %v", err)
-		sc.finish(reqtrace.OutcomeError, http.StatusInternalServerError)
+		sc.Reject(reqtrace.OutcomeError, http.StatusInternalServerError, "response failure: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 	outcome := reqtrace.OutcomeOK
-	if br.Err != nil {
-		// The batch was cut short (deadline or drain) but completed queries
-		// were still answered: an honest partial, recorded as a timeout so
-		// the capacity model counts it against the deadline budget.
+	if partial != nil {
 		outcome = reqtrace.OutcomeTimeout
-		s.logf("request %s incomplete: %v", sc.rid, br.Err)
+		s.Logf("%s %s incomplete: %v", what, sc.RID, partial)
 	}
-	sc.finish(outcome, http.StatusOK)
+	sc.Finish(outcome, http.StatusOK)
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if s.Draining() {
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
 	var req ReloadRequest
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !s.DecodePost(w, r, &req) {
 		return
 	}
 	if req.Path == "" {
-		writeError(w, http.StatusBadRequest, "missing path")
+		WriteError(w, http.StatusBadRequest, "missing path")
 		return
 	}
 	if req.VerifyOnly {
@@ -428,10 +304,10 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		}
 		if err != nil {
 			s.met.ReloadsRejected.Add(1)
-			writeError(w, reloadErrStatus(err), "verify rejected: %v", err)
+			WriteError(w, reloadErrStatus(err), "verify rejected: %v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, ReloadResponse{
+		WriteJSON(w, http.StatusOK, ReloadResponse{
 			Generation:    s.ses.Generation(),
 			Sequences:     info.NumSequences,
 			Blocks:        info.NumBlocks,
@@ -450,14 +326,14 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		s.met.ReloadsRejected.Add(1)
-		writeError(w, reloadErrStatus(err), "reload rejected, previous database still serving: %v", err)
+		WriteError(w, reloadErrStatus(err), "reload rejected, previous database still serving: %v", err)
 		return
 	}
 	s.met.Reloads.Add(1)
 	s.met.Generation.Set(float64(s.ses.Generation()))
 	db := s.ses.DB()
 	seq, hash, deltas := db.Manifest()
-	writeJSON(w, http.StatusOK, ReloadResponse{
+	WriteJSON(w, http.StatusOK, ReloadResponse{
 		Generation:   s.ses.Generation(),
 		Sequences:    db.NumSequences(),
 		Blocks:       db.NumBlocks(),

@@ -1,9 +1,8 @@
 package server
 
 import (
-	"encoding/json"
+	"errors"
 	"net/http"
-	"strings"
 
 	"repro/blast"
 )
@@ -57,36 +56,35 @@ type IngestResponse struct {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	st := s.cfg.Store
 	if st == nil {
 		s.met.IngestsRejected.Add(1)
-		writeError(w, http.StatusConflict, "this daemon serves an immutable container; start it with an ingest store (-store) to accept writes")
+		WriteError(w, http.StatusConflict, "this daemon serves an immutable container; start it with an ingest store (-store) to accept writes")
 		return
 	}
 	if s.Draining() {
 		s.met.IngestsShed.Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		writeError(w, http.StatusServiceUnavailable, "draining")
+		SetRetryAfter(w, s.cfg.RetryAfter)
+		WriteError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	var req IngestRequest
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, maxBodyBytes, &req); err != nil {
 		s.met.IngestsRejected.Add(1)
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	if len(req.Sequences) == 0 {
 		s.met.IngestsRejected.Add(1)
-		writeError(w, http.StatusBadRequest, "empty batch")
+		WriteError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	if len(req.Sequences) > s.cfg.MaxIngestSeqs {
 		s.met.IngestsRejected.Add(1)
-		writeError(w, http.StatusRequestEntityTooLarge, "batch of %d sequences exceeds the %d cap; split it",
+		WriteError(w, http.StatusRequestEntityTooLarge, "batch of %d sequences exceeds the %d cap; split it",
 			len(req.Sequences), s.cfg.MaxIngestSeqs)
 		return
 	}
@@ -100,32 +98,32 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	case <-s.ingestTok:
 	default:
 		s.met.IngestsShed.Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		writeError(w, http.StatusServiceUnavailable, "an ingest is already in flight; retry")
+		SetRetryAfter(w, s.cfg.RetryAfter)
+		WriteError(w, http.StatusServiceUnavailable, "an ingest is already in flight; retry")
 		return
 	}
 	defer func() { s.ingestTok <- struct{}{} }()
 
 	if err := fiIngest.Err(); err != nil {
 		s.met.IngestsShed.Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		writeError(w, http.StatusServiceUnavailable, "ingest refused: %v", err)
+		SetRetryAfter(w, s.cfg.RetryAfter)
+		WriteError(w, http.StatusServiceUnavailable, "ingest refused: %v", err)
 		return
 	}
 
 	stats, err := st.Append(batch)
 	if err != nil {
-		// Validation failures happen before anything durable; everything
-		// else means the commit aborted midway and the store handle is
-		// poisoned until recovery re-runs.
-		if strings.Contains(err.Error(), "needs recovery") {
+		// Validation failures happen before anything durable; a broken
+		// store means this commit (or an earlier one) aborted midway and the
+		// store handle is poisoned until recovery re-runs.
+		if errors.Is(err, blast.ErrStoreBroken) {
 			s.met.IngestsFailed.Add(1)
-			s.logf("ingest failed, store needs recovery: %v", err)
-			writeError(w, http.StatusInternalServerError, "ingest commit failed; restart the daemon to run recovery: %v", err)
+			s.Logf("ingest failed, store needs recovery: %v", err)
+			WriteError(w, http.StatusInternalServerError, "ingest commit failed; restart the daemon to run recovery: %v", err)
 			return
 		}
 		s.met.IngestsRejected.Add(1)
-		writeError(w, http.StatusBadRequest, "invalid batch: %v", err)
+		WriteError(w, http.StatusBadRequest, "invalid batch: %v", err)
 		return
 	}
 
@@ -133,8 +131,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if req.Compact || (s.cfg.CompactAfter > 0 && st.NumDeltas() >= s.cfg.CompactAfter) {
 		if err := st.Compact(); err != nil {
 			s.met.IngestsFailed.Add(1)
-			s.logf("compaction failed after durable ingest: %v", err)
-			writeError(w, http.StatusInternalServerError, "batch is durable but compaction failed; restart the daemon to run recovery: %v", err)
+			s.Logf("compaction failed after durable ingest: %v", err)
+			WriteError(w, http.StatusInternalServerError, "batch is durable but compaction failed; restart the daemon to run recovery: %v", err)
 			return
 		}
 		compacted = true
@@ -144,13 +142,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	db, err := st.Database()
 	if err != nil {
 		s.met.IngestsFailed.Add(1)
-		s.logf("ingest committed but the new view failed to load: %v", err)
-		writeError(w, http.StatusInternalServerError, "batch is durable but loading the new view failed; restart the daemon: %v", err)
+		s.Logf("ingest committed but the new view failed to load: %v", err)
+		WriteError(w, http.StatusInternalServerError, "batch is durable but loading the new view failed; restart the daemon: %v", err)
 		return
 	}
 	if err := s.ses.ReloadDB(db); err != nil {
 		s.met.IngestsFailed.Add(1)
-		writeError(w, http.StatusInternalServerError, "batch is durable but the swap failed: %v", err)
+		WriteError(w, http.StatusInternalServerError, "batch is durable but the swap failed: %v", err)
 		return
 	}
 	s.met.Ingests.Add(1)
@@ -158,9 +156,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.met.Generation.Set(float64(s.ses.Generation()))
 	s.met.ManifestSeq.Set(float64(st.ManifestSeq()))
 	s.met.DeltaCount.Set(float64(st.NumDeltas()))
-	s.logf("ingest: %d sequences -> manifest seq %d (%d deltas, compacted=%v)",
+	s.Logf("ingest: %d sequences -> manifest seq %d (%d deltas, compacted=%v)",
 		stats.Sequences, st.ManifestSeq(), st.NumDeltas(), compacted)
-	writeJSON(w, http.StatusOK, IngestResponse{
+	WriteJSON(w, http.StatusOK, IngestResponse{
 		ManifestSeq:  st.ManifestSeq(),
 		ManifestHash: st.ManifestHash(),
 		Deltas:       st.NumDeltas(),

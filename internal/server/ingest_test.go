@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
@@ -255,6 +256,34 @@ func TestIngestFaultInjection(t *testing.T) {
 	resp, _ = postJSON(t, base+"/ingest", ingestBody(ingestSeqs(2, 7, "z"), false))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("retry after injected fault: status %d", resp.StatusCode)
+	}
+}
+
+// TestIngestFailedCommitIsNotTheClientsFault: the commit that breaks the store
+// (its delta write fails after the WAL record is durable) answers 500 with
+// the restart-to-recover message and counts as ingest_failed — not 400
+// "invalid batch" — and so does every ingest after it; a batch that really
+// is invalid still answers 400.
+func TestIngestFailedCommitIsNotTheClientsFault(t *testing.T) {
+	f := newStoreFixture(t)
+	srv, base := f.start(t, Config{})
+	if err := faultinject.Enable("store.delta.write=error#1", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Disable()
+	for attempt := 1; attempt <= 2; attempt++ {
+		resp, data := postJSON(t, base+"/ingest", ingestBody(ingestSeqs(2, 9, "w"), false))
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(data), "restart the daemon to run recovery") {
+			t.Fatalf("ingest %d on a store broken by a failed commit: status %d, want 500 with the recovery message: %s",
+				attempt, resp.StatusCode, data)
+		}
+		if failed, rejected := srv.met.IngestsFailed.Value(), srv.met.IngestsRejected.Value(); failed != int64(attempt) || rejected != 0 {
+			t.Fatalf("after ingest %d: ingest_failed=%d ingest_rejected=%d, want %d and 0", attempt, failed, rejected, attempt)
+		}
+	}
+	resp, data := postJSON(t, base+"/ingest", ingestBody([]blast.Sequence{{Residues: "MKTAYIAK"}}, false))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unnamed sequence on a broken store: status %d, want 400: %s", resp.StatusCode, data)
 	}
 }
 

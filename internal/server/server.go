@@ -1,11 +1,13 @@
-// Package server is the always-on serving layer around the search engine: a
-// long-running HTTP/JSON daemon core that keeps the database container and
-// index resident (via blast.Session), runs every request through the batch
-// scheduler, and wraps the pipeline in production robustness machinery —
-// bounded admission with explicit backpressure (429 + Retry-After), token
-// concurrency sized to the scheduler's worker pool, a load-shedding degraded
-// mode under sustained queue pressure, hot database reload with
-// verify-before-swap, and graceful drain with partial-result flushing.
+// Package server is how both daemons speak HTTP, and what mublastpd serves.
+// The Edge (edge.go) is the one HTTP tier: mux, listener, drain, request
+// Scope, batch preamble, renderer; Server here and router.Frontend embed it,
+// and RegisterFlags (daemon.go) is the process both mains run. On the edge,
+// Server keeps the database container and index resident (via
+// blast.Session), runs every request through the batch scheduler, and wraps
+// the pipeline in bounded admission with explicit backpressure (429 +
+// Retry-After), token concurrency sized to the scheduler's worker pool, a
+// load-shedding degraded mode under sustained queue pressure, and hot
+// database reload and ingest with verify-before-swap.
 //
 // The paper's engine eliminates irregularity *inside* a batch; this package
 // eliminates it *between* batches: overload never grows an unbounded queue,
@@ -15,13 +17,7 @@
 package server
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"net"
-	"net/http"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/blast"
@@ -65,18 +61,14 @@ type Config struct {
 	MaxTimeout     time.Duration
 	// MaxQueries caps the batch size of one request (default 64).
 	MaxQueries int
-	// MaxBodyBytes caps the request body (default 32 MiB).
-	MaxBodyBytes int64
 
-	// Degraded mode: when the admission queue stays at or above
-	// DegradeHigh (fraction of Queue, default 0.75) for DegradeAfter
-	// (default 250ms), the server trips into degraded mode — per-request
-	// deadlines shrink to DegradedTimeout (default DefaultTimeout/4) and
-	// batch size caps at DegradedMaxQueries (default MaxQueries/4) — and
-	// recovers once depth stays at or below DegradeLow (default 0.25) for
-	// DegradeAfter. Responses report the mode honestly.
-	DegradeHigh        float64
-	DegradeLow         float64
+	// Degraded mode: when the admission queue stays at or above degradeHigh
+	// of Queue for DegradeAfter (default 250ms), the server trips into
+	// degraded mode — per-request deadlines shrink to DegradedTimeout
+	// (default DefaultTimeout/4) and batch size caps at DegradedMaxQueries
+	// (default MaxQueries/4) — and recovers once depth stays at or below
+	// degradeLow of Queue for DegradeAfter. Responses report the mode
+	// honestly.
 	DegradeAfter       time.Duration
 	DegradedTimeout    time.Duration
 	DegradedMaxQueries int
@@ -120,9 +112,33 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// Watermarks of degraded mode, as fractions of Queue.
+const (
+	degradeHigh = 0.75
+	degradeLow  = 0.25
+)
+
+// edgeDefaults resolves the zero fields the Edge reads.
+func (c Config) edgeDefaults() Config {
+	if c.DefaultTimeout <= 0 {
+		c.DefaultTimeout = 30 * time.Second
+	}
+	if c.MaxTimeout <= 0 {
+		c.MaxTimeout = 2 * time.Minute
+	}
+	if c.MaxQueries <= 0 {
+		c.MaxQueries = 64
+	}
+	if c.Registry == nil {
+		c.Registry = obs.Default
+	}
+	return c
+}
+
 // withDefaults resolves every zero field. threads is the per-batch thread
 // count the scheduler will use (0 = GOMAXPROCS), used to size Concurrency.
 func (c Config) withDefaults(threads int) Config {
+	c = c.edgeDefaults()
 	if c.Queue <= 0 {
 		c.Queue = 64
 	}
@@ -134,24 +150,6 @@ func (c Config) withDefaults(threads int) Config {
 		if c.Concurrency < 1 {
 			c.Concurrency = 1
 		}
-	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 2 * time.Minute
-	}
-	if c.MaxQueries <= 0 {
-		c.MaxQueries = 64
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 32 << 20
-	}
-	if c.DegradeHigh <= 0 || c.DegradeHigh > 1 {
-		c.DegradeHigh = 0.75
-	}
-	if c.DegradeLow < 0 || c.DegradeLow >= c.DegradeHigh {
-		c.DegradeLow = c.DegradeHigh / 3
 	}
 	if c.DegradeAfter < 0 {
 		c.DegradeAfter = 0
@@ -170,22 +168,20 @@ func (c Config) withDefaults(threads int) Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.Registry == nil {
-		c.Registry = obs.Default
-	}
 	if c.MaxIngestSeqs <= 0 {
 		c.MaxIngestSeqs = 10000
 	}
 	return c
 }
 
-// Server is the serving core: admission control, the HTTP handlers, and the
-// drain lifecycle. Construct with New, expose with Handler or Start.
+// Server is the serving core of mublastpd: the Edge it stands on plus what
+// this daemon serves through it — admission control, the search, shard,
+// reload and ingest handlers. Construct with New, expose with Handler or
+// Start.
 type Server struct {
-	cfg Config
-	ses *blast.Session
-	met *obs.ServerMetrics
-	mux *http.ServeMux
+	*Edge // its cfg is the fully resolved Config
+	ses   *blast.Session
+	met   *obs.ServerMetrics
 
 	adm *admission
 	deg *degrader
@@ -196,18 +192,6 @@ type Server struct {
 	// and an unbounded ingest queue is exactly the irregularity the
 	// admission layer exists to refuse.
 	ingestTok chan struct{}
-
-	// searchCtx is the ancestor of every request context (via BaseContext):
-	// cancelling it stops all in-flight batches between tasks so their
-	// handlers flush partial results during a drain.
-	searchCtx      context.Context
-	cancelSearches context.CancelFunc
-	draining       chan struct{} // closed once BeginDrain has run
-	drainOnce      sync.Once
-
-	httpMu  sync.Mutex
-	httpSrv *http.Server
-	httpLn  net.Listener
 
 	// testHookRunning, when set before Start, runs after a request acquires
 	// its run token and before the search starts — the deterministic gate
@@ -221,17 +205,13 @@ type Server struct {
 func New(ses *blast.Session, p blast.Params, cfg Config) *Server {
 	cfg = cfg.withDefaults(p.Threads)
 	met := obs.NewServerMetrics(cfg.Registry)
-	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:            cfg,
-		ses:            ses,
-		met:            met,
-		adm:            newAdmission(cfg, met),
-		deg:            newDegrader(cfg, met),
-		searchCtx:      ctx,
-		cancelSearches: cancel,
-		draining:       make(chan struct{}),
-		ingestTok:      make(chan struct{}, 1),
+		Edge:      NewEdge("mublastpd", cfg, nil),
+		ses:       ses,
+		met:       met,
+		adm:       newAdmission(cfg, met),
+		deg:       newDegrader(cfg, met),
+		ingestTok: make(chan struct{}, 1),
 	}
 	s.ingestTok <- struct{}{}
 	met.Generation.Set(float64(ses.Generation()))
@@ -239,13 +219,11 @@ func New(ses *blast.Session, p blast.Params, cfg Config) *Server {
 		met.ManifestSeq.Set(float64(cfg.Store.ManifestSeq()))
 		met.DeltaCount.Set(float64(cfg.Store.NumDeltas()))
 	}
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/search", s.handleSearch)
-	s.mux.HandleFunc("/reload", s.handleReload)
-	s.mux.HandleFunc("/ingest", s.handleIngest)
-	s.mux.HandleFunc("/shard/search", s.handleShardSearch)
-	s.mux.HandleFunc("/shard/info", s.handleShardInfo)
-	s.mux.Handle("/", obs.HandlerWithReadiness(cfg.Registry, s.Ready))
+	s.HandleFunc("/search", s.handleSearch)
+	s.HandleFunc("/reload", s.handleReload)
+	s.HandleFunc("/ingest", s.handleIngest)
+	s.HandleFunc("/shard/search", s.handleShardSearch)
+	s.HandleFunc("/shard/info", s.handleShardInfo)
 	return s
 }
 
@@ -257,114 +235,3 @@ func (s *Server) Session() *blast.Session { return s.ses }
 
 // Degraded reports whether degraded mode is currently tripped.
 func (s *Server) Degraded() bool { return s.deg.active() }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool {
-	select {
-	case <-s.draining:
-		return true
-	default:
-		return false
-	}
-}
-
-// Ready is the readiness probe behind /readyz: an error while draining (the
-// instance should be pulled from rotation), nil otherwise.
-func (s *Server) Ready() error {
-	if s.Draining() {
-		return errors.New("draining")
-	}
-	return nil
-}
-
-// Handler returns the full HTTP surface: /search, /reload, and the debug
-// endpoint (/metrics, /healthz, /readyz, /debug/...). Every handler is
-// wrapped with panic recovery — a panicking request answers 500, it never
-// kills the connection or the process.
-func (s *Server) Handler() http.Handler { return recoverMiddleware(s.mux) }
-
-// recoverMiddleware converts a handler panic into a 500 (when the header is
-// still unsent) instead of net/http's connection teardown, so one poisoned
-// request degrades to an error response.
-func recoverMiddleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if v := recover(); v != nil {
-				http.Error(w, fmt.Sprintf("internal error: %v", v), http.StatusInternalServerError)
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-// Start binds addr (":0" for an ephemeral port) and serves in a background
-// goroutine; it returns the bound address. Request contexts descend from the
-// server's search context so a later Drain can flush partial results.
-func (s *Server) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("server: listen on %s: %w", addr, err)
-	}
-	srv := &http.Server{
-		Handler:     s.Handler(),
-		BaseContext: func(net.Listener) context.Context { return s.searchCtx },
-	}
-	s.httpMu.Lock()
-	s.httpSrv, s.httpLn = srv, ln
-	s.httpMu.Unlock()
-	go srv.Serve(ln) // returns ErrServerClosed on shutdown; nothing to do with it
-	return ln.Addr().String(), nil
-}
-
-// BeginDrain flips the server out of rotation: /readyz answers 503, new
-// search and reload requests are refused with 503, and after grace the
-// search context is cancelled so still-running batches stop between tasks
-// and their handlers flush partial results (completed queries intact).
-// Idempotent; it does not wait — pair with Drain or an http Shutdown.
-func (s *Server) BeginDrain(grace time.Duration) {
-	s.drainOnce.Do(func() {
-		close(s.draining)
-		if grace <= 0 {
-			s.cancelSearches()
-			return
-		}
-		t := time.AfterFunc(grace, s.cancelSearches)
-		// Tie the timer to the search context so tests that cancel early
-		// do not leave a timer pending.
-		go func() {
-			<-s.searchCtx.Done()
-			t.Stop()
-		}()
-	})
-}
-
-// Drain is the full graceful shutdown: BeginDrain(grace), then shut the
-// HTTP listener down waiting (bounded by ctx) for in-flight handlers — which
-// flush partial results once grace expires — to finish. Safe to call
-// without Start (it then only runs the drain state machine).
-func (s *Server) Drain(ctx context.Context, grace time.Duration) error {
-	s.BeginDrain(grace)
-	s.httpMu.Lock()
-	srv := s.httpSrv
-	s.httpMu.Unlock()
-	var err error
-	if srv != nil {
-		err = srv.Shutdown(ctx)
-	}
-	s.cancelSearches()
-	return err
-}
-
-// Close releases everything immediately (tests, error paths): in-flight
-// searches are cancelled and the listener closed without waiting.
-func (s *Server) Close() error {
-	s.BeginDrain(0)
-	s.cancelSearches()
-	s.httpMu.Lock()
-	srv := s.httpSrv
-	s.httpMu.Unlock()
-	if srv != nil {
-		return srv.Close()
-	}
-	return nil
-}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -162,40 +161,6 @@ func TestSearchEndpointIdentity(t *testing.T) {
 	}
 }
 
-// TestSearchValidation: malformed input is refused at the door with 4xx,
-// never queued.
-func TestSearchValidation(t *testing.T) {
-	f := newFixture(t)
-	srv, base := f.start(t, Config{MaxQueries: 2})
-	cases := []struct {
-		name string
-		body any
-		want int
-	}{
-		{"no queries", SearchRequest{}, http.StatusBadRequest},
-		{"too many queries", SearchRequest{Queries: []QueryInput{
-			{Residues: "MKT"}, {Residues: "MKT"}, {Residues: "MKT"}}}, http.StatusRequestEntityTooLarge},
-		{"bad residues", SearchRequest{Queries: []QueryInput{{Residues: "123!"}}}, http.StatusBadRequest},
-	}
-	for _, c := range cases {
-		resp, data := postJSON(t, base+"/search", c.body)
-		if resp.StatusCode != c.want {
-			t.Errorf("%s: status %d, want %d (%s)", c.name, resp.StatusCode, c.want, data)
-		}
-	}
-	resp, err := http.Get(base + "/search")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /search: status %d, want 405", resp.StatusCode)
-	}
-	if n := srv.met.Admitted.Value(); n != 0 {
-		t.Errorf("rejected requests were admitted: requests_admitted = %d", n)
-	}
-}
-
 // TestReloadEndpoint: a valid replacement swaps generations and serves the
 // new database; a corrupt one is rejected 422 with the old still serving.
 func TestReloadEndpoint(t *testing.T) {
@@ -251,92 +216,6 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 	if got := srv.met.ReloadsRejected.Value(); got != 1 {
 		t.Errorf("db_reloads_rejected = %d, want 1", got)
-	}
-}
-
-// TestProbesAndDrain: /healthz is always 200; /readyz flips to 503 when the
-// drain begins; draining refuses new searches with 503; a request caught by
-// the drain's partial-result flush still answers 200 with honest
-// completion flags.
-func TestProbesAndDrain(t *testing.T) {
-	f := newFixture(t)
-	gate := make(chan struct{})
-	reg := obs.NewRegistry()
-	srv := New(f.ses, f.params, Config{Registry: reg})
-	srv.testHookRunning = func() { <-gate }
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	base := "http://" + addr
-
-	for probe, want := range map[string]int{"/healthz": 200, "/readyz": 200} {
-		resp, err := http.Get(base + probe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != want {
-			t.Errorf("%s: status %d, want %d", probe, resp.StatusCode, want)
-		}
-	}
-
-	// Hold one search at its running gate, then start the drain.
-	type result struct {
-		status int
-		sr     SearchResponse
-	}
-	held := make(chan result, 1)
-	go func() {
-		raw, _ := json.Marshal(SearchRequest{Queries: []QueryInput{{Name: "q", Residues: f.query}}})
-		resp, err := http.Post(base+"/search", "application/json", bytes.NewReader(raw))
-		if err != nil {
-			held <- result{status: -1}
-			return
-		}
-		defer resp.Body.Close()
-		var sr SearchResponse
-		_ = json.NewDecoder(resp.Body).Decode(&sr)
-		held <- result{status: resp.StatusCode, sr: sr}
-	}()
-	waitFor(t, func() bool { return srv.met.Admitted.Value() == 1 }, "held request admitted")
-
-	srv.BeginDrain(time.Millisecond)
-	waitFor(t, func() bool { return srv.Draining() }, "draining flag")
-
-	resp, err := http.Get(base + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("/readyz while draining: status %d, want 503", resp.StatusCode)
-	}
-	shedResp, data := postJSON(t, base+"/search", SearchRequest{Queries: []QueryInput{{Residues: f.query}}})
-	if shedResp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("search while draining: status %d, want 503 (%s)", shedResp.StatusCode, data)
-	}
-
-	// Release the held request after the grace expired: its batch runs
-	// against a cancelled context and must flush a partial (honest) result.
-	time.Sleep(20 * time.Millisecond)
-	close(gate)
-	r := <-held
-	if r.status != http.StatusOK {
-		t.Fatalf("held request: status %d, want 200 with partial results", r.status)
-	}
-	if !r.sr.Incomplete {
-		t.Error("drained request not flagged incomplete")
-	}
-	if r.sr.Results[0].Completed {
-		t.Error("cancelled query flagged completed")
-	}
-
-	drainCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Drain(drainCtx, time.Millisecond); err != nil {
-		t.Fatalf("Drain: %v", err)
 	}
 }
 

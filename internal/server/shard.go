@@ -74,7 +74,7 @@ type ShardInfoResponse struct {
 
 func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	db, release := s.ses.Acquire()
@@ -82,7 +82,7 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 	globalRes, globalSeqs := db.GlobalSearchSpace()
 	evalue, maxResults := db.SearchSettings()
 	manSeq, manHash, deltas := db.Manifest()
-	writeJSON(w, http.StatusOK, ShardInfoResponse{
+	WriteJSON(w, http.StatusOK, ShardInfoResponse{
 		Fingerprint:     db.Fingerprint(),
 		Sequences:       db.NumSequences(),
 		TotalResidues:   db.TotalResidues(),
@@ -98,15 +98,19 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// batch is the /shard/search request's query batch: bare residues, with the
+// slice assertion as its own validity condition.
+func (req *ShardSearchRequest) batch() Batch {
+	b := Batch{Residues: req.Queries, Timeout: time.Duration(req.TimeoutMS) * time.Millisecond}
+	if req.NumShards <= 0 || req.Shard < 0 || req.Shard >= req.NumShards {
+		b.invalid = fmt.Sprintf("shard %d of %d out of range", req.Shard, req.NumShards)
+	}
+	return b
+}
+
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	var req ShardSearchRequest
-	a, ok := s.admit(w, r, "shard request", &req, func() batchView {
-		v := batchView{residues: req.Queries, timeoutMS: req.TimeoutMS}
-		if req.NumShards <= 0 || req.Shard < 0 || req.Shard >= req.NumShards {
-			v.invalid = fmt.Sprintf("shard %d of %d out of range", req.Shard, req.NumShards)
-		}
-		return v
-	})
+	a, ok := s.admit(w, r, "shard request", &req)
 	if !ok {
 		return
 	}
@@ -115,62 +119,39 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 
 	db, release := s.ses.Acquire()
 	searchStart := time.Now()
-	searchSpan := sc.root.Child("search", searchStart.UnixNano())
+	searchSpan := sc.Root.Child("search", searchStart.UnixNano())
 	searchSpan.SetAttr("shard", strconv.Itoa(req.Shard))
 	part, err := db.SearchShardBatchCtx(reqtrace.ContextWithSpan(a.ctx, searchSpan), req.Queries, req.Shard, req.NumShards)
 	searchDur := time.Since(searchStart)
 	release() // the result is self-contained: wiring it needs no database
 	searchSpan.End(searchDur.Nanoseconds())
-	sc.spanNanos("search", searchDur)
+	sc.SpanNanos("search", searchDur)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "shard search: %v", err)
-		sc.finish(reqtrace.OutcomeRejected, http.StatusBadRequest)
+		sc.Reject(reqtrace.OutcomeRejected, http.StatusBadRequest, "shard search: %v", err)
 		return
 	}
-	attachShardQuerySpans(searchSpan, searchStart.UnixNano(), part)
+	AttachShardQuerySpans(searchSpan, searchStart.UnixNano(), part)
 	wire, err := part.Wire(req.Queries)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding shard result: %v", err)
-		sc.finish(reqtrace.OutcomeError, http.StatusInternalServerError)
+		sc.Reject(reqtrace.OutcomeError, http.StatusInternalServerError, "encoding shard result: %v", err)
 		return
 	}
 	s.met.RequestNanos.Observe(int64(time.Since(a.enqueued)))
 
-	if err := fiRespond.Err(); err != nil {
-		writeError(w, http.StatusInternalServerError, "response failure: %v", err)
-		sc.finish(reqtrace.OutcomeError, http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, http.StatusOK, ShardSearchResponse{
+	s.respond(w, sc, "shard request", ShardSearchResponse{
 		Degraded:   a.degraded,
 		Generation: s.ses.Generation(),
 		Result:     wire,
-	})
-	outcome := reqtrace.OutcomeOK
-	if part.Err() != nil {
-		outcome = reqtrace.OutcomeTimeout
-		s.logf("shard request %s incomplete: %v", sc.rid, part.Err())
-	}
-	sc.finish(outcome, http.StatusOK)
+	}, part.Err())
 }
 
-// attachShardQuerySpans is attachQuerySpans for a shard batch: one child per
-// completed query under the search span, holding the six-stage pipeline
-// spans. No-op with tracing off.
-func attachShardQuerySpans(search *reqtrace.Span, startNS int64, part *blast.ShardResult) {
-	if search == nil {
-		return
-	}
-	for i := 0; i < part.NumQueries(); i++ {
-		if !part.QueryCompleted(i) {
-			continue
+// AttachShardQuerySpans is AttachQuerySpan over one shard's part of a batch,
+// queries named by index: what this daemon hangs under its search span and
+// the router under each shard's scatter span. No-op with tracing off.
+func AttachShardQuerySpans(parent *reqtrace.Span, startNS int64, part *blast.ShardResult) {
+	for i := 0; parent != nil && i < part.NumQueries(); i++ {
+		if part.QueryCompleted(i) {
+			AttachQuerySpan(parent, startNS, strconv.Itoa(i), part.QueryStageSpans(i))
 		}
-		q := search.Child("query:"+strconv.Itoa(i), startNS)
-		var total int64
-		for _, sp := range part.QueryStageSpans(i) {
-			q.StaticChild("stage:"+sp.Stage, startNS, sp.Nanos)
-			total += sp.Nanos
-		}
-		q.End(total)
 	}
 }
