@@ -44,8 +44,10 @@ race:
 chaos:
 	go test -race -run 'TestChaos' -v ./internal/core ./internal/cluster ./internal/server ./internal/router
 
-# Short-budget fuzz pass over every decoder at the I/O boundary: the FASTA
-# parser, the database and index deserializers, and the container loader.
+# Short-budget fuzz pass over every decoder at the I/O boundary (the FASTA
+# parser, the database and index deserializers, the container loader) and
+# every equivalence the engine's identity rests on (shard and tier merges,
+# the three statements of the two-hit rule, fast kernels vs their oracles).
 # Each corpus gets a fixed time slice so the default test flow stays fast;
 # crank -fuzztime up for a real hunt.
 FUZZTIME ?= 10s
@@ -56,6 +58,7 @@ fuzz:
 	go test -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) -run='^$$' ./blast
 	go test -fuzz=FuzzShardEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./blast
 	go test -fuzz=FuzzTieredEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./blast
+	go test -fuzz=FuzzPairRuleEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/search
 	go test -fuzz=FuzzExtendEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ungapped
 	go test -fuzz=FuzzExtendScoreProfEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/gapped
 	go test -fuzz=FuzzTracebackEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/gapped

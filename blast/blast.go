@@ -43,7 +43,9 @@ type Params struct {
 	// NeighborThreshold is the word-pair score T for neighboring words
 	// (default 11).
 	NeighborThreshold int
-	// TwoHitWindow is the two-hit distance A (default 40).
+	// TwoHitWindow is the two-hit distance A (default 40): two hits on one
+	// diagonal pair when they do not overlap and lie less than A apart, so
+	// unless OneHit is set it must exceed the word length, 3.
 	TwoHitWindow int
 	// UngappedXDrop stops ungapped extensions (raw score; default 16).
 	UngappedXDrop int
@@ -260,6 +262,13 @@ func buildConfig(p Params) (*search.Config, error) {
 	cfg, err := search.NewConfig(m, nbr)
 	if err != nil {
 		return nil, fmt.Errorf("blast: %w", err)
+	}
+	// Two hits pair at a distance in [W, TwoHitWindow); a window of W or less
+	// leaves that range empty and every query would come back with zero hits
+	// and no error.
+	if !p.OneHit && p.TwoHitWindow <= alphabet.W {
+		return nil, fmt.Errorf("blast: TwoHitWindow %d cannot pair any two hits: it must be at least %d (word length + 1) unless OneHit is set",
+			p.TwoHitWindow, alphabet.W+1)
 	}
 	cfg.TwoHit = ungapped.Params{Window: p.TwoHitWindow, XDrop: p.UngappedXDrop, Trigger: p.UngappedTrigger, OneHit: p.OneHit}
 	cfg.Gap = gapped.Params{GapOpen: p.GapOpen, GapExtend: p.GapExtend, XDrop: p.GappedXDrop}

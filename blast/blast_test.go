@@ -434,6 +434,32 @@ func TestTabularFormat(t *testing.T) {
 	}
 }
 
+// TestTwoHitWindowMustAllowAPair: a window at or below the word length can
+// pair no two hits, so such a database would answer every query with zero
+// hits and no error. buildConfig refuses it, and with it NewDatabase, Load,
+// OpenStore and the daemons' start-up.
+func TestTwoHitWindowMustAllowAPair(t *testing.T) {
+	_, seqs := testDatabase(t)
+	seqs = seqs[:20]
+	for _, window := range []int{-1, 0, 3} {
+		p := DefaultParams()
+		p.TwoHitWindow = window
+		db, err := NewDatabase(seqs, p)
+		if err == nil || !strings.Contains(err.Error(), "TwoHitWindow") || !strings.Contains(err.Error(), "at least 4") {
+			t.Errorf("TwoHitWindow %d: got a database: %v, error %v; want an error naming the field and the minimum", window, db != nil, err)
+		}
+	}
+	p := DefaultParams()
+	p.TwoHitWindow = 4
+	if _, err := NewDatabase(seqs, p); err != nil {
+		t.Errorf("TwoHitWindow 4: %v", err)
+	}
+	p.OneHit, p.TwoHitWindow = true, 0 // one-hit mode never consults the window
+	if _, err := NewDatabase(seqs, p); err != nil {
+		t.Errorf("OneHit with TwoHitWindow 0: %v", err)
+	}
+}
+
 func TestOneHitModeFacade(t *testing.T) {
 	_, seqs := testDatabase(t)
 	p := DefaultParams()

@@ -40,6 +40,7 @@ var experiments = []experiment{
 	{"stage", "stage budget: per-stage time shares (+ -json emission)", runStage},
 	{"index-size", "two-level vs expanded index size", bench.IndexSize},
 	{"verify", "Section V-E output verification", bench.Verify},
+	{"sensitivity", "planted homologs found (vs Smith-Waterman) beside pairs and extensions spent", bench.Sensitivity},
 	{"capsim", "capacity model: record, fit, predict vs measured overload", bench.CapacityValidation},
 	{"ingest", "incremental ingest: delta append vs full rebuild, durable-to-durable", bench.IngestLatency},
 	{"replay", "re-issue a recorded workload against a live daemon (-replay-target, -replay-workload)", runReplay},

@@ -139,7 +139,7 @@ func Fig6(s Scale) (*Table, error) {
 		}
 		t.AddRow(name, hits, pairs, pct(float64(pairs)/float64(hits)))
 	}
-	t.Note("paper: <5%% of hits remain on real databases; this engine's two-hit rule also pairs overlapping words (distance 1-2 on the diagonal), so the fraction is higher but stays a small minority")
+	t.Note("paper: <5%% of hits remain on real databases; same pairing rule here (NCBI's: overlapping hits are ignored, pairs at W <= distance < 40)")
 	return t, nil
 }
 

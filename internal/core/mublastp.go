@@ -5,7 +5,8 @@
 //
 //  1. hit detection scans the query once against the block's lookup table,
 //     running the pre-filter (per-diagonal last-hit arrays, Algorithm 2) so
-//     that only two-hit pairs — typically <5% of hits (Fig 6) — are buffered;
+//     that only two-hit pairs — 4.4% of hits on the benchmark's batch_mixed
+//     workload, the paper's <5% (Fig 6) — are buffered;
 //  2. the buffered pairs are reordered by a stable LSD radix sort on the
 //     packed (sequence, diagonal) key (Section IV-B);
 //  3. ungapped extension consumes the sorted pairs, walking subject
@@ -289,13 +290,14 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 	}
 	sc.diagOff[numSeqs] = total
 	// Two detection loops, selected by the input and by nothing else: the
-	// fast scan needs no trace hooks, two-hit mode, a window the fused pair
-	// compare can treat as unsigned, and query offsets that fit the compact
-	// last-hit word; everything else (a cache-simulator trace, OneHit, a
-	// query past MaxQOff16) takes the general loop below. Each path resets
-	// only its own slot array: the compact one halves the block's
-	// randomly-accessed footprint, which is exactly what the scan is bound on.
-	fast := trace == nil && !e.Cfg.TwoHit.OneHit && window >= 1 &&
+	// fast scan needs no trace hooks, two-hit mode, a window that can pair at
+	// all (CheckCount's fused compare assumes window > W), and query offsets
+	// that fit the compact last-hit word; everything else (a cache-simulator
+	// trace, OneHit, a query past MaxQOff16) takes the general loop below.
+	// Each path resets only its own slot array: the compact one halves the
+	// block's randomly-accessed footprint, which is exactly what the scan is
+	// bound on.
+	fast := trace == nil && !e.Cfg.TwoHit.OneHit && window > alphabet.W &&
 		len(q)-alphabet.W <= search.MaxQOff16
 	if fast {
 		sc.lastPos16.Reset(int(total))
@@ -366,13 +368,19 @@ func (e *Engine) detectScanFast(sc *scratch, q []alphabet.Code, b *dbindex.Block
 	offBits := b.OffBits
 	offMask := uint32(1)<<offBits - 1
 	diagOff := sc.diagOff
+	// A copy of the last-hit state, taken after its Reset: the slot slice and
+	// the epoch word are locals across the three loops instead of loads
+	// through sc for every hit. The copy shares the slots.
+	lastPos := sc.lastPos16
 	// Pairs are written compaction-style: every hit stores its would-be pair
 	// record at buf[np] and advances np by CheckCount's 0/1 verdict, so the
 	// loop body has no data-dependent branch and the out-of-order window
 	// keeps several of the random last-hit misses in flight instead of
-	// stalling on a mispredicted "if paired" (~a third of hits pair, with no
-	// pattern a predictor can learn). Records of unpaired hits are dead
-	// stores that the next hit overwrites.
+	// stalling on a mispredicted branch: ~4% of hits pair and about a fifth
+	// overlap the stored hit and must leave it in place, neither with a
+	// pattern a predictor can learn, so the verdict is an increment and the
+	// keep-or-replace of the slot a conditional move inside CheckCount.
+	// Records of unpaired hits are dead stores that the next hit overwrites.
 	buf := sc.pairs[:cap(sc.pairs)]
 	np := len(sc.pairs)
 	for qOff := 0; qOff+alphabet.W <= len(q); qOff++ {
@@ -390,9 +398,8 @@ func (e *Engine) detectScanFast(sc *scratch, q []alphabet.Code, b *dbindex.Block
 				local := int(packed >> offBits)
 				diag := int(packed&offMask) - qOff + diagBias
 				slot := int(diagOff[local]) + diag
-				_, inc := sc.lastPos16.CheckCount(slot, qOff32, window)
 				buf[np] = hit.Pair{Key: coder.Encode(local, diag), QOff: qOff32}
-				np += inc
+				np += lastPos.CheckCount(slot, qOff32, window)
 			}
 		}
 	}

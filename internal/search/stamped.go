@@ -1,8 +1,11 @@
 package search
 
-// StampedLastPos is the pre-filter's last-hit array: only the last-hit
-// position per (subject, diagonal) slot, since the pre-filter never consults
-// extension state (Algorithm 2's lastHitArr), with epoch-based lazy reset —
+import "repro/internal/alphabet"
+
+// StampedLastPos is the pre-filter's last-hit array: only the position of the
+// stored hit per (subject, diagonal) slot — the last hit that did not overlap
+// its predecessor, see Check — since the pre-filter never consults extension
+// state (Algorithm 2's lastHitArr), with epoch-based lazy reset —
 // advancing the epoch invalidates every slot in O(1) instead of clearing an
 // array that holds one slot per (subject, diagonal) of a whole index block
 // and is reset for every query. Stamp and position are packed into one
@@ -41,19 +44,34 @@ func (sl *StampedLastPos) Reset(n int) {
 	}
 }
 
-// Check performs the two-hit pair test for a hit at qOff on slot i and
-// records qOff as the slot's new last position. It returns the distance to
-// the previous hit and whether the pair test passed (0 < dist < window).
-// qOff must be in [0, MaxQOff].
+// Check performs the two-hit test for a hit at qOff on slot i, NCBI's
+// non-overlapping rule (ungapped.Canon.PairCheck states the semantics; this
+// is its packed form). With d the distance to the slot's stored hit:
+//
+//   - no stored hit this epoch: store, no pair;
+//   - d < alphabet.W: the hit overlaps the stored one and is ignored — the
+//     stored hit is kept, so a later hit is still measured from it;
+//   - alphabet.W <= d < window: pair, store;
+//   - d >= window: store, no pair.
+//
+// Both tests are one unsigned compare on key = stale<<32 | uint32(d), where
+// stale is non-zero exactly when the slot's stamp is not the current epoch:
+// key < W keeps the stored word (a conditional move, not a branch), and
+// key-W < window-W is the pair verdict (an overlapping d wraps far above
+// any window). Hits arrive in increasing offset per slot and qOff must be in
+// [0, MaxQOff]; a window <= alphabet.W never pairs. dist is meaningful only
+// when paired.
 func (sl *StampedLastPos) Check(i int, qOff int32, window int32) (dist int32, paired bool) {
 	v := sl.slots[i]
 	cur := sl.epoch << 20
-	sl.slots[i] = cur | uint32(qOff)
-	if v&^uint32(MaxQOff) != cur {
-		return 0, false
-	}
 	dist = qOff - int32(v&MaxQOff)
-	return dist, dist > 0 && dist < window
+	key := uint64(v&^uint32(MaxQOff)^cur)<<32 | uint64(uint32(dist))
+	nv := cur | uint32(qOff)
+	if key < alphabet.W {
+		nv = v
+	}
+	sl.slots[i] = nv
+	return dist, key-alphabet.W < uint64(max(window-alphabet.W, 0))
 }
 
 // StampedLastPos16 is StampedLastPos squeezed into uint16 slots — epoch in
@@ -85,40 +103,29 @@ func (sl *StampedLastPos16) Reset(n int) {
 	}
 }
 
-// CheckCount is the uint16 form of StampedLastPos.CheckCount: the same
-// store-then-fused-compare pair test, qOff must be in [0, MaxQOff16] and
-// window >= 1. dist is meaningful only when inc is 1.
-func (sl *StampedLastPos16) CheckCount(i int, qOff int32, window int32) (dist int32, inc int) {
+// CheckCount is Check on the uint16 slots — the same rule and the same two
+// compares; qOff must be in [0, MaxQOff16] and, unlike Check, window must
+// exceed alphabet.W — with the verdict returned as a 0/1 increment instead of
+// a bool, so a caller can emit its pair record unconditionally and advance a
+// write index by inc: no data-dependent branch between consecutive slot
+// accesses. That matters in the detection kernel: neither which hits pair nor
+// which overlap the stored hit has a pattern a predictor can learn, and a
+// mispredicted branch there flushes the speculative window that would
+// otherwise keep several of the random last-hit cache misses in flight. The
+// receiver is a value so that the kernel can call it on a local copy taken
+// after Reset: the slot slice and the epoch are then locals of the scan, not
+// loads through a pointer for every hit. The copy shares the slot array.
+func (sl StampedLastPos16) CheckCount(i int, qOff int32, window int32) (inc int) {
 	v := sl.slots[i]
 	cur := sl.epoch << 10
-	sl.slots[i] = cur | uint16(qOff)
-	dist = qOff - int32(v&MaxQOff16)
-	key := uint64(v&^uint16(MaxQOff16)^cur)<<32 | uint64(uint32(dist-1))
-	if key < uint64(uint32(window-1)) {
+	key := uint64(v&^uint16(MaxQOff16)^cur)<<32 | uint64(uint32(qOff-int32(v&MaxQOff16)))
+	nv := cur | uint16(qOff)
+	if key < alphabet.W {
+		nv = v
+	}
+	sl.slots[i] = nv
+	if key-alphabet.W < uint64(window-alphabet.W) {
 		inc = 1
 	}
-	return dist, inc
-}
-
-// CheckCount is Check with the verdict folded into one comparison and
-// returned as a 0/1 increment instead of a bool, so a caller can emit its
-// pair record unconditionally and advance a write index by inc — no
-// data-dependent branch between consecutive slot accesses. That matters in
-// the detection kernel: the pair test passes unpredictably (~a third of
-// hits), and a mispredicted branch there flushes the speculative window that
-// would otherwise keep several of the random last-hit cache misses in
-// flight. The epoch test and the window test 0 < dist < window fuse into a
-// single unsigned compare: stale epochs force the high word of key non-zero,
-// and dist-1 maps the valid range onto [0, window-1). dist is meaningful
-// only when inc is 1.
-func (sl *StampedLastPos) CheckCount(i int, qOff int32, window int32) (dist int32, inc int) {
-	v := sl.slots[i]
-	cur := sl.epoch << 20
-	sl.slots[i] = cur | uint32(qOff)
-	dist = qOff - int32(v&MaxQOff)
-	key := uint64(v&^uint32(MaxQOff)^cur)<<32 | uint64(uint32(dist-1))
-	if key < uint64(uint32(window-1)) {
-		inc = 1
-	}
-	return dist, inc
+	return inc
 }

@@ -28,7 +28,7 @@ func TestStampedLastPos16WrapClearsBeyondLength(t *testing.T) {
 	if sl.epoch != stamped {
 		t.Fatalf("epoch %d after the cycle, want %d", sl.epoch, stamped)
 	}
-	if _, inc := sl.CheckCount(stampHigh, 25, 40); inc != 0 {
+	if sl.CheckCount(stampHigh, 25, 40) != 0 {
 		t.Error("first hit of the epoch paired with a stamp from before the wrap")
 	}
 }

@@ -76,6 +76,29 @@ type Generator struct {
 	rng  *rand.Rand
 	// cumulative distribution over the 20 standard residues
 	cum [20]float64
+
+	// Plants and Origins are the ground truth of what the generator made
+	// related: the homologies planted by the most recent Database call and
+	// where the most recent Queries call cut its queries. Recording them
+	// draws nothing from the rng, so the generated residues do not depend on
+	// whether anyone reads them (the sensitivity experiment does).
+	Plants  []Plant
+	Origins []Origin
+}
+
+// Plant records one planted homology of a Database call: residues
+// [Pos, Pos+Len) of sequence Dst are a mutated copy of residues
+// [Src, Src+Len) of the earlier sequence Donor (indices into the call's
+// result; mutated positions stay homologous columns).
+type Plant struct {
+	Dst, Pos, Donor, Src, Len int
+}
+
+// Origin records where a query was cut: it is a lightly mutated copy of
+// residues [Start, Start+Len) of sequence Seq of the database handed to
+// Queries, or pure background when Seq is -1.
+type Origin struct {
+	Seq, Start, Len int
 }
 
 // New creates a deterministic generator for the given profile and seed.
@@ -141,6 +164,7 @@ func (g *Generator) mutate(s []alphabet.Code, rate float64) {
 // collection contains findable local alignments.
 func (g *Generator) Database(n int) [][]alphabet.Code {
 	seqs := make([][]alphabet.Code, n)
+	g.Plants = g.Plants[:0]
 	for i := range seqs {
 		s := g.Sequence(g.Length())
 		if i > 0 && g.rng.Float64() < g.Prof.HomologFrac {
@@ -151,10 +175,11 @@ func (g *Generator) Database(n int) [][]alphabet.Code {
 	return seqs
 }
 
-// plantHomolog overwrites a random window of dst with a mutated copy of a
-// random window from one of the donors.
+// plantHomolog overwrites a random window of dst — the sequence that will
+// follow donors — with a mutated copy of a random window from one of them.
 func (g *Generator) plantHomolog(dst []alphabet.Code, donors [][]alphabet.Code) {
-	donor := donors[g.rng.Intn(len(donors))]
+	di := g.rng.Intn(len(donors))
+	donor := donors[di]
 	if len(donor) < 2*alphabet.W || len(dst) < 2*alphabet.W {
 		return
 	}
@@ -170,6 +195,7 @@ func (g *Generator) plantHomolog(dst []alphabet.Code, donors [][]alphabet.Code) 
 	pos := g.rng.Intn(len(dst) - segLen + 1)
 	copy(dst[pos:pos+segLen], donor[src:src+segLen])
 	g.mutate(dst[pos:pos+segLen], g.Prof.MutationRate)
+	g.Plants = append(g.Plants, Plant{Dst: len(donors), Pos: pos, Donor: di, Src: src, Len: segLen})
 }
 
 // Queries samples count queries of the given length from the database, the
@@ -180,34 +206,38 @@ func (g *Generator) plantHomolog(dst []alphabet.Code, donors [][]alphabet.Code) 
 // from the profile distribution instead (the paper's "mixed" set).
 func (g *Generator) Queries(db [][]alphabet.Code, count, length int) [][]alphabet.Code {
 	out := make([][]alphabet.Code, 0, count)
+	g.Origins = g.Origins[:0]
 	for len(out) < count {
 		l := length
 		if l <= 0 {
 			l = g.Length()
 		}
-		s := g.sampleWindow(db, l)
+		s, from := g.sampleWindow(db, l)
 		if s == nil {
 			// No database sequence long enough: synthesize from background.
 			s = g.Sequence(l)
 		}
 		g.mutate(s, 0.10)
 		out = append(out, s)
+		g.Origins = append(g.Origins, from)
 	}
 	return out
 }
 
 // sampleWindow copies a random window of the requested length from a random
-// database sequence that is long enough, or returns nil after bounded tries.
-func (g *Generator) sampleWindow(db [][]alphabet.Code, length int) []alphabet.Code {
+// database sequence that is long enough, or returns nil (and an Origin with
+// Seq -1) after bounded tries.
+func (g *Generator) sampleWindow(db [][]alphabet.Code, length int) ([]alphabet.Code, Origin) {
 	for try := 0; try < 64; try++ {
-		s := db[g.rng.Intn(len(db))]
+		i := g.rng.Intn(len(db))
+		s := db[i]
 		if len(s) < length {
 			continue
 		}
 		start := g.rng.Intn(len(s) - length + 1)
-		return append([]alphabet.Code(nil), s[start:start+length]...)
+		return append([]alphabet.Code(nil), s[start:start+length]...), Origin{Seq: i, Start: start, Len: length}
 	}
-	return nil
+	return nil, Origin{Seq: -1, Len: length}
 }
 
 // LengthStats summarizes a collection of sequences; used to validate the

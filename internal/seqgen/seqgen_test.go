@@ -1,6 +1,8 @@
 package seqgen
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"testing"
 
@@ -209,5 +211,82 @@ func TestSampleWindowFallback(t *testing.T) {
 		if len(q) != 512 {
 			t.Errorf("fallback query length %d", len(q))
 		}
+	}
+}
+
+// identity is the fraction of positions at which a and b agree.
+func identity(a, b []alphabet.Code) float64 {
+	same := 0
+	for i := range a {
+		if a[i] == b[i] {
+			same++
+		}
+	}
+	return float64(same) / float64(len(a))
+}
+
+// TestPlantsAndOriginsDescribeTheResidues checks the generator's ground
+// truth against what it generated: every recorded plant is a window of its
+// donor copied at about 1-MutationRate identity into a later sequence, every
+// recorded origin is the database window its query was cut from, and a query
+// synthesized from background says so.
+func TestPlantsAndOriginsDescribeTheResidues(t *testing.T) {
+	prof := UniprotProfile()
+	prof.HomologFrac = 0.9
+	g := New(prof, 33)
+	db := g.Database(400)
+	if n := len(g.Plants); n < 300 || n > 399 {
+		t.Fatalf("%d plants recorded for 400 sequences at HomologFrac 0.9", n)
+	}
+	sum := 0.0
+	for _, p := range g.Plants {
+		if p.Donor >= p.Dst || p.Len < 20 || p.Pos+p.Len > len(db[p.Dst]) || p.Src+p.Len > len(db[p.Donor]) {
+			t.Fatalf("plant %+v does not fit its sequences (%d, %d residues)", p, len(db[p.Dst]), len(db[p.Donor]))
+		}
+		sum += identity(db[p.Dst][p.Pos:p.Pos+p.Len], db[p.Donor][p.Src:p.Src+p.Len])
+	}
+	// A mutated position redraws its residue, which agrees by chance ~6% of
+	// the time: expected identity 1 - 0.4*0.94 = 0.62 (background alone: 0.06).
+	if mean := sum / float64(len(g.Plants)); mean < 0.57 || mean > 0.67 {
+		t.Errorf("planted windows agree with their donors at %.3f on average, want ~0.62", mean)
+	}
+
+	queries := g.Queries(db, 20, 100)
+	if len(g.Origins) != len(queries) {
+		t.Fatalf("%d origins for %d queries", len(g.Origins), len(queries))
+	}
+	for i, o := range g.Origins {
+		if o.Seq < 0 || o.Len != 100 {
+			t.Fatalf("query %d: origin %+v", i, o)
+		}
+		if id := identity(queries[i], db[o.Seq][o.Start:o.Start+o.Len]); id < 0.8 {
+			t.Errorf("query %d agrees with its recorded origin at %.2f, want ~0.9", i, id)
+		}
+	}
+	g.Queries(db[:1], 1, 6000) // longer than any sequence: background
+	if o := g.Origins[0]; len(g.Origins) != 1 || o.Seq != -1 || o.Len != 6000 {
+		t.Errorf("origins of a synthesized query: %+v", g.Origins)
+	}
+}
+
+// TestGeneratedResiduesPinned pins the residues of one seed to the digest
+// they had before Plants and Origins existed: the recording may not draw
+// from the rng, or every golden, benchmark input and recorded experiment
+// that depends on generated residues silently becomes a different one.
+func TestGeneratedResiduesPinned(t *testing.T) {
+	g := New(UniprotProfile(), 1)
+	h := sha256.New()
+	db := g.Database(300)
+	for _, s := range db {
+		h.Write([]byte(alphabet.String(s)))
+		h.Write([]byte{0})
+	}
+	for _, n := range []struct{ count, length int }{{6, 128}, {6, 0}, {2, 6000}} {
+		for _, q := range g.Queries(db, n.count, n.length) {
+			h.Write([]byte(alphabet.String(q)))
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != "edda9ef1e5532b43" {
+		t.Errorf("digest %s, want edda9ef1e5532b43 (the parent of the PR that added Plants)", got)
 	}
 }

@@ -16,9 +16,9 @@ import (
 
 // Params controls hit-pair selection and extension.
 type Params struct {
-	// Window is the two-hit window A: a pair of hits on one diagonal
-	// triggers extension only if their distance is positive and below this
-	// (BLASTP default 40).
+	// Window is the two-hit window A: two non-overlapping hits on one
+	// diagonal trigger extension only if their distance is below this
+	// (BLASTP default 40); it must exceed alphabet.W for any pair to exist.
 	Window int
 	// XDrop stops extension when the running score falls this far below
 	// the best score seen (raw score units; BLASTP default ~16 raw for
@@ -267,8 +267,10 @@ func walkRight(rows []int8, base int, sr []alphabet.Code, xDrop int) int {
 //
 // Semantics (Algorithm 1 lines 5–25):
 //
-//   - a hit pairs with the previous hit on the diagonal when their distance
-//     is in (0, Window);
+//   - a hit pairs with the hit stored for the diagonal when their distance is
+//     in [alphabet.W, Window); a hit overlapping the stored one (distance <
+//     alphabet.W) is ignored and the stored hit kept — NCBI's rule, see
+//     PairCheck;
 //   - a pair whose second hit is already covered by the previous extension
 //     on the diagonal (extReached > qOff) is skipped;
 //   - after an extension scoring above Trigger, the diagonal's reached
@@ -304,17 +306,31 @@ type DiagState struct {
 // Reset prepares the state for a new diagonal.
 func (d *DiagState) Reset() { d.LastPos, d.ExtReached = -1, -1 }
 
-// PairCheck processes one hit's two-hit test on the diagonal: it reports
-// whether the hit pairs with the previous hit (distance in (0, Window)) and
-// advances the diagonal's last-hit position. This is exactly what the
-// muBLASTP pre-filter computes during hit detection (Algorithm 2).
+// PairCheck processes one hit's two-hit test on the diagonal — NCBI's
+// non-overlapping rule (s_BlastAaWordFinder_TwoHit), stated here once as
+// semantics; search.StampedLastPos* are its packed forms. With d the distance
+// from the diagonal's stored hit to this one (hits arrive in increasing
+// offset):
+//
+//   - no stored hit: store this one, no pair;
+//   - d < alphabet.W: the hit overlaps the stored one and is ignored — the
+//     stored hit is kept, so consecutive words of one conserved stretch pair
+//     every W-th word, not every word;
+//   - alphabet.W <= d < Window: pair, and store this hit;
+//   - d >= Window: store this hit, no pair.
+//
+// This is exactly what the muBLASTP pre-filter computes during hit detection
+// (Algorithm 2).
 func (c *Canon) PairCheck(d *DiagState, qOff int) bool {
 	if c.P.OneHit {
 		d.LastPos = int32(qOff)
 		return true
 	}
 	dist := int32(qOff) - d.LastPos
-	paired := d.LastPos >= 0 && dist > 0 && int(dist) < c.P.Window
+	if d.LastPos >= 0 && dist < alphabet.W {
+		return false
+	}
+	paired := d.LastPos >= 0 && int(dist) < c.P.Window
 	d.LastPos = int32(qOff)
 	return paired
 }
