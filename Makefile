@@ -47,7 +47,8 @@ chaos:
 # Short-budget fuzz pass over every decoder at the I/O boundary (the FASTA
 # parser, the database and index deserializers, the container loader) and
 # every equivalence the engine's identity rests on (shard and tier merges,
-# the three statements of the two-hit rule, fast kernels vs their oracles).
+# the three statements of the two-hit rule, one last-hit slot per block
+# diagonal vs one per sequence diagonal, fast kernels vs their oracles).
 # Each corpus gets a fixed time slice so the default test flow stays fast;
 # crank -fuzztime up for a real hunt.
 FUZZTIME ?= 10s
@@ -59,6 +60,7 @@ fuzz:
 	go test -fuzz=FuzzShardEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./blast
 	go test -fuzz=FuzzTieredEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./blast
 	go test -fuzz=FuzzPairRuleEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/search
+	go test -fuzz=FuzzBlockDiagonalEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/core
 	go test -fuzz=FuzzExtendEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ungapped
 	go test -fuzz=FuzzExtendScoreProfEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/gapped
 	go test -fuzz=FuzzTracebackEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/gapped

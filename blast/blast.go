@@ -200,7 +200,7 @@ func newDatabaseFrom(db *dbase.DB, p Params) (*Database, error) {
 		// Paper Section V-B sizing rule against a 30MB LLC default.
 		blockResidues = dbindex.OptimalBlockResidues(30<<20, threads)
 	}
-	ix, err := dbindex.Build(db, cfg.Neighbors, blockResidues)
+	ix, err := dbindex.BuildWindow(db, cfg.Neighbors, blockResidues, cfg.TwoHit.Window)
 	if err != nil {
 		return nil, fmt.Errorf("blast: building index: %w", err)
 	}

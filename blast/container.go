@@ -20,7 +20,7 @@ import (
 // partially populated database.
 var fiDBRead = faultinject.NewSite("db.read")
 
-// This file implements the on-disk database container (format version 2).
+// This file implements the on-disk database container (format version 3).
 //
 // A saved database is a long-lived, network-shipped artifact — the whole
 // point of the paper's database index is build-once/search-many reuse — so
@@ -28,7 +28,7 @@ var fiDBRead = faultinject.NewSite("db.read")
 //
 //	magic   13 bytes  "\x89muBLASTP\r\n\x1a\n" (PNG-style: catches text-mode
 //	                  mangling and truncation at a glance)
-//	version uint16 LE (currently 2)
+//	version uint16 LE (currently 3)
 //	sections, in fixed order: PRMS, SEQS, XIDX, ORGN, FEND
 //
 // Each section is framed as
@@ -49,9 +49,13 @@ var fiDBRead = faultinject.NewSite("db.read")
 // FEND.
 //
 // Version history: version 1 is the pre-container format (bare
-// length-prefixed sections, no magic, no checksums, no fingerprint); it is
-// detected and rejected with ErrVersion. Any layout change bumps the
-// version; readers reject versions they do not know.
+// length-prefixed sections, no magic, no checksums, no fingerprint). Version
+// 2 stored an index position as local sequence id and subject offset packed
+// into one word; version 3 stores the block coordinate the detection scan
+// reads as it is, with the block's padding where version 2 had its offset
+// width (see internal/dbindex). Both older versions are detected and rejected
+// with ErrVersion: there is one reader. Any layout change bumps the version;
+// readers reject versions they do not know.
 
 // Typed load errors. Callers can distinguish "the artifact is damaged,
 // rebuild it" (ErrCorrupt), "the artifact comes from an incompatible
@@ -65,7 +69,7 @@ var (
 
 const (
 	containerMagic   = "\x89muBLASTP\r\n\x1a\n"
-	containerVersion = 2
+	containerVersion = 3
 )
 
 // Section tags, in file order.
@@ -137,7 +141,7 @@ func (d *Database) fingerprint() Fingerprint {
 }
 
 // Save writes the database (fingerprint, sequences, index, split origins)
-// as a version-2 container so a later Load skips index construction — the
+// as a version-3 container so a later Load skips index construction — the
 // reuse the paper's database-index design is for. Every section is framed
 // with a length and a CRC32 so Load can prove integrity.
 func (d *Database) Save(w io.Writer) error {
@@ -491,6 +495,13 @@ func (c *container) open(p Params) (*Database, error) {
 		p.SplitLongerThan, p.SplitOverlap = c.fp.SplitLongerThan, c.fp.SplitOverlap
 	} else {
 		p.SplitLongerThan, p.SplitOverlap = -1, 0
+	}
+	// The two-hit window is a search-time parameter, but the index lays its
+	// sequences out with the padding one window needs (dbindex.BlockIndex.Pad)
+	// and serves no wider one. One-hit searches never consult the window.
+	if maxWindow := c.ix.MaxWindow(); !p.OneHit && p.TwoHitWindow > maxWindow {
+		return nil, mismatchf("TwoHitWindow %d requested, database padded for windows up to %d (pad %d); rebuild it with the wider window",
+			p.TwoHitWindow, maxWindow, maxWindow-alphabet.W)
 	}
 	c.ix.Neighbors = cfg.Neighbors
 	return newSingle(p, cfg, c.db, c.ix, c.origins, c.fp.SplitLongerThan, c.fp.SplitOverlap), nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -100,6 +101,14 @@ func TestLegacyFormatRejected(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader([]byte("utter nonsense, quite long enough")), DefaultParams()); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("garbage accepted as container")
+	}
+	// Version 2 (packed index positions): the header alone decides, whatever
+	// follows it.
+	db, _ := smallDatabase(t, DefaultParams())
+	v2 := saved(t, db)
+	binary.LittleEndian.PutUint16(v2[len(containerMagic):], 2)
+	if _, err := Load(bytes.NewReader(v2), DefaultParams()); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-2 container: got %v, want ErrVersion", err)
 	}
 }
 
@@ -232,7 +241,7 @@ func TestVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Version != 2 {
+	if info.Version != 3 {
 		t.Errorf("Version = %d", info.Version)
 	}
 	fp := info.Fingerprint
@@ -314,5 +323,70 @@ func TestZeroLengthRecords(t *testing.T) {
 	}
 	if len(res.Hits) != 0 {
 		t.Fatalf("hits from all-empty database: %d", len(res.Hits))
+	}
+}
+
+// TestWindowBeyondPaddingRefused: the two-hit window is a search-time
+// parameter and not part of the fingerprint, but a container's index is padded
+// for the window it was built with and serves no wider one. Every way of
+// opening a database goes through container.open, which must refuse the wider
+// window by name and accept everything else.
+func TestWindowBeyondPaddingRefused(t *testing.T) {
+	narrow := DefaultParams()
+	narrow.BlockResidues = 4096
+	narrow.TwoHitWindow = 11
+	wide := narrow
+	wide.TwoHitWindow = 12
+	refused := func(label string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrParamsMismatch) {
+			t.Fatalf("%s: got %v, want ErrParamsMismatch", label, err)
+		}
+		for _, want := range []string{"TwoHitWindow 12", "pad 8", "up to 11"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %q", label, err, want)
+			}
+		}
+	}
+
+	db, seqs := smallDatabase(t, narrow)
+	art := saved(t, db)
+	_, err := Load(bytes.NewReader(art), wide)
+	refused("Load", err)
+	for _, ok := range []func(*Params){
+		func(p *Params) {},                                        // the build's own window
+		func(p *Params) { p.TwoHitWindow = 5 },                    // a narrower one
+		func(p *Params) { p.OneHit, p.TwoHitWindow = true, 1000 }, // one-hit never consults it
+	} {
+		p := narrow
+		ok(&p)
+		if _, err := Load(bytes.NewReader(art), p); err != nil {
+			t.Errorf("window %d, one-hit %v: %v", p.TwoHitWindow, p.OneHit, err)
+		}
+	}
+
+	// A store with one delta: base and delta both carry the narrow padding.
+	dir := t.TempDir()
+	st, err := InitStore(dir, seqs[:6], narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Append(seqs[6:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, narrow); err != nil {
+		t.Fatalf("store at its own window: %v", err)
+	}
+	_, err = Open(dir, wide)
+	refused("store", err)
+
+	// A shard set.
+	shards, err := db.Shards(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sh := range shards {
+		_, err := Load(bytes.NewReader(saved(t, sh)), wide)
+		refused(fmt.Sprintf("shard %d", i), err)
 	}
 }

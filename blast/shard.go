@@ -56,7 +56,7 @@ func (d *Database) Shards(n int) ([]*Database, error) {
 		// The subset of an ascending-length database is ascending, so the
 		// build's internal sort is a stable no-op and local id j keeps
 		// meaning monolithic id j*n + s.
-		ix, err := dbindex.Build(sub, cfg.Neighbors, p.BlockResidues)
+		ix, err := dbindex.BuildWindow(sub, cfg.Neighbors, p.BlockResidues, cfg.TwoHit.Window)
 		if err != nil {
 			return nil, fmt.Errorf("blast: indexing shard %d: %w", s, err)
 		}

@@ -479,7 +479,7 @@ func (st *Store) Compact() error {
 	}
 	merged := dbase.Merged(tiered.partDBs(), orders)
 	fp := tiered.fingerprint()
-	ix, err := dbindex.Build(merged, tiered.cfg.Neighbors, fp.BlockResidues)
+	ix, err := dbindex.BuildWindow(merged, tiered.cfg.Neighbors, fp.BlockResidues, tiered.cfg.TwoHit.Window)
 	if err != nil {
 		return fmt.Errorf("blast: compaction index build: %w", err)
 	}

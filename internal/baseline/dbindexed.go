@@ -26,7 +26,14 @@ type DBIndexed struct {
 	// ixBase maps a block number to the byte offset of its position array
 	// in the concatenated index space (trace addressing).
 	ixBase []int64
+	// pos is each block's position array resolved once to what NCBI-db's own
+	// index stores, (local sequence id, subject offset): the shared index
+	// stores block coordinates for muBLASTP's scan, and resolving one per hit
+	// would charge this baseline a table walk its model does not have.
+	pos [][]seqPos
 }
+
+type seqPos struct{ local, sOff int32 }
 
 // NewDBIndexed creates the engine over a built index.
 func NewDBIndexed(cfg *search.Config, ix *dbindex.Index) *DBIndexed {
@@ -38,19 +45,28 @@ func NewDBIndexed(cfg *search.Config, ix *dbindex.Index) *DBIndexed {
 	}
 	e.subjOff[ix.DB.NumSeqs()] = off
 	e.ixBase = make([]int64, len(ix.Blocks))
+	e.pos = make([][]seqPos, len(ix.Blocks))
 	var base int64
 	for i, b := range ix.Blocks {
 		e.ixBase[i] = base
 		base += b.SizeBytes()
+		e.pos[i] = make([]seqPos, b.NumPositions())
+		for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
+			first := int(b.Base(w))
+			for pi, g := range b.Positions(w) {
+				local, sOff := b.Decode(g)
+				e.pos[i][first+pi] = seqPos{int32(local), int32(sOff)}
+			}
+		}
 	}
 	return e
 }
 
 // dbiScratch is the per-worker reusable state.
 type dbiScratch struct {
-	diags   StampedDiags
-	diagOff []int32
-	prof    matrix.Profile
+	diags    StampedDiags
+	seqSlots []int32
+	prof     matrix.Profile
 	// extLists collects surviving ungapped extensions per local sequence of
 	// the current block; touched lists the locals with at least one.
 	extLists [][]ungapped.Ext
@@ -92,20 +108,20 @@ func (e *DBIndexed) searchOne(sc *dbiScratch, queryIdx int, q []alphabet.Code) s
 	for bi, b := range e.Ix.Blocks {
 		numSeqs := b.Block.NumSeqs()
 		// Per-sequence diagonal offsets into one flat state array: sequence
-		// local l owns slots [diagOff[l], diagOff[l+1]).
-		if cap(sc.diagOff) < numSeqs+1 {
-			sc.diagOff = make([]int32, numSeqs+1)
+		// local l owns slots [seqSlots[l], seqSlots[l+1]).
+		if cap(sc.seqSlots) < numSeqs+1 {
+			sc.seqSlots = make([]int32, numSeqs+1)
 		}
-		sc.diagOff = sc.diagOff[:numSeqs+1]
+		sc.seqSlots = sc.seqSlots[:numSeqs+1]
 		total := int32(0)
 		for l := 0; l < numSeqs; l++ {
-			sc.diagOff[l] = total
+			sc.seqSlots[l] = total
 			sl := len(e.Ix.DB.Seqs[b.Block.Start+l].Data)
 			if sl >= alphabet.W {
 				total += int32(len(q) + sl - 2*alphabet.W + 1)
 			}
 		}
-		sc.diagOff[numSeqs] = total
+		sc.seqSlots[numSeqs] = total
 		sc.diags.Reset(int(total))
 		if cap(sc.extLists) < numSeqs {
 			sc.extLists = make([][]ungapped.Ext, numSeqs)
@@ -120,14 +136,15 @@ func (e *DBIndexed) searchOne(sc *dbiScratch, queryIdx int, q []alphabet.Code) s
 				if len(ps) == 0 {
 					continue
 				}
-				base := e.ixBase[bi] + int64(b.Base(v))*4
-				for pi, packed := range ps {
+				first := int(b.Base(v))
+				base := e.ixBase[bi] + int64(first)*4
+				for pi, p := range e.pos[bi][first : first+len(ps)] {
 					st.Hits++
-					local, sOff := b.Decode(packed)
+					local, sOff := int(p.local), int(p.sOff)
 					gsi := b.Block.Start + local
 					s := e.Ix.DB.Seqs[gsi].Data
 					diag := sOff - qOff + diagBias
-					slot := int(sc.diagOff[local]) + diag
+					slot := int(sc.seqSlots[local]) + diag
 					if trace != nil {
 						trace(search.SpaceIndex, base+int64(pi)*4)
 						trace(search.SpaceLastHit, int64(slot)*8)

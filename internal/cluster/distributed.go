@@ -153,7 +153,7 @@ func RunDistributedCtx(ctx context.Context, cfg *search.Config, db *dbase.DB, qu
 		rankCfg := *cfg
 		rankCfg.DBLenOverride = db.TotalResidues
 		rankCfg.DBSeqsOverride = int64(db.NumSeqs())
-		ix, err := dbindex.Build(local, cfg.Neighbors, opts.BlockResidues)
+		ix, err := dbindex.BuildWindow(local, cfg.Neighbors, opts.BlockResidues, cfg.TwoHit.Window)
 		if err != nil {
 			return nil, 0, fmt.Errorf("cluster: index partition: %w", err)
 		}

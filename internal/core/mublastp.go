@@ -4,9 +4,11 @@
 // disappear (Section IV). Per index block and query:
 //
 //  1. hit detection scans the query once against the block's lookup table,
-//     running the pre-filter (per-diagonal last-hit arrays, Algorithm 2) so
-//     that only two-hit pairs — 4.4% of hits on the benchmark's batch_mixed
-//     workload, the paper's <5% (Fig 6) — are buffered;
+//     running the pre-filter (the last-hit array of Algorithm 2, one slot per
+//     diagonal of the block's coordinate axis — index positions are scanned
+//     as stored, see detectPrefiltered) so that only two-hit pairs — 4.4% of
+//     hits on the benchmark's batch_mixed workload, the paper's <5% (Fig 6) —
+//     are buffered, and only those are decoded to (sequence, diagonal);
 //  2. the buffered pairs are reordered by a stable LSD radix sort on the
 //     packed (sequence, diagonal) key (Section IV-B);
 //  3. ungapped extension consumes the sorted pairs, walking subject
@@ -81,8 +83,15 @@ func New(cfg *search.Config, ix *dbindex.Index) *Engine {
 	return NewWithOptions(cfg, ix, Options{})
 }
 
-// NewWithOptions creates a muBLASTP engine with explicit options.
+// NewWithOptions creates a muBLASTP engine with explicit options. It panics
+// if the two-hit window is wider than the index was padded for (see
+// detectPrefiltered): blast refuses such a pairing when it opens a database,
+// so only a caller that built the index itself can get here.
 func NewWithOptions(cfg *search.Config, ix *dbindex.Index, opt Options) *Engine {
+	if maxWindow := ix.MaxWindow(); !cfg.TwoHit.OneHit && cfg.TwoHit.Window > maxWindow {
+		panic(fmt.Sprintf("core: two-hit window %d, but the index is padded for at most %d (build it with dbindex.BuildWindow)",
+			cfg.TwoHit.Window, maxWindow))
+	}
 	met := opt.Metrics
 	if met == nil {
 		met = obs.Pipe
@@ -111,7 +120,6 @@ func NewWithOptions(cfg *search.Config, ix *dbindex.Index, opt Options) *Engine 
 type scratch struct {
 	lastPos   search.StampedLastPos
 	lastPos16 search.StampedLastPos16
-	diagOff   []int32
 	pairs     []hit.Pair
 	pairBuf   []hit.Pair
 	exts      []ungapped.Ext
@@ -257,11 +265,22 @@ func (e *Engine) searchBlock(sc *scratch, q []alphabet.Code, bi int, st *search.
 }
 
 // detectPrefiltered is hit detection with the Algorithm 2 pre-filter: the
-// per-(sequence, diagonal) last-hit array is consulted during detection and
-// only two-hit pairs enter the buffer.
+// last-hit array is consulted during detection and only two-hit pairs enter
+// the buffer.
+//
+// The array has one slot per diagonal of the whole block, not per (sequence,
+// diagonal): an indexed position is a block coordinate G (see dbindex), and a
+// hit's slot is G - qOff + (len(q) - W). Two sequences that share a block
+// diagonal cannot disturb each other's verdicts. On one diagonal hits arrive
+// in increasing qOff, hence in increasing G, so every hit of a sequence
+// precedes every hit of the next one; and the next sequence's first hit lies
+// at least Pad + W = window coordinates, so window offsets, past the last
+// hit before it — the distance at which the rule stores without pairing,
+// which is what an empty slot does. An overlap (distance < W, the stored hit
+// kept) cannot occur across sequences at all. NewWithOptions holds the window
+// to what the index was padded for.
 func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder hit.KeyCoder, st *search.Stats) {
 	b := e.Ix.Blocks[bi]
-	numSeqs := b.Block.NumSeqs()
 	diagBias := len(q) - alphabet.W
 	window := int32(e.Cfg.TwoHit.Window)
 	trace := e.Cfg.Trace
@@ -271,24 +290,6 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 		panic(fmt.Sprintf("core: query length %d exceeds the %d-offset last-hit limit", len(q), search.MaxQOff))
 	}
 
-	// The prefilter's separable cost is its state setup: sizing the
-	// per-sequence diagonal offsets and resetting the flat last-hit array.
-	// The per-hit Check calls are inlined into the detection scan below, so
-	// their time lands in StageHitDetect (DESIGN.md, observability layer).
-	stageStart := time.Now()
-	if cap(sc.diagOff) < numSeqs+1 {
-		sc.diagOff = make([]int32, numSeqs+1)
-	}
-	sc.diagOff = sc.diagOff[:numSeqs+1]
-	total := int32(0)
-	for l := 0; l < numSeqs; l++ {
-		sc.diagOff[l] = total
-		sl := len(e.Ix.DB.Seqs[b.Block.Start+l].Data)
-		if sl >= alphabet.W {
-			total += int32(len(q) + sl - 2*alphabet.W + 1)
-		}
-	}
-	sc.diagOff[numSeqs] = total
 	// Two detection loops, selected by the input and by nothing else: the
 	// fast scan needs no trace hooks, two-hit mode, a window that can pair at
 	// all (CheckCount's fused compare assumes window > W), and query offsets
@@ -296,20 +297,24 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 	// trace, OneHit, a query past MaxQOff16) takes the general loop below.
 	// Each path resets only its own slot array: the compact one halves the
 	// block's randomly-accessed footprint, which is exactly what the scan is
-	// bound on.
+	// bound on. The reset is the pre-filter's separable cost; the per-hit
+	// checks are inlined into the scan, so their time lands in StageHitDetect
+	// (DESIGN.md, observability layer).
+	stageStart := time.Now()
+	slots := b.Span() + diagBias + 1
 	fast := trace == nil && !e.Cfg.TwoHit.OneHit && window > alphabet.W &&
 		len(q)-alphabet.W <= search.MaxQOff16
 	if fast {
-		sc.lastPos16.Reset(int(total))
+		sc.lastPos16.Reset(slots)
 	} else {
-		sc.lastPos.Reset(int(total))
+		sc.lastPos.Reset(slots)
 	}
 	sc.pairs = sc.pairs[:0]
 	st.StageNanos[obs.StagePrefilter] += int64(time.Since(stageStart))
 
 	stageStart = time.Now()
 	if fast {
-		e.detectScanFast(sc, q, b, coder, diagBias, window, st)
+		e.detectScanFast(sc, q, b, coder, window, st)
 		st.StageNanos[obs.StageHitDetect] += int64(time.Since(stageStart))
 		return
 	}
@@ -324,11 +329,9 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 			if trace != nil {
 				base = e.ixBase[bi] + int64(b.Base(v))*4
 			}
-			for pi, packed := range ps {
+			for pi, g := range ps {
 				st.Hits++
-				local, sOff := b.Decode(packed)
-				diag := sOff - qOff + diagBias
-				slot := int(sc.diagOff[local]) + diag
+				slot := int(g) - qOff + diagBias
 				if trace != nil {
 					trace(search.SpaceIndex, base+int64(pi)*4)
 					// Trace models the paper's int32 lastHitArr, as in the
@@ -347,7 +350,8 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 						// pair record (key, offset, distance); ours is 8.
 						trace(search.SpaceHitBuf, int64(len(sc.pairs))*12)
 					}
-					sc.pairs = append(sc.pairs, hit.Pair{Key: coder.Encode(local, diag), QOff: int32(qOff)})
+					local, sOff := b.Decode(g)
+					sc.pairs = append(sc.pairs, hit.Pair{Key: coder.Encode(local, sOff-qOff+diagBias), QOff: int32(qOff)})
 				}
 			}
 		}
@@ -357,17 +361,16 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 
 // detectScanFast is the untraced two-hit detection kernel: the same scan as
 // detectPrefiltered's general loop with everything per-hit that is not
-// load-compute-store hoisted out — no trace callbacks, no one-hit branch,
-// position decode inlined off hoisted field widths, and hit counting moved
-// to one add per position list. The per-hit random access is the compact
-// packed last-hit word (see search.StampedLastPos16), one cache line per
-// hit; detectPrefiltered routes queries too long for the compact word
-// through the general loop below instead.
-func (e *Engine) detectScanFast(sc *scratch, q []alphabet.Code, b *dbindex.BlockIndex, coder hit.KeyCoder, diagBias int, window int32, st *search.Stats) {
+// load-compute-store taken out — no trace callbacks, no one-hit branch, hit
+// counting moved to one add per position list, and no decode: a position is
+// used as stored, and is its own slot number in the view of the last-hit
+// array taken per query offset. The per-hit random access is the compact
+// packed last-hit word (see search.StampedLastPos16), one cache line per hit;
+// detectPrefiltered routes queries too long for the compact word through the
+// general loop instead.
+func (e *Engine) detectScanFast(sc *scratch, q []alphabet.Code, b *dbindex.BlockIndex, coder hit.KeyCoder, window int32, st *search.Stats) {
 	nbrs := e.Cfg.Neighbors
-	offBits := b.OffBits
-	offMask := uint32(1)<<offBits - 1
-	diagOff := sc.diagOff
+	diagBias := len(q) - alphabet.W
 	// A copy of the last-hit state, taken after its Reset: the slot slice and
 	// the epoch word are locals across the three loops instead of loads
 	// through sc for every hit. The copy shares the slots.
@@ -381,11 +384,14 @@ func (e *Engine) detectScanFast(sc *scratch, q []alphabet.Code, b *dbindex.Block
 	// pattern a predictor can learn, so the verdict is an increment and the
 	// keep-or-replace of the slot a conditional move inside CheckCount.
 	// Records of unpaired hits are dead stores that the next hit overwrites.
+	// The record written in the scan is raw — the block coordinate where the
+	// key will go — and the survivors alone are decoded, below.
 	buf := sc.pairs[:cap(sc.pairs)]
 	np := len(sc.pairs)
 	for qOff := 0; qOff+alphabet.W <= len(q); qOff++ {
 		w := alphabet.WordAt(q, qOff)
 		qOff32 := int32(qOff)
+		row := lastPos.From(diagBias - qOff) // slot = G - qOff + diagBias
 		for _, v := range nbrs.Neighbors(w) {
 			ps := b.Positions(v)
 			st.Hits += int64(len(ps))
@@ -394,17 +400,19 @@ func (e *Engine) detectScanFast(sc *scratch, q []alphabet.Code, b *dbindex.Block
 				copy(grown, buf[:np])
 				buf = grown
 			}
-			for _, packed := range ps {
-				local := int(packed >> offBits)
-				diag := int(packed&offMask) - qOff + diagBias
-				slot := int(diagOff[local]) + diag
-				buf[np] = hit.Pair{Key: coder.Encode(local, diag), QOff: qOff32}
-				np += lastPos.CheckCount(slot, qOff32, window)
+			for _, g := range ps {
+				buf[np] = hit.Pair{Key: g, QOff: qOff32}
+				np += row.CheckCount(int(g), qOff32, window)
 			}
 		}
 	}
 	sc.pairs = buf[:np]
 	st.Pairs += int64(np)
+	for i := range sc.pairs {
+		p := &sc.pairs[i]
+		local, sOff := b.Decode(p.Key)
+		p.Key = coder.Encode(local, sOff-int(p.QOff)+diagBias)
+	}
 }
 
 // sortPairs reorders one task's pair buffer by (sequence, diagonal) key. The

@@ -76,7 +76,11 @@ func TestGridSchedulerStats(t *testing.T) {
 func TestSkewedStragglerKeepsWorkersBusy(t *testing.T) {
 	cfg := cfgShared(t)
 	g := seqgen.New(seqgen.UniprotProfile(), 71)
-	db := dbase.New(g.Database(300))
+	// The database is sized so that the batch outlasts several of the Go
+	// scheduler's 10 ms time slices: with more workers than CPUs a worker
+	// first runs when another is preempted, and a batch that is over within
+	// one slice never gets that far.
+	db := dbase.New(g.Database(2400))
 	ix, err := dbindex.Build(db, cfg.Neighbors, 8192)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package dbindex
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sync"
 	"testing"
 
@@ -166,7 +167,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 	for i, b := range ix.Blocks {
 		gb := got.Blocks[i]
-		if gb.Block != b.Block || gb.OffBits != b.OffBits {
+		if gb.Block != b.Block || gb.Pad != b.Pad {
 			t.Fatalf("block %d metadata mismatch: %+v vs %+v", i, gb.Block, b.Block)
 		}
 		if len(gb.flat) != len(b.flat) {
@@ -234,7 +235,7 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 	}
 	for i := range serial.Blocks {
 		a, b := serial.Blocks[i], par.Blocks[i]
-		if a.Block != b.Block || a.OffBits != b.OffBits || len(a.flat) != len(b.flat) {
+		if a.Block != b.Block || a.Pad != b.Pad || len(a.flat) != len(b.flat) {
 			t.Fatalf("block %d metadata differs", i)
 		}
 		for j := range a.flat {
@@ -242,5 +243,77 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("block %d position %d differs", i, j)
 			}
 		}
+	}
+}
+
+// reframed returns the serialized index with field (0 start, 1 end, 2
+// residues, 3 maxLen, 4 pad) of the first block's header replaced.
+func reframed(t *testing.T, ix *Index, field int, change func(uint64) uint64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+	at := len(ixMagic) + 8
+	_, n := binary.Uvarint(stream[at:]) // block count
+	at += n
+	out := append([]byte(nil), stream[:at]...)
+	for f := 0; f < 5; f++ {
+		v, n := binary.Uvarint(stream[at:])
+		at += n
+		if f == field {
+			v = change(v)
+		}
+		out = binary.AppendUvarint(out, v)
+	}
+	return append(out, stream[at:]...)
+}
+
+// TestReadFromRecomputesBlockShape: the engine sizes its sort key's diagonal
+// field from Block.MaxLen, so a stream that understates it would pack
+// diagonals into the sequence bits and credit hits to the wrong subject, with
+// every position still a valid word start. The loader walks the block's
+// sequences anyway and must hold the stream to what it finds.
+func TestReadFromRecomputesBlockShape(t *testing.T) {
+	ix := testIndex(t, 40, 8192)
+	if got, err := ReadFrom(bytes.NewReader(reframed(t, ix, 3, func(v uint64) uint64 { return v })), ix.DB); err != nil || len(got.Blocks) != len(ix.Blocks) {
+		t.Fatalf("unchanged re-framing: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		field  int
+		change func(uint64) uint64
+	}{
+		{"maxLen - 1", 3, func(v uint64) uint64 { return v - 1 }},
+		{"maxLen + 1", 3, func(v uint64) uint64 { return v + 1 }},
+		{"residues - 1", 2, func(v uint64) uint64 { return v - 1 }},
+		{"pad + 1", 4, func(v uint64) uint64 { return v + 1 }}, // every position of the second sequence on moves
+		{"pad 65536", 4, func(uint64) uint64 { return maxPad + 1 }},
+	} {
+		if got, err := ReadFrom(bytes.NewReader(reframed(t, ix, tc.field, tc.change)), ix.DB); err == nil {
+			t.Errorf("%s: loaded an index (block 0 %+v, pad %d)", tc.name, got.Blocks[0].Block, got.Blocks[0].Pad)
+		}
+	}
+}
+
+func TestBuildWindowPadsAndBounds(t *testing.T) {
+	g := seqgen.New(seqgen.UniprotProfile(), 9)
+	for _, tc := range []struct{ window, pad int }{{0, 0}, {alphabet.W, 0}, {alphabet.W + 1, 1}, {40, 37}, {100, 97}} {
+		ix, err := BuildWindow(dbase.New(g.Database(20)), nbr(), 2048, tc.window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range ix.Blocks {
+			if want := int(b.Block.Residues) + b.Block.NumSeqs()*tc.pad; b.Pad != tc.pad || b.Span() != want {
+				t.Errorf("window %d: block pad %d span %d, want %d and %d", tc.window, b.Pad, b.Span(), tc.pad, want)
+			}
+		}
+		if got := ix.MaxWindow(); got != tc.pad+alphabet.W {
+			t.Errorf("window %d: MaxWindow %d, want %d", tc.window, got, tc.pad+alphabet.W)
+		}
+	}
+	if _, err := BuildWindow(dbase.New(g.Database(2)), nbr(), 2048, maxPad+alphabet.W+1); err == nil {
+		t.Error("accepted a window whose padding is out of range")
 	}
 }

@@ -16,9 +16,12 @@ import (
 //	int64 blockResidues
 //	uvarint numBlocks
 //	per block:
-//	  uvarint start, end, residues, maxLen, offBits
+//	  uvarint start, end, residues, maxLen, pad
 //	  offsets: NumWords+1 little-endian uint32 deltas (uvarint-encoded)
 //	  uvarint numPositions, then raw little-endian uint32 positions
+//
+// Positions are block coordinates (see the package doc); segStart and the
+// coarse table are rebuilt from the attached database on load.
 //
 // The database itself is serialized separately (dbase.WriteTo); on load the
 // caller re-attaches it. The neighbor table is always rebuilt from the
@@ -54,7 +57,7 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	for _, b := range ix.Blocks {
 		for _, v := range []uint64{
 			uint64(b.Block.Start), uint64(b.Block.End),
-			uint64(b.Block.Residues), uint64(b.Block.MaxLen), uint64(b.OffBits),
+			uint64(b.Block.Residues), uint64(b.Block.MaxLen), uint64(b.Pad),
 		} {
 			if err := writeUvarint(v); err != nil {
 				return n, err
@@ -92,9 +95,13 @@ func ReadFrom(r io.Reader, db *dbase.DB) (*Index, error) {
 // ReadFromLimit is ReadFrom with an allocation budget: lengths claimed by
 // the stream are checked against maxBytes (the section size the caller knows
 // from its framing) before allocation, and every decoded structure is bounds-
-// checked — block ranges against db, offsets for monotonicity, and, when db
-// is non-nil, every packed position against the sequence it points into — so
-// a corrupt stream yields an error, never a panic or an OOM-scale allocation.
+// checked — block ranges against db, offsets for monotonicity, the padding
+// against its 16-bit range, and, when db is non-nil, the block's residue count
+// and longest sequence against the sequences themselves and every position
+// against the word starts of the block — so a corrupt stream yields an error,
+// never a panic, an OOM-scale allocation, or an index that searches wrongly.
+// Without a db the result can be inspected but not searched: Decode and Span
+// need the layout the sequences give.
 func ReadFromLimit(r io.Reader, db *dbase.DB, maxBytes int64) (*Index, error) {
 	if maxBytes < 0 {
 		return nil, fmt.Errorf("dbindex: negative read limit %d", maxBytes)
@@ -131,7 +138,7 @@ func ReadFromLimit(r io.Reader, db *dbase.DB, maxBytes int64) (*Index, error) {
 	prevEnd := 0
 	for i := uint64(0); i < numBlocks; i++ {
 		var vals [5]uint64
-		for j, what := range []string{"start", "end", "residues", "maxLen", "offBits"} {
+		for j, what := range []string{"start", "end", "residues", "maxLen", "pad"} {
 			if vals[j], err = readUvarint(what); err != nil {
 				return nil, err
 			}
@@ -146,9 +153,12 @@ func ReadFromLimit(r io.Reader, db *dbase.DB, maxBytes int64) (*Index, error) {
 				Start: int(vals[0]), End: int(vals[1]),
 				Residues: int64(vals[2]), MaxLen: int(vals[3]),
 			},
-			OffBits: uint32(vals[4]),
 			offsets: make([]int32, alphabet.NumWords+1),
 		}
+		if vals[4] > maxPad {
+			return nil, fmt.Errorf("dbindex: block %d padding %d out of range [0,%d]", i, vals[4], maxPad)
+		}
+		b.Pad = int(vals[4])
 		if b.Block.Start > b.Block.End || b.Block.Start < prevEnd {
 			return nil, fmt.Errorf("dbindex: block %d range [%d,%d) overlaps or is inverted (previous end %d)",
 				i, b.Block.Start, b.Block.End, prevEnd)
@@ -157,8 +167,17 @@ func ReadFromLimit(r io.Reader, db *dbase.DB, maxBytes int64) (*Index, error) {
 			return nil, fmt.Errorf("dbindex: block %d range [%d,%d) invalid for db with %d seqs",
 				i, b.Block.Start, b.Block.End, db.NumSeqs())
 		}
-		if b.OffBits < 1 || b.OffBits > 31 {
-			return nil, fmt.Errorf("dbindex: block %d invalid offset width %d bits", i, b.OffBits)
+		if db != nil {
+			// The engine sizes its sort key from MaxLen and its last-hit array
+			// from the layout: neither is the stream's to claim.
+			residues, maxLen, err := b.layout(db)
+			if err != nil {
+				return nil, fmt.Errorf("dbindex: block %d: %w", i, err)
+			}
+			if residues != b.Block.Residues || maxLen != b.Block.MaxLen {
+				return nil, fmt.Errorf("dbindex: block %d claims %d residues, longest sequence %d; its sequences have %d, %d",
+					i, b.Block.Residues, b.Block.MaxLen, residues, maxLen)
+			}
 		}
 		prevEnd = b.Block.End
 		prev := int64(0)
@@ -218,21 +237,28 @@ func ReadFromLimit(r io.Reader, db *dbase.DB, maxBytes int64) (*Index, error) {
 	return ix, nil
 }
 
-// validatePositions checks that every packed position decodes to a real word
-// start within the block: local sequence id in range, offset leaving room
-// for a full W-letter word. The search hot path indexes sequences with these
-// values unchecked, so a corrupt position that slipped past the container
-// checksum must be caught here rather than panic mid-search.
+// validatePositions checks that every position is the start of a full
+// W-letter word of a sequence of the block. The search hot path indexes
+// last-hit slots and sequences with these values unchecked, so a corrupt
+// position that slipped past the container checksum must be caught here
+// rather than panic mid-search. The word starts are marked in a bitset over
+// the block's coordinates, a run of ones per sequence, so each position costs
+// one load and no walk.
 func (b *BlockIndex) validatePositions(db *dbase.DB) error {
-	numSeqs := b.Block.NumSeqs()
-	for _, p := range b.flat {
-		local, off := b.Decode(p)
-		if local >= numSeqs {
-			return fmt.Errorf("position %#x: local seq %d out of range (%d seqs)", p, local, numSeqs)
+	span := b.Span()
+	valid := make([]uint64, (span+63)/64)
+	for l := 0; l < b.Block.NumSeqs(); l++ {
+		lo := int(b.segStart[l])
+		hi := lo + len(db.Seqs[b.Block.Start+l].Data) - alphabet.W + 1 // one past the last word start
+		for lo < hi {
+			n := min(hi-lo, 64-lo&63)
+			valid[lo>>6] |= (^uint64(0) >> (64 - n)) << (lo & 63)
+			lo += n
 		}
-		if off+alphabet.W > len(db.Seqs[b.Block.Start+local].Data) {
-			return fmt.Errorf("position %#x: offset %d past end of %d-residue sequence",
-				p, off, len(db.Seqs[b.Block.Start+local].Data))
+	}
+	for _, p := range b.flat {
+		if int64(p) >= int64(span) || valid[p>>6]>>(p&63)&1 == 0 {
+			return fmt.Errorf("position %d is not a word start of the block (span %d)", p, span)
 		}
 	}
 	return nil

@@ -1,14 +1,19 @@
 package search
 
-import "repro/internal/alphabet"
+import (
+	"math/bits"
+
+	"repro/internal/alphabet"
+)
 
 // StampedLastPos is the pre-filter's last-hit array: only the position of the
-// stored hit per (subject, diagonal) slot — the last hit that did not overlap
-// its predecessor, see Check — since the pre-filter never consults extension
+// stored hit per diagonal slot — the last hit that did not overlap its
+// predecessor, see Check — since the pre-filter never consults extension
 // state (Algorithm 2's lastHitArr), with epoch-based lazy reset —
 // advancing the epoch invalidates every slot in O(1) instead of clearing an
-// array that holds one slot per (subject, diagonal) of a whole index block
-// and is reset for every query. Stamp and position are packed into one
+// array that holds one slot per diagonal of a whole index block (core lays
+// the block's sequences on one axis, see dbindex) and is reset for every
+// query. Stamp and position are packed into one
 // uint32 word — epoch in the high 12 bits, query offset in the low 20 — so
 // the per-hit random access costs a single 4-byte load and store on one
 // cache line, and a block's whole slot array is half the footprint of an
@@ -74,14 +79,14 @@ func (sl *StampedLastPos) Check(i int, qOff int32, window int32) (dist int32, pa
 	return dist, key-alphabet.W < uint64(max(window-alphabet.W, 0))
 }
 
-// StampedLastPos16 is StampedLastPos squeezed into uint16 slots — epoch in
-// the high 6 bits, query offset in the low 10 — for queries of at most
-// MaxQOff16 offsets (covering all but the very largest known proteins; the
-// detection kernel falls back to the uint32 form beyond that). The point is
-// footprint: the last-hit array of a whole database block is accessed
-// randomly, one slot per hit, so halving it roughly doubles the fraction of
-// slots that survive in cache between hits. The 6-bit epoch wraps every 63
-// resets, forcing one array clear — microseconds, amortized to nothing.
+// StampedLastPos16 is StampedLastPos squeezed into uint16 slots — query offset
+// in the high 10 bits, epoch in the low 6 — for queries of at most MaxQOff16
+// offsets (covering all but the very largest known proteins; the detection
+// kernel falls back to the uint32 form beyond that). The point is footprint:
+// the last-hit array of a whole database block is accessed randomly, one slot
+// per hit, so halving it roughly doubles the fraction of slots that survive
+// in cache between hits. The 6-bit epoch wraps every 63 resets, forcing one
+// array clear — microseconds, amortized to nothing.
 type StampedLastPos16 struct {
 	epoch uint16 // current stamp, always in [1, 63]
 	slots []uint16
@@ -104,28 +109,40 @@ func (sl *StampedLastPos16) Reset(n int) {
 }
 
 // CheckCount is Check on the uint16 slots — the same rule and the same two
-// compares; qOff must be in [0, MaxQOff16] and, unlike Check, window must
-// exceed alphabet.W — with the verdict returned as a 0/1 increment instead of
-// a bool, so a caller can emit its pair record unconditionally and advance a
-// write index by inc: no data-dependent branch between consecutive slot
-// accesses. That matters in the detection kernel: neither which hits pair nor
-// which overlap the stored hit has a pattern a predictor can learn, and a
+// compares; qOff must be in [0, MaxQOff16] and, unlike Check, window must lie
+// in (alphabet.W, 1<<26) — with the verdict returned as a 0/1 increment
+// instead of a bool, so a caller can emit its pair record unconditionally and
+// advance a write index by inc: no data-dependent branch between consecutive
+// slot accesses. That matters in the detection kernel: neither which hits pair
+// nor which overlap the stored hit has a pattern a predictor can learn, and a
 // mispredicted branch there flushes the speculative window that would
-// otherwise keep several of the random last-hit cache misses in flight. The
-// receiver is a value so that the kernel can call it on a local copy taken
+// otherwise keep several of the random last-hit cache misses in flight.
+//
+// The key costs a subtract and a rotate because the epoch sits in the low
+// bits: new word minus stored word is d<<6 when the stamps agree, and has a
+// non-zero low six bits when they do not, which the rotation carries to the
+// top of the key, above any window.
+//
+// The receiver is a value so that the kernel can call it on a local copy taken
 // after Reset: the slot slice and the epoch are then locals of the scan, not
 // loads through a pointer for every hit. The copy shares the slot array.
 func (sl StampedLastPos16) CheckCount(i int, qOff int32, window int32) (inc int) {
 	v := sl.slots[i]
-	cur := sl.epoch << 10
-	key := uint64(v&^uint16(MaxQOff16)^cur)<<32 | uint64(uint32(qOff-int32(v&MaxQOff16)))
-	nv := cur | uint16(qOff)
+	nv := uint16(qOff)<<6 | sl.epoch
+	key := bits.RotateLeft32(uint32(nv)-uint32(v), -6)
 	if key < alphabet.W {
 		nv = v
 	}
 	sl.slots[i] = nv
-	if key-alphabet.W < uint64(window-alphabet.W) {
+	if key-alphabet.W < uint32(window-alphabet.W) {
 		inc = 1
 	}
 	return inc
+}
+
+// From returns the view of sl whose slot 0 is sl's slot i: the kernel takes
+// one per query offset, so that a hit's slot is its index position as stored.
+func (sl StampedLastPos16) From(i int) StampedLastPos16 {
+	sl.slots = sl.slots[i:]
+	return sl
 }

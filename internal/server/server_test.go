@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -216,6 +217,35 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 	if got := srv.met.ReloadsRejected.Value(); got != 1 {
 		t.Errorf("db_reloads_rejected = %d, want 1", got)
+	}
+}
+
+// TestReloadRefusesNarrowPadding: a container built for a narrower two-hit
+// window than the daemon searches with is a params mismatch, so /reload
+// answers 422 and the old generation keeps serving.
+func TestReloadRefusesNarrowPadding(t *testing.T) {
+	f := newFixture(t)
+	_, base := f.start(t, Config{})
+	wantA := wantHits(t, f.dbA, f.query)
+
+	narrow := f.params
+	narrow.TwoHitWindow = 11
+	db, err := blast.NewDatabase([]blast.Sequence{{Name: "only", Residues: f.query}}, narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "narrow.mublastp")
+	if err := db.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	resp, data := postJSON(t, base+"/reload", ReloadRequest{Path: path})
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(data), "TwoHitWindow") {
+		t.Fatalf("reload onto a container padded for window 11: status %d, want 422 naming TwoHitWindow (%s)", resp.StatusCode, data)
+	}
+	_, sr := searchOnce(t, base, f.query)
+	if !reflect.DeepEqual(sr.Results[0].Hits, wantA) || sr.Generation != 1 {
+		t.Errorf("after the refused reload: generation %d, hits identical %v; want generation 1 serving unchanged",
+			sr.Generation, reflect.DeepEqual(sr.Results[0].Hits, wantA))
 	}
 }
 
