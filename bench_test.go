@@ -11,10 +11,13 @@
 package repro_test
 
 import (
+	"bytes"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"repro/blast"
 	"repro/internal/alphabet"
 	"repro/internal/baseline"
 	"repro/internal/bench"
@@ -318,4 +321,74 @@ func BenchmarkGappedExtendScoreOnly(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		al.ExtendScoreProf(prof, q, s, 256, 256)
 	}
+}
+
+// --- The database container: built once, saved, verified and loaded many times ---
+
+var (
+	containerOnce sync.Once
+	containerDB   *blast.Database
+)
+
+// containerFixture is a uniprot-profile database of one million residues in
+// the benchmarks' block size.
+func containerFixture(b *testing.B) *blast.Database {
+	b.Helper()
+	containerOnce.Do(func() {
+		g := seqgen.New(seqgen.UniprotProfile(), 7)
+		var seqs []blast.Sequence
+		total := 0
+		for total < 1_000_000 {
+			for _, c := range g.Database(64) {
+				seqs = append(seqs, blast.Sequence{Name: "s" + itoa(int64(len(seqs))), Residues: alphabet.String(c)})
+				total += len(c)
+			}
+		}
+		p := blast.DefaultParams()
+		p.BlockResidues = 128 << 10
+		var err error
+		if containerDB, err = blast.NewDatabase(seqs, p); err != nil {
+			panic(err)
+		}
+	})
+	return containerDB
+}
+
+// BenchmarkContainerRoundTrip times the three container passes of a set-up
+// (Save into io.Discard, Verify, Load from memory) on a one-million-residue
+// database; MB/s is container bytes per second.
+func BenchmarkContainerRoundTrip(b *testing.B) {
+	db := containerFixture(b)
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.Run("save", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := db.Save(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("verify", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := blast.Verify(bytes.NewReader(data)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("load", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := blast.Load(bytes.NewReader(data), blast.DefaultParams()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -226,31 +226,37 @@ func effectiveSplit(p Params) (splitLen, overlap int) {
 	return splitLen, overlap
 }
 
-// neighborFor memoizes neighbor.Build: the table is a pure function of
-// (matrix, threshold), read-only once built, and costs tens of milliseconds
-// to enumerate — which would dominate every small delta-container build on
-// the ingestion path (and every repeated NewDatabase in one process).
-// Built-in matrices are canonical singletons, so the name keys the cache.
-func neighborFor(m *matrix.Matrix, threshold int) *neighbor.Table {
-	key := neighborKey{matrix: m.Name, threshold: threshold}
-	neighborMu.Lock()
-	defer neighborMu.Unlock()
-	if t, ok := neighborCache[key]; ok {
-		return t
+// configFor memoizes search.NewConfig and the neighbor table under it: both
+// are pure functions of (matrix, threshold), read-only once built, and cost
+// tens of milliseconds (the table's enumeration) and a few hundred
+// microseconds (the Karlin-Altschul solves) — which would dominate every
+// small delta-container build on the ingestion path, every store view, and
+// every repeated NewDatabase or Load in one process. Built-in matrices are
+// canonical singletons, so the name keys the cache. The caller gets a copy to
+// set its own fields on.
+func configFor(m *matrix.Matrix, threshold int) (search.Config, error) {
+	key := configKey{matrix: m.Name, threshold: threshold}
+	configMu.Lock()
+	defer configMu.Unlock()
+	if c, ok := configCache[key]; ok {
+		return *c, nil
 	}
-	t := neighbor.Build(m, threshold)
-	neighborCache[key] = t
-	return t
+	c, err := search.NewConfig(m, neighbor.Build(m, threshold))
+	if err != nil {
+		return search.Config{}, err
+	}
+	configCache[key] = c
+	return *c, nil
 }
 
-type neighborKey struct {
+type configKey struct {
 	matrix    string
 	threshold int
 }
 
 var (
-	neighborMu    sync.Mutex
-	neighborCache = map[neighborKey]*neighbor.Table{}
+	configMu    sync.Mutex
+	configCache = map[configKey]*search.Config{}
 )
 
 func buildConfig(p Params) (*search.Config, error) {
@@ -258,11 +264,11 @@ func buildConfig(p Params) (*search.Config, error) {
 	if err != nil {
 		return nil, fmt.Errorf("blast: %w", err)
 	}
-	nbr := neighborFor(m, p.NeighborThreshold)
-	cfg, err := search.NewConfig(m, nbr)
+	c, err := configFor(m, p.NeighborThreshold)
 	if err != nil {
 		return nil, fmt.Errorf("blast: %w", err)
 	}
+	cfg := &c
 	// Two hits pair at a distance in [W, TwoHitWindow); a window of W or less
 	// leaves that range empty and every query would come back with zero hits
 	// and no error.

@@ -8,11 +8,14 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync/atomic"
 
 	"repro/internal/alphabet"
+	"repro/internal/core"
 	"repro/internal/dbase"
 	"repro/internal/dbindex"
 	"repro/internal/faultinject"
+	"repro/internal/search"
 )
 
 // fiDBRead injects short reads into container loading (site "db.read"): a
@@ -140,98 +143,140 @@ func (d *Database) fingerprint() Fingerprint {
 	}
 }
 
+// section is one framed section as Save writes it: its tag, the exact length
+// of its payload, and the payload's encoder (nil for an empty payload).
+type section struct {
+	tag   string
+	size  int64
+	write func(io.Writer) error
+}
+
+// sections lays out the container of a single-part database.
+func (d *Database) sections() ([]section, error) {
+	if len(d.parts) > 1 {
+		return nil, fmt.Errorf("blast: cannot save a tiered (base+deltas) database as one container; compact the store instead")
+	}
+	p := d.parts[0]
+	raw := func(b []byte) func(io.Writer) error {
+		return func(w io.Writer) error { _, err := w.Write(b); return err }
+	}
+	fp, origins := d.fingerprintBytes(), p.originBytes()
+	return []section{
+		{secParams, int64(len(fp)), raw(fp)},
+		{secSeqs, p.db.EncodedSize(), func(w io.Writer) error { _, err := p.db.WriteTo(w); return err }},
+		{secIndex, p.ix.EncodedSize(), func(w io.Writer) error { _, err := p.ix.WriteTo(w); return err }},
+		{secOrigin, int64(len(origins)), raw(origins)},
+		{secEnd, 0, nil},
+	}, nil
+}
+
+// containerSize is the exact length of the container writeSections writes.
+func containerSize(secs []section) int64 {
+	n := int64(len(containerMagic) + 2)
+	for _, s := range secs {
+		n += 12 + s.size + 4
+	}
+	return n
+}
+
 // Save writes the database (fingerprint, sequences, index, split origins)
 // as a version-3 container so a later Load skips index construction — the
 // reuse the paper's database-index design is for. Every section is framed
 // with a length and a CRC32 so Load can prove integrity.
 func (d *Database) Save(w io.Writer) error {
-	if len(d.parts) > 1 {
-		return fmt.Errorf("blast: cannot save a tiered (base+deltas) database as one container; compact the store instead")
+	secs, err := d.sections()
+	if err != nil {
+		return err
 	}
-	p := d.parts[0]
+	return writeSections(w, secs)
+}
+
+// crcWriter passes a section's payload to w, folding it into the section's
+// running CRC and counting it on the way.
+type crcWriter struct {
+	w   io.Writer
+	crc uint32
+	n   int64
+}
+
+func (c *crcWriter) Write(p []byte) (int, error) {
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
+	m, err := c.w.Write(p)
+	c.n += int64(m)
+	return m, err
+}
+
+// writeSections writes the container header and then each section: its
+// header from the length computed up front, its payload streamed through the
+// running CRC by the section's encoder, and the CRC.
+func writeSections(w io.Writer, secs []section) error {
 	var hdr [len(containerMagic) + 2]byte
 	copy(hdr[:], containerMagic)
 	binary.LittleEndian.PutUint16(hdr[len(containerMagic):], containerVersion)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("blast: saving header: %w", err)
 	}
-	writeSection := func(tag string, fill func(io.Writer) error) error {
-		var buf bytes.Buffer
-		if err := fill(&buf); err != nil {
-			return fmt.Errorf("blast: saving %s section: %w", tag, err)
-		}
+	for _, s := range secs {
 		var sh [12]byte
-		copy(sh[:4], tag)
-		binary.LittleEndian.PutUint64(sh[4:], uint64(buf.Len()))
-		crc := crc32.NewIEEE()
-		crc.Write(sh[:])
-		crc.Write(buf.Bytes())
-		var tail [4]byte
-		binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-		for _, p := range [][]byte{sh[:], buf.Bytes(), tail[:]} {
-			if _, err := w.Write(p); err != nil {
-				return fmt.Errorf("blast: saving %s section: %w", tag, err)
+		copy(sh[:4], s.tag)
+		binary.LittleEndian.PutUint64(sh[4:], uint64(s.size))
+		if _, err := w.Write(sh[:]); err != nil {
+			return fmt.Errorf("blast: saving %s section: %w", s.tag, err)
+		}
+		cw := &crcWriter{w: w, crc: crc32.Update(0, crc32.IEEETable, sh[:])}
+		if s.write != nil {
+			if err := s.write(cw); err != nil {
+				return fmt.Errorf("blast: saving %s section: %w", s.tag, err)
 			}
 		}
-		return nil
+		if cw.n != s.size {
+			return fmt.Errorf("blast: saving %s section: wrote %d bytes, its header declares %d", s.tag, cw.n, s.size)
+		}
+		var tail [4]byte
+		binary.LittleEndian.PutUint32(tail[:], cw.crc)
+		if _, err := w.Write(tail[:]); err != nil {
+			return fmt.Errorf("blast: saving %s section: %w", s.tag, err)
+		}
 	}
-	if err := writeSection(secParams, d.writeFingerprint); err != nil {
-		return err
-	}
-	if err := writeSection(secSeqs, func(w io.Writer) error { _, err := p.db.WriteTo(w); return err }); err != nil {
-		return err
-	}
-	if err := writeSection(secIndex, func(w io.Writer) error { _, err := p.ix.WriteTo(w); return err }); err != nil {
-		return err
-	}
-	if err := writeSection(secOrigin, p.writeOrigins); err != nil {
-		return err
-	}
-	return writeSection(secEnd, func(io.Writer) error { return nil })
+	return nil
 }
 
-func (d *Database) writeFingerprint(w io.Writer) error {
+func (d *Database) fingerprintBytes() []byte {
 	fp := d.fingerprint()
-	var buf [binary.MaxVarintLen64]byte
 	out := make([]byte, 0, 64)
-	out = append(out, buf[:binary.PutUvarint(buf[:], uint64(len(fp.Matrix)))]...)
+	out = binary.AppendUvarint(out, uint64(len(fp.Matrix)))
 	out = append(out, fp.Matrix...)
 	for _, v := range []int64{
 		int64(fp.WordSize), int64(fp.NeighborThreshold), fp.BlockResidues,
 		int64(fp.SplitLongerThan), int64(fp.SplitOverlap),
 	} {
-		out = append(out, buf[:binary.PutVarint(buf[:], v)]...)
+		out = binary.AppendVarint(out, v)
 	}
-	_, err := w.Write(out)
-	return err
+	return out
 }
 
-// writeOrigins persists the split-chunk origin table: for every database
+// originBytes encodes the split-chunk origin table: for every database
 // sequence that is a chunk of a split original, its index, the chunk's
 // offset in the original, and the original's name.
-func (p *part) writeOrigins(w io.Writer) error {
-	var buf [binary.MaxVarintLen64]byte
-	var out []byte
-	putUvarint := func(v uint64) { out = append(out, buf[:binary.PutUvarint(buf[:], v)]...) }
+func (p *part) originBytes() []byte {
 	n := 0
 	for i := range p.db.Seqs {
 		if _, ok := p.chunkOrigin[p.db.Seqs[i].Name]; ok {
 			n++
 		}
 	}
-	putUvarint(uint64(n))
+	out := binary.AppendUvarint(nil, uint64(n))
 	for i := range p.db.Seqs {
 		info, ok := p.chunkOrigin[p.db.Seqs[i].Name]
 		if !ok {
 			continue
 		}
-		putUvarint(uint64(i))
-		putUvarint(uint64(info.offset))
-		putUvarint(uint64(len(info.origName)))
+		out = binary.AppendUvarint(out, uint64(i))
+		out = binary.AppendUvarint(out, uint64(info.offset))
+		out = binary.AppendUvarint(out, uint64(len(info.origName)))
 		out = append(out, info.origName...)
 	}
-	_, err := w.Write(out)
-	return err
+	return out
 }
 
 // container is a fully decoded and checksum-verified artifact, before any
@@ -243,11 +288,38 @@ type container struct {
 	origins map[string]chunkInfo
 }
 
+// containerDecodes counts loadContainer calls, so tests can pin how many
+// containers an operation decodes without timing it.
+var containerDecodes atomic.Int64
+
+// sectionReader hands a decoder one section's payload: at most left more
+// bytes of r, each folded into the section's running CRC as it passes.
+type sectionReader struct {
+	r    io.Reader
+	left int64
+	crc  uint32
+}
+
+func (s *sectionReader) Read(p []byte) (int, error) {
+	if s.left <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > s.left {
+		p = p[:s.left]
+	}
+	n, err := s.r.Read(p)
+	s.left -= int64(n)
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, p[:n])
+	return n, err
+}
+
 // loadContainer decodes and validates a container independent of Params:
 // magic, version, every section checksum, full consumption of every
 // section, structural bounds of the decoded database and index, and no
-// trailing bytes after the FEND trailer.
+// trailing bytes after the FEND trailer. Each section is read once, in the
+// decoders' chunks, through its running CRC.
 func loadContainer(r io.Reader) (*container, error) {
+	containerDecodes.Add(1)
 	r = fiDBRead.Reader(r)
 	head := make([]byte, len(containerMagic)+2)
 	if _, err := io.ReadFull(r, head); err != nil {
@@ -277,30 +349,25 @@ func loadContainer(r io.Reader) (*container, error) {
 		if length > uint64(maxLen) {
 			return corruptf("%s section declares %d bytes (cap %d)", wantTag, length, maxLen)
 		}
-		crc := crc32.NewIEEE()
-		crc.Write(sh[:])
-		lim := &io.LimitedReader{R: r, N: int64(length)}
-		tee := io.TeeReader(lim, crc)
+		sr := &sectionReader{r: r, left: int64(length), crc: crc32.Update(0, crc32.IEEETable, sh[:])}
 		if decode != nil {
-			if err := decode(tee, int64(length)); err != nil {
+			if err := decode(sr, int64(length)); err != nil {
 				if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrVersion) || errors.Is(err, ErrParamsMismatch) {
 					return err
 				}
 				return corruptf("%s section: %v", wantTag, err)
 			}
 		}
-		// A valid writer leaves nothing unread; push any remainder through
-		// the checksum so the report distinguishes garbage from corruption.
-		if n, err := io.Copy(io.Discard, tee); err != nil {
-			return corruptf("%s section: %v", wantTag, err)
-		} else if n > 0 {
-			return corruptf("%s section: %d trailing bytes after payload", wantTag, n)
+		// The decoders read their payload to its end; only an empty one
+		// (FEND) can leave bytes behind, and its cap is zero.
+		if sr.left > 0 {
+			return corruptf("%s section: %d trailing bytes after payload", wantTag, sr.left)
 		}
 		var tail [4]byte
 		if _, err := io.ReadFull(r, tail[:]); err != nil {
 			return corruptf("%s section checksum: %v", wantTag, err)
 		}
-		if got, want := binary.LittleEndian.Uint32(tail[:]), crc.Sum32(); got != want {
+		if got, want := binary.LittleEndian.Uint32(tail[:]), sr.crc; got != want {
 			return corruptf("%s section checksum mismatch (stored %08x, computed %08x)", wantTag, got, want)
 		}
 		return nil
@@ -461,33 +528,30 @@ func (c *container) readOrigins(r io.Reader, length int64) error {
 	return nil
 }
 
-// open wires a decoded container to the caller's Params, enforcing the
-// build fingerprint.
-func (c *container) open(p Params) (*Database, error) {
-	cfg, err := buildConfig(p)
-	if err != nil {
-		return nil, err
-	}
+// adopt checks p against the container's build fingerprint and its index
+// padding, and returns p with the build-time fields the container fixes; cfg
+// is p's search configuration.
+func (c *container) adopt(p Params, cfg *search.Config) (Params, error) {
 	// Matrix and neighbor threshold determine the neighbor table hit
 	// detection runs with; the index stores exact-word positions only, so a
 	// drifted table silently changes which alignments are found. Strict.
 	if cfg.Matrix.Name != c.fp.Matrix {
-		return nil, mismatchf("matrix %q requested, database built with %q", cfg.Matrix.Name, c.fp.Matrix)
+		return p, mismatchf("matrix %q requested, database built with %q", cfg.Matrix.Name, c.fp.Matrix)
 	}
 	if p.NeighborThreshold != c.fp.NeighborThreshold {
-		return nil, mismatchf("neighbor threshold %d requested, database built with %d", p.NeighborThreshold, c.fp.NeighborThreshold)
+		return p, mismatchf("neighbor threshold %d requested, database built with %d", p.NeighborThreshold, c.fp.NeighborThreshold)
 	}
 	// Block size and split geometry are frozen at build time; an explicit
 	// conflicting request is an operator error, while the zero value means
 	// "whatever the database was built with" and adopts the stored values.
 	if p.BlockResidues > 0 && p.BlockResidues != c.fp.BlockResidues {
-		return nil, mismatchf("block residues %d requested, database built with %d", p.BlockResidues, c.fp.BlockResidues)
+		return p, mismatchf("block residues %d requested, database built with %d", p.BlockResidues, c.fp.BlockResidues)
 	}
 	p.BlockResidues = c.fp.BlockResidues
 	if p.SplitLongerThan != 0 {
 		el, eo := effectiveSplit(p)
 		if el != c.fp.SplitLongerThan || eo != c.fp.SplitOverlap {
-			return nil, mismatchf("split parameters %d/%d requested, database built with %d/%d",
+			return p, mismatchf("split parameters %d/%d requested, database built with %d/%d",
 				el, eo, c.fp.SplitLongerThan, c.fp.SplitOverlap)
 		}
 	}
@@ -500,11 +564,51 @@ func (c *container) open(p Params) (*Database, error) {
 	// sequences out with the padding one window needs (dbindex.BlockIndex.Pad)
 	// and serves no wider one. One-hit searches never consult the window.
 	if maxWindow := c.ix.MaxWindow(); !p.OneHit && p.TwoHitWindow > maxWindow {
-		return nil, mismatchf("TwoHitWindow %d requested, database padded for windows up to %d (pad %d); rebuild it with the wider window",
+		return p, mismatchf("TwoHitWindow %d requested, database padded for windows up to %d (pad %d); rebuild it with the wider window",
 			p.TwoHitWindow, maxWindow, maxWindow-alphabet.W)
 	}
-	c.ix.Neighbors = cfg.Neighbors
-	return newSingle(p, cfg, c.db, c.ix, c.origins, c.fp.SplitLongerThan, c.fp.SplitOverlap), nil
+	return p, nil
+}
+
+// openParts wires decoded containers — a base and the deltas layered on it,
+// in order, or one container alone — to the caller's Params as one Database.
+// The containers are shared and never written: every part gets a fresh id map
+// and engine, and its own copy of the index header to carry the neighbor
+// table, a few words a part.
+func openParts(p Params, cs []*container) (*Database, error) {
+	cfg, err := buildConfig(p)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range cs {
+		if p, err = c.adopt(p, cfg); err != nil {
+			return nil, err
+		}
+	}
+	base := cs[0]
+	d := &Database{params: p, cfg: cfg, parts: make([]*part, len(cs)),
+		splitLen: base.fp.SplitLongerThan, splitOverlap: base.fp.SplitOverlap}
+	var order [][]int
+	if len(cs) > 1 {
+		// Every container is in ascending length order, and a from-scratch
+		// rebuild stable-sorts base input followed by each delta batch — so
+		// the stable multi-way merge of the parts reproduces the rebuild's id
+		// space with no stored mapping.
+		dbs := make([]*dbase.DB, len(cs))
+		for i, c := range cs {
+			dbs[i] = c.db
+		}
+		order = dbase.MergeOrder(dbs)
+	}
+	for i, c := range cs {
+		ix := *c.ix
+		ix.Neighbors = cfg.Neighbors
+		d.parts[i] = &part{db: c.db, ix: &ix, chunkOrigin: c.origins, mu: core.New(cfg, &ix)}
+		if order != nil {
+			d.parts[i].idMap = order[i]
+		}
+	}
+	return d, nil
 }
 
 // Load reads a database written by Save. The Params must be compatible with
@@ -520,7 +624,7 @@ func Load(r io.Reader, p Params) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.open(p)
+	return openParts(p, []*container{c})
 }
 
 // Verify fully validates a container — header, version, every checksum,

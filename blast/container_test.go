@@ -329,7 +329,7 @@ func TestZeroLengthRecords(t *testing.T) {
 // TestWindowBeyondPaddingRefused: the two-hit window is a search-time
 // parameter and not part of the fingerprint, but a container's index is padded
 // for the window it was built with and serves no wider one. Every way of
-// opening a database goes through container.open, which must refuse the wider
+// opening a database goes through container.adopt, which must refuse the wider
 // window by name and accept everything else.
 func TestWindowBeyondPaddingRefused(t *testing.T) {
 	narrow := DefaultParams()

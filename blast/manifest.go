@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -196,41 +195,27 @@ func readManifest(dir string) (*manifest, error) {
 	return decodeManifest(data)
 }
 
-// fileEntry fingerprints a container file for the manifest.
-func fileEntry(dir, name string, sequences int, residues int64) (manifestEntry, error) {
-	f, err := os.Open(filepath.Join(dir, name))
-	if err != nil {
-		return manifestEntry{}, err
-	}
-	defer f.Close()
-	crc := crc32.NewIEEE()
-	size, err := io.Copy(crc, f)
-	if err != nil {
-		return manifestEntry{}, err
-	}
-	return manifestEntry{Name: name, Size: size, CRC32: crc.Sum32(), Sequences: sequences, Residues: residues}, nil
+// newEntry fingerprints a container's bytes for the manifest.
+func newEntry(name string, data []byte, c *container) manifestEntry {
+	return manifestEntry{Name: name, Size: int64(len(data)), CRC32: crc32.ChecksumIEEE(data),
+		Sequences: c.db.NumSeqs(), Residues: c.db.TotalResidues}
 }
 
-// checkEntry proves a manifest-referenced file is present and unaltered.
-func checkEntry(dir string, e manifestEntry) error {
-	f, err := os.Open(filepath.Join(dir, e.Name))
+// readEntry reads a manifest-referenced file and proves it present and
+// unaltered.
+func readEntry(dir string, e manifestEntry) ([]byte, error) {
+	data, err := os.ReadFile(filepath.Join(dir, e.Name))
 	if errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("blast: %w: manifest references missing file %q", ErrStoreCorrupt, e.Name)
+		return nil, fmt.Errorf("blast: %w: manifest references missing file %q", ErrStoreCorrupt, e.Name)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer f.Close()
-	crc := crc32.NewIEEE()
-	size, err := io.Copy(crc, f)
-	if err != nil {
-		return err
+	if size, crc := int64(len(data)), crc32.ChecksumIEEE(data); size != e.Size || crc != e.CRC32 {
+		return nil, fmt.Errorf("blast: %w: %q does not match its manifest entry (size %d/%d, crc %08x/%08x)",
+			ErrStoreCorrupt, e.Name, size, e.Size, crc, e.CRC32)
 	}
-	if size != e.Size || crc.Sum32() != e.CRC32 {
-		return fmt.Errorf("blast: %w: %q does not match its manifest entry (size %d/%d, crc %08x/%08x)",
-			ErrStoreCorrupt, e.Name, size, e.Size, crc.Sum32(), e.CRC32)
-	}
-	return nil
+	return data, nil
 }
 
 // atomicWrite commits data as dir/name via the write-temp → fsync →

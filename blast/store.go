@@ -29,6 +29,13 @@ type Store struct {
 
 	mu  sync.Mutex
 	man *manifest
+	// held is every container the manifest references, decoded, by file
+	// name. Each enters once — decoded from the bytes its commit made
+	// durable, or from its file when the store is opened — and leaves when
+	// the manifest stops referencing it (gc). Views share the containers and
+	// never write them, so a view taken before an Append or a Compact keeps
+	// its own alive and unchanged for as long as it is held.
+	held map[string]*container
 	// broken latches after a failed commit: the on-disk state is whatever
 	// the failure left (recoverable, by construction), but the in-memory
 	// view can no longer be trusted to extend it — a retried Append could
@@ -116,35 +123,45 @@ func InitStore(dir string, seqs []Sequence, p Params) (*Store, error) {
 		return nil, err
 	}
 	name := baseFileName(1)
-	if err := writeContainer(dir, name, db); err != nil {
-		return nil, err
-	}
-	entry, err := fileEntry(dir, name, db.NumSequences(), db.TotalResidues())
+	c, entry, err := writeContainer(dir, name, db)
 	if err != nil {
-		return nil, fmt.Errorf("blast: fingerprinting base: %w", err)
+		return nil, err
 	}
 	man := &manifest{Version: manifestVersion, Seq: 1, Base: entry}
 	if err := commitManifest(dir, man); err != nil {
 		return nil, err
 	}
-	return &Store{dir: dir, p: p, man: man}, nil
+	return &Store{dir: dir, p: p, man: man, held: map[string]*container{name: c}}, nil
 }
 
-// writeContainer serializes db and commits it atomically as dir/name,
-// exercising the delta-boundary fault sites.
-func writeContainer(dir, name string, db *Database) error {
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		return err
+// writeContainer serializes db into a buffer of its exact size, commits the
+// bytes atomically as dir/name (exercising the delta-boundary fault sites),
+// and returns the container as the store holds it — decoded from those very
+// bytes, which is also their verification — with the manifest entry that
+// proves them.
+func writeContainer(dir, name string, db *Database) (*container, manifestEntry, error) {
+	secs, err := db.sections()
+	if err != nil {
+		return nil, manifestEntry{}, err
 	}
-	if err := atomicWrite(dir, name, buf.Bytes(), fiDeltaWrite, fiDeltaSync, fiDeltaRename); err != nil {
-		return fmt.Errorf("blast: committing %s: %w", name, err)
+	buf := bytes.NewBuffer(make([]byte, 0, containerSize(secs)))
+	if err := writeSections(buf, secs); err != nil {
+		return nil, manifestEntry{}, err
 	}
-	return nil
+	data := buf.Bytes()
+	if err := atomicWrite(dir, name, data, fiDeltaWrite, fiDeltaSync, fiDeltaRename); err != nil {
+		return nil, manifestEntry{}, fmt.Errorf("blast: committing %s: %w", name, err)
+	}
+	c, err := loadContainer(bytes.NewReader(data))
+	if err != nil {
+		return nil, manifestEntry{}, fmt.Errorf("blast: %s failed verification: %w", name, err)
+	}
+	return c, newEntry(name, data, c), nil
 }
 
 // OpenStore opens the store at dir, running full crash recovery first:
-// validate the manifest and every container it references, replay durably
+// validate the manifest, read every container it references once (checked
+// against its manifest entry) and decode it for the store to hold, replay durably
 // logged WAL batches the manifest does not yet reflect (rolling the crash
 // forward to its post-commit state), discard torn WAL tails (rolling back to
 // the pre-commit state), and garbage-collect orphaned files from
@@ -161,12 +178,16 @@ func OpenStore(dir string, p Params) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	st := &Store{dir: dir, p: p, man: man, held: make(map[string]*container, 1+len(man.Deltas))}
 	for _, e := range man.entries() {
-		if err := checkEntry(dir, e); err != nil {
+		data, err := readEntry(dir, e)
+		if err != nil {
 			return nil, err
 		}
+		if st.held[e.Name], err = loadContainer(bytes.NewReader(data)); err != nil {
+			return nil, fmt.Errorf("blast: opening %s: %w", e.Name, err)
+		}
 	}
-	st := &Store{dir: dir, p: p, man: man}
 
 	// Replay: every intact WAL record past the watermark was durably logged
 	// by an Append whose commit did not land; delta construction is
@@ -241,14 +262,20 @@ func (st *Store) NumSequences() int {
 	return st.man.sequences()
 }
 
-// gc removes files from interrupted commits: container files and temp files
-// in the store directory that the current manifest does not reference. Runs
-// only after recovery has settled the manifest, so everything unreferenced
+// gc drops the containers the current manifest no longer references, and
+// removes files from interrupted commits: container files and temp files in
+// the store directory that the manifest does not reference. Runs only after
+// recovery or a commit has settled the manifest, so everything unreferenced
 // is provably garbage.
 func (st *Store) gc() error {
 	referenced := map[string]bool{manifestName: true, walName: true}
 	for _, e := range st.man.entries() {
 		referenced[e.Name] = true
+	}
+	for name := range st.held {
+		if !referenced[name] {
+			delete(st.held, name)
+		}
 	}
 	ents, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -289,36 +316,20 @@ func (st *Store) deltaParams(fp Fingerprint) Params {
 	return p
 }
 
-// baseFingerprint reads the base container's build fingerprint.
-func (st *Store) baseFingerprint() (Fingerprint, error) {
-	info, err := VerifyFile(filepath.Join(st.dir, st.man.Base.Name))
-	if err != nil {
-		return Fingerprint{}, err
-	}
-	return info.Fingerprint, nil
-}
-
 // applyBatch builds the delta container for one durably logged batch and
 // commits the manifest that includes it. Called with st.mu held (or before
 // the store is shared). Deterministic: replaying the same record after a
 // crash produces byte-identical results.
 func (st *Store) applyBatch(walSeq uint64, batch []Sequence) error {
-	fp, err := st.baseFingerprint()
-	if err != nil {
-		return err
-	}
-	db, err := NewDatabase(batch, st.deltaParams(fp))
+	db, err := NewDatabase(batch, st.deltaParams(st.held[st.man.Base.Name].fp))
 	if err != nil {
 		return fmt.Errorf("blast: building delta: %w", err)
 	}
 	next := st.man.Seq + 1
 	name := deltaFileName(next)
-	if err := writeContainer(st.dir, name, db); err != nil {
-		return err
-	}
-	entry, err := fileEntry(st.dir, name, db.NumSequences(), db.TotalResidues())
+	c, entry, err := writeContainer(st.dir, name, db)
 	if err != nil {
-		return fmt.Errorf("blast: fingerprinting delta: %w", err)
+		return err
 	}
 	newMan := *st.man
 	newMan.Seq = next
@@ -328,6 +339,7 @@ func (st *Store) applyBatch(walSeq uint64, batch []Sequence) error {
 		return err
 	}
 	st.man = &newMan
+	st.held[name] = c
 	return nil
 }
 
@@ -375,12 +387,13 @@ func (st *Store) Append(batch []Sequence) (*AppendStats, error) {
 	}, nil
 }
 
-// Database opens the store's current container set as one searchable
-// database: the base's part followed by every delta's, each opened with the
+// Database returns the store's current container set as one searchable
+// database: the base's part followed by every delta's, each searched with the
 // combined totals as its global search space (exactly the shard-statistics
-// threading), tied together by the stable merge-order id maps. With no
-// deltas outstanding this is a plain single-container load. The result is
-// byte-identical to a from-scratch rebuild over the same sequences.
+// threading), tied together by the stable merge-order id maps. It decodes
+// nothing: the parts are new engines and id maps over the containers the
+// store already holds. With no deltas outstanding this is the base alone. The
+// result is byte-identical to a from-scratch rebuild over the same sequences.
 func (st *Store) Database() (*Database, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -394,43 +407,23 @@ func (st *Store) databaseLocked() (*Database, error) {
 		p.GlobalDBResidues = st.man.residues()
 		p.GlobalDBSequences = int64(st.man.sequences())
 	}
-	d, err := LoadFile(filepath.Join(st.dir, st.man.Base.Name), p)
-	if err != nil {
-		return nil, fmt.Errorf("blast: opening base %s: %w", st.man.Base.Name, err)
-	}
-	baseFP := d.fingerprint()
-	for _, e := range st.man.Deltas {
-		dd, err := LoadFile(filepath.Join(st.dir, e.Name), p)
-		if err != nil {
-			return nil, fmt.Errorf("blast: opening delta %s: %w", e.Name, err)
-		}
-		if dd.fingerprint() != baseFP {
+	entries := st.man.entries()
+	cs := make([]*container, len(entries))
+	for i, e := range entries {
+		cs[i] = st.held[e.Name]
+		if cs[i].fp != cs[0].fp {
 			return nil, fmt.Errorf("blast: %w: delta %s fingerprint %+v diverges from base %+v",
-				ErrStoreCorrupt, e.Name, dd.fingerprint(), baseFP)
+				ErrStoreCorrupt, e.Name, cs[i].fp, cs[0].fp)
 		}
-		d.parts = append(d.parts, dd.parts[0])
 	}
-	if len(st.man.Deltas) > 0 {
-		// Every container is in ascending length order, and a from-scratch
-		// rebuild stable-sorts base input followed by each delta batch — so
-		// the stable multi-way merge of the parts reproduces the rebuild's
-		// id space with no stored mapping.
-		for i, idMap := range dbase.MergeOrder(d.partDBs()) {
-			d.parts[i].idMap = idMap
-		}
+	d, err := openParts(p, cs)
+	if err != nil {
+		return nil, fmt.Errorf("blast: opening store %s: %w", st.dir, err)
 	}
 	d.manifestSeq = st.man.Seq
 	d.manifestHash = st.man.hash()
 	d.numDeltas = len(st.man.Deltas)
 	return d, nil
-}
-
-func (d *Database) partDBs() []*dbase.DB {
-	dbs := make([]*dbase.DB, len(d.parts))
-	for i, p := range d.parts {
-		dbs[i] = p.db
-	}
-	return dbs
 }
 
 // Manifest reports the ingest-store manifest this database was opened from:
@@ -458,59 +451,55 @@ func (st *Store) Compact() error {
 	if len(st.man.Deltas) == 0 {
 		return nil
 	}
-	tiered, err := st.databaseLocked()
-	if err != nil {
-		return err
-	}
 	// Merge the already-split, already-sorted tier sequences in combined
 	// order. Splitting does not recur (every stored sequence is at most the
 	// split threshold long) and chunk origins are carried over, so this is
 	// the rebuild's database without re-running the rebuild.
-	orders := make([][]int, len(tiered.parts))
+	entries := st.man.entries()
+	dbs := make([]*dbase.DB, len(entries))
 	var origins map[string]chunkInfo
-	for i, p := range tiered.parts {
-		orders[i] = p.idMap
-		for name, info := range p.chunkOrigin {
+	for i, e := range entries {
+		c := st.held[e.Name]
+		dbs[i] = c.db
+		for name, info := range c.origins {
 			if origins == nil {
 				origins = make(map[string]chunkInfo)
 			}
 			origins[name] = info
 		}
 	}
-	merged := dbase.Merged(tiered.partDBs(), orders)
-	fp := tiered.fingerprint()
-	ix, err := dbindex.BuildWindow(merged, tiered.cfg.Neighbors, fp.BlockResidues, tiered.cfg.TwoHit.Window)
-	if err != nil {
-		return fmt.Errorf("blast: compaction index build: %w", err)
-	}
+	merged := dbase.Merged(dbs, dbase.MergeOrder(dbs))
+	fp := st.held[st.man.Base.Name].fp
 	bp := st.deltaParams(fp)
 	cfg, err := buildConfig(bp)
 	if err != nil {
 		return err
 	}
-	nd := newSingle(bp, cfg, merged, ix, origins, tiered.splitLen, tiered.splitOverlap)
+	ix, err := dbindex.BuildWindow(merged, cfg.Neighbors, fp.BlockResidues, cfg.TwoHit.Window)
+	if err != nil {
+		return fmt.Errorf("blast: compaction index build: %w", err)
+	}
+	nd := newSingle(bp, cfg, merged, ix, origins, fp.SplitLongerThan, fp.SplitOverlap)
 
+	// Verify-before-swap: the manifest only ever references proven bytes,
+	// and the store keeps the container the proof decoded.
 	next := st.man.Seq + 1
 	name := baseFileName(next)
-	if err := writeContainer(st.dir, name, nd); err != nil {
-		return err
-	}
-	// Verify-before-swap: the manifest only ever references proven bytes.
-	if _, err := VerifyFile(filepath.Join(st.dir, name)); err != nil {
-		return fmt.Errorf("blast: compacted base failed verification: %w", err)
-	}
-	entry, err := fileEntry(st.dir, name, merged.NumSeqs(), merged.TotalResidues)
+	c, entry, err := writeContainer(st.dir, name, nd)
 	if err != nil {
-		return fmt.Errorf("blast: fingerprinting compacted base: %w", err)
+		return err
 	}
 	newMan := *st.man
 	newMan.Seq = next
 	newMan.Base = entry
 	newMan.Deltas = nil
 	if err := commitManifest(st.dir, &newMan); err != nil {
-		return err
+		// Whether the new manifest landed is unknown, so the in-memory one
+		// can no longer be trusted to extend the directory.
+		return st.brokenErr(err)
 	}
 	st.man = &newMan
+	st.held[name] = c
 	return st.gc()
 }
 
@@ -534,10 +523,11 @@ func VerifyStore(dir string) (*StoreInfo, error) {
 	}
 	var baseFP Fingerprint
 	for i, e := range man.entries() {
-		if err := checkEntry(dir, e); err != nil {
+		data, err := readEntry(dir, e)
+		if err != nil {
 			return nil, err
 		}
-		ci, err := VerifyFile(filepath.Join(dir, e.Name))
+		ci, err := Verify(bytes.NewReader(data))
 		if err != nil {
 			return nil, fmt.Errorf("blast: store container %s: %w", e.Name, err)
 		}

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/alphabet"
 	"repro/internal/seqgen"
@@ -482,52 +481,6 @@ func TestStoreTieredShardWire(t *testing.T) {
 	mono := searchCtx(t, rebuild, queries)
 	assertSameAsMonolithic(t, "shard path", mergedShards(t, []*Database{db}, queries, false), mono)
 	assertSameAsMonolithic(t, "shard path over the wire", mergedShards(t, []*Database{db}, queries, true), mono)
-}
-
-// TestStoreDeltaIngestFasterThanRebuild is the latency claim behind the
-// whole design, gated loosely for CI noise: appending a 1% batch to an
-// existing store must beat rebuilding the whole database by at least 3x
-// (the measured ratio on an idle machine is far higher; EXPERIMENTS.md
-// records it).
-func TestStoreDeltaIngestFasterThanRebuild(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	base := storeSeqs(6000, 81, "base")
-	batch := storeSeqs(60, 82, "inc") // a 1% increment
-	all := concat(base, batch)
-	p := DefaultParams()
-	p.BlockResidues = 16384
-
-	st, err := InitStore(t.TempDir(), base, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ratio float64
-	for attempt := 0; attempt < 3; attempt++ {
-		t0 := time.Now()
-		if _, err := st.Append(batch); err != nil {
-			t.Fatal(err)
-		}
-		delta := time.Since(t0)
-		// The fair comparator is durable-to-durable: a full rebuild also
-		// re-indexes everything and commits the result to disk.
-		t0 = time.Now()
-		if _, err := InitStore(t.TempDir(), all, p); err != nil {
-			t.Fatal(err)
-		}
-		rebuild := time.Since(t0)
-		ratio = float64(rebuild) / float64(delta)
-		t.Logf("attempt %d: delta append %v, full rebuild %v (%.1fx)", attempt, delta, rebuild, ratio)
-		if ratio >= 3 {
-			return
-		}
-		// Retry with a fresh store against scheduler noise.
-		if st, err = InitStore(t.TempDir(), base, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Fatalf("delta ingest only %.1fx faster than rebuild; want >= 3x", ratio)
 }
 
 // FuzzTieredEquivalence drives the tiered-search invariant with fuzzed

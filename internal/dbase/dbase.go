@@ -6,8 +6,9 @@
 package dbase
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/alphabet"
 	"repro/internal/fasta"
@@ -62,9 +63,7 @@ func (db *DB) NumSeqs() int { return len(db.Seqs) }
 // sequences of similar length, which equalizes diagonal counts and makes
 // the radix-sort key width uniform (Section IV-B).
 func (db *DB) SortByLength() {
-	sort.SliceStable(db.Seqs, func(i, j int) bool {
-		return len(db.Seqs[i].Data) < len(db.Seqs[j].Data)
-	})
+	slices.SortStableFunc(db.Seqs, byLength)
 	for i := range db.Seqs {
 		db.Seqs[i].ID = i
 	}
@@ -72,10 +71,10 @@ func (db *DB) SortByLength() {
 
 // IsSortedByLength reports whether sequences are in ascending length order.
 func (db *DB) IsSortedByLength() bool {
-	return sort.SliceIsSorted(db.Seqs, func(i, j int) bool {
-		return len(db.Seqs[i].Data) < len(db.Seqs[j].Data)
-	})
+	return slices.IsSortedFunc(db.Seqs, byLength)
 }
+
+func byLength(a, b Sequence) int { return cmp.Compare(len(a.Data), len(b.Data)) }
 
 // Block identifies a contiguous run of sequences that one index block
 // covers. Local sequence ids inside the block are 0..(End-Start-1); the

@@ -332,3 +332,25 @@ func TestPartitionsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFirstInvalidCode pins the eight-at-a-time residue check against the
+// byte-at-a-time rule: every length up to five words, no bad byte or one at
+// every position, with bad values on both sides of the carry boundaries.
+func TestFirstInvalidCode(t *testing.T) {
+	for n := 0; n < 40; n++ {
+		for bad := -1; bad < n; bad++ {
+			for _, v := range []byte{24, 25, 100, 127, 128, 151, 152, 200, 255} {
+				data := make([]alphabet.Code, n)
+				for i := range data {
+					data[i] = alphabet.Code(i % alphabet.Size)
+				}
+				if bad >= 0 {
+					data[bad] = v
+				}
+				if got := firstInvalidCode(data); got != bad {
+					t.Fatalf("%d bytes, byte %d set to %d: got %d", n, bad, v, got)
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package dbase
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // MergeOrder computes the stable ascending-length merge of several databases,
 // each of which must already be in ascending length order (the container
@@ -26,14 +29,8 @@ func MergeOrder(dbs []*DB) [][]int {
 			ents = append(ents, ent{length: len(db.Seqs[j].Data), tier: t, pos: j})
 		}
 	}
-	sort.Slice(ents, func(a, b int) bool {
-		if ents[a].length != ents[b].length {
-			return ents[a].length < ents[b].length
-		}
-		if ents[a].tier != ents[b].tier {
-			return ents[a].tier < ents[b].tier
-		}
-		return ents[a].pos < ents[b].pos
+	slices.SortFunc(ents, func(a, b ent) int {
+		return cmp.Or(cmp.Compare(a.length, b.length), cmp.Compare(a.tier, b.tier), cmp.Compare(a.pos, b.pos))
 	})
 	out := make([][]int, len(dbs))
 	for t, db := range dbs {

@@ -1,7 +1,6 @@
 package dbase
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -21,41 +20,50 @@ import (
 
 const dbMagic = "MUDB1\n"
 
-// WriteTo serializes the database.
-func (db *DB) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(p []byte) error {
-		m, err := bw.Write(p)
-		n += int64(m)
-		return err
-	}
-	if err := write([]byte(dbMagic)); err != nil {
-		return n, err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		return write(buf[:binary.PutUvarint(buf[:], v)])
-	}
-	if err := writeUvarint(uint64(len(db.Seqs))); err != nil {
-		return n, err
-	}
+// EncodedSize returns the exact number of bytes WriteTo writes.
+func (db *DB) EncodedSize() int64 {
+	n := int64(len(dbMagic) + UvarintLen(uint64(len(db.Seqs))))
 	for i := range db.Seqs {
 		s := &db.Seqs[i]
-		if err := writeUvarint(uint64(len(s.Name))); err != nil {
-			return n, err
-		}
-		if err := write([]byte(s.Name)); err != nil {
-			return n, err
-		}
-		if err := writeUvarint(uint64(len(s.Data))); err != nil {
-			return n, err
-		}
-		if err := write(s.Data); err != nil {
-			return n, err
+		n += int64(UvarintLen(uint64(len(s.Name))) + len(s.Name) + UvarintLen(uint64(len(s.Data))) + len(s.Data))
+	}
+	return n
+}
+
+// WriteTo serializes the database in chunks.
+func (db *DB) WriteTo(w io.Writer) (int64, error) {
+	sw := NewStreamWriter(w)
+	sw.String(dbMagic)
+	sw.Uvarint(uint64(len(db.Seqs)))
+	for i := range db.Seqs {
+		s := &db.Seqs[i]
+		sw.Uvarint(uint64(len(s.Name)))
+		sw.String(s.Name)
+		sw.Uvarint(uint64(len(s.Data)))
+		sw.Bytes(s.Data)
+	}
+	return sw.Flush()
+}
+
+// firstInvalidCode returns the index of the first byte of data that is not a
+// residue code, or -1. It tests eight bytes at a time: a byte b is a code
+// when b < 128 and b + (128 - Size) < 128, and neither sum carries into the
+// next byte.
+func firstInvalidCode(data []alphabet.Code) int {
+	const high = 0x8080808080808080
+	const bias = (0x80 - alphabet.Size) * 0x0101010101010101
+	i := 0
+	for ; i+8 <= len(data); i += 8 {
+		if x := binary.LittleEndian.Uint64(data[i:]); (x|(x&^high+bias))&high != 0 {
+			break
 		}
 	}
-	return n, bw.Flush()
+	for ; i < len(data); i++ {
+		if int(data[i]) >= alphabet.Size {
+			return i
+		}
+	}
+	return -1
 }
 
 // ReadFrom deserializes a database written by WriteTo. The stream must
@@ -72,15 +80,15 @@ func ReadFromLimit(r io.Reader, maxBytes int64) (*DB, error) {
 	if maxBytes < 0 {
 		return nil, fmt.Errorf("dbase: negative read limit %d", maxBytes)
 	}
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(dbMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	sr := NewStreamReader(r, maxBytes)
+	magic, err := sr.Next(len(dbMagic))
+	if err != nil {
 		return nil, fmt.Errorf("dbase: reading magic: %w", err)
 	}
 	if string(magic) != dbMagic {
 		return nil, fmt.Errorf("dbase: bad magic %q", magic)
 	}
-	numSeqs, err := binary.ReadUvarint(br)
+	numSeqs, err := sr.Uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("dbase: reading sequence count: %w", err)
 	}
@@ -91,41 +99,38 @@ func ReadFromLimit(r io.Reader, maxBytes int64) (*DB, error) {
 	}
 	db := &DB{Seqs: make([]Sequence, numSeqs)}
 	for i := range db.Seqs {
-		nameLen, err := binary.ReadUvarint(br)
+		nameLen, err := sr.Uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("dbase: seq %d name length: %w", i, err)
 		}
 		if nameLen > 1<<20 || int64(nameLen) > maxBytes {
 			return nil, fmt.Errorf("dbase: seq %d implausible name length %d", i, nameLen)
 		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, name); err != nil {
+		name, err := sr.Next(int(nameLen))
+		if err != nil {
 			return nil, fmt.Errorf("dbase: seq %d name: %w", i, err)
 		}
-		seqLen, err := binary.ReadUvarint(br)
+		db.Seqs[i] = Sequence{ID: i, Name: string(name)}
+		seqLen, err := sr.Uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("dbase: seq %d length: %w", i, err)
 		}
 		if seqLen > 1<<28 || int64(seqLen) > maxBytes {
 			return nil, fmt.Errorf("dbase: seq %d implausible length %d", i, seqLen)
 		}
-		data := make([]alphabet.Code, seqLen)
-		if _, err := io.ReadFull(br, data); err != nil {
+		raw, err := sr.Next(int(seqLen))
+		if err != nil {
 			return nil, fmt.Errorf("dbase: seq %d data: %w", i, err)
 		}
-		for j, c := range data {
-			if int(c) >= alphabet.Size {
-				return nil, fmt.Errorf("dbase: seq %d position %d: invalid code %d", i, j, c)
-			}
+		if j := firstInvalidCode(raw); j >= 0 {
+			return nil, fmt.Errorf("dbase: seq %d position %d: invalid code %d", i, j, raw[j])
 		}
-		db.Seqs[i] = Sequence{ID: i, Name: string(name), Data: data}
+		db.Seqs[i].Data = make([]alphabet.Code, seqLen)
+		copy(db.Seqs[i].Data, raw)
 		db.TotalResidues += int64(seqLen)
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		if err != nil {
-			return nil, fmt.Errorf("dbase: after last sequence: %w", err)
-		}
-		return nil, fmt.Errorf("dbase: trailing garbage after last sequence")
+	if err := sr.End(); err != nil {
+		return nil, fmt.Errorf("dbase: after last sequence: %w", err)
 	}
 	return db, nil
 }

@@ -317,3 +317,28 @@ func TestBuildWindowPadsAndBounds(t *testing.T) {
 		t.Error("accepted a window whose padding is out of range")
 	}
 }
+
+// TestReadFromRejectsPositionsOfAnEmptyBlock: a block that covers no
+// sequence has no word starts, so a position stored under it must be refused
+// like any other position outside the word starts — the first block's
+// word-start bitset is empty, and empty must still mean "check".
+func TestReadFromRejectsPositionsOfAnEmptyBlock(t *testing.T) {
+	stream := append([]byte(ixMagic), make([]byte, 8)...)
+	stream = binary.AppendUvarint(stream, 1) // one block
+	for range 5 {
+		stream = binary.AppendUvarint(stream, 0) // [0,0), no residues, pad 0
+	}
+	for w := 0; w <= alphabet.NumWords; w++ {
+		var delta uint64
+		if w == 1 {
+			delta = 1 // word 0 holds one position
+		}
+		stream = binary.AppendUvarint(stream, delta)
+	}
+	stream = binary.AppendUvarint(stream, 1)
+	stream = binary.LittleEndian.AppendUint32(stream, 0)
+	db := dbase.New([][]alphabet.Code{{1, 2, 3, 4}})
+	if got, err := ReadFrom(bytes.NewReader(stream), db); err == nil {
+		t.Fatalf("loaded a position in an empty block: %+v", got.Blocks[0].Block)
+	}
+}

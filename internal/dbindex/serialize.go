@@ -1,7 +1,6 @@
 package dbindex
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -31,57 +30,52 @@ import (
 
 const ixMagic = "MUIX1\n"
 
-// WriteTo serializes the index structure (not the database or neighbor table).
-func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var n int64
-	var scratch [binary.MaxVarintLen64]byte
-	write := func(p []byte) error {
-		m, err := bw.Write(p)
-		n += int64(m)
-		return err
+// header returns the five block fields the stream carries before the
+// block's offsets.
+func (b *BlockIndex) header() [5]uint64 {
+	return [5]uint64{
+		uint64(b.Block.Start), uint64(b.Block.End),
+		uint64(b.Block.Residues), uint64(b.Block.MaxLen), uint64(b.Pad),
 	}
-	writeUvarint := func(v uint64) error {
-		return write(scratch[:binary.PutUvarint(scratch[:], v)])
-	}
-	if err := write([]byte(ixMagic)); err != nil {
-		return n, err
-	}
-	binary.LittleEndian.PutUint64(scratch[:8], uint64(ix.BlockResidues))
-	if err := write(scratch[:8]); err != nil {
-		return n, err
-	}
-	if err := writeUvarint(uint64(len(ix.Blocks))); err != nil {
-		return n, err
-	}
+}
+
+// EncodedSize returns the exact number of bytes WriteTo writes.
+func (ix *Index) EncodedSize() int64 {
+	n := int64(len(ixMagic) + 8 + dbase.UvarintLen(uint64(len(ix.Blocks))))
 	for _, b := range ix.Blocks {
-		for _, v := range []uint64{
-			uint64(b.Block.Start), uint64(b.Block.End),
-			uint64(b.Block.Residues), uint64(b.Block.MaxLen), uint64(b.Pad),
-		} {
-			if err := writeUvarint(v); err != nil {
-				return n, err
-			}
+		for _, v := range b.header() {
+			n += int64(dbase.UvarintLen(v))
 		}
 		prev := int32(0)
 		for _, off := range b.offsets {
-			if err := writeUvarint(uint64(off - prev)); err != nil {
-				return n, err
-			}
+			n += int64(dbase.UvarintLen(uint64(off - prev)))
 			prev = off
 		}
-		if err := writeUvarint(uint64(len(b.flat))); err != nil {
-			return n, err
-		}
-		var buf [4]byte
-		for _, p := range b.flat {
-			binary.LittleEndian.PutUint32(buf[:], p)
-			if err := write(buf[:]); err != nil {
-				return n, err
-			}
-		}
+		n += int64(dbase.UvarintLen(uint64(len(b.flat)))) + 4*int64(len(b.flat))
 	}
-	return n, bw.Flush()
+	return n
+}
+
+// WriteTo serializes the index structure (not the database or neighbor
+// table) in chunks; a block's positions go out as whole chunks of words.
+func (ix *Index) WriteTo(w io.Writer) (int64, error) {
+	sw := dbase.NewStreamWriter(w)
+	sw.String(ixMagic)
+	sw.Uint64(uint64(ix.BlockResidues))
+	sw.Uvarint(uint64(len(ix.Blocks)))
+	for _, b := range ix.Blocks {
+		for _, v := range b.header() {
+			sw.Uvarint(v)
+		}
+		prev := int32(0)
+		for _, off := range b.offsets {
+			sw.Uvarint(uint64(off - prev))
+			prev = off
+		}
+		sw.Uvarint(uint64(len(b.flat)))
+		sw.Uint32s(b.flat)
+	}
+	return sw.Flush()
 }
 
 // ReadFrom deserializes an index written by WriteTo and attaches it to db
@@ -106,20 +100,20 @@ func ReadFromLimit(r io.Reader, db *dbase.DB, maxBytes int64) (*Index, error) {
 	if maxBytes < 0 {
 		return nil, fmt.Errorf("dbindex: negative read limit %d", maxBytes)
 	}
-	br := bufio.NewReaderSize(r, 1<<16)
-	magic := make([]byte, len(ixMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	sr := dbase.NewStreamReader(r, maxBytes)
+	magic, err := sr.Next(len(ixMagic))
+	if err != nil {
 		return nil, fmt.Errorf("dbindex: reading magic: %w", err)
 	}
 	if string(magic) != ixMagic {
 		return nil, fmt.Errorf("dbindex: bad magic %q", magic)
 	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := sr.Next(8)
+	if err != nil {
 		return nil, fmt.Errorf("dbindex: reading header: %w", err)
 	}
-	ix := &Index{DB: db, BlockResidues: int64(binary.LittleEndian.Uint64(hdr[:]))}
-	numBlocks, err := binary.ReadUvarint(br)
+	ix := &Index{DB: db, BlockResidues: int64(binary.LittleEndian.Uint64(hdr))}
+	numBlocks, err := sr.Uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("dbindex: block count: %w", err)
 	}
@@ -129,12 +123,13 @@ func ReadFromLimit(r io.Reader, db *dbase.DB, maxBytes int64) (*Index, error) {
 		return nil, fmt.Errorf("dbindex: implausible block count %d", numBlocks)
 	}
 	readUvarint := func(what string) (uint64, error) {
-		v, err := binary.ReadUvarint(br)
+		v, err := sr.Uvarint()
 		if err != nil {
 			return 0, fmt.Errorf("dbindex: %s: %w", what, err)
 		}
 		return v, nil
 	}
+	var valid []uint64 // word-start bitset, reused across blocks
 	prevEnd := 0
 	for i := uint64(0); i < numBlocks; i++ {
 		var vals [5]uint64
@@ -205,48 +200,31 @@ func ReadFromLimit(r io.Reader, db *dbase.DB, maxBytes int64) (*Index, error) {
 			return nil, fmt.Errorf("dbindex: block %d position count %d does not match offsets (%d)",
 				i, numPos, b.offsets[alphabet.NumWords])
 		}
-		b.flat = make([]uint32, numPos)
-		raw := make([]byte, 4*1024)
-		read := 0
-		for read < int(numPos) {
-			chunk := int(numPos) - read
-			if chunk > len(raw)/4 {
-				chunk = len(raw) / 4
-			}
-			if _, err := io.ReadFull(br, raw[:chunk*4]); err != nil {
-				return nil, fmt.Errorf("dbindex: block %d positions: %w", i, err)
-			}
-			for j := 0; j < chunk; j++ {
-				b.flat[read+j] = binary.LittleEndian.Uint32(raw[j*4:])
-			}
-			read += chunk
-		}
 		if db != nil {
-			if err := b.validatePositions(db); err != nil {
-				return nil, fmt.Errorf("dbindex: block %d: %w", i, err)
-			}
+			valid = b.wordStarts(db, valid)
+		}
+		if err := b.readPositions(sr, int(numPos), valid); err != nil {
+			return nil, fmt.Errorf("dbindex: block %d: %w", i, err)
 		}
 		ix.Blocks = append(ix.Blocks, b)
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		if err != nil {
-			return nil, fmt.Errorf("dbindex: after last block: %w", err)
-		}
-		return nil, fmt.Errorf("dbindex: trailing garbage after last block")
+	if err := sr.End(); err != nil {
+		return nil, fmt.Errorf("dbindex: after last block: %w", err)
 	}
 	return ix, nil
 }
 
-// validatePositions checks that every position is the start of a full
-// W-letter word of a sequence of the block. The search hot path indexes
-// last-hit slots and sequences with these values unchecked, so a corrupt
-// position that slipped past the container checksum must be caught here
-// rather than panic mid-search. The word starts are marked in a bitset over
-// the block's coordinates, a run of ones per sequence, so each position costs
-// one load and no walk.
-func (b *BlockIndex) validatePositions(db *dbase.DB) error {
-	span := b.Span()
-	valid := make([]uint64, (span+63)/64)
+// wordStarts marks, in a bitset over the block's coordinates, every
+// coordinate that starts a full W-letter word of a sequence of the block — a
+// run of ones per sequence — reusing buf's storage. The result is never nil,
+// even for a block without coordinates: nil means "do not check".
+func (b *BlockIndex) wordStarts(db *dbase.DB, buf []uint64) []uint64 {
+	n := (b.Span() + 63) / 64
+	if buf == nil || cap(buf) < n {
+		buf = make([]uint64, n)
+	}
+	valid := buf[:n]
+	clear(valid)
 	for l := 0; l < b.Block.NumSeqs(); l++ {
 		lo := int(b.segStart[l])
 		hi := lo + len(db.Seqs[b.Block.Start+l].Data) - alphabet.W + 1 // one past the last word start
@@ -256,10 +234,34 @@ func (b *BlockIndex) validatePositions(db *dbase.DB) error {
 			lo += n
 		}
 	}
-	for _, p := range b.flat {
-		if int64(p) >= int64(span) || valid[p>>6]>>(p&63)&1 == 0 {
-			return fmt.Errorf("position %d is not a word start of the block (span %d)", p, span)
+	return valid
+}
+
+// readPositions decodes the block's numPos positions from the stream's
+// chunks straight into its position array. With a word-start bitset (see
+// wordStarts) it checks every position in the same pass: the search hot path
+// indexes last-hit slots and sequences with these values unchecked, so a
+// corrupt position that slipped past the container checksum must be caught
+// here rather than panic mid-search. Each check is one load, no walk.
+func (b *BlockIndex) readPositions(sr *dbase.StreamReader, numPos int, valid []uint64) error {
+	b.flat = make([]uint32, numPos)
+	for read := 0; read < numPos; {
+		raw, err := sr.Words(numPos - read)
+		if err != nil {
+			return fmt.Errorf("positions: %w", err)
 		}
+		dst := b.flat[read : read+len(raw)/4]
+		for j := range dst {
+			p := binary.LittleEndian.Uint32(raw)
+			raw = raw[4:]
+			// The bitset's bits past the span are clear, so one bound
+			// check covers both the array and the span.
+			if w := int(p >> 6); valid != nil && (w >= len(valid) || valid[w]>>(p&63)&1 == 0) {
+				return fmt.Errorf("position %d is not a word start of the block (span %d)", p, b.Span())
+			}
+			dst[j] = p
+		}
+		read += len(dst)
 	}
 	return nil
 }

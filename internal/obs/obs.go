@@ -449,6 +449,10 @@ type ServerMetrics struct {
 	IngestedSeqs    *Counter // sequences committed across all batches
 	Compactions     *Counter // delta compactions completed
 
+	// CompactionsFailed counts compactions that failed after their batch was
+	// durable; the batch is served anyway.
+	CompactionsFailed *Counter
+
 	QueueDepth  *Gauge // requests currently waiting for a run token
 	Inflight    *Gauge // requests currently searching
 	Degraded    *Gauge // 1 while degraded mode is tripped, else 0
@@ -483,6 +487,8 @@ func NewServerMetrics(r *Registry) *ServerMetrics {
 		DeltaCount:      r.Gauge("delta_count"),
 		QueueWaitNanos:  r.Histogram("queue_wait_nanos"),
 		RequestNanos:    r.Histogram("request_nanos"),
+
+		CompactionsFailed: r.Counter("ingest_compactions_failed"),
 	}
 }
 

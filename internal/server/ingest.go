@@ -26,9 +26,13 @@ import (
 //	409 — this daemon has no store (immutable container); nothing written
 //	413 — the batch exceeds MaxIngestSeqs; nothing written
 //	503 — shed (busy/draining/injected fault); nothing written
-//	500 — the commit failed midway: nothing is lost (recovery restores a
+//	500 — a commit failed midway: nothing is lost (recovery restores a
 //	      consistent pre- or post-commit state) but this process must be
 //	      restarted to re-run recovery before ingesting again
+//
+// A compaction that fails without breaking the store is not a failed ingest:
+// the batch is durable and served, the reply is 200 with compacted false, and
+// ingest_compactions_failed counts it.
 
 // IngestSequence is one sequence of an ingest batch.
 type IngestSequence struct {
@@ -127,16 +131,22 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// From here the batch is durable. A compaction that fails leaves the
+	// manifest naming the base and every delta, this batch's included, so the
+	// daemon swaps to that view and answers 200 either way: a 500 would hide
+	// an acknowledged batch from /search and invite a retry that appends it
+	// twice. Only a compaction that broke the store (its manifest commit
+	// failed midway) is a 500.
 	compacted := false
+	var compactErr error
 	if req.Compact || (s.cfg.CompactAfter > 0 && st.NumDeltas() >= s.cfg.CompactAfter) {
-		if err := st.Compact(); err != nil {
-			s.met.IngestsFailed.Add(1)
-			s.Logf("compaction failed after durable ingest: %v", err)
-			WriteError(w, http.StatusInternalServerError, "batch is durable but compaction failed; restart the daemon to run recovery: %v", err)
-			return
+		if compactErr = st.Compact(); compactErr != nil {
+			s.met.CompactionsFailed.Add(1)
+			s.Logf("compaction failed after durable ingest: %v", compactErr)
+		} else {
+			compacted = true
+			s.met.Compactions.Add(1)
 		}
-		compacted = true
-		s.met.Compactions.Add(1)
 	}
 
 	db, err := st.Database()
@@ -149,6 +159,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err := s.ses.ReloadDB(db); err != nil {
 		s.met.IngestsFailed.Add(1)
 		WriteError(w, http.StatusInternalServerError, "batch is durable but the swap failed: %v", err)
+		return
+	}
+	if errors.Is(compactErr, blast.ErrStoreBroken) {
+		s.met.IngestsFailed.Add(1)
+		WriteError(w, http.StatusInternalServerError, "batch is durable and served but compaction failed; restart the daemon to run recovery: %v", compactErr)
 		return
 	}
 	s.met.Ingests.Add(1)

@@ -287,6 +287,87 @@ func TestIngestFailedCommitIsNotTheClientsFault(t *testing.T) {
 	}
 }
 
+// TestIngestFailedCompactionServesTheBatch: a compaction that fails after the
+// batch is durable (the new base's container write is refused) does not hide
+// the batch. The reply is 200 with compacted false, /search finds the batch
+// byte-identical to a rebuild, the failure is counted, and the next ingest
+// compacts.
+func TestIngestFailedCompactionServesTheBatch(t *testing.T) {
+	f := newStoreFixture(t)
+	srv, base := f.start(t, Config{})
+	if err := faultinject.Enable("store.delta.write=error#2", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Disable()
+	batch := ingestSeqs(3, 151, "fc")
+	resp, data := postJSON(t, base+"/ingest", ingestBody(batch, true))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest whose compaction fails: status %d, want 200: %s", resp.StatusCode, data)
+	}
+	var ir IngestResponse
+	if err := json.Unmarshal(data, &ir); err != nil {
+		t.Fatal(err)
+	}
+	if ir.Compacted || ir.Deltas != 1 || ir.ManifestSeq != 2 {
+		t.Fatalf("ingest response %+v, want the batch as one delta, not compacted", ir)
+	}
+	rebuild, err := blast.NewDatabase(append(append([]blast.Sequence{}, f.base...), batch...), f.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := batch[0].Residues
+	want := wantHits(t, rebuild, q)
+	if len(want) == 0 {
+		t.Fatal("the rebuild finds nothing for the batch's own sequence")
+	}
+	if _, sr := searchOnce(t, base, q); len(sr.Results) != 1 || !hitsEqual(sr.Results[0].Hits, want) {
+		t.Fatalf("served hits after a failed compaction differ from rebuild:\n got  %+v\n want %+v", sr.Results, want)
+	}
+	if failed, ingestFailed := srv.met.CompactionsFailed.Value(), srv.met.IngestsFailed.Value(); failed != 1 || ingestFailed != 0 {
+		t.Fatalf("ingest_compactions_failed=%d ingest_failed=%d, want 1 and 0", failed, ingestFailed)
+	}
+
+	resp, data = postJSON(t, base+"/ingest", ingestBody(ingestSeqs(2, 152, "fd"), true))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("next ingest: status %d: %s", resp.StatusCode, data)
+	}
+	if err := json.Unmarshal(data, &ir); err != nil {
+		t.Fatal(err)
+	}
+	if !ir.Compacted || ir.Deltas != 0 {
+		t.Fatalf("next ingest response %+v, want it compacted", ir)
+	}
+}
+
+// TestIngestCompactionThatBreaksTheStore: a compaction whose manifest commit
+// fails leaves the store broken, so the reply is 500 with the recovery
+// message — but the batch was durable before the compaction started, and the
+// daemon still serves it.
+func TestIngestCompactionThatBreaksTheStore(t *testing.T) {
+	f := newStoreFixture(t)
+	srv, base := f.start(t, Config{})
+	if err := faultinject.Enable("store.manifest.write=error#2", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Disable()
+	batch := ingestSeqs(3, 153, "fb")
+	resp, data := postJSON(t, base+"/ingest", ingestBody(batch, true))
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(data), "restart the daemon to run recovery") {
+		t.Fatalf("ingest whose compaction breaks the store: status %d, want 500 with the recovery message: %s", resp.StatusCode, data)
+	}
+	if failed, compactFailed := srv.met.IngestsFailed.Value(), srv.met.CompactionsFailed.Value(); failed != 1 || compactFailed != 1 {
+		t.Fatalf("ingest_failed=%d ingest_compactions_failed=%d, want 1 and 1", failed, compactFailed)
+	}
+	rebuild, err := blast.NewDatabase(append(append([]blast.Sequence{}, f.base...), batch...), f.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := batch[0].Residues
+	if _, sr := searchOnce(t, base, q); len(sr.Results) != 1 || !hitsEqual(sr.Results[0].Hits, wantHits(t, rebuild, q)) {
+		t.Fatalf("the durable batch is not served after the failed compaction: %+v", sr.Results)
+	}
+}
+
 // TestIngestCompactAfterThreshold: CompactAfter folds deltas automatically
 // once the count reaches the threshold.
 func TestIngestCompactAfterThreshold(t *testing.T) {
