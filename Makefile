@@ -1,8 +1,8 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build vet bench-build fmtcheck test race fuzz chaos loc bench bench-json bench-compare bench-smoke obs-smoke obs-smoke-fault serve-smoke shard-smoke remote-smoke trace-smoke crash-smoke experiments examples golden clean
+.PHONY: all build vet bench-build fmtcheck test race fuzz chaos loc bench obs-smoke obs-smoke-fault serve-smoke shard-smoke remote-smoke trace-smoke crash-smoke experiments examples golden clean
 
-all: build vet test bench-json
+all: build vet test
 
 build:
 	go build ./...
@@ -24,7 +24,7 @@ fmtcheck:
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 
-test: vet bench-build fmtcheck race fuzz chaos obs-smoke obs-smoke-fault serve-smoke shard-smoke remote-smoke trace-smoke crash-smoke bench-compare bench-smoke
+test: vet bench-build fmtcheck race fuzz chaos obs-smoke obs-smoke-fault serve-smoke shard-smoke remote-smoke trace-smoke crash-smoke
 	go test ./...
 
 # Race-detector pass over the packages with concurrent hot paths (the batch
@@ -66,44 +66,21 @@ fuzz:
 	go test -fuzz=FuzzTracebackEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/gapped
 	go test -fuzz=FuzzLSDPairsEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/hitsort
 
-# Non-test lines of Go per package of the root module — the figure CHANGES.md
-# reports before -> after for every PR (ROADMAP aim 2), counted with the same
-# pipeline since PR 15.
+# Non-test lines of Go per package of the root module, then their total —
+# the figure CHANGES.md reports before -> after for every PR (ROADMAP aim 2),
+# counted with the same pipeline since PR 15.
 loc:
 	@for p in $$(go list -f '{{.Dir}}' ./... | sed "s|^$$PWD/||; s|^$$PWD$$|.|"); do \
-		printf '%6d %s\n' "$$(ls $$p/*.go | grep -v _test | xargs cat | wc -l)" "$$p"; done
+		printf '%6d %s\n' "$$(ls $$p/*.go | grep -v _test | xargs cat | wc -l)" "$$p"; done | \
+		awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
 
 bench:
 	go test -bench=. -benchmem ./...
 
-# Machine-readable stage budget: per-stage time shares, prefilter survival,
-# sort share, and scheduler utilization (schema mublastp/bench-stage/v1,
-# validated by internal/bench tests). Writes the *current* report,
-# BENCH_stage_pr6.json; BENCH_stage.json is the frozen seed baseline the
-# kernel campaign is measured against — never regenerate it. -block-kb 512
-# is the tuned block size for timing runs (see EXPERIMENTS.md for the sweep);
-# the default scaled-LLC sizing rule remains in force for the paper's
-# cache-simulation experiments.
-bench-json:
-	go run ./cmd/experiments -exp stage -seqs 4000 -batch 16 -block-kb 512 -json BENCH_stage_pr6.json
-
-# Mechanical perf gate: diff the frozen seed baseline against the committed
-# current report and fail on >5% total-pipeline regression (tolerance
-# overridable via BENCH_COMPARE_TOLERANCE).
-bench-compare:
-	./scripts/bench_compare.sh
-
-# Short-workload perf smoke for the default test flow: regenerate a small
-# stage report with the current build and compare it against the committed
-# short baseline. The loose tolerance absorbs host noise (shared machines
-# vary ±20% run to run); a real kernel regression blows far past it.
-bench-smoke:
-	go run ./cmd/experiments -exp stage -seqs 800 -batch 4 -block-kb 512 -json /tmp/BENCH_stage_short_cand.json
-	BENCH_COMPARE_TOLERANCE=40 ./scripts/bench_compare.sh BENCH_stage_short.json /tmp/BENCH_stage_short_cand.json
-
 # End-to-end observability smoke test: runs a live batch search with
-# -debug-addr, scrapes /metrics, /debug/vars and /debug/pprof/, and asserts
-# the pipeline stage counters moved.
+# -debug-addr and -trace, scrapes /metrics, /debug/vars and /debug/pprof/,
+# asserts the pipeline stage counters moved, and checks the trace file with
+# cmd/tracecheck (one linked mublastp tree, six stage spans).
 obs-smoke:
 	./scripts/obs_smoke.sh
 

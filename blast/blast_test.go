@@ -107,9 +107,6 @@ func TestBatchStatsReportTheGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Scheduler != "block-major" {
-		t.Errorf("batch ran as %q, want block-major", stats.Scheduler)
-	}
 	if want := int64(db.NumBlocks() * len(queries)); stats.Tasks != want {
 		t.Errorf("batch reported %d tasks, want blocks x queries = %d", stats.Tasks, want)
 	}

@@ -165,7 +165,6 @@ func mergeParts(kind string, parts []*rawBatch, numQueries int, remap func(part,
 			continue
 		}
 		s, ps := &out.sched, &part.sched
-		s.Scheduler = ps.Scheduler
 		s.Tasks += ps.Tasks
 		s.BusyNanos += ps.BusyNanos
 		s.StallNanos += ps.StallNanos

@@ -1,7 +1,8 @@
-// Observability surface of the public API: per-query span records built
-// from the pipeline stats every Result already carries. Materializing a
-// record allocates, so it happens here at reporting time — never inside the
-// engine's hot path — and attaching a sink costs nothing per scheduler task.
+// Observability surface of the public API: per-query stage spans built
+// from the pipeline stats every Result already carries. Materializing them
+// allocates, so it happens here at reporting time — never inside the
+// engine's hot path — and attaching a trace sink costs nothing per
+// scheduler task.
 package blast
 
 import "repro/internal/obs"
@@ -9,16 +10,3 @@ import "repro/internal/obs"
 // StageSpans returns this result's per-stage timing, one span per pipeline
 // stage in order (all six stages are always present, zero-time included).
 func (r *Result) StageSpans() []obs.Span { return r.Stats.Spans() }
-
-// TraceRecord builds the per-query JSONL observability record: the six
-// stage spans plus the counter deltas the pipeline accumulated for this
-// query. Write it with obs.TraceWriter (the mublastp -trace flag does).
-func (r *Result) TraceRecord(queryName string) *obs.QueryTrace {
-	return &obs.QueryTrace{
-		Query:    queryName,
-		QueryLen: r.QueryLen,
-		Hits:     len(r.Hits),
-		Stages:   r.Stats.Spans(),
-		Counters: r.Stats.CounterMap(),
-	}
-}

@@ -37,7 +37,7 @@ var experiments = []experiment{
 	{"fig8", "block-size sweep", bench.Fig8},
 	{"fig9", "single-node engine comparison", bench.Fig9},
 	{"fig10", "multi-node scaling vs mpiBLAST", bench.Fig10},
-	{"stage", "stage budget: per-stage time shares (+ -json emission)", runStage},
+	{"stage", "stage budget: per-stage time shares and the paper's three stage claims", runStage},
 	{"index-size", "two-level vs expanded index size", bench.IndexSize},
 	{"verify", "Section V-E output verification", bench.Verify},
 	{"sensitivity", "planted homologs found (vs Smith-Waterman) beside pairs and extensions spent", bench.Sensitivity},
@@ -45,10 +45,6 @@ var experiments = []experiment{
 	{"ingest", "incremental ingest: delta append vs full rebuild, durable-to-durable", bench.IngestLatency},
 	{"replay", "re-issue a recorded workload against a live daemon (-replay-target, -replay-workload)", runReplay},
 }
-
-// stageJSONPath is where the stage experiment writes its machine-readable
-// report (-json flag); empty means table output only.
-var stageJSONPath string
 
 // Replay experiment inputs (-replay-* flags): the live daemon to load and
 // the recorded workload (a -record JSONL file, or one from
@@ -103,12 +99,6 @@ func runStage(s bench.Scale) (*bench.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if stageJSONPath != "" {
-		if err := rep.WriteJSON(stageJSONPath); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "  wrote %s\n", stageJSONPath)
-	}
 	return rep.Table(), nil
 }
 
@@ -122,7 +112,6 @@ func main() {
 		seed     = flag.Int64("seed", 0, "override generator seed")
 		blockKB  = flag.Int64("block-kb", 0, "override index block size (KB; 0 = scaled L3 rule)")
 		markdown = flag.Bool("markdown", false, "emit markdown tables")
-		jsonOut  = flag.String("json", "", "write the stage experiment's report as JSON to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile after the experiments to this file")
 		rTarget  = flag.String("replay-target", "", "replay experiment: daemon base URL (e.g. http://127.0.0.1:8044)")
@@ -130,7 +119,6 @@ func main() {
 		rSpeed   = flag.Float64("replay-speed", 1, "replay experiment: inter-arrival speedup (2 = twice as fast)")
 	)
 	flag.Parse()
-	stageJSONPath = *jsonOut
 	replayTarget, replayWorkload, replaySpeed = *rTarget, *rFile, *rSpeed
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)

@@ -31,6 +31,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/obs/prof"
+	"repro/internal/reqtrace"
 	"repro/internal/sigctx"
 )
 
@@ -59,7 +60,7 @@ func run() (retErr error) {
 		faultSeed   = flag.Uint64("faultseed", 1, "seed for probabilistic -faultspec clauses")
 		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile of the search to this file")
 		memProf     = flag.String("memprofile", "", "write a heap profile after the search to this file")
-		tracePath   = flag.String("trace", "", "write per-query stage spans as JSONL to this file")
+		tracePath   = flag.String("trace", "", "write the run's trace tree (one query span per query, six stage spans each) as JSONL to this file")
 		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof/ on this address (e.g. :6060)")
 		debugLinger = flag.Duration("debug-linger", 0, "keep the -debug-addr server up this long after the search finishes")
 		verifyDB    = flag.String("verifydb", "", "verify a database and exit: a container file, a comma-separated shard set (cross-checked as one build), or an ingest-store directory")
@@ -149,15 +150,13 @@ func run() (retErr error) {
 		}
 	}()
 
-	var trace *obs.TraceWriter
+	var tracer *reqtrace.Tracer
 	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
+		if tracer, err = reqtrace.NewTracerFile("mublastp", *tracePath); err != nil {
+			return err
 		}
-		trace = obs.NewTraceWriter(f)
 		defer func() {
-			if err := trace.Close(); err != nil && retErr == nil {
+			if err := tracer.Close(); err != nil && retErr == nil {
 				retErr = fmt.Errorf("trace: %w", err)
 			}
 		}()
@@ -173,41 +172,47 @@ func run() (retErr error) {
 	if err != nil {
 		return fmt.Errorf("search: %w", err)
 	}
+	// The run is one trace tree: a "batch" root holding a query:<name> span,
+	// with its six stage spans, per completed query.
+	tr := tracer.Begin(reqtrace.Context{}, "batch", start.UnixNano())
 	for i, res := range br.Results {
 		if !br.Completed[i] {
 			continue
 		}
-		if trace != nil {
-			if err := trace.Write(res.TraceRecord(queries[i].Name)); err != nil {
-				return fmt.Errorf("trace: %w", err)
-			}
+		if tr != nil {
+			reqtrace.AttachQuerySpan(tr.RootSpan(), start.UnixNano(), queries[i].Name, res.StageSpans())
 		}
 		printResult(out, db, queries[i], res, *format)
 	}
-	done := br.CompletedCount()
+	done, elapsed := br.CompletedCount(), time.Since(start)
 	for i, qerr := range br.QueryErrs {
 		if qerr != nil {
 			fmt.Fprintf(os.Stderr, "mublastp: query %s not completed: %v\n", queries[i].Name, qerr)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "mublastp: %d/%d queries searched in %v with muBLASTP\n",
-		done, len(queries), time.Since(start).Round(time.Millisecond))
+		done, len(queries), elapsed.Round(time.Millisecond))
 	// A degraded batch still falls through to the linger window below, so a
 	// scraper can read the failure counters before the process exits non-zero.
+	outcome := reqtrace.OutcomeOK
 	if br.Err != nil {
 		retErr = fmt.Errorf("search incomplete: %w", br.Err)
+		outcome = reqtrace.OutcomeTimeout
 	} else if done != len(queries) {
 		retErr = fmt.Errorf("search: %d queries failed", len(queries)-done)
+		outcome = reqtrace.OutcomeError
+	}
+	tr.RootSpan().End(elapsed.Nanoseconds())
+	if err := tracer.Finish(tr, outcome); err != nil {
+		return fmt.Errorf("trace: %w", err)
 	}
 
 	if *debugAddr != "" && *debugLinger > 0 {
 		// Drain the buffered sinks before sleeping so anything scraping the
 		// lingering process sees complete output.
 		out.Flush()
-		if trace != nil {
-			if err := trace.Flush(); err != nil {
-				return fmt.Errorf("trace: %w", err)
-			}
+		if err := tracer.Flush(); err != nil {
+			return fmt.Errorf("trace: %w", err)
 		}
 		fmt.Fprintf(os.Stderr, "mublastp: debug server lingering for %v\n", *debugLinger)
 		select {

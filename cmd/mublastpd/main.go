@@ -28,9 +28,11 @@
 // searches get -drain-grace to finish, then are cancelled so their handlers
 // flush partial results. A second signal force-exits with code 3. That
 // lifecycle, the flags behind it (-addr, -threads, -evalue, -max-hits,
-// -timeout, -max-timeout, -max-queries, -drain-grace, -debug-addr, -trace,
-// -record, -faultspec, -faultseed) and the HTTP edge are shared with
-// mublastpr (server.RegisterFlags, server.Edge).
+// -timeout, -drain-grace, -debug-addr, -trace, -record, -faultspec,
+// -faultseed) and the HTTP edge are shared with mublastpr
+// (server.RegisterFlags, server.Edge). The request bounds without a flag
+// (client deadline cap, batch cap, degraded mode, ingest cap) are the
+// server.Config defaults.
 package main
 
 import (
@@ -58,11 +60,8 @@ func run() error {
 		subjects     = flag.String("subjects", "", "FASTA database to index on the fly (reload still requires containers)")
 		queue        = flag.Int("queue", 64, "admission queue bound; excess requests are shed with 429")
 		concurrency  = flag.Int("concurrency", 0, "concurrent batch searches (0 = size to the scheduler's worker pool)")
-		degAfter     = flag.Duration("degrade-after", 250*time.Millisecond, "sustained queue pressure before degraded mode trips")
-		degTimeout   = flag.Duration("degraded-timeout", 0, "per-request deadline in degraded mode (0 = timeout/4)")
 		globalSeqs   = flag.Int64("global-sequences", 0, "sequence count of the whole logical database when -db is one shard of it; with -global-residues, E-values use the global search space so a remote merge is byte-identical")
 		globalRes    = flag.Int64("global-residues", 0, "residue count of the whole logical database when -db is one shard of it")
-		maxIngest    = flag.Int("max-ingest", 0, "per-request sequence cap for POST /ingest (0 = default)")
 		compactAfter = flag.Int("compact-after", 0, "compact the store once it accumulates this many deltas (0 = only on request)")
 	)
 	flag.Parse()
@@ -125,9 +124,7 @@ func run() error {
 		cfg.Logf("database ready in %v (%d sequences, %d blocks)",
 			time.Since(start).Round(time.Millisecond), db.NumSequences(), db.NumBlocks())
 
-		cfg.Queue, cfg.Concurrency = *queue, *concurrency
-		cfg.DegradeAfter, cfg.DegradedTimeout = *degAfter, *degTimeout
-		cfg.MaxIngestSeqs, cfg.CompactAfter = *maxIngest, *compactAfter
+		cfg.Queue, cfg.Concurrency, cfg.CompactAfter = *queue, *concurrency, *compactAfter
 		srv := server.New(ses, p, cfg)
 		cfg = srv.Config()
 		return srv, fmt.Sprintf("queue %d, concurrency %d, timeout %v", cfg.Queue, cfg.Concurrency, cfg.DefaultTimeout), nil

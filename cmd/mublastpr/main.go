@@ -80,18 +80,15 @@ func run() error {
 		workerSpec = flag.String("workers", "", "comma-separated shard worker URLs in shard order; '|' separates replicas of one shard, e.g. 'http://h1:8044|http://h2:8044,http://h3:8044'")
 		policy     = flag.String("policy", router.PolicyRoundRobin, "default replica-choice policy: "+strings.Join(router.PolicyNames(), ", "))
 		shardConc  = flag.Int("shard-concurrency", 2, "concurrent searches per shard replica; excess sheds")
-		retryAfter = flag.Duration("retry-after", time.Second, "Retry-After hint attached to sheds")
-
-		probeEvery    = flag.Duration("probe-interval", time.Second, "health-probe interval for remote replicas (/readyz-driven ejection)")
-		readmitBase   = flag.Duration("readmit-backoff", 500*time.Millisecond, "first readmission probe delay after an ejection (doubles, jittered, up to -readmit-backoff-max)")
-		readmitMax    = flag.Duration("readmit-backoff-max", 15*time.Second, "readmission backoff ceiling")
-		breakerFails  = flag.Int("breaker-failures", 3, "consecutive replica failures that open its circuit breaker (-1 disables)")
-		breakerCool   = flag.Duration("breaker-cooldown", 2*time.Second, "how long an open breaker refuses traffic before one half-open trial")
-		retryBudget   = flag.Int("retry-budget", 2, "extra upstream attempts (retries+hedges) one request may spend across all shards (-1 disables)")
-		retryBackoff  = flag.Duration("retry-backoff", 25*time.Millisecond, "pause before retry k, scaled by k")
-		hedge         = flag.Bool("hedge", false, "hedged scatter: fire a second replica once a shard outlives its recent p95, first result wins")
-		networkMargin = flag.Duration("net-margin", 150*time.Millisecond, "network margin subtracted from the deadline budget propagated to remote workers")
 	)
+	// Zero resilience values select router.ResilienceConfig's defaults.
+	var res router.ResilienceConfig
+	flag.DurationVar(&res.ProbeInterval, "probe-interval", 0, "health-probe interval for remote replicas (/readyz-driven ejection; 0 = default)")
+	flag.DurationVar(&res.ReadmitBackoff, "readmit-backoff", 0, "first readmission probe delay after an ejection (doubles, jittered, up to -readmit-backoff-max; 0 = default)")
+	flag.DurationVar(&res.ReadmitBackoffMax, "readmit-backoff-max", 0, "readmission backoff ceiling (0 = default)")
+	flag.IntVar(&res.RetryBudget, "retry-budget", 0, "extra upstream attempts (retries+hedges) one request may spend across all shards (0 = default, -1 disables)")
+	flag.DurationVar(&res.RetryBackoff, "retry-backoff", 0, "pause before retry k, scaled by k (0 = default)")
+	flag.BoolVar(&res.Hedge, "hedge", false, "hedged scatter: fire a second replica once a shard outlives its recent p95, first result wins")
 	flag.Parse()
 	if (*shardSpec == "") == (*workerSpec == "") {
 		fmt.Fprintln(os.Stderr, "mublastpr: need exactly one of -shards / -workers")
@@ -113,25 +110,16 @@ func run() error {
 		}
 		paths = append(paths, reps)
 	}
-	opts := router.Options{DefaultPolicy: *policy, Registry: obs.Default, Resilience: router.ResilienceConfig{
-		ProbeInterval:     *probeEvery,
-		ReadmitBackoff:    *readmitBase,
-		ReadmitBackoffMax: *readmitMax,
-		BreakerFailures:   *breakerFails,
-		BreakerCooldown:   *breakerCool,
-		RetryBudget:       *retryBudget,
-		RetryBackoff:      *retryBackoff,
-		Hedge:             *hedge,
-	}}
+	opts := router.Options{DefaultPolicy: *policy, Registry: obs.Default, Resilience: res}
 
 	return serve(func(p blast.Params, cfg server.Config) (server.Daemon, string, error) {
 		var workers [][]router.Worker
 		var generations []func() int64
 		var err error
 		if *workerSpec != "" {
-			workers, generations, err = remoteWorkers(paths, *networkMargin, cfg.Logf)
+			workers, generations, err = remoteWorkers(paths, cfg.Logf)
 		} else {
-			workers, generations, err = localWorkers(paths, p, *shardConc, *retryAfter, cfg.Logf)
+			workers, generations, err = localWorkers(paths, p, *shardConc, cfg.Logf)
 		}
 		if err != nil {
 			return nil, "", err
@@ -166,7 +154,7 @@ func run() error {
 // first validated end to end and the set cross-checked as one coherent
 // round-robin split (blast.VerifyShardSet); the verified totals are the
 // global search space every shard engine is then opened with.
-func localWorkers(paths [][]string, p blast.Params, conc int, retryAfter time.Duration, logf func(string, ...any)) ([][]router.Worker, []func() int64, error) {
+func localWorkers(paths [][]string, p blast.Params, conc int, logf func(string, ...any)) ([][]router.Worker, []func() int64, error) {
 	start := time.Now()
 	set, err := blast.VerifyShardSet(paths)
 	if err != nil {
@@ -186,7 +174,7 @@ func localWorkers(paths [][]string, p blast.Params, conc int, retryAfter time.Du
 			}
 			generations = append(generations, ses.Generation)
 			name := fmt.Sprintf("s%d/r%d(%s)", s, r, filepath.Base(path))
-			workers[s] = append(workers[s], router.NewLocalWorker(name, ses, conc, 1, retryAfter))
+			workers[s] = append(workers[s], router.NewLocalWorker(name, ses, conc, 1, 0))
 		}
 	}
 	logf("%d shards (%d replicas) ready in %v; global search space %d sequences, %d residues",
@@ -197,16 +185,14 @@ func localWorkers(paths [][]string, p blast.Params, conc int, retryAfter time.Du
 // remoteWorkers builds a RemoteWorker per mublastpd URL and runs the
 // coherence handshake against every replica's /shard/info before any of
 // them is trusted with scatter traffic.
-func remoteWorkers(urls [][]string, margin time.Duration, logf func(string, ...any)) ([][]router.Worker, []func() int64, error) {
+func remoteWorkers(urls [][]string, logf func(string, ...any)) ([][]router.Worker, []func() int64, error) {
 	start := time.Now()
 	shards := make([][]*router.RemoteWorker, len(urls))
 	workers := make([][]router.Worker, len(urls))
 	var generations []func() int64
 	for s, reps := range urls {
 		for r, u := range reps {
-			w := router.NewRemoteWorker(fmt.Sprintf("s%d/r%d(%s)", s, r, u), u, router.RemoteOptions{
-				NetworkMargin: margin,
-			})
+			w := router.NewRemoteWorker(fmt.Sprintf("s%d/r%d(%s)", s, r, u), u, router.RemoteOptions{})
 			shards[s] = append(shards[s], w)
 			workers[s] = append(workers[s], w)
 			generations = append(generations, w.Generation)

@@ -211,7 +211,6 @@ func (e *Engine) SearchBatch(queries [][]alphabet.Code, threads int) []search.Qu
 // schedStatsFrom folds the grid run's counters into the search-level summary.
 func schedStatsFrom(ts parallel.TaskStats) search.SchedStats {
 	return search.SchedStats{
-		Scheduler:      "block-major",
 		Workers:        ts.Workers,
 		Tasks:          int64(ts.Tasks),
 		MinWorkerTasks: ts.MinWorkerTasks(),

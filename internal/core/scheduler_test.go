@@ -39,9 +39,6 @@ func TestGridSchedulerStats(t *testing.T) {
 	e := New(cfg, ix)
 	br := e.SearchBatchCtx(context.Background(), queries, 4)
 	results, sched := br.Results, br.Sched
-	if sched.Scheduler != "block-major" {
-		t.Errorf("scheduler name %q", sched.Scheduler)
-	}
 	wantTasks := int64(nb * len(queries))
 	if sched.Tasks != wantTasks {
 		t.Errorf("scheduler ran %d tasks, want %d", sched.Tasks, wantTasks)

@@ -1,15 +1,14 @@
 // Package obs is the zero-dependency observability layer of the engine: a
 // lock-free metrics registry (atomic counters, gauges, and fixed-bucket
 // latency histograms with quantile estimates), the pipeline-stage vocabulary
-// shared by every engine, and per-query span records that can be dumped as
-// JSONL. The hot-path contract is strict: once a metric handle has been
+// shared by every engine, and per-stage span samples that trace sinks graft
+// into request trees. The hot-path contract is strict: once a metric handle has been
 // resolved (engine construction time), stamping it is a handful of atomic
 // adds — no locks, no allocations, no map lookups — so instrumentation can
 // stay always-on without disturbing the measured pipeline.
 //
-// The registry is exported three ways: a plaintext /metrics dump, an expvar
-// snapshot under /debug/vars, and programmatic Snapshot() for the bench
-// harness's machine-readable BENCH_stage.json emission (internal/bench).
+// The registry is exported two ways: a plaintext /metrics dump and an
+// expvar snapshot (Snapshot) under /debug/vars.
 package obs
 
 import (
@@ -48,7 +47,7 @@ const (
 	NumStages
 )
 
-// stageNames are the wire names used in spans, metrics, and BENCH_stage.json.
+// stageNames are the wire names used in spans and metrics.
 var stageNames = [NumStages]string{
 	"hit_detect", "prefilter", "sort", "ungapped", "gapped", "traceback",
 }

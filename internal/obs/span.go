@@ -1,90 +1,12 @@
-// Per-query span records and their JSONL sink. A span is one (stage, nanos)
-// sample; a QueryTrace is the full record for one query — its six stage
-// spans plus the counter deltas the pipeline accumulated for it. The engine
-// never builds these on the hot path: span materialization happens at
-// reporting time from the per-query Stats the pipeline already carries, so
-// attaching a trace sink costs nothing per task and allocation only per
-// reported query.
+// Per-stage span samples. A span is one (stage, nanos) sample of one
+// query's pipeline. The engine never builds these on the hot path: span
+// materialization happens at reporting time from the per-query Stats the
+// pipeline already carries, and trace sinks (internal/reqtrace) graft them
+// under their query spans.
 package obs
-
-import (
-	"bufio"
-	"encoding/json"
-	"io"
-	"sync"
-)
 
 // Span is one stage's time sample within a query.
 type Span struct {
 	Stage string `json:"stage"`
 	Nanos int64  `json:"nanos"`
-}
-
-// QueryTrace is the per-query span record written (one JSON object per
-// line) by a TraceWriter. Stages always lists all six pipeline stages in
-// order, including zero-time ones, so consumers can index positionally.
-type QueryTrace struct {
-	Query    string           `json:"query"`
-	QueryLen int              `json:"query_len"`
-	Hits     int              `json:"hits"` // reported HSPs
-	Stages   []Span           `json:"stages"`
-	Counters map[string]int64 `json:"counters"`
-}
-
-// TotalNanos sums the stage spans.
-func (t *QueryTrace) TotalNanos() int64 {
-	var n int64
-	for _, s := range t.Stages {
-		n += s.Nanos
-	}
-	return n
-}
-
-// TraceWriter writes QueryTrace records as JSONL. Safe for concurrent use;
-// buffered, so Close (or Flush) must be called to drain it.
-type TraceWriter struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	enc *json.Encoder
-	c   io.Closer // underlying file, when owned
-}
-
-// NewTraceWriter wraps w in a JSONL trace sink.
-func NewTraceWriter(w io.Writer) *TraceWriter {
-	bw := bufio.NewWriter(w)
-	t := &TraceWriter{bw: bw, enc: json.NewEncoder(bw)}
-	if c, ok := w.(io.Closer); ok {
-		t.c = c
-	}
-	return t
-}
-
-// Write appends one record. json.Encoder terminates each record with '\n',
-// which is exactly the JSONL framing.
-func (t *TraceWriter) Write(rec *QueryTrace) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.enc.Encode(rec)
-}
-
-// Flush drains the buffer.
-func (t *TraceWriter) Flush() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.bw.Flush()
-}
-
-// Close flushes and, when the underlying writer is a Closer (e.g. a file),
-// closes it.
-func (t *TraceWriter) Close() error {
-	if err := t.Flush(); err != nil {
-		if t.c != nil {
-			t.c.Close()
-		}
-		return err
-	}
-	if t.c != nil {
-		return t.c.Close()
-	}
-	return nil
 }

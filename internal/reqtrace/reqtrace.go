@@ -10,8 +10,8 @@
 // makes every span operation a nil-check no-op with zero allocation. Span
 // materialization happens at tier boundaries (request scope), never inside
 // the engine's per-task hot path — the six stage spans are built from the
-// per-query Stats the pipeline already carries, exactly like the existing
-// per-query QueryTrace records.
+// per-query Stats the pipeline already carries (AttachQuerySpan). The same
+// tree format serves the CLI: mublastp -trace writes one tree per run.
 //
 // The sibling files add the request-trace record format (record.go) — the
 // compact workload log the capacity planner (internal/capsim) fits its
@@ -31,8 +31,11 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
 // HTTP propagation headers. X-Request-ID doubles as the client-facing
@@ -146,6 +149,42 @@ func (s *Span) StaticChild(name string, startNS, nanos int64) *Span {
 	c := s.Child(name, startNS)
 	c.End(nanos)
 	return c
+}
+
+// AttachQuerySpan grafts one completed query's six-stage pipeline spans
+// under parent (a search or shard span) as "query:<name>" and returns the
+// query span. Stage spans are duration attributions, not placements — stages
+// of one query interleave across scheduler tasks, so each stage child
+// carries the search phase's start as its nominal start time. Materializing
+// stages allocates: call with tracing on (non-nil parent) only.
+func AttachQuerySpan(parent *Span, startNS int64, name string, stages []obs.Span) *Span {
+	q := parent.Child("query:"+name, startNS)
+	var total int64
+	for _, sp := range stages {
+		q.StaticChild("stage:"+sp.Stage, startNS, sp.Nanos)
+		total += sp.Nanos
+	}
+	q.End(total)
+	return q
+}
+
+// ShardPart is one shard's part of a batch as AttachShardQuerySpans reads it
+// (blast.ShardResult): per query, whether it completed and its stage spans.
+type ShardPart interface {
+	NumQueries() int
+	QueryCompleted(i int) bool
+	QueryStageSpans(i int) []obs.Span
+}
+
+// AttachShardQuerySpans is AttachQuerySpan over one shard's part of a batch,
+// queries named by index: what a shard daemon hangs under its search span
+// and the router under each shard's scatter span. No-op with tracing off.
+func AttachShardQuerySpans(parent *Span, startNS int64, part ShardPart) {
+	for i := 0; parent != nil && i < part.NumQueries(); i++ {
+		if part.QueryCompleted(i) {
+			AttachQuerySpan(parent, startNS, strconv.Itoa(i), part.QueryStageSpans(i))
+		}
+	}
 }
 
 // Walk visits the span and every descendant, depth-first. Nil-safe. Only

@@ -3,6 +3,8 @@ package reqtrace
 import (
 	"bytes"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -120,6 +122,57 @@ func TestConcurrentChildAppend(t *testing.T) {
 	}
 	if err := tr.Linked(); err != nil {
 		t.Fatalf("Linked after concurrent append: %v", err)
+	}
+}
+
+func TestTracerConcurrentFinish(t *testing.T) {
+	var buf bytes.Buffer
+	tracer := NewTracer("testd", &buf)
+	var wg sync.WaitGroup
+	const n = 50
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr := tracer.Begin(Context{}, "edge", 0)
+			tr.RootSpan().StaticChild("stage:sort", 0, 1)
+			tracer.Finish(tr, OutcomeOK)
+		}()
+	}
+	wg.Wait()
+	if err := tracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	traces, err := ReadTraces(&buf)
+	if err != nil {
+		t.Fatalf("concurrent Finish tore a line: %v", err)
+	}
+	if len(traces) != n {
+		t.Errorf("concurrent Finish wrote %d trees, want %d", len(traces), n)
+	}
+}
+
+func TestTracerClosesOwnedFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	tracer, err := NewTracerFile("testd", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tracer.Finish(tracer.Begin(Context{}, "batch", 0), OutcomeOK); err != nil {
+		t.Fatal(err)
+	}
+	if err := tracer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tracer.c.(*os.File).Close(); err == nil {
+		t.Error("Tracer.Close did not close the file it opened")
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) == 0 || data[len(data)-1] != '\n' {
+		t.Errorf("trace file not flushed as newline-terminated JSONL: %q", data)
 	}
 }
 

@@ -51,15 +51,17 @@ type ResilienceConfig struct {
 	RetryBackoff time.Duration
 
 	// Hedge enables hedged scatter: when a shard's first attempt has run
-	// longer than the shard's recent HedgeQuantile latency, a second attempt
+	// longer than the shard's recent hedgeQuantile latency, a second attempt
 	// fires on a different eligible replica and the first result wins (the
 	// loser is cancelled). Hedges spend the retry budget. Off by default.
 	Hedge bool
-	// HedgeQuantile picks the latency quantile the hedge delay derives from
-	// (default 0.95); HedgeMinDelay floors the delay (default 10ms).
-	HedgeQuantile float64
+	// HedgeMinDelay floors the hedge delay (default 10ms).
 	HedgeMinDelay time.Duration
 }
+
+// hedgeQuantile is the quantile of a shard's recent attempt latencies the
+// hedge delay derives from.
+const hedgeQuantile = 0.95
 
 func (c ResilienceConfig) withDefaults() ResilienceConfig {
 	if c.ProbeInterval == 0 {
@@ -94,9 +96,6 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 25 * time.Millisecond
-	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
-		c.HedgeQuantile = 0.95
 	}
 	if c.HedgeMinDelay <= 0 {
 		c.HedgeMinDelay = 10 * time.Millisecond

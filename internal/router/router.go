@@ -12,7 +12,6 @@ import (
 	"repro/blast"
 	"repro/internal/obs"
 	"repro/internal/reqtrace"
-	"repro/internal/server"
 )
 
 // ShardStatus is the router's per-shard account of one scatter: which
@@ -365,7 +364,7 @@ func (rt *Router) pick(s int, pol Policy, excl map[int]bool) int {
 // hedgeDelay derives the hedge trigger for shard s from its recent attempt
 // latencies; 0 disables hedging for this request (not enough signal yet).
 func (rt *Router) hedgeDelay(s int) time.Duration {
-	d := rt.lat[s].quantile(rt.res.HedgeQuantile)
+	d := rt.lat[s].quantile(hedgeQuantile)
 	if d == 0 {
 		return 0
 	}
@@ -544,7 +543,7 @@ func (rt *Router) searchShard(ctx context.Context, queries []string, s int, pol 
 				ss.SetAttr("worker", st.Worker)
 				ss.SetAttr("status", "ok")
 				ss.SetAttr("completed", strconv.Itoa(st.Completed))
-				server.AttachShardQuerySpans(ss, start.UnixNano(), out.res)
+				reqtrace.AttachShardQuerySpans(ss, start.UnixNano(), out.res)
 				ss.End(st.Nanos)
 			}
 			return out.res

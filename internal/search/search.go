@@ -153,33 +153,17 @@ func (s *Stats) Spans() []obs.Span {
 	return out
 }
 
-// CounterMap returns the event counters by name — the counter-delta half of
-// a per-query span record. Allocates; trace-sink use only.
-func (s *Stats) CounterMap() map[string]int64 {
-	return map[string]int64{
-		"hits":         s.Hits,
-		"pairs":        s.Pairs,
-		"sorted_items": s.SortedItems,
-		"extensions":   s.Extensions,
-		"kept":         s.Kept,
-		"gapped_exts":  s.GappedExts,
-		"tracebacks":   s.Tracebacks,
-		"sched_tasks":  s.SchedTasks,
-	}
-}
-
 // SchedStats summarizes the batch scheduler's behaviour over one SearchBatch
 // call (the hit-search phase; per-query finalization is not counted). It is
 // the batch-level complement of the per-query Sched* fields in Stats.
 type SchedStats struct {
-	Scheduler      string // always "block-major" (the barrier-free grid); kept for the stage-JSON schema
-	Workers        int    // workers actually used
-	Tasks          int64  // (block, query) tasks executed
-	MinWorkerTasks int64  // fewest tasks any worker pulled
-	MaxWorkerTasks int64  // most tasks any worker pulled
-	BusyNanos      int64  // total worker-time inside tasks
-	StallNanos     int64  // total worker-time outside tasks (idle behind the final wait)
-	ElapsedNanos   int64  // wall-clock time of the search phase
+	Workers        int   // workers actually used
+	Tasks          int64 // (block, query) tasks executed
+	MinWorkerTasks int64 // fewest tasks any worker pulled
+	MaxWorkerTasks int64 // most tasks any worker pulled
+	BusyNanos      int64 // total worker-time inside tasks
+	StallNanos     int64 // total worker-time outside tasks (idle behind the final wait)
+	ElapsedNanos   int64 // wall-clock time of the search phase
 
 	// Robustness counters (zero on a clean run): tasks whose panic was
 	// isolated by the scheduler, tasks never started because the batch

@@ -40,8 +40,6 @@ func RegisterFlags(name, addr string) func(build func(p blast.Params, cfg Config
 	flag.Float64Var(&p.EValueCutoff, "evalue", 10, "E-value cutoff")
 	flag.IntVar(&p.MaxResults, "max-hits", 250, "maximum hits per query")
 	flag.DurationVar(&cfg.DefaultTimeout, "timeout", 30*time.Second, "default per-request deadline")
-	flag.DurationVar(&cfg.MaxTimeout, "max-timeout", 2*time.Minute, "cap on client-requested deadlines")
-	flag.IntVar(&cfg.MaxQueries, "max-queries", 64, "per-request batch size cap")
 	var (
 		listen     = flag.String("addr", addr, "listen address (use :0 for an ephemeral port)")
 		drainGrace = flag.Duration("drain-grace", 10*time.Second, "time in-flight searches get to finish on shutdown before partial-result flush")

@@ -412,20 +412,3 @@ func RenderBatch(br *blast.BatchResult, names []string, searchDur, timeout time.
 	}
 	return resp
 }
-
-// AttachQuerySpan grafts one completed query's six-stage pipeline spans
-// under parent (a search or shard span) as "query:<name>" and returns the
-// query span. Stage spans are duration attributions, not placements — stages
-// of one query interleave across scheduler tasks, so each stage child
-// carries the search phase's start as its nominal start time. Materializing
-// stages allocates: call with tracing on (non-nil parent) only.
-func AttachQuerySpan(parent *reqtrace.Span, startNS int64, name string, stages []obs.Span) *reqtrace.Span {
-	q := parent.Child("query:"+name, startNS)
-	var total int64
-	for _, sp := range stages {
-		q.StaticChild("stage:"+sp.Stage, startNS, sp.Nanos)
-		total += sp.Nanos
-	}
-	q.End(total)
-	return q
-}

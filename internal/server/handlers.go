@@ -252,7 +252,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	for i, res := range br.Results {
 		if searchSpan != nil && br.Completed[i] {
-			q := AttachQuerySpan(searchSpan, searchStart.UnixNano(), names[i], res.StageSpans())
+			q := reqtrace.AttachQuerySpan(searchSpan, searchStart.UnixNano(), names[i], res.StageSpans())
 			q.SetAttr("query_len", strconv.Itoa(res.QueryLen))
 			q.SetAttr("hits", strconv.Itoa(len(res.Hits)))
 		}

@@ -130,7 +130,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		sc.Reject(reqtrace.OutcomeRejected, http.StatusBadRequest, "shard search: %v", err)
 		return
 	}
-	AttachShardQuerySpans(searchSpan, searchStart.UnixNano(), part)
+	reqtrace.AttachShardQuerySpans(searchSpan, searchStart.UnixNano(), part)
 	wire, err := part.Wire(req.Queries)
 	if err != nil {
 		sc.Reject(reqtrace.OutcomeError, http.StatusInternalServerError, "encoding shard result: %v", err)
@@ -143,15 +143,4 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		Generation: s.ses.Generation(),
 		Result:     wire,
 	}, part.Err())
-}
-
-// AttachShardQuerySpans is AttachQuerySpan over one shard's part of a batch,
-// queries named by index: what this daemon hangs under its search span and
-// the router under each shard's scatter span. No-op with tracing off.
-func AttachShardQuerySpans(parent *reqtrace.Span, startNS int64, part *blast.ShardResult) {
-	for i := 0; parent != nil && i < part.NumQueries(); i++ {
-		if part.QueryCompleted(i) {
-			AttachQuerySpan(parent, startNS, strconv.Itoa(i), part.QueryStageSpans(i))
-		}
-	}
 }

@@ -1,10 +1,11 @@
 #!/bin/sh
 # End-to-end observability smoke test (the `make obs-smoke` target).
 #
-# Builds mublastp + genseq, runs a real batch search with -debug-addr and
-# -trace, scrapes the live debug endpoint while the server lingers, and
-# asserts: /metrics serves non-zero pipeline stage counters, /debug/vars and
-# /debug/pprof/ respond, and the trace JSONL contains all six stages.
+# Builds mublastp + genseq + tracecheck, runs a real batch search with
+# -debug-addr and -trace, scrapes the live debug endpoint while the server
+# lingers, and asserts: /metrics serves non-zero pipeline stage counters,
+# /debug/vars and /debug/pprof/ respond, and the trace file holds one linked
+# mublastp tree with a query span per query and all six stage spans.
 set -eu
 
 workdir=$(mktemp -d "${TMPDIR:-/tmp}/obs-smoke.XXXXXX")
@@ -18,6 +19,7 @@ trap cleanup EXIT INT TERM
 echo "obs-smoke: building binaries..."
 go build -o "$workdir/mublastp" ./cmd/mublastp
 go build -o "$workdir/genseq" ./cmd/genseq
+go build -o "$workdir/tracecheck" ./cmd/tracecheck
 
 echo "obs-smoke: generating workload..."
 "$workdir/genseq" -n 800 -seed 7 -out "$workdir/db.fasta" \
@@ -81,12 +83,10 @@ done
 
 grep -q '"obs"' "$workdir/vars.json" || { echo "obs-smoke: FAIL: /debug/vars has no obs tree"; fail=1; }
 
-for stage in hit_detect prefilter sort ungapped gapped traceback; do
-    grep -q "\"stage\":\"$stage\"" "$workdir/trace.jsonl" || {
-        echo "obs-smoke: FAIL: trace JSONL missing stage $stage"; fail=1; }
-done
-lines=$(wc -l <"$workdir/trace.jsonl")
-[ "$lines" -eq 12 ] || { echo "obs-smoke: FAIL: trace has $lines records, want 12"; fail=1; }
+"$workdir/tracecheck" -in "$workdir/trace.jsonl" -want 1 -daemon mublastp \
+    -require stage:hit_detect,stage:prefilter,stage:sort,stage:ungapped,stage:gapped,stage:traceback || fail=1
+queries=$(grep -o '"name":"query:' "$workdir/trace.jsonl" | wc -l)
+[ "$queries" -eq 12 ] || { echo "obs-smoke: FAIL: trace has $queries query spans, want 12"; fail=1; }
 
 kill "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
