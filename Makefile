@@ -32,17 +32,17 @@ test: vet bench-build fmtcheck race fuzz chaos obs-smoke obs-smoke-fault serve-s
 # session, the serving layer's admission machinery, and the observability
 # layer's lock-free metrics and concurrent trace/record sinks).
 race:
-	go test -race ./internal/core ./internal/parallel ./internal/search ./internal/baseline ./internal/mpi ./internal/cluster ./internal/server ./internal/router ./internal/obs ./internal/reqtrace ./blast
+	go test -race ./internal/core ./internal/parallel ./internal/search ./internal/baseline ./internal/server ./internal/router ./internal/obs ./internal/reqtrace ./blast
 
 # Chaos harness: randomized fault schedules (injected panics, delays, errors,
-# rank deaths, op timeouts, dropped RPCs, torn response bodies) against the
-# batch scheduler, the distributed failover path, the serving layer, and the
-# remote scatter transport under concurrent load, under the race detector.
+# dropped RPCs, torn response bodies) against the batch scheduler, the serving
+# layer, and the remote scatter transport under concurrent load, under the
+# race detector.
 # Each round logs its seed and fault schedule; on failure the log ends with a
 # CHAOS_SEED=... replay line. CHAOS_ROUNDS widens the sweep, CHAOS_SEED pins
 # one schedule.
 chaos:
-	go test -race -run 'TestChaos' -v ./internal/core ./internal/cluster ./internal/server ./internal/router
+	go test -race -run 'TestChaos' -v ./internal/core ./internal/server ./internal/router
 
 # Short-budget fuzz pass over every decoder at the I/O boundary (the FASTA
 # parser, the database and index deserializers, the container loader) and
@@ -133,7 +133,6 @@ experiments:
 
 examples:
 	go run ./examples/quickstart
-	go run ./examples/cluster -seqs 800 -queries 8
 	go run ./examples/metagenomics -seqs 1500 -reads 16
 
 # Refresh the golden regression corpus after an intentional behaviour change.

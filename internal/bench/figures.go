@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/alphabet"
@@ -412,7 +413,7 @@ func Fig10(s Scale) (*Table, error) {
 
 func roundRobinResidues(seqLens []int, parts int) []int64 {
 	sorted := append([]int(nil), seqLens...)
-	insertionSortInts(sorted)
+	slices.Sort(sorted)
 	out := make([]int64, parts)
 	for i, l := range sorted {
 		out[i%parts] += int64(l)
@@ -430,23 +431,6 @@ func contiguousResidues(seqLens []int, parts int) []int64 {
 		}
 	}
 	return out
-}
-
-func insertionSortInts(a []int) {
-	// Shell-style gap sort to keep it dependency-free yet fast enough for
-	// 200k elements.
-	gaps := []int{65536, 16384, 4096, 1024, 256, 64, 16, 4, 1}
-	for _, gap := range gaps {
-		for i := gap; i < len(a); i++ {
-			v := a[i]
-			j := i - gap
-			for j >= 0 && a[j] > v {
-				a[j+gap] = a[j]
-				j -= gap
-			}
-			a[j+gap] = v
-		}
-	}
 }
 
 // IndexSize reproduces the Section III index accounting: the two-level

@@ -1,146 +1,12 @@
 package cluster
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 
-	"repro/internal/alphabet"
-	"repro/internal/core"
-	"repro/internal/dbase"
-	"repro/internal/dbindex"
-	"repro/internal/matrix"
-	"repro/internal/neighbor"
-	"repro/internal/search"
 	"repro/internal/seqgen"
 )
-
-var (
-	cfgOnce sync.Once
-	cfgVal  *search.Config
-)
-
-func cfg(t *testing.T) *search.Config {
-	t.Helper()
-	cfgOnce.Do(func() {
-		nbr := neighbor.Build(matrix.Blosum62, neighbor.DefaultThreshold)
-		var err error
-		cfgVal, err = search.NewConfig(matrix.Blosum62, nbr)
-		if err != nil {
-			panic(err)
-		}
-	})
-	c := *cfgVal
-	return &c
-}
-
-// hspKey flattens an HSP for set comparison across runs whose subject ids
-// are partition-local.
-func hspKey(h search.HSP) string {
-	return fmt.Sprintf("%s/%d/%d-%d/%d-%d/%s",
-		h.SubjectName, h.Aln.Score, h.Aln.QStart, h.Aln.QEnd, h.Aln.SStart, h.Aln.SEnd, h.Aln.Ops)
-}
-
-func TestDistributedMatchesSingleNode(t *testing.T) {
-	c := cfg(t)
-	g := seqgen.New(seqgen.EnvNRProfile(), 2024)
-	db := dbase.New(g.Database(300))
-	seqs := make([][]alphabet.Code, db.NumSeqs())
-	for i := range db.Seqs {
-		seqs[i] = db.Seqs[i].Data
-	}
-	queries := g.Queries(seqs, 4, 128)
-
-	// Single-node reference over the whole database.
-	refDB := db.Subset(intRange(db.NumSeqs())) // deep-enough copy (same data)
-	ix, err := dbindex.Build(refDB, c.Neighbors, 16384)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine := core.New(c, ix)
-	ref := engine.SearchBatch(queries, 2)
-
-	for _, ranks := range []int{1, 3, 8} {
-		got, busy := RunDistributed(c, db, queries, DistOptions{
-			Ranks: ranks, ThreadsPerRank: 2, BlockResidues: 16384,
-		})
-		if len(busy) != ranks {
-			t.Fatalf("ranks=%d: %d busy entries", ranks, len(busy))
-		}
-		for qi := range queries {
-			a := keySet(ref[qi].HSPs)
-			b := keySet(got[qi].HSPs)
-			if len(a) != len(b) {
-				t.Fatalf("ranks=%d query %d: %d vs %d HSPs", ranks, qi, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("ranks=%d query %d: HSP sets differ:\n  %s\n  %s", ranks, qi, a[i], b[i])
-				}
-			}
-			// E-values must match the global search space, not the partition.
-			for j := range got[qi].HSPs {
-				if got[qi].HSPs[j].EValue > c.EValueCutoff {
-					t.Errorf("ranks=%d query %d: E-value above cutoff", ranks, qi)
-				}
-			}
-		}
-	}
-}
-
-func keySet(hsps []search.HSP) []string {
-	out := make([]string, len(hsps))
-	for i, h := range hsps {
-		out[i] = hspKey(h)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func intRange(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-func TestRoundRobinBalancesBetterThanContiguous(t *testing.T) {
-	c := cfg(t)
-	g := seqgen.New(seqgen.UniprotProfile(), 555)
-	db := dbase.New(g.Database(400))
-	seqs := make([][]alphabet.Code, db.NumSeqs())
-	for i := range db.Seqs {
-		seqs[i] = db.Seqs[i].Data
-	}
-	queries := g.Queries(seqs, 2, 128)
-
-	spread := func(contig bool) float64 {
-		dbCopy := dbase.New(seqs)
-		_, busy := RunDistributed(c, dbCopy, queries, DistOptions{
-			Ranks: 8, ThreadsPerRank: 1, BlockResidues: 16384, Contiguous: contig,
-		})
-		min := 1.0
-		for _, b := range busy {
-			if b < min {
-				min = b
-			}
-		}
-		return min // busiest rank is 1.0; min = balance quality
-	}
-	rr := spread(false)
-	contig := spread(true)
-	if rr < 0.6 {
-		t.Errorf("round-robin min busy fraction %.2f, want >= 0.6", rr)
-	}
-	if contig >= rr {
-		t.Errorf("contiguous partitioning (%.2f) not worse than round-robin (%.2f)", contig, rr)
-	}
-}
-
-// --- scaling model tests ---
 
 func modelWorkload(nQueries, nSeqs int, seed int64) ([]int, []int) {
 	rng := rand.New(rand.NewSource(seed))
@@ -168,8 +34,6 @@ func calibrated() CostParams {
 func TestMuBLASTPScalesNearlyLinearly(t *testing.T) {
 	queryLens, seqLens := modelWorkload(128, 200000, 1)
 	p := calibrated()
-	db := dbase.New(nil)
-	_ = db
 	counts := []int{1, 2, 4, 8, 16, 32, 64, 128}
 	curve := ScalingCurve(counts, func(nodes int) Makespan {
 		parts := roundRobinResidues(seqLens, nodes)

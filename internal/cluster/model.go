@@ -1,6 +1,4 @@
-package cluster
-
-// This file contains the scaling simulator behind Fig 10. We cannot run 128
+// Package cluster is the scaling simulator behind Fig 10. We cannot run 128
 // dual-socket nodes, so — per the substitution policy in DESIGN.md — the
 // makespan of both systems' decompositions is computed from a calibrated
 // cost model:
@@ -22,7 +20,9 @@ package cluster
 // The load imbalance enters through the per-partition residue counts the
 // caller supplies (contiguous unsorted fragments for mpiBLAST, round-robin
 // sorted partitions for muBLASTP), exactly the paper's data-partitioning
-// difference.
+// difference. The structure being modelled runs for real on one path:
+// blast.Database.Shards, SearchShardBatchCtx per shard, and MergeShards.
+package cluster
 
 // CostParams is the calibrated cost model.
 type CostParams struct {
@@ -135,26 +135,6 @@ func SimulateMuBLASTP(queryLens []int, partResidues []int64, threadsPerNode int,
 	return Makespan{Total: maxCompute + coord, Compute: maxCompute, Coordinate: coord}
 }
 
-// Residues sums sequence lengths for each partition of db described by
-// index lists.
-func Residues(db []int, seqLens []int) int64 {
-	var total int64
-	for _, i := range db {
-		total += int64(seqLens[i])
-	}
-	return total
-}
-
-// PartitionResidues computes per-partition residue totals for a list of
-// partitions (index lists) over the given sequence lengths.
-func PartitionResidues(parts [][]int, seqLens []int) []int64 {
-	out := make([]int64, len(parts))
-	for i, p := range parts {
-		out[i] = Residues(p, seqLens)
-	}
-	return out
-}
-
 // ScalingPoint is one node count on a Fig 10 curve.
 type ScalingPoint struct {
 	Nodes      int
@@ -181,17 +161,4 @@ func ScalingCurve(nodeCounts []int, runAt func(nodes int) Makespan) []ScalingPoi
 		}
 	}
 	return out
-}
-
-func sortFloat64(a []float64) {
-	// Insertion sort: query batches are small.
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
 }

@@ -1,10 +1,10 @@
 // Package faultinject provides named, seed-deterministic fault sites for the
 // chaos harness: a package declares a site once (at init), calls it from the
 // code path under test, and an operator or test arms a schedule of faults
-// against those names. The fine-grained (block, query) tasks and per-rank
-// partitions of the paper's decoupled pipeline are exactly the units the
-// robustness layer retries or abandons, so the sites sit on those seams: hit
-// detection, extension, the batch scheduler, and the mpi substrate.
+// against those names. The fine-grained (block, query) tasks of the paper's
+// decoupled pipeline and the serving tier's shard RPCs are exactly the units
+// the robustness layer retries or abandons, so the sites sit on those seams:
+// hit detection, extension, the batch scheduler, and the router's transport.
 //
 // The hot-path contract matches internal/obs: a disarmed site costs one
 // atomic pointer load per Fire/Err call — no locks, no allocations, no map
@@ -12,7 +12,7 @@
 //
 // Fault schedules are strings, e.g.
 //
-//	sched.task=panic#3,core.extend=delay:200us@0.05,mpi.recv=error@0.1
+//	sched.task=panic#3,core.extend=delay:200us@0.05,router.rpc=error@0.1
 //
 // one clause per site: name=kind[:param][@prob][#nth]. Kinds:
 //

@@ -386,13 +386,11 @@ type PipelineMetrics struct {
 	SchedStallNanos          *Counter
 
 	// Fault-tolerance counters: scheduler tasks whose panic was isolated,
-	// queries abandoned by cancellation/deadline/poisoning, batches whose
-	// deadline expired, and dead-rank partitions requeued onto surviving
-	// ranks by the distributed layer.
+	// queries abandoned by cancellation/deadline/poisoning, and batches
+	// whose deadline expired.
 	TasksPanicked    *Counter
 	QueriesCancelled *Counter
 	DeadlineExceeded *Counter
-	RankFailovers    *Counter
 }
 
 // NewPipelineMetrics registers the pipeline metric set in r under the
@@ -421,7 +419,6 @@ func NewPipelineMetrics(r *Registry) *PipelineMetrics {
 		TasksPanicked:    r.Counter("tasks_panicked"),
 		QueriesCancelled: r.Counter("queries_cancelled"),
 		DeadlineExceeded: r.Counter("deadline_exceeded"),
-		RankFailovers:    r.Counter("rank_failovers"),
 	}
 	for s := Stage(0); s < NumStages; s++ {
 		p.StageNanos[s] = r.Counter("pipeline_stage_" + s.String() + "_nanos_total")

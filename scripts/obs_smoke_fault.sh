@@ -93,10 +93,8 @@ run_faulted deadline -faultspec 'core.hitdetect=delay:20ms' -timeout 40ms
 metric_positive deadline deadline_exceeded || fail=1
 metric_positive deadline queries_cancelled || fail=1
 
-# Every failure counter must at least be exposed. rank_failovers only moves
-# in distributed runs (cluster tests assert it non-zero); here it must be
-# present and zero.
-for metric in tasks_panicked queries_cancelled deadline_exceeded rank_failovers; do
+# Every failure counter must at least be exposed.
+for metric in tasks_panicked queries_cancelled deadline_exceeded; do
     grep -q "^$metric " "$workdir/deadline.metrics" || {
         echo "obs-smoke-fault: FAIL: $metric not exposed on /metrics"; fail=1; }
 done
