@@ -48,7 +48,8 @@ chaos:
 # parser, the database and index deserializers, the container loader) and
 # every equivalence the engine's identity rests on (shard and tier merges,
 # the three statements of the two-hit rule, one last-hit slot per block
-# diagonal vs one per sequence diagonal, fast kernels vs their oracles).
+# diagonal vs one per sequence diagonal, also where hits straddle an index
+# page boundary, fast kernels vs their oracles).
 # Each corpus gets a fixed time slice so the default test flow stays fast;
 # crank -fuzztime up for a real hunt.
 FUZZTIME ?= 10s
@@ -61,6 +62,7 @@ fuzz:
 	go test -fuzz=FuzzTieredEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./blast
 	go test -fuzz=FuzzPairRuleEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/search
 	go test -fuzz=FuzzBlockDiagonalEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/core
+	go test -fuzz=FuzzPageBoundaryEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/core
 	go test -fuzz=FuzzExtendEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ungapped
 	go test -fuzz=FuzzExtendScoreProfEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/gapped
 	go test -fuzz=FuzzTracebackEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/gapped

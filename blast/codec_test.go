@@ -43,15 +43,15 @@ func pinnedDatabase(t testing.TB) *Database {
 	return db
 }
 
-// pinnedContainerSHA256 is the SHA-256 of pinnedDatabase's version-3
+// pinnedContainerSHA256 is the SHA-256 of pinnedDatabase's version-4
 // container. A codec change that moves one byte fails here; a deliberate
 // format change bumps containerVersion and this hash together.
-const pinnedContainerSHA256 = "00026caa65d369b0bcae63bda3fce9ba7536b58222acf420c0e98998d33a69f6"
+const pinnedContainerSHA256 = "7740ceaed3397bc7797ead6bc94deec77c738456f23a1e8ccd4e946b11a6f4bf"
 
 func TestContainerFormatPinned(t *testing.T) {
 	sum := sha256.Sum256(saved(t, pinnedDatabase(t)))
 	if got := hex.EncodeToString(sum[:]); got != pinnedContainerSHA256 {
-		t.Fatalf("container SHA-256 %s, want %s: the version-3 byte format moved", got, pinnedContainerSHA256)
+		t.Fatalf("container SHA-256 %s, want %s: the version-4 byte format moved", got, pinnedContainerSHA256)
 	}
 }
 
@@ -174,7 +174,10 @@ func allocatedBytes(f func()) uint64 {
 }
 
 // decodedBytes is the size of the structures a loaded single-part database
-// holds: the sequence table, names and residues, and the index arrays.
+// holds: the sequence table, names and residues, and the index arrays — per
+// block 2 bytes a position, a 4-byte start and a lead byte per word, a split
+// byte per (word, page), and the 4-byte layout tables of its sequences and
+// its 256-coordinate grains.
 func decodedBytes(d *Database) uint64 {
 	p := d.parts[0]
 	n := uint64(cap(p.db.Seqs)) * uint64(unsafe.Sizeof(p.db.Seqs[0]))
@@ -182,7 +185,8 @@ func decodedBytes(d *Database) uint64 {
 		n += uint64(len(p.db.Seqs[i].Name) + cap(p.db.Seqs[i].Data))
 	}
 	for _, b := range p.ix.Blocks {
-		n += uint64(unsafe.Sizeof(*b)) + 4*uint64(b.NumPositions()+alphabet.NumWords+1+b.Block.NumSeqs()+1+(b.Span()+255)/256)
+		n += uint64(unsafe.Sizeof(*b)) + 2*uint64(b.NumPositions()) + 4*uint64(alphabet.NumWords+1) +
+			uint64(alphabet.NumWords*(b.Pages()+1)) + 4*uint64(b.Block.NumSeqs()+1+(b.Span()+255)/256)
 	}
 	return n
 }

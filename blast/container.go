@@ -23,7 +23,7 @@ import (
 // partially populated database.
 var fiDBRead = faultinject.NewSite("db.read")
 
-// This file implements the on-disk database container (format version 3).
+// This file implements the on-disk database container (format version 4).
 //
 // A saved database is a long-lived, network-shipped artifact — the whole
 // point of the paper's database index is build-once/search-many reuse — so
@@ -31,7 +31,7 @@ var fiDBRead = faultinject.NewSite("db.read")
 //
 //	magic   13 bytes  "\x89muBLASTP\r\n\x1a\n" (PNG-style: catches text-mode
 //	                  mangling and truncation at a glance)
-//	version uint16 LE (currently 3)
+//	version uint16 LE (currently 4)
 //	sections, in fixed order: PRMS, SEQS, XIDX, ORGN, FEND
 //
 // Each section is framed as
@@ -54,11 +54,12 @@ var fiDBRead = faultinject.NewSite("db.read")
 // Version history: version 1 is the pre-container format (bare
 // length-prefixed sections, no magic, no checksums, no fingerprint). Version
 // 2 stored an index position as local sequence id and subject offset packed
-// into one word; version 3 stores the block coordinate the detection scan
-// reads as it is, with the block's padding where version 2 had its offset
-// width (see internal/dbindex). Both older versions are detected and rejected
-// with ErrVersion: there is one reader. Any layout change bumps the version;
-// readers reject versions they do not know.
+// into one word; version 3 stored the block coordinate the detection scan
+// reads, in 32 bits, with the block's padding where version 2 had its offset
+// width; version 4 stores it in 16 bits, in runs, beside a per-(word, page)
+// run-length table (see internal/dbindex). All older versions are detected
+// and rejected with ErrVersion: there is one reader. Any layout change bumps
+// the version; readers reject versions they do not know.
 
 // Typed load errors. Callers can distinguish "the artifact is damaged,
 // rebuild it" (ErrCorrupt), "the artifact comes from an incompatible
@@ -72,7 +73,7 @@ var (
 
 const (
 	containerMagic   = "\x89muBLASTP\r\n\x1a\n"
-	containerVersion = 3
+	containerVersion = 4
 )
 
 // Section tags, in file order.
@@ -180,7 +181,7 @@ func containerSize(secs []section) int64 {
 }
 
 // Save writes the database (fingerprint, sequences, index, split origins)
-// as a version-3 container so a later Load skips index construction — the
+// as a version-4 container so a later Load skips index construction — the
 // reuse the paper's database-index design is for. Every section is framed
 // with a length and a CRC32 so Load can prove integrity.
 func (d *Database) Save(w io.Writer) error {

@@ -102,13 +102,15 @@ func TestLegacyFormatRejected(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("utter nonsense, quite long enough")), DefaultParams()); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("garbage accepted as container")
 	}
-	// Version 2 (packed index positions): the header alone decides, whatever
-	// follows it.
+	// Version 2 (packed index positions) and version 3 (32-bit block
+	// coordinates): the header alone decides, whatever follows it.
 	db, _ := smallDatabase(t, DefaultParams())
-	v2 := saved(t, db)
-	binary.LittleEndian.PutUint16(v2[len(containerMagic):], 2)
-	if _, err := Load(bytes.NewReader(v2), DefaultParams()); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version-2 container: got %v, want ErrVersion", err)
+	for _, v := range []uint16{2, 3} {
+		old := saved(t, db)
+		binary.LittleEndian.PutUint16(old[len(containerMagic):], v)
+		if _, err := Load(bytes.NewReader(old), DefaultParams()); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version-%d container: got %v, want ErrVersion", v, err)
+		}
 	}
 }
 
@@ -241,7 +243,7 @@ func TestVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Version != 3 {
+	if info.Version != 4 {
 		t.Errorf("Version = %d", info.Version)
 	}
 	fp := info.Fingerprint

@@ -24,12 +24,14 @@ type DBIndexed struct {
 	// concatenated subject space (trace addressing).
 	subjOff []int64
 	// ixBase maps a block number to the byte offset of its position array
-	// in the concatenated index space (trace addressing).
+	// in the concatenated index space (trace addressing), which lays blocks
+	// out at the paper's 4 bytes a position (dbindex.BlockIndex.ModelBytes).
 	ixBase []int64
 	// pos is each block's position array resolved once to what NCBI-db's own
 	// index stores, (local sequence id, subject offset): the shared index
-	// stores block coordinates for muBLASTP's scan, and resolving one per hit
-	// would charge this baseline a table walk its model does not have.
+	// stores block coordinates, in 16-bit runs, for muBLASTP's scan, and
+	// resolving one per hit would charge this baseline a table walk its model
+	// does not have.
 	pos [][]seqPos
 }
 
@@ -49,7 +51,7 @@ func NewDBIndexed(cfg *search.Config, ix *dbindex.Index) *DBIndexed {
 	var base int64
 	for i, b := range ix.Blocks {
 		e.ixBase[i] = base
-		base += b.SizeBytes()
+		base += b.ModelBytes()
 		e.pos[i] = make([]seqPos, b.NumPositions())
 		for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
 			first := int(b.Base(w))
@@ -132,13 +134,13 @@ func (e *DBIndexed) searchOne(sc *dbiScratch, queryIdx int, q []alphabet.Code) s
 		for qOff := 0; qOff+alphabet.W <= len(q); qOff++ {
 			w := alphabet.WordAt(q, qOff)
 			for _, v := range cfg.Neighbors.Neighbors(w) {
-				ps := b.Positions(v)
-				if len(ps) == 0 {
+				offs, _ := b.Runs(v)
+				if len(offs) == 0 {
 					continue
 				}
 				first := int(b.Base(v))
 				base := e.ixBase[bi] + int64(first)*4
-				for pi, p := range e.pos[bi][first : first+len(ps)] {
+				for pi, p := range e.pos[bi][first : first+len(offs)] {
 					st.Hits++
 					local, sOff := int(p.local), int(p.sOff)
 					gsi := b.Block.Start + local

@@ -109,7 +109,7 @@ func NewWithOptions(cfg *search.Config, ix *dbindex.Index, opt Options) *Engine 
 		var base int64
 		for i, b := range ix.Blocks {
 			e.ixBase[i] = base
-			base += b.SizeBytes()
+			base += b.ModelBytes()
 		}
 	}
 	e.scratches.New = func() any { return e.newScratch() }
@@ -291,7 +291,7 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 
 	// Two detection loops, selected by the input and by nothing else: the
 	// fast scan needs no trace hooks, two-hit mode, a window that can pair at
-	// all (CheckCount's fused compare assumes window > W), and query offsets
+	// all (CheckStamp's fused compare assumes window > W), and query offsets
 	// that fit the compact last-hit word; everything else (a cache-simulator
 	// trace, OneHit, a query past MaxQOff16) takes the general loop below.
 	// Each path resets only its own slot array: the compact one halves the
@@ -320,38 +320,48 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 	for qOff := 0; qOff+alphabet.W <= len(q); qOff++ {
 		w := alphabet.WordAt(q, qOff)
 		for _, v := range e.Cfg.Neighbors.Neighbors(w) {
-			ps := b.Positions(v)
-			if len(ps) == 0 {
+			offs, split := b.Runs(v)
+			if len(offs) == 0 {
 				continue
 			}
 			var base int64
 			if trace != nil {
+				// The simulator lays the index out at the paper's 4 bytes a
+				// position (dbindex.BlockIndex.ModelBytes).
 				base = e.ixBase[bi] + int64(b.Base(v))*4
 			}
-			for pi, g := range ps {
-				st.Hits++
-				slot := int(g) - qOff + diagBias
-				if trace != nil {
-					trace(search.SpaceIndex, base+int64(pi)*4)
-					// Trace models the paper's int32 lastHitArr, as in the
-					// db-indexed baseline; the packed epoch word is an
-					// implementation detail the simulator doesn't see.
-					trace(search.SpaceLastHit, int64(slot)*4)
-				}
-				paired := e.Cfg.TwoHit.OneHit
-				if !paired {
-					_, paired = sc.lastPos.Check(slot, int32(qOff), window)
-				}
-				if paired {
-					st.Pairs++
+			pi := 0
+			for p, c := range split {
+				n := b.RunLen(v, p, c)
+				g := uint32(p) << dbindex.PageShift
+				for _, d := range offs[:n] {
+					g = dbindex.Next(g, d)
+					st.Hits++
+					slot := int(g) - qOff + diagBias
 					if trace != nil {
-						// The simulator keeps modelling the paper's 12-byte
-						// pair record (key, offset, distance); ours is 8.
-						trace(search.SpaceHitBuf, int64(len(sc.pairs))*12)
+						trace(search.SpaceIndex, base+int64(pi)*4)
+						// Trace models the paper's int32 lastHitArr, as in the
+						// db-indexed baseline; the packed epoch word is an
+						// implementation detail the simulator doesn't see.
+						trace(search.SpaceLastHit, int64(slot)*4)
 					}
-					local, sOff := b.Decode(g)
-					sc.pairs = append(sc.pairs, hit.Pair{Key: coder.Encode(local, sOff-qOff+diagBias), QOff: int32(qOff)})
+					pi++
+					paired := e.Cfg.TwoHit.OneHit
+					if !paired {
+						_, paired = sc.lastPos.Check(slot, int32(qOff), window)
+					}
+					if paired {
+						st.Pairs++
+						if trace != nil {
+							// The simulator keeps modelling the paper's 12-byte
+							// pair record (key, offset, distance); ours is 8.
+							trace(search.SpaceHitBuf, int64(len(sc.pairs))*12)
+						}
+						local, sOff := b.Decode(g)
+						sc.pairs = append(sc.pairs, hit.Pair{Key: coder.Encode(local, sOff-qOff+diagBias), QOff: int32(qOff)})
+					}
 				}
+				offs = offs[n:]
 			}
 		}
 	}
@@ -361,57 +371,100 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 // detectScanFast is the untraced two-hit detection kernel: the same scan as
 // detectPrefiltered's general loop with everything per-hit that is not
 // load-compute-store taken out — no trace callbacks, no one-hit branch, hit
-// counting moved to one add per position list, and no decode: a position is
-// used as stored, and is its own slot number in the view of the last-hit
-// array taken per query offset. The per-hit random access is the compact
-// packed last-hit word (see search.StampedLastPos16), one cache line per hit;
-// detectPrefiltered routes queries too long for the compact word through the
-// general loop instead.
+// counting moved to one add per position list, and no decode: a position's
+// coordinate is rebuilt from the one before it in its run (dbindex.Next) and
+// is its own slot number in the view of the last-hit array taken per query
+// offset. The per-hit random access is the compact packed last-hit word (see
+// search.StampedLastPos16), one cache line per hit; detectPrefiltered routes
+// queries too long for the compact word through the general loop instead.
 func (e *Engine) detectScanFast(sc *scratch, q []alphabet.Code, b *dbindex.BlockIndex, coder hit.KeyCoder, window int32, st *search.Stats) {
 	nbrs := e.Cfg.Neighbors
 	diagBias := len(q) - alphabet.W
-	// A copy of the last-hit state, taken after its Reset: the slot slice and
-	// the epoch word are locals across the three loops instead of loads
-	// through sc for every hit. The copy shares the slots.
 	lastPos := sc.lastPos16
-	// Pairs are written compaction-style: every hit stores its would-be pair
-	// record at buf[np] and advances np by CheckCount's 0/1 verdict, so the
-	// loop body has no data-dependent branch and the out-of-order window
-	// keeps several of the random last-hit misses in flight instead of
-	// stalling on a mispredicted branch: ~4% of hits pair and about a fifth
-	// overlap the stored hit and must leave it in place, neither with a
-	// pattern a predictor can learn, so the verdict is an increment and the
-	// keep-or-replace of the slot a conditional move inside CheckCount.
-	// Records of unpaired hits are dead stores that the next hit overwrites.
-	// The record written in the scan is raw — the block coordinate where the
-	// key will go — and the survivors alone are decoded, below.
-	buf := sc.pairs[:cap(sc.pairs)]
-	np := len(sc.pairs)
+	k := pairScan{b: b, buf: sc.pairs[:cap(sc.pairs)], np: len(sc.pairs), span: uint32(window - alphabet.W)}
 	for qOff := 0; qOff+alphabet.W <= len(q); qOff++ {
-		w := alphabet.WordAt(q, qOff)
-		qOff32 := int32(qOff)
-		row := lastPos.From(diagBias - qOff) // slot = G - qOff + diagBias
-		for _, v := range nbrs.Neighbors(w) {
-			ps := b.Positions(v)
-			st.Hits += int64(len(ps))
-			if np+len(ps) > len(buf) {
-				grown := make([]hit.Pair, (np+len(ps))*2)
-				copy(grown, buf[:np])
-				buf = grown
-			}
-			for _, g := range ps {
-				buf[np] = hit.Pair{Key: g, QOff: qOff32}
-				np += row.CheckCount(int(g), qOff32, window)
-			}
+		k.stamp = lastPos.Stamp(int32(qOff))
+		k.row = lastPos.From(diagBias - qOff) // slot = G - qOff + diagBias
+		first := k.np
+		k.scan(nbrs.Neighbors(alphabet.WordAt(q, qOff)))
+		// The scan stores only the coordinate of a record; the survivors of
+		// this query offset are buf[first:np].
+		for i := first; i < k.np; i++ {
+			k.buf[i].QOff = int32(qOff)
 		}
 	}
-	sc.pairs = buf[:np]
-	st.Pairs += int64(np)
+	sc.pairs = k.buf[:k.np]
+	st.Hits += k.hits
+	st.Pairs += int64(k.np)
 	for i := range sc.pairs {
 		p := &sc.pairs[i]
 		local, sOff := b.Decode(p.Key)
 		p.Key = coder.Encode(local, sOff-int(p.QOff)+diagBias)
 	}
+}
+
+// pairScan is detectScanFast's state at one query offset: the block and
+// what the pair test needs that does not change with the hit — the view of
+// the last-hit slots, the stamp a hit stores and the window's span — worked
+// out once instead of per hit.
+type pairScan struct {
+	b     *dbindex.BlockIndex
+	hits  int64
+	buf   []hit.Pair
+	np    int
+	row   []uint16
+	stamp uint32
+	span  uint32
+}
+
+// scan runs the pair test over the positions of words, a run at a time.
+func (k *pairScan) scan(words []alphabet.Word) {
+	for _, v := range words {
+		offs, page, ok := k.b.Lead(v)
+		k.hits += int64(len(offs))
+		if k.np+len(offs) > len(k.buf) {
+			grown := make([]hit.Pair, (k.np+len(offs))*2)
+			copy(grown, k.buf[:k.np])
+			k.buf = grown
+		}
+		if ok {
+			k.np = k.run(offs, uint32(page)<<dbindex.PageShift)
+			continue
+		}
+		_, split := k.b.Runs(v)
+		for p := 0; len(offs) > 0; p++ {
+			n := k.b.RunLen(v, p, split[p])
+			k.np = k.run(offs[:n], uint32(p)<<dbindex.PageShift)
+			offs = offs[n:]
+		}
+	}
+}
+
+// run runs the pair test over the positions of one run, whose page starts at
+// coordinate g, and returns the new np. Pairs are written compaction-style:
+// every hit stores its would-be pair record at buf[np] and advances np by
+// CheckStamp's 0/1 verdict, so the loop body has no data-dependent branch and
+// the out-of-order window keeps several of the random last-hit misses in
+// flight instead of stalling on a mispredicted branch: ~4% of hits pair and
+// about a fifth overlap the stored hit and must leave it in place, neither
+// with a pattern a predictor can learn, so the verdict is an increment and
+// the keep-or-replace of the slot a conditional move inside CheckStamp.
+// Records of unpaired hits are dead stores that the next hit overwrites. The
+// record holds only the coordinate where the key will go; the caller fills
+// in the query offset, and the survivors alone are decoded.
+//
+// The loop gets the registers to itself only in a function of its own: in a
+// loop nest, the compiler reloads a handful of spilled values per hit.
+//
+//go:noinline
+func (k *pairScan) run(offs []uint16, g uint32) int {
+	buf, np, row, stamp, span := k.buf, k.np, k.row, k.stamp, k.span
+	for _, d := range offs {
+		g = dbindex.Next(g, d)
+		buf[np].Key = g
+		np += search.CheckStamp(&row[g], stamp, span)
+	}
+	return np
 }
 
 // sortPairs reorders one task's pair buffer by (sequence, diagonal) key. The

@@ -80,16 +80,16 @@ func put[T []byte | string](s *StreamWriter, p T) {
 	}
 }
 
-// Uint32s encodes v as little-endian 32-bit words, a chunk at a time.
-func (s *StreamWriter) Uint32s(v []uint32) {
+// Uint16s encodes v as little-endian 16-bit halfwords, a chunk at a time.
+func (s *StreamWriter) Uint16s(v []uint16) {
 	for len(v) > 0 {
-		s.room(4)
-		n := min(len(v), (cap(s.buf)-len(s.buf))/4)
-		out := s.buf[len(s.buf) : len(s.buf)+4*n]
+		s.room(2)
+		n := min(len(v), (cap(s.buf)-len(s.buf))/2)
+		out := s.buf[len(s.buf) : len(s.buf)+2*n]
 		for i, x := range v[:n] {
-			binary.LittleEndian.PutUint32(out[4*i:], x)
+			binary.LittleEndian.PutUint16(out[2*i:], x)
 		}
-		s.buf, v = s.buf[:len(s.buf)+4*n], v[n:]
+		s.buf, v = s.buf[:len(s.buf)+2*n], v[n:]
 	}
 }
 
@@ -153,27 +153,13 @@ func (s *StreamReader) short() error {
 // Next returns the next n bytes of the stream, growing the chunk if it is
 // shorter than n (callers bound n by the stream's length).
 func (s *StreamReader) Next(n int) ([]byte, error) {
-	s.fill(n)
 	if len(s.buf)-s.off < n {
-		return nil, s.short()
+		if s.fill(n); len(s.buf)-s.off < n {
+			return nil, s.short()
+		}
 	}
 	s.off += n
 	return s.buf[s.off-n : s.off], nil
-}
-
-// Words returns the next k little-endian 32-bit words of the stream as bytes,
-// 1 <= k <= maxWords: as many whole words as the chunk holds, after refilling
-// it if it holds none.
-func (s *StreamReader) Words(maxWords int) ([]byte, error) {
-	if len(s.buf)-s.off < 4 {
-		s.fill(4 * min(maxWords, cap(s.buf)/4))
-	}
-	k := min((len(s.buf)-s.off)/4, maxWords)
-	if k == 0 {
-		return nil, s.short()
-	}
-	s.off += 4 * k
-	return s.buf[s.off-4*k : s.off], nil
 }
 
 // Uvarint decodes an unsigned varint.

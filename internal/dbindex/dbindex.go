@@ -15,21 +15,31 @@
 //     table itself.
 //
 // A position is a block coordinate: the block lays its sequences end to end
-// on one axis, each followed by Pad empty coordinates, and stores the
-// coordinate of the word's first residue as one 32-bit integer (the paper's
-// "each position is stored in 32-bit Integer" accounting in Section V-B).
-// Hit detection scans the coordinates as stored — coordinate minus query
-// offset is a diagonal of the whole block, and Pad = window - W keeps two
-// sequences that share a block diagonal at least a two-hit window apart on
-// it, so one last-hit slot per block diagonal gives the same verdicts as one
-// per (sequence, diagonal) (DESIGN.md, "Hit detection") — and only the few
-// hits that pair are decoded back to (local sequence id, subject offset), by
-// Decode.
+// on one axis, each followed by Pad empty coordinates, and a word's position
+// is the coordinate of its first residue. A word's positions ascend and are
+// stored in 16 bits each — half of the paper's "each position is stored in
+// 32-bit Integer" (Section V-B) — as runs: within a run each position is
+// stored as its distance from the one before, and a run's first as its
+// offset in its page, the axis being cut into pages of 1<<16 coordinates. A
+// run ends where the next distance would not fit, so most words' positions
+// are one run. The word table holds a 32-bit start per word, per (word,
+// page) the 8-bit length of the run that starts in that page, and per word
+// the page of its run when it has only one (Lead). Hit detection rebuilds
+// each coordinate with one add (Next) as it scans — coordinate
+// minus query offset is a diagonal of the whole block, and Pad = window - W
+// keeps two sequences that share a block diagonal at least a two-hit window
+// apart on it, so one last-hit slot per block diagonal gives the same
+// verdicts as one per (sequence, diagonal) (DESIGN.md, "Hit detection") —
+// and only the few hits that pair are decoded back to (local sequence id,
+// subject offset), by Decode.
 package dbindex
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/alphabet"
 	"repro/internal/dbase"
@@ -38,6 +48,15 @@ import (
 	"repro/internal/ungapped"
 )
 
+// PageShift sets the page of a position: coordinate g lies in page g>>16, at
+// offset uint16(g).
+const PageShift = 16
+
+// splitWide is the split-table byte of a run too long for it: the run's
+// length is in BlockIndex.wide instead. A frequent word in a large block, or
+// a low-complexity stretch, makes runs that long.
+const splitWide = math.MaxUint8
+
 // BlockIndex is the lookup table for one index block.
 type BlockIndex struct {
 	Block dbase.Block
@@ -45,16 +64,32 @@ type BlockIndex struct {
 	// the build's two-hit window minus the word length, so the block serves
 	// any window up to Pad + alphabet.W.
 	Pad int
-	// CSR layout: the positions of word w are flat[offsets[w]:offsets[w+1]].
+	// CSR layout: the positions of word w are flat[offsets[w]:offsets[w+1]],
+	// ascending, in runs: the first split[w*pages+p] of them that no earlier
+	// run holds form the run that starts in page p, for p = 0, 1, ... (see
+	// Runs). A run of splitWide or more positions has its length in wide,
+	// sorted by cell (w*pages + p).
 	offsets []int32
-	flat    []uint32
+	split   []uint8
+	wide    []wideRun
+	flat    []uint16
+	pages   int
+	// lead[w] is the page of word w's one run, or noLead if it has several
+	// (or starts past page noLead-1); see Lead.
+	lead []uint8
 	// segStart[l] is the block coordinate of local sequence l's first
 	// residue, segStart[NumSeqs] the block's span. coarse[c] is the sequence
 	// whose segment (residues and padding) holds coordinate c<<coarseShift.
-	// Both are derived from the database, never stored.
+	// Both are derived from the database, never stored, and so is pages.
 	segStart []int32
 	coarse   []int32
 }
+
+// noLead is the lead byte of a word that the scan must walk run by run.
+const noLead = math.MaxUint8
+
+// wideRun is the length of a run the split table's byte cannot hold.
+type wideRun struct{ cell, n int32 }
 
 // coarseShift sets the grain of Decode's coordinate-to-sequence table: one
 // int32 per 256 coordinates is 1/64 of the position array, and a sequence
@@ -106,8 +141,13 @@ func build(db *dbase.DB, nbr *neighbor.Table, blockResidues int64, window, threa
 	blocks := db.Blocks(blockResidues)
 	ix := &Index{DB: db, Neighbors: nbr, BlockResidues: blockResidues, Blocks: make([]*BlockIndex, len(blocks))}
 	errs := make([]error, len(blocks))
-	parallel.For(len(blocks), threads, func(i int) {
-		bi, err := buildBlock(db, blocks[i], window)
+	scratch := make([]*buildScratch, parallel.NumWorkers(len(blocks), threads))
+	for i := range scratch {
+		scratch[i] = scratchPool.Get().(*buildScratch)
+		defer scratchPool.Put(scratch[i])
+	}
+	parallel.ForWorkers(len(blocks), threads, func(worker, i int) {
+		bi, err := buildBlock(db, blocks[i], window, scratch[worker])
 		if err != nil {
 			errs[i] = fmt.Errorf("dbindex: block %d: %w", i, err)
 			return
@@ -122,42 +162,101 @@ func build(db *dbase.DB, nbr *neighbor.Table, blockResidues int64, window, threa
 	return ix, nil
 }
 
-func buildBlock(db *dbase.DB, b dbase.Block, window int) (*BlockIndex, error) {
+// buildScratch is one build worker's working memory, reused from block to
+// block and, through scratchPool, from build to build: a delta of a few
+// sequences would otherwise spend longer clearing it than indexing.
+type buildScratch struct {
+	count []uint32 // per word: its positions
+	cur   []cursor // per word: see cursor
+}
+
+// cursor is where a build is in one word's positions: the next one goes to
+// flat[next]; the last was at coordinate last; the current run began at
+// flat[start], in page page.
+type cursor struct{ next, last, start, page uint32 }
+
+var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
+
+func buildBlock(db *dbase.DB, b dbase.Block, window int, sc *buildScratch) (*BlockIndex, error) {
 	bi := &BlockIndex{Block: b, Pad: max(window-alphabet.W, 0), offsets: make([]int32, alphabet.NumWords+1)}
 	if _, _, err := bi.layout(db); err != nil {
 		return nil, err
 	}
-	counts := make([]int32, alphabet.NumWords)
-	total := int32(0)
+	count := grown(&sc.count, alphabet.NumWords)
+	clear(count)
 	for s := b.Start; s < b.End; s++ {
-		alphabet.Words(db.Seqs[s].Data, func(_ int, w alphabet.Word) {
-			counts[w]++
-			total++
-		})
+		alphabet.Words(db.Seqs[s].Data, func(_ int, w alphabet.Word) { count[w]++ })
 	}
-	sum := int32(0)
-	for w := 0; w < alphabet.NumWords; w++ {
-		bi.offsets[w] = sum
-		sum += counts[w]
+	cur := grown(&sc.cur, alphabet.NumWords)
+	sum := uint32(0)
+	for w, n := range count {
+		bi.offsets[w] = int32(sum)
+		cur[w] = cursor{next: sum, start: sum}
+		sum += n
 	}
-	bi.offsets[alphabet.NumWords] = sum
-	bi.flat = make([]uint32, total)
-	next := make([]int32, alphabet.NumWords)
-	copy(next, bi.offsets[:alphabet.NumWords])
+	bi.offsets[alphabet.NumWords] = int32(sum)
+	// Each word's positions come in ascending order, each stored as its
+	// distance from the one before — the first from coordinate 0 — as the
+	// sequences are walked. A distance of a page or more ends a run and
+	// starts another: the position is stored as its offset in its page.
+	pages := uint32(bi.pages)
+	bi.split = make([]uint8, alphabet.NumWords*bi.pages)
+	flat := make([]uint16, sum)
 	for s := b.Start; s < b.End; s++ {
 		start := uint32(bi.segStart[s-b.Start])
 		alphabet.Words(db.Seqs[s].Data, func(off int, w alphabet.Word) {
-			bi.flat[next[w]] = start + uint32(off)
-			next[w]++
+			c := &cur[w]
+			g := start + uint32(off)
+			d := g - c.last
+			if d >= 1<<PageShift {
+				bi.setRun(int(uint32(w)*pages+c.page), int(c.next-c.start))
+				c.start, c.page = c.next, g>>PageShift
+				d = g & (1<<PageShift - 1)
+			}
+			flat[c.next] = uint16(d)
+			c.next++
+			c.last = g
 		})
 	}
+	// Each word's last run is still open; a word whose first run is its
+	// last leads with that run's page.
+	bi.lead = make([]uint8, alphabet.NumWords)
+	for w, c := range cur {
+		bi.setRun(int(uint32(w)*pages+c.page), int(c.next-c.start))
+		if c.start != uint32(bi.offsets[w]) || c.page >= noLead {
+			bi.lead[w] = noLead
+		} else {
+			bi.lead[w] = uint8(c.page)
+		}
+	}
+	slices.SortFunc(bi.wide, func(a, b wideRun) int { return cmp.Compare(a.cell, b.cell) })
+	bi.flat = flat
 	return bi, nil
 }
 
-// layout lays the block's sequences on the coordinate axis — segStart and
-// the coarse table Decode reads — and returns what it saw on the way, the
-// block's residue count and longest sequence, for the loader to hold the
-// stream's claims against.
+// grown returns (*buf)[:n], growing *buf first if it is shorter.
+func grown[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
+// setRun records that the run of cell's word starting in cell's page holds n
+// positions. Setting cells in ascending order keeps wide sorted.
+func (b *BlockIndex) setRun(cell, n int) {
+	if n < splitWide {
+		b.split[cell] = uint8(n)
+		return
+	}
+	b.split[cell] = splitWide
+	b.wide = append(b.wide, wideRun{int32(cell), int32(n)})
+}
+
+// layout lays the block's sequences on the coordinate axis — segStart, the
+// coarse table Decode reads and the page count — and returns what it saw on
+// the way, the block's residue count and longest sequence, for the loader to
+// hold the stream's claims against.
 func (b *BlockIndex) layout(db *dbase.DB) (residues int64, maxLen int, err error) {
 	numSeqs := b.Block.NumSeqs()
 	b.segStart = make([]int32, numSeqs+1)
@@ -174,6 +273,7 @@ func (b *BlockIndex) layout(db *dbase.DB) (residues int64, maxLen int, err error
 		}
 	}
 	b.segStart[numSeqs] = int32(span)
+	b.pages = int((span + 1<<PageShift - 1) >> PageShift)
 	b.coarse = make([]int32, (span+1<<coarseShift-1)>>coarseShift)
 	l := int32(0)
 	for c := range b.coarse {
@@ -185,11 +285,87 @@ func (b *BlockIndex) layout(db *dbase.DB) (residues int64, maxLen int, err error
 	return residues, maxLen, nil
 }
 
+// Pages returns the number of 1<<PageShift-coordinate pages the block's axis
+// spans.
+func (b *BlockIndex) Pages() int { return b.pages }
+
+// setLead derives word w's lead byte from its row of the split table.
+func (b *BlockIndex) setLead(w int) {
+	row := b.split[w*b.pages : (w+1)*b.pages]
+	first := 0
+	for first < len(row) && row[first] == 0 {
+		first++
+	}
+	lead := first
+	switch {
+	case first == len(row): // no positions: page 0 will do
+		lead = 0
+	case first >= noLead:
+		lead = noLead
+	}
+	for _, c := range row[min(first+1, len(row)):] {
+		if c != 0 {
+			lead = noLead
+		}
+	}
+	b.lead[w] = uint8(lead)
+}
+
+// Lead returns the positions of word w as stored and, when they form one
+// run (as most words' do), the page it starts in, so that a scan can walk
+// them with Next from page<<PageShift without reading the split table. When
+// ok is false, walk Runs.
+func (b *BlockIndex) Lead(w alphabet.Word) (offs []uint16, page int, ok bool) {
+	c := b.lead[w]
+	return b.flat[b.offsets[w]:b.offsets[w+1]], int(c), c != noLead
+}
+
+// Runs returns the positions of word w as stored and the word's row of the
+// split table: the first RunLen(w, 0, split[0]) positions are the run that
+// starts in page 0, the next RunLen(w, 1, split[1]) the run that starts in
+// page 1, and so on for Pages() pages. The coordinate of a run's first
+// position is Next(p<<PageShift, d) for its page p and its stored value d,
+// and of every later one Next(previous coordinate, d). Both slices are
+// views; callers must not modify them.
+func (b *BlockIndex) Runs(w alphabet.Word) (offs []uint16, split []uint8) {
+	return b.flat[b.offsets[w]:b.offsets[w+1]], b.split[int(w)*b.pages : int(w+1)*b.pages]
+}
+
+// RunLen returns the length of word w's run that starts in page p, given
+// the word's split-table byte c for that page.
+func (b *BlockIndex) RunLen(w alphabet.Word, p int, c uint8) int {
+	if c < splitWide {
+		return int(c)
+	}
+	return b.wideLen(int(w)*b.pages + p)
+}
+
+func (b *BlockIndex) wideLen(cell int) int {
+	i, _ := slices.BinarySearchFunc(b.wide, int32(cell), func(r wideRun, c int32) int { return cmp.Compare(r.cell, c) })
+	return int(b.wide[i].n)
+}
+
+// Next returns the coordinate a position stored as d stands for, when it
+// follows coordinate g in its run. For a run's first position, g is the
+// run's page times 1<<PageShift.
+func Next(g uint32, d uint16) uint32 { return g + uint32(d) }
+
 // Positions returns the positions of word w in this block as block
 // coordinates, ascending (which is ascending by local sequence id, then by
-// subject offset). The slice is a view; callers must not modify it.
+// subject offset), in a new slice. The scans read Runs instead.
 func (b *BlockIndex) Positions(w alphabet.Word) []uint32 {
-	return b.flat[b.offsets[w]:b.offsets[w+1]]
+	offs, split := b.Runs(w)
+	out := make([]uint32, 0, len(offs))
+	for p, c := range split {
+		n := b.RunLen(w, p, c)
+		g := uint32(p) << PageShift
+		for _, d := range offs[:n] {
+			g = Next(g, d)
+			out = append(out, g)
+		}
+		offs = offs[n:]
+	}
+	return out
 }
 
 // Base returns the flat-array index of the first position stored under w,
@@ -219,9 +395,18 @@ func (b *BlockIndex) Seq(db *dbase.DB, seqLocal int) *dbase.Sequence {
 // NumPositions returns the number of indexed positions in the block.
 func (b *BlockIndex) NumPositions() int { return len(b.flat) }
 
-// SizeBytes estimates the block's memory footprint: the position array plus
-// the per-word offset array. This is the quantity swept in Fig 8.
+// SizeBytes returns the block's memory footprint: the position array and the
+// word table (per-word starts, the split table and its wide runs, the lead
+// table).
 func (b *BlockIndex) SizeBytes() int64 {
+	return int64(len(b.flat))*2 + int64(len(b.offsets))*4 + int64(len(b.split)) + int64(len(b.wide))*8 + int64(len(b.lead))
+}
+
+// ModelBytes is the block's footprint in the paper's accounting — one 32-bit
+// integer per position and per word start (Section V-B) — which is the
+// address space the cache simulator lays index blocks out in, so that the
+// simulated figures do not move with the stored width.
+func (b *BlockIndex) ModelBytes() int64 {
 	return int64(len(b.flat))*4 + int64(len(b.offsets))*4
 }
 
@@ -258,28 +443,29 @@ func (ix *Index) SizeBytes() int64 {
 // ExpandedSizeBytes estimates what the index would cost if neighbor
 // positions were expanded into the table the way the query index does it
 // (the design the two-level structure avoids, Section III): every position
-// of word w is replicated under each of w's neighbors.
+// of word w is replicated under each of w's neighbors, in this index's own
+// layout (2-byte positions beside the same word tables).
 func (ix *Index) ExpandedSizeBytes() int64 {
-	var entries int64
+	var n int64
 	for _, b := range ix.Blocks {
 		for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
-			n := int64(len(b.Positions(w)))
-			if n > 0 {
-				entries += n * int64(ix.Neighbors.NumNeighbors(w))
-			}
+			n += int64(b.offsets[w+1]-b.offsets[w]) * int64(ix.Neighbors.NumNeighbors(w)) * 2
 		}
+		n += b.SizeBytes() - int64(len(b.flat))*2
 	}
-	return entries*4 + int64(len(ix.Blocks))*int64(alphabet.NumWords+1)*4
+	return n
 }
 
 // OptimalBlockResidues applies the paper's block sizing rule (Section V-B):
 // the index block and the per-thread last-hit arrays should together fit in
 // the shared L3 cache. With t threads and block size b bytes the paper's
-// last-hit arrays take ~2·b·t bytes, so b = L3 / (2t + 1). Ours are smaller —
-// one 2-byte slot per block diagonal is ≈ b/2 bytes a thread — so the rule
-// leaves slack; it is kept as the paper states it, and the measured optimum
-// is in EXPERIMENTS.md (the Fig 8 sweep). The return value is in residues
-// (positions), at 4 bytes each, clamped to a sane minimum.
+// last-hit arrays take ~2·b·t bytes, so b = L3 / (2t + 1), and the return
+// value is b at the paper's 4 bytes a position (a residue), clamped to a sane
+// minimum. Ours are smaller: a position is 2 bytes and the last-hit array one
+// 2-byte slot per block diagonal, so a block and one thread's array together
+// take about the bytes the paper's block alone does, and the rule leaves
+// slack. It is kept as the paper states it; the measured optimum is in
+// EXPERIMENTS.md (the Fig 8 sweep).
 func OptimalBlockResidues(l3Bytes int64, threads int) int64 {
 	if threads < 1 {
 		threads = 1

@@ -295,6 +295,43 @@ func TestReadFromRecomputesBlockShape(t *testing.T) {
 			t.Errorf("%s: loaded an index (block 0 %+v, pad %d)", tc.name, got.Blocks[0].Block, got.Blocks[0].Pad)
 		}
 	}
+	// A word's page split must not claim more positions than its list has.
+	paged := testIndex(t, 400, 1<<20)
+	if _, err := ReadFrom(bytes.NewReader(resplit(t, paged, func(_, c uint64) uint64 { return c })), paged.DB); err != nil {
+		t.Fatalf("unchanged page split: %v", err)
+	}
+	if got, err := ReadFrom(bytes.NewReader(resplit(t, paged, func(n, _ uint64) uint64 { return n + 1 })), paged.DB); err == nil {
+		t.Errorf("page split past its word's list: loaded an index (block 0 %+v)", got.Blocks[0].Block)
+	}
+}
+
+// resplit returns the serialized index with the first run length its first
+// block stores replaced by change(n, c), where c is the run length and n the
+// position count of its word.
+func resplit(t *testing.T, ix *Index, change func(n, c uint64) uint64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+	at := len(ixMagic) + 8
+	for range 6 { // the block count, then the first block's five header fields
+		_, n := binary.Uvarint(stream[at:])
+		at += n
+	}
+	for w := 0; w < alphabet.NumWords; w++ {
+		h, k := binary.Uvarint(stream[at:])
+		at += k
+		if h&1 == 0 {
+			continue
+		}
+		c, k := binary.Uvarint(stream[at:])
+		out := binary.AppendUvarint(append([]byte(nil), stream[:at]...), change(h>>1, c))
+		return append(out, stream[at+k:]...)
+	}
+	t.Fatal("block 0 stores no run length: every word is one run from page 0")
+	return nil
 }
 
 func TestBuildWindowPadsAndBounds(t *testing.T) {
@@ -319,24 +356,22 @@ func TestBuildWindowPadsAndBounds(t *testing.T) {
 }
 
 // TestReadFromRejectsPositionsOfAnEmptyBlock: a block that covers no
-// sequence has no word starts, so a position stored under it must be refused
-// like any other position outside the word starts — the first block's
-// word-start bitset is empty, and empty must still mean "check".
+// sequence has no coordinates, so a position stored under it must be refused
+// like any other position outside the word starts.
 func TestReadFromRejectsPositionsOfAnEmptyBlock(t *testing.T) {
 	stream := append([]byte(ixMagic), make([]byte, 8)...)
 	stream = binary.AppendUvarint(stream, 1) // one block
 	for range 5 {
 		stream = binary.AppendUvarint(stream, 0) // [0,0), no residues, pad 0
 	}
-	for w := 0; w <= alphabet.NumWords; w++ {
-		var delta uint64
-		if w == 1 {
-			delta = 1 // word 0 holds one position
+	for w := 0; w < alphabet.NumWords; w++ {
+		var n uint64
+		if w == 0 {
+			n = 1 // word 0 holds one position
 		}
-		stream = binary.AppendUvarint(stream, delta)
+		stream = binary.AppendUvarint(stream, n)
 	}
-	stream = binary.AppendUvarint(stream, 1)
-	stream = binary.LittleEndian.AppendUint32(stream, 0)
+	stream = binary.LittleEndian.AppendUint16(stream, 0)
 	db := dbase.New([][]alphabet.Code{{1, 2, 3, 4}})
 	if got, err := ReadFrom(bytes.NewReader(stream), db); err == nil {
 		t.Fatalf("loaded a position in an empty block: %+v", got.Blocks[0].Block)

@@ -2,8 +2,10 @@ package dbindex
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/alphabet"
 	"repro/internal/dbase"
@@ -11,16 +13,23 @@ import (
 
 // Index file format (little-endian):
 //
-//	magic "MUIX1\n"
+//	magic "MUIX2\n"
 //	int64 blockResidues
 //	uvarint numBlocks
 //	per block:
 //	  uvarint start, end, residues, maxLen, pad
-//	  offsets: NumWords+1 little-endian uint32 deltas (uvarint-encoded)
-//	  uvarint numPositions, then raw little-endian uint32 positions
+//	  word table: per word, uvarint n<<1 | split, where n is its number
+//	    of positions and split is 0 when they are one run from page 0 (or
+//	    none); when split is 1, Pages()-1 uvarints follow: the lengths of
+//	    its runs that start in each page but the last (whose run holds the
+//	    rest)
+//	  raw little-endian uint16 positions, word after word
 //
-// Positions are block coordinates (see the package doc); segStart and the
-// coarse table are rebuilt from the attached database on load.
+// Positions are stored as the package doc says: a run's first as its offset
+// in its page of the block's coordinate axis, every later one as its
+// distance from the one before. segStart, the coarse table and the page
+// count are rebuilt from the attached database on load, and the word starts,
+// split table and lead table from the word table.
 //
 // The database itself is serialized separately (dbase.WriteTo); on load the
 // caller re-attaches it. The neighbor table is always rebuilt from the
@@ -28,7 +37,7 @@ import (
 // are layered on top by the blast container, which carries this stream as
 // one section payload.
 
-const ixMagic = "MUIX1\n"
+const ixMagic = "MUIX2\n"
 
 // header returns the five block fields the stream carries before the
 // block's offsets.
@@ -39,6 +48,15 @@ func (b *BlockIndex) header() [5]uint64 {
 	}
 }
 
+// wordHeader returns the first word-table field of word w.
+func (b *BlockIndex) wordHeader(w alphabet.Word) uint64 {
+	h := uint64(b.offsets[w+1]-b.offsets[w]) << 1
+	if b.lead[w] != 0 {
+		h |= 1
+	}
+	return h
+}
+
 // EncodedSize returns the exact number of bytes WriteTo writes.
 func (ix *Index) EncodedSize() int64 {
 	n := int64(len(ixMagic) + 8 + dbase.UvarintLen(uint64(len(ix.Blocks))))
@@ -46,18 +64,23 @@ func (ix *Index) EncodedSize() int64 {
 		for _, v := range b.header() {
 			n += int64(dbase.UvarintLen(v))
 		}
-		prev := int32(0)
-		for _, off := range b.offsets {
-			n += int64(dbase.UvarintLen(uint64(off - prev)))
-			prev = off
+		for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
+			h := b.wordHeader(w)
+			n += int64(dbase.UvarintLen(h))
+			if h&1 != 0 {
+				_, split := b.Runs(w)
+				for p, c := range split[:b.pages-1] {
+					n += int64(dbase.UvarintLen(uint64(b.RunLen(w, p, c))))
+				}
+			}
 		}
-		n += int64(dbase.UvarintLen(uint64(len(b.flat)))) + 4*int64(len(b.flat))
+		n += 2 * int64(len(b.flat))
 	}
 	return n
 }
 
 // WriteTo serializes the index structure (not the database or neighbor
-// table) in chunks; a block's positions go out as whole chunks of words.
+// table) in chunks; a block's positions go out as whole chunks of halfwords.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	sw := dbase.NewStreamWriter(w)
 	sw.String(ixMagic)
@@ -67,13 +90,17 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		for _, v := range b.header() {
 			sw.Uvarint(v)
 		}
-		prev := int32(0)
-		for _, off := range b.offsets {
-			sw.Uvarint(uint64(off - prev))
-			prev = off
+		for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
+			h := b.wordHeader(w)
+			sw.Uvarint(h)
+			if h&1 != 0 {
+				_, split := b.Runs(w)
+				for p, c := range split[:b.pages-1] {
+					sw.Uvarint(uint64(b.RunLen(w, p, c)))
+				}
+			}
 		}
-		sw.Uvarint(uint64(len(b.flat)))
-		sw.Uint32s(b.flat)
+		sw.Uint16s(b.flat)
 	}
 	return sw.Flush()
 }
@@ -89,16 +116,18 @@ func ReadFrom(r io.Reader, db *dbase.DB) (*Index, error) {
 // ReadFromLimit is ReadFrom with an allocation budget: lengths claimed by
 // the stream are checked against maxBytes (the section size the caller knows
 // from its framing) before allocation, and every decoded structure is bounds-
-// checked — block ranges against db, offsets for monotonicity, the padding
-// against its 16-bit range, and, when db is non-nil, the block's residue count
-// and longest sequence against the sequences themselves and every position
-// against the word starts of the block — so a corrupt stream yields an error,
-// never a panic, an OOM-scale allocation, or an index that searches wrongly.
-// Without a db the result can be inspected but not searched: Decode and Span
-// need the layout the sequences give.
+// checked — block ranges against db, the padding against its 16-bit range,
+// the block's residue count and longest sequence against the sequences
+// themselves, each word's run lengths against its position count, and every
+// position against the word starts of the block — so a corrupt stream yields
+// an error, never a panic or an OOM-scale allocation. The page count and the
+// layout a position is read against come from db, which is required.
 func ReadFromLimit(r io.Reader, db *dbase.DB, maxBytes int64) (*Index, error) {
 	if maxBytes < 0 {
 		return nil, fmt.Errorf("dbindex: negative read limit %d", maxBytes)
+	}
+	if db == nil {
+		return nil, errors.New("dbindex: no database to attach the index to")
 	}
 	sr := dbase.NewStreamReader(r, maxBytes)
 	magic, err := sr.Next(len(ixMagic))
@@ -117,30 +146,21 @@ func ReadFromLimit(r io.Reader, db *dbase.DB, maxBytes int64) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dbindex: block count: %w", err)
 	}
-	// Every block carries NumWords+1 offset deltas of at least one byte, so
+	// Every block carries NumWords position counts of at least one byte, so
 	// the block count can never exceed the stream budget divided by that.
 	if numBlocks > 1<<24 || int64(numBlocks) > maxBytes/int64(alphabet.NumWords)+1 {
 		return nil, fmt.Errorf("dbindex: implausible block count %d", numBlocks)
-	}
-	readUvarint := func(what string) (uint64, error) {
-		v, err := sr.Uvarint()
-		if err != nil {
-			return 0, fmt.Errorf("dbindex: %s: %w", what, err)
-		}
-		return v, nil
 	}
 	var valid []uint64 // word-start bitset, reused across blocks
 	prevEnd := 0
 	for i := uint64(0); i < numBlocks; i++ {
 		var vals [5]uint64
 		for j, what := range []string{"start", "end", "residues", "maxLen", "pad"} {
-			if vals[j], err = readUvarint(what); err != nil {
-				return nil, err
+			if vals[j], err = sr.Uvarint(); err != nil {
+				return nil, fmt.Errorf("dbindex: %s: %w", what, err)
 			}
-		}
-		for j, v := range vals {
-			if v > 1<<62 {
-				return nil, fmt.Errorf("dbindex: block %d field %d out of range (%d)", i, j, v)
+			if vals[j] > 1<<62 {
+				return nil, fmt.Errorf("dbindex: block %d %s out of range (%d)", i, what, vals[j])
 			}
 		}
 		b := &BlockIndex{
@@ -158,52 +178,26 @@ func ReadFromLimit(r io.Reader, db *dbase.DB, maxBytes int64) (*Index, error) {
 			return nil, fmt.Errorf("dbindex: block %d range [%d,%d) overlaps or is inverted (previous end %d)",
 				i, b.Block.Start, b.Block.End, prevEnd)
 		}
-		if db != nil && b.Block.End > db.NumSeqs() {
+		if b.Block.End > db.NumSeqs() {
 			return nil, fmt.Errorf("dbindex: block %d range [%d,%d) invalid for db with %d seqs",
 				i, b.Block.Start, b.Block.End, db.NumSeqs())
 		}
-		if db != nil {
-			// The engine sizes its sort key from MaxLen and its last-hit array
-			// from the layout: neither is the stream's to claim.
-			residues, maxLen, err := b.layout(db)
-			if err != nil {
-				return nil, fmt.Errorf("dbindex: block %d: %w", i, err)
-			}
-			if residues != b.Block.Residues || maxLen != b.Block.MaxLen {
-				return nil, fmt.Errorf("dbindex: block %d claims %d residues, longest sequence %d; its sequences have %d, %d",
-					i, b.Block.Residues, b.Block.MaxLen, residues, maxLen)
-			}
+		// The engine sizes its sort key from MaxLen and its last-hit array
+		// from the layout: neither is the stream's to claim.
+		residues, maxLen, err := b.layout(db)
+		if err != nil {
+			return nil, fmt.Errorf("dbindex: block %d: %w", i, err)
+		}
+		if residues != b.Block.Residues || maxLen != b.Block.MaxLen {
+			return nil, fmt.Errorf("dbindex: block %d claims %d residues, longest sequence %d; its sequences have %d, %d",
+				i, b.Block.Residues, b.Block.MaxLen, residues, maxLen)
 		}
 		prevEnd = b.Block.End
-		prev := int64(0)
-		for w := range b.offsets {
-			d, err := readUvarint("offset delta")
-			if err != nil {
-				return nil, err
-			}
-			prev += int64(d)
-			if prev > 1<<31-1 {
-				return nil, fmt.Errorf("dbindex: block %d offset overflow at word %d", i, w)
-			}
-			b.offsets[w] = int32(prev)
+		if err := b.readWordTable(sr, maxBytes); err != nil {
+			return nil, fmt.Errorf("dbindex: block %d: %w", i, err)
 		}
-		numPos, err := readUvarint("position count")
-		if err != nil {
-			return nil, err
-		}
-		// Positions are stored raw at 4 bytes each; a claim past the stream
-		// budget cannot be honest.
-		if numPos > 1<<31 || int64(numPos) > maxBytes/4+1 {
-			return nil, fmt.Errorf("dbindex: implausible position count %d", numPos)
-		}
-		if int64(numPos) != int64(b.offsets[alphabet.NumWords]) {
-			return nil, fmt.Errorf("dbindex: block %d position count %d does not match offsets (%d)",
-				i, numPos, b.offsets[alphabet.NumWords])
-		}
-		if db != nil {
-			valid = b.wordStarts(db, valid)
-		}
-		if err := b.readPositions(sr, int(numPos), valid); err != nil {
+		valid = b.wordStarts(db, valid)
+		if err := b.readPositions(sr, valid); err != nil {
 			return nil, fmt.Errorf("dbindex: block %d: %w", i, err)
 		}
 		ix.Blocks = append(ix.Blocks, b)
@@ -214,10 +208,66 @@ func ReadFromLimit(r io.Reader, db *dbase.DB, maxBytes int64) (*Index, error) {
 	return ix, nil
 }
 
+// readWordTable decodes the block's word table into its word starts, split
+// table and lead table, holding every word's runs to its position count.
+func (b *BlockIndex) readWordTable(sr *dbase.StreamReader, maxBytes int64) error {
+	b.split = make([]uint8, alphabet.NumWords*b.pages)
+	b.lead = make([]uint8, alphabet.NumWords)
+	total := uint64(0)
+	for w := 0; w < alphabet.NumWords; w++ {
+		b.offsets[w] = int32(total)
+		h, err := sr.Uvarint()
+		if err != nil {
+			return fmt.Errorf("word %d position count: %w", w, err)
+		}
+		n := h >> 1
+		if n > math.MaxInt32 {
+			return fmt.Errorf("implausible position count %d for word %d", n, w)
+		}
+		total += n
+		switch {
+		case h == 0:
+		case b.pages == 0:
+			return fmt.Errorf("word %d has %d positions in a block without coordinates", w, n)
+		case h&1 == 0:
+			b.setRun(w*b.pages, int(n))
+		default:
+			if err := b.readRuns(sr, w, n); err != nil {
+				return err
+			}
+		}
+	}
+	// Positions are stored raw at 2 bytes each; a count past the stream
+	// budget cannot be honest.
+	if total > uint64(maxBytes/2) || total > math.MaxInt32 {
+		return fmt.Errorf("implausible position count %d", total)
+	}
+	b.offsets[alphabet.NumWords] = int32(total)
+	return nil
+}
+
+// readRuns decodes the run lengths of word w, which has n positions.
+func (b *BlockIndex) readRuns(sr *dbase.StreamReader, w int, n uint64) error {
+	last := w*b.pages + b.pages - 1
+	for cell := w * b.pages; cell < last; cell++ {
+		c, err := sr.Uvarint()
+		if err != nil {
+			return fmt.Errorf("word %d runs: %w", w, err)
+		}
+		if c > n {
+			return fmt.Errorf("word %d has a run of %d positions from page %d, more than the %d its list has left", w, c, cell-w*b.pages, n)
+		}
+		b.setRun(cell, int(c))
+		n -= c
+	}
+	b.setRun(last, int(n))
+	b.setLead(w)
+	return nil
+}
+
 // wordStarts marks, in a bitset over the block's coordinates, every
 // coordinate that starts a full W-letter word of a sequence of the block — a
-// run of ones per sequence — reusing buf's storage. The result is never nil,
-// even for a block without coordinates: nil means "do not check".
+// run of ones per sequence — reusing buf's storage.
 func (b *BlockIndex) wordStarts(db *dbase.DB, buf []uint64) []uint64 {
 	n := (b.Span() + 63) / 64
 	if buf == nil || cap(buf) < n {
@@ -237,31 +287,57 @@ func (b *BlockIndex) wordStarts(db *dbase.DB, buf []uint64) []uint64 {
 	return valid
 }
 
-// readPositions decodes the block's numPos positions from the stream's
-// chunks straight into its position array. With a word-start bitset (see
-// wordStarts) it checks every position in the same pass: the search hot path
-// indexes last-hit slots and sequences with these values unchecked, so a
-// corrupt position that slipped past the container checksum must be caught
-// here rather than panic mid-search. Each check is one load, no walk.
-func (b *BlockIndex) readPositions(sr *dbase.StreamReader, numPos int, valid []uint64) error {
-	b.flat = make([]uint32, numPos)
-	for read := 0; read < numPos; {
-		raw, err := sr.Words(numPos - read)
+// readPositions decodes the block's positions from the stream's chunks
+// straight into its position array, word by word, and checks the coordinate
+// of every one in the same pass against the word-start bitset (see
+// wordStarts): the search hot path indexes last-hit slots and sequences with
+// these values unchecked, so a corrupt position that slipped past the
+// container checksum must be caught here rather than panic mid-search. Each
+// check is one load, no walk; a run's coordinates only grow, so one past the
+// span ends the run.
+func (b *BlockIndex) readPositions(sr *dbase.StreamReader, valid []uint64) error {
+	b.flat = make([]uint16, b.offsets[alphabet.NumWords])
+	for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
+		if b.offsets[w] == b.offsets[w+1] {
+			continue
+		}
+		offs, page, one := b.Lead(w)
+		raw, err := sr.Next(2 * len(offs))
 		if err != nil {
 			return fmt.Errorf("positions: %w", err)
 		}
-		dst := b.flat[read : read+len(raw)/4]
-		for j := range dst {
-			p := binary.LittleEndian.Uint32(raw)
-			raw = raw[4:]
-			// The bitset's bits past the span are clear, so one bound
-			// check covers both the array and the span.
-			if w := int(p >> 6); valid != nil && (w >= len(valid) || valid[w]>>(p&63)&1 == 0) {
-				return fmt.Errorf("position %d is not a word start of the block (span %d)", p, b.Span())
+		g, ok := uint32(0), true
+		if one {
+			g, ok = decode(offs, raw, uint32(page)<<PageShift, valid)
+		} else {
+			_, split := b.Runs(w)
+			for p := 0; ok && len(offs) > 0; p++ {
+				n := b.RunLen(w, p, split[p])
+				g, ok = decode(offs[:n], raw, uint32(p)<<PageShift, valid)
+				offs, raw = offs[n:], raw[2*n:]
 			}
-			dst[j] = p
 		}
-		read += len(dst)
+		if !ok {
+			return fmt.Errorf("position %d of word %d is not a word start of the block (span %d)", g, w, b.Span())
+		}
 	}
 	return nil
+}
+
+// decode fills dst from the little-endian halfwords of src, a run whose page
+// starts at coordinate g, and returns the run's last coordinate — or, with
+// false, the first that is not a word start.
+func decode(dst []uint16, src []byte, g uint32, valid []uint64) (uint32, bool) {
+	src = src[:2*len(dst)]
+	for j := range dst {
+		d := uint16(src[2*j]) | uint16(src[2*j+1])<<8
+		g = Next(g, d)
+		// The bitset's bits past the span are clear, so one bound check
+		// covers both the array and the span.
+		if int(g>>6) >= len(valid) || valid[g>>6]>>(g&63)&1 == 0 {
+			return g, false
+		}
+		dst[j] = d
+	}
+	return g, true
 }

@@ -118,31 +118,39 @@ func (sl *StampedLastPos16) Reset(n int) {
 // mispredicted branch there flushes the speculative window that would
 // otherwise keep several of the random last-hit cache misses in flight.
 //
+// The detection kernel calls CheckStamp, with the operands that do not
+// change with the hit worked out once.
+func (sl StampedLastPos16) CheckCount(i int, qOff int32, window int32) (inc int) {
+	return CheckStamp(&sl.slots[i], sl.Stamp(qOff), uint32(window-alphabet.W))
+}
+
+// Stamp returns the word a hit at qOff stores in its slot under the current
+// epoch: the query offset in the high 10 bits, the epoch in the low 6.
+func (sl StampedLastPos16) Stamp(qOff int32) uint32 { return uint32(qOff)<<6 | uint32(sl.epoch) }
+
+// CheckStamp is CheckCount on one slot with the operands that depend only on
+// the query offset and the window worked out by the caller: stamp is
+// Stamp(qOff) and span is window - alphabet.W. The detection kernel computes
+// them once per query offset instead of once per hit.
+//
 // The key costs a subtract and a rotate because the epoch sits in the low
 // bits: new word minus stored word is d<<6 when the stamps agree, and has a
 // non-zero low six bits when they do not, which the rotation carries to the
 // top of the key, above any window.
-//
-// The receiver is a value so that the kernel can call it on a local copy taken
-// after Reset: the slot slice and the epoch are then locals of the scan, not
-// loads through a pointer for every hit. The copy shares the slot array.
-func (sl StampedLastPos16) CheckCount(i int, qOff int32, window int32) (inc int) {
-	v := sl.slots[i]
-	nv := uint16(qOff)<<6 | sl.epoch
-	key := bits.RotateLeft32(uint32(nv)-uint32(v), -6)
+func CheckStamp(slot *uint16, stamp uint32, span uint32) (inc int) {
+	v := uint32(*slot)
+	key := bits.RotateLeft32(stamp-v, -6)
+	nv := stamp
 	if key < alphabet.W {
 		nv = v
 	}
-	sl.slots[i] = nv
-	if key-alphabet.W < uint32(window-alphabet.W) {
+	*slot = uint16(nv)
+	if key-alphabet.W < span {
 		inc = 1
 	}
 	return inc
 }
 
-// From returns the view of sl whose slot 0 is sl's slot i: the kernel takes
-// one per query offset, so that a hit's slot is its index position as stored.
-func (sl StampedLastPos16) From(i int) StampedLastPos16 {
-	sl.slots = sl.slots[i:]
-	return sl
-}
+// From returns the slots of sl from slot i on: the kernel takes one view per
+// query offset, so that a hit's slot is its coordinate.
+func (sl StampedLastPos16) From(i int) []uint16 { return sl.slots[i:] }
