@@ -30,7 +30,7 @@ test: vet bench-build fmtcheck race fuzz chaos obs-smoke obs-smoke-fault serve-s
 # Race-detector pass over the packages with concurrent hot paths (the batch
 # scheduler, the task-grid runtime, the engines it drives, the hot-reload
 # session, the serving layer's admission machinery, and the observability
-# layer's lock-free metrics and concurrent trace/record sinks).
+# layer's lock-free metrics and concurrent trace sink).
 race:
 	go test -race ./internal/core ./internal/parallel ./internal/search ./internal/baseline ./internal/server ./internal/router ./internal/obs ./internal/reqtrace ./blast
 
@@ -123,9 +123,10 @@ crash-smoke:
 
 # Cross-tier tracing smoke test: traced mublastpd + mublastpr serve a batch,
 # then cmd/tracecheck asserts one stitched (span-ID-linked) trace tree per
-# request with the edge/scatter/shard/merge and six-stage spans present,
+# request with the edge/search/scatter/shard/merge and six-stage spans present,
 # X-Request-ID on every response, upstream trace context honored across the
-# HTTP hop, workload records written, and non-empty debug-address /metrics.
+# HTTP hop, mublastpd's trace replayed as a workload (one request, ok), and
+# non-empty debug-address /metrics.
 trace-smoke:
 	./scripts/trace_smoke.sh
 

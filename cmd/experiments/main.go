@@ -41,14 +41,14 @@ var experiments = []experiment{
 	{"index-size", "two-level vs expanded index size", bench.IndexSize},
 	{"verify", "Section V-E output verification", bench.Verify},
 	{"sensitivity", "planted homologs found (vs Smith-Waterman) beside pairs and extensions spent", bench.Sensitivity},
-	{"capsim", "capacity model: record, fit, predict vs measured overload", bench.CapacityValidation},
+	{"capsim", "capacity model: trace, fit, predict vs measured overload", bench.CapacityValidation},
 	{"ingest", "incremental ingest: delta append vs full rebuild, durable-to-durable", bench.IngestLatency},
-	{"replay", "re-issue a recorded workload against a live daemon (-replay-target, -replay-workload)", runReplay},
+	{"replay", "re-issue a traced workload against a live daemon (-replay-target, -replay-workload)", runReplay},
 }
 
 // Replay experiment inputs (-replay-* flags): the live daemon to load and
-// the recorded workload (a -record JSONL file, or one from
-// reqtrace.WriteRecordsFile) to re-issue with original inter-arrival timing.
+// the traced workload (a daemon's -trace JSONL file) to re-issue with
+// original inter-arrival timing.
 var (
 	replayTarget   string
 	replayWorkload string
@@ -57,9 +57,14 @@ var (
 
 func runReplay(bench.Scale) (*bench.Table, error) {
 	if replayTarget == "" || replayWorkload == "" {
-		return nil, fmt.Errorf("replay needs -replay-target (daemon base URL) and -replay-workload (record JSONL)")
+		return nil, fmt.Errorf("replay needs -replay-target (daemon base URL) and -replay-workload (trace JSONL)")
 	}
-	recs, err := reqtrace.ReadRecordsFile(replayWorkload)
+	f, err := os.Open(replayWorkload)
+	if err != nil {
+		return nil, err
+	}
+	recs, err := reqtrace.ReadRecords(f)
+	f.Close()
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +120,7 @@ func main() {
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile after the experiments to this file")
 		rTarget  = flag.String("replay-target", "", "replay experiment: daemon base URL (e.g. http://127.0.0.1:8044)")
-		rFile    = flag.String("replay-workload", "", "replay experiment: workload record JSONL (a daemon's -record output)")
+		rFile    = flag.String("replay-workload", "", "replay experiment: workload to re-issue, a daemon's -trace JSONL")
 		rSpeed   = flag.Float64("replay-speed", 1, "replay experiment: inter-arrival speedup (2 = twice as fast)")
 	)
 	flag.Parse()

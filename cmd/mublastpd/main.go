@@ -28,11 +28,12 @@
 // searches get -drain-grace to finish, then are cancelled so their handlers
 // flush partial results. A second signal force-exits with code 3. That
 // lifecycle, the flags behind it (-addr, -threads, -evalue, -max-hits,
-// -timeout, -drain-grace, -debug-addr, -trace, -record, -faultspec,
-// -faultseed) and the HTTP edge are shared with mublastpr
-// (server.RegisterFlags, server.Edge). The request bounds without a flag
-// (client deadline cap, batch cap, degraded mode, ingest cap) are the
-// server.Config defaults.
+// -timeout, -drain-grace, -debug-addr, -trace, -faultspec, -faultseed) and
+// the HTTP edge are shared with mublastpr (server.RegisterFlags,
+// server.Edge). The -trace file is the one per-request log: experiments
+// -exp replay and internal/capsim read it too. The request bounds without
+// a flag (client deadline cap, batch cap, degraded mode, ingest cap) are
+// the server.Config defaults.
 package main
 
 import (

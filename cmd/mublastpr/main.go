@@ -134,7 +134,6 @@ func run() error {
 			MaxQueries:     cfg.MaxQueries,
 			Registry:       cfg.Registry,
 			Tracer:         cfg.Tracer,
-			Recorder:       cfg.Recorder,
 			Logf:           cfg.Logf,
 			// db_generation is the oldest generation any replica serves.
 			Generation: func() int64 {

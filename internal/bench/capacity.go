@@ -33,13 +33,14 @@ const (
 	capConcurrency = 1
 )
 
-// runCapacityValidation closes the record → fit → predict loop end to end
+// runCapacityValidation closes the trace → fit → predict loop end to end
 // against a *live* daemon: it serves a seqgen database through the real
 // serving core (internal/server) with a deliberately tight queue, replays a
-// calm calibration workload to record service times, fits the capsim service
-// distribution from those records, then replays an overload workload — open
-// loop, ~3x the measured capacity — and compares the model's predicted shed
-// rate and latency quantiles against what the daemon actually did.
+// calm calibration workload to trace service times, fits the capsim service
+// distribution from the records projected from those traces, then replays
+// an overload workload — open loop, ~3x the measured capacity — and compares
+// the model's predicted shed rate and latency quantiles against what the
+// daemon actually did.
 func runCapacityValidation(s Scale) (*capacityOutcome, error) {
 	// A database sized to make one search take tens of milliseconds: long
 	// enough that service time dominates HTTP transport overhead (so the
@@ -87,12 +88,12 @@ func runCapacityValidation(s Scale) (*capacityOutcome, error) {
 	const deadlineMS = int64(30_000)
 
 	runServer := func(workload []*reqtrace.Record) ([]*reqtrace.Record, *reqtrace.ReplayResult, error) {
-		var recBuf bytes.Buffer
+		var traceBuf bytes.Buffer
 		srv := server.New(ses, p, server.Config{
 			Queue:       capQueueBound,
 			Concurrency: capConcurrency,
 			Registry:    obs.NewRegistry(),
-			Recorder:    reqtrace.NewRecorder(&recBuf),
+			Tracer:      reqtrace.NewTracer("mublastpd", &traceBuf),
 		})
 		bound, err := srv.Start("127.0.0.1:0")
 		if err != nil {
@@ -106,17 +107,17 @@ func runCapacityValidation(s Scale) (*capacityOutcome, error) {
 			return nil, nil, err
 		}
 		// Drain before reading the buffer: a handler may still be between
-		// answering the client and flushing its record.
+		// answering the client and flushing its trace.
 		drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := srv.Drain(drainCtx, time.Second); err != nil {
 			return nil, nil, err
 		}
-		recs, err := reqtrace.ReadRecords(&recBuf)
+		recs, err := reqtrace.ReadRecords(&traceBuf)
 		return recs, res, err
 	}
 
-	// Calibration: ~40% load, no queueing to speak of — the recorded
+	// Calibration: ~40% load, no queueing to speak of — the traced
 	// "search" spans are clean service-time samples.
 	calibWL := reqtrace.SynthWorkload(40, 0.4*capacityPerSec, qlen, deadlineMS, s.Seed+1)
 	calibRecs, _, err := runServer(calibWL)
@@ -155,7 +156,7 @@ func runCapacityValidation(s Scale) (*capacityOutcome, error) {
 	}, nil
 }
 
-// CapacityValidation runs the record → fit → predict validation and renders
+// CapacityValidation runs the trace → fit → predict validation and renders
 // the predicted-vs-measured table for EXPERIMENTS.md. The error bands the
 // notes state are asserted by the capacity gate test.
 func CapacityValidation(s Scale) (*Table, error) {
@@ -186,7 +187,7 @@ func CapacityValidation(s Scale) (*Table, error) {
 	addMS("p99 latency", ms(m.LatencyQuantile(0.99)), ms(p.LatencyQuantile(0.99)))
 	t.Note("server: queue %d, concurrency %d; calibration %d req at 40%% load; overload %d req offered at %.0f req/s (~3x capacity)",
 		capQueueBound, capConcurrency, out.CalibReqs, out.OverReqs, out.OfferedPS)
-	t.Note("service fit: %d samples from recorded 'search' spans, mean %.1f ms, p95 %.1f ms",
+	t.Note("service fit: %d samples from traced 'search' spans, mean %.1f ms, p95 %.1f ms",
 		out.Fit.Len(), out.Fit.Mean()/float64(time.Millisecond), ms(out.Fit.Quantile(0.95)))
 	t.Note("bands: |shed rate err| <= 0.15 absolute, p95 within 50%% relative — asserted by TestCapacityModelTracksMeasuredOverload")
 	return t, nil

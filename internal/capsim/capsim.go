@@ -9,18 +9,17 @@
 // cancellation does.
 //
 // Service times are not analytical: they are empirical distributions fitted
-// from the workload records the daemons emit (internal/reqtrace), so the
-// model predicts p50/p95/p99 latency and shed rate as a function of arrival
-// rate, queue bound, concurrency, and shard count for *this* database on
-// *this* machine. Validate against a replayed overload run before trusting a
-// sweep (see EXPERIMENTS.md).
+// from the workload records projected from the daemons' traces
+// (internal/reqtrace), so the model predicts p50/p95/p99 latency and shed
+// rate as a function of arrival rate, queue bound, concurrency, and shard
+// count for *this* database on *this* machine. Validate against a replayed
+// overload run before trusting a sweep (see EXPERIMENTS.md).
 package capsim
 
 import (
 	"container/heap"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/reqtrace"
 )
@@ -98,28 +97,7 @@ func (r *Result) TimeoutRate() float64 {
 // nanoseconds, 0 with none — the predicted twin of
 // ReplayResult.LatencyQuantile.
 func (r *Result) LatencyQuantile(q float64) int64 {
-	return quantile(r.OKLatencies, q)
-}
-
-// quantile is an exact ceil-rank quantile over a sorted copy.
-func quantile(v []int64, q float64) int64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := make([]int64, len(v))
-	copy(s, v)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	if q <= 0 {
-		return s[0]
-	}
-	idx := int(q*float64(len(s))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
+	return reqtrace.QuantileNanos(r.OKLatencies, q)
 }
 
 // Event kinds, ordered so a departure at time t frees its token before an

@@ -50,7 +50,7 @@ func (d *Dist) Quantile(q float64) int64 {
 	if d.Len() == 0 {
 		return 0
 	}
-	return quantile(d.samples, q)
+	return reqtrace.QuantileNanos(d.samples, q)
 }
 
 // Mean returns the fitted samples' mean.

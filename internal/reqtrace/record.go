@@ -1,19 +1,16 @@
-// The request-trace record format: the compact on-disk workload log both
-// daemons write behind -record. One JSONL line per finished request captures
-// what the capacity planner and the replayer need — when the request
-// arrived, how big it was, what deadline it ran under, how it ended, and
-// where its time went — without storing residues or hits, so an overload
-// run's record stays a few hundred bytes per request.
+// The workload record: the flat projection of one request's trace tree that
+// the replayer and the capacity planner (internal/capsim) read — when the
+// request arrived, how big it was, what deadline it ran under, how it ended,
+// and where its time went. Records have no file format of their own: the
+// daemons write one log, the -trace file, and ReadRecords projects it.
 package reqtrace
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
-	"sync"
+	"strconv"
+	"strings"
 )
 
 // Request outcomes, shared by records and trace trees. The vocabulary
@@ -28,138 +25,115 @@ const (
 	OutcomeError     = "error"     // 5xx, internal failure
 )
 
+// Attributes of the edge root span that carry what a record needs and no
+// span measures. The serving edge stamps them; ReadRecords reads them back.
+const (
+	AttrStatus     = "status"      // HTTP status of the answer
+	AttrQueryLens  = "query_lens"  // comma-separated residue lengths, in batch order
+	AttrDeadlineMS = "deadline_ms" // effective deadline (after caps and degraded mode)
+	AttrDegraded   = "degraded"    // "true" when admitted in degraded mode
+)
+
 // Record is one request's workload line.
 type Record struct {
-	// RequestID correlates the record with the trace tree, the response's
-	// X-Request-ID header, and daemon logs.
-	RequestID string `json:"request_id"`
+	// RequestID correlates the record with the response's X-Request-ID
+	// header and daemon logs.
+	RequestID string
 	// ArrivalUnixNS is the absolute arrival time at the edge handler.
 	// Replay and simulation use inter-arrival deltas, so only the
 	// differences need to be meaningful.
-	ArrivalUnixNS int64 `json:"arrival_unix_ns"`
+	ArrivalUnixNS int64
 	// QueryLens are the residue lengths of the batch's queries, in order.
-	QueryLens []int `json:"query_lens"`
+	QueryLens []int
 	// DeadlineMS is the effective per-request deadline applied (after
 	// server caps and degraded-mode shrinking).
-	DeadlineMS int64 `json:"deadline_ms"`
+	DeadlineMS int64
 	// Outcome is one of the Outcome* constants; Status the HTTP status.
-	Outcome string `json:"outcome"`
-	Status  int    `json:"status"`
+	Outcome string
+	Status  int
 	// Degraded reports the server was in degraded mode at admission.
-	Degraded bool `json:"degraded,omitempty"`
-	// SpanNanos maps span names to durations — the flat projection of the
-	// trace tree the simulator fits from: "total" always; "queue" and
-	// "search" when admitted; "scatter", "merge" and "shard<N>" on the
-	// routing tier.
-	SpanNanos map[string]int64 `json:"span_nanos,omitempty"`
+	Degraded bool
+	// SpanNanos maps span names to durations, the part of the tree the
+	// simulator fits from: "total" always; "admission" and "search" when
+	// admitted; "search", "scatter", "merge" and "shard<N>" on the routing
+	// tier.
+	SpanNanos map[string]int64
 }
 
-// InterArrival returns the nanoseconds between r's arrival and prev's; zero
-// when prev is nil (the first request).
-func (r *Record) InterArrival(prev *Record) int64 {
-	if prev == nil {
-		return 0
+// recordSpan reports whether a record keeps the duration of the span named
+// name: the serving phases and the router's per-shard spans. Query, stage
+// and attempt spans are prefixed, so no name collides.
+func recordSpan(name string) bool {
+	switch name {
+	case "admission", "search", "scatter", "merge":
+		return true
 	}
-	d := r.ArrivalUnixNS - prev.ArrivalUnixNS
-	if d < 0 {
-		return 0
+	n, ok := strings.CutPrefix(name, "shard")
+	if !ok || n == "" {
+		return false
 	}
-	return d
+	_, err := strconv.Atoi(n)
+	return err == nil
 }
 
-// Recorder writes Records as JSONL. Safe for concurrent use; nil is valid
-// and free, so the daemons thread one handle unconditionally.
-type Recorder struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	enc *json.Encoder
-	c   io.Closer
-}
-
-// NewRecorder wraps w in a record sink.
-func NewRecorder(w io.Writer) *Recorder {
-	bw := bufio.NewWriter(w)
-	r := &Recorder{bw: bw, enc: json.NewEncoder(bw)}
-	if c, ok := w.(io.Closer); ok {
-		r.c = c
+// project flattens one trace tree into its record.
+func project(tr *Trace) (*Record, error) {
+	root := tr.Root
+	if root == nil {
+		return nil, fmt.Errorf("trace %s has no root span", tr.RequestID)
 	}
-	return r
-}
-
-// Write appends one record. Nil-safe.
-func (r *Recorder) Write(rec *Record) error {
-	if r == nil {
-		return nil
+	rec := &Record{
+		RequestID:     tr.RequestID,
+		ArrivalUnixNS: root.StartNS,
+		Outcome:       tr.Outcome,
+		Degraded:      root.Attrs[AttrDegraded] == "true",
+		SpanNanos:     map[string]int64{"total": root.Nanos},
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.enc.Encode(rec)
-}
-
-// Flush drains the buffer. Nil-safe.
-func (r *Recorder) Flush() error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.bw.Flush()
-}
-
-// Close flushes and closes the underlying writer when owned. Nil-safe.
-func (r *Recorder) Close() error {
-	if r == nil {
-		return nil
-	}
-	err := r.Flush()
-	if r.c != nil {
-		if cerr := r.c.Close(); err == nil {
-			err = cerr
+	var err error
+	if s := root.Attrs[AttrStatus]; s != "" {
+		if rec.Status, err = strconv.Atoi(s); err != nil {
+			return nil, fmt.Errorf("%s: %w", AttrStatus, err)
 		}
 	}
-	return err
-}
-
-// ReadRecords decodes a JSONL record stream, sorted by arrival time (the
-// daemons write completion-ordered lines, but replay and simulation need
-// arrival order).
-func ReadRecords(r io.Reader) ([]*Record, error) {
-	dec := json.NewDecoder(r)
-	var out []*Record
-	for {
-		var rec Record
-		if err := dec.Decode(&rec); err != nil {
-			if err == io.EOF {
-				break
+	if s := root.Attrs[AttrDeadlineMS]; s != "" {
+		if rec.DeadlineMS, err = strconv.ParseInt(s, 10, 64); err != nil {
+			return nil, fmt.Errorf("%s: %w", AttrDeadlineMS, err)
+		}
+	}
+	if s := root.Attrs[AttrQueryLens]; s != "" {
+		for _, f := range strings.Split(s, ",") {
+			n, err := strconv.Atoi(f)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", AttrQueryLens, err)
 			}
-			return nil, fmt.Errorf("reqtrace: decoding record %d: %w", len(out), err)
+			rec.QueryLens = append(rec.QueryLens, n)
 		}
-		out = append(out, &rec)
+	}
+	root.Walk(func(sp *Span) {
+		if _, seen := rec.SpanNanos[sp.Name]; !seen && recordSpan(sp.Name) {
+			rec.SpanNanos[sp.Name] = sp.Nanos
+		}
+	})
+	return rec, nil
+}
+
+// ReadRecords decodes a trace JSONL stream (a daemon's -trace file) and
+// projects each tree into its record, sorted by arrival time (the daemons
+// write trees in completion order, but replay and simulation need arrival
+// order).
+func ReadRecords(r io.Reader) ([]*Record, error) {
+	traces, err := ReadTraces(r)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Record, len(traces))
+	for i, tr := range traces {
+		if out[i], err = project(tr); err != nil {
+			return nil, fmt.Errorf("reqtrace: projecting trace %d: %w", i, err)
+		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		return out[i].ArrivalUnixNS < out[j].ArrivalUnixNS
 	})
 	return out, nil
-}
-
-// newFileRecorder opens (creates/truncates) path as a record sink.
-func newFileRecorder(path string) (*Recorder, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("reqtrace: %w", err)
-	}
-	return NewRecorder(f), nil
-}
-
-// NewRecorderFile opens path as a record sink (the daemons' -record flag).
-func NewRecorderFile(path string) (*Recorder, error) { return newFileRecorder(path) }
-
-// ReadRecordsFile is ReadRecords over a file path.
-func ReadRecordsFile(path string) ([]*Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("reqtrace: %w", err)
-	}
-	defer f.Close()
-	return ReadRecords(f)
 }

@@ -6,78 +6,139 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
-func TestRecordRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewRecorder(&buf)
-	// Written out of arrival order (completion order in a real daemon);
-	// ReadRecords must hand back arrival order.
-	recs := []*Record{
-		{RequestID: "b", ArrivalUnixNS: 200, QueryLens: []int{10, 20}, DeadlineMS: 500,
-			Outcome: OutcomeOK, Status: 200, SpanNanos: map[string]int64{"total": 42, "queue": 5, "search": 30}},
-		{RequestID: "a", ArrivalUnixNS: 100, QueryLens: []int{30}, DeadlineMS: 500,
-			Outcome: OutcomeShed, Status: 429},
+func TestReadRecordsProjectsTraces(t *testing.T) {
+	// tree is one finished request as the serving edge writes it: an edge
+	// root with its attributes, the spans under it, and an outcome.
+	type tree struct {
+		rid     string
+		start   int64
+		nanos   int64
+		outcome string
+		attrs   map[string]string
+		spans   func(root *Span)
 	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatalf("Write: %v", err)
+	pdSearch := func(root *Span) {
+		root.Child("admission", 1010).End(40)
+		search := root.Child("search", 1050)
+		search.End(800)
+		// A query named like a phase must not shadow the phase.
+		AttachQuerySpan(search, 1050, "search", []obs.Span{{Stage: "hit_detect", Nanos: 300}})
+	}
+	prSearch := func(root *Span) {
+		search := root.Child("search", 2010)
+		search.End(600)
+		scatter := search.Child("scatter", 2010)
+		scatter.End(500)
+		for s, nanos := range []int64{400, 450, 500} {
+			shard := scatter.Child("shard"+strconv.Itoa(s), 2010)
+			shard.End(nanos)
+			AttachQuerySpan(shard, 2010, "0", []obs.Span{{Stage: "gapped", Nanos: nanos / 2}})
+			if s == 0 {
+				shard.StaticChild("attempt:hedge", 2100, 150)
+			}
 		}
+		search.StaticChild("merge", 2510, 30)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
+	shed := func(rid string, start int64) tree {
+		return tree{rid: rid, start: start, nanos: 5, outcome: OutcomeShed,
+			attrs: map[string]string{AttrStatus: "429", AttrQueryLens: "10", AttrDeadlineMS: "1000"}}
 	}
-	got, err := ReadRecords(&buf)
-	if err != nil {
-		t.Fatalf("ReadRecords: %v", err)
+	shedRec := func(rid string, start int64) *Record {
+		return &Record{RequestID: rid, ArrivalUnixNS: start, QueryLens: []int{10}, DeadlineMS: 1000,
+			Outcome: OutcomeShed, Status: 429, SpanNanos: map[string]int64{"total": 5}}
 	}
-	if len(got) != 2 || got[0].RequestID != "a" || got[1].RequestID != "b" {
-		t.Fatalf("arrival order not restored: %+v", got)
-	}
-	if got[1].SpanNanos["search"] != 30 {
-		t.Fatalf("span nanos lost: %+v", got[1].SpanNanos)
-	}
-	if d := got[1].InterArrival(got[0]); d != 100 {
-		t.Fatalf("InterArrival = %d, want 100", d)
-	}
-	if d := got[0].InterArrival(nil); d != 0 {
-		t.Fatalf("first InterArrival = %d, want 0", d)
-	}
-}
 
-func TestNilRecorderIsFree(t *testing.T) {
-	var r *Recorder
-	if err := r.Write(&Record{}); err != nil {
-		t.Fatalf("nil Write: %v", err)
+	for _, tc := range []struct {
+		name   string
+		daemon string
+		trees  []tree
+		want   []*Record
+	}{
+		{
+			name: "mublastpd search, degraded", daemon: "mublastpd",
+			trees: []tree{{rid: "pd", start: 1000, nanos: 900, outcome: OutcomeOK, spans: pdSearch,
+				attrs: map[string]string{AttrStatus: "200", AttrQueryLens: "120,80", AttrDeadlineMS: "7500", AttrDegraded: "true"}}},
+			want: []*Record{{RequestID: "pd", ArrivalUnixNS: 1000, QueryLens: []int{120, 80}, DeadlineMS: 7500,
+				Outcome: OutcomeOK, Status: 200, Degraded: true,
+				SpanNanos: map[string]int64{"total": 900, "admission": 40, "search": 800}}},
+		},
+		{
+			name: "mublastpr search over three shards", daemon: "mublastpr",
+			trees: []tree{{rid: "pr", start: 2000, nanos: 700, outcome: OutcomeOK, spans: prSearch,
+				attrs: map[string]string{AttrStatus: "200", AttrQueryLens: "50", AttrDeadlineMS: "2000"}}},
+			want: []*Record{{RequestID: "pr", ArrivalUnixNS: 2000, QueryLens: []int{50}, DeadlineMS: 2000,
+				Outcome: OutcomeOK, Status: 200,
+				SpanNanos: map[string]int64{"total": 700, "search": 600, "scatter": 500,
+					"shard0": 400, "shard1": 450, "shard2": 500, "merge": 30}}},
+		},
+		{
+			name: "rejected, root only", daemon: "mublastpd",
+			trees: []tree{{rid: "bad", start: 3000, nanos: 20, outcome: OutcomeRejected,
+				attrs: map[string]string{AttrStatus: "400"}}},
+			want: []*Record{{RequestID: "bad", ArrivalUnixNS: 3000, Outcome: OutcomeRejected, Status: 400,
+				SpanNanos: map[string]int64{"total": 20}}},
+		},
+		{
+			// Daemons write trees as requests finish; records come back in
+			// arrival order.
+			name: "completion order", daemon: "mublastpd",
+			trees: []tree{shed("c", 300), shed("a", 100), shed("b", 200)},
+			want:  []*Record{shedRec("a", 100), shedRec("b", 200), shedRec("c", 300)},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			tw := NewTracer(tc.daemon, &buf)
+			for _, tr := range tc.trees {
+				trace := tw.Begin(Context{RequestID: tr.rid}, "edge", tr.start)
+				root := trace.RootSpan()
+				for k, v := range tr.attrs {
+					root.SetAttr(k, v)
+				}
+				if tr.spans != nil {
+					tr.spans(root)
+				}
+				root.End(tr.nanos)
+				if err := tw.Finish(trace, tr.outcome); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadRecords(&buf)
+			if err != nil {
+				t.Fatalf("ReadRecords: %v", err)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				for i := range got {
+					t.Logf("got[%d]  = %+v", i, *got[i])
+				}
+				for i := range tc.want {
+					t.Logf("want[%d] = %+v", i, *tc.want[i])
+				}
+				t.Fatal("projection mismatch")
+			}
+		})
 	}
-	if err := r.Flush(); err != nil {
-		t.Fatalf("nil Flush: %v", err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatalf("nil Close: %v", err)
-	}
-}
 
-func TestRecordsFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "w.jsonl")
-	recs := SynthWorkload(10, 100, 50, 250, 7)
-	if err := WriteRecordsFile(path, recs); err != nil {
-		t.Fatalf("WriteRecordsFile: %v", err)
-	}
-	got, err := ReadRecordsFile(path)
-	if err != nil {
-		t.Fatalf("ReadRecordsFile: %v", err)
-	}
-	if len(got) != 10 {
-		t.Fatalf("got %d records, want 10", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].ArrivalUnixNS < got[i-1].ArrivalUnixNS {
-			t.Fatalf("arrivals not monotone at %d", i)
+	for _, line := range []string{
+		`{"request_id":"x"}`,
+		`{"request_id":"x","root":{"name":"edge","attrs":{"query_lens":"1,x"}}}`,
+		`{"request_id":"x","root":{"name":"edge","attrs":{"status":"ok"}}}`,
+	} {
+		if _, err := ReadRecords(strings.NewReader(line)); err == nil {
+			t.Errorf("ReadRecords(%s) projected a malformed tree", line)
 		}
 	}
 }
@@ -203,20 +264,35 @@ func TestReplaySpeedScalesGaps(t *testing.T) {
 
 func TestQuantileNanos(t *testing.T) {
 	v := []int64{50, 10, 40, 20, 30}
-	if got := quantileNanos(v, 0.5); got != 30 {
+	if got := QuantileNanos(v, 0.5); got != 30 {
 		t.Fatalf("p50 = %d, want 30", got)
 	}
-	if got := quantileNanos(v, 1); got != 50 {
+	if got := QuantileNanos(v, 1); got != 50 {
 		t.Fatalf("p100 = %d, want 50", got)
 	}
-	if got := quantileNanos(v, 0); got != 10 {
+	if got := QuantileNanos(v, 0); got != 10 {
 		t.Fatalf("p0 = %d, want 10", got)
 	}
-	if got := quantileNanos(nil, 0.5); got != 0 {
+	if got := QuantileNanos(nil, 0.5); got != 0 {
 		t.Fatalf("empty quantile = %d, want 0", got)
+	}
+	// Ranks where ceil(q*n)-1 and round-half-up(q*n)-1 disagree (the
+	// fractional part of q*n is under a half): the rank is ceil(q*n)-1.
+	for _, tc := range []struct {
+		n    int
+		q    float64
+		rank int64
+	}{{6, 0.55, 3}, {112, 0.95, 106}} {
+		v := make([]int64, tc.n)
+		for i := range v {
+			v[i] = int64(tc.n - 1 - i) // descending: the helper must sort
+		}
+		if got := QuantileNanos(v, tc.q); got != tc.rank {
+			t.Fatalf("n=%d q=%v: got rank %d, want %d", tc.n, tc.q, got, tc.rank)
+		}
 	}
 	// The input must not be reordered in place.
 	if v[0] != 50 {
-		t.Fatalf("quantileNanos mutated its input: %v", v)
+		t.Fatalf("QuantileNanos mutated its input: %v", v)
 	}
 }

@@ -1,15 +1,15 @@
-// The workload replayer: re-issues a recorded request stream against a live
+// The workload replayer: re-issues a traced request stream against a live
 // daemon (mublastpd or mublastpr — both speak the same /search wire format)
 // with the original inter-arrival timing, open-loop: each request fires at
 // its recorded offset whether or not earlier ones have answered, which is
 // what makes a replayed overload reproduce the recorded queueing behaviour
 // instead of self-throttling it away.
 //
-// Residues are not stored in records; the replayer regenerates random
+// Residues are not stored in traces; the replayer regenerates random
 // sequences of the recorded lengths from a fixed seed, so a replay is
 // deterministic in everything the serving tier's capacity behaviour depends
 // on (arrival times, batch sizes, query lengths, deadlines) without the
-// record format having to carry payloads.
+// trace having to carry payloads.
 package reqtrace
 
 import (
@@ -96,11 +96,13 @@ func (r *ReplayResult) LatencyQuantile(q float64) int64 {
 			lat = append(lat, o.LatencyNS)
 		}
 	}
-	return quantileNanos(lat, q)
+	return QuantileNanos(lat, q)
 }
 
-// quantileNanos is the shared exact-quantile helper (sorts a copy).
-func quantileNanos(v []int64, q float64) int64 {
+// QuantileNanos is the exact ceil-rank q-quantile of v, the element at rank
+// ceil(q*n)-1 of a sorted copy; 0 on an empty v. Measured and predicted
+// latencies (capsim) both use it, so they compare rank for rank.
+func QuantileNanos(v []int64, q float64) int64 {
 	if len(v) == 0 {
 		return 0
 	}
@@ -248,9 +250,10 @@ func sendOne(ctx context.Context, client *http.Client, target string, body []byt
 // SynthWorkload generates an open-loop Poisson workload record: n requests
 // at `rate` per second (exponential inter-arrivals), each a single query of
 // length qlen with deadline deadlineMS. It exists to bootstrap the
-// record/replay/fit loop before any real traffic has been recorded — replay
-// it against a daemon running -record, and the daemon's own record of the
-// run is the measured ground truth the capacity model fits from.
+// trace/replay/fit loop before any real traffic has been traced — replay it
+// against a daemon running -trace, and the records projected from the
+// daemon's own trace of the run are the measured ground truth the capacity
+// model fits from.
 func SynthWorkload(n int, rate float64, qlen int, deadlineMS int64, seed int64) []*Record {
 	if seed == 0 {
 		seed = 1
@@ -273,20 +276,4 @@ func SynthWorkload(n int, rate float64, qlen int, deadlineMS int64, seed int64) 
 		t += int64(gap)
 	}
 	return out
-}
-
-// WriteRecordsFile writes records as a JSONL file (the synth-workload and
-// test paths' convenience).
-func WriteRecordsFile(path string, records []*Record) error {
-	w, err := newFileRecorder(path)
-	if err != nil {
-		return err
-	}
-	for _, rec := range records {
-		if err := w.Write(rec); err != nil {
-			w.Close()
-			return err
-		}
-	}
-	return w.Close()
 }

@@ -13,10 +13,10 @@
 // per-query Stats the pipeline already carries (AttachQuerySpan). The same
 // tree format serves the CLI: mublastp -trace writes one tree per run.
 //
-// The sibling files add the request-trace record format (record.go) — the
-// compact workload log the capacity planner (internal/capsim) fits its
-// service distributions from — and a replayer (replay.go) that re-issues a
-// recorded workload against a live daemon with the original inter-arrival
+// The sibling files project trace trees into flat workload records
+// (record.go) — what the capacity planner (internal/capsim) fits its
+// service distributions from — and add a replayer (replay.go) that re-issues
+// a traced workload against a live daemon with the original inter-arrival
 // timing.
 package reqtrace
 
@@ -218,9 +218,9 @@ type Trace struct {
 	TraceID   string `json:"trace_id"`
 	RequestID string `json:"request_id"`
 	// Daemon names the process that emitted the tree ("mublastpd",
-	// "mublastpr"); Outcome is the request's final disposition (the same
-	// vocabulary as the record format: ok, shed, timeout, cancelled,
-	// error, rejected).
+	// "mublastpr"); Outcome is the request's final disposition (one of
+	// the Outcome* constants: ok, shed, timeout, cancelled, error,
+	// rejected).
 	Daemon  string `json:"daemon"`
 	Outcome string `json:"outcome"`
 	Root    *Span  `json:"root"`

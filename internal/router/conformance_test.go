@@ -19,7 +19,7 @@ import (
 	"repro/internal/server"
 )
 
-// syncBuffer is a record sink the daemon writes while the test reads.
+// syncBuffer is a trace sink the daemon writes while the test reads.
 type syncBuffer struct {
 	mu sync.Mutex
 	b  bytes.Buffer
@@ -57,24 +57,24 @@ type conformanceEndpoint struct {
 	url   string
 	shard bool // speaks the /shard/search request form
 	edge  edgeUser
-	recs  *syncBuffer
+	trace *syncBuffer
 	reg   *obs.Registry // what the daemon (or, for mublastpr, its router) stamps
 }
 
 // startConformanceDaemons brings up a mublastpd over the monolithic fixture
 // and a mublastpr over its three shards, each with the same request bounds
-// and a workload recorder, and returns the three batch endpoints they serve.
+// and a trace sink, and returns the three batch endpoints they serve.
 func startConformanceDaemons(t *testing.T) []conformanceEndpoint {
 	t.Helper()
 	db, shards, _ := fixture(t)
 	p := blast.DefaultParams()
 	p.Threads = 1
 
-	pdRecs, prRecs := &syncBuffer{}, &syncBuffer{}
+	pdTrace, prTrace := &syncBuffer{}, &syncBuffer{}
 	pdReg, prReg := obs.NewRegistry(), obs.NewRegistry()
 	pd := server.New(blast.NewSession(db, p), p, server.Config{
 		MaxQueries: 2, MaxTimeout: 2 * time.Second,
-		Registry: pdReg, Recorder: reqtrace.NewRecorder(pdRecs),
+		Registry: pdReg, Tracer: reqtrace.NewTracer("mublastpd", pdTrace),
 	})
 	rt, err := New(localWorkers(shards, 2), Options{Registry: prReg})
 	if err != nil {
@@ -82,7 +82,7 @@ func startConformanceDaemons(t *testing.T) []conformanceEndpoint {
 	}
 	pr := NewFrontend(rt, FrontendConfig{
 		MaxQueries: 2, MaxTimeout: 2 * time.Second,
-		Registry: obs.NewRegistry(), Recorder: reqtrace.NewRecorder(prRecs),
+		Registry: obs.NewRegistry(), Tracer: reqtrace.NewTracer("mublastpr", prTrace),
 	})
 	var addrs [2]string
 	for i, e := range []edgeUser{pd, pr} {
@@ -92,9 +92,9 @@ func startConformanceDaemons(t *testing.T) []conformanceEndpoint {
 		t.Cleanup(func() { e.Close() })
 	}
 	return []conformanceEndpoint{
-		{name: "mublastpd /search", url: "http://" + addrs[0] + "/search", edge: pd, recs: pdRecs, reg: pdReg},
-		{name: "mublastpd /shard/search", url: "http://" + addrs[0] + "/shard/search", shard: true, edge: pd, recs: pdRecs, reg: pdReg},
-		{name: "mublastpr /search", url: "http://" + addrs[1] + "/search", edge: pr, recs: prRecs, reg: prReg},
+		{name: "mublastpd /search", url: "http://" + addrs[0] + "/search", edge: pd, trace: pdTrace, reg: pdReg},
+		{name: "mublastpd /shard/search", url: "http://" + addrs[0] + "/shard/search", shard: true, edge: pd, trace: pdTrace, reg: pdReg},
+		{name: "mublastpr /search", url: "http://" + addrs[1] + "/search", edge: pr, trace: prTrace, reg: prReg},
 	}
 }
 
@@ -214,7 +214,7 @@ func TestEdgeConformance(t *testing.T) {
 
 	// A deadline above MaxTimeout is clamped, not refused: the request runs,
 	// /search reports the effective value, and every endpoint's workload
-	// record carries it. Without a client id the edge mints one.
+	// record (projected from its trace) carries it. Without a client id the edge mints one.
 	for _, ep := range eps {
 		resp, body := ep.do(t, http.MethodPost, ep.batchBody([]string{"q"}, good, 60_000), "")
 		if resp.StatusCode != http.StatusOK {
@@ -234,7 +234,7 @@ func TestEdgeConformance(t *testing.T) {
 			}
 		}
 		waitUntil(t, ep.name+" record of the clamped request", func() bool {
-			for _, rec := range ep.recs.records(t) {
+			for _, rec := range ep.trace.records(t) {
 				if rec.RequestID == rid {
 					if rec.DeadlineMS != 2000 || rec.Outcome != reqtrace.OutcomeOK || len(rec.QueryLens) != 1 {
 						t.Errorf("%s: record %+v, want deadline 2000 ms, outcome ok, one query length", ep.name, rec)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -66,16 +65,11 @@ type FrontendConfig struct {
 	Generation func() int64
 
 	// Tracer, when set, stitches every routed request into a JSONL trace
-	// tree: edge, scatter with per-shard children (each nesting the shard's
-	// per-query six-stage pipeline spans), and merge, linked by span IDs
-	// and correlated by the X-Request-ID echoed on every outcome. Nil (the
-	// default) is free — every span operation no-ops.
+	// tree: edge, then search holding scatter with per-shard children (each
+	// nesting the shard's per-query six-stage pipeline spans) and merge,
+	// linked by span IDs and correlated by the X-Request-ID echoed on every
+	// outcome. Nil (the default) is free — every span operation no-ops.
 	Tracer *reqtrace.Tracer
-	// Recorder, when set, writes one compact workload record per request
-	// (arrival time, query lengths, deadline, outcome, scatter/merge and
-	// per-shard durations) — replayer and capacity-planner input. Nil is
-	// free.
-	Recorder *reqtrace.Recorder
 	// Logf receives operational log lines (sheds, shard failures) tagged
 	// with the request ID. Nil disables logging (tests); the daemon wires
 	// it to stderr.
@@ -104,7 +98,7 @@ func NewFrontend(rt *Router, cfg FrontendConfig) *Frontend {
 	}
 	f.Edge = server.NewEdge("mublastpr", server.Config{
 		DefaultTimeout: cfg.DefaultTimeout, MaxTimeout: cfg.MaxTimeout, MaxQueries: cfg.MaxQueries,
-		Registry: cfg.Registry, Tracer: cfg.Tracer, Recorder: cfg.Recorder, Logf: cfg.Logf,
+		Registry: cfg.Registry, Tracer: cfg.Tracer, Logf: cfg.Logf,
 	}, rt.HealthErr)
 	f.HandleFunc("/search", f.handleSearch)
 	f.HandleFunc("/reload", f.handleReload)
@@ -176,22 +170,6 @@ func statusesWire(rep *Report) []ShardStatusWire {
 	return out
 }
 
-// recordReport projects the routing report into the workload record's flat
-// span durations: scatter, merge, and one shard<N> entry per shard — the
-// per-stage service times the capacity planner fits its distributions from.
-func recordReport(sc *server.Scope, rep *Report) {
-	if rep == nil || !sc.Recording() {
-		return
-	}
-	sc.SpanNanos("scatter", time.Duration(rep.ScatterNanos))
-	if rep.MergeNanos > 0 {
-		sc.SpanNanos("merge", time.Duration(rep.MergeNanos))
-	}
-	for i := range rep.Shards {
-		sc.SpanNanos("shard"+strconv.Itoa(rep.Shards[i].Shard), time.Duration(rep.Shards[i].Nanos))
-	}
-}
-
 func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req server.SearchRequest
 	sc, ok := f.Begin(w, r)
@@ -204,21 +182,23 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), b.Timeout)
 	defer cancel()
-	// The scatter tier hangs its spans under the edge span it finds in the
-	// context (a no-op nil with tracing off), and remote workers read the
-	// IDs back out to stamp their outbound propagation headers — one request
-	// ID across router and shard daemons.
-	ctx = reqtrace.ContextWithSpan(ctx, sc.Root)
+	// The scatter tier hangs its scatter and merge spans under the search
+	// span it finds in the context (a no-op nil with tracing off), as the
+	// monolithic daemon's tree has the engine's under its search span; remote
+	// workers read the IDs back out to stamp their outbound propagation
+	// headers — one request ID across router and shard daemons.
+	searchStart := time.Now()
+	searchSpan := sc.Root.Child("search", searchStart.UnixNano())
+	ctx = reqtrace.ContextWithSpan(ctx, searchSpan)
 	var traceID string
 	if sc.Trace != nil {
 		traceID = sc.Trace.TraceID
 	}
 	ctx = reqtrace.ContextWithIDs(ctx, sc.RID, traceID)
 
-	searchStart := time.Now()
 	br, rep, err := f.rt.Search(ctx, b.Residues, req.Policy)
 	searchDur := time.Since(searchStart)
-	recordReport(sc, rep)
+	searchSpan.End(searchDur.Nanoseconds())
 	if err != nil {
 		// fail answers the error body with the routing report attached.
 		fail := func(outcome string, status int) {
@@ -261,7 +241,6 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 		server.SetRetryAfter(w, rep.RetryAfter)
 	}
 	server.WriteJSON(w, http.StatusOK, resp)
-	sc.SpanNanos("search", searchDur)
 	if br.Err != nil {
 		// Honest partial: a 200 whose batch carries an error (deadline or a
 		// non-answering shard) counts against the deadline budget, not as a

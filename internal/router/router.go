@@ -66,14 +66,6 @@ func (r *Report) Failed() int {
 	return n
 }
 
-// Spans renders the report as pipeline-style stage timings.
-func (r *Report) Spans() []obs.Span {
-	return []obs.Span{
-		{Stage: "scatter", Nanos: r.ScatterNanos},
-		{Stage: "merge", Nanos: r.MergeNanos},
-	}
-}
-
 // ErrAllShardsUnavailable is returned by Search when no shard contributed a
 // result, so there is nothing honest to merge. The Report tells shed
 // (retryable, 429-shaped) apart from failure (503-shaped).
@@ -633,7 +625,7 @@ func (rt *Router) Search(ctx context.Context, queries []string, policyName strin
 	rt.met.Requests.Add(1)
 
 	// Scatter span under whatever span the caller put in the context (the
-	// frontend's edge span; nil with tracing off, making every child below
+	// frontend's search span; nil with tracing off, making every child below
 	// a free no-op). Each shard gets a child span built inside its
 	// goroutine — Span.Child is concurrency-safe — carrying the replica
 	// choice and outcome, and, when the shard answered, the per-query

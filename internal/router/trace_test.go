@@ -18,9 +18,9 @@ import (
 )
 
 // TestFrontendTraceTreeAndIdentity: a routed request with tracing on yields
-// one stitched trace tree — edge, scatter, per-shard spans with nested
-// per-query six-stage pipeline spans, merge — and byte-identical results to
-// the same request with tracing off.
+// one stitched trace tree — edge, search holding scatter (per-shard spans
+// with nested per-query six-stage pipeline spans) and merge — and
+// byte-identical results to the same request with tracing off.
 func TestFrontendTraceTreeAndIdentity(t *testing.T) {
 	_, shards, queries := fixture(t)
 	rt, err := New(localWorkers(shards, 2), Options{Registry: obs.NewRegistry()})
@@ -28,11 +28,10 @@ func TestFrontendTraceTreeAndIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var traceBuf, recBuf bytes.Buffer
+	var traceBuf bytes.Buffer
 	fe := NewFrontend(rt, FrontendConfig{
 		Registry: obs.NewRegistry(),
 		Tracer:   reqtrace.NewTracer("mublastpr", &traceBuf),
-		Recorder: reqtrace.NewRecorder(&recBuf),
 	})
 	rec := postSearch(t, fe.Handler(), searchBody(queries, ""))
 	if rec.Code != http.StatusOK {
@@ -67,7 +66,7 @@ func TestFrontendTraceTreeAndIdentity(t *testing.T) {
 		t.Fatalf("results differ with tracing on vs off:\non:  %s\noff: %s", onJSON, offJSON)
 	}
 
-	traces, err := reqtrace.ReadTraces(&traceBuf)
+	traces, err := reqtrace.ReadTraces(bytes.NewReader(traceBuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +80,18 @@ func TestFrontendTraceTreeAndIdentity(t *testing.T) {
 	if err := tr.Linked(); err != nil {
 		t.Fatalf("trace tree not linked: %v", err)
 	}
-	for _, name := range []string{"edge", "scatter", "merge"} {
-		if tr.RootSpan().Find(name) == nil {
-			t.Fatalf("trace tree missing span %q", name)
+	// Both daemons' trees run edge -> search: the router's scatter and
+	// merge hang under its search span.
+	search := tr.RootSpan().Find("search")
+	if search == nil || search.ParentID != tr.RootSpan().SpanID {
+		t.Fatalf("no search span under the edge span: %+v", search)
+	}
+	for _, name := range []string{"scatter", "merge"} {
+		if sp := search.Find(name); sp == nil || sp.ParentID != search.SpanID {
+			t.Fatalf("no %s span under the search span: %+v", name, sp)
 		}
 	}
-	scatter := tr.RootSpan().Find("scatter")
+	scatter := search.Find("scatter")
 	if len(scatter.Children) != len(shards) {
 		t.Fatalf("scatter has %d shard children, want %d", len(scatter.Children), len(shards))
 	}
@@ -118,8 +123,9 @@ func TestFrontendTraceTreeAndIdentity(t *testing.T) {
 		}
 	}
 
-	// The workload record carries scatter/merge/per-shard durations.
-	recs, err := reqtrace.ReadRecords(&recBuf)
+	// The workload record projected from the tree carries the
+	// search/scatter/merge/per-shard durations.
+	recs, err := reqtrace.ReadRecords(&traceBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +139,7 @@ func TestFrontendTraceTreeAndIdentity(t *testing.T) {
 	if len(wr.QueryLens) != len(queries) || wr.QueryLens[0] != len(queries[0]) {
 		t.Fatalf("record query lens = %v", wr.QueryLens)
 	}
-	for _, k := range []string{"total", "search", "scatter", "shard0", "shard1", "shard2"} {
+	for _, k := range []string{"total", "search", "scatter", "merge", "shard0", "shard1", "shard2"} {
 		if _, ok := wr.SpanNanos[k]; !ok {
 			t.Fatalf("record missing span %q: %v", k, wr.SpanNanos)
 		}
@@ -156,12 +162,11 @@ func TestFrontendShedTracedAndLogged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var traceBuf, recBuf bytes.Buffer
+	var traceBuf bytes.Buffer
 	var logLines []string
 	fe := NewFrontend(rt, FrontendConfig{
 		Registry: obs.NewRegistry(),
 		Tracer:   reqtrace.NewTracer("mublastpr", &traceBuf),
-		Recorder: reqtrace.NewRecorder(&recBuf),
 		Logf: func(format string, args ...any) {
 			logLines = append(logLines, fmt.Sprintf(format, args...))
 		},
@@ -174,7 +179,7 @@ func TestFrontendShedTracedAndLogged(t *testing.T) {
 	if rid == "" {
 		t.Fatalf("shed response carries no X-Request-ID")
 	}
-	traces, err := reqtrace.ReadTraces(&traceBuf)
+	traces, err := reqtrace.ReadTraces(bytes.NewReader(traceBuf.Bytes()))
 	if err != nil || len(traces) != 1 {
 		t.Fatalf("traces = %d, err %v", len(traces), err)
 	}
@@ -184,7 +189,7 @@ func TestFrontendShedTracedAndLogged(t *testing.T) {
 	if ss := traces[0].RootSpan().Find("shard0"); ss == nil || ss.Attrs["status"] != "shed" {
 		t.Fatalf("shard0 span not marked shed: %+v", ss)
 	}
-	recs, err := reqtrace.ReadRecords(&recBuf)
+	recs, err := reqtrace.ReadRecords(&traceBuf)
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("records = %d, err %v", len(recs), err)
 	}

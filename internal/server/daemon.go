@@ -23,13 +23,14 @@ type Daemon interface {
 // RegisterFlags registers the command-line flags mublastpd and mublastpr
 // share on the default flag set (name is the daemon's, addr its default
 // listen address) and returns the life of the process after flag.Parse: arm
-// -faultspec, open the -trace and -record sinks, let build load the database
-// and construct the daemon — from the search parameters under -evalue,
-// -max-hits and -threads and a Config carrying the flags' request bounds,
-// the sinks and a stderr logger; detail is what the daemon says about itself
-// in the "serving on" line — start it on -addr, bring up the -debug-addr
-// server, wait for SIGINT/SIGTERM, and drain for -drain-grace. A second
-// signal force-exits.
+// -faultspec, open the -trace sink (the one per-request log, which replay
+// and capsim also read), let build load the database and construct the
+// daemon — from the search parameters under -evalue, -max-hits and -threads
+// and a Config carrying the flags' request bounds, the trace sink and a
+// stderr logger; detail is what the daemon says about itself in the
+// "serving on" line — start it on -addr, bring up the -debug-addr server,
+// wait for SIGINT/SIGTERM, and drain for -drain-grace. A second signal
+// force-exits.
 func RegisterFlags(name, addr string) func(build func(p blast.Params, cfg Config) (d Daemon, detail string, err error)) error {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, name+": "+format+"\n", args...)
@@ -44,8 +45,7 @@ func RegisterFlags(name, addr string) func(build func(p blast.Params, cfg Config
 		listen     = flag.String("addr", addr, "listen address (use :0 for an ephemeral port)")
 		drainGrace = flag.Duration("drain-grace", 10*time.Second, "time in-flight searches get to finish on shutdown before partial-result flush")
 		debugAddr  = flag.String("debug-addr", "", "also serve /metrics, /debug/vars and /debug/pprof/ on this address (e.g. :6060), separate from -addr")
-		tracePath  = flag.String("trace", "", "append one JSONL trace tree per request (edge span down to the per-query stage spans) to this file")
-		recordPath = flag.String("record", "", "append one workload record per request (arrival, query lengths, deadline, outcome, span durations) to this file — replay/capsim input")
+		tracePath  = flag.String("trace", "", "append one JSONL trace tree per request (edge span down to the per-query stage spans) to this file — also the replay/capsim workload log")
 		faultSpec  = flag.String("faultspec", "", "arm fault-injection sites, e.g. 'server.admit=error@0.1' or 'router.rpc=error@0.1' (testing aid)")
 		faultSeed  = flag.Uint64("faultseed", 1, "seed for probabilistic -faultspec clauses")
 	)
@@ -65,15 +65,6 @@ func RegisterFlags(name, addr string) func(build func(p blast.Params, cfg Config
 			defer tracer.Close()
 			cfg.Tracer = tracer
 			logf("tracing requests to %s", *tracePath)
-		}
-		if *recordPath != "" {
-			recorder, err := reqtrace.NewRecorderFile(*recordPath)
-			if err != nil {
-				return fmt.Errorf("opening record sink: %w", err)
-			}
-			defer recorder.Close()
-			cfg.Recorder = recorder
-			logf("recording workload to %s", *recordPath)
 		}
 
 		d, detail, err := build(p, cfg)

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,7 +50,7 @@ type Edge struct {
 
 // NewEdge builds the edge of the named daemon (the trace root's "daemon"
 // attribute). Of cfg it reads the request bounds (DefaultTimeout, MaxTimeout,
-// MaxQueries) and the sinks (Registry, Tracer, Recorder, Logf); the rest is
+// MaxQueries) and the sinks (Registry, Tracer, Logf); the rest is
 // the Server's. ready, when non-nil, is the daemon's own readiness condition
 // on top of "not draining".
 func NewEdge(daemon string, cfg Config, ready func() error) *Edge {
@@ -209,11 +210,10 @@ func (e *Edge) DecodePost(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // Scope is one request's observability state: the request ID echoed on
-// every outcome, the trace tree under construction (nil with tracing off —
-// every span operation no-ops), and the workload record under accumulation
-// (nil with recording off). It exists so a handler's many exit paths all
+// every outcome and the trace tree under construction (nil with tracing off —
+// every span operation no-ops). It exists so a handler's many exit paths all
 // converge on one Finish call that stamps outcome and status, closes the
-// root span, and writes both sinks.
+// root span, and writes the tree.
 type Scope struct {
 	e       *Edge
 	w       http.ResponseWriter
@@ -223,16 +223,15 @@ type Scope struct {
 	RID   string
 	Trace *reqtrace.Trace
 	Root  *reqtrace.Span
-	rec   *reqtrace.Record
 	done  bool
 }
 
 // Begin opens a batch request's scope: it resolves the request ID (honoring
 // an incoming X-Request-ID so multi-hop traces keep one handle), echoes it on
 // the response immediately — every outcome carries it, success or shed —
-// opens the trace tree and workload record when their sinks are attached,
-// and refuses anything but POST and anything while draining. On false the
-// refusal is written and the scope finished.
+// opens the trace tree when a tracer is attached, and refuses anything but
+// POST and anything while draining. On false the refusal is written and the
+// scope finished.
 func (e *Edge) Begin(w http.ResponseWriter, r *http.Request) (*Scope, bool) {
 	arrival := time.Now()
 	wc := reqtrace.Extract(r.Header)
@@ -243,13 +242,6 @@ func (e *Edge) Begin(w http.ResponseWriter, r *http.Request) (*Scope, bool) {
 	sc.Trace = e.cfg.Tracer.Begin(wc, "edge", arrival.UnixNano())
 	sc.Root = sc.Trace.RootSpan()
 	sc.Root.SetAttr("daemon", e.daemon)
-	if e.cfg.Recorder != nil {
-		sc.rec = &reqtrace.Record{
-			RequestID:     sc.RID,
-			ArrivalUnixNS: arrival.UnixNano(),
-			SpanNanos:     make(map[string]int64, 8),
-		}
-	}
 	w.Header().Set(reqtrace.HeaderRequestID, sc.RID)
 	if r.Method != http.MethodPost {
 		return sc, sc.Reject(reqtrace.OutcomeRejected, http.StatusMethodNotAllowed, "POST only")
@@ -260,16 +252,11 @@ func (e *Edge) Begin(w http.ResponseWriter, r *http.Request) (*Scope, bool) {
 	return sc, true
 }
 
-// Recording reports whether a workload record is being kept, for callers
-// whose span names cost something to build.
-func (sc *Scope) Recording() bool { return sc.rec != nil }
-
-// SpanNanos stamps a named duration into the workload record. Trace spans
-// are handled separately (they carry structure); the record keeps the flat
-// projection the capacity planner fits from.
-func (sc *Scope) SpanNanos(name string, d time.Duration) {
-	if sc.rec != nil {
-		sc.rec.SpanNanos[name] = d.Nanoseconds()
+// stampDeadline records the request's effective deadline on the edge span,
+// where the workload record (reqtrace.ReadRecords) reads it back.
+func (sc *Scope) stampDeadline(d time.Duration) {
+	if sc.Root != nil {
+		sc.Root.SetAttr(reqtrace.AttrDeadlineMS, strconv.FormatInt(d.Milliseconds(), 10))
 	}
 }
 
@@ -282,9 +269,9 @@ func (sc *Scope) Reject(outcome string, status int, format string, args ...any) 
 }
 
 // Finish closes the request: root span ended with the total duration,
-// outcome and HTTP status stamped on tree and record, both sinks written
-// and flushed (a trace file must be complete the moment the response is on
-// the wire — the smoke test and operators read it while the daemon runs).
+// outcome and HTTP status stamped, the tree written and flushed (a trace
+// file must be complete the moment the response is on the wire — the smoke
+// test and operators read it while the daemon runs).
 // Idempotent; later calls no-op so error paths can finish early and fall
 // through.
 func (sc *Scope) Finish(outcome string, status int) {
@@ -293,20 +280,11 @@ func (sc *Scope) Finish(outcome string, status int) {
 	}
 	sc.done = true
 	total := time.Since(sc.arrival)
-	sc.Root.SetAttr("status", strconv.Itoa(status))
+	sc.Root.SetAttr(reqtrace.AttrStatus, strconv.Itoa(status))
 	sc.Root.End(total.Nanoseconds())
 	tracer := sc.e.cfg.Tracer
 	if err := tracer.Finish(sc.Trace, outcome); err == nil {
 		tracer.Flush()
-	}
-	if sc.rec != nil {
-		sc.rec.Outcome = outcome
-		sc.rec.Status = status
-		sc.rec.SpanNanos["total"] = total.Nanoseconds()
-		rec := sc.e.cfg.Recorder
-		if err := rec.Write(sc.rec); err == nil {
-			rec.Flush()
-		}
 	}
 }
 
@@ -329,8 +307,8 @@ type Batch struct {
 // DecodeBatch is the rest of a batch endpoint's preamble after Begin: decode
 // req, refuse what can never run (an undecodable or oversized body, an empty
 // or oversized batch, malformed residues), resolve the deadline, and stamp
-// query lengths and deadline into the workload record. On false the refusal
-// is written and the scope finished.
+// query lengths and deadline on the edge span. On false the refusal is
+// written and the scope finished.
 func (sc *Scope) DecodeBatch(r *http.Request, req batchRequest) (Batch, bool) {
 	cfg := &sc.e.cfg
 	if err := decodeBody(sc.w, r, maxBodyBytes, req); err != nil {
@@ -361,12 +339,13 @@ func (sc *Scope) DecodeBatch(r *http.Request, req batchRequest) (Batch, bool) {
 		b.Timeout = cfg.DefaultTimeout
 	}
 	b.Timeout = min(b.Timeout, cfg.MaxTimeout)
-	if sc.rec != nil {
-		sc.rec.QueryLens = make([]int, len(b.Residues))
+	if sc.Root != nil {
+		lens := make([]string, len(b.Residues))
 		for i, res := range b.Residues {
-			sc.rec.QueryLens[i] = len(res)
+			lens[i] = strconv.Itoa(len(res))
 		}
-		sc.rec.DeadlineMS = b.Timeout.Milliseconds()
+		sc.Root.SetAttr(reqtrace.AttrQueryLens, strings.Join(lens, ","))
+		sc.stampDeadline(b.Timeout)
 	}
 	return b, true
 }

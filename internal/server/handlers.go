@@ -170,10 +170,8 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, what string, req 
 	degraded := s.deg.observe(s.adm.depth(), time.Now())
 	if degraded {
 		b.Timeout = min(b.Timeout, s.cfg.DegradedTimeout)
-	}
-	if sc.rec != nil {
-		sc.rec.DeadlineMS = b.Timeout.Milliseconds()
-		sc.rec.Degraded = degraded
+		sc.Root.SetAttr(reqtrace.AttrDegraded, "true")
+		sc.stampDeadline(b.Timeout)
 	}
 
 	// Claim a wait slot — the only unbounded-queue defense that matters.
@@ -195,7 +193,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, what string, req 
 		defer cancel()
 		waited := time.Since(enqueued)
 		admSpan.End(waited.Nanoseconds())
-		sc.SpanNanos("queue", waited)
 		s.deg.observe(s.adm.depth(), time.Now())
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			s.met.TimedOut.Add(1)
@@ -211,7 +208,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, what string, req 
 	}
 	queueWait := time.Since(enqueued)
 	admSpan.End(queueWait.Nanoseconds())
-	sc.SpanNanos("queue", queueWait)
 	s.met.Admitted.Add(1)
 	s.met.QueueWaitNanos.Observe(int64(queueWait))
 	s.deg.observe(s.adm.depth(), time.Now())
@@ -245,7 +241,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	searchDur := time.Since(searchStart)
 	release()
 	searchSpan.End(searchDur.Nanoseconds())
-	sc.SpanNanos("search", searchDur)
 	if err != nil {
 		sc.Reject(reqtrace.OutcomeRejected, http.StatusBadRequest, "search: %v", err)
 		return

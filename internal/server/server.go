@@ -100,12 +100,9 @@ type Config struct {
 	// edge, admission-queue wait, search, and per-query six-stage pipeline
 	// spans, linked by span IDs and correlated by the request ID echoed in
 	// X-Request-ID. Nil (the default) is free — every span operation
-	// no-ops.
+	// no-ops. The trace is also the workload log: reqtrace.ReadRecords
+	// projects it into the records the replayer and capsim read.
 	Tracer *reqtrace.Tracer
-	// Recorder, when set, writes one compact workload record per request
-	// (arrival time, query lengths, deadline, outcome, span durations) —
-	// the input of the replayer and the capacity planner. Nil is free.
-	Recorder *reqtrace.Recorder
 	// Logf receives operational log lines (sheds, timeouts, cancellations)
 	// tagged with the request ID so they correlate with traces. Nil
 	// disables logging (tests); the daemon wires it to stderr.

@@ -125,7 +125,6 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	searchDur := time.Since(searchStart)
 	release() // the result is self-contained: wiring it needs no database
 	searchSpan.End(searchDur.Nanoseconds())
-	sc.SpanNanos("search", searchDur)
 	if err != nil {
 		sc.Reject(reqtrace.OutcomeRejected, http.StatusBadRequest, "shard search: %v", err)
 		return

@@ -36,10 +36,9 @@ func TestTracingProducesStitchedTreeAndIdenticalResults(t *testing.T) {
 	body := `{"queries":[{"name":"q1","residues":"` + f.query + `"}]}`
 
 	// Traced server.
-	var traceBuf, recBuf bytes.Buffer
+	var traceBuf bytes.Buffer
 	tracer := reqtrace.NewTracer("mublastpd", &traceBuf)
-	recorder := reqtrace.NewRecorder(&recBuf)
-	_, urlOn := f.start(t, Config{Tracer: tracer, Recorder: recorder})
+	_, urlOn := f.start(t, Config{Tracer: tracer})
 	respOn, srOn := postSearch(t, urlOn, body)
 	if respOn.StatusCode != http.StatusOK {
 		t.Fatalf("traced search = %d", respOn.StatusCode)
@@ -71,7 +70,7 @@ func TestTracingProducesStitchedTreeAndIdenticalResults(t *testing.T) {
 	}
 
 	// One stitched trace tree, linked span IDs, the expected structure.
-	traces, err := reqtrace.ReadTraces(&traceBuf)
+	traces, err := reqtrace.ReadTraces(bytes.NewReader(traceBuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +106,9 @@ func TestTracingProducesStitchedTreeAndIdenticalResults(t *testing.T) {
 		t.Fatalf("search span has no duration")
 	}
 
-	// The workload record carries the same request id and the flat spans.
-	recs, err := reqtrace.ReadRecords(&recBuf)
+	// The workload record projected from the same tree carries the request
+	// id, the batch facts and the flat spans.
+	recs, err := reqtrace.ReadRecords(&traceBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,8 @@ func TestTracingProducesStitchedTreeAndIdenticalResults(t *testing.T) {
 	if len(rec.QueryLens) != 1 || rec.QueryLens[0] != len(f.query) {
 		t.Fatalf("record query lens = %v, want [%d]", rec.QueryLens, len(f.query))
 	}
-	if rec.SpanNanos["search"] <= 0 || rec.SpanNanos["total"] < rec.SpanNanos["search"] {
+	if _, ok := rec.SpanNanos["admission"]; !ok || rec.Degraded ||
+		rec.SpanNanos["search"] <= 0 || rec.SpanNanos["total"] < rec.SpanNanos["search"] {
 		t.Fatalf("record spans inconsistent: %v", rec.SpanNanos)
 	}
 	if rec.DeadlineMS != (30 * time.Second).Milliseconds() {
@@ -164,8 +165,8 @@ func TestIncomingRequestIDHonored(t *testing.T) {
 
 func TestRequestIDOnEveryOutcome(t *testing.T) {
 	f := newFixture(t)
-	var recBuf bytes.Buffer
-	_, url := f.start(t, Config{Recorder: reqtrace.NewRecorder(&recBuf)})
+	var traceBuf bytes.Buffer
+	_, url := f.start(t, Config{Tracer: reqtrace.NewTracer("mublastpd", &traceBuf)})
 
 	// Rejected: bad body.
 	resp, err := http.Post(url+"/search", "application/json", strings.NewReader("{"))
@@ -188,7 +189,7 @@ func TestRequestIDOnEveryOutcome(t *testing.T) {
 		t.Fatalf("405 outcome carries no X-Request-ID")
 	}
 
-	recs, err := reqtrace.ReadRecords(&recBuf)
+	recs, err := reqtrace.ReadRecords(&traceBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,13 +205,13 @@ func TestRequestIDOnEveryOutcome(t *testing.T) {
 
 func TestShedCarriesRequestIDAndRecord(t *testing.T) {
 	f := newFixture(t)
-	var recBuf bytes.Buffer
+	var traceBuf bytes.Buffer
 	var logMu sync.Mutex
 	var logLines []string
 	srv, url := f.start(t, Config{
 		Queue:       1,
 		Concurrency: 1,
-		Recorder:    reqtrace.NewRecorder(&recBuf),
+		Tracer:      reqtrace.NewTracer("mublastpd", &traceBuf),
 		Logf: func(format string, args ...any) {
 			logMu.Lock()
 			logLines = append(logLines, fmt.Sprintf(format, args...))
@@ -275,7 +276,7 @@ func TestShedCarriesRequestIDAndRecord(t *testing.T) {
 	}
 
 	var shedRec bool
-	recs, err := reqtrace.ReadRecords(&recBuf)
+	recs, err := reqtrace.ReadRecords(&traceBuf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,16 @@
 #!/bin/sh
 # Cross-tier tracing smoke test (the `make trace-smoke` target).
 #
-# Starts mublastpd (monolithic, traced, recording, debug server on) and
-# mublastpr (sharded, traced) on generated containers, runs a query batch
-# through both tiers, and asserts the tracing contract end to end: exactly
-# one stitched trace tree per request (span IDs linked, the expected
-# edge/admission/search and edge/scatter/shard/merge spans present, the six
-# pipeline stage spans nested inside — all checked by cmd/tracecheck), the
-# X-Request-ID response header on every reply, upstream trace context
-# honored across the HTTP hop, a non-empty /metrics on the debug address,
-# and a workload record per request ready for replay/capsim.
+# Starts mublastpd (monolithic, traced, debug server on) and mublastpr
+# (sharded, traced) on generated containers, runs a query batch through both
+# tiers, and asserts the tracing contract end to end: exactly one stitched
+# trace tree per request (span IDs linked, the expected edge/admission/search
+# and edge/search/scatter/shard/merge spans present, the six pipeline stage
+# spans nested inside — all checked by cmd/tracecheck), the X-Request-ID
+# response header on every reply, upstream trace context honored across the
+# HTTP hop, a non-empty /metrics on the debug address, and the trace file
+# replayable as a workload (experiments -exp replay re-issues mublastpd's
+# request against it).
 set -eu
 
 workdir=$(mktemp -d "${TMPDIR:-/tmp}/trace-smoke.XXXXXX")
@@ -28,6 +29,7 @@ go build -o "$workdir/mublastpr" ./cmd/mublastpr
 go build -o "$workdir/makedb" ./cmd/makedb
 go build -o "$workdir/genseq" ./cmd/genseq
 go build -o "$workdir/tracecheck" ./cmd/tracecheck
+go build -o "$workdir/experiments" ./cmd/experiments
 
 echo "trace-smoke: generating workload and containers..."
 "$workdir/genseq" -n 400 -seed 31 -out "$workdir/db.fasta" \
@@ -46,14 +48,13 @@ search_body="{\"queries\":[$queries_json]}"
 
 echo "trace-smoke: starting traced mublastpd + mublastpr..."
 "$workdir/mublastpd" -db "$workdir/db.mublastp" -addr 127.0.0.1:0 \
-    -debug-addr 127.0.0.1:0 -trace "$workdir/mono.trace.jsonl" \
-    -record "$workdir/mono.record.jsonl" -drain-grace 5s \
+    -debug-addr 127.0.0.1:0 -trace "$workdir/mono.trace.jsonl" -drain-grace 5s \
     >/dev/null 2>"$workdir/mono.err" &
 mono_pid=$!
 "$workdir/mublastpr" \
     -shards "$workdir/db.mublastp.shard0-of-2,$workdir/db.mublastp.shard1-of-2" \
     -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 \
-    -trace "$workdir/router.trace.jsonl" -record "$workdir/router.record.jsonl" \
+    -trace "$workdir/router.trace.jsonl" \
     -drain-grace 5s >/dev/null 2>"$workdir/router.err" &
 router_pid=$!
 
@@ -107,7 +108,7 @@ grep -q '"trace_id":"00000000cafef00d"' "$workdir/router.trace.jsonl" || {
 
 echo "trace-smoke: one stitched trace tree per request..."
 if ! "$workdir/tracecheck" -in "$workdir/router.trace.jsonl" -want 4 -daemon mublastpr \
-    -require "edge,scatter,shard0,shard1,merge,query:0,stage:hit_detect,stage:prefilter,stage:sort,stage:ungapped,stage:gapped,stage:traceback"; then
+    -require "edge,search,scatter,shard0,shard1,merge,query:0,stage:hit_detect,stage:prefilter,stage:sort,stage:ungapped,stage:gapped,stage:traceback"; then
     echo "trace-smoke: FAIL: router trace trees invalid"; fail=1
 fi
 if ! "$workdir/tracecheck" -in "$workdir/mono.trace.jsonl" -want 1 -daemon mublastpd \
@@ -115,15 +116,17 @@ if ! "$workdir/tracecheck" -in "$workdir/mono.trace.jsonl" -want 1 -daemon mubla
     echo "trace-smoke: FAIL: mublastpd trace trees invalid"; fail=1
 fi
 
-echo "trace-smoke: workload records..."
-for f in mono.record.jsonl router.record.jsonl; do
-    want=1; [ "$f" = "router.record.jsonl" ] && want=4
-    got=$(wc -l <"$workdir/$f" | tr -d ' ')
-    [ "$got" = "$want" ] || {
-        echo "trace-smoke: FAIL: $f holds $got records, want $want"; fail=1; }
-done
-grep -q '"outcome":"ok"' "$workdir/router.record.jsonl" || {
-    echo "trace-smoke: FAIL: router records carry no ok outcome"; fail=1; }
+# After tracecheck: the replayed request lands in mono.trace.jsonl too.
+echo "trace-smoke: replaying the mublastpd trace as a workload..."
+if "$workdir/experiments" -exp replay -markdown -replay-target "http://$mono_addr" \
+    -replay-workload "$workdir/mono.trace.jsonl" >"$workdir/replay.md" 2>"$workdir/replay.err"; then
+    grep -q '^| requests | 1 |$' "$workdir/replay.md" || {
+        echo "trace-smoke: FAIL: replay did not send exactly 1 request"; cat "$workdir/replay.md"; fail=1; }
+    grep -q '^| ok | 1 |$' "$workdir/replay.md" || {
+        echo "trace-smoke: FAIL: replayed request did not answer ok"; cat "$workdir/replay.md"; fail=1; }
+else
+    echo "trace-smoke: FAIL: replay of mono.trace.jsonl failed"; cat "$workdir/replay.err"; fail=1
+fi
 
 echo "trace-smoke: debug /metrics..."
 curl -fsS "http://$mono_dbg/metrics" >"$workdir/mono.metrics" || {
