@@ -28,11 +28,12 @@ test: vet bench-build fmtcheck race fuzz chaos obs-smoke obs-smoke-fault serve-s
 	go test ./...
 
 # Race-detector pass over the packages with concurrent hot paths (the batch
-# scheduler, the task-grid runtime, the engines it drives, the hot-reload
-# session, the serving layer's admission machinery, and the observability
-# layer's lock-free metrics and concurrent trace sink).
+# scheduler, the task-grid runtime, the engines it drives, the index build's
+# concurrent blocks from pooled scratch, the hot-reload session, the serving
+# layer's admission machinery, and the observability layer's lock-free
+# metrics and concurrent trace sink).
 race:
-	go test -race ./internal/core ./internal/parallel ./internal/search ./internal/baseline ./internal/server ./internal/router ./internal/obs ./internal/reqtrace ./blast
+	go test -race ./internal/core ./internal/parallel ./internal/search ./internal/baseline ./internal/dbindex ./internal/neighbor ./internal/server ./internal/router ./internal/obs ./internal/reqtrace ./blast
 
 # Chaos harness: randomized fault schedules (injected panics, delays, errors,
 # dropped RPCs, torn response bodies) against the batch scheduler, the serving

@@ -11,12 +11,14 @@ const NumWords = Size * Size * Size
 // Word is a packed W-letter word index in [0, NumWords).
 // The first residue occupies the most significant digits, so words that
 // share a prefix are numerically adjacent — this keeps the database index
-// cache-friendly when scanning lexicographically.
-type Word int32
+// cache-friendly when scanning lexicographically. NumWords fits in 16 bits,
+// so a word is 2 bytes wherever it is stored (the neighbor table holds half a
+// million of them).
+type Word uint16
 
 // PackWord packs residues c0,c1,c2 (in sequence order) into a Word.
 func PackWord(c0, c1, c2 Code) Word {
-	return Word(int32(c0)*Size*Size + int32(c1)*Size + int32(c2))
+	return Word(uint32(c0)*Size*Size + uint32(c1)*Size + uint32(c2))
 }
 
 // WordAt packs the word starting at position i of the encoded sequence.
@@ -27,7 +29,7 @@ func WordAt(seq []Code, i int) Word {
 
 // Unpack returns the residue codes of the word.
 func (w Word) Unpack() (c0, c1, c2 Code) {
-	v := int32(w)
+	v := uint32(w)
 	return Code(v / (Size * Size)), Code(v / Size % Size), Code(v % Size)
 }
 
@@ -38,7 +40,7 @@ func (w Word) String() string {
 }
 
 // Valid reports whether w is a well-formed word index.
-func (w Word) Valid() bool { return w >= 0 && w < NumWords }
+func (w Word) Valid() bool { return w < NumWords }
 
 // Words iterates the overlapping words of an encoded sequence, calling fn
 // with each query offset and packed word. Sequences shorter than W yield

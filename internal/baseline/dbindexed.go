@@ -134,7 +134,7 @@ func (e *DBIndexed) searchOne(sc *dbiScratch, queryIdx int, q []alphabet.Code) s
 		for qOff := 0; qOff+alphabet.W <= len(q); qOff++ {
 			w := alphabet.WordAt(q, qOff)
 			for _, v := range cfg.Neighbors.Neighbors(w) {
-				offs, _ := b.Runs(v)
+				offs, _, _ := b.Lead(v)
 				if len(offs) == 0 {
 					continue
 				}

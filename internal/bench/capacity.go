@@ -17,8 +17,9 @@ import (
 
 // capacityOutcome carries one validation run's measured-vs-predicted pairs:
 // what the live daemon did under a replayed overload, and what the
-// discrete-event model predicted for the same workload from a calibration
-// fit. CapacityValidation renders it; the gate test asserts on it.
+// discrete-event model predicted for the same workload from a fit to that
+// run's service times. CapacityValidation renders it; the gate test asserts
+// on it.
 type capacityOutcome struct {
 	Measured  *reqtrace.ReplayResult
 	Predicted *capsim.Result
@@ -36,11 +37,11 @@ const (
 // runCapacityValidation closes the trace → fit → predict loop end to end
 // against a *live* daemon: it serves a seqgen database through the real
 // serving core (internal/server) with a deliberately tight queue, replays a
-// calm calibration workload to trace service times, fits the capsim service
-// distribution from the records projected from those traces, then replays
-// an overload workload — open loop, ~3x the measured capacity — and compares
-// the model's predicted shed rate and latency quantiles against what the
-// daemon actually did.
+// calm calibration workload to trace service times and size the overload,
+// replays an overload workload — open loop, ~3x the measured capacity —
+// fits the capsim service distribution from the records projected from that
+// run's traces, and compares the model's predicted shed rate and latency
+// quantiles against what the daemon actually did.
 func runCapacityValidation(s Scale) (*capacityOutcome, error) {
 	// A database sized to make one search take tens of milliseconds: long
 	// enough that service time dominates HTTP transport overhead (so the
@@ -118,13 +119,14 @@ func runCapacityValidation(s Scale) (*capacityOutcome, error) {
 	}
 
 	// Calibration: ~40% load, no queueing to speak of — the traced
-	// "search" spans are clean service-time samples.
+	// "search" spans are clean service-time samples, which set the overload
+	// rate.
 	calibWL := reqtrace.SynthWorkload(40, 0.4*capacityPerSec, qlen, deadlineMS, s.Seed+1)
 	calibRecs, _, err := runServer(calibWL)
 	if err != nil {
 		return nil, fmt.Errorf("calibration run: %w", err)
 	}
-	dist, err := capsim.FitSpan(calibRecs, "search", reqtrace.OutcomeOK)
+	calib, err := capsim.FitSpan(calibRecs, "search", reqtrace.OutcomeOK)
 	if err != nil {
 		return nil, fmt.Errorf("fitting service distribution: %w", err)
 	}
@@ -132,7 +134,7 @@ func runCapacityValidation(s Scale) (*capacityOutcome, error) {
 	// Overload: ~3x capacity, open loop, so the bounded queue must shed.
 	// Capacity comes from the fitted mean service time — the probe's single
 	// cold search would understate it.
-	offered := 3 * float64(time.Second) / dist.Mean() * capConcurrency
+	offered := 3 * float64(time.Second) / calib.Mean() * capConcurrency
 	overWL := reqtrace.SynthWorkload(150, offered, qlen, deadlineMS, s.Seed+2)
 	overRecs, measured, err := runServer(overWL)
 	if err != nil {
@@ -140,7 +142,15 @@ func runCapacityValidation(s Scale) (*capacityOutcome, error) {
 	}
 
 	// Predict the same workload through the model: identical arrival
-	// offsets and deadlines, service drawn from the calibration fit.
+	// offsets and deadlines, service drawn from a fit to the overload run's
+	// own "search" spans. Those were served on the same host at the same
+	// moment as the sheds and latencies they predict; a service fit from the
+	// calibration run would carry whatever else the host was running then
+	// (a parallel test package, say) into the prediction.
+	dist, err := capsim.FitSpan(overRecs, "search", reqtrace.OutcomeOK)
+	if err != nil {
+		return nil, fmt.Errorf("fitting service distribution: %w", err)
+	}
 	sim, err := capsim.Run(capsim.Config{
 		Queue:       capQueueBound,
 		Concurrency: capConcurrency,
@@ -187,7 +197,7 @@ func CapacityValidation(s Scale) (*Table, error) {
 	addMS("p99 latency", ms(m.LatencyQuantile(0.99)), ms(p.LatencyQuantile(0.99)))
 	t.Note("server: queue %d, concurrency %d; calibration %d req at 40%% load; overload %d req offered at %.0f req/s (~3x capacity)",
 		capQueueBound, capConcurrency, out.CalibReqs, out.OverReqs, out.OfferedPS)
-	t.Note("service fit: %d samples from traced 'search' spans, mean %.1f ms, p95 %.1f ms",
+	t.Note("service fit: %d samples from the overload run's traced 'search' spans, mean %.1f ms, p95 %.1f ms",
 		out.Fit.Len(), out.Fit.Mean()/float64(time.Millisecond), ms(out.Fit.Quantile(0.95)))
 	t.Note("bands: |shed rate err| <= 0.15 absolute, p95 within 50%% relative — asserted by TestCapacityModelTracksMeasuredOverload")
 	return t, nil

@@ -320,7 +320,7 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 	for qOff := 0; qOff+alphabet.W <= len(q); qOff++ {
 		w := alphabet.WordAt(q, qOff)
 		for _, v := range e.Cfg.Neighbors.Neighbors(w) {
-			offs, split := b.Runs(v)
+			offs, row := b.Runs(v)
 			if len(offs) == 0 {
 				continue
 			}
@@ -331,8 +331,8 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 				base = e.ixBase[bi] + int64(b.Base(v))*4
 			}
 			pi := 0
-			for p, c := range split {
-				n := b.RunLen(v, p, c)
+			for p := 0; len(offs) > 0; p++ {
+				n := b.RunLen(v, p, row)
 				g := uint32(p) << dbindex.PageShift
 				for _, d := range offs[:n] {
 					g = dbindex.Next(g, d)
@@ -431,9 +431,9 @@ func (k *pairScan) scan(words []alphabet.Word) {
 			k.np = k.run(offs, uint32(page)<<dbindex.PageShift)
 			continue
 		}
-		_, split := k.b.Runs(v)
+		_, row := k.b.Runs(v)
 		for p := 0; len(offs) > 0; p++ {
-			n := k.b.RunLen(v, p, split[p])
+			n := k.b.RunLen(v, p, row)
 			k.np = k.run(offs[:n], uint32(p)<<dbindex.PageShift)
 			offs = offs[n:]
 		}

@@ -22,16 +22,18 @@
 // stored as its distance from the one before, and a run's first as its
 // offset in its page, the axis being cut into pages of 1<<16 coordinates. A
 // run ends where the next distance would not fit, so most words' positions
-// are one run. The word table holds a 32-bit start per word, per (word,
-// page) the 8-bit length of the run that starts in that page, and per word
-// the page of its run when it has only one (Lead). Hit detection rebuilds
-// each coordinate with one add (Next) as it scans — coordinate
-// minus query offset is a diagonal of the whole block, and Pad = window - W
-// keeps two sequences that share a block diagonal at least a two-hit window
-// apart on it, so one last-hit slot per block diagonal gives the same
-// verdicts as one per (sequence, diagonal) (DESIGN.md, "Hit detection") —
-// and only the few hits that pair are decoded back to (local sequence id,
-// subject offset), by Decode.
+// are one run. The word table holds a 32-bit start per word and the page of
+// its run when it has only one (Lead), which with the word's position count
+// describes the run in full; only the few words that need more (3.5% of the
+// (word, block) rows of the benchmark's 55-block database) keep a row of the
+// split table, the 8-bit length of the run that starts in each page (Runs).
+// Hit detection rebuilds each coordinate with one add (Next) as it scans —
+// coordinate minus query offset is a diagonal of the whole block, and Pad =
+// window - W keeps two sequences that share a block diagonal at least a
+// two-hit window apart on it, so one last-hit slot per block diagonal gives
+// the same verdicts as one per (sequence, diagonal) (DESIGN.md, "Hit
+// detection") — and only the few hits that pair are decoded back to (local
+// sequence id, subject offset), by Decode.
 package dbindex
 
 import (
@@ -53,8 +55,8 @@ import (
 const PageShift = 16
 
 // splitWide is the split-table byte of a run too long for it: the run's
-// length is in BlockIndex.wide instead. A frequent word in a large block, or
-// a low-complexity stretch, makes runs that long.
+// length is in BlockIndex.wide instead. A low-complexity stretch makes runs
+// that long.
 const splitWide = math.MaxUint8
 
 // BlockIndex is the lookup table for one index block.
@@ -65,18 +67,24 @@ type BlockIndex struct {
 	// any window up to Pad + alphabet.W.
 	Pad int
 	// CSR layout: the positions of word w are flat[offsets[w]:offsets[w+1]],
-	// ascending, in runs: the first split[w*pages+p] of them that no earlier
-	// run holds form the run that starts in page p, for p = 0, 1, ... (see
-	// Runs). A run of splitWide or more positions has its length in wide,
-	// sorted by cell (w*pages + p).
+	// ascending, in runs, the first starting in the lowest page (see Runs).
 	offsets []int32
-	split   []uint8
-	wide    []wideRun
 	flat    []uint16
 	pages   int
 	// lead[w] is the page of word w's one run, or noLead if it has several
 	// (or starts past page noLead-1); see Lead.
 	lead []uint8
+	// The split table, kept only for the words whose lead is noLead: multi
+	// lists them ascending, and the row of multi[i] is
+	// rows[i*pages:(i+1)*pages], the length of its run that starts in each
+	// page. A run of splitWide or more positions has its length in wide,
+	// sorted by cell (w*pages + p). rowDir[k] is the index in multi of the
+	// first word w with w>>rowDirShift = k, if there is one: a word's search
+	// for its row starts there.
+	multi  []alphabet.Word
+	rowDir []uint16
+	rows   []uint8
+	wide   []wideRun
 	// segStart[l] is the block coordinate of local sequence l's first
 	// residue, segStart[NumSeqs] the block's span. coarse[c] is the sequence
 	// whose segment (residues and padding) holds coordinate c<<coarseShift.
@@ -87,6 +95,13 @@ type BlockIndex struct {
 
 // noLead is the lead byte of a word that the scan must walk run by run.
 const noLead = math.MaxUint8
+
+// rowDirShift sets the grain of the split table's directory: one entry per
+// 64 words is 432 bytes a block, and leaves a word's search for its row a
+// step or two past where the directory points, where a binary search over
+// the several hundred words of a large block that keep rows takes ten
+// (EXPERIMENTS.md, "PR-30 resident tables").
+const rowDirShift = 6
 
 // wideRun is the length of a run the split table's byte cannot hold.
 type wideRun struct{ cell, n int32 }
@@ -166,8 +181,17 @@ func build(db *dbase.DB, nbr *neighbor.Table, blockResidues int64, window, threa
 // block and, through scratchPool, from build to build: a delta of a few
 // sequences would otherwise spend longer clearing it than indexing.
 type buildScratch struct {
-	count []uint32 // per word: its positions
-	cur   []cursor // per word: see cursor
+	count []uint32    // per word: its positions, then its row (see buildBlock)
+	cur   []cursor    // per word: see cursor
+	runs  []closedRun // the runs of the words that have several
+	lens  []uint32    // their run lengths, a row of pages per word
+}
+
+// closedRun is a run of word w that starts in page page and holds n
+// positions.
+type closedRun struct {
+	w       alphabet.Word
+	page, n uint32
 }
 
 // cursor is where a build is in one word's positions: the next one goes to
@@ -199,8 +223,7 @@ func buildBlock(db *dbase.DB, b dbase.Block, window int, sc *buildScratch) (*Blo
 	// distance from the one before — the first from coordinate 0 — as the
 	// sequences are walked. A distance of a page or more ends a run and
 	// starts another: the position is stored as its offset in its page.
-	pages := uint32(bi.pages)
-	bi.split = make([]uint8, alphabet.NumWords*bi.pages)
+	runs := sc.runs[:0]
 	flat := make([]uint16, sum)
 	for s := b.Start; s < b.End; s++ {
 		start := uint32(bi.segStart[s-b.Start])
@@ -209,7 +232,9 @@ func buildBlock(db *dbase.DB, b dbase.Block, window int, sc *buildScratch) (*Blo
 			g := start + uint32(off)
 			d := g - c.last
 			if d >= 1<<PageShift {
-				bi.setRun(int(uint32(w)*pages+c.page), int(c.next-c.start))
+				if n := c.next - c.start; n > 0 {
+					runs = append(runs, closedRun{w, c.page, n})
+				}
 				c.start, c.page = c.next, g>>PageShift
 				d = g & (1<<PageShift - 1)
 			}
@@ -218,19 +243,35 @@ func buildBlock(db *dbase.DB, b dbase.Block, window int, sc *buildScratch) (*Blo
 			c.last = g
 		})
 	}
+	bi.flat = flat
 	// Each word's last run is still open; a word whose first run is its
-	// last leads with that run's page.
+	// last leads with that run's page, and the others get rows, numbered in
+	// word order in count, which the offsets no longer need.
 	bi.lead = make([]uint8, alphabet.NumWords)
+	rows := uint32(0)
 	for w, c := range cur {
-		bi.setRun(int(uint32(w)*pages+c.page), int(c.next-c.start))
 		if c.start != uint32(bi.offsets[w]) || c.page >= noLead {
+			runs = append(runs, closedRun{alphabet.Word(w), c.page, c.next - c.start})
 			bi.lead[w] = noLead
+			count[w] = rows
+			rows++
 		} else {
 			bi.lead[w] = uint8(c.page)
 		}
 	}
-	slices.SortFunc(bi.wide, func(a, b wideRun) int { return cmp.Compare(a.cell, b.cell) })
-	bi.flat = flat
+	lens := grown(&sc.lens, int(rows)*bi.pages)
+	clear(lens)
+	for _, r := range runs {
+		lens[int(count[r.w])*bi.pages+int(r.page)] = r.n
+	}
+	for w, l := range bi.lead {
+		if l == noLead {
+			i := int(count[w]) * bi.pages
+			bi.setRuns(alphabet.Word(w), lens[i:i+bi.pages])
+		}
+	}
+	sc.runs = runs
+	bi.keepRows()
 	return bi, nil
 }
 
@@ -242,15 +283,41 @@ func grown[T any](buf *[]T, n int) []T {
 	return (*buf)[:n]
 }
 
-// setRun records that the run of cell's word starting in cell's page holds n
-// positions. Setting cells in ascending order keeps wide sorted.
-func (b *BlockIndex) setRun(cell, n int) {
-	if n < splitWide {
-		b.split[cell] = uint8(n)
+// setRuns records the runs of word w, given the length of the one that
+// starts in each page: in w's lead byte when they are one run that it can
+// name, else in a row of the split table. Words must come in ascending order,
+// which keeps multi and wide sorted.
+func (b *BlockIndex) setRuns(w alphabet.Word, lens []uint32) {
+	runs, first := 0, 0
+	for p := len(lens) - 1; p >= 0; p-- {
+		if lens[p] != 0 {
+			runs, first = runs+1, p
+		}
+	}
+	if runs <= 1 && first < noLead { // one run, or none: page 0 will do
+		b.lead[w] = uint8(first)
 		return
 	}
-	b.split[cell] = splitWide
-	b.wide = append(b.wide, wideRun{int32(cell), int32(n)})
+	b.lead[w] = noLead
+	b.multi = append(b.multi, w)
+	for p, n := range lens {
+		if n < splitWide {
+			b.rows = append(b.rows, uint8(n))
+			continue
+		}
+		b.rows = append(b.rows, splitWide)
+		b.wide = append(b.wide, wideRun{int32(int(w)*b.pages + p), int32(n)})
+	}
+}
+
+// keepRows drops the slack that appending left in the split table, which is
+// held for the life of the block, and builds its directory.
+func (b *BlockIndex) keepRows() {
+	b.multi, b.rows, b.wide = slices.Clone(b.multi), slices.Clone(b.rows), slices.Clone(b.wide)
+	b.rowDir = make([]uint16, alphabet.NumWords>>rowDirShift)
+	for i := len(b.multi) - 1; i >= 0; i-- {
+		b.rowDir[b.multi[i]>>rowDirShift] = uint16(i)
+	}
 }
 
 // layout lays the block's sequences on the coordinate axis — segStart, the
@@ -289,60 +356,65 @@ func (b *BlockIndex) layout(db *dbase.DB) (residues int64, maxLen int, err error
 // spans.
 func (b *BlockIndex) Pages() int { return b.pages }
 
-// setLead derives word w's lead byte from its row of the split table.
-func (b *BlockIndex) setLead(w int) {
-	row := b.split[w*b.pages : (w+1)*b.pages]
-	first := 0
-	for first < len(row) && row[first] == 0 {
-		first++
-	}
-	lead := first
-	switch {
-	case first == len(row): // no positions: page 0 will do
-		lead = 0
-	case first >= noLead:
-		lead = noLead
-	}
-	for _, c := range row[min(first+1, len(row)):] {
-		if c != 0 {
-			lead = noLead
-		}
-	}
-	b.lead[w] = uint8(lead)
-}
-
 // Lead returns the positions of word w as stored and, when they form one
 // run (as most words' do), the page it starts in, so that a scan can walk
-// them with Next from page<<PageShift without reading the split table. When
-// ok is false, walk Runs.
+// them with Next from page<<PageShift without looking up a row of the split
+// table. When ok is false, walk Runs.
 func (b *BlockIndex) Lead(w alphabet.Word) (offs []uint16, page int, ok bool) {
 	c := b.lead[w]
 	return b.flat[b.offsets[w]:b.offsets[w+1]], int(c), c != noLead
 }
 
 // Runs returns the positions of word w as stored and the word's row of the
-// split table: the first RunLen(w, 0, split[0]) positions are the run that
-// starts in page 0, the next RunLen(w, 1, split[1]) the run that starts in
-// page 1, and so on for Pages() pages. The coordinate of a run's first
-// position is Next(p<<PageShift, d) for its page p and its stored value d,
-// and of every later one Next(previous coordinate, d). Both slices are
-// views; callers must not modify them.
-func (b *BlockIndex) Runs(w alphabet.Word) (offs []uint16, split []uint8) {
-	return b.flat[b.offsets[w]:b.offsets[w+1]], b.split[int(w)*b.pages : int(w+1)*b.pages]
+// split table, for RunLen: the first RunLen(w, 0, row) positions are the run
+// that starts in page 0, the next RunLen(w, 1, row) the run that starts in
+// page 1, and so on until the positions are used up. The coordinate of a
+// run's first position is Next(p<<PageShift, d) for its page p and its
+// stored value d, and of every later one Next(previous coordinate, d). A word
+// whose positions are one run (Lead's ok) has no row: row is nil. Both
+// slices are views; callers must not modify them.
+func (b *BlockIndex) Runs(w alphabet.Word) (offs []uint16, row []uint8) {
+	offs = b.flat[b.offsets[w]:b.offsets[w+1]]
+	if b.lead[w] != noLead {
+		return offs, nil
+	}
+	i := int(b.rowDir[w>>rowDirShift])
+	for b.multi[i] != w {
+		i++
+	}
+	return offs, b.rows[i*b.pages : (i+1)*b.pages]
 }
 
 // RunLen returns the length of word w's run that starts in page p, given
-// the word's split-table byte c for that page.
-func (b *BlockIndex) RunLen(w alphabet.Word, p int, c uint8) int {
-	if c < splitWide {
+// the word's row from Runs.
+func (b *BlockIndex) RunLen(w alphabet.Word, p int, row []uint8) int {
+	if row == nil {
+		if p != int(b.lead[w]) {
+			return 0
+		}
+		return int(b.offsets[w+1] - b.offsets[w])
+	}
+	if c := row[p]; c < splitWide {
 		return int(c)
 	}
-	return b.wideLen(int(w)*b.pages + p)
+	cell := int32(int(w)*b.pages + p)
+	i, _ := slices.BinarySearchFunc(b.wide, cell, func(r wideRun, c int32) int { return cmp.Compare(r.cell, c) })
+	return int(b.wide[i].n)
 }
 
-func (b *BlockIndex) wideLen(cell int) int {
-	i, _ := slices.BinarySearchFunc(b.wide, int32(cell), func(r wideRun, c int32) int { return cmp.Compare(r.cell, c) })
-	return int(b.wide[i].n)
+// runLens fills lens, Pages() long, with the length of word w's run that
+// starts in each page: what setRuns takes.
+func (b *BlockIndex) runLens(w alphabet.Word, lens []uint32) {
+	offs, page, one := b.Lead(w)
+	clear(lens)
+	if one {
+		lens[page] = uint32(len(offs))
+		return
+	}
+	_, row := b.Runs(w)
+	for p := range lens {
+		lens[p] = uint32(b.RunLen(w, p, row))
+	}
 }
 
 // Next returns the coordinate a position stored as d stands for, when it
@@ -354,10 +426,10 @@ func Next(g uint32, d uint16) uint32 { return g + uint32(d) }
 // coordinates, ascending (which is ascending by local sequence id, then by
 // subject offset), in a new slice. The scans read Runs instead.
 func (b *BlockIndex) Positions(w alphabet.Word) []uint32 {
-	offs, split := b.Runs(w)
+	offs, row := b.Runs(w)
 	out := make([]uint32, 0, len(offs))
-	for p, c := range split {
-		n := b.RunLen(w, p, c)
+	for p := 0; len(offs) > 0; p++ {
+		n := b.RunLen(w, p, row)
 		g := uint32(p) << PageShift
 		for _, d := range offs[:n] {
 			g = Next(g, d)
@@ -395,11 +467,14 @@ func (b *BlockIndex) Seq(db *dbase.DB, seqLocal int) *dbase.Sequence {
 // NumPositions returns the number of indexed positions in the block.
 func (b *BlockIndex) NumPositions() int { return len(b.flat) }
 
-// SizeBytes returns the block's memory footprint: the position array and the
-// word table (per-word starts, the split table and its wide runs, the lead
-// table).
+// SizeBytes returns the block's memory footprint: the position array, the
+// word table (per-word starts, the lead table, and the split table: its
+// rows, their words, their wide runs and its directory) and the layout
+// Decode reads (segStart and the coarse table).
 func (b *BlockIndex) SizeBytes() int64 {
-	return int64(len(b.flat))*2 + int64(len(b.offsets))*4 + int64(len(b.split)) + int64(len(b.wide))*8 + int64(len(b.lead))
+	return int64(len(b.flat))*2 + int64(len(b.offsets))*4 + int64(len(b.lead)) +
+		int64(len(b.rows)) + int64(len(b.multi))*2 + int64(len(b.wide))*8 + int64(len(b.rowDir))*2 +
+		int64(len(b.segStart))*4 + int64(len(b.coarse))*4
 }
 
 // ModelBytes is the block's footprint in the paper's accounting — one 32-bit

@@ -3,6 +3,8 @@ package dbindex
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -375,5 +377,143 @@ func TestReadFromRejectsPositionsOfAnEmptyBlock(t *testing.T) {
 	db := dbase.New([][]alphabet.Code{{1, 2, 3, 4}})
 	if got, err := ReadFrom(bytes.NewReader(stream), db); err == nil {
 		t.Fatalf("loaded a position in an empty block: %+v", got.Blocks[0].Block)
+	}
+}
+
+// runsBlock returns an index of one block over one sequence laid across two
+// pages, whose word table has every shape a word can take: AAA in two runs
+// of 298 positions (a multi-run word whose runs are too long for the split
+// table's byte), CCC in two runs of one, WWW in one run that starts in page
+// 1, and words such as YYY with no positions at all.
+func runsBlock(t *testing.T) *Index {
+	t.Helper()
+	filler := strings.Repeat("DEFGHIKLMNPQRSTV", 70_000/16)
+	poly := strings.Repeat("A", 300)
+	seq := alphabet.MustEncode(poly + "CCC" + filler + "CCCWWW" + poly)
+	ix, err := Build(dbase.New([][]alphabet.Code{seq}), nbr(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ix.Blocks) != 1 || ix.Blocks[0].Pages() != 2 {
+		t.Fatalf("want one block of two pages, got %d blocks", len(ix.Blocks))
+	}
+	return ix
+}
+
+func word(s string) alphabet.Word { return alphabet.WordAt(alphabet.MustEncode(s), 0) }
+
+// TestRunShapes: a word's runs are described by its lead byte alone unless
+// it has several, and only then does it keep a row of the split table.
+func TestRunShapes(t *testing.T) {
+	b := runsBlock(t).Blocks[0]
+	for _, tc := range []struct {
+		word  string
+		page  int
+		runs  []int // run length by page
+		multi bool
+	}{
+		{"AAA", 0, []int{298, 298}, true},
+		{"CCC", 0, []int{1, 1}, true},
+		{"WWW", 1, []int{0, 1}, false},
+		{"YYY", 0, []int{0, 0}, false},
+		{"DEF", 0, []int{70_000 / 16, 0}, false},
+	} {
+		w := word(tc.word)
+		_, page, one := b.Lead(w)
+		if one == tc.multi || (one && page != tc.page) {
+			t.Errorf("%s: Lead page %d one %v, want page %d one %v", tc.word, page, one, tc.page, !tc.multi)
+		}
+		offs, row := b.Runs(w)
+		if (row != nil) != tc.multi {
+			t.Errorf("%s: row %v, want a row %v", tc.word, row, tc.multi)
+		}
+		total := 0
+		for p, want := range tc.runs {
+			if got := b.RunLen(w, p, row); got != want {
+				t.Errorf("%s: run from page %d has %d positions, want %d", tc.word, p, got, want)
+			}
+			total += want
+		}
+		if len(offs) != total || len(b.Positions(w)) != total {
+			t.Errorf("%s: %d positions stored, %d decoded, want %d", tc.word, len(offs), len(b.Positions(w)), total)
+		}
+	}
+	if len(b.multi) != 2 || len(b.wide) != 2 {
+		t.Errorf("split table holds %d words and %d wide runs, want 2 and 2", len(b.multi), len(b.wide))
+	}
+}
+
+// TestSaveLoadSaveIdentical: the word table decodes into the lead table and
+// the sparse split table and encodes back to the same bytes, for every shape
+// of word.
+func TestSaveLoadSaveIdentical(t *testing.T) {
+	ix := runsBlock(t)
+	var first, second bytes.Buffer
+	if _, err := ix.WriteTo(&first); err != nil {
+		t.Fatal(err)
+	}
+	if int64(first.Len()) != ix.EncodedSize() {
+		t.Errorf("EncodedSize %d, WriteTo wrote %d", ix.EncodedSize(), first.Len())
+	}
+	got, err := ReadFrom(bytes.NewReader(first.Bytes()), ix.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := got.WriteTo(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("Save -> Load -> Save: %d bytes, then %d that differ", first.Len(), second.Len())
+	}
+	b, gb := ix.Blocks[0], got.Blocks[0]
+	if !slices.Equal(b.lead, gb.lead) || !slices.Equal(b.multi, gb.multi) || !slices.Equal(b.rows, gb.rows) || !slices.Equal(b.wide, gb.wide) ||
+		!slices.Equal(b.rowDir, gb.rowDir) {
+		t.Errorf("loaded word table differs: multi %v rows %v wide %v, built %v %v %v", gb.multi, gb.rows, gb.wide, b.multi, b.rows, b.wide)
+	}
+	if b.SizeBytes() != gb.SizeBytes() {
+		t.Errorf("loaded block holds %d bytes, built %d", gb.SizeBytes(), b.SizeBytes())
+	}
+}
+
+// TestBlockFootprint pins what a block holds beyond its positions: a start
+// and a lead byte per word, a row of pages bytes and a 2-byte key for each
+// word with several runs (their wide runs and the rows' 432-byte directory
+// aside), and the layout Decode reads — built or loaded. A split table with
+// a row for every word would not fit.
+func TestBlockFootprint(t *testing.T) {
+	var indexes []*Index
+	for _, ix := range []*Index{testIndex(t, 400, 1<<20), runsBlock(t)} {
+		var buf bytes.Buffer
+		if _, err := ix.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ReadFrom(&buf, ix.DB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		indexes = append(indexes, ix, loaded)
+	}
+	for _, ix := range indexes {
+		for i, b := range ix.Blocks {
+			if b.Pages() < 2 {
+				t.Fatalf("block %d spans %d page, want a multi-page block", i, b.Pages())
+			}
+			multi := 0 // words whose positions are more than one run
+			for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
+				ps := b.Positions(w)
+				for i := 1; i < len(ps); i++ {
+					if ps[i]-ps[i-1] >= 1<<PageShift {
+						multi++
+						break
+					}
+				}
+			}
+			limit := int64(4*(alphabet.NumWords+1)+alphabet.NumWords) + int64((b.Pages()+2)*multi) +
+				int64(len(b.wide))*8 + 2*alphabet.NumWords>>rowDirShift + int64(4*len(b.segStart)+4*len(b.coarse))
+			if got := b.SizeBytes() - 2*int64(b.NumPositions()); got > limit {
+				t.Errorf("block %d (%d pages, %d multi-run words) holds %d bytes beyond its positions, more than %d",
+					i, b.Pages(), multi, got, limit)
+			}
+		}
 	}
 }

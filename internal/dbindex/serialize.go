@@ -29,7 +29,7 @@ import (
 // in its page of the block's coordinate axis, every later one as its
 // distance from the one before. segStart, the coarse table and the page
 // count are rebuilt from the attached database on load, and the word starts,
-// split table and lead table from the word table.
+// lead table and split table from the word table.
 //
 // The database itself is serialized separately (dbase.WriteTo); on load the
 // caller re-attaches it. The neighbor table is always rebuilt from the
@@ -64,13 +64,14 @@ func (ix *Index) EncodedSize() int64 {
 		for _, v := range b.header() {
 			n += int64(dbase.UvarintLen(v))
 		}
+		lens := make([]uint32, b.pages)
 		for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
 			h := b.wordHeader(w)
 			n += int64(dbase.UvarintLen(h))
 			if h&1 != 0 {
-				_, split := b.Runs(w)
-				for p, c := range split[:b.pages-1] {
-					n += int64(dbase.UvarintLen(uint64(b.RunLen(w, p, c))))
+				b.runLens(w, lens)
+				for _, c := range lens[:b.pages-1] {
+					n += int64(dbase.UvarintLen(uint64(c)))
 				}
 			}
 		}
@@ -90,13 +91,14 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		for _, v := range b.header() {
 			sw.Uvarint(v)
 		}
+		lens := make([]uint32, b.pages)
 		for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
 			h := b.wordHeader(w)
 			sw.Uvarint(h)
 			if h&1 != 0 {
-				_, split := b.Runs(w)
-				for p, c := range split[:b.pages-1] {
-					sw.Uvarint(uint64(b.RunLen(w, p, c)))
+				b.runLens(w, lens)
+				for _, c := range lens[:b.pages-1] {
+					sw.Uvarint(uint64(c))
 				}
 			}
 		}
@@ -208,11 +210,11 @@ func ReadFromLimit(r io.Reader, db *dbase.DB, maxBytes int64) (*Index, error) {
 	return ix, nil
 }
 
-// readWordTable decodes the block's word table into its word starts, split
-// table and lead table, holding every word's runs to its position count.
+// readWordTable decodes the block's word table into its word starts, lead
+// table and split table, holding every word's runs to its position count.
 func (b *BlockIndex) readWordTable(sr *dbase.StreamReader, maxBytes int64) error {
-	b.split = make([]uint8, alphabet.NumWords*b.pages)
 	b.lead = make([]uint8, alphabet.NumWords)
+	row := make([]uint32, b.pages)
 	total := uint64(0)
 	for w := 0; w < alphabet.NumWords; w++ {
 		b.offsets[w] = int32(total)
@@ -229,14 +231,15 @@ func (b *BlockIndex) readWordTable(sr *dbase.StreamReader, maxBytes int64) error
 		case h == 0:
 		case b.pages == 0:
 			return fmt.Errorf("word %d has %d positions in a block without coordinates", w, n)
-		case h&1 == 0:
-			b.setRun(w*b.pages, int(n))
+		case h&1 == 0: // one run from page 0: lead 0
 		default:
-			if err := b.readRuns(sr, w, n); err != nil {
+			if err := readRuns(sr, w, n, row); err != nil {
 				return err
 			}
+			b.setRuns(alphabet.Word(w), row)
 		}
 	}
+	b.keepRows()
 	// Positions are stored raw at 2 bytes each; a count past the stream
 	// budget cannot be honest.
 	if total > uint64(maxBytes/2) || total > math.MaxInt32 {
@@ -246,22 +249,22 @@ func (b *BlockIndex) readWordTable(sr *dbase.StreamReader, maxBytes int64) error
 	return nil
 }
 
-// readRuns decodes the run lengths of word w, which has n positions.
-func (b *BlockIndex) readRuns(sr *dbase.StreamReader, w int, n uint64) error {
-	last := w*b.pages + b.pages - 1
-	for cell := w * b.pages; cell < last; cell++ {
+// readRuns decodes into row the run lengths by page of word w, which has n
+// positions.
+func readRuns(sr *dbase.StreamReader, w int, n uint64, row []uint32) error {
+	last := len(row) - 1
+	for p := range row[:last] {
 		c, err := sr.Uvarint()
 		if err != nil {
 			return fmt.Errorf("word %d runs: %w", w, err)
 		}
 		if c > n {
-			return fmt.Errorf("word %d has a run of %d positions from page %d, more than the %d its list has left", w, c, cell-w*b.pages, n)
+			return fmt.Errorf("word %d has a run of %d positions from page %d, more than the %d its list has left", w, c, p, n)
 		}
-		b.setRun(cell, int(c))
+		row[p] = uint32(c)
 		n -= c
 	}
-	b.setRun(last, int(n))
-	b.setLead(w)
+	row[last] = uint32(n)
 	return nil
 }
 
@@ -310,9 +313,9 @@ func (b *BlockIndex) readPositions(sr *dbase.StreamReader, valid []uint64) error
 		if one {
 			g, ok = decode(offs, raw, uint32(page)<<PageShift, valid)
 		} else {
-			_, split := b.Runs(w)
+			_, row := b.Runs(w)
 			for p := 0; ok && len(offs) > 0; p++ {
-				n := b.RunLen(w, p, split[p])
+				n := b.RunLen(w, p, row)
 				g, ok = decode(offs[:n], raw, uint32(p)<<PageShift, valid)
 				offs, raw = offs[n:], raw[2*n:]
 			}

@@ -32,6 +32,9 @@ type Table struct {
 // threshold. A word is its own neighbor only when its self-score reaches the
 // threshold, matching NCBI semantics (true for all words over the standard
 // residues with BLOSUM62 and T=11, but not e.g. for words containing X).
+//
+// The table is held for the life of the process, so it is built at its exact
+// size: a first pass counts each word's neighbors, a second fills them in.
 func Build(m *matrix.Matrix, threshold int) *Table {
 	t := &Table{
 		Threshold: threshold,
@@ -43,18 +46,14 @@ func Build(m *matrix.Matrix, threshold int) *Table {
 	for c := 0; c < alphabet.Size; c++ {
 		best := m.Score(alphabet.Code(c), 0)
 		for d := 1; d < alphabet.Size; d++ {
-			if s := m.Score(alphabet.Code(c), alphabet.Code(d)); s > best {
-				best = s
-			}
+			best = max(best, m.Score(alphabet.Code(c), alphabet.Code(d)))
 		}
 		maxRow[c] = best
 	}
-	// First pass could count and second fill, but neighbor lists are small
-	// (tens of entries); append into a reused buffer per word instead.
-	var buf []alphabet.Word
-	for w := 0; w < alphabet.NumWords; w++ {
-		w0, w1, w2 := alphabet.Word(w).Unpack()
-		buf = buf[:0]
+	// appendNeighbors appends the neighbors of w to dst in increasing word
+	// order.
+	appendNeighbors := func(dst []alphabet.Word, w alphabet.Word) []alphabet.Word {
+		w0, w1, w2 := w.Unpack()
 		row0, row1, row2 := m.Row(w0), m.Row(w1), m.Row(w2)
 		rest1 := maxRow[w1] + maxRow[w2]
 		for c0 := 0; c0 < alphabet.Size; c0++ {
@@ -71,13 +70,21 @@ func Build(m *matrix.Matrix, threshold int) *Table {
 				base1 := base0 + alphabet.Word(c1)*alphabet.Size
 				for c2 := 0; c2 < alphabet.Size; c2++ {
 					if s1+int(row2[c2]) >= threshold {
-						buf = append(buf, base1+alphabet.Word(c2))
+						dst = append(dst, base1+alphabet.Word(c2))
 					}
 				}
 			}
 		}
+		return dst
+	}
+	var buf []alphabet.Word
+	for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
+		buf = appendNeighbors(buf[:0], w)
 		t.offsets[w+1] = t.offsets[w] + int32(len(buf))
-		t.flat = append(t.flat, buf...)
+	}
+	t.flat = make([]alphabet.Word, 0, t.offsets[alphabet.NumWords])
+	for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
+		t.flat = appendNeighbors(t.flat, w)
 	}
 	return t
 }
@@ -98,9 +105,9 @@ func (t *Table) NumNeighbors(w alphabet.Word) int {
 // the memory footprint driver of the two-level index structure.
 func (t *Table) TotalEntries() int { return len(t.flat) }
 
-// SizeBytes estimates the in-memory size of the table: the flat neighbor
-// array plus the offset array. Used when accounting index sizes against the
-// paper's Section III discussion.
+// SizeBytes returns the in-memory size of the table: the flat neighbor
+// array, 2 bytes an entry, plus the offset array. Used when accounting index
+// sizes against the paper's Section III discussion.
 func (t *Table) SizeBytes() int64 {
-	return int64(len(t.flat))*4 + int64(len(t.offsets))*4
+	return int64(cap(t.flat))*2 + int64(cap(t.offsets))*4
 }

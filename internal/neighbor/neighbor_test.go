@@ -3,6 +3,7 @@ package neighbor
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/alphabet"
 	"repro/internal/matrix"
@@ -137,5 +138,25 @@ func TestSizeBytesPositive(t *testing.T) {
 	tb := table(t)
 	if tb.SizeBytes() <= int64(alphabet.NumWords)*4 {
 		t.Errorf("SizeBytes = %d, implausibly small", tb.SizeBytes())
+	}
+}
+
+// TestTableExactSize pins the table's footprint: it is held for the life of
+// the process, so it must hold 2 bytes a neighbor and no slack, and report
+// exactly that.
+func TestTableExactSize(t *testing.T) {
+	tb := table(t)
+	const entries = 500_402 // BLOSUM62, T = 11
+	if got := tb.TotalEntries(); got != entries {
+		t.Fatalf("BLOSUM62/T=%d table has %d entries, want %d", DefaultThreshold, got, entries)
+	}
+	if size := unsafe.Sizeof(tb.flat[0]); size != 2 {
+		t.Errorf("a neighbor entry is %d bytes, want 2", size)
+	}
+	if len(tb.flat) != cap(tb.flat) || len(tb.offsets) != cap(tb.offsets) {
+		t.Errorf("slack: flat len %d cap %d, offsets len %d cap %d", len(tb.flat), cap(tb.flat), len(tb.offsets), cap(tb.offsets))
+	}
+	if got, want := tb.SizeBytes(), int64(2*entries+4*(alphabet.NumWords+1)); got != want {
+		t.Errorf("SizeBytes = %d, want %d", got, want)
 	}
 }
