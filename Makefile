@@ -101,9 +101,10 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # Sharded serving smoke test: splits a database with `makedb -shards`, serves
-# the shards behind the scatter-gather router (mublastpr) next to a
-# monolithic mublastpd, sends the same batch to both, and requires the
-# response payloads — every hit, score, and E-value — to be byte-identical.
+# each shard from a mublastpd shard daemon behind the scatter-gather router
+# (mublastpr -workers) next to a monolithic mublastpd, sends the same batch
+# to both, and requires the response payloads — every hit, score, and
+# E-value — to be byte-identical.
 shard-smoke:
 	./scripts/shard_smoke.sh
 
@@ -122,12 +123,13 @@ remote-smoke:
 crash-smoke:
 	./scripts/crash_smoke.sh
 
-# Cross-tier tracing smoke test: traced mublastpd + mublastpr serve a batch,
-# then cmd/tracecheck asserts one stitched (span-ID-linked) trace tree per
-# request with the edge/search/scatter/shard/merge and six-stage spans present,
-# X-Request-ID on every response, upstream trace context honored across the
-# HTTP hop, mublastpd's trace replayed as a workload (one request, ok), and
-# non-empty debug-address /metrics.
+# Cross-tier tracing smoke test: traced mublastpd + mublastpr over traced
+# shard daemons serve a batch, then cmd/tracecheck asserts one stitched
+# (span-ID-linked) trace tree per request in every daemon's file, with the
+# edge/search/scatter/shard/merge and six-stage spans present, X-Request-ID
+# on every response, upstream trace context honored across both HTTP hops,
+# mublastpd's trace replayed as a workload (one request, ok), and non-empty
+# debug-address /metrics.
 trace-smoke:
 	./scripts/trace_smoke.sh
 

@@ -3,8 +3,11 @@ package blast
 import (
 	"context"
 	"fmt"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/alphabet"
 	"repro/internal/seqgen"
@@ -243,6 +246,115 @@ func TestShardValidation(t *testing.T) {
 	}
 	if _, err := shards[0].SearchShardBatchCtx(context.Background(), q, 2, 2); err == nil {
 		t.Error("shard index out of range must fail")
+	}
+}
+
+// TestShardResultOutlivesItsDatabase pins that a shard result is
+// self-contained: searched the way a shard daemon's /shard/search does in
+// process (Session.Acquire, SearchShardBatchCtx, release), it keeps nothing
+// of its generation reachable — after a Reload to a different database the
+// displaced shard databases are collected, and the merge still produces the
+// bytes the monolithic search produced before the reload.
+func TestShardResultOutlivesItsDatabase(t *testing.T) {
+	g := seqgen.New(seqgen.UniprotProfile(), 58)
+	p := DefaultParams()
+	p.Threads = 1
+	build := func(n int, prefix string) (*Database, []Sequence) {
+		seqs := make([]Sequence, n)
+		for i, s := range g.Database(n) {
+			seqs[i] = Sequence{Name: prefix + string(rune('A'+i/26)) + string(rune('a'+i%26)), Residues: alphabet.String(s)}
+		}
+		pb := p
+		pb.BlockResidues = 16384
+		db, err := NewDatabase(seqs, pb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, seqs
+	}
+	other, _ := build(30, "other")
+	otherPath := filepath.Join(t.TempDir(), "other.mublastp")
+	if err := other.SaveFile(otherPath); err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 2
+	collected := make(chan struct{}, n)
+	// searchAll builds the database, its shards and their sessions, and
+	// returns only what must survive: the queries, the monolithic answer, the
+	// sessions and the shard results. The databases themselves are left to
+	// the sessions alone.
+	searchAll := func() ([]string, []string, []*Session, []*ShardResult) {
+		db, seqs := build(80, "sub")
+		queries := []string{seqs[5].Residues, seqs[40].Residues[2 : len(seqs[40].Residues)-2]}
+		mono, err := db.SearchBatchCtx(context.Background(), queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]string, len(queries))
+		hits := 0
+		for qi, r := range mono.Results {
+			want[qi] = r.Tabular("q")
+			hits += len(r.Hits)
+		}
+		if hits == 0 {
+			t.Fatal("monolithic search found nothing; the check would be vacuous")
+		}
+		shards, err := db.Shards(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions := make([]*Session, n)
+		parts := make([]*ShardResult, n)
+		for s, sd := range shards {
+			runtime.SetFinalizer(sd, func(*Database) { collected <- struct{}{} })
+			sessions[s] = NewSession(sd, p)
+			sdb, release := sessions[s].Acquire()
+			parts[s], err = sdb.SearchShardBatchCtx(context.Background(), queries, s, n)
+			release()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return queries, want, sessions, parts
+	}
+	queries, want, sessions, parts := searchAll()
+
+	for s, ses := range sessions {
+		if err := ses.Reload(otherPath); err != nil {
+			t.Fatal(err)
+		}
+		if ses.Generation() != 2 || ses.DB().NumSequences() != other.NumSequences() {
+			t.Fatalf("shard %d: reload did not install the other database", s)
+		}
+		if refs := ses.Refs(); refs != 1 {
+			t.Fatalf("shard %d: %d references on the current generation before the merge, want 1", s, refs)
+		}
+	}
+	// The displaced shard databases are garbage now, results notwithstanding.
+	deadline := time.After(10 * time.Second)
+	for got := 0; got < n; {
+		runtime.GC()
+		select {
+		case <-collected:
+			got++
+		case <-deadline:
+			t.Fatalf("%d of %d displaced shard databases were never collected: something still holds them", got, n)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+
+	merged, err := MergeShards(queries, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi := range queries {
+		if !merged.Completed[qi] {
+			t.Fatalf("query %d incomplete after the reload: %v", qi, merged.QueryErrs[qi])
+		}
+		if got := merged.Results[qi].Tabular("q"); got != want[qi] {
+			t.Fatalf("query %d: merge after the reload differs from the pre-reload monolithic search:\n got:\n%s\n want:\n%s", qi, got, want[qi])
+		}
 	}
 }
 

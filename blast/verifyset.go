@@ -98,8 +98,8 @@ type ShardSetInfo struct {
 // by file: every container passes its own full Verify, then the set passes
 // VerifyTopology. paths[s] lists the replicas of shard s, in shard order.
 //
-// This is the cross-check `mublastp -verifydb a,b,c`, `makedb -shards` and
-// `mublastpr -shards` run; a single file degenerates to VerifyFile.
+// This is the cross-check `mublastp -verifydb a,b,c` and `makedb -shards`
+// run on files; a single file degenerates to VerifyFile.
 func VerifyShardSet(paths [][]string) (*ShardSetInfo, error) {
 	info := &ShardSetInfo{NumShards: len(paths), PerShard: make([]*ContainerInfo, len(paths))}
 	facts := make([][]ReplicaFacts, len(paths))

@@ -7,9 +7,9 @@
 // its length-sorted order so every shard carries a balanced slice of the
 // length distribution. The finished set is verified as a set
 // (blast.VerifyShardSet): one fingerprint across all files and an exact
-// round-robin fit, not just per-file checksums. A router (see
-// cmd/mublastpr) serving all N shards with the printed global totals
-// returns results byte-identical to serving the single -out container.
+// round-robin fit, not just per-file checksums. It prints the commands that
+// serve the set (a mublastpd per shard with the global totals, behind
+// mublastpr -workers), byte-identical to serving the single -out container.
 //
 // Store mode manages a crash-safe ingest store (a directory holding a base
 // container, ordered delta containers, a WAL, and an atomically-committed
@@ -148,9 +148,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "makedb: shard %d/%d -> %s: %d sequences, %d residues, %d blocks\n",
 			s, *shards, paths[s], ci.NumSequences, ci.TotalResidues, ci.NumBlocks)
 	}
-	fmt.Fprintf(os.Stderr,
-		"makedb: %d shards verified as a set: %d sequences, %d residues total in %v; serve with global totals -- e.g. mublastpr -shards <files>\n",
+	fmt.Fprintf(os.Stderr, "makedb: %d shards verified as a set: %d sequences, %d residues total in %v; serve them with\n",
 		*shards, set.TotalSequences, set.TotalResidues, time.Since(start).Round(time.Millisecond))
+	workers := "mublastpr -workers "
+	for s, path := range paths {
+		fmt.Fprintf(os.Stderr, "mublastpd -db %s -addr <host%d:port> -global-sequences %d -global-residues %d\n", path, s, set.TotalSequences, set.TotalResidues)
+		workers += fmt.Sprintf("http://<host%d:port>,", s)
+	}
+	fmt.Fprintln(os.Stderr, workers[:len(workers)-1])
 }
 
 func runInitStore(dir, in string, p blast.Params) {

@@ -27,13 +27,13 @@
 // SIGINT/SIGTERM start a graceful drain: new requests get 503, in-flight
 // searches get -drain-grace to finish, then are cancelled so their handlers
 // flush partial results. A second signal force-exits with code 3. That
-// lifecycle, the flags behind it (-addr, -threads, -evalue, -max-hits,
-// -timeout, -drain-grace, -debug-addr, -trace, -faultspec, -faultseed) and
-// the HTTP edge are shared with mublastpr (server.RegisterFlags,
-// server.Edge). The -trace file is the one per-request log: experiments
-// -exp replay and internal/capsim read it too. The request bounds without
-// a flag (client deadline cap, batch cap, degraded mode, ingest cap) are
-// the server.Config defaults.
+// lifecycle, the flags behind it (-addr, -timeout, -drain-grace,
+// -debug-addr, -trace, -faultspec, -faultseed) and the HTTP edge are shared
+// with mublastpr (server.RegisterFlags, server.Edge); the search flags
+// (-threads, -evalue, -max-hits) are this daemon's own. The -trace file is
+// the one per-request log: experiments -exp replay and internal/capsim read
+// it too. The request bounds without a flag (client deadline cap, batch
+// cap, degraded mode, ingest cap) are the server.Config defaults.
 package main
 
 import (
@@ -54,6 +54,10 @@ func main() {
 }
 
 func run() error {
+	p := blast.DefaultParams()
+	flag.IntVar(&p.Threads, "threads", 0, "threads per batch search (0 = all cores)")
+	flag.Float64Var(&p.EValueCutoff, "evalue", 10, "E-value cutoff")
+	flag.IntVar(&p.MaxResults, "max-hits", 250, "maximum hits per query")
 	var (
 		serve        = server.RegisterFlags("mublastpd", ":8044")
 		dbPath       = flag.String("db", "", "prebuilt database container (from makedb); reloadable at runtime")
@@ -81,7 +85,7 @@ func run() error {
 		return fmt.Errorf("-global-sequences and -global-residues must be set together")
 	}
 
-	return serve(func(p blast.Params, cfg server.Config) (server.Daemon, string, error) {
+	return serve(func(cfg server.Config) (server.Daemon, string, error) {
 		if *globalSeqs > 0 {
 			p.GlobalDBSequences = *globalSeqs
 			p.GlobalDBResidues = *globalRes

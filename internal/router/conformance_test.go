@@ -62,9 +62,11 @@ type conformanceEndpoint struct {
 }
 
 // startConformanceDaemons brings up a mublastpd over the monolithic fixture
-// and a mublastpr over its three shards, each with the same request bounds
-// and a trace sink, and returns the three batch endpoints they serve.
-func startConformanceDaemons(t *testing.T) []conformanceEndpoint {
+// and a mublastpr over its three shards, the two with the same request
+// bounds and a trace sink each, and returns the three batch endpoints they
+// serve. The shards are shard daemons, or in-process delegates when
+// inProcess.
+func startConformanceDaemons(t *testing.T, inProcess bool) []conformanceEndpoint {
 	t.Helper()
 	db, shards, _ := fixture(t)
 	p := blast.DefaultParams()
@@ -76,7 +78,15 @@ func startConformanceDaemons(t *testing.T) []conformanceEndpoint {
 		MaxQueries: 2, MaxTimeout: 2 * time.Second,
 		Registry: pdReg, Tracer: reqtrace.NewTracer("mublastpd", pdTrace),
 	})
-	rt, err := New(localWorkers(shards, 2), Options{Registry: prReg})
+	var workers [][]Worker
+	if inProcess {
+		for s, sd := range shards {
+			workers = append(workers, []Worker{delegate("s"+strconv.Itoa(s), sd)})
+		}
+	} else {
+		workers = shardWorkers(t, shards)
+	}
+	rt, err := New(workers, Options{Registry: prReg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +154,7 @@ func (ep conformanceEndpoint) do(t *testing.T, method, body, rid string) (*http.
 // two /search endpoints must agree byte for byte; /shard/search differs only
 // where its request form does (its queries carry no names).
 func TestEdgeConformance(t *testing.T) {
-	eps := startConformanceDaemons(t)
+	eps := startConformanceDaemons(t, false)
 	_, _, queries := fixture(t)
 	good := queries[:1]
 
@@ -277,12 +287,14 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // request in flight at BeginDrain(grace) is cut off when the grace expires
 // and still flushes an honest partial 200, new requests are refused with
 // 503, /readyz fails, Drain returns once the held request has answered, and
-// closing twice is harmless.
+// closing twice is harmless. mublastpr's shards are in process here: a
+// drain cancels the router's RPCs to shard daemons, so over real shard
+// daemons the held request fails with 503 instead of flushing a partial.
 func TestEdgeLifecycle(t *testing.T) {
 	_, _, queries := fixture(t)
 	task := faultinject.NewSite("sched.task")
 	t.Cleanup(faultinject.Disable)
-	for _, ep := range startConformanceDaemons(t) {
+	for _, ep := range startConformanceDaemons(t, true) {
 		if ep.shard {
 			continue // one batch endpoint per daemon is enough to hold it busy
 		}

@@ -35,12 +35,11 @@ type ShardStatusWire struct {
 // fake zero-hit results.
 type SearchResponse struct {
 	server.SearchResponse
-	Policy string            `json:"policy"`
 	Shards []ShardStatusWire `json:"shards"`
 }
 
 // errorResponse mirrors the monolithic daemon's uniform error body, with the
-// routing report attached when the scatter ran.
+// routing report attached.
 type errorResponse struct {
 	Error  string            `json:"error"`
 	Status int               `json:"status"`
@@ -48,8 +47,8 @@ type errorResponse struct {
 }
 
 // FrontendConfig tunes the HTTP tier in front of a Router. Zero values
-// select the defaults. Admission bounding lives in the shard workers (their
-// token budgets): the frontend only validates, scatters, and renders.
+// select the defaults. Admission bounding lives in the shard daemons (their
+// admission queues): the frontend only validates, scatters, and renders.
 type FrontendConfig struct {
 	// DefaultTimeout is the per-request deadline when the client sends none
 	// (default 30s); MaxTimeout caps client-requested deadlines (default 2m).
@@ -60,8 +59,8 @@ type FrontendConfig struct {
 	// Registry serves /metrics (default obs.Default). Use the registry the
 	// Router stamps so router_* numbers are visible.
 	Registry *obs.Registry
-	// Generation is reported as db_generation (default: constant 0). With
-	// local shard workers, wire it to the minimum session generation.
+	// Generation is reported as db_generation (default: constant 0).
+	// mublastpr wires it to the oldest generation any shard daemon reported.
 	Generation func() int64
 
 	// Tracer, when set, stitches every routed request into a JSONL trace
@@ -144,9 +143,6 @@ func (f *Frontend) Close() error {
 }
 
 func statusesWire(rep *Report) []ShardStatusWire {
-	if rep == nil {
-		return nil
-	}
 	out := make([]ShardStatusWire, len(rep.Shards))
 	for i := range rep.Shards {
 		st := &rep.Shards[i]
@@ -196,7 +192,7 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx = reqtrace.ContextWithIDs(ctx, sc.RID, traceID)
 
-	br, rep, err := f.rt.Search(ctx, b.Residues, req.Policy)
+	br, rep, err := f.rt.Search(ctx, b.Residues)
 	searchDur := time.Since(searchStart)
 	searchSpan.End(searchDur.Nanoseconds())
 	if err != nil {
@@ -206,8 +202,6 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 			sc.Finish(outcome, status)
 		}
 		switch {
-		case rep == nil: // bad input (unknown policy), nothing scattered
-			fail(reqtrace.OutcomeRejected, http.StatusBadRequest)
 		case errors.Is(err, ErrAllShardsUnavailable) && rep.Failed() == 0:
 			// Pure overload: every shard shed. 429 with the aggregated hint,
 			// exactly like the monolithic daemon's queue-full shed.
@@ -231,7 +225,6 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	resp := SearchResponse{
 		SearchResponse: server.RenderBatch(br, b.Names, searchDur, b.Timeout),
-		Policy:         rep.Policy,
 		Shards:         statusesWire(rep),
 	}
 	resp.Generation = f.generation()

@@ -26,8 +26,8 @@ func postSearch(t *testing.T, h http.Handler, body any) *httptest.ResponseRecord
 	return rec
 }
 
-func searchBody(queries []string, policy string) server.SearchRequest {
-	req := server.SearchRequest{Policy: policy}
+func searchBody(queries []string) server.SearchRequest {
+	var req server.SearchRequest
 	for i, q := range queries {
 		req.Queries = append(req.Queries, server.QueryInput{Name: "q" + string(rune('0'+i)), Residues: q})
 	}
@@ -43,12 +43,12 @@ func TestFrontendMatchesMonolithicWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(localWorkers(shards, 2), Options{Registry: obs.NewRegistry()})
+	rt, err := New(shardWorkers(t, shards), Options{Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fe := NewFrontend(rt, FrontendConfig{Registry: obs.NewRegistry()})
-	rec := postSearch(t, fe.Handler(), searchBody(queries, PolicyLeastLoad))
+	rec := postSearch(t, fe.Handler(), searchBody(queries))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -56,8 +56,8 @@ func TestFrontendMatchesMonolithicWire(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Incomplete || resp.Policy != PolicyLeastLoad || len(resp.Shards) != 3 {
-		t.Fatalf("response header wrong: incomplete=%v policy=%q shards=%d", resp.Incomplete, resp.Policy, len(resp.Shards))
+	if resp.Incomplete || len(resp.Shards) != 3 {
+		t.Fatalf("response header wrong: incomplete=%v shards=%d", resp.Incomplete, len(resp.Shards))
 	}
 	for _, st := range resp.Shards {
 		if st.Status != "ok" {
@@ -94,7 +94,7 @@ func TestFrontendPartialShedForwardsRetryAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	fe := NewFrontend(rt, FrontendConfig{Registry: obs.NewRegistry()})
-	rec := postSearch(t, fe.Handler(), searchBody(queries, ""))
+	rec := postSearch(t, fe.Handler(), searchBody(queries))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -135,26 +135,11 @@ func TestFrontendAllShed429(t *testing.T) {
 		t.Fatal(err)
 	}
 	fe := NewFrontend(rt, FrontendConfig{Registry: obs.NewRegistry()})
-	rec := postSearch(t, fe.Handler(), searchBody(queries, ""))
+	rec := postSearch(t, fe.Handler(), searchBody(queries))
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", rec.Code, rec.Body.String())
 	}
 	if got := rec.Header().Get("Retry-After"); got != "5" {
 		t.Fatalf("Retry-After %q, want the aggregated hint 5", got)
-	}
-}
-
-// TestFrontendValidation: the refusal that is the router's own — an unknown
-// replica-choice policy — answers 400 before any shard work; the refusals it
-// shares with the monolithic daemon are the edge's (TestEdgeConformance).
-func TestFrontendValidation(t *testing.T) {
-	_, shards, queries := fixture(t)
-	rt, err := New(localWorkers(shards, 1), Options{Registry: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe := NewFrontend(rt, FrontendConfig{Registry: obs.NewRegistry()})
-	if rec := postSearch(t, fe.Handler(), searchBody(queries[:1], "bogus")); rec.Code != http.StatusBadRequest {
-		t.Fatalf("unknown policy: status %d", rec.Code)
 	}
 }

@@ -9,9 +9,9 @@ import (
 	"repro/internal/server"
 )
 
-// Reloader is the optional reload surface of a Worker: LocalWorker swaps its
-// in-process session, RemoteWorker drives the daemon's POST /reload. A
-// verify-only call validates the candidate container without swapping.
+// Reloader is the optional reload surface of a Worker: RemoteWorker drives
+// the daemon's POST /reload. A verify-only call validates the candidate
+// container without swapping.
 type Reloader interface {
 	ReloadContainer(ctx context.Context, path string, verifyOnly bool) error
 }

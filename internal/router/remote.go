@@ -35,8 +35,6 @@ type RemoteOptions struct {
 	// global timeout — deadlines ride the request contexts — on
 	// remoteTransport).
 	Client *http.Client
-	// Weight is the replica's relative capacity (default 1).
-	Weight float64
 	// NetworkMargin is subtracted from the request's remaining deadline
 	// before it is propagated upstream as the shard's budget, so the worker
 	// gives up early enough for its (partial) answer to travel back
@@ -57,7 +55,6 @@ type RemoteWorker struct {
 	name   string
 	base   string // http://host:port, no trailing slash
 	client *http.Client
-	weight float64
 	margin time.Duration
 	minTO  time.Duration
 
@@ -84,9 +81,6 @@ func NewRemoteWorker(name, baseURL string, opts RemoteOptions) *RemoteWorker {
 	if client == nil {
 		client = &http.Client{Transport: remoteTransport}
 	}
-	if opts.Weight <= 0 {
-		opts.Weight = 1
-	}
 	if opts.NetworkMargin <= 0 {
 		opts.NetworkMargin = 150 * time.Millisecond
 	}
@@ -98,7 +92,7 @@ func NewRemoteWorker(name, baseURL string, opts RemoteOptions) *RemoteWorker {
 	}
 	return &RemoteWorker{
 		name: name, base: baseURL, client: client,
-		weight: opts.Weight, margin: opts.NetworkMargin, minTO: opts.MinTimeout,
+		margin: opts.NetworkMargin, minTO: opts.MinTimeout,
 	}
 }
 
@@ -108,8 +102,8 @@ func (w *RemoteWorker) Name() string { return w.name }
 // Inflight implements Worker.
 func (w *RemoteWorker) Inflight() int64 { return w.inflight.Load() }
 
-// Weight implements Worker.
-func (w *RemoteWorker) Weight() float64 { return w.weight }
+// Weight implements Worker: every replica counts as one.
+func (w *RemoteWorker) Weight() float64 { return 1 }
 
 // BaseURL returns the daemon address the worker drives.
 func (w *RemoteWorker) BaseURL() string { return w.base }

@@ -22,19 +22,25 @@ import (
 	"repro/blast"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/reqtrace"
 	"repro/internal/server"
 )
 
 // startShardDaemons serves each fixture shard from a real server.Server (the
-// way a mublastpd fleet would) and returns one RemoteWorker per shard.
-func startShardDaemons(t *testing.T, shards []*blast.Database) []*RemoteWorker {
+// way a mublastpd fleet would) and returns one RemoteWorker per shard. Shard
+// s traces its requests to traces[s] when one is given.
+func startShardDaemons(t *testing.T, shards []*blast.Database, traces ...*syncBuffer) []*RemoteWorker {
 	t.Helper()
 	p := blast.DefaultParams()
 	p.BlockResidues = 16384
 	p.Threads = 1
 	workers := make([]*RemoteWorker, len(shards))
 	for s, sd := range shards {
-		srv := server.New(blast.NewSession(sd, p), p, server.Config{Registry: obs.NewRegistry()})
+		cfg := server.Config{Registry: obs.NewRegistry()}
+		if s < len(traces) {
+			cfg.Tracer = reqtrace.NewTracer("mublastpd", traces[s])
+		}
+		srv := server.New(blast.NewSession(sd, p), p, cfg)
 		addr, err := srv.Start("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -75,7 +81,7 @@ func TestRemoteWorkersMatchMonolithic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	br, rep, err := rt.Search(context.Background(), queries, "")
+	br, rep, err := rt.Search(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +401,7 @@ func TestRemoteProbeEjectsDeadDaemon(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	for i := 0; i < 10; i++ {
-		br, rep, err := rt.Search(context.Background(), queries[:1], "")
+		br, rep, err := rt.Search(context.Background(), queries[:1])
 		if err != nil {
 			t.Fatalf("search %d after replica death: %v (shard 0: %+v)", i, err, rep.Shards[0])
 		}
@@ -492,7 +498,7 @@ func TestChaosRemoteTransport(t *testing.T) {
 					defer wg.Done()
 					for j := 0; j < 4; j++ {
 						ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-						br, rep, err := rt.Search(ctx, queries, "")
+						br, rep, err := rt.Search(ctx, queries)
 						cancel()
 						if err != nil {
 							if errors.Is(err, ErrAllShardsUnavailable) {
@@ -531,7 +537,7 @@ func TestChaosRemoteTransport(t *testing.T) {
 			recovered := false
 			deadline := time.Now().Add(5 * time.Second)
 			for time.Now().Before(deadline) {
-				br, rep, err := rt.Search(context.Background(), queries, "")
+				br, rep, err := rt.Search(context.Background(), queries)
 				if err == nil && rep.Sheds() == 0 && rep.Failed() == 0 {
 					for qi := range queries {
 						if got := br.Results[qi].Tabular("q"); got != want[qi] {

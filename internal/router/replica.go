@@ -3,12 +3,12 @@ package router
 import (
 	"context"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/reqtrace"
 )
 
 // ResilienceConfig tunes the per-replica lifecycle layer the router wraps
@@ -106,8 +106,8 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 // HealthChecker is the optional probe surface of a Worker. Replicas that
 // expose it (RemoteWorker does, via GET /readyz) are ejected from rotation
 // while the probe fails and readmitted with jittered exponential backoff once
-// it recovers. Workers without it (LocalWorker) are never ejected — their
-// failures are handled by the breaker alone.
+// it recovers. Workers without it (test fakes, decorators that hide it) are
+// never ejected — their failures are handled by the breaker alone.
 type HealthChecker interface {
 	HealthCheck(ctx context.Context) error
 }
@@ -195,7 +195,7 @@ func (r *replica) healthy() bool {
 
 // eligibleHint is the read-only pick filter: in rotation and the breaker
 // would admit an attempt right now. The actual half-open trial slot is
-// claimed by tryAcquire on the replica the policy picked.
+// claimed by tryAcquire on the replica the round-robin cursor picked.
 func (r *replica) eligibleHint(now time.Time) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -403,18 +403,14 @@ func (l *latRing) add(nanos int64) {
 	l.mu.Unlock()
 }
 
-// quantile returns the q-quantile of the recorded latencies, or 0 while
-// fewer than latMinSamples samples exist.
+// quantile returns the nearest-rank q-quantile of the recorded latencies
+// (reqtrace.QuantileNanos, the rule the replay and capacity tools use), or 0
+// while fewer than latMinSamples samples exist.
 func (l *latRing) quantile(q float64) time.Duration {
 	l.mu.Lock()
-	n := l.n
-	tmp := make([]int64, n)
-	copy(tmp, l.buf[:n])
-	l.mu.Unlock()
-	if n < latMinSamples {
+	defer l.mu.Unlock()
+	if l.n < latMinSamples {
 		return 0
 	}
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	k := int(q * float64(n-1))
-	return time.Duration(tmp[k])
+	return time.Duration(reqtrace.QuantileNanos(l.buf[:l.n], q))
 }

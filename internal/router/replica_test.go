@@ -236,7 +236,7 @@ func TestReplicaFlapConvergence(t *testing.T) {
 	// from a alone.
 	b.served.Store(0)
 	for i := 0; i < 30; i++ {
-		br, rep, err := rt.Search(context.Background(), queries[:1], "")
+		br, rep, err := rt.Search(context.Background(), queries[:1])
 		if err != nil {
 			t.Fatalf("search %d with one replica ejected: %v", i, err)
 		}
@@ -256,7 +256,7 @@ func TestReplicaFlapConvergence(t *testing.T) {
 
 	// Back in rotation: round-robin reaches b again.
 	for i := 0; i < 10 && b.served.Load() == 0; i++ {
-		if _, _, err := rt.Search(context.Background(), queries[:1], PolicyRoundRobin); err != nil {
+		if _, _, err := rt.Search(context.Background(), queries[:1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -285,7 +285,7 @@ func TestRetryBudgetBoundsAttempts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rep, err := rt.Search(context.Background(), queries, "")
+	_, rep, err := rt.Search(context.Background(), queries)
 	if !errors.Is(err, ErrAllShardsUnavailable) {
 		t.Fatalf("err %v, want ErrAllShardsUnavailable", err)
 	}
@@ -326,7 +326,7 @@ func TestRetryBudgetSharedAcrossShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rep, _ := rt.Search(context.Background(), queries, "")
+	_, rep, _ := rt.Search(context.Background(), queries)
 	total := 0
 	for _, st := range rep.Shards {
 		total += st.Attempts
@@ -356,7 +356,7 @@ func TestShedRetriesOnlyOnDifferentReplica(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rep, err := rt.Search(context.Background(), queries, "")
+		_, rep, err := rt.Search(context.Background(), queries)
 		if !errors.Is(err, ErrAllShardsUnavailable) {
 			t.Fatalf("err %v, want ErrAllShardsUnavailable", err)
 		}
@@ -377,7 +377,7 @@ func TestShedRetriesOnlyOnDifferentReplica(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		br, rep, err := rt.Search(context.Background(), queries, PolicyRoundRobin)
+		br, rep, err := rt.Search(context.Background(), queries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +410,7 @@ func TestFailureRetriesSameSoleReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	br, rep, err := rt.Search(context.Background(), queries, "")
+	br, rep, err := rt.Search(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestHedgeFiresAndWins(t *testing.T) {
 	for i := 0; i < latMinSamples; i++ {
 		rt.lat[0].add(int64(time.Millisecond))
 	}
-	br, rep, err := rt.Search(context.Background(), queries, PolicyRoundRobin)
+	br, rep, err := rt.Search(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestHedgeNeedsLatencySignal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := rt.Search(context.Background(), queries, ""); err != nil {
+	if _, _, err := rt.Search(context.Background(), queries); err != nil {
 		t.Fatal(err)
 	}
 	if rt.met.HedgesFired.Value() != 0 {
@@ -481,32 +481,26 @@ func TestHedgeNeedsLatencySignal(t *testing.T) {
 	}
 }
 
-// TestLocalWorkerAdaptiveRetryAfter pins the satellite-2 hint formula: base x
-// (1 + streak/concurrency), capped at 8x, reset on an admitted search.
-func TestLocalWorkerAdaptiveRetryAfter(t *testing.T) {
-	_, shards, queries := fixture(t)
-	w := NewLocalWorker("w", blast.NewSession(shards[0], blast.DefaultParams()), 2, 1, time.Second)
-	if got := w.RetryAfterHint(); got != time.Second {
-		t.Fatalf("hint with no streak = %v, want the 1s base", got)
-	}
-	w.shedStreak.Store(2)
-	if got := w.RetryAfterHint(); got != 2*time.Second {
-		t.Fatalf("hint at streak 2 over concurrency 2 = %v, want 2s", got)
-	}
-	w.shedStreak.Store(5)
-	if got := w.RetryAfterHint(); got != 3500*time.Millisecond {
-		t.Fatalf("hint at streak 5 over concurrency 2 = %v, want 3.5s", got)
-	}
-	w.shedStreak.Store(1000)
-	if got := w.RetryAfterHint(); got != 8*time.Second {
-		t.Fatalf("hint under a huge streak = %v, want the 8x cap", got)
-	}
-	// An admitted search resets the streak, so recovery snaps the hint back.
-	if _, err := w.Search(context.Background(), queries[:1], 0, 3); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.RetryAfterHint(); got != time.Second {
-		t.Fatalf("hint after an admitted search = %v, want the base again", got)
+// TestHedgeDelayIsNearestRankP95: the hedge delay is the nearest-rank p95
+// of the shard's recent attempt latencies (reqtrace.QuantileNanos) — the 4th
+// of 4 samples at the latMinSamples gate, the 61st of 64 once the ring is
+// full — whatever order the samples arrived in.
+func TestHedgeDelayIsNearestRankP95(t *testing.T) {
+	for _, tc := range []struct {
+		samples int
+		want    time.Duration
+	}{{4, 4 * time.Millisecond}, {64, 61 * time.Millisecond}} {
+		rt, err := New([][]Worker{{&stubWorker{name: "a"}}}, Options{Registry: obs.NewRegistry(),
+			Resilience: ResilienceConfig{ProbeInterval: -1, Hedge: true, HedgeMinDelay: time.Nanosecond}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := tc.samples; i >= 1; i-- {
+			rt.lat[0].add(int64(time.Duration(i) * time.Millisecond))
+		}
+		if got := rt.hedgeDelay(0); got != tc.want {
+			t.Errorf("%d samples of 1..%d ms: hedge delay %v, want %v", tc.samples, tc.samples, got, tc.want)
+		}
 	}
 }
 

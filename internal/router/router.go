@@ -32,12 +32,10 @@ type ShardStatus struct {
 	Attempts   int           // upstream attempts this shard spent (>=1; retries and hedges add)
 }
 
-// Report describes how one scatter-gather request was routed: the policy
-// used, per-shard statuses, and phase timings. RetryAfter aggregates the
-// shed hints (the maximum, so a client retrying after it clears every
-// saturated replica).
+// Report describes how one scatter-gather request was routed: per-shard
+// statuses and phase timings. RetryAfter aggregates the shed hints (the
+// maximum, so a client retrying after it clears every saturated replica).
 type Report struct {
-	Policy       string
 	Shards       []ShardStatus
 	ScatterNanos int64 // slowest shard's wall time (shards run concurrently)
 	MergeNanos   int64
@@ -73,9 +71,6 @@ var ErrAllShardsUnavailable = errors.New("router: no shard available, nothing to
 
 // Options configures a Router.
 type Options struct {
-	// DefaultPolicy is used when a request names none. Empty means
-	// round-robin.
-	DefaultPolicy string
 	// Registry receives the router_* metrics. Nil means obs.Default.
 	Registry *obs.Registry
 	// Resilience tunes the per-replica lifecycle layer (health probing,
@@ -84,23 +79,24 @@ type Options struct {
 }
 
 // Router is the scatter-gather tier: it owns one replica set per shard,
-// scatters every search to all shards concurrently (one replica each, chosen
-// by the request's policy among the shard's *eligible* replicas), and
-// gathers the shard results into a merged BatchResult that is byte-identical
-// to a monolithic search when every shard answers — and honestly incomplete
-// when one does not.
+// scatters every search to all shards concurrently (one replica each, taken
+// round-robin among the shard's *eligible* replicas), and gathers the shard
+// results into a merged BatchResult that is byte-identical to a monolithic
+// search when every shard answers — and honestly incomplete when one does
+// not.
 //
 // Every replica is wrapped in a resilience layer: probe-driven ejection and
 // readmission (Start launches the prober), a circuit breaker fed by
 // request-path failures, and a per-request retry budget that bounds how many
 // extra upstream attempts (retries, hedges) one request may spend.
 type Router struct {
-	reps     [][]*replica
-	lat      []latRing
-	policies map[string]Policy
-	def      string
-	met      *obs.RouterMetrics
-	res      ResilienceConfig
+	reps [][]*replica
+	lat  []latRing
+	// next is one round-robin cursor per shard, so shards advance
+	// independently.
+	next []atomic.Uint64
+	met  *obs.RouterMetrics
+	res  ResilienceConfig
 
 	ejectedCount atomic.Int64
 
@@ -123,31 +119,16 @@ func New(shards [][]Worker, opts Options) (*Router, error) {
 		}
 		total += len(reps)
 	}
-	def := opts.DefaultPolicy
-	if def == "" {
-		def = PolicyRoundRobin
-	}
-	policies := make(map[string]Policy, len(PolicyNames()))
-	for _, name := range PolicyNames() {
-		p, err := NewPolicy(name, len(shards))
-		if err != nil {
-			return nil, err
-		}
-		policies[name] = p
-	}
-	if _, ok := policies[def]; !ok {
-		return nil, fmt.Errorf("router: unknown default policy %q (have %v)", def, PolicyNames())
-	}
 	reg := opts.Registry
 	if reg == nil {
 		reg = obs.Default
 	}
 	res := opts.Resilience.withDefaults()
 	rt := &Router{
-		policies: policies, def: def,
-		met: obs.NewRouterMetrics(reg),
-		res: res,
-		lat: make([]latRing, len(shards)),
+		met:  obs.NewRouterMetrics(reg),
+		res:  res,
+		lat:  make([]latRing, len(shards)),
+		next: make([]atomic.Uint64, len(shards)),
 	}
 	rt.reps = make([][]*replica, len(shards))
 	for s, ws := range shards {
@@ -164,9 +145,6 @@ func New(shards [][]Worker, opts Options) (*Router, error) {
 
 // NumShards returns the fanout.
 func (rt *Router) NumShards() int { return len(rt.reps) }
-
-// DefaultPolicy returns the policy used when a request names none.
-func (rt *Router) DefaultPolicy() string { return rt.def }
 
 // Resilience returns the resolved resilience configuration.
 func (rt *Router) Resilience() ResilienceConfig { return rt.res }
@@ -321,33 +299,24 @@ func (rt *Router) spend(budget *atomic.Int64) bool {
 // eligible replica materialized).
 func refund(budget *atomic.Int64) { budget.Add(1) }
 
-// pick selects one eligible replica of shard s through the request policy,
-// excluding indices in excl (nil = none), and claims its breaker slot. -1
+// pick selects one eligible replica of shard s round-robin, excluding
+// indices in excl (nil = none), and claims its breaker slot: the shard's
+// cursor advances once per try, indexing the eligible replicas in order. -1
 // means no eligible replica.
-func (rt *Router) pick(s int, pol Policy, excl map[int]bool) int {
+func (rt *Router) pick(s int, excl map[int]bool) int {
 	reps := rt.reps[s]
 	now := time.Now()
-	cand := make([]Worker, 0, len(reps))
 	idxs := make([]int, 0, len(reps))
 	for i, r := range reps {
-		if excl != nil && excl[i] {
-			continue
-		}
-		if r.eligibleHint(now) {
-			cand = append(cand, r.w)
+		if !excl[i] && r.eligibleHint(now) {
 			idxs = append(idxs, i)
 		}
 	}
-	for len(cand) > 0 {
-		k := pol.Pick(s, cand)
-		if k < 0 || k >= len(cand) {
-			k = 0
-		}
-		i := idxs[k]
-		if reps[i].tryAcquire(now) {
+	for len(idxs) > 0 {
+		k := int((rt.next[s].Add(1) - 1) % uint64(len(idxs)))
+		if i := idxs[k]; reps[i].tryAcquire(now) {
 			return i
 		}
-		cand = append(cand[:k], cand[k+1:]...)
 		idxs = append(idxs[:k], idxs[k+1:]...)
 	}
 	return -1
@@ -414,7 +383,7 @@ type attemptOut struct {
 // replica exists: re-asking the replica that just declared itself saturated
 // would amplify the exact overload it shed. It fills st and returns the
 // winning result (nil when the shard contributed nothing).
-func (rt *Router) searchShard(ctx context.Context, queries []string, s int, pol Policy, budget *atomic.Int64, st *ShardStatus, scatter *reqtrace.Span) *blast.ShardResult {
+func (rt *Router) searchShard(ctx context.Context, queries []string, s int, budget *atomic.Int64, st *ShardStatus, scatter *reqtrace.Span) *blast.ShardResult {
 	n := len(rt.reps)
 	reps := rt.reps[s]
 	start := time.Now()
@@ -509,7 +478,7 @@ func (rt *Router) searchShard(ctx context.Context, queries []string, s int, pol 
 				if !rt.spend(budget) {
 					continue
 				}
-				hidx := rt.pick(s, pol, map[int]bool{idx: true})
+				hidx := rt.pick(s, map[int]bool{idx: true})
 				if hidx < 0 {
 					refund(budget)
 					continue
@@ -564,7 +533,7 @@ func (rt *Router) searchShard(ctx context.Context, queries []string, s int, pol 
 	}
 
 	tried := map[int]bool{}
-	idx := rt.pick(s, pol, nil)
+	idx := rt.pick(s, nil)
 	if idx < 0 {
 		return finish(attemptOut{idx: -1, err: fmt.Errorf("router: shard %d: no eligible replica (all ejected or breaker-open)", s)})
 	}
@@ -580,9 +549,9 @@ func (rt *Router) searchShard(ctx context.Context, queries []string, s int, pol 
 		}
 		// A shed must move to a different replica; a failure prefers one but
 		// may re-try the same (sole) replica while its breaker stays closed.
-		nidx := rt.pick(s, pol, tried)
+		nidx := rt.pick(s, tried)
 		if nidx < 0 && !isShed {
-			nidx = rt.pick(s, pol, nil)
+			nidx = rt.pick(s, nil)
 		}
 		if nidx < 0 {
 			refund(budget)
@@ -603,22 +572,14 @@ func (rt *Router) searchShard(ctx context.Context, queries []string, s int, pol 
 }
 
 // Search scatters the query batch to every shard and merges the gathered
-// results. policyName selects the replica-choice policy ("" means the
-// router's default; unknown names fail before any shard work).
+// results.
 //
 // The merged BatchResult follows the blast contract: per-query Completed
 // flags, zero-value placeholders for incomplete queries. A request with at
 // least one answering shard succeeds with partial (honest) results; only
 // when no shard answers does Search return ErrAllShardsUnavailable. The
-// Report is non-nil whenever the policy resolved, including on error.
-func (rt *Router) Search(ctx context.Context, queries []string, policyName string) (*blast.BatchResult, *Report, error) {
-	if policyName == "" {
-		policyName = rt.def
-	}
-	pol, ok := rt.policies[policyName]
-	if !ok {
-		return nil, nil, fmt.Errorf("router: unknown policy %q (have %v)", policyName, PolicyNames())
-	}
+// Report is never nil, also on error.
+func (rt *Router) Search(ctx context.Context, queries []string) (*blast.BatchResult, *Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -632,10 +593,9 @@ func (rt *Router) Search(ctx context.Context, queries []string, policyName strin
 	// six-stage pipeline spans the shard's scheduler measured.
 	parent := reqtrace.SpanFromContext(ctx)
 	scatter := parent.Child("scatter", time.Now().UnixNano())
-	scatter.SetAttr("policy", pol.Name())
 
 	n := len(rt.reps)
-	rep := &Report{Policy: pol.Name(), Shards: make([]ShardStatus, n)}
+	rep := &Report{Shards: make([]ShardStatus, n)}
 	parts := make([]*blast.ShardResult, n)
 	var budget atomic.Int64
 	if rt.res.RetryBudget > 0 {
@@ -646,7 +606,7 @@ func (rt *Router) Search(ctx context.Context, queries []string, policyName strin
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			parts[s] = rt.searchShard(ctx, queries, s, pol, &budget, &rep.Shards[s], scatter)
+			parts[s] = rt.searchShard(ctx, queries, s, &budget, &rep.Shards[s], scatter)
 		}(s)
 	}
 	wg.Wait()

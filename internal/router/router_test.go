@@ -3,8 +3,6 @@ package router
 import (
 	"context"
 	"errors"
-	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -52,11 +50,12 @@ func fixture(t *testing.T) (*blast.Database, []*blast.Database, []string) {
 	return fixDB, fixShards, fixQueries
 }
 
-func localWorkers(shards []*blast.Database, concurrency int) [][]Worker {
-	p := blast.DefaultParams()
+// shardWorkers serves each shard from its own shard daemon
+// (startShardDaemons) and returns one replica per shard.
+func shardWorkers(t *testing.T, shards []*blast.Database, traces ...*syncBuffer) [][]Worker {
+	t.Helper()
 	out := make([][]Worker, len(shards))
-	for s, sd := range shards {
-		w := NewLocalWorker("s"+string(rune('0'+s)), blast.NewSession(sd, p), concurrency, 1, 0)
+	for s, w := range startShardDaemons(t, shards, traces...) {
 		out[s] = []Worker{w}
 	}
 	return out
@@ -64,20 +63,13 @@ func localWorkers(shards []*blast.Database, concurrency int) [][]Worker {
 
 // stubWorker lets tests script a replica's behaviour.
 type stubWorker struct {
-	name     string
-	inflight int64
-	weight   float64
-	search   func(ctx context.Context, queries []string, shard, numShards int) (*blast.ShardResult, error)
+	name   string
+	search func(ctx context.Context, queries []string, shard, numShards int) (*blast.ShardResult, error)
 }
 
 func (w *stubWorker) Name() string    { return w.name }
-func (w *stubWorker) Inflight() int64 { return w.inflight }
-func (w *stubWorker) Weight() float64 {
-	if w.weight == 0 {
-		return 1
-	}
-	return w.weight
-}
+func (w *stubWorker) Inflight() int64 { return 0 }
+func (w *stubWorker) Weight() float64 { return 1 }
 func (w *stubWorker) Search(ctx context.Context, queries []string, shard, numShards int) (*blast.ShardResult, error) {
 	return w.search(ctx, queries, shard, numShards)
 }
@@ -90,36 +82,34 @@ func delegate(name string, sd *blast.Database) *stubWorker {
 }
 
 // TestRouterMatchesMonolithic: the full scatter-gather path, all shards
-// healthy, must reproduce the monolithic search byte for byte.
+// healthy, must reproduce the monolithic search byte for byte, request
+// after request.
 func TestRouterMatchesMonolithic(t *testing.T) {
 	db, shards, queries := fixture(t)
 	mono, err := db.SearchBatchCtx(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(localWorkers(shards, 2), Options{Registry: obs.NewRegistry()})
+	rt, err := New(shardWorkers(t, shards), Options{Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, policy := range append(PolicyNames(), "") {
-		br, rep, err := rt.Search(context.Background(), queries, policy)
+	for i := 0; i < 2; i++ {
+		br, rep, err := rt.Search(context.Background(), queries)
 		if err != nil {
-			t.Fatalf("policy %q: %v", policy, err)
+			t.Fatalf("request %d: %v", i, err)
 		}
 		if rep.Sheds() != 0 || rep.Failed() != 0 {
-			t.Fatalf("policy %q: unexpected sheds/failures: %+v", policy, rep.Shards)
+			t.Fatalf("request %d: unexpected sheds/failures: %+v", i, rep.Shards)
 		}
 		for qi := range queries {
 			if !br.Completed[qi] {
-				t.Fatalf("policy %q: query %d incomplete", policy, qi)
+				t.Fatalf("request %d: query %d incomplete", i, qi)
 			}
 			if g, w := br.Results[qi].Tabular("q"), mono.Results[qi].Tabular("q"); g != w {
-				t.Fatalf("policy %q query %d: routed output differs from monolithic:\n got:\n%s\n want:\n%s", policy, qi, g, w)
+				t.Fatalf("request %d query %d: routed output differs from monolithic:\n got:\n%s\n want:\n%s", i, qi, g, w)
 			}
 		}
-	}
-	if _, _, err := rt.Search(context.Background(), queries, "no-such-policy"); err == nil {
-		t.Fatal("unknown policy must fail")
 	}
 }
 
@@ -140,7 +130,7 @@ func TestRouterShedIsPartialNotEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	br, rep, err := rt.Search(context.Background(), queries, "")
+	br, rep, err := rt.Search(context.Background(), queries)
 	if err != nil {
 		t.Fatalf("one shed shard must still produce a partial result, got %v", err)
 	}
@@ -177,7 +167,7 @@ func TestRouterAllShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rep, err := rt.Search(context.Background(), queries, "")
+	_, rep, err := rt.Search(context.Background(), queries)
 	if !errors.Is(err, ErrAllShardsUnavailable) {
 		t.Fatalf("err %v, want ErrAllShardsUnavailable", err)
 	}
@@ -201,7 +191,7 @@ func TestRouterShardFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	br, rep, err := rt.Search(context.Background(), queries, "")
+	br, rep, err := rt.Search(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,62 +208,20 @@ func TestRouterShardFailure(t *testing.T) {
 	}
 }
 
-// TestLocalWorkerSheds: the bounded token budget refuses excess load with a
-// BusyError instead of queueing.
-func TestLocalWorkerSheds(t *testing.T) {
-	_, shards, queries := fixture(t)
-	w := NewLocalWorker("w", blast.NewSession(shards[0], blast.DefaultParams()), 1, 1, 0)
-	gate := make(chan struct{})
-	done := make(chan error, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		close(gate)
-		_, err := w.Search(ctx, queries, 0, 3)
-		done <- err
-	}()
-	<-gate
-	// Saturate: keep poking until the goroutine holds the single token, then
-	// the next call must shed.
-	var busy *BusyError
-	for {
-		_, err := w.Search(context.Background(), queries[:1], 0, 3)
-		if errors.As(err, &busy) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-			return // first search finished before we ever collided; nothing left to race
-		default:
-		}
-	}
-	if busy.RetryAfter <= 0 {
-		t.Fatalf("BusyError without a retry hint: %+v", busy)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestPolicies: a shard's replicas take requests round-robin, one cursor
+// per shard, so shards advance independently.
 func TestPolicies(t *testing.T) {
-	mk := func(inflight int64, weight float64) Worker {
-		return &stubWorker{name: "w", inflight: inflight, weight: weight}
-	}
 	t.Run("round-robin cycles per shard", func(t *testing.T) {
-		p, err := NewPolicy(PolicyRoundRobin, 2)
+		reps := func() []Worker {
+			return []Worker{&stubWorker{name: "a"}, &stubWorker{name: "b"}, &stubWorker{name: "c"}}
+		}
+		rt, err := New([][]Worker{reps(), reps()}, Options{Registry: obs.NewRegistry()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		reps := []Worker{mk(0, 1), mk(0, 1), mk(0, 1)}
 		var got []int
 		for i := 0; i < 6; i++ {
-			got = append(got, p.Pick(0, reps))
+			got = append(got, rt.pick(0, nil))
 		}
 		want := []int{0, 1, 2, 0, 1, 2}
 		for i := range want {
@@ -281,136 +229,8 @@ func TestPolicies(t *testing.T) {
 				t.Fatalf("picks %v, want %v", got, want)
 			}
 		}
-		if p.Pick(1, reps) != 0 {
+		if rt.pick(1, nil) != 0 {
 			t.Fatal("shard 1's cursor must be independent of shard 0's")
 		}
 	})
-	t.Run("least-loaded picks min inflight", func(t *testing.T) {
-		p, err := NewPolicy(PolicyLeastLoad, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := p.Pick(0, []Worker{mk(5, 1), mk(2, 1), mk(9, 1)}); got != 1 {
-			t.Fatalf("picked %d, want 1", got)
-		}
-	})
-	t.Run("weighted normalizes by capacity", func(t *testing.T) {
-		p, err := NewPolicy(PolicyWeighted, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// 4 inflight at weight 4 (load 1) beats 2 inflight at weight 1 (load 2).
-		if got := p.Pick(0, []Worker{mk(2, 1), mk(4, 4)}); got != 1 {
-			t.Fatalf("picked %d, want the heavier replica", got)
-		}
-	})
-	if _, err := NewPolicy("bogus", 1); err == nil {
-		t.Fatal("unknown policy name must fail")
-	}
-}
-
-// TestLocalWorkerResultOutlivesItsDatabase pins that a LocalWorker's result
-// is self-contained: once Search has returned, the session pin is released,
-// and after a Reload to a different database nothing in the result keeps the
-// displaced generation reachable — yet the merge still produces the bytes
-// the monolithic search produced before the reload.
-func TestLocalWorkerResultOutlivesItsDatabase(t *testing.T) {
-	g := seqgen.New(seqgen.UniprotProfile(), 58)
-	p := blast.DefaultParams()
-	p.Threads = 1
-	build := func(n int, prefix string) (*blast.Database, []blast.Sequence) {
-		seqs := make([]blast.Sequence, n)
-		for i, s := range g.Database(n) {
-			seqs[i] = blast.Sequence{Name: prefix + string(rune('A'+i/26)) + string(rune('a'+i%26)), Residues: alphabet.String(s)}
-		}
-		pb := p
-		pb.BlockResidues = 16384
-		db, err := blast.NewDatabase(seqs, pb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db, seqs
-	}
-	other, _ := build(30, "other")
-	otherPath := filepath.Join(t.TempDir(), "other.mublastp")
-	if err := other.SaveFile(otherPath); err != nil {
-		t.Fatal(err)
-	}
-
-	const n = 2
-	collected := make(chan struct{}, n)
-	// searchAll builds the database, its shards and their workers, and
-	// returns only what must survive: the queries, the monolithic answer, the
-	// sessions and the workers' results. The databases themselves are left
-	// to the sessions alone.
-	searchAll := func() ([]string, []string, []*blast.Session, []*blast.ShardResult) {
-		db, seqs := build(80, "sub")
-		queries := []string{seqs[5].Residues, seqs[40].Residues[2 : len(seqs[40].Residues)-2]}
-		mono, err := db.SearchBatchCtx(context.Background(), queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]string, len(queries))
-		hits := 0
-		for qi, r := range mono.Results {
-			want[qi] = r.Tabular("q")
-			hits += len(r.Hits)
-		}
-		if hits == 0 {
-			t.Fatal("monolithic search found nothing; the check would be vacuous")
-		}
-		shards, err := db.Shards(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sessions := make([]*blast.Session, n)
-		parts := make([]*blast.ShardResult, n)
-		for s, sd := range shards {
-			runtime.SetFinalizer(sd, func(*blast.Database) { collected <- struct{}{} })
-			sessions[s] = blast.NewSession(sd, p)
-			w := NewLocalWorker("w", sessions[s], 1, 1, 0)
-			if parts[s], err = w.Search(context.Background(), queries, s, n); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return queries, want, sessions, parts
-	}
-	queries, want, sessions, parts := searchAll()
-
-	for s, ses := range sessions {
-		if err := ses.Reload(otherPath); err != nil {
-			t.Fatal(err)
-		}
-		if ses.Generation() != 2 || ses.DB().NumSequences() != other.NumSequences() {
-			t.Fatalf("shard %d: reload did not install the other database", s)
-		}
-		if refs := ses.Refs(); refs != 1 {
-			t.Fatalf("shard %d: %d references on the current generation before the merge, want 1", s, refs)
-		}
-	}
-	// The displaced shard databases are garbage now, results notwithstanding.
-	deadline := time.After(10 * time.Second)
-	for got := 0; got < n; {
-		runtime.GC()
-		select {
-		case <-collected:
-			got++
-		case <-deadline:
-			t.Fatalf("%d of %d displaced shard databases were never collected: something still holds them", got, n)
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-
-	merged, err := blast.MergeShards(queries, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := range queries {
-		if !merged.Completed[qi] {
-			t.Fatalf("query %d incomplete after the reload: %v", qi, merged.QueryErrs[qi])
-		}
-		if got := merged.Results[qi].Tabular("q"); got != want[qi] {
-			t.Fatalf("query %d: merge after the reload differs from the pre-reload monolithic search:\n got:\n%s\n want:\n%s", qi, got, want[qi])
-		}
-	}
 }

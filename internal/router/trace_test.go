@@ -23,7 +23,7 @@ import (
 // byte-identical results to the same request with tracing off.
 func TestFrontendTraceTreeAndIdentity(t *testing.T) {
 	_, shards, queries := fixture(t)
-	rt, err := New(localWorkers(shards, 2), Options{Registry: obs.NewRegistry()})
+	rt, err := New(shardWorkers(t, shards), Options{Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestFrontendTraceTreeAndIdentity(t *testing.T) {
 		Registry: obs.NewRegistry(),
 		Tracer:   reqtrace.NewTracer("mublastpr", &traceBuf),
 	})
-	rec := postSearch(t, fe.Handler(), searchBody(queries, ""))
+	rec := postSearch(t, fe.Handler(), searchBody(queries))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("traced search = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -42,12 +42,12 @@ func TestFrontendTraceTreeAndIdentity(t *testing.T) {
 		t.Fatalf("no X-Request-ID on traced response")
 	}
 
-	rt2, err := New(localWorkers(shards, 2), Options{Registry: obs.NewRegistry()})
+	rt2, err := New(shardWorkers(t, shards), Options{Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	feOff := NewFrontend(rt2, FrontendConfig{Registry: obs.NewRegistry()})
-	recOff := postSearch(t, feOff.Handler(), searchBody(queries, ""))
+	recOff := postSearch(t, feOff.Handler(), searchBody(queries))
 	if recOff.Code != http.StatusOK {
 		t.Fatalf("untraced search = %d", recOff.Code)
 	}
@@ -171,7 +171,7 @@ func TestFrontendShedTracedAndLogged(t *testing.T) {
 			logLines = append(logLines, fmt.Sprintf(format, args...))
 		},
 	})
-	rec := postSearch(t, fe.Handler(), searchBody(queries, ""))
+	rec := postSearch(t, fe.Handler(), searchBody(queries))
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("all-shed = %d, want 429", rec.Code)
 	}
@@ -209,10 +209,16 @@ func TestFrontendShedTracedAndLogged(t *testing.T) {
 
 // TestFrontendUpstreamContextStitches: a request arriving with trace headers
 // (as a load balancer or an upstream router would send) keeps the upstream
-// request ID and parents its edge span under the upstream span.
+// request ID and parents its edge span under the upstream span — and so does
+// the next hop: every shard daemon's tree carries the same request and trace
+// IDs, its edge span parented under the router's shard<i> span.
 func TestFrontendUpstreamContextStitches(t *testing.T) {
 	_, shards, queries := fixture(t)
-	rt, err := New(localWorkers(shards, 2), Options{Registry: obs.NewRegistry()})
+	shardTraces := make([]*syncBuffer, len(shards))
+	for s := range shardTraces {
+		shardTraces[s] = &syncBuffer{}
+	}
+	rt, err := New(shardWorkers(t, shards, shardTraces...), Options{Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +227,7 @@ func TestFrontendUpstreamContextStitches(t *testing.T) {
 		Registry: obs.NewRegistry(),
 		Tracer:   reqtrace.NewTracer("mublastpr", &traceBuf),
 	})
-	raw, _ := json.Marshal(searchBody(queries, ""))
+	raw, _ := json.Marshal(searchBody(queries))
 	req := httptest.NewRequest(http.MethodPost, "/search", bytes.NewReader(raw))
 	reqtrace.Inject(req.Header, "req-upstream", "00000000feedface", &reqtrace.Span{SpanID: "00000000deadbeef"})
 	rec := httptest.NewRecorder()
@@ -242,5 +248,30 @@ func TestFrontendUpstreamContextStitches(t *testing.T) {
 	}
 	if tr.RootSpan().ParentID != "00000000deadbeef" {
 		t.Fatalf("edge span not parented under upstream: %q", tr.RootSpan().ParentID)
+	}
+
+	for s, buf := range shardTraces {
+		shardSpan := tr.RootSpan().Find("shard" + strconv.Itoa(s))
+		if shardSpan == nil {
+			t.Fatalf("router tree has no shard%d span", s)
+		}
+		// The shard daemon writes its tree once its response is on the wire,
+		// so it may land just after the router's.
+		var st []*reqtrace.Trace
+		waitUntil(t, fmt.Sprintf("shard %d's trace", s), func() bool {
+			buf.mu.Lock()
+			defer buf.mu.Unlock()
+			st, err = reqtrace.ReadTraces(bytes.NewReader(buf.b.Bytes()))
+			return err == nil && len(st) == 1
+		})
+		sh := st[0]
+		if sh.Daemon != "mublastpd" || sh.RequestID != "req-upstream" || sh.TraceID != "00000000feedface" {
+			t.Errorf("shard %d tree %q: request %q trace %q, want the router's req-upstream / 00000000feedface",
+				s, sh.Daemon, sh.RequestID, sh.TraceID)
+		}
+		if root := sh.RootSpan(); root.Name != "edge" || root.ParentID != shardSpan.SpanID {
+			t.Errorf("shard %d: root %q parented under %q, want edge under the router's shard%d span %q",
+				s, root.Name, root.ParentID, s, shardSpan.SpanID)
+		}
 	}
 }

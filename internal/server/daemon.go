@@ -7,7 +7,6 @@ import (
 	"os"
 	"time"
 
-	"repro/blast"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/reqtrace"
@@ -25,21 +24,17 @@ type Daemon interface {
 // listen address) and returns the life of the process after flag.Parse: arm
 // -faultspec, open the -trace sink (the one per-request log, which replay
 // and capsim also read), let build load the database and construct the
-// daemon — from the search parameters under -evalue, -max-hits and -threads
-// and a Config carrying the flags' request bounds, the trace sink and a
-// stderr logger; detail is what the daemon says about itself in the
+// daemon — from a Config carrying the flags' request bounds, the trace sink
+// and a stderr logger; detail is what the daemon says about itself in the
 // "serving on" line — start it on -addr, bring up the -debug-addr server,
 // wait for SIGINT/SIGTERM, and drain for -drain-grace. A second signal
-// force-exits.
-func RegisterFlags(name, addr string) func(build func(p blast.Params, cfg Config) (d Daemon, detail string, err error)) error {
+// force-exits. The search parameters are the searching daemon's own flags:
+// a router searches nothing itself.
+func RegisterFlags(name, addr string) func(build func(cfg Config) (d Daemon, detail string, err error)) error {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, name+": "+format+"\n", args...)
 	}
-	p := blast.DefaultParams()
 	cfg := Config{Registry: obs.Default, Logf: logf}
-	flag.IntVar(&p.Threads, "threads", 0, "threads per batch search (0 = all cores)")
-	flag.Float64Var(&p.EValueCutoff, "evalue", 10, "E-value cutoff")
-	flag.IntVar(&p.MaxResults, "max-hits", 250, "maximum hits per query")
 	flag.DurationVar(&cfg.DefaultTimeout, "timeout", 30*time.Second, "default per-request deadline")
 	var (
 		listen     = flag.String("addr", addr, "listen address (use :0 for an ephemeral port)")
@@ -49,7 +44,7 @@ func RegisterFlags(name, addr string) func(build func(p blast.Params, cfg Config
 		faultSpec  = flag.String("faultspec", "", "arm fault-injection sites, e.g. 'server.admit=error@0.1' or 'router.rpc=error@0.1' (testing aid)")
 		faultSeed  = flag.Uint64("faultseed", 1, "seed for probabilistic -faultspec clauses")
 	)
-	return func(build func(blast.Params, Config) (Daemon, string, error)) error {
+	return func(build func(Config) (Daemon, string, error)) error {
 		if *faultSpec != "" {
 			if err := faultinject.Enable(*faultSpec, *faultSeed); err != nil {
 				return err
@@ -67,7 +62,7 @@ func RegisterFlags(name, addr string) func(build func(p blast.Params, cfg Config
 			logf("tracing requests to %s", *tracePath)
 		}
 
-		d, detail, err := build(p, cfg)
+		d, detail, err := build(cfg)
 		if err != nil {
 			return err
 		}

@@ -29,9 +29,6 @@ type SearchRequest struct {
 	// server default. The server caps it (MaxTimeout, and DegradedTimeout in
 	// degraded mode) — the effective value is reported in the response.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Policy selects the replica-choice policy on a sharded (router) tier;
-	// empty means the tier's default. The single-database server ignores it.
-	Policy string `json:"policy,omitempty"`
 }
 
 // Hit is the wire form of one reported alignment.

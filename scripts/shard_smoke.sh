@@ -2,20 +2,20 @@
 # Sharded serving smoke test (the `make shard-smoke` target).
 #
 # Builds the toolchain, splits one generated database into 3 shard
-# containers with `makedb -shards`, serves them behind the scatter-gather
-# router (mublastpr) next to a monolithic mublastpd on the unsharded
-# container, scatters the same query batch through both, and diffs the
-# response payloads byte for byte — the end-to-end check that sharding
-# changes capacity, never results. Also probes the router's policy
-# selection, its router_* metrics, and a clean SIGTERM drain.
+# containers with `makedb -shards`, serves each from its own mublastpd shard
+# daemon (started with the global totals makedb prints) behind the
+# scatter-gather router (mublastpr -workers), next to a monolithic mublastpd
+# on the unsharded container, scatters the same query batch through both,
+# and diffs the response payloads byte for byte across the four processes —
+# the end-to-end check that sharding changes capacity, never results. Also
+# checks that mublastpr refuses the search flags only the shard daemons
+# read, its router_* metrics, and a clean SIGTERM drain.
 set -eu
 
 workdir=$(mktemp -d "${TMPDIR:-/tmp}/shard-smoke.XXXXXX")
-mono_pid=""
-router_pid=""
+pids=""
 cleanup() {
-    [ -n "$mono_pid" ] && kill -9 "$mono_pid" 2>/dev/null || true
-    [ -n "$router_pid" ] && kill -9 "$router_pid" 2>/dev/null || true
+    for p in $pids; do kill -9 "$p" 2>/dev/null || true; done
     rm -rf "$workdir"
 }
 trap cleanup EXIT INT TERM
@@ -30,7 +30,7 @@ echo "shard-smoke: generating workload and containers..."
 "$workdir/genseq" -n 500 -seed 21 -out "$workdir/db.fasta" \
     -queries 3 -qlen 180 -qout "$workdir/queries.fasta"
 "$workdir/makedb" -in "$workdir/db.fasta" -out "$workdir/db.mublastp" 2>/dev/null
-"$workdir/makedb" -in "$workdir/db.fasta" -out "$workdir/db.mublastp" -shards 3 2>/dev/null
+"$workdir/makedb" -in "$workdir/db.fasta" -out "$workdir/db.mublastp" -shards 3 2>"$workdir/makedb.err"
 for s in 0 1 2; do
     [ -f "$workdir/db.mublastp.shard$s-of-3" ] || {
         echo "shard-smoke: FAIL: shard container $s missing"; exit 1; }
@@ -46,16 +46,13 @@ queries_json=$(awk '
 [ -n "$queries_json" ] || { echo "shard-smoke: FAIL: no queries extracted"; exit 1; }
 search_body="{\"queries\":[$queries_json]}"
 
-echo "shard-smoke: starting monolithic mublastpd..."
-"$workdir/mublastpd" -db "$workdir/db.mublastp" -addr 127.0.0.1:0 \
-    -drain-grace 5s >/dev/null 2>"$workdir/mono.err" &
-mono_pid=$!
+fail=0
 
-echo "shard-smoke: starting sharded mublastpr..."
-"$workdir/mublastpr" \
-    -shards "$workdir/db.mublastp.shard0-of-3,$workdir/db.mublastp.shard1-of-3,$workdir/db.mublastp.shard2-of-3" \
-    -addr 127.0.0.1:0 -drain-grace 5s >/dev/null 2>"$workdir/router.err" &
-router_pid=$!
+# The search flags are the shard daemons': the router refuses them at flag
+# parsing instead of accepting and ignoring them.
+status=0
+"$workdir/mublastpr" -evalue 1e-5 -workers http://127.0.0.1:1 >/dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ] || { echo "shard-smoke: FAIL: mublastpr -evalue exit status $status, want 2"; fail=1; }
 
 wait_addr() { # name pid errfile -> prints addr
     _addr=""
@@ -68,14 +65,47 @@ wait_addr() { # name pid errfile -> prints addr
     [ -n "$_addr" ] || { echo "shard-smoke: FAIL: $1 never announced its address" >&2; cat "$3" >&2; exit 1; }
     printf '%s' "$_addr"
 }
+echo "shard-smoke: starting monolithic mublastpd..."
+"$workdir/mublastpd" -db "$workdir/db.mublastp" -addr 127.0.0.1:0 \
+    -drain-grace 5s >/dev/null 2>"$workdir/mono.err" &
+mono_pid=$!
+pids="$pids $mono_pid"
 mono_addr=$(wait_addr mublastpd "$mono_pid" "$workdir/mono.err")
+
+# The global search space every shard daemon must be told about, read off
+# the monolithic daemon's own handshake surface; makedb -shards must have
+# printed the same totals in its serving commands.
+info=$(curl -fsS "http://$mono_addr/shard/info")
+global_seqs=$(printf '%s' "$info" | sed -n 's/.*"sequences":\([0-9]*\).*/\1/p')
+global_res=$(printf '%s' "$info" | sed -n 's/.*"total_residues":\([0-9]*\).*/\1/p')
+[ -n "$global_seqs" ] && [ -n "$global_res" ] || {
+    echo "shard-smoke: FAIL: could not read the global search space"; exit 1; }
+for s in 0 1 2; do
+    grep -qx "mublastpd -db $workdir/db.mublastp.shard$s-of-3 -addr <host$s:port> -global-sequences $global_seqs -global-residues $global_res" "$workdir/makedb.err" || {
+        echo "shard-smoke: FAIL: makedb did not print shard $s's mublastpd command"; cat "$workdir/makedb.err"; fail=1; }
+done
+grep -qx 'mublastpr -workers http://<host0:port>,http://<host1:port>,http://<host2:port>' "$workdir/makedb.err" || {
+    echo "shard-smoke: FAIL: makedb did not print the mublastpr command"; cat "$workdir/makedb.err"; fail=1; }
+
+echo "shard-smoke: starting 3 shard daemons and mublastpr -workers..."
+workers=""
+for s in 0 1 2; do
+    "$workdir/mublastpd" -db "$workdir/db.mublastp.shard$s-of-3" -addr 127.0.0.1:0 \
+        -global-sequences "$global_seqs" -global-residues "$global_res" \
+        -drain-grace 2s >/dev/null 2>"$workdir/shard$s.err" &
+    shard_pid=$!
+    pids="$pids $shard_pid"
+    workers="$workers${workers:+,}http://$(wait_addr mublastpd "$shard_pid" "$workdir/shard$s.err")"
+done
+"$workdir/mublastpr" -workers "$workers" \
+    -addr 127.0.0.1:0 -drain-grace 5s >/dev/null 2>"$workdir/router.err" &
+router_pid=$!
+pids="$pids $router_pid"
 router_addr=$(wait_addr mublastpr "$router_pid" "$workdir/router.err")
-echo "shard-smoke: monolithic at $mono_addr, router at $router_addr"
+echo "shard-smoke: monolithic at $mono_addr, router at $router_addr over $workers"
 
-grep -q "global search space" "$workdir/router.err" || {
-    echo "shard-smoke: FAIL: router did not announce the global search space"; exit 1; }
-
-fail=0
+grep -q "remote replicas) coherent" "$workdir/router.err" || {
+    echo "shard-smoke: FAIL: router did not announce the coherence handshake"; exit 1; }
 
 post() { # addr body out -> status code
     curl -s -o "$3" -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
@@ -105,16 +135,8 @@ grep -q '"completed":true' "$workdir/router.results" || {
 grep -q '"e_value"' "$workdir/router.results" || {
     echo "shard-smoke: FAIL: sharded response carries no scored hits; diff is vacuous"; fail=1; }
 
-echo "shard-smoke: per-request policy selection..."
-code=$(post "$router_addr" "{\"queries\":[$queries_json],\"policy\":\"least-loaded\"}" "$workdir/policy.json")
-[ "$code" = "200" ] || { echo "shard-smoke: FAIL: least-loaded search = $code"; fail=1; }
-grep -q '"policy":"least-loaded"' "$workdir/policy.json" || {
-    echo "shard-smoke: FAIL: policy not echoed in the response"; fail=1; }
-code=$(post "$router_addr" "{\"queries\":[$queries_json],\"policy\":\"bogus\"}" "$workdir/badpolicy.json")
-[ "$code" = "400" ] || { echo "shard-smoke: FAIL: unknown policy = $code, want 400"; fail=1; }
-
 curl -fsS "http://$router_addr/metrics" >"$workdir/metrics.txt"
-for metric in router_requests:2 router_fanout_shards:3 router_shard_searches:6 router_requests_all_shed:0; do
+for metric in router_requests:1 router_fanout_shards:3 router_shard_searches:3 router_requests_all_shed:0; do
     name=${metric%:*}; want=${metric#*:}
     value=$(sed -n "s/^$name //p" "$workdir/metrics.txt")
     if [ "$value" != "$want" ]; then
@@ -135,14 +157,12 @@ while kill -0 "$router_pid" 2>/dev/null; do
     sleep 0.1
 done
 wait "$router_pid" 2>/dev/null || status=$?
-router_pid=""
 [ "$status" -eq 0 ] || { echo "shard-smoke: FAIL: router exit status $status, want 0"; fail=1; }
 grep -q "drained, exiting" "$workdir/router.err" || {
     echo "shard-smoke: FAIL: no drain confirmation"; cat "$workdir/router.err"; fail=1; }
 
-kill -TERM "$mono_pid" 2>/dev/null || true
-wait "$mono_pid" 2>/dev/null || true
-mono_pid=""
+for p in $pids; do kill -TERM "$p" 2>/dev/null || true; done
+for p in $pids; do wait "$p" 2>/dev/null || true; done
 
 if [ "$fail" -ne 0 ]; then
     echo "shard-smoke: FAILED"
