@@ -47,11 +47,11 @@ type Params struct {
 	// diagonal pair when they do not overlap and lie less than A apart, so
 	// unless OneHit is set it must exceed the word length, 3.
 	TwoHitWindow int
-	// UngappedXDrop stops ungapped extensions (raw score; default 16).
+	// UngappedXDrop stops ungapped extensions (raw score; default 16). An
+	// ungapped alignment then enters the gapped stage when it scores at
+	// least the matrix's gap trigger, NCBI's 22 bits (41 raw on BLOSUM62);
+	// the trigger is derived from Matrix, not set.
 	UngappedXDrop int
-	// UngappedTrigger is the raw score an ungapped alignment needs to enter
-	// the gapped stage (default 38).
-	UngappedTrigger int
 	// GapOpen/GapExtend are the affine gap penalties (default 11/1).
 	GapOpen   int
 	GapExtend int
@@ -100,9 +100,8 @@ func DefaultParams() Params {
 	return Params{
 		Matrix:            "BLOSUM62",
 		NeighborThreshold: neighbor.DefaultThreshold,
-		TwoHitWindow:      40,
-		UngappedXDrop:     16,
-		UngappedTrigger:   38,
+		TwoHitWindow:      ungapped.DefaultWindow,
+		UngappedXDrop:     ungapped.DefaultXDrop,
 		GapOpen:           11,
 		GapExtend:         1,
 		GappedXDrop:       38,
@@ -276,7 +275,8 @@ func buildConfig(p Params) (*search.Config, error) {
 		return nil, fmt.Errorf("blast: TwoHitWindow %d cannot pair any two hits: it must be at least %d (word length + 1) unless OneHit is set",
 			p.TwoHitWindow, alphabet.W+1)
 	}
-	cfg.TwoHit = ungapped.Params{Window: p.TwoHitWindow, XDrop: p.UngappedXDrop, Trigger: p.UngappedTrigger, OneHit: p.OneHit}
+	// cfg.TwoHit.Trigger stays the matrix's, as search.NewConfig derived it.
+	cfg.TwoHit.Window, cfg.TwoHit.XDrop, cfg.TwoHit.OneHit = p.TwoHitWindow, p.UngappedXDrop, p.OneHit
 	cfg.Gap = gapped.Params{GapOpen: p.GapOpen, GapExtend: p.GapExtend, XDrop: p.GappedXDrop}
 	cfg.EValueCutoff = p.EValueCutoff
 	cfg.MaxResults = p.MaxResults

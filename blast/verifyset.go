@@ -1,8 +1,27 @@
 package blast
 
 import (
+	"errors"
 	"fmt"
 )
+
+// RulesVersion names the rules by which this build's engine computes a
+// result from a database: seeding, the two-hit rule, the extension cutoffs,
+// gapped scoring and ranking. Two builds with one RulesVersion reply to a
+// query byte for byte alike from one container; a change that moves reply
+// bytes without moving the container fingerprint bumps it, and regenerates
+// the engine's golden results (TestRulesVersionPinsGoldens ties the two).
+//
+//  1. The rules before the gap trigger became NCBI's: an ungapped
+//     alignment entered the gapped stage when it scored above 38 raw.
+//  2. It enters at NCBI's gap trigger S1 or above: 22 bits through the
+//     matrix's ungapped statistics, 41 raw on BLOSUM62.
+const RulesVersion = 2
+
+// ErrRulesMismatch marks a shard set whose replicas report different
+// RulesVersions: they answer one query differently, so a merge of their
+// replies is no one build's monolithic answer.
+var ErrRulesMismatch = errors.New("replicas compute results by different rules")
 
 // ReplicaFacts is what one replica of one shard says it holds, whichever way
 // it was asked: a VerifyFile report of a container on disk, or a shard
@@ -10,6 +29,7 @@ import (
 type ReplicaFacts struct {
 	Name          string // path or worker name, for error messages
 	Fingerprint   Fingerprint
+	RulesVersion  int // of the build searching it: the daemon's, or this build's for a file
 	Sequences     int
 	TotalResidues int64
 	// GlobalSequences/GlobalResidues are the replica's belief about the whole
@@ -26,7 +46,9 @@ type ReplicaFacts struct {
 // one servable logical database; shards[s][r] is replica r of shard s. Every
 // replica carries the same build fingerprint (one makedb run — a mixed set
 // merges garbage silently, since the merge trusts ids and E-value
-// statistics) and the same belief about the global search space; replicas of
+// statistics), is searched by the same RulesVersion (ErrRulesMismatch
+// otherwise: the fingerprint does not see a change of rules) and holds the
+// same belief about the global search space; replicas of
 // one shard hold the same slice at the same manifest commit (equal totals do
 // not prove equal sequences once deltas are involved); shard s of N holds
 // exactly ceil((G-s)/N) of the G global sequences, the round-robin deal the
@@ -48,6 +70,9 @@ func VerifyTopology(shards [][]ReplicaFacts) (fp Fingerprint, globalSeqs, global
 			case r.Fingerprint != fleet.Fingerprint:
 				err = mismatchf("shard %d replica %s: fingerprint %+v differs from the set's %+v — the set mixes different builds",
 					s, r.Name, r.Fingerprint, fleet.Fingerprint)
+			case r.RulesVersion != fleet.RulesVersion:
+				err = fmt.Errorf("blast: %w: shard %d replica %s runs rules version %d, the set's first replica %d — a fleet must not mix them",
+					ErrRulesMismatch, s, r.Name, r.RulesVersion, fleet.RulesVersion)
 			case r.GlobalSequences != fleet.GlobalSequences || r.GlobalResidues != fleet.GlobalResidues:
 				err = mismatchf("shard %d replica %s: global space %d seqs/%d residues, the set says %d/%d",
 					s, r.Name, r.GlobalSequences, r.GlobalResidues, fleet.GlobalSequences, fleet.GlobalResidues)
@@ -112,7 +137,7 @@ func VerifyShardSet(paths [][]string) (*ShardSetInfo, error) {
 			if r == 0 {
 				info.PerShard[s] = ci
 			}
-			facts[s] = append(facts[s], ReplicaFacts{Name: path, Fingerprint: ci.Fingerprint,
+			facts[s] = append(facts[s], ReplicaFacts{Name: path, Fingerprint: ci.Fingerprint, RulesVersion: RulesVersion,
 				Sequences: ci.NumSequences, TotalResidues: ci.TotalResidues})
 		}
 	}

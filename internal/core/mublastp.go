@@ -533,7 +533,7 @@ func (e *Engine) extendPairs(sc *scratch, q []alphabet.Code, bi int, coder hit.K
 	// so the 10M-pairs-per-batch loop runs call-free except the extension
 	// itself.
 	//
-	// Extension is score first: all but ~0.1% of pairs end at "Score <=
+	// Extension is score first: all but ~0.1% of pairs end at "Score <
 	// Trigger", and a rejected pair leaves nothing behind but ExtReached =
 	// its own offset, so it runs only the score-only walk (ExtendScore) and
 	// the coordinates walk (ExtendProfile) is paid by the survivors alone.
@@ -575,7 +575,7 @@ func (e *Engine) extendPairs(sc *scratch, q []alphabet.Code, bi int, coder hit.K
 		extensions++
 		var ext ungapped.Ext
 		if scoreFirst {
-			if ungapped.ExtendScore(prof, s, qOff, sOff, xDrop) <= trigger {
+			if ungapped.ExtendScore(prof, s, qOff, sOff, xDrop) < trigger {
 				d.ExtReached = p.QOff
 				continue
 			}
@@ -591,7 +591,7 @@ func (e *Engine) extendPairs(sc *scratch, q []alphabet.Code, bi int, coder hit.K
 					trace(search.SpaceSubject, off)
 				}
 			}
-			if ext.Score <= trigger {
+			if ext.Score < trigger {
 				d.ExtReached = p.QOff
 				continue
 			}

@@ -133,3 +133,75 @@ func sortedExts(exts []ungapped.Ext) []ungapped.Ext {
 	})
 	return out
 }
+
+// TestGapTriggerBoundary pins where an ungapped extension enters the gapped
+// stage: scoring exactly S1 (cfg.TwoHit.Trigger, NCBI's 22 bits: 41 on
+// BLOSUM62) it does, scoring S1-1 it does not — in ungapped.Canon, on the
+// score-first path and on the traced full path alike. The workload is
+// guarded to contain extensions at both scores.
+func TestGapTriggerBoundary(t *testing.T) {
+	cfg, ix, queries := world(t, 211, 1500, 4, 300, 1<<18)
+	s1 := cfg.TwoHit.Trigger
+	if s1 != 41 {
+		t.Fatalf("BLOSUM62 gap trigger %d, want 41", s1)
+	}
+	traced := *cfg
+	traced.Trace = func(uint8, int64) {}
+	scoreFirst, full := New(cfg, ix), New(&traced, ix)
+	sc0, sc1 := scoreFirst.getScratch(), full.getScratch()
+	defer scoreFirst.putScratch(sc0)
+	defer full.putScratch(sc1)
+	canon := ungapped.Canon{P: cfg.TwoHit, Matrix: cfg.Matrix}
+
+	var at, below int
+	for qi, q := range queries {
+		diagBias := len(q) - alphabet.W
+		for bi, b := range ix.Blocks {
+			coder, err := hit.NewKeyCoder(b.Block.NumSeqs(), len(q)+b.Block.MaxLen-2*alphabet.W+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc0.prof.Fill(cfg.Matrix, q)
+			sc1.prof.Fill(cfg.Matrix, q)
+			var st0, st1 search.Stats
+			scoreFirst.detectPrefiltered(sc0, q, bi, coder, &st0)
+			scoreFirst.sortPairs(sc0, coder)
+			sc1.pairs = append(sc1.pairs[:0], sc0.pairs...)
+			scoreFirst.extendPairs(sc0, q, bi, coder, diagBias, &st0)
+			full.extendPairs(sc1, q, bi, coder, diagBias, &st1)
+
+			var d ungapped.DiagState
+			for i, p := range sc0.pairs {
+				if i == 0 || p.Key != sc0.pairs[i-1].Key {
+					d.Reset()
+				}
+				local, diag := coder.Decode(p.Key)
+				s := ix.DB.Seqs[b.Block.Start+local].Data
+				ext, extended, keep := canon.ExtendPair(&d, q, s, int(p.QOff), diag+int(p.QOff)-diagBias)
+				if !extended || (ext.Score != s1 && ext.Score != s1-1) {
+					continue
+				}
+				enters := ext.Score == s1
+				where := fmt.Sprintf("query %d block %d: extension %+v", qi, bi, ext)
+				if keep != enters {
+					t.Fatalf("%s: Canon keeps it %v, want %v", where, keep, enters)
+				}
+				if got := slices.Contains(sc0.exts, ext); got != enters {
+					t.Fatalf("%s: score-first path hands it to the gapped stage %v, want %v", where, got, enters)
+				}
+				if got := slices.Contains(sc1.exts, ext); got != enters {
+					t.Fatalf("%s: full path hands it to the gapped stage %v, want %v", where, got, enters)
+				}
+				if enters {
+					at++
+				} else {
+					below++
+				}
+			}
+		}
+	}
+	if at == 0 || below == 0 {
+		t.Fatalf("workload too tame to pin the boundary: %d extensions scoring S1, %d scoring S1-1", at, below)
+	}
+	t.Logf("%d extensions scoring S1 = %d, %d scoring S1-1", at, s1, below)
+}

@@ -139,7 +139,7 @@ func BuildWindow(db *dbase.DB, nbr *neighbor.Table, blockResidues int64, window 
 // BuildParallel is Build with an explicit worker count (<= 0 means
 // GOMAXPROCS; 1 builds serially).
 func BuildParallel(db *dbase.DB, nbr *neighbor.Table, blockResidues int64, threads int) (*Index, error) {
-	return build(db, nbr, blockResidues, ungapped.DefaultParams().Window, threads)
+	return build(db, nbr, blockResidues, ungapped.DefaultWindow, threads)
 }
 
 // maxPad bounds a block's padding, in the builder and in the loader alike.

@@ -61,7 +61,10 @@ func (r *Reader) Read() (*Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		trimmed := bytes.TrimSpace(line)
+		// ASCII whitespace only, the bytes the loop below skips:
+		// bytes.TrimSpace would also strip a Unicode space such as U+0085
+		// kept inside the sequence, once the writer wraps it to a line edge.
+		trimmed := bytes.Trim(line, " \t\n\v\f\r")
 		if len(trimmed) == 0 {
 			continue
 		}

@@ -123,6 +123,11 @@ var serveMix = sync.OnceValue(func() []tbCase {
 	if err != nil {
 		panic(err)
 	}
+	ung, err := stats.UngappedParams(m, &stats.RobinsonFreqs)
+	if err != nil {
+		panic(err)
+	}
+	twoHit := ungapped.Params{Window: ungapped.DefaultWindow, XDrop: ungapped.DefaultXDrop, Trigger: ung.RawScoreForBits(ungapped.GapTriggerBits)}
 	a := NewAligner(m, gp)
 	var mix []tbCase
 	var diags []ungapped.DiagState
@@ -130,7 +135,7 @@ var serveMix = sync.OnceValue(func() []tbCase {
 	for _, q := range queries {
 		ix := qindex.Build(q, nbr)
 		prof := matrix.NewProfile(m, q)
-		canon := &ungapped.Canon{P: ungapped.DefaultParams(), Matrix: m, Prof: prof}
+		canon := &ungapped.Canon{P: twoHit, Matrix: m, Prof: prof}
 		effQ, effDB := ka.EffectiveLengths(int64(len(q)), dbLen, int64(len(db)))
 		for _, s := range db {
 			if len(s) < alphabet.W {

@@ -277,9 +277,9 @@ func (w *RemoteWorker) ReloadContainer(ctx context.Context, path string, verifyO
 
 // VerifyRemoteTopology runs the coherence handshake across a remote fleet:
 // every replica's /shard/info reply is gathered and the set is held to
-// blast.VerifyTopology — one fingerprint, one global search space, replicas
-// of a shard on the same slice and manifest commit, slices tiling the
-// logical database round-robin. It returns the agreed fingerprint and global
+// blast.VerifyTopology — one fingerprint, one rules version, one global
+// search space, replicas of a shard on the same slice and manifest commit,
+// slices tiling the logical database round-robin. It returns the agreed fingerprint and global
 // sequence count.
 func VerifyRemoteTopology(ctx context.Context, shards [][]*RemoteWorker) (*blast.Fingerprint, int64, error) {
 	facts := make([][]blast.ReplicaFacts, len(shards))
@@ -290,7 +290,7 @@ func VerifyRemoteTopology(ctx context.Context, shards [][]*RemoteWorker) (*blast
 				return nil, 0, fmt.Errorf("router: shard %d replica %s: handshake: %w", s, w.Name(), err)
 			}
 			facts[s] = append(facts[s], blast.ReplicaFacts{
-				Name: w.Name(), Fingerprint: info.Fingerprint,
+				Name: w.Name(), Fingerprint: info.Fingerprint, RulesVersion: info.RulesVersion,
 				Sequences: info.Sequences, TotalResidues: info.TotalResidues,
 				GlobalSequences: info.GlobalSequences, GlobalResidues: info.GlobalResidues,
 				ManifestSeq: info.ManifestSeq, ManifestHash: info.ManifestHash,

@@ -356,6 +356,35 @@ func TestVerifyRemoteTopologyRejectsIncoherence(t *testing.T) {
 	}
 }
 
+// TestVerifyRemoteTopologyRefusesMixedRules: shard daemons report the
+// rules their build searches by, and the handshake refuses a fleet in which
+// one replica reports other rules while agreeing on every other fact.
+func TestVerifyRemoteTopologyRefusesMixedRules(t *testing.T) {
+	_, shards, _ := fixture(t)
+	remote := startShardDaemons(t, shards)
+	fleet := make([][]*RemoteWorker, len(remote))
+	for s, w := range remote {
+		fleet[s] = []*RemoteWorker{w}
+	}
+	if _, _, err := VerifyRemoteTopology(context.Background(), fleet); err != nil {
+		t.Fatalf("one-build fleet refused: %v", err)
+	}
+	info, err := remote[0].Info(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.RulesVersion != blast.RulesVersion {
+		t.Fatalf("daemon reports rules version %d, the build's is %d", info.RulesVersion, blast.RulesVersion)
+	}
+	other := *info
+	other.RulesVersion = blast.RulesVersion - 1
+	fleet[0] = append(fleet[0], fakeInfoServer(t, other))
+	_, _, err = VerifyRemoteTopology(context.Background(), fleet)
+	if !errors.Is(err, blast.ErrRulesMismatch) {
+		t.Fatalf("mixed-rules fleet: err %v, want blast.ErrRulesMismatch", err)
+	}
+}
+
 // TestRemoteProbeEjectsDeadDaemon: the router's live prober ejects a worker
 // whose daemon died and keeps scatters complete from the surviving replica —
 // the in-process version of the kill-a-replica smoke test.

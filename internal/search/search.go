@@ -67,8 +67,12 @@ type Config struct {
 	Trace func(space uint8, offset int64)
 }
 
-// NewConfig builds a Config with BLASTP defaults (BLOSUM62, T=11, A=40,
-// gap 11/1, E-value 10) around a prebuilt neighbor table.
+// NewConfig builds a Config with BLASTP defaults (A=40, ungapped X-drop 16,
+// gap 11/1, gapped X-drop 38, E-value 10) around a matrix and a prebuilt
+// neighbor table. The gap trigger is the matrix's: an ungapped alignment
+// enters the gapped stage when it scores at least ungapped.GapTriggerBits
+// under the matrix's ungapped Karlin-Altschul parameters, truncated to raw
+// as NCBI truncates it (41 on BLOSUM62, 56 on BLOSUM50, 57 on PAM250).
 func NewConfig(m *matrix.Matrix, nbr *neighbor.Table) (*Config, error) {
 	ung, err := stats.UngappedParams(m, &stats.RobinsonFreqs)
 	if err != nil {
@@ -84,7 +88,7 @@ func NewConfig(m *matrix.Matrix, nbr *neighbor.Table) (*Config, error) {
 	return &Config{
 		Matrix:       m,
 		Neighbors:    nbr,
-		TwoHit:       ungapped.DefaultParams(),
+		TwoHit:       ungapped.Params{Window: ungapped.DefaultWindow, XDrop: ungapped.DefaultXDrop, Trigger: ung.RawScoreForBits(ungapped.GapTriggerBits)},
 		Gap:          gp,
 		EValueCutoff: 10,
 		MaxResults:   250,
@@ -100,7 +104,7 @@ type Stats struct {
 	Pairs       int64 // two-hit pairs (prefilter output / pair-check passes)
 	SortedItems int64 // records that went through hit reordering
 	Extensions  int64 // ungapped extensions performed
-	Kept        int64 // ungapped extensions above the trigger score
+	Kept        int64 // ungapped extensions scoring at least the trigger
 	GappedExts  int64 // score-only gapped extensions performed (stage 3)
 	Tracebacks  int64 // traceback re-alignments of reported HSPs (stage 4)
 

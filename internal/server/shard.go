@@ -54,6 +54,7 @@ type ShardSearchResponse struct {
 // cross-check before trusting this daemon with a shard's scatter traffic.
 type ShardInfoResponse struct {
 	Fingerprint     blast.Fingerprint `json:"fingerprint"`
+	RulesVersion    int               `json:"rules_version"`
 	Sequences       int               `json:"sequences"`
 	TotalResidues   int64             `json:"total_residues"`
 	GlobalSequences int64             `json:"global_sequences"`
@@ -84,6 +85,7 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 	manSeq, manHash, deltas := db.Manifest()
 	WriteJSON(w, http.StatusOK, ShardInfoResponse{
 		Fingerprint:     db.Fingerprint(),
+		RulesVersion:    blast.RulesVersion,
 		Sequences:       db.NumSequences(),
 		TotalResidues:   db.TotalResidues(),
 		GlobalSequences: globalSeqs,

@@ -83,6 +83,9 @@ func TestShardEndpointsMergeByteIdentical(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("shard %d: /shard/info status %d", s, resp.StatusCode)
 		}
+		if info.RulesVersion != blast.RulesVersion {
+			t.Fatalf("shard %d: reports rules version %d, the build's is %d", s, info.RulesVersion, blast.RulesVersion)
+		}
 		if fp == nil {
 			fp = &info.Fingerprint
 		} else if info.Fingerprint != *fp {

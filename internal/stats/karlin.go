@@ -268,6 +268,13 @@ func (p Params) BitScore(raw int) float64 {
 	return (p.Lambda*float64(raw) - math.Log(p.K)) / math.Ln2
 }
 
+// RawScoreForBits returns the raw score of a bit score, truncated toward
+// zero as NCBI truncates its cutoffs ((Int4)((bits·ln2 + ln K)/λ)): the
+// largest raw score whose bit score does not exceed bits, for bits > 0.
+func (p Params) RawScoreForBits(bits float64) int {
+	return int((bits*math.Ln2 + math.Log(p.K)) / p.Lambda)
+}
+
 // EValue returns the expected number of alignments scoring at least raw in a
 // search with the given effective query and database lengths:
 // E = K m n e^{-λS}.

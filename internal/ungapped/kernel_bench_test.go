@@ -45,7 +45,7 @@ func benchSeeds(tb testing.TB) (*matrix.Matrix, *matrix.Profile, []alphabet.Code
 // TestUngappedExtendScoreZeroAlloc).
 func BenchmarkUngappedExtend(b *testing.B) {
 	m, prof, q, s, seeds := benchSeeds(b)
-	xDrop := DefaultParams().XDrop
+	xDrop := DefaultXDrop
 
 	b.Run("profile", func(b *testing.B) {
 		b.ReportAllocs()

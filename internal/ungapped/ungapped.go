@@ -24,9 +24,10 @@ type Params struct {
 	// the best score seen (raw score units; BLASTP default ~16 raw for
 	// the 7-bit ungapped X-drop under BLOSUM62).
 	XDrop int
-	// Trigger is the raw score an ungapped alignment needs to be kept and
-	// handed to the gapped stage (Algorithm 1's thresholdT; ~38 raw
-	// approximates NCBI's 22-bit gapped trigger).
+	// Trigger is the least raw score an ungapped alignment needs to be kept
+	// and handed to the gapped stage (Algorithm 1's thresholdT; NCBI's
+	// gap trigger S1). search.NewConfig derives it from the matrix:
+	// GapTriggerBits, 41 raw on BLOSUM62.
 	Trigger int
 	// OneHit switches to BLAST's one-hit algorithm: every hit triggers an
 	// extension attempt instead of requiring a second hit in the window.
@@ -35,8 +36,15 @@ type Params struct {
 	OneHit bool
 }
 
-// DefaultParams returns the BLASTP-default two-hit parameters.
-func DefaultParams() Params { return Params{Window: 40, XDrop: 16, Trigger: 38} }
+// The BLASTP defaults of this stage: the two-hit window A, the X-drop X1
+// (7 bits, 16 raw on BLOSUM62), and NCBI's gap trigger S1 in bits
+// (BLAST_GAP_TRIGGER_PROT), which search.NewConfig turns into Params.Trigger
+// through the matrix's ungapped statistics: 41 raw on BLOSUM62.
+const (
+	DefaultWindow  = 40
+	DefaultXDrop   = 16
+	GapTriggerBits = 22
+)
 
 // Ext is one ungapped alignment (half-open coordinates).
 type Ext struct {
@@ -189,7 +197,7 @@ func ExtendProfile(p *matrix.Profile, s []alphabet.Code, qOff, sOff, xDrop int) 
 // and the same two X-drop walks, returning exactly
 // ExtendProfile(p, s, qOff, sOff, xDrop).Score under the same preconditions
 // (xDrop >= 1) and nothing else. The decoupled pipeline throws away 99.9% of
-// its ungapped extensions on the score alone (Score <= Trigger), and a
+// its ungapped extensions on the score alone (Score < Trigger), and a
 // rejected pair needs no coordinates: ExtReached falls back to the hit's own
 // offset. Dropping the position lets the best be a plain max instead of a
 // packed score+position word, and each direction is a walker small enough
@@ -273,7 +281,7 @@ func walkRight(rows []int8, base int, sr []alphabet.Code, xDrop int) int {
 //     PairCheck;
 //   - a pair whose second hit is already covered by the previous extension
 //     on the diagonal (extReached > qOff) is skipped;
-//   - after an extension scoring above Trigger, the diagonal's reached
+//   - after an extension scoring at least Trigger, the diagonal's reached
 //     position advances to the extension end; otherwise to the hit offset.
 type Canon struct {
 	P      Params
@@ -345,7 +353,7 @@ func (c *Canon) ExtendPair(d *DiagState, q, s []alphabet.Code, qOff, sOff int) (
 		return Ext{}, false, false // covered by a previous extension
 	}
 	ext = c.extend(q, s, qOff, sOff)
-	if ext.Score > c.P.Trigger {
+	if ext.Score >= c.P.Trigger {
 		d.ExtReached = int32(ext.QEnd)
 		return ext, true, true
 	}

@@ -126,7 +126,7 @@ func TestCanonWindowBoundary(t *testing.T) {
 
 func TestCanonZeroDistanceDoesNotPair(t *testing.T) {
 	q := enc("HHHHHHHHHH")
-	c := &Canon{P: DefaultParams(), Matrix: matrix.Blosum62}
+	c := &Canon{P: Params{Window: 40, XDrop: 16, Trigger: 41}, Matrix: matrix.Blosum62}
 	var d DiagState
 	d.Reset()
 	c.Step(&d, q, q, 3, 3)
@@ -139,7 +139,7 @@ func TestCanonSkipsCoveredHits(t *testing.T) {
 	// Identical sequences: the first pair's extension covers everything, so
 	// later pairs on the diagonal must be skipped.
 	q := enc("HHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHH")
-	c := &Canon{P: Params{Window: 40, XDrop: 16, Trigger: 38}, Matrix: matrix.Blosum62}
+	c := &Canon{P: Params{Window: 40, XDrop: 16, Trigger: 41}, Matrix: matrix.Blosum62}
 	var d DiagState
 	d.Reset()
 	extCount := 0
@@ -153,12 +153,41 @@ func TestCanonSkipsCoveredHits(t *testing.T) {
 	}
 }
 
+// TestCanonKeepsAtTrigger: an extension scoring exactly Trigger is kept and
+// advances the diagonal to its end; with Trigger one above its score it is
+// not kept and the diagonal advances only to the hit.
+func TestCanonKeepsAtTrigger(t *testing.T) {
+	q := enc("WWWWWWWWWWHHHKLMWWWWWWWWWHHHWWWWWWWWWW")
+	s := enc("CCCCCCCCCCHHHKLMCCCCCCCCCHHHCCCCCCCCCC")
+	score := Extend(matrix.Blosum62, q, s, 10, 10, 16).Score
+	for _, tc := range []struct {
+		trigger int
+		keep    bool
+	}{{score, true}, {score + 1, false}} {
+		c := &Canon{P: Params{Window: 40, XDrop: 16, Trigger: tc.trigger}, Matrix: matrix.Blosum62}
+		var d DiagState
+		d.Reset()
+		ext, extended, keep := c.ExtendPair(&d, q, s, 10, 10)
+		if !extended || ext.Score != score || keep != tc.keep {
+			t.Fatalf("Trigger %d: extended %v, score %d, keep %v; want score %d, keep %v",
+				tc.trigger, extended, ext.Score, keep, score, tc.keep)
+		}
+		reached := int32(10)
+		if tc.keep {
+			reached = int32(ext.QEnd)
+		}
+		if d.ExtReached != reached {
+			t.Errorf("Trigger %d: extReached %d, want %d", tc.trigger, d.ExtReached, reached)
+		}
+	}
+}
+
 func TestCanonKeepOnlyAboveTrigger(t *testing.T) {
 	// Short seed on otherwise dissimilar sequences: extension score stays
 	// small, keep must be false, and extReached advances only to the hit.
 	q := enc("WWWWWWWWWWHHHWWWWWWWWWWHHHWWWWWWWWWW")
 	s := enc("CCCCCCCCCCHHHCCCCCCCCCCHHHCCCCCCCCCC")
-	c := &Canon{P: Params{Window: 40, XDrop: 5, Trigger: 38}, Matrix: matrix.Blosum62}
+	c := &Canon{P: Params{Window: 40, XDrop: 5, Trigger: 41}, Matrix: matrix.Blosum62}
 	var d DiagState
 	d.Reset()
 	c.Step(&d, q, s, 10, 10)
@@ -171,12 +200,5 @@ func TestCanonKeepOnlyAboveTrigger(t *testing.T) {
 	}
 	if d.ExtReached != 23 {
 		t.Errorf("extReached = %d, want hit offset 23", d.ExtReached)
-	}
-}
-
-func TestDefaultParams(t *testing.T) {
-	p := DefaultParams()
-	if p.Window != 40 || p.XDrop != 16 || p.Trigger != 38 {
-		t.Errorf("DefaultParams = %+v", p)
 	}
 }
