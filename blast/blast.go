@@ -45,7 +45,7 @@ type Params struct {
 	NeighborThreshold int
 	// TwoHitWindow is the two-hit distance A (default 40): two hits on one
 	// diagonal pair when they do not overlap and lie less than A apart, so
-	// unless OneHit is set it must exceed the word length, 3.
+	// it must exceed the word length, 3.
 	TwoHitWindow int
 	// UngappedXDrop stops ungapped extensions (raw score; default 16). An
 	// ungapped alignment then enters the gapped stage when it scores at
@@ -73,10 +73,6 @@ type Params struct {
 	SplitLongerThan int
 	// SplitOverlap is the chunk overlap in residues (default 256).
 	SplitOverlap int
-	// OneHit switches to BLAST's one-hit algorithm (every hit extends,
-	// no two-hit pairing): more sensitive, much slower. NCBI pairs it with
-	// NeighborThreshold 13.
-	OneHit bool
 	// Timeout bounds each batch search: past it the batch stops between
 	// tasks and returns partial results, with BatchResult.Err wrapping
 	// ErrDeadline and per-query completion flags telling the completed
@@ -271,12 +267,12 @@ func buildConfig(p Params) (*search.Config, error) {
 	// Two hits pair at a distance in [W, TwoHitWindow); a window of W or less
 	// leaves that range empty and every query would come back with zero hits
 	// and no error.
-	if !p.OneHit && p.TwoHitWindow <= alphabet.W {
-		return nil, fmt.Errorf("blast: TwoHitWindow %d cannot pair any two hits: it must be at least %d (word length + 1) unless OneHit is set",
+	if p.TwoHitWindow <= alphabet.W {
+		return nil, fmt.Errorf("blast: TwoHitWindow %d cannot pair any two hits: it must be at least %d (word length + 1)",
 			p.TwoHitWindow, alphabet.W+1)
 	}
 	// cfg.TwoHit.Trigger stays the matrix's, as search.NewConfig derived it.
-	cfg.TwoHit.Window, cfg.TwoHit.XDrop, cfg.TwoHit.OneHit = p.TwoHitWindow, p.UngappedXDrop, p.OneHit
+	cfg.TwoHit.Window, cfg.TwoHit.XDrop = p.TwoHitWindow, p.UngappedXDrop
 	cfg.Gap = gapped.Params{GapOpen: p.GapOpen, GapExtend: p.GapExtend, XDrop: p.GappedXDrop}
 	cfg.EValueCutoff = p.EValueCutoff
 	cfg.MaxResults = p.MaxResults

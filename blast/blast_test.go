@@ -451,30 +451,4 @@ func TestTwoHitWindowMustAllowAPair(t *testing.T) {
 	if _, err := NewDatabase(seqs, p); err != nil {
 		t.Errorf("TwoHitWindow 4: %v", err)
 	}
-	p.OneHit, p.TwoHitWindow = true, 0 // one-hit mode never consults the window
-	if _, err := NewDatabase(seqs, p); err != nil {
-		t.Errorf("OneHit with TwoHitWindow 0: %v", err)
-	}
-}
-
-func TestOneHitModeFacade(t *testing.T) {
-	_, seqs := testDatabase(t)
-	p := DefaultParams()
-	p.OneHit = true
-	p.NeighborThreshold = 13 // NCBI's usual one-hit threshold
-	p.BlockResidues = 16384
-	db, err := NewDatabase(seqs, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := db.Search(queryFrom(seqs, 120))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Hits) == 0 {
-		t.Fatal("one-hit search found nothing")
-	}
-	if res.Stats.Pairs != res.Stats.Hits {
-		t.Errorf("one-hit mode: pairs %d != hits %d", res.Stats.Pairs, res.Stats.Hits)
-	}
 }

@@ -563,8 +563,8 @@ func (c *container) adopt(p Params, cfg *search.Config) (Params, error) {
 	}
 	// The two-hit window is a search-time parameter, but the index lays its
 	// sequences out with the padding one window needs (dbindex.BlockIndex.Pad)
-	// and serves no wider one. One-hit searches never consult the window.
-	if maxWindow := c.ix.MaxWindow(); !p.OneHit && p.TwoHitWindow > maxWindow {
+	// and serves no wider one.
+	if maxWindow := c.ix.MaxWindow(); p.TwoHitWindow > maxWindow {
 		return p, mismatchf("TwoHitWindow %d requested, database padded for windows up to %d (pad %d); rebuild it with the wider window",
 			p.TwoHitWindow, maxWindow, maxWindow-alphabet.W)
 	}

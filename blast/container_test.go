@@ -356,14 +356,13 @@ func TestWindowBeyondPaddingRefused(t *testing.T) {
 	_, err := Load(bytes.NewReader(art), wide)
 	refused("Load", err)
 	for _, ok := range []func(*Params){
-		func(p *Params) {},                                        // the build's own window
-		func(p *Params) { p.TwoHitWindow = 5 },                    // a narrower one
-		func(p *Params) { p.OneHit, p.TwoHitWindow = true, 1000 }, // one-hit never consults it
+		func(p *Params) {},                     // the build's own window
+		func(p *Params) { p.TwoHitWindow = 5 }, // a narrower one
 	} {
 		p := narrow
 		ok(&p)
 		if _, err := Load(bytes.NewReader(art), p); err != nil {
-			t.Errorf("window %d, one-hit %v: %v", p.TwoHitWindow, p.OneHit, err)
+			t.Errorf("window %d: %v", p.TwoHitWindow, err)
 		}
 	}
 

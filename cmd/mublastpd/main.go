@@ -1,13 +1,14 @@
-// Command mublastpd is the long-running search daemon: it loads (or builds)
-// a database once, keeps the index resident, and serves searches over
-// HTTP/JSON with production robustness machinery — bounded admission with
-// 429 backpressure, token concurrency sized to the scheduler, degraded mode
-// under sustained queue pressure, hot database reload, and graceful drain.
+// Command mublastpd is the long-running search daemon: it loads a database
+// container or opens an ingest store (both made by makedb) once, keeps the
+// index resident, and serves searches over HTTP/JSON with production
+// robustness machinery — bounded admission with 429 backpressure, token
+// concurrency sized to the scheduler, degraded mode under sustained queue
+// pressure, hot database reload, and graceful drain.
 //
 // Usage:
 //
 //	mublastpd -db db.mublastp -addr :8044
-//	mublastpd -subjects db.fasta -addr 127.0.0.1:0 -queue 128 -concurrency 2
+//	mublastpd -store db.store -addr 127.0.0.1:0 -queue 128 -concurrency 2
 //
 // Endpoints (all on -addr):
 //
@@ -62,7 +63,6 @@ func run() error {
 		serve        = server.RegisterFlags("mublastpd", ":8044")
 		dbPath       = flag.String("db", "", "prebuilt database container (from makedb); reloadable at runtime")
 		storeDir     = flag.String("store", "", "serve from the crash-safe ingest store at this directory (makedb -store); enables POST /ingest")
-		subjects     = flag.String("subjects", "", "FASTA database to index on the fly (reload still requires containers)")
 		queue        = flag.Int("queue", 64, "admission queue bound; excess requests are shed with 429")
 		concurrency  = flag.Int("concurrency", 0, "concurrent batch searches (0 = size to the scheduler's worker pool)")
 		globalSeqs   = flag.Int64("global-sequences", 0, "sequence count of the whole logical database when -db is one shard of it; with -global-residues, E-values use the global search space so a remote merge is byte-identical")
@@ -70,14 +70,8 @@ func run() error {
 		compactAfter = flag.Int("compact-after", 0, "compact the store once it accumulates this many deltas (0 = only on request)")
 	)
 	flag.Parse()
-	srcs := 0
-	for _, src := range []string{*dbPath, *storeDir, *subjects} {
-		if src != "" {
-			srcs++
-		}
-	}
-	if srcs != 1 {
-		fmt.Fprintln(os.Stderr, "mublastpd: need exactly one of -db / -store / -subjects")
+	if (*dbPath == "") == (*storeDir == "") {
+		fmt.Fprintln(os.Stderr, "mublastpd: need exactly one of -db / -store")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -99,7 +93,7 @@ func run() error {
 			if ses, err = blast.OpenSession(*dbPath, p); err != nil {
 				return nil, "", fmt.Errorf("loading database: %w", err)
 			}
-		} else if *storeDir != "" {
+		} else {
 			// Opening the store runs crash recovery (WAL replay, orphan GC)
 			// before anything serves, so a daemon restarted after a mid-ingest
 			// crash comes up on a consistent manifest without operator action.
@@ -114,16 +108,6 @@ func run() error {
 			ses, cfg.Store = blast.NewSession(db, p), store
 			cfg.Logf("ingest store %s at manifest seq %d (%s), %d deltas",
 				store.Dir(), store.ManifestSeq(), store.ManifestHash(), store.NumDeltas())
-		} else {
-			seqs, err := blast.ReadFASTAFile(*subjects)
-			if err != nil {
-				return nil, "", fmt.Errorf("reading subjects: %w", err)
-			}
-			db, err := blast.NewDatabase(seqs, p)
-			if err != nil {
-				return nil, "", fmt.Errorf("building database: %w", err)
-			}
-			ses = blast.NewSession(db, p)
 		}
 		db := ses.DB()
 		cfg.Logf("database ready in %v (%d sequences, %d blocks)",

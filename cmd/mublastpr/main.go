@@ -21,9 +21,10 @@
 //
 // Every replica is wrapped in a resilience layer: /readyz health probing
 // with ejection and jittered-backoff readmission, a circuit breaker fed by
-// request-path failures, a per-request retry budget, and optional hedged
-// scatter (-hedge). /readyz on this daemon fails while any shard has zero
-// healthy replicas.
+// request-path failures, and a per-request retry budget. A shard has one
+// attempt in flight at a time: a retry starts only after the attempt before
+// it failed. /readyz on this daemon fails while any shard has zero healthy
+// replicas.
 //
 // Endpoints (all on -addr):
 //
@@ -79,9 +80,8 @@ func run() error {
 	flag.DurationVar(&res.ProbeInterval, "probe-interval", 0, "health-probe interval for shard replicas (/readyz-driven ejection; 0 = default)")
 	flag.DurationVar(&res.ReadmitBackoff, "readmit-backoff", 0, "first readmission probe delay after an ejection (doubles, jittered, up to -readmit-backoff-max; 0 = default)")
 	flag.DurationVar(&res.ReadmitBackoffMax, "readmit-backoff-max", 0, "readmission backoff ceiling (0 = default)")
-	flag.IntVar(&res.RetryBudget, "retry-budget", 0, "extra upstream attempts (retries+hedges) one request may spend across all shards (0 = default, -1 disables)")
+	flag.IntVar(&res.RetryBudget, "retry-budget", 0, "retries one request may spend across all shards (0 = default, -1 disables)")
 	flag.DurationVar(&res.RetryBackoff, "retry-backoff", 0, "pause before retry k, scaled by k (0 = default)")
-	flag.BoolVar(&res.Hedge, "hedge", false, "hedged scatter: fire a second replica once a shard outlives its recent p95, first result wins")
 	flag.Parse()
 	if *workerSpec == "" {
 		fmt.Fprintln(os.Stderr, "mublastpr: -workers is required")
@@ -128,8 +128,8 @@ func run() error {
 				return g
 			},
 		})
-		return fe, fmt.Sprintf("timeout %v, retry budget %d, hedge %v",
-			cfg.DefaultTimeout, rt.Resilience().RetryBudget, rt.Resilience().Hedge), nil
+		return fe, fmt.Sprintf("timeout %v, retry budget %d",
+			cfg.DefaultTimeout, rt.Resilience().RetryBudget), nil
 	})
 }
 

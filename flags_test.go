@@ -1,0 +1,73 @@
+package repro_test
+
+import (
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// daemonFlags is every flag each daemon accepts. Both share the process
+// tail and the HTTP edge (server.RegisterFlags: -addr, -debug-addr,
+// -drain-grace, -faultseed, -faultspec, -timeout, -trace); the rest are
+// their own. Adding or removing a line here is a decision about the
+// operator surface; TestDaemonFlagSets names the flags that moved.
+var daemonFlags = map[string][]string{
+	"mublastpd": {
+		"addr", "compact-after", "concurrency", "db", "debug-addr", "drain-grace",
+		"evalue", "faultseed", "faultspec", "global-residues", "global-sequences",
+		"max-hits", "queue", "store", "threads", "timeout", "trace",
+	},
+	"mublastpr": {
+		"addr", "debug-addr", "drain-grace", "faultseed", "faultspec",
+		"probe-interval", "readmit-backoff", "readmit-backoff-max",
+		"retry-backoff", "retry-budget", "timeout", "trace", "workers",
+	},
+}
+
+// usageFlag matches one flag line of a flag package usage listing.
+var usageFlag = regexp.MustCompile(`(?m)^  -([a-z0-9-]+)`)
+
+// TestDaemonFlagSets builds both daemons and compares the flags their -h
+// lists with daemonFlags, naming any flag added or removed.
+func TestDaemonFlagSets(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	dir := t.TempDir()
+	if out, err := exec.Command(goTool, "build", "-o", dir+"/", "./cmd/mublastpd", "./cmd/mublastpr").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	distinct := map[string]bool{}
+	for daemon, want := range daemonFlags {
+		out, err := exec.Command(filepath.Join(dir, daemon), "-h").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s -h: %v\n%s", daemon, err, out)
+		}
+		var got []string
+		for _, m := range usageFlag.FindAllStringSubmatch(string(out), -1) {
+			got = append(got, m[1])
+		}
+		var added, removed []string
+		for _, f := range got {
+			if !slices.Contains(want, f) {
+				added = append(added, "-"+f)
+			}
+		}
+		for _, f := range want {
+			distinct[f] = true
+			if !slices.Contains(got, f) {
+				removed = append(removed, "-"+f)
+			}
+		}
+		if len(added) > 0 || len(removed) > 0 {
+			t.Errorf("%s flags moved: added [%s], removed [%s]; update daemonFlags if that is intended",
+				daemon, strings.Join(added, " "), strings.Join(removed, " "))
+		}
+	}
+	t.Logf("daemon flags: mublastpd %d, mublastpr %d, %d distinct",
+		len(daemonFlags["mublastpd"]), len(daemonFlags["mublastpr"]), len(distinct))
+}

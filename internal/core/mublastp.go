@@ -88,7 +88,7 @@ func New(cfg *search.Config, ix *dbindex.Index) *Engine {
 // detectPrefiltered): blast refuses such a pairing when it opens a database,
 // so only a caller that built the index itself can get here.
 func NewWithOptions(cfg *search.Config, ix *dbindex.Index, opt Options) *Engine {
-	if maxWindow := ix.MaxWindow(); !cfg.TwoHit.OneHit && cfg.TwoHit.Window > maxWindow {
+	if maxWindow := ix.MaxWindow(); cfg.TwoHit.Window > maxWindow {
 		panic(fmt.Sprintf("core: two-hit window %d, but the index is padded for at most %d (build it with dbindex.BuildWindow)",
 			cfg.TwoHit.Window, maxWindow))
 	}
@@ -290,10 +290,10 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 	}
 
 	// Two detection loops, selected by the input and by nothing else: the
-	// fast scan needs no trace hooks, two-hit mode, a window that can pair at
-	// all (CheckStamp's fused compare assumes window > W), and query offsets
-	// that fit the compact last-hit word; everything else (a cache-simulator
-	// trace, OneHit, a query past MaxQOff16) takes the general loop below.
+	// fast scan needs no trace hooks, a window that can pair at all
+	// (CheckStamp's fused compare assumes window > W), and query offsets that
+	// fit the compact last-hit word; everything else (a cache-simulator trace,
+	// a query past MaxQOff16) takes the general loop below.
 	// Each path resets only its own slot array: the compact one halves the
 	// block's randomly-accessed footprint, which is exactly what the scan is
 	// bound on. The reset is the pre-filter's separable cost; the per-hit
@@ -301,7 +301,7 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 	// (DESIGN.md, observability layer).
 	stageStart := time.Now()
 	slots := b.Span() + diagBias + 1
-	fast := trace == nil && !e.Cfg.TwoHit.OneHit && window > alphabet.W &&
+	fast := trace == nil && window > alphabet.W &&
 		len(q)-alphabet.W <= search.MaxQOff16
 	if fast {
 		sc.lastPos16.Reset(slots)
@@ -346,11 +346,7 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 						trace(search.SpaceLastHit, int64(slot)*4)
 					}
 					pi++
-					paired := e.Cfg.TwoHit.OneHit
-					if !paired {
-						_, paired = sc.lastPos.Check(slot, int32(qOff), window)
-					}
-					if paired {
+					if _, paired := sc.lastPos.Check(slot, int32(qOff), window); paired {
 						st.Pairs++
 						if trace != nil {
 							// The simulator keeps modelling the paper's 12-byte
@@ -370,11 +366,11 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 
 // detectScanFast is the untraced two-hit detection kernel: the same scan as
 // detectPrefiltered's general loop with everything per-hit that is not
-// load-compute-store taken out — no trace callbacks, no one-hit branch, hit
-// counting moved to one add per position list, and no decode: a position's
-// coordinate is rebuilt from the one before it in its run (dbindex.Next) and
-// is its own slot number in the view of the last-hit array taken per query
-// offset. The per-hit random access is the compact packed last-hit word (see
+// load-compute-store taken out — no trace callbacks, hit counting moved to
+// one add per position list, and no decode: a position's coordinate is
+// rebuilt from the one before it in its run (dbindex.Next) and is its own
+// slot number in the view of the last-hit array taken per query offset. The
+// per-hit random access is the compact packed last-hit word (see
 // search.StampedLastPos16), one cache line per hit; detectPrefiltered routes
 // queries too long for the compact word through the general loop instead.
 func (e *Engine) detectScanFast(sc *scratch, q []alphabet.Code, b *dbindex.BlockIndex, coder hit.KeyCoder, window int32, st *search.Stats) {

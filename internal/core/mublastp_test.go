@@ -316,33 +316,6 @@ func TestResultsValidateAgainstSequences(t *testing.T) {
 	}
 }
 
-func TestOneHitModeEquivalentAcrossEngines(t *testing.T) {
-	cfg, ix, queries := world(t, 47, 80, 3, 128, 8192)
-	oneHit := *cfg
-	oneHit.TwoHit.OneHit = true
-	// NCBI pairs one-hit with a higher neighbor threshold; we keep T=11 to
-	// reuse the shared table — equivalence across engines is what matters.
-	ncbi := runAll(baseline.NewQueryIndexed(&oneHit, ix.DB), queries)
-	ncbiDB := runAll(baseline.NewDBIndexed(&oneHit, ix), queries)
-	mu := runAll(New(&oneHit, ix), queries)
-	requireIdentical(t, "one-hit NCBI vs NCBI-db", ncbi, ncbiDB)
-	requireIdentical(t, "one-hit NCBI vs muBLASTP", ncbi, mu)
-
-	// One-hit mode extends at least as much as two-hit and never finds
-	// fewer subjects.
-	twoHit := runAll(New(cfg, ix), queries)
-	for qi := range queries {
-		if mu[qi].Stats.Extensions < twoHit[qi].Stats.Extensions {
-			t.Errorf("query %d: one-hit extensions %d < two-hit %d",
-				qi, mu[qi].Stats.Extensions, twoHit[qi].Stats.Extensions)
-		}
-		if len(mu[qi].HSPs) < len(twoHit[qi].HSPs) {
-			t.Errorf("query %d: one-hit found %d HSPs, two-hit %d",
-				qi, len(mu[qi].HSPs), len(twoHit[qi].HSPs))
-		}
-	}
-}
-
 // TestCountsStableAcrossThreadsAndPasses pins the engine's determinism on one
 // long-lived engine: per-query hit, pair and extension counts must not depend
 // on the thread count or on how many batches the pooled scratches served

@@ -515,8 +515,6 @@ type RouterMetrics struct {
 	BreakerCloses   *Counter // circuit-breaker half-open->closed recoveries
 	Retries         *Counter // retry attempts spent (beyond first attempts)
 	RetryBudgetDry  *Counter // retries forgone because the request budget was spent
-	HedgesFired     *Counter // hedged second attempts launched
-	HedgesWon       *Counter // hedges that answered before the primary
 }
 
 // NewRouterMetrics registers the routing metric set in r under the stable
@@ -541,8 +539,6 @@ func NewRouterMetrics(r *Registry) *RouterMetrics {
 		BreakerCloses:   r.Counter("router_breaker_closes"),
 		Retries:         r.Counter("router_retries"),
 		RetryBudgetDry:  r.Counter("router_retry_budget_exhausted"),
-		HedgesFired:     r.Counter("router_hedges_fired"),
-		HedgesWon:       r.Counter("router_hedges_won"),
 	}
 }
 

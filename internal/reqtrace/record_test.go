@@ -44,7 +44,7 @@ func TestReadRecordsProjectsTraces(t *testing.T) {
 			shard.End(nanos)
 			AttachQuerySpan(shard, 2010, "0", []obs.Span{{Stage: "gapped", Nanos: nanos / 2}})
 			if s == 0 {
-				shard.StaticChild("attempt:hedge", 2100, 150)
+				shard.StaticChild("attempt:retry", 2100, 150)
 			}
 		}
 		search.StaticChild("merge", 2510, 30)

@@ -604,7 +604,7 @@ func remoteChaosSchedule(rng *rand.Rand) string {
 }
 
 // waitForRouterGoroutines asserts the goroutine count returns to baseline —
-// hedges, retries, and probers must not leak goroutines across rounds.
+// retries and probers must not leak goroutines across rounds.
 func waitForRouterGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)

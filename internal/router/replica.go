@@ -8,14 +8,12 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/reqtrace"
 )
 
 // ResilienceConfig tunes the per-replica lifecycle layer the router wraps
 // around every worker: health-probe ejection and readmission, the circuit
-// breaker, the per-request retry budget, and hedged scatter. The zero value
-// of every field selects the documented default; negative values disable
-// where noted.
+// breaker, and the per-request retry budget. The zero value of every field
+// selects the documented default; negative values disable where noted.
 type ResilienceConfig struct {
 	// ProbeInterval is how often the prober health-checks every replica that
 	// exposes a HealthCheck (default 1s; negative disables probing). Probes
@@ -42,26 +40,14 @@ type ResilienceConfig struct {
 	// letting one half-open trial through (default 2s).
 	BreakerCooldown time.Duration
 
-	// RetryBudget is the number of extra upstream attempts (retries plus
-	// hedges) one request may spend across all shards (default 2; negative
-	// disables retries). A budget, not a per-replica count: it bounds total
-	// amplification under correlated failure.
+	// RetryBudget is the number of retries one request may spend across all
+	// shards (default 2; negative disables retries). A budget, not a
+	// per-replica count: it bounds total amplification under correlated
+	// failure.
 	RetryBudget int
 	// RetryBackoff is the pause before retry k, scaled by k (default 25ms).
 	RetryBackoff time.Duration
-
-	// Hedge enables hedged scatter: when a shard's first attempt has run
-	// longer than the shard's recent hedgeQuantile latency, a second attempt
-	// fires on a different eligible replica and the first result wins (the
-	// loser is cancelled). Hedges spend the retry budget. Off by default.
-	Hedge bool
-	// HedgeMinDelay floors the hedge delay (default 10ms).
-	HedgeMinDelay time.Duration
 }
-
-// hedgeQuantile is the quantile of a shard's recent attempt latencies the
-// hedge delay derives from.
-const hedgeQuantile = 0.95
 
 func (c ResilienceConfig) withDefaults() ResilienceConfig {
 	if c.ProbeInterval == 0 {
@@ -97,9 +83,6 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 25 * time.Millisecond
 	}
-	if c.HedgeMinDelay <= 0 {
-		c.HedgeMinDelay = 10 * time.Millisecond
-	}
 	return c
 }
 
@@ -132,8 +115,9 @@ func breakerStateName(s int) string {
 
 // attempt outcomes, as the breaker sees them. Sheds are backpressure from a
 // live replica — they never trip the breaker (they would turn overload into
-// ejection, the exact spiral breakers exist to prevent). Cancelled attempts
-// (hedge losers, expired deadlines) are neutral: not the replica's verdict.
+// ejection, the exact spiral breakers exist to prevent). Attempts cut short
+// by the request (cancelled, expired deadline) are neutral: not the
+// replica's verdict.
 const (
 	outcomeOK = iota
 	outcomeShed
@@ -379,38 +363,4 @@ func (r *replica) snapshot() ReplicaState {
 		st = breakerHalfOpen // cooldown elapsed: next pick runs the trial
 	}
 	return ReplicaState{Name: r.w.Name(), Ejected: r.ejected, Breaker: breakerStateName(st)}
-}
-
-// latRing keeps a shard's recent attempt latencies for the hedge delay.
-type latRing struct {
-	mu  sync.Mutex
-	buf [64]int64
-	n   int
-	idx int
-}
-
-// latMinSamples gates hedging until the quantile has signal; before that the
-// delay would be a guess and hedges would burn the retry budget blind.
-const latMinSamples = 4
-
-func (l *latRing) add(nanos int64) {
-	l.mu.Lock()
-	l.buf[l.idx] = nanos
-	l.idx = (l.idx + 1) % len(l.buf)
-	if l.n < len(l.buf) {
-		l.n++
-	}
-	l.mu.Unlock()
-}
-
-// quantile returns the nearest-rank q-quantile of the recorded latencies
-// (reqtrace.QuantileNanos, the rule the replay and capacity tools use), or 0
-// while fewer than latMinSamples samples exist.
-func (l *latRing) quantile(q float64) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.n < latMinSamples {
-		return 0
-	}
-	return time.Duration(reqtrace.QuantileNanos(l.buf[:l.n], q))
 }

@@ -422,88 +422,6 @@ func TestFailureRetriesSameSoleReplica(t *testing.T) {
 	}
 }
 
-// TestHedgeFiresAndWins: with hedging on and a latency profile primed, a
-// primary outliving the shard's hedge delay gets a second attempt on the
-// other replica; the fast answer wins, the loser is cancelled, and the
-// result is the usual complete merge.
-func TestHedgeFiresAndWins(t *testing.T) {
-	_, shards, queries := fixture(t)
-	slow := &stubWorker{name: "slow", search: func(ctx context.Context, qs []string, shard, numShards int) (*blast.ShardResult, error) {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(5 * time.Second):
-			return shards[0].SearchShardBatchCtx(ctx, qs, shard, numShards)
-		}
-	}}
-	rt, err := New([][]Worker{{slow, delegate("fast", shards[0])}}, Options{Registry: obs.NewRegistry(),
-		Resilience: ResilienceConfig{
-			ProbeInterval: -1, RetryBudget: 2,
-			Hedge: true, HedgeMinDelay: 5 * time.Millisecond,
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < latMinSamples; i++ {
-		rt.lat[0].add(int64(time.Millisecond))
-	}
-	br, rep, err := rt.Search(context.Background(), queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := rep.Shards[0]
-	if !st.OK || st.Worker != "fast" || st.Attempts != 2 {
-		t.Fatalf("hedge did not win: %+v", st)
-	}
-	if !br.Completed[0] {
-		t.Fatal("hedged shard result incomplete")
-	}
-	if rt.met.HedgesFired.Value() != 1 || rt.met.HedgesWon.Value() != 1 {
-		t.Fatalf("hedges fired/won = %d/%d, want 1/1", rt.met.HedgesFired.Value(), rt.met.HedgesWon.Value())
-	}
-}
-
-// TestHedgeNeedsLatencySignal: without latMinSamples of history the hedge
-// never fires — a blind hedge would spend the retry budget on guesses.
-func TestHedgeNeedsLatencySignal(t *testing.T) {
-	_, shards, queries := fixture(t)
-	rt, err := New([][]Worker{{delegate("a", shards[0]), delegate("b", shards[0])}},
-		Options{Registry: obs.NewRegistry(),
-			Resilience: ResilienceConfig{ProbeInterval: -1, Hedge: true, HedgeMinDelay: time.Nanosecond}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := rt.Search(context.Background(), queries); err != nil {
-		t.Fatal(err)
-	}
-	if rt.met.HedgesFired.Value() != 0 {
-		t.Fatalf("hedge fired with %d latency samples, gate is %d", 1, latMinSamples)
-	}
-}
-
-// TestHedgeDelayIsNearestRankP95: the hedge delay is the nearest-rank p95
-// of the shard's recent attempt latencies (reqtrace.QuantileNanos) — the 4th
-// of 4 samples at the latMinSamples gate, the 61st of 64 once the ring is
-// full — whatever order the samples arrived in.
-func TestHedgeDelayIsNearestRankP95(t *testing.T) {
-	for _, tc := range []struct {
-		samples int
-		want    time.Duration
-	}{{4, 4 * time.Millisecond}, {64, 61 * time.Millisecond}} {
-		rt, err := New([][]Worker{{&stubWorker{name: "a"}}}, Options{Registry: obs.NewRegistry(),
-			Resilience: ResilienceConfig{ProbeInterval: -1, Hedge: true, HedgeMinDelay: time.Nanosecond}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := tc.samples; i >= 1; i-- {
-			rt.lat[0].add(int64(time.Duration(i) * time.Millisecond))
-		}
-		if got := rt.hedgeDelay(0); got != tc.want {
-			t.Errorf("%d samples of 1..%d ms: hedge delay %v, want %v", tc.samples, tc.samples, got, tc.want)
-		}
-	}
-}
-
 // reloadStub is a Worker with a scriptable Reloader surface.
 type reloadStub struct {
 	stubWorker

@@ -29,7 +29,7 @@ type ShardStatus struct {
 	Err        error         // nil when OK
 	Nanos      int64         // wall time of this shard's search (all attempts)
 	Completed  int           // queries the shard completed (when OK)
-	Attempts   int           // upstream attempts this shard spent (>=1; retries and hedges add)
+	Attempts   int           // upstream attempts this shard spent (each retry adds one; 0 when no replica was eligible)
 }
 
 // Report describes how one scatter-gather request was routed: per-shard
@@ -74,7 +74,7 @@ type Options struct {
 	// Registry receives the router_* metrics. Nil means obs.Default.
 	Registry *obs.Registry
 	// Resilience tunes the per-replica lifecycle layer (health probing,
-	// breaker, retry budget, hedging). Zero fields select the defaults.
+	// breaker, retry budget). Zero fields select the defaults.
 	Resilience ResilienceConfig
 }
 
@@ -88,10 +88,9 @@ type Options struct {
 // Every replica is wrapped in a resilience layer: probe-driven ejection and
 // readmission (Start launches the prober), a circuit breaker fed by
 // request-path failures, and a per-request retry budget that bounds how many
-// extra upstream attempts (retries, hedges) one request may spend.
+// retries one request may spend. A shard has at most one attempt in flight.
 type Router struct {
 	reps [][]*replica
-	lat  []latRing
 	// next is one round-robin cursor per shard, so shards advance
 	// independently.
 	next []atomic.Uint64
@@ -127,7 +126,6 @@ func New(shards [][]Worker, opts Options) (*Router, error) {
 	rt := &Router{
 		met:  obs.NewRouterMetrics(reg),
 		res:  res,
-		lat:  make([]latRing, len(shards)),
 		next: make([]atomic.Uint64, len(shards)),
 	}
 	rt.reps = make([][]*replica, len(shards))
@@ -322,21 +320,9 @@ func (rt *Router) pick(s int, excl map[int]bool) int {
 	return -1
 }
 
-// hedgeDelay derives the hedge trigger for shard s from its recent attempt
-// latencies; 0 disables hedging for this request (not enough signal yet).
-func (rt *Router) hedgeDelay(s int) time.Duration {
-	d := rt.lat[s].quantile(hedgeQuantile)
-	if d == 0 {
-		return 0
-	}
-	if d < rt.res.HedgeMinDelay {
-		d = rt.res.HedgeMinDelay
-	}
-	return d
-}
-
-// classifyOutcome maps one attempt's error to the breaker's view of it.
-func classifyOutcome(attemptCtx context.Context, err error) int {
+// classifyOutcome maps one attempt's error, under the request context ctx,
+// to the breaker's view of it.
+func classifyOutcome(ctx context.Context, err error) int {
 	if err == nil {
 		return outcomeOK
 	}
@@ -344,9 +330,9 @@ func classifyOutcome(attemptCtx context.Context, err error) int {
 	if errors.As(err, &busy) {
 		return outcomeShed
 	}
-	if attemptCtx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		// Cancelled (hedge loser, drain) or out of deadline: not the
-		// replica's verdict, the breaker learns nothing.
+	if ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		// The request was cancelled (client gone, drain) or ran out of
+		// deadline: not the replica's verdict, the breaker learns nothing.
 		return outcomeNeutral
 	}
 	return outcomeFail
@@ -369,20 +355,19 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 
 // attemptOut is one upstream attempt's outcome.
 type attemptOut struct {
-	idx   int // replica index within the shard
-	res   *blast.ShardResult
-	err   error
-	nanos int64
+	idx int // replica index within the shard
+	res *blast.ShardResult
+	err error
 }
 
 // searchShard runs one shard's slice of the scatter through the resilience
-// layer: pick an eligible replica, run the attempt (optionally hedged with a
-// second replica after the shard's p95 delay, first result winning and the
-// loser cancelled), and on failure retry — governed by the shared per-request
-// budget — with backoff. A shed is retried only when a *different* eligible
-// replica exists: re-asking the replica that just declared itself saturated
-// would amplify the exact overload it shed. It fills st and returns the
-// winning result (nil when the shard contributed nothing).
+// layer, one attempt at a time on the calling goroutine: pick an eligible
+// replica, run the attempt, classify its outcome for the breaker, and on
+// failure retry — governed by the shared per-request budget — with backoff.
+// A shed is retried only when a *different* eligible replica exists:
+// re-asking the replica that just declared itself saturated would amplify
+// the exact overload it shed. It fills st and returns the answering
+// replica's result (nil when the shard contributed nothing).
 func (rt *Router) searchShard(ctx context.Context, queries []string, s int, budget *atomic.Int64, st *ShardStatus, scatter *reqtrace.Span) *blast.ShardResult {
 	n := len(rt.reps)
 	reps := rt.reps[s]
@@ -393,105 +378,36 @@ func (rt *Router) searchShard(ctx context.Context, queries []string, s int, budg
 	}
 	st.Shard = s
 
-	// launch runs one attempt on replica idx under its own cancel, feeding
-	// the breaker and the latency ring from inside the goroutine — so a
-	// hedge loser is still accounted after the shard's result is decided,
-	// and the buffered channel lets it finish without a reader (no leak).
-	// Non-primary attempts get a span under the shard span; the primary does
-	// not, keeping the healthy-path trace shape identical to a plain scatter.
-	launch := func(actx context.Context, idx int, kind string) <-chan attemptOut {
-		ch := make(chan attemptOut, 1)
+	// attempt runs one upstream attempt on replica idx and feeds its outcome
+	// to the breaker. A retry gets an "attempt:retry" span under the shard
+	// span; the first attempt does not, keeping the healthy-path trace shape
+	// identical to a plain scatter.
+	attempt := func(idx int, kind string) attemptOut {
 		st.Attempts++
 		rt.met.ShardSearches.Add(1)
-		go func() {
-			t0 := time.Now()
-			var as *reqtrace.Span
-			if ss != nil && kind != "" {
-				as = ss.Child("attempt:"+kind, t0.UnixNano())
-				as.SetAttr("worker", reps[idx].w.Name())
-			}
-			res, err := reps[idx].w.Search(reqtrace.ContextWithSpan(actx, ss), queries, s, n)
-			nanos := time.Since(t0).Nanoseconds()
-			o := classifyOutcome(actx, err)
-			reps[idx].onResult(o)
-			if o == outcomeOK {
-				rt.lat[s].add(nanos)
-			}
-			if as != nil {
-				switch o {
-				case outcomeOK:
-					as.SetAttr("status", "ok")
-				case outcomeShed:
-					as.SetAttr("status", "shed")
-				case outcomeFail:
-					as.SetAttr("status", "error")
-				default:
-					as.SetAttr("status", "cancelled")
-				}
-				as.End(nanos)
-			}
-			ch <- attemptOut{idx: idx, res: res, err: err, nanos: nanos}
-		}()
-		return ch
-	}
-
-	// runFirst runs the primary attempt on idx, firing a hedge on a second
-	// eligible replica if the primary outlives the shard's hedge delay. The
-	// first success wins and the other attempt is cancelled; when both fail,
-	// the primary's outcome stands (deterministic attribution).
-	runFirst := func(idx int) attemptOut {
-		actx, acancel := context.WithCancel(ctx)
-		defer acancel()
-		ch := launch(actx, idx, "")
-		var hch <-chan attemptOut
-		var timerC <-chan time.Time
-		if rt.res.Hedge {
-			if d := rt.hedgeDelay(s); d > 0 {
-				timer := time.NewTimer(d)
-				defer timer.Stop()
-				timerC = timer.C
-			}
+		t0 := time.Now()
+		var as *reqtrace.Span
+		if ss != nil && kind != "" {
+			as = ss.Child("attempt:"+kind, t0.UnixNano())
+			as.SetAttr("worker", reps[idx].w.Name())
 		}
-		for {
-			select {
-			case out := <-ch:
-				if out.err == nil || hch == nil {
-					return out
-				}
-				// Primary failed with a hedge in flight: its answer may
-				// still save the shard.
-				if hout := <-hch; hout.err == nil {
-					rt.met.HedgesWon.Add(1)
-					return hout
-				}
-				return out
-			case hout := <-hch:
-				if hout.err == nil {
-					rt.met.HedgesWon.Add(1)
-					acancel()
-					return hout
-				}
-				// Hedge failed first; the primary is still the main bet.
-				hch = nil
-			case <-timerC:
-				timerC = nil
-				if !rt.spend(budget) {
-					continue
-				}
-				hidx := rt.pick(s, map[int]bool{idx: true})
-				if hidx < 0 {
-					refund(budget)
-					continue
-				}
-				rt.met.HedgesFired.Add(1)
-				// At most one hedge fires per shard (timerC goes nil), so
-				// this defer runs once: it cancels a losing hedge when the
-				// primary's result decides the shard.
-				hctx, hcancel := context.WithCancel(ctx)
-				defer hcancel()
-				hch = launch(hctx, hidx, "hedge")
+		res, err := reps[idx].w.Search(reqtrace.ContextWithSpan(ctx, ss), queries, s, n)
+		o := classifyOutcome(ctx, err)
+		reps[idx].onResult(o)
+		if as != nil {
+			switch o {
+			case outcomeOK:
+				as.SetAttr("status", "ok")
+			case outcomeShed:
+				as.SetAttr("status", "shed")
+			case outcomeFail:
+				as.SetAttr("status", "error")
+			default:
+				as.SetAttr("status", "cancelled")
 			}
+			as.End(time.Since(t0).Nanoseconds())
 		}
+		return attemptOut{idx: idx, res: res, err: err}
 	}
 
 	finish := func(out attemptOut) *blast.ShardResult {
@@ -538,8 +454,7 @@ func (rt *Router) searchShard(ctx context.Context, queries []string, s int, budg
 		return finish(attemptOut{idx: -1, err: fmt.Errorf("router: shard %d: no eligible replica (all ejected or breaker-open)", s)})
 	}
 	tried[idx] = true
-	out := runFirst(idx)
-	tried[out.idx] = true
+	out := attempt(idx, "")
 
 	retry := 0
 	for out.err != nil && ctx.Err() == nil {
@@ -563,9 +478,7 @@ func (rt *Router) searchShard(ctx context.Context, queries []string, s int, budg
 			reps[nidx].releaseTrial()
 			break
 		}
-		actx, acancel := context.WithCancel(ctx)
-		out = <-launch(actx, nidx, "retry")
-		acancel()
+		out = attempt(nidx, "retry")
 		tried[nidx] = true
 	}
 	return finish(out)

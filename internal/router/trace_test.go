@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -204,6 +205,70 @@ func TestFrontendShedTracedAndLogged(t *testing.T) {
 	}
 	if !logged {
 		t.Fatalf("shed not logged with request id %s: %v", rid, logLines)
+	}
+}
+
+// TestRetriedShardTraceShape: when a shard's first replica fails and its
+// second answers, the shard span holds exactly one attempt span, the
+// "attempt:retry" on the second replica with status ok; the failed first
+// attempt has no span of its own, and a shard that answered first time has
+// no attempt span at all.
+func TestRetriedShardTraceShape(t *testing.T) {
+	_, shards, queries := fixture(t)
+	workers := make([][]Worker, len(shards))
+	for s, sd := range shards {
+		workers[s] = []Worker{delegate("s"+strconv.Itoa(s), sd)}
+	}
+	down := &stubWorker{name: "down", search: func(context.Context, []string, int, int) (*blast.ShardResult, error) {
+		return nil, errors.New("replica down")
+	}}
+	workers[0] = []Worker{down, delegate("up", shards[0])}
+	rt, err := New(workers, Options{Registry: obs.NewRegistry(),
+		Resilience: ResilienceConfig{ProbeInterval: -1, RetryBudget: 2, RetryBackoff: time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traceBuf bytes.Buffer
+	fe := NewFrontend(rt, FrontendConfig{
+		Registry: obs.NewRegistry(),
+		Tracer:   reqtrace.NewTracer("mublastpr", &traceBuf),
+	})
+	if rec := postSearch(t, fe.Handler(), searchBody(queries)); rec.Code != http.StatusOK {
+		t.Fatalf("search = %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := rt.met.Retries.Value(); got != 1 {
+		t.Fatalf("Retries = %d, want 1 (the first pick is the failing replica)", got)
+	}
+	traces, err := reqtrace.ReadTraces(&traceBuf)
+	if err != nil || len(traces) != 1 {
+		t.Fatalf("traces = %d, err %v", len(traces), err)
+	}
+	for s := range shards {
+		ss := traces[0].RootSpan().Find("shard" + strconv.Itoa(s))
+		if ss == nil || ss.Attrs["status"] != "ok" {
+			t.Fatalf("shard%d span = %+v, want status ok", s, ss)
+		}
+		var attempts []*reqtrace.Span
+		for _, c := range ss.Children {
+			if strings.HasPrefix(c.Name, "attempt:") {
+				attempts = append(attempts, c)
+			}
+		}
+		if s != 0 {
+			if len(attempts) != 0 {
+				t.Fatalf("shard%d answered first time but has attempt spans %v", s, attempts[0].Name)
+			}
+			continue
+		}
+		if ss.Attrs["worker"] != "up" {
+			t.Fatalf("shard0 answered by %q, want up", ss.Attrs["worker"])
+		}
+		if len(attempts) != 1 {
+			t.Fatalf("shard0 has %d attempt spans, want exactly one", len(attempts))
+		}
+		if a := attempts[0]; a.Name != "attempt:retry" || a.Attrs["worker"] != "up" || a.Attrs["status"] != "ok" {
+			t.Fatalf("shard0 attempt span %q attrs %v, want attempt:retry worker=up status=ok", a.Name, a.Attrs)
+		}
 	}
 }
 

@@ -29,11 +29,6 @@ type Params struct {
 	// gap trigger S1). search.NewConfig derives it from the matrix:
 	// GapTriggerBits, 41 raw on BLOSUM62.
 	Trigger int
-	// OneHit switches to BLAST's one-hit algorithm: every hit triggers an
-	// extension attempt instead of requiring a second hit in the window.
-	// More sensitive and much slower; NCBI pairs it with a higher neighbor
-	// threshold (T=13 vs 11).
-	OneHit bool
 }
 
 // The BLASTP defaults of this stage: the two-hit window A, the X-drop X1
@@ -330,10 +325,6 @@ func (d *DiagState) Reset() { d.LastPos, d.ExtReached = -1, -1 }
 // This is exactly what the muBLASTP pre-filter computes during hit detection
 // (Algorithm 2).
 func (c *Canon) PairCheck(d *DiagState, qOff int) bool {
-	if c.P.OneHit {
-		d.LastPos = int32(qOff)
-		return true
-	}
 	dist := int32(qOff) - d.LastPos
 	if d.LastPos >= 0 && dist < alphabet.W {
 		return false
