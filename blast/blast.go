@@ -31,32 +31,22 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/neighbor"
 	"repro/internal/search"
-	"repro/internal/ungapped"
 )
 
 // Params configures a database and its searches. Start from DefaultParams():
 // a "default" below is its value; zero has a meaning only where a field says.
+//
+// The search rules themselves are not Params: the neighbor threshold T = 11,
+// the two-hit window A = 40, the ungapped X-drop 16, the gap penalties 11/1
+// and the gapped X-drop 38 are NCBI BLASTP's defaults, the values the paper
+// evaluates with, and come from neighbor.DefaultThreshold and
+// search.NewConfig. A change to any of them moves reply bytes, so it is a
+// change of RulesVersion, not a setting.
 type Params struct {
 	// Matrix names the substitution matrix: BLOSUM62 (default), BLOSUM50,
-	// or PAM250.
+	// or PAM250. The gap trigger (NCBI's 22 bits, 41 raw on BLOSUM62) and
+	// the Karlin-Altschul statistics are derived from it.
 	Matrix string
-	// NeighborThreshold is the word-pair score T for neighboring words
-	// (default 11).
-	NeighborThreshold int
-	// TwoHitWindow is the two-hit distance A (default 40): two hits on one
-	// diagonal pair when they do not overlap and lie less than A apart, so
-	// it must exceed the word length, 3.
-	TwoHitWindow int
-	// UngappedXDrop stops ungapped extensions (raw score; default 16). An
-	// ungapped alignment then enters the gapped stage when it scores at
-	// least the matrix's gap trigger, NCBI's 22 bits (41 raw on BLOSUM62);
-	// the trigger is derived from Matrix, not set.
-	UngappedXDrop int
-	// GapOpen/GapExtend are the affine gap penalties (default 11/1).
-	GapOpen   int
-	GapExtend int
-	// GappedXDrop stops gapped extensions (raw score; default 38).
-	GappedXDrop int
 	// EValueCutoff drops weaker hits (default 10).
 	EValueCutoff float64
 	// MaxResults caps hits per query (default 250).
@@ -94,15 +84,9 @@ type Params struct {
 // DefaultParams returns the BLASTP defaults the paper evaluates with.
 func DefaultParams() Params {
 	return Params{
-		Matrix:            "BLOSUM62",
-		NeighborThreshold: neighbor.DefaultThreshold,
-		TwoHitWindow:      ungapped.DefaultWindow,
-		UngappedXDrop:     ungapped.DefaultXDrop,
-		GapOpen:           11,
-		GapExtend:         1,
-		GappedXDrop:       38,
-		EValueCutoff:      10,
-		MaxResults:        250,
+		Matrix:       "BLOSUM62",
+		EValueCutoff: 10,
+		MaxResults:   250,
 	}
 }
 
@@ -222,36 +206,30 @@ func effectiveSplit(p Params) (splitLen, overlap int) {
 }
 
 // configFor memoizes search.NewConfig and the neighbor table under it: both
-// are pure functions of (matrix, threshold), read-only once built, and cost
-// tens of milliseconds (the table's enumeration) and a few hundred
-// microseconds (the Karlin-Altschul solves) — which would dominate every
-// small delta-container build on the ingestion path, every store view, and
-// every repeated NewDatabase or Load in one process. Built-in matrices are
-// canonical singletons, so the name keys the cache. The caller gets a copy to
-// set its own fields on.
-func configFor(m *matrix.Matrix, threshold int) (search.Config, error) {
-	key := configKey{matrix: m.Name, threshold: threshold}
+// are pure functions of the matrix, read-only once built, and cost tens of
+// milliseconds (the table's enumeration) and a few hundred microseconds (the
+// Karlin-Altschul solves) — which would dominate every small delta-container
+// build on the ingestion path, every store view, and every repeated
+// NewDatabase or Load in one process. Built-in matrices are canonical
+// singletons, so the name keys the cache. The caller gets a copy to set its
+// own fields on.
+func configFor(m *matrix.Matrix) (search.Config, error) {
 	configMu.Lock()
 	defer configMu.Unlock()
-	if c, ok := configCache[key]; ok {
+	if c, ok := configCache[m.Name]; ok {
 		return *c, nil
 	}
-	c, err := search.NewConfig(m, neighbor.Build(m, threshold))
+	c, err := search.NewConfig(m, neighbor.Build(m, neighbor.DefaultThreshold))
 	if err != nil {
 		return search.Config{}, err
 	}
-	configCache[key] = c
+	configCache[m.Name] = c
 	return *c, nil
-}
-
-type configKey struct {
-	matrix    string
-	threshold int
 }
 
 var (
 	configMu    sync.Mutex
-	configCache = map[configKey]*search.Config{}
+	configCache = map[string]*search.Config{}
 )
 
 func buildConfig(p Params) (*search.Config, error) {
@@ -259,21 +237,11 @@ func buildConfig(p Params) (*search.Config, error) {
 	if err != nil {
 		return nil, fmt.Errorf("blast: %w", err)
 	}
-	c, err := configFor(m, p.NeighborThreshold)
+	c, err := configFor(m)
 	if err != nil {
 		return nil, fmt.Errorf("blast: %w", err)
 	}
 	cfg := &c
-	// Two hits pair at a distance in [W, TwoHitWindow); a window of W or less
-	// leaves that range empty and every query would come back with zero hits
-	// and no error.
-	if p.TwoHitWindow <= alphabet.W {
-		return nil, fmt.Errorf("blast: TwoHitWindow %d cannot pair any two hits: it must be at least %d (word length + 1)",
-			p.TwoHitWindow, alphabet.W+1)
-	}
-	// cfg.TwoHit.Trigger stays the matrix's, as search.NewConfig derived it.
-	cfg.TwoHit.Window, cfg.TwoHit.XDrop = p.TwoHitWindow, p.UngappedXDrop
-	cfg.Gap = gapped.Params{GapOpen: p.GapOpen, GapExtend: p.GapExtend, XDrop: p.GappedXDrop}
 	cfg.EValueCutoff = p.EValueCutoff
 	cfg.MaxResults = p.MaxResults
 	// Shard-of-a-larger-database statistics: both totals must travel

@@ -430,25 +430,3 @@ func TestTabularFormat(t *testing.T) {
 		t.Errorf("top hit pident %s, want >= 90", cols[2])
 	}
 }
-
-// TestTwoHitWindowMustAllowAPair: a window at or below the word length can
-// pair no two hits, so such a database would answer every query with zero
-// hits and no error. buildConfig refuses it, and with it NewDatabase, Load,
-// OpenStore and the daemons' start-up.
-func TestTwoHitWindowMustAllowAPair(t *testing.T) {
-	_, seqs := testDatabase(t)
-	seqs = seqs[:20]
-	for _, window := range []int{-1, 0, 3} {
-		p := DefaultParams()
-		p.TwoHitWindow = window
-		db, err := NewDatabase(seqs, p)
-		if err == nil || !strings.Contains(err.Error(), "TwoHitWindow") || !strings.Contains(err.Error(), "at least 4") {
-			t.Errorf("TwoHitWindow %d: got a database: %v, error %v; want an error naming the field and the minimum", window, db != nil, err)
-		}
-	}
-	p := DefaultParams()
-	p.TwoHitWindow = 4
-	if _, err := NewDatabase(seqs, p); err != nil {
-		t.Errorf("TwoHitWindow 4: %v", err)
-	}
-}

@@ -137,7 +137,7 @@ func (d *Database) fingerprint() Fingerprint {
 	return Fingerprint{
 		Matrix:            d.cfg.Matrix.Name,
 		WordSize:          alphabet.W,
-		NeighborThreshold: d.params.NeighborThreshold,
+		NeighborThreshold: d.cfg.Neighbors.Threshold,
 		BlockResidues:     d.parts[0].ix.BlockResidues,
 		SplitLongerThan:   d.splitLen,
 		SplitOverlap:      d.splitOverlap,
@@ -529,9 +529,9 @@ func (c *container) readOrigins(r io.Reader, length int64) error {
 	return nil
 }
 
-// adopt checks p against the container's build fingerprint and its index
-// padding, and returns p with the build-time fields the container fixes; cfg
-// is p's search configuration.
+// adopt checks the container's build fingerprint and index padding against
+// p and the rules this build searches by (cfg, p's search configuration), and
+// returns p with the build-time fields the container fixes.
 func (c *container) adopt(p Params, cfg *search.Config) (Params, error) {
 	// Matrix and neighbor threshold determine the neighbor table hit
 	// detection runs with; the index stores exact-word positions only, so a
@@ -539,8 +539,8 @@ func (c *container) adopt(p Params, cfg *search.Config) (Params, error) {
 	if cfg.Matrix.Name != c.fp.Matrix {
 		return p, mismatchf("matrix %q requested, database built with %q", cfg.Matrix.Name, c.fp.Matrix)
 	}
-	if p.NeighborThreshold != c.fp.NeighborThreshold {
-		return p, mismatchf("neighbor threshold %d requested, database built with %d", p.NeighborThreshold, c.fp.NeighborThreshold)
+	if t := cfg.Neighbors.Threshold; t != c.fp.NeighborThreshold {
+		return p, mismatchf("this build searches with neighbor threshold %d, database built with %d", t, c.fp.NeighborThreshold)
 	}
 	// Block size and split geometry are frozen at build time; an explicit
 	// conflicting request is an operator error, while the zero value means
@@ -561,12 +561,12 @@ func (c *container) adopt(p Params, cfg *search.Config) (Params, error) {
 	} else {
 		p.SplitLongerThan, p.SplitOverlap = -1, 0
 	}
-	// The two-hit window is a search-time parameter, but the index lays its
+	// The two-hit window is not in the fingerprint, but the index lays its
 	// sequences out with the padding one window needs (dbindex.BlockIndex.Pad)
 	// and serves no wider one.
-	if maxWindow := c.ix.MaxWindow(); p.TwoHitWindow > maxWindow {
-		return p, mismatchf("TwoHitWindow %d requested, database padded for windows up to %d (pad %d); rebuild it with the wider window",
-			p.TwoHitWindow, maxWindow, maxWindow-alphabet.W)
+	if w, maxWindow := cfg.TwoHit.Window, c.ix.MaxWindow(); w > maxWindow {
+		return p, mismatchf("this build searches with two-hit window %d, database padded for windows up to %d (pad %d); rebuild it with makedb",
+			w, maxWindow, maxWindow-alphabet.W)
 	}
 	return p, nil
 }
@@ -613,10 +613,11 @@ func openParts(p Params, cs []*container) (*Database, error) {
 }
 
 // Load reads a database written by Save. The Params must be compatible with
-// the build fingerprint stored in the container: Matrix and
-// NeighborThreshold must equal what the index was built with, and
-// BlockResidues / SplitLongerThan / SplitOverlap must either be left at
-// their zero values (adopting the stored ones) or match them. Failures are
+// the build fingerprint stored in the container: Matrix must equal what the
+// index was built with, and BlockResidues / SplitLongerThan / SplitOverlap
+// must either be left at their zero values (adopting the stored ones) or
+// match them. The container's neighbor threshold must be this build's T, and
+// its index must be padded for this build's two-hit window. Failures are
 // typed: errors.Is(err, ErrCorrupt) means the artifact is damaged and must
 // be rebuilt, ErrVersion means it was written by an incompatible version,
 // and ErrParamsMismatch means the request disagrees with the fingerprint.

@@ -10,7 +10,10 @@ import (
 	"testing"
 
 	"repro/internal/alphabet"
+	"repro/internal/dbindex"
+	"repro/internal/neighbor"
 	"repro/internal/seqgen"
+	"repro/internal/ungapped"
 )
 
 // smallDatabase builds a compact database whose saved container is a few
@@ -37,6 +40,23 @@ func saved(t *testing.T, db *Database) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// rebuiltWith returns db's single part re-indexed under the neighbor table of
+// threshold T and with the padding of the given two-hit window: the container
+// a build with other search rules would write, which no Params of this build
+// can ask for.
+func rebuiltWith(t *testing.T, db *Database, threshold, window int) *Database {
+	t.Helper()
+	cfg := *db.cfg
+	cfg.Neighbors = neighbor.Build(cfg.Matrix, threshold)
+	cfg.TwoHit.Window = window
+	p := db.parts[0]
+	ix, err := dbindex.BuildWindow(p.db, cfg.Neighbors, p.ix.BlockResidues, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newSingle(db.params, &cfg, p.db, ix, p.chunkOrigin, db.splitLen, db.splitOverlap)
 }
 
 func isTyped(err error) bool {
@@ -124,7 +144,6 @@ func TestLoadRejectsParamsMismatch(t *testing.T) {
 		adjust func(*Params)
 	}{
 		{"matrix", func(p *Params) { p.Matrix = "BLOSUM50" }},
-		{"neighbor threshold", func(p *Params) { p.NeighborThreshold = 13 }},
 		{"block residues", func(p *Params) { p.BlockResidues = 8192 }},
 		{"split threshold", func(p *Params) { p.SplitLongerThan = 2000 }},
 		{"split disabled", func(p *Params) { p.SplitLongerThan = -1 }},
@@ -136,6 +155,13 @@ func TestLoadRejectsParamsMismatch(t *testing.T) {
 			t.Errorf("%s drift: got %v, want ErrParamsMismatch", tc.name, err)
 		}
 	}
+	// The neighbor threshold is this build's T, not a Params field: a
+	// container built with another is refused whatever the caller sets.
+	other := saved(t, rebuiltWith(t, db, neighbor.DefaultThreshold+2, ungapped.DefaultWindow))
+	if _, err := Load(bytes.NewReader(other), p); !errors.Is(err, ErrParamsMismatch) ||
+		!strings.Contains(err.Error(), "neighbor threshold 11, database built with 13") {
+		t.Errorf("neighbor threshold drift: got %v, want ErrParamsMismatch naming both thresholds", err)
+	}
 	// Zero values mean "adopt the stored build parameters".
 	q := p
 	q.BlockResidues = 0
@@ -146,10 +172,10 @@ func TestLoadRejectsParamsMismatch(t *testing.T) {
 	if loaded.params.BlockResidues != 4096 {
 		t.Errorf("adopted block residues = %d, want 4096", loaded.params.BlockResidues)
 	}
-	// Scoring-only parameters may differ freely: the index stores exact-word
-	// positions, so gap penalties and cutoffs are not part of the fingerprint.
+	// Result-shaping parameters may differ freely: the index stores
+	// exact-word positions, so cutoffs are not part of the fingerprint.
 	q = p
-	q.GapOpen, q.EValueCutoff, q.MaxResults = 13, 1, 10
+	q.EValueCutoff, q.MaxResults = 1, 10
 	if _, err := Load(bytes.NewReader(art), q); err != nil {
 		t.Errorf("scoring-only drift rejected: %v", err)
 	}
@@ -328,57 +354,63 @@ func TestZeroLengthRecords(t *testing.T) {
 	}
 }
 
-// TestWindowBeyondPaddingRefused: the two-hit window is a search-time
-// parameter and not part of the fingerprint, but a container's index is padded
-// for the window it was built with and serves no wider one. Every way of
-// opening a database goes through container.adopt, which must refuse the wider
-// window by name and accept everything else.
+// TestWindowBeyondPaddingRefused: the two-hit window is not part of the
+// fingerprint, but a container's index is padded for the window it was built
+// with and serves no wider one. A container padded for a window narrower than
+// this build's 40 — as a build with another window would write it — is
+// refused by name on every way of opening it (each goes through
+// container.adopt); the build's own padding and a wider one load.
 func TestWindowBeyondPaddingRefused(t *testing.T) {
-	narrow := DefaultParams()
-	narrow.BlockResidues = 4096
-	narrow.TwoHitWindow = 11
-	wide := narrow
-	wide.TwoHitWindow = 12
+	p := DefaultParams()
+	p.BlockResidues = 4096
 	refused := func(label string, err error) {
 		t.Helper()
 		if !errors.Is(err, ErrParamsMismatch) {
 			t.Fatalf("%s: got %v, want ErrParamsMismatch", label, err)
 		}
-		for _, want := range []string{"TwoHitWindow 12", "pad 8", "up to 11"} {
+		for _, want := range []string{"two-hit window 40", "pad 8", "up to 11"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("%s: error %q does not name %q", label, err, want)
 			}
 		}
 	}
 
-	db, seqs := smallDatabase(t, narrow)
-	art := saved(t, db)
-	_, err := Load(bytes.NewReader(art), wide)
+	db, seqs := smallDatabase(t, p)
+	narrow := rebuiltWith(t, db, neighbor.DefaultThreshold, 11)
+	_, err := Load(bytes.NewReader(saved(t, narrow)), p)
 	refused("Load", err)
-	for _, ok := range []func(*Params){
-		func(p *Params) {},                     // the build's own window
-		func(p *Params) { p.TwoHitWindow = 5 }, // a narrower one
-	} {
-		p := narrow
-		ok(&p)
-		if _, err := Load(bytes.NewReader(art), p); err != nil {
-			t.Errorf("window %d: %v", p.TwoHitWindow, err)
+	for _, window := range []int{ungapped.DefaultWindow, 60} {
+		if _, err := Load(bytes.NewReader(saved(t, rebuiltWith(t, db, neighbor.DefaultThreshold, window))), p); err != nil {
+			t.Errorf("container padded for window %d: %v", window, err)
 		}
 	}
 
-	// A store with one delta: base and delta both carry the narrow padding.
+	// A store whose base carries the narrow padding, with one delta on it.
 	dir := t.TempDir()
-	st, err := InitStore(dir, seqs[:6], narrow)
+	st, err := InitStore(dir, seqs[:6], p)
 	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := st.Database()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, entry, err := writeContainer(dir, st.man.Base.Name, rebuiltWith(t, base, neighbor.DefaultThreshold, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	man := *st.man
+	man.Base = entry
+	if err := commitManifest(dir, &man); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = OpenStore(dir, p); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Append(seqs[6:]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, narrow); err != nil {
-		t.Fatalf("store at its own window: %v", err)
-	}
-	_, err = Open(dir, wide)
+	_, err = Open(dir, p)
 	refused("store", err)
 
 	// A shard set.
@@ -387,7 +419,7 @@ func TestWindowBeyondPaddingRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, sh := range shards {
-		_, err := Load(bytes.NewReader(saved(t, sh)), wide)
+		_, err := Load(bytes.NewReader(saved(t, rebuiltWith(t, sh, neighbor.DefaultThreshold, 11))), p)
 		refused(fmt.Sprintf("shard %d", i), err)
 	}
 }

@@ -12,12 +12,13 @@ import (
 // Session at startup and routes every request through Acquire, so the index
 // is built (or loaded) exactly once and never rebuilt per request.
 //
-// Reload replaces the database atomically: the candidate container is fully
-// validated (Verify) and opened before the swap, so a corrupt or mismatched
-// replacement is rejected with the old database still serving; searches that
-// acquired the old generation keep it alive until they release it, and their
-// results are byte-identical to a run with no reload at all. Reload returns
-// only after the displaced generation has fully drained.
+// Reload replaces the database atomically: the candidate is opened — which
+// validates it as fully as Verify, and against the Session's Params — before
+// the swap, so a corrupt or mismatched replacement is rejected with the old
+// database still serving; searches that acquired the old generation keep it
+// alive until they release it, and their results are byte-identical to a run
+// with no reload at all. Reload returns only after the displaced generation
+// has fully drained.
 type Session struct {
 	params Params // build/load parameters applied to every Reload
 
@@ -122,20 +123,17 @@ func (s *Session) Refs() int64 { return s.cur.Load().refs.Load() }
 
 // Reload atomically replaces the session's database with the one at path —
 // a single container file or an ingest-store directory (base + deltas) —
-// loaded with the session's stored Params. The candidate is validated twice
-// before the swap: a full VerifyPath pass (every checksum of every file,
-// complete decode) and then the Open itself (fingerprint enforcement, store
-// recovery), so any failure, from a flipped byte to a params mismatch,
-// leaves the old database serving untouched with its refcount balanced.
-// After the swap Reload waits for every search still pinned to the
+// opened with the session's stored Params. Open makes every check Verify
+// makes (every checksum of every file, complete decode, store recovery) plus
+// the fingerprint's, decoding each container once, and nothing is swapped
+// until it has succeeded: any failure, from a flipped byte to a params
+// mismatch, leaves the old database serving untouched with its refcount
+// balanced. After the swap Reload waits for every search still pinned to the
 // displaced generation to finish (they complete normally, byte-identical to
 // an undisturbed run) before returning.
 func (s *Session) Reload(path string) error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	if _, err := VerifyPath(path); err != nil {
-		return fmt.Errorf("blast: reload rejected, keeping current database: %w", err)
-	}
 	db, err := Open(path, s.params)
 	if err != nil {
 		return fmt.Errorf("blast: reload rejected, keeping current database: %w", err)

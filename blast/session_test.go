@@ -197,14 +197,15 @@ func TestSessionReloadRejectsCorrupt(t *testing.T) {
 }
 
 // TestSessionReloadRejectsParamsMismatch: a structurally valid container
-// built with a different neighbor threshold must be refused.
+// built with a different matrix must be refused, with the old generation
+// serving and its refcount balanced.
 func TestSessionReloadRejectsParamsMismatch(t *testing.T) {
 	p := sessionParams()
 	pathA, _, query := sessionFixture(t, p)
 	wantA := directResult(t, pathA, p, query)
 
 	drifted := sessionParams()
-	drifted.NeighborThreshold = 13
+	drifted.Matrix = "BLOSUM50"
 	_, pathDrift, _ := sessionFixture(t, drifted)
 
 	ses, err := OpenSession(pathA, p)
@@ -213,6 +214,9 @@ func TestSessionReloadRejectsParamsMismatch(t *testing.T) {
 	}
 	if err := ses.Reload(pathDrift); !errors.Is(err, ErrParamsMismatch) {
 		t.Fatalf("Reload with drifted params: err = %v, want ErrParamsMismatch", err)
+	}
+	if ses.Generation() != 1 || ses.Refs() != 1 {
+		t.Fatalf("after the refused reload: generation %d, refs %d; want 1 and 1", ses.Generation(), ses.Refs())
 	}
 	res, err := ses.DB().Search(query)
 	if err != nil {
@@ -329,8 +333,9 @@ func TestSessionRefcountBalance(t *testing.T) {
 	if res, err := ses.DB().Search(query); err != nil || len(res.Hits) == 0 {
 		t.Fatalf("search after rejected reloads: %v (%d hits)", err, len(res.Hits))
 	}
-	if err := ses.Reload(pathB); err != nil {
-		t.Fatal(err)
+	// Open validates the candidate in full, so a reload decodes it once.
+	if n := decodes(t, func() error { return ses.Reload(pathB) }); n != 1 {
+		t.Fatalf("Reload of one container decoded %d containers, want 1", n)
 	}
 	if ses.Refs() != 1 || ses.Generation() != gen+1 {
 		t.Fatalf("after successful Reload: Refs=%d gen=%d, want 1/%d", ses.Refs(), ses.Generation(), gen+1)
@@ -359,8 +364,9 @@ func TestSessionReloadStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	ses := NewSession(baseOnly, p)
-	if err := ses.Reload(dir); err != nil {
-		t.Fatal(err)
+	// One decode per container: the base and its one delta.
+	if n := decodes(t, func() error { return ses.Reload(dir) }); n != 2 {
+		t.Fatalf("Reload of a base and one delta decoded %d containers, want 2", n)
 	}
 	db := ses.DB()
 	if !db.Tiered() {

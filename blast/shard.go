@@ -179,7 +179,8 @@ func (d *Database) SearchShardBatchCtx(ctx context.Context, queries []string, sh
 // Its absence poisons every query honestly: the query is marked incomplete
 // with ErrShardUnavailable rather than merged as if the shard had zero hits.
 // Queries a shard left incomplete (deadline, panic isolation) are likewise
-// incomplete in the merge.
+// incomplete in the merge. Parts searched with different MaxResults are
+// refused: no monolithic search caps at two values.
 func MergeShards(queries []string, parts []*ShardResult) (*BatchResult, error) {
 	numShards := len(parts)
 	if numShards == 0 {
@@ -194,6 +195,10 @@ func MergeShards(queries []string, parts []*ShardResult) (*BatchResult, error) {
 		if part.numShards != numShards || part.shard != s {
 			return nil, fmt.Errorf("blast: shard result %d/%d at position %d of %d",
 				part.shard, part.numShards, s, numShards)
+		}
+		if present && part.maxResults != maxResults {
+			return nil, fmt.Errorf("blast: shard %d was searched with %d hits per query, an earlier shard with %d",
+				s, part.maxResults, maxResults)
 		}
 		if len(part.results) != len(queries) {
 			return nil, fmt.Errorf("blast: shard %d returned %d results for %d queries",

@@ -1,6 +1,7 @@
 package blast
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -215,8 +216,8 @@ func TestMergeShardsMissingShard(t *testing.T) {
 }
 
 // TestShardValidation covers the constructor guards: shard counts, shard
-// identity checks in the merge, and the both-or-neither rule for the global
-// search-space parameters.
+// identity and hit-cap checks in the merge, and the both-or-neither rule for
+// the global search-space parameters.
 func TestShardValidation(t *testing.T) {
 	db, seqs := testDatabase(t)
 	if _, err := db.Shards(0); err == nil {
@@ -243,6 +244,21 @@ func TestShardValidation(t *testing.T) {
 	}
 	if _, err := MergeShards(q, []*ShardResult{nil, p0}); err == nil {
 		t.Error("shard result at the wrong position must fail the merge")
+	}
+	// Shard 1 served with another -max-hits: no monolithic search caps at
+	// two values, so the merge refuses the pair.
+	other := shards[1].params
+	other.MaxResults = 10
+	sh1, err := Load(bytes.NewReader(saved(t, shards[1])), other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, err := sh1.SearchShardBatchCtx(context.Background(), q, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MergeShards(q, []*ShardResult{p0, p1}); err == nil || !strings.Contains(err.Error(), "10 hits per query") {
+		t.Errorf("merge of shards searched with different MaxResults: err %v, want a refusal naming them", err)
 	}
 	if _, err := shards[0].SearchShardBatchCtx(context.Background(), q, 2, 2); err == nil {
 		t.Error("shard index out of range must fail")

@@ -166,9 +166,10 @@ func writeContainer(dir, name string, db *Database) (*container, manifestEntry, 
 // forward to its post-commit state), discard torn WAL tails (rolling back to
 // the pre-commit state), and garbage-collect orphaned files from
 // interrupted commits. Ambiguous damage — a manifest that fails its
-// checksum, a referenced container missing or altered, intact WAL records
-// that contradict the watermark — is refused with ErrStoreCorrupt rather
-// than guessed around.
+// checksum, a referenced container missing, altered or holding other totals
+// than its manifest entry, intact WAL records that contradict the watermark —
+// is refused with ErrStoreCorrupt rather than guessed around, and before
+// recovery writes anything.
 //
 // p plays the same role as in Load: it must be compatible with the base
 // container's build fingerprint. Set p.GlobalDB* only when this store is one
@@ -184,36 +185,46 @@ func OpenStore(dir string, p Params) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		if st.held[e.Name], err = loadContainer(bytes.NewReader(data)); err != nil {
+		c, err := loadContainer(bytes.NewReader(data))
+		if err != nil {
 			return nil, fmt.Errorf("blast: opening %s: %w", e.Name, err)
 		}
+		if c.db.NumSeqs() != e.Sequences || c.db.TotalResidues != e.Residues {
+			return nil, fmt.Errorf("blast: %w: %s holds %d sequences/%d residues, manifest says %d/%d",
+				ErrStoreCorrupt, e.Name, c.db.NumSeqs(), c.db.TotalResidues, e.Sequences, e.Residues)
+		}
+		st.held[e.Name] = c
 	}
 
 	// Replay: every intact WAL record past the watermark was durably logged
 	// by an Append whose commit did not land; delta construction is
 	// deterministic, so applying it now yields the exact post-commit state.
+	// The records are checked as a whole first, so an incoherent WAL is
+	// refused before replay writes anything.
 	recs, _, err := scanWAL(st.walPath())
 	if err != nil {
 		return nil, err
 	}
-	pending := 0
+	var pending []walRecord
 	for _, rec := range recs {
 		if rec.Seq <= man.WALApplied {
 			continue // applied before the crash; the reset just didn't land
 		}
-		if rec.Seq != st.man.WALApplied+1 {
+		if want := man.WALApplied + uint64(len(pending)) + 1; rec.Seq != want {
 			return nil, fmt.Errorf("blast: %w: wal record seq %d but manifest applied through %d",
-				ErrStoreCorrupt, rec.Seq, st.man.WALApplied)
+				ErrStoreCorrupt, rec.Seq, want-1)
 		}
 		if err := validateBatch(rec.Batch); err != nil {
 			return nil, fmt.Errorf("blast: %w: replaying wal record %d: %v", ErrStoreCorrupt, rec.Seq, err)
 		}
+		pending = append(pending, rec)
+	}
+	for _, rec := range pending {
 		if err := st.applyBatch(rec.Seq, rec.Batch); err != nil {
 			return nil, fmt.Errorf("blast: replaying wal record %d: %w", rec.Seq, err)
 		}
-		pending++
 	}
-	if len(recs) > 0 || pending > 0 {
+	if len(recs) > 0 {
 		if err := resetWAL(st.walPath()); err != nil {
 			return nil, err
 		}
@@ -305,7 +316,6 @@ func (st *Store) gc() error {
 func (st *Store) deltaParams(fp Fingerprint) Params {
 	p := st.p
 	p.Matrix = fp.Matrix
-	p.NeighborThreshold = fp.NeighborThreshold
 	p.BlockResidues = fp.BlockResidues
 	if fp.SplitLongerThan > 0 {
 		p.SplitLongerThan, p.SplitOverlap = fp.SplitLongerThan, fp.SplitOverlap
@@ -571,55 +581,6 @@ func IsStoreDir(path string) bool {
 	}
 	_, err = os.Stat(filepath.Join(path, manifestName))
 	return err == nil
-}
-
-// PathInfo is what VerifyPath reports about a validated database path —
-// either a single container or a whole ingest store.
-type PathInfo struct {
-	Fingerprint   Fingerprint
-	NumSequences  int
-	TotalResidues int64
-	NumBlocks     int
-	// Store provenance; zero values for a plain container.
-	ManifestSeq  int64
-	ManifestHash string
-	Deltas       int
-	PendingWAL   int
-}
-
-// VerifyPath fully validates the database at path: a directory is verified
-// as an ingest store, a file as a single container. This is what the
-// serving tier's verify-before-swap reload runs, making /reload delta-aware.
-func VerifyPath(path string) (*PathInfo, error) {
-	if IsStoreDir(path) {
-		si, err := VerifyStore(path)
-		if err != nil {
-			return nil, err
-		}
-		return &PathInfo{
-			Fingerprint:   si.Fingerprint,
-			NumSequences:  si.NumSequences,
-			TotalResidues: si.TotalResidues,
-			NumBlocks:     si.NumBlocks,
-			ManifestSeq:   si.ManifestSeq,
-			ManifestHash:  si.ManifestHash,
-			Deltas:        si.Deltas,
-			PendingWAL:    si.PendingWAL,
-		}, nil
-	}
-	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		return nil, fmt.Errorf("blast: %w: %s", ErrNoStore, path)
-	}
-	ci, err := VerifyFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return &PathInfo{
-		Fingerprint:   ci.Fingerprint,
-		NumSequences:  ci.NumSequences,
-		TotalResidues: ci.TotalResidues,
-		NumBlocks:     ci.NumBlocks,
-	}, nil
 }
 
 // Open opens the database at path with p: an ingest-store directory is

@@ -148,9 +148,10 @@ func TestStoreTieredMatchesRebuild(t *testing.T) {
 	assertSameSearch(t, "reopened", db2, rebuild, storeQueries(base, b1, b2))
 }
 
-// TestStoreVerify covers VerifyStore/VerifyPath on a healthy store and the
-// refusal paths: flipped container bytes, a missing delta, a corrupt
-// manifest, and a directory that is not a store at all.
+// TestStoreVerify covers VerifyStore on a healthy store and the refusal
+// paths VerifyStore and OpenStore share: flipped container bytes, a missing
+// delta, a corrupt manifest, a manifest whose totals disagree with the
+// container they name, and a directory that is not a store at all.
 func TestStoreVerify(t *testing.T) {
 	dir, st, base, _, _ := storeFixture(t)
 
@@ -162,20 +163,13 @@ func TestStoreVerify(t *testing.T) {
 		info.ManifestSeq != st.ManifestSeq() || info.ManifestHash != st.ManifestHash() {
 		t.Fatalf("VerifyStore info %+v", info)
 	}
-	pi, err := VerifyPath(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pi.ManifestSeq != 3 || pi.Deltas != 2 || pi.NumSequences != info.NumSequences {
-		t.Fatalf("VerifyPath info %+v", pi)
-	}
 	if !IsStoreDir(dir) {
 		t.Fatal("IsStoreDir(store) = false")
 	}
 
 	// A plain directory is not a store: typed refusal, not a guess.
-	if _, err := VerifyPath(t.TempDir()); !errors.Is(err, ErrNoStore) {
-		t.Fatalf("VerifyPath(empty dir) = %v, want ErrNoStore", err)
+	if _, err := VerifyStore(t.TempDir()); !errors.Is(err, ErrNoStore) {
+		t.Fatalf("VerifyStore(empty dir) = %v, want ErrNoStore", err)
 	}
 	if _, err := Open(t.TempDir(), storeParams()); !errors.Is(err, ErrNoStore) {
 		t.Fatalf("Open(empty dir) = %v, want ErrNoStore", err)
@@ -192,8 +186,8 @@ func TestStoreVerify(t *testing.T) {
 		if _, err := VerifyStore(dir); !errors.Is(err, ErrStoreCorrupt) {
 			t.Fatalf("VerifyStore after corrupting %s = %v, want ErrStoreCorrupt", name, err)
 		}
-		if _, err := OpenStore(dir, storeParams()); err == nil {
-			t.Fatalf("OpenStore accepted a store with corrupt %s", name)
+		if _, err := OpenStore(dir, storeParams()); !errors.Is(err, ErrStoreCorrupt) {
+			t.Fatalf("OpenStore after corrupting %s = %v, want ErrStoreCorrupt", name, err)
 		}
 		if err := os.WriteFile(path, orig, 0o644); err != nil {
 			t.Fatal(err)
@@ -216,6 +210,23 @@ func TestStoreVerify(t *testing.T) {
 	corrupt("delta-000002.mublastp", flip)
 	corrupt(manifestName, flip)
 	corrupt("delta-000003.mublastp", func(path string) { os.Remove(path) })
+	// A manifest that passes its own checksum but miscounts a container it
+	// names: the store would compute every E-value against the wrong
+	// search space.
+	corrupt(manifestName, func(path string) {
+		man, err := readManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		man.Deltas[0].Sequences++
+		data, err := man.encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
 
 	// InitStore must refuse to clobber an existing store.
 	if _, err := InitStore(dir, base, storeParams()); err == nil {
@@ -372,12 +383,18 @@ func TestStoreWALTornTail(t *testing.T) {
 	}
 
 	// An intact record whose seq skips ahead of the watermark cannot be
-	// explained by any crash of this protocol: typed corruption.
-	if err := appendWAL(walPath, 7, encodeWALPayload(batch)); err != nil {
-		t.Fatal(err)
+	// explained by any crash of this protocol: typed corruption, refused
+	// before the replayable record ahead of it is applied.
+	for _, seq := range []uint64{2, 7} {
+		if err := appendWAL(walPath, seq, encodeWALPayload(batch)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := OpenStore(dir, storeParams()); !errors.Is(err, ErrStoreCorrupt) {
 		t.Fatalf("OpenStore with gapped WAL seq = %v, want ErrStoreCorrupt", err)
+	}
+	if man, err := readManifest(dir); err != nil || man.Seq != 2 || len(man.Deltas) != 1 {
+		t.Fatalf("refused recovery wrote to the store: manifest %+v, %v; want seq 2 with 1 delta", man, err)
 	}
 	if _, err := VerifyStore(dir); !errors.Is(err, ErrStoreCorrupt) {
 		t.Fatalf("VerifyStore with gapped WAL seq = %v, want ErrStoreCorrupt", err)

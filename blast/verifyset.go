@@ -7,7 +7,9 @@ import (
 
 // RulesVersion names the rules by which this build's engine computes a
 // result from a database: seeding, the two-hit rule, the extension cutoffs,
-// gapped scoring and ranking. Two builds with one RulesVersion reply to a
+// gapped scoring and ranking. Their parameters (T = 11, A = 40, X-drops
+// 16/38, gaps 11/1) are this build's constants, not Params, so a
+// RulesVersion fixes them too. Two builds with one RulesVersion reply to a
 // query byte for byte alike from one container; a change that moves reply
 // bytes without moving the container fingerprint bumps it, and regenerates
 // the engine's golden results (TestRulesVersionPinsGoldens ties the two).
@@ -37,6 +39,11 @@ type ReplicaFacts struct {
 	// which holds no such belief: the set then defines its own totals.
 	GlobalSequences int64
 	GlobalResidues  int64
+	// EValueCutoff/MaxResults are the result-shaping settings the replica
+	// searches with (a daemon's -evalue/-max-hits). Zero from a file, which
+	// is searched with whatever its reader sets.
+	EValueCutoff float64
+	MaxResults   int
 	// Ingest-store provenance; zero for a plain container.
 	ManifestSeq  int64
 	ManifestHash string
@@ -47,8 +54,9 @@ type ReplicaFacts struct {
 // replica carries the same build fingerprint (one makedb run — a mixed set
 // merges garbage silently, since the merge trusts ids and E-value
 // statistics), is searched by the same RulesVersion (ErrRulesMismatch
-// otherwise: the fingerprint does not see a change of rules) and holds the
-// same belief about the global search space; replicas of
+// otherwise: the fingerprint does not see a change of rules) with the same
+// E-value cutoff and per-query hit cap, and holds the same belief about the
+// global search space; replicas of
 // one shard hold the same slice at the same manifest commit (equal totals do
 // not prove equal sequences once deltas are involved); shard s of N holds
 // exactly ceil((G-s)/N) of the G global sequences, the round-robin deal the
@@ -76,6 +84,9 @@ func VerifyTopology(shards [][]ReplicaFacts) (fp Fingerprint, globalSeqs, global
 			case r.GlobalSequences != fleet.GlobalSequences || r.GlobalResidues != fleet.GlobalResidues:
 				err = mismatchf("shard %d replica %s: global space %d seqs/%d residues, the set says %d/%d",
 					s, r.Name, r.GlobalSequences, r.GlobalResidues, fleet.GlobalSequences, fleet.GlobalResidues)
+			case r.EValueCutoff != fleet.EValueCutoff || r.MaxResults != fleet.MaxResults:
+				err = mismatchf("shard %d replica %s: searches with E-value cutoff %g and %d hits per query, the set with %g and %d",
+					s, r.Name, r.EValueCutoff, r.MaxResults, fleet.EValueCutoff, fleet.MaxResults)
 			case r.Sequences != first.Sequences || r.TotalResidues != first.TotalResidues:
 				err = mismatchf("shard %d replica %s: %d seqs/%d residues, shard peer says %d/%d; replicas must hold the same slice",
 					s, r.Name, r.Sequences, r.TotalResidues, first.Sequences, first.TotalResidues)

@@ -13,9 +13,10 @@
 // Endpoints (all on -addr):
 //
 //	POST /search        {"queries":[{"name":"q1","residues":"MKT..."}], "timeout_ms":5000}
-//	POST /reload        {"path":"new.mublastp"}   verify-then-swap; rejects corrupt
-//	                    containers; {"verify_only":true} validates without swapping;
-//	                    delta-aware: an ingest-store path reloads base+deltas
+//	POST /reload        {"path":"new.mublastp"}   open-then-swap: a corrupt or
+//	                    mismatched candidate is refused 422 with the old database
+//	                    serving; an ingest-store path reloads base+deltas (with
+//	                    -store, only the daemon's own store: another path is 409)
 //	POST /ingest        (with -store) append a sequence batch as a WAL-journaled
 //	                    delta and swap the serving generation; bounded, single-
 //	                    flight, sheds concurrent ingests with 503 + Retry-After
@@ -33,8 +34,12 @@
 // with mublastpr (server.RegisterFlags, server.Edge); the search flags
 // (-threads, -evalue, -max-hits) are this daemon's own. The -trace file is
 // the one per-request log: experiments -exp replay and internal/capsim read
-// it too. The request bounds without a flag (client deadline cap, batch
-// cap, degraded mode, ingest cap) are the server.Config defaults.
+// it too. The request bounds without a flag are constants of
+// internal/server: a 2-minute cap on client deadlines, 64 queries a request
+// (16 in degraded mode, whose deadline is a quarter of -timeout), a 1 s
+// Retry-After on sheds and 10000 sequences an ingest. The search rules
+// (T = 11, A = 40, X-drops 16/38, gaps 11/1) are NCBI BLASTP's and have no
+// flag either.
 package main
 
 import (

@@ -29,8 +29,9 @@
 // Endpoints (all on -addr):
 //
 //	POST /search    {"queries":[...], "timeout_ms":5000}
-//	POST /reload    {"paths":["shard0.mbc","shard1.mbc"]} rolling per-shard reload,
-//	                verify-before-swap per replica, never the last healthy one.
+//	POST /reload    {"paths":["shard0.mbc","shard1.mbc"]} rolling per-shard reload:
+//	                one /reload per replica, which opens and checks its candidate
+//	                before it swaps, never the last healthy one.
 //	                Paths may be ingest-store directories: this is how delta
 //	                propagation rolls across a fleet — each replica picks up the
 //	                store's current base+delta manifest in turn, and the remote
@@ -46,8 +47,11 @@
 // results) with Retry-After forwarded. Only when every shard sheds does the
 // daemon answer 429. SIGINT/SIGTERM drain gracefully as in mublastpd: the
 // process lifecycle, its flags and the HTTP edge are the ones mublastpd runs
-// (server.RegisterFlags, server.Edge). The search flags (-threads, -evalue,
-// -max-hits) are the shard daemons'.
+// (server.RegisterFlags, server.Edge), and so are the request bounds
+// without a flag (server.MaxTimeout, server.MaxQueries). The search flags
+// (-threads, -evalue, -max-hits) are the shard daemons', and the handshake
+// refuses a fleet whose shard daemons run with different -evalue or
+// -max-hits.
 package main
 
 import (
@@ -114,8 +118,6 @@ func run() error {
 		}
 		fe := router.NewFrontend(rt, router.FrontendConfig{
 			DefaultTimeout: cfg.DefaultTimeout,
-			MaxTimeout:     cfg.MaxTimeout,
-			MaxQueries:     cfg.MaxQueries,
 			Registry:       cfg.Registry,
 			Tracer:         cfg.Tracer,
 			Logf:           cfg.Logf,

@@ -3,10 +3,15 @@ package repro_test
 import (
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/blast"
+	"repro/internal/router"
+	"repro/internal/server"
 )
 
 // daemonFlags is every flag each daemon accepts. Both share the process
@@ -70,4 +75,63 @@ func TestDaemonFlagSets(t *testing.T) {
 	}
 	t.Logf("daemon flags: mublastpd %d, mublastpr %d, %d distinct",
 		len(daemonFlags["mublastpd"]), len(daemonFlags["mublastpr"]), len(distinct))
+}
+
+// configFields is every exported field of the five types a caller configures
+// the library and the serving tiers with. The search rules (T, A, X-drops,
+// gap penalties) and the serving bounds no caller needs to move (deadline
+// cap, batch cap, degraded-mode cap, Retry-After, ingest cap, the remote
+// deadline margin) are constants, not fields; adding one back here is a
+// decision about the API, as adding a flag to daemonFlags is one about the
+// operator surface.
+var configFields = map[reflect.Type][]string{
+	reflect.TypeFor[blast.Params](): {
+		"Matrix", "EValueCutoff", "MaxResults", "BlockResidues", "Threads",
+		"SplitLongerThan", "SplitOverlap", "Timeout", "GlobalDBResidues", "GlobalDBSequences",
+	},
+	reflect.TypeFor[server.Config](): {
+		"Queue", "Concurrency", "DefaultTimeout", "DegradeAfter", "Store",
+		"CompactAfter", "Registry", "Tracer", "Logf",
+	},
+	reflect.TypeFor[router.FrontendConfig](): {
+		"DefaultTimeout", "Registry", "Generation", "Tracer", "Logf",
+	},
+	reflect.TypeFor[router.RemoteOptions](): {},
+	reflect.TypeFor[router.ResilienceConfig](): {
+		"ProbeInterval", "ProbeTimeout", "ReadmitBackoff", "ReadmitBackoffMax",
+		"BreakerFailures", "BreakerWindow", "BreakerErrorRate", "BreakerCooldown",
+		"RetryBudget", "RetryBackoff",
+	},
+}
+
+// TestConfigSurface lists the exported fields of each configuration type by
+// reflection and compares them with configFields, naming any field added or
+// removed.
+func TestConfigSurface(t *testing.T) {
+	total := 0
+	for typ, want := range configFields {
+		var got []string
+		for i := range typ.NumField() {
+			if f := typ.Field(i); f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		total += len(got)
+		var added, removed []string
+		for _, f := range got {
+			if !slices.Contains(want, f) {
+				added = append(added, f)
+			}
+		}
+		for _, f := range want {
+			if !slices.Contains(got, f) {
+				removed = append(removed, f)
+			}
+		}
+		if len(added) > 0 || len(removed) > 0 {
+			t.Errorf("%s fields moved: added [%s], removed [%s]; update configFields if that is intended",
+				typ, strings.Join(added, " "), strings.Join(removed, " "))
+		}
+	}
+	t.Logf("settable configuration fields: %d across %d types", total, len(configFields))
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/blast"
 	"repro/internal/alphabet"
+	"repro/internal/gapped"
 	"repro/internal/matrix"
 	"repro/internal/seqgen"
 	"repro/internal/stats"
@@ -183,7 +184,10 @@ func MeasureSensitivity(w SensitivityWorld, s Scale) (SensitivityRow, error) {
 		}
 	}
 
-	ka, err := stats.GappedParams(matrix.Blosum62, p.GapOpen, p.GapExtend)
+	// The engine's gap penalties: NCBI's 11/1, which blast.Params leaves to
+	// search.NewConfig.
+	gp := gapped.DefaultParams()
+	ka, err := stats.GappedParams(matrix.Blosum62, gp.GapOpen, gp.GapExtend)
 	if err != nil {
 		return row, err
 	}
@@ -196,7 +200,7 @@ func MeasureSensitivity(w SensitivityWorld, s Scale) (SensitivityRow, error) {
 		sort.Ints(subjects) // MissedStrong in a reproducible order
 		for _, subject := range subjects {
 			row.Related++
-			e := ka.EValue(sw.Score(matrix.Blosum62, q, db[subject], p.GapOpen, p.GapExtend), effQ, effDB)
+			e := ka.EValue(sw.Score(matrix.Blosum62, q, db[subject], gp.GapOpen, gp.GapExtend), effQ, effDB)
 			if e > 10 {
 				continue
 			}

@@ -75,7 +75,6 @@ func startConformanceDaemons(t *testing.T, inProcess bool) []conformanceEndpoint
 	pdTrace, prTrace := &syncBuffer{}, &syncBuffer{}
 	pdReg, prReg := obs.NewRegistry(), obs.NewRegistry()
 	pd := server.New(blast.NewSession(db, p), p, server.Config{
-		MaxQueries: 2, MaxTimeout: 2 * time.Second,
 		Registry: pdReg, Tracer: reqtrace.NewTracer("mublastpd", pdTrace),
 	})
 	var workers [][]Worker
@@ -91,7 +90,6 @@ func startConformanceDaemons(t *testing.T, inProcess bool) []conformanceEndpoint
 		t.Fatal(err)
 	}
 	pr := NewFrontend(rt, FrontendConfig{
-		MaxQueries: 2, MaxTimeout: 2 * time.Second,
 		Registry: obs.NewRegistry(), Tracer: reqtrace.NewTracer("mublastpr", prTrace),
 	})
 	var addrs [2]string
@@ -157,6 +155,10 @@ func TestEdgeConformance(t *testing.T) {
 	eps := startConformanceDaemons(t, false)
 	_, _, queries := fixture(t)
 	good := queries[:1]
+	overNames, overResidues := make([]string, server.MaxQueries+1), make([]string, server.MaxQueries+1)
+	for i := range overResidues {
+		overNames[i], overResidues[i] = "q"+strconv.Itoa(i), "MKT"
+	}
 
 	for i, tc := range []struct {
 		name     string
@@ -174,9 +176,9 @@ func TestEdgeConformance(t *testing.T) {
 			want: `{"error":"decoding request: unexpected EOF","status":400}`},
 		{name: "empty batch", status: http.StatusBadRequest,
 			want: `{"error":"no queries","status":400}`},
-		{name: "MaxQueries+1", names: []string{"a", "b", "c"}, residues: []string{"MKT", "MKT", "MKT"},
+		{name: "MaxQueries+1", names: overNames, residues: overResidues,
 			status: http.StatusRequestEntityTooLarge,
-			want:   `{"error":"3 queries exceeds the per-request cap of 2","status":413}`},
+			want:   `{"error":"65 queries exceeds the per-request cap of 64","status":413}`},
 		{name: "bad residue, named", names: []string{"ok", "bad"}, residues: []string{"MKT", "MK4T"},
 			status: http.StatusBadRequest,
 			want:   `{"error":"query 1 (bad): alphabet: invalid residue '4' at position 2","status":400}`,
@@ -226,7 +228,7 @@ func TestEdgeConformance(t *testing.T) {
 	// /search reports the effective value, and every endpoint's workload
 	// record (projected from its trace) carries it. Without a client id the edge mints one.
 	for _, ep := range eps {
-		resp, body := ep.do(t, http.MethodPost, ep.batchBody([]string{"q"}, good, 60_000), "")
+		resp, body := ep.do(t, http.MethodPost, ep.batchBody([]string{"q"}, good, 3*server.MaxTimeout.Milliseconds()), "")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s, clamped deadline: status %d: %s", ep.name, resp.StatusCode, body)
 		}
@@ -239,15 +241,15 @@ func TestEdgeConformance(t *testing.T) {
 			if err := json.Unmarshal([]byte(body), &sr); err != nil {
 				t.Fatal(err)
 			}
-			if sr.Stats.EffectiveTimeout != "2s" {
-				t.Errorf("%s: effective_timeout %q, want MaxTimeout 2s", ep.name, sr.Stats.EffectiveTimeout)
+			if sr.Stats.EffectiveTimeout != "2m0s" {
+				t.Errorf("%s: effective_timeout %q, want MaxTimeout 2m0s", ep.name, sr.Stats.EffectiveTimeout)
 			}
 		}
 		waitUntil(t, ep.name+" record of the clamped request", func() bool {
 			for _, rec := range ep.trace.records(t) {
 				if rec.RequestID == rid {
-					if rec.DeadlineMS != 2000 || rec.Outcome != reqtrace.OutcomeOK || len(rec.QueryLens) != 1 {
-						t.Errorf("%s: record %+v, want deadline 2000 ms, outcome ok, one query length", ep.name, rec)
+					if rec.DeadlineMS != 120_000 || rec.Outcome != reqtrace.OutcomeOK || len(rec.QueryLens) != 1 {
+						t.Errorf("%s: record %+v, want deadline 120000 ms, outcome ok, one query length", ep.name, rec)
 					}
 					return true
 				}

@@ -51,11 +51,9 @@ type errorResponse struct {
 // admission queues): the frontend only validates, scatters, and renders.
 type FrontendConfig struct {
 	// DefaultTimeout is the per-request deadline when the client sends none
-	// (default 30s); MaxTimeout caps client-requested deadlines (default 2m).
+	// (default 30s). The edge's other bounds are server.MaxTimeout and
+	// server.MaxQueries.
 	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
-	// MaxQueries caps the batch size of one request (default 64).
-	MaxQueries int
 	// Registry serves /metrics (default obs.Default). Use the registry the
 	// Router stamps so router_* numbers are visible.
 	Registry *obs.Registry
@@ -96,8 +94,7 @@ func NewFrontend(rt *Router, cfg FrontendConfig) *Frontend {
 		f.generation = func() int64 { return 0 }
 	}
 	f.Edge = server.NewEdge("mublastpr", server.Config{
-		DefaultTimeout: cfg.DefaultTimeout, MaxTimeout: cfg.MaxTimeout, MaxQueries: cfg.MaxQueries,
-		Registry: cfg.Registry, Tracer: cfg.Tracer, Logf: cfg.Logf,
+		DefaultTimeout: cfg.DefaultTimeout, Registry: cfg.Registry, Tracer: cfg.Tracer, Logf: cfg.Logf,
 	}, rt.HealthErr)
 	f.HandleFunc("/search", f.handleSearch)
 	f.HandleFunc("/reload", f.handleReload)

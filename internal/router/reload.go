@@ -10,10 +10,10 @@ import (
 )
 
 // Reloader is the optional reload surface of a Worker: RemoteWorker drives
-// the daemon's POST /reload. A verify-only call validates the candidate
-// container without swapping.
+// the daemon's POST /reload, which swaps in the candidate at path or refuses
+// it with the old generation still serving.
 type Reloader interface {
-	ReloadContainer(ctx context.Context, path string, verifyOnly bool) error
+	Reload(ctx context.Context, path string) error
 }
 
 // ReloadShardsRequest is the frontend's POST /reload body: one candidate
@@ -43,10 +43,11 @@ type ReloadShardsResponse struct {
 	Replicas []ReplicaReloadWire `json:"replicas"`
 }
 
-// RollingReload walks the fleet shard by shard, replica by replica: each
-// replica's candidate container is verified first (verify-only, no swap) and
-// only then swapped in, and a replica that is its shard's last healthy one
-// is never swapped unless force — so a rolling reload can degrade one
+// RollingReload walks the fleet shard by shard, replica by replica: a
+// replica that is its shard's last healthy one is never reloaded unless
+// force, and every other is sent one reload of its candidate — which the
+// daemon opens and checks in full before it swaps, refusing a bad one with
+// its old generation still serving — so a rolling reload can degrade one
 // replica at a time but can never take a whole shard out of rotation. The
 // walk is sequential by construction: at most one replica is mid-swap at any
 // moment. Replicas without a Reloader surface (custom workers) fail their
@@ -67,15 +68,11 @@ func (rt *Router) RollingReload(ctx context.Context, paths []string, force bool)
 				fail("worker is not reloadable")
 				continue
 			}
-			if err := rl.ReloadContainer(ctx, path, true); err != nil {
-				fail("verify: %v", err)
-				continue
-			}
 			if !force && rt.HealthyReplicas(s) <= 1 {
 				fail("refusing to reload shard %d's last healthy replica (force to override)", s)
 				continue
 			}
-			if err := rl.ReloadContainer(ctx, path, false); err != nil {
+			if err := rl.Reload(ctx, path); err != nil {
 				fail("swap: %v", err)
 				continue
 			}

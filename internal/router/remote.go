@@ -29,21 +29,10 @@ var (
 	fiRPCBody = faultinject.NewSite("router.rpcbody")
 )
 
-// RemoteOptions tunes a RemoteWorker. Zero values select the defaults.
-type RemoteOptions struct {
-	// Client is the HTTP client for every RPC (default: a client with no
-	// global timeout — deadlines ride the request contexts — on
-	// remoteTransport).
-	Client *http.Client
-	// NetworkMargin is subtracted from the request's remaining deadline
-	// before it is propagated upstream as the shard's budget, so the worker
-	// gives up early enough for its (partial) answer to travel back
-	// (default 150ms).
-	NetworkMargin time.Duration
-	// MinTimeout floors the propagated budget (default 50ms): below it the
-	// RPC is not worth the wire.
-	MinTimeout time.Duration
-}
+// RemoteOptions has nothing left to tune: every RemoteWorker shares one
+// transport and one deadline rule (networkMargin, minTimeout). The empty type
+// stays so existing callers of NewRemoteWorker compile.
+type RemoteOptions struct{}
 
 // RemoteWorker is a Worker backed by a mublastpd daemon over HTTP: Search
 // drives POST /shard/search, HealthCheck (the prober's ejection signal) GET
@@ -55,19 +44,26 @@ type RemoteWorker struct {
 	name   string
 	base   string // http://host:port, no trailing slash
 	client *http.Client
-	margin time.Duration
-	minTO  time.Duration
 
 	inflight atomic.Int64
 	gen      atomic.Int64 // last generation seen from the daemon
 }
 
-// remoteTransport carries the RPCs of every RemoteWorker that is not given a
-// client of its own. http.DefaultTransport keeps two idle connections per
-// host, so the third concurrent search against one replica would dial, and
-// close, a connection per request; a replica admits up to its queue bound
-// (server.Config.Queue, 64 unless configured) before it sheds, so that many
-// connections to it can be in use at once and are worth keeping.
+// The shard deadline a RemoteWorker propagates is the request's remaining
+// budget minus networkMargin, so the daemon gives up early enough for its
+// (partial) answer to travel back, floored at minTimeout: below it the RPC is
+// not worth the wire.
+const (
+	networkMargin = 150 * time.Millisecond
+	minTimeout    = 50 * time.Millisecond
+)
+
+// remoteTransport carries the RPCs of every RemoteWorker. http.DefaultTransport
+// keeps two idle connections per host, so the third concurrent search against
+// one replica would dial, and close, a connection per request; a replica
+// admits up to its queue bound (server.Config.Queue, 64 unless configured)
+// before it sheds, so that many connections to it can be in use at once and
+// are worth keeping.
 var remoteTransport = func() *http.Transport {
 	t := http.DefaultTransport.(*http.Transport).Clone()
 	t.MaxIdleConnsPerHost = 64
@@ -76,24 +72,12 @@ var remoteTransport = func() *http.Transport {
 }()
 
 // NewRemoteWorker wraps the daemon at baseURL (scheme://host:port).
-func NewRemoteWorker(name, baseURL string, opts RemoteOptions) *RemoteWorker {
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Transport: remoteTransport}
-	}
-	if opts.NetworkMargin <= 0 {
-		opts.NetworkMargin = 150 * time.Millisecond
-	}
-	if opts.MinTimeout <= 0 {
-		opts.MinTimeout = 50 * time.Millisecond
-	}
+func NewRemoteWorker(name, baseURL string, _ RemoteOptions) *RemoteWorker {
 	for len(baseURL) > 0 && baseURL[len(baseURL)-1] == '/' {
 		baseURL = baseURL[:len(baseURL)-1]
 	}
-	return &RemoteWorker{
-		name: name, base: baseURL, client: client,
-		margin: opts.NetworkMargin, minTO: opts.MinTimeout,
-	}
+	// No global client timeout: deadlines ride the request contexts.
+	return &RemoteWorker{name: name, base: baseURL, client: &http.Client{Transport: remoteTransport}}
 }
 
 // Name implements Worker.
@@ -152,19 +136,16 @@ func errorBody(resp *http.Response) string {
 }
 
 // Search implements Worker against POST /shard/search. The propagated
-// deadline is the context's remaining budget minus the network margin
-// (floored at MinTimeout), so the daemon gives up in time for its partial
-// result to make it back instead of burning the whole budget upstream.
+// deadline is the context's remaining budget minus networkMargin (floored at
+// minTimeout), so the daemon gives up in time for its partial result to make
+// it back instead of burning the whole budget upstream.
 func (w *RemoteWorker) Search(ctx context.Context, queries []string, shard, numShards int) (*blast.ShardResult, error) {
 	w.inflight.Add(1)
 	defer w.inflight.Add(-1)
 
 	var timeoutMS int64
 	if dl, ok := ctx.Deadline(); ok {
-		budget := time.Until(dl) - w.margin
-		if budget < w.minTO {
-			budget = w.minTO
-		}
+		budget := max(time.Until(dl)-networkMargin, minTimeout)
 		timeoutMS = budget.Milliseconds()
 		if timeoutMS < 1 {
 			timeoutMS = 1
@@ -246,41 +227,33 @@ func (w *RemoteWorker) Info(ctx context.Context) (*server.ShardInfoResponse, err
 	return &info, nil
 }
 
-// Reload drives the daemon's POST /reload. With verifyOnly the daemon
-// validates the candidate container (fingerprint, checksums) without
-// swapping — the rolling orchestrator's pre-flight.
-func (w *RemoteWorker) Reload(ctx context.Context, path string, verifyOnly bool) (*server.ReloadResponse, error) {
-	resp, err := w.do(ctx, http.MethodPost, "/reload", server.ReloadRequest{Path: path, VerifyOnly: verifyOnly})
+// Reload implements Reloader against the daemon's POST /reload: the daemon
+// opens the candidate and swaps it in, or refuses it (422 for a corrupt or
+// mismatched candidate) with the old generation still serving.
+func (w *RemoteWorker) Reload(ctx context.Context, path string) error {
+	resp, err := w.do(ctx, http.MethodPost, "/reload", server.ReloadRequest{Path: path})
 	if err != nil {
-		return nil, fmt.Errorf("router: worker %s: %w", w.name, err)
+		return fmt.Errorf("router: worker %s: %w", w.name, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("router: worker %s: /reload status %d: %s",
+		return fmt.Errorf("router: worker %s: /reload status %d: %s",
 			w.name, resp.StatusCode, errorBody(resp))
 	}
 	var rr server.ReloadResponse
 	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		return nil, fmt.Errorf("router: worker %s: decoding /reload: %w", w.name, err)
+		return fmt.Errorf("router: worker %s: decoding /reload: %w", w.name, err)
 	}
-	if !verifyOnly {
-		w.gen.Store(rr.Generation)
-	}
-	return &rr, nil
-}
-
-// ReloadContainer implements Reloader over the wire.
-func (w *RemoteWorker) ReloadContainer(ctx context.Context, path string, verifyOnly bool) error {
-	_, err := w.Reload(ctx, path, verifyOnly)
-	return err
+	w.gen.Store(rr.Generation)
+	return nil
 }
 
 // VerifyRemoteTopology runs the coherence handshake across a remote fleet:
 // every replica's /shard/info reply is gathered and the set is held to
-// blast.VerifyTopology — one fingerprint, one rules version, one global
-// search space, replicas of a shard on the same slice and manifest commit,
-// slices tiling the logical database round-robin. It returns the agreed fingerprint and global
-// sequence count.
+// blast.VerifyTopology — one fingerprint, one rules version, one E-value
+// cutoff and hit cap, one global search space, replicas of a shard on the
+// same slice and manifest commit, slices tiling the logical database
+// round-robin. It returns the agreed fingerprint and global sequence count.
 func VerifyRemoteTopology(ctx context.Context, shards [][]*RemoteWorker) (*blast.Fingerprint, int64, error) {
 	facts := make([][]blast.ReplicaFacts, len(shards))
 	for s, reps := range shards {
@@ -293,6 +266,7 @@ func VerifyRemoteTopology(ctx context.Context, shards [][]*RemoteWorker) (*blast
 				Name: w.Name(), Fingerprint: info.Fingerprint, RulesVersion: info.RulesVersion,
 				Sequences: info.Sequences, TotalResidues: info.TotalResidues,
 				GlobalSequences: info.GlobalSequences, GlobalResidues: info.GlobalResidues,
+				EValueCutoff: info.EValueCutoff, MaxResults: info.MaxResults,
 				ManifestSeq: info.ManifestSeq, ManifestHash: info.ManifestHash,
 			})
 		}

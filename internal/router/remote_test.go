@@ -206,8 +206,8 @@ func TestRemoteWorkerSurfacesServerError(t *testing.T) {
 }
 
 // TestRemoteWorkerDeadlineBudget: the propagated shard deadline is the
-// context's remaining budget minus the network margin, floored at MinTimeout
-// — the daemon gives up early enough for its partial answer to travel back.
+// context's remaining budget minus networkMargin, floored at minTimeout — the
+// daemon gives up early enough for its partial answer to travel back.
 func TestRemoteWorkerDeadlineBudget(t *testing.T) {
 	var got atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -217,13 +217,13 @@ func TestRemoteWorkerDeadlineBudget(t *testing.T) {
 		w.WriteHeader(http.StatusInternalServerError)
 	}))
 	defer ts.Close()
-	w := NewRemoteWorker("w", ts.URL, RemoteOptions{NetworkMargin: 200 * time.Millisecond, MinTimeout: 50 * time.Millisecond})
+	w := NewRemoteWorker("w", ts.URL, RemoteOptions{})
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	w.Search(ctx, []string{"MKT"}, 0, 2)
 	cancel()
-	if ms := got.Load(); ms < 700 || ms > 800 {
-		t.Fatalf("propagated budget %dms from a 1s deadline with 200ms margin, want ~800ms", ms)
+	if ms := got.Load(); ms < 750 || ms > 850 {
+		t.Fatalf("propagated budget %dms from a 1s deadline with a 150ms margin, want ~850ms", ms)
 	}
 
 	// A deadline tighter than the margin still sends the floor, not zero.
@@ -276,11 +276,13 @@ func fakeInfoServer(t *testing.T, info server.ShardInfoResponse) *RemoteWorker {
 
 // TestVerifyRemoteTopologyRejectsIncoherence: the handshake refuses fleets
 // whose replicas disagree — on build fingerprint, on the global search space,
-// on a shard slice — or whose slices do not tile the logical database.
+// on the E-value cutoff or hit cap, on a shard slice — or whose slices do not
+// tile the logical database.
 func TestVerifyRemoteTopologyRejectsIncoherence(t *testing.T) {
 	base := server.ShardInfoResponse{
 		Fingerprint:     blast.Fingerprint{Matrix: "BLOSUM62", WordSize: 3, NeighborThreshold: 11},
 		GlobalSequences: 4, GlobalResidues: 100,
+		EValueCutoff: 10, MaxResults: 250,
 	}
 	mk := func(mut func(*server.ShardInfoResponse)) server.ShardInfoResponse {
 		in := base
@@ -324,6 +326,15 @@ func TestVerifyRemoteTopologyRejectsIncoherence(t *testing.T) {
 				in.GlobalSequences = 5
 			}))},
 		}, "global space"},
+		// Shard daemons started with another -max-hits (or -evalue) merge
+		// into a reply no monolithic search gives.
+		{"search settings disagreement", [][]*RemoteWorker{
+			{fakeInfoServer(t, mk(shard(2, 60)))},
+			{fakeInfoServer(t, mk(func(in *server.ShardInfoResponse) {
+				in.Sequences, in.TotalResidues = 2, 40
+				in.MaxResults = 100
+			}))},
+		}, "100 hits per query"},
 		{"replica slice disagreement", [][]*RemoteWorker{
 			{fakeInfoServer(t, mk(shard(2, 60))), fakeInfoServer(t, mk(shard(1, 60)))},
 			{fakeInfoServer(t, mk(shard(2, 40)))},
@@ -352,6 +363,52 @@ func TestVerifyRemoteTopologyRejectsIncoherence(t *testing.T) {
 		_, _, err := VerifyRemoteTopology(context.Background(), tc.fleet)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err %v, want mention of %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestRollingReloadOneRequestPerReplica: over the wire, a rolling reload is
+// one POST /reload per replica — the daemon's open is the only check a
+// candidate gets — and each worker takes the generation the daemon answers.
+func TestRollingReloadOneRequestPerReplica(t *testing.T) {
+	var fleet [][]Worker
+	var counts []*atomic.Int64
+	for s := 0; s < 2; s++ {
+		var reps []Worker
+		for rep := 0; rep < 2; rep++ {
+			n := new(atomic.Int64)
+			counts = append(counts, n)
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				var req server.ReloadRequest
+				if r.URL.Path != "/reload" || json.NewDecoder(r.Body).Decode(&req) != nil || req.Path != "shard"+strconv.Itoa(s) {
+					http.Error(w, "unexpected request", http.StatusBadRequest)
+					return
+				}
+				n.Add(1)
+				json.NewEncoder(w).Encode(server.ReloadResponse{Generation: 2})
+			}))
+			t.Cleanup(ts.Close)
+			reps = append(reps, NewRemoteWorker(fmt.Sprintf("s%d/r%d", s, rep), ts.URL, RemoteOptions{}))
+		}
+		fleet = append(fleet, reps)
+	}
+	rt, err := New(fleet, Options{Registry: obs.NewRegistry(), Resilience: ResilienceConfig{ProbeInterval: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := rt.RollingReload(context.Background(), []string{"shard0", "shard1"}, false); !resp.OK {
+		t.Fatalf("roll failed: %+v", resp.Replicas)
+	}
+	for i, n := range counts {
+		if got := n.Load(); got != 1 {
+			t.Errorf("replica %d got %d /reload requests, want 1", i, got)
+		}
+	}
+	for _, reps := range fleet {
+		for _, w := range reps {
+			if g := w.(*RemoteWorker).Generation(); g != 2 {
+				t.Errorf("%s generation %d after the roll, want 2", w.Name(), g)
+			}
 		}
 	}
 }

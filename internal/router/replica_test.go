@@ -425,31 +425,26 @@ func TestFailureRetriesSameSoleReplica(t *testing.T) {
 // reloadStub is a Worker with a scriptable Reloader surface.
 type reloadStub struct {
 	stubWorker
-	verifyErr error
-	swapErr   error
-	calls     []string // "verify:<path>" / "swap:<path>" in order
+	err   error    // what the daemon answers: nil swapped, else refused
+	calls []string // the paths it was asked to swap in, in order
 }
 
-func (w *reloadStub) ReloadContainer(_ context.Context, path string, verifyOnly bool) error {
-	if verifyOnly {
-		w.calls = append(w.calls, "verify:"+path)
-		return w.verifyErr
-	}
-	w.calls = append(w.calls, "swap:"+path)
-	return w.swapErr
+func (w *reloadStub) Reload(_ context.Context, path string) error {
+	w.calls = append(w.calls, path)
+	return w.err
 }
 
 func newReloadStub(name string) *reloadStub {
 	return &reloadStub{stubWorker: stubWorker{name: name}}
 }
 
-// TestRollingReload covers the orchestrator: verify-before-swap per replica,
-// a failed verify skipping the swap, non-reloadable workers failing their
-// entry, and the rest of the fleet still rolling.
+// TestRollingReload covers the orchestrator: one reload per replica, a
+// replica refusing its candidate failing only its own entry, and the rest of
+// the fleet still rolling.
 func TestRollingReload(t *testing.T) {
 	a0, a1 := newReloadStub("a0"), newReloadStub("a1")
 	b0 := newReloadStub("b0")
-	b0.verifyErr = errors.New("corrupt candidate")
+	b0.err = errors.New("corrupt candidate")
 	b1 := newReloadStub("b1")
 	rt, err := New([][]Worker{{a0, a1}, {b0, b1}}, Options{Registry: obs.NewRegistry(),
 		Resilience: ResilienceConfig{ProbeInterval: -1}})
@@ -458,22 +453,15 @@ func TestRollingReload(t *testing.T) {
 	}
 	resp := rt.RollingReload(context.Background(), []string{"newA", "newB"}, false)
 	if resp.OK {
-		t.Fatal("roll reported OK despite b0's failed verify")
+		t.Fatal("roll reported OK despite b0's refused candidate")
 	}
 	if len(resp.Replicas) != 4 {
 		t.Fatalf("%d replica entries, want 4", len(resp.Replicas))
 	}
-	for _, w := range []*reloadStub{a0, a1} {
-		want := []string{"verify:newA", "swap:newA"}
-		if len(w.calls) != 2 || w.calls[0] != want[0] || w.calls[1] != want[1] {
-			t.Fatalf("%s calls %v, want %v (verify strictly before swap)", w.name, w.calls, want)
+	for w, want := range map[*reloadStub]string{a0: "newA", a1: "newA", b0: "newB", b1: "newB"} {
+		if len(w.calls) != 1 || w.calls[0] != want {
+			t.Fatalf("%s calls %v, want one reload of %s", w.name, w.calls, want)
 		}
-	}
-	if len(b0.calls) != 1 || b0.calls[0] != "verify:newB" {
-		t.Fatalf("b0 calls %v: a failed verify must never swap", b0.calls)
-	}
-	if len(b1.calls) != 2 {
-		t.Fatalf("b1 calls %v: one replica's failure must not stop the roll", b1.calls)
 	}
 	var b0Entry *ReplicaReloadWire
 	for i := range resp.Replicas {
@@ -481,8 +469,8 @@ func TestRollingReload(t *testing.T) {
 			b0Entry = &resp.Replicas[i]
 		}
 	}
-	if b0Entry == nil || b0Entry.OK || b0Entry.Error == "" {
-		t.Fatalf("b0 entry %+v, want a failed entry carrying the verify error", b0Entry)
+	if b0Entry == nil || b0Entry.OK || !strings.Contains(b0Entry.Error, "corrupt candidate") {
+		t.Fatalf("b0 entry %+v, want a failed entry carrying the refusal", b0Entry)
 	}
 }
 
@@ -497,11 +485,11 @@ func TestRollingReloadLastHealthyReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp := rt.RollingReload(context.Background(), []string{"new"}, false)
-	if resp.OK || len(sole.calls) != 1 || sole.calls[0] != "verify:new" {
-		t.Fatalf("last healthy replica swapped without force: ok=%v calls=%v", resp.OK, sole.calls)
+	if resp.OK || len(sole.calls) != 0 {
+		t.Fatalf("last healthy replica reloaded without force: ok=%v calls=%v", resp.OK, sole.calls)
 	}
 	resp = rt.RollingReload(context.Background(), []string{"new"}, true)
-	if !resp.OK || len(sole.calls) != 3 || sole.calls[2] != "swap:new" {
+	if !resp.OK || len(sole.calls) != 1 || sole.calls[0] != "new" {
 		t.Fatalf("forced roll: ok=%v calls=%v, want the swap to run", resp.OK, sole.calls)
 	}
 }

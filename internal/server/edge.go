@@ -49,10 +49,10 @@ type Edge struct {
 }
 
 // NewEdge builds the edge of the named daemon (the trace root's "daemon"
-// attribute). Of cfg it reads the request bounds (DefaultTimeout, MaxTimeout,
-// MaxQueries) and the sinks (Registry, Tracer, Logf); the rest is
-// the Server's. ready, when non-nil, is the daemon's own readiness condition
-// on top of "not draining".
+// attribute). Of cfg it reads DefaultTimeout and the sinks (Registry, Tracer,
+// Logf); the rest is the Server's. The other request bounds, MaxTimeout and
+// MaxQueries, are constants. ready, when non-nil, is the daemon's own
+// readiness condition on top of "not draining".
 func NewEdge(daemon string, cfg Config, ready func() error) *Edge {
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &Edge{
@@ -195,13 +195,17 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) erro
 }
 
 // DecodePost is the preamble of /reload on either daemon: POST only, refused
-// while draining, body decoded into v. On false the refusal is written.
+// while draining, body decoded into v. A field v does not have is refused, so
+// a request written for another contract (a "verify_only" probe) is never
+// taken for a swap. On false the refusal is written.
 func (e *Edge) DecodePost(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReloadBodyBytes))
+	dec.DisallowUnknownFields()
 	if r.Method != http.MethodPost {
 		WriteError(w, http.StatusMethodNotAllowed, "POST only")
 	} else if e.Draining() {
 		WriteError(w, http.StatusServiceUnavailable, "draining")
-	} else if err := decodeBody(w, r, maxReloadBodyBytes, v); err != nil {
+	} else if err := dec.Decode(v); err != nil {
 		WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
 	} else {
 		return true
@@ -318,9 +322,9 @@ func (sc *Scope) DecodeBatch(r *http.Request, req batchRequest) (Batch, bool) {
 	if len(b.Residues) == 0 {
 		return b, sc.Reject(reqtrace.OutcomeRejected, http.StatusBadRequest, "no queries")
 	}
-	if len(b.Residues) > cfg.MaxQueries {
+	if len(b.Residues) > MaxQueries {
 		return b, sc.Reject(reqtrace.OutcomeRejected, http.StatusRequestEntityTooLarge,
-			"%d queries exceeds the per-request cap of %d", len(b.Residues), cfg.MaxQueries)
+			"%d queries exceeds the per-request cap of %d", len(b.Residues), MaxQueries)
 	}
 	if b.invalid != "" {
 		return b, sc.Reject(reqtrace.OutcomeRejected, http.StatusBadRequest, "%s", b.invalid)
@@ -338,7 +342,7 @@ func (sc *Scope) DecodeBatch(r *http.Request, req batchRequest) (Batch, bool) {
 	if b.Timeout <= 0 {
 		b.Timeout = cfg.DefaultTimeout
 	}
-	b.Timeout = min(b.Timeout, cfg.MaxTimeout)
+	b.Timeout = min(b.Timeout, MaxTimeout)
 	if sc.Root != nil {
 		lens := make([]string, len(b.Residues))
 		for i, res := range b.Residues {

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"path/filepath"
 	"strconv"
@@ -26,8 +27,9 @@ type QueryInput struct {
 type SearchRequest struct {
 	Queries []QueryInput `json:"queries"`
 	// TimeoutMS requests a per-request deadline in milliseconds; 0 means the
-	// server default. The server caps it (MaxTimeout, and DegradedTimeout in
-	// degraded mode) — the effective value is reported in the response.
+	// server default. The server caps it (MaxTimeout, and a quarter of the
+	// default in degraded mode) — the effective value is reported in the
+	// response.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
@@ -80,7 +82,8 @@ type RequestStats struct {
 // the honest-degradation contract: Degraded reports that the server was in
 // load-shedding mode (shorter deadline, smaller batch cap) when the request
 // was admitted, Truncated that the batch cap actually dropped queries from
-// this request (the first MaxQueries ran; the rest were not searched).
+// this request (the first degradedMaxQueries ran; the rest were not
+// searched).
 type SearchResponse struct {
 	Degraded   bool          `json:"degraded"`
 	Truncated  int           `json:"truncated_queries,omitempty"`
@@ -94,29 +97,19 @@ type SearchResponse struct {
 // ReloadRequest is the /reload request body.
 type ReloadRequest struct {
 	Path string `json:"path"`
-	// VerifyOnly validates the container end to end (CRCs, structure,
-	// fingerprint) and reports what it holds without swapping anything in.
-	// Rolling-reload orchestration probes every worker this way before the
-	// first swap, so a bad container is rejected fleet-wide up front.
-	VerifyOnly bool `json:"verify_only,omitempty"`
 }
 
-// ReloadResponse reports a successful swap, or — for a verify-only probe —
-// what the candidate container holds (Verified true, no swap happened, and
-// Generation is the still-serving database's). Manifest fields are set when
-// the candidate (or the swapped-in database) is an ingest store: replicas
-// serving one logical store must agree on them, and the router's rolling
-// delta propagation refuses mixed-manifest topologies.
+// ReloadResponse reports a successful swap. Manifest fields are set when the
+// swapped-in database is an ingest store: replicas serving one logical store
+// must agree on them, and the router's rolling delta propagation refuses
+// mixed-manifest topologies.
 type ReloadResponse struct {
-	Generation    int64              `json:"db_generation"`
-	Sequences     int                `json:"sequences"`
-	Blocks        int                `json:"blocks"`
-	Verified      bool               `json:"verified,omitempty"`
-	TotalResidues int64              `json:"total_residues,omitempty"`
-	Fingerprint   *blast.Fingerprint `json:"fingerprint,omitempty"`
-	ManifestSeq   int64              `json:"manifest_seq,omitempty"`
-	ManifestHash  string             `json:"manifest_hash,omitempty"`
-	Deltas        int                `json:"deltas,omitempty"`
+	Generation   int64  `json:"db_generation"`
+	Sequences    int    `json:"sequences"`
+	Blocks       int    `json:"blocks"`
+	ManifestSeq  int64  `json:"manifest_seq,omitempty"`
+	ManifestHash string `json:"manifest_hash,omitempty"`
+	Deltas       int    `json:"deltas,omitempty"`
 }
 
 // batch is the /search request's query batch: named queries.
@@ -166,7 +159,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, what string, req 
 	// reported in the response rather than silently imposed.
 	degraded := s.deg.observe(s.adm.depth(), time.Now())
 	if degraded {
-		b.Timeout = min(b.Timeout, s.cfg.DegradedTimeout)
+		b.Timeout = min(b.Timeout, s.cfg.DefaultTimeout/4)
 		sc.Root.SetAttr(reqtrace.AttrDegraded, "true")
 		sc.stampDeadline(b.Timeout)
 	}
@@ -174,7 +167,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, what string, req 
 	// Claim a wait slot — the only unbounded-queue defense that matters.
 	if !s.adm.enter() {
 		s.deg.observe(s.adm.depth(), time.Now())
-		SetRetryAfter(w, s.cfg.RetryAfter)
+		SetRetryAfter(w, retryAfter)
 		s.Logf("%s %s shed: admission queue full (%d waiting)", what, sc.RID, s.cfg.Queue)
 		return a, sc.Reject(reqtrace.OutcomeShed, http.StatusTooManyRequests,
 			"admission queue full (%d waiting); retry later", s.cfg.Queue)
@@ -193,7 +186,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, what string, req 
 		s.deg.observe(s.adm.depth(), time.Now())
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			s.met.TimedOut.Add(1)
-			SetRetryAfter(w, s.cfg.RetryAfter)
+			SetRetryAfter(w, retryAfter)
 			s.Logf("%s %s timed out after %v in the admission queue", what, sc.RID, waited.Round(time.Millisecond))
 			return a, sc.Reject(reqtrace.OutcomeTimeout, http.StatusServiceUnavailable,
 				"deadline expired after %v in the admission queue", waited.Round(time.Millisecond))
@@ -223,11 +216,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer a.done()
 	sc := a.sc
-	// Degraded mode also shrinks the batch: the first DegradedMaxQueries run,
-	// the rest are reported as truncated.
+	// Degraded mode also shrinks the batch: the first degradedMaxQueries
+	// run, the rest are reported as truncated.
 	n, truncated := len(req.Queries), 0
-	if a.degraded && n > s.cfg.DegradedMaxQueries {
-		n, truncated = s.cfg.DegradedMaxQueries, n-s.cfg.DegradedMaxQueries
+	if a.degraded && n > degradedMaxQueries {
+		n, truncated = degradedMaxQueries, n-degradedMaxQueries
 	}
 	texts, names := a.Residues[:n], a.Names[:n]
 
@@ -286,32 +279,6 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "missing path")
 		return
 	}
-	if req.VerifyOnly {
-		err := fiReload.Err()
-		var info *blast.PathInfo
-		if err == nil {
-			// VerifyPath handles both shapes: a single container file and
-			// an ingest-store directory (manifest + base + deltas + WAL).
-			info, err = blast.VerifyPath(req.Path)
-		}
-		if err != nil {
-			s.met.ReloadsRejected.Add(1)
-			WriteError(w, reloadErrStatus(err), "verify rejected: %v", err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, ReloadResponse{
-			Generation:    s.ses.Generation(),
-			Sequences:     info.NumSequences,
-			Blocks:        info.NumBlocks,
-			Verified:      true,
-			TotalResidues: info.TotalResidues,
-			Fingerprint:   &info.Fingerprint,
-			ManifestSeq:   info.ManifestSeq,
-			ManifestHash:  info.ManifestHash,
-			Deltas:        info.Deltas,
-		})
-		return
-	}
 	err := fiReload.Err()
 	if err == nil {
 		err = s.reloadPath(req.Path)
@@ -335,26 +302,35 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// reloadPath routes a reload: a path naming the daemon's own live store is
-// served from the in-process Store (re-opening the directory would run a
-// second recovery pass — WAL replay, orphan GC — against files the live
-// single-writer Store owns); anything else goes through the session's
-// verify-before-swap open.
+// reloadPath routes a reload. A daemon with a store serves only its own
+// live store: a path naming it is served from the in-process Store
+// (re-opening the directory would run a second recovery pass — WAL replay,
+// orphan GC — against files the live single-writer Store owns), and any
+// other path is refused with errStoreOnly, since the next ingest would swap
+// the store's view back in. A daemon without one opens the path through the
+// session, which swaps only what opened cleanly.
 func (s *Server) reloadPath(path string) error {
-	if st := s.cfg.Store; st != nil && sameDir(path, st.Dir()) {
-		db, err := st.Database()
-		if err != nil {
-			return err
-		}
-		if err := s.ses.ReloadDB(db); err != nil {
-			return err
-		}
-		s.met.ManifestSeq.Set(float64(st.ManifestSeq()))
-		s.met.DeltaCount.Set(float64(st.NumDeltas()))
-		return nil
+	st := s.cfg.Store
+	if st == nil {
+		return s.ses.Reload(path)
 	}
-	return s.ses.Reload(path)
+	if !sameDir(path, st.Dir()) {
+		return fmt.Errorf("%w (%s)", errStoreOnly, st.Dir())
+	}
+	db, err := st.Database()
+	if err != nil {
+		return err
+	}
+	if err := s.ses.ReloadDB(db); err != nil {
+		return err
+	}
+	s.met.ManifestSeq.Set(float64(st.ManifestSeq()))
+	s.met.DeltaCount.Set(float64(st.NumDeltas()))
+	return nil
 }
+
+// errStoreOnly refuses a /reload of another path on a daemon with a store.
+var errStoreOnly = errors.New("this daemon serves an ingest store and reloads only its directory")
 
 // sameDir reports whether two paths name the same directory, resolving
 // symlinks and relative segments where possible.
@@ -370,10 +346,10 @@ func sameDir(a, b string) bool {
 	return ra == rb
 }
 
-// reloadErrStatus maps reload/verify failures: structural invalidity of the
+// reloadErrStatus maps reload failures: structural invalidity of the
 // candidate (corruption, version or params mismatch, not-a-store) is 422 —
-// retrying the same path is pointless; anything else (missing file,
-// injected fault) is 409.
+// retrying the same path is pointless; anything else (missing file, another
+// path than a store daemon's own, injected fault) is 409.
 func reloadErrStatus(err error) int {
 	if errors.Is(err, blast.ErrCorrupt) || errors.Is(err, blast.ErrVersion) ||
 		errors.Is(err, blast.ErrParamsMismatch) || errors.Is(err, blast.ErrStoreCorrupt) ||

@@ -24,7 +24,7 @@ import (
 //	200 — the batch is durable (WAL-committed and manifest-visible)
 //	400 — the batch can never be ingested (validation); nothing written
 //	409 — this daemon has no store (immutable container); nothing written
-//	413 — the batch exceeds MaxIngestSeqs; nothing written
+//	413 — the batch exceeds maxIngestSeqs; nothing written
 //	503 — shed (busy/draining/injected fault); nothing written
 //	500 — a commit failed midway: nothing is lost (recovery restores a
 //	      consistent pre- or post-commit state) but this process must be
@@ -71,7 +71,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.Draining() {
 		s.met.IngestsShed.Add(1)
-		SetRetryAfter(w, s.cfg.RetryAfter)
+		SetRetryAfter(w, retryAfter)
 		WriteError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
@@ -86,10 +86,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	if len(req.Sequences) > s.cfg.MaxIngestSeqs {
+	if len(req.Sequences) > maxIngestSeqs {
 		s.met.IngestsRejected.Add(1)
 		WriteError(w, http.StatusRequestEntityTooLarge, "batch of %d sequences exceeds the %d cap; split it",
-			len(req.Sequences), s.cfg.MaxIngestSeqs)
+			len(req.Sequences), maxIngestSeqs)
 		return
 	}
 	batch := make([]blast.Sequence, len(req.Sequences))
@@ -102,7 +102,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	case <-s.ingestTok:
 	default:
 		s.met.IngestsShed.Add(1)
-		SetRetryAfter(w, s.cfg.RetryAfter)
+		SetRetryAfter(w, retryAfter)
 		WriteError(w, http.StatusServiceUnavailable, "an ingest is already in flight; retry")
 		return
 	}
@@ -110,7 +110,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 	if err := fiIngest.Err(); err != nil {
 		s.met.IngestsShed.Add(1)
-		SetRetryAfter(w, s.cfg.RetryAfter)
+		SetRetryAfter(w, retryAfter)
 		WriteError(w, http.StatusServiceUnavailable, "ingest refused: %v", err)
 		return
 	}

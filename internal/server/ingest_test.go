@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -159,7 +161,11 @@ func TestIngestValidationAndRefusals(t *testing.T) {
 	}
 
 	f := newStoreFixture(t)
-	srv, base := f.start(t, Config{MaxIngestSeqs: 3})
+	srv, base := f.start(t, Config{})
+	oversized := make([]blast.Sequence, maxIngestSeqs+1)
+	for i := range oversized {
+		oversized[i] = blast.Sequence{Name: "big" + strconv.Itoa(i), Residues: "MKT"}
+	}
 	cases := []struct {
 		name   string
 		body   IngestRequest
@@ -168,7 +174,7 @@ func TestIngestValidationAndRefusals(t *testing.T) {
 		{"empty batch", IngestRequest{}, http.StatusBadRequest},
 		{"unnamed sequence", ingestBody([]blast.Sequence{{Residues: "MKTAYIAK"}}, false), http.StatusBadRequest},
 		{"bad residues", ingestBody([]blast.Sequence{{Name: "x", Residues: "MKT4YIAK"}}, false), http.StatusBadRequest},
-		{"oversized", ingestBody(ingestSeqs(4, 2, "big"), false), http.StatusRequestEntityTooLarge},
+		{"oversized", ingestBody(oversized, false), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		resp, data := postJSON(t, base+"/ingest", tc.body)
@@ -392,9 +398,10 @@ func TestIngestCompactAfterThreshold(t *testing.T) {
 	}
 }
 
-// TestReloadStoreEndpoint covers the delta-aware /reload: verify-only on a
-// store directory reports its manifest, and a swap onto the daemon's own
-// live store routes through the in-process Store (no second recovery).
+// TestReloadStoreEndpoint covers /reload on a daemon with a store: a swap
+// onto its own live store routes through the in-process Store (no second
+// recovery), and any other path is refused 409 with the store's view still
+// serving — /search and /ingest must never answer from two databases.
 func TestReloadStoreEndpoint(t *testing.T) {
 	f := newStoreFixture(t)
 	_, base := f.start(t, Config{})
@@ -402,19 +409,24 @@ func TestReloadStoreEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, data := postJSON(t, base+"/reload", ReloadRequest{Path: f.store.Dir(), VerifyOnly: true})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("verify-only reload: status %d: %s", resp.StatusCode, data)
-	}
-	var rr ReloadResponse
-	if err := json.Unmarshal(data, &rr); err != nil {
+	gen := f.ses.Generation()
+	other, err := blast.NewDatabase(f.base, f.params)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !rr.Verified || rr.ManifestSeq != 2 || rr.Deltas != 1 || rr.ManifestHash == "" {
-		t.Fatalf("verify-only response %+v", rr)
+	otherPath := filepath.Join(t.TempDir(), "other.mublastp")
+	if err := other.SaveFile(otherPath); err != nil {
+		t.Fatal(err)
+	}
+	resp, data := postJSON(t, base+"/reload", ReloadRequest{Path: otherPath})
+	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(data), "reloads only its directory") {
+		t.Fatalf("reload of another path on a store daemon: status %d, want 409 (%s)", resp.StatusCode, data)
+	}
+	if f.ses.Generation() != gen || f.ses.Refs() != 1 {
+		t.Fatalf("after the refused reload: generation %d, refs %d; want %d and 1", f.ses.Generation(), f.ses.Refs(), gen)
 	}
 
-	gen := f.ses.Generation()
+	var rr ReloadResponse
 	resp, data = postJSON(t, base+"/reload", ReloadRequest{Path: f.store.Dir()})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("store reload: status %d: %s", resp.StatusCode, data)
@@ -434,8 +446,8 @@ func TestReloadStoreEndpoint(t *testing.T) {
 }
 
 // TestReloadRefcountBalance is the server-side half of the leak pin: every
-// rejected /reload — bad path, injected fault — leaves the serving
-// generation's refcount at 1 and the generation unchanged.
+// rejected /reload — bad path, unknown field, injected fault — leaves the
+// serving generation's refcount at 1 and the generation unchanged.
 func TestReloadRefcountBalance(t *testing.T) {
 	f := newFixture(t)
 	_, base := f.start(t, Config{})
@@ -444,6 +456,12 @@ func TestReloadRefcountBalance(t *testing.T) {
 	resp, _ := postJSON(t, base+"/reload", ReloadRequest{Path: "/does/not/exist.mublastp"})
 	if resp.StatusCode == http.StatusOK {
 		t.Fatal("reload of a missing path succeeded")
+	}
+	// A probe written for the deleted verify-only mode is refused, not
+	// taken for a swap.
+	resp, _ = postJSON(t, base+"/reload", map[string]any{"path": f.pathB, "verify_only": true})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("reload naming verify_only: status %d, want 400", resp.StatusCode)
 	}
 	if err := faultinject.Enable("server.reload=error#1", 1); err != nil {
 		t.Fatal(err)

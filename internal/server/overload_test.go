@@ -150,11 +150,9 @@ func TestDegradedMode(t *testing.T) {
 		Concurrency: 1,
 		// DegradeAfter < 0 resolves to zero dwell: the mode trips on the
 		// first sample at or over the high watermark (queue depth 3).
-		DegradeAfter:       -1,
-		MaxQueries:         8,
-		DegradedMaxQueries: 2,
-		DefaultTimeout:     30 * time.Second,
-		DegradedTimeout:    5 * time.Second,
+		DegradeAfter: -1,
+		// Degraded mode shrinks the deadline to a quarter of this.
+		DefaultTimeout: 20 * time.Second,
 	})
 	base := serveGated(t, srv)
 
@@ -176,9 +174,10 @@ func TestDegradedMode(t *testing.T) {
 		t.Errorf("degraded_mode gauge = %v, want 1", v)
 	}
 
-	// A request sampled in degraded mode: batch capped at 2 of its 4 queries,
-	// deadline shrunk, both reported in the response.
-	queries := make([]QueryInput, 4)
+	// A request sampled in degraded mode: batch capped at degradedMaxQueries
+	// of its degradedMaxQueries+2 queries, deadline shrunk, both reported in
+	// the response.
+	queries := make([]QueryInput, degradedMaxQueries+2)
 	for i := range queries {
 		queries[i] = QueryInput{Name: "q", Residues: f.query}
 	}
@@ -213,8 +212,8 @@ func TestDegradedMode(t *testing.T) {
 	if !sr.Degraded {
 		t.Error("request admitted under pressure not flagged degraded")
 	}
-	if sr.Truncated != 2 || len(sr.Results) != 2 {
-		t.Errorf("degraded truncation: truncated=%d results=%d, want 2 and 2", sr.Truncated, len(sr.Results))
+	if sr.Truncated != 2 || len(sr.Results) != degradedMaxQueries {
+		t.Errorf("degraded truncation: truncated=%d results=%d, want 2 and %d", sr.Truncated, len(sr.Results), degradedMaxQueries)
 	}
 	if sr.Stats.EffectiveTimeout != "5s" {
 		t.Errorf("degraded effective timeout = %s, want 5s", sr.Stats.EffectiveTimeout)

@@ -44,6 +44,23 @@ var (
 	fiIngest = faultinject.NewSite("server.ingest")
 )
 
+// Request bounds every daemon serves with. They have no setting: no caller
+// needs another value, and the clients' contract is simpler for it.
+const (
+	// MaxTimeout caps client-requested deadlines.
+	MaxTimeout = 2 * time.Minute
+	// MaxQueries caps the batch size of one request.
+	MaxQueries = 64
+	// degradedMaxQueries caps the batch of a /search admitted in degraded
+	// mode; its deadline shrinks to a quarter of DefaultTimeout.
+	degradedMaxQueries = MaxQueries / 4
+	// retryAfter is the Retry-After hint attached to sheds.
+	retryAfter = time.Second
+	// maxIngestSeqs caps the sequences of one ingest batch; larger batches
+	// are refused 413 before anything touches the WAL.
+	maxIngestSeqs = 10000
+)
+
 // Config tunes the serving layer. The zero value of every field selects the
 // documented default.
 type Config struct {
@@ -56,37 +73,25 @@ type Config struct {
 	// batches never oversubscribe the cores the scheduler plans for.
 	Concurrency int
 	// DefaultTimeout is the per-request deadline when the client sends none
-	// (default 30s). MaxTimeout caps client-requested deadlines (default 2m).
+	// (default 30s); MaxTimeout caps what a client may ask for.
 	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
-	// MaxQueries caps the batch size of one request (default 64).
-	MaxQueries int
 
-	// Degraded mode: when the admission queue stays at or above degradeHigh
-	// of Queue for DegradeAfter (default 250ms), the server trips into
-	// degraded mode — per-request deadlines shrink to DegradedTimeout
-	// (default DefaultTimeout/4) and batch size caps at DegradedMaxQueries
-	// (default MaxQueries/4) — and recovers once depth stays at or below
-	// degradeLow of Queue for DegradeAfter. Responses report the mode
-	// honestly.
-	DegradeAfter       time.Duration
-	DegradedTimeout    time.Duration
-	DegradedMaxQueries int
-
-	// RetryAfter is the Retry-After hint attached to sheds (default 1s).
-	RetryAfter time.Duration
+	// DegradeAfter is degraded mode's dwell (default 250ms; negative means
+	// none): when the admission queue stays at or above degradeHigh of Queue
+	// for DegradeAfter, the server trips into degraded mode — per-request
+	// deadlines shrink to DefaultTimeout/4 and a /search batch caps at
+	// MaxQueries/4 — and recovers once depth stays at or below degradeLow of
+	// Queue for DegradeAfter. Responses report the mode honestly.
+	DegradeAfter time.Duration
 
 	// Store, when set, is the crash-safe ingest store backing this daemon's
 	// database: POST /ingest appends batches to it (WAL-committed delta
 	// containers) and hot-swaps the session onto the new base+deltas view,
-	// and /reload requests naming the store's own directory route through
-	// the live Store rather than re-running recovery against it. Nil (the
-	// default) answers /ingest with 409: this daemon serves an immutable
-	// container.
+	// and /reload may name only the store's own directory, which it serves
+	// from the live Store rather than re-running recovery against it. Nil
+	// (the default) answers /ingest with 409: this daemon serves an
+	// immutable container.
 	Store *blast.Store
-	// MaxIngestSeqs caps the sequences of one ingest batch (default 10000);
-	// larger batches are refused 413 before anything touches the WAL.
-	MaxIngestSeqs int
 	// CompactAfter, when positive, compacts the store (merging base+deltas
 	// into a fresh base under verify-before-swap) as part of any ingest that
 	// leaves at least this many delta containers. 0 disables automatic
@@ -120,12 +125,6 @@ func (c Config) edgeDefaults() Config {
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
 	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 2 * time.Minute
-	}
-	if c.MaxQueries <= 0 {
-		c.MaxQueries = 64
-	}
 	if c.Registry == nil {
 		c.Registry = obs.Default
 	}
@@ -152,21 +151,6 @@ func (c Config) withDefaults(threads int) Config {
 		c.DegradeAfter = 0
 	} else if c.DegradeAfter == 0 {
 		c.DegradeAfter = 250 * time.Millisecond
-	}
-	if c.DegradedTimeout <= 0 {
-		c.DegradedTimeout = c.DefaultTimeout / 4
-	}
-	if c.DegradedMaxQueries <= 0 {
-		c.DegradedMaxQueries = c.MaxQueries / 4
-		if c.DegradedMaxQueries < 1 {
-			c.DegradedMaxQueries = 1
-		}
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxIngestSeqs <= 0 {
-		c.MaxIngestSeqs = 10000
 	}
 	return c
 }

@@ -220,32 +220,33 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 }
 
-// TestReloadRefusesNarrowPadding: a container built for a narrower two-hit
-// window than the daemon searches with is a params mismatch, so /reload
-// answers 422 and the old generation keeps serving.
-func TestReloadRefusesNarrowPadding(t *testing.T) {
+// TestReloadRefusesMismatchedContainer: a container built with another
+// matrix than the daemon searches with is a params mismatch, so /reload
+// answers 422, the old generation keeps serving, and its refcount stays
+// balanced.
+func TestReloadRefusesMismatchedContainer(t *testing.T) {
 	f := newFixture(t)
 	_, base := f.start(t, Config{})
 	wantA := wantHits(t, f.dbA, f.query)
 
-	narrow := f.params
-	narrow.TwoHitWindow = 11
-	db, err := blast.NewDatabase([]blast.Sequence{{Name: "only", Residues: f.query}}, narrow)
+	drifted := f.params
+	drifted.Matrix = "BLOSUM50"
+	db, err := blast.NewDatabase([]blast.Sequence{{Name: "only", Residues: f.query}}, drifted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "narrow.mublastp")
+	path := filepath.Join(t.TempDir(), "blosum50.mublastp")
 	if err := db.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	resp, data := postJSON(t, base+"/reload", ReloadRequest{Path: path})
-	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(data), "TwoHitWindow") {
-		t.Fatalf("reload onto a container padded for window 11: status %d, want 422 naming TwoHitWindow (%s)", resp.StatusCode, data)
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(data), `database built with \"BLOSUM50\"`) {
+		t.Fatalf("reload onto a BLOSUM50 container: status %d, want 422 naming its matrix (%s)", resp.StatusCode, data)
 	}
 	_, sr := searchOnce(t, base, f.query)
-	if !reflect.DeepEqual(sr.Results[0].Hits, wantA) || sr.Generation != 1 {
-		t.Errorf("after the refused reload: generation %d, hits identical %v; want generation 1 serving unchanged",
-			sr.Generation, reflect.DeepEqual(sr.Results[0].Hits, wantA))
+	if !reflect.DeepEqual(sr.Results[0].Hits, wantA) || sr.Generation != 1 || f.ses.Refs() != 1 {
+		t.Errorf("after the refused reload: generation %d, refs %d, hits identical %v; want generation 1 serving unchanged, refs 1",
+			sr.Generation, f.ses.Refs(), reflect.DeepEqual(sr.Results[0].Hits, wantA))
 	}
 }
 

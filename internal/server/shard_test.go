@@ -169,44 +169,3 @@ func TestShardSearchValidation(t *testing.T) {
 		}
 	}
 }
-
-// TestReloadVerifyOnly pins the rolling-reload probe: verify_only validates
-// the candidate container and reports its shape without swapping, and a
-// garbage path is rejected without touching the serving database.
-func TestReloadVerifyOnly(t *testing.T) {
-	f := newFixture(t)
-	srv, base := f.start(t, Config{})
-	gen := srv.Session().Generation()
-
-	resp, data := postJSON(t, base+"/reload", ReloadRequest{Path: f.pathB, VerifyOnly: true})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("verify_only reload: status %d: %s", resp.StatusCode, data)
-	}
-	var rr ReloadResponse
-	if err := json.Unmarshal(data, &rr); err != nil {
-		t.Fatal(err)
-	}
-	if !rr.Verified {
-		t.Fatal("verify_only response not marked verified")
-	}
-	if rr.Fingerprint == nil || *rr.Fingerprint != f.dbA.Fingerprint() {
-		t.Fatalf("verify_only fingerprint %+v, want %+v", rr.Fingerprint, f.dbA.Fingerprint())
-	}
-	if rr.Sequences != 14 {
-		t.Fatalf("verify_only reports %d sequences in container B, want 14", rr.Sequences)
-	}
-	if srv.Session().Generation() != gen {
-		t.Fatal("verify_only must not swap the database")
-	}
-	if srv.Session().Reloads() != 0 {
-		t.Fatal("verify_only must not count as a reload")
-	}
-
-	resp, _ = postJSON(t, base+"/reload", ReloadRequest{Path: f.pathA + ".nope", VerifyOnly: true})
-	if resp.StatusCode == http.StatusOK {
-		t.Fatal("verifying a missing container must fail")
-	}
-	if srv.Session().Generation() != gen {
-		t.Fatal("failed verify must not touch the serving database")
-	}
-}
