@@ -258,7 +258,7 @@ func BenchmarkUngappedExtend(b *testing.B) {
 	s := g.Sequence(512)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ungapped.Extend(matrix.Blosum62, q, s, 256, 256, 16)
+		ungapped.Extend(matrix.Blosum62, q, s, 256, 256, 16, 0)
 	}
 }
 

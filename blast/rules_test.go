@@ -17,6 +17,7 @@ import (
 var goldenByRules = []string{
 	"115e80494eedc02795dc50e77da0bfa0de0a415f63aae6402d37c485fae3b4fd",
 	"b927ef4523ab5386131eeb952fed0f954827c611acca65d83d8aefd150e7e65a",
+	"1f7a3bd11a7cb8c57220c265297e14e12d30bed587be01fe88ff7d8a7ca261a9",
 }
 
 // TestRulesVersionPinsGoldens ties RulesVersion to the engine's goldens:

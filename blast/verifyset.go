@@ -18,7 +18,11 @@ import (
 //     alignment entered the gapped stage when it scored above 38 raw.
 //  2. It enters at NCBI's gap trigger S1 or above: 22 bits through the
 //     matrix's ungapped statistics, 41 raw on BLOSUM62.
-const RulesVersion = 2
+//  3. NCBI's two-hit extension: a pair's extension walks right only if the
+//     left walk's best reaches the end of the first hit's word; otherwise
+//     it is the seed word plus its left half, and the diagonal advances only
+//     to the hit.
+const RulesVersion = 3
 
 // ErrRulesMismatch marks a shard set whose replicas report different
 // RulesVersions: they answer one query differently, so a merge of their

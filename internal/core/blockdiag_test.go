@@ -98,7 +98,7 @@ func checkBlockDiagonal(t *testing.T, seqs [][]alphabet.Code, q []alphabet.Code,
 		loop.e.detectPrefiltered(sc, q, 0, coder, &st)
 		got := map[uint32][]int32{}
 		for _, p := range sc.pairs {
-			got[p.Key] = append(got[p.Key], p.QOff)
+			got[p.Key] = append(got[p.Key], p.Off())
 		}
 		if st.Hits != wantHits || st.Pairs != wantPairs {
 			t.Errorf("%s: %d hits %d pairs, replay %d hits %d pairs", loop.name, st.Hits, st.Pairs, wantHits, wantPairs)

@@ -11,24 +11,32 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden result files")
 
-// TestGoldenResults pins the engine's complete output on a fixed workload.
+// TestGoldenResults pins the engine's complete output on fixed workloads.
 // Any change to the heuristics — word hits, two-hit pairing, extension
 // semantics, gapped scoring, ranking — shows up as a golden diff, which
 // must then be an intentional, reviewed change (regenerate with
-// `go test ./internal/core -run Golden -update-golden`).
+// `go test ./internal/core -run Golden -update-golden`). The second workload
+// is one where NCBI's extension rule (walk right only when the left walk
+// reaches the first hit) moves the output; the first is blind to it.
 func TestGoldenResults(t *testing.T) {
-	cfg, ix, queries := world(t, 1001, 80, 4, 160, 8192)
-	engine := New(cfg, ix)
 	var b strings.Builder
-	for qi, q := range queries {
-		res := engine.Search(qi, q)
-		fmt.Fprintf(&b, "query %d len %d hits %d pairs %d exts %d kept %d gapped %d\n",
-			qi, len(q), res.Stats.Hits, res.Stats.Pairs, res.Stats.Extensions,
-			res.Stats.Kept, res.Stats.GappedExts)
-		for _, h := range res.HSPs {
-			fmt.Fprintf(&b, "  %s score %d q[%d:%d] s[%d:%d] e %.3g ops %s\n",
-				h.SubjectName, h.Aln.Score, h.Aln.QStart, h.Aln.QEnd,
-				h.Aln.SStart, h.Aln.SEnd, h.EValue, h.Aln.Ops)
+	for _, w := range []struct {
+		seed  int64
+		nSeqs int
+	}{{1001, 80}, {1002, 120}} {
+		fmt.Fprintf(&b, "workload seed %d subjects %d\n", w.seed, w.nSeqs)
+		cfg, ix, queries := world(t, w.seed, w.nSeqs, 4, 160, 8192)
+		engine := New(cfg, ix)
+		for qi, q := range queries {
+			res := engine.Search(qi, q)
+			fmt.Fprintf(&b, "query %d len %d hits %d pairs %d exts %d kept %d gapped %d\n",
+				qi, len(q), res.Stats.Hits, res.Stats.Pairs, res.Stats.Extensions,
+				res.Stats.Kept, res.Stats.GappedExts)
+			for _, h := range res.HSPs {
+				fmt.Fprintf(&b, "  %s score %d q[%d:%d] s[%d:%d] e %.3g ops %s\n",
+					h.SubjectName, h.Aln.Score, h.Aln.QStart, h.Aln.QEnd,
+					h.Aln.SStart, h.Aln.SEnd, h.EValue, h.Aln.Ops)
+			}
 		}
 	}
 	got := b.String()

@@ -13,7 +13,9 @@
 //     packed (sequence, diagonal) key (Section IV-B);
 //  3. ungapped extension consumes the sorted pairs, walking subject
 //     sequences in order and skipping pairs covered by a previous extension
-//     (Algorithm 1 lines 15–25);
+//     (Algorithm 1 lines 15–25); a pair's extension walks right only if its
+//     left walk reaches the first hit's word (NCBI's rule), whose distance
+//     the detection loops record in the pair's spare bits (hit.Pair.Dist);
 //  4. the gapped stage and final E-value ranking live in internal/search,
 //     shared with the baseline engines of internal/baseline.
 //
@@ -91,6 +93,9 @@ func NewWithOptions(cfg *search.Config, ix *dbindex.Index, opt Options) *Engine 
 	if maxWindow := ix.MaxWindow(); cfg.TwoHit.Window > maxWindow {
 		panic(fmt.Sprintf("core: two-hit window %d, but the index is padded for at most %d (build it with dbindex.BuildWindow)",
 			cfg.TwoHit.Window, maxWindow))
+	}
+	if cfg.TwoHit.Window > hit.MaxWindow {
+		panic(fmt.Sprintf("core: two-hit window %d, but a pair record carries distances below %d", cfg.TwoHit.Window, hit.MaxWindow))
 	}
 	met := opt.Metrics
 	if met == nil {
@@ -346,7 +351,7 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 						trace(search.SpaceLastHit, int64(slot)*4)
 					}
 					pi++
-					if _, paired := sc.lastPos.Check(slot, int32(qOff), window); paired {
+					if dist, paired := sc.lastPos.Check(slot, int32(qOff), window); paired {
 						st.Pairs++
 						if trace != nil {
 							// The simulator keeps modelling the paper's 12-byte
@@ -354,7 +359,7 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 							trace(search.SpaceHitBuf, int64(len(sc.pairs))*12)
 						}
 						local, sOff := b.Decode(g)
-						sc.pairs = append(sc.pairs, hit.Pair{Key: coder.Encode(local, sOff-qOff+diagBias), QOff: int32(qOff)})
+						sc.pairs = append(sc.pairs, hit.NewPair(coder.Encode(local, sOff-qOff+diagBias), int32(qOff), dist))
 					}
 				}
 				offs = offs[n:]
@@ -383,10 +388,10 @@ func (e *Engine) detectScanFast(sc *scratch, q []alphabet.Code, b *dbindex.Block
 		k.row = lastPos.From(diagBias - qOff) // slot = G - qOff + diagBias
 		first := k.np
 		k.scan(nbrs.Neighbors(alphabet.WordAt(q, qOff)))
-		// The scan stores only the coordinate of a record; the survivors of
-		// this query offset are buf[first:np].
+		// The scan stores only the coordinate and the distance of a record;
+		// the survivors of this query offset are buf[first:np].
 		for i := first; i < k.np; i++ {
-			k.buf[i].QOff = int32(qOff)
+			k.buf[i] = hit.NewPair(k.buf[i].Key, int32(qOff), k.buf[i].QOff)
 		}
 	}
 	sc.pairs = k.buf[:k.np]
@@ -395,7 +400,7 @@ func (e *Engine) detectScanFast(sc *scratch, q []alphabet.Code, b *dbindex.Block
 	for i := range sc.pairs {
 		p := &sc.pairs[i]
 		local, sOff := b.Decode(p.Key)
-		p.Key = coder.Encode(local, sOff-int(p.QOff)+diagBias)
+		p.Key = coder.Encode(local, sOff-int(p.Off())+diagBias)
 	}
 }
 
@@ -446,8 +451,10 @@ func (k *pairScan) scan(words []alphabet.Word) {
 // with a pattern a predictor can learn, so the verdict is an increment and
 // the keep-or-replace of the slot a conditional move inside CheckStamp.
 // Records of unpaired hits are dead stores that the next hit overwrites. The
-// record holds only the coordinate where the key will go; the caller fills
-// in the query offset, and the survivors alone are decoded.
+// record holds only the coordinate where the key will go and CheckStamp's
+// key where the packed offset will go — the key is the distance to the first
+// hit when the hit pairs; the caller packs in the query offset, and the
+// survivors alone are decoded.
 //
 // The loop gets the registers to itself only in a function of its own: in a
 // loop nest, the compiler reloads a handful of spilled values per hit.
@@ -457,8 +464,9 @@ func (k *pairScan) run(offs []uint16, g uint32) int {
 	buf, np, row, stamp, span := k.buf, k.np, k.row, k.stamp, k.span
 	for _, d := range offs {
 		g = dbindex.Next(g, d)
-		buf[np].Key = g
-		np += search.CheckStamp(&row[g], stamp, span)
+		dist, inc := search.CheckStamp(&row[g], stamp, span)
+		buf[np] = hit.Pair{Key: g, QOff: int32(dist)}
+		np += inc
 	}
 	return np
 }
@@ -523,11 +531,12 @@ func (e *Engine) extendPairs(sc *scratch, q []alphabet.Code, bi int, coder hit.K
 	}
 
 	// The per-pair work is Canon.ExtendPair unrolled into the loop: the
-	// cover test, the Trigger decision, and the ExtReached advance are the
-	// exact Algorithm 1 lines 15-25 (the cross-engine identity tests pin
-	// this against Canon), with the kernel dispatch and key decode hoisted
-	// so the 10M-pairs-per-batch loop runs call-free except the extension
-	// itself.
+	// cover test, the need the pair record's first-hit distance sets, the
+	// Trigger decision, and the ExtReached advance (to the extension end
+	// only when the right walk ran) are the exact Algorithm 1 lines 15-25
+	// under NCBI's extension rule (the cross-engine identity tests pin this
+	// against Canon), with the kernel dispatch and key decode hoisted so the
+	// 10M-pairs-per-batch loop runs call-free except the extension itself.
 	//
 	// Extension is score first: all but ~0.1% of pairs end at "Score <
 	// Trigger", and a rejected pair leaves nothing behind but ExtReached =
@@ -563,24 +572,27 @@ func (e *Engine) extendPairs(sc *scratch, q []alphabet.Code, bi int, coder hit.K
 			gsi = b.Block.Start + local
 			s = e.Ix.DB.Seqs[gsi].Data
 		}
-		if d.ExtReached > p.QOff {
+		at := p.Off()
+		if d.ExtReached > at {
 			continue // covered by a previous extension
 		}
-		qOff := int(p.QOff)
+		d.ExtReached = at // further only past a kept extension that walked right
+		qOff := int(at)
 		sOff := diag + qOff - diagBias
+		need := int(p.Dist()) - alphabet.W
 		extensions++
 		var ext ungapped.Ext
+		var reach bool
 		if scoreFirst {
-			if ungapped.ExtendScore(prof, s, qOff, sOff, xDrop) < trigger {
-				d.ExtReached = p.QOff
+			if score, _ := ungapped.ExtendScore(prof, s, qOff, sOff, xDrop, need); score < trigger {
 				continue
 			}
-			ext = ungapped.ExtendProfile(prof, s, qOff, sOff, xDrop)
+			ext, reach = ungapped.ExtendProfile(prof, s, qOff, sOff, xDrop, need)
 		} else {
 			if useProf {
-				ext = ungapped.ExtendProfile(prof, s, qOff, sOff, xDrop)
+				ext, reach = ungapped.ExtendProfile(prof, s, qOff, sOff, xDrop, need)
 			} else {
-				ext = ungapped.Extend(e.Cfg.Matrix, q, s, qOff, sOff, xDrop)
+				ext, reach = ungapped.Extend(e.Cfg.Matrix, q, s, qOff, sOff, xDrop, need)
 			}
 			if trace != nil {
 				for off := e.subjOff[gsi] + int64(ext.SStart); off < e.subjOff[gsi]+int64(ext.SEnd); off++ {
@@ -588,11 +600,12 @@ func (e *Engine) extendPairs(sc *scratch, q []alphabet.Code, bi int, coder hit.K
 				}
 			}
 			if ext.Score < trigger {
-				d.ExtReached = p.QOff
 				continue
 			}
 		}
-		d.ExtReached = int32(ext.QEnd)
+		if reach {
+			d.ExtReached = int32(ext.QEnd)
+		}
 		kept++
 		sc.exts = append(sc.exts, ext)
 	}

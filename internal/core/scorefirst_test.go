@@ -65,7 +65,7 @@ func TestExtendPairsScoreFirstMatchesFull(t *testing.T) {
 				}
 				local, diag := coder.Decode(p.Key)
 				s := ix.DB.Seqs[b.Block.Start+local].Data
-				ext, extended, keep := canon.ExtendPair(&d, q, s, int(p.QOff), diag+int(p.QOff)-diagBias)
+				ext, extended, keep := canon.ExtendPair(&d, q, s, int(p.Off()), diag+int(p.Off())-diagBias, int(p.Dist()))
 				if extended {
 					wantExtensions++
 					if ext.Score == cfg.TwoHit.Trigger {
@@ -177,7 +177,7 @@ func TestGapTriggerBoundary(t *testing.T) {
 				}
 				local, diag := coder.Decode(p.Key)
 				s := ix.DB.Seqs[b.Block.Start+local].Data
-				ext, extended, keep := canon.ExtendPair(&d, q, s, int(p.QOff), diag+int(p.QOff)-diagBias)
+				ext, extended, keep := canon.ExtendPair(&d, q, s, int(p.Off()), diag+int(p.Off())-diagBias, int(p.Dist()))
 				if !extended || (ext.Score != s1 && ext.Score != s1-1) {
 					continue
 				}

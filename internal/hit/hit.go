@@ -2,21 +2,46 @@
 // reordering, and ungapped extension, and the packed 32-bit key the paper
 // sorts on (Section IV-A): subject sequence id in the high bits, diagonal id
 // in the low bits, so one sort pass orders pairs by sequence and diagonal at
-// once. Only the query offset is stored alongside the key; the subject
-// offset is recomputed from the diagonal when needed.
+// once. Only the query offset and the distance back to the pair's first hit
+// are stored alongside the key, packed into one word; the subject offset is
+// recomputed from the diagonal when needed.
 package hit
 
 import "fmt"
 
 // Pair is a two-hit pair selected for ungapped extension, recorded as its
-// second hit: the packed (sequence, diagonal) key plus the query offset where
-// that hit's word starts. The distance back to the first hit decided that the
-// pair exists and nothing downstream reads it, so it is not carried: a pair
-// is 8 bytes through the sort, not the paper's 12.
+// second hit: the packed (sequence, diagonal) key, and in QOff the query
+// offset where that hit's word starts (the low OffBits bits, see Off) with
+// the distance back to the first hit above it (see Dist). The extension
+// reads the distance — it walks right only if the left walk reaches the
+// first hit's word — and a two-hit window bounds it, so it rides in the
+// offset's spare bits: a pair is 8 bytes through the sort, not the paper's
+// 12 (key, offset, distance).
 type Pair struct {
 	Key  uint32
 	QOff int32
 }
+
+// OffBits is the width of a pair's query offset: the detection loops record
+// offsets of at most 1<<20 - 1 (search.MaxQOff).
+const OffBits = 20
+
+// MaxWindow is the widest two-hit window whose distances (< window) fit in
+// QOff's bits above the offset.
+const MaxWindow = 1 << (31 - OffBits)
+
+// NewPair returns the record of a pair whose second hit is at query offset
+// qOff, in [0, 1<<OffBits), and whose first hit lies dist offsets before it,
+// dist in [0, MaxWindow).
+func NewPair(key uint32, qOff, dist int32) Pair {
+	return Pair{Key: key, QOff: dist<<OffBits | qOff}
+}
+
+// Off returns the query offset of the pair's second hit.
+func (p Pair) Off() int32 { return p.QOff & (1<<OffBits - 1) }
+
+// Dist returns the distance from the pair's first hit to its second.
+func (p Pair) Dist() int32 { return p.QOff >> OffBits }
 
 // SortKey returns the radix key of the pair.
 func (p Pair) SortKey() uint32 { return p.Key }

@@ -3,6 +3,7 @@ package hit
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKeyCoderRoundTrip(t *testing.T) {
@@ -98,5 +99,22 @@ func TestSortKeyAccessors(t *testing.T) {
 	p := Pair{Key: 43, QOff: 8}
 	if p.SortKey() != 43 {
 		t.Error("Pair.SortKey")
+	}
+}
+
+// TestPairRecord pins the pair record at 8 bytes — the key and one packed
+// word — and the packing: offset and distance come back out of it at the
+// ends of their ranges.
+func TestPairRecord(t *testing.T) {
+	if n := unsafe.Sizeof(Pair{}); n != 8 {
+		t.Fatalf("hit.Pair is %d bytes, want 8", n)
+	}
+	for _, c := range []struct{ off, dist int32 }{
+		{0, 0}, {1, 3}, {1<<OffBits - 1, 39}, {12345, MaxWindow - 1}, {1<<OffBits - 1, MaxWindow - 1},
+	} {
+		p := NewPair(77, c.off, c.dist)
+		if p.Key != 77 || p.Off() != c.off || p.Dist() != c.dist {
+			t.Errorf("NewPair(77, %d, %d) reads back key %d offset %d distance %d", c.off, c.dist, p.Key, p.Off(), p.Dist())
+		}
 	}
 }

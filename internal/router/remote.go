@@ -36,10 +36,11 @@ type RemoteOptions struct{}
 
 // RemoteWorker is a Worker backed by a mublastpd daemon over HTTP: Search
 // drives POST /shard/search, HealthCheck (the prober's ejection signal) GET
-// /readyz, Info (the registration handshake) GET /shard/info, and Reload
-// (rolling-reload orchestration) POST /reload. Saturation (429 +
-// Retry-After) decodes back into BusyError, so the router's shed/failure
-// distinction — and with it the honesty contract — survives the network hop.
+// /readyz and GET /shard/info, Info (the registration handshake) GET
+// /shard/info, and Reload (rolling-reload orchestration) POST /reload.
+// Saturation (429 + Retry-After) decodes back into BusyError, so the
+// router's shed/failure distinction — and with it the honesty contract —
+// survives the network hop.
 type RemoteWorker struct {
 	name   string
 	base   string // http://host:port, no trailing slash
@@ -47,6 +48,17 @@ type RemoteWorker struct {
 
 	inflight atomic.Int64
 	gen      atomic.Int64 // last generation seen from the daemon
+
+	rules atomic.Pointer[handshakeRules] // from Info; nil before it
+}
+
+// handshakeRules are the facts of a /shard/info reply a replica must keep
+// while it serves: restarted on another build (rules version) or database
+// build (fingerprint), its parts no longer merge with its peers'. The
+// manifest is not among them: a rolling reload moves it.
+type handshakeRules struct {
+	version     int
+	fingerprint blast.Fingerprint
 }
 
 // The shard deadline a RemoteWorker propagates is the request's remaining
@@ -189,10 +201,34 @@ func (w *RemoteWorker) Search(ctx context.Context, queries []string, shard, numS
 	return part, nil
 }
 
-// HealthCheck implements HealthChecker against GET /readyz: nil on 200,
-// an error (the prober's ejection signal) otherwise.
+// HealthCheck implements HealthChecker: nil while GET /readyz answers 200
+// and, once the handshake has run, GET /shard/info reports the rules version
+// and fingerprint the handshake did; an error (the prober's ejection signal)
+// otherwise. A replica restarted on other rules stays ejected until it
+// reports the handshake's again.
 func (w *RemoteWorker) HealthCheck(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+"/readyz", nil)
+	if err := w.probe(ctx, "/readyz", nil); err != nil {
+		return err
+	}
+	want := w.rules.Load()
+	if want == nil {
+		return nil
+	}
+	var info server.ShardInfoResponse
+	if err := w.probe(ctx, "/shard/info", &info); err != nil {
+		return err
+	}
+	if info.RulesVersion != want.version || info.Fingerprint != want.fingerprint {
+		return fmt.Errorf("router: worker %s now searches by rules version %d, fingerprint %+v; its handshake reported %d, %+v",
+			w.name, info.RulesVersion, info.Fingerprint, want.version, want.fingerprint)
+	}
+	return nil
+}
+
+// probe GETs one of the daemon's status paths and, when into is non-nil,
+// decodes the reply into it: nil on 200, an error otherwise.
+func (w *RemoteWorker) probe(ctx context.Context, path string, into any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+path, nil)
 	if err != nil {
 		return err
 	}
@@ -201,14 +237,21 @@ func (w *RemoteWorker) HealthCheck(ctx context.Context) error {
 		return fmt.Errorf("router: worker %s unreachable: %w", w.name, err)
 	}
 	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
+	defer io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("router: worker %s not ready: /readyz status %d", w.name, resp.StatusCode)
+		return fmt.Errorf("router: worker %s not ready: %s status %d", w.name, path, resp.StatusCode)
+	}
+	if into != nil {
+		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+			return fmt.Errorf("router: worker %s: decoding %s: %w", w.name, path, err)
+		}
 	}
 	return nil
 }
 
-// Info runs the registration handshake against GET /shard/info.
+// Info runs the registration handshake against GET /shard/info, and
+// remembers the rules version and fingerprint the daemon reported for
+// HealthCheck to hold it to.
 func (w *RemoteWorker) Info(ctx context.Context) (*server.ShardInfoResponse, error) {
 	resp, err := w.do(ctx, http.MethodGet, "/shard/info", nil)
 	if err != nil {
@@ -224,6 +267,7 @@ func (w *RemoteWorker) Info(ctx context.Context) (*server.ShardInfoResponse, err
 		return nil, fmt.Errorf("router: worker %s: decoding /shard/info: %w", w.name, err)
 	}
 	w.gen.Store(info.Generation)
+	w.rules.Store(&handshakeRules{version: info.RulesVersion, fingerprint: info.Fingerprint})
 	return &info, nil
 }
 

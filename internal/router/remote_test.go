@@ -264,6 +264,54 @@ func TestRemoteWorkerHealthCheck(t *testing.T) {
 	}
 }
 
+// TestProbeHoldsReplicaToHandshakeRules: a replica that restarts on another
+// build behind the router — here its /shard/info flips rules_version — still
+// answers /readyz, but the prober ejects it, keeps it out while it reports
+// the other rules, and readmits it when it reports the handshake's again.
+func TestProbeHoldsReplicaToHandshakeRules(t *testing.T) {
+	var rules atomic.Int64
+	rules.Store(blast.RulesVersion)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/readyz":
+		case "/shard/info":
+			json.NewEncoder(w).Encode(server.ShardInfoResponse{
+				Fingerprint:  blast.Fingerprint{Matrix: "BLOSUM62", WordSize: 3, NeighborThreshold: 11},
+				RulesVersion: int(rules.Load()),
+			})
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer ts.Close()
+	w := NewRemoteWorker("w", ts.URL, RemoteOptions{})
+	if _, err := w.Info(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	cfg := ResilienceConfig{ReadmitBackoff: 100 * time.Millisecond, ReadmitBackoffMax: 100 * time.Millisecond}
+	r, met := newTestReplica(w, cfg)
+	ctx, now := context.Background(), time.Now()
+
+	r.probe(ctx, now)
+	if !r.healthy() {
+		t.Fatal("replica on the handshake's rules ejected")
+	}
+	rules.Store(blast.RulesVersion - 1)
+	r.probe(ctx, now)
+	if r.healthy() || met.Ejections.Value() != 1 {
+		t.Fatalf("replica on other rules: healthy %v, ejections %d; want ejected once", r.healthy(), met.Ejections.Value())
+	}
+	r.probe(ctx, now.Add(time.Second))
+	if r.healthy() {
+		t.Fatal("replica on other rules readmitted")
+	}
+	rules.Store(blast.RulesVersion)
+	r.probe(ctx, now.Add(2*time.Second))
+	if !r.healthy() || met.Readmissions.Value() != 1 {
+		t.Fatalf("replica back on the handshake's rules: healthy %v, readmissions %d; want readmitted once", r.healthy(), met.Readmissions.Value())
+	}
+}
+
 // fakeInfoServer serves a scripted /shard/info for topology tests.
 func fakeInfoServer(t *testing.T, info server.ShardInfoResponse) *RemoteWorker {
 	t.Helper()

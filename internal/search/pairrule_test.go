@@ -10,9 +10,11 @@ import (
 
 // The two-hit rule is stated three times — ungapped.Canon.PairCheck (the
 // semantics every baseline reaches through Canon.Step), StampedLastPos.Check
-// (the general detection loop) and StampedLastPos16.CheckCount (the fast
-// scan) — and engine-vs-baseline identity holds only while the three agree
-// hit for hit. pairRuleTrio drives one hit stream through all three.
+// (the general detection loop) and CheckStamp on StampedLastPos16's slots
+// (the fast scan) — and engine-vs-baseline identity holds only while the
+// three agree hit for hit, on the verdict and, for a pair, on the distance
+// to its first hit, which decides how far the pair is extended.
+// pairRuleTrio drives one hit stream through all three.
 type pairRuleTrio struct {
 	canon  ungapped.Canon
 	diags  []ungapped.DiagState
@@ -37,18 +39,22 @@ func (p *pairRuleTrio) reset(n int) {
 	p.narrow.Reset(n)
 }
 
-// hit returns the three verdicts for one hit; the uint16 form is consulted
-// only when it can represent the hit (qOff <= MaxQOff16, window > W) and
-// echoes the wide verdict otherwise.
-func (p *pairRuleTrio) hit(slot, qOff int) (canon, wide, narrow bool) {
+// hit returns the three verdicts for one hit and the distances the three
+// forms report for it: Canon's is read from the diagonal state before
+// PairCheck stores the hit, as Canon.Step reads it. The uint16 form is
+// consulted only when it can represent the hit (qOff <= MaxQOff16, window >
+// W) and echoes the wide verdict and distance otherwise.
+func (p *pairRuleTrio) hit(slot, qOff int) (canon, wide, narrow bool, dist [3]int32) {
 	window := int32(p.canon.P.Window)
+	dist[0] = int32(qOff) - p.diags[slot].LastPos
 	canon = p.canon.PairCheck(&p.diags[slot], qOff)
-	_, wide = p.wide.Check(slot, int32(qOff), window)
-	narrow = wide
+	dist[1], wide = p.wide.Check(slot, int32(qOff), window)
+	narrow, dist[2] = wide, dist[1]
 	if qOff <= MaxQOff16 && window > alphabet.W {
-		narrow = p.narrow.CheckCount(slot, int32(qOff), window) == 1
+		key, inc := CheckStamp(&p.narrow.slots[slot], p.narrow.Stamp(int32(qOff)), uint32(window-alphabet.W))
+		narrow, dist[2] = inc == 1, int32(key)
 	}
-	return canon, wide, narrow
+	return canon, wide, narrow, dist
 }
 
 func TestPairRuleTable(t *testing.T) {
@@ -99,9 +105,9 @@ func TestPairRuleTable(t *testing.T) {
 				if s.reset {
 					p.reset(4)
 				}
-				canon, wide, narrow := p.hit(2, base+s.qOff)
+				canon, wide, narrow, _ := p.hit(2, base+s.qOff)
 				if canon != s.want || wide != s.want || narrow != s.want {
-					t.Errorf("%s, base %d, hit at +%d: PairCheck %v, Check %v, CheckCount %v, want %v",
+					t.Errorf("%s, base %d, hit at +%d: PairCheck %v, Check %v, CheckStamp %v, want %v",
 						c.name, base, s.qOff, canon, wide, narrow, s.want)
 				}
 			}
@@ -112,7 +118,8 @@ func TestPairRuleTable(t *testing.T) {
 // FuzzPairRuleEquivalence drives random hit streams — increasing offsets per
 // slot, many slots, every window in 4..60, offsets up to MaxQOff16 (all three
 // forms) or MaxQOff (the two that reach it) — through the three statements of
-// the rule and requires the same verdict for every hit, across enough epochs
+// the rule and requires the same verdict for every hit, and the same distance
+// for every pair, across enough epochs
 // to take StampedLastPos16 through its 63-epoch wrap dozens of times and
 // StampedLastPos through its 4095-epoch wrap once, with the slot array
 // shrinking and growing back on the way (a stamp beyond the current length
@@ -158,10 +165,14 @@ func FuzzPairRuleEquivalence(f *testing.F) {
 				default:
 					next[slot] += 1 + rng.Intn(window+4)
 				}
-				canon, wide, narrow := p.hit(slot, qOff)
+				canon, wide, narrow, dist := p.hit(slot, qOff)
 				if wide != canon || narrow != canon {
-					t.Fatalf("seed %d window %d epoch %d slot %d qOff %d: PairCheck %v, Check %v, CheckCount %v",
+					t.Fatalf("seed %d window %d epoch %d slot %d qOff %d: PairCheck %v, Check %v, CheckStamp %v",
 						seed, window, epoch, slot, qOff, canon, wide, narrow)
+				}
+				if canon && (dist[1] != dist[0] || dist[2] != dist[0]) {
+					t.Fatalf("seed %d window %d epoch %d slot %d qOff %d: pair distance from Canon %d, Check %d, CheckStamp %d",
+						seed, window, epoch, slot, qOff, dist[0], dist[1], dist[2])
 				}
 			}
 		}

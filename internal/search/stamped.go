@@ -121,7 +121,8 @@ func (sl *StampedLastPos16) Reset(n int) {
 // The detection kernel calls CheckStamp, with the operands that do not
 // change with the hit worked out once.
 func (sl StampedLastPos16) CheckCount(i int, qOff int32, window int32) (inc int) {
-	return CheckStamp(&sl.slots[i], sl.Stamp(qOff), uint32(window-alphabet.W))
+	_, inc = CheckStamp(&sl.slots[i], sl.Stamp(qOff), uint32(window-alphabet.W))
+	return inc
 }
 
 // Stamp returns the word a hit at qOff stores in its slot under the current
@@ -131,15 +132,17 @@ func (sl StampedLastPos16) Stamp(qOff int32) uint32 { return uint32(qOff)<<6 | u
 // CheckStamp is CheckCount on one slot with the operands that depend only on
 // the query offset and the window worked out by the caller: stamp is
 // Stamp(qOff) and span is window - alphabet.W. The detection kernel computes
-// them once per query offset instead of once per hit.
+// them once per query offset instead of once per hit. It also returns the
+// compare key, which is the distance d whenever the hit pairs (and
+// meaningless otherwise): the kernel stores it in the pair record.
 //
 // The key costs a subtract and a rotate because the epoch sits in the low
 // bits: new word minus stored word is d<<6 when the stamps agree, and has a
 // non-zero low six bits when they do not, which the rotation carries to the
 // top of the key, above any window.
-func CheckStamp(slot *uint16, stamp uint32, span uint32) (inc int) {
+func CheckStamp(slot *uint16, stamp uint32, span uint32) (key uint32, inc int) {
 	v := uint32(*slot)
-	key := bits.RotateLeft32(stamp-v, -6)
+	key = bits.RotateLeft32(stamp-v, -6)
 	nv := stamp
 	if key < alphabet.W {
 		nv = v
@@ -148,7 +151,7 @@ func CheckStamp(slot *uint16, stamp uint32, span uint32) (inc int) {
 	if key-alphabet.W < span {
 		inc = 1
 	}
-	return inc
+	return key, inc
 }
 
 // From returns the slots of sl from slot i on: the kernel takes one view per

@@ -11,10 +11,12 @@ import (
 // benchSeeds builds a deterministic workload shaped like one (block, query)
 // task of the engine: one mid-length query, a subject stream the size of an
 // index block, and far more distinct seeds than a branch predictor can
-// memorise. (512 seeds cycled over a 4096-residue subject, as this file used
+// memorise, each with a need drawn from [0, DefaultWindow-W) as the first
+// hit's distance sets it, so that the right walk runs only as often as the
+// engine runs it. (512 seeds cycled over a 4096-residue subject, as this file used
 // to draw, measure a trained predictor: every X-drop exit repeats every 512
 // calls and the kernels' real cost — the unpredictable exit — disappears.)
-func benchSeeds(tb testing.TB) (*matrix.Matrix, *matrix.Profile, []alphabet.Code, []alphabet.Code, [][2]int) {
+func benchSeeds(tb testing.TB) (*matrix.Matrix, *matrix.Profile, []alphabet.Code, []alphabet.Code, [][3]int) {
 	tb.Helper()
 	m := matrix.Blosum62
 	rng := rand.New(rand.NewSource(42))
@@ -28,11 +30,12 @@ func benchSeeds(tb testing.TB) (*matrix.Matrix, *matrix.Profile, []alphabet.Code
 	q := randSeq(300)
 	s := randSeq(1 << 17)
 	prof := matrix.NewProfile(m, q)
-	seeds := make([][2]int, 1<<16)
+	seeds := make([][3]int, 1<<16)
 	for i := range seeds {
-		seeds[i] = [2]int{
+		seeds[i] = [3]int{
 			1 + rng.Intn(len(q)-alphabet.W-1),
 			1 + rng.Intn(len(s)-alphabet.W-1),
+			rng.Intn(DefaultWindow - alphabet.W),
 		}
 	}
 	return m, prof, q, s, seeds
@@ -52,7 +55,8 @@ func BenchmarkUngappedExtend(b *testing.B) {
 		sink := 0
 		for i := 0; i < b.N; i++ {
 			sd := seeds[i%len(seeds)]
-			sink += ExtendProfile(prof, s, sd[0], sd[1], xDrop).Score
+			ext, _ := ExtendProfile(prof, s, sd[0], sd[1], xDrop, sd[2])
+			sink += ext.Score
 		}
 		benchSink = sink
 	})
@@ -61,7 +65,8 @@ func BenchmarkUngappedExtend(b *testing.B) {
 		sink := 0
 		for i := 0; i < b.N; i++ {
 			sd := seeds[i%len(seeds)]
-			sink += ExtendScore(prof, s, sd[0], sd[1], xDrop)
+			score, _ := ExtendScore(prof, s, sd[0], sd[1], xDrop, sd[2])
+			sink += score
 		}
 		benchSink = sink
 	})
@@ -70,7 +75,8 @@ func BenchmarkUngappedExtend(b *testing.B) {
 		sink := 0
 		for i := 0; i < b.N; i++ {
 			sd := seeds[i%len(seeds)]
-			sink += Extend(m, q, s, sd[0], sd[1], xDrop).Score
+			ext, _ := Extend(m, q, s, sd[0], sd[1], xDrop, sd[2])
+			sink += ext.Score
 		}
 		benchSink = sink
 	})
@@ -85,7 +91,7 @@ func TestUngappedExtendZeroAlloc(t *testing.T) {
 	_, prof, _, s, seeds := benchSeeds(t)
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, sd := range seeds[:32] {
-			ExtendProfile(prof, s, sd[0], sd[1], 20)
+			ExtendProfile(prof, s, sd[0], sd[1], 20, sd[2])
 		}
 	})
 	if allocs != 0 {
@@ -99,7 +105,8 @@ func TestUngappedExtendScoreZeroAlloc(t *testing.T) {
 	_, prof, _, s, seeds := benchSeeds(t)
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, sd := range seeds[:32] {
-			benchSink += ExtendScore(prof, s, sd[0], sd[1], 20)
+			score, _ := ExtendScore(prof, s, sd[0], sd[1], 20, sd[2])
+			benchSink += score
 		}
 	})
 	if allocs != 0 {

@@ -35,12 +35,29 @@ func randSeq(rng *rand.Rand, n int) []alphabet.Code {
 	return s
 }
 
+// agreeKernels requires ExtendProfile and ExtendScore to return what the
+// reference Extend returns for one seed: the same alignment, the same score
+// and the same reach.
+func agreeKernels(t testing.TB, m *matrix.Matrix, prof *matrix.Profile, q, s []alphabet.Code, qOff, sOff, xDrop, need int) {
+	t.Helper()
+	want, wantReach := Extend(m, q, s, qOff, sOff, xDrop, need)
+	if got, reach := ExtendProfile(prof, s, qOff, sOff, xDrop, need); got != want || reach != wantReach {
+		t.Fatalf("ExtendProfile(qOff=%d sOff=%d xDrop=%d need=%d) = %+v reach %v, Extend = %+v reach %v",
+			qOff, sOff, xDrop, need, got, reach, want, wantReach)
+	}
+	if sc, reach := ExtendScore(prof, s, qOff, sOff, xDrop, need); sc != want.Score || reach != wantReach {
+		t.Fatalf("ExtendScore(qOff=%d sOff=%d xDrop=%d need=%d) = %d reach %v, Extend scored %d reach %v",
+			qOff, sOff, xDrop, need, sc, reach, want.Score, wantReach)
+	}
+}
+
 // TestExtendProfileEquivalence is the property pinning the packed branchless
 // profile kernel to the reference: for random matrices, sequences, seed
-// offsets, and X-drop values, ExtendProfile must return exactly the Ext that
-// Extend returns. Every part of the packed-word restructuring — the
-// tie-breaking low bits, the sentinel, the arithmetic-shift decode of
-// negative running scores — is observable through some input here.
+// offsets, X-drop values and needs, ExtendProfile must return exactly the
+// Ext and reach that Extend returns, and ExtendScore its score and reach.
+// Every part of the packed-word restructuring — the tie-breaking low bits,
+// the sentinel, the arithmetic-shift decode of negative running scores, the
+// near-best copy behind reach — is observable through some input here.
 func TestExtendProfileEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 400; trial++ {
@@ -52,22 +69,18 @@ func TestExtendProfileEquivalence(t *testing.T) {
 		for rep := 0; rep < 8; rep++ {
 			qOff := rng.Intn(len(q) - alphabet.W + 1)
 			sOff := rng.Intn(len(s) - alphabet.W + 1)
-			want := Extend(m, q, s, qOff, sOff, xDrop)
-			got := ExtendProfile(prof, s, qOff, sOff, xDrop)
-			if got != want {
-				t.Fatalf("trial %d: ExtendProfile(qOff=%d sOff=%d xDrop=%d) = %+v, Extend = %+v",
-					trial, qOff, sOff, xDrop, got, want)
+			need := rng.Intn(DefaultWindow - alphabet.W)
+			if rep == 0 {
+				need = 0
 			}
-			if sc := ExtendScore(prof, s, qOff, sOff, xDrop); sc != want.Score {
-				t.Fatalf("trial %d: ExtendScore(qOff=%d sOff=%d xDrop=%d) = %d, Extend scored %d",
-					trial, qOff, sOff, xDrop, sc, want.Score)
-			}
+			agreeKernels(t, m, prof, q, s, qOff, sOff, xDrop, need)
 		}
 	}
 }
 
-// TestExtendProfileEdgeOffsets drives the kernel at the sequence boundaries,
-// where one or both extension loops run zero iterations.
+// TestExtendProfileEdgeOffsets drives the kernels at the sequence boundaries,
+// where one or both extension loops run zero iterations, with needs at the
+// left walk's length and one past it.
 func TestExtendProfileEdgeOffsets(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	m := randMatrix(t, rng)
@@ -78,10 +91,8 @@ func TestExtendProfileEdgeOffsets(t *testing.T) {
 		for qOff := 0; qOff+alphabet.W <= len(q); qOff++ {
 			for sOff := 0; sOff+alphabet.W <= len(s); sOff++ {
 				for _, xDrop := range []int{1, 5, 16} {
-					want := Extend(m, q, s, qOff, sOff, xDrop)
-					got := ExtendProfile(prof, s, qOff, sOff, xDrop)
-					if got != want {
-						t.Fatalf("qOff=%d sOff=%d xDrop=%d: %+v vs %+v", qOff, sOff, xDrop, got, want)
+					for _, need := range []int{0, 1, qOff, qOff + 1} {
+						agreeKernels(t, m, prof, q, s, qOff, sOff, xDrop, need)
 					}
 				}
 			}
@@ -93,7 +104,8 @@ func TestExtendProfileEdgeOffsets(t *testing.T) {
 // engine could plausibly be configured with and every seed placement where a
 // walker degenerates: qOff == 0 or sOff == 0 (empty left walk), the seed word
 // ending at either sequence end (empty right walk), and offsets one short of
-// those (one-cell walks). The oracle is the matrix-indexed reference, not
+// those (one-cell walks), with needs of 0, 1, the left walk's longest and one
+// past it. The oracle is the matrix-indexed reference, not
 // ExtendProfile, so the two profile kernels cannot agree on a shared mistake.
 func TestExtendScoreEdgeSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
@@ -108,10 +120,12 @@ func TestExtendScoreEdgeSweep(t *testing.T) {
 		for xDrop := 1; xDrop <= 40; xDrop++ {
 			for _, qOff := range qOffs {
 				for _, sOff := range sOffs {
-					want := Extend(m, q, s, qOff, sOff, xDrop).Score
-					if got := ExtendScore(prof, s, qOff, sOff, xDrop); got != want {
-						t.Fatalf("trial %d qOff=%d/%d sOff=%d/%d xDrop=%d: ExtendScore = %d, Extend scored %d",
-							trial, qOff, len(q), sOff, len(s), xDrop, got, want)
+					for _, need := range []int{0, 1, qOff, qOff + 1} {
+						want, wantReach := Extend(m, q, s, qOff, sOff, xDrop, need)
+						if got, reach := ExtendScore(prof, s, qOff, sOff, xDrop, need); got != want.Score || reach != wantReach {
+							t.Fatalf("trial %d qOff=%d/%d sOff=%d/%d xDrop=%d need=%d: ExtendScore = %d reach %v, Extend scored %d reach %v",
+								trial, qOff, len(q), sOff, len(s), xDrop, need, got, reach, want.Score, wantReach)
+						}
 					}
 				}
 			}
@@ -150,15 +164,20 @@ func TestCanonDispatch(t *testing.T) {
 	}
 }
 
-// FuzzExtendEquivalence fuzzes the profile kernel against the reference:
-// the fuzzer controls both sequences, the seed offsets, and the X-drop.
-// Run under `make fuzz` for a fixed budget.
+// FuzzExtendEquivalence fuzzes the profile kernels against the reference:
+// the fuzzer controls both sequences, the seed offsets, the X-drop and the
+// need, and Extend, ExtendProfile and ExtendScore must agree on score,
+// coordinates and reach. Run under `make fuzz` for a fixed budget.
 func FuzzExtendEquivalence(f *testing.F) {
-	f.Add([]byte("MKVLAARTWQ"), []byte("MKVLHARTWQNDEC"), 2, 3, 16)
-	f.Add([]byte("AAAAAAA"), []byte("AAAAAAAAAA"), 0, 0, 1)
-	f.Add([]byte("WWWCCCHHHMMM"), []byte("WWWCCCHHHMMM"), 4, 4, 7)
+	f.Add([]byte("MKVLAARTWQ"), []byte("MKVLHARTWQNDEC"), 2, 3, 16, 0)
+	f.Add([]byte("AAAAAAA"), []byte("AAAAAAAAAA"), 0, 0, 1, 0)
+	f.Add([]byte("WWWCCCHHHMMM"), []byte("WWWCCCHHHMMM"), 4, 4, 7, 2)
+	// A need beyond the left walk (qOff 5 leaves 5 residues), and one the
+	// X-drop cuts off first: W against C drops 2 a cell, 4 cells before 9.
+	f.Add([]byte("MKVLAHHHRTWQ"), []byte("MKVLAHHHRTWQ"), 5, 5, 16, 6)
+	f.Add([]byte("WWWWWWWWWWHHHKLM"), []byte("CCCCCCCCCCHHHKLM"), 10, 10, 8, 9)
 	m := matrix.Blosum62
-	f.Fuzz(func(t *testing.T, qb, sb []byte, qOff, sOff, xDrop int) {
+	f.Fuzz(func(t *testing.T, qb, sb []byte, qOff, sOff, xDrop, need int) {
 		if len(qb) < alphabet.W || len(sb) < alphabet.W {
 			return
 		}
@@ -176,19 +195,9 @@ func FuzzExtendEquivalence(f *testing.F) {
 		if qOff < 0 || qOff+alphabet.W > len(q) || sOff < 0 || sOff+alphabet.W > len(s) {
 			return
 		}
-		if xDrop < 1 || xDrop > 1<<20 {
+		if xDrop < 1 || xDrop > 1<<20 || need < 0 || need > 1<<20 {
 			return
 		}
-		prof := matrix.NewProfile(m, q)
-		want := Extend(m, q, s, qOff, sOff, xDrop)
-		got := ExtendProfile(prof, s, qOff, sOff, xDrop)
-		if got != want {
-			t.Fatalf("ExtendProfile(qOff=%d sOff=%d xDrop=%d) = %+v, Extend = %+v",
-				qOff, sOff, xDrop, got, want)
-		}
-		if sc := ExtendScore(prof, s, qOff, sOff, xDrop); sc != want.Score {
-			t.Fatalf("ExtendScore(qOff=%d sOff=%d xDrop=%d) = %d, Extend scored %d",
-				qOff, sOff, xDrop, sc, want.Score)
-		}
+		agreeKernels(t, m, matrix.NewProfile(m, q), q, s, qOff, sOff, xDrop, need)
 	})
 }

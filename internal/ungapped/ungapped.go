@@ -1,11 +1,14 @@
 // Package ungapped implements BLAST's two-hit ungapped extension stage
 // (Section II-A): given two word hits close together on the same diagonal,
-// extend outward from the second hit in both directions without gaps,
-// stopping when the running score drops more than XDrop below the best seen.
+// extend from the second hit without gaps, stopping a walk when its running
+// score drops more than XDrop below the best seen. As in NCBI BLASTP
+// (s_BlastAaExtendTwoHit), the walk runs left first and continues right only
+// if the left walk's best reaches back to the first hit's word; otherwise
+// the alignment is the seed word plus its left half.
 //
-// The same Extend kernel and the same two-hit semantics (Canon) are used by
-// every pipeline in this repository — query-indexed, db-indexed interleaved,
-// and muBLASTP — which is what makes the Section V-E verification (identical
+// The same kernels and the same two-hit semantics (Canon) are used by every
+// pipeline in this repository — query-indexed, db-indexed interleaved, and
+// muBLASTP — which is what makes the Section V-E verification (identical
 // outputs at every stage) hold by construction.
 package ungapped
 
@@ -50,12 +53,16 @@ type Ext struct {
 	SEnd   int
 }
 
-// Extend runs the two-directional ungapped extension seeded at the word hit
+// Extend runs the two-hit ungapped extension seeded at the second hit's word
 // (qOff, sOff): the W seed residues always belong to the alignment, the left
-// extension walks from qOff-1 toward the sequence starts, and the right
-// extension from qOff+W toward the ends, each keeping its best prefix under
-// the X-drop rule.
-func Extend(m *matrix.Matrix, q, s []alphabet.Code, qOff, sOff, xDrop int) Ext {
+// extension walks from qOff-1 toward the sequence starts keeping its best
+// prefix under the X-drop rule, and the right extension from qOff+W toward
+// the ends runs only if that best prefix is at least need residues long —
+// when it reaches the end of the first hit's word, need = dist - W for a
+// first hit dist offsets before the second (NCBI's rule). reach reports
+// whether it did; without it the alignment ends with the seed word. need <= 0
+// always reaches.
+func Extend(m *matrix.Matrix, q, s []alphabet.Code, qOff, sOff, xDrop, need int) (ext Ext, reach bool) {
 	// Seed word score.
 	word := 0
 	for k := 0; k < alphabet.W; k++ {
@@ -73,10 +80,11 @@ func Extend(m *matrix.Matrix, q, s []alphabet.Code, qOff, sOff, xDrop int) Ext {
 			break
 		}
 	}
+	reach = qOff-qStart >= need
 	// Right extension.
 	rightBest, cum := 0, 0
 	qEnd := qOff + alphabet.W
-	for i, j := qOff+alphabet.W, sOff+alphabet.W; i < len(q) && j < len(s); i, j = i+1, j+1 {
+	for i, j := qOff+alphabet.W, sOff+alphabet.W; reach && i < len(q) && j < len(s); i, j = i+1, j+1 {
 		cum += m.Score(q[i], s[j])
 		if cum > rightBest {
 			rightBest = cum
@@ -91,20 +99,20 @@ func Extend(m *matrix.Matrix, q, s []alphabet.Code, qOff, sOff, xDrop int) Ext {
 		QEnd:   qEnd,
 		SStart: qStart - qOff + sOff,
 		SEnd:   qEnd - qOff + sOff,
-	}
+	}, reach
 }
 
 // ExtendProfile is Extend rewritten around a query profile (flattened PSSM,
 // see matrix.Profile): scoring a cell is one slice index off the subject
 // residue, the query is never reloaded inside the loops, and the X-drop test
-// runs without the reference kernel's else-branch. It returns exactly the
-// Ext that Extend(m, q, s, qOff, sOff, xDrop) returns for the matrix the
+// runs without the reference kernel's else-branch. It returns exactly what
+// Extend(m, q, s, qOff, sOff, xDrop, need) returns for the matrix the
 // profile was built from, for any xDrop >= 1 and query length < 0xFFFF (the
 // branch restructuring — best score and best position packed into one
 // max-updated word, drop test against its high bits — needs a strictly
 // positive drop margin and a position that fits 16 bits; Canon falls back to
 // Extend otherwise, and the equivalence property tests pin both paths).
-func ExtendProfile(p *matrix.Profile, s []alphabet.Code, qOff, sOff, xDrop int) Ext {
+func ExtendProfile(p *matrix.Profile, s []alphabet.Code, qOff, sOff, xDrop, need int) (ext Ext, reach bool) {
 	rows := p.Scores
 	qLen := p.QLen
 
@@ -132,7 +140,13 @@ func ExtendProfile(p *matrix.Profile, s []alphabet.Code, qOff, sOff, xDrop int) 
 	// unpredictable and this is the difference between ~135ns and ~95ns per
 	// extension. Requires positions < 0xFFFF and |score| < 2^47; Canon.extend
 	// guards the query length.
+	//
+	// nearPacked is the best over the cells short of need (k < need, i.e.
+	// i > far), copied by another conditional move: the best prefix is at
+	// least need long exactly when a later cell raised the best past it.
 	bestPacked := int64(0xFFFF)
+	nearPacked := bestPacked
+	far := n - need
 	cum := 0
 	for i := len(sl) - 1; i >= 0; i-- {
 		cum += int(rows[base+int(sl[i])])
@@ -141,20 +155,28 @@ func ExtendProfile(p *matrix.Profile, s []alphabet.Code, qOff, sOff, xDrop int) 
 		if packed > bestPacked {
 			bestPacked = packed
 		}
+		if i > far {
+			nearPacked = bestPacked
+		}
 		if cum <= int(bestPacked>>16)-xDrop {
 			break
 		}
 	}
+	reach = need <= 0 || bestPacked > nearPacked
 	leftBest := int(bestPacked >> 16)
 	leftK := 0
 	if low := int(bestPacked & 0xFFFF); low != 0xFFFF {
 		leftK = n + 1 - low
 	}
 
-	// Right extension: q[qOff+W+k] vs s[sOff+W+k] for k = 0..n-1.
-	n = qLen - qOff - alphabet.W
-	if m := len(s) - sOff - alphabet.W; m < n {
-		n = m
+	// Right extension: q[qOff+W+k] vs s[sOff+W+k] for k = 0..n-1, with n = 0
+	// unless the left walk reached.
+	n = 0
+	if reach {
+		n = qLen - qOff - alphabet.W
+		if m := len(s) - sOff - alphabet.W; m < n {
+			n = m
+		}
 	}
 	sr := s[sOff+alphabet.W : sOff+alphabet.W+n]
 	base = (qOff + alphabet.W) * alphabet.Size
@@ -185,19 +207,19 @@ func ExtendProfile(p *matrix.Profile, s []alphabet.Code, qOff, sOff, xDrop int) 
 		QEnd:   qEnd,
 		SStart: qStart - qOff + sOff,
 		SEnd:   qEnd - qOff + sOff,
-	}
+	}, reach
 }
 
-// ExtendScore is the score-only form of ExtendProfile: the same seed word
-// and the same two X-drop walks, returning exactly
-// ExtendProfile(p, s, qOff, sOff, xDrop).Score under the same preconditions
-// (xDrop >= 1) and nothing else. The decoupled pipeline throws away 99.9% of
-// its ungapped extensions on the score alone (Score < Trigger), and a
-// rejected pair needs no coordinates: ExtReached falls back to the hit's own
-// offset. Dropping the position lets the best be a plain max instead of a
-// packed score+position word, and each direction is a walker small enough
-// that its whole loop state stays in registers.
-func ExtendScore(p *matrix.Profile, s []alphabet.Code, qOff, sOff, xDrop int) int {
+// ExtendScore is the score-only form of ExtendProfile: the same seed word,
+// the same two X-drop walks and the same reach, returning exactly
+// ExtendProfile(p, s, qOff, sOff, xDrop, need)'s score and reach under the
+// same preconditions (xDrop >= 1) and nothing else. The decoupled pipeline
+// throws away 99.9% of its ungapped extensions on the score alone (Score <
+// Trigger), and a rejected pair needs no coordinates: ExtReached falls back
+// to the hit's own offset. Dropping the position lets the best be a plain
+// max instead of a packed score+position word, and each direction is a
+// walker small enough that its whole loop state stays in registers.
+func ExtendScore(p *matrix.Profile, s []alphabet.Code, qOff, sOff, xDrop, need int) (score int, reach bool) {
 	rows := p.Scores
 	base := qOff * alphabet.Size
 	word := int(rows[base+int(s[sOff])]) +
@@ -208,14 +230,17 @@ func ExtendScore(p *matrix.Profile, s []alphabet.Code, qOff, sOff, xDrop int) in
 	if sOff < n {
 		n = sOff
 	}
-	left := walkLeft(rows, base-alphabet.Size, s[sOff-n:sOff], xDrop)
+	left, near := walkLeft(rows, base-alphabet.Size, s[sOff-n:sOff], xDrop, n-need)
+	if need > 0 && left == near { // the best prefix is short of the need
+		return left + word, false
+	}
 
 	n = p.QLen - qOff - alphabet.W
 	if m := len(s) - sOff - alphabet.W; m < n {
 		n = m
 	}
 	right := walkRight(rows, base+alphabet.W*alphabet.Size, s[sOff+alphabet.W:sOff+alphabet.W+n], xDrop)
-	return left + word + right
+	return left + word + right, true
 }
 
 // walkLeft is ExtendProfile's left loop without the position: sl is the
@@ -223,31 +248,37 @@ func ExtendScore(p *matrix.Profile, s []alphabet.Code, qOff, sOff, xDrop int) in
 // residue facing sl's last element, and each step moves one residue and one
 // row toward the sequence starts. With xDrop >= 1 "best = max(best, cum);
 // stop when cum <= best-xDrop" takes the reference's decisions cell for cell
-// (a cell that raises the best cannot also trip the drop test).
+// (a cell that raises the best cannot also trip the drop test). near is the
+// best over the cells at i > far, those short of the need: the best prefix
+// reaches the need exactly when best > near.
 //
 // The walkers are kept out of line on purpose: inlined into ExtendScore the
 // register allocator spills cum and best to the stack inside this loop — the
 // store-to-load forward on the loop-carried chain that the packed kernel pays
-// too — while as a function of its own the loop's five live values (cum,
-// best, base, index, xDrop) all stay in registers. Two calls per extension
-// are cheaper than one spill per cell.
+// too — while as a function of its own the loop's live values (cum, best,
+// near, base, index, far, xDrop) all stay in registers. Two calls per
+// extension are cheaper than one spill per cell.
 //
 //go:noinline
-func walkLeft(rows []int8, base int, sl []alphabet.Code, xDrop int) int {
-	cum, best := 0, 0
+func walkLeft(rows []int8, base int, sl []alphabet.Code, xDrop, far int) (best, near int) {
+	cum := 0
 	for i := len(sl) - 1; i >= 0; i-- {
 		cum += int(rows[base+int(sl[i])])
 		base -= alphabet.Size
 		best = max(best, cum)
+		if i > far {
+			near = best
+		}
 		if cum <= best-xDrop {
 			break
 		}
 	}
-	return best
+	return best, near
 }
 
-// walkRight is the mirror of walkLeft: sr starts just past the seed word and
-// base is the profile row of the query residue facing sr[0].
+// walkRight is the mirror of walkLeft without the need: sr starts just past
+// the seed word and base is the profile row of the query residue facing
+// sr[0].
 //
 //go:noinline
 func walkRight(rows []int8, base int, sr []alphabet.Code, xDrop int) int {
@@ -268,16 +299,20 @@ func walkRight(rows []int8, base int, sr []alphabet.Code, xDrop int) int {
 // offset and gets back the identical sequence of extensions, whether the
 // pipeline interleaves stages (NCBI, NCBI-db) or batches them (muBLASTP).
 //
-// Semantics (Algorithm 1 lines 5–25):
+// Semantics (Algorithm 1 lines 5–25, with NCBI's extension rule):
 //
-//   - a hit pairs with the hit stored for the diagonal when their distance is
-//     in [alphabet.W, Window); a hit overlapping the stored one (distance <
-//     alphabet.W) is ignored and the stored hit kept — NCBI's rule, see
-//     PairCheck;
+//   - a hit pairs with the hit stored for the diagonal when their distance
+//     dist is in [alphabet.W, Window); a hit overlapping the stored one
+//     (distance < alphabet.W) is ignored and the stored hit kept — NCBI's
+//     rule, see PairCheck;
 //   - a pair whose second hit is already covered by the previous extension
 //     on the diagonal (extReached > qOff) is skipped;
-//   - after an extension scoring at least Trigger, the diagonal's reached
-//     position advances to the extension end; otherwise to the hit offset.
+//   - otherwise the pair is extended from the second hit: left first, and
+//     right only if the left walk's best reaches the end of the first hit's
+//     word (need = dist - W residues left of the seed, see Extend);
+//   - after an extension that reached and scored at least Trigger, the
+//     diagonal's reached position advances to the extension end; otherwise
+//     to the hit offset — NCBI flags no diagonal it did not extend right.
 type Canon struct {
 	P      Params
 	Matrix *matrix.Matrix
@@ -292,11 +327,11 @@ type Canon struct {
 // profile is attached and the parameters permit the packed branchless form
 // (strictly positive X-drop margin, query offset fits 16 bits), falling
 // back to the reference kernel otherwise.
-func (c *Canon) extend(q, s []alphabet.Code, qOff, sOff int) Ext {
+func (c *Canon) extend(q, s []alphabet.Code, qOff, sOff, need int) (Ext, bool) {
 	if c.Prof != nil && c.P.XDrop >= 1 && c.Prof.QLen < 0xFFFF {
-		return ExtendProfile(c.Prof, s, qOff, sOff, c.P.XDrop)
+		return ExtendProfile(c.Prof, s, qOff, sOff, c.P.XDrop, need)
 	}
-	return Extend(c.Matrix, q, s, qOff, sOff, c.P.XDrop)
+	return Extend(c.Matrix, q, s, qOff, sOff, c.P.XDrop, need)
 }
 
 // DiagState is the per-diagonal state: the last hit offset seen (for
@@ -334,22 +369,25 @@ func (c *Canon) PairCheck(d *DiagState, qOff int) bool {
 	return paired
 }
 
-// ExtendPair processes one *paired* hit in the extension stage: skipped if
+// ExtendPair processes one *paired* hit in the extension stage, the second
+// hit of a pair whose first hit lies dist offsets before it: skipped if
 // covered by the previous extension on the diagonal, otherwise extended.
 // keep reports whether the extension met the Trigger score. This is
-// Algorithm 1 lines 15–25, shared verbatim between the interleaved and
-// decoupled pipelines.
-func (c *Canon) ExtendPair(d *DiagState, q, s []alphabet.Code, qOff, sOff int) (ext Ext, extended, keep bool) {
+// Algorithm 1 lines 15–25 with NCBI's extension rule, shared verbatim between
+// the interleaved and decoupled pipelines.
+func (c *Canon) ExtendPair(d *DiagState, q, s []alphabet.Code, qOff, sOff, dist int) (ext Ext, extended, keep bool) {
 	if d.ExtReached > int32(qOff) {
 		return Ext{}, false, false // covered by a previous extension
 	}
-	ext = c.extend(q, s, qOff, sOff)
-	if ext.Score >= c.P.Trigger {
-		d.ExtReached = int32(ext.QEnd)
-		return ext, true, true
-	}
+	ext, reach := c.extend(q, s, qOff, sOff, dist-alphabet.W)
 	d.ExtReached = int32(qOff)
-	return ext, true, false
+	if ext.Score < c.P.Trigger {
+		return ext, true, false
+	}
+	if reach {
+		d.ExtReached = int32(ext.QEnd)
+	}
+	return ext, true, true
 }
 
 // Step processes one hit at query offset qOff / subject offset sOff on the
@@ -358,9 +396,10 @@ func (c *Canon) ExtendPair(d *DiagState, q, s []alphabet.Code, qOff, sOff int) (
 // paired reports the two-hit test outcome, extended whether an extension
 // ran, keep whether it met the Trigger score.
 func (c *Canon) Step(d *DiagState, q, s []alphabet.Code, qOff, sOff int) (ext Ext, paired, extended, keep bool) {
+	dist := qOff - int(d.LastPos) // to the stored hit, before PairCheck replaces it
 	if !c.PairCheck(d, qOff) {
 		return Ext{}, false, false, false
 	}
-	ext, extended, keep = c.ExtendPair(d, q, s, qOff, sOff)
+	ext, extended, keep = c.ExtendPair(d, q, s, qOff, sOff, dist)
 	return ext, true, extended, keep
 }

@@ -1,6 +1,7 @@
 package ungapped
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/alphabet"
@@ -12,7 +13,7 @@ func enc(s string) []alphabet.Code { return alphabet.MustEncode(s) }
 
 func TestExtendIdenticalSequences(t *testing.T) {
 	q := enc("ARNDCQEGHILKMFPSTWYV")
-	e := Extend(matrix.Blosum62, q, q, 8, 8, 16)
+	e, _ := Extend(matrix.Blosum62, q, q, 8, 8, 16, 0)
 	// Identical sequences: the extension should cover everything.
 	if e.QStart != 0 || e.QEnd != len(q) || e.SStart != 0 || e.SEnd != len(q) {
 		t.Errorf("extension [%d,%d)x[%d,%d), want full cover", e.QStart, e.QEnd, e.SStart, e.SEnd)
@@ -28,7 +29,7 @@ func TestExtendStopsAtXDrop(t *testing.T) {
 	// run of them exceeds any reasonable X-drop.
 	q := enc("WWWWWWWWWW" + "HHH" + "WWWWWWWWWW")
 	s := enc("CCCCCCCCCC" + "HHH" + "CCCCCCCCCC")
-	e := Extend(matrix.Blosum62, q, s, 10, 10, 5)
+	e, _ := Extend(matrix.Blosum62, q, s, 10, 10, 5, 0)
 	if e.QStart != 10 || e.QEnd != 13 {
 		t.Errorf("extension [%d,%d), want exactly the seed [10,13)", e.QStart, e.QEnd)
 	}
@@ -40,7 +41,7 @@ func TestExtendStopsAtXDrop(t *testing.T) {
 func TestExtendRespectsSequenceBounds(t *testing.T) {
 	q := enc("HHH")
 	s := enc("AAHHHAA")
-	e := Extend(matrix.Blosum62, q, s, 0, 2, 16)
+	e, _ := Extend(matrix.Blosum62, q, s, 0, 2, 16, 0)
 	if e.QStart < 0 || e.QEnd > len(q) || e.SStart < 0 || e.SEnd > len(s) {
 		t.Errorf("extension out of bounds: %+v", e)
 	}
@@ -54,7 +55,7 @@ func TestExtendDiagonalConsistency(t *testing.T) {
 	q := g.Sequence(200)
 	s := g.Sequence(300)
 	for _, off := range []struct{ q, s int }{{0, 0}, {50, 80}, {197, 297}, {10, 0}, {0, 10}} {
-		e := Extend(matrix.Blosum62, q, s, off.q, off.s, 16)
+		e, _ := Extend(matrix.Blosum62, q, s, off.q, off.s, 16, 0)
 		if e.QEnd-e.QStart != e.SEnd-e.SStart {
 			t.Errorf("offsets %v: extension lengths differ: %+v", off, e)
 		}
@@ -80,7 +81,7 @@ func TestExtendScoreNeverBelowSeedBest(t *testing.T) {
 	s := g.Sequence(100)
 	for qo := 0; qo+alphabet.W <= len(q); qo += 7 {
 		for so := 0; so+alphabet.W <= len(s); so += 13 {
-			e := Extend(matrix.Blosum62, q, s, qo, so, 16)
+			e, _ := Extend(matrix.Blosum62, q, s, qo, so, 16, 0)
 			seed := 0
 			for k := 0; k < alphabet.W; k++ {
 				seed += matrix.Blosum62.Score(q[qo+k], s[so+k])
@@ -159,7 +160,8 @@ func TestCanonSkipsCoveredHits(t *testing.T) {
 func TestCanonKeepsAtTrigger(t *testing.T) {
 	q := enc("WWWWWWWWWWHHHKLMWWWWWWWWWHHHWWWWWWWWWW")
 	s := enc("CCCCCCCCCCHHHKLMCCCCCCCCCHHHCCCCCCCCCC")
-	score := Extend(matrix.Blosum62, q, s, 10, 10, 16).Score
+	ext, _ := Extend(matrix.Blosum62, q, s, 10, 10, 16, 0)
+	score := ext.Score
 	for _, tc := range []struct {
 		trigger int
 		keep    bool
@@ -167,7 +169,7 @@ func TestCanonKeepsAtTrigger(t *testing.T) {
 		c := &Canon{P: Params{Window: 40, XDrop: 16, Trigger: tc.trigger}, Matrix: matrix.Blosum62}
 		var d DiagState
 		d.Reset()
-		ext, extended, keep := c.ExtendPair(&d, q, s, 10, 10)
+		ext, extended, keep := c.ExtendPair(&d, q, s, 10, 10, alphabet.W)
 		if !extended || ext.Score != score || keep != tc.keep {
 			t.Fatalf("Trigger %d: extended %v, score %d, keep %v; want score %d, keep %v",
 				tc.trigger, extended, ext.Score, keep, score, tc.keep)
@@ -200,5 +202,37 @@ func TestCanonKeepOnlyAboveTrigger(t *testing.T) {
 	}
 	if d.ExtReached != 23 {
 		t.Errorf("extReached = %d, want hit offset 23", d.ExtReached)
+	}
+}
+
+// TestCanonWalksRightOnlyOnReach pins NCBI's extension rule: the right walk
+// runs only when the left walk's best reaches the end of the first hit's
+// word, need = dist - W residues left of the seed. Left of the seed sit two
+// H-H cells and then H-D cells (-1 each), so the left walk's best is 2 cells
+// long. A first hit 3 back (need 0) lets the extension run right through the
+// H-H tail; one 20 back (need 17) stops it at the seed word, keeps it on its
+// score, and advances the diagonal only to the hit.
+func TestCanonWalksRightOnlyOnReach(t *testing.T) {
+	q := enc(strings.Repeat("H", 50))
+	s := enc(strings.Repeat("D", 18) + strings.Repeat("H", 32))
+	c := &Canon{P: Params{Window: 40, XDrop: 16, Trigger: 30}, Matrix: matrix.Blosum62}
+	for _, tc := range []struct {
+		first   int
+		want    Ext
+		reached int32
+	}{
+		{17, Ext{Score: 16 + 24 + 27*8, QStart: 18, QEnd: 50, SStart: 18, SEnd: 50}, 50},
+		{0, Ext{Score: 16 + 24, QStart: 18, QEnd: 23, SStart: 18, SEnd: 23}, 20},
+	} {
+		var d DiagState
+		d.Reset()
+		c.Step(&d, q, s, tc.first, tc.first)
+		ext, paired, extended, keep := c.Step(&d, q, s, 20, 20)
+		if !paired || !extended || !keep || ext != tc.want {
+			t.Fatalf("first hit %d: %+v paired %v extended %v keep %v, want %+v kept", tc.first, ext, paired, extended, keep, tc.want)
+		}
+		if d.ExtReached != tc.reached {
+			t.Errorf("first hit %d: extReached %d, want %d", tc.first, d.ExtReached, tc.reached)
+		}
 	}
 }
