@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments                  # run everything at the default scale
+//	experiments                  # every experiment but replay, default scale
 //	experiments -exp fig9        # one experiment
 //	experiments -scale small     # quick pass
 //	experiments -markdown        # markdown tables (for EXPERIMENTS.md)
@@ -41,9 +41,23 @@ var experiments = []experiment{
 	{"index-size", "two-level vs expanded index size", bench.IndexSize},
 	{"verify", "Section V-E output verification", bench.Verify},
 	{"sensitivity", "planted homologs found (vs Smith-Waterman) beside pairs and extensions spent", bench.Sensitivity},
-	{"capsim", "capacity model: trace, fit, predict vs measured overload", bench.CapacityValidation},
 	{"ingest", "incremental ingest: delta append vs full rebuild, durable-to-durable", bench.IngestLatency},
 	{"replay", "re-issue a traced workload against a live daemon (-replay-target, -replay-workload)", runReplay},
+}
+
+// selectExperiments returns what -exp name runs: all is every experiment
+// but replay, which needs a live daemon and a trace (its -replay-* flags).
+func selectExperiments(name string) ([]experiment, error) {
+	var out []experiment
+	for _, e := range experiments {
+		if e.name == name || name == "all" && e.name != "replay" {
+			out = append(out, e)
+		}
+	}
+	if out == nil {
+		return nil, fmt.Errorf("unknown experiment %q (want all, %s)", name, names())
+	}
+	return out, nil
 }
 
 // Replay experiment inputs (-replay-* flags): the live daemon to load and
@@ -125,6 +139,11 @@ func main() {
 	)
 	flag.Parse()
 	replayTarget, replayWorkload, replaySpeed = *rTarget, *rFile, *rSpeed
+	selected, err := selectExperiments(*expName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
+	}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -157,12 +176,7 @@ func main() {
 		s.BlockBytes = *blockKB << 10
 	}
 
-	ran := 0
-	for _, e := range experiments {
-		if *expName != "all" && *expName != e.name {
-			continue
-		}
-		ran++
+	for _, e := range selected {
 		fmt.Fprintf(os.Stderr, "running %s (%s)...\n", e.name, e.desc)
 		start := time.Now()
 		table, err := e.run(s)
@@ -176,10 +190,6 @@ func main() {
 		} else {
 			fmt.Println(table.String())
 		}
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (want all, %s)\n", *expName, names())
-		os.Exit(2)
 	}
 }
 

@@ -1,8 +1,8 @@
 // The workload record: the flat projection of one request's trace tree that
-// the replayer and the capacity planner (internal/capsim) read — when the
-// request arrived, how big it was, what deadline it ran under, how it ended,
-// and where its time went. Records have no file format of their own: the
-// daemons write one log, the -trace file, and ReadRecords projects it.
+// the replayer reads — when the request arrived, how big it was, what
+// deadline it ran under and how it ended. Records have no file format of
+// their own: the daemons write one log, the -trace file, and ReadRecords
+// projects it.
 package reqtrace
 
 import (
@@ -40,8 +40,8 @@ type Record struct {
 	// header and daemon logs.
 	RequestID string
 	// ArrivalUnixNS is the absolute arrival time at the edge handler.
-	// Replay and simulation use inter-arrival deltas, so only the
-	// differences need to be meaningful.
+	// Replay uses inter-arrival deltas, so only the differences need to
+	// be meaningful.
 	ArrivalUnixNS int64
 	// QueryLens are the residue lengths of the batch's queries, in order.
 	QueryLens []int
@@ -53,27 +53,6 @@ type Record struct {
 	Status  int
 	// Degraded reports the server was in degraded mode at admission.
 	Degraded bool
-	// SpanNanos maps span names to durations, the part of the tree the
-	// simulator fits from: "total" always; "admission" and "search" when
-	// admitted; "search", "scatter", "merge" and "shard<N>" on the routing
-	// tier.
-	SpanNanos map[string]int64
-}
-
-// recordSpan reports whether a record keeps the duration of the span named
-// name: the serving phases and the router's per-shard spans. Query, stage
-// and attempt spans are prefixed, so no name collides.
-func recordSpan(name string) bool {
-	switch name {
-	case "admission", "search", "scatter", "merge":
-		return true
-	}
-	n, ok := strings.CutPrefix(name, "shard")
-	if !ok || n == "" {
-		return false
-	}
-	_, err := strconv.Atoi(n)
-	return err == nil
 }
 
 // project flattens one trace tree into its record.
@@ -87,7 +66,6 @@ func project(tr *Trace) (*Record, error) {
 		ArrivalUnixNS: root.StartNS,
 		Outcome:       tr.Outcome,
 		Degraded:      root.Attrs[AttrDegraded] == "true",
-		SpanNanos:     map[string]int64{"total": root.Nanos},
 	}
 	var err error
 	if s := root.Attrs[AttrStatus]; s != "" {
@@ -109,18 +87,12 @@ func project(tr *Trace) (*Record, error) {
 			rec.QueryLens = append(rec.QueryLens, n)
 		}
 	}
-	root.Walk(func(sp *Span) {
-		if _, seen := rec.SpanNanos[sp.Name]; !seen && recordSpan(sp.Name) {
-			rec.SpanNanos[sp.Name] = sp.Nanos
-		}
-	})
 	return rec, nil
 }
 
 // ReadRecords decodes a trace JSONL stream (a daemon's -trace file) and
 // projects each tree into its record, sorted by arrival time (the daemons
-// write trees in completion order, but replay and simulation need arrival
-// order).
+// write trees in completion order, but replay needs arrival order).
 func ReadRecords(r io.Reader) ([]*Record, error) {
 	traces, err := ReadTraces(r)
 	if err != nil {

@@ -7,7 +7,7 @@
 //
 // Residues are not stored in traces; the replayer regenerates random
 // sequences of the recorded lengths from a fixed seed, so a replay is
-// deterministic in everything the serving tier's capacity behaviour depends
+// deterministic in everything the serving tier's queueing behaviour depends
 // on (arrival times, batch sizes, query lengths, deadlines) without the
 // trace having to carry payloads.
 package reqtrace
@@ -59,8 +59,8 @@ type ReplayOutcome struct {
 	RequestID string // X-Request-ID echoed by the daemon
 	Status    int
 	Outcome   string // Outcome* classification from the status code
-	LatencyNS int64  // client-observed request latency
-	Err       error  // transport failure (Status 0)
+	LatencyNS int64  // send to the response's last byte, client-observed
+	Err       error  // transport failure (Status 0) or torn body
 }
 
 // ReplayResult summarizes a replay run.
@@ -79,14 +79,6 @@ func (r *ReplayResult) ShedRate() float64 {
 	return float64(r.ByOutcome[OutcomeShed]) / float64(r.Sent)
 }
 
-// TimeoutRate is the fraction of sent requests that timed out.
-func (r *ReplayResult) TimeoutRate() float64 {
-	if r.Sent == 0 {
-		return 0
-	}
-	return float64(r.ByOutcome[OutcomeTimeout]) / float64(r.Sent)
-}
-
 // LatencyQuantile returns the q-quantile of client-observed latency over
 // completed (OutcomeOK) requests, in nanoseconds; 0 with none.
 func (r *ReplayResult) LatencyQuantile(q float64) int64 {
@@ -96,13 +88,12 @@ func (r *ReplayResult) LatencyQuantile(q float64) int64 {
 			lat = append(lat, o.LatencyNS)
 		}
 	}
-	return QuantileNanos(lat, q)
+	return quantileNanos(lat, q)
 }
 
-// QuantileNanos is the exact ceil-rank q-quantile of v, the element at rank
-// ceil(q*n)-1 of a sorted copy; 0 on an empty v. Measured and predicted
-// latencies (capsim) both use it, so they compare rank for rank.
-func QuantileNanos(v []int64, q float64) int64 {
+// quantileNanos is the exact ceil-rank q-quantile of v, the element at rank
+// ceil(q*n)-1 of a sorted copy; 0 on an empty v.
+func quantileNanos(v []int64, q float64) int64 {
 	if len(v) == 0 {
 		return 0
 	}
@@ -231,49 +222,18 @@ func sendOne(ctx context.Context, client *http.Client, target string, body []byt
 		return ReplayOutcome{Outcome: OutcomeError, Err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
+	out := ReplayOutcome{Outcome: OutcomeError}
 	sent := time.Now()
 	resp, err := client.Do(req)
-	lat := time.Since(sent).Nanoseconds()
-	if err != nil {
-		return ReplayOutcome{Outcome: OutcomeError, LatencyNS: lat, Err: err}
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return ReplayOutcome{
-		RequestID: resp.Header.Get(HeaderRequestID),
-		Status:    resp.StatusCode,
-		Outcome:   outcomeFromStatus(resp.StatusCode),
-		LatencyNS: lat,
-	}
-}
-
-// SynthWorkload generates an open-loop Poisson workload record: n requests
-// at `rate` per second (exponential inter-arrivals), each a single query of
-// length qlen with deadline deadlineMS. It exists to bootstrap the
-// trace/replay/fit loop before any real traffic has been traced — replay it
-// against a daemon running -trace, and the records projected from the
-// daemon's own trace of the run are the measured ground truth the capacity
-// model fits from.
-func SynthWorkload(n int, rate float64, qlen int, deadlineMS int64, seed int64) []*Record {
-	if seed == 0 {
-		seed = 1
-	}
-	if rate <= 0 {
-		rate = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]*Record, n)
-	var t int64
-	for i := range out {
-		out[i] = &Record{
-			RequestID:     fmt.Sprintf("synth-%06d", i),
-			ArrivalUnixNS: t,
-			QueryLens:     []int{qlen},
-			DeadlineMS:    deadlineMS,
-			Outcome:       OutcomeOK,
+	if err == nil {
+		out.RequestID, out.Status = resp.Header.Get(HeaderRequestID), resp.StatusCode
+		// Latency runs to the last byte, and a torn body is an error
+		// whatever the status said.
+		if _, err = io.Copy(io.Discard, resp.Body); err == nil {
+			out.Outcome = outcomeFromStatus(resp.StatusCode)
 		}
-		gap := rng.ExpFloat64() / rate * float64(time.Second)
-		t += int64(gap)
+		resp.Body.Close()
 	}
+	out.LatencyNS, out.Err = time.Since(sent).Nanoseconds(), err
 	return out
 }

@@ -14,10 +14,8 @@
 // tree format serves the CLI: mublastp -trace writes one tree per run.
 //
 // The sibling files project trace trees into flat workload records
-// (record.go) — what the capacity planner (internal/capsim) fits its
-// service distributions from — and add a replayer (replay.go) that re-issues
-// a traced workload against a live daemon with the original inter-arrival
-// timing.
+// (record.go) and add a replayer (replay.go) that re-issues a traced
+// workload against a live daemon with the original inter-arrival timing.
 package reqtrace
 
 import (
@@ -440,10 +438,14 @@ func (tr *Trace) SpanIDs() []string {
 
 // Linked verifies the tree's internal linkage: every non-root span's
 // ParentID is the SpanID of its structural parent, and span IDs are unique.
-// It returns a descriptive error for the first violation.
+// It returns a descriptive error for the first violation, a missing root or
+// null child included (a decoded tree is external input).
 func (tr *Trace) Linked() error {
 	if tr == nil {
 		return nil
+	}
+	if tr.Root == nil {
+		return fmt.Errorf("trace %q has no root span", tr.RequestID)
 	}
 	seen := map[string]bool{}
 	var check func(s *Span) error
@@ -456,6 +458,9 @@ func (tr *Trace) Linked() error {
 		}
 		seen[s.SpanID] = true
 		for _, c := range s.Children {
+			if c == nil {
+				return fmt.Errorf("span %q has a null child", s.Name)
+			}
 			if c.ParentID != s.SpanID {
 				return fmt.Errorf("span %q parent_id %s != parent %q span_id %s",
 					c.Name, c.ParentID, s.Name, s.SpanID)

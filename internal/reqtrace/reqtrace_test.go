@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -99,6 +100,21 @@ func TestTraceTreeLinkage(t *testing.T) {
 	}
 	if got := rt.RootSpan().Find("admission").Nanos; got != 10 {
 		t.Fatalf("admission span nanos = %d, want 10", got)
+	}
+
+	// Decoded trees are external input: a missing root or a null child is
+	// a violation to report, not a nil to dereference.
+	for line, want := range map[string]string{
+		`{}`: "no root span",
+		`{"root":{"name":"edge","span_id":"1","children":[null]}}`: "null child",
+	} {
+		trs, err := ReadTraces(strings.NewReader(line))
+		if err != nil || len(trs) != 1 {
+			t.Fatalf("ReadTraces(%s) = %d trees, %v", line, len(trs), err)
+		}
+		if err := trs[0].Linked(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Linked(%s) = %v, want an error naming %q", line, err, want)
+		}
 	}
 }
 

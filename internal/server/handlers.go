@@ -254,8 +254,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // respond answers an admitted batch: 200 with resp, or 500 on an injected
 // response fault. partial is the batch's own error — it was cut short
 // (deadline or drain) but completed queries are still answered: an honest
-// partial, recorded as a timeout so the capacity model counts it against the
-// deadline budget.
+// partial, recorded as a timeout because it ran out of its deadline budget.
 func (s *Server) respond(w http.ResponseWriter, sc *Scope, what string, resp any, partial error) {
 	if err := fiRespond.Err(); err != nil {
 		sc.Reject(reqtrace.OutcomeError, http.StatusInternalServerError, "response failure: %v", err)

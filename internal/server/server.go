@@ -106,7 +106,7 @@ type Config struct {
 	// spans, linked by span IDs and correlated by the request ID echoed in
 	// X-Request-ID. Nil (the default) is free — every span operation
 	// no-ops. The trace is also the workload log: reqtrace.ReadRecords
-	// projects it into the records the replayer and capsim read.
+	// projects it into the records the replayer reads.
 	Tracer *reqtrace.Tracer
 	// Logf receives operational log lines (sheds, timeouts, cancellations)
 	// tagged with the request ID so they correlate with traces. Nil

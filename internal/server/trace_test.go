@@ -102,12 +102,13 @@ func TestTracingProducesStitchedTreeAndIdenticalResults(t *testing.T) {
 			t.Fatalf("query child %q is not a stage span", c.Name)
 		}
 	}
-	if tr.RootSpan().Find("search").Nanos <= 0 {
-		t.Fatalf("search span has no duration")
+	if root := tr.RootSpan(); root.Find("search").Nanos <= 0 || root.Nanos < root.Find("search").Nanos {
+		t.Fatalf("search span %d ns, want positive and within the edge span's %d ns",
+			root.Find("search").Nanos, root.Nanos)
 	}
 
 	// The workload record projected from the same tree carries the request
-	// id, the batch facts and the flat spans.
+	// id and the batch facts.
 	recs, err := reqtrace.ReadRecords(&traceBuf)
 	if err != nil {
 		t.Fatal(err)
@@ -122,9 +123,8 @@ func TestTracingProducesStitchedTreeAndIdenticalResults(t *testing.T) {
 	if len(rec.QueryLens) != 1 || rec.QueryLens[0] != len(f.query) {
 		t.Fatalf("record query lens = %v, want [%d]", rec.QueryLens, len(f.query))
 	}
-	if _, ok := rec.SpanNanos["admission"]; !ok || rec.Degraded ||
-		rec.SpanNanos["search"] <= 0 || rec.SpanNanos["total"] < rec.SpanNanos["search"] {
-		t.Fatalf("record spans inconsistent: %v", rec.SpanNanos)
+	if rec.Degraded {
+		t.Fatalf("record degraded: %+v", rec)
 	}
 	if rec.DeadlineMS != (30 * time.Second).Milliseconds() {
 		t.Fatalf("record deadline %d, want default 30000", rec.DeadlineMS)
