@@ -382,7 +382,7 @@ func (e *Engine) detectScanFast(sc *scratch, q []alphabet.Code, b *dbindex.Block
 	nbrs := e.Cfg.Neighbors
 	diagBias := len(q) - alphabet.W
 	lastPos := sc.lastPos16
-	k := pairScan{b: b, buf: sc.pairs[:cap(sc.pairs)], np: len(sc.pairs), span: uint32(window - alphabet.W)}
+	k := pairScan{b: b, flat: b.Flat(), buf: sc.pairs[:cap(sc.pairs)], np: len(sc.pairs), span: uint32(window - alphabet.W)}
 	for qOff := 0; qOff+alphabet.W <= len(q); qOff++ {
 		k.stamp = lastPos.Stamp(int32(qOff))
 		k.row = lastPos.From(diagBias - qOff) // slot = G - qOff + diagBias
@@ -404,12 +404,13 @@ func (e *Engine) detectScanFast(sc *scratch, q []alphabet.Code, b *dbindex.Block
 	}
 }
 
-// pairScan is detectScanFast's state at one query offset: the block and
-// what the pair test needs that does not change with the hit — the view of
-// the last-hit slots, the stamp a hit stores and the window's span — worked
-// out once instead of per hit.
+// pairScan is detectScanFast's state at one query offset: the block, its
+// position array, and what the pair test needs that does not change with
+// the hit — the view of the last-hit slots, the stamp a hit stores and the
+// window's span — worked out once instead of per hit.
 type pairScan struct {
 	b     *dbindex.BlockIndex
+	flat  []uint16
 	hits  int64
 	buf   []hit.Pair
 	np    int
@@ -419,16 +420,20 @@ type pairScan struct {
 }
 
 // scan runs the pair test over the positions of words, a run at a time.
+// The word lookup (BlockIndex.Word) must stay inlined here: out of line, a
+// call per word visit cost about 7% of detection (EXPERIMENTS.md, "PR-39
+// compact word table"), which the root TestWordLookupInlined guards.
 func (k *pairScan) scan(words []alphabet.Word) {
 	for _, v := range words {
-		offs, page, ok := k.b.Lead(v)
+		lo, hi, page := k.b.Word(v)
+		offs := k.flat[lo:hi]
 		k.hits += int64(len(offs))
 		if k.np+len(offs) > len(k.buf) {
 			grown := make([]hit.Pair, (k.np+len(offs))*2)
 			copy(grown, k.buf[:k.np])
 			k.buf = grown
 		}
-		if ok {
+		if page != dbindex.NoLead {
 			k.np = k.run(offs, uint32(page)<<dbindex.PageShift)
 			continue
 		}

@@ -22,11 +22,15 @@
 // stored as its distance from the one before, and a run's first as its
 // offset in its page, the axis being cut into pages of 1<<16 coordinates. A
 // run ends where the next distance would not fit, so most words' positions
-// are one run. The word table holds a 32-bit start per word and the page of
-// its run when it has only one (Lead), which with the word's position count
-// describes the run in full; only the few words that need more (3.5% of the
-// (word, block) rows of the benchmark's 55-block database) keep a row of the
-// split table, the 8-bit length of the run that starts in each page (Runs).
+// are one run. The word table holds one 16-bit entry per word: its start in
+// the position array, in 12 bits as an offset from the base of its group of
+// 2^k consecutive words (a short array of 32-bit bases, k at most 6 and as
+// large as the block's position counts allow), and in 4 bits the page of its
+// run when it has only one and that page is below 15 (Lead), which with the
+// word's position count describes the run in full. Only the few words that
+// need more (3.5% of the (word, block) rows of the benchmark's 55-block
+// database) keep a row of the split table, the 8-bit length of the run that
+// starts in each page (Runs).
 // Hit detection rebuilds each coordinate with one add (Next) as it scans —
 // coordinate minus query offset is a diagonal of the whole block, and Pad =
 // window - W keeps two sequences that share a block diagonal at least a
@@ -66,15 +70,19 @@ type BlockIndex struct {
 	// the build's two-hit window minus the word length, so the block serves
 	// any window up to Pad + alphabet.W.
 	Pad int
-	// CSR layout: the positions of word w are flat[offsets[w]:offsets[w+1]],
+	// CSR layout: the positions of word w are flat[Base(w):Base(w+1)],
 	// ascending, in runs, the first starting in the lowest page (see Runs).
-	offsets []int32
-	flat    []uint16
-	pages   int
-	// lead[w] is the page of word w's one run, or noLead if it has several
-	// (or starts past page noLead-1); see Lead.
-	lead []uint8
-	// The split table, kept only for the words whose lead is noLead: multi
+	// The low startBits of words[w] are Base(w) - bases[w>>shift], the
+	// offset of w's start from the start of its group of 1<<shift words;
+	// the high bits are w's lead page, the page of its one run, or NoLead
+	// if it has several (or starts in page NoLead or later); see Lead.
+	// words has NumWords+1 entries, the last (lead 0) ending the last word.
+	words []uint16
+	bases []int32
+	shift uint8
+	flat  []uint16
+	pages int
+	// The split table, kept only for the words whose lead is NoLead: multi
 	// lists them ascending, and the row of multi[i] is
 	// rows[i*pages:(i+1)*pages], the length of its run that starts in each
 	// page. A run of splitWide or more positions has its length in wide,
@@ -93,8 +101,25 @@ type BlockIndex struct {
 	coarse   []int32
 }
 
-// noLead is the lead byte of a word that the scan must walk run by run.
-const noLead = math.MaxUint8
+// startBits is the width of a word-table entry's start offset; the entry's
+// other 4 bits are its lead page.
+const (
+	startBits = 12
+	startMask = 1<<startBits - 1
+)
+
+// NoLead is the lead page of a word that the scan must walk run by run.
+const NoLead = 1<<(16-startBits) - 1
+
+// maxGroupShift bounds a block's word groups at 1<<6 words: one 32-bit base
+// per 64 words is 868 bytes a block, and in the benchmark's 128 Ki-residue
+// protein blocks the largest offset within such a group is about 2 040,
+// half of what the 12 bits hold.
+const maxGroupShift = 6
+
+// Every group size divides alphabet.NumWords (13 824 = 2^9 x 27): the
+// constant below overflows, and the build fails, if it does not.
+const _ uint = -(alphabet.NumWords % (1 << maxGroupShift))
 
 // rowDirShift sets the grain of the split table's directory: one entry per
 // 64 words is 432 bytes a block, and leaves a word's search for its row a
@@ -181,10 +206,12 @@ func build(db *dbase.DB, nbr *neighbor.Table, blockResidues int64, window, threa
 // block and, through scratchPool, from build to build: a delta of a few
 // sequences would otherwise spend longer clearing it than indexing.
 type buildScratch struct {
-	count []uint32    // per word: its positions, then its row (see buildBlock)
-	cur   []cursor    // per word: see cursor
-	runs  []closedRun // the runs of the words that have several
-	lens  []uint32    // their run lengths, a row of pages per word
+	count    []uint32        // per word: its positions, then its row (see buildBlock)
+	starts   []uint32        // per word and one past the last: see setStarts
+	cur      []cursor        // per word: see cursor
+	runs     []closedRun     // the runs of the words that have several
+	rowWords []alphabet.Word // those words, ascending
+	lens     []uint32        // their run lengths, a row of pages per word
 }
 
 // closedRun is a run of word w that starts in page page and holds n
@@ -202,7 +229,7 @@ type cursor struct{ next, last, start, page uint32 }
 var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
 func buildBlock(db *dbase.DB, b dbase.Block, window int, sc *buildScratch) (*BlockIndex, error) {
-	bi := &BlockIndex{Block: b, Pad: max(window-alphabet.W, 0), offsets: make([]int32, alphabet.NumWords+1)}
+	bi := &BlockIndex{Block: b, Pad: max(window-alphabet.W, 0), words: make([]uint16, alphabet.NumWords+1)}
 	if _, _, err := bi.layout(db); err != nil {
 		return nil, err
 	}
@@ -212,13 +239,15 @@ func buildBlock(db *dbase.DB, b dbase.Block, window int, sc *buildScratch) (*Blo
 		alphabet.Words(db.Seqs[s].Data, func(_ int, w alphabet.Word) { count[w]++ })
 	}
 	cur := grown(&sc.cur, alphabet.NumWords)
+	starts := grown(&sc.starts, alphabet.NumWords+1)
 	sum := uint32(0)
 	for w, n := range count {
-		bi.offsets[w] = int32(sum)
 		cur[w] = cursor{next: sum, start: sum}
+		starts[w] = sum
 		sum += n
 	}
-	bi.offsets[alphabet.NumWords] = int32(sum)
+	starts[alphabet.NumWords] = sum
+	bi.setStarts(starts)
 	// Each word's positions come in ascending order, each stored as its
 	// distance from the one before — the first from coordinate 0 — as the
 	// sequences are walked. A distance of a page or more ends a run and
@@ -244,35 +273,58 @@ func buildBlock(db *dbase.DB, b dbase.Block, window int, sc *buildScratch) (*Blo
 		})
 	}
 	bi.flat = flat
-	// Each word's last run is still open; a word whose first run is its
-	// last leads with that run's page, and the others get rows, numbered in
-	// word order in count, which the offsets no longer need.
-	bi.lead = make([]uint8, alphabet.NumWords)
-	rows := uint32(0)
+	// Each word's last run is still open; a word whose last run holds all
+	// its positions leads with that run's page, and the others get rows,
+	// numbered in word order in count, which the starts no longer need.
+	rowWords := sc.rowWords[:0]
 	for w, c := range cur {
-		if c.start != uint32(bi.offsets[w]) || c.page >= noLead {
+		if c.next-c.start != count[w] || c.page >= NoLead {
 			runs = append(runs, closedRun{alphabet.Word(w), c.page, c.next - c.start})
-			bi.lead[w] = noLead
-			count[w] = rows
-			rows++
-		} else {
-			bi.lead[w] = uint8(c.page)
+			count[w] = uint32(len(rowWords))
+			rowWords = append(rowWords, alphabet.Word(w))
+		} else if c.page != 0 {
+			bi.setLead(alphabet.Word(w), int(c.page))
 		}
 	}
-	lens := grown(&sc.lens, int(rows)*bi.pages)
+	lens := grown(&sc.lens, len(rowWords)*bi.pages)
 	clear(lens)
 	for _, r := range runs {
 		lens[int(count[r.w])*bi.pages+int(r.page)] = r.n
 	}
-	for w, l := range bi.lead {
-		if l == noLead {
-			i := int(count[w]) * bi.pages
-			bi.setRuns(alphabet.Word(w), lens[i:i+bi.pages])
-		}
+	for i, w := range rowWords {
+		bi.setRuns(w, lens[i*bi.pages:(i+1)*bi.pages])
 	}
-	sc.runs = runs
+	sc.runs, sc.rowWords = runs, rowWords
 	bi.keepRows()
 	return bi, nil
+}
+
+// setStarts lays out the word table's starts, given each word's start in
+// the position array and the array's end, keeping the words' lead pages. The
+// groups are the largest, up to 1<<maxGroupShift words, in which every
+// start lies within startMask of its group's first; one word a group always
+// fits. The end is the first of a group of its own: alphabet.NumWords is a
+// multiple of every group size.
+func (b *BlockIndex) setStarts(starts []uint32) {
+	shift := maxGroupShift
+	for ; shift > 0; shift-- {
+		size, fits := 1<<shift, true
+		for g := size; g < len(starts) && fits; g += size {
+			fits = starts[g-1]-starts[g-size] <= startMask
+		}
+		if fits {
+			break
+		}
+	}
+	b.shift, b.bases = uint8(shift), make([]int32, alphabet.NumWords>>shift+1)
+	for g := range b.bases {
+		base := starts[g<<shift]
+		b.bases[g] = int32(base)
+		group := b.words[g<<shift : min((g+1)<<shift, len(b.words))]
+		for i, s := range starts[g<<shift:][:len(group)] {
+			group[i] = group[i]&^startMask | uint16(s-base)
+		}
+	}
 }
 
 // grown returns (*buf)[:n], growing *buf first if it is shorter.
@@ -284,7 +336,7 @@ func grown[T any](buf *[]T, n int) []T {
 }
 
 // setRuns records the runs of word w, given the length of the one that
-// starts in each page: in w's lead byte when they are one run that it can
+// starts in each page: in w's lead page when they are one run that it can
 // name, else in a row of the split table. Words must come in ascending order,
 // which keeps multi and wide sorted.
 func (b *BlockIndex) setRuns(w alphabet.Word, lens []uint32) {
@@ -294,11 +346,11 @@ func (b *BlockIndex) setRuns(w alphabet.Word, lens []uint32) {
 			runs, first = runs+1, p
 		}
 	}
-	if runs <= 1 && first < noLead { // one run, or none: page 0 will do
-		b.lead[w] = uint8(first)
+	if runs <= 1 && first < NoLead { // one run, or none: page 0 will do
+		b.setLead(w, first)
 		return
 	}
-	b.lead[w] = noLead
+	b.setLead(w, NoLead)
 	b.multi = append(b.multi, w)
 	for p, n := range lens {
 		if n < splitWide {
@@ -309,6 +361,14 @@ func (b *BlockIndex) setRuns(w alphabet.Word, lens []uint32) {
 		b.wide = append(b.wide, wideRun{int32(int(w)*b.pages + p), int32(n)})
 	}
 }
+
+// setLead sets the lead page of word w.
+func (b *BlockIndex) setLead(w alphabet.Word, page int) {
+	b.words[w] = b.words[w]&startMask | uint16(page)<<startBits
+}
+
+// lead returns the lead page of word w.
+func (b *BlockIndex) lead(w alphabet.Word) int { return int(b.words[w] >> startBits) }
 
 // keepRows drops the slack that appending left in the split table, which is
 // held for the life of the block, and builds its directory.
@@ -356,13 +416,27 @@ func (b *BlockIndex) layout(db *dbase.DB) (residues int64, maxLen int, err error
 // spans.
 func (b *BlockIndex) Pages() int { return b.pages }
 
+// Word returns where the positions of word w lie in Flat, Flat()[lo:hi],
+// and w's lead page: the page its run starts in when it is one run (as most
+// words' are), else NoLead. It is Lead for a scan that keeps Flat at hand,
+// small enough to be inlined into its loop.
+func (b *BlockIndex) Word(w alphabet.Word) (lo, hi, lead int) {
+	e, f, s := b.words[w], b.words[w+1], b.shift&15
+	return int(b.bases[w>>s]) + int(e&startMask), int(b.bases[(w+1)>>s]) + int(f&startMask), int(e >> startBits)
+}
+
+// Flat returns the block's position array, every word's positions as
+// stored, word after word; Word says where each word's are. It is a view;
+// callers must not modify it.
+func (b *BlockIndex) Flat() []uint16 { return b.flat }
+
 // Lead returns the positions of word w as stored and, when they form one
-// run (as most words' do), the page it starts in, so that a scan can walk
-// them with Next from page<<PageShift without looking up a row of the split
-// table. When ok is false, walk Runs.
+// run (as most words' do) that starts in a page below NoLead, the page it
+// starts in, so that a scan can walk them with Next from page<<PageShift
+// without looking up a row of the split table. When ok is false, walk Runs.
 func (b *BlockIndex) Lead(w alphabet.Word) (offs []uint16, page int, ok bool) {
-	c := b.lead[w]
-	return b.flat[b.offsets[w]:b.offsets[w+1]], int(c), c != noLead
+	lo, hi, page := b.Word(w)
+	return b.flat[lo:hi], page, page != NoLead
 }
 
 // Runs returns the positions of word w as stored and the word's row of the
@@ -374,8 +448,8 @@ func (b *BlockIndex) Lead(w alphabet.Word) (offs []uint16, page int, ok bool) {
 // whose positions are one run (Lead's ok) has no row: row is nil. Both
 // slices are views; callers must not modify them.
 func (b *BlockIndex) Runs(w alphabet.Word) (offs []uint16, row []uint8) {
-	offs = b.flat[b.offsets[w]:b.offsets[w+1]]
-	if b.lead[w] != noLead {
+	offs, _, one := b.Lead(w)
+	if one {
 		return offs, nil
 	}
 	i := int(b.rowDir[w>>rowDirShift])
@@ -389,10 +463,11 @@ func (b *BlockIndex) Runs(w alphabet.Word) (offs []uint16, row []uint8) {
 // the word's row from Runs.
 func (b *BlockIndex) RunLen(w alphabet.Word, p int, row []uint8) int {
 	if row == nil {
-		if p != int(b.lead[w]) {
+		lo, hi, page := b.Word(w)
+		if p != page {
 			return 0
 		}
-		return int(b.offsets[w+1] - b.offsets[w])
+		return hi - lo
 	}
 	if c := row[p]; c < splitWide {
 		return int(c)
@@ -442,7 +517,9 @@ func (b *BlockIndex) Positions(w alphabet.Word) []uint32 {
 
 // Base returns the flat-array index of the first position stored under w,
 // used by the cache simulator to map lookups to index addresses.
-func (b *BlockIndex) Base(w alphabet.Word) int32 { return b.offsets[w] }
+func (b *BlockIndex) Base(w alphabet.Word) int32 {
+	return b.bases[w>>(b.shift&15)] + int32(b.words[w]&startMask)
+}
 
 // Span returns the length of the block's coordinate axis: its residues plus
 // Pad coordinates after every sequence.
@@ -468,11 +545,11 @@ func (b *BlockIndex) Seq(db *dbase.DB, seqLocal int) *dbase.Sequence {
 func (b *BlockIndex) NumPositions() int { return len(b.flat) }
 
 // SizeBytes returns the block's memory footprint: the position array, the
-// word table (per-word starts, the lead table, and the split table: its
+// word table (an entry per word, the group bases, and the split table: its
 // rows, their words, their wide runs and its directory) and the layout
 // Decode reads (segStart and the coarse table).
 func (b *BlockIndex) SizeBytes() int64 {
-	return int64(len(b.flat))*2 + int64(len(b.offsets))*4 + int64(len(b.lead)) +
+	return int64(len(b.flat))*2 + int64(len(b.words))*2 + int64(len(b.bases))*4 +
 		int64(len(b.rows)) + int64(len(b.multi))*2 + int64(len(b.wide))*8 + int64(len(b.rowDir))*2 +
 		int64(len(b.segStart))*4 + int64(len(b.coarse))*4
 }
@@ -482,7 +559,7 @@ func (b *BlockIndex) SizeBytes() int64 {
 // address space the cache simulator lays index blocks out in, so that the
 // simulated figures do not move with the stored width.
 func (b *BlockIndex) ModelBytes() int64 {
-	return int64(len(b.flat))*4 + int64(len(b.offsets))*4
+	return int64(len(b.flat))*4 + (alphabet.NumWords+1)*4
 }
 
 // MaxWindow returns the widest two-hit window the index serves: the padding
@@ -524,7 +601,7 @@ func (ix *Index) ExpandedSizeBytes() int64 {
 	var n int64
 	for _, b := range ix.Blocks {
 		for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
-			n += int64(b.offsets[w+1]-b.offsets[w]) * int64(ix.Neighbors.NumNeighbors(w)) * 2
+			n += int64(b.Base(w+1)-b.Base(w)) * int64(ix.Neighbors.NumNeighbors(w)) * 2
 		}
 		n += b.SizeBytes() - int64(len(b.flat))*2
 	}

@@ -25,13 +25,13 @@ func nbr() *neighbor.Table {
 	return nbrTbl
 }
 
-func testIndex(t *testing.T, nSeqs int, blockResidues int64) *Index {
-	t.Helper()
+func testIndex(tb testing.TB, nSeqs int, blockResidues int64) *Index {
+	tb.Helper()
 	g := seqgen.New(seqgen.UniprotProfile(), 77)
 	db := dbase.New(g.Database(nSeqs))
 	ix, err := Build(db, nbr(), blockResidues)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return ix
 }
@@ -180,10 +180,8 @@ func TestSerializeRoundTrip(t *testing.T) {
 				t.Fatalf("block %d position %d mismatch", i, j)
 			}
 		}
-		for w := range b.offsets {
-			if gb.offsets[w] != b.offsets[w] {
-				t.Fatalf("block %d offset %d mismatch", i, w)
-			}
+		if gb.shift != b.shift || !slices.Equal(gb.words, b.words) || !slices.Equal(gb.bases, b.bases) {
+			t.Fatalf("block %d word table mismatch", i)
 		}
 	}
 }
@@ -385,17 +383,41 @@ func TestReadFromRejectsPositionsOfAnEmptyBlock(t *testing.T) {
 // of 298 positions (a multi-run word whose runs are too long for the split
 // table's byte), CCC in two runs of one, WWW in one run that starts in page
 // 1, and words such as YYY with no positions at all.
-func runsBlock(t *testing.T) *Index {
-	t.Helper()
+//
+// It is also dense: the filler's sixteen words hold 4375 positions each, so
+// the word table falls to groups smaller than 64 words.
+func runsBlock(tb testing.TB) *Index {
+	tb.Helper()
 	filler := strings.Repeat("DEFGHIKLMNPQRSTV", 70_000/16)
 	poly := strings.Repeat("A", 300)
 	seq := alphabet.MustEncode(poly + "CCC" + filler + "CCCWWW" + poly)
 	ix, err := Build(dbase.New([][]alphabet.Code{seq}), nbr(), 1<<20)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if len(ix.Blocks) != 1 || ix.Blocks[0].Pages() != 2 {
-		t.Fatalf("want one block of two pages, got %d blocks", len(ix.Blocks))
+		tb.Fatalf("want one block of two pages, got %d blocks", len(ix.Blocks))
+	}
+	return ix
+}
+
+// pagedIndex returns an index of one block over 17 short sequences, each
+// padded to start in a page of its own: more than NoLead pages, and a word
+// of the last two sequences that occurs nowhere else is one run from page
+// NoLead or later, which the lead page cannot name.
+func pagedIndex(tb testing.TB) *Index {
+	tb.Helper()
+	g := seqgen.New(seqgen.UniprotProfile(), 11)
+	seqs := make([][]alphabet.Code, NoLead+2)
+	for i := range seqs {
+		seqs[i] = g.Sequence(24)
+	}
+	ix, err := BuildWindow(dbase.New(seqs), nbr(), 1<<20, maxPad+alphabet.W)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(ix.Blocks) != 1 || ix.Blocks[0].Pages() <= NoLead+1 {
+		tb.Fatalf("want one block of more than %d pages, got %d blocks", NoLead+1, len(ix.Blocks))
 	}
 	return ix
 }
@@ -443,43 +465,126 @@ func TestRunShapes(t *testing.T) {
 	}
 }
 
-// TestSaveLoadSaveIdentical: the word table decodes into the lead table and
-// the sparse split table and encodes back to the same bytes, for every shape
-// of word.
+// TestSaveLoadSaveIdentical: the word table decodes into the compact
+// in-memory table and the sparse split table and encodes back to the same
+// bytes, for every shape of word, on a dense block and on a block of more
+// than NoLead pages; the loaded block holds what the built one did.
 func TestSaveLoadSaveIdentical(t *testing.T) {
-	ix := runsBlock(t)
-	var first, second bytes.Buffer
-	if _, err := ix.WriteTo(&first); err != nil {
-		t.Fatal(err)
-	}
-	if int64(first.Len()) != ix.EncodedSize() {
-		t.Errorf("EncodedSize %d, WriteTo wrote %d", ix.EncodedSize(), first.Len())
-	}
-	got, err := ReadFrom(bytes.NewReader(first.Bytes()), ix.DB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := got.WriteTo(&second); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatalf("Save -> Load -> Save: %d bytes, then %d that differ", first.Len(), second.Len())
-	}
-	b, gb := ix.Blocks[0], got.Blocks[0]
-	if !slices.Equal(b.lead, gb.lead) || !slices.Equal(b.multi, gb.multi) || !slices.Equal(b.rows, gb.rows) || !slices.Equal(b.wide, gb.wide) ||
-		!slices.Equal(b.rowDir, gb.rowDir) {
-		t.Errorf("loaded word table differs: multi %v rows %v wide %v, built %v %v %v", gb.multi, gb.rows, gb.wide, b.multi, b.rows, b.wide)
-	}
-	if b.SizeBytes() != gb.SizeBytes() {
-		t.Errorf("loaded block holds %d bytes, built %d", gb.SizeBytes(), b.SizeBytes())
+	for name, ix := range map[string]*Index{"dense": runsBlock(t), "paged": pagedIndex(t)} {
+		var first, second bytes.Buffer
+		if _, err := ix.WriteTo(&first); err != nil {
+			t.Fatal(err)
+		}
+		if int64(first.Len()) != ix.EncodedSize() {
+			t.Errorf("%s: EncodedSize %d, WriteTo wrote %d", name, ix.EncodedSize(), first.Len())
+		}
+		got, err := ReadFrom(bytes.NewReader(first.Bytes()), ix.DB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := got.WriteTo(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("%s: Save -> Load -> Save: %d bytes, then %d that differ", name, first.Len(), second.Len())
+		}
+		b, gb := ix.Blocks[0], got.Blocks[0]
+		if b.shift != gb.shift || !slices.Equal(b.words, gb.words) || !slices.Equal(b.bases, gb.bases) ||
+			!slices.Equal(b.multi, gb.multi) || !slices.Equal(b.rows, gb.rows) || !slices.Equal(b.wide, gb.wide) ||
+			!slices.Equal(b.rowDir, gb.rowDir) {
+			t.Errorf("%s: loaded word table differs: multi %v wide %v, built %v %v", name, gb.multi, gb.wide, b.multi, b.wide)
+		}
+		for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
+			if !slices.Equal(b.Positions(w), gb.Positions(w)) {
+				t.Fatalf("%s: word %s: loaded positions differ", name, w)
+			}
+		}
+		if b.SizeBytes() != gb.SizeBytes() {
+			t.Errorf("%s: loaded block holds %d bytes, built %d", name, gb.SizeBytes(), b.SizeBytes())
+		}
 	}
 }
 
-// TestBlockFootprint pins what a block holds beyond its positions: a start
-// and a lead byte per word, a row of pages bytes and a 2-byte key for each
-// word with several runs (their wide runs and the rows' 432-byte directory
-// aside), and the layout Decode reads — built or loaded. A split table with
-// a row for every word would not fit.
+// TestWordGroups pins the word table's group choice: the largest groups, up
+// to 64 words, in which every start fits the entry's 12 bits. Uniprot-like
+// blocks of up to a few hundred thousand residues keep 64-word groups; a
+// word of 4096 or more positions ahead of others in its group, or a block of
+// a million residues, forces smaller ones.
+func TestWordGroups(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		ix    *Index
+		shift int // of every block; -1: of block 0, below maxGroupShift
+	}{
+		{"uniprot-like, small blocks", testIndex(t, 60, 8192), maxGroupShift},
+		{"uniprot-like, one multi-page block", testIndex(t, 400, 1<<20), maxGroupShift},
+		{"dense", runsBlock(t), -1},
+		{"a million residues", testIndex(t, 2800, 1<<20), -1},
+	} {
+		for i, b := range tc.ix.Blocks {
+			count := make([]int, alphabet.NumWords)
+			for w := range count {
+				count[w] = len(b.Positions(alphabet.Word(w)))
+			}
+			// Groups of 1<<shift words fit when the words of each but its
+			// last hold at most startMask positions.
+			fits := func(shift int) bool {
+				for g := 0; g < alphabet.NumWords; g += 1 << shift {
+					off := 0
+					for _, n := range count[g : g+1<<shift-1] {
+						off += n
+					}
+					if off > startMask {
+						return false
+					}
+				}
+				return true
+			}
+			shift := int(b.shift)
+			if !fits(shift) || shift < maxGroupShift && fits(shift+1) {
+				t.Errorf("%s: block %d has %d-word groups, not the largest that fit", tc.name, i, 1<<shift)
+			}
+			if tc.shift >= 0 && shift != tc.shift || tc.shift < 0 && i == 0 && shift >= maxGroupShift {
+				t.Errorf("%s: block %d has %d-word groups", tc.name, i, 1<<shift)
+			}
+			if len(b.bases) != alphabet.NumWords>>shift+1 {
+				t.Errorf("%s: block %d has %d group bases for %d-word groups", tc.name, i, len(b.bases), 1<<shift)
+			}
+		}
+	}
+}
+
+// TestLatePageTakesRow: a word whose one run starts in page NoLead or later
+// cannot name it in its lead page, so it keeps a row of the split table, and
+// its positions still decode.
+func TestLatePageTakesRow(t *testing.T) {
+	b := pagedIndex(t).Blocks[0]
+	late := 0
+	for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
+		ps := b.Positions(w)
+		if len(ps) == 0 || ps[0]>>PageShift < NoLead || ps[len(ps)-1]-ps[0] >= 1<<PageShift {
+			continue
+		}
+		late++
+		page := int(ps[0] >> PageShift)
+		offs, row := b.Runs(w)
+		if _, _, one := b.Lead(w); one || row == nil || b.RunLen(w, page, row) != len(offs) {
+			t.Errorf("word %s: one run of %d from page %d: Lead one %v, row %v", w, len(ps), page, one, row)
+		}
+	}
+	if late == 0 {
+		t.Fatal("no word's one run starts in page NoLead or later")
+	}
+}
+
+// TestBlockFootprint pins what a block holds beyond its positions: a
+// 2-byte word-table entry per word and a 4-byte base per group, a row of
+// pages bytes and a 2-byte key for each word that keeps a row of the split
+// table (several runs, or one from page NoLead or later; their wide runs and
+// the rows' 432-byte directory aside), and the layout Decode reads — built
+// or loaded. Uniprot-like blocks keep 64-word groups, 2.06 bytes a word; a
+// block that falls to one-word groups pays 6 bytes a word. A split table
+// with a row for every word would not fit.
 func TestBlockFootprint(t *testing.T) {
 	var indexes []*Index
 	for _, ix := range []*Index{testIndex(t, 400, 1<<20), runsBlock(t)} {
@@ -493,26 +598,34 @@ func TestBlockFootprint(t *testing.T) {
 		}
 		indexes = append(indexes, ix, loaded)
 	}
-	for _, ix := range indexes {
+	for k, ix := range indexes {
 		for i, b := range ix.Blocks {
 			if b.Pages() < 2 {
 				t.Fatalf("block %d spans %d page, want a multi-page block", i, b.Pages())
 			}
-			multi := 0 // words whose positions are more than one run
+			if uniprot := k < 2; uniprot && b.shift != maxGroupShift {
+				t.Errorf("uniprot-like block %d has %d-word groups, want %d", i, 1<<b.shift, 1<<maxGroupShift)
+			}
+			rowWords := 0 // words whose positions are several runs, or one from page NoLead on
 			for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
 				ps := b.Positions(w)
+				if len(ps) > 0 && ps[0]>>PageShift >= NoLead {
+					rowWords++
+					continue
+				}
 				for i := 1; i < len(ps); i++ {
 					if ps[i]-ps[i-1] >= 1<<PageShift {
-						multi++
+						rowWords++
 						break
 					}
 				}
 			}
-			limit := int64(4*(alphabet.NumWords+1)+alphabet.NumWords) + int64((b.Pages()+2)*multi) +
+			groups := alphabet.NumWords >> b.shift
+			limit := int64(2*(alphabet.NumWords+1)+4*(groups+1)) + int64((b.Pages()+2)*rowWords) +
 				int64(len(b.wide))*8 + 2*alphabet.NumWords>>rowDirShift + int64(4*len(b.segStart)+4*len(b.coarse))
 			if got := b.SizeBytes() - 2*int64(b.NumPositions()); got > limit {
-				t.Errorf("block %d (%d pages, %d multi-run words) holds %d bytes beyond its positions, more than %d",
-					i, b.Pages(), multi, got, limit)
+				t.Errorf("block %d (%d pages, %d words with rows, %d-word groups) holds %d bytes beyond its positions, more than %d",
+					i, b.Pages(), rowWords, 1<<b.shift, got, limit)
 			}
 		}
 	}

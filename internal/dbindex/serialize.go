@@ -28,8 +28,8 @@ import (
 // Positions are stored as the package doc says: a run's first as its offset
 // in its page of the block's coordinate axis, every later one as its
 // distance from the one before. segStart, the coarse table and the page
-// count are rebuilt from the attached database on load, and the word starts,
-// lead table and split table from the word table.
+// count are rebuilt from the attached database on load, and the in-memory
+// word table (starts, lead pages and split table) from the stored one.
 //
 // The database itself is serialized separately (dbase.WriteTo); on load the
 // caller re-attaches it. The neighbor table is always rebuilt from the
@@ -40,7 +40,7 @@ import (
 const ixMagic = "MUIX2\n"
 
 // header returns the five block fields the stream carries before the
-// block's offsets.
+// block's word table.
 func (b *BlockIndex) header() [5]uint64 {
 	return [5]uint64{
 		uint64(b.Block.Start), uint64(b.Block.End),
@@ -48,13 +48,15 @@ func (b *BlockIndex) header() [5]uint64 {
 	}
 }
 
-// wordHeader returns the first word-table field of word w.
-func (b *BlockIndex) wordHeader(w alphabet.Word) uint64 {
-	h := uint64(b.offsets[w+1]-b.offsets[w]) << 1
-	if b.lead[w] != 0 {
+// wordHeader returns the first word-table field of word w, whose positions
+// start at start, and the next word's start.
+func (b *BlockIndex) wordHeader(w alphabet.Word, start int32) (h uint64, next int32) {
+	next = b.Base(w + 1)
+	h = uint64(next-start) << 1
+	if b.lead(w) != 0 {
 		h |= 1
 	}
-	return h
+	return h, next
 }
 
 // EncodedSize returns the exact number of bytes WriteTo writes.
@@ -65,8 +67,10 @@ func (ix *Index) EncodedSize() int64 {
 			n += int64(dbase.UvarintLen(v))
 		}
 		lens := make([]uint32, b.pages)
+		start := int32(0)
 		for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
-			h := b.wordHeader(w)
+			var h uint64
+			h, start = b.wordHeader(w, start)
 			n += int64(dbase.UvarintLen(h))
 			if h&1 != 0 {
 				b.runLens(w, lens)
@@ -92,8 +96,10 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 			sw.Uvarint(v)
 		}
 		lens := make([]uint32, b.pages)
+		start := int32(0)
 		for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
-			h := b.wordHeader(w)
+			var h uint64
+			h, start = b.wordHeader(w, start)
 			sw.Uvarint(h)
 			if h&1 != 0 {
 				b.runLens(w, lens)
@@ -154,6 +160,7 @@ func ReadFromLimit(r io.Reader, db *dbase.DB, maxBytes int64) (*Index, error) {
 		return nil, fmt.Errorf("dbindex: implausible block count %d", numBlocks)
 	}
 	var valid []uint64 // word-start bitset, reused across blocks
+	starts := make([]uint32, alphabet.NumWords+1)
 	prevEnd := 0
 	for i := uint64(0); i < numBlocks; i++ {
 		var vals [5]uint64
@@ -170,7 +177,7 @@ func ReadFromLimit(r io.Reader, db *dbase.DB, maxBytes int64) (*Index, error) {
 				Start: int(vals[0]), End: int(vals[1]),
 				Residues: int64(vals[2]), MaxLen: int(vals[3]),
 			},
-			offsets: make([]int32, alphabet.NumWords+1),
+			words: make([]uint16, alphabet.NumWords+1),
 		}
 		if vals[4] > maxPad {
 			return nil, fmt.Errorf("dbindex: block %d padding %d out of range [0,%d]", i, vals[4], maxPad)
@@ -195,11 +202,11 @@ func ReadFromLimit(r io.Reader, db *dbase.DB, maxBytes int64) (*Index, error) {
 				i, b.Block.Residues, b.Block.MaxLen, residues, maxLen)
 		}
 		prevEnd = b.Block.End
-		if err := b.readWordTable(sr, maxBytes); err != nil {
+		if err := b.readWordTable(sr, maxBytes, starts); err != nil {
 			return nil, fmt.Errorf("dbindex: block %d: %w", i, err)
 		}
 		valid = b.wordStarts(db, valid)
-		if err := b.readPositions(sr, valid); err != nil {
+		if err := b.readPositions(sr, valid, starts); err != nil {
 			return nil, fmt.Errorf("dbindex: block %d: %w", i, err)
 		}
 		ix.Blocks = append(ix.Blocks, b)
@@ -211,13 +218,14 @@ func ReadFromLimit(r io.Reader, db *dbase.DB, maxBytes int64) (*Index, error) {
 }
 
 // readWordTable decodes the block's word table into its word starts, lead
-// table and split table, holding every word's runs to its position count.
-func (b *BlockIndex) readWordTable(sr *dbase.StreamReader, maxBytes int64) error {
-	b.lead = make([]uint8, alphabet.NumWords)
+// pages and split table, holding every word's runs to its position count,
+// and leaves in starts (NumWords+1 long) each word's start in the position
+// array and the array's end.
+func (b *BlockIndex) readWordTable(sr *dbase.StreamReader, maxBytes int64, starts []uint32) error {
 	row := make([]uint32, b.pages)
 	total := uint64(0)
-	for w := 0; w < alphabet.NumWords; w++ {
-		b.offsets[w] = int32(total)
+	for w := range starts[:alphabet.NumWords] {
+		starts[w] = uint32(total)
 		h, err := sr.Uvarint()
 		if err != nil {
 			return fmt.Errorf("word %d position count: %w", w, err)
@@ -245,7 +253,8 @@ func (b *BlockIndex) readWordTable(sr *dbase.StreamReader, maxBytes int64) error
 	if total > uint64(maxBytes/2) || total > math.MaxInt32 {
 		return fmt.Errorf("implausible position count %d", total)
 	}
-	b.offsets[alphabet.NumWords] = int32(total)
+	starts[alphabet.NumWords] = uint32(total)
+	b.setStarts(starts)
 	return nil
 }
 
@@ -297,25 +306,27 @@ func (b *BlockIndex) wordStarts(db *dbase.DB, buf []uint64) []uint64 {
 // these values unchecked, so a corrupt position that slipped past the
 // container checksum must be caught here rather than panic mid-search. Each
 // check is one load, no walk; a run's coordinates only grow, so one past the
-// span ends the run.
-func (b *BlockIndex) readPositions(sr *dbase.StreamReader, valid []uint64) error {
-	b.flat = make([]uint16, b.offsets[alphabet.NumWords])
-	for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
-		if b.offsets[w] == b.offsets[w+1] {
+// span ends the run. starts holds each word's start in the position array
+// and the array's end.
+func (b *BlockIndex) readPositions(sr *dbase.StreamReader, valid []uint64, starts []uint32) error {
+	b.flat = make([]uint16, starts[alphabet.NumWords])
+	for w := range starts[:alphabet.NumWords] {
+		offs := b.flat[starts[w]:starts[w+1]]
+		if len(offs) == 0 {
 			continue
 		}
-		offs, page, one := b.Lead(w)
+		page := b.lead(alphabet.Word(w))
 		raw, err := sr.Next(2 * len(offs))
 		if err != nil {
 			return fmt.Errorf("positions: %w", err)
 		}
 		g, ok := uint32(0), true
-		if one {
+		if page != NoLead {
 			g, ok = decode(offs, raw, uint32(page)<<PageShift, valid)
 		} else {
-			_, row := b.Runs(w)
+			_, row := b.Runs(alphabet.Word(w))
 			for p := 0; ok && len(offs) > 0; p++ {
-				n := b.RunLen(w, p, row)
+				n := b.RunLen(alphabet.Word(w), p, row)
 				g, ok = decode(offs[:n], raw, uint32(p)<<PageShift, valid)
 				offs, raw = offs[n:], raw[2*n:]
 			}

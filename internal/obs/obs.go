@@ -453,6 +453,7 @@ type ServerMetrics struct {
 	Inflight    *Gauge // requests currently searching
 	Degraded    *Gauge // 1 while degraded mode is tripped, else 0
 	Generation  *Gauge // current database generation (1-based)
+	IndexBytes  *Gauge // bytes the serving database's index holds (blast.Database.IndexSizeBytes)
 	ManifestSeq *Gauge // ingest-store manifest commit seq (0 = not store-backed)
 	DeltaCount  *Gauge // delta containers currently layered on the base
 
@@ -479,6 +480,7 @@ func NewServerMetrics(r *Registry) *ServerMetrics {
 		Inflight:        r.Gauge("requests_inflight"),
 		Degraded:        r.Gauge("degraded_mode"),
 		Generation:      r.Gauge("db_generation"),
+		IndexBytes:      r.Gauge("index_bytes"),
 		ManifestSeq:     r.Gauge("manifest_seq"),
 		DeltaCount:      r.Gauge("delta_count"),
 		QueueWaitNanos:  r.Histogram("queue_wait_nanos"),

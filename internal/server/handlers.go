@@ -290,6 +290,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	s.met.Reloads.Add(1)
 	s.met.Generation.Set(float64(s.ses.Generation()))
 	db := s.ses.DB()
+	s.met.IndexBytes.Set(float64(db.IndexSizeBytes()))
 	seq, hash, deltas := db.Manifest()
 	WriteJSON(w, http.StatusOK, ReloadResponse{
 		Generation:   s.ses.Generation(),

@@ -169,6 +169,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.met.Ingests.Add(1)
 	s.met.IngestedSeqs.Add(int64(stats.Sequences))
 	s.met.Generation.Set(float64(s.ses.Generation()))
+	s.met.IndexBytes.Set(float64(s.ses.DB().IndexSizeBytes()))
 	s.met.ManifestSeq.Set(float64(st.ManifestSeq()))
 	s.met.DeltaCount.Set(float64(st.NumDeltas()))
 	s.Logf("ingest: %d sequences -> manifest seq %d (%d deltas, compacted=%v)",

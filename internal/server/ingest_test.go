@@ -81,6 +81,10 @@ func TestIngestEndpoint(t *testing.T) {
 	f := newStoreFixture(t)
 	srv, base := f.start(t, Config{})
 	batch := ingestSeqs(4, 132, "inc")
+	baseIndex := f.ses.DB().IndexSizeBytes()
+	if got := srv.Config().Registry.Snapshot()["index_bytes"]; got != float64(baseIndex) {
+		t.Fatalf("index_bytes before ingest = %v, want %d", got, baseIndex)
+	}
 
 	resp, data := postJSON(t, base+"/ingest", ingestBody(batch, false))
 	if resp.StatusCode != http.StatusOK {
@@ -121,6 +125,9 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 	if snap["manifest_seq"] != float64(2) || snap["delta_count"] != float64(1) {
 		t.Fatalf("manifest gauges %v / %v", snap["manifest_seq"], snap["delta_count"])
+	}
+	if got, want := snap["index_bytes"], float64(f.ses.DB().IndexSizeBytes()); got != want || want <= float64(baseIndex) {
+		t.Fatalf("index_bytes after ingest = %v, want %v, above the base's %d", got, want, baseIndex)
 	}
 
 	// A second ingest with Compact folds the deltas away.

@@ -196,6 +196,7 @@ func New(ses *blast.Session, p blast.Params, cfg Config) *Server {
 	}
 	s.ingestTok <- struct{}{}
 	met.Generation.Set(float64(ses.Generation()))
+	met.IndexBytes.Set(float64(ses.DB().IndexSizeBytes()))
 	if cfg.Store != nil {
 		met.ManifestSeq.Set(float64(cfg.Store.ManifestSeq()))
 		met.DeltaCount.Set(float64(cfg.Store.NumDeltas()))

@@ -190,6 +190,9 @@ func TestReloadEndpoint(t *testing.T) {
 	if sr.Generation != 1 {
 		t.Errorf("generation after rejected reload = %d, want 1", sr.Generation)
 	}
+	if got, want := srv.Config().Registry.Snapshot()["index_bytes"], float64(f.dbA.IndexSizeBytes()); got != want {
+		t.Errorf("index_bytes after rejected reload = %v, want %v", got, want)
+	}
 
 	// Now the valid replacement.
 	resp, data = postJSON(t, base+"/reload", ReloadRequest{Path: f.pathB})
@@ -214,6 +217,9 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 	if got := srv.met.Reloads.Value(); got != 1 {
 		t.Errorf("db_reloads = %d, want 1", got)
+	}
+	if got, want := srv.Config().Registry.Snapshot()["index_bytes"], float64(dbB.IndexSizeBytes()); got != want || want == float64(f.dbA.IndexSizeBytes()) {
+		t.Errorf("index_bytes after reload = %v, want %v (before: %v)", got, want, f.dbA.IndexSizeBytes())
 	}
 	if got := srv.met.ReloadsRejected.Value(); got != 1 {
 		t.Errorf("db_reloads_rejected = %d, want 1", got)
