@@ -215,3 +215,42 @@ func TestContainerAllocationCeilings(t *testing.T) {
 	}
 	t.Logf("container %d bytes; Load allocated %d for %d decoded (%.3fx)", len(art), got, want, float64(got)/float64(want))
 }
+
+// reallocWatch is a bytes.Buffer that counts how often its storage moves,
+// through Grow or Write.
+type reallocWatch struct {
+	buf      bytes.Buffer
+	reallocs int
+}
+
+func (r *reallocWatch) watch(op func()) {
+	before := r.buf.Cap()
+	op()
+	if r.buf.Cap() != before {
+		r.reallocs++
+	}
+}
+
+func (r *reallocWatch) Grow(n int) { r.watch(func() { r.buf.Grow(n) }) }
+
+func (r *reallocWatch) Write(p []byte) (n int, err error) {
+	r.watch(func() { n, err = r.buf.Write(p) })
+	return n, err
+}
+
+// TestSaveGrowsBufferOnce: Save into an empty in-memory writer with a Grow
+// method reserves the container's exact size up front, so the buffer is
+// allocated once and not doubled its way there.
+func TestSaveGrowsBufferOnce(t *testing.T) {
+	db := allocDatabase(t)
+	var w reallocWatch
+	if err := db.Save(&w); err != nil {
+		t.Fatal(err)
+	}
+	if want := saved(t, db); !bytes.Equal(w.buf.Bytes(), want) {
+		t.Fatalf("Save through a Grow writer wrote %d bytes that differ from the %d of a plain save", w.buf.Len(), len(want))
+	}
+	if w.reallocs != 1 {
+		t.Fatalf("saving %d bytes moved the buffer %d times, want 1", w.buf.Len(), w.reallocs)
+	}
+}

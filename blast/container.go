@@ -183,11 +183,17 @@ func containerSize(secs []section) int64 {
 // Save writes the database (fingerprint, sequences, index, split origins)
 // as a version-4 container so a later Load skips index construction — the
 // reuse the paper's database-index design is for. Every section is framed
-// with a length and a CRC32 so Load can prove integrity.
+// with a length and a CRC32 so Load can prove integrity. A writer with a
+// Grow(int) method, such as a bytes.Buffer, is grown to the container's
+// exact size first, so it is allocated once instead of doubling its way
+// there.
 func (d *Database) Save(w io.Writer) error {
 	secs, err := d.sections()
 	if err != nil {
 		return err
+	}
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(int(containerSize(secs)))
 	}
 	return writeSections(w, secs)
 }

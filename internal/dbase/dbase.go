@@ -62,8 +62,34 @@ func (db *DB) NumSeqs() int { return len(db.Seqs) }
 // sorts the database by length before blocking so every block holds
 // sequences of similar length, which equalizes diagonal counts and makes
 // the radix-sort key width uniform (Section IV-B).
+//
+// It sorts keys, not sequences: a Sequence is 48 bytes, and a comparison
+// sort moves each one many times. Each key is a sequence's length above its
+// position; the keys are distinct, so any sort of them is stable, and their
+// low halves are the permutation, which moves each sequence once, along its
+// cycles.
 func (db *DB) SortByLength() {
-	slices.SortStableFunc(db.Seqs, byLength)
+	keys := make([]uint64, len(db.Seqs))
+	for i := range db.Seqs {
+		keys[i] = uint64(len(db.Seqs[i].Data))<<32 | uint64(i)
+	}
+	slices.Sort(keys)
+	// Position i takes the sequence at from(i); a placed position's key
+	// becomes its own position.
+	from := func(i int) int { return int(uint32(keys[i])) }
+	for i := range keys {
+		if from(i) == i {
+			continue
+		}
+		first := db.Seqs[i]
+		j := i
+		for from(j) != i {
+			k := from(j)
+			db.Seqs[j], keys[j] = db.Seqs[k], uint64(j)
+			j = k
+		}
+		db.Seqs[j], keys[j] = first, uint64(j)
+	}
 	for i := range db.Seqs {
 		db.Seqs[i].ID = i
 	}

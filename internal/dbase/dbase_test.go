@@ -2,6 +2,9 @@ package dbase
 
 import (
 	"bytes"
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -350,6 +353,30 @@ func TestFirstInvalidCode(t *testing.T) {
 				if got := firstInvalidCode(data); got != bad {
 					t.Fatalf("%d bytes, byte %d set to %d: got %d", n, bad, v, got)
 				}
+			}
+		}
+	}
+}
+
+// TestSortByLengthMatchesStableSort: SortByLength sorts a permutation and
+// moves each sequence once; on databases full of equal lengths (ties
+// everywhere, long cycles) it must leave exactly the order a stable sort of
+// the sequences leaves, with IDs renumbered to positions.
+func TestSortByLengthMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, tc := range []struct{ n, lengths int }{{0, 1}, {1, 1}, {2, 1}, {500, 1}, {500, 3}, {2000, 17}, {2000, 400}} {
+		seqs := make([][]alphabet.Code, tc.n)
+		for i := range seqs {
+			seqs[i] = make([]alphabet.Code, 1+rng.Intn(tc.lengths))
+		}
+		db, want := New(seqs), New(seqs)
+		slices.SortStableFunc(want.Seqs, func(a, b Sequence) int { return cmp.Compare(len(a.Data), len(b.Data)) })
+		db.SortByLength()
+		for i := range want.Seqs {
+			got := db.Seqs[i]
+			if got.Name != want.Seqs[i].Name || &got.Data[0] != &want.Seqs[i].Data[0] || got.ID != i {
+				t.Fatalf("%d sequences of %d lengths: position %d holds %s (ID %d), stable sort %s",
+					tc.n, tc.lengths, i, got.Name, got.ID, want.Seqs[i].Name)
 			}
 		}
 	}

@@ -7,7 +7,7 @@
 //
 // There is one DP kernel, extendHalfProf (kernel.go), driven by a query
 // profile, and two uses of it. ExtendScoreProf is stage three: score and span
-// only, two rows alternating. TracebackProf is stage four, run on the few
+// only, one row updated in place. TracebackProf is stage four, run on the few
 // alignments a search reports: the same kernel with every row kept, stopped
 // at the endpoint the score pass already found — the rows below it are the
 // X-drop tail the score pass walked to prove that endpoint final — and a walk
@@ -122,22 +122,27 @@ type Aligner struct {
 	P Params
 	// reusable reversed subject prefix for the backward half
 	srev []alphabet.Code
-	// The DP rows. The score pass reads only the previous row, so its rows
-	// are two that take turns (stage three runs thousands of extensions per
-	// query; keeping their capacity makes it allocation-free at steady
-	// state). A traceback run keeps every row: kept[i] is row i, its H and F
-	// carved from slabH/slabF, one row after the other, so the rows of one
-	// run cost the cells they hold and nothing is allocated once the slabs
-	// have grown to the largest run.
-	roll         [2]halfRow
-	kept         []*halfRow
-	slabH, slabF []int32
+	// row is the one DP row, a cell per subject column, updated in place
+	// (stage three runs thousands of extensions per query; keeping its
+	// capacity makes it allocation-free at steady state). A traceback run
+	// also keeps a copy of every row: kept[i] is row i, its cells carved
+	// from slab one row after the other, so the rows of one run cost the
+	// cells they hold and nothing is allocated once the slab has grown to
+	// the largest run.
+	row  []cell
+	kept []keptRow
+	slab []cell
 	// ops collects a traceback's operations before they are copied out.
 	ops []EditOp
 }
 
-// NewAligner creates an aligner with the given scoring system.
+// NewAligner creates an aligner with the given scoring system. The DP kernel
+// takes E off the pruned-H chain, which needs GapOpen, GapExtend >= 0 (see
+// extendHalfProf); negative gap costs are a programming error and panic.
 func NewAligner(m *matrix.Matrix, p Params) *Aligner {
+	if p.GapOpen < 0 || p.GapExtend < 0 {
+		panic(fmt.Sprintf("gapped: negative gap costs open=%d extend=%d", p.GapOpen, p.GapExtend))
+	}
 	if p.MaxCells <= 0 {
 		p.MaxCells = 1 << 24
 	}

@@ -185,3 +185,19 @@ func TestMaxCellsGuard(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNewAlignerRejectsNegativeGaps: the kernel's E recurrence holds only
+// for gap costs >= 0, so NewAligner refuses anything else.
+func TestNewAlignerRejectsNegativeGaps(t *testing.T) {
+	for _, p := range []Params{{GapOpen: -1, GapExtend: 1, XDrop: 38}, {GapOpen: 11, GapExtend: -1, XDrop: 38}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewAligner(%+v) did not panic", p)
+				}
+			}()
+			NewAligner(matrix.Blosum62, p)
+		}()
+	}
+	NewAligner(matrix.Blosum62, Params{GapOpen: 0, GapExtend: 0, XDrop: 38})
+}

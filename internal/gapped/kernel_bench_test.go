@@ -52,6 +52,9 @@ var benchSink int
 //	full     an X-drop no score reaches: every row spans the whole subject,
 //	         the cell count is known ((rows) x (columns) per half) and the
 //	         interior loop is all there is; reports ns/cell
+//	engine   every extension stage three scores for the serve_* shape
+//	         (serveShape), in the engine's order: triggers from real word
+//	         hits, bands tens of columns wide; reports ns/cell
 //	reference the same as "default" through the matrix-indexed rolling-row
 //	         kernel that is the fuzzers' oracle
 func BenchmarkExtendScoreProf(b *testing.B) {
@@ -85,6 +88,25 @@ func BenchmarkExtendScoreProf(b *testing.B) {
 		perOp := float64(cells) / float64(len(pairs))
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/perOp, "ns/cell")
 	})
+	b.Run("engine", func(b *testing.B) {
+		scored, _ := serveShape()
+		a := NewAligner(matrix.Blosum62, DefaultParams())
+		ref := a.reference()
+		for _, c := range scored {
+			for _, h := range halvesOf(c.q, c.s, c.qSeed, c.sSeed) {
+				ref.extendHalf(h.q, h.s)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		sink := 0
+		for i := 0; i < b.N; i++ {
+			c := &scored[i%len(scored)]
+			sink += a.ExtendScoreProf(c.prof, c.q, c.s, c.qSeed, c.sSeed).Score
+		}
+		benchSink = sink
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(float64(ref.tbCells)/float64(len(scored))), "ns/cell")
+	})
 	b.Run("reference", func(b *testing.B) {
 		run(b, NewAligner(matrix.Blosum62, DefaultParams()), true)
 	})
@@ -100,7 +122,15 @@ type tbCase struct {
 }
 
 // serveMix is the set of alignments the engine re-aligns for the serve_*
-// shape of the end-to-end benchmark — 32 queries of 128 residues sampled from
+// shape of the end-to-end benchmark (the second result of serveShape).
+func serveMix() []tbCase {
+	_, reported := serveShape()
+	return reported
+}
+
+// serveShape returns, for the serve_* shape of the end-to-end benchmark,
+// every extension stage three scores (pre is its result) and the alignments
+// stage four re-aligns — 32 queries of 128 residues sampled from
 // a 2000-sequence uniprot-like database — found the way the engine finds
 // them (this package cannot import it): neighbourhood word hits, the two-hit
 // rule and the ungapped trigger per diagonal, stage three's canonical order,
@@ -108,7 +138,7 @@ type tbCase struct {
 // midpoint, and the E-value cutoff of 10 over the whole database. Most of
 // them are chance alignments a little above the cutoff, whose X-drop tail is
 // several times their length; the rest are the planted homologs.
-var serveMix = sync.OnceValue(func() []tbCase {
+var serveShape = sync.OnceValues(func() (scored, mix []tbCase) {
 	g := seqgen.New(seqgen.UniprotProfile(), 19)
 	db := g.Database(2000)
 	queries := g.Queries(db, 32, 128)
@@ -129,7 +159,6 @@ var serveMix = sync.OnceValue(func() []tbCase {
 	}
 	twoHit := ungapped.Params{Window: ungapped.DefaultWindow, XDrop: ungapped.DefaultXDrop, Trigger: ung.RawScoreForBits(ungapped.GapTriggerBits)}
 	a := NewAligner(m, gp)
-	var mix []tbCase
 	var diags []ungapped.DiagState
 	var exts []ungapped.Ext
 	for _, q := range queries {
@@ -168,6 +197,7 @@ var serveMix = sync.OnceValue(func() []tbCase {
 				qSeed := (e.QStart + e.QEnd) / 2
 				sSeed := e.SStart + (qSeed - e.QStart)
 				pre := a.ExtendScoreProf(prof, q, s, qSeed, sSeed)
+				scored = append(scored, tbCase{q, s, prof, qSeed, sSeed, pre})
 				if pre.Score <= 0 || ka.EValue(pre.Score, effQ, effDB) > 10 {
 					continue
 				}
@@ -180,7 +210,7 @@ var serveMix = sync.OnceValue(func() []tbCase {
 			}
 		}
 	}
-	return mix
+	return scored, mix
 })
 
 // checkServeMix checks every half of serveMix against the reference (checkHalf)

@@ -98,6 +98,9 @@ func TestExtendScoreProfMaxCells(t *testing.T) {
 func FuzzExtendScoreProfEquivalence(f *testing.F) {
 	f.Add([]byte("MKVLAARTWQ"), []byte("MKVLHARTWQNDEC"), 2, 3, 38)
 	f.Add([]byte("AAAA"), []byte("AAAAAA"), 0, 0, 5)
+	for _, z := range zoneShapes() {
+		f.Add(z.q, z.s, z.qSeed, z.sSeed, z.xDrop)
+	}
 	f.Fuzz(func(t *testing.T, qb, sb []byte, qSeed, sSeed, xDrop int) {
 		if len(qb) == 0 || len(sb) == 0 || len(qb) > 512 || len(sb) > 512 {
 			return
@@ -126,4 +129,33 @@ func FuzzExtendScoreProfEquivalence(f *testing.F) {
 			t.Fatalf("qSeed=%d sSeed=%d xDrop=%d: %+v vs %+v", qSeed, sSeed, xDrop, got, want)
 		}
 	})
+}
+
+// allocCases are homologous pairs of several lengths with the seed near the
+// main diagonal: extensions whose bands run for many rows, so that a warm
+// aligner has grown its row to the longest subject among them.
+func allocCases() (cases []benchPair) {
+	rng := rand.New(rand.NewSource(211))
+	for _, n := range []int{40, 150, 400} {
+		q := equivSeq(rng, n)
+		s := homolog(rng, q, 6, 30)
+		qSeed := n / 2
+		cases = append(cases, benchPair{q, s, matrix.NewProfile(matrix.Blosum62, q), qSeed, min(qSeed, len(s)-1)})
+	}
+	return cases
+}
+
+// TestExtendScoreProfZeroAlloc pins stage three's steady state: once an
+// aligner has run the extensions, running them again allocates nothing.
+func TestExtendScoreProfZeroAlloc(t *testing.T) {
+	a := defAligner()
+	cases := allocCases()
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, c := range cases {
+			a.ExtendScoreProf(c.prof, c.q, c.s, c.qSeed, c.sSeed)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm ExtendScoreProf allocates %.1f objects per %d extensions, want 0", allocs, len(cases))
+	}
 }

@@ -59,7 +59,7 @@ func (a *Aligner) tracebackHalf(prof *matrix.Profile, rowBase, rowStride, qLen i
 	best, bq, bs = a.extendHalfProf(prof, rowBase, rowStride, qLen, s, true, ki, kj)
 
 	// The kernel stores no E. Where a cell's H did not come down the
-	// diagonal, E(i,j) == H(i,j) is decided by looking left along the kept H
+	// diagonal, E(i,j) == H(i,j) is decided by looking left along the kept
 	// row for the cell the gap opened from: E(i,j) is the maximum over k < j
 	// of H(i,k) - open - ext*(j-k), and the nearest k that attains H(i,j) is
 	// the one the reference's cell-by-cell walk stops at (it prefers opening
@@ -69,16 +69,16 @@ func (a *Aligner) tracebackHalf(prof *matrix.Profile, rowBase, rowStride, qLen i
 	i, j := bq, bs
 	inF := false // arrived down a query gap: the cell's F, not its H, is on the path
 	for i > 0 {
-		row, up := a.kept[i], a.kept[i-1]
+		row, up := &a.kept[i], &a.kept[i-1]
+		c := row.cells[j-row.lo]
 		if !inF {
-			h := row.h[j-row.lo]
-			if dh := up.hAt(j - 1); dh > negInf && h == dh+int32(prof.Score(rowBase+(i-1)*rowStride, s[j-1])) {
+			if dh := up.hAt(j - 1); dh > negInf && c.h == dh+int32(prof.Score(rowBase+(i-1)*rowStride, s[j-1])) {
 				a.ops = append(a.ops, OpMatch)
 				i, j = i-1, j-1
 				continue
 			}
-			k, e := j-1, h+openExt // e is the H(i,k) that opens a gap worth h at column j
-			for k >= row.lo && row.h[k-row.lo] != e {
+			k, e := j-1, c.h+openExt // e is the H(i,k) that opens a gap worth H(i,j) at column j
+			for k >= row.lo && row.cells[k-row.lo].h != e {
 				k, e = k-1, e+ext
 			}
 			if k >= row.lo {
@@ -87,13 +87,12 @@ func (a *Aligner) tracebackHalf(prof *matrix.Profile, rowBase, rowStride, qLen i
 				}
 				continue
 			}
-			if h != row.f[j-row.lo] {
-				panic(fmt.Sprintf("gapped: traceback stuck at (%d,%d) h=%d f=%d", i, j, h, row.f[j-row.lo]))
+			if c.h != c.f {
+				panic(fmt.Sprintf("gapped: traceback stuck at (%d,%d) h=%d f=%d", i, j, c.h, c.f))
 			}
 		}
-		f := row.f[j-row.lo]
 		a.ops = append(a.ops, OpDel)
-		inF = f != up.hAt(j)-openExt && f == up.f[j-up.lo]-ext
+		inF = c.f != up.hAt(j)-openExt && c.f == up.cells[j-up.lo].f-ext
 		i--
 	}
 	// Row 0 is the boundary gap: what is left of the subject is inserted.

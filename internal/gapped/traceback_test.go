@@ -34,8 +34,9 @@ func halvesOf(q, s []alphabet.Code, qSeed, sSeed int) [2]half {
 }
 
 // keptRun is what one kept-row half run did: its result, its operations in
-// origin-to-endpoint order, and the rows it wrote (first column and H, as
-// bandRow) — found by poisoning every pooled row before the run.
+// origin-to-endpoint order, and the rows it kept (first column and H, as
+// bandRow) — a.kept after the run, emptied before it, since a half with its
+// endpoint in row 0 runs no DP.
 type keptRun struct {
 	best, bq, bs int
 	ops          []EditOp
@@ -50,19 +51,18 @@ func (r keptRun) cells() (n int) {
 }
 
 func runKept(a *Aligner, prof *matrix.Profile, h half, ki, kj int) keptRun {
-	for _, r := range a.kept {
-		r.lo = -1
-	}
+	a.kept = a.kept[:0]
 	a.ops = a.ops[:0]
 	var run keptRun
 	run.best, run.bq, run.bs = a.tracebackHalf(prof, h.rowBase, h.rowStride, len(h.q), h.s, ki, kj)
 	run.ops = slices.Clone(a.ops)
 	slices.Reverse(run.ops)
 	for _, r := range a.kept {
-		if r.lo < 0 {
-			break
+		row := bandRow{lo: r.lo, h: make([]int32, len(r.cells))}
+		for k, c := range r.cells {
+			row.h[k] = c.h
 		}
-		run.rows = append(run.rows, bandRow{lo: r.lo, h: slices.Clone(r.h)})
+		run.rows = append(run.rows, row)
 	}
 	return run
 }
@@ -296,6 +296,9 @@ func FuzzTracebackEquivalence(f *testing.F) {
 	f.Add([]byte("MKVLAARTWQ"), []byte("MKVLHARTWQNDEC"), 2, 3, 38, 11)
 	f.Add([]byte("AAAA"), []byte("AAAAAA"), 0, 0, 5, 2)
 	f.Add([]byte("HHHHHHHHHHKKKKKKKKKK"), []byte("HHHHHHHHHHAAAKKKKKKKKKK"), 5, 5, 38, 11)
+	for _, z := range zoneShapes() {
+		f.Add(z.q, z.s, z.qSeed, z.sSeed, z.xDrop, z.gapOpen)
+	}
 	f.Fuzz(func(t *testing.T, qb, sb []byte, qSeed, sSeed, xDrop, gapOpen int) {
 		if len(qb) == 0 || len(sb) == 0 || len(qb) > 512 || len(sb) > 512 {
 			return
@@ -319,4 +322,23 @@ func FuzzTracebackEquivalence(f *testing.F) {
 		var tally tracebackTally
 		checkExtension(t, p, q, s, qSeed, sSeed, &tally)
 	})
+}
+
+// TestTracebackProfAllocs pins stage four's steady state: once an aligner
+// has re-aligned the alignments, re-aligning one again allocates exactly one
+// object, the copy of its operations it returns.
+func TestTracebackProfAllocs(t *testing.T) {
+	a := defAligner()
+	for _, c := range allocCases() {
+		pre := a.ExtendScoreProf(c.prof, c.q, c.s, c.qSeed, c.sSeed)
+		if got := a.TracebackProf(c.prof, c.q, c.s, c.qSeed, c.sSeed, pre); len(got.Ops) == 0 {
+			t.Fatalf("case of length %d: no operations, so nothing to copy", len(c.q))
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			a.TracebackProf(c.prof, c.q, c.s, c.qSeed, c.sSeed, pre)
+		})
+		if allocs != 1 {
+			t.Fatalf("case of length %d: a warm TracebackProf allocates %.1f objects, want 1 (its ops copy)", len(c.q), allocs)
+		}
+	}
 }

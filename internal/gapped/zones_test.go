@@ -37,28 +37,43 @@ func bandRows(p Params, q, s []alphabet.Code) []bandRow {
 	return rows
 }
 
-// requireSameHalf runs both score-only kernels on one half extension and
-// requires the same score and endpoint and the same two rolling rows (lo, H
-// and F of the last rows written), which is as much of "stores the same H
-// and F" as survives the call.
+// requireSameHalf runs the profile kernel on one half extension twice, score
+// only and with its rows kept, and requires the score and endpoint of the
+// reference score-only kernel from both, and from the kept run every row the
+// reference extendHalf stores: the same number of rows and, row for row, the
+// same first column, H and F. It also requires the kernel to leave its one
+// DP row dead, as the next extension expects to find it.
 func requireSameHalf(t *testing.T, p Params, q, s []alphabet.Code) (score, bq, bs int) {
 	t.Helper()
 	a := NewAligner(matrix.Blosum62, p)
 	ref := a.reference()
 	wantScore, wantQ, wantS := ref.extendHalfScore(q, s)
+	ref.extendHalf(q, s) // fresh pool: one pooled row per DP row
 	prof := matrix.NewProfile(matrix.Blosum62, q)
-	score, bq, bs = a.extendHalfProf(prof, 0, +1, len(q), s, false, -1, -1)
-	if score != wantScore || bq != wantQ || bs != wantS {
-		t.Fatalf("profile kernel: score %d at (%d,%d); reference: score %d at (%d,%d)",
-			score, bq, bs, wantScore, wantQ, wantS)
+	for _, keep := range []bool{false, true} {
+		score, bq, bs = a.extendHalfProf(prof, 0, +1, len(q), s, keep, -1, -1)
+		if score != wantScore || bq != wantQ || bs != wantS {
+			t.Fatalf("profile kernel (keep %v): score %d at (%d,%d); reference: score %d at (%d,%d)",
+				keep, score, bq, bs, wantScore, wantQ, wantS)
+		}
+		for j, c := range a.row {
+			if c != dead {
+				t.Fatalf("profile kernel (keep %v) left column %d of its row at %+v", keep, j, c)
+			}
+		}
 	}
-	for _, pair := range [2]struct {
-		got  *halfRow
-		want *scoreRow
-	}{{&a.roll[0], &ref.sprev}, {&a.roll[1], &ref.scur}} {
-		if pair.got.lo != pair.want.lo || !slices.Equal(pair.got.h, pair.want.h) || !slices.Equal(pair.got.f, pair.want.f) {
-			t.Fatalf("rolling rows differ:\n profile   lo=%d h=%v f=%v\n reference lo=%d h=%v f=%v",
-				pair.got.lo, pair.got.h, pair.got.f, pair.want.lo, pair.want.h, pair.want.f)
+	if len(a.kept) != len(ref.rowPool) {
+		t.Fatalf("profile kernel kept %d rows, reference %d", len(a.kept), len(ref.rowPool))
+	}
+	for i, got := range a.kept {
+		want := ref.rowPool[i]
+		h, f := make([]int32, len(got.cells)), make([]int32, len(got.cells))
+		for k, c := range got.cells {
+			h[k], f[k] = c.h, c.f
+		}
+		if got.lo != want.lo || !slices.Equal(h, want.h) || !slices.Equal(f, want.f) {
+			t.Fatalf("row %d differs:\n profile   lo=%d h=%v f=%v\n reference lo=%d h=%v f=%v",
+				i, got.lo, h, f, want.lo, want.h, want.f)
 		}
 	}
 	return score, bq, bs
@@ -196,4 +211,44 @@ func TestZoneMaxCellsBetweenWideRows(t *testing.T) {
 	if cutQ >= fullQ || cutQ < 20 {
 		t.Fatalf("budget of %d cells ends the alignment at query %d (unlimited: %d); want a cut in mid-band", p.MaxCells, cutQ, fullQ)
 	}
+}
+
+// zoneShape is one fuzz seed shaped like a zone test's input, as the bytes
+// the fuzzers map to residues (b % alphabet.Size).
+type zoneShape struct {
+	q, s                         []byte
+	qSeed, sSeed, xDrop, gapOpen int
+}
+
+// zoneShapes are the seeds FuzzExtendScoreProfEquivalence and
+// FuzzTracebackEquivalence start from besides their own: the band shapes
+// the zone tests reach, so that a short fuzzing budget starts from them.
+func zoneShapes() []zoneShape {
+	bytesOf := func(c []alphabet.Code) []byte {
+		b := make([]byte, len(c))
+		for i, r := range c {
+			b[i] = byte(r)
+		}
+		return b
+	}
+	rng := rand.New(rand.NewSource(173))
+	var shapes []zoneShape
+	// The seed at the subject's start: column 0 stays in the band.
+	q, s := equivSeq(rng, 80), equivSeq(rng, 80)
+	shapes = append(shapes, zoneShape{bytesOf(q), bytesOf(s), 40, 0, 30, 1})
+	// A tail longer than the interior, twice (TestZoneTailLongerThanInterior).
+	shapes = append(shapes, zoneShape{
+		bytesOf(alphabet.MustEncode("WHHHWHHHWAAAA")), bytesOf(alphabet.MustEncode("WCACWCACWGGGGGGGGGGGGGG")), 0, 0, 8, 2})
+	// A homolog with indels: a band tens of columns wide for hundreds of rows.
+	q = equivSeq(rng, 400)
+	s = homolog(rng, q, 6, 40)
+	shapes = append(shapes, zoneShape{bytesOf(q), bytesOf(s), 200, min(200, len(s)-1), 38, 11})
+	// A wide X-drop: every row spans most of the subject.
+	q, s = equivSeq(rng, 120), equivSeq(rng, 150)
+	shapes = append(shapes, zoneShape{bytesOf(q), bytesOf(s), 60, 75, 1000, 11})
+	// The best moving mid-row (TestZoneBestMovesMidRow).
+	q = equivSeq(rng, 120)
+	s = homolog(rng, q, 8, 30)
+	shapes = append(shapes, zoneShape{bytesOf(q), bytesOf(s), 30, min(30, len(s)-1), 38, 11})
+	return shapes
 }
