@@ -28,7 +28,6 @@ import (
 	"repro/internal/hit"
 	"repro/internal/hitsort"
 	"repro/internal/matrix"
-	"repro/internal/neighbor"
 	"repro/internal/qindex"
 	"repro/internal/seqgen"
 	"repro/internal/sw"
@@ -283,12 +282,6 @@ func BenchmarkSmithWaterman(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sw.Score(matrix.Blosum62, q, s, 11, 1)
-	}
-}
-
-func BenchmarkNeighborTableBuild(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		neighbor.Build(matrix.Blosum62, neighbor.DefaultThreshold)
 	}
 }
 

@@ -205,10 +205,10 @@ func effectiveSplit(p Params) (splitLen, overlap int) {
 	return splitLen, overlap
 }
 
-// configFor memoizes search.NewConfig and the neighbor table under it: both
-// are pure functions of the matrix, read-only once built, and cost tens of
-// milliseconds (the table's enumeration) and a few hundred microseconds (the
-// Karlin-Altschul solves) — which would dominate every small delta-container
+// configFor memoizes search.NewConfig and the neighbor enumerator under it:
+// both are pure functions of the matrix, read-only once built, and the
+// config costs a few hundred microseconds (the Karlin-Altschul solves) —
+// which would dominate every small delta-container
 // build on the ingestion path, every store view, and every repeated
 // NewDatabase or Load in one process. Built-in matrices are canonical
 // singletons, so the name keys the cache. The caller gets a copy to set its
@@ -219,7 +219,7 @@ func configFor(m *matrix.Matrix) (search.Config, error) {
 	if c, ok := configCache[m.Name]; ok {
 		return *c, nil
 	}
-	c, err := search.NewConfig(m, neighbor.Build(m, neighbor.DefaultThreshold))
+	c, err := search.NewConfig(m, neighbor.New(m, neighbor.DefaultThreshold))
 	if err != nil {
 		return search.Config{}, err
 	}

@@ -539,9 +539,9 @@ func (c *container) readOrigins(r io.Reader, length int64) error {
 // p and the rules this build searches by (cfg, p's search configuration), and
 // returns p with the build-time fields the container fixes.
 func (c *container) adopt(p Params, cfg *search.Config) (Params, error) {
-	// Matrix and neighbor threshold determine the neighbor table hit
-	// detection runs with; the index stores exact-word positions only, so a
-	// drifted table silently changes which alignments are found. Strict.
+	// Matrix and neighbor threshold determine the neighbors hit detection
+	// enumerates; the index stores exact-word positions only, so a drifted
+	// threshold silently changes which alignments are found. Strict.
 	if cfg.Matrix.Name != c.fp.Matrix {
 		return p, mismatchf("matrix %q requested, database built with %q", cfg.Matrix.Name, c.fp.Matrix)
 	}
@@ -581,7 +581,7 @@ func (c *container) adopt(p Params, cfg *search.Config) (Params, error) {
 // in order, or one container alone — to the caller's Params as one Database.
 // The containers are shared and never written: every part gets a fresh id map
 // and engine, and its own copy of the index header to carry the neighbor
-// table, a few words a part.
+// enumerator: a few words and the index's word set (2.3 KB) a part.
 func openParts(p Params, cs []*container) (*Database, error) {
 	cfg, err := buildConfig(p)
 	if err != nil {

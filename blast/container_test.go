@@ -42,14 +42,14 @@ func saved(t *testing.T, db *Database) []byte {
 	return buf.Bytes()
 }
 
-// rebuiltWith returns db's single part re-indexed under the neighbor table of
+// rebuiltWith returns db's single part re-indexed under the neighbors of
 // threshold T and with the padding of the given two-hit window: the container
 // a build with other search rules would write, which no Params of this build
 // can ask for.
 func rebuiltWith(t *testing.T, db *Database, threshold, window int) *Database {
 	t.Helper()
 	cfg := *db.cfg
-	cfg.Neighbors = neighbor.Build(cfg.Matrix, threshold)
+	cfg.Neighbors = neighbor.New(cfg.Matrix, threshold)
 	cfg.TwoHit.Window = window
 	p := db.parts[0]
 	ix, err := dbindex.BuildWindow(p.db, cfg.Neighbors, p.ix.BlockResidues, window)

@@ -12,8 +12,8 @@ const NumWords = Size * Size * Size
 // The first residue occupies the most significant digits, so words that
 // share a prefix are numerically adjacent — this keeps the database index
 // cache-friendly when scanning lexicographically. NumWords fits in 16 bits,
-// so a word is 2 bytes wherever it is stored (the neighbor table holds half a
-// million of them).
+// so a word is 2 bytes wherever it is stored (a query's neighbor plan holds
+// a few dozen per query offset).
 type Word uint16
 
 // PackWord packs residues c0,c1,c2 (in sequence order) into a Word.

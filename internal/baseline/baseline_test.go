@@ -17,14 +17,14 @@ import (
 
 var (
 	envOnce sync.Once
-	envNbr  *neighbor.Table
+	envNbr  *neighbor.Enumerator
 	envCfg  *search.Config
 )
 
 func testConfig(t *testing.T) *search.Config {
 	t.Helper()
 	envOnce.Do(func() {
-		envNbr = neighbor.Build(matrix.Blosum62, neighbor.DefaultThreshold)
+		envNbr = neighbor.New(matrix.Blosum62, neighbor.DefaultThreshold)
 		var err error
 		envCfg, err = search.NewConfig(matrix.Blosum62, envNbr)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"repro/internal/dbindex"
 	"repro/internal/gapped"
 	"repro/internal/matrix"
+	"repro/internal/neighbor"
 	"repro/internal/parallel"
 	"repro/internal/search"
 	"repro/internal/ungapped"
@@ -74,6 +75,7 @@ type dbiScratch struct {
 	extLists [][]ungapped.Ext
 	touched  []int32
 	aligner  *gapped.Aligner
+	plan     neighbor.Plan // the query's neighbor words, for every block
 }
 
 func (e *DBIndexed) newScratch() *dbiScratch {
@@ -102,6 +104,7 @@ func (e *DBIndexed) searchOne(sc *dbiScratch, queryIdx int, q []alphabet.Code) s
 		return search.Finalize(cfg, sc.aligner, &sc.prof, queryIdx, q, e.Ix.DB, nil, st)
 	}
 	sc.prof.Fill(cfg.Matrix, q)
+	sc.plan.Fill(cfg.Neighbors, q, nil)
 	canon := &ungapped.Canon{P: cfg.TwoHit, Matrix: cfg.Matrix, Prof: &sc.prof}
 	diagBias := len(q) - alphabet.W
 	trace := cfg.Trace
@@ -132,8 +135,7 @@ func (e *DBIndexed) searchOne(sc *dbiScratch, queryIdx int, q []alphabet.Code) s
 		sc.touched = sc.touched[:0]
 
 		for qOff := 0; qOff+alphabet.W <= len(q); qOff++ {
-			w := alphabet.WordAt(q, qOff)
-			for _, v := range cfg.Neighbors.Neighbors(w) {
+			for _, v := range sc.plan.At(qOff) {
 				offs, _, _ := b.Lead(v)
 				if len(offs) == 0 {
 					continue

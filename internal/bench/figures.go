@@ -434,8 +434,8 @@ func contiguousResidues(seqLens []int, parts int) []int64 {
 }
 
 // IndexSize reproduces the Section III index accounting: the two-level
-// index (exact-word positions + shared neighbor table) vs the
-// neighbor-expanded alternative.
+// index (exact-word positions, with neighbors enumerated per query from the
+// enumerator's few KB of masks) vs the neighbor-expanded alternative.
 func IndexSize(s Scale) (*Table, error) {
 	w, err := Uniprot(s)
 	if err != nil {
@@ -447,7 +447,7 @@ func IndexSize(s Scale) (*Table, error) {
 	}
 	twoLevel := w.Index.SizeBytes() + w.Cfg.Neighbors.SizeBytes()
 	expanded := w.Index.ExpandedSizeBytes()
-	t.AddRow("two-level (positions + neighbor table)", twoLevel, "1.00x")
+	t.AddRow("two-level (positions + neighbor enumerator)", twoLevel, "1.00x")
 	t.AddRow("neighbor-expanded positions", expanded, fmt.Sprintf("%.1fx", float64(expanded)/float64(twoLevel)))
 	t.Note("positions: %d; avg neighbors/word drive the expansion factor", w.Index.NumPositions())
 	return t, nil

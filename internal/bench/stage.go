@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/alphabet"
 	"repro/internal/core"
+	"repro/internal/neighbor"
 	"repro/internal/obs"
 )
 
@@ -38,6 +39,13 @@ type StageReport struct {
 	Hits                   int64
 	Pairs                  int64
 	PrefilterSurvivalRatio float64
+
+	// Word visits: the neighbor words detection looks up, one per planned
+	// word per (block, query) task, and what the visits would be without
+	// the index's word filter (dbindex.Index.Words).
+	Blocks           int
+	WordVisits       int64
+	UnfilteredVisits int64
 
 	// The sort's share of pipeline time.
 	SortShare float64
@@ -100,6 +108,14 @@ func StageBudget(s Scale) (*StageReport, error) {
 	if rep.Hits > 0 {
 		rep.PrefilterSurvivalRatio = float64(rep.Pairs) / float64(rep.Hits)
 	}
+	rep.Blocks = len(w.Index.Blocks)
+	var plan neighbor.Plan
+	for _, q := range queries {
+		plan.Fill(w.Cfg.Neighbors, q, &w.Index.Words)
+		rep.WordVisits += int64(rep.Blocks * len(plan.Words()))
+		plan.Fill(w.Cfg.Neighbors, q, nil)
+		rep.UnfilteredVisits += int64(rep.Blocks * len(plan.Words()))
+	}
 	rep.SortShare = rep.Stages[obs.StageSort].Share
 	return rep, nil
 }
@@ -118,6 +134,8 @@ func (r *StageReport) Table() *Table {
 	}
 	t.Note("prefilter survival: %d/%d hits = %.1f%% reach the sort (paper Fig 6: <5%% on real databases)",
 		r.Pairs, r.Hits, 100*r.PrefilterSurvivalRatio)
+	t.Note("word visits: %d over %d blocks (%d without the index's word filter)",
+		r.WordVisits, r.Blocks, r.UnfilteredVisits)
 	t.Note("sort share: %.1f%% of pipeline time (paper: sort stays a small slice); scheduler utilization %.1f%% over %d tasks",
 		100*r.SortShare, 100*r.SchedulerUtilization, r.Tasks)
 	t.Note("task p50/p95/p99: %v/%v/%v; query p50/p95/p99: %v/%v/%v",

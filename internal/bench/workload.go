@@ -73,23 +73,11 @@ type Workload struct {
 // QuerySetNames lists the sets in presentation order.
 var QuerySetNames = []string{"128", "256", "512", "mixed"}
 
-// sharedNeighbors caches the neighbor table across workloads (it depends
-// only on the matrix and threshold).
-var sharedNeighbors *neighbor.Table
-
-// Neighbors returns the shared BLOSUM62/T=11 neighbor table.
-func Neighbors() *neighbor.Table {
-	if sharedNeighbors == nil {
-		sharedNeighbors = neighbor.Build(matrix.Blosum62, neighbor.DefaultThreshold)
-	}
-	return sharedNeighbors
-}
-
 // NewWorkload builds a workload for a profile.
 func NewWorkload(name string, prof seqgen.Profile, nSeqs int, s Scale) (*Workload, error) {
 	g := seqgen.New(prof, s.Seed)
 	db := dbase.New(g.Database(nSeqs))
-	cfg, err := search.NewConfig(matrix.Blosum62, Neighbors())
+	cfg, err := search.NewConfig(matrix.Blosum62, neighbor.New(matrix.Blosum62, neighbor.DefaultThreshold))
 	if err != nil {
 		return nil, err
 	}

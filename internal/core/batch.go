@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/alphabet"
 	"repro/internal/faultinject"
+	"repro/internal/neighbor"
 	"repro/internal/parallel"
 	"repro/internal/search"
 )
@@ -84,7 +85,16 @@ func (e *Engine) SearchBatchCtx(ctx context.Context, queries [][]alphabet.Code, 
 		stats:  make([]search.Stats, nTasks),
 		taskOK: make([]bool, nTasks),
 		fails:  &batchFailures{failed: make([]bool, nq)},
+		plans:  make([]*neighbor.Plan, nq),
+		once:   make([]sync.Once, nq),
 	}
+	defer func() {
+		for _, p := range g.plans {
+			if p != nil {
+				e.plans.Put(p)
+			}
+		}
+	}()
 	var zero search.Stats
 	ts, ctxErr := parallel.ForTasksOpts(nTasks, threads, func(w, t int) {
 		bi, qi := t/nq, t%nq
@@ -101,7 +111,15 @@ func (e *Engine) SearchBatchCtx(ctx context.Context, queries [][]alphabet.Code, 
 		fiSchedTask.Fire()
 		st := &g.stats[t]
 		start := time.Now()
-		g.cells[t] = e.searchBlock(scratches[w], q, bi, st)
+		// The query's first task to start plans it for all of them.
+		g.once[qi].Do(func() {
+			p := e.plans.Get().(*neighbor.Plan)
+			e.planQuery(p, q, st)
+			g.plans[qi] = p
+		})
+		sc := scratches[w]
+		sc.plan = g.plans[qi]
+		g.cells[t] = e.searchBlock(sc, q, bi, st)
 		st.SchedTasks = 1
 		st.SchedBusyNanos = int64(time.Since(start))
 		e.stampTask(&zero, st) // cell stats start zeroed, so post == delta
@@ -183,12 +201,16 @@ func (f *batchFailures) panicFor(qi int) *search.TaskPanicError {
 
 // grid is the state of one batch's (block × query) task grid, block-major:
 // task t = block*nq + query. Each slot is written only by the worker that
-// ran task t, and read after the run's final wait.
+// ran task t, and read after the run's final wait. plans[qi] is query qi's
+// neighbor plan, written once under once[qi] by whichever of its tasks
+// starts first and read by all of them.
 type grid struct {
 	cells  [][]search.SubjectAlignments
 	stats  []search.Stats
 	taskOK []bool
 	fails  *batchFailures
+	plans  []*neighbor.Plan
+	once   []sync.Once
 }
 
 // finishBatch runs the finalize phase (stage four, parallel over queries,

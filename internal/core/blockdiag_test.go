@@ -63,7 +63,7 @@ func checkBlockDiagonal(t *testing.T, seqs [][]alphabet.Code, q []alphabet.Code,
 	var wantHits, wantPairs int64
 	isNbr := make([]bool, alphabet.NumWords)
 	for qOff := 0; qOff+alphabet.W <= len(q); qOff++ {
-		nbrs := cfg.Neighbors.Neighbors(alphabet.WordAt(q, qOff))
+		nbrs := cfg.Neighbors.Append(nil, alphabet.WordAt(q, qOff))
 		for _, v := range nbrs {
 			isNbr[v] = true
 		}

@@ -32,6 +32,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/alphabet"
@@ -40,6 +41,7 @@ import (
 	"repro/internal/hit"
 	"repro/internal/hitsort"
 	"repro/internal/matrix"
+	"repro/internal/neighbor"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/search"
@@ -78,6 +80,10 @@ type Engine struct {
 	// steady-state searches re-allocate neither the last-hit arrays nor the
 	// pair buffers nor the gapped aligner's DP rows.
 	scratches sync.Pool
+	// plans pools the storage of a batch's query plans (*neighbor.Plan);
+	// planned counts the plans enumerated (planQuery).
+	plans   sync.Pool
+	planned atomic.Int64
 }
 
 // New creates a muBLASTP engine with default options.
@@ -118,6 +124,7 @@ func NewWithOptions(cfg *search.Config, ix *dbindex.Index, opt Options) *Engine 
 		}
 	}
 	e.scratches.New = func() any { return e.newScratch() }
+	e.plans.New = func() any { return new(neighbor.Plan) }
 	return e
 }
 
@@ -130,6 +137,11 @@ type scratch struct {
 	exts      []ungapped.Ext
 	prof      matrix.Profile
 	aligner   *gapped.Aligner
+	// plan is the neighbor plan of the query the scratch serves, set by
+	// the caller for each task; own is the storage of a plan the scratch
+	// makes itself (Search's, or a task's whose caller planned nothing).
+	plan *neighbor.Plan
+	own  neighbor.Plan
 }
 
 func (e *Engine) newScratch() *scratch {
@@ -140,7 +152,22 @@ func (e *Engine) newScratch() *scratch {
 func (e *Engine) getScratch() *scratch { return e.scratches.Get().(*scratch) }
 
 // putScratch returns a scratch for reuse by later searches.
-func (e *Engine) putScratch(sc *scratch) { e.scratches.Put(sc) }
+func (e *Engine) putScratch(sc *scratch) {
+	sc.plan = nil
+	e.scratches.Put(sc)
+}
+
+// planQuery fills p with the neighbor words of q that the engine's index
+// holds (dbindex.Index.Words), charging the time to hit detection. A search
+// call plans each query once, and every (block, query) task of the query
+// scans that plan: the words no block holds — those with B, Z, X or * in a
+// protein database, a quarter of a query's neighbors — are never visited.
+func (e *Engine) planQuery(p *neighbor.Plan, q []alphabet.Code, st *search.Stats) {
+	start := time.Now()
+	p.Fill(e.Cfg.Neighbors, q, &e.Ix.Words)
+	e.planned.Add(1)
+	st.StageNanos[obs.StageHitDetect] += int64(time.Since(start))
+}
 
 // stampDelta folds the counter movement between two Stats snapshots of the
 // same query into the engine's metric bundle. Pure atomic adds: no locks,
@@ -192,6 +219,8 @@ func (e *Engine) Search(queryIdx int, q []alphabet.Code) search.QueryResult {
 	var st search.Stats
 	var subjects []search.SubjectAlignments
 	if len(q) >= alphabet.W {
+		e.planQuery(&sc.own, q, &st)
+		sc.plan = &sc.own
 		for bi := range e.Ix.Blocks {
 			subs := e.searchBlock(sc, q, bi, &st)
 			subjects = append(subjects, subs...)
@@ -270,7 +299,8 @@ func (e *Engine) searchBlock(sc *scratch, q []alphabet.Code, bi int, st *search.
 
 // detectPrefiltered is hit detection with the Algorithm 2 pre-filter: the
 // last-hit array is consulted during detection and only two-hit pairs enter
-// the buffer.
+// the buffer. It scans the query's plan, sc.plan; a caller that planned
+// nothing gets the query planned for this task alone.
 //
 // The array has one slot per diagonal of the whole block, not per (sequence,
 // diagonal): an indexed position is a block coordinate G (see dbindex), and a
@@ -316,15 +346,19 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 	sc.pairs = sc.pairs[:0]
 	st.StageNanos[obs.StagePrefilter] += int64(time.Since(stageStart))
 
+	plan := sc.plan
+	if plan == nil {
+		plan = &sc.own
+		e.planQuery(plan, q, st)
+	}
 	stageStart = time.Now()
 	if fast {
-		e.detectScanFast(sc, q, b, coder, window, st)
+		e.detectScanFast(sc, plan, q, b, coder, window, st)
 		st.StageNanos[obs.StageHitDetect] += int64(time.Since(stageStart))
 		return
 	}
 	for qOff := 0; qOff+alphabet.W <= len(q); qOff++ {
-		w := alphabet.WordAt(q, qOff)
-		for _, v := range e.Cfg.Neighbors.Neighbors(w) {
+		for _, v := range plan.At(qOff) {
 			offs, row := b.Runs(v)
 			if len(offs) == 0 {
 				continue
@@ -378,8 +412,7 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 // per-hit random access is the compact packed last-hit word (see
 // search.StampedLastPos16), one cache line per hit; detectPrefiltered routes
 // queries too long for the compact word through the general loop instead.
-func (e *Engine) detectScanFast(sc *scratch, q []alphabet.Code, b *dbindex.BlockIndex, coder hit.KeyCoder, window int32, st *search.Stats) {
-	nbrs := e.Cfg.Neighbors
+func (e *Engine) detectScanFast(sc *scratch, plan *neighbor.Plan, q []alphabet.Code, b *dbindex.BlockIndex, coder hit.KeyCoder, window int32, st *search.Stats) {
 	diagBias := len(q) - alphabet.W
 	lastPos := sc.lastPos16
 	k := pairScan{b: b, flat: b.Flat(), buf: sc.pairs[:cap(sc.pairs)], np: len(sc.pairs), span: uint32(window - alphabet.W)}
@@ -387,7 +420,7 @@ func (e *Engine) detectScanFast(sc *scratch, q []alphabet.Code, b *dbindex.Block
 		k.stamp = lastPos.Stamp(int32(qOff))
 		k.row = lastPos.From(diagBias - qOff) // slot = G - qOff + diagBias
 		first := k.np
-		k.scan(nbrs.Neighbors(alphabet.WordAt(q, qOff)))
+		k.scan(plan.At(qOff))
 		// The scan stores only the coordinate and the distance of a record;
 		// the survivors of this query offset are buf[first:np].
 		for i := first; i < k.np; i++ {

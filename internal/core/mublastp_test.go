@@ -27,7 +27,7 @@ var (
 func cfgShared(t testing.TB) *search.Config {
 	t.Helper()
 	worldOnce.Do(func() {
-		nbr := neighbor.Build(matrix.Blosum62, neighbor.DefaultThreshold)
+		nbr := neighbor.New(matrix.Blosum62, neighbor.DefaultThreshold)
 		var err error
 		worldCfg, err = search.NewConfig(matrix.Blosum62, nbr)
 		if err != nil {

@@ -9,10 +9,11 @@
 //   - overlapping words: every position of every subject sequence is
 //     indexed, not a sampled or non-overlapping subset;
 //   - neighboring words via a two-level structure: the index stores only
-//     exact-word positions, and hit detection consults the shared
-//     neighbor.Table to visit all neighbors of each query word (Fig 3b),
+//     exact-word positions, and hit detection visits all neighbors of each
+//     query word, enumerated per query (neighbor.Enumerator, Fig 3b),
 //     avoiding the enormous duplication of expanding neighbors into the
-//     table itself.
+//     table itself. The index records which words it holds at all (Words),
+//     so that the enumeration can leave out the neighbors no block has.
 //
 // A position is a block coordinate: the block lays its sequences end to end
 // on one axis, each followed by Pad empty coordinates, and a word's position
@@ -140,8 +141,13 @@ const coarseShift = 8
 // Index is the complete blocked database index.
 type Index struct {
 	DB        *dbase.DB
-	Neighbors *neighbor.Table
+	Neighbors *neighbor.Enumerator
 	Blocks    []*BlockIndex
+	// Words holds every word that has a position in some block: a
+	// neighbor outside it has no hits anywhere in the index. The builder
+	// and the loader fill it in the loops over the word table they run
+	// anyway.
+	Words neighbor.Set
 	// BlockResidues is the residue cap each block was built with.
 	BlockResidues int64
 }
@@ -151,26 +157,26 @@ type Index struct {
 // using all cores. The result is deterministic: blocks are independent and
 // land at fixed positions regardless of scheduling. The blocks are padded for
 // the default two-hit window; BuildWindow pads for another.
-func Build(db *dbase.DB, nbr *neighbor.Table, blockResidues int64) (*Index, error) {
+func Build(db *dbase.DB, nbr *neighbor.Enumerator, blockResidues int64) (*Index, error) {
 	return BuildParallel(db, nbr, blockResidues, 0)
 }
 
 // BuildWindow is Build for searches with the given two-hit window: the
 // index serves that window and every smaller one.
-func BuildWindow(db *dbase.DB, nbr *neighbor.Table, blockResidues int64, window int) (*Index, error) {
+func BuildWindow(db *dbase.DB, nbr *neighbor.Enumerator, blockResidues int64, window int) (*Index, error) {
 	return build(db, nbr, blockResidues, window, 0)
 }
 
 // BuildParallel is Build with an explicit worker count (<= 0 means
 // GOMAXPROCS; 1 builds serially).
-func BuildParallel(db *dbase.DB, nbr *neighbor.Table, blockResidues int64, threads int) (*Index, error) {
+func BuildParallel(db *dbase.DB, nbr *neighbor.Enumerator, blockResidues int64, threads int) (*Index, error) {
 	return build(db, nbr, blockResidues, ungapped.DefaultWindow, threads)
 }
 
 // maxPad bounds a block's padding, in the builder and in the loader alike.
 const maxPad = 1<<16 - 1
 
-func build(db *dbase.DB, nbr *neighbor.Table, blockResidues int64, window, threads int) (*Index, error) {
+func build(db *dbase.DB, nbr *neighbor.Enumerator, blockResidues int64, window, threads int) (*Index, error) {
 	if window-alphabet.W > maxPad {
 		return nil, fmt.Errorf("dbindex: two-hit window %d needs a padding above %d", window, maxPad)
 	}
@@ -186,6 +192,9 @@ func build(db *dbase.DB, nbr *neighbor.Table, blockResidues int64, window, threa
 		scratch[i] = scratchPool.Get().(*buildScratch)
 		defer scratchPool.Put(scratch[i])
 	}
+	for _, sc := range scratch {
+		clear(sc.words[:])
+	}
 	parallel.ForWorkers(len(blocks), threads, func(worker, i int) {
 		bi, err := buildBlock(db, blocks[i], window, scratch[worker])
 		if err != nil {
@@ -198,6 +207,9 @@ func build(db *dbase.DB, nbr *neighbor.Table, blockResidues int64, window, threa
 		if err != nil {
 			return nil, err
 		}
+	}
+	for _, sc := range scratch {
+		ix.Words.Union(&sc.words)
 	}
 	return ix, nil
 }
@@ -212,6 +224,7 @@ type buildScratch struct {
 	runs     []closedRun     // the runs of the words that have several
 	rowWords []alphabet.Word // those words, ascending
 	lens     []uint32        // their run lengths, a row of pages per word
+	words    neighbor.Set    // the words of every block the worker built
 }
 
 // closedRun is a run of word w that starts in page page and holds n
@@ -245,6 +258,9 @@ func buildBlock(db *dbase.DB, b dbase.Block, window int, sc *buildScratch) (*Blo
 		cur[w] = cursor{next: sum, start: sum}
 		starts[w] = sum
 		sum += n
+		if n != 0 {
+			sc.words.Add(alphabet.Word(w))
+		}
 	}
 	starts[alphabet.NumWords] = sum
 	bi.setStarts(starts)
@@ -582,10 +598,11 @@ func (ix *Index) NumPositions() int {
 	return n
 }
 
-// SizeBytes estimates the whole index's memory footprint, excluding the
-// shared neighbor table (report that separately via Neighbors.SizeBytes).
+// SizeBytes estimates the whole index's memory footprint: its blocks and
+// its word set. The neighbor enumerator is shared; report it separately
+// (Neighbors.SizeBytes).
 func (ix *Index) SizeBytes() int64 {
-	var n int64
+	n := int64(len(ix.Words)) * 4
 	for _, b := range ix.Blocks {
 		n += b.SizeBytes()
 	}
@@ -599,10 +616,18 @@ func (ix *Index) SizeBytes() int64 {
 // layout (2-byte positions beside the same word tables).
 func (ix *Index) ExpandedSizeBytes() int64 {
 	var n int64
-	for _, b := range ix.Blocks {
-		for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
-			n += int64(b.Base(w+1)-b.Base(w)) * int64(ix.Neighbors.NumNeighbors(w)) * 2
+	var buf []alphabet.Word
+	for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
+		if !ix.Words.Has(w) {
+			continue
 		}
+		buf = ix.Neighbors.Append(buf[:0], w)
+		nbrs := int64(len(buf))
+		for _, b := range ix.Blocks {
+			n += int64(b.Base(w+1)-b.Base(w)) * nbrs * 2
+		}
+	}
+	for _, b := range ix.Blocks {
 		n += b.SizeBytes() - int64(len(b.flat))*2
 	}
 	return n

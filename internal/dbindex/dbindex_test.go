@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/alphabet"
@@ -15,15 +14,8 @@ import (
 	"repro/internal/seqgen"
 )
 
-var (
-	nbrOnce sync.Once
-	nbrTbl  *neighbor.Table
-)
-
-func nbr() *neighbor.Table {
-	nbrOnce.Do(func() { nbrTbl = neighbor.Build(matrix.Blosum62, neighbor.DefaultThreshold) })
-	return nbrTbl
-}
+// nbr returns the BLOSUM62 neighbor enumerator at the default threshold.
+func nbr() *neighbor.Enumerator { return neighbor.New(matrix.Blosum62, neighbor.DefaultThreshold) }
 
 func testIndex(tb testing.TB, nSeqs int, blockResidues int64) *Index {
 	tb.Helper()

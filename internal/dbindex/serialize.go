@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/alphabet"
 	"repro/internal/dbase"
+	"repro/internal/neighbor"
 )
 
 // Index file format (little-endian):
@@ -32,8 +33,8 @@ import (
 // word table (starts, lead pages and split table) from the stored one.
 //
 // The database itself is serialized separately (dbase.WriteTo); on load the
-// caller re-attaches it. The neighbor table is always rebuilt from the
-// scoring matrix (cheap) rather than stored. Versioning and CRC32 checksums
+// caller re-attaches it. Neighbors are enumerated from the scoring matrix
+// at search time, never stored. Versioning and CRC32 checksums
 // are layered on top by the blast container, which carries this stream as
 // one section payload.
 
@@ -84,8 +85,7 @@ func (ix *Index) EncodedSize() int64 {
 	return n
 }
 
-// WriteTo serializes the index structure (not the database or neighbor
-// table) in chunks; a block's positions go out as whole chunks of halfwords.
+// WriteTo serializes the index structure (not the database) in chunks; a block's positions go out as whole chunks of halfwords.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	sw := dbase.NewStreamWriter(w)
 	sw.String(ixMagic)
@@ -202,7 +202,7 @@ func ReadFromLimit(r io.Reader, db *dbase.DB, maxBytes int64) (*Index, error) {
 				i, b.Block.Residues, b.Block.MaxLen, residues, maxLen)
 		}
 		prevEnd = b.Block.End
-		if err := b.readWordTable(sr, maxBytes, starts); err != nil {
+		if err := b.readWordTable(sr, maxBytes, starts, &ix.Words); err != nil {
 			return nil, fmt.Errorf("dbindex: block %d: %w", i, err)
 		}
 		valid = b.wordStarts(db, valid)
@@ -219,9 +219,9 @@ func ReadFromLimit(r io.Reader, db *dbase.DB, maxBytes int64) (*Index, error) {
 
 // readWordTable decodes the block's word table into its word starts, lead
 // pages and split table, holding every word's runs to its position count,
-// and leaves in starts (NumWords+1 long) each word's start in the position
-// array and the array's end.
-func (b *BlockIndex) readWordTable(sr *dbase.StreamReader, maxBytes int64, starts []uint32) error {
+// leaves in starts (NumWords+1 long) each word's start in the position
+// array and the array's end, and adds the words the block holds to words.
+func (b *BlockIndex) readWordTable(sr *dbase.StreamReader, maxBytes int64, starts []uint32, words *neighbor.Set) error {
 	row := make([]uint32, b.pages)
 	total := uint64(0)
 	for w := range starts[:alphabet.NumWords] {
@@ -235,6 +235,9 @@ func (b *BlockIndex) readWordTable(sr *dbase.StreamReader, maxBytes int64, start
 			return fmt.Errorf("implausible position count %d for word %d", n, w)
 		}
 		total += n
+		if n != 0 {
+			words.Add(alphabet.Word(w))
+		}
 		switch {
 		case h == 0:
 		case b.pages == 0:

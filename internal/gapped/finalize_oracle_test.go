@@ -100,7 +100,7 @@ func referenceFinalize(cfg *search.Config, q []alphabet.Code, db *dbase.DB, subj
 // that cuts.
 func TestFinalizeMatchesReferenceTraceback(t *testing.T) {
 	rng := rand.New(rand.NewSource(197))
-	cfg, err := search.NewConfig(matrix.Blosum62, neighbor.Build(matrix.Blosum62, neighbor.DefaultThreshold))
+	cfg, err := search.NewConfig(matrix.Blosum62, neighbor.New(matrix.Blosum62, neighbor.DefaultThreshold))
 	if err != nil {
 		t.Fatal(err)
 	}

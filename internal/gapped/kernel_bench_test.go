@@ -147,7 +147,7 @@ var serveShape = sync.OnceValues(func() (scored, mix []tbCase) {
 		dbLen += int64(len(s))
 	}
 	m := matrix.Blosum62
-	nbr := neighbor.Build(m, neighbor.DefaultThreshold)
+	nbr := neighbor.New(m, neighbor.DefaultThreshold)
 	gp := DefaultParams()
 	ka, err := stats.GappedParams(m, gp.GapOpen, gp.GapExtend)
 	if err != nil {

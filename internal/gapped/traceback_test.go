@@ -283,7 +283,7 @@ func TestTracebackServeMix(t *testing.T) {
 	t.Logf("%d alignments, %d halves (%d with a row-0 endpoint): bounded %d of %d reference cells (%.3f)",
 		len(mix), tally.halves, tally.rowZero, tally.boundCells, tally.refCells, float64(tally.boundCells)/float64(tally.refCells))
 	if len(mix) < 500 {
-		t.Fatalf("serveMix has %d alignments; the engine reports about 800 for this shape", len(mix))
+		t.Fatalf("serveMix has %d alignments, want at least 500; the engine re-aligns 514 for this shape", len(mix))
 	}
 	if 100*tally.boundCells > 35*tally.refCells {
 		t.Errorf("bounded traceback computes %d of the reference's %d cells, want at most 0.35", tally.boundCells, tally.refCells)

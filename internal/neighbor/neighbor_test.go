@@ -1,7 +1,8 @@
 package neighbor
 
 import (
-	"sync"
+	"fmt"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -9,54 +10,100 @@ import (
 	"repro/internal/matrix"
 )
 
-// The full table takes a moment to build; share one across tests.
-var (
-	tblOnce sync.Once
-	tbl     *Table
-)
+var blosum62 = New(matrix.Blosum62, DefaultThreshold)
 
-func table(t *testing.T) *Table {
-	t.Helper()
-	tblOnce.Do(func() { tbl = Build(matrix.Blosum62, DefaultThreshold) })
-	return tbl
+func word(s string) alphabet.Word {
+	c := alphabet.MustEncode(s)
+	return alphabet.PackWord(c[0], c[1], c[2])
+}
+
+// bruteForce lists the neighbors of w by scoring every partner word, in
+// ascending word order (the nested loops run over the partner's residues
+// first to last, so words come in their packed order).
+func bruteForce(m *matrix.Matrix, threshold int, w alphabet.Word) []alphabet.Word {
+	w0, w1, w2 := w.Unpack()
+	r0, r1, r2 := m.Row(w0), m.Row(w1), m.Row(w2)
+	var out []alphabet.Word
+	for c0, s0 := range r0 {
+		for c1, s1 := range r1 {
+			for c2, s2 := range r2 {
+				if int(s0)+int(s1)+int(s2) >= threshold {
+					out = append(out, alphabet.PackWord(alphabet.Code(c0), alphabet.Code(c1), alphabet.Code(c2)))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// total returns the number of (word, neighbor) pairs under e.
+func total(e *Enumerator) int {
+	n := 0
+	var buf []alphabet.Word
+	for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
+		buf = e.Append(buf[:0], w)
+		n += len(buf)
+	}
+	return n
 }
 
 func TestNeighborsMatchBruteForce(t *testing.T) {
-	tb := table(t)
-	// Exhaustive check on a sample of words against the O(NumWords) scan.
-	words := []string{"AAA", "WWW", "ARN", "LLL", "XXX", "CQE", "***", "AXW"}
-	for _, ws := range words {
-		codes := alphabet.MustEncode(ws)
-		w := alphabet.PackWord(codes[0], codes[1], codes[2])
-		want := map[alphabet.Word]bool{}
-		for v := alphabet.Word(0); v < alphabet.NumWords; v++ {
-			if matrix.Blosum62.WordScore(w, v) >= DefaultThreshold {
-				want[v] = true
-			}
-		}
-		got := tb.Neighbors(w)
-		if len(got) != len(want) {
-			t.Errorf("%s: %d neighbors, brute force %d", ws, len(got), len(want))
-		}
-		for _, v := range got {
-			if !want[v] {
-				t.Errorf("%s: spurious neighbor %s (score %d)", ws, v, matrix.Blosum62.WordScore(w, v))
-			}
+	for _, ws := range []string{"AAA", "WWW", "ARN", "LLL", "XXX", "CQE", "***", "AXW"} {
+		w := word(ws)
+		got := blosum62.Append(nil, w)
+		if want := bruteForce(matrix.Blosum62, DefaultThreshold, w); !slices.Equal(got, want) {
+			t.Errorf("%s: enumerated %d neighbors %v, brute force %d %v", ws, len(got), got, len(want), want)
 		}
 	}
 }
 
-func TestSelfNeighborRule(t *testing.T) {
-	tb := table(t)
-	hasSelf := func(ws string) bool {
-		codes := alphabet.MustEncode(ws)
-		w := alphabet.PackWord(codes[0], codes[1], codes[2])
-		for _, v := range tb.Neighbors(w) {
-			if v == w {
-				return true
-			}
+// TestEnumeratorExact checks every word's neighbors, in order, against the
+// brute-force scan under each built-in matrix at three thresholds — words
+// with X or * among them, most of which are not their own neighbors — and
+// pins what the enumerator holds: the masks and row maxima, a few KB, and
+// nothing per word.
+func TestEnumeratorExact(t *testing.T) {
+	for _, m := range []*matrix.Matrix{matrix.Blosum62, matrix.Blosum50, matrix.Pam250} {
+		for _, threshold := range []int{9, 11, 13} {
+			t.Run(fmt.Sprintf("%s/T=%d", m.Name, threshold), func(t *testing.T) {
+				t.Parallel()
+				e := New(m, threshold)
+				var got []alphabet.Word
+				notSelf := 0
+				for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
+					got = e.Append(got[:0], w)
+					want := bruteForce(m, threshold, w)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: enumerated %v, brute force %v", w, got, want)
+					}
+					if !slices.Contains(got, w) {
+						notSelf++
+					}
+				}
+				if notSelf == 0 {
+					t.Error("every word is its own neighbor: the words below the threshold were not covered")
+				}
+				span := m.Max() - m.Min() + 2
+				if got, want := e.SizeBytes(), int64(alphabet.Size*span*4+alphabet.Size); got != want {
+					t.Errorf("SizeBytes = %d, want %d (a mask per residue and score, a maximum per residue)", got, want)
+				}
+				if e.SizeBytes() > 4<<10 {
+					t.Errorf("enumerator holds %d bytes, want at most 4 KiB", e.SizeBytes())
+				}
+			})
 		}
-		return false
+	}
+	// The struct itself: a field added to it (a per-word table, say) must
+	// be counted by SizeBytes and this pin moved with it.
+	if got, want := unsafe.Sizeof(Enumerator{}), uintptr(8+8+24+8+8+alphabet.Size); got != want {
+		t.Errorf("Enumerator is %d bytes, want %d", got, want)
+	}
+}
+
+func TestSelfNeighborRule(t *testing.T) {
+	hasSelf := func(ws string) bool {
+		w := word(ws)
+		return slices.Contains(blosum62.Append(nil, w), w)
 	}
 	// WWW self-score 33 >= 11: self neighbor.
 	if !hasSelf("WWW") {
@@ -73,20 +120,11 @@ func TestSelfNeighborRule(t *testing.T) {
 }
 
 func TestSymmetry(t *testing.T) {
-	tb := table(t)
 	// Neighbor relation is symmetric because the matrix is. Spot check.
 	for _, ws := range []string{"ARN", "WCL", "AAA"} {
-		codes := alphabet.MustEncode(ws)
-		w := alphabet.PackWord(codes[0], codes[1], codes[2])
-		for _, v := range tb.Neighbors(w) {
-			found := false
-			for _, back := range tb.Neighbors(v) {
-				if back == w {
-					found = true
-					break
-				}
-			}
-			if !found {
+		w := word(ws)
+		for _, v := range blosum62.Append(nil, w) {
+			if !slices.Contains(blosum62.Append(nil, v), w) {
 				t.Errorf("asymmetric: %s -> %s but not back", w, v)
 			}
 		}
@@ -94,9 +132,8 @@ func TestSymmetry(t *testing.T) {
 }
 
 func TestNeighborsSorted(t *testing.T) {
-	tb := table(t)
 	for _, w := range []alphabet.Word{0, 100, 5000, alphabet.NumWords - 1} {
-		ns := tb.Neighbors(w)
+		ns := blosum62.Append(nil, w)
 		for i := 1; i < len(ns); i++ {
 			if ns[i] <= ns[i-1] {
 				t.Errorf("word %d: neighbors not strictly increasing at %d", w, i)
@@ -106,57 +143,66 @@ func TestNeighborsSorted(t *testing.T) {
 }
 
 func TestNumNeighborsConsistent(t *testing.T) {
-	tb := table(t)
-	total := 0
-	for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
-		n := tb.NumNeighbors(w)
-		if n != len(tb.Neighbors(w)) {
-			t.Fatalf("word %d: NumNeighbors %d != len %d", w, n, len(tb.Neighbors(w)))
-		}
-		total += n
-	}
-	if total != tb.TotalEntries() {
-		t.Errorf("total %d != TotalEntries %d", total, tb.TotalEntries())
-	}
-	// Sanity: with T=11 the average neighbor count is a few tens; the table
-	// must be non-trivial but far below the 13824^2 worst case.
-	avg := float64(total) / alphabet.NumWords
-	if avg < 5 || avg > 500 {
-		t.Errorf("average neighbor count %.1f outside plausible range", avg)
+	// BLOSUM62 at T = 11 pairs 500 402 (word, neighbor): the table this
+	// enumerator replaced held exactly that many entries.
+	if n := total(blosum62); n != 500_402 {
+		t.Errorf("BLOSUM62/T=%d lists %d neighbors over all words, want 500402", DefaultThreshold, n)
 	}
 }
 
 func TestHigherThresholdShrinksTable(t *testing.T) {
-	t13 := Build(matrix.Blosum62, 13)
-	if t13.TotalEntries() >= table(t).TotalEntries() {
-		t.Errorf("T=13 table (%d) not smaller than T=11 (%d)",
-			t13.TotalEntries(), table(t).TotalEntries())
+	if t13, t11 := total(New(matrix.Blosum62, 13)), total(blosum62); t13 >= t11 {
+		t.Errorf("T=13 lists %d neighbors, not fewer than T=11's %d", t13, t11)
 	}
 }
 
 func TestSizeBytesPositive(t *testing.T) {
-	tb := table(t)
-	if tb.SizeBytes() <= int64(alphabet.NumWords)*4 {
-		t.Errorf("SizeBytes = %d, implausibly small", tb.SizeBytes())
+	if n := blosum62.SizeBytes(); n <= alphabet.Size*4 {
+		t.Errorf("SizeBytes = %d, implausibly small", n)
 	}
 }
 
-// TestTableExactSize pins the table's footprint: it is held for the life of
-// the process, so it must hold 2 bytes a neighbor and no slack, and report
-// exactly that.
-func TestTableExactSize(t *testing.T) {
-	tb := table(t)
-	const entries = 500_402 // BLOSUM62, T = 11
-	if got := tb.TotalEntries(); got != entries {
-		t.Fatalf("BLOSUM62/T=%d table has %d entries, want %d", DefaultThreshold, got, entries)
+// TestAppendIn checks the filter: the neighbors of a word in a set are its
+// neighbors that the set holds, in the same order.
+func TestAppendIn(t *testing.T) {
+	var in Set
+	for w := alphabet.Word(0); w < alphabet.NumWords; w += 3 {
+		in.Add(w)
 	}
-	if size := unsafe.Sizeof(tb.flat[0]); size != 2 {
-		t.Errorf("a neighbor entry is %d bytes, want 2", size)
+	var got, want []alphabet.Word
+	for w := alphabet.Word(0); w < alphabet.NumWords; w += 7 {
+		got = blosum62.AppendIn(got[:0], w, &in)
+		want = want[:0]
+		for _, v := range blosum62.Append(nil, w) {
+			if in.Has(v) {
+				want = append(want, v)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: AppendIn %v, filtered Append %v", w, got, want)
+		}
 	}
-	if len(tb.flat) != cap(tb.flat) || len(tb.offsets) != cap(tb.offsets) {
-		t.Errorf("slack: flat len %d cap %d, offsets len %d cap %d", len(tb.flat), cap(tb.flat), len(tb.offsets), cap(tb.offsets))
+	var u Set
+	u.Union(&in)
+	if u != in || u.Has(1) || !u.Has(3) {
+		t.Error("Union or Has disagrees with Add")
 	}
-	if got, want := tb.SizeBytes(), int64(2*entries+4*(alphabet.NumWords+1)); got != want {
-		t.Errorf("SizeBytes = %d, want %d", got, want)
+}
+
+// BenchmarkAppend enumerates the neighbors of every word over the 20
+// standard residues, reporting the time a listed neighbor.
+func BenchmarkAppend(b *testing.B) {
+	var words []alphabet.Word
+	for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
+		if c0, c1, c2 := w.Unpack(); max(c0, c1, c2) < 20 {
+			words = append(words, w)
+		}
 	}
+	var buf []alphabet.Word
+	n := 0
+	for i := 0; i < b.N; i++ {
+		buf = blosum62.Append(buf[:0], words[i%len(words)])
+		n += len(buf)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(n, 1)), "ns/neighbor")
 }

@@ -33,31 +33,29 @@ const numStates = alphabet.Size * alphabet.Size // W-1 = 2 residues of context
 
 // Build constructs the automaton for a query, expanding neighbor positions
 // exactly like qindex.Build.
-func Build(query []alphabet.Code, nbr *neighbor.Table) *DFA {
+func Build(query []alphabet.Code, nbr *neighbor.Enumerator) *DFA {
 	d := &DFA{QueryLen: len(query), offsets: make([]int32, alphabet.NumWords+1)}
+	var plan neighbor.Plan
+	plan.Fill(nbr, query, nil)
 	counts := make([]int32, alphabet.NumWords)
-	total := int32(0)
-	alphabet.Words(query, func(_ int, w alphabet.Word) {
-		for _, v := range nbr.Neighbors(w) {
-			counts[v]++
-			total++
-		}
-	})
+	for _, v := range plan.Words() {
+		counts[v]++
+	}
 	sum := int32(0)
 	for w := 0; w < alphabet.NumWords; w++ {
 		d.offsets[w] = sum
 		sum += counts[w]
 	}
 	d.offsets[alphabet.NumWords] = sum
-	d.flat = make([]int32, total)
+	d.flat = make([]int32, sum)
 	next := make([]int32, alphabet.NumWords)
 	copy(next, d.offsets[:alphabet.NumWords])
-	alphabet.Words(query, func(off int, w alphabet.Word) {
-		for _, v := range nbr.Neighbors(w) {
+	for off := 0; off < plan.Offsets(); off++ {
+		for _, v := range plan.At(off) {
 			d.flat[next[v]] = int32(off)
 			next[v]++
 		}
-	})
+	}
 	return d
 }
 

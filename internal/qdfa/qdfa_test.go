@@ -1,7 +1,6 @@
 package qdfa
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -12,15 +11,8 @@ import (
 	"repro/internal/seqgen"
 )
 
-var (
-	nbrOnce sync.Once
-	nbrTbl  *neighbor.Table
-)
-
-func nbr() *neighbor.Table {
-	nbrOnce.Do(func() { nbrTbl = neighbor.Build(matrix.Blosum62, neighbor.DefaultThreshold) })
-	return nbrTbl
-}
+// nbr returns the BLOSUM62 neighbor enumerator at the default threshold.
+func nbr() *neighbor.Enumerator { return neighbor.New(matrix.Blosum62, neighbor.DefaultThreshold) }
 
 type hitRec struct {
 	sOff int

@@ -26,42 +26,40 @@ type Index struct {
 }
 
 // Build constructs the index for an encoded query, expanding positions
-// through the neighbor table (so index[v] holds every query offset whose
+// through the query's neighbors (so index[v] holds every query offset whose
 // word scores >= T against v). Queries shorter than W produce an index with
 // no positions.
-func Build(query []alphabet.Code, nbr *neighbor.Table) *Index {
+func Build(query []alphabet.Code, nbr *neighbor.Enumerator) *Index {
 	ix := &Index{
 		QueryLen: len(query),
 		pv:       make([]uint64, (alphabet.NumWords+63)/64),
 		offsets:  make([]int32, alphabet.NumWords+1),
 	}
+	var plan neighbor.Plan
+	plan.Fill(nbr, query, nil)
 	// Counting pass.
 	counts := make([]int32, alphabet.NumWords)
-	total := int32(0)
-	alphabet.Words(query, func(_ int, w alphabet.Word) {
-		for _, v := range nbr.Neighbors(w) {
-			counts[v]++
-			total++
-		}
-	})
+	for _, v := range plan.Words() {
+		counts[v]++
+	}
 	sum := int32(0)
 	for w := 0; w < alphabet.NumWords; w++ {
 		ix.offsets[w] = sum
 		sum += counts[w]
 	}
 	ix.offsets[alphabet.NumWords] = sum
-	ix.flat = make([]int32, total)
+	ix.flat = make([]int32, sum)
 	// Fill pass: positions for each word end up in increasing query-offset
 	// order because the outer scan goes left to right.
 	next := make([]int32, alphabet.NumWords)
 	copy(next, ix.offsets[:alphabet.NumWords])
-	alphabet.Words(query, func(off int, w alphabet.Word) {
-		for _, v := range nbr.Neighbors(w) {
+	for off := 0; off < plan.Offsets(); off++ {
+		for _, v := range plan.At(off) {
 			ix.flat[next[v]] = int32(off)
 			next[v]++
 			ix.pv[int(v)>>6] |= 1 << (uint(v) & 63)
 		}
-	})
+	}
 	return ix
 }
 

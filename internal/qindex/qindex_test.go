@@ -1,7 +1,6 @@
 package qindex
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/alphabet"
@@ -10,15 +9,8 @@ import (
 	"repro/internal/seqgen"
 )
 
-var (
-	nbrOnce sync.Once
-	nbrTbl  *neighbor.Table
-)
-
-func nbr() *neighbor.Table {
-	nbrOnce.Do(func() { nbrTbl = neighbor.Build(matrix.Blosum62, neighbor.DefaultThreshold) })
-	return nbrTbl
-}
+// nbr returns the BLOSUM62 neighbor enumerator at the default threshold.
+func nbr() *neighbor.Enumerator { return neighbor.New(matrix.Blosum62, neighbor.DefaultThreshold) }
 
 func TestPositionsMatchBruteForce(t *testing.T) {
 	g := seqgen.New(seqgen.UniprotProfile(), 17)
@@ -104,7 +96,7 @@ func TestTotalPositionsEqualsNeighborExpansion(t *testing.T) {
 	query := g.Sequence(256)
 	want := 0
 	alphabet.Words(query, func(_ int, w alphabet.Word) {
-		want += nbr().NumNeighbors(w)
+		want += len(nbr().Append(nil, w))
 	})
 	ix := Build(query, nbr())
 	if ix.TotalPositions() != want {

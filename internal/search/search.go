@@ -38,7 +38,7 @@ const (
 // engines. Construct with NewConfig; the zero value is not usable.
 type Config struct {
 	Matrix    *matrix.Matrix
-	Neighbors *neighbor.Table
+	Neighbors *neighbor.Enumerator
 	TwoHit    ungapped.Params
 	Gap       gapped.Params
 
@@ -68,12 +68,12 @@ type Config struct {
 }
 
 // NewConfig builds a Config with BLASTP defaults (A=40, ungapped X-drop 16,
-// gap 11/1, gapped X-drop 38, E-value 10) around a matrix and a prebuilt
-// neighbor table. The gap trigger is the matrix's: an ungapped alignment
+// gap 11/1, gapped X-drop 38, E-value 10) around a matrix and its neighbor
+// enumerator. The gap trigger is the matrix's: an ungapped alignment
 // enters the gapped stage when it scores at least ungapped.GapTriggerBits
 // under the matrix's ungapped Karlin-Altschul parameters, truncated to raw
 // as NCBI truncates it (41 on BLOSUM62, 56 on BLOSUM50, 57 on PAM250).
-func NewConfig(m *matrix.Matrix, nbr *neighbor.Table) (*Config, error) {
+func NewConfig(m *matrix.Matrix, nbr *neighbor.Enumerator) (*Config, error) {
 	ung, err := stats.UngappedParams(m, &stats.RobinsonFreqs)
 	if err != nil {
 		return nil, fmt.Errorf("search: ungapped Karlin-Altschul params: %w", err)

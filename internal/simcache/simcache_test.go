@@ -140,7 +140,7 @@ func TestSequentialBeatsRandom(t *testing.T) {
 // query-indexed engine on the same workload, and muBLASTP must undercut the
 // db-indexed baseline.
 func TestEnginesTraceIntoSimulator(t *testing.T) {
-	nbr := neighbor.Build(matrix.Blosum62, neighbor.DefaultThreshold)
+	nbr := neighbor.New(matrix.Blosum62, neighbor.DefaultThreshold)
 	cfg, err := search.NewConfig(matrix.Blosum62, nbr)
 	if err != nil {
 		t.Fatal(err)
