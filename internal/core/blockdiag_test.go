@@ -24,11 +24,95 @@ import (
 // window, so that the last hit of one sequence and the first of the next sit
 // exactly pad + W apart on a shared block diagonal.
 
+// slotWidths are detectScan's two instantiations. A test runs each on every
+// (block, query) task whose offsets its slots hold, whatever length
+// detectPrefiltered would pick it for.
+var slotWidths = []struct {
+	name    string
+	maxQOff int
+	detect  func(e *Engine, sc *scratch, q []alphabet.Code, bi int, coder hit.KeyCoder, st *search.Stats)
+}{
+	{"uint16", search.MaxQOff16, func(e *Engine, sc *scratch, q []alphabet.Code, bi int, coder hit.KeyCoder, st *search.Stats) {
+		detectScan(e, sc, &sc.lastPos16, q, bi, coder, st)
+	}},
+	{"uint32", search.MaxQOff, func(e *Engine, sc *scratch, q []alphabet.Code, bi int, coder hit.KeyCoder, st *search.Stats) {
+		detectScan(e, sc, &sc.lastPos32, q, bi, coder, st)
+	}},
+}
+
+// replayPairs is the detection oracle for one block whose sequences are seqs,
+// in local order: a direct replay of ungapped.Canon.PairCheck over
+// per-(sequence, diagonal) state, hits in scan order (query offset major),
+// from the subjects' residues rather than the index. It returns the (query
+// offset, first-hit distance) of each pair by key, and the hit and pair
+// counts.
+func replayPairs(cfg *search.Config, seqs []dbase.Sequence, q []alphabet.Code, coder hit.KeyCoder, numDiags int) (want map[uint32][][2]int32, hits, pairs int64) {
+	type pos struct{ l, sOff int }
+	at := map[alphabet.Word][]pos{}
+	for l := range seqs {
+		s := seqs[l].Data
+		for sOff := 0; sOff+alphabet.W <= len(s); sOff++ {
+			w := alphabet.WordAt(s, sOff)
+			at[w] = append(at[w], pos{l, sOff})
+		}
+	}
+	canon := ungapped.Canon{P: cfg.TwoHit}
+	states := make([]ungapped.DiagState, len(seqs)*numDiags)
+	for i := range states {
+		states[i].Reset()
+	}
+	diagBias := len(q) - alphabet.W
+	want = map[uint32][][2]int32{}
+	for qOff := 0; qOff+alphabet.W <= len(q); qOff++ {
+		for _, v := range cfg.Neighbors.Append(nil, alphabet.WordAt(q, qOff)) {
+			for _, p := range at[v] {
+				hits++
+				diag := p.sOff - qOff + diagBias
+				d := &states[p.l*numDiags+diag]
+				dist := int32(qOff) - d.LastPos
+				if canon.PairCheck(d, qOff) {
+					pairs++
+					key := coder.Encode(p.l, diag)
+					want[key] = append(want[key], [2]int32{int32(qOff), dist})
+				}
+			}
+		}
+	}
+	return want, hits, pairs
+}
+
+// checkPairs requires the pair buffer of one detection pass to be what
+// replayPairs says: the same hit and pair counts, and per (subject, diagonal)
+// the same pairs with the same first-hit distances, in offset order.
+func checkPairs(t *testing.T, label string, seqs []dbase.Sequence, coder hit.KeyCoder, diagBias int, pairs []hit.Pair, st search.Stats, want map[uint32][][2]int32, wantHits, wantPairs int64) {
+	t.Helper()
+	if st.Hits != wantHits || st.Pairs != wantPairs {
+		t.Errorf("%s: %d hits %d pairs, replay %d hits %d pairs", label, st.Hits, st.Pairs, wantHits, wantPairs)
+	}
+	got := map[uint32][][2]int32{}
+	for _, p := range pairs {
+		got[p.Key] = append(got[p.Key], [2]int32{p.Off(), p.Dist()})
+	}
+	for key, offs := range got {
+		if !slices.Equal(offs, want[key]) {
+			l, d := coder.Decode(key)
+			t.Fatalf("%s: subject %d (length %d) diagonal %d pairs at (offset, distance) %v, replay %v",
+				label, l, len(seqs[l].Data), d-diagBias, offs, want[key])
+		}
+	}
+	for key, offs := range want {
+		if _, ok := got[key]; !ok {
+			l, d := coder.Decode(key)
+			t.Fatalf("%s: subject %d (length %d) diagonal %d has no pairs, replay %v",
+				label, l, len(seqs[l].Data), d-diagBias, offs)
+		}
+	}
+}
+
 // checkBlockDiagonal searches q against the one-block database of seqs with
-// both detection loops and requires, per (subject, diagonal), the pair list a
-// direct replay of ungapped.Canon.PairCheck over per-(sequence, diagonal)
-// state gives — plus hit and pair counts equal to the replay's and to the
-// db-indexed baseline's, which keeps per-sequence arrays.
+// detectScan on both slot widths and requires, per (subject, diagonal), the
+// pair list replayPairs gives — plus hit and pair counts equal to the
+// replay's and to the db-indexed baseline's, which keeps per-sequence arrays.
 func checkBlockDiagonal(t *testing.T, seqs [][]alphabet.Code, q []alphabet.Code, window int) {
 	t.Helper()
 	cfg := cfgShared(t)
@@ -46,77 +130,19 @@ func checkBlockDiagonal(t *testing.T, seqs [][]alphabet.Code, q []alphabet.Code,
 	}
 	b := ix.Blocks[0]
 	diagBias := len(q) - alphabet.W
-	numDiags := len(q) + b.Block.MaxLen - 2*alphabet.W + 1
-	coder, err := hit.NewKeyCoder(b.Block.NumSeqs(), max(numDiags, 1))
+	numDiags := max(len(q)+b.Block.MaxLen-2*alphabet.W+1, 1)
+	coder, err := hit.NewKeyCoder(b.Block.NumSeqs(), numDiags)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The replay: hits in scan order (query offset major), one DiagState per
-	// (sequence, diagonal).
-	canon := ungapped.Canon{P: cfg.TwoHit}
-	states := make([]ungapped.DiagState, b.Block.NumSeqs()*max(numDiags, 1))
-	for i := range states {
-		states[i].Reset()
-	}
-	want := map[uint32][]int32{}
-	var wantHits, wantPairs int64
-	isNbr := make([]bool, alphabet.NumWords)
-	for qOff := 0; qOff+alphabet.W <= len(q); qOff++ {
-		nbrs := cfg.Neighbors.Append(nil, alphabet.WordAt(q, qOff))
-		for _, v := range nbrs {
-			isNbr[v] = true
-		}
-		for l := range db.Seqs {
-			s := db.Seqs[l].Data
-			for sOff := 0; sOff+alphabet.W <= len(s); sOff++ {
-				if !isNbr[alphabet.WordAt(s, sOff)] {
-					continue
-				}
-				wantHits++
-				diag := sOff - qOff + diagBias
-				if canon.PairCheck(&states[l*numDiags+diag], qOff) {
-					wantPairs++
-					key := coder.Encode(l, diag)
-					want[key] = append(want[key], int32(qOff))
-				}
-			}
-		}
-		for _, v := range nbrs {
-			isNbr[v] = false
-		}
-	}
-
-	traced := *cfg
-	traced.Trace = func(uint8, int64) {}
-	for _, loop := range []struct {
-		name string
-		e    *Engine
-	}{{"fast scan", New(cfg, ix)}, {"general loop", New(&traced, ix)}} {
-		sc := loop.e.getScratch()
+	want, wantHits, wantPairs := replayPairs(cfg, db.Seqs, q, coder, numDiags)
+	e := New(cfg, ix)
+	for _, width := range slotWidths {
+		sc := e.getScratch()
 		var st search.Stats
-		loop.e.detectPrefiltered(sc, q, 0, coder, &st)
-		got := map[uint32][]int32{}
-		for _, p := range sc.pairs {
-			got[p.Key] = append(got[p.Key], p.Off())
-		}
-		if st.Hits != wantHits || st.Pairs != wantPairs {
-			t.Errorf("%s: %d hits %d pairs, replay %d hits %d pairs", loop.name, st.Hits, st.Pairs, wantHits, wantPairs)
-		}
-		for key, offs := range got {
-			if !slices.Equal(offs, want[key]) {
-				l, d := coder.Decode(key)
-				t.Fatalf("%s: subject %d (length %d) diagonal %d pairs at %v, replay %v",
-					loop.name, l, len(db.Seqs[l].Data), d-diagBias, offs, want[key])
-			}
-		}
-		for key, offs := range want {
-			if _, ok := got[key]; !ok {
-				l, d := coder.Decode(key)
-				t.Fatalf("%s: subject %d (length %d) diagonal %d has no pairs, replay %v",
-					loop.name, l, len(db.Seqs[l].Data), d-diagBias, offs)
-			}
-		}
+		width.detect(e, sc, q, 0, coder, &st)
+		checkPairs(t, width.name, db.Seqs, coder, diagBias, sc.pairs, st, want, wantHits, wantPairs)
+		e.putScratch(sc)
 	}
 	// Hits and pairs do not depend on the trigger score; out of reach, it
 	// spares the baseline the gapped stage on thousands of perfect repeats.

@@ -15,13 +15,14 @@
 //     sequences in order and skipping pairs covered by a previous extension
 //     (Algorithm 1 lines 15–25); a pair's extension walks right only if its
 //     left walk reaches the first hit's word (NCBI's rule), whose distance
-//     the detection loops record in the pair's spare bits (hit.Pair.Dist);
+//     the detection loop records in the pair's spare bits (hit.Pair.Dist);
 //  4. the gapped stage and final E-value ranking live in internal/search,
 //     shared with the baseline engines of internal/baseline.
 //
-// This is the one pipeline: the pre-filter and the LSD sort are not options.
-// Where two loops remain side by side (a fast and a general detection scan, a
-// score-first and a full extension), the input selects between them.
+// This is the one pipeline: the pre-filter and the LSD sort are not options,
+// and each stage is one loop. The query's length picks the width of the
+// detection scan's last-hit slots, and a cache-simulator trace
+// (search.Config.Trace) is fed beside the loops, never through another one.
 //
 // The two-hit semantics are ungapped.Canon's, shared with the baselines, so
 // all engines return identical results (verified in tests — the paper's
@@ -94,8 +95,13 @@ func New(cfg *search.Config, ix *dbindex.Index) *Engine {
 // NewWithOptions creates a muBLASTP engine with explicit options. It panics
 // if the two-hit window is wider than the index was padded for (see
 // detectPrefiltered): blast refuses such a pairing when it opens a database,
-// so only a caller that built the index itself can get here.
+// so only a caller that built the index itself can get here. It also panics
+// on a window that cannot pair at all (at most W): search.CheckStamp's fused
+// compare needs window > W, and blast refuses such a window too.
 func NewWithOptions(cfg *search.Config, ix *dbindex.Index, opt Options) *Engine {
+	if cfg.TwoHit.Window <= alphabet.W {
+		panic(fmt.Sprintf("core: two-hit window %d pairs nothing (it must exceed the word length %d)", cfg.TwoHit.Window, alphabet.W))
+	}
 	if maxWindow := ix.MaxWindow(); cfg.TwoHit.Window > maxWindow {
 		panic(fmt.Sprintf("core: two-hit window %d, but the index is padded for at most %d (build it with dbindex.BuildWindow)",
 			cfg.TwoHit.Window, maxWindow))
@@ -130,8 +136,8 @@ func NewWithOptions(cfg *search.Config, ix *dbindex.Index, opt Options) *Engine 
 
 // scratch is the per-worker reusable state.
 type scratch struct {
-	lastPos   search.StampedLastPos
-	lastPos16 search.StampedLastPos16
+	lastPos16 search.StampedLastPos[uint16]
+	lastPos32 search.StampedLastPos[uint32]
 	pairs     []hit.Pair
 	pairBuf   []hit.Pair
 	exts      []ungapped.Ext
@@ -299,8 +305,10 @@ func (e *Engine) searchBlock(sc *scratch, q []alphabet.Code, bi int, st *search.
 
 // detectPrefiltered is hit detection with the Algorithm 2 pre-filter: the
 // last-hit array is consulted during detection and only two-hit pairs enter
-// the buffer. It scans the query's plan, sc.plan; a caller that planned
-// nothing gets the query planned for this task alone.
+// the buffer. The query's length picks the width of the array's slots and
+// nothing else does: 16 bits while its offsets fit them (MaxQOff16), which
+// halves the block's randomly-accessed footprint that the scan is bound on,
+// and 32 bits above that.
 //
 // The array has one slot per diagonal of the whole block, not per (sequence,
 // diagonal): an indexed position is a block coordinate G (see dbindex), and a
@@ -314,35 +322,35 @@ func (e *Engine) searchBlock(sc *scratch, q []alphabet.Code, bi int, st *search.
 // kept) cannot occur across sequences at all. NewWithOptions holds the window
 // to what the index was padded for.
 func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder hit.KeyCoder, st *search.Stats) {
-	b := e.Ix.Blocks[bi]
-	diagBias := len(q) - alphabet.W
-	window := int32(e.Cfg.TwoHit.Window)
-	trace := e.Cfg.Trace
 	if len(q)-alphabet.W > search.MaxQOff {
-		// The packed last-hit word stores query offsets in 20 bits; no real
-		// protein comes within an order of magnitude of this.
+		// A pair record stores query offsets in 20 bits; no real protein
+		// comes within an order of magnitude of this.
 		panic(fmt.Sprintf("core: query length %d exceeds the %d-offset last-hit limit", len(q), search.MaxQOff))
 	}
-
-	// Two detection loops, selected by the input and by nothing else: the
-	// fast scan needs no trace hooks, a window that can pair at all
-	// (CheckStamp's fused compare assumes window > W), and query offsets that
-	// fit the compact last-hit word; everything else (a cache-simulator trace,
-	// a query past MaxQOff16) takes the general loop below.
-	// Each path resets only its own slot array: the compact one halves the
-	// block's randomly-accessed footprint, which is exactly what the scan is
-	// bound on. The reset is the pre-filter's separable cost; the per-hit
-	// checks are inlined into the scan, so their time lands in StageHitDetect
-	// (DESIGN.md, observability layer).
-	stageStart := time.Now()
-	slots := b.Span() + diagBias + 1
-	fast := trace == nil && window > alphabet.W &&
-		len(q)-alphabet.W <= search.MaxQOff16
-	if fast {
-		sc.lastPos16.Reset(slots)
+	if len(q)-alphabet.W <= search.MaxQOff16 {
+		detectScan(e, sc, &sc.lastPos16, q, bi, coder, st)
 	} else {
-		sc.lastPos.Reset(slots)
+		detectScan(e, sc, &sc.lastPos32, q, bi, coder, st)
 	}
+}
+
+// detectScan is the two-hit detection kernel on slots of type S, which must
+// hold the query's offsets. It scans the query's plan, sc.plan; a caller that
+// planned nothing gets the query planned for this task alone. Everything
+// per-hit that is not load-compute-store is taken out of the scan: hit
+// counting is one add per position list, and there is no decode — a
+// position's coordinate is rebuilt from the one before it in its run
+// (dbindex.Next) and is its own slot number in the view of the last-hit array
+// taken per query offset. Only the survivors are decoded, after the scan.
+//
+// The reset is the pre-filter's separable cost; the per-hit checks are
+// inlined into the scan, so their time lands in StageHitDetect (DESIGN.md,
+// observability layer).
+func detectScan[S search.Slot](e *Engine, sc *scratch, lastPos *search.StampedLastPos[S], q []alphabet.Code, bi int, coder hit.KeyCoder, st *search.Stats) {
+	b := e.Ix.Blocks[bi]
+	diagBias := len(q) - alphabet.W
+	stageStart := time.Now()
+	lastPos.Reset(b.Span() + diagBias + 1)
 	sc.pairs = sc.pairs[:0]
 	st.StageNanos[obs.StagePrefilter] += int64(time.Since(stageStart))
 
@@ -352,70 +360,8 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 		e.planQuery(plan, q, st)
 	}
 	stageStart = time.Now()
-	if fast {
-		e.detectScanFast(sc, plan, q, b, coder, window, st)
-		st.StageNanos[obs.StageHitDetect] += int64(time.Since(stageStart))
-		return
-	}
-	for qOff := 0; qOff+alphabet.W <= len(q); qOff++ {
-		for _, v := range plan.At(qOff) {
-			offs, row := b.Runs(v)
-			if len(offs) == 0 {
-				continue
-			}
-			var base int64
-			if trace != nil {
-				// The simulator lays the index out at the paper's 4 bytes a
-				// position (dbindex.BlockIndex.ModelBytes).
-				base = e.ixBase[bi] + int64(b.Base(v))*4
-			}
-			pi := 0
-			for p := 0; len(offs) > 0; p++ {
-				n := b.RunLen(v, p, row)
-				g := uint32(p) << dbindex.PageShift
-				for _, d := range offs[:n] {
-					g = dbindex.Next(g, d)
-					st.Hits++
-					slot := int(g) - qOff + diagBias
-					if trace != nil {
-						trace(search.SpaceIndex, base+int64(pi)*4)
-						// Trace models the paper's int32 lastHitArr, as in the
-						// db-indexed baseline; the packed epoch word is an
-						// implementation detail the simulator doesn't see.
-						trace(search.SpaceLastHit, int64(slot)*4)
-					}
-					pi++
-					if dist, paired := sc.lastPos.Check(slot, int32(qOff), window); paired {
-						st.Pairs++
-						if trace != nil {
-							// The simulator keeps modelling the paper's 12-byte
-							// pair record (key, offset, distance); ours is 8.
-							trace(search.SpaceHitBuf, int64(len(sc.pairs))*12)
-						}
-						local, sOff := b.Decode(g)
-						sc.pairs = append(sc.pairs, hit.NewPair(coder.Encode(local, sOff-qOff+diagBias), int32(qOff), dist))
-					}
-				}
-				offs = offs[n:]
-			}
-		}
-	}
-	st.StageNanos[obs.StageHitDetect] += int64(time.Since(stageStart))
-}
-
-// detectScanFast is the untraced two-hit detection kernel: the same scan as
-// detectPrefiltered's general loop with everything per-hit that is not
-// load-compute-store taken out — no trace callbacks, hit counting moved to
-// one add per position list, and no decode: a position's coordinate is
-// rebuilt from the one before it in its run (dbindex.Next) and is its own
-// slot number in the view of the last-hit array taken per query offset. The
-// per-hit random access is the compact packed last-hit word (see
-// search.StampedLastPos16), one cache line per hit; detectPrefiltered routes
-// queries too long for the compact word through the general loop instead.
-func (e *Engine) detectScanFast(sc *scratch, plan *neighbor.Plan, q []alphabet.Code, b *dbindex.BlockIndex, coder hit.KeyCoder, window int32, st *search.Stats) {
-	diagBias := len(q) - alphabet.W
-	lastPos := sc.lastPos16
-	k := pairScan{b: b, flat: b.Flat(), buf: sc.pairs[:cap(sc.pairs)], np: len(sc.pairs), span: uint32(window - alphabet.W)}
+	trace := e.Cfg.Trace
+	k := pairScan[S]{b: b, flat: b.Flat(), buf: sc.pairs[:cap(sc.pairs)], span: uint32(e.Cfg.TwoHit.Window - alphabet.W)}
 	for qOff := 0; qOff+alphabet.W <= len(q); qOff++ {
 		k.stamp = lastPos.Stamp(int32(qOff))
 		k.row = lastPos.From(diagBias - qOff) // slot = G - qOff + diagBias
@@ -426,6 +372,9 @@ func (e *Engine) detectScanFast(sc *scratch, plan *neighbor.Plan, q []alphabet.C
 		for i := first; i < k.np; i++ {
 			k.buf[i] = hit.NewPair(k.buf[i].Key, int32(qOff), k.buf[i].QOff)
 		}
+		if trace != nil {
+			e.traceScan(bi, plan.At(qOff), qOff, diagBias, k.buf[first:k.np], first)
+		}
 	}
 	sc.pairs = k.buf[:k.np]
 	st.Hits += k.hits
@@ -435,19 +384,54 @@ func (e *Engine) detectScanFast(sc *scratch, plan *neighbor.Plan, q []alphabet.C
 		local, sOff := b.Decode(p.Key)
 		p.Key = coder.Encode(local, sOff-int(p.Off())+diagBias)
 	}
+	st.StageNanos[obs.StageHitDetect] += int64(time.Since(stageStart))
 }
 
-// pairScan is detectScanFast's state at one query offset: the block, its
+// traceScan feeds the cache simulator the accesses of one query offset's
+// scan, replayed after it: for each position of each word, in scan order, the
+// index entry, the last-hit slot and, for a hit that paired, its pair record.
+// survivors are the offset's pair records, still keyed by coordinate, and np
+// the buffer index of the first; positions are unique within an offset, so a
+// hit paired exactly when the next survivor has its coordinate. The simulator
+// models the paper's layouts — 4 bytes an index position
+// (dbindex.BlockIndex.ModelBytes), an int32 lastHitArr, a 12-byte pair
+// record — not the packed ones the scan uses.
+func (e *Engine) traceScan(bi int, words []alphabet.Word, qOff, diagBias int, survivors []hit.Pair, np int) {
+	b := e.Ix.Blocks[bi]
+	trace := e.Cfg.Trace
+	for _, v := range words {
+		offs, row := b.Runs(v)
+		at := e.ixBase[bi] + int64(b.Base(v))*4
+		for p := 0; len(offs) > 0; p++ {
+			n := b.RunLen(v, p, row)
+			g := uint32(p) << dbindex.PageShift
+			for _, d := range offs[:n] {
+				g = dbindex.Next(g, d)
+				trace(search.SpaceIndex, at)
+				trace(search.SpaceLastHit, int64(int(g)-qOff+diagBias)*4)
+				at += 4
+				if len(survivors) > 0 && survivors[0].Key == g {
+					trace(search.SpaceHitBuf, int64(np)*12)
+					survivors = survivors[1:]
+					np++
+				}
+			}
+			offs = offs[n:]
+		}
+	}
+}
+
+// pairScan is detectScan's state at one query offset: the block, its
 // position array, and what the pair test needs that does not change with
 // the hit — the view of the last-hit slots, the stamp a hit stores and the
 // window's span — worked out once instead of per hit.
-type pairScan struct {
+type pairScan[S search.Slot] struct {
 	b     *dbindex.BlockIndex
 	flat  []uint16
 	hits  int64
 	buf   []hit.Pair
 	np    int
-	row   []uint16
+	row   []S
 	stamp uint32
 	span  uint32
 }
@@ -456,7 +440,7 @@ type pairScan struct {
 // The word lookup (BlockIndex.Word) must stay inlined here: out of line, a
 // call per word visit cost about 7% of detection (EXPERIMENTS.md, "PR-39
 // compact word table"), which the root TestWordLookupInlined guards.
-func (k *pairScan) scan(words []alphabet.Word) {
+func (k *pairScan[S]) scan(words []alphabet.Word) {
 	for _, v := range words {
 		lo, hi, page := k.b.Word(v)
 		offs := k.flat[lo:hi]
@@ -492,17 +476,19 @@ func (k *pairScan) scan(words []alphabet.Word) {
 // record holds only the coordinate where the key will go and CheckStamp's
 // key where the packed offset will go — the key is the distance to the first
 // hit when the hit pairs; the caller packs in the query offset, and the
-// survivors alone are decoded.
+// survivors alone are decoded. CheckStamp must stay inlined here, for both
+// slot widths; the root TestCheckStampInlined guards it.
 //
 // The loop gets the registers to itself only in a function of its own: in a
 // loop nest, the compiler reloads a handful of spilled values per hit.
 //
 //go:noinline
-func (k *pairScan) run(offs []uint16, g uint32) int {
+func (k *pairScan[S]) run(offs []uint16, g uint32) int {
 	buf, np, row, stamp, span := k.buf, k.np, k.row, k.stamp, k.span
 	for _, d := range offs {
 		g = dbindex.Next(g, d)
-		dist, inc := search.CheckStamp(&row[g], stamp, span)
+		dist, nv, inc := search.CheckStamp(uint32(row[g]), stamp, span)
+		row[g] = S(nv)
 		buf[np] = hit.Pair{Key: g, QOff: int32(dist)}
 		np += inc
 	}
@@ -580,16 +566,15 @@ func (e *Engine) extendPairs(sc *scratch, q []alphabet.Code, bi int, coder hit.K
 	// Trigger", and a rejected pair leaves nothing behind but ExtReached =
 	// its own offset, so it runs only the score-only walk (ExtendScore) and
 	// the coordinates walk (ExtendProfile) is paid by the survivors alone.
-	// The traced path extends every pair in full, because the cache simulator
-	// replays each extension's subject span, kept or not; the two paths must
-	// agree on everything else (TestExtendPairsScoreFirstMatchesFull).
+	// Under a trace a rejected pair is also walked for its coordinates,
+	// because the cache simulator replays each extension's subject span,
+	// kept or not; that walk decides nothing.
 	//
 	// Which kernel runs follows from the input, not from an option: the
 	// profile kernels need XDrop >= 1 and a query the profile's 16-bit
 	// offsets can address (Canon.extend's own test); anything else takes the
 	// matrix-indexed reference Extend.
 	useProf := e.Cfg.TwoHit.XDrop >= 1 && prof.QLen < 0xFFFF
-	scoreFirst := useProf && trace == nil
 	xDrop := e.Cfg.TwoHit.XDrop
 	trigger := e.Cfg.TwoHit.Trigger
 	var extensions, kept int64
@@ -621,25 +606,23 @@ func (e *Engine) extendPairs(sc *scratch, q []alphabet.Code, bi int, coder hit.K
 		extensions++
 		var ext ungapped.Ext
 		var reach bool
-		if scoreFirst {
+		if useProf {
 			if score, _ := ungapped.ExtendScore(prof, s, qOff, sOff, xDrop, need); score < trigger {
+				if trace != nil {
+					rejected, _ := ungapped.ExtendProfile(prof, s, qOff, sOff, xDrop, need)
+					e.traceSpan(gsi, rejected)
+				}
 				continue
 			}
 			ext, reach = ungapped.ExtendProfile(prof, s, qOff, sOff, xDrop, need)
 		} else {
-			if useProf {
-				ext, reach = ungapped.ExtendProfile(prof, s, qOff, sOff, xDrop, need)
-			} else {
-				ext, reach = ungapped.Extend(e.Cfg.Matrix, q, s, qOff, sOff, xDrop, need)
-			}
-			if trace != nil {
-				for off := e.subjOff[gsi] + int64(ext.SStart); off < e.subjOff[gsi]+int64(ext.SEnd); off++ {
-					trace(search.SpaceSubject, off)
-				}
-			}
-			if ext.Score < trigger {
-				continue
-			}
+			ext, reach = ungapped.Extend(e.Cfg.Matrix, q, s, qOff, sOff, xDrop, need)
+		}
+		if trace != nil {
+			e.traceSpan(gsi, ext)
+		}
+		if ext.Score < trigger {
+			continue
 		}
 		if reach {
 			d.ExtReached = int32(ext.QEnd)
@@ -651,4 +634,12 @@ func (e *Engine) extendPairs(sc *scratch, q []alphabet.Code, bi int, coder hit.K
 	st.Kept += kept
 	flushSubject()
 	return subjects
+}
+
+// traceSpan feeds the cache simulator the subject residues one extension
+// walked, at their offsets in the simulated subject space.
+func (e *Engine) traceSpan(gsi int, ext ungapped.Ext) {
+	for off := e.subjOff[gsi] + int64(ext.SStart); off < e.subjOff[gsi]+int64(ext.SEnd); off++ {
+		e.Cfg.Trace(search.SpaceSubject, off)
+	}
 }

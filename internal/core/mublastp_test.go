@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -52,6 +54,16 @@ func world(t testing.TB, seed int64, nSeqs, nQueries, qLen int, blockResidues in
 		seqs[i] = db.Seqs[i].Data
 	}
 	return cfg, ix, g.Queries(seqs, nQueries, qLen)
+}
+
+// queryFrom returns one n-residue query that a generator of the given seed
+// draws from ix's sequences, as world draws its queries.
+func queryFrom(ix *dbindex.Index, seed int64, n int) []alphabet.Code {
+	seqs := make([][]alphabet.Code, ix.DB.NumSeqs())
+	for i := range ix.DB.Seqs {
+		seqs[i] = ix.DB.Seqs[i].Data
+	}
+	return seqgen.New(seqgen.UniprotProfile(), seed).Queries(seqs, 1, n)[0]
 }
 
 // requireIdentical asserts that two result sets agree exactly: same HSPs,
@@ -107,16 +119,16 @@ func TestIdenticalAcrossEngines(t *testing.T) {
 }
 
 // TestIdenticalAcrossQueryLengths also stands on both sides of the two forks
-// the engine selects from its input: lengths 1026 and 1027 put len(q)-W at
-// MaxQOff16 and one past it (compact last-hit word and fast scan vs the
-// 32-bit word and the general loop), and XDrop = 0 routes extendPairs to the
+// the engine takes from its input: lengths 1026 and 1027 put len(q)-W at
+// MaxQOff16 and one past it (16-bit vs 32-bit last-hit slots), 4000 runs far
+// into the 32-bit width, and XDrop = 0 routes extendPairs to the
 // matrix-indexed ungapped.Extend instead of the score-first profile kernels.
 func TestIdenticalAcrossQueryLengths(t *testing.T) {
 	defaultXDrop := cfgShared(t).TwoHit.XDrop
 	lastCompact := search.MaxQOff16 + alphabet.W // 1026
 	for _, c := range []struct{ qLen, xDrop int }{
 		{64, defaultXDrop}, {256, defaultXDrop}, {512, defaultXDrop},
-		{lastCompact, defaultXDrop}, {lastCompact + 1, defaultXDrop}, {256, 0},
+		{lastCompact, defaultXDrop}, {lastCompact + 1, defaultXDrop}, {4000, defaultXDrop}, {256, 0},
 	} {
 		cfg, ix, queries := world(t, 7, 120, 3, c.qLen, 16384)
 		cfg.TwoHit.XDrop = c.xDrop
@@ -133,41 +145,97 @@ func TestIdenticalAcrossQueryLengths(t *testing.T) {
 	}
 }
 
-// TestDetectFastMatchesGeneral runs every (block, query) task through both
-// detection loops — detectScanFast on the compact uint16 last-hit word, and
-// the general loop on the uint32 word, selected here by a no-op trace hook —
-// and requires the same pair buffer, record for record and in scan order: the
-// two packed statements of the two-hit rule (search.StampedLastPos16.CheckCount
-// and StampedLastPos.Check) see real hit streams side by side. Query length
-// 1026 puts the last offset exactly at MaxQOff16.
-func TestDetectFastMatchesGeneral(t *testing.T) {
-	for _, qLen := range []int{200, search.MaxQOff16 + alphabet.W} {
+// TestDetectSlotWidthsAgree runs every (block, query) task through both of
+// detectScan's instantiations whose slots hold the query's offsets — the
+// 16-bit slots up to 1026 residues, the 32-bit ones at every length — and
+// requires each pair buffer to be what replayPairs, a direct replay of
+// ungapped.Canon.PairCheck over the block's residues, says, and the two
+// widths' buffers to be the same record for record and in scan order where
+// both run. Query length 1026 puts the last offset exactly at MaxQOff16, 1027
+// one past it.
+func TestDetectSlotWidthsAgree(t *testing.T) {
+	for _, qLen := range []int{200, search.MaxQOff16 + alphabet.W, search.MaxQOff16 + alphabet.W + 1, 4000} {
 		cfg, ix, queries := world(t, 23, 120, 3, qLen, 16384)
-		traced := *cfg
-		traced.Trace = func(uint8, int64) {}
-		fast, general := New(cfg, ix), New(&traced, ix)
-		scF, scG := fast.getScratch(), general.getScratch()
+		e := New(cfg, ix)
+		var scs [2]*scratch
+		for i := range scs {
+			scs[i] = e.getScratch()
+		}
 		pairs := 0
 		for qi, q := range queries {
+			diagBias := len(q) - alphabet.W
 			for bi, b := range ix.Blocks {
-				coder, err := hit.NewKeyCoder(b.Block.NumSeqs(), len(q)+b.Block.MaxLen-2*alphabet.W+1)
+				numDiags := len(q) + b.Block.MaxLen - 2*alphabet.W + 1
+				coder, err := hit.NewKeyCoder(b.Block.NumSeqs(), numDiags)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var stF, stG search.Stats
-				fast.detectPrefiltered(scF, q, bi, coder, &stF)
-				general.detectPrefiltered(scG, q, bi, coder, &stG)
-				if stF.Hits != stG.Hits || !slices.Equal(scF.pairs, scG.pairs) {
-					t.Fatalf("qLen %d query %d block %d: fast scan %d hits %d pairs, general loop %d hits %d pairs, or the records differ",
-						qLen, qi, bi, stF.Hits, len(scF.pairs), stG.Hits, len(scG.pairs))
+				seqs := ix.DB.Seqs[b.Block.Start : b.Block.Start+b.Block.NumSeqs()]
+				want, wantHits, wantPairs := replayPairs(cfg, seqs, q, coder, numDiags)
+				ran := 0
+				for i, width := range slotWidths {
+					if diagBias > width.maxQOff {
+						continue
+					}
+					var st search.Stats
+					width.detect(e, scs[i], q, bi, coder, &st)
+					checkPairs(t, fmt.Sprintf("qLen %d query %d block %d %s", qLen, qi, bi, width.name),
+						seqs, coder, diagBias, scs[i].pairs, st, want, wantHits, wantPairs)
+					ran++
 				}
-				pairs += len(scF.pairs)
+				if ran == 2 && !slices.Equal(scs[0].pairs, scs[1].pairs) {
+					t.Fatalf("qLen %d query %d block %d: the widths' pair buffers differ", qLen, qi, bi)
+				}
+				pairs += int(wantPairs)
 			}
+		}
+		for _, sc := range scs {
+			e.putScratch(sc)
 		}
 		if pairs == 0 {
 			t.Errorf("qLen %d: no pairs; the comparison is vacuous", qLen)
 		}
 	}
+}
+
+// TestNewRejectsUnusableWindows reaches each of NewWithOptions's window
+// panics: a window that pairs nothing, one wider than the index's padding,
+// and one wider than a pair record's distance field.
+func TestNewRejectsUnusableWindows(t *testing.T) {
+	cfg := cfgShared(t)
+	db := dbase.New(seqgen.New(seqgen.UniprotProfile(), 3).Database(20))
+	for _, c := range []struct {
+		window, padFor int
+		want           string
+	}{
+		{alphabet.W, 40, "pairs nothing"},
+		{0, 40, "pairs nothing"},
+		{41, 40, "padded for at most 40"},
+		{hit.MaxWindow + 1, hit.MaxWindow + 1, "a pair record carries distances below"},
+	} {
+		ix, err := dbindex.BuildWindow(db, cfg.Neighbors, 1<<20, c.padFor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := *cfg
+		bad.TwoHit.Window = c.window
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, c.want) {
+					t.Errorf("window %d over an index padded for %d: panic %q, want one saying %q", c.window, c.padFor, msg, c.want)
+				}
+			}()
+			New(&bad, ix)
+		}()
+	}
+	good := *cfg
+	good.TwoHit.Window = alphabet.W + 1
+	ix, err := dbindex.BuildWindow(db, cfg.Neighbors, 1<<20, alphabet.W+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	New(&good, ix) // the narrowest window that pairs
 }
 
 func TestHitAndPairCountsMatchBaselines(t *testing.T) {

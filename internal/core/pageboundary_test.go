@@ -16,7 +16,7 @@ import (
 // one as its distance from the one before (see dbindex). The cases below put
 // hits where that is tightest — pairs whose two hits sit on either side of a
 // page boundary, a word whose runs skip a page, blocks that end exactly at a
-// boundary or one coordinate past it — and hold both detection loops and the
+// boundary or one coordinate past it — and hold both slot widths and the
 // db-indexed baseline to the replay of checkBlockDiagonal.
 
 // randomSeq returns n residues drawn from letters.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/alphabet"
 	"repro/internal/dbase"
 	"repro/internal/dbindex"
+	"repro/internal/hit"
 	"repro/internal/neighbor"
 	"repro/internal/search"
 	"repro/internal/seqgen"
@@ -49,8 +50,9 @@ func planWorld(t testing.TB) (*search.Config, *dbindex.Index, [][]alphabet.Code)
 }
 
 // TestPlanSkipsAbsentWords checks that leaving the index's absent words out
-// of a query's plan changes nothing a search reports: every hit, pair and
-// alignment of both detection loops is the one the full neighbor lists give.
+// of a query's plan changes nothing a search reports: every (block, query)
+// task gives the hits and the pair buffer the full neighbor lists give on
+// both slot widths, and every alignment, untraced and traced, is the same.
 func TestPlanSkipsAbsentWords(t *testing.T) {
 	cfg, ix, queries := planWorld(t)
 	full := *ix
@@ -70,6 +72,34 @@ func TestPlanSkipsAbsentWords(t *testing.T) {
 			t.Fatalf("filtered plan has %d words, unfiltered %d", len(filtered.Words()), len(unfiltered.Words()))
 		}
 	}
+
+	t.Run("slot widths", func(t *testing.T) {
+		e := New(cfg, ix)
+		scF, scU := e.getScratch(), e.getScratch()
+		defer e.putScratch(scF)
+		defer e.putScratch(scU)
+		var st search.Stats
+		for qi, q := range queries {
+			e.planQuery(&filtered, q, &st)
+			unfiltered.Fill(cfg.Neighbors, q, nil)
+			scF.plan, scU.plan = &filtered, &unfiltered
+			for bi, b := range ix.Blocks {
+				coder, err := hit.NewKeyCoder(b.Block.NumSeqs(), len(q)+b.Block.MaxLen-2*alphabet.W+1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, width := range slotWidths {
+					var stF, stU search.Stats
+					width.detect(e, scF, q, bi, coder, &stF)
+					width.detect(e, scU, q, bi, coder, &stU)
+					if stF.Hits != stU.Hits || !slices.Equal(scF.pairs, scU.pairs) {
+						t.Fatalf("query %d block %d %s: filtered plan %d hits %d pairs, full %d hits %d pairs, or the records differ",
+							qi, bi, width.name, stF.Hits, len(scF.pairs), stU.Hits, len(scU.pairs))
+					}
+				}
+			}
+		}
+	})
 
 	traced := *cfg
 	traced.Trace = func(uint8, int64) {}

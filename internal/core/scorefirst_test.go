@@ -13,16 +13,19 @@ import (
 	"repro/internal/ungapped"
 )
 
-// TestExtendPairsScoreFirstMatchesFull pins the fork in extendPairs. With
-// Cfg.Trace nil a pair is scored first (ungapped.ExtendScore) and only a
-// pair that beats the trigger is extended for its coordinates; with a trace
-// hook every pair is extended in full, as before. The two paths share no
-// kernel for the 99.9% of pairs that are rejected, so their agreement is a
-// property to test, not one that holds by construction. Both run over the
-// same sorted pair buffer and must hand the gapped stage the same kept
+// TestExtendPairsScoreFirstMatchesFull pins extendPairs's score-first
+// extension against the reference state machine (ungapped.Canon with the
+// matrix-indexed kernel), which extends every pair in full. In extendPairs a
+// pair is scored first (ungapped.ExtendScore) and only a pair that beats the
+// trigger is extended for its coordinates, so for the 99.9% of pairs that
+// are rejected the two share no kernel, and their agreement is a property to
+// test, not one that holds by construction. A traced engine also walks the
+// rejected pairs for their coordinates, to trace each extension's subject
+// span; that walk must decide nothing. Untraced and traced runs over the
+// same sorted pair buffer must hand the gapped stage the same kept
 // extensions, count the same Extensions and Kept, and return the same
-// alignments; a third walk through the reference state machine
-// (ungapped.Canon with the matrix-indexed kernel) says what those are.
+// alignments, the reference walk says what those are, and the traced run
+// must trace exactly the subject span of each of the reference's extensions.
 //
 // The workload is guarded to contain extensions scoring exactly Trigger:
 // that is where "<= Trigger" and "< Trigger" part ways.
@@ -32,7 +35,12 @@ func TestExtendPairsScoreFirstMatchesFull(t *testing.T) {
 		t.Fatalf("want several index blocks, got %d", len(ix.Blocks))
 	}
 	traced := *cfg
-	traced.Trace = func(uint8, int64) {}
+	var spans []int64
+	traced.Trace = func(space uint8, off int64) {
+		if space == search.SpaceSubject {
+			spans = append(spans, off)
+		}
+	}
 	scoreFirst, full := New(cfg, ix), New(&traced, ix)
 	sc0, sc1 := scoreFirst.getScratch(), full.getScratch()
 	canon := ungapped.Canon{P: cfg.TwoHit, Matrix: cfg.Matrix}
@@ -53,10 +61,12 @@ func TestExtendPairsScoreFirstMatchesFull(t *testing.T) {
 			sc1.pairs = append(sc1.pairs[:0], sc0.pairs...)
 
 			subs0 := scoreFirst.extendPairs(sc0, q, bi, coder, diagBias, &st0)
+			spans = spans[:0]
 			subs1 := full.extendPairs(sc1, q, bi, coder, diagBias, &st1)
 
 			// The reference: Algorithm 1 lines 15-25 over the same buffer.
 			var want []ungapped.Ext
+			var wantSpans []int64
 			var wantExtensions int64
 			var d ungapped.DiagState
 			for i, p := range sc0.pairs {
@@ -71,6 +81,9 @@ func TestExtendPairsScoreFirstMatchesFull(t *testing.T) {
 					if ext.Score == cfg.TwoHit.Trigger {
 						ties++
 					}
+					for off := ext.SStart; off < ext.SEnd; off++ {
+						wantSpans = append(wantSpans, full.subjOff[b.Block.Start+local]+int64(off))
+					}
 				}
 				if keep {
 					want = append(want, ext)
@@ -83,6 +96,9 @@ func TestExtendPairsScoreFirstMatchesFull(t *testing.T) {
 			}
 			if st0.Kept != int64(len(want)) || st1.Kept != int64(len(want)) {
 				t.Fatalf("%s: Kept score-first %d, full %d, reference %d", where(), st0.Kept, st1.Kept, len(want))
+			}
+			if !slices.Equal(spans, wantSpans) {
+				t.Fatalf("%s: traced %d subject offsets, the reference's extensions span %d, or they differ", where(), len(spans), len(wantSpans))
 			}
 			// sc.exts holds what went to the gapped stage, each subject's
 			// share in GappedStage's order: equal as sequences between the
@@ -136,8 +152,8 @@ func sortedExts(exts []ungapped.Ext) []ungapped.Ext {
 
 // TestGapTriggerBoundary pins where an ungapped extension enters the gapped
 // stage: scoring exactly S1 (cfg.TwoHit.Trigger, NCBI's 22 bits: 41 on
-// BLOSUM62) it does, scoring S1-1 it does not — in ungapped.Canon, on the
-// score-first path and on the traced full path alike. The workload is
+// BLOSUM62) it does, scoring S1-1 it does not — in ungapped.Canon, and in
+// extendPairs untraced and traced alike. The workload is
 // guarded to contain extensions at both scores.
 func TestGapTriggerBoundary(t *testing.T) {
 	cfg, ix, queries := world(t, 211, 1500, 4, 300, 1<<18)

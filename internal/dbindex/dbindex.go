@@ -639,10 +639,10 @@ func (ix *Index) ExpandedSizeBytes() int64 {
 // last-hit arrays take ~2·b·t bytes, so b = L3 / (2t + 1), and the return
 // value is b at the paper's 4 bytes a position (a residue), clamped to a sane
 // minimum. Ours are smaller: a position is 2 bytes and the last-hit array one
-// 2-byte slot per block diagonal, so a block and one thread's array together
-// take about the bytes the paper's block alone does, and the rule leaves
-// slack. It is kept as the paper states it; the measured optimum is in
-// EXPERIMENTS.md (the Fig 8 sweep).
+// 2-byte slot per block diagonal (4 bytes above 1 026 query residues), so a
+// block and one thread's array take about the bytes the paper's block alone
+// does, and the rule, kept as the paper states it for every query length,
+// leaves slack; the measured optimum is in EXPERIMENTS.md (the Fig 8 sweep).
 func OptimalBlockResidues(l3Bytes int64, threads int) int64 {
 	if threads < 1 {
 		threads = 1

@@ -22,7 +22,7 @@ type Pair struct {
 	QOff int32
 }
 
-// OffBits is the width of a pair's query offset: the detection loops record
+// OffBits is the width of a pair's query offset: the detection loop records
 // offsets of at most 1<<20 - 1 (search.MaxQOff).
 const OffBits = 20
 

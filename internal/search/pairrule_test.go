@@ -8,18 +8,17 @@ import (
 	"repro/internal/ungapped"
 )
 
-// The two-hit rule is stated three times — ungapped.Canon.PairCheck (the
-// semantics every baseline reaches through Canon.Step), StampedLastPos.Check
-// (the general detection loop) and CheckStamp on StampedLastPos16's slots
-// (the fast scan) — and engine-vs-baseline identity holds only while the
-// three agree hit for hit, on the verdict and, for a pair, on the distance
-// to its first hit, which decides how far the pair is extended.
-// pairRuleTrio drives one hit stream through all three.
+// The two-hit rule is stated twice — ungapped.Canon.PairCheck (the semantics
+// every baseline reaches through Canon.Step) and CheckStamp (the detection
+// scan), which runs on two slot widths — and engine-vs-baseline identity
+// holds only while the statements agree hit for hit, on the verdict and, for
+// a pair, on the distance to its first hit, which decides how far the pair is
+// extended. pairRuleTrio drives one hit stream through Canon and both widths.
 type pairRuleTrio struct {
 	canon  ungapped.Canon
 	diags  []ungapped.DiagState
-	wide   StampedLastPos
-	narrow StampedLastPos16
+	wide   StampedLastPos[uint32]
+	narrow StampedLastPos[uint16]
 }
 
 func newPairRuleTrio(window int) *pairRuleTrio {
@@ -42,17 +41,16 @@ func (p *pairRuleTrio) reset(n int) {
 // hit returns the three verdicts for one hit and the distances the three
 // forms report for it: Canon's is read from the diagonal state before
 // PairCheck stores the hit, as Canon.Step reads it. The uint16 form is
-// consulted only when it can represent the hit (qOff <= MaxQOff16, window >
-// W) and echoes the wide verdict and distance otherwise.
+// consulted only when it can represent the hit (qOff <= MaxQOff16) and
+// echoes the wide verdict and distance otherwise.
 func (p *pairRuleTrio) hit(slot, qOff int) (canon, wide, narrow bool, dist [3]int32) {
 	window := int32(p.canon.P.Window)
 	dist[0] = int32(qOff) - p.diags[slot].LastPos
 	canon = p.canon.PairCheck(&p.diags[slot], qOff)
-	dist[1], wide = p.wide.Check(slot, int32(qOff), window)
+	dist[1], wide = check(&p.wide, slot, int32(qOff), window)
 	narrow, dist[2] = wide, dist[1]
-	if qOff <= MaxQOff16 && window > alphabet.W {
-		key, inc := CheckStamp(&p.narrow.slots[slot], p.narrow.Stamp(int32(qOff)), uint32(window-alphabet.W))
-		narrow, dist[2] = inc == 1, int32(key)
+	if qOff <= MaxQOff16 {
+		dist[2], narrow = check(&p.narrow, slot, int32(qOff), window)
 	}
 	return canon, wide, narrow, dist
 }
@@ -107,7 +105,7 @@ func TestPairRuleTable(t *testing.T) {
 				}
 				canon, wide, narrow, _ := p.hit(2, base+s.qOff)
 				if canon != s.want || wide != s.want || narrow != s.want {
-					t.Errorf("%s, base %d, hit at +%d: PairCheck %v, Check %v, CheckStamp %v, want %v",
+					t.Errorf("%s, base %d, hit at +%d: PairCheck %v, uint32 %v, uint16 %v, want %v",
 						c.name, base, s.qOff, canon, wide, narrow, s.want)
 				}
 			}
@@ -117,13 +115,12 @@ func TestPairRuleTable(t *testing.T) {
 
 // FuzzPairRuleEquivalence drives random hit streams — increasing offsets per
 // slot, many slots, every window in 4..60, offsets up to MaxQOff16 (all three
-// forms) or MaxQOff (the two that reach it) — through the three statements of
-// the rule and requires the same verdict for every hit, and the same distance
-// for every pair, across enough epochs
-// to take StampedLastPos16 through its 63-epoch wrap dozens of times and
-// StampedLastPos through its 4095-epoch wrap once, with the slot array
-// shrinking and growing back on the way (a stamp beyond the current length
-// must not survive a wrap, see stamped_test.go).
+// forms) or MaxQOff (the two that reach it) — through Canon and both slot
+// widths and requires the same verdict for every hit, and the same distance
+// for every pair, across enough epochs to take both widths through their
+// 63-epoch wrap dozens of times, with the slot array shrinking and growing
+// back on the way (a stamp beyond the current length must not survive a
+// wrap, see stamped_test.go).
 func FuzzPairRuleEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(36))
 	f.Add(int64(2), uint8(0))
@@ -167,11 +164,11 @@ func FuzzPairRuleEquivalence(f *testing.F) {
 				}
 				canon, wide, narrow, dist := p.hit(slot, qOff)
 				if wide != canon || narrow != canon {
-					t.Fatalf("seed %d window %d epoch %d slot %d qOff %d: PairCheck %v, Check %v, CheckStamp %v",
+					t.Fatalf("seed %d window %d epoch %d slot %d qOff %d: PairCheck %v, uint32 %v, uint16 %v",
 						seed, window, epoch, slot, qOff, canon, wide, narrow)
 				}
 				if canon && (dist[1] != dist[0] || dist[2] != dist[0]) {
-					t.Fatalf("seed %d window %d epoch %d slot %d qOff %d: pair distance from Canon %d, Check %d, CheckStamp %d",
+					t.Fatalf("seed %d window %d epoch %d slot %d qOff %d: pair distance from Canon %d, uint32 %d, uint16 %d",
 						seed, window, epoch, slot, qOff, dist[0], dist[1], dist[2])
 				}
 			}

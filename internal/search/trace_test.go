@@ -5,35 +5,40 @@ import (
 )
 
 func TestStampedLastPosCheck(t *testing.T) {
-	var sl StampedLastPos
+	t.Run("uint16", testStampedLastPosCheck[uint16])
+	t.Run("uint32", testStampedLastPosCheck[uint32])
+}
+
+func testStampedLastPosCheck[S Slot](t *testing.T) {
+	var sl StampedLastPos[S]
 	sl.Reset(8)
 	// First hit on a slot: no pair, records position.
-	if _, paired := sl.Check(3, 10, 40); paired {
+	if _, paired := check(&sl, 3, 10, 40); paired {
 		t.Error("first hit paired")
 	}
 	// Within window: pairs.
-	dist, paired := sl.Check(3, 25, 40)
+	dist, paired := check(&sl, 3, 25, 40)
 	if !paired || dist != 15 {
 		t.Errorf("Check = (%d, %v), want (15, true)", dist, paired)
 	}
 	// Exactly at window: no pair (strict <) but position updates.
-	if _, paired := sl.Check(3, 65, 40); paired {
+	if _, paired := check(&sl, 3, 65, 40); paired {
 		t.Error("distance == window paired")
 	}
-	if _, paired := sl.Check(3, 70, 40); !paired {
+	if _, paired := check(&sl, 3, 70, 40); !paired {
 		t.Error("hit near updated position did not pair")
 	}
 	// Same offset twice: dist 0, no pair.
-	if _, paired := sl.Check(3, 70, 40); paired {
+	if _, paired := check(&sl, 3, 70, 40); paired {
 		t.Error("zero distance paired")
 	}
 	// Other slots unaffected.
-	if _, paired := sl.Check(4, 71, 40); paired {
+	if _, paired := check(&sl, 4, 71, 40); paired {
 		t.Error("fresh slot paired")
 	}
 	// Reset invalidates.
 	sl.Reset(8)
-	if _, paired := sl.Check(3, 80, 40); paired {
+	if _, paired := check(&sl, 3, 80, 40); paired {
 		t.Error("slot survived reset")
 	}
 }

@@ -346,7 +346,7 @@ func (d *DiagState) Reset() { d.LastPos, d.ExtReached = -1, -1 }
 
 // PairCheck processes one hit's two-hit test on the diagonal — NCBI's
 // non-overlapping rule (s_BlastAaWordFinder_TwoHit), stated here once as
-// semantics; search.StampedLastPos* are its packed forms. With d the distance
+// semantics; search.CheckStamp is its packed form. With d the distance
 // from the diagonal's stored hit to this one (hits arrive in increasing
 // offset):
 //
