@@ -128,12 +128,11 @@ crash-smoke:
 # (span-ID-linked) trace tree per request in every daemon's file, with the
 # edge/search/scatter/shard/merge and six-stage spans present, X-Request-ID
 # on every response, upstream trace context honored across both HTTP hops,
-# mublastpd's trace replayed as a workload (one request, ok), and non-empty
-# debug-address /metrics.
+# and non-empty debug-address /metrics.
 trace-smoke:
 	./scripts/trace_smoke.sh
 
-# Regenerate every evaluation table (Section V). ~5 minutes at this scale.
+# Regenerate every evaluation table (Section V). ~2.5 minutes on 2 vCPUs.
 experiments:
 	go run ./cmd/experiments -seqs 4000 -batch 16
 

@@ -356,23 +356,14 @@ func (d *Database) Search(query string) (*Result, error) {
 
 // SearchBatch runs a batch of queries through the muBLASTP engine with the
 // configured thread count: one dynamic schedule over the block-major
-// (block × query) task grid.
+// (block × query) task grid. It is the no-context form of SearchBatchCtx: it
+// never cancels, Params.Timeout included, and drops the scheduler counters.
 func (d *Database) SearchBatch(queries []string) ([]*Result, error) {
-	out, _, err := d.SearchBatchStats(queries)
-	return out, err
-}
-
-// SearchBatchStats is SearchBatch plus the batch scheduler's utilization
-// counters (workers used, task spread, busy vs stalled worker-time). It is
-// the no-context form of SearchBatchCtx: it never cancels, Params.Timeout
-// included.
-func (d *Database) SearchBatchStats(queries []string) ([]*Result, search.SchedStats, error) {
 	enc, err := encodeQueries(queries)
 	if err != nil {
-		return nil, search.SchedStats{}, err
+		return nil, err
 	}
-	br := d.searchRaw(context.Background(), enc).batchResult(enc)
-	return br.Results, br.Sched, nil
+	return d.searchRaw(context.Background(), enc).batchResult(enc).Results, nil
 }
 
 // convertHSPs turns ranked HSPs in a Database's id space into reported Hits;

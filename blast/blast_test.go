@@ -2,6 +2,7 @@ package blast
 
 import (
 	"bytes"
+	"context"
 	"strconv"
 	"strings"
 	"sync"
@@ -103,12 +104,12 @@ func TestBatchStatsReportTheGrid(t *testing.T) {
 		queryFrom(seqs[50:], 100),
 		queryFrom(seqs[100:], 100),
 	}
-	_, stats, err := db.SearchBatchStats(queries)
+	br, err := db.SearchBatchCtx(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(db.NumBlocks() * len(queries)); stats.Tasks != want {
-		t.Errorf("batch reported %d tasks, want blocks x queries = %d", stats.Tasks, want)
+	if want := int64(db.NumBlocks() * len(queries)); br.Sched.Tasks != want {
+		t.Errorf("batch reported %d tasks, want blocks x queries = %d", br.Sched.Tasks, want)
 	}
 }
 

@@ -196,7 +196,7 @@ func OpenStore(dir string, p Params) (*Store, error) {
 		st.held[e.Name] = c
 	}
 
-	// Replay: every intact WAL record past the watermark was durably logged
+	// WAL replay: every intact record past the watermark was durably logged
 	// by an Append whose commit did not land; delta construction is
 	// deterministic, so applying it now yields the exact post-commit state.
 	// The records are checked as a whole first, so an incoherent WAL is

@@ -337,7 +337,7 @@ func TestStoreWALRollForward(t *testing.T) {
 	}
 	assertSameSearch(t, "roll-forward", db, rebuild,
 		[]string{queryFrom(base, 120), batch[0].Residues})
-	// Replay is idempotent: the WAL was reset, nothing pending.
+	// WAL replay is idempotent: the WAL was reset, nothing pending.
 	if info, err := VerifyStore(dir); err != nil || info.PendingWAL != 0 {
 		t.Fatalf("after recovery VerifyStore = %+v, %v", info, err)
 	}

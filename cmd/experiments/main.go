@@ -5,14 +5,13 @@
 //
 // Usage:
 //
-//	experiments                  # every experiment but replay, default scale
+//	experiments                  # every experiment, default scale
 //	experiments -exp fig9        # one experiment
 //	experiments -scale small     # quick pass
 //	experiments -markdown        # markdown tables (for EXPERIMENTS.md)
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -21,7 +20,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/obs/prof"
-	"repro/internal/reqtrace"
 )
 
 type experiment struct {
@@ -42,15 +40,13 @@ var experiments = []experiment{
 	{"verify", "Section V-E output verification", bench.Verify},
 	{"sensitivity", "planted homologs found (vs Smith-Waterman) beside pairs and extensions spent", bench.Sensitivity},
 	{"ingest", "incremental ingest: delta append vs full rebuild, durable-to-durable", bench.IngestLatency},
-	{"replay", "re-issue a traced workload against a live daemon (-replay-target, -replay-workload)", runReplay},
 }
 
-// selectExperiments returns what -exp name runs: all is every experiment
-// but replay, which needs a live daemon and a trace (its -replay-* flags).
+// selectExperiments returns what -exp name runs: all is every experiment.
 func selectExperiments(name string) ([]experiment, error) {
 	var out []experiment
 	for _, e := range experiments {
-		if e.name == name || name == "all" && e.name != "replay" {
+		if e.name == name || name == "all" {
 			out = append(out, e)
 		}
 	}
@@ -58,59 +54,6 @@ func selectExperiments(name string) ([]experiment, error) {
 		return nil, fmt.Errorf("unknown experiment %q (want all, %s)", name, names())
 	}
 	return out, nil
-}
-
-// Replay experiment inputs (-replay-* flags): the live daemon to load and
-// the traced workload (a daemon's -trace JSONL file) to re-issue with
-// original inter-arrival timing.
-var (
-	replayTarget   string
-	replayWorkload string
-	replaySpeed    float64
-)
-
-func runReplay(bench.Scale) (*bench.Table, error) {
-	if replayTarget == "" || replayWorkload == "" {
-		return nil, fmt.Errorf("replay needs -replay-target (daemon base URL) and -replay-workload (trace JSONL)")
-	}
-	f, err := os.Open(replayWorkload)
-	if err != nil {
-		return nil, err
-	}
-	recs, err := reqtrace.ReadRecords(f)
-	f.Close()
-	if err != nil {
-		return nil, err
-	}
-	res, err := reqtrace.Replay(context.Background(), reqtrace.ReplayConfig{
-		Target: replayTarget, Speed: replaySpeed, Seed: 1,
-	}, recs)
-	if err != nil {
-		return nil, err
-	}
-	ms := func(ns int64) string { return fmt.Sprintf("%.1f", float64(ns)/float64(time.Millisecond)) }
-	t := &bench.Table{
-		Title:   fmt.Sprintf("replay of %s against %s", replayWorkload, replayTarget),
-		Columns: []string{"metric", "value"},
-	}
-	t.AddRow("requests", res.Sent)
-	for _, oc := range []string{reqtrace.OutcomeOK, reqtrace.OutcomeShed, reqtrace.OutcomeTimeout,
-		reqtrace.OutcomeRejected, reqtrace.OutcomeError} {
-		if n := res.ByOutcome[oc]; n > 0 {
-			t.AddRow(oc, n)
-		}
-	}
-	t.AddRow("shed rate", fmt.Sprintf("%.3f", res.ShedRate()))
-	t.AddRow("p50 ms", ms(res.LatencyQuantile(0.50)))
-	t.AddRow("p95 ms", ms(res.LatencyQuantile(0.95)))
-	t.AddRow("p99 ms", ms(res.LatencyQuantile(0.99)))
-	t.AddRow("wall s", fmt.Sprintf("%.2f", float64(res.WallNS)/float64(time.Second)))
-	speed := replaySpeed
-	if speed <= 0 {
-		speed = 1
-	}
-	t.Note("open-loop replay at %gx recorded pacing; latency quantiles over completed requests", speed)
-	return t, nil
 }
 
 func runStage(s bench.Scale) (*bench.Table, error) {
@@ -133,12 +76,8 @@ func main() {
 		markdown = flag.Bool("markdown", false, "emit markdown tables")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile after the experiments to this file")
-		rTarget  = flag.String("replay-target", "", "replay experiment: daemon base URL (e.g. http://127.0.0.1:8044)")
-		rFile    = flag.String("replay-workload", "", "replay experiment: workload to re-issue, a daemon's -trace JSONL")
-		rSpeed   = flag.Float64("replay-speed", 1, "replay experiment: inter-arrival speedup (2 = twice as fast)")
 	)
 	flag.Parse()
-	replayTarget, replayWorkload, replaySpeed = *rTarget, *rFile, *rSpeed
 	selected, err := selectExperiments(*expName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)

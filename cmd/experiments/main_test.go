@@ -6,8 +6,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/bench"
 )
 
 func selectedNames(t *testing.T, name string) []string {
@@ -24,19 +22,12 @@ func selectedNames(t *testing.T, name string) []string {
 }
 
 // TestAllRunsEveryFlaglessExperiment pins what -exp all runs: every
-// experiment but replay, which cannot run without its -replay-* flags.
+// experiment, in table order. None needs a flag of its own.
 func TestAllRunsEveryFlaglessExperiment(t *testing.T) {
 	want := []string{"fig2", "fig6", "fig7", "fig8", "fig9", "fig10", "stage",
 		"index-size", "verify", "sensitivity", "ingest"}
 	if got := selectedNames(t, "all"); !slices.Equal(got, want) {
 		t.Fatalf("-exp all runs %v, want %v", got, want)
-	}
-	if got := selectedNames(t, "replay"); !slices.Equal(got, []string{"replay"}) {
-		t.Fatalf("-exp replay runs %v", got)
-	}
-	if _, err := runReplay(bench.SmallScale()); err == nil ||
-		!strings.Contains(err.Error(), "replay needs -replay-target") {
-		t.Fatalf("replay without its flags: %v", err)
 	}
 }
 

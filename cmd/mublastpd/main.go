@@ -33,11 +33,10 @@
 // -debug-addr, -trace, -faultspec, -faultseed) and the HTTP edge are shared
 // with mublastpr (server.RegisterFlags, server.Edge); the search flags
 // (-threads, -evalue, -max-hits) are this daemon's own. The -trace file is
-// the one per-request log: experiments -exp replay reads it too. The
-// request bounds without a flag are constants of internal/server: a
-// 2-minute cap on client deadlines, 64 queries a request (16 in degraded
-// mode, whose deadline is a quarter of -timeout), a 1 s Retry-After on
-// sheds and 10000 sequences an ingest. The search rules
+// the one per-request log. The request bounds without a flag are constants
+// of internal/server: a 2-minute cap on client deadlines, 64 queries a
+// request (16 in degraded mode, whose deadline is a quarter of -timeout), a
+// 1 s Retry-After on sheds and 10000 sequences an ingest. The search rules
 // (T = 11, A = 40, X-drops 16/38, gaps 11/1) are NCBI BLASTP's and have no
 // flag either.
 package main

@@ -45,6 +45,13 @@ func TestStageBudgetReport(t *testing.T) {
 	if rep.PrefilterSurvivalRatio <= 0 || rep.PrefilterSurvivalRatio > 1 {
 		t.Errorf("prefilter survival %v outside (0, 1]", rep.PrefilterSurvivalRatio)
 	}
+	// The paper's survival claim (Fig 6): a hit count, so deterministic.
+	// The sort-share and detection claims are host-timed, so the table
+	// prints them and nothing asserts them.
+	if rep.PrefilterSurvivalRatio >= 0.05 {
+		t.Errorf("prefilter survival %d/%d = %.2f%%, paper claims < 5%%",
+			rep.Pairs, rep.Hits, 100*rep.PrefilterSurvivalRatio)
+	}
 	if rep.SortShare != rep.Stages[obs.StageSort].Share {
 		t.Errorf("sort share %v != stage entry %v", rep.SortShare, rep.Stages[obs.StageSort].Share)
 	}

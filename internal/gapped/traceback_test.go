@@ -124,7 +124,7 @@ func checkHalf(t testing.TB, a *Aligner, ref *refAligner, prof *matrix.Profile, 
 	if ki > 0 && 3*len(bounded.rows) <= refRows {
 		tally.cutTwoThird++
 	}
-	// Replay the path: a query gap whose last D lands on cell (i,j) was chosen
+	// Retrace the path: a query gap whose last D lands on cell (i,j) was chosen
 	// there after the diagonal test and the leftward scan both failed.
 	i, j := 0, 0
 	for k, op := range bounded.ops {

@@ -12,10 +12,6 @@
 // the engine's per-task hot path — the six stage spans are built from the
 // per-query Stats the pipeline already carries (AttachQuerySpan). The same
 // tree format serves the CLI: mublastp -trace writes one tree per run.
-//
-// The sibling files project trace trees into flat workload records
-// (record.go) and add a replayer (replay.go) that re-issues a traced
-// workload against a live daemon with the original inter-arrival timing.
 package reqtrace
 
 import (
@@ -51,6 +47,28 @@ const (
 	// tier parents its root span under it, which is what stitches a
 	// multi-daemon trace into one tree.
 	HeaderParentSpan = "X-Parent-Span"
+)
+
+// Request outcomes, stamped on every trace tree. The vocabulary mirrors the
+// serving layer's honest-degradation contract: a shed is not a timeout is not
+// an error.
+const (
+	OutcomeOK        = "ok"        // 200, all admitted work ran
+	OutcomeShed      = "shed"      // 429, refused at admission (queue full / all shards shed)
+	OutcomeTimeout   = "timeout"   // 503, deadline expired (queue or search)
+	OutcomeCancelled = "cancelled" // client went away / drain cancelled it
+	OutcomeRejected  = "rejected"  // 4xx, invalid request (never admitted)
+	OutcomeError     = "error"     // 5xx, internal failure
+)
+
+// Attributes of the edge root span that carry the request's facts no span
+// measures: how it was answered, how big it was and what deadline it ran
+// under. The serving edge stamps them.
+const (
+	AttrStatus     = "status"      // HTTP status of the answer
+	AttrQueryLens  = "query_lens"  // comma-separated residue lengths, in batch order
+	AttrDeadlineMS = "deadline_ms" // effective deadline (after caps and degraded mode)
+	AttrDegraded   = "degraded"    // "true" when admitted in degraded mode
 )
 
 // idGen mints process-unique 64-bit IDs: a random 32-bit prefix drawn once at

@@ -31,14 +31,14 @@ func (s *syncBuffer) Write(p []byte) (int, error) {
 	return s.b.Write(p)
 }
 
-func (s *syncBuffer) records(t *testing.T) []*reqtrace.Record {
+func (s *syncBuffer) traces(t *testing.T) []*reqtrace.Trace {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	recs, err := reqtrace.ReadRecords(bytes.NewReader(s.b.Bytes()))
+	traces, err := reqtrace.ReadTraces(bytes.NewReader(s.b.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return recs
+	return traces
 }
 
 // edgeUser is what the two daemons' HTTP tiers have in common: *server.Server
@@ -225,8 +225,8 @@ func TestEdgeConformance(t *testing.T) {
 	}
 
 	// A deadline above MaxTimeout is clamped, not refused: the request runs,
-	// /search reports the effective value, and every endpoint's workload
-	// record (projected from its trace) carries it. Without a client id the edge mints one.
+	// /search reports the effective value, and every endpoint's trace
+	// root carries it. Without a client id the edge mints one.
 	for _, ep := range eps {
 		resp, body := ep.do(t, http.MethodPost, ep.batchBody([]string{"q"}, good, 3*server.MaxTimeout.Milliseconds()), "")
 		if resp.StatusCode != http.StatusOK {
@@ -245,11 +245,14 @@ func TestEdgeConformance(t *testing.T) {
 				t.Errorf("%s: effective_timeout %q, want MaxTimeout 2m0s", ep.name, sr.Stats.EffectiveTimeout)
 			}
 		}
-		waitUntil(t, ep.name+" record of the clamped request", func() bool {
-			for _, rec := range ep.trace.records(t) {
-				if rec.RequestID == rid {
-					if rec.DeadlineMS != 120_000 || rec.Outcome != reqtrace.OutcomeOK || len(rec.QueryLens) != 1 {
-						t.Errorf("%s: record %+v, want deadline 120000 ms, outcome ok, one query length", ep.name, rec)
+		waitUntil(t, ep.name+" trace of the clamped request", func() bool {
+			for _, tr := range ep.trace.traces(t) {
+				if tr.RequestID == rid {
+					attrs := tr.RootSpan().Attrs
+					if d, lens := attrs[reqtrace.AttrDeadlineMS], attrs[reqtrace.AttrQueryLens]; d != "120000" ||
+						tr.Outcome != reqtrace.OutcomeOK || lens != strconv.Itoa(len(good[0])) {
+						t.Errorf("%s: trace outcome %q %s %q %s %q, want ok, 120000, %d", ep.name, tr.Outcome,
+							reqtrace.AttrDeadlineMS, d, reqtrace.AttrQueryLens, lens, len(good[0]))
 					}
 					return true
 				}

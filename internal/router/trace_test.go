@@ -128,21 +128,18 @@ func TestFrontendTraceTreeAndIdentity(t *testing.T) {
 		t.Fatalf("edge span %d ns is shorter than its search span %d ns", root.Nanos, search.Nanos)
 	}
 
-	// The workload record projected from the tree carries the request id
-	// and the batch facts.
-	recs, err := reqtrace.ReadRecords(&traceBuf)
-	if err != nil {
-		t.Fatal(err)
+	// The edge root carries the batch facts as attribute strings: status
+	// and the query lengths in batch order.
+	attrs := tr.RootSpan().Attrs
+	if got := attrs[reqtrace.AttrStatus]; got != "200" {
+		t.Fatalf("root %s = %q, want 200", reqtrace.AttrStatus, got)
 	}
-	if len(recs) != 1 {
-		t.Fatalf("got %d records, want 1", len(recs))
+	lens := make([]string, len(queries))
+	for i, q := range queries {
+		lens[i] = strconv.Itoa(len(q))
 	}
-	wr := recs[0]
-	if wr.RequestID != rid || wr.Outcome != reqtrace.OutcomeOK || wr.Status != 200 {
-		t.Fatalf("record = %+v", wr)
-	}
-	if len(wr.QueryLens) != len(queries) || wr.QueryLens[0] != len(queries[0]) {
-		t.Fatalf("record query lens = %v", wr.QueryLens)
+	if got, want := attrs[reqtrace.AttrQueryLens], strings.Join(lens, ","); got != want {
+		t.Fatalf("root %s = %q, want %q", reqtrace.AttrQueryLens, got, want)
 	}
 }
 
@@ -189,12 +186,9 @@ func TestFrontendShedTracedAndLogged(t *testing.T) {
 	if ss := traces[0].RootSpan().Find("shard0"); ss == nil || ss.Attrs["status"] != "shed" {
 		t.Fatalf("shard0 span not marked shed: %+v", ss)
 	}
-	recs, err := reqtrace.ReadRecords(&traceBuf)
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("records = %d, err %v", len(recs), err)
-	}
-	if recs[0].Outcome != reqtrace.OutcomeShed || recs[0].Status != 429 || recs[0].RequestID != rid {
-		t.Fatalf("shed record = %+v", recs[0])
+	if tr := traces[0]; tr.RequestID != rid || tr.RootSpan().Attrs[reqtrace.AttrStatus] != "429" {
+		t.Fatalf("shed trace request id %q status %q, want %q 429",
+			tr.RequestID, tr.RootSpan().Attrs[reqtrace.AttrStatus], rid)
 	}
 	var logged bool
 	for _, l := range logLines {

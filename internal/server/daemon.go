@@ -22,13 +22,12 @@ type Daemon interface {
 // RegisterFlags registers the command-line flags mublastpd and mublastpr
 // share on the default flag set (name is the daemon's, addr its default
 // listen address) and returns the life of the process after flag.Parse: arm
-// -faultspec, open the -trace sink (the one per-request log, which replay
-// also reads), let build load the database and construct the
-// daemon — from a Config carrying the flags' request bounds, the trace sink
-// and a stderr logger; detail is what the daemon says about itself in the
-// "serving on" line — start it on -addr, bring up the -debug-addr server,
-// wait for SIGINT/SIGTERM, and drain for -drain-grace. A second signal
-// force-exits. The search parameters are the searching daemon's own flags:
+// -faultspec, open the -trace sink (the one per-request log), let build
+// load the database and construct the daemon — from a Config carrying the
+// flags' request bounds, the trace sink and a stderr logger; detail is what
+// the daemon says about itself in the "serving on" line — start it on
+// -addr, bring up the -debug-addr server, wait for SIGINT/SIGTERM, and
+// drain for -drain-grace. A second signal force-exits. The search parameters are the searching daemon's own flags:
 // a router searches nothing itself.
 func RegisterFlags(name, addr string) func(build func(cfg Config) (d Daemon, detail string, err error)) error {
 	logf := func(format string, args ...any) {
@@ -40,7 +39,7 @@ func RegisterFlags(name, addr string) func(build func(cfg Config) (d Daemon, det
 		listen     = flag.String("addr", addr, "listen address (use :0 for an ephemeral port)")
 		drainGrace = flag.Duration("drain-grace", 10*time.Second, "time in-flight searches get to finish on shutdown before partial-result flush")
 		debugAddr  = flag.String("debug-addr", "", "also serve /metrics, /debug/vars and /debug/pprof/ on this address (e.g. :6060), separate from -addr")
-		tracePath  = flag.String("trace", "", "append one JSONL trace tree per request (edge span down to the per-query stage spans) to this file — also the replay workload log")
+		tracePath  = flag.String("trace", "", "append one JSONL trace tree per request (edge span down to the per-query stage spans) to this file")
 		faultSpec  = flag.String("faultspec", "", "arm fault-injection sites, e.g. 'server.admit=error@0.1' or 'router.rpc=error@0.1' (testing aid)")
 		faultSeed  = flag.Uint64("faultseed", 1, "seed for probabilistic -faultspec clauses")
 	)

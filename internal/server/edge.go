@@ -256,8 +256,8 @@ func (e *Edge) Begin(w http.ResponseWriter, r *http.Request) (*Scope, bool) {
 	return sc, true
 }
 
-// stampDeadline records the request's effective deadline on the edge span,
-// where the workload record (reqtrace.ReadRecords) reads it back.
+// stampDeadline records the request's effective deadline on the edge span
+// (reqtrace.AttrDeadlineMS).
 func (sc *Scope) stampDeadline(d time.Duration) {
 	if sc.Root != nil {
 		sc.Root.SetAttr(reqtrace.AttrDeadlineMS, strconv.FormatInt(d.Milliseconds(), 10))

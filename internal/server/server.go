@@ -105,8 +105,8 @@ type Config struct {
 	// edge, admission-queue wait, search, and per-query six-stage pipeline
 	// spans, linked by span IDs and correlated by the request ID echoed in
 	// X-Request-ID. Nil (the default) is free — every span operation
-	// no-ops. The trace is also the workload log: reqtrace.ReadRecords
-	// projects it into the records the replayer reads.
+	// no-ops. The edge root also carries the request's status, query
+	// lengths, deadline and degraded mark (the reqtrace Attr* attributes).
 	Tracer *reqtrace.Tracer
 	// Logf receives operational log lines (sheds, timeouts, cancellations)
 	// tagged with the request ID so they correlate with traces. Nil

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -107,27 +108,20 @@ func TestTracingProducesStitchedTreeAndIdenticalResults(t *testing.T) {
 			root.Find("search").Nanos, root.Nanos)
 	}
 
-	// The workload record projected from the same tree carries the request
-	// id and the batch facts.
-	recs, err := reqtrace.ReadRecords(&traceBuf)
-	if err != nil {
-		t.Fatal(err)
+	// The edge root carries the batch facts as attribute strings: status,
+	// query lengths, the effective deadline, and no degraded mark.
+	attrs := tr.RootSpan().Attrs
+	if got := attrs[reqtrace.AttrStatus]; got != "200" {
+		t.Fatalf("root %s = %q, want 200", reqtrace.AttrStatus, got)
 	}
-	if len(recs) != 1 {
-		t.Fatalf("got %d records, want 1", len(recs))
+	if got, want := attrs[reqtrace.AttrQueryLens], strconv.Itoa(len(f.query)); got != want {
+		t.Fatalf("root %s = %q, want %q", reqtrace.AttrQueryLens, got, want)
 	}
-	rec := recs[0]
-	if rec.RequestID != rid || rec.Outcome != reqtrace.OutcomeOK || rec.Status != 200 {
-		t.Fatalf("record = %+v", rec)
+	if got, ok := attrs[reqtrace.AttrDegraded]; ok {
+		t.Fatalf("root %s = %q on a healthy server", reqtrace.AttrDegraded, got)
 	}
-	if len(rec.QueryLens) != 1 || rec.QueryLens[0] != len(f.query) {
-		t.Fatalf("record query lens = %v, want [%d]", rec.QueryLens, len(f.query))
-	}
-	if rec.Degraded {
-		t.Fatalf("record degraded: %+v", rec)
-	}
-	if rec.DeadlineMS != (30 * time.Second).Milliseconds() {
-		t.Fatalf("record deadline %d, want default 30000", rec.DeadlineMS)
+	if got := attrs[reqtrace.AttrDeadlineMS]; got != "30000" {
+		t.Fatalf("root %s = %q, want default 30000", reqtrace.AttrDeadlineMS, got)
 	}
 }
 
@@ -189,16 +183,16 @@ func TestRequestIDOnEveryOutcome(t *testing.T) {
 		t.Fatalf("405 outcome carries no X-Request-ID")
 	}
 
-	recs, err := reqtrace.ReadRecords(&traceBuf)
+	traces, err := reqtrace.ReadTraces(&traceBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2", len(recs))
+	if len(traces) != 2 {
+		t.Fatalf("got %d traces, want 2", len(traces))
 	}
-	for _, rec := range recs {
-		if rec.Outcome != reqtrace.OutcomeRejected {
-			t.Fatalf("outcome %q, want rejected", rec.Outcome)
+	for _, tr := range traces {
+		if tr.Outcome != reqtrace.OutcomeRejected {
+			t.Fatalf("outcome %q, want rejected", tr.Outcome)
 		}
 	}
 }
@@ -275,18 +269,18 @@ func TestShedCarriesRequestIDAndRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var shedRec bool
-	recs, err := reqtrace.ReadRecords(&traceBuf)
+	var shedTrace bool
+	traces, err := reqtrace.ReadTraces(&traceBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range recs {
-		if rec.Outcome == reqtrace.OutcomeShed && rec.RequestID == shedRID {
-			shedRec = true
+	for _, tr := range traces {
+		if tr.Outcome == reqtrace.OutcomeShed && tr.RequestID == shedRID {
+			shedTrace = true
 		}
 	}
-	if !shedRec {
-		t.Fatalf("no shed record with request id %s: %+v", shedRID, recs)
+	if !shedTrace {
+		t.Fatalf("no shed trace with request id %s: %d traces", shedRID, len(traces))
 	}
 	var logged bool
 	logMu.Lock()

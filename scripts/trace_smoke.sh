@@ -9,9 +9,8 @@
 # edge/search/scatter/shard/merge spans present, the six pipeline stage
 # spans nested inside — all checked by cmd/tracecheck), the X-Request-ID
 # response header on every reply, upstream trace context honored across
-# both HTTP hops (client -> router -> shard daemons), a non-empty /metrics
-# on the debug address, and the trace file replayable as a workload
-# (experiments -exp replay re-issues mublastpd's request against it).
+# both HTTP hops (client -> router -> shard daemons), and a non-empty
+# /metrics on the debug address.
 set -eu
 
 workdir=$(mktemp -d "${TMPDIR:-/tmp}/trace-smoke.XXXXXX")
@@ -28,7 +27,6 @@ go build -o "$workdir/mublastpr" ./cmd/mublastpr
 go build -o "$workdir/makedb" ./cmd/makedb
 go build -o "$workdir/genseq" ./cmd/genseq
 go build -o "$workdir/tracecheck" ./cmd/tracecheck
-go build -o "$workdir/experiments" ./cmd/experiments
 
 echo "trace-smoke: generating workload and containers..."
 "$workdir/genseq" -n 400 -seed 31 -out "$workdir/db.fasta" \
@@ -160,18 +158,6 @@ done
 if ! "$workdir/tracecheck" -in "$workdir/mono.trace.jsonl" -want 1 -daemon mublastpd \
     -require "edge,admission,search,stage:hit_detect,stage:traceback"; then
     echo "trace-smoke: FAIL: mublastpd trace trees invalid"; fail=1
-fi
-
-# After tracecheck: the replayed request lands in mono.trace.jsonl too.
-echo "trace-smoke: replaying the mublastpd trace as a workload..."
-if "$workdir/experiments" -exp replay -markdown -replay-target "http://$mono_addr" \
-    -replay-workload "$workdir/mono.trace.jsonl" >"$workdir/replay.md" 2>"$workdir/replay.err"; then
-    grep -q '^| requests | 1 |$' "$workdir/replay.md" || {
-        echo "trace-smoke: FAIL: replay did not send exactly 1 request"; cat "$workdir/replay.md"; fail=1; }
-    grep -q '^| ok | 1 |$' "$workdir/replay.md" || {
-        echo "trace-smoke: FAIL: replayed request did not answer ok"; cat "$workdir/replay.md"; fail=1; }
-else
-    echo "trace-smoke: FAIL: replay of mono.trace.jsonl failed"; cat "$workdir/replay.err"; fail=1
 fi
 
 echo "trace-smoke: debug /metrics..."
