@@ -132,7 +132,8 @@ crash-smoke:
 trace-smoke:
 	./scripts/trace_smoke.sh
 
-# Regenerate every evaluation table (Section V). ~2.5 minutes on 2 vCPUs.
+# Regenerate every evaluation table (Section V). ~5 minutes on 2 vCPUs, 3 of
+# them in Fig 8's block sweep (bench.TimeIt runs each timed cell 4 times).
 experiments:
 	go run ./cmd/experiments -seqs 4000 -batch 16
 

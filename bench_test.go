@@ -81,10 +81,10 @@ func BenchmarkFig2_NCBIdb(b *testing.B) {
 func BenchmarkFig2_MuBLASTP(b *testing.B) {
 	_, env := fixtures(b)
 	e := core.New(env.Cfg, env.Index)
-	q := env.Queries["512"][0]
+	q := env.Queries["512"][:1]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Search(0, q)
+		e.SearchBatch(q, 1)
 	}
 }
 
@@ -101,7 +101,7 @@ func BenchmarkFig6_Prefilter(b *testing.B) {
 		qs := uni.Queries["256"]
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.Search(0, qs[i%len(qs)])
+			e.SearchBatch(qs[i%len(qs):][:1], 1)
 		}
 	})
 }
@@ -129,7 +129,7 @@ func BenchmarkFig8_BlockSize(b *testing.B) {
 			qs := uni.Queries["256"]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.Search(0, qs[i%len(qs)])
+				e.SearchBatch(qs[i%len(qs):][:1], 1)
 			}
 		})
 	}

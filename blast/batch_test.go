@@ -122,6 +122,36 @@ func TestSearchBatchCtxRejectsBadQuery(t *testing.T) {
 	}
 }
 
+// TestSearchReportsATaskPanic: Search and SearchLong run on the batch
+// scheduler, so a panicking (block, query) task comes back as the query's
+// typed error instead of crashing the caller, and the next search is whole.
+func TestSearchReportsATaskPanic(t *testing.T) {
+	db, seqs := testDatabase(t)
+	q := queryFrom(seqs, 190)
+	for _, c := range []struct {
+		name   string
+		search func() (*Result, error)
+	}{
+		{"Search", func() (*Result, error) { return db.Search(q) }},
+		{"SearchLong", func() (*Result, error) { return db.SearchLong(q, 120, 60) }},
+	} {
+		if err := faultinject.Enable("core.hitdetect=panic#1", 1); err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.search()
+		faultinject.Disable()
+		var perr *search.TaskPanicError
+		if !errors.As(err, &perr) || res != nil {
+			t.Fatalf("%s with a panicking task: result %v, error %v; want a *search.TaskPanicError", c.name, res, err)
+		}
+		if res, err := c.search(); err != nil {
+			t.Fatalf("%s after the fault: %v", c.name, err)
+		} else if len(res.Hits) == 0 {
+			t.Fatalf("%s after the fault found nothing", c.name)
+		}
+	}
+}
+
 func TestLoadShortReadIsTypedCorruption(t *testing.T) {
 	db, _ := testDatabase(t)
 	var buf bytes.Buffer

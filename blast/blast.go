@@ -340,17 +340,19 @@ type Result struct {
 	Stats    search.Stats
 }
 
-// Search runs a single query through the muBLASTP engine.
+// Search runs a single query through the muBLASTP engine: the one-query
+// batch, its (block × query) tasks spread over Params.Threads workers. Like
+// SearchBatch it never cancels, Params.Timeout included; a panicking task
+// comes back as the query's error.
 func (d *Database) Search(query string) (*Result, error) {
 	q, err := alphabet.Encode([]byte(query))
 	if err != nil {
 		return nil, fmt.Errorf("blast: query: %w", err)
 	}
-	raws := make([]*rawBatch, len(d.parts))
-	for i, p := range d.parts {
-		raws[i] = p.searchOne(q)
+	raw := d.searchRaw(context.Background(), [][]alphabet.Code{q})
+	if !raw.completed[0] {
+		return nil, fmt.Errorf("blast: query: %w", raw.queryErrs[0])
 	}
-	raw := d.mergeOwn(raws, 1)
 	return convertHSPs(len(q), raw.results[0], raw.meta[0]), nil
 }
 

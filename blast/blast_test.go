@@ -3,6 +3,7 @@ package blast
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -204,6 +205,31 @@ func TestFormatHit(t *testing.T) {
 	sl := strings.Count(out, "Sbjct  ")
 	if ql == 0 || ql != sl {
 		t.Errorf("Query/Sbjct line mismatch: %d vs %d", ql, sl)
+	}
+
+	// The midline marks a column '+' exactly when the database's matrix
+	// scores the pair above zero. Columns: Q/H, Z/D, B/E, Z/K, R/K, A/A,
+	// G/A, W/C.
+	const query, subject = "QZBZRAGW", "HDEKKAAC"
+	for _, c := range []struct{ matrix, midline string }{
+		{"BLOSUM62", " ++++A  "}, // Q/H and G/A score 0
+		{"PAM250", "+++ +A+ "},   // Q/H 3, Z/K 0, G/A 1
+	} {
+		p := DefaultParams()
+		p.Matrix = c.matrix
+		mdb, err := NewDatabase([]Sequence{{Name: "s", Residues: subject}}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := Hit{SubjectName: "s", QueryEnd: len(query), SubjectEnd: len(subject), Ops: strings.Repeat("M", len(query))}
+		lines := strings.Split(mdb.FormatHit(query, &h), "\n")
+		i := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, "Query  ") })
+		if i < 0 || i+1 >= len(lines) {
+			t.Fatalf("%s: no Query line in %q", c.matrix, lines)
+		}
+		if got, want := lines[i+1], strings.Repeat(" ", 13)+c.midline; got != want {
+			t.Errorf("%s midline %q, want %q", c.matrix, got, want)
+		}
 	}
 }
 

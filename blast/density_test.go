@@ -64,9 +64,13 @@ func TestDensePositions(t *testing.T) {
 
 			part := loaded.parts[0]
 			reference := baseline.NewQueryIndexed(loaded.cfg, part.db)
+			enc := make([][]alphabet.Code, len(queries))
 			for qi, query := range queries {
-				q := alphabet.MustEncode(query)
-				got, want := part.mu.Search(qi, q), reference.Search(qi, q)
+				enc[qi] = alphabet.MustEncode(query)
+			}
+			results := part.mu.SearchBatch(enc, 1)
+			for qi, q := range enc {
+				got, want := results[qi], reference.Search(qi, q)
 				if got.Stats.Hits != want.Stats.Hits || got.Stats.Pairs != want.Stats.Pairs || len(got.HSPs) != len(want.HSPs) {
 					t.Errorf("query %d: %d hits %d pairs %d HSPs, query-indexed %d hits %d pairs %d HSPs", qi,
 						got.Stats.Hits, got.Stats.Pairs, len(got.HSPs), want.Stats.Hits, want.Stats.Pairs, len(want.HSPs))

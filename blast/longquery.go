@@ -1,15 +1,18 @@
 package blast
 
 import (
+	"context"
 	"fmt"
 	"sort"
+
+	"repro/internal/alphabet"
 )
 
 // SearchLong searches a query of arbitrary length by splitting it into
-// overlapping chunks, searching each chunk, and merging hits back into
-// whole-query coordinates — the "very long queries" extension the paper
-// lists as future work (Section VII), handled symmetrically to the subject-
-// side splitting of Section IV-A.
+// overlapping chunks, searching the chunks as one batch, and merging hits
+// back into whole-query coordinates — the "very long queries" extension the
+// paper lists as future work (Section VII), handled symmetrically to the
+// subject-side splitting of Section IV-A.
 //
 // chunkLen is the maximum chunk size (0 means 2048); overlap is the overlap
 // between adjacent chunks (0 means 256, and it also bounds the alignment
@@ -28,6 +31,23 @@ func (d *Database) SearchLong(query string, chunkLen, overlap int) (*Result, err
 	if len(query) <= chunkLen {
 		return d.Search(query)
 	}
+	q, err := alphabet.Encode([]byte(query))
+	if err != nil {
+		return nil, fmt.Errorf("blast: query: %w", err)
+	}
+
+	// The chunks are searched as one batch, so they share one schedule.
+	var offs []int
+	var chunks [][]alphabet.Code
+	for off := 0; ; off += chunkLen - overlap {
+		end := min(off+chunkLen, len(q))
+		offs = append(offs, off)
+		chunks = append(chunks, q[off:end])
+		if end == len(q) {
+			break
+		}
+	}
+	raw := d.searchRaw(context.Background(), chunks)
 
 	out := &Result{QueryLen: len(query)}
 	type key struct {
@@ -35,18 +55,11 @@ func (d *Database) SearchLong(query string, chunkLen, overlap int) (*Result, err
 		score, qs, ss int
 	}
 	seen := map[key]bool{}
-	step := chunkLen - overlap
-	for off := 0; ; off += step {
-		end := off + chunkLen
-		last := false
-		if end >= len(query) {
-			end = len(query)
-			last = true
+	for i, off := range offs {
+		if !raw.completed[i] {
+			return nil, fmt.Errorf("blast: chunk at %d: %w", off, raw.queryErrs[i])
 		}
-		res, err := d.Search(query[off:end])
-		if err != nil {
-			return nil, fmt.Errorf("blast: chunk at %d: %w", off, err)
-		}
+		res := convertHSPs(len(chunks[i]), raw.results[i], raw.meta[i])
 		out.Stats.Add(res.Stats)
 		for _, h := range res.Hits {
 			h.QueryStart += off
@@ -57,9 +70,6 @@ func (d *Database) SearchLong(query string, chunkLen, overlap int) (*Result, err
 			}
 			seen[k] = true
 			out.Hits = append(out.Hits, h)
-		}
-		if last {
-			break
 		}
 	}
 	// Re-rank the merged hit list the way a single search would.

@@ -103,16 +103,6 @@ func (p *part) searchBatch(ctx context.Context, enc [][]alphabet.Code, threads i
 	return raw
 }
 
-// searchOne runs a single query sequentially over the part's blocks and
-// wraps the outcome as a one-query batch.
-func (p *part) searchOne(q []alphabet.Code) *rawBatch {
-	res := p.mu.Search(0, q)
-	return &rawBatch{
-		results: []search.QueryResult{res}, meta: [][]hspMeta{p.metaFor(q, res.HSPs)},
-		completed: []bool{true}, queryErrs: []error{nil},
-	}
-}
-
 // searchRaw runs the batch over every part — sequentially: a delta is a
 // handful of extra blocks, and each part's scheduler already saturates the
 // cores — and returns one raw batch in the Database's id space.

@@ -3,6 +3,8 @@ package blast
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/alphabet"
 )
 
 // FormatHit renders a hit as a classic BLAST-style pairwise alignment block:
@@ -23,7 +25,7 @@ func (d *Database) FormatHit(query string, h *Hit) string {
 			switch {
 			case qc == sc:
 				mb.WriteByte(qc)
-			case similar(qc, sc):
+			case d.similar(qc, sc):
 				mb.WriteByte('+')
 			default:
 				mb.WriteByte(' ')
@@ -65,28 +67,13 @@ func (d *Database) FormatHit(query string, h *Hit) string {
 	return out.String()
 }
 
-// similar reports whether two residues score positively under BLOSUM62 —
-// the convention behind the '+' midline character.
-func similar(a, b byte) bool {
-	score, ok := blosum62Positive[[2]byte{a, b}]
-	return ok && score
+// similar reports whether two residues score positively under the
+// database's matrix — the convention behind the '+' midline character.
+func (d *Database) similar(a, b byte) bool {
+	ca, okA := alphabet.CodeFor(a)
+	cb, okB := alphabet.CodeFor(b)
+	return okA && okB && d.cfg.Matrix.Score(ca, cb) > 0
 }
-
-// blosum62Positive caches which residue pairs score > 0 under BLOSUM62.
-var blosum62Positive = func() map[[2]byte]bool {
-	// Positive off-diagonal BLOSUM62 pairs (symmetric closure applied below).
-	pos := []string{
-		"AS", "RQ", "RK", "NH", "NS", "ND", "DE", "QE", "QK", "QH", "QR",
-		"EK", "ED", "HY", "IL", "IV", "IM", "LM", "LV", "MV", "FY", "FW",
-		"ST", "WY", "NB", "DB", "EZ", "QZ", "KR", "BZ",
-	}
-	m := map[[2]byte]bool{}
-	for _, p := range pos {
-		m[[2]byte{p[0], p[1]}] = true
-		m[[2]byte{p[1], p[0]}] = true
-	}
-	return m
-}()
 
 // Summary renders a one-line-per-hit table, mirroring BLAST's hit list.
 func (r *Result) Summary() string {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/blast"
+	"repro/internal/core"
 	"repro/internal/router"
 	"repro/internal/server"
 )
@@ -134,4 +135,33 @@ func TestConfigSurface(t *testing.T) {
 		}
 	}
 	t.Logf("settable configuration fields: %d across %d types", total, len(configFields))
+}
+
+// searchMethods is every exported method whose name begins with "Search" of
+// the engine and of the library's database. Each search runs on the engine's
+// one search loop, the (block × query) task grid of
+// core.Engine.SearchBatchCtx; a second entry point, above all a second search
+// loop, is a decision about the API, as a new configuration field is.
+var searchMethods = map[reflect.Type][]string{
+	reflect.TypeFor[*core.Engine](): {"SearchBatch", "SearchBatchCtx"},
+	reflect.TypeFor[*blast.Database](): {
+		"Search", "SearchBatch", "SearchBatchCtx", "SearchLong", "SearchSettings", "SearchShardBatchCtx",
+	},
+}
+
+// TestSearchSurface lists the exported Search* methods of each type by
+// reflection and compares them with searchMethods.
+func TestSearchSurface(t *testing.T) {
+	for typ, want := range searchMethods {
+		var got []string
+		for i := range typ.NumMethod() {
+			if name := typ.Method(i).Name; strings.HasPrefix(name, "Search") {
+				got = append(got, name)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s search methods [%s], want [%s]; update searchMethods if that is intended",
+				typ, strings.Join(got, " "), strings.Join(want, " "))
+		}
+	}
 }

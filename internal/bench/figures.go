@@ -69,7 +69,7 @@ func runners(w *Workload) []engineRunner {
 			return baseline.NewDBIndexed(cfg, w.Index).Search(0, q)
 		}},
 		{"muBLASTP", func(cfg *search.Config, q []alphabet.Code) search.QueryResult {
-			return core.New(cfg, w.Index).Search(0, q)
+			return core.New(cfg, w.Index).SearchBatch([][]alphabet.Code{q}, 1)[0]
 		}},
 	}
 }
@@ -131,12 +131,10 @@ func Fig6(s Scale) (*Table, error) {
 		Columns: []string{"query length", "hits", "pairs after pre-filter", "remaining (%)"},
 	}
 	for _, name := range []string{"128", "256", "512"} {
-		engine := core.New(w.Cfg, w.Index)
 		var hits, pairs int64
-		for i, q := range w.Queries[name] {
-			st := engine.Search(i, q).Stats
-			hits += st.Hits
-			pairs += st.Pairs
+		for _, r := range core.New(w.Cfg, w.Index).SearchBatch(w.Queries[name], 1) {
+			hits += r.Stats.Hits
+			pairs += r.Stats.Pairs
 		}
 		t.AddRow(name, hits, pairs, pct(float64(pairs)/float64(hits)))
 	}
@@ -223,7 +221,7 @@ func Fig8(s Scale) (*Table, error) {
 		dbTime := TimeIt(func() { db.SearchBatch(queries, s.threads()) })
 
 		muLLC := traceLLC(w, func(cfg *search.Config) {
-			core.New(cfg, w.Index).Search(0, w.Queries["256"][0])
+			core.New(cfg, w.Index).SearchBatch(w.Queries["256"][:1], 1)
 		})
 		dbLLC := traceLLC(w, func(cfg *search.Config) {
 			baseline.NewDBIndexed(cfg, w.Index).Search(0, w.Queries["256"][0])

@@ -8,6 +8,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/alphabet"
@@ -126,11 +127,19 @@ func (w *Workload) Reindex(blockResidues int64) error {
 	return nil
 }
 
-// TimeIt measures fn's wall-clock duration.
+// TimeIt measures fn's wall-clock duration: one untimed warm call, then the
+// median of three timed ones, so a cold cache or one slow pass of the host
+// does not become the figure.
 func TimeIt(fn func()) time.Duration {
-	start := time.Now()
 	fn()
-	return time.Since(start)
+	var d [3]time.Duration
+	for i := range d {
+		start := time.Now()
+		fn()
+		d[i] = time.Since(start)
+	}
+	slices.Sort(d[:])
+	return d[1]
 }
 
 // TotalQueryResidues sums the lengths of a query set.

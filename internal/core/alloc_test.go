@@ -24,6 +24,7 @@ func TestHotPathSteadyStateAllocs(t *testing.T) {
 	e := New(cfg, ix)
 	sc := e.getScratch()
 	defer e.putScratch(sc)
+	planned(e, sc, q)
 	var st search.Stats
 	for i := 0; i < 2; i++ { // warm up: grow buffers to steady state
 		e.detectPrefiltered(sc, q, 0, coder, &st)
@@ -48,6 +49,7 @@ func TestSearchBlockAllocBound(t *testing.T) {
 	e := New(cfg, ix)
 	sc := e.getScratch()
 	defer e.putScratch(sc)
+	planned(e, sc, q)
 	var st search.Stats
 	for i := 0; i < 2; i++ {
 		e.searchBlock(sc, q, 0, &st)
@@ -63,31 +65,31 @@ func TestSearchBlockAllocBound(t *testing.T) {
 	}
 }
 
-// TestSearchReusesScratchAcrossCalls verifies the single-query path also
-// rides the scratch pool: repeated Search calls must not re-allocate the
-// last-hit arrays, pair buffers, or the gapped aligner.
+// TestSearchReusesScratchAcrossCalls verifies that searches ride the scratch
+// pool: repeated one-query searches must not re-allocate the last-hit arrays,
+// pair buffers, or the gapped aligner.
 func TestSearchReusesScratchAcrossCalls(t *testing.T) {
 	cfg, ix, queries := world(t, 97, 100, 1, 256, 8192)
 	q := queries[0]
 	e := New(cfg, ix)
 	var first search.QueryResult
 	for i := 0; i < 2; i++ {
-		first = e.Search(0, q)
+		first = searchOne(e, q)
 	}
 	warm := testing.AllocsPerRun(10, func() {
-		e.Search(0, q)
+		searchOne(e, q)
 	})
 	// A fresh engine pays the scratch build (last-hit arrays, aligner DP
 	// rows, hit buffers) on its first call; the pooled engine must not pay
 	// it again per call. AllocsPerRun warms up with one extra call, so the
 	// cold cost is measured by building a fresh engine inside the closure.
 	cold := testing.AllocsPerRun(1, func() {
-		New(cfg, ix).Search(0, q)
+		searchOne(New(cfg, ix), q)
 	})
 	if warm >= cold {
-		t.Errorf("warm Search allocates %.0f objects, cold first call %.0f; pool is not reusing scratch", warm, cold)
+		t.Errorf("warm search allocates %.0f objects, cold first call %.0f; pool is not reusing scratch", warm, cold)
 	}
-	if res := e.Search(0, q); len(res.HSPs) != len(first.HSPs) {
-		t.Errorf("pooled Search changed results: %d vs %d HSPs", len(res.HSPs), len(first.HSPs))
+	if res := searchOne(e, q); len(res.HSPs) != len(first.HSPs) {
+		t.Errorf("pooled search changed results: %d vs %d HSPs", len(res.HSPs), len(first.HSPs))
 	}
 }

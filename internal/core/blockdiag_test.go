@@ -139,6 +139,7 @@ func checkBlockDiagonal(t *testing.T, seqs [][]alphabet.Code, q []alphabet.Code,
 	e := New(cfg, ix)
 	for _, width := range slotWidths {
 		sc := e.getScratch()
+		planned(e, sc, q)
 		var st search.Stats
 		width.detect(e, sc, q, 0, coder, &st)
 		checkPairs(t, width.name, db.Seqs, coder, diagBias, sc.pairs, st, want, wantHits, wantPairs)

@@ -26,9 +26,9 @@ func TestGoldenResults(t *testing.T) {
 	}{{1001, 80}, {1002, 120}} {
 		fmt.Fprintf(&b, "workload seed %d subjects %d\n", w.seed, w.nSeqs)
 		cfg, ix, queries := world(t, w.seed, w.nSeqs, 4, 160, 8192)
-		engine := New(cfg, ix)
+		results := New(cfg, ix).SearchBatch(queries, 1)
 		for qi, q := range queries {
-			res := engine.Search(qi, q)
+			res := results[qi]
 			fmt.Fprintf(&b, "query %d len %d hits %d pairs %d exts %d kept %d gapped %d\n",
 				qi, len(q), res.Stats.Hits, res.Stats.Pairs, res.Stats.Extensions,
 				res.Stats.Kept, res.Stats.GappedExts)

@@ -33,9 +33,8 @@ func BenchmarkHitDetect(b *testing.B) {
 			}
 			sc := e.getScratch()
 			defer e.putScratch(sc)
+			planned(e, sc, q)
 			var st search.Stats
-			e.planQuery(&sc.own, q, &st)
-			sc.plan = &sc.own
 			for i := 0; i < 2; i++ { // warm the scratch to steady state
 				e.detectPrefiltered(sc, q, 0, coder, &st)
 			}
@@ -68,6 +67,7 @@ func TestHitDetectZeroAlloc(t *testing.T) {
 	e := New(cfg, ix)
 	sc := e.getScratch()
 	defer e.putScratch(sc)
+	planned(e, sc, q)
 	var st search.Stats
 	for i := 0; i < 2; i++ {
 		e.detectPrefiltered(sc, q, 0, coder, &st)

@@ -24,6 +24,10 @@
 // detection scan's last-hit slots, and a cache-simulator trace
 // (search.Config.Trace) is fed beside the loops, never through another one.
 //
+// It has one search loop, too: every search, a lone query included, is a
+// SearchBatchCtx pass over the (block × query) task grid (Algorithm 3's
+// dynamic schedule), and a one-thread pass is the sequential search.
+//
 // The two-hit semantics are ungapped.Canon's, shared with the baselines, so
 // all engines return identical results (verified in tests — the paper's
 // Section V-E property).
@@ -77,9 +81,9 @@ type Engine struct {
 	// exist only when Cfg.Trace is set and are read only under trace != nil.
 	subjOff []int64
 	ixBase  []int64
-	// scratches pools per-worker state across Search/SearchBatch calls, so
-	// steady-state searches re-allocate neither the last-hit arrays nor the
-	// pair buffers nor the gapped aligner's DP rows.
+	// scratches pools per-worker state across searches, so steady-state
+	// searches re-allocate neither the last-hit arrays nor the pair buffers
+	// nor the gapped aligner's DP rows.
 	scratches sync.Pool
 	// plans pools the storage of a batch's query plans (*neighbor.Plan);
 	// planned counts the plans enumerated (planQuery).
@@ -144,10 +148,8 @@ type scratch struct {
 	prof      matrix.Profile
 	aligner   *gapped.Aligner
 	// plan is the neighbor plan of the query the scratch serves, set by
-	// the caller for each task; own is the storage of a plan the scratch
-	// makes itself (Search's, or a task's whose caller planned nothing).
+	// the caller for each task.
 	plan *neighbor.Plan
-	own  neighbor.Plan
 }
 
 func (e *Engine) newScratch() *scratch {
@@ -216,27 +218,6 @@ func (e *Engine) stampSched(ss search.SchedStats) {
 	m.SchedBusyNanos.Add(ss.BusyNanos)
 	m.SchedStallNanos.Add(ss.StallNanos)
 	m.SchedUtilizationPermille.Set(1000 * ss.Utilization())
-}
-
-// Search runs one query through all index blocks sequentially.
-func (e *Engine) Search(queryIdx int, q []alphabet.Code) search.QueryResult {
-	sc := e.getScratch()
-	defer e.putScratch(sc)
-	var st search.Stats
-	var subjects []search.SubjectAlignments
-	if len(q) >= alphabet.W {
-		e.planQuery(&sc.own, q, &st)
-		sc.plan = &sc.own
-		for bi := range e.Ix.Blocks {
-			subs := e.searchBlock(sc, q, bi, &st)
-			subjects = append(subjects, subs...)
-		}
-	}
-	sc.prof.Fill(e.Cfg.Matrix, q)
-	res := search.Finalize(e.Cfg, sc.aligner, &sc.prof, queryIdx, q, e.Ix.DB, subjects, st)
-	var zero search.Stats
-	e.stampQueryDone(&zero, &res.Stats)
-	return res
 }
 
 // SearchBatch runs a batch of queries across threads: one dynamic-schedule
@@ -335,8 +316,8 @@ func (e *Engine) detectPrefiltered(sc *scratch, q []alphabet.Code, bi int, coder
 }
 
 // detectScan is the two-hit detection kernel on slots of type S, which must
-// hold the query's offsets. It scans the query's plan, sc.plan; a caller that
-// planned nothing gets the query planned for this task alone. Everything
+// hold the query's offsets. It scans the query's plan, sc.plan, which the
+// caller sets (planQuery) before the task. Everything
 // per-hit that is not load-compute-store is taken out of the scan: hit
 // counting is one add per position list, and there is no decode — a
 // position's coordinate is rebuilt from the one before it in its run
@@ -355,10 +336,6 @@ func detectScan[S search.Slot](e *Engine, sc *scratch, lastPos *search.StampedLa
 	st.StageNanos[obs.StagePrefilter] += int64(time.Since(stageStart))
 
 	plan := sc.plan
-	if plan == nil {
-		plan = &sc.own
-		e.planQuery(plan, q, st)
-	}
 	stageStart = time.Now()
 	trace := e.Cfg.Trace
 	k := pairScan[S]{b: b, flat: b.Flat(), buf: sc.pairs[:cap(sc.pairs)], span: uint32(e.Cfg.TwoHit.Window - alphabet.W)}

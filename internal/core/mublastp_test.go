@@ -94,6 +94,7 @@ func requireIdentical(t *testing.T, label string, a, b []search.QueryResult) {
 	}
 }
 
+// runAll searches each query alone on one of the baseline engines.
 func runAll(e interface {
 	Search(int, []alphabet.Code) search.QueryResult
 }, queries [][]alphabet.Code) []search.QueryResult {
@@ -104,6 +105,19 @@ func runAll(e interface {
 	return out
 }
 
+// searchOne runs q as a one-query batch on one thread: the engine's
+// sequential search.
+func searchOne(e *Engine, q []alphabet.Code) search.QueryResult {
+	return e.SearchBatch([][]alphabet.Code{q}, 1)[0]
+}
+
+// planned points sc at q's neighbor plan, as SearchBatchCtx does before each
+// of q's tasks, for a test that runs a task's stages itself.
+func planned(e *Engine, sc *scratch, q []alphabet.Code) {
+	sc.plan = new(neighbor.Plan)
+	e.planQuery(sc.plan, q, new(search.Stats))
+}
+
 // TestIdenticalAcrossEngines is the central verification: query-indexed
 // NCBI, db-indexed NCBI (interleaved), and muBLASTP (decoupled, prefiltered,
 // radix-sorted) must produce exactly the same alignments.
@@ -112,7 +126,7 @@ func TestIdenticalAcrossEngines(t *testing.T) {
 		cfg, ix, queries := world(t, 42, 150, 6, 128, blockResidues)
 		ncbi := runAll(baseline.NewQueryIndexed(cfg, ix.DB), queries)
 		ncbiDB := runAll(baseline.NewDBIndexed(cfg, ix), queries)
-		mu := runAll(New(cfg, ix), queries)
+		mu := New(cfg, ix).SearchBatch(queries, 1)
 		requireIdentical(t, "NCBI vs NCBI-db", ncbi, ncbiDB)
 		requireIdentical(t, "NCBI vs muBLASTP", ncbi, mu)
 	}
@@ -133,7 +147,7 @@ func TestIdenticalAcrossQueryLengths(t *testing.T) {
 		cfg, ix, queries := world(t, 7, 120, 3, c.qLen, 16384)
 		cfg.TwoHit.XDrop = c.xDrop
 		ncbi := runAll(baseline.NewQueryIndexed(cfg, ix.DB), queries)
-		mu := runAll(New(cfg, ix), queries)
+		mu := New(cfg, ix).SearchBatch(queries, 1)
 		requireIdentical(t, "len", ncbi, mu)
 		hsps := 0
 		for _, r := range mu {
@@ -163,6 +177,9 @@ func TestDetectSlotWidthsAgree(t *testing.T) {
 		}
 		pairs := 0
 		for qi, q := range queries {
+			for _, sc := range scs {
+				planned(e, sc, q)
+			}
 			diagBias := len(q) - alphabet.W
 			for bi, b := range ix.Blocks {
 				numDiags := len(q) + b.Block.MaxLen - 2*alphabet.W + 1
@@ -241,10 +258,10 @@ func TestNewRejectsUnusableWindows(t *testing.T) {
 func TestHitAndPairCountsMatchBaselines(t *testing.T) {
 	cfg, ix, queries := world(t, 11, 100, 4, 128, 8192)
 	de := baseline.NewDBIndexed(cfg, ix)
-	mu := New(cfg, ix)
+	mu := New(cfg, ix).SearchBatch(queries, 1)
 	for qi, q := range queries {
 		sa := de.Search(qi, q).Stats
-		sb := mu.Search(qi, q).Stats
+		sb := mu[qi].Stats
 		if sa.Hits != sb.Hits {
 			t.Errorf("query %d: hits %d vs %d", qi, sa.Hits, sb.Hits)
 		}
@@ -267,7 +284,7 @@ func TestHitAndPairCountsMatchBaselines(t *testing.T) {
 // on/off comparison bounded; the measured on/off table is in EXPERIMENTS.md.)
 func TestPrefilterAblation(t *testing.T) {
 	cfg, ix, queries := world(t, 13, 120, 4, 256, 16384)
-	for qi, r := range runAll(New(cfg, ix), queries) {
+	for qi, r := range New(cfg, ix).SearchBatch(queries, 1) {
 		st := r.Stats
 		if st.SortedItems != st.Pairs {
 			t.Errorf("query %d: sorted %d records, detected %d pairs", qi, st.SortedItems, st.Pairs)
@@ -292,6 +309,7 @@ func TestAllSortersIdentical(t *testing.T) {
 	sc := e.getScratch()
 	defer e.putScratch(sc)
 	for qi, q := range queries {
+		planned(e, sc, q)
 		for bi, b := range ix.Blocks {
 			coder, err := hit.NewKeyCoder(b.Block.NumSeqs(), len(q)+b.Block.MaxLen-2*alphabet.W+1)
 			if err != nil {
@@ -314,7 +332,7 @@ func TestAllSortersIdentical(t *testing.T) {
 func TestSearchBatchMatchesSequential(t *testing.T) {
 	cfg, ix, queries := world(t, 19, 120, 8, 128, 8192)
 	e := New(cfg, ix)
-	seq := runAll(e, queries)
+	seq := e.SearchBatch(queries, 1)
 	for _, threads := range []int{1, 2, 8} {
 		batch := e.SearchBatch(queries, threads)
 		requireIdentical(t, "batch", seq, batch)
@@ -330,7 +348,7 @@ func TestMixedLengthQueries(t *testing.T) {
 	}
 	queries := g.Queries(seqs, 5, 0) // mixed lengths
 	ncbi := runAll(baseline.NewQueryIndexed(cfg, ix.DB), queries)
-	mu := runAll(New(cfg, ix), queries)
+	mu := New(cfg, ix).SearchBatch(queries, 1)
 	requireIdentical(t, "mixed", ncbi, mu)
 }
 
@@ -348,30 +366,28 @@ func TestEnvNRLikeDatabase(t *testing.T) {
 	}
 	queries := g.Queries(seqs, 4, 128)
 	ncbi := runAll(baseline.NewQueryIndexed(cfg, db), queries)
-	mu := runAll(New(cfg, ix), queries)
+	mu := New(cfg, ix).SearchBatch(queries, 1)
 	requireIdentical(t, "env_nr-like", ncbi, mu)
 }
 
 func TestShortQueryNoOutput(t *testing.T) {
 	cfg, ix, _ := world(t, 37, 50, 0, 0, 1<<20)
 	e := New(cfg, ix)
-	res := e.Search(0, alphabet.MustEncode("AR"))
-	if len(res.HSPs) != 0 || res.Stats.Hits != 0 {
-		t.Errorf("short query produced output: %+v", res)
-	}
-	batch := e.SearchBatch([][]alphabet.Code{nil, alphabet.MustEncode("A")}, 2)
-	for _, r := range batch {
-		if len(r.HSPs) != 0 {
-			t.Errorf("short batch query produced output")
+	for _, threads := range []int{1, 2} {
+		batch := e.SearchBatch([][]alphabet.Code{alphabet.MustEncode("AR"), nil, alphabet.MustEncode("A")}, threads)
+		for qi, r := range batch {
+			if len(r.HSPs) != 0 || r.Stats.Hits != 0 {
+				t.Errorf("%d threads: short query %d produced output: %+v", threads, qi, r)
+			}
 		}
 	}
 }
 
 func TestResultsValidateAgainstSequences(t *testing.T) {
 	cfg, ix, queries := world(t, 41, 100, 3, 256, 16384)
-	e := New(cfg, ix)
+	results := New(cfg, ix).SearchBatch(queries, 1)
 	for qi, q := range queries {
-		res := e.Search(qi, q)
+		res := results[qi]
 		if len(res.HSPs) == 0 {
 			t.Errorf("query %d found nothing", qi)
 		}

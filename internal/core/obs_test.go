@@ -36,8 +36,8 @@ func renderResults(results []search.QueryResult) []byte {
 
 // TestObservabilityOnOffByteIdentical pins the contract that instrumentation
 // never changes answers: the same batch searched with the default (live)
-// metric bundle and with obs.Discard must render byte-identically, on the
-// batch and on the single-query path.
+// metric bundle and with obs.Discard must render byte-identically, on a
+// three-thread batch and on a one-query, one-thread one.
 func TestObservabilityOnOffByteIdentical(t *testing.T) {
 	cfg, ix, queries := world(t, 91, 120, 6, 256, 8192)
 	on := Options{} // Metrics nil -> obs.Pipe, observability on
@@ -51,8 +51,8 @@ func TestObservabilityOnOffByteIdentical(t *testing.T) {
 		t.Errorf("%s: rendered output differs", label)
 	}
 
-	onRes := NewWithOptions(cfg, ix, on).Search(0, queries[0])
-	offRes := NewWithOptions(cfg, ix, off).Search(0, queries[0])
+	onRes := searchOne(NewWithOptions(cfg, ix, on), queries[0])
+	offRes := searchOne(NewWithOptions(cfg, ix, off), queries[0])
 	requireIdentical(t, "single-query obs on vs off",
 		[]search.QueryResult{onRes}, []search.QueryResult{offRes})
 	if !bytes.Equal(renderResults([]search.QueryResult{onRes}), renderResults([]search.QueryResult{offRes})) {
@@ -76,6 +76,7 @@ func TestStampedTaskZeroAllocs(t *testing.T) {
 	e := New(cfg, ix)
 	sc := e.getScratch()
 	defer e.putScratch(sc)
+	planned(e, sc, q)
 	var st search.Stats
 	var zero search.Stats
 	task := func() {
@@ -96,7 +97,7 @@ func TestStampedTaskZeroAllocs(t *testing.T) {
 // for all six pipeline stages, in order, with the always-on stages non-zero.
 func TestSearchStampsAllStages(t *testing.T) {
 	cfg, ix, queries := world(t, 97, 150, 1, 384, 8192)
-	res := New(cfg, ix).Search(0, queries[0])
+	res := searchOne(New(cfg, ix), queries[0])
 	spans := res.Stats.Spans()
 	names := obs.StageNames()
 	if len(spans) != int(obs.NumStages) {

@@ -121,9 +121,6 @@ func TestPlanSkipsAbsentWords(t *testing.T) {
 					t.Errorf("query %d found nothing: the comparison is empty", qi)
 				}
 			}
-			if r := New(c.cfg, ix).Search(0, queries[0]); r.Stats.Hits != a[0].Stats.Hits || len(r.HSPs) != len(a[0].HSPs) {
-				t.Errorf("Search: %d hits, %d HSPs; SearchBatch %d, %d", r.Stats.Hits, len(r.HSPs), a[0].Stats.Hits, len(a[0].HSPs))
-			}
 		})
 	}
 }
@@ -139,7 +136,7 @@ func held(ix *dbindex.Index, w alphabet.Word) bool {
 }
 
 // TestBatchPlansEachQueryOnce checks that a batch enumerates one plan per
-// query, however many blocks its tasks scan, and that Search does too.
+// query, however many blocks its tasks scan.
 func TestBatchPlansEachQueryOnce(t *testing.T) {
 	cfg, ix, queries := planWorld(t)
 	queries = append(queries, alphabet.MustEncode("MK")) // shorter than a word: no plan
@@ -150,11 +147,6 @@ func TestBatchPlansEachQueryOnce(t *testing.T) {
 		if got, want := e.planned.Load()-before, int64(len(queries)-1); got != want {
 			t.Errorf("%d threads: %d plans for %d queries over %d blocks, want %d", threads, got, len(queries)-1, len(ix.Blocks), want)
 		}
-	}
-	before := e.planned.Load()
-	e.Search(0, queries[0])
-	if got := e.planned.Load() - before; got != 1 {
-		t.Errorf("Search over %d blocks made %d plans, want 1", len(ix.Blocks), got)
 	}
 }
 

@@ -66,7 +66,7 @@ func TestPropertyEnginesEquivalentOnRandomWorlds(t *testing.T) {
 		}
 		a := baseline.NewQueryIndexed(cfg, db).Search(0, q)
 		b := baseline.NewDBIndexed(cfg, ix).Search(0, q)
-		c := New(cfg, ix).Search(0, q)
+		c := searchOne(New(cfg, ix), q)
 		return sameResult(a, b) && sameResult(a, c)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
@@ -104,7 +104,7 @@ func TestPropertyPrefilterInvariant(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		on := New(cfg, ix).Search(0, q)
+		on := searchOne(New(cfg, ix), q)
 		off := baseline.NewDBIndexed(cfg, ix).Search(0, q)
 		if on.Stats.Pairs != off.Stats.Pairs || on.Stats.Hits != off.Stats.Hits {
 			return false
@@ -140,7 +140,7 @@ func TestPropertyQueryIsAlwaysFoundVerbatim(t *testing.T) {
 		}
 		start := rng.Intn(len(long) - 60)
 		q := append([]alphabet.Code(nil), long[start:start+60]...)
-		res := New(cfg, ix).Search(0, q)
+		res := searchOne(New(cfg, ix), q)
 		want := cfg.Matrix.SeqScore(q, q)
 		for _, h := range res.HSPs {
 			if h.Aln.Score >= want {

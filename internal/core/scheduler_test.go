@@ -14,13 +14,13 @@ import (
 )
 
 // TestBatchIdentityAllOptions is the scheduler's Section V-E obligation: for
-// several thread counts, SearchBatch must reproduce sequential Search
-// exactly. (The engine has one configuration; the options this test once
-// looped over are deleted.)
+// several thread counts, SearchBatch must reproduce the sequential
+// (one-thread) search exactly. (The engine has one configuration; the options
+// this test once looped over are deleted.)
 func TestBatchIdentityAllOptions(t *testing.T) {
 	cfg, ix, queries := world(t, 61, 110, 6, 0, 8192)
 	e := New(cfg, ix)
-	seq := runAll(e, queries)
+	seq := e.SearchBatch(queries, 1)
 	for _, threads := range []int{1, 3, 8} {
 		batch := e.SearchBatch(queries, threads)
 		requireIdentical(t, "block-major", seq, batch)
@@ -91,7 +91,7 @@ func TestSkewedStragglerKeepsWorkersBusy(t *testing.T) {
 	queries = append(queries, g.Queries(seqs, 1, 1536)...)
 
 	e := New(cfg, ix)
-	want := runAll(e, queries)
+	want := e.SearchBatch(queries, 1)
 	// On a loaded machine a late-starting worker can in principle find the
 	// queue already drained; the grid is large enough that this is rare,
 	// and a retry makes it vanishingly so.
@@ -140,7 +140,7 @@ func TestConcurrentTasksSameQueryRow(t *testing.T) {
 		t.Fatalf("world has %d blocks; need >= 4", len(ix.Blocks))
 	}
 	e := New(cfg, ix)
-	seq := runAll(e, queries)
+	seq := e.SearchBatch(queries, 1)
 	for trial := 0; trial < 3; trial++ {
 		batch := e.SearchBatch(queries, 8)
 		requireIdentical(t, "same-row", seq, batch)
@@ -148,18 +148,18 @@ func TestConcurrentTasksSameQueryRow(t *testing.T) {
 }
 
 // TestConcurrentSearchesSharePool exercises the engine's scratch pool from
-// concurrent single-query Search calls (also a -race target).
+// concurrent one-query searches (also a -race target).
 func TestConcurrentSearchesSharePool(t *testing.T) {
 	cfg, ix, queries := world(t, 79, 100, 4, 128, 8192)
 	e := New(cfg, ix)
-	want := runAll(e, queries)
+	want := e.SearchBatch(queries, 1)
 	var wg sync.WaitGroup
 	got := make([]search.QueryResult, len(queries))
 	for qi := range queries {
 		wg.Add(1)
 		go func(qi int) {
 			defer wg.Done()
-			got[qi] = e.Search(qi, queries[qi])
+			got[qi] = searchOne(e, queries[qi])
 		}(qi)
 	}
 	wg.Wait()

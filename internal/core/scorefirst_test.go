@@ -47,6 +47,7 @@ func TestExtendPairsScoreFirstMatchesFull(t *testing.T) {
 
 	var kept, ties int64
 	for qi, q := range queries {
+		planned(scoreFirst, sc0, q)
 		diagBias := len(q) - alphabet.W
 		for bi, b := range ix.Blocks {
 			coder, err := hit.NewKeyCoder(b.Block.NumSeqs(), len(q)+b.Block.MaxLen-2*alphabet.W+1)
@@ -122,11 +123,7 @@ func TestExtendPairsScoreFirstMatchesFull(t *testing.T) {
 	full.putScratch(sc1)
 
 	// And end to end: final HSPs of the two engines.
-	var a, b []search.QueryResult
-	for qi, q := range queries {
-		a = append(a, scoreFirst.Search(qi, q))
-		b = append(b, full.Search(qi, q))
-	}
+	a, b := scoreFirst.SearchBatch(queries, 1), full.SearchBatch(queries, 1)
 	requireIdentical(t, "score-first vs full extension", a, b)
 	for qi := range a {
 		if a[qi].Stats.Extensions != b[qi].Stats.Extensions || a[qi].Stats.Kept != b[qi].Stats.Kept {
@@ -171,6 +168,7 @@ func TestGapTriggerBoundary(t *testing.T) {
 
 	var at, below int
 	for qi, q := range queries {
+		planned(scoreFirst, sc0, q)
 		diagBias := len(q) - alphabet.W
 		for bi, b := range ix.Blocks {
 			coder, err := hit.NewKeyCoder(b.Block.NumSeqs(), len(q)+b.Block.MaxLen-2*alphabet.W+1)

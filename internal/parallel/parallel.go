@@ -35,16 +35,12 @@ func NumWorkers(n, workers int) int {
 	return workers
 }
 
-// For runs fn(i) for i in [0, n) on min(workers, n) goroutines with dynamic
-// scheduling. workers <= 0 uses GOMAXPROCS. It returns when all iterations
-// are complete. fn must be safe to call concurrently.
-func For(n, workers int, fn func(i int)) {
-	ForWorkers(n, workers, func(_, i int) { fn(i) })
-}
-
-// ForWorkers is For with the worker id passed to fn, so callers can keep
-// per-worker scratch state (last-hit arrays, aligners, hit buffers) without
-// locking. Worker ids are dense in [0, numWorkers).
+// ForWorkers runs fn(worker, i) for i in [0, n) on min(workers, n)
+// goroutines with dynamic scheduling. workers <= 0 uses GOMAXPROCS. It
+// returns when all iterations are complete; fn must be safe to call
+// concurrently. The worker id lets callers keep per-worker scratch state
+// (last-hit arrays, aligners, hit buffers) without locking. Worker ids are
+// dense in [0, numWorkers).
 func ForWorkers(n, workers int, fn func(worker, i int)) {
 	ForTasksOpts(n, workers, fn, RunOptions{})
 }

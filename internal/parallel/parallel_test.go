@@ -188,18 +188,6 @@ func TestLoop(t *testing.T) {
 }
 
 // The wrappers are the loop with the zero RunOptions: one identity check each.
-func TestForIsTheLoop(t *testing.T) {
-	const n = 100
-	seen := make([]atomic.Int32, n)
-	For(n, 3, func(i int) { seen[i].Add(1) })
-	for i := range seen {
-		if got := seen[i].Load(); got != 1 {
-			t.Fatalf("iteration %d ran %d times", i, got)
-		}
-	}
-	For(0, 3, func(int) { t.Error("fn called for an empty range") })
-}
-
 func TestForWorkersIsTheLoop(t *testing.T) {
 	const n, workers = 100, 3
 	seen := make([]atomic.Int32, n)
@@ -214,7 +202,9 @@ func TestForWorkersIsTheLoop(t *testing.T) {
 			t.Fatalf("iteration %d ran %d times", i, got)
 		}
 	}
-	ForWorkers(-1, workers, func(_, _ int) { t.Error("fn called for an empty range") })
+	for _, empty := range []int{0, -1} {
+		ForWorkers(empty, workers, func(_, _ int) { t.Errorf("fn called for the empty range %d", empty) })
+	}
 }
 
 func TestDeadlineIsReported(t *testing.T) {

@@ -288,9 +288,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.Reloads.Add(1)
-	s.met.Generation.Set(float64(s.ses.Generation()))
+	s.stampServing()
 	db := s.ses.DB()
-	s.met.IndexBytes.Set(float64(db.IndexSizeBytes()))
 	seq, hash, deltas := db.Manifest()
 	WriteJSON(w, http.StatusOK, ReloadResponse{
 		Generation:   s.ses.Generation(),
@@ -321,12 +320,7 @@ func (s *Server) reloadPath(path string) error {
 	if err != nil {
 		return err
 	}
-	if err := s.ses.ReloadDB(db); err != nil {
-		return err
-	}
-	s.met.ManifestSeq.Set(float64(st.ManifestSeq()))
-	s.met.DeltaCount.Set(float64(st.NumDeltas()))
-	return nil
+	return s.ses.ReloadDB(db)
 }
 
 // errStoreOnly refuses a /reload of another path on a daemon with a store.

@@ -161,6 +161,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusInternalServerError, "batch is durable but the swap failed: %v", err)
 		return
 	}
+	s.stampServing()
 	if errors.Is(compactErr, blast.ErrStoreBroken) {
 		s.met.IngestsFailed.Add(1)
 		WriteError(w, http.StatusInternalServerError, "batch is durable and served but compaction failed; restart the daemon to run recovery: %v", compactErr)
@@ -168,10 +169,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.Ingests.Add(1)
 	s.met.IngestedSeqs.Add(int64(stats.Sequences))
-	s.met.Generation.Set(float64(s.ses.Generation()))
-	s.met.IndexBytes.Set(float64(s.ses.DB().IndexSizeBytes()))
-	s.met.ManifestSeq.Set(float64(st.ManifestSeq()))
-	s.met.DeltaCount.Set(float64(st.NumDeltas()))
 	s.Logf("ingest: %d sequences -> manifest seq %d (%d deltas, compacted=%v)",
 		stats.Sequences, st.ManifestSeq(), st.NumDeltas(), compacted)
 	WriteJSON(w, http.StatusOK, IngestResponse{

@@ -379,6 +379,33 @@ func TestIngestCompactionThatBreaksTheStore(t *testing.T) {
 	if _, sr := searchOnce(t, base, q); len(sr.Results) != 1 || !hitsEqual(sr.Results[0].Hits, wantHits(t, rebuild, q)) {
 		t.Fatalf("the durable batch is not served after the failed compaction: %+v", sr.Results)
 	}
+	// The swap happened, so the serving gauges describe the new view even
+	// though the reply was a 500.
+	if _, _, deltas := f.ses.DB().Manifest(); f.ses.Generation() != 2 || deltas != 1 {
+		t.Fatalf("serving generation %d with %d deltas, want the swapped view (2, 1)", f.ses.Generation(), deltas)
+	}
+	checkServingGauges(t, srv, f.ses)
+}
+
+// checkServingGauges requires the serving gauges to describe the database
+// ses serves.
+func checkServingGauges(t *testing.T, srv *Server, ses *blast.Session) {
+	t.Helper()
+	db := ses.DB()
+	seq, _, deltas := db.Manifest()
+	for _, g := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"db_generation", srv.met.Generation.Value(), float64(ses.Generation())},
+		{"index_bytes", srv.met.IndexBytes.Value(), float64(db.IndexSizeBytes())},
+		{"manifest_seq", srv.met.ManifestSeq.Value(), float64(seq)},
+		{"delta_count", srv.met.DeltaCount.Value(), float64(deltas)},
+	} {
+		if g.got != g.want {
+			t.Errorf("gauge %s = %g, the served database says %g", g.name, g.got, g.want)
+		}
+	}
 }
 
 // TestIngestCompactAfterThreshold: CompactAfter folds deltas automatically
@@ -411,7 +438,7 @@ func TestIngestCompactAfterThreshold(t *testing.T) {
 // serving — /search and /ingest must never answer from two databases.
 func TestReloadStoreEndpoint(t *testing.T) {
 	f := newStoreFixture(t)
-	_, base := f.start(t, Config{})
+	srv, base := f.start(t, Config{})
 	if _, err := f.store.Append(ingestSeqs(3, 141, "d")); err != nil {
 		t.Fatal(err)
 	}
@@ -447,6 +474,7 @@ func TestReloadStoreEndpoint(t *testing.T) {
 	if !f.ses.DB().Tiered() {
 		t.Fatal("reload onto the live store did not produce the tiered view")
 	}
+	checkServingGauges(t, srv, f.ses)
 	if f.ses.Refs() != 1 {
 		t.Fatalf("Refs() = %d after store reload, want 1", f.ses.Refs())
 	}

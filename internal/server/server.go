@@ -195,18 +195,26 @@ func New(ses *blast.Session, p blast.Params, cfg Config) *Server {
 		ingestTok: make(chan struct{}, 1),
 	}
 	s.ingestTok <- struct{}{}
-	met.Generation.Set(float64(ses.Generation()))
-	met.IndexBytes.Set(float64(ses.DB().IndexSizeBytes()))
-	if cfg.Store != nil {
-		met.ManifestSeq.Set(float64(cfg.Store.ManifestSeq()))
-		met.DeltaCount.Set(float64(cfg.Store.NumDeltas()))
-	}
+	s.stampServing()
 	s.HandleFunc("/search", s.handleSearch)
 	s.HandleFunc("/reload", s.handleReload)
 	s.HandleFunc("/ingest", s.handleIngest)
 	s.HandleFunc("/shard/search", s.handleShardSearch)
 	s.HandleFunc("/shard/info", s.handleShardInfo)
 	return s
+}
+
+// stampServing sets the gauges that describe the database being served —
+// generation, index size, manifest seq, delta count — from the session's
+// current one. It runs at start and after every swap, whatever the request
+// that swapped answers.
+func (s *Server) stampServing() {
+	db := s.ses.DB()
+	seq, _, deltas := db.Manifest()
+	s.met.Generation.Set(float64(s.ses.Generation()))
+	s.met.IndexBytes.Set(float64(db.IndexSizeBytes()))
+	s.met.ManifestSeq.Set(float64(seq))
+	s.met.DeltaCount.Set(float64(deltas))
 }
 
 // Config returns the resolved configuration (defaults filled in).
