@@ -31,7 +31,6 @@ import (
 	"repro/internal/qindex"
 	"repro/internal/seqgen"
 	"repro/internal/sw"
-	"repro/internal/ungapped"
 )
 
 // Shared fixtures, built once.
@@ -250,16 +249,6 @@ func BenchmarkHitsort_LSD(b *testing.B) {
 }
 
 // --- Kernel microbenchmarks ---
-
-func BenchmarkUngappedExtend(b *testing.B) {
-	g := seqgen.New(seqgen.UniprotProfile(), 3)
-	q := g.Sequence(512)
-	s := g.Sequence(512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ungapped.Extend(matrix.Blosum62, q, s, 256, 256, 16, 0)
-	}
-}
 
 func BenchmarkGappedExtend(b *testing.B) {
 	g := seqgen.New(seqgen.UniprotProfile(), 3)

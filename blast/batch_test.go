@@ -5,9 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/alphabet"
 	"repro/internal/faultinject"
 	"repro/internal/search"
 )
@@ -122,33 +125,54 @@ func TestSearchBatchCtxRejectsBadQuery(t *testing.T) {
 	}
 }
 
-// TestSearchReportsATaskPanic: Search and SearchLong run on the batch
-// scheduler, so a panicking (block, query) task comes back as the query's
-// typed error instead of crashing the caller, and the next search is whole.
+// TestSearchReportsATaskPanic: Search runs on the batch scheduler, so a
+// panicking (block, query) task comes back as the query's typed error
+// instead of crashing the caller, and the next search is whole.
 func TestSearchReportsATaskPanic(t *testing.T) {
 	db, seqs := testDatabase(t)
 	q := queryFrom(seqs, 190)
-	for _, c := range []struct {
-		name   string
-		search func() (*Result, error)
-	}{
-		{"Search", func() (*Result, error) { return db.Search(q) }},
-		{"SearchLong", func() (*Result, error) { return db.SearchLong(q, 120, 60) }},
-	} {
-		if err := faultinject.Enable("core.hitdetect=panic#1", 1); err != nil {
-			t.Fatal(err)
-		}
-		res, err := c.search()
-		faultinject.Disable()
-		var perr *search.TaskPanicError
-		if !errors.As(err, &perr) || res != nil {
-			t.Fatalf("%s with a panicking task: result %v, error %v; want a *search.TaskPanicError", c.name, res, err)
-		}
-		if res, err := c.search(); err != nil {
-			t.Fatalf("%s after the fault: %v", c.name, err)
-		} else if len(res.Hits) == 0 {
-			t.Fatalf("%s after the fault found nothing", c.name)
-		}
+	if err := faultinject.Enable("core.hitdetect=panic#1", 1); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Search(q)
+	faultinject.Disable()
+	var perr *search.TaskPanicError
+	if !errors.As(err, &perr) || res != nil {
+		t.Fatalf("Search with a panicking task: result %v, error %v; want a *search.TaskPanicError", res, err)
+	}
+	if res, err := db.Search(q); err != nil {
+		t.Fatalf("Search after the fault: %v", err)
+	} else if len(res.Hits) == 0 {
+		t.Fatal("Search after the fault found nothing")
+	}
+}
+
+// TestSearchRefusesAnOverlongQuery: a query one residue past MaxQueryLen is
+// refused before any task runs, by Search and by a batch, with a
+// *QueryTooLongError that names the query and the limit; one of MaxQueryLen
+// residues is searched whole.
+func TestSearchRefusesAnOverlongQuery(t *testing.T) {
+	db, seqs := testDatabase(t)
+	rng := rand.New(rand.NewSource(9))
+	letters := make([]byte, MaxQueryLen+1)
+	for i := range letters {
+		letters[i] = alphabet.LetterFor(alphabet.Code(rng.Intn(20)))
+	}
+	long := string(letters)
+	res, err := db.Search(long)
+	var tooLong *QueryTooLongError
+	if !errors.As(err, &tooLong) || res != nil || tooLong.Query != 0 || tooLong.Len != MaxQueryLen+1 {
+		t.Fatalf("Search of %d residues: result %v, error %v; want a *QueryTooLongError for query 0", len(long), res, err)
+	}
+	if want := fmt.Sprint(MaxQueryLen); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name the %s-residue limit", err, want)
+	}
+	br, err := db.SearchBatchCtx(context.Background(), []string{seqs[0].Residues, long})
+	if !errors.As(err, &tooLong) || br != nil || tooLong.Query != 1 {
+		t.Fatalf("batch with query 1 over the limit: result %v, error %v; want a *QueryTooLongError for query 1", br, err)
+	}
+	if res, err := db.Search(long[:MaxQueryLen]); err != nil || res.QueryLen != MaxQueryLen {
+		t.Fatalf("Search of MaxQueryLen residues: %v", err)
 	}
 }
 

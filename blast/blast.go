@@ -345,15 +345,15 @@ type Result struct {
 // SearchBatch it never cancels, Params.Timeout included; a panicking task
 // comes back as the query's error.
 func (d *Database) Search(query string) (*Result, error) {
-	q, err := alphabet.Encode([]byte(query))
+	enc, err := encodeQueries([]string{query})
 	if err != nil {
-		return nil, fmt.Errorf("blast: query: %w", err)
+		return nil, err
 	}
-	raw := d.searchRaw(context.Background(), [][]alphabet.Code{q})
+	raw := d.searchRaw(context.Background(), enc)
 	if !raw.completed[0] {
 		return nil, fmt.Errorf("blast: query: %w", raw.queryErrs[0])
 	}
-	return convertHSPs(len(q), raw.results[0], raw.meta[0]), nil
+	return convertHSPs(len(enc[0]), raw.results[0], raw.meta[0]), nil
 }
 
 // SearchBatch runs a batch of queries through the muBLASTP engine with the

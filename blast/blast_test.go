@@ -365,70 +365,6 @@ func TestSplitDatabaseSaveLoadKeepsMapping(t *testing.T) {
 	}
 }
 
-func TestSearchLongMatchesDirectSearch(t *testing.T) {
-	db, seqs := testDatabase(t)
-	// A moderately long query searched whole vs in chunks: the chunked
-	// search must find every subject the direct search finds (alignments
-	// longer than the overlap may fragment, so compare subject sets and
-	// top-hit identity).
-	q := queryFrom(seqs, 190)
-	direct, err := db.Search(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunked, err := db.SearchLong(q, 120, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chunked.Hits) == 0 {
-		t.Fatal("chunked search found nothing")
-	}
-	if direct.Hits[0].SubjectName != chunked.Hits[0].SubjectName {
-		t.Errorf("top hits differ: %s vs %s", direct.Hits[0].SubjectName, chunked.Hits[0].SubjectName)
-	}
-	directSubjects := map[string]bool{}
-	for _, h := range direct.Hits {
-		directSubjects[h.SubjectName] = true
-	}
-	found := 0
-	for s := range directSubjects {
-		for _, h := range chunked.Hits {
-			if h.SubjectName == s {
-				found++
-				break
-			}
-		}
-	}
-	if found < len(directSubjects)/2 {
-		t.Errorf("chunked search recovered only %d/%d subjects", found, len(directSubjects))
-	}
-	// Query coordinates must stay within the whole query.
-	for _, h := range chunked.Hits {
-		if h.QueryStart < 0 || h.QueryEnd > len(q) {
-			t.Errorf("chunk hit outside query bounds: %+v", h)
-		}
-	}
-}
-
-func TestSearchLongShortQueryDelegates(t *testing.T) {
-	db, seqs := testDatabase(t)
-	q := queryFrom(seqs, 100)
-	a, err := db.Search(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := db.SearchLong(q, 2048, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Hits) != len(b.Hits) {
-		t.Errorf("delegation differs: %d vs %d hits", len(a.Hits), len(b.Hits))
-	}
-	if _, err := db.SearchLong(q, 100, 100); err == nil {
-		t.Error("accepted overlap >= chunk length")
-	}
-}
-
 func TestTabularFormat(t *testing.T) {
 	db, seqs := testDatabase(t)
 	q := queryFrom(seqs, 130)

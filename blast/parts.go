@@ -247,11 +247,30 @@ func (raw *rawBatch) batchResult(enc [][]alphabet.Code) *BatchResult {
 	return out
 }
 
+// MaxQueryLen is the longest query a search takes, whole: the engine's
+// last-hit slots and pair records carry query offsets up to search.MaxQOff.
+const MaxQueryLen = search.MaxQOff + alphabet.W
+
+// QueryTooLongError refuses a query longer than MaxQueryLen before any of
+// the batch is searched.
+type QueryTooLongError struct {
+	Query int // the query's index in its batch
+	Len   int // its length in residues
+}
+
+func (e *QueryTooLongError) Error() string {
+	return fmt.Sprintf("blast: query %d: %d residues exceeds the %d-residue limit", e.Query, e.Len, MaxQueryLen)
+}
+
 // encodeQueries turns a batch of ASCII queries into residue codes; the error
-// names the first query that cannot be encoded.
+// names the first query that cannot be encoded or is too long to search
+// (*QueryTooLongError). Every search entry point encodes through it.
 func encodeQueries(queries []string) ([][]alphabet.Code, error) {
 	enc := make([][]alphabet.Code, len(queries))
 	for i, s := range queries {
+		if len(s) > MaxQueryLen {
+			return nil, &QueryTooLongError{Query: i, Len: len(s)}
+		}
 		q, err := alphabet.Encode([]byte(s))
 		if err != nil {
 			return nil, fmt.Errorf("blast: query %d: %w", i, err)

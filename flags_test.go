@@ -145,7 +145,7 @@ func TestConfigSurface(t *testing.T) {
 var searchMethods = map[reflect.Type][]string{
 	reflect.TypeFor[*core.Engine](): {"SearchBatch", "SearchBatchCtx"},
 	reflect.TypeFor[*blast.Database](): {
-		"Search", "SearchBatch", "SearchBatchCtx", "SearchLong", "SearchSettings", "SearchShardBatchCtx",
+		"Search", "SearchBatch", "SearchBatchCtx", "SearchSettings", "SearchShardBatchCtx",
 	},
 }
 

@@ -105,7 +105,7 @@ func (e *DBIndexed) searchOne(sc *dbiScratch, queryIdx int, q []alphabet.Code) s
 	}
 	sc.prof.Fill(cfg.Matrix, q)
 	sc.plan.Fill(cfg.Neighbors, q, nil)
-	canon := &ungapped.Canon{P: cfg.TwoHit, Matrix: cfg.Matrix, Prof: &sc.prof}
+	canon := &ungapped.Canon{P: cfg.TwoHit, Prof: &sc.prof}
 	diagBias := len(q) - alphabet.W
 	trace := cfg.Trace
 	var subjects []search.SubjectAlignments
@@ -154,7 +154,7 @@ func (e *DBIndexed) searchOne(sc *dbiScratch, queryIdx int, q []alphabet.Code) s
 						trace(search.SpaceLastHit, int64(slot)*8)
 					}
 					d := sc.diags.Get(slot)
-					ext, paired, extended, keep := canon.Step(d, q, s, qOff, sOff)
+					ext, paired, extended, keep := canon.Step(d, s, qOff, sOff)
 					if paired {
 						st.Pairs++
 					}

@@ -91,7 +91,7 @@ func (e *QueryIndexed) searchOne(sc *qiScratch, queryIdx int, q []alphabet.Code)
 	}
 	ix := qindex.Build(q, cfg.Neighbors)
 	sc.prof.Fill(cfg.Matrix, q)
-	canon := &ungapped.Canon{P: cfg.TwoHit, Matrix: cfg.Matrix, Prof: &sc.prof}
+	canon := &ungapped.Canon{P: cfg.TwoHit, Prof: &sc.prof}
 	diagBias := len(q) - alphabet.W
 	trace := cfg.Trace
 	var subjects []search.SubjectAlignments
@@ -122,7 +122,7 @@ func (e *QueryIndexed) searchOne(sc *qiScratch, queryIdx int, q []alphabet.Code)
 					trace(search.SpaceLastHit, int64(diag)*8)
 				}
 				d := sc.diags.Get(diag)
-				ext, paired, extended, keep := canon.Step(d, q, s, int(qPos), sOff)
+				ext, paired, extended, keep := canon.Step(d, s, int(qPos), sOff)
 				if paired {
 					st.Pairs++
 				}

@@ -51,7 +51,7 @@ func (e *QueryIndexedDFA) searchOne(sc *qiScratch, queryIdx int, q []alphabet.Co
 	}
 	dfa := qdfa.Build(q, cfg.Neighbors)
 	sc.prof.Fill(cfg.Matrix, q)
-	canon := &ungapped.Canon{P: cfg.TwoHit, Matrix: cfg.Matrix, Prof: &sc.prof}
+	canon := &ungapped.Canon{P: cfg.TwoHit, Prof: &sc.prof}
 	diagBias := len(q) - alphabet.W
 	var subjects []search.SubjectAlignments
 
@@ -67,7 +67,7 @@ func (e *QueryIndexedDFA) searchOne(sc *qiScratch, queryIdx int, q []alphabet.Co
 			st.Hits++
 			diag := sOff - int(qPos) + diagBias
 			d := sc.diags.Get(diag)
-			ext, paired, extended, keep := canon.Step(d, q, s, int(qPos), sOff)
+			ext, paired, extended, keep := canon.Step(d, s, int(qPos), sOff)
 			if paired {
 				st.Pairs++
 			}

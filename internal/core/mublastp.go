@@ -101,10 +101,15 @@ func New(cfg *search.Config, ix *dbindex.Index) *Engine {
 // detectPrefiltered): blast refuses such a pairing when it opens a database,
 // so only a caller that built the index itself can get here. It also panics
 // on a window that cannot pair at all (at most W): search.CheckStamp's fused
-// compare needs window > W, and blast refuses such a window too.
+// compare needs window > W, and blast refuses such a window too. And it
+// panics on an ungapped X-drop below 1, which the ungapped kernels' drop
+// test cannot run (blast's X-drop is a constant).
 func NewWithOptions(cfg *search.Config, ix *dbindex.Index, opt Options) *Engine {
 	if cfg.TwoHit.Window <= alphabet.W {
 		panic(fmt.Sprintf("core: two-hit window %d pairs nothing (it must exceed the word length %d)", cfg.TwoHit.Window, alphabet.W))
+	}
+	if cfg.TwoHit.XDrop < 1 {
+		panic(fmt.Sprintf("core: ungapped X-drop %d, but the ungapped kernels need at least 1", cfg.TwoHit.XDrop))
 	}
 	if maxWindow := ix.MaxWindow(); cfg.TwoHit.Window > maxWindow {
 		panic(fmt.Sprintf("core: two-hit window %d, but the index is padded for at most %d (build it with dbindex.BuildWindow)",
@@ -536,8 +541,8 @@ func (e *Engine) extendPairs(sc *scratch, q []alphabet.Code, bi int, coder hit.K
 	// Trigger decision, and the ExtReached advance (to the extension end
 	// only when the right walk ran) are the exact Algorithm 1 lines 15-25
 	// under NCBI's extension rule (the cross-engine identity tests pin this
-	// against Canon), with the kernel dispatch and key decode hoisted so the
-	// 10M-pairs-per-batch loop runs call-free except the extension itself.
+	// against Canon), with the key decode hoisted so the 10M-pairs-per-batch
+	// loop runs call-free except the extension itself.
 	//
 	// Extension is score first: all but ~0.1% of pairs end at "Score <
 	// Trigger", and a rejected pair leaves nothing behind but ExtReached =
@@ -546,12 +551,6 @@ func (e *Engine) extendPairs(sc *scratch, q []alphabet.Code, bi int, coder hit.K
 	// Under a trace a rejected pair is also walked for its coordinates,
 	// because the cache simulator replays each extension's subject span,
 	// kept or not; that walk decides nothing.
-	//
-	// Which kernel runs follows from the input, not from an option: the
-	// profile kernels need XDrop >= 1 and a query the profile's 16-bit
-	// offsets can address (Canon.extend's own test); anything else takes the
-	// matrix-indexed reference Extend.
-	useProf := e.Cfg.TwoHit.XDrop >= 1 && prof.QLen < 0xFFFF
 	xDrop := e.Cfg.TwoHit.XDrop
 	trigger := e.Cfg.TwoHit.Trigger
 	var extensions, kept int64
@@ -581,25 +580,16 @@ func (e *Engine) extendPairs(sc *scratch, q []alphabet.Code, bi int, coder hit.K
 		sOff := diag + qOff - diagBias
 		need := int(p.Dist()) - alphabet.W
 		extensions++
-		var ext ungapped.Ext
-		var reach bool
-		if useProf {
-			if score, _ := ungapped.ExtendScore(prof, s, qOff, sOff, xDrop, need); score < trigger {
-				if trace != nil {
-					rejected, _ := ungapped.ExtendProfile(prof, s, qOff, sOff, xDrop, need)
-					e.traceSpan(gsi, rejected)
-				}
-				continue
+		if score, _ := ungapped.ExtendScore(prof, s, qOff, sOff, xDrop, need); score < trigger {
+			if trace != nil {
+				rejected, _ := ungapped.ExtendProfile(prof, s, qOff, sOff, xDrop, need)
+				e.traceSpan(gsi, rejected)
 			}
-			ext, reach = ungapped.ExtendProfile(prof, s, qOff, sOff, xDrop, need)
-		} else {
-			ext, reach = ungapped.Extend(e.Cfg.Matrix, q, s, qOff, sOff, xDrop, need)
+			continue
 		}
+		ext, reach := ungapped.ExtendProfile(prof, s, qOff, sOff, xDrop, need)
 		if trace != nil {
 			e.traceSpan(gsi, ext)
-		}
-		if ext.Score < trigger {
-			continue
 		}
 		if reach {
 			d.ExtReached = int32(ext.QEnd)

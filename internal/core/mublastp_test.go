@@ -132,20 +132,15 @@ func TestIdenticalAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestIdenticalAcrossQueryLengths also stands on both sides of the two forks
+// TestIdenticalAcrossQueryLengths also stands on both sides of the one fork
 // the engine takes from its input: lengths 1026 and 1027 put len(q)-W at
 // MaxQOff16 and one past it (16-bit vs 32-bit last-hit slots), 4000 runs far
-// into the 32-bit width, and XDrop = 0 routes extendPairs to the
-// matrix-indexed ungapped.Extend instead of the score-first profile kernels.
+// into the 32-bit width, and 70 000 needs more than 16 bits for the query
+// offsets the ungapped kernels pack beside their scores.
 func TestIdenticalAcrossQueryLengths(t *testing.T) {
-	defaultXDrop := cfgShared(t).TwoHit.XDrop
 	lastCompact := search.MaxQOff16 + alphabet.W // 1026
-	for _, c := range []struct{ qLen, xDrop int }{
-		{64, defaultXDrop}, {256, defaultXDrop}, {512, defaultXDrop},
-		{lastCompact, defaultXDrop}, {lastCompact + 1, defaultXDrop}, {4000, defaultXDrop}, {256, 0},
-	} {
-		cfg, ix, queries := world(t, 7, 120, 3, c.qLen, 16384)
-		cfg.TwoHit.XDrop = c.xDrop
+	for _, qLen := range []int{64, 256, 512, lastCompact, lastCompact + 1, 4000, 70000} {
+		cfg, ix, queries := world(t, 7, 120, 3, qLen, 16384)
 		ncbi := runAll(baseline.NewQueryIndexed(cfg, ix.DB), queries)
 		mu := New(cfg, ix).SearchBatch(queries, 1)
 		requireIdentical(t, "len", ncbi, mu)
@@ -154,7 +149,7 @@ func TestIdenticalAcrossQueryLengths(t *testing.T) {
 			hsps += len(r.HSPs)
 		}
 		if hsps == 0 {
-			t.Errorf("qLen %d xDrop %d: no HSPs; the comparison is vacuous", c.qLen, c.xDrop)
+			t.Errorf("qLen %d: no HSPs; the comparison is vacuous", qLen)
 		}
 	}
 }
@@ -215,32 +210,34 @@ func TestDetectSlotWidthsAgree(t *testing.T) {
 	}
 }
 
-// TestNewRejectsUnusableWindows reaches each of NewWithOptions's window
-// panics: a window that pairs nothing, one wider than the index's padding,
-// and one wider than a pair record's distance field.
+// TestNewRejectsUnusableWindows reaches each of NewWithOptions's panics: a
+// window that pairs nothing, one wider than the index's padding, one wider
+// than a pair record's distance field, and an ungapped X-drop below 1.
 func TestNewRejectsUnusableWindows(t *testing.T) {
 	cfg := cfgShared(t)
 	db := dbase.New(seqgen.New(seqgen.UniprotProfile(), 3).Database(20))
+	x := cfg.TwoHit.XDrop
 	for _, c := range []struct {
-		window, padFor int
-		want           string
+		window, padFor, xDrop int
+		want                  string
 	}{
-		{alphabet.W, 40, "pairs nothing"},
-		{0, 40, "pairs nothing"},
-		{41, 40, "padded for at most 40"},
-		{hit.MaxWindow + 1, hit.MaxWindow + 1, "a pair record carries distances below"},
+		{alphabet.W, 40, x, "pairs nothing"},
+		{0, 40, x, "pairs nothing"},
+		{41, 40, x, "padded for at most 40"},
+		{hit.MaxWindow + 1, hit.MaxWindow + 1, x, "a pair record carries distances below"},
+		{40, 40, 0, "ungapped kernels need at least 1"},
 	} {
 		ix, err := dbindex.BuildWindow(db, cfg.Neighbors, 1<<20, c.padFor)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bad := *cfg
-		bad.TwoHit.Window = c.window
+		bad.TwoHit.Window, bad.TwoHit.XDrop = c.window, c.xDrop
 		func() {
 			defer func() {
 				msg, _ := recover().(string)
 				if !strings.Contains(msg, c.want) {
-					t.Errorf("window %d over an index padded for %d: panic %q, want one saying %q", c.window, c.padFor, msg, c.want)
+					t.Errorf("window %d, X-drop %d over an index padded for %d: panic %q, want one saying %q", c.window, c.xDrop, c.padFor, msg, c.want)
 				}
 			}()
 			New(&bad, ix)

@@ -9,13 +9,14 @@ import (
 
 	"repro/internal/alphabet"
 	"repro/internal/hit"
+	"repro/internal/matrix"
 	"repro/internal/search"
 	"repro/internal/ungapped"
 )
 
 // TestExtendPairsScoreFirstMatchesFull pins extendPairs's score-first
-// extension against the reference state machine (ungapped.Canon with the
-// matrix-indexed kernel), which extends every pair in full. In extendPairs a
+// extension against the reference state machine (ungapped.Canon), which
+// extends every pair in full for its coordinates. In extendPairs a
 // pair is scored first (ungapped.ExtendScore) and only a pair that beats the
 // trigger is extended for its coordinates, so for the 99.9% of pairs that
 // are rejected the two share no kernel, and their agreement is a property to
@@ -43,11 +44,12 @@ func TestExtendPairsScoreFirstMatchesFull(t *testing.T) {
 	}
 	scoreFirst, full := New(cfg, ix), New(&traced, ix)
 	sc0, sc1 := scoreFirst.getScratch(), full.getScratch()
-	canon := ungapped.Canon{P: cfg.TwoHit, Matrix: cfg.Matrix}
+	canon := ungapped.Canon{P: cfg.TwoHit}
 
 	var kept, ties int64
 	for qi, q := range queries {
 		planned(scoreFirst, sc0, q)
+		canon.Prof = matrix.NewProfile(cfg.Matrix, q)
 		diagBias := len(q) - alphabet.W
 		for bi, b := range ix.Blocks {
 			coder, err := hit.NewKeyCoder(b.Block.NumSeqs(), len(q)+b.Block.MaxLen-2*alphabet.W+1)
@@ -76,7 +78,7 @@ func TestExtendPairsScoreFirstMatchesFull(t *testing.T) {
 				}
 				local, diag := coder.Decode(p.Key)
 				s := ix.DB.Seqs[b.Block.Start+local].Data
-				ext, extended, keep := canon.ExtendPair(&d, q, s, int(p.Off()), diag+int(p.Off())-diagBias, int(p.Dist()))
+				ext, extended, keep := canon.ExtendPair(&d, s, int(p.Off()), diag+int(p.Off())-diagBias, int(p.Dist()))
 				if extended {
 					wantExtensions++
 					if ext.Score == cfg.TwoHit.Trigger {
@@ -164,11 +166,12 @@ func TestGapTriggerBoundary(t *testing.T) {
 	sc0, sc1 := scoreFirst.getScratch(), full.getScratch()
 	defer scoreFirst.putScratch(sc0)
 	defer full.putScratch(sc1)
-	canon := ungapped.Canon{P: cfg.TwoHit, Matrix: cfg.Matrix}
+	canon := ungapped.Canon{P: cfg.TwoHit}
 
 	var at, below int
 	for qi, q := range queries {
 		planned(scoreFirst, sc0, q)
+		canon.Prof = matrix.NewProfile(cfg.Matrix, q)
 		diagBias := len(q) - alphabet.W
 		for bi, b := range ix.Blocks {
 			coder, err := hit.NewKeyCoder(b.Block.NumSeqs(), len(q)+b.Block.MaxLen-2*alphabet.W+1)
@@ -191,7 +194,7 @@ func TestGapTriggerBoundary(t *testing.T) {
 				}
 				local, diag := coder.Decode(p.Key)
 				s := ix.DB.Seqs[b.Block.Start+local].Data
-				ext, extended, keep := canon.ExtendPair(&d, q, s, int(p.Off()), diag+int(p.Off())-diagBias, int(p.Dist()))
+				ext, extended, keep := canon.ExtendPair(&d, s, int(p.Off()), diag+int(p.Off())-diagBias, int(p.Dist()))
 				if !extended || (ext.Score != s1 && ext.Score != s1-1) {
 					continue
 				}

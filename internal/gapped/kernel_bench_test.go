@@ -164,7 +164,7 @@ var serveShape = sync.OnceValues(func() (scored, mix []tbCase) {
 	for _, q := range queries {
 		ix := qindex.Build(q, nbr)
 		prof := matrix.NewProfile(m, q)
-		canon := &ungapped.Canon{P: twoHit, Matrix: m, Prof: prof}
+		canon := &ungapped.Canon{P: twoHit, Prof: prof}
 		effQ, effDB := ka.EffectiveLengths(int64(len(q)), dbLen, int64(len(db)))
 		for _, s := range db {
 			if len(s) < alphabet.W {
@@ -178,7 +178,7 @@ var serveShape = sync.OnceValues(func() (scored, mix []tbCase) {
 			for sOff := 0; sOff+alphabet.W <= len(s); sOff++ {
 				for _, qPos := range ix.Positions(alphabet.WordAt(s, sOff)) {
 					d := &diags[sOff-int(qPos)+len(q)-alphabet.W]
-					if ext, _, _, keep := canon.Step(d, q, s, int(qPos), sOff); keep {
+					if ext, _, _, keep := canon.Step(d, s, int(qPos), sOff); keep {
 						exts = append(exts, ext)
 					}
 				}

@@ -148,9 +148,10 @@ func (ep conformanceEndpoint) do(t *testing.T, method, body, rid string) (*http.
 // TestEdgeConformance sends the same requests to the three batch endpoints
 // the two daemons serve and requires the same refusals from each: status,
 // Content-Type, the X-Request-ID echo, and the exact error body, recorded
-// from the binaries before the two HTTP tiers were folded into one edge. The
-// two /search endpoints must agree byte for byte; /shard/search differs only
-// where its request form does (its queries carry no names).
+// from the binaries before the two HTTP tiers were folded into one edge
+// (the over-long query's refusal came later). The two /search endpoints must
+// agree byte for byte; /shard/search differs only where its request form
+// does (its queries carry no names).
 func TestEdgeConformance(t *testing.T) {
 	eps := startConformanceDaemons(t, false)
 	_, _, queries := fixture(t)
@@ -159,6 +160,7 @@ func TestEdgeConformance(t *testing.T) {
 	for i := range overResidues {
 		overNames[i], overResidues[i] = "q"+strconv.Itoa(i), "MKT"
 	}
+	overLong := strings.Repeat("M", blast.MaxQueryLen+1)
 
 	for i, tc := range []struct {
 		name     string
@@ -179,6 +181,10 @@ func TestEdgeConformance(t *testing.T) {
 		{name: "MaxQueries+1", names: overNames, residues: overResidues,
 			status: http.StatusRequestEntityTooLarge,
 			want:   `{"error":"65 queries exceeds the per-request cap of 64","status":413}`},
+		{name: "query over MaxQueryLen", names: []string{"ok", "long"}, residues: []string{"MKT", overLong},
+			status: http.StatusRequestEntityTooLarge,
+			want:   `{"error":"query 1 (long): 1048579 residues exceeds the 1048578-residue limit","status":413}`,
+			shard:  `{"error":"query 1: 1048579 residues exceeds the 1048578-residue limit","status":413}`},
 		{name: "bad residue, named", names: []string{"ok", "bad"}, residues: []string{"MKT", "MK4T"},
 			status: http.StatusBadRequest,
 			want:   `{"error":"query 1 (bad): alphabet: invalid residue '4' at position 2","status":400}`,

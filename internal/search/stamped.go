@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"repro/internal/alphabet"
+	"repro/internal/ungapped"
 )
 
 // Slot is the width of a last-hit slot: uint16 for queries of at most
@@ -34,6 +35,11 @@ type StampedLastPos[S Slot] struct {
 // record carries offsets in 20 bits (hit.NewPair), which covers queries ~30x
 // longer than the largest known protein.
 const MaxQOff = 1<<20 - 1
+
+// Every query the last-hit slots serve must also fit the ungapped kernels'
+// packed positions; raising MaxQOff past ungapped.MaxQueryLen makes this
+// array length negative and the build fail.
+var _ [ungapped.MaxQueryLen - (MaxQOff + alphabet.W)]struct{}
 
 // MaxQOff16 is the largest query offset a uint16 slot can record.
 const MaxQOff16 = 1<<10 - 1

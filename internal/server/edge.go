@@ -310,9 +310,9 @@ type Batch struct {
 
 // DecodeBatch is the rest of a batch endpoint's preamble after Begin: decode
 // req, refuse what can never run (an undecodable or oversized body, an empty
-// or oversized batch, malformed residues), resolve the deadline, and stamp
-// query lengths and deadline on the edge span. On false the refusal is
-// written and the scope finished.
+// or oversized batch, a query over blast.MaxQueryLen, malformed residues),
+// resolve the deadline, and stamp query lengths and deadline on the edge
+// span. On false the refusal is written and the scope finished.
 func (sc *Scope) DecodeBatch(r *http.Request, req batchRequest) (Batch, bool) {
 	cfg := &sc.e.cfg
 	if err := decodeBody(sc.w, r, maxBodyBytes, req); err != nil {
@@ -329,15 +329,21 @@ func (sc *Scope) DecodeBatch(r *http.Request, req batchRequest) (Batch, bool) {
 	if b.invalid != "" {
 		return b, sc.Reject(reqtrace.OutcomeRejected, http.StatusBadRequest, "%s", b.invalid)
 	}
-	// Malformed sequences are refused before admission: a request that can
-	// never run must not occupy a queue slot.
+	// Over-long and malformed sequences are refused before admission: a
+	// request that can never run must not occupy a queue slot.
 	for i, res := range b.Residues {
-		if _, err := alphabet.Encode([]byte(res)); err != nil {
-			if b.Names != nil {
-				return b, sc.Reject(reqtrace.OutcomeRejected, http.StatusBadRequest, "query %d (%s): %v", i, b.Names[i], err)
-			}
-			return b, sc.Reject(reqtrace.OutcomeRejected, http.StatusBadRequest, "query %d: %v", i, err)
+		status, msg := http.StatusRequestEntityTooLarge, ""
+		if len(res) > blast.MaxQueryLen {
+			msg = fmt.Sprintf("%d residues exceeds the %d-residue limit", len(res), blast.MaxQueryLen)
+		} else if _, err := alphabet.Encode([]byte(res)); err != nil {
+			status, msg = http.StatusBadRequest, err.Error()
+		} else {
+			continue
 		}
+		if b.Names != nil {
+			return b, sc.Reject(reqtrace.OutcomeRejected, status, "query %d (%s): %s", i, b.Names[i], msg)
+		}
+		return b, sc.Reject(reqtrace.OutcomeRejected, status, "query %d: %s", i, msg)
 	}
 	if b.Timeout <= 0 {
 		b.Timeout = cfg.DefaultTimeout

@@ -162,6 +162,29 @@ func TestSearchEndpointIdentity(t *testing.T) {
 	}
 }
 
+// TestSearchRefusesAnOverlongQuery: a query past blast.MaxQueryLen is
+// refused 413 before admission, naming the query and the limit: it takes no
+// queue slot and no run token, and the next request is served.
+func TestSearchRefusesAnOverlongQuery(t *testing.T) {
+	f := newFixture(t)
+	srv, base := f.start(t, Config{})
+	long := strings.Repeat(f.query, blast.MaxQueryLen/len(f.query)+1)[:blast.MaxQueryLen+1]
+	resp, data := postJSON(t, base+"/search", SearchRequest{
+		Queries: []QueryInput{{Name: "q", Residues: f.query}, {Name: "long", Residues: long}},
+	})
+	want := fmt.Sprintf("query 1 (long): %d residues exceeds the %d-residue limit", len(long), blast.MaxQueryLen)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(data), want) {
+		t.Fatalf("over-long query: status %d (%s), want 413 saying %q", resp.StatusCode, data, want)
+	}
+	if n, d := srv.met.Admitted.Value(), srv.adm.depth(); n != 0 || d != 0 {
+		t.Fatalf("over-long query reached admission: requests_admitted %d, queue depth %d", n, d)
+	}
+	searchOnce(t, base, f.query)
+	if n := srv.met.Admitted.Value(); n != 1 {
+		t.Errorf("requests_admitted = %d after one good request, want 1", n)
+	}
+}
+
 // TestReloadEndpoint: a valid replacement swaps generations and serves the
 // new database; a corrupt one is rejected 422 with the old still serving.
 func TestReloadEndpoint(t *testing.T) {

@@ -16,9 +16,8 @@ import (
 // engine runs it. (512 seeds cycled over a 4096-residue subject, as this file used
 // to draw, measure a trained predictor: every X-drop exit repeats every 512
 // calls and the kernels' real cost — the unpredictable exit — disappears.)
-func benchSeeds(tb testing.TB) (*matrix.Matrix, *matrix.Profile, []alphabet.Code, []alphabet.Code, [][3]int) {
+func benchSeeds(tb testing.TB) (*matrix.Profile, []alphabet.Code, [][3]int) {
 	tb.Helper()
-	m := matrix.Blosum62
 	rng := rand.New(rand.NewSource(42))
 	randSeq := func(n int) []alphabet.Code {
 		s := make([]alphabet.Code, n)
@@ -29,7 +28,7 @@ func benchSeeds(tb testing.TB) (*matrix.Matrix, *matrix.Profile, []alphabet.Code
 	}
 	q := randSeq(300)
 	s := randSeq(1 << 17)
-	prof := matrix.NewProfile(m, q)
+	prof := matrix.NewProfile(matrix.Blosum62, q)
 	seeds := make([][3]int, 1<<16)
 	for i := range seeds {
 		seeds[i] = [3]int{
@@ -38,16 +37,15 @@ func benchSeeds(tb testing.TB) (*matrix.Matrix, *matrix.Profile, []alphabet.Code
 			rng.Intn(DefaultWindow - alphabet.W),
 		}
 	}
-	return m, prof, q, s, seeds
+	return prof, s, seeds
 }
 
-// BenchmarkUngappedExtend pits the two profile kernels — the coordinates
-// walk and the score-only reject walk — against the matrix-indexed reference
-// on the same seed set at the engine's X-drop; the profile paths must also be
-// allocation free (pinned by TestUngappedExtendZeroAlloc and
-// TestUngappedExtendScoreZeroAlloc).
+// BenchmarkUngappedExtend times the two kernels — the coordinates walk and
+// the score-only reject walk — on the same seed set at the engine's X-drop;
+// both must also be allocation free (pinned by TestUngappedExtendZeroAlloc
+// and TestUngappedExtendScoreZeroAlloc).
 func BenchmarkUngappedExtend(b *testing.B) {
-	m, prof, q, s, seeds := benchSeeds(b)
+	prof, s, seeds := benchSeeds(b)
 	xDrop := DefaultXDrop
 
 	b.Run("profile", func(b *testing.B) {
@@ -70,16 +68,6 @@ func BenchmarkUngappedExtend(b *testing.B) {
 		}
 		benchSink = sink
 	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		sink := 0
-		for i := 0; i < b.N; i++ {
-			sd := seeds[i%len(seeds)]
-			ext, _ := Extend(m, q, s, sd[0], sd[1], xDrop, sd[2])
-			sink += ext.Score
-		}
-		benchSink = sink
-	})
 }
 
 var benchSink int
@@ -88,7 +76,7 @@ var benchSink int
 // contract: the decoupled pipeline calls it tens of millions of times per
 // batch and any per-call allocation would dominate the stage budget.
 func TestUngappedExtendZeroAlloc(t *testing.T) {
-	_, prof, _, s, seeds := benchSeeds(t)
+	prof, s, seeds := benchSeeds(t)
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, sd := range seeds[:32] {
 			ExtendProfile(prof, s, sd[0], sd[1], 20, sd[2])
@@ -102,7 +90,7 @@ func TestUngappedExtendZeroAlloc(t *testing.T) {
 // TestUngappedExtendScoreZeroAlloc is the same contract for the score-only
 // walk, which now runs for every pair the extension stage sees.
 func TestUngappedExtendScoreZeroAlloc(t *testing.T) {
-	_, prof, _, s, seeds := benchSeeds(t)
+	prof, s, seeds := benchSeeds(t)
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, sd := range seeds[:32] {
 			score, _ := ExtendScore(prof, s, sd[0], sd[1], 20, sd[2])

@@ -35,6 +35,52 @@ func randSeq(rng *rand.Rand, n int) []alphabet.Code {
 	return s
 }
 
+// Extend is the oracle of the ungapped kernels: ExtendProfile's two-hit
+// extension (the seed word, the left walk, and the right walk only when the
+// left walk's best prefix is at least need long) written straight from its
+// definition, scoring each cell through the matrix and keeping the best with
+// a strict-greater update and an else-branch drop test. It holds for any
+// xDrop and any length; the kernels must return exactly what it returns.
+func Extend(m *matrix.Matrix, q, s []alphabet.Code, qOff, sOff, xDrop, need int) (ext Ext, reach bool) {
+	// Seed word score.
+	word := 0
+	for k := 0; k < alphabet.W; k++ {
+		word += m.Score(q[qOff+k], s[sOff+k])
+	}
+	// Left extension.
+	leftBest, cum := 0, 0
+	qStart := qOff
+	for i, j := qOff-1, sOff-1; i >= 0 && j >= 0; i, j = i-1, j-1 {
+		cum += m.Score(q[i], s[j])
+		if cum > leftBest {
+			leftBest = cum
+			qStart = i
+		} else if cum <= leftBest-xDrop {
+			break
+		}
+	}
+	reach = qOff-qStart >= need
+	// Right extension.
+	rightBest, cum := 0, 0
+	qEnd := qOff + alphabet.W
+	for i, j := qOff+alphabet.W, sOff+alphabet.W; reach && i < len(q) && j < len(s); i, j = i+1, j+1 {
+		cum += m.Score(q[i], s[j])
+		if cum > rightBest {
+			rightBest = cum
+			qEnd = i + 1
+		} else if cum <= rightBest-xDrop {
+			break
+		}
+	}
+	return Ext{
+		Score:  leftBest + word + rightBest,
+		QStart: qStart,
+		QEnd:   qEnd,
+		SStart: qStart - qOff + sOff,
+		SEnd:   qEnd - qOff + sOff,
+	}, reach
+}
+
 // agreeKernels requires ExtendProfile and ExtendScore to return what the
 // reference Extend returns for one seed: the same alignment, the same score
 // and the same reach.
@@ -133,64 +179,60 @@ func TestExtendScoreEdgeSweep(t *testing.T) {
 	}
 }
 
-// TestCanonDispatch pins Canon's kernel selection: with a profile attached
-// and parameters inside the packed form's envelope it must produce the same
-// extensions as the bare reference Canon, and outside the envelope (XDrop 0)
-// it must fall back rather than run the packed form whose drop test needs a
-// positive margin.
-func TestCanonDispatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	m := randMatrix(t, rng)
-	q := randSeq(rng, 120)
-	s := randSeq(rng, 300)
+// TestExtendPositionsPast16Bits drives the kernels where a walk's packed
+// position needs more than 16 bits: a 70 000-residue query and subject, with
+// seeds whose left walk starts more than 0xFFFF cells from the sequence
+// starts or whose right walk has more than 0xFFFF cells ahead of it. A
+// position field of 16 bits carries into the score there.
+func TestExtendPositionsPast16Bits(t *testing.T) {
+	const n = 70000
+	rng := rand.New(rand.NewSource(5))
+	m := matrix.Blosum62
+	q, s := randSeq(rng, n), randSeq(rng, n)
 	prof := matrix.NewProfile(m, q)
-	for _, xDrop := range []int{0, 1, 16} {
-		p := Params{Window: 40, XDrop: xDrop, Trigger: 20}
-		ref := Canon{P: p, Matrix: m}
-		fast := Canon{P: p, Matrix: m, Prof: prof}
-		var dr, df DiagState
-		dr.Reset()
-		df.Reset()
-		for i := 0; i < 200; i++ {
-			qOff := rng.Intn(len(q) - alphabet.W + 1)
-			sOff := rng.Intn(len(s) - alphabet.W + 1)
-			er, pr, xr, kr := ref.Step(&dr, q, s, qOff, sOff)
-			ef, pf, xf, kf := fast.Step(&df, q, s, qOff, sOff)
-			if er != ef || pr != pf || xr != xf || kr != kf {
-				t.Fatalf("xDrop=%d step %d: ref (%+v %v %v %v) vs prof (%+v %v %v %v)",
-					xDrop, i, er, pr, xr, kr, ef, pf, xf, kf)
-			}
+	far := 0xFFFF + 1               // left walks from here have positions past 0xFFFF
+	near := n - alphabet.W - 0xFFFF // right walks from below here do
+	for i := 0; i < 2000; i++ {
+		if i%2 == 0 {
+			qOff, sOff := far+rng.Intn(n-alphabet.W-far+1), far+rng.Intn(n-alphabet.W-far+1)
+			agreeKernels(t, m, prof, q, s, qOff, sOff, DefaultXDrop, rng.Intn(DefaultWindow-alphabet.W))
+		} else {
+			agreeKernels(t, m, prof, q, s, rng.Intn(near), rng.Intn(near), DefaultXDrop, 0)
 		}
 	}
 }
 
-// FuzzExtendEquivalence fuzzes the profile kernels against the reference:
-// the fuzzer controls both sequences, the seed offsets, the X-drop and the
-// need, and Extend, ExtendProfile and ExtendScore must agree on score,
-// coordinates and reach. Run under `make fuzz` for a fixed budget.
+// FuzzExtendEquivalence fuzzes the profile kernels against the oracle: the
+// fuzzer controls both sequences, the number of times each is repeated
+// (tiles, so that walks can run past 0xFFFF cells), the seed offsets, the
+// X-drop and the need, and Extend, ExtendProfile and ExtendScore must agree
+// on score, coordinates and reach. Run under `make fuzz` for a fixed budget.
 func FuzzExtendEquivalence(f *testing.F) {
-	f.Add([]byte("MKVLAARTWQ"), []byte("MKVLHARTWQNDEC"), 2, 3, 16, 0)
-	f.Add([]byte("AAAAAAA"), []byte("AAAAAAAAAA"), 0, 0, 1, 0)
-	f.Add([]byte("WWWCCCHHHMMM"), []byte("WWWCCCHHHMMM"), 4, 4, 7, 2)
+	f.Add([]byte("MKVLAARTWQ"), []byte("MKVLHARTWQNDEC"), 1, 2, 3, 16, 0)
+	f.Add([]byte("AAAAAAA"), []byte("AAAAAAAAAA"), 1, 0, 0, 1, 0)
+	f.Add([]byte("WWWCCCHHHMMM"), []byte("WWWCCCHHHMMM"), 1, 4, 4, 7, 2)
 	// A need beyond the left walk (qOff 5 leaves 5 residues), and one the
 	// X-drop cuts off first: W against C drops 2 a cell, 4 cells before 9.
-	f.Add([]byte("MKVLAHHHRTWQ"), []byte("MKVLAHHHRTWQ"), 5, 5, 16, 6)
-	f.Add([]byte("WWWWWWWWWWHHHKLM"), []byte("CCCCCCCCCCHHHKLM"), 10, 10, 8, 9)
+	f.Add([]byte("MKVLAHHHRTWQ"), []byte("MKVLAHHHRTWQ"), 1, 5, 5, 16, 6)
+	f.Add([]byte("WWWWWWWWWWHHHKLM"), []byte("CCCCCCCCCCHHHKLM"), 1, 10, 10, 8, 9)
+	// 70 000 residues a side: the left walk starts 69 002 cells from the
+	// sequence starts.
+	f.Add([]byte("ARNDCQEGHILKMFPSTWYV"), []byte("ARNDCQEGHILKMFPSTWYVA"), 3500, 69002, 69002, 16, 0)
 	m := matrix.Blosum62
-	f.Fuzz(func(t *testing.T, qb, sb []byte, qOff, sOff, xDrop, need int) {
+	f.Fuzz(func(t *testing.T, qb, sb []byte, tiles, qOff, sOff, xDrop, need int) {
 		if len(qb) < alphabet.W || len(sb) < alphabet.W {
 			return
 		}
-		if len(qb) > 2048 || len(sb) > 4096 {
+		if len(qb) > 2048 || len(sb) > 4096 || tiles < 1 || tiles > 1<<17 || len(qb)*tiles > 1<<17 || len(sb)*tiles > 1<<17 {
 			return
 		}
-		q := make([]alphabet.Code, len(qb))
-		for i, b := range qb {
-			q[i] = alphabet.Code(int(b) % alphabet.Size)
+		q := make([]alphabet.Code, len(qb)*tiles)
+		for i := range q {
+			q[i] = alphabet.Code(int(qb[i%len(qb)]) % alphabet.Size)
 		}
-		s := make([]alphabet.Code, len(sb))
-		for i, b := range sb {
-			s[i] = alphabet.Code(int(b) % alphabet.Size)
+		s := make([]alphabet.Code, len(sb)*tiles)
+		for i := range s {
+			s[i] = alphabet.Code(int(sb[i%len(sb)]) % alphabet.Size)
 		}
 		if qOff < 0 || qOff+alphabet.W > len(q) || sOff < 0 || sOff+alphabet.W > len(s) {
 			return

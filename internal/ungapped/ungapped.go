@@ -9,7 +9,9 @@
 // The same kernels and the same two-hit semantics (Canon) are used by every
 // pipeline in this repository — query-indexed, db-indexed interleaved, and
 // muBLASTP — which is what makes the Section V-E verification (identical
-// outputs at every stage) hold by construction.
+// outputs at every stage) hold by construction. Every kernel scores through
+// a query profile (matrix.Profile), for every query length up to MaxQueryLen;
+// the matrix-indexed walk they are pinned against lives in the tests only.
 package ungapped
 
 import (
@@ -25,7 +27,8 @@ type Params struct {
 	Window int
 	// XDrop stops extension when the running score falls this far below
 	// the best score seen (raw score units; BLASTP default ~16 raw for
-	// the 7-bit ungapped X-drop under BLOSUM62).
+	// the 7-bit ungapped X-drop under BLOSUM62). It must be at least 1: the
+	// kernels' branchless drop test needs a strictly positive margin.
 	XDrop int
 	// Trigger is the least raw score an ungapped alignment needs to be kept
 	// and handed to the gapped stage (Algorithm 1's thresholdT; NCBI's
@@ -53,65 +56,38 @@ type Ext struct {
 	SEnd   int
 }
 
-// Extend runs the two-hit ungapped extension seeded at the second hit's word
-// (qOff, sOff): the W seed residues always belong to the alignment, the left
-// extension walks from qOff-1 toward the sequence starts keeping its best
-// prefix under the X-drop rule, and the right extension from qOff+W toward
-// the ends runs only if that best prefix is at least need residues long —
-// when it reaches the end of the first hit's word, need = dist - W for a
-// first hit dist offsets before the second (NCBI's rule). reach reports
-// whether it did; without it the alignment ends with the seed word. need <= 0
-// always reaches.
-func Extend(m *matrix.Matrix, q, s []alphabet.Code, qOff, sOff, xDrop, need int) (ext Ext, reach bool) {
-	// Seed word score.
-	word := 0
-	for k := 0; k < alphabet.W; k++ {
-		word += m.Score(q[qOff+k], s[sOff+k])
-	}
-	// Left extension.
-	leftBest, cum := 0, 0
-	qStart := qOff
-	for i, j := qOff-1, sOff-1; i >= 0 && j >= 0; i, j = i-1, j-1 {
-		cum += m.Score(q[i], s[j])
-		if cum > leftBest {
-			leftBest = cum
-			qStart = i
-		} else if cum <= leftBest-xDrop {
-			break
-		}
-	}
-	reach = qOff-qStart >= need
-	// Right extension.
-	rightBest, cum := 0, 0
-	qEnd := qOff + alphabet.W
-	for i, j := qOff+alphabet.W, sOff+alphabet.W; reach && i < len(q) && j < len(s); i, j = i+1, j+1 {
-		cum += m.Score(q[i], s[j])
-		if cum > rightBest {
-			rightBest = cum
-			qEnd = i + 1
-		} else if cum <= rightBest-xDrop {
-			break
-		}
-	}
-	return Ext{
-		Score:  leftBest + word + rightBest,
-		QStart: qStart,
-		QEnd:   qEnd,
-		SStart: qStart - qOff + sOff,
-		SEnd:   qEnd - qOff + sOff,
-	}, reach
-}
+// posBits is the width of the position ExtendProfile packs under the running
+// best score, and noPos, the all-ones field, the sentinel that no position
+// reaches. A walk's positions run 1..len(q)-W, so every query up to
+// MaxQueryLen fits; scores stay far below the 2^42 the rest of an int64
+// leaves them.
+const (
+	posBits = 21
+	noPos   = 1<<posBits - 1
+)
 
-// ExtendProfile is Extend rewritten around a query profile (flattened PSSM,
-// see matrix.Profile): scoring a cell is one slice index off the subject
-// residue, the query is never reloaded inside the loops, and the X-drop test
-// runs without the reference kernel's else-branch. It returns exactly what
-// Extend(m, q, s, qOff, sOff, xDrop, need) returns for the matrix the
-// profile was built from, for any xDrop >= 1 and query length < 0xFFFF (the
-// branch restructuring — best score and best position packed into one
-// max-updated word, drop test against its high bits — needs a strictly
-// positive drop margin and a position that fits 16 bits; Canon falls back to
-// Extend otherwise, and the equivalence property tests pin both paths).
+// MaxQueryLen is the longest query the ungapped kernels address: every
+// position a walk packs stays below the sentinel noPos. internal/search ties
+// its last-hit limit to it at compile time.
+const MaxQueryLen = noPos - 1 + alphabet.W
+
+// ExtendProfile runs the two-hit ungapped extension seeded at the second
+// hit's word (qOff, sOff) over a query profile (flattened PSSM, see
+// matrix.Profile): the W seed residues always belong to the alignment, the
+// left extension walks from qOff-1 toward the sequence starts keeping its
+// best prefix under the X-drop rule, and the right extension from qOff+W
+// toward the ends runs only if that best prefix is at least need residues
+// long — when it reaches the end of the first hit's word, need = dist - W
+// for a first hit dist offsets before the second (NCBI's rule). reach
+// reports whether it did; without it the alignment ends with the seed word.
+// need <= 0 always reaches.
+//
+// Scoring a cell is one slice index off the subject residue, the query is
+// never reloaded inside the loops, and the X-drop test runs without an
+// else-branch: best score and best position are packed into one max-updated
+// word and the drop test reads its high bits, which needs xDrop >= 1 and a
+// query of at most MaxQueryLen residues. The tests pin it cell for cell to
+// the matrix-indexed walk it was rewritten from.
 func ExtendProfile(p *matrix.Profile, s []alphabet.Code, qOff, sOff, xDrop, need int) (ext Ext, reach bool) {
 	rows := p.Scores
 	qLen := p.QLen
@@ -133,39 +109,38 @@ func ExtendProfile(p *matrix.Profile, s []alphabet.Code, qOff, sOff, xDrop, need
 	sl := s[sOff-n : sOff]
 	base = (qOff - 1) * alphabet.Size
 	// The running best is one packed word, max-updated every step: score in
-	// the high bits, i+1 in the low 16 so that score ties resolve to the
-	// earliest position — exactly the reference's strict-greater update. The
-	// single max compiles to a conditional move, leaving the X-drop exit as
-	// the loop's only branch; on real hit streams the best-update branch is
-	// unpredictable and this is the difference between ~135ns and ~95ns per
-	// extension. Requires positions < 0xFFFF and |score| < 2^47; Canon.extend
-	// guards the query length.
+	// the high bits, i+1 in the low posBits so that score ties resolve to the
+	// earliest position — exactly the matrix-indexed walk's strict-greater
+	// update. The single max compiles to a conditional move, leaving the
+	// X-drop exit as the loop's only branch; on real hit streams the
+	// best-update branch is unpredictable and this is the difference between
+	// ~135ns and ~95ns per extension.
 	//
 	// nearPacked is the best over the cells short of need (k < need, i.e.
 	// i > far), copied by another conditional move: the best prefix is at
 	// least need long exactly when a later cell raised the best past it.
-	bestPacked := int64(0xFFFF)
+	bestPacked := int64(noPos)
 	nearPacked := bestPacked
 	far := n - need
 	cum := 0
 	for i := len(sl) - 1; i >= 0; i-- {
 		cum += int(rows[base+int(sl[i])])
 		base -= alphabet.Size
-		packed := int64(cum)<<16 + int64(i+1)
+		packed := int64(cum)<<posBits + int64(i+1)
 		if packed > bestPacked {
 			bestPacked = packed
 		}
 		if i > far {
 			nearPacked = bestPacked
 		}
-		if cum <= int(bestPacked>>16)-xDrop {
+		if cum <= int(bestPacked>>posBits)-xDrop {
 			break
 		}
 	}
 	reach = need <= 0 || bestPacked > nearPacked
-	leftBest := int(bestPacked >> 16)
+	leftBest := int(bestPacked >> posBits)
 	leftK := 0
-	if low := int(bestPacked & 0xFFFF); low != 0xFFFF {
+	if low := int(bestPacked & noPos); low != noPos {
 		leftK = n + 1 - low
 	}
 
@@ -180,22 +155,22 @@ func ExtendProfile(p *matrix.Profile, s []alphabet.Code, qOff, sOff, xDrop, need
 	}
 	sr := s[sOff+alphabet.W : sOff+alphabet.W+n]
 	base = (qOff + alphabet.W) * alphabet.Size
-	bestPacked = int64(0xFFFF)
+	bestPacked = int64(noPos)
 	cum = 0
 	for k, c := range sr {
 		cum += int(rows[base+int(c)])
 		base += alphabet.Size
-		packed := int64(cum)<<16 + int64(n-k) // decreasing in k: ties keep the earlier k
+		packed := int64(cum)<<posBits + int64(n-k) // decreasing in k: ties keep the earlier k
 		if packed > bestPacked {
 			bestPacked = packed
 		}
-		if cum <= int(bestPacked>>16)-xDrop {
+		if cum <= int(bestPacked>>posBits)-xDrop {
 			break
 		}
 	}
-	rightBest := int(bestPacked >> 16)
+	rightBest := int(bestPacked >> posBits)
 	rightK := 0
-	if low := int(bestPacked & 0xFFFF); low != 0xFFFF {
+	if low := int(bestPacked & noPos); low != noPos {
 		rightK = n + 1 - low
 	}
 
@@ -247,10 +222,10 @@ func ExtendScore(p *matrix.Profile, s []alphabet.Code, qOff, sOff, xDrop, need i
 // subject window ending at the seed, base the profile row of the query
 // residue facing sl's last element, and each step moves one residue and one
 // row toward the sequence starts. With xDrop >= 1 "best = max(best, cum);
-// stop when cum <= best-xDrop" takes the reference's decisions cell for cell
-// (a cell that raises the best cannot also trip the drop test). near is the
-// best over the cells at i > far, those short of the need: the best prefix
-// reaches the need exactly when best > near.
+// stop when cum <= best-xDrop" takes the matrix-indexed walk's decisions
+// cell for cell (a cell that raises the best cannot also trip the drop test).
+// near is the best over the cells at i > far, those short of the need: the
+// best prefix reaches the need exactly when best > near.
 //
 // The walkers are kept out of line on purpose: inlined into ExtendScore the
 // register allocator spills cum and best to the stack inside this loop — the
@@ -309,29 +284,16 @@ func walkRight(rows []int8, base int, sr []alphabet.Code, xDrop int) int {
 //     on the diagonal (extReached > qOff) is skipped;
 //   - otherwise the pair is extended from the second hit: left first, and
 //     right only if the left walk's best reaches the end of the first hit's
-//     word (need = dist - W residues left of the seed, see Extend);
+//     word (need = dist - W residues left of the seed, see ExtendProfile);
 //   - after an extension that reached and scored at least Trigger, the
 //     diagonal's reached position advances to the extension end; otherwise
 //     to the hit offset — NCBI flags no diagonal it did not extend right.
 type Canon struct {
-	P      Params
-	Matrix *matrix.Matrix
-	// Prof, when non-nil, must be the query profile of the q every Extend*
-	// call receives; extensions then run the profile kernel (ExtendProfile)
-	// instead of the matrix-indexed reference. Output is identical either
-	// way — the fast path is an implementation choice, not a semantic one.
+	P Params
+	// Prof is the profile of the query whose hits the state machine is fed;
+	// every extension runs ExtendProfile over it. Only PairCheck runs
+	// without one.
 	Prof *matrix.Profile
-}
-
-// extend dispatches one ungapped extension to the profile kernel when a
-// profile is attached and the parameters permit the packed branchless form
-// (strictly positive X-drop margin, query offset fits 16 bits), falling
-// back to the reference kernel otherwise.
-func (c *Canon) extend(q, s []alphabet.Code, qOff, sOff, need int) (Ext, bool) {
-	if c.Prof != nil && c.P.XDrop >= 1 && c.Prof.QLen < 0xFFFF {
-		return ExtendProfile(c.Prof, s, qOff, sOff, c.P.XDrop, need)
-	}
-	return Extend(c.Matrix, q, s, qOff, sOff, c.P.XDrop, need)
 }
 
 // DiagState is the per-diagonal state: the last hit offset seen (for
@@ -375,11 +337,11 @@ func (c *Canon) PairCheck(d *DiagState, qOff int) bool {
 // keep reports whether the extension met the Trigger score. This is
 // Algorithm 1 lines 15–25 with NCBI's extension rule, shared verbatim between
 // the interleaved and decoupled pipelines.
-func (c *Canon) ExtendPair(d *DiagState, q, s []alphabet.Code, qOff, sOff, dist int) (ext Ext, extended, keep bool) {
+func (c *Canon) ExtendPair(d *DiagState, s []alphabet.Code, qOff, sOff, dist int) (ext Ext, extended, keep bool) {
 	if d.ExtReached > int32(qOff) {
 		return Ext{}, false, false // covered by a previous extension
 	}
-	ext, reach := c.extend(q, s, qOff, sOff, dist-alphabet.W)
+	ext, reach := ExtendProfile(c.Prof, s, qOff, sOff, c.P.XDrop, dist-alphabet.W)
 	d.ExtReached = int32(qOff)
 	if ext.Score < c.P.Trigger {
 		return ext, true, false
@@ -395,11 +357,11 @@ func (c *Canon) ExtendPair(d *DiagState, q, s []alphabet.Code, qOff, sOff, dist 
 // extension-stage logic — the interleaved execution of the NCBI pipelines.
 // paired reports the two-hit test outcome, extended whether an extension
 // ran, keep whether it met the Trigger score.
-func (c *Canon) Step(d *DiagState, q, s []alphabet.Code, qOff, sOff int) (ext Ext, paired, extended, keep bool) {
+func (c *Canon) Step(d *DiagState, s []alphabet.Code, qOff, sOff int) (ext Ext, paired, extended, keep bool) {
 	dist := qOff - int(d.LastPos) // to the stored hit, before PairCheck replaces it
 	if !c.PairCheck(d, qOff) {
 		return Ext{}, false, false, false
 	}
-	ext, extended, keep = c.ExtendPair(d, q, s, qOff, sOff, dist)
+	ext, extended, keep = c.ExtendPair(d, s, qOff, sOff, dist)
 	return ext, true, extended, keep
 }

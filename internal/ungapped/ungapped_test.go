@@ -11,9 +11,12 @@ import (
 
 func enc(s string) []alphabet.Code { return alphabet.MustEncode(s) }
 
+// blosum62 is the BLOSUM62 profile of q, what Canon and the kernels take.
+func blosum62(q []alphabet.Code) *matrix.Profile { return matrix.NewProfile(matrix.Blosum62, q) }
+
 func TestExtendIdenticalSequences(t *testing.T) {
 	q := enc("ARNDCQEGHILKMFPSTWYV")
-	e, _ := Extend(matrix.Blosum62, q, q, 8, 8, 16, 0)
+	e, _ := ExtendProfile(blosum62(q), q, 8, 8, 16, 0)
 	// Identical sequences: the extension should cover everything.
 	if e.QStart != 0 || e.QEnd != len(q) || e.SStart != 0 || e.SEnd != len(q) {
 		t.Errorf("extension [%d,%d)x[%d,%d), want full cover", e.QStart, e.QEnd, e.SStart, e.SEnd)
@@ -29,7 +32,7 @@ func TestExtendStopsAtXDrop(t *testing.T) {
 	// run of them exceeds any reasonable X-drop.
 	q := enc("WWWWWWWWWW" + "HHH" + "WWWWWWWWWW")
 	s := enc("CCCCCCCCCC" + "HHH" + "CCCCCCCCCC")
-	e, _ := Extend(matrix.Blosum62, q, s, 10, 10, 5, 0)
+	e, _ := ExtendProfile(blosum62(q), s, 10, 10, 5, 0)
 	if e.QStart != 10 || e.QEnd != 13 {
 		t.Errorf("extension [%d,%d), want exactly the seed [10,13)", e.QStart, e.QEnd)
 	}
@@ -41,7 +44,7 @@ func TestExtendStopsAtXDrop(t *testing.T) {
 func TestExtendRespectsSequenceBounds(t *testing.T) {
 	q := enc("HHH")
 	s := enc("AAHHHAA")
-	e, _ := Extend(matrix.Blosum62, q, s, 0, 2, 16, 0)
+	e, _ := ExtendProfile(blosum62(q), s, 0, 2, 16, 0)
 	if e.QStart < 0 || e.QEnd > len(q) || e.SStart < 0 || e.SEnd > len(s) {
 		t.Errorf("extension out of bounds: %+v", e)
 	}
@@ -55,7 +58,7 @@ func TestExtendDiagonalConsistency(t *testing.T) {
 	q := g.Sequence(200)
 	s := g.Sequence(300)
 	for _, off := range []struct{ q, s int }{{0, 0}, {50, 80}, {197, 297}, {10, 0}, {0, 10}} {
-		e, _ := Extend(matrix.Blosum62, q, s, off.q, off.s, 16, 0)
+		e, _ := ExtendProfile(blosum62(q), s, off.q, off.s, 16, 0)
 		if e.QEnd-e.QStart != e.SEnd-e.SStart {
 			t.Errorf("offsets %v: extension lengths differ: %+v", off, e)
 		}
@@ -81,7 +84,7 @@ func TestExtendScoreNeverBelowSeedBest(t *testing.T) {
 	s := g.Sequence(100)
 	for qo := 0; qo+alphabet.W <= len(q); qo += 7 {
 		for so := 0; so+alphabet.W <= len(s); so += 13 {
-			e, _ := Extend(matrix.Blosum62, q, s, qo, so, 16, 0)
+			e, _ := ExtendProfile(blosum62(q), s, qo, so, 16, 0)
 			seed := 0
 			for k := 0; k < alphabet.W; k++ {
 				seed += matrix.Blosum62.Score(q[qo+k], s[so+k])
@@ -94,44 +97,44 @@ func TestExtendScoreNeverBelowSeedBest(t *testing.T) {
 }
 
 func TestCanonPairsWithinWindow(t *testing.T) {
-	c := &Canon{P: Params{Window: 40, XDrop: 16, Trigger: 10000}, Matrix: matrix.Blosum62}
 	q := enc("HHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHH")
 	s := q
+	c := &Canon{P: Params{Window: 40, XDrop: 16, Trigger: 10000}, Prof: blosum62(q)}
 	var d DiagState
 	d.Reset()
 	// First hit never extends.
-	if _, _, extended, _ := c.Step(&d, q, s, 0, 0); extended {
+	if _, _, extended, _ := c.Step(&d, s, 0, 0); extended {
 		t.Error("first hit extended")
 	}
 	// Second hit within window extends.
-	if _, _, extended, _ := c.Step(&d, q, s, 10, 10); !extended {
+	if _, _, extended, _ := c.Step(&d, s, 10, 10); !extended {
 		t.Error("paired hit did not extend")
 	}
 }
 
 func TestCanonWindowBoundary(t *testing.T) {
 	q := enc("HHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHH")
-	c := &Canon{P: Params{Window: 10, XDrop: 16, Trigger: 10000}, Matrix: matrix.Blosum62}
+	c := &Canon{P: Params{Window: 10, XDrop: 16, Trigger: 10000}, Prof: blosum62(q)}
 	var d DiagState
 	d.Reset()
-	c.Step(&d, q, q, 0, 0)
+	c.Step(&d, q, 0, 0)
 	// Distance exactly equal to the window does NOT pair (strict <).
-	if _, _, extended, _ := c.Step(&d, q, q, 10, 10); extended {
+	if _, _, extended, _ := c.Step(&d, q, 10, 10); extended {
 		t.Error("distance == window paired")
 	}
 	// But it becomes the new last hit: a hit 9 later pairs with it.
-	if _, _, extended, _ := c.Step(&d, q, q, 19, 19); !extended {
+	if _, _, extended, _ := c.Step(&d, q, 19, 19); !extended {
 		t.Error("hit within window of updated last hit did not pair")
 	}
 }
 
 func TestCanonZeroDistanceDoesNotPair(t *testing.T) {
 	q := enc("HHHHHHHHHH")
-	c := &Canon{P: Params{Window: 40, XDrop: 16, Trigger: 41}, Matrix: matrix.Blosum62}
+	c := &Canon{P: Params{Window: 40, XDrop: 16, Trigger: 41}, Prof: blosum62(q)}
 	var d DiagState
 	d.Reset()
-	c.Step(&d, q, q, 3, 3)
-	if _, _, extended, _ := c.Step(&d, q, q, 3, 3); extended {
+	c.Step(&d, q, 3, 3)
+	if _, _, extended, _ := c.Step(&d, q, 3, 3); extended {
 		t.Error("duplicate hit at the same offset paired with itself")
 	}
 }
@@ -140,12 +143,12 @@ func TestCanonSkipsCoveredHits(t *testing.T) {
 	// Identical sequences: the first pair's extension covers everything, so
 	// later pairs on the diagonal must be skipped.
 	q := enc("HHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHHH")
-	c := &Canon{P: Params{Window: 40, XDrop: 16, Trigger: 41}, Matrix: matrix.Blosum62}
+	c := &Canon{P: Params{Window: 40, XDrop: 16, Trigger: 41}, Prof: blosum62(q)}
 	var d DiagState
 	d.Reset()
 	extCount := 0
 	for off := 0; off+alphabet.W <= len(q); off += 4 {
-		if _, _, extended, _ := c.Step(&d, q, q, off, off); extended {
+		if _, _, extended, _ := c.Step(&d, q, off, off); extended {
 			extCount++
 		}
 	}
@@ -160,16 +163,16 @@ func TestCanonSkipsCoveredHits(t *testing.T) {
 func TestCanonKeepsAtTrigger(t *testing.T) {
 	q := enc("WWWWWWWWWWHHHKLMWWWWWWWWWHHHWWWWWWWWWW")
 	s := enc("CCCCCCCCCCHHHKLMCCCCCCCCCHHHCCCCCCCCCC")
-	ext, _ := Extend(matrix.Blosum62, q, s, 10, 10, 16, 0)
+	ext, _ := ExtendProfile(blosum62(q), s, 10, 10, 16, 0)
 	score := ext.Score
 	for _, tc := range []struct {
 		trigger int
 		keep    bool
 	}{{score, true}, {score + 1, false}} {
-		c := &Canon{P: Params{Window: 40, XDrop: 16, Trigger: tc.trigger}, Matrix: matrix.Blosum62}
+		c := &Canon{P: Params{Window: 40, XDrop: 16, Trigger: tc.trigger}, Prof: blosum62(q)}
 		var d DiagState
 		d.Reset()
-		ext, extended, keep := c.ExtendPair(&d, q, s, 10, 10, alphabet.W)
+		ext, extended, keep := c.ExtendPair(&d, s, 10, 10, alphabet.W)
 		if !extended || ext.Score != score || keep != tc.keep {
 			t.Fatalf("Trigger %d: extended %v, score %d, keep %v; want score %d, keep %v",
 				tc.trigger, extended, ext.Score, keep, score, tc.keep)
@@ -189,11 +192,11 @@ func TestCanonKeepOnlyAboveTrigger(t *testing.T) {
 	// small, keep must be false, and extReached advances only to the hit.
 	q := enc("WWWWWWWWWWHHHWWWWWWWWWWHHHWWWWWWWWWW")
 	s := enc("CCCCCCCCCCHHHCCCCCCCCCCHHHCCCCCCCCCC")
-	c := &Canon{P: Params{Window: 40, XDrop: 5, Trigger: 41}, Matrix: matrix.Blosum62}
+	c := &Canon{P: Params{Window: 40, XDrop: 5, Trigger: 41}, Prof: blosum62(q)}
 	var d DiagState
 	d.Reset()
-	c.Step(&d, q, s, 10, 10)
-	ext, _, extended, keep := c.Step(&d, q, s, 23, 23)
+	c.Step(&d, s, 10, 10)
+	ext, _, extended, keep := c.Step(&d, s, 23, 23)
 	if !extended {
 		t.Fatal("second hit did not extend")
 	}
@@ -215,7 +218,7 @@ func TestCanonKeepOnlyAboveTrigger(t *testing.T) {
 func TestCanonWalksRightOnlyOnReach(t *testing.T) {
 	q := enc(strings.Repeat("H", 50))
 	s := enc(strings.Repeat("D", 18) + strings.Repeat("H", 32))
-	c := &Canon{P: Params{Window: 40, XDrop: 16, Trigger: 30}, Matrix: matrix.Blosum62}
+	c := &Canon{P: Params{Window: 40, XDrop: 16, Trigger: 30}, Prof: blosum62(q)}
 	for _, tc := range []struct {
 		first   int
 		want    Ext
@@ -226,8 +229,8 @@ func TestCanonWalksRightOnlyOnReach(t *testing.T) {
 	} {
 		var d DiagState
 		d.Reset()
-		c.Step(&d, q, s, tc.first, tc.first)
-		ext, paired, extended, keep := c.Step(&d, q, s, 20, 20)
+		c.Step(&d, s, tc.first, tc.first)
+		ext, paired, extended, keep := c.Step(&d, s, 20, 20)
 		if !paired || !extended || !keep || ext != tc.want {
 			t.Fatalf("first hit %d: %+v paired %v extended %v keep %v, want %+v kept", tc.first, ext, paired, extended, keep, tc.want)
 		}
