@@ -176,6 +176,53 @@ func TestSearchRefusesAnOverlongQuery(t *testing.T) {
 	}
 }
 
+// TestSelfSearchPastUngappedPosition16Bits is the engine-level pin of the
+// ungapped kernel's position field: a 70 000-residue random sequence, held
+// whole as one subject beside 20 random 300-residue decoys, searched against
+// itself walks ungapped extensions
+// whose best positions lie past 0xFFFF. The full-length self-hit alone cannot
+// see a narrower field (a truncated walk still lands on it), so the
+// extension counts are the pin.
+func TestSelfSearchPastUngappedPosition16Bits(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	random := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = alphabet.LetterFor(alphabet.Code(rng.Intn(20)))
+		}
+		return string(b)
+	}
+	const n = 70000
+	long := random(n)
+	seqs := []Sequence{{Name: "long", Residues: long}}
+	for i := 0; i < 20; i++ {
+		seqs = append(seqs, Sequence{Name: fmt.Sprintf("decoy%d", i), Residues: random(300)})
+	}
+	p := DefaultParams()
+	p.SplitLongerThan = -1
+	p.BlockResidues = 1 << 18
+	p.Threads = 1
+	db, err := NewDatabase(seqs, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Search(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Hits) == 0 {
+		t.Fatal("no hits for a self-search")
+	}
+	h := res.Hits[0]
+	if h.SubjectName != "long" || h.QueryStart != 0 || h.QueryEnd != n || h.SubjectStart != 0 || h.SubjectEnd != n || h.Identity != 1 {
+		t.Fatalf("top hit %s q[%d,%d) s[%d,%d) identity %v, want long [0,%d) on both sides, identity 1",
+			h.SubjectName, h.QueryStart, h.QueryEnd, h.SubjectStart, h.SubjectEnd, h.Identity, n)
+	}
+	if res.Stats.Extensions != 1771408 || res.Stats.Kept != 5973 {
+		t.Fatalf("ungapped extensions %d, kept %d; want 1 771 408 and 5 973", res.Stats.Extensions, res.Stats.Kept)
+	}
+}
+
 func TestLoadShortReadIsTypedCorruption(t *testing.T) {
 	db, _ := testDatabase(t)
 	var buf bytes.Buffer

@@ -19,12 +19,12 @@
 // E-values are computed against the whole logical database, the invariant
 // the byte-identical merge rests on.
 //
-// Every replica is wrapped in a resilience layer: /readyz health probing
-// with ejection and jittered-backoff readmission, a circuit breaker fed by
-// request-path failures, and a per-request retry budget. A shard has one
-// attempt in flight at a time: a retry starts only after the attempt before
-// it failed. /readyz on this daemon fails while any shard has zero healthy
-// replicas.
+// Every replica is wrapped in a resilience layer: one gate that takes the
+// replica out of rotation on a failed /readyz probe or on three consecutive
+// failed requests and readmits it after a jittered backoff, and a
+// per-request retry budget. A shard has one attempt in flight at a time: a
+// retry starts only after the attempt before it failed. /readyz on this
+// daemon fails while any shard has no replica in rotation.
 //
 // Endpoints (all on -addr):
 //
@@ -37,9 +37,9 @@
 //	                store's current base+delta manifest in turn, and the remote
 //	                coherence handshake refuses to serve a shard whose replicas
 //	                sit at different manifest commits until the roll completes
-//	GET  /replicas  per-replica lifecycle state (ejection, breaker)
+//	GET  /replicas  per-replica name, ejected (out of rotation), reason ("probe"/"requests")
 //	GET  /healthz   liveness; /readyz readiness (503 while draining or a shard
-//	                has no healthy replica)
+//	                has no replica in rotation)
 //	GET  /metrics, /debug/vars, /debug/pprof/  (the obs debug surface)
 //
 // A shard replica that is saturated sheds its part of a request; the
@@ -82,7 +82,7 @@ func run() error {
 	// Zero resilience values select router.ResilienceConfig's defaults.
 	var res router.ResilienceConfig
 	flag.DurationVar(&res.ProbeInterval, "probe-interval", 0, "health-probe interval for shard replicas (/readyz-driven ejection; 0 = default)")
-	flag.DurationVar(&res.ReadmitBackoff, "readmit-backoff", 0, "first readmission probe delay after an ejection (doubles, jittered, up to -readmit-backoff-max; 0 = default)")
+	flag.DurationVar(&res.ReadmitBackoff, "readmit-backoff", 0, "how long a replica stays out of rotation after a failed probe or three failed requests (doubles, jittered, up to -readmit-backoff-max, while it keeps failing; 0 = default)")
 	flag.DurationVar(&res.ReadmitBackoffMax, "readmit-backoff-max", 0, "readmission backoff ceiling (0 = default)")
 	flag.IntVar(&res.RetryBudget, "retry-budget", 0, "retries one request may spend across all shards (0 = default, -1 disables)")
 	flag.DurationVar(&res.RetryBackoff, "retry-backoff", 0, "pause before retry k, scaled by k (0 = default)")

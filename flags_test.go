@@ -100,7 +100,6 @@ var configFields = map[reflect.Type][]string{
 	reflect.TypeFor[router.RemoteOptions](): {},
 	reflect.TypeFor[router.ResilienceConfig](): {
 		"ProbeInterval", "ProbeTimeout", "ReadmitBackoff", "ReadmitBackoffMax",
-		"BreakerFailures", "BreakerWindow", "BreakerErrorRate", "BreakerCooldown",
 		"RetryBudget", "RetryBackoff",
 	},
 }

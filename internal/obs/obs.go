@@ -510,11 +510,9 @@ type RouterMetrics struct {
 
 	// Replica-lifecycle metrics (the resilience layer around each worker).
 	ReplicasHealthy *Gauge   // replicas currently in rotation
-	ReplicasEjected *Gauge   // replicas currently out of rotation (probe-failed)
-	Ejections       *Counter // health-probe ejections
-	Readmissions    *Counter // replicas readmitted after probe recovery
-	BreakerOpens    *Counter // circuit-breaker closed->open transitions
-	BreakerCloses   *Counter // circuit-breaker half-open->closed recoveries
+	ReplicasEjected *Gauge   // replicas currently out of rotation (failed probe or requests)
+	Ejections       *Counter // replicas taken out of rotation, either cause
+	Readmissions    *Counter // replicas returned to rotation
 	Retries         *Counter // retry attempts spent (beyond first attempts)
 	RetryBudgetDry  *Counter // retries forgone because the request budget was spent
 }
@@ -537,8 +535,6 @@ func NewRouterMetrics(r *Registry) *RouterMetrics {
 		ReplicasEjected: r.Gauge("router_replicas_ejected"),
 		Ejections:       r.Counter("router_replica_ejections"),
 		Readmissions:    r.Counter("router_replica_readmissions"),
-		BreakerOpens:    r.Counter("router_breaker_opens"),
-		BreakerCloses:   r.Counter("router_breaker_closes"),
 		Retries:         r.Counter("router_retries"),
 		RetryBudgetDry:  r.Counter("router_retry_budget_exhausted"),
 	}

@@ -103,7 +103,7 @@ func NewFrontend(rt *Router, cfg FrontendConfig) *Frontend {
 }
 
 // handleReplicas reports every replica's lifecycle state (ops visibility for
-// the ejection/breaker machinery).
+// the replica gate: in or out of rotation, and why).
 func (f *Frontend) handleReplicas(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		server.WriteError(w, http.StatusMethodNotAllowed, "GET only")

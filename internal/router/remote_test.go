@@ -293,22 +293,22 @@ func TestProbeHoldsReplicaToHandshakeRules(t *testing.T) {
 	ctx, now := context.Background(), time.Now()
 
 	r.probe(ctx, now)
-	if !r.healthy() {
+	if !r.eligible(time.Now()) {
 		t.Fatal("replica on the handshake's rules ejected")
 	}
 	rules.Store(blast.RulesVersion - 1)
 	r.probe(ctx, now)
-	if r.healthy() || met.Ejections.Value() != 1 {
-		t.Fatalf("replica on other rules: healthy %v, ejections %d; want ejected once", r.healthy(), met.Ejections.Value())
+	if r.eligible(time.Now()) || met.Ejections.Value() != 1 {
+		t.Fatalf("replica on other rules: healthy %v, ejections %d; want ejected once", r.eligible(time.Now()), met.Ejections.Value())
 	}
 	r.probe(ctx, now.Add(time.Second))
-	if r.healthy() {
+	if r.eligible(time.Now()) {
 		t.Fatal("replica on other rules readmitted")
 	}
 	rules.Store(blast.RulesVersion)
 	r.probe(ctx, now.Add(2*time.Second))
-	if !r.healthy() || met.Readmissions.Value() != 1 {
-		t.Fatalf("replica back on the handshake's rules: healthy %v, readmissions %d; want readmitted once", r.healthy(), met.Readmissions.Value())
+	if !r.eligible(time.Now()) || met.Readmissions.Value() != 1 {
+		t.Fatalf("replica back on the handshake's rules: healthy %v, readmissions %d; want readmitted once", r.eligible(time.Now()), met.Readmissions.Value())
 	}
 }
 
@@ -545,14 +545,17 @@ func TestRemoteProbeEjectsDeadDaemon(t *testing.T) {
 	}
 }
 
-// TestChaosRemoteTransport hammers a remote 2x2 fleet through the resilience
+// TestChaosRemoteTransport hammers a remote 3x2 fleet through the resilience
 // layer while the transport fault sites (router.rpc dropping calls,
-// router.rpcbody tearing response bodies) fire randomly. Invariants, whatever
-// the schedule: every query flagged completed is byte-identical to the
-// monolithic reference (a torn body or dropped RPC degrades honestly, never
-// corrupts a merge), per-request attempts stay within fanout + retry budget,
-// and no goroutines leak. `make chaos` runs this under -race; CHAOS_SEED
-// pins a schedule, CHAOS_ROUNDS widens the sweep.
+// router.rpcbody tearing response bodies) fire randomly. Each seed runs twice,
+// once with the prober off (request strikes alone move the replica gate) and
+// once with it probing every few milliseconds (both signals feed it).
+// Invariants, whatever the schedule: every query flagged completed is
+// byte-identical to the monolithic reference (a torn body or dropped RPC
+// degrades honestly, never corrupts a merge), per-request attempts stay
+// within fanout + retry budget, the fleet serves complete results again once
+// the faults clear, and no goroutines leak. `make chaos` runs this under
+// -race; CHAOS_SEED pins a schedule, CHAOS_ROUNDS widens the sweep.
 func TestChaosRemoteTransport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep skipped in -short mode")
@@ -592,103 +595,118 @@ func TestChaosRemoteTransport(t *testing.T) {
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			defer func() {
-				if t.Failed() {
-					t.Logf("replay with: CHAOS_SEED=%d go test -race -run TestChaosRemoteTransport ./internal/router", seed)
+			for _, probe := range []time.Duration{-1, 3 * time.Millisecond} {
+				name := "prober=off"
+				if probe > 0 {
+					name = "prober=on"
 				}
-			}()
-			rng := rand.New(rand.NewSource(seed))
-			spec := remoteChaosSchedule(rng)
-			t.Logf("schedule %q", spec)
-			if err := faultinject.Enable(spec, uint64(seed)); err != nil {
-				t.Fatalf("enable %q: %v", spec, err)
-			}
-			defer faultinject.Disable()
-
-			// The fixture's full 3-shard split, 2 replicas each, every
-			// replica a real HTTP daemon.
-			workers := make([][]Worker, len(shards))
-			for s := range shards {
-				reps := startShardDaemons(t, []*blast.Database{shards[s], shards[s]})
-				// startShardDaemons maps slice index to the shard argument at
-				// search time via the router, so both replicas serve shard s.
-				workers[s] = []Worker{reps[0], reps[1]}
-			}
-			rt, err := New(workers, Options{Registry: obs.NewRegistry(),
-				Resilience: ResilienceConfig{
-					ProbeInterval:   -1, // the breaker and retries carry this test
-					BreakerCooldown: 20 * time.Millisecond,
-					RetryBudget:     budget, RetryBackoff: time.Millisecond,
-				}})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			var wg sync.WaitGroup
-			errs := make(chan error, 64)
-			for g := 0; g < 4; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for j := 0; j < 4; j++ {
-						ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-						br, rep, err := rt.Search(ctx, queries)
-						cancel()
-						if err != nil {
-							if errors.Is(err, ErrAllShardsUnavailable) {
-								continue // honest full refusal under faults
-							}
-							errs <- fmt.Errorf("search: %v", err)
-							continue
-						}
-						total := 0
-						for _, st := range rep.Shards {
-							total += st.Attempts
-						}
-						if total > len(rep.Shards)+budget {
-							errs <- fmt.Errorf("attempts %d exceed fanout %d + budget %d", total, len(rep.Shards), budget)
-						}
-						for qi := range queries {
-							if !br.Completed[qi] {
-								continue // honest incompleteness under faults
-							}
-							if got := br.Results[qi].Tabular("q"); got != want[qi] {
-								errs <- fmt.Errorf("query %d completed but differs from the fault-free reference:\n got:\n%s\n want:\n%s", qi, got, want[qi])
-							}
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Error(err)
-			}
-
-			// Faults off, the same fleet must serve complete identical results
-			// again (breakers recover through their half-open trials).
-			faultinject.Disable()
-			recovered := false
-			deadline := time.Now().Add(5 * time.Second)
-			for time.Now().Before(deadline) {
-				br, rep, err := rt.Search(context.Background(), queries)
-				if err == nil && rep.Sheds() == 0 && rep.Failed() == 0 {
-					for qi := range queries {
-						if got := br.Results[qi].Tabular("q"); got != want[qi] {
-							t.Fatalf("post-fault query %d differs from reference", qi)
-						}
-					}
-					recovered = true
-					break
-				}
-				time.Sleep(25 * time.Millisecond)
-			}
-			if !recovered {
-				t.Error("fleet never recovered to complete results after faults cleared")
+				t.Run(name, func(t *testing.T) {
+					chaosRemoteRound(t, seed, shards, queries, want, ResilienceConfig{
+						ProbeInterval:  probe,
+						ReadmitBackoff: 20 * time.Millisecond, ReadmitBackoffMax: 40 * time.Millisecond,
+						RetryBudget: budget, RetryBackoff: time.Millisecond,
+					})
+				})
 			}
 		})
 	}
 	waitForRouterGoroutines(t, base)
+}
+
+// chaosRemoteRound runs one TestChaosRemoteTransport schedule against a
+// fresh fleet under res.
+func chaosRemoteRound(t *testing.T, seed int64, shards []*blast.Database, queries, want []string, res ResilienceConfig) {
+	defer func() {
+		if t.Failed() {
+			t.Logf("replay with: CHAOS_SEED=%d go test -race -run TestChaosRemoteTransport ./internal/router", seed)
+		}
+	}()
+	rng := rand.New(rand.NewSource(seed))
+	spec := remoteChaosSchedule(rng)
+	t.Logf("schedule %q", spec)
+	if err := faultinject.Enable(spec, uint64(seed)); err != nil {
+		t.Fatalf("enable %q: %v", spec, err)
+	}
+	defer faultinject.Disable()
+
+	// The fixture's full 3-shard split, 2 replicas each, every replica a
+	// real HTTP daemon.
+	workers := make([][]Worker, len(shards))
+	for s := range shards {
+		reps := startShardDaemons(t, []*blast.Database{shards[s], shards[s]})
+		// startShardDaemons maps slice index to the shard argument at search
+		// time via the router, so both replicas serve shard s.
+		workers[s] = []Worker{reps[0], reps[1]}
+	}
+	rt, err := New(workers, Options{Registry: obs.NewRegistry(), Resilience: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	defer rt.Close()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 4; j++ {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				br, rep, err := rt.Search(ctx, queries)
+				cancel()
+				if err != nil {
+					if errors.Is(err, ErrAllShardsUnavailable) {
+						continue // honest full refusal under faults
+					}
+					errs <- fmt.Errorf("search: %v", err)
+					continue
+				}
+				total := 0
+				for _, st := range rep.Shards {
+					total += st.Attempts
+				}
+				if total > len(rep.Shards)+res.RetryBudget {
+					errs <- fmt.Errorf("attempts %d exceed fanout %d + budget %d", total, len(rep.Shards), res.RetryBudget)
+				}
+				for qi := range queries {
+					if !br.Completed[qi] {
+						continue // honest incompleteness under faults
+					}
+					if got := br.Results[qi].Tabular("q"); got != want[qi] {
+						errs <- fmt.Errorf("query %d completed but differs from the fault-free reference:\n got:\n%s\n want:\n%s", qi, got, want[qi])
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	// Faults off, the same fleet must serve complete identical results again
+	// (replicas the faults took out return once their backoff runs out).
+	faultinject.Disable()
+	recovered := false
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		br, rep, err := rt.Search(context.Background(), queries)
+		if err == nil && rep.Sheds() == 0 && rep.Failed() == 0 {
+			for qi := range queries {
+				if got := br.Results[qi].Tabular("q"); got != want[qi] {
+					t.Fatalf("post-fault query %d differs from reference", qi)
+				}
+			}
+			recovered = true
+			break
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+	if !recovered {
+		t.Error("fleet never recovered to complete results after faults cleared")
+	}
 }
 
 // remoteChaosSchedule draws one to two clauses over the transport sites.

@@ -11,34 +11,25 @@ import (
 )
 
 // ResilienceConfig tunes the per-replica lifecycle layer the router wraps
-// around every worker: health-probe ejection and readmission, the circuit
-// breaker, and the per-request retry budget. The zero value of every field
-// selects the documented default; negative values disable where noted.
+// around every worker — one gate per replica, fed by health probes and by
+// request outcomes — and the per-request retry budget. The zero value of
+// every field selects the documented default; negative values disable where
+// noted.
 type ResilienceConfig struct {
 	// ProbeInterval is how often the prober health-checks every replica that
-	// exposes a HealthCheck (default 1s; negative disables probing). Probes
-	// only govern ejection/readmission — request-path failures are the
-	// breaker's job.
+	// exposes a HealthCheck (default 1s; negative disables probing). A failed
+	// probe takes the replica out of rotation until a probe passes again.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe (default min(ProbeInterval, 1s)).
 	ProbeTimeout time.Duration
-	// ReadmitBackoff is the first readmission probe delay after an ejection;
-	// it doubles (with jitter, never exceeding the nominal value) up to
-	// ReadmitBackoffMax while the replica stays down. Defaults 500ms and 15s.
+	// ReadmitBackoff is how long a replica stays out of rotation once a
+	// failed probe or a run of request failures takes it out; it doubles
+	// (with jitter, never exceeding the nominal value) up to
+	// ReadmitBackoffMax each time the replica fails again before it answers
+	// a request — a failed probe while out, or a failure on its first
+	// request back. Defaults 500ms and 15s.
 	ReadmitBackoff    time.Duration
 	ReadmitBackoffMax time.Duration
-
-	// BreakerFailures trips the breaker after this many consecutive
-	// request-path failures (default 3; negative disables the breaker).
-	BreakerFailures int
-	// BreakerWindow and BreakerErrorRate trip the breaker when the failure
-	// rate over the last BreakerWindow outcomes reaches the rate, even
-	// without a consecutive run (defaults 16 and 0.5).
-	BreakerWindow    int
-	BreakerErrorRate float64
-	// BreakerCooldown is how long an open breaker refuses traffic before
-	// letting one half-open trial through (default 2s).
-	BreakerCooldown time.Duration
 
 	// RetryBudget is the number of retries one request may spend across all
 	// shards (default 2; negative disables retries). A budget, not a
@@ -65,18 +56,6 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 	if c.ReadmitBackoffMax <= 0 {
 		c.ReadmitBackoffMax = 15 * time.Second
 	}
-	if c.BreakerFailures == 0 {
-		c.BreakerFailures = 3
-	}
-	if c.BreakerWindow <= 0 {
-		c.BreakerWindow = 16
-	}
-	if c.BreakerErrorRate <= 0 || c.BreakerErrorRate > 1 {
-		c.BreakerErrorRate = 0.5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
-	}
 	if c.RetryBudget == 0 {
 		c.RetryBudget = 2
 	}
@@ -86,38 +65,31 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 	return c
 }
 
-// HealthChecker is the optional probe surface of a Worker. Replicas that
-// expose it (RemoteWorker does, via GET /readyz) are ejected from rotation
-// while the probe fails and readmitted with jittered exponential backoff once
-// it recovers. Workers without it (test fakes, decorators that hide it) are
-// never ejected — their failures are handled by the breaker alone.
+// HealthChecker is the optional probe surface of a Worker. A replica that
+// exposes it (RemoteWorker does, via GET /readyz and /shard/info) leaves
+// rotation while the probe fails and comes back, after its jittered
+// exponential backoff, once the probe passes. A worker without it (test
+// fakes, decorators that hide it) never fails a probe: only request
+// failures take it out.
 type HealthChecker interface {
 	HealthCheck(ctx context.Context) error
 }
 
-// breaker states.
+// maxStrikes is the run of consecutive request-path failures that takes a
+// replica out of rotation.
+const maxStrikes = 3
+
+// Reasons a replica is out of rotation (ReplicaState.Reason).
 const (
-	breakerClosed = iota
-	breakerOpen
-	breakerHalfOpen
+	reasonProbe    = "probe"
+	reasonRequests = "requests"
 )
 
-func breakerStateName(s int) string {
-	switch s {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
-// attempt outcomes, as the breaker sees them. Sheds are backpressure from a
-// live replica — they never trip the breaker (they would turn overload into
-// ejection, the exact spiral breakers exist to prevent). Attempts cut short
-// by the request (cancelled, expired deadline) are neutral: not the
-// replica's verdict.
+// attempt outcomes, as the gate sees them. Sheds are backpressure from a
+// live replica — they never count against it (that would turn overload into
+// ejection, the spiral the survivors then inherit). Attempts cut short by
+// the request (cancelled, expired deadline) are neutral: not the replica's
+// verdict.
 const (
 	outcomeOK = iota
 	outcomeShed
@@ -125,188 +97,118 @@ const (
 	outcomeNeutral
 )
 
-// replica wraps one Worker in the resilience state the router consults on
-// every pick: the health gate (probe-driven ejection) and the circuit
-// breaker (request-path failure driven). All state sits behind one mutex;
-// the hot path takes it twice per attempt (pick and result).
+// replica wraps one Worker in the one gate the router consults on every
+// pick: the replica is in rotation or out, and either signal — a failed
+// health probe or maxStrikes consecutive request failures — takes it out
+// for the current backoff. It comes back once the backoff has run out and
+// its last probe passed, on probation: one more request failure sends it
+// back out with the backoff doubled, one success clears strikes and
+// backoff. All state sits behind one mutex; the hot path takes it twice per
+// attempt (pick and result).
 type replica struct {
 	w   Worker
 	hc  HealthChecker // nil when the worker exposes no probe
 	cfg ResilienceConfig
 	met *obs.RouterMetrics
 
-	// ejectedCount is the router-wide ejection tally backing the two gauges
-	// (obs gauges are set-only, so transitions recompute from these).
-	ejectedCount *atomic.Int64
-	total        int64
+	// outCount is the router-wide count of replicas out of rotation backing
+	// the two gauges (obs gauges are set-only, so transitions recompute from
+	// it).
+	outCount *atomic.Int64
+	total    int64
 
-	mu        sync.Mutex
-	ejected   bool
-	backoff   time.Duration // current readmission backoff (0 = healthy)
-	nextProbe time.Time     // earliest readmission probe while ejected
-
-	state       int
-	consecFails int
-	window      []bool // ring of request outcomes, true = failure
-	windowN     int
-	windowIdx   int
-	openUntil   time.Time
-	trial       bool // a half-open trial request is in flight
+	mu      sync.Mutex
+	out     bool
+	reason  string        // what took the replica out; empty in rotation
+	until   time.Time     // earliest return while out
+	backoff time.Duration // the last out period; 0 once a request succeeds
+	strikes int           // consecutive request-path failures
+	probeOK bool          // the last probe's verdict (true without a HealthCheck)
 }
 
-func newReplica(w Worker, cfg ResilienceConfig, met *obs.RouterMetrics, ejectedCount *atomic.Int64, total int64) *replica {
+func newReplica(w Worker, cfg ResilienceConfig, met *obs.RouterMetrics, outCount *atomic.Int64, total int64) *replica {
 	hc, _ := w.(HealthChecker)
-	return &replica{
-		w: w, hc: hc, cfg: cfg, met: met,
-		ejectedCount: ejectedCount, total: total,
-		window: make([]bool, cfg.BreakerWindow),
-	}
+	return &replica{w: w, hc: hc, cfg: cfg, met: met, outCount: outCount, total: total, probeOK: true}
 }
 
 func (r *replica) setGauges() {
-	ej := r.ejectedCount.Load()
-	r.met.ReplicasEjected.Set(float64(ej))
-	r.met.ReplicasHealthy.Set(float64(r.total - ej))
+	out := r.outCount.Load()
+	r.met.ReplicasEjected.Set(float64(out))
+	r.met.ReplicasHealthy.Set(float64(r.total - out))
 }
 
-// healthy reports the probe gate alone (readiness aggregation); the breaker
-// is a traffic decision, not a health one.
-func (r *replica) healthy() bool {
+// eligible is the gate's one predicate, read by pick, readiness, the gauges
+// and /replicas alike: in rotation, or out with its backoff run out and its
+// last probe passed — which returns it to rotation now, on probation.
+func (r *replica) eligible(now time.Time) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return !r.ejected
+	return r.eligibleLocked(now)
 }
 
-// eligibleHint is the read-only pick filter: in rotation and the breaker
-// would admit an attempt right now. The actual half-open trial slot is
-// claimed by tryAcquire on the replica the round-robin cursor picked.
-func (r *replica) eligibleHint(now time.Time) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ejected {
-		return false
+func (r *replica) eligibleLocked(now time.Time) bool {
+	if r.out && r.probeOK && !now.Before(r.until) {
+		r.out, r.reason = false, ""
+		r.strikes = maxStrikes - 1
+		r.met.Readmissions.Add(1)
+		r.outCount.Add(-1)
+		r.setGauges()
 	}
-	switch r.state {
-	case breakerOpen:
-		return !now.Before(r.openUntil)
-	case breakerHalfOpen:
-		return !r.trial
-	}
-	return true
+	return !r.out
 }
 
-// tryAcquire commits to sending one attempt through the breaker: a no-op for
-// a closed breaker, the single trial claim for an open-past-cooldown or
-// half-open one. False means another goroutine took the trial first.
-func (r *replica) tryAcquire(now time.Time) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ejected {
-		return false
+// leaveLocked takes the replica out of rotation (or, already out, keeps it
+// out) for the next backoff: the first after a success, doubled otherwise.
+func (r *replica) leaveLocked(now time.Time, reason string) {
+	if r.backoff == 0 {
+		r.backoff = r.cfg.ReadmitBackoff
+	} else {
+		r.backoff = min(2*r.backoff, r.cfg.ReadmitBackoffMax)
 	}
-	switch r.state {
-	case breakerClosed:
-		return true
-	case breakerOpen:
-		if now.Before(r.openUntil) {
-			return false
-		}
-		r.state = breakerHalfOpen
-		r.trial = true
-		return true
-	default: // half-open
-		if r.trial {
-			return false
-		}
-		r.trial = true
-		return true
+	// Jitter inside [backoff/2, backoff]: never later than the nominal bound
+	// (the convergence test's ceiling), desynchronized across a fleet
+	// restarting together.
+	r.until = now.Add(r.backoff/2 + time.Duration(rand.Int63n(int64(r.backoff/2)+1)))
+	r.reason = reason
+	if !r.out {
+		r.out = true
+		r.met.Ejections.Add(1)
+		r.outCount.Add(1)
+		r.setGauges()
 	}
 }
 
-// onResult feeds one attempt's outcome to the breaker.
+// onResult feeds one attempt's outcome to the gate. Sheds and attempts the
+// request cut short are neutral, and a result that lands while the replica
+// is out is a straggler from before it left: nothing to learn.
 func (r *replica) onResult(o int) {
-	if o == outcomeNeutral || r.cfg.BreakerFailures < 0 {
+	if o == outcomeShed || o == outcomeNeutral {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch r.state {
-	case breakerHalfOpen:
-		r.trial = false
-		if o == outcomeFail {
-			r.state = breakerOpen
-			r.openUntil = time.Now().Add(r.cfg.BreakerCooldown)
-			r.met.BreakerOpens.Add(1)
-			return
-		}
-		// The trial answered (a shed counts: the replica is alive, its
-		// backpressure is the shed path's business) — close and reset.
-		r.state = breakerClosed
-		r.resetBreakerLocked()
-		r.met.BreakerCloses.Add(1)
-	case breakerClosed:
-		if o == outcomeShed {
-			return
-		}
-		fail := o == outcomeFail
-		r.window[r.windowIdx] = fail
-		r.windowIdx = (r.windowIdx + 1) % len(r.window)
-		if r.windowN < len(r.window) {
-			r.windowN++
-		}
-		if !fail {
-			r.consecFails = 0
-			return
-		}
-		r.consecFails++
-		trip := r.cfg.BreakerFailures > 0 && r.consecFails >= r.cfg.BreakerFailures
-		if !trip && r.windowN == len(r.window) {
-			fails := 0
-			for _, f := range r.window {
-				if f {
-					fails++
-				}
-			}
-			trip = float64(fails)/float64(r.windowN) >= r.cfg.BreakerErrorRate
-		}
-		if trip {
-			r.state = breakerOpen
-			r.openUntil = time.Now().Add(r.cfg.BreakerCooldown)
-			r.resetBreakerLocked()
-			r.met.BreakerOpens.Add(1)
+	switch {
+	case r.out:
+	case o == outcomeOK:
+		r.strikes, r.backoff = 0, 0
+	default:
+		if r.strikes++; r.strikes >= maxStrikes {
+			r.leaveLocked(time.Now(), reasonRequests)
 		}
 	}
-	// breakerOpen: a straggler from before the trip; nothing to learn.
 }
 
-// releaseTrial undoes a tryAcquire whose attempt never launched (budget ran
-// dry, backoff aborted), so an unclaimed half-open trial cannot wedge the
-// replica out of rotation forever.
-func (r *replica) releaseTrial() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.state == breakerHalfOpen {
-		r.trial = false
-	}
-}
-
-func (r *replica) resetBreakerLocked() {
-	r.consecFails = 0
-	r.windowN = 0
-	r.windowIdx = 0
-	r.trial = false
-}
-
-// probe runs one health-check cycle for this replica: eject on failure,
-// readmit (with a clean breaker) on recovery, honoring the jittered
-// exponential readmission backoff while down. No-op for workers without a
+// probe runs one health check for this replica: a failure takes it out of
+// rotation (or, already out, doubles its backoff), a pass records the
+// verdict and returns it if its backoff has run out. An out replica is not
+// probed before its backoff runs out. No-op for workers without a
 // HealthCheck.
 func (r *replica) probe(ctx context.Context, now time.Time) {
 	if r.hc == nil {
 		return
 	}
 	r.mu.Lock()
-	if r.ejected && now.Before(r.nextProbe) {
+	if r.out && now.Before(r.until) {
 		r.mu.Unlock()
 		return
 	}
@@ -318,49 +220,26 @@ func (r *replica) probe(ctx context.Context, now time.Time) {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.probeOK = err == nil
 	if err != nil {
-		if !r.ejected {
-			r.ejected = true
-			r.backoff = r.cfg.ReadmitBackoff
-			r.met.Ejections.Add(1)
-			r.ejectedCount.Add(1)
-			r.setGauges()
-		} else {
-			r.backoff *= 2
-			if r.backoff > r.cfg.ReadmitBackoffMax {
-				r.backoff = r.cfg.ReadmitBackoffMax
-			}
-		}
-		// Jitter inside [backoff/2, backoff]: never later than the nominal
-		// bound (the convergence test's ceiling), desynchronized across a
-		// fleet restarting together.
-		r.nextProbe = now.Add(r.backoff/2 + time.Duration(rand.Int63n(int64(r.backoff/2)+1)))
+		r.leaveLocked(now, reasonProbe)
 		return
 	}
-	if r.ejected {
-		r.ejected = false
-		r.backoff = 0
-		r.state = breakerClosed
-		r.resetBreakerLocked()
-		r.met.Readmissions.Add(1)
-		r.ejectedCount.Add(-1)
-		r.setGauges()
-	}
+	r.eligibleLocked(now)
 }
 
-// ReplicaState is one replica's lifecycle snapshot (status endpoints, tests).
+// ReplicaState is one replica's lifecycle snapshot (status endpoints,
+// tests). Reason names what took an ejected replica out of rotation:
+// "probe" or "requests".
 type ReplicaState struct {
 	Name    string `json:"name"`
 	Ejected bool   `json:"ejected"`
-	Breaker string `json:"breaker"`
+	Reason  string `json:"reason"`
 }
 
 func (r *replica) snapshot() ReplicaState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := r.state
-	if st == breakerOpen && !time.Now().Before(r.openUntil) {
-		st = breakerHalfOpen // cooldown elapsed: next pick runs the trial
-	}
-	return ReplicaState{Name: r.w.Name(), Ejected: r.ejected, Breaker: breakerStateName(st)}
+	r.eligibleLocked(time.Now())
+	return ReplicaState{Name: r.w.Name(), Ejected: r.out, Reason: r.reason}
 }

@@ -34,101 +34,106 @@ func newTestReplica(w Worker, cfg ResilienceConfig) (*replica, *obs.RouterMetric
 	return newReplica(w, cfg.withDefaults(), met, &ej, 1), met
 }
 
-// TestBreakerConsecutiveTrip: N consecutive request-path failures open the
-// breaker; the cooldown admits exactly one half-open trial, and the trial's
-// outcome decides reopen vs close.
-func TestBreakerConsecutiveTrip(t *testing.T) {
+// outUntil reads an out replica's return time.
+func outUntil(r *replica) time.Time {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.until
+}
+
+// TestRequestStrikesTakeReplicaOut: maxStrikes consecutive request-path
+// failures take the replica out of rotation for the readmission backoff; it
+// comes back on probation, where one failure sends it out again with the
+// backoff doubled and one success clears strikes and backoff.
+func TestRequestStrikesTakeReplicaOut(t *testing.T) {
 	r, met := newTestReplica(&stubWorker{name: "w"}, ResilienceConfig{
-		BreakerFailures: 3, BreakerCooldown: 20 * time.Millisecond,
+		ReadmitBackoff: time.Second, ReadmitBackoffMax: time.Minute,
 	})
-	now := time.Now()
-	for i := 0; i < 2; i++ {
-		r.onResult(outcomeFail)
-		if !r.eligibleHint(now) {
-			t.Fatalf("breaker tripped after %d failures, threshold is 3", i+1)
+	strikeOut := func(fails int, wantBackoff time.Duration) time.Time {
+		t.Helper()
+		for i := 0; i < fails-1; i++ {
+			r.onResult(outcomeFail)
+			if !r.eligible(time.Now()) {
+				t.Fatalf("replica out after %d failures, want out at %d", i+1, fails)
+			}
 		}
-	}
-	r.onResult(outcomeFail)
-	if r.eligibleHint(time.Now()) {
-		t.Fatal("breaker still admits traffic after 3 consecutive failures")
-	}
-	if met.BreakerOpens.Value() != 1 {
-		t.Fatalf("BreakerOpens = %d, want 1", met.BreakerOpens.Value())
-	}
-	if st := r.snapshot(); st.Breaker != "open" {
-		t.Fatalf("snapshot breaker %q, want open", st.Breaker)
-	}
-
-	// Past the cooldown exactly one trial gets through.
-	later := time.Now().Add(25 * time.Millisecond)
-	if !r.tryAcquire(later) {
-		t.Fatal("cooldown elapsed but the trial was refused")
-	}
-	if r.tryAcquire(later) {
-		t.Fatal("second concurrent half-open trial admitted")
-	}
-	// Trial fails: reopen, nothing admitted before the next cooldown.
-	r.onResult(outcomeFail)
-	if met.BreakerOpens.Value() != 2 {
-		t.Fatalf("BreakerOpens = %d after a failed trial, want 2", met.BreakerOpens.Value())
-	}
-	if r.eligibleHint(time.Now()) {
-		t.Fatal("breaker admits traffic right after a failed trial")
+		left := time.Now()
+		r.onResult(outcomeFail)
+		until := outUntil(r)
+		if r.eligible(until.Add(-time.Nanosecond)) {
+			t.Fatalf("replica still in rotation after %d consecutive failures", fails)
+		}
+		if d := until.Sub(left); d < wantBackoff/2 || d > wantBackoff+time.Since(left) {
+			t.Fatalf("out for %v, want within [backoff/2, backoff] of %v", d, wantBackoff)
+		}
+		if st := r.snapshot(); !st.Ejected || st.Reason != "requests" {
+			t.Fatalf("snapshot %+v, want ejected for requests", st)
+		}
+		return until
 	}
 
-	// Next trial succeeds: closed, traffic flows.
-	again := time.Now().Add(25 * time.Millisecond)
-	if !r.tryAcquire(again) {
-		t.Fatal("post-reopen trial refused after cooldown")
+	until := strikeOut(maxStrikes, time.Second)
+	if met.Ejections.Value() != 1 {
+		t.Fatalf("Ejections = %d, want 1", met.Ejections.Value())
+	}
+	// A straggler's success while out changes nothing.
+	r.onResult(outcomeOK)
+	if r.eligible(until.Add(-time.Nanosecond)) {
+		t.Fatal("a straggler's result returned the replica early")
+	}
+
+	// Backoff run out: back in rotation, on probation.
+	if !r.eligible(until) || met.Readmissions.Value() != 1 {
+		t.Fatalf("replica not readmitted at its return time (readmissions %d)", met.Readmissions.Value())
+	}
+	if st := r.snapshot(); st.Ejected || st.Reason != "" {
+		t.Fatalf("snapshot %+v after readmission, want in rotation with no reason", st)
+	}
+	// One failure on probation: out again, backoff doubled.
+	until = strikeOut(1, 2*time.Second)
+	if met.Ejections.Value() != 2 {
+		t.Fatalf("Ejections = %d after a failure on probation, want 2", met.Ejections.Value())
+	}
+
+	// One success on probation clears strikes and backoff: the next run
+	// needs maxStrikes failures again and is out for the first backoff.
+	if !r.eligible(until) {
+		t.Fatal("replica not readmitted after its doubled backoff")
 	}
 	r.onResult(outcomeOK)
-	if met.BreakerCloses.Value() != 1 {
-		t.Fatalf("BreakerCloses = %d, want 1", met.BreakerCloses.Value())
-	}
-	if !r.eligibleHint(time.Now()) || !r.tryAcquire(time.Now()) {
-		t.Fatal("closed breaker must admit traffic freely")
+	strikeOut(maxStrikes, time.Second)
+	if met.Ejections.Value() != 3 || met.Readmissions.Value() != 2 {
+		t.Fatalf("ejections/readmissions = %d/%d, want 3/2", met.Ejections.Value(), met.Readmissions.Value())
 	}
 }
 
-// TestBreakerErrorRateTrip: an error rate over the outcome window trips the
-// breaker even without a consecutive run.
-func TestBreakerErrorRateTrip(t *testing.T) {
-	r, met := newTestReplica(&stubWorker{name: "w"}, ResilienceConfig{
-		BreakerFailures: 100, BreakerWindow: 4, BreakerErrorRate: 0.5,
-	})
-	for _, o := range []int{outcomeOK, outcomeFail, outcomeOK, outcomeFail} {
-		r.onResult(o)
-	}
-	if r.eligibleHint(time.Now()) {
-		t.Fatal("breaker ignored a 50% failure rate over a full window")
-	}
-	if met.BreakerOpens.Value() != 1 {
-		t.Fatalf("BreakerOpens = %d, want 1", met.BreakerOpens.Value())
-	}
-}
-
-// TestBreakerShedsAndCancelsAreNeutral pins the overload firewall: replica
-// backpressure (sheds) and cancelled attempts must never trip the breaker —
-// ejecting a replica *because* it is protecting itself would convert overload
-// into capacity loss.
-func TestBreakerShedsAndCancelsAreNeutral(t *testing.T) {
-	r, met := newTestReplica(&stubWorker{name: "w"}, ResilienceConfig{BreakerFailures: 2, BreakerWindow: 4})
+// TestShedsAndCancelsAreNeutral pins the overload firewall: replica
+// backpressure (sheds) and cancelled attempts must never count against a
+// replica — ejecting it *because* it is protecting itself would convert
+// overload into capacity loss — nor clear the strikes real failures left.
+func TestShedsAndCancelsAreNeutral(t *testing.T) {
+	r, met := newTestReplica(&stubWorker{name: "w"}, ResilienceConfig{})
 	for i := 0; i < 20; i++ {
 		r.onResult(outcomeShed)
 		r.onResult(outcomeNeutral)
 	}
-	if !r.eligibleHint(time.Now()) {
-		t.Fatal("sheds/cancels tripped the breaker")
+	if !r.eligible(time.Now()) || met.Ejections.Value() != 0 {
+		t.Fatalf("sheds/cancels took the replica out (ejections %d)", met.Ejections.Value())
 	}
-	if met.BreakerOpens.Value() != 0 {
-		t.Fatalf("BreakerOpens = %d, want 0", met.BreakerOpens.Value())
+	for i := 0; i < maxStrikes; i++ {
+		r.onResult(outcomeFail)
+		r.onResult(outcomeShed)
+		r.onResult(outcomeNeutral)
+	}
+	if r.eligible(time.Now()) || met.Ejections.Value() != 1 {
+		t.Fatalf("sheds/cancels between failures reset the strikes (ejections %d)", met.Ejections.Value())
 	}
 }
 
 // TestEjectionReadmissionBackoff drives one replica's probe lifecycle with a
 // synthetic clock: ejection on the first failed probe, readmission probes on
 // a doubling capped backoff whose jitter never lands later than the nominal
-// bound, and a clean breaker on readmission.
+// bound, and a return on probation with no reason once the probe passes.
 func TestEjectionReadmissionBackoff(t *testing.T) {
 	w := &healthStub{stubWorker: stubWorker{name: "w"}}
 	met := obs.NewRouterMetrics(obs.NewRegistry())
@@ -140,15 +145,16 @@ func TestEjectionReadmissionBackoff(t *testing.T) {
 
 	w.down.Store(true)
 	r.probe(ctx, now)
-	if r.healthy() {
+	if r.eligible(time.Now()) {
 		t.Fatal("failed probe did not eject")
+	}
+	if st := r.snapshot(); !st.Ejected || st.Reason != "probe" {
+		t.Fatalf("snapshot %+v, want ejected by the probe", st)
 	}
 	if met.Ejections.Value() != 1 || ej.Load() != 1 {
 		t.Fatalf("ejections = %d / count %d, want 1/1", met.Ejections.Value(), ej.Load())
 	}
-	r.mu.Lock()
-	next := r.nextProbe
-	r.mu.Unlock()
+	next := outUntil(r)
 	if next.Before(now.Add(50*time.Millisecond)) || next.After(now.Add(100*time.Millisecond)) {
 		t.Fatalf("first readmission probe at +%v, want within [backoff/2, backoff] = [50ms, 100ms]", next.Sub(now))
 	}
@@ -168,18 +174,24 @@ func TestEjectionReadmissionBackoff(t *testing.T) {
 		t.Fatalf("backoff after second failure = %v, want the 150ms cap", backoff)
 	}
 
-	// Recovery: the probe on schedule readmits with a reset breaker.
+	// Recovery: the probe on schedule readmits, on probation.
 	w.down.Store(false)
-	r.onResult(outcomeFail) // stale failure while ejected must not survive readmission
+	r.onResult(outcomeFail) // a straggler's failure while ejected is not a strike
 	r.probe(ctx, now.Add(300*time.Millisecond))
-	if !r.healthy() {
+	if !r.eligible(time.Now()) {
 		t.Fatal("recovered probe did not readmit")
 	}
 	if met.Readmissions.Value() != 1 || ej.Load() != 0 {
 		t.Fatalf("readmissions = %d / count %d, want 1/0", met.Readmissions.Value(), ej.Load())
 	}
-	if st := r.snapshot(); st.Breaker != "closed" {
-		t.Fatalf("breaker %q after readmission, want closed (reset)", st.Breaker)
+	if st := r.snapshot(); st.Ejected || st.Reason != "" {
+		t.Fatalf("snapshot %+v after readmission, want in rotation with no reason", st)
+	}
+	r.mu.Lock()
+	strikes := r.strikes
+	r.mu.Unlock()
+	if strikes != maxStrikes-1 {
+		t.Fatalf("strikes = %d after readmission, want %d (probation)", strikes, maxStrikes-1)
 	}
 }
 
@@ -278,8 +290,8 @@ func TestRetryBudgetBoundsAttempts(t *testing.T) {
 	rt, err := New([][]Worker{{boom("a"), boom("b"), boom("c")}}, Options{
 		Registry: obs.NewRegistry(),
 		Resilience: ResilienceConfig{
-			ProbeInterval: -1, BreakerFailures: -1,
-			RetryBudget: 2, RetryBackoff: time.Millisecond,
+			ProbeInterval: -1,
+			RetryBudget:   2, RetryBackoff: time.Millisecond,
 		},
 	})
 	if err != nil {
@@ -319,8 +331,8 @@ func TestRetryBudgetSharedAcrossShards(t *testing.T) {
 	}, Options{
 		Registry: obs.NewRegistry(),
 		Resilience: ResilienceConfig{
-			ProbeInterval: -1, BreakerFailures: -1,
-			RetryBudget: 2, RetryBackoff: time.Millisecond,
+			ProbeInterval: -1,
+			RetryBudget:   2, RetryBackoff: time.Millisecond,
 		},
 	})
 	if err != nil {
@@ -563,5 +575,129 @@ func TestReadyzRequiresEveryShardServable(t *testing.T) {
 	}
 	if code := getReady(); code != http.StatusOK {
 		t.Fatalf("/readyz = %d after recovery, want 200", code)
+	}
+}
+
+// TestReadyzCountsReplicasOutForRequests: with probing off, both replicas
+// of shard 1 failing every search leave rotation on their strikes alone, and
+// readiness reads that same gate — HealthErr names shard 1, /readyz answers
+// 503 and the ejected gauge reads 2 — until their backoff runs out and a
+// search succeeds.
+func TestReadyzCountsReplicasOutForRequests(t *testing.T) {
+	_, shards, queries := fixture(t)
+	var failing atomic.Bool
+	flaky := func(name string) Worker {
+		return &stubWorker{name: name, search: func(ctx context.Context, qs []string, shard, numShards int) (*blast.ShardResult, error) {
+			if failing.Load() {
+				return nil, errors.New("replica broken")
+			}
+			return shards[shard].SearchShardBatchCtx(ctx, qs, shard, numShards)
+		}}
+	}
+	rt, err := New([][]Worker{{delegate("good", shards[0])}, {flaky("bad0"), flaky("bad1")}, {delegate("s2", shards[2])}},
+		Options{Registry: obs.NewRegistry(), Resilience: ResilienceConfig{
+			ProbeInterval:  -1,
+			ReadmitBackoff: 500 * time.Millisecond, ReadmitBackoffMax: time.Second,
+			RetryBackoff: time.Millisecond,
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewFrontend(rt, FrontendConfig{Registry: obs.NewRegistry()}).Handler()
+	getReady := func() int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+		return rec.Code
+	}
+
+	failing.Store(true)
+	for i := 0; i < 2*maxStrikes && rt.HealthyReplicas(1) > 0; i++ {
+		rt.Search(context.Background(), queries)
+	}
+	if err := rt.HealthErr(); err == nil || !strings.Contains(err.Error(), "[1]") {
+		t.Fatalf("HealthErr = %v with both shard-1 replicas struck out, want an error naming shard 1", err)
+	}
+	if code := getReady(); code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz = %d with shard 1 out of rotation, want 503", code)
+	}
+	if got := rt.met.ReplicasEjected.Value(); got != 2 {
+		t.Fatalf("router_replicas_ejected = %v, want 2", got)
+	}
+	for _, st := range rt.ReplicaStates()[1] {
+		if !st.Ejected || st.Reason != "requests" {
+			t.Fatalf("shard 1 replica %+v, want ejected for requests", st)
+		}
+	}
+
+	// Repaired: once both backoffs have run out (jitter never exceeds the
+	// nominal 500ms) a search succeeds and readiness follows.
+	failing.Store(false)
+	time.Sleep(500 * time.Millisecond)
+	if _, rep, err := rt.Search(context.Background(), queries); err != nil || rep.Failed() != 0 {
+		t.Fatalf("search after the repair: %v, shards %+v", err, rep.Shards)
+	}
+	if err := rt.HealthErr(); err != nil {
+		t.Fatalf("HealthErr after recovery: %v", err)
+	}
+	if code := getReady(); code != http.StatusOK {
+		t.Fatalf("/readyz = %d after recovery, want 200", code)
+	}
+	if got := rt.met.ReplicasEjected.Value(); got != 0 {
+		t.Fatalf("router_replicas_ejected = %v after recovery, want 0", got)
+	}
+}
+
+// TestShardWithNoReplicaInRotation reaches the scatter's fallback: a shard
+// whose every replica is out spends no attempt and no retry, reports the
+// "no eligible replica" error, and leaves every query incomplete — while the
+// retry budget it did not touch still carries another shard through two
+// failures.
+func TestShardWithNoReplicaInRotation(t *testing.T) {
+	_, shards, queries := fixture(t)
+	var calls atomic.Int64
+	flaky := &stubWorker{name: "flaky", search: func(ctx context.Context, qs []string, shard, numShards int) (*blast.ShardResult, error) {
+		if calls.Add(1) <= 2 {
+			return nil, errors.New("transient")
+		}
+		return shards[0].SearchShardBatchCtx(ctx, qs, shard, numShards)
+	}}
+	gone := countingDelegate("gone", shards[1])
+	rt, err := New([][]Worker{{flaky}, {gone}, {delegate("s2", shards[2])}},
+		Options{Registry: obs.NewRegistry(), Resilience: ResilienceConfig{
+			ProbeInterval: -1, RetryBudget: 2, RetryBackoff: time.Millisecond,
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone.down.Store(true)
+	rt.probeAll(context.Background(), time.Now())
+	if rt.HealthyReplicas(1) != 0 {
+		t.Fatal("failed probe left shard 1's only replica in rotation")
+	}
+
+	br, rep, err := rt.Search(context.Background(), queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rep.Shards[1]
+	if st.Attempts != 0 || st.OK || st.Shed || st.Err == nil || !strings.Contains(st.Err.Error(), "no eligible replica") {
+		t.Fatalf("shard 1 status %+v, want 0 attempts and the no-eligible-replica error", st)
+	}
+	if gone.served.Load() != 0 {
+		t.Fatal("a replica out of rotation was sent a search")
+	}
+	if got := rt.met.ShardErrors.Value(); got != 1 {
+		t.Fatalf("router_shard_errors = %d, want 1", got)
+	}
+	if s0 := rep.Shards[0]; !s0.OK || s0.Attempts != 3 {
+		t.Fatalf("shard 0 status %+v, want OK on the full budget's third attempt", s0)
+	}
+	if rt.met.Retries.Value() != 2 || rt.met.RetryBudgetDry.Value() != 0 {
+		t.Fatalf("retries %d, budget-dry %d; want 2 and 0", rt.met.Retries.Value(), rt.met.RetryBudgetDry.Value())
+	}
+	for qi := range queries {
+		if br.Completed[qi] {
+			t.Fatalf("query %d completed without shard 1", qi)
+		}
 	}
 }

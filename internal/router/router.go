@@ -73,8 +73,8 @@ var ErrAllShardsUnavailable = errors.New("router: no shard available, nothing to
 type Options struct {
 	// Registry receives the router_* metrics. Nil means obs.Default.
 	Registry *obs.Registry
-	// Resilience tunes the per-replica lifecycle layer (health probing,
-	// breaker, retry budget). Zero fields select the defaults.
+	// Resilience tunes the per-replica lifecycle layer (the probe- and
+	// request-fed gate, retry budget). Zero fields select the defaults.
 	Resilience ResilienceConfig
 }
 
@@ -85,10 +85,11 @@ type Options struct {
 // search when every shard answers — and honestly incomplete when one does
 // not.
 //
-// Every replica is wrapped in a resilience layer: probe-driven ejection and
-// readmission (Start launches the prober), a circuit breaker fed by
-// request-path failures, and a per-request retry budget that bounds how many
-// retries one request may spend. A shard has at most one attempt in flight.
+// Every replica is wrapped in a resilience layer: one gate that takes the
+// replica out of rotation on a failed probe (Start launches the prober) or a
+// run of request-path failures and readmits it on a jittered backoff, and a
+// per-request retry budget that bounds how many retries one request may
+// spend. A shard has at most one attempt in flight.
 type Router struct {
 	reps [][]*replica
 	// next is one round-robin cursor per shard, so shards advance
@@ -97,7 +98,7 @@ type Router struct {
 	met  *obs.RouterMetrics
 	res  ResilienceConfig
 
-	ejectedCount atomic.Int64
+	outCount atomic.Int64
 
 	probeMu   sync.Mutex
 	probeStop chan struct{}
@@ -132,7 +133,7 @@ func New(shards [][]Worker, opts Options) (*Router, error) {
 	for s, ws := range shards {
 		rt.reps[s] = make([]*replica, len(ws))
 		for i, w := range ws {
-			rt.reps[s][i] = newReplica(w, res, rt.met, &rt.ejectedCount, int64(total))
+			rt.reps[s][i] = newReplica(w, res, rt.met, &rt.outCount, int64(total))
 		}
 	}
 	rt.met.Fanout.Set(float64(len(shards)))
@@ -176,20 +177,13 @@ func (rt *Router) ReplicaStates() [][]ReplicaState {
 // incompletes.
 func (rt *Router) HealthErr() error {
 	var bad []int
-	for s, reps := range rt.reps {
-		ok := false
-		for _, r := range reps {
-			if r.healthy() {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+	for s := range rt.reps {
+		if rt.HealthyReplicas(s) == 0 {
 			bad = append(bad, s)
 		}
 	}
 	if len(bad) > 0 {
-		return fmt.Errorf("router: shard(s) %v have no healthy replica", bad)
+		return fmt.Errorf("router: shard(s) %v have no replica in rotation", bad)
 	}
 	return nil
 }
@@ -197,8 +191,9 @@ func (rt *Router) HealthErr() error {
 // HealthyReplicas counts the replicas of one shard currently in rotation.
 func (rt *Router) HealthyReplicas(shard int) int {
 	n := 0
+	now := time.Now()
 	for _, r := range rt.reps[shard] {
-		if r.healthy() {
+		if r.eligible(now) {
 			n++
 		}
 	}
@@ -206,10 +201,10 @@ func (rt *Router) HealthyReplicas(shard int) int {
 }
 
 // Start launches the health prober: every ProbeInterval each replica that
-// exposes a HealthCheck is probed concurrently — failing replicas are
-// ejected from rotation, ejected ones re-probed on their jittered backoff
-// schedule and readmitted when the probe recovers. A no-op when probing is
-// disabled or no replica is probeable. Pair with Close.
+// exposes a HealthCheck is probed concurrently — failing replicas leave
+// rotation, out ones are re-probed once their jittered backoff runs out and
+// readmitted when the probe passes. A no-op when probing is disabled or no
+// replica is probeable. Pair with Close.
 func (rt *Router) Start() {
 	rt.probeMu.Lock()
 	defer rt.probeMu.Unlock()
@@ -298,30 +293,25 @@ func (rt *Router) spend(budget *atomic.Int64) bool {
 func refund(budget *atomic.Int64) { budget.Add(1) }
 
 // pick selects one eligible replica of shard s round-robin, excluding
-// indices in excl (nil = none), and claims its breaker slot: the shard's
-// cursor advances once per try, indexing the eligible replicas in order. -1
-// means no eligible replica.
+// indices in excl (nil = none): the shard's cursor advances once per pick,
+// indexing the eligible replicas in order. -1 means no eligible replica.
 func (rt *Router) pick(s int, excl map[int]bool) int {
 	reps := rt.reps[s]
 	now := time.Now()
 	idxs := make([]int, 0, len(reps))
 	for i, r := range reps {
-		if !excl[i] && r.eligibleHint(now) {
+		if !excl[i] && r.eligible(now) {
 			idxs = append(idxs, i)
 		}
 	}
-	for len(idxs) > 0 {
-		k := int((rt.next[s].Add(1) - 1) % uint64(len(idxs)))
-		if i := idxs[k]; reps[i].tryAcquire(now) {
-			return i
-		}
-		idxs = append(idxs[:k], idxs[k+1:]...)
+	if len(idxs) == 0 {
+		return -1
 	}
-	return -1
+	return idxs[(rt.next[s].Add(1)-1)%uint64(len(idxs))]
 }
 
 // classifyOutcome maps one attempt's error, under the request context ctx,
-// to the breaker's view of it.
+// to the gate's view of it.
 func classifyOutcome(ctx context.Context, err error) int {
 	if err == nil {
 		return outcomeOK
@@ -332,7 +322,7 @@ func classifyOutcome(ctx context.Context, err error) int {
 	}
 	if ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		// The request was cancelled (client gone, drain) or ran out of
-		// deadline: not the replica's verdict, the breaker learns nothing.
+		// deadline: not the replica's verdict, the gate learns nothing.
 		return outcomeNeutral
 	}
 	return outcomeFail
@@ -362,7 +352,7 @@ type attemptOut struct {
 
 // searchShard runs one shard's slice of the scatter through the resilience
 // layer, one attempt at a time on the calling goroutine: pick an eligible
-// replica, run the attempt, classify its outcome for the breaker, and on
+// replica, run the attempt, classify its outcome for the gate, and on
 // failure retry — governed by the shared per-request budget — with backoff.
 // A shed is retried only when a *different* eligible replica exists:
 // re-asking the replica that just declared itself saturated would amplify
@@ -379,7 +369,7 @@ func (rt *Router) searchShard(ctx context.Context, queries []string, s int, budg
 	st.Shard = s
 
 	// attempt runs one upstream attempt on replica idx and feeds its outcome
-	// to the breaker. A retry gets an "attempt:retry" span under the shard
+	// to the gate. A retry gets an "attempt:retry" span under the shard
 	// span; the first attempt does not, keeping the healthy-path trace shape
 	// identical to a plain scatter.
 	attempt := func(idx int, kind string) attemptOut {
@@ -451,7 +441,7 @@ func (rt *Router) searchShard(ctx context.Context, queries []string, s int, budg
 	tried := map[int]bool{}
 	idx := rt.pick(s, nil)
 	if idx < 0 {
-		return finish(attemptOut{idx: -1, err: fmt.Errorf("router: shard %d: no eligible replica (all ejected or breaker-open)", s)})
+		return finish(attemptOut{idx: -1, err: fmt.Errorf("router: shard %d: no eligible replica (all out of rotation)", s)})
 	}
 	tried[idx] = true
 	out := attempt(idx, "")
@@ -463,7 +453,7 @@ func (rt *Router) searchShard(ctx context.Context, queries []string, s int, budg
 			break
 		}
 		// A shed must move to a different replica; a failure prefers one but
-		// may re-try the same (sole) replica while its breaker stays closed.
+		// may re-try the same (sole) replica while it stays in rotation.
 		nidx := rt.pick(s, tried)
 		if nidx < 0 && !isShed {
 			nidx = rt.pick(s, nil)
@@ -475,7 +465,6 @@ func (rt *Router) searchShard(ctx context.Context, queries []string, s int, budg
 		rt.met.Retries.Add(1)
 		retry++
 		if !sleepCtx(ctx, time.Duration(retry)*rt.res.RetryBackoff) {
-			reps[nidx].releaseTrial()
 			break
 		}
 		out = attempt(nidx, "retry")
