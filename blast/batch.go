@@ -7,8 +7,8 @@ import (
 )
 
 // ErrDeadline is re-exported from the search layer: BatchResult.Err wraps it
-// (and context.DeadlineExceeded) when a batch hit Params.Timeout or the
-// caller's context deadline.
+// (and context.DeadlineExceeded) when a batch hit the caller's context
+// deadline.
 var ErrDeadline = search.ErrDeadline
 
 // BatchResult is the outcome of a context-aware batch search. The batch as a
@@ -46,14 +46,12 @@ func (b *BatchResult) CompletedCount() int {
 }
 
 // SearchBatchCtx runs a batch of queries through the muBLASTP engine under
-// ctx: cancelling ctx stops the batch between tasks, Params.Timeout (if set)
-// imposes a deadline on top of ctx, and a panicking task fails only its own
-// query. The returned error is non-nil only for invalid input (a query that
-// cannot be encoded); runtime failures are reported per query inside the
-// BatchResult so partial results stay usable.
+// ctx: cancelling ctx, or its deadline, stops the batch between tasks, and a
+// panicking task fails only its own query. The returned error is non-nil
+// only for invalid input (a query that cannot be encoded); runtime failures
+// are reported per query inside the BatchResult so partial results stay
+// usable.
 func (d *Database) SearchBatchCtx(ctx context.Context, queries []string) (*BatchResult, error) {
-	ctx, cancel := d.withDeadline(ctx)
-	defer cancel()
 	enc, err := encodeQueries(queries)
 	if err != nil {
 		return nil, err

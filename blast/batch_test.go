@@ -64,7 +64,6 @@ func TestSearchBatchCtxTimeoutPartial(t *testing.T) {
 	p := DefaultParams()
 	p.BlockResidues = 4096
 	p.Threads = 2
-	p.Timeout = 25 * time.Millisecond
 	db, err := NewDatabase(seqs, p)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +73,9 @@ func TestSearchBatchCtxTimeoutPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer faultinject.Disable()
-	br, err := db.SearchBatchCtx(context.Background(), queries)
+	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
+	defer cancel()
+	br, err := db.SearchBatchCtx(ctx, queries)
 	faultinject.Disable()
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/alphabet"
 	"repro/internal/core"
@@ -63,12 +62,6 @@ type Params struct {
 	SplitLongerThan int
 	// SplitOverlap is the chunk overlap in residues (default 256).
 	SplitOverlap int
-	// Timeout bounds each batch search: past it the batch stops between
-	// tasks and returns partial results, with BatchResult.Err wrapping
-	// ErrDeadline and per-query completion flags telling the completed
-	// queries (byte-identical to an unbounded run) from the abandoned
-	// ones. 0 means no deadline.
-	Timeout time.Duration
 	// GlobalDBResidues and GlobalDBSequences, when positive, declare that
 	// this database is one shard of a larger logical database with the given
 	// totals: E-values (and hence cutoff filtering and ranking) are computed
@@ -342,8 +335,8 @@ type Result struct {
 
 // Search runs a single query through the muBLASTP engine: the one-query
 // batch, its (block × query) tasks spread over Params.Threads workers. Like
-// SearchBatch it never cancels, Params.Timeout included; a panicking task
-// comes back as the query's error.
+// SearchBatch it never cancels; a panicking task comes back as the query's
+// error.
 func (d *Database) Search(query string) (*Result, error) {
 	enc, err := encodeQueries([]string{query})
 	if err != nil {
@@ -359,7 +352,7 @@ func (d *Database) Search(query string) (*Result, error) {
 // SearchBatch runs a batch of queries through the muBLASTP engine with the
 // configured thread count: one dynamic schedule over the block-major
 // (block × query) task grid. It is the no-context form of SearchBatchCtx: it
-// never cancels, Params.Timeout included, and drops the scheduler counters.
+// never cancels and drops the scheduler counters.
 func (d *Database) SearchBatch(queries []string) ([]*Result, error) {
 	enc, err := encodeQueries(queries)
 	if err != nil {

@@ -280,18 +280,6 @@ func encodeQueries(queries []string) ([][]alphabet.Code, error) {
 	return enc, nil
 }
 
-// withDeadline layers Params.Timeout, if set, on the caller's context (nil
-// means Background).
-func (d *Database) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if d.params.Timeout > 0 {
-		return context.WithTimeout(ctx, d.params.Timeout)
-	}
-	return ctx, func() {}
-}
-
 // Tiered reports whether this database is a base+deltas view from an ingest
 // store (true) or a single container (false).
 func (d *Database) Tiered() bool { return len(d.parts) > 1 }

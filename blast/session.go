@@ -88,15 +88,17 @@ func OpenSession(path string, p Params) (*Session, error) {
 	return NewSession(db, p), nil
 }
 
-// Acquire pins the current database generation and returns it with a release
-// function. The database stays valid — and its results stay byte-identical —
-// for the lifetime of the pin even if Reload swaps in a replacement
-// concurrently. Every Acquire must be paired with exactly one release.
-func (s *Session) Acquire() (*Database, func()) {
+// Acquire pins the current database generation and returns it, with its
+// generation number and a release function. The database stays valid — and
+// its results stay byte-identical — for the lifetime of the pin even if
+// Reload swaps in a replacement concurrently; a reply stamps the returned
+// number, not Generation, which may already name the replacement. Every
+// Acquire must be paired with exactly one release.
+func (s *Session) Acquire() (*Database, int64, func()) {
 	for {
 		g := s.cur.Load()
 		if g.acquire() {
-			return g.db, g.release
+			return g.db, g.gen, g.release
 		}
 		// Raced with a swap retiring g; the new current generation is
 		// already installed, so the retry terminates.

@@ -90,7 +90,7 @@ func TestSessionConcurrentReload(t *testing.T) {
 					return
 				default:
 				}
-				db, release := ses.Acquire()
+				db, _, release := ses.Acquire()
 				res, err := db.Search(query)
 				want := wantB
 				if db == dbA {
@@ -236,7 +236,7 @@ func TestSessionReloadDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, release := ses.Acquire()
+	_, _, release := ses.Acquire()
 	done := make(chan error, 1)
 	go func() { done <- ses.Reload(pathB) }()
 	select {
@@ -288,7 +288,7 @@ func TestSessionRefcountBalance(t *testing.T) {
 	gen := ses.Generation()
 
 	// A pinned search raises the count; release restores it.
-	_, release := ses.Acquire()
+	_, _, release := ses.Acquire()
 	if ses.Refs() != 2 {
 		t.Fatalf("after Acquire Refs() = %d, want 2", ses.Refs())
 	}

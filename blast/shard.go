@@ -155,8 +155,6 @@ func (d *Database) SearchShardBatchCtx(ctx context.Context, queries []string, sh
 	if numShards <= 0 || shard < 0 || shard >= numShards {
 		return nil, fmt.Errorf("blast: shard %d of %d out of range", shard, numShards)
 	}
-	ctx, cancel := d.withDeadline(ctx)
-	defer cancel()
 	enc, err := encodeQueries(queries)
 	if err != nil {
 		return nil, err

@@ -325,7 +325,7 @@ func TestShardResultOutlivesItsDatabase(t *testing.T) {
 		for s, sd := range shards {
 			runtime.SetFinalizer(sd, func(*Database) { collected <- struct{}{} })
 			sessions[s] = NewSession(sd, p)
-			sdb, release := sessions[s].Acquire()
+			sdb, _, release := sessions[s].Acquire()
 			parts[s], err = sdb.SearchShardBatchCtx(context.Background(), queries, s, n)
 			release()
 			if err != nil {

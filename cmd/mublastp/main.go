@@ -114,7 +114,6 @@ func run() (retErr error) {
 	p.EValueCutoff = *evalue
 	p.MaxResults = *maxHits
 	p.Threads = *threads
-	p.Timeout = *timeout
 
 	var db *blast.Database
 	var err error
@@ -168,7 +167,13 @@ func run() (retErr error) {
 	for i := range queries {
 		texts[i] = queries[i].Residues
 	}
-	br, err := db.SearchBatchCtx(ctx, texts)
+	searchCtx := ctx
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		searchCtx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
+	br, err := db.SearchBatchCtx(searchCtx, texts)
 	if err != nil {
 		return fmt.Errorf("search: %w", err)
 	}

@@ -88,7 +88,7 @@ func TestDaemonFlagSets(t *testing.T) {
 var configFields = map[reflect.Type][]string{
 	reflect.TypeFor[blast.Params](): {
 		"Matrix", "EValueCutoff", "MaxResults", "BlockResidues", "Threads",
-		"SplitLongerThan", "SplitOverlap", "Timeout", "GlobalDBResidues", "GlobalDBSequences",
+		"SplitLongerThan", "SplitOverlap", "GlobalDBResidues", "GlobalDBSequences",
 	},
 	reflect.TypeFor[server.Config](): {
 		"Queue", "Concurrency", "DefaultTimeout", "DegradeAfter", "Store",

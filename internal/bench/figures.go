@@ -54,24 +54,18 @@ func scaledHierarchy(dbBytes int64) *simcache.Hierarchy {
 	return simcache.NewHierarchy(l1, l2, int(llc), tlb)
 }
 
-// engineRunner abstracts "search one query" for the trace harness.
-type engineRunner struct {
-	name string
-	run  func(cfg *search.Config, q []alphabet.Code) search.QueryResult
-}
-
-func runners(w *Workload) []engineRunner {
-	return []engineRunner{
-		{"NCBI", func(cfg *search.Config, q []alphabet.Code) search.QueryResult {
-			return baseline.NewQueryIndexed(cfg, w.DB).Search(0, q)
-		}},
-		{"NCBI-db", func(cfg *search.Config, q []alphabet.Code) search.QueryResult {
-			return baseline.NewDBIndexed(cfg, w.Index).Search(0, q)
-		}},
-		{"muBLASTP", func(cfg *search.Config, q []alphabet.Code) search.QueryResult {
-			return core.New(cfg, w.Index).SearchBatch([][]alphabet.Code{q}, 1)[0]
-		}},
+// traced runs each search with its memory accesses traced through a scaled
+// hierarchy of its own and returns their reports.
+func traced(w *Workload, runs ...func(cfg *search.Config)) []simcache.Report {
+	reps := make([]simcache.Report, len(runs))
+	for i, run := range runs {
+		cfg := *w.Cfg
+		h := scaledHierarchy(w.DB.TotalResidues)
+		cfg.Trace = h.Tracer()
+		run(&cfg)
+		reps[i] = h.Report()
 	}
+	return reps
 }
 
 // Fig2 reproduces the motivation profile (Fig 2): LLC miss rate, TLB miss
@@ -88,35 +82,28 @@ func Fig2(s Scale) (*Table, error) {
 		Title:   "Fig 2: profile of query-indexed vs db-indexed NCBI (env_nr-like, one 512-residue query)",
 		Columns: []string{"metric", "NCBI", "NCBI-db", "muBLASTP"},
 	}
-	type row struct {
-		llc, tlb, stall float64
-		elapsed         time.Duration
+	runs := []func(cfg *search.Config){
+		func(cfg *search.Config) { baseline.NewQueryIndexed(cfg, w.DB).Search(0, q) },
+		func(cfg *search.Config) { baseline.NewDBIndexed(cfg, w.Index).Search(0, q) },
+		func(cfg *search.Config) { core.New(cfg, w.Index).SearchBatch([][]alphabet.Code{q}, 1) },
 	}
-	results := make([]row, 0, 3)
-	for _, r := range runners(w) {
-		// Timed run, untraced.
-		cfg := *w.Cfg
-		var elapsed time.Duration
-		elapsed = TimeIt(func() { r.run(&cfg, q) })
-		// Traced run through the scaled hierarchy.
-		h := scaledHierarchy(w.DB.TotalResidues)
-		cfg.Trace = h.Tracer()
-		r.run(&cfg, q)
-		rep := h.Report()
-		results = append(results, row{rep.LLCMissRate, rep.TLBMissRate, rep.StalledFrac, elapsed})
+	var llc, tlb, stall [3]string
+	for i, rep := range traced(w, runs...) {
+		llc[i], tlb[i], stall[i] = pct(rep.LLCMissRate), pct(rep.TLBMissRate), pct(rep.StalledFrac)
 	}
-	t.AddRow("LLC miss rate (%)", pct(results[0].llc), pct(results[1].llc), pct(results[2].llc))
-	t.AddRow("TLB miss rate (%)", pct(results[0].tlb), pct(results[1].tlb), pct(results[2].tlb))
-	t.AddRow("stalled-cycle proxy (%)", pct(results[0].stall), pct(results[1].stall), pct(results[2].stall))
-	t.AddRow("execution time (ms)", ms(results[0].elapsed), ms(results[1].elapsed), ms(results[2].elapsed))
+	tm := timeEngines(func() { runs[0](w.Cfg) }, func() { runs[1](w.Cfg) }, func() { runs[2](w.Cfg) })
+	t.AddRow("LLC miss rate (%)", llc[0], llc[1], llc[2])
+	t.AddRow("TLB miss rate (%)", tlb[0], tlb[1], tlb[2])
+	t.AddRow("stalled-cycle proxy (%)", stall[0], stall[1], stall[2])
+	t.AddRow("execution time (× NCBI; NCBI in ms)", ms(tm.Median(0)), tm.Ratio(1, 0).String(), tm.Ratio(2, 0).String())
+	t.Note("time: per-round ratio to NCBI, median [min, max] over %d interleaved rounds", rounds)
 	t.Note("paper: NCBI-db has much higher LLC/TLB miss rates and is slower than NCBI despite the database index")
 	return t, nil
 }
 
-func pct(v float64) string            { return fmt.Sprintf("%.1f", 100*v) }
-func ms(d time.Duration) string       { return fmt.Sprintf("%.1f", float64(d.Microseconds())/1000) }
-func secs(d time.Duration) string     { return fmt.Sprintf("%.3f", d.Seconds()) }
-func ratio(a, b time.Duration) string { return fmt.Sprintf("%.2fx", float64(a)/float64(b)) }
+func pct(v float64) string        { return fmt.Sprintf("%.1f", 100*v) }
+func ms(d time.Duration) string   { return fmt.Sprintf("%.1f", float64(d.Microseconds())/1000) }
+func secs(d time.Duration) string { return fmt.Sprintf("%.3f", d.Seconds()) }
 
 // Fig6 reproduces the pre-filter survival measurement (Fig 6): the
 // percentage of hits that remain after hit pre-filtering, per query length,
@@ -181,72 +168,47 @@ func Fig7(s Scale) (*Table, error) {
 }
 
 // Fig8 reproduces the block-size sweep (Fig 8): execution time and LLC miss
-// rate of NCBI-db and muBLASTP at index block sizes from 128KB to 4MB on
-// the uniprot_sprot-like database. Block bytes are scaled to the database
-// the same way the hierarchy is.
+// rate of NCBI-db and muBLASTP at index block sizes from 1/8 to 4 times the
+// size the workload is indexed at (Scale.blockResidues, the scaled Section
+// V-B rule), on the uniprot_sprot-like database. Each size's time is a ratio
+// to the rule size's, taken within each round; the LLC columns trace one
+// 256-residue query.
 func Fig8(s Scale) (*Table, error) {
 	w, err := Uniprot(s)
 	if err != nil {
 		return nil, err
 	}
+	qs := w.Queries["128"]
 	t := &Table{
-		Title: "Fig 8: execution time and LLC miss rate vs index block size (uniprot_sprot-like, batch of " +
-			fmt.Sprint(s.Batch) + " queries/length)",
-		Columns: []string{"block size", "muBLASTP time (s)", "NCBI-db time (s)",
+		Title: "Fig 8: execution time and LLC miss rate vs index block size (uniprot_sprot-like, " +
+			fmt.Sprint(len(qs)) + " queries of 128)",
+		Columns: []string{"block (residues)", "× rule", "muBLASTP (s)", "muBLASTP time vs ×1", "NCBI-db time vs ×1",
 			"muBLASTP LLC miss (%)", "NCBI-db LLC miss (%)"},
 	}
-	blockBytes := []int64{128 << 10, 256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20}
-	// Scale block sizes the same factor as the database: the paper sweeps
-	// 128KB-4MB against a 250MB database; we keep the sweep labels and scale
-	// the actual residue counts so the blocks relate to our scaled LLC model
-	// the way the paper's do to 30MB.
-	dbBytes := w.DB.TotalResidues
-	factor := float64(dbBytes) / float64(250<<20)
-	if factor > 1 {
-		factor = 1
-	}
-	queries := append(append(append([][]alphabet.Code{},
-		w.Queries["128"]...), w.Queries["256"]...), w.Queries["512"]...)
-	for _, bb := range blockBytes {
-		residues := int64(float64(bb) * factor / 4)
-		if residues < 1024 {
-			residues = 1024
-		}
-		if err := w.Reindex(residues); err != nil {
+	rule := s.blockResidues(w.DB.TotalResidues)
+	mults := []float64{0.125, 0.25, 0.5, 1, 2, 4}
+	const ref = 3        // the ×1 row
+	var engines []func() // muBLASTP and NCBI-db at each size, in turn
+	var llc []string
+	for _, m := range mults {
+		if err := w.Reindex(int64(float64(rule) * m)); err != nil {
 			return nil, err
 		}
-		mu := core.New(w.Cfg, w.Index)
-		db := baseline.NewDBIndexed(w.Cfg, w.Index)
-		muTime := TimeIt(func() { mu.SearchBatch(queries, s.threads()) })
-		dbTime := TimeIt(func() { db.SearchBatch(queries, s.threads()) })
-
-		muLLC := traceLLC(w, func(cfg *search.Config) {
-			core.New(cfg, w.Index).SearchBatch(w.Queries["256"][:1], 1)
-		})
-		dbLLC := traceLLC(w, func(cfg *search.Config) {
-			baseline.NewDBIndexed(cfg, w.Index).Search(0, w.Queries["256"][0])
-		})
-		t.AddRow(sizeLabel(bb), secs(muTime), secs(dbTime), pct(muLLC), pct(dbLLC))
+		mu, db := core.New(w.Cfg, w.Index), baseline.NewDBIndexed(w.Cfg, w.Index)
+		engines = append(engines, func() { mu.SearchBatch(qs, s.threads()) }, func() { db.SearchBatch(qs, s.threads()) })
+		r := traced(w, func(cfg *search.Config) { core.New(cfg, w.Index).SearchBatch(w.Queries["256"][:1], 1) },
+			func(cfg *search.Config) { baseline.NewDBIndexed(cfg, w.Index).Search(0, w.Queries["256"][0]) })
+		llc = append(llc, pct(r[0].LLCMissRate), pct(r[1].LLCMissRate))
 	}
+	tm := timeEngines(engines...)
+	for i, m := range mults {
+		t.AddRow(int64(float64(rule)*m), fmt.Sprint(m), secs(tm.Median(2*i)),
+			tm.Ratio(2*i, 2*ref).String(), tm.Ratio(2*i+1, 2*ref+1).String(), llc[2*i], llc[2*i+1])
+	}
+	t.Note("time vs ×1: per-round ratio to the same engine at the rule size, median [min, max] over %d interleaved rounds", rounds)
+	t.Note("LLC miss: the first 256-residue query, traced through the scaled hierarchy")
 	t.Note("paper: both systems are fastest near the b = LLC/(2t+1) block size; NCBI-db degrades much faster for large blocks")
 	return t, nil
-}
-
-func traceLLC(w *Workload, run func(cfg *search.Config)) float64 {
-	cfg := *w.Cfg
-	h := scaledHierarchy(w.DB.TotalResidues)
-	cfg.Trace = h.Tracer()
-	run(&cfg)
-	return h.Report().LLCMissRate
-}
-
-func sizeLabel(b int64) string {
-	switch {
-	case b >= 1<<20:
-		return fmt.Sprintf("%dMB", b>>20)
-	default:
-		return fmt.Sprintf("%dKB", b>>10)
-	}
 }
 
 // Fig9 reproduces the single-node engine comparison (Fig 9): batch
@@ -255,8 +217,8 @@ func sizeLabel(b int64) string {
 func Fig9(s Scale) (*Table, error) {
 	t := &Table{
 		Title: "Fig 9: multithreaded engine comparison (batch of " + fmt.Sprint(s.Batch) + " queries)",
-		Columns: []string{"database", "queries", "NCBI (s)", "NCBI-db (s)", "muBLASTP (s)",
-			"measured vs NCBI", "measured vs NCBI-db", "modeled vs NCBI-db"},
+		Columns: []string{"database", "queries", "muBLASTP (s)",
+			"measured vs NCBI", "measured vs NCBI-db", "NCBI-db time / NCBI", "modeled vs NCBI-db"},
 	}
 	for _, build := range []func(Scale) (*Workload, error){Uniprot, EnvNR} {
 		w, err := build(s)
@@ -268,9 +230,10 @@ func Fig9(s Scale) (*Table, error) {
 		mu := core.New(w.Cfg, w.Index)
 		for _, name := range QuerySetNames {
 			qs := w.Queries[name]
-			tn := TimeIt(func() { ncbi.SearchBatch(qs, s.threads()) })
-			td := TimeIt(func() { ncbiDB.SearchBatch(qs, s.threads()) })
-			tm := TimeIt(func() { mu.SearchBatch(qs, s.threads()) })
+			tm := timeEngines(
+				func() { ncbi.SearchBatch(qs, s.threads()) },
+				func() { ncbiDB.SearchBatch(qs, s.threads()) },
+				func() { mu.SearchBatch(qs, s.threads()) })
 			// Modeled times: the same sub-batch traced through the scaled
 			// Haswell-shaped hierarchy. Wall time on the development host
 			// cannot show the paper's DRAM-bound gap when the scaled
@@ -280,90 +243,64 @@ func Fig9(s Scale) (*Table, error) {
 			if len(sub) > 4 {
 				sub = sub[:4]
 			}
-			md := modeledBatch(w, sub, func(cfg *search.Config) batchFn {
-				e := baseline.NewDBIndexed(cfg, w.Index)
-				return func(q [][]alphabet.Code) { e.SearchBatch(q, 1) }
-			})
-			mm := modeledBatch(w, sub, func(cfg *search.Config) batchFn {
-				e := core.New(cfg, w.Index)
-				return func(q [][]alphabet.Code) { e.SearchBatch(q, 1) }
-			})
-			t.AddRow(w.Name, name, secs(tn), secs(td), secs(tm),
-				ratio(tn, tm), ratio(td, tm),
-				fmt.Sprintf("%.2fx", md/mm))
+			// Modeled seconds on a 2.5GHz Haswell.
+			r := traced(w, func(cfg *search.Config) { baseline.NewDBIndexed(cfg, w.Index).SearchBatch(sub, 1) },
+				func(cfg *search.Config) { core.New(cfg, w.Index).SearchBatch(sub, 1) })
+			t.AddRow(w.Name, name, secs(tm.Median(2)), tm.Ratio(0, 2).String(), tm.Ratio(1, 2).String(),
+				tm.Ratio(1, 0).String(), fmt.Sprintf("%.2fx", r[0].ModeledSeconds(2.5)/r[1].ModeledSeconds(2.5)))
 		}
 	}
-	t.Note("measured: wall time on this host (db fits the host LLC, so locality gains barely register)")
+	t.Note("measured: per-round wall-time ratio on this host, median [min, max] over %d interleaved rounds (db fits the host LLC, so locality gains barely register)", rounds)
 	t.Note("modeled: trace-driven memory time on the scaled Haswell hierarchy — comparable only between the two db-indexed engines, whose work structure is identical; NCBI's streaming scan costs are dominated by instruction/bandwidth effects the latency model does not capture (DESIGN.md)")
 	t.Note("paper: muBLASTP up to 5.1x over NCBI and 3.9x over NCBI-db; NCBI-db is not consistently faster than NCBI")
 	return t, nil
 }
 
-type batchFn func(q [][]alphabet.Code)
-
-// modeledBatch returns the modeled seconds (2.5GHz Haswell) for searching
-// the sub-batch with the engine built by mk, traced through the scaled
-// hierarchy.
-func modeledBatch(w *Workload, sub [][]alphabet.Code, mk func(cfg *search.Config) batchFn) float64 {
-	cfg := *w.Cfg
-	h := scaledHierarchy(w.DB.TotalResidues)
-	cfg.Trace = h.Tracer()
-	mk(&cfg)(sub)
-	return h.Report().ModeledSeconds(2.5)
-}
-
 // Fig10 reproduces the multi-node scaling comparison (Fig 10): execution
 // time and speedup of muBLASTP-MPI vs mpiBLAST on the env_nr-like workload
-// at 1-128 nodes. Per-cell compute costs are calibrated from real
-// single-thread runs of the corresponding engines on this machine; the
-// cluster itself is simulated (see internal/cluster and DESIGN.md).
+// at 1-128 nodes. The compute costs are calibrated from one interleaved
+// comparison on this machine: NCBI's single-thread median is the model's one
+// absolute scale, muBLASTP's cost a cell follows from the NCBI / muBLASTP
+// ratio and its thread efficiency from the serial / parallel ratio, so the
+// speedup column rests on paired ratios alone. The cluster itself is
+// simulated (see internal/cluster and DESIGN.md).
 func Fig10(s Scale) (*Table, error) {
 	w, err := EnvNR(s)
 	if err != nil {
 		return nil, err
 	}
 	queries := w.Queries["mixed"]
-
-	// Calibrate seconds-per-cell for both engines from measured
-	// single-thread runs on this host.
-	cells := float64(TotalQueryResidues(queries)) * float64(w.DB.TotalResidues)
 	ncbiEng := baseline.NewQueryIndexed(w.Cfg, w.DB)
 	muEng := core.New(w.Cfg, w.Index)
-	tNCBI := TimeIt(func() { ncbiEng.SearchBatch(queries, 1) })
-	tMuSerial := TimeIt(func() { muEng.SearchBatch(queries, 1) })
-	p := cluster.DefaultCostParams()
-	p.SecPerCellNCBI = tNCBI.Seconds() / cells
-	p.SecPerCellMu = tMuSerial.Seconds() / cells
-
-	// Measure intra-node threading efficiency of muBLASTP on this machine
-	// when it has real parallelism; otherwise keep the default.
 	threads := s.threads()
-	if threads > 1 {
-		tPar := TimeIt(func() { muEng.SearchBatch(queries, threads) })
-		p.ThreadEff = tMuSerial.Seconds() / (float64(threads) * tPar.Seconds())
-		if p.ThreadEff > 1 {
-			p.ThreadEff = 1
-		}
-		if p.ThreadEff < 0.5 {
-			p.ThreadEff = 0.5
-		}
+	engines := []func(){
+		func() { ncbiEng.SearchBatch(queries, 1) },
+		func() { muEng.SearchBatch(queries, 1) },
 	}
+	if threads > 1 { // intra-node efficiency needs real parallelism to measure
+		engines = append(engines, func() { muEng.SearchBatch(queries, threads) })
+	}
+	tm := timeEngines(engines...)
+	speed, par := tm.Ratio(0, 1), tm.Ratio(1, len(engines)-1) // par is 1 on one thread
+	var queryResidues int64
+	for _, q := range queries {
+		queryResidues += int64(len(q))
+	}
+	p := cluster.DefaultCostParams()
+	p.SecPerCellNCBI = tm.Median(0).Seconds() / (float64(queryResidues) * float64(w.DB.TotalResidues))
 
 	// Project to the paper's full env_nr scale: sequence lengths drawn from
 	// the same distribution (env_nr has ~6M sequences; 2M keeps the
 	// simulation fast while far exceeding any per-node cache), 128-query
 	// batch.
 	gLen := seqgen.New(seqgen.EnvNRProfile(), s.Seed+1)
-	const fullSeqs = 2000000
-	seqLens := make([]int, fullSeqs)
+	seqLens := make([]int, 2000000)
+	var totalRes int64
 	for i := range seqLens {
 		seqLens[i] = gLen.Length()
+		totalRes += int64(seqLens[i])
 	}
 	queryLens := make([]int, 128)
-	var totalRes int64
-	for _, l := range seqLens {
-		totalRes += int64(l)
-	}
 	avgQ := 0
 	for i := range queryLens {
 		queryLens[i] = gLen.Length()
@@ -381,6 +318,17 @@ func Fig10(s Scale) (*Table, error) {
 	p.MergePerResult = 1.2e-5 * perQueryPerProc
 	p.BatchMergePerResult = p.MergePerResult / 10
 	p.DispatchPerTask = p.MergePerResult / 10
+	// at is the model at one NCBI / muBLASTP ratio and one serial / parallel
+	// ratio; without threads to measure it keeps the default efficiency.
+	at := func(speed, par float64) cluster.CostParams {
+		q := p
+		q.SecPerCellMu = p.SecPerCellNCBI / speed
+		if threads > 1 {
+			q.ThreadEff = min(max(par/float64(threads), 0.5), 1)
+		}
+		return q
+	}
+	mid, lo, hi := at(speed.Median, par.Median), at(speed.Min, par.Min), at(speed.Max, par.Max)
 
 	t := &Table{
 		Title: "Fig 10: multi-node scaling, muBLASTP-MPI vs mpiBLAST (env_nr-like, simulated cluster, calibrated costs)",
@@ -392,19 +340,24 @@ func Fig10(s Scale) (*Table, error) {
 	for _, nodes := range nodeCounts {
 		frag := contiguousResidues(seqLens, nodes*16)
 		part := roundRobinResidues(seqLens, nodes)
-		mb := cluster.SimulateMPIBlast(queryLens, frag, p)
-		muM := cluster.SimulateMuBLASTP(queryLens, part, 16, p)
+		mb := cluster.SimulateMPIBlast(queryLens, frag, mid)
+		muM := cluster.SimulateMuBLASTP(queryLens, part, 16, mid)
 		if nodes == 1 {
 			mb1, mu1 = mb.Total, muM.Total
 		}
+		speedup := spread{Median: mb.Total / muM.Total,
+			Min: mb.Total / cluster.SimulateMuBLASTP(queryLens, part, 16, lo).Total,
+			Max: mb.Total / cluster.SimulateMuBLASTP(queryLens, part, 16, hi).Total}
 		t.AddRow(nodes,
 			fmt.Sprintf("%.1f", mb.Total),
 			fmt.Sprintf("%.1f", muM.Total),
-			fmt.Sprintf("%.1fx", mb.Total/muM.Total),
+			speedup.String(),
 			pct(mb1/(float64(nodes)*mb.Total)),
 			pct(mu1/(float64(nodes)*muM.Total)))
 	}
-	t.Note("calibrated sec/cell: NCBI %.3g, muBLASTP %.3g; thread efficiency %.2f", p.SecPerCellNCBI, p.SecPerCellMu, p.ThreadEff)
+	t.Note("scale: NCBI single-thread median %.3f s (%.3g s/cell); NCBI / muBLASTP single-thread %s; muBLASTP 1 / %d threads %s, thread efficiency %.2f (clamped to [0.5, 1])",
+		tm.Median(0).Seconds(), p.SecPerCellNCBI, speed, threads, par, mid.ThreadEff)
+	t.Note("speedup: the model at the median ratios [at both ratios' low ends, at both high ends], over %d interleaved rounds", rounds)
 	t.Note("paper: muBLASTP 88-92%% scaling efficiency vs mpiBLAST 31-57%%; 2.2-8.9x speedup at 128 nodes")
 	return t, nil
 }

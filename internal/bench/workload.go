@@ -127,26 +127,66 @@ func (w *Workload) Reindex(blockResidues int64) error {
 	return nil
 }
 
-// TimeIt measures fn's wall-clock duration: one untimed warm call, then the
-// median of three timed ones, so a cold cache or one slow pass of the host
-// does not become the figure.
-func TimeIt(fn func()) time.Duration {
-	fn()
-	var d [3]time.Duration
-	for i := range d {
+// rounds is how many timed rounds timeEngines runs. It is odd, so a median
+// is one round's value, and at five the [min, max] spreads of two runs of one
+// steady ratio are disjoint with probability 2/C(10,5) < 1%.
+const rounds = 5
+
+// timing is every engine's wall time in every round, [round][engine].
+type timing [][]time.Duration
+
+// timeEngines is the one clock of the paper's timed figures. It times the
+// engines of one comparison in a single loop: one untimed warm call each,
+// then rounds rounds alternating the order (A B C, then C B A), so a drift
+// of the host lands on every engine alike and cancels in a round's ratios.
+func timeEngines(engines ...func()) timing {
+	return interleave(engines, func(fn func()) time.Duration {
+		runtime.GC() // no engine pays for the garbage of the one before it
 		start := time.Now()
 		fn()
-		d[i] = time.Since(start)
-	}
-	slices.Sort(d[:])
-	return d[1]
+		return time.Since(start)
+	})
 }
 
-// TotalQueryResidues sums the lengths of a query set.
-func TotalQueryResidues(queries [][]alphabet.Code) int64 {
-	var n int64
-	for _, q := range queries {
-		n += int64(len(q))
+// interleave is timeEngines with the clock passed in as timed.
+func interleave(engines []func(), timed func(func()) time.Duration) timing {
+	for _, e := range engines {
+		e()
 	}
-	return n
+	t := make(timing, rounds)
+	for r := range t {
+		t[r] = make([]time.Duration, len(engines))
+		for i := range engines {
+			if r%2 == 1 {
+				i = len(engines) - 1 - i
+			}
+			t[r][i] = timed(engines[i])
+		}
+	}
+	return t
 }
+
+// Median is engine e's median time over the rounds.
+func (t timing) Median(e int) time.Duration {
+	d := make([]time.Duration, len(t))
+	for r := range t {
+		d[r] = t[r][e]
+	}
+	slices.Sort(d)
+	return d[len(d)/2]
+}
+
+// Ratio is engine a's time over engine b's, taken within each round.
+func (t timing) Ratio(a, b int) spread {
+	v := make([]float64, len(t))
+	for r := range t {
+		v[r] = float64(t[r][a]) / float64(t[r][b])
+	}
+	slices.Sort(v)
+	return spread{Median: v[len(v)/2], Min: v[0], Max: v[len(v)-1]}
+}
+
+// spread is a ratio's median over the rounds and its range.
+type spread struct{ Median, Min, Max float64 }
+
+func (s spread) String() string { return fmt.Sprintf("%.2fx [%.2f, %.2f]", s.Median, s.Min, s.Max) }

@@ -21,8 +21,9 @@ import (
 // harness as the engine's and the daemon's (internal/faultinject). Disarmed
 // they cost one atomic load per RPC.
 var (
-	// fiRPC sits before the outbound shard RPC: an error fault drops the
-	// call (a dead upstream), a delay fault slows it (a congested link).
+	// fiRPC sits before every outbound RPC, probes included: an error fault
+	// drops the call (a dead upstream), a delay fault slows it (a congested
+	// link).
 	fiRPC = faultinject.NewSite("router.rpc")
 	// fiRPCBody wraps the response body: a shortread fault truncates it
 	// mid-stream (a connection torn under the decoder).
@@ -225,14 +226,12 @@ func (w *RemoteWorker) HealthCheck(ctx context.Context) error {
 	return nil
 }
 
-// probe GETs one of the daemon's status paths and, when into is non-nil,
-// decodes the reply into it: nil on 200, an error otherwise.
+// probe GETs one of the daemon's status paths through do, so the transport
+// fault sites and the trace headers reach it as they reach a search, and,
+// when into is non-nil, decodes the reply into it: nil on 200, an error
+// otherwise.
 func (w *RemoteWorker) probe(ctx context.Context, path string, into any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := w.client.Do(req)
+	resp, err := w.do(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return fmt.Errorf("router: worker %s unreachable: %w", w.name, err)
 	}
@@ -242,7 +241,7 @@ func (w *RemoteWorker) probe(ctx context.Context, path string, into any) error {
 		return fmt.Errorf("router: worker %s not ready: %s status %d", w.name, path, resp.StatusCode)
 	}
 	if into != nil {
-		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+		if err := json.NewDecoder(fiRPCBody.Reader(resp.Body)).Decode(into); err != nil {
 			return fmt.Errorf("router: worker %s: decoding %s: %w", w.name, path, err)
 		}
 	}

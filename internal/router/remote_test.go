@@ -264,6 +264,39 @@ func TestRemoteWorkerHealthCheck(t *testing.T) {
 	}
 }
 
+// TestProbeTakesTheRPCPath: a probe is an RPC like a search, so a dropped
+// call (router.rpc=error) fails HealthCheck with the injected error, and the
+// router's prober takes the replica out of rotation for it.
+func TestProbeTakesTheRPCPath(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	defer ts.Close()
+	w := NewRemoteWorker("w", ts.URL, RemoteOptions{})
+	if err := faultinject.Enable("router.rpc=error", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Disable()
+	if err := w.HealthCheck(context.Background()); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("HealthCheck with router.rpc armed = %v, want the injected error", err)
+	}
+
+	rt, err := New([][]Worker{{w}}, Options{Registry: obs.NewRegistry(), Resilience: ResilienceConfig{
+		ProbeInterval: 2 * time.Millisecond, ProbeTimeout: 500 * time.Millisecond,
+		ReadmitBackoff: time.Second, ReadmitBackoffMax: time.Second,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	defer rt.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for st := rt.ReplicaStates()[0][0]; !st.Ejected || st.Reason != "probe"; st = rt.ReplicaStates()[0][0] {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica state %+v with every probe dropped; want ejected for reason \"probe\"", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestProbeHoldsReplicaToHandshakeRules: a replica that restarts on another
 // build behind the router — here its /shard/info flips rules_version — still
 // answers /readyz, but the prober ejects it, keeps it out while it reports

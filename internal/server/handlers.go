@@ -224,7 +224,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	texts, names := a.Residues[:n], a.Names[:n]
 
-	db, release := s.ses.Acquire()
+	db, gen, release := s.ses.Acquire()
 	searchStart := time.Now()
 	searchSpan := sc.Root.Child("search", searchStart.UnixNano())
 	br, err := db.SearchBatchCtx(reqtrace.ContextWithSpan(a.ctx, searchSpan), texts)
@@ -245,7 +245,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.met.RequestNanos.Observe(int64(time.Since(a.enqueued)))
 
 	resp := RenderBatch(br, names, searchDur, a.Timeout)
-	resp.Degraded, resp.Truncated, resp.Generation = a.degraded, truncated, s.ses.Generation()
+	resp.Degraded, resp.Truncated, resp.Generation = a.degraded, truncated, gen
 	resp.Stats.QueueWaitMS = float64(a.queueWait) / float64(time.Millisecond)
 
 	s.respond(w, sc, "request", resp, br.Err)

@@ -15,6 +15,7 @@ import (
 
 	"repro/blast"
 	"repro/internal/alphabet"
+	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/seqgen"
 )
@@ -246,6 +247,71 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 	if got := srv.met.ReloadsRejected.Value(); got != 1 {
 		t.Errorf("db_reloads_rejected = %d, want 1", got)
+	}
+}
+
+// TestReplyStampsTheGenerationItSearched: a search pinned to generation 1
+// while /reload swaps in generation 2 answers with generation 1's hits and
+// says generation 1, though the session already serves 2 when the reply is
+// written.
+func TestReplyStampsTheGenerationItSearched(t *testing.T) {
+	f := newFixture(t)
+	_, base := f.start(t, Config{})
+	wantA := wantHits(t, f.dbA, f.query)
+	if err := faultinject.Enable("core.hitdetect=delay:300ms", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Disable()
+
+	// The search runs off the test goroutine, so it reports its outcome on
+	// replied instead of failing the test there.
+	type outcome struct {
+		sr  *SearchResponse
+		err error
+	}
+	replied := make(chan outcome, 1)
+	go func() {
+		raw, _ := json.Marshal(SearchRequest{Queries: []QueryInput{{Name: "q", Residues: f.query}}})
+		resp, err := http.Post(base+"/search", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			replied <- outcome{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var sr SearchResponse
+		if resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("POST /search: status %d", resp.StatusCode)
+		} else {
+			err = json.NewDecoder(resp.Body).Decode(&sr)
+		}
+		replied <- outcome{&sr, err}
+	}()
+	var early *outcome
+	for early == nil && f.ses.Refs() < 2 { // until the search has pinned generation 1
+		select {
+		case o := <-replied:
+			early = &o
+		case <-time.After(time.Millisecond):
+		}
+	}
+	if early != nil {
+		t.Fatalf("search returned before it was seen pinning generation 1 (err %v)", early.err)
+	}
+	if resp, data := postJSON(t, base+"/reload", ReloadRequest{Path: f.pathB}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reload: status %d: %s", resp.StatusCode, data)
+	}
+	o := <-replied
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	sr := o.sr
+	if len(sr.Results) != 1 || sr.Generation != 1 || !reflect.DeepEqual(sr.Results[0].Hits, wantA) {
+		t.Errorf("search pinned to generation 1 answered generation %d (hits equal generation 1's: %v)",
+			sr.Generation, reflect.DeepEqual(sr.Results[0].Hits, wantA))
+	}
+	faultinject.Disable()
+	if _, sr := searchOnce(t, base, f.query); sr.Generation != 2 {
+		t.Errorf("search after the reload answered generation %d, want 2", sr.Generation)
 	}
 }
 

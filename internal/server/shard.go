@@ -78,7 +78,7 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	db, release := s.ses.Acquire()
+	db, gen, release := s.ses.Acquire()
 	defer release()
 	globalRes, globalSeqs := db.GlobalSearchSpace()
 	evalue, maxResults := db.SearchSettings()
@@ -92,7 +92,7 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 		GlobalResidues:  globalRes,
 		EValueCutoff:    evalue,
 		MaxResults:      maxResults,
-		Generation:      s.ses.Generation(),
+		Generation:      gen,
 		Draining:        s.Draining(),
 		ManifestSeq:     manSeq,
 		ManifestHash:    manHash,
@@ -119,7 +119,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	defer a.done()
 	sc := a.sc
 
-	db, release := s.ses.Acquire()
+	db, gen, release := s.ses.Acquire()
 	searchStart := time.Now()
 	searchSpan := sc.Root.Child("search", searchStart.UnixNano())
 	searchSpan.SetAttr("shard", strconv.Itoa(req.Shard))
@@ -141,7 +141,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 
 	s.respond(w, sc, "shard request", ShardSearchResponse{
 		Degraded:   a.degraded,
-		Generation: s.ses.Generation(),
+		Generation: gen,
 		Result:     wire,
 	}, part.Err())
 }
