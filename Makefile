@@ -46,7 +46,7 @@ chaos:
 	go test -race -run 'TestChaos' -v ./internal/core ./internal/server ./internal/router
 
 # Short-budget fuzz pass over every decoder at the I/O boundary (the FASTA
-# parser, the database and index deserializers, the container loader) and
+# parser, the sequence deserializer, the container loader) and
 # every equivalence the engine's identity rests on (shard and tier merges,
 # the three statements of the two-hit rule, one last-hit slot per block
 # diagonal vs one per sequence diagonal, also where hits straddle an index
@@ -57,7 +57,6 @@ FUZZTIME ?= 10s
 fuzz:
 	go test -fuzz=FuzzReader -fuzztime=$(FUZZTIME) -run='^$$' ./internal/fasta
 	go test -fuzz=FuzzReadFrom -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dbase
-	go test -fuzz=FuzzReadFrom -fuzztime=$(FUZZTIME) -run='^$$' ./internal/dbindex
 	go test -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) -run='^$$' ./blast
 	go test -fuzz=FuzzShardEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./blast
 	go test -fuzz=FuzzTieredEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./blast
@@ -132,8 +131,7 @@ crash-smoke:
 trace-smoke:
 	./scripts/trace_smoke.sh
 
-# Regenerate every evaluation table (Section V). ~5 minutes on 2 vCPUs, 3 of
-# them in Fig 8's block sweep (bench.TimeIt runs each timed cell 4 times).
+# Regenerate every evaluation table (Section V), about 2 minutes on 2 vCPUs.
 experiments:
 	go run ./cmd/experiments -seqs 4000 -batch 16
 

@@ -50,10 +50,11 @@ type Params struct {
 	EValueCutoff float64
 	// MaxResults caps hits per query (default 250).
 	MaxResults int
-	// BlockResidues caps index-block size in residues; 0 sizes blocks by
-	// the paper's L3 rule for the configured thread count.
+	// BlockResidues caps index-block size in residues, at least
+	// dbindex.MinBlockResidues (1024); 0 sizes blocks by the paper's L3 rule
+	// for the configured thread count.
 	BlockResidues int64
-	// Threads used by batch searches; 0 means GOMAXPROCS.
+	// Threads used by batch searches and index builds; 0 means GOMAXPROCS.
 	Threads int
 	// SplitLongerThan splits subject sequences longer than this into
 	// overlapping chunks before indexing (the Orion-style handling of
@@ -172,11 +173,29 @@ func newDatabaseFrom(db *dbase.DB, p Params) (*Database, error) {
 		// Paper Section V-B sizing rule against a 30MB LLC default.
 		blockResidues = dbindex.OptimalBlockResidues(30<<20, threads)
 	}
-	ix, err := dbindex.BuildWindow(db, cfg.Neighbors, blockResidues, cfg.TwoHit.Window)
+	ix, err := buildIndex(db, cfg.Neighbors, blockResidues, p.Threads)
+	if err != nil {
+		return nil, err
+	}
+	return newSingle(p, cfg, db, ix, chunkOrigin, splitLen, overlap), nil
+}
+
+// buildIndex indexes db (length-sorting it first, if it is not) in blocks of
+// at most blockResidues residues, padded for this build's two-hit window, on
+// threads workers (0 means GOMAXPROCS), and hands the index nbr to carry. It
+// is the one path to every index a Database holds: NewDatabase, Shards and
+// Compact build with it, and Load and OpenStore rebuild with it what a
+// container's sequences imply. A block size below dbindex.MinBlockResidues
+// is refused.
+func buildIndex(db *dbase.DB, nbr *neighbor.Enumerator, blockResidues int64, threads int) (*dbindex.Index, error) {
+	if blockResidues < dbindex.MinBlockResidues {
+		return nil, fmt.Errorf("blast: block residues %d below the minimum of %d", blockResidues, dbindex.MinBlockResidues)
+	}
+	ix, err := dbindex.BuildParallel(db, nbr, blockResidues, threads)
 	if err != nil {
 		return nil, fmt.Errorf("blast: building index: %w", err)
 	}
-	return newSingle(p, cfg, db, ix, chunkOrigin, splitLen, overlap), nil
+	return ix, nil
 }
 
 // effectiveSplit resolves Params' long-sequence split geometry to the values

@@ -43,15 +43,15 @@ func pinnedDatabase(t testing.TB) *Database {
 	return db
 }
 
-// pinnedContainerSHA256 is the SHA-256 of pinnedDatabase's version-4
+// pinnedContainerSHA256 is the SHA-256 of pinnedDatabase's version-5
 // container. A codec change that moves one byte fails here; a deliberate
 // format change bumps containerVersion and this hash together.
-const pinnedContainerSHA256 = "7740ceaed3397bc7797ead6bc94deec77c738456f23a1e8ccd4e946b11a6f4bf"
+const pinnedContainerSHA256 = "47b73bd8fdb63e387bbc5a620162167bc34fa897d53f563f45de64086515c57f"
 
 func TestContainerFormatPinned(t *testing.T) {
 	sum := sha256.Sum256(saved(t, pinnedDatabase(t)))
 	if got := hex.EncodeToString(sum[:]); got != pinnedContainerSHA256 {
-		t.Fatalf("container SHA-256 %s, want %s: the version-4 byte format moved", got, pinnedContainerSHA256)
+		t.Fatalf("container SHA-256 %s, want %s: the version-5 byte format moved", got, pinnedContainerSHA256)
 	}
 }
 
@@ -139,13 +139,14 @@ func TestTruncationAtSectionBoundaries(t *testing.T) {
 	}
 }
 
-// allocDatabase is a 500 000-residue database in the benchmarks' block size,
-// large enough that a fixed chunk is small beside its container.
+// allocDatabase is a 1 000 000-residue database in the benchmarks' block
+// size, large enough that a fixed 64 KiB chunk is small beside its container
+// of about 1.03 bytes a residue.
 func allocDatabase(t *testing.T) *Database {
 	t.Helper()
 	g := seqgen.New(seqgen.UniprotProfile(), 17)
 	var seqs []Sequence
-	for total := 0; total < 500_000; {
+	for total := 0; total < 1_000_000; {
 		for _, s := range g.Database(64) {
 			seqs = append(seqs, Sequence{Name: nameFor(len(seqs)), Residues: alphabet.String(s)})
 			total += len(s)
@@ -174,10 +175,8 @@ func allocatedBytes(f func()) uint64 {
 }
 
 // decodedBytes is the size of the structures a loaded single-part database
-// holds: the sequence table, names and residues, and the index arrays — per
-// block 2 bytes a position, a 4-byte start and a lead byte per word, a split
-// byte per (word, page), and the 4-byte layout tables of its sequences and
-// its 256-coordinate grains.
+// holds: the sequence table, names and residues, and the index as
+// dbindex.BlockIndex.SizeBytes counts each block.
 func decodedBytes(d *Database) uint64 {
 	p := d.parts[0]
 	n := uint64(cap(p.db.Seqs)) * uint64(unsafe.Sizeof(p.db.Seqs[0]))
@@ -185,15 +184,15 @@ func decodedBytes(d *Database) uint64 {
 		n += uint64(len(p.db.Seqs[i].Name) + cap(p.db.Seqs[i].Data))
 	}
 	for _, b := range p.ix.Blocks {
-		n += uint64(unsafe.Sizeof(*b)) + 2*uint64(b.NumPositions()) + 4*uint64(alphabet.NumWords+1) +
-			uint64(alphabet.NumWords*(b.Pages()+1)) + 4*uint64(b.Block.NumSeqs()+1+(b.Span()+255)/256)
+		n += uint64(unsafe.Sizeof(*b)) + uint64(b.SizeBytes())
 	}
-	return n
+	return n + uint64(unsafe.Sizeof(*p.ix))
 }
 
 // TestContainerAllocationCeilings: Save into io.Discard allocates less than a
 // tenth of what it writes (no section is staged whole), and Load allocates at
-// most 1.15 times the structures it returns (no section is copied twice).
+// most 1.15 times the structures it returns (no section is copied twice, and
+// the index build leaves little behind).
 func TestContainerAllocationCeilings(t *testing.T) {
 	db := allocDatabase(t)
 	art := saved(t, db)

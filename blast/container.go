@@ -23,16 +23,19 @@ import (
 // partially populated database.
 var fiDBRead = faultinject.NewSite("db.read")
 
-// This file implements the on-disk database container (format version 4).
+// This file implements the on-disk database container (format version 5).
 //
-// A saved database is a long-lived, network-shipped artifact — the whole
-// point of the paper's database index is build-once/search-many reuse — so
-// the container is hardened against corruption and parameter drift:
+// A saved database is a long-lived, network-shipped artifact, so the
+// container is hardened against corruption and parameter drift. It holds the
+// sequences and how to index them, not the index: the paper's index is the
+// exact-word positions of the database's own residues, which the loader
+// builds from the checked sequences with the builder NewDatabase uses, in
+// less time than decoding and checking a stored copy took.
 //
 //	magic   13 bytes  "\x89muBLASTP\r\n\x1a\n" (PNG-style: catches text-mode
 //	                  mangling and truncation at a glance)
-//	version uint16 LE (currently 4)
-//	sections, in fixed order: PRMS, SEQS, XIDX, ORGN, FEND
+//	version uint16 LE (currently 5)
+//	sections, in fixed order: PRMS, SEQS, ORGN, FEND
 //
 // Each section is framed as
 //
@@ -43,7 +46,8 @@ var fiDBRead = faultinject.NewSite("db.read")
 //
 // PRMS holds the build fingerprint (matrix name, word size W, neighbor
 // threshold T, block residues, split parameters) that Load validates against
-// the caller's Params. SEQS and XIDX carry the dbase and dbindex streams.
+// the caller's Params. SEQS carries the dbase stream, in ascending length
+// order.
 // ORGN persists the split-chunk origin table, replacing the old recovery of
 // origins by parsing "#<offset>" name suffixes (which misclassified user
 // sequences whose names legitimately contain "#<digits>"). FEND is an empty
@@ -57,9 +61,10 @@ var fiDBRead = faultinject.NewSite("db.read")
 // into one word; version 3 stored the block coordinate the detection scan
 // reads, in 32 bits, with the block's padding where version 2 had its offset
 // width; version 4 stores it in 16 bits, in runs, beside a per-(word, page)
-// run-length table (see internal/dbindex). All older versions are detected
-// and rejected with ErrVersion: there is one reader. Any layout change bumps
-// the version; readers reject versions they do not know.
+// run-length table (see internal/dbindex); version 5 stores no index. All
+// older versions are detected and rejected with ErrVersion: there is one
+// reader. Any layout change bumps the version; readers reject versions they
+// do not know.
 
 // Typed load errors. Callers can distinguish "the artifact is damaged,
 // rebuild it" (ErrCorrupt), "the artifact comes from an incompatible
@@ -73,14 +78,13 @@ var (
 
 const (
 	containerMagic   = "\x89muBLASTP\r\n\x1a\n"
-	containerVersion = 4
+	containerVersion = 5
 )
 
 // Section tags, in file order.
 const (
 	secParams = "PRMS"
 	secSeqs   = "SEQS"
-	secIndex  = "XIDX"
 	secOrigin = "ORGN"
 	secEnd    = "FEND"
 )
@@ -92,7 +96,6 @@ const (
 const (
 	maxParamsSection = 1 << 16
 	maxSeqsSection   = 1 << 38
-	maxIndexSection  = 1 << 38
 	maxOriginSection = 1 << 30
 )
 
@@ -165,7 +168,6 @@ func (d *Database) sections() ([]section, error) {
 	return []section{
 		{secParams, int64(len(fp)), raw(fp)},
 		{secSeqs, p.db.EncodedSize(), func(w io.Writer) error { _, err := p.db.WriteTo(w); return err }},
-		{secIndex, p.ix.EncodedSize(), func(w io.Writer) error { _, err := p.ix.WriteTo(w); return err }},
 		{secOrigin, int64(len(origins)), raw(origins)},
 		{secEnd, 0, nil},
 	}, nil
@@ -180,11 +182,11 @@ func containerSize(secs []section) int64 {
 	return n
 }
 
-// Save writes the database (fingerprint, sequences, index, split origins)
-// as a version-4 container so a later Load skips index construction — the
-// reuse the paper's database-index design is for. Every section is framed
-// with a length and a CRC32 so Load can prove integrity. A writer with a
-// Grow(int) method, such as a bytes.Buffer, is grown to the container's
+// Save writes the database (fingerprint, sequences, split origins) as a
+// version-5 container, about 1.03 bytes a residue: Load rebuilds the index
+// from the sequences and the fingerprint's block size. Every section is
+// framed with a length and a CRC32 so Load can prove integrity. A writer with
+// a Grow(int) method, such as a bytes.Buffer, is grown to the container's
 // exact size first, so it is allocated once instead of doubling its way
 // there.
 func (d *Database) Save(w io.Writer) error {
@@ -287,12 +289,28 @@ func (p *part) originBytes() []byte {
 }
 
 // container is a fully decoded and checksum-verified artifact, before any
-// Params-dependent wiring.
+// Params-dependent wiring. ix is nil until the sequences are indexed (see
+// index): Verify never indexes them, Load does once the fingerprint checks
+// have passed, and a store indexes each container as it takes it in.
 type container struct {
 	fp      Fingerprint
 	db      *dbase.DB
 	ix      *dbindex.Index
 	origins map[string]chunkInfo
+}
+
+// index builds the container's index from its checked sequences, on threads
+// workers (0 means GOMAXPROCS). The index carries no neighbor enumerator:
+// openParts gives each part's copy the one it searches with. Sequences that
+// cannot be indexed at the fingerprint's block size make the container
+// unusable: ErrCorrupt.
+func (c *container) index(threads int) error {
+	ix, err := buildIndex(c.db, nil, c.fp.BlockResidues, threads)
+	if err != nil {
+		return corruptf("%v", err)
+	}
+	c.ix = ix
+	return nil
 }
 
 // containerDecodes counts loadContainer calls, so tests can pin how many
@@ -322,9 +340,9 @@ func (s *sectionReader) Read(p []byte) (int, error) {
 
 // loadContainer decodes and validates a container independent of Params:
 // magic, version, every section checksum, full consumption of every
-// section, structural bounds of the decoded database and index, and no
-// trailing bytes after the FEND trailer. Each section is read once, in the
-// decoders' chunks, through its running CRC.
+// section, structural bounds of the fingerprint and the decoded database,
+// and no trailing bytes after the FEND trailer. Each section is read once, in
+// the decoders' chunks, through its running CRC. It builds no index.
 func loadContainer(r io.Reader) (*container, error) {
 	containerDecodes.Add(1)
 	r = fiDBRead.Reader(r)
@@ -341,7 +359,7 @@ func loadContainer(r io.Reader) (*container, error) {
 		return nil, corruptf("bad magic %q: not a muBLASTP database container", head[:len(containerMagic)])
 	}
 	if v := binary.LittleEndian.Uint16(head[len(containerMagic):]); v != containerVersion {
-		return nil, fmt.Errorf("blast: %w: container version %d (this build reads version %d)", ErrVersion, v, containerVersion)
+		return nil, fmt.Errorf("blast: %w: container version %d (this build reads version %d); rebuild it with makedb", ErrVersion, v, containerVersion)
 	}
 	c := &container{}
 	readSection := func(wantTag string, maxLen int64, decode func(r io.Reader, length int64) error) error {
@@ -397,19 +415,6 @@ func loadContainer(r io.Reader) (*container, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if err := readSection(secIndex, maxIndexSection, func(r io.Reader, length int64) error {
-		ix, err := dbindex.ReadFromLimit(r, c.db, length)
-		if err != nil {
-			return err
-		}
-		if ix.BlockResidues != c.fp.BlockResidues {
-			return fmt.Errorf("index block residues %d disagree with fingerprint %d", ix.BlockResidues, c.fp.BlockResidues)
-		}
-		c.ix = ix
-		return nil
-	}); err != nil {
-		return nil, err
-	}
 	if err := readSection(secOrigin, maxOriginSection, func(r io.Reader, length int64) error {
 		return c.readOrigins(r, length)
 	}); err != nil {
@@ -453,7 +458,10 @@ func (c *container) readFingerprint(r io.Reader, length int64) error {
 	}{
 		{"word size", nil, 1, 8},
 		{"neighbor threshold", nil, -(1 << 16), 1 << 16},
-		{"block residues", &c.fp.BlockResidues, 1, 1 << 50},
+		// The floor bounds what indexing the sequences allocates (see
+		// dbindex.MinBlockResidues); a builder of this package writes no
+		// smaller block size.
+		{"block residues", &c.fp.BlockResidues, dbindex.MinBlockResidues, 1 << 50},
 		{"split threshold", nil, 0, 1 << 31},
 		{"split overlap", nil, 0, 1 << 31},
 	}
@@ -535,9 +543,9 @@ func (c *container) readOrigins(r io.Reader, length int64) error {
 	return nil
 }
 
-// adopt checks the container's build fingerprint and index padding against
-// p and the rules this build searches by (cfg, p's search configuration), and
-// returns p with the build-time fields the container fixes.
+// adopt checks the container's build fingerprint against p and the rules
+// this build searches by (cfg, p's search configuration), and returns p with
+// the build-time fields the container fixes.
 func (c *container) adopt(p Params, cfg *search.Config) (Params, error) {
 	// Matrix and neighbor threshold determine the neighbors hit detection
 	// enumerates; the index stores exact-word positions only, so a drifted
@@ -567,21 +575,16 @@ func (c *container) adopt(p Params, cfg *search.Config) (Params, error) {
 	} else {
 		p.SplitLongerThan, p.SplitOverlap = -1, 0
 	}
-	// The two-hit window is not in the fingerprint, but the index lays its
-	// sequences out with the padding one window needs (dbindex.BlockIndex.Pad)
-	// and serves no wider one.
-	if w, maxWindow := cfg.TwoHit.Window, c.ix.MaxWindow(); w > maxWindow {
-		return p, mismatchf("this build searches with two-hit window %d, database padded for windows up to %d (pad %d); rebuild it with makedb",
-			w, maxWindow, maxWindow-alphabet.W)
-	}
 	return p, nil
 }
 
 // openParts wires decoded containers — a base and the deltas layered on it,
 // in order, or one container alone — to the caller's Params as one Database.
-// The containers are shared and never written: every part gets a fresh id map
-// and engine, and its own copy of the index header to carry the neighbor
-// enumerator: a few words and the index's word set (2.3 KB) a part.
+// A container Load decoded is indexed here, once every fingerprint check has
+// passed, on p.Threads; a store's containers are indexed already, and they
+// are shared and never written: every part gets a fresh id map and engine,
+// and its own copy of the index header to carry the neighbor enumerator: a
+// few words and the index's word set (2.3 KB) a part.
 func openParts(p Params, cs []*container) (*Database, error) {
 	cfg, err := buildConfig(p)
 	if err != nil {
@@ -590,6 +593,13 @@ func openParts(p Params, cs []*container) (*Database, error) {
 	for _, c := range cs {
 		if p, err = c.adopt(p, cfg); err != nil {
 			return nil, err
+		}
+	}
+	for _, c := range cs {
+		if c.ix == nil {
+			if err := c.index(p.Threads); err != nil {
+				return nil, err
+			}
 		}
 	}
 	base := cs[0]
@@ -622,11 +632,12 @@ func openParts(p Params, cs []*container) (*Database, error) {
 // the build fingerprint stored in the container: Matrix must equal what the
 // index was built with, and BlockResidues / SplitLongerThan / SplitOverlap
 // must either be left at their zero values (adopting the stored ones) or
-// match them. The container's neighbor threshold must be this build's T, and
-// its index must be padded for this build's two-hit window. Failures are
-// typed: errors.Is(err, ErrCorrupt) means the artifact is damaged and must
-// be rebuilt, ErrVersion means it was written by an incompatible version,
-// and ErrParamsMismatch means the request disagrees with the fingerprint.
+// match them. The container's neighbor threshold must be this build's T. The
+// index is built from the sequences, after every check has passed, on
+// p.Threads workers. Failures are typed: errors.Is(err, ErrCorrupt) means
+// the artifact is damaged and must be rebuilt, ErrVersion means it was
+// written by an incompatible version, and ErrParamsMismatch means the request
+// disagrees with the fingerprint.
 func Load(r io.Reader, p Params) (*Database, error) {
 	c, err := loadContainer(r)
 	if err != nil {
@@ -636,9 +647,9 @@ func Load(r io.Reader, p Params) (*Database, error) {
 }
 
 // Verify fully validates a container — header, version, every checksum,
-// complete decode of all sections, no trailing bytes — without constructing
-// a searchable database, and reports what it holds. This is what
-// `mublastp -verifydb` runs.
+// complete decode of all sections, no trailing bytes — without indexing it,
+// and reports what it holds; NumBlocks is the blocks its sequences fill at
+// the fingerprint's block size. This is what `mublastp -verifydb` runs.
 func Verify(r io.Reader) (*ContainerInfo, error) {
 	c, err := loadContainer(r)
 	if err != nil {
@@ -649,7 +660,7 @@ func Verify(r io.Reader) (*ContainerInfo, error) {
 		Fingerprint:   c.fp,
 		NumSequences:  c.db.NumSeqs(),
 		TotalResidues: c.db.TotalResidues,
-		NumBlocks:     len(c.ix.Blocks),
+		NumBlocks:     len(c.db.Blocks(c.fp.BlockResidues)),
 		NumChunks:     len(c.origins),
 	}, nil
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,7 +15,6 @@ import (
 	"repro/internal/dbindex"
 	"repro/internal/neighbor"
 	"repro/internal/seqgen"
-	"repro/internal/ungapped"
 )
 
 // smallDatabase builds a compact database whose saved container is a few
@@ -42,21 +43,14 @@ func saved(t *testing.T, db *Database) []byte {
 	return buf.Bytes()
 }
 
-// rebuiltWith returns db's single part re-indexed under the neighbors of
-// threshold T and with the padding of the given two-hit window: the container
-// a build with other search rules would write, which no Params of this build
-// can ask for.
-func rebuiltWith(t *testing.T, db *Database, threshold, window int) *Database {
-	t.Helper()
+// withThreshold returns db's single part under the neighbors of threshold T:
+// the container a build with another T would write, which no Params of this
+// build can ask for.
+func withThreshold(db *Database, threshold int) *Database {
 	cfg := *db.cfg
 	cfg.Neighbors = neighbor.New(cfg.Matrix, threshold)
-	cfg.TwoHit.Window = window
 	p := db.parts[0]
-	ix, err := dbindex.BuildWindow(p.db, cfg.Neighbors, p.ix.BlockResidues, window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return newSingle(db.params, &cfg, p.db, ix, p.chunkOrigin, db.splitLen, db.splitOverlap)
+	return newSingle(db.params, &cfg, p.db, p.ix, p.chunkOrigin, db.splitLen, db.splitOverlap)
 }
 
 func isTyped(err error) bool {
@@ -122,14 +116,16 @@ func TestLegacyFormatRejected(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("utter nonsense, quite long enough")), DefaultParams()); !errors.Is(err, ErrCorrupt) {
 		t.Fatal("garbage accepted as container")
 	}
-	// Version 2 (packed index positions) and version 3 (32-bit block
-	// coordinates): the header alone decides, whatever follows it.
+	// Version 2 (packed index positions), version 3 (32-bit block
+	// coordinates) and version 4 (a stored index of 16-bit positions): the
+	// header alone decides, whatever follows it, and the error names the
+	// remedy.
 	db, _ := smallDatabase(t, DefaultParams())
-	for _, v := range []uint16{2, 3} {
+	for _, v := range []uint16{2, 3, 4} {
 		old := saved(t, db)
 		binary.LittleEndian.PutUint16(old[len(containerMagic):], v)
-		if _, err := Load(bytes.NewReader(old), DefaultParams()); !errors.Is(err, ErrVersion) {
-			t.Fatalf("version-%d container: got %v, want ErrVersion", v, err)
+		if _, err := Load(bytes.NewReader(old), DefaultParams()); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "makedb") {
+			t.Fatalf("version-%d container: got %v, want ErrVersion naming makedb", v, err)
 		}
 	}
 }
@@ -157,7 +153,7 @@ func TestLoadRejectsParamsMismatch(t *testing.T) {
 	}
 	// The neighbor threshold is this build's T, not a Params field: a
 	// container built with another is refused whatever the caller sets.
-	other := saved(t, rebuiltWith(t, db, neighbor.DefaultThreshold+2, ungapped.DefaultWindow))
+	other := saved(t, withThreshold(db, neighbor.DefaultThreshold+2))
 	if _, err := Load(bytes.NewReader(other), p); !errors.Is(err, ErrParamsMismatch) ||
 		!strings.Contains(err.Error(), "neighbor threshold 11, database built with 13") {
 		t.Errorf("neighbor threshold drift: got %v, want ErrParamsMismatch naming both thresholds", err)
@@ -269,7 +265,7 @@ func TestVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Version != 4 {
+	if info.Version != 5 {
 		t.Errorf("Version = %d", info.Version)
 	}
 	fp := info.Fingerprint
@@ -354,72 +350,129 @@ func TestZeroLengthRecords(t *testing.T) {
 	}
 }
 
-// TestWindowBeyondPaddingRefused: the two-hit window is not part of the
-// fingerprint, but a container's index is padded for the window it was built
-// with and serves no wider one. A container padded for a window narrower than
-// this build's 40 — as a build with another window would write it — is
-// refused by name on every way of opening it (each goes through
-// container.adopt); the build's own padding and a wider one load.
-func TestWindowBeyondPaddingRefused(t *testing.T) {
+// TestLoadRebuildsTheSavedIndex: a version-5 container stores no index, so
+// Load builds one from the sequences; at one worker and at two it must be,
+// block by block, the index NewDatabase built — padding, position array,
+// every word's slice of it and lead page, every split-table row, the word
+// set, and the rest of each block's layout. The blocks span several pages,
+// so words whose positions are several runs keep rows, and a long sequence
+// is split.
+func TestLoadRebuildsTheSavedIndex(t *testing.T) {
+	g := seqgen.New(seqgen.UniprotProfile(), 61)
+	raw := g.Database(900)
+	seqs := make([]Sequence, len(raw))
+	for i, s := range raw {
+		seqs[i] = Sequence{Name: nameFor(i), Residues: alphabet.String(s)}
+	}
 	p := DefaultParams()
-	p.BlockResidues = 4096
-	refused := func(label string, err error) {
-		t.Helper()
-		if !errors.Is(err, ErrParamsMismatch) {
-			t.Fatalf("%s: got %v, want ErrParamsMismatch", label, err)
+	p.BlockResidues = 1 << 17
+	p.SplitLongerThan, p.SplitOverlap = 2000, 64
+	db, err := NewDatabase(seqs, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(db.parts[0].chunkOrigin) == 0 {
+		t.Fatal("no sequence was split")
+	}
+	want := db.parts[0].ix
+	art := saved(t, db)
+	paged := 0
+	for _, b := range want.Blocks {
+		if b.Pages() > 1 {
+			paged++
 		}
-		for _, want := range []string{"two-hit window 40", "pad 8", "up to 11"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("%s: error %q does not name %q", label, err, want)
+	}
+	if paged < 2 {
+		t.Fatalf("%d of %d blocks span several pages, want at least two", paged, len(want.Blocks))
+	}
+	rows := 0
+	for _, threads := range []int{1, 2} {
+		q := p
+		q.Threads = threads
+		loaded, err := Load(bytes.NewReader(art), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := loaded.parts[0].ix
+		if len(got.Blocks) != len(want.Blocks) || got.BlockResidues != want.BlockResidues {
+			t.Fatalf("threads %d: %d blocks of %d residues, saved %d of %d",
+				threads, len(got.Blocks), got.BlockResidues, len(want.Blocks), want.BlockResidues)
+		}
+		if got.Words != want.Words {
+			t.Errorf("threads %d: word set differs", threads)
+		}
+		for i, wb := range want.Blocks {
+			gb := got.Blocks[i]
+			if gb.Block != wb.Block || gb.Pad != wb.Pad || !slices.Equal(gb.Flat(), wb.Flat()) {
+				t.Fatalf("threads %d, block %d: %+v pad %d, %d positions; saved %+v pad %d, %d positions",
+					threads, i, gb.Block, gb.Pad, gb.NumPositions(), wb.Block, wb.Pad, wb.NumPositions())
+			}
+			for w := alphabet.Word(0); w < alphabet.NumWords; w++ {
+				glo, ghi, glead := gb.Word(w)
+				wlo, whi, wlead := wb.Word(w)
+				_, grow := gb.Runs(w)
+				_, wrow := wb.Runs(w)
+				if glo != wlo || ghi != whi || glead != wlead || !slices.Equal(grow, wrow) {
+					t.Fatalf("threads %d, block %d, word %s: [%d,%d) lead %d row %v; saved [%d,%d) lead %d row %v",
+						threads, i, w, glo, ghi, glead, grow, wlo, whi, wlead, wrow)
+				}
+				if wrow != nil {
+					rows++
+				}
+			}
+			if !reflect.DeepEqual(gb, wb) {
+				t.Fatalf("threads %d, block %d: layout differs from the saved index's", threads, i)
 			}
 		}
 	}
+	if rows == 0 {
+		t.Fatal("no word keeps a split-table row: the database does not exercise them")
+	}
+}
 
-	db, seqs := smallDatabase(t, p)
-	narrow := rebuiltWith(t, db, neighbor.DefaultThreshold, 11)
-	_, err := Load(bytes.NewReader(saved(t, narrow)), p)
-	refused("Load", err)
-	for _, window := range []int{ungapped.DefaultWindow, 60} {
-		if _, err := Load(bytes.NewReader(saved(t, rebuiltWith(t, db, neighbor.DefaultThreshold, window))), p); err != nil {
-			t.Errorf("container padded for window %d: %v", window, err)
+// TestBlockSizeFloor: a block size below dbindex.MinBlockResidues is refused
+// by NewDatabase, and by the fingerprint reader in a container whose every
+// checksum is right, before any index is built: Verify, which builds none,
+// refuses it too.
+func TestBlockSizeFloor(t *testing.T) {
+	g := seqgen.New(seqgen.UniprotProfile(), 5)
+	seqs := []Sequence{{Name: "a", Residues: alphabet.String(g.Sequence(300))}}
+	p := DefaultParams()
+	for _, tc := range []struct {
+		block int64
+		ok    bool
+	}{{1, false}, {dbindex.MinBlockResidues - 1, false}, {dbindex.MinBlockResidues, true}} {
+		p.BlockResidues = tc.block
+		if _, err := NewDatabase(seqs, p); (err == nil) != tc.ok {
+			t.Errorf("NewDatabase with block residues %d: %v", tc.block, err)
 		}
 	}
 
-	// A store whose base carries the narrow padding, with one delta on it.
-	dir := t.TempDir()
-	st, err := InitStore(dir, seqs[:6], p)
+	// Reframe the container's PRMS section with block residues 1.
+	p.BlockResidues = dbindex.MinBlockResidues
+	db, err := NewDatabase(seqs, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := st.Database()
-	if err != nil {
-		t.Fatal(err)
+	art := saved(t, db)
+	head := len(containerMagic) + 2
+	if tag := string(art[head : head+4]); tag != secParams {
+		t.Fatalf("first section %q, want %s", tag, secParams)
 	}
-	_, entry, err := writeContainer(dir, st.man.Base.Name, rebuiltWith(t, base, neighbor.DefaultThreshold, 11))
-	if err != nil {
-		t.Fatal(err)
+	rest := head + 12 + int(binary.LittleEndian.Uint64(art[head+4:])) + 4
+	fp := binary.AppendUvarint(nil, uint64(len("BLOSUM62")))
+	fp = append(fp, "BLOSUM62"...)
+	for _, v := range []int64{alphabet.W, neighbor.DefaultThreshold, 1, 0, 0} {
+		fp = binary.AppendVarint(fp, v)
 	}
-	man := *st.man
-	man.Base = entry
-	if err := commitManifest(dir, &man); err != nil {
-		t.Fatal(err)
+	sec := append([]byte(secParams), binary.LittleEndian.AppendUint64(nil, uint64(len(fp)))...)
+	sec = append(sec, fp...)
+	sec = binary.LittleEndian.AppendUint32(sec, crc32.ChecksumIEEE(sec))
+	forged := append(append(append([]byte(nil), art[:head]...), sec...), art[rest:]...)
+	if _, err := Load(bytes.NewReader(forged), DefaultParams()); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "block residues 1 out of range") {
+		t.Errorf("Load of a container with block residues 1: got %v, want ErrCorrupt naming the block size", err)
 	}
-	if st, err = OpenStore(dir, p); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Append(seqs[6:]); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Open(dir, p)
-	refused("store", err)
-
-	// A shard set.
-	shards, err := db.Shards(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, sh := range shards {
-		_, err := Load(bytes.NewReader(saved(t, rebuiltWith(t, sh, neighbor.DefaultThreshold, 11))), p)
-		refused(fmt.Sprintf("shard %d", i), err)
+	if _, err := Verify(bytes.NewReader(forged)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Verify of a container with block residues 1: got %v, want ErrCorrupt", err)
 	}
 }

@@ -127,10 +127,10 @@ func (s *Session) Refs() int64 { return s.cur.Load().refs.Load() }
 // a single container file or an ingest-store directory (base + deltas) —
 // opened with the session's stored Params. Open makes every check Verify
 // makes (every checksum of every file, complete decode, store recovery) plus
-// the fingerprint's, decoding each container once, and nothing is swapped
-// until it has succeeded: any failure, from a flipped byte to a params
-// mismatch, leaves the old database serving untouched with its refcount
-// balanced. After the swap Reload waits for every search still pinned to the
+// the fingerprint's, decoding and indexing each container once, and nothing
+// is swapped until it has succeeded: any failure, from a flipped byte to a
+// params mismatch, leaves the old database serving untouched with its
+// refcount balanced. After the swap Reload waits for every search still pinned to the
 // displaced generation to finish (they complete normally, byte-identical to
 // an undisturbed run) before returning.
 func (s *Session) Reload(path string) error {

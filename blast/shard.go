@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/dbindex"
 	"repro/internal/obs"
 	"repro/internal/search"
 )
@@ -54,11 +53,11 @@ func (d *Database) Shards(n int) ([]*Database, error) {
 			return nil, err
 		}
 		// The subset of an ascending-length database is ascending, so the
-		// build's internal sort is a stable no-op and local id j keeps
-		// meaning monolithic id j*n + s.
-		ix, err := dbindex.BuildWindow(sub, cfg.Neighbors, p.BlockResidues, cfg.TwoHit.Window)
+		// build does not re-sort it and local id j keeps meaning monolithic
+		// id j*n + s.
+		ix, err := buildIndex(sub, cfg.Neighbors, p.BlockResidues, p.Threads)
 		if err != nil {
-			return nil, fmt.Errorf("blast: indexing shard %d: %w", s, err)
+			return nil, fmt.Errorf("%w (shard %d)", err, s)
 		}
 		var co map[string]chunkInfo
 		for i := range sub.Seqs {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +12,6 @@ import (
 
 	"repro/internal/alphabet"
 	"repro/internal/dbase"
-	"repro/internal/dbindex"
 )
 
 // Store is a crash-safe, incrementally growable database on disk: one
@@ -29,10 +29,11 @@ type Store struct {
 
 	mu  sync.Mutex
 	man *manifest
-	// held is every container the manifest references, decoded, by file
-	// name. Each enters once — decoded from the bytes its commit made
-	// durable, or from its file when the store is opened — and leaves when
-	// the manifest stops referencing it (gc). Views share the containers and
+	// held is every container the manifest references, indexed, by file
+	// name. Each enters once — as the Database its commit built, once the
+	// bytes made durable decode to that Database's sequences, or decoded from
+	// its file and indexed when the store is opened — and leaves when the
+	// manifest stops referencing it (gc). Views share the containers and
 	// never write them, so a view taken before an Append or a Compact keeps
 	// its own alive and unchanged for as long as it is held.
 	held map[string]*container
@@ -136,9 +137,10 @@ func InitStore(dir string, seqs []Sequence, p Params) (*Store, error) {
 
 // writeContainer serializes db into a buffer of its exact size, commits the
 // bytes atomically as dir/name (exercising the delta-boundary fault sites),
-// and returns the container as the store holds it — decoded from those very
-// bytes, which is also their verification — with the manifest entry that
-// proves them.
+// decodes those very bytes as their verification, and returns the manifest
+// entry that proves them with the container as the store holds it: db's own
+// sequences, index and origins, once the decoded ones are shown to equal
+// them, so that the store holds one copy of each and builds nothing twice.
 func writeContainer(dir, name string, db *Database) (*container, manifestEntry, error) {
 	secs, err := db.sections()
 	if err != nil {
@@ -153,19 +155,42 @@ func writeContainer(dir, name string, db *Database) (*container, manifestEntry, 
 		return nil, manifestEntry{}, fmt.Errorf("blast: committing %s: %w", name, err)
 	}
 	c, err := loadContainer(bytes.NewReader(data))
+	if err == nil {
+		err = c.holds(db.parts[0])
+	}
 	if err != nil {
 		return nil, manifestEntry{}, fmt.Errorf("blast: %s failed verification: %w", name, err)
 	}
 	return c, newEntry(name, data, c), nil
 }
 
+// holds checks that the container decoded the sequences (count, order, names
+// and residues) and split origins of p, and then takes p's own in their place,
+// with p's index.
+func (c *container) holds(p *part) error {
+	if len(c.db.Seqs) != len(p.db.Seqs) {
+		return corruptf("decoded %d sequences, the database holds %d", len(c.db.Seqs), len(p.db.Seqs))
+	}
+	for i := range p.db.Seqs {
+		got, want := &c.db.Seqs[i], &p.db.Seqs[i]
+		if got.Name != want.Name || !bytes.Equal(got.Data, want.Data) {
+			return corruptf("decoded sequence %d (%q) differs from the database's (%q)", i, got.Name, want.Name)
+		}
+	}
+	if !maps.Equal(c.origins, p.chunkOrigin) {
+		return corruptf("decoded %d split origins differ from the database's %d", len(c.origins), len(p.chunkOrigin))
+	}
+	c.db, c.ix, c.origins = p.db, p.ix, p.chunkOrigin
+	return nil
+}
+
 // OpenStore opens the store at dir, running full crash recovery first:
 // validate the manifest, read every container it references once (checked
-// against its manifest entry) and decode it for the store to hold, replay durably
-// logged WAL batches the manifest does not yet reflect (rolling the crash
-// forward to its post-commit state), discard torn WAL tails (rolling back to
-// the pre-commit state), and garbage-collect orphaned files from
-// interrupted commits. Ambiguous damage — a manifest that fails its
+// against its manifest entry), decode it and index it for the store to hold
+// (on p.Threads workers), replay durably logged WAL batches the manifest does
+// not yet reflect (rolling the crash forward to its post-commit state),
+// discard torn WAL tails (rolling back to the pre-commit state), and
+// garbage-collect orphaned files from interrupted commits. Ambiguous damage — a manifest that fails its
 // checksum, a referenced container missing, altered or holding other totals
 // than its manifest entry, intact WAL records that contradict the watermark —
 // is refused with ErrStoreCorrupt rather than guessed around, and before
@@ -192,6 +217,9 @@ func OpenStore(dir string, p Params) (*Store, error) {
 		if c.db.NumSeqs() != e.Sequences || c.db.TotalResidues != e.Residues {
 			return nil, fmt.Errorf("blast: %w: %s holds %d sequences/%d residues, manifest says %d/%d",
 				ErrStoreCorrupt, e.Name, c.db.NumSeqs(), c.db.TotalResidues, e.Sequences, e.Residues)
+		}
+		if err := c.index(p.Threads); err != nil {
+			return nil, fmt.Errorf("blast: opening %s: %w", e.Name, err)
 		}
 		st.held[e.Name] = c
 	}
@@ -401,9 +429,10 @@ func (st *Store) Append(batch []Sequence) (*AppendStats, error) {
 // database: the base's part followed by every delta's, each searched with the
 // combined totals as its global search space (exactly the shard-statistics
 // threading), tied together by the stable merge-order id maps. It decodes
-// nothing: the parts are new engines and id maps over the containers the
-// store already holds. With no deltas outstanding this is the base alone. The
-// result is byte-identical to a from-scratch rebuild over the same sequences.
+// and indexes nothing: the parts are new engines and id maps over the
+// containers the store already holds. With no deltas outstanding this is the
+// base alone. The result is byte-identical to a from-scratch rebuild over the
+// same sequences.
 func (st *Store) Database() (*Database, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -485,14 +514,15 @@ func (st *Store) Compact() error {
 	if err != nil {
 		return err
 	}
-	ix, err := dbindex.BuildWindow(merged, cfg.Neighbors, fp.BlockResidues, cfg.TwoHit.Window)
+	ix, err := buildIndex(merged, cfg.Neighbors, fp.BlockResidues, bp.Threads)
 	if err != nil {
-		return fmt.Errorf("blast: compaction index build: %w", err)
+		return err
 	}
 	nd := newSingle(bp, cfg, merged, ix, origins, fp.SplitLongerThan, fp.SplitOverlap)
 
 	// Verify-before-swap: the manifest only ever references proven bytes,
-	// and the store keeps the container the proof decoded.
+	// and the store keeps nd's sequences and index once the proof decoded
+	// them.
 	next := st.man.Seq + 1
 	name := baseFileName(next)
 	c, entry, err := writeContainer(st.dir, name, nd)

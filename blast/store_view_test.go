@@ -1,12 +1,18 @@
 package blast
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/alphabet"
+	"repro/internal/dbase"
 )
 
 // decodes returns how many containers f decoded.
@@ -168,4 +174,77 @@ func TestStoreViewUnchangedByLaterViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameSearch(t, "view after the compaction", latest, rebuild3, append(queries, b3[0].Residues))
+}
+
+// TestStoreHoldsOneCopyOfTheSequences: every container the store holds,
+// after InitStore, Append, Compact and OpenStore alike, is one set of
+// sequences with the index built over them — a commit keeps the Database it
+// built, not a second decoded copy beside it. A commit whose decoded
+// sequences or split origins differ from its Database's is refused, and
+// nothing is held.
+func TestStoreHoldsOneCopyOfTheSequences(t *testing.T) {
+	oneCopy := func(when string, st *Store) {
+		t.Helper()
+		if len(st.held) != len(st.man.entries()) {
+			t.Fatalf("%s: %d containers held for %d manifest entries", when, len(st.held), len(st.man.entries()))
+		}
+		for name, c := range st.held {
+			if c.ix == nil || c.ix.DB != c.db {
+				t.Fatalf("%s: %s's index is not over the sequences the store holds", when, name)
+			}
+		}
+	}
+	dir, st, _, _, _ := storeFixture(t)
+	oneCopy("after InitStore and two Appends", st)
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	oneCopy("after Compact", st)
+	if _, err := st.Append(storeSeqs(4, 125, "d3x")); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenStore(dir, storeParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneCopy("after OpenStore", reopened)
+
+	// The decoded sequences are held to the Database's: count, order, names
+	// and residues.
+	db, err := NewDatabase(storeSeqs(8, 126, "x"), storeParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	art := saved(t, db)
+	for _, tc := range []struct {
+		name   string
+		change func(s []dbase.Sequence) []dbase.Sequence
+	}{
+		{"one fewer", func(s []dbase.Sequence) []dbase.Sequence { return s[:len(s)-1] }},
+		{"swapped", func(s []dbase.Sequence) []dbase.Sequence { s[0], s[1] = s[1], s[0]; return s }},
+		{"renamed", func(s []dbase.Sequence) []dbase.Sequence { s[3].Name += "'"; return s }},
+		{"mutated", func(s []dbase.Sequence) []dbase.Sequence {
+			s[5].Data = slices.Clone(s[5].Data)
+			s[5].Data[0] = (s[5].Data[0] + 1) % alphabet.Size
+			return s
+		}},
+	} {
+		c, err := loadContainer(bytes.NewReader(art))
+		if err != nil {
+			t.Fatal(err)
+		}
+		other := *db.parts[0]
+		other.db = &dbase.DB{Seqs: tc.change(slices.Clone(db.parts[0].db.Seqs))}
+		if err := c.holds(&other); !errors.Is(err, ErrCorrupt) || c.db == other.db {
+			t.Errorf("%s: holds returned %v and took the Database's sequences %v", tc.name, err, c.db == other.db)
+		}
+	}
+
+	// Through writeContainer: split origins the bytes do not carry.
+	bad, mis := *db, *db.parts[0]
+	mis.chunkOrigin = map[string]chunkInfo{"missing": {origName: "x", offset: 1}}
+	bad.parts = []*part{&mis}
+	if c, _, err := writeContainer(t.TempDir(), "x.mublastp", &bad); !errors.Is(err, ErrCorrupt) || c != nil {
+		t.Errorf("writeContainer of a Database its bytes do not decode to: got %v, holding %v", err, c != nil)
+	}
 }

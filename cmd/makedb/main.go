@@ -28,7 +28,7 @@
 //
 // Usage:
 //
-//	makedb -in db.fasta -out db.mublastp [-shards 4] [-block-bytes 1048576] [-threads 12]
+//	makedb -in db.fasta -out db.mublastp [-shards 4] [-block-residues 131072] [-threads 12]
 package main
 
 import (
@@ -45,8 +45,8 @@ func main() {
 		in          = flag.String("in", "", "input FASTA database (required for -out, -store, -append)")
 		out         = flag.String("out", "", "output index path")
 		shards      = flag.Int("shards", 1, "split into N shard containers named <out>.shard<i>-of-<N> (1 = single container)")
-		blockBytes  = flag.Int64("block-bytes", 0, "index block size in bytes (0 = paper's L3 sizing rule)")
-		threads     = flag.Int("threads", 0, "thread count the block sizing rule targets (0 = all cores)")
+		blockRes    = flag.Int64("block-residues", 0, "index block size in residues, at least 1024 (0 = paper's L3 sizing rule)")
+		threads     = flag.Int("threads", 0, "workers the index build uses, and the thread count the block sizing rule targets (0 = all cores)")
 		matrixName  = flag.String("matrix", "BLOSUM62", "substitution matrix")
 		storeDir    = flag.String("store", "", "initialise a crash-safe ingest store at this directory from -in")
 		appendDir   = flag.String("append", "", "append the -in batch to the ingest store at this directory as a delta")
@@ -59,9 +59,7 @@ func main() {
 	p := blast.DefaultParams()
 	p.Matrix = *matrixName
 	p.Threads = *threads
-	if *blockBytes > 0 {
-		p.BlockResidues = *blockBytes / 4
-	}
+	p.BlockResidues = *blockRes
 
 	modes := 0
 	for _, m := range []string{*out, *storeDir, *appendDir, *compactDir, *recoverDir, *verifyStore} {

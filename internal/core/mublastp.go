@@ -98,8 +98,9 @@ func New(cfg *search.Config, ix *dbindex.Index) *Engine {
 
 // NewWithOptions creates a muBLASTP engine with explicit options. It panics
 // if the two-hit window is wider than the index was padded for (see
-// detectPrefiltered): blast refuses such a pairing when it opens a database,
-// so only a caller that built the index itself can get here. It also panics
+// detectPrefiltered): blast builds every index it searches, also when it
+// loads a database, for its own window, so only a caller that built the
+// index itself with dbindex.BuildWindow can get here. It also panics
 // on a window that cannot pair at all (at most W): search.CheckStamp's fused
 // compare needs window > W, and blast refuses such a window too. And it
 // panics on an ungapped X-drop below 1, which the ungapped kernels' drop

@@ -22,17 +22,17 @@ const dbMagic = "MUDB1\n"
 
 // EncodedSize returns the exact number of bytes WriteTo writes.
 func (db *DB) EncodedSize() int64 {
-	n := int64(len(dbMagic) + UvarintLen(uint64(len(db.Seqs))))
+	n := int64(len(dbMagic) + uvarintLen(uint64(len(db.Seqs))))
 	for i := range db.Seqs {
 		s := &db.Seqs[i]
-		n += int64(UvarintLen(uint64(len(s.Name))) + len(s.Name) + UvarintLen(uint64(len(s.Data))) + len(s.Data))
+		n += int64(uvarintLen(uint64(len(s.Name))) + len(s.Name) + uvarintLen(uint64(len(s.Data))) + len(s.Data))
 	}
 	return n
 }
 
 // WriteTo serializes the database in chunks.
 func (db *DB) WriteTo(w io.Writer) (int64, error) {
-	sw := NewStreamWriter(w)
+	sw := newStreamWriter(w)
 	sw.String(dbMagic)
 	sw.Uvarint(uint64(len(db.Seqs)))
 	for i := range db.Seqs {
@@ -80,7 +80,7 @@ func ReadFromLimit(r io.Reader, maxBytes int64) (*DB, error) {
 	if maxBytes < 0 {
 		return nil, fmt.Errorf("dbase: negative read limit %d", maxBytes)
 	}
-	sr := NewStreamReader(r, maxBytes)
+	sr := newStreamReader(r, maxBytes)
 	magic, err := sr.Next(len(dbMagic))
 	if err != nil {
 		return nil, fmt.Errorf("dbase: reading magic: %w", err)

@@ -97,7 +97,6 @@ type BlockIndex struct {
 	// segStart[l] is the block coordinate of local sequence l's first
 	// residue, segStart[NumSeqs] the block's span. coarse[c] is the sequence
 	// whose segment (residues and padding) holds coordinate c<<coarseShift.
-	// Both are derived from the database, never stored, and so is pages.
 	segStart []int32
 	coarse   []int32
 }
@@ -145,18 +144,18 @@ type Index struct {
 	Blocks    []*BlockIndex
 	// Words holds every word that has a position in some block: a
 	// neighbor outside it has no hits anywhere in the index. The builder
-	// and the loader fill it in the loops over the word table they run
-	// anyway.
+	// fills it in the loop over the word table it runs anyway.
 	Words neighbor.Set
 	// BlockResidues is the residue cap each block was built with.
 	BlockResidues int64
 }
 
-// Build length-sorts db in place (the paper sorts during index construction)
-// and builds one BlockIndex per block of at most blockResidues residues,
-// using all cores. The result is deterministic: blocks are independent and
-// land at fixed positions regardless of scheduling. The blocks are padded for
-// the default two-hit window; BuildWindow pads for another.
+// Build length-sorts db in place (the paper sorts during index construction;
+// a database already in length order is left as it is) and builds one
+// BlockIndex per block of at most blockResidues residues, using all cores.
+// The result is deterministic: blocks are independent and land at fixed
+// positions regardless of scheduling. The blocks are padded for the default
+// two-hit window; BuildWindow pads for another.
 func Build(db *dbase.DB, nbr *neighbor.Enumerator, blockResidues int64) (*Index, error) {
 	return BuildParallel(db, nbr, blockResidues, 0)
 }
@@ -173,7 +172,7 @@ func BuildParallel(db *dbase.DB, nbr *neighbor.Enumerator, blockResidues int64, 
 	return build(db, nbr, blockResidues, ungapped.DefaultWindow, threads)
 }
 
-// maxPad bounds a block's padding, in the builder and in the loader alike.
+// maxPad bounds a block's padding.
 const maxPad = 1<<16 - 1
 
 func build(db *dbase.DB, nbr *neighbor.Enumerator, blockResidues int64, window, threads int) (*Index, error) {
@@ -183,7 +182,9 @@ func build(db *dbase.DB, nbr *neighbor.Enumerator, blockResidues int64, window, 
 	if blockResidues <= 0 {
 		return nil, fmt.Errorf("dbindex: blockResidues must be positive, got %d", blockResidues)
 	}
-	db.SortByLength()
+	if !db.IsSortedByLength() {
+		db.SortByLength()
+	}
 	blocks := db.Blocks(blockResidues)
 	ix := &Index{DB: db, Neighbors: nbr, BlockResidues: blockResidues, Blocks: make([]*BlockIndex, len(blocks))}
 	errs := make([]error, len(blocks))
@@ -243,7 +244,7 @@ var scratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
 func buildBlock(db *dbase.DB, b dbase.Block, window int, sc *buildScratch) (*BlockIndex, error) {
 	bi := &BlockIndex{Block: b, Pad: max(window-alphabet.W, 0), words: make([]uint16, alphabet.NumWords+1)}
-	if _, _, err := bi.layout(db); err != nil {
+	if err := bi.layout(db); err != nil {
 		return nil, err
 	}
 	count := grown(&sc.count, alphabet.NumWords)
@@ -383,9 +384,6 @@ func (b *BlockIndex) setLead(w alphabet.Word, page int) {
 	b.words[w] = b.words[w]&startMask | uint16(page)<<startBits
 }
 
-// lead returns the lead page of word w.
-func (b *BlockIndex) lead(w alphabet.Word) int { return int(b.words[w] >> startBits) }
-
 // keepRows drops the slack that appending left in the split table, which is
 // held for the life of the block, and builds its directory.
 func (b *BlockIndex) keepRows() {
@@ -396,22 +394,18 @@ func (b *BlockIndex) keepRows() {
 	}
 }
 
-// layout lays the block's sequences on the coordinate axis — segStart, the
-// coarse table Decode reads and the page count — and returns what it saw on
-// the way, the block's residue count and longest sequence, for the loader to
-// hold the stream's claims against.
-func (b *BlockIndex) layout(db *dbase.DB) (residues int64, maxLen int, err error) {
+// layout lays the block's sequences on the coordinate axis: segStart, the
+// coarse table Decode reads and the page count.
+func (b *BlockIndex) layout(db *dbase.DB) error {
 	numSeqs := b.Block.NumSeqs()
 	b.segStart = make([]int32, numSeqs+1)
 	span := int64(0)
 	for l := 0; l < numSeqs; l++ {
 		n := len(db.Seqs[b.Block.Start+l].Data)
 		b.segStart[l] = int32(span)
-		residues += int64(n)
-		maxLen = max(maxLen, n)
 		span += int64(n + b.Pad)
 		if span > math.MaxInt32 {
-			return 0, 0, fmt.Errorf("block coordinates need more than 31 bits (%d seqs, padding %d); use smaller blocks",
+			return fmt.Errorf("block coordinates need more than 31 bits (%d seqs, padding %d); use smaller blocks",
 				numSeqs, b.Pad)
 		}
 	}
@@ -425,7 +419,7 @@ func (b *BlockIndex) layout(db *dbase.DB) (residues int64, maxLen int, err error
 		}
 		b.coarse[c] = l
 	}
-	return residues, maxLen, nil
+	return nil
 }
 
 // Pages returns the number of 1<<PageShift-coordinate pages the block's axis
@@ -491,21 +485,6 @@ func (b *BlockIndex) RunLen(w alphabet.Word, p int, row []uint8) int {
 	cell := int32(int(w)*b.pages + p)
 	i, _ := slices.BinarySearchFunc(b.wide, cell, func(r wideRun, c int32) int { return cmp.Compare(r.cell, c) })
 	return int(b.wide[i].n)
-}
-
-// runLens fills lens, Pages() long, with the length of word w's run that
-// starts in each page: what setRuns takes.
-func (b *BlockIndex) runLens(w alphabet.Word, lens []uint32) {
-	offs, page, one := b.Lead(w)
-	clear(lens)
-	if one {
-		lens[page] = uint32(len(offs))
-		return
-	}
-	_, row := b.Runs(w)
-	for p := range lens {
-		lens[p] = uint32(b.RunLen(w, p, row))
-	}
 }
 
 // Next returns the coordinate a position stored as d stands for, when it
@@ -633,24 +612,28 @@ func (ix *Index) ExpandedSizeBytes() int64 {
 	return n
 }
 
+// MinBlockResidues is the smallest block OptimalBlockResidues sizes, and the
+// smallest cap a database may be built or loaded with. A block's word table
+// costs about 28 KB whatever its residues, and in a length-sorted database
+// every block but at most two holds more than half the cap, so the floor
+// bounds that fixed cost at about 56 bytes a residue, two blocks aside.
+const MinBlockResidues = 1024
+
 // OptimalBlockResidues applies the paper's block sizing rule (Section V-B):
 // the index block and the per-thread last-hit arrays should together fit in
 // the shared L3 cache. With t threads and block size b bytes the paper's
 // last-hit arrays take ~2·b·t bytes, so b = L3 / (2t + 1), and the return
-// value is b at the paper's 4 bytes a position (a residue), clamped to a sane
-// minimum. Ours are smaller: a position is 2 bytes and the last-hit array one
-// 2-byte slot per block diagonal (4 bytes above 1 026 query residues), so a
-// block and one thread's array take about the bytes the paper's block alone
-// does, and the rule, kept as the paper states it for every query length,
-// leaves slack; the measured optimum is in EXPERIMENTS.md (the Fig 8 sweep).
+// value is b at the paper's 4 bytes a position (a residue), clamped to
+// MinBlockResidues. Ours are smaller: a position is 2 bytes and the last-hit
+// array one 2-byte slot per block diagonal (4 bytes above 1 026 query
+// residues), so a block and one thread's array take about the bytes the
+// paper's block alone does, and the rule, kept as the paper states it for
+// every query length, leaves slack; the measured optimum is in
+// EXPERIMENTS.md (the Fig 8 sweep).
 func OptimalBlockResidues(l3Bytes int64, threads int) int64 {
 	if threads < 1 {
 		threads = 1
 	}
 	b := l3Bytes / int64(2*threads+1)
-	residues := b / 4
-	if residues < 1024 {
-		residues = 1024
-	}
-	return residues
+	return max(b/4, MinBlockResidues)
 }
